@@ -3,15 +3,21 @@
 
 use crate::error::{DbError, DbResult};
 use crate::eval::{bind, BindContext};
-use crate::exec::{execute_select, ExecStats, QueryResult};
+use crate::exec::{execute_select, find_rows, ExecStats, QueryResult};
 use crate::log::{LogOp, Lsn, UpdateLog};
 use crate::schema::{ColumnDef, Schema};
 use crate::sql::ast::{Expr, Statement};
 use crate::sql::parser::parse;
 use crate::table::{Catalog, Row, Table};
 use crate::value::Value;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
+
+/// Parameterised statement texts the statement cache holds at most. A site
+/// has a handful of servlet templates; when more distinct texts than this
+/// arrive the cache starts over rather than track recency.
+const STATEMENT_CACHE_CAPACITY: usize = 64;
 
 /// Outcome of executing one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,6 +64,8 @@ pub struct DbStats {
     pub txn_commits: u64,
     /// Transactions aborted (explicit rollback or drop without commit).
     pub txn_aborts: u64,
+    /// Statement texts parsed (a statement-cache hit parses nothing).
+    pub parses: u64,
     /// Accumulated executor work counters.
     pub exec: ExecStats,
 }
@@ -76,6 +84,7 @@ pub(crate) struct StatsCells {
     txn_begins: AtomicU64,
     txn_commits: AtomicU64,
     txn_aborts: AtomicU64,
+    parses: AtomicU64,
     rows_scanned: AtomicU64,
     rows_joined: AtomicU64,
     rows_output: AtomicU64,
@@ -101,6 +110,7 @@ impl StatsCells {
             txn_begins: self.txn_begins.load(Ordering::Relaxed),
             txn_commits: self.txn_commits.load(Ordering::Relaxed),
             txn_aborts: self.txn_aborts.load(Ordering::Relaxed),
+            parses: self.parses.load(Ordering::Relaxed),
             exec: ExecStats {
                 rows_scanned: self.rows_scanned.load(Ordering::Relaxed),
                 rows_joined: self.rows_joined.load(Ordering::Relaxed),
@@ -112,19 +122,6 @@ impl StatsCells {
     }
 }
 
-/// A parsed, reusable statement (see [`Database::prepare`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PreparedStatement {
-    stmt: Statement,
-}
-
-impl PreparedStatement {
-    /// The underlying parsed statement.
-    pub fn statement(&self) -> &Statement {
-        &self.stmt
-    }
-}
-
 /// An in-memory relational database with an inspectable update log.
 #[derive(Debug, Default)]
 pub struct Database {
@@ -132,6 +129,11 @@ pub struct Database {
     log: UpdateLog,
     stats: StatsCells,
     fault: crate::fault::FaultPlan,
+    /// Parsed statements by text. Only texts executed with parameters are
+    /// kept: literal-only texts (polling queries, ad-hoc updates) are mostly
+    /// distinct and would evict the few templates that repeat. Binding
+    /// happens per execution, so DDL never invalidates an entry.
+    statements: RwLock<HashMap<String, Arc<Statement>>>,
 }
 
 impl Database {
@@ -199,8 +201,28 @@ impl Database {
 
     /// Execute one SQL statement with positional parameters (`$1`… / `?`).
     pub fn execute_with_params(&mut self, sql: &str, params: &[Value]) -> DbResult<ExecOutcome> {
-        let stmt = parse(sql)?;
+        let stmt = self.statement(sql, params)?;
         self.execute_statement(&stmt, params)
+    }
+
+    /// Parse `sql`, or fetch its parse from the statement cache.
+    fn statement(&self, sql: &str, params: &[Value]) -> DbResult<Arc<Statement>> {
+        const POISONED: &str = "statement cache lock poisoned: a thread panicked while holding it";
+        if !params.is_empty() {
+            if let Some(stmt) = self.statements.read().expect(POISONED).get(sql) {
+                return Ok(stmt.clone());
+            }
+        }
+        self.stats.parses.fetch_add(1, Ordering::Relaxed);
+        let stmt = Arc::new(parse(sql)?);
+        if !params.is_empty() {
+            let mut cache = self.statements.write().expect(POISONED);
+            if cache.len() >= STATEMENT_CACHE_CAPACITY {
+                cache.clear();
+            }
+            cache.insert(sql.to_string(), stmt.clone());
+        }
+        Ok(stmt)
     }
 
     /// Execute a pre-parsed statement.
@@ -210,13 +232,7 @@ impl Database {
         params: &[Value],
     ) -> DbResult<ExecOutcome> {
         match stmt {
-            Statement::Select(s) => {
-                let mut stats = ExecStats::default();
-                let result = execute_select(&self.catalog, s, params, &mut stats)?;
-                self.stats.selects.fetch_add(1, Ordering::Relaxed);
-                self.stats.add_exec(&stats);
-                Ok(ExecOutcome::Rows(result))
-            }
+            Statement::Select(_) => self.query_statement(stmt, params).map(ExecOutcome::Rows),
             Statement::Insert(ins) => {
                 let rows = self.eval_insert_rows(&ins.table, ins.columns.as_deref(), &ins.rows, params)?;
                 let n = rows.len();
@@ -231,24 +247,14 @@ impl Database {
             }
             Statement::Delete(del) => {
                 let table = self.catalog.require(&del.table)?;
-                let ctx = BindContext::new(vec![(
-                    del.table.clone(),
-                    table.schema().clone(),
-                )]);
-                let pred = match &del.where_clause {
-                    Some(w) => Some(bind(w, &ctx, params)?),
-                    None => None,
-                };
-                let victims: Vec<_> = table
-                    .scan()
-                    .filter(|(_, row)| {
-                        pred.as_ref()
-                            .map(|p| p.eval_predicate(&[row]))
-                            .unwrap_or(true)
-                    })
-                    .map(|(rid, row)| (rid, row.clone()))
-                    .collect();
-                self.stats.rows_scanned.fetch_add(table.len() as u64, Ordering::Relaxed);
+                let ctx = BindContext::new(vec![(del.table.clone(), table.schema().clone())]);
+                let mut stats = ExecStats::default();
+                let victims: Vec<_> =
+                    find_rows(table, &ctx, del.where_clause.as_ref(), params, &mut stats)?
+                        .into_iter()
+                        .map(|(rid, row)| (rid, row.clone()))
+                        .collect();
+                self.stats.add_exec(&stats);
                 let table_name = table.name().to_string();
                 let table = self.catalog.require_mut(&del.table)?;
                 let n = victims.len();
@@ -261,37 +267,25 @@ impl Database {
             }
             Statement::Update(upd) => {
                 let table = self.catalog.require(&upd.table)?;
-                let ctx = BindContext::new(vec![(
-                    upd.table.clone(),
-                    table.schema().clone(),
-                )]);
-                let pred = match &upd.where_clause {
-                    Some(w) => Some(bind(w, &ctx, params)?),
-                    None => None,
-                };
+                let ctx = BindContext::new(vec![(upd.table.clone(), table.schema().clone())]);
                 let assignments: Vec<(usize, crate::eval::BoundExpr)> = upd
                     .assignments
                     .iter()
-                    .map(|(col, e)| {
-                        Ok((table.schema().require(col)?, bind(e, &ctx, params)?))
-                    })
+                    .map(|(col, e)| Ok((table.schema().require(col)?, bind(e, &ctx, params)?)))
                     .collect::<DbResult<_>>()?;
-                let changes: Vec<_> = table
-                    .scan()
-                    .filter(|(_, row)| {
-                        pred.as_ref()
-                            .map(|p| p.eval_predicate(&[row]))
-                            .unwrap_or(true)
-                    })
-                    .map(|(rid, row)| {
-                        let mut new_row = row.clone();
-                        for (ci, e) in &assignments {
-                            new_row[*ci] = e.eval(&[row]);
-                        }
-                        (rid, row.clone(), new_row)
-                    })
-                    .collect();
-                self.stats.rows_scanned.fetch_add(table.len() as u64, Ordering::Relaxed);
+                let mut stats = ExecStats::default();
+                let changes: Vec<_> =
+                    find_rows(table, &ctx, upd.where_clause.as_ref(), params, &mut stats)?
+                        .into_iter()
+                        .map(|(rid, row)| {
+                            let mut new_row = row.clone();
+                            for (ci, e) in &assignments {
+                                new_row[*ci] = e.eval(&[row]);
+                            }
+                            (rid, row.clone(), new_row)
+                        })
+                        .collect();
+                self.stats.add_exec(&stats);
                 let table_name = table.name().to_string();
                 let table = self.catalog.require_mut(&upd.table)?;
                 let n = changes.len();
@@ -328,21 +322,6 @@ impl Database {
         }
     }
 
-    /// Parse once, execute many times — avoids repeated parsing for the
-    /// templated servlet queries that dominate the workload.
-    pub fn prepare(&self, sql: &str) -> DbResult<PreparedStatement> {
-        Ok(PreparedStatement { stmt: parse(sql)? })
-    }
-
-    /// Execute a prepared statement with positional parameters.
-    pub fn execute_prepared(
-        &mut self,
-        prepared: &PreparedStatement,
-        params: &[Value],
-    ) -> DbResult<ExecOutcome> {
-        self.execute_statement(&prepared.stmt, params)
-    }
-
     /// Plan description for a SELECT (no execution).
     pub fn explain(&self, sql: &str) -> DbResult<String> {
         match parse(sql)? {
@@ -362,18 +341,8 @@ impl Database {
 
     /// Read-only SELECT with positional parameters (`$1`… / `?`).
     pub fn query_with_params(&self, sql: &str, params: &[Value]) -> DbResult<QueryResult> {
-        let stmt = parse(sql)?;
+        let stmt = self.statement(sql, params)?;
         self.query_statement(&stmt, params)
-    }
-
-    /// Read-only SELECT from a prepared statement — the hot path for
-    /// templated polling queries issued during a sync point.
-    pub fn query_prepared(
-        &self,
-        prepared: &PreparedStatement,
-        params: &[Value],
-    ) -> DbResult<QueryResult> {
-        self.query_statement(&prepared.stmt, params)
     }
 
     fn query_statement(&self, stmt: &Statement, params: &[Value]) -> DbResult<QueryResult> {
@@ -733,25 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn prepared_statements_round_trip() {
-        let mut db = example_db();
-        let stmt = db
-            .prepare("SELECT model FROM Car WHERE price <= $1")
-            .unwrap();
-        let r1 = db
-            .execute_prepared(&stmt, &[Value::Int(20000)])
-            .unwrap()
-            .rows();
-        assert_eq!(r1.rows.len(), 2);
-        let r2 = db
-            .execute_prepared(&stmt, &[Value::Int(18500)])
-            .unwrap()
-            .rows();
-        assert_eq!(r2.rows.len(), 1);
-        assert!(db.prepare("SELECT nonsense FROM").is_err());
-    }
-
-    #[test]
     fn having_filters_groups() {
         let mut db = example_db();
         db.execute("INSERT INTO Car VALUES ('Toyota','Corolla',17000)").unwrap();
@@ -866,11 +816,25 @@ mod tests {
     #[test]
     fn explain_reports_access_paths() {
         let db = example_db();
-        let plan = db
-            .explain("SELECT * FROM Car, Mileage WHERE Car.model = Mileage.model AND Car.model = 'x'")
-            .unwrap();
-        assert!(plan.contains("INDEX PROBE (model) Car"), "{plan}");
-        assert!(plan.contains("HASH JOIN"), "{plan}");
+        let explain = |sql: &str| db.explain(sql).unwrap();
+        // The paper's Example 4.1 shape: the constant crosses the equi-join,
+        // so both sides are index-driven.
+        assert_eq!(
+            explain("SELECT * FROM Car c, Mileage m WHERE c.model = 'x' AND c.model = m.model"),
+            "INDEX PROBE (model) c [1 local predicate(s)]\n\
+             INDEX PROBE (model) m [1 local predicate(s)]\n  joined via INDEX JOIN\n"
+        );
+        // An indexed join column with no constant is probed per outer row,
+        // unless the outer side is the larger one.
+        assert_eq!(
+            explain("SELECT * FROM Mileage m, Car c WHERE c.model = m.model AND m.EPA > 30"),
+            "SEQ SCAN m [1 local predicate(s)]\n\
+             INDEX PROBE (model) c [0 local predicate(s)]\n  joined via INDEX JOIN\n"
+        );
+        let plan = explain("SELECT * FROM Car c, Mileage m WHERE c.model = m.model");
+        assert!(plan.ends_with("SEQ SCAN m [0 local predicate(s)]\n  joined via HASH JOIN\n"));
+        let plan = explain("SELECT * FROM Car c, Mileage m WHERE c.price > m.EPA");
+        assert!(plan.ends_with("  joined via NESTED LOOP\n"), "{plan}");
 
         let db2 = {
             let mut d = Database::new();
@@ -887,5 +851,65 @@ mod tests {
 
         let plan = db.explain("SELECT * FROM Car WHERE price > 1").unwrap();
         assert!(plan.contains("SEQ SCAN"), "{plan}");
+    }
+
+    #[test]
+    fn point_lookups_and_point_updates_scan_nothing() {
+        let mut db = example_db();
+        let r = db
+            .query_with_params(
+                "SELECT Car.maker, Mileage.EPA FROM Car, Mileage \
+                 WHERE Car.model = $1 AND Car.model = Mileage.model",
+                &["Civic".into()],
+            )
+            .unwrap();
+        assert_eq!(r.rows, vec![vec!["Honda".into(), Value::Float(36.5)]]);
+        for point_dml in [
+            "UPDATE Car SET price = 17500 WHERE model = 'Civic'",
+            "DELETE FROM Mileage WHERE model = 'Avalon'",
+        ] {
+            assert_eq!(db.execute(point_dml).unwrap().affected(), 1);
+        }
+        let exec = db.stats().exec;
+        assert_eq!((exec.rows_scanned, exec.seq_scans), (0, 0));
+        assert_eq!(exec.index_probes, 4, "one row per table and statement");
+        // Without a usable index the rows a scan visits are what is counted.
+        let unindexed = "UPDATE Car SET price = 1 WHERE maker = 'Honda'";
+        assert_eq!(db.execute(unindexed).unwrap().affected(), 1);
+        assert_eq!(db.stats().exec.rows_scanned, 3);
+    }
+
+    #[test]
+    fn statement_cache_parses_a_parameterised_text_once() {
+        let mut db = example_db();
+        let q = "SELECT * FROM Car WHERE model = $1";
+        let before = db.stats().parses;
+        for model in ["Civic", "Avalon", "Civic"] {
+            let r = db.query_with_params(q, &[model.into()]).unwrap();
+            assert_eq!(r.rows.len(), 1);
+        }
+        assert_eq!(db.stats().parses, before + 1);
+
+        // It holds parses, not bindings: the same text binds against whatever
+        // the table looks like now.
+        db.execute("DROP TABLE Car").unwrap();
+        db.execute("CREATE TABLE Car (price INT, model TEXT)")
+            .unwrap();
+        db.execute("INSERT INTO Car VALUES (7, 'Civic')").unwrap();
+        let r = db.query_with_params(q, &["Civic".into()]).unwrap();
+        assert_eq!(r.columns, vec!["price", "model"]);
+        assert_eq!(r.rows, vec![vec![Value::Int(7), "Civic".into()]]);
+
+        // Literal-only texts bypass it; parameterised ones cannot outgrow it.
+        for i in 0..10_000 {
+            let text = format!("SELECT * FROM Car WHERE price = {i}");
+            db.query(&text).unwrap();
+        }
+        assert_eq!(db.statements.read().unwrap().len(), 1);
+        for i in 0..3 * STATEMENT_CACHE_CAPACITY {
+            let text = format!("SELECT * FROM Car WHERE price = $1 AND price < {i}");
+            db.execute_with_params(&text, &[Value::Int(7)]).unwrap();
+            assert!(db.statements.read().unwrap().len() <= STATEMENT_CACHE_CAPACITY);
+        }
     }
 }

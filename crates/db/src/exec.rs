@@ -1,19 +1,26 @@
 //! Query planning and execution.
 //!
-//! The planner is deliberately simple but honest about access paths:
-//! single-table conjuncts are pushed down to scans, `col = literal`
-//! conjuncts use hash indexes when available, and equi-join conjuncts drive
-//! hash joins in FROM order. Everything else (residual predicates,
-//! disconnected tables) falls back to filtered nested loops — which, for the
-//! paper's select-project-join workload, is exercised only by the
-//! cartesian-product edge cases in tests.
+//! One access-path planner serves SELECT, UPDATE and DELETE. [`plan_select`]
+//! binds each WHERE conjunct once, files it under the FROM table that
+//! completes it, propagates constants across equi-join equalities
+//! (`a.x = $1 ∧ a.x = b.y ⇒ b.y = $1`) and fixes, per FROM table, an
+//! [`AccessPath`] and a join kind: index nested-loop when the join column is
+//! hash-indexed and the outer side is estimated no larger than what the
+//! table's own access path would fetch, else a hash join on an equi-join
+//! conjunct, else a filtered nested loop. `Plan::run` only dispatches on
+//! those kinds, and [`explain_select`] prints the same plan. UPDATE and
+//! DELETE find their rows through [`find_rows`], the single-table case of the
+//! same classification. Every access path emits rows in storage order, so a
+//! result — including the order of an un-`ORDER`ed one — does not depend on
+//! which indexes exist.
 
 use crate::error::{DbError, DbResult};
 use crate::eval::{bind, AggState, BindContext, BoundExpr};
-use crate::sql::ast::{ColumnRef, Expr, Select, SelectItem};
-use crate::table::{Catalog, Row, Table};
+use crate::sql::ast::{CmpOp, ColumnRef, Expr, Select, SelectItem};
+use crate::table::{Catalog, Row, RowId, Table};
 use crate::value::Value;
 use std::collections::HashMap;
+use std::ops::Bound;
 
 /// Result set of a SELECT.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,13 +53,13 @@ impl QueryResult {
 /// Work counters for one statement execution.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Rows touched by scans and index probes.
+    /// Rows visited by sequential scans.
     pub rows_scanned: u64,
     /// Rows produced by joins before projection.
     pub rows_joined: u64,
     /// Rows in the final result.
     pub rows_output: u64,
-    /// Number of index probes used instead of full scans.
+    /// Rows fetched through a hash or ordered index instead of a scan.
     pub index_probes: u64,
     /// Full sequential scans the planner fell back to (no usable index).
     pub seq_scans: u64,
@@ -62,6 +69,11 @@ impl ExecStats {
     /// Abstract work units: the simulator maps these to service time.
     pub fn work(&self) -> u64 {
         self.rows_scanned + self.rows_joined + self.rows_output + self.index_probes
+    }
+
+    /// Rows read from tables, by scan or through an index.
+    pub fn rows_read(&self) -> u64 {
+        self.rows_scanned + self.index_probes
     }
 
     /// Accumulate another run’s counters.
@@ -74,11 +86,286 @@ impl ExecStats {
     }
 }
 
-/// A conjunct classified by which FROM tables it references.
-struct ClassifiedConjunct {
-    bound: BoundExpr,
-    /// FROM-list table indexes referenced, sorted + deduped.
-    tables: Vec<usize>,
+/// How one table's rows are fetched.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AccessPath {
+    /// Full sequential scan.
+    SeqScan,
+    /// Hash-index probe: rows whose `column` equals `key`.
+    IndexProbe {
+        /// Column position the index covers.
+        column: usize,
+        /// The constant the column is compared with.
+        key: Value,
+    },
+    /// Ordered-index scan of `column` within `bounds`.
+    RangeScan {
+        /// Column position the index covers.
+        column: usize,
+        /// The interval the conjunct implies.
+        bounds: RangeBounds,
+    },
+}
+
+/// Owned range bounds for an ordered-index scan.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RangeBounds {
+    /// Lower bound.
+    pub low: Bound<Value>,
+    /// Upper bound.
+    pub high: Bound<Value>,
+}
+
+/// A `(FROM position, column position)` pair.
+type ColumnAt = (usize, usize);
+
+/// The equi-join conjunct `outer = inner_col` that drives a join step.
+#[derive(Debug, Clone, Copy)]
+struct EquiKey {
+    outer: ColumnAt,
+    inner_col: usize,
+}
+
+/// How a step combines its table with the combinations joined so far.
+#[derive(Debug, Clone, Copy)]
+enum Join {
+    /// Probe the table's hash index on the join column once per outer row.
+    Index(EquiKey),
+    /// Fetch the table by its own access path and hash it on the join column.
+    Hash(EquiKey),
+    /// No equi-join conjunct: every fetched row against every outer row.
+    /// The first FROM table joins the one empty combination this way.
+    NestedLoop,
+}
+
+/// One FROM table's part of a plan.
+struct Step<'a> {
+    table: &'a Table,
+    /// Conjuncts over this table alone, rebased to table 0 so they evaluate
+    /// against the bare row; includes propagated constants.
+    local: Vec<BoundExpr>,
+    access: AccessPath,
+    join: Join,
+    /// Multi-table conjuncts whose last table is this one.
+    checks: Vec<BoundExpr>,
+}
+
+/// The plan of one SELECT: what [`execute_select`] runs and
+/// [`explain_select`] prints.
+struct Plan<'a> {
+    ctx: BindContext,
+    steps: Vec<Step<'a>>,
+}
+
+/// Bind and classify the WHERE clause of `select` and choose access paths
+/// and join kinds in FROM order.
+fn plan_select<'a>(catalog: &'a Catalog, select: &Select, params: &[Value]) -> DbResult<Plan<'a>> {
+    let mut tables: Vec<&Table> = Vec::with_capacity(select.from.len());
+    let mut ctx_tables = Vec::with_capacity(select.from.len());
+    for tref in &select.from {
+        let t = catalog.require(&tref.table)?;
+        // Duplicate binding names would make resolution ambiguous.
+        if ctx_tables
+            .iter()
+            .any(|(n, _): &(String, _)| n.eq_ignore_ascii_case(tref.binding()))
+        {
+            return Err(DbError::Parse(format!(
+                "duplicate table binding '{}' in FROM",
+                tref.binding()
+            )));
+        }
+        tables.push(t);
+        ctx_tables.push((tref.binding().to_string(), t.schema().clone()));
+    }
+    let ctx = BindContext::new(ctx_tables);
+
+    let mut conjuncts = Vec::new();
+    for c in select.where_clause.iter().flat_map(|w| w.conjuncts()) {
+        conjuncts.push(bind(c, &ctx, params)?);
+    }
+    // Constant propagation: a column equated both with a literal and with
+    // another column fixes that column too (SQL equality is transitive).
+    // Each column gains at most one derived conjunct, so this terminates.
+    let mut consts: Vec<(ColumnAt, Value)> = conjuncts
+        .iter()
+        .filter_map(|c| const_eq(c).map(|(col, v)| (col, v.clone())))
+        .collect();
+    let equalities: Vec<(ColumnAt, ColumnAt)> = conjuncts.iter().filter_map(column_eq).collect();
+    let mut i = 0;
+    while i < consts.len() {
+        for (a, b) in &equalities {
+            let other = match consts[i].0 {
+                c if c == *a => *b,
+                c if c == *b => *a,
+                _ => continue,
+            };
+            if consts.iter().all(|(c, _)| *c != other) {
+                let key = consts[i].1.clone();
+                conjuncts.push(BoundExpr::Cmp {
+                    left: Box::new(BoundExpr::Column {
+                        table: other.0,
+                        column: other.1,
+                    }),
+                    op: CmpOp::Eq,
+                    right: Box::new(BoundExpr::Literal(key.clone())),
+                });
+                consts.push((other, key));
+            }
+        }
+        i += 1;
+    }
+
+    // File each conjunct under the last FROM table it references: alone
+    // there it is pushed down into the fetch, otherwise it is checked as
+    // soon as that table has joined. A conjunct over no table at all is
+    // evaluated with the first.
+    let mut filed: Vec<(Vec<BoundExpr>, Vec<BoundExpr>)> =
+        tables.iter().map(|_| Default::default()).collect();
+    for mut c in conjuncts {
+        let mut refs = Vec::new();
+        walk_columns(&mut c, &mut |t| refs.push(*t));
+        refs.sort_unstable();
+        refs.dedup();
+        let at = refs.last().copied().unwrap_or(0);
+        if refs.len() > 1 {
+            filed[at].1.push(c);
+        } else {
+            walk_columns(&mut c, &mut |t| *t = 0);
+            filed[at].0.push(c);
+        }
+    }
+
+    let mut steps = Vec::with_capacity(tables.len());
+    let mut outer_rows = 1usize; // estimated combinations joined so far
+    for (ti, (table, (local, checks))) in tables.into_iter().zip(filed).enumerate() {
+        let access = choose_access_path(table, &local);
+        let fetched = match &access {
+            AccessPath::IndexProbe { column, key } => {
+                table.index_lookup(*column, key).map_or(0, <[RowId]>::len)
+            }
+            _ => table.len(),
+        };
+        let join = match checks.iter().find_map(|c| equi_join_key(c, ti)) {
+            Some(k) if outer_rows <= fetched && table.has_index(k.inner_col) => Join::Index(k),
+            Some(k) => Join::Hash(k),
+            None => Join::NestedLoop,
+        };
+        // Matches per outer row: at most what the table's own path fetches,
+        // and on an indexed join column about one bucket.
+        let fanout = match join {
+            Join::Index(k) | Join::Hash(k) => {
+                table.index_keys(k.inner_col).map_or(fetched, |keys| {
+                    fetched.min(table.len().div_ceil(keys.max(1)))
+                })
+            }
+            Join::NestedLoop => fetched,
+        };
+        outer_rows = outer_rows.saturating_mul(fanout);
+        steps.push(Step {
+            table,
+            local,
+            access,
+            join,
+            checks,
+        });
+    }
+    Ok(Plan { ctx, steps })
+}
+
+impl<'a> Plan<'a> {
+    /// Run the scans and joins. Returns the joined combinations flattened:
+    /// `steps.len()` source rows per combination, in FROM order.
+    fn run(&self, stats: &mut ExecStats) -> Vec<&'a Row> {
+        let mut joined: Vec<&'a Row> = Vec::new();
+        let mut combos = 1usize; // the one empty combination
+        for (ti, step) in self.steps.iter().enumerate() {
+            let fetched = match step.join {
+                Join::Index(_) => Vec::new(),
+                _ => scan_with_predicates(step.table, &step.access, &step.local, stats),
+            };
+            let mut build: HashMap<&Value, Vec<&'a Row>> = HashMap::new();
+            if let Join::Hash(k) = step.join {
+                for (_, row) in &fetched {
+                    build.entry(&row[k.inner_col]).or_default().push(row);
+                }
+            }
+            let mut next: Vec<&'a Row> = Vec::new();
+            let mut produced = 0u64;
+            for outer in 0..combos {
+                let combo = &joined[outer * ti..(outer + 1) * ti];
+                // Append `combo + row`; keep it only if every conjunct that
+                // became checkable at this step holds (that includes the
+                // join conjunct itself: a cheap re-check that keeps Int/Float
+                // edge semantics identical to eval).
+                let mut emit = |row: &'a Row| {
+                    produced += 1;
+                    let at = next.len();
+                    next.extend_from_slice(combo);
+                    next.push(row);
+                    if !step.checks.iter().all(|p| p.eval_predicate(&next[at..])) {
+                        next.truncate(at);
+                    }
+                };
+                // A NULL join key matches nothing.
+                let key = |k: EquiKey| Some(&combo[k.outer.0][k.outer.1]).filter(|v| !v.is_null());
+                match step.join {
+                    Join::NestedLoop => fetched.iter().for_each(|(_, row)| emit(row)),
+                    Join::Hash(k) => {
+                        let matches = key(k).and_then(|v| build.get(v));
+                        matches.into_iter().flatten().for_each(|row| emit(row));
+                    }
+                    Join::Index(k) => {
+                        let rids = key(k).and_then(|v| step.table.index_lookup(k.inner_col, v));
+                        for rid in rids.into_iter().flatten() {
+                            let row = step.table.get(*rid).expect("index points at live row");
+                            stats.index_probes += 1;
+                            if holds(&step.local, row) {
+                                emit(row);
+                            }
+                        }
+                    }
+                }
+            }
+            combos = next.len() / (ti + 1);
+            // Joins count what they produced before the checks; a lone table
+            // counts its filtered rows.
+            if ti > 0 || self.steps.len() == 1 {
+                stats.rows_joined += produced;
+            }
+            joined = next;
+        }
+        joined
+    }
+
+    /// One line per FROM table (access path, binding, pushed-down conjunct
+    /// count) plus the join kind of every table after the first.
+    fn describe(&self) -> String {
+        let mut out = String::new();
+        for (ti, (step, (binding, _))) in self.steps.iter().zip(&self.ctx.tables).enumerate() {
+            let (how, column) = match (&step.join, &step.access) {
+                (Join::Index(k), _) => ("INDEX PROBE", Some(k.inner_col)),
+                (_, AccessPath::SeqScan) => ("SEQ SCAN", None),
+                (_, AccessPath::IndexProbe { column, .. }) => ("INDEX PROBE", Some(*column)),
+                (_, AccessPath::RangeScan { column, .. }) => ("RANGE SCAN", Some(*column)),
+            };
+            out.push_str(how);
+            if let Some(c) = column {
+                out.push_str(&format!(" ({})", step.table.schema().column(c).name));
+            }
+            out.push_str(&format!(
+                " {binding} [{} local predicate(s)]\n",
+                step.local.len()
+            ));
+            if ti > 0 {
+                out.push_str(match step.join {
+                    Join::Index(_) => "  joined via INDEX JOIN\n",
+                    Join::Hash(_) => "  joined via HASH JOIN\n",
+                    Join::NestedLoop => "  joined via NESTED LOOP\n",
+                });
+            }
+        }
+        out
+    }
 }
 
 /// Execute a SELECT against the catalog.
@@ -88,135 +375,22 @@ pub fn execute_select(
     params: &[Value],
     stats: &mut ExecStats,
 ) -> DbResult<QueryResult> {
-    // Resolve FROM tables and build the binding context.
-    let mut tables: Vec<&Table> = Vec::with_capacity(select.from.len());
-    let mut ctx_tables = Vec::with_capacity(select.from.len());
-    for tref in &select.from {
-        let t = catalog.require(&tref.table)?;
-        tables.push(t);
-        ctx_tables.push((tref.binding().to_string(), t.schema().clone()));
-    }
-    // Duplicate binding names would make resolution ambiguous.
-    for i in 0..ctx_tables.len() {
-        for j in i + 1..ctx_tables.len() {
-            if ctx_tables[i].0.eq_ignore_ascii_case(&ctx_tables[j].0) {
-                return Err(DbError::Parse(format!(
-                    "duplicate table binding '{}' in FROM",
-                    ctx_tables[i].0
-                )));
-            }
-        }
-    }
-    let ctx = BindContext::new(ctx_tables);
-
-    // Classify WHERE conjuncts.
-    let mut conjuncts: Vec<ClassifiedConjunct> = Vec::new();
-    if let Some(w) = &select.where_clause {
-        for c in w.conjuncts() {
-            let bound = bind(c, &ctx, params)?;
-            let mut refs = conjunct_tables(&bound);
-            refs.sort_unstable();
-            refs.dedup();
-            conjuncts.push(ClassifiedConjunct {
-                bound,
-                tables: refs,
-            });
-        }
-    }
-
-    // Per-table filtered row sets (local predicates pushed down).
-    let mut filtered: Vec<Vec<&Row>> = Vec::with_capacity(tables.len());
-    for (ti, table) in tables.iter().enumerate() {
-        let local: Vec<&BoundExpr> = conjuncts
-            .iter()
-            .filter(|c| c.tables.as_slice() == [ti])
-            .map(|c| &c.bound)
-            .collect();
-        filtered.push(scan_with_predicates(table, ti, &local, stats));
-    }
-
-    // Join in FROM order; apply each multi-table conjunct as soon as every
-    // table it references is available.
-    let mut joined: Vec<Vec<&Row>> = filtered[0].iter().map(|r| vec![*r]).collect();
-    #[allow(clippy::needless_range_loop)] // ti is the FROM position, not just an index
-    for ti in 1..tables.len() {
-        let ready = |c: &ClassifiedConjunct| {
-            c.tables.len() > 1
-                && c.tables.iter().all(|t| *t <= ti)
-                && c.tables.contains(&ti)
-        };
-        // Pick one equi-join conjunct to drive a hash join if possible.
-        let hash_key = conjuncts
-            .iter()
-            .filter(|c| ready(c))
-            .find_map(|c| equi_join_key(&c.bound, ti));
-
-        let mut next: Vec<Vec<&Row>> = Vec::new();
-        match hash_key {
-            Some((outer_table, outer_col, inner_col)) => {
-                // Build hash table over the new (inner) side.
-                let mut build: HashMap<&Value, Vec<&Row>> = HashMap::new();
-                for row in &filtered[ti] {
-                    build.entry(&row[inner_col]).or_default().push(row);
-                }
-                for combo in &joined {
-                    let key = &combo[outer_table][outer_col];
-                    if key.is_null() {
-                        continue;
-                    }
-                    if let Some(matches) = build.get(key) {
-                        for m in matches {
-                            let mut c = combo.clone();
-                            c.push(m);
-                            next.push(c);
-                        }
-                    }
-                }
-            }
-            None => {
-                for combo in &joined {
-                    for row in &filtered[ti] {
-                        let mut c = combo.clone();
-                        c.push(*row);
-                        next.push(c);
-                    }
-                }
-            }
-        }
-        stats.rows_joined += next.len() as u64;
-        // Apply all now-ready conjuncts (including the hash-join one: cheap
-        // re-check, and it keeps Float/Int edge semantics identical to eval).
-        let checks: Vec<&BoundExpr> = conjuncts
-            .iter()
-            .filter(|c| ready(c))
-            .map(|c| &c.bound)
-            .collect();
-        if !checks.is_empty() {
-            next.retain(|combo| checks.iter().all(|p| p.eval_predicate(combo)));
-        }
-        joined = next;
-    }
-    // Single-table queries: count the filtered rows as joined output.
-    if tables.len() == 1 {
-        stats.rows_joined += joined.len() as u64;
-    }
+    let plan = plan_select(catalog, select, params)?;
+    let joined = plan.run(stats);
+    let combos: Vec<&[&Row]> = joined.chunks(plan.steps.len()).collect();
+    let ctx = &plan.ctx;
 
     // Aggregate or plain projection.
-    let is_aggregate = !select.group_by.is_empty()
-        || select.items.iter().any(|i| match i {
-            SelectItem::Expr { expr, .. } => expr.has_aggregate(),
-            _ => false,
-        });
-
-    if select.having.is_some() && !is_aggregate {
+    let aggregate = is_aggregate(select);
+    if select.having.is_some() && !aggregate {
         return Err(DbError::Unsupported(
             "HAVING requires GROUP BY or aggregates".into(),
         ));
     }
-    let (columns, mut rows) = if is_aggregate {
-        project_aggregate(select, &ctx, params, &joined)?
+    let (columns, mut rows) = if aggregate {
+        project_aggregate(select, ctx, params, &combos)?
     } else {
-        project_plain(select, &ctx, params, &tables, &joined)?
+        project_plain(select, ctx, params, combos)?
     };
 
     if select.distinct {
@@ -224,42 +398,37 @@ pub fn execute_select(
         rows.retain(|r| seen.insert(r.clone()));
     }
 
-    // ORDER BY over the *source* rows for plain queries; over output rows
-    // for aggregates (keys restricted to group-by columns).
-    if !select.order_by.is_empty() {
-        if is_aggregate {
-            let key_idxs: Vec<(usize, bool)> = select
-                .order_by
-                .iter()
-                .map(|k| match &k.expr {
-                    Expr::Column(c) => output_column_index(select, &ctx, c)
-                        .map(|i| (i, k.ascending))
-                        .ok_or_else(|| {
-                            DbError::Unsupported(
-                                "ORDER BY in aggregate query must name a grouped column".into(),
-                            )
-                        }),
-                    _ => Err(DbError::Unsupported(
-                        "ORDER BY expression in aggregate query".into(),
-                    )),
-                })
-                .collect::<DbResult<_>>()?;
-            rows.sort_by(|a, b| {
-                for (i, asc) in &key_idxs {
-                    let ord = a[*i].cmp(&b[*i]);
-                    let ord = if *asc { ord } else { ord.reverse() };
-                    if !ord.is_eq() {
-                        return ord;
-                    }
+    // Plain queries sort their source rows in project_plain (keys need not
+    // be projected); aggregates sort output rows, keys restricted to
+    // group-by columns.
+    if !select.order_by.is_empty() && aggregate {
+        let key_idxs: Vec<(usize, bool)> = select
+            .order_by
+            .iter()
+            .map(|k| match &k.expr {
+                Expr::Column(c) => output_column_index(select, ctx, c)
+                    .map(|i| (i, k.ascending))
+                    .ok_or_else(|| {
+                        DbError::Unsupported(
+                            "ORDER BY in aggregate query must name a grouped column".into(),
+                        )
+                    }),
+                _ => Err(DbError::Unsupported(
+                    "ORDER BY expression in aggregate query".into(),
+                )),
+            })
+            .collect::<DbResult<_>>()?;
+        rows.sort_by(|a, b| {
+            for (i, asc) in &key_idxs {
+                let ord = a[*i].cmp(&b[*i]);
+                let ord = if *asc { ord } else { ord.reverse() };
+                if !ord.is_eq() {
+                    return ord;
                 }
-                // Storage-independent tie-break (see project_plain).
-                a.cmp(b)
-            });
-        } else {
-            // Recompute sort keys from output rows is wrong in general (keys
-            // may not be projected), so plain queries sort before projection.
-            // project_plain already handled it; nothing to do here.
-        }
+            }
+            // Storage-independent tie-break (see project_plain).
+            a.cmp(b)
+        });
     }
 
     if let Some(n) = select.limit {
@@ -270,366 +439,19 @@ pub fn execute_select(
     Ok(QueryResult { columns, rows })
 }
 
-/// The access path chosen for one table scan (also powers EXPLAIN).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AccessPath {
-    /// Full sequential scan.
-    SeqScan,
-    /// Hash-index probe on the named column.
-    /// Hash-index probe on the named column.
-    /// Hash-index probe on the named column.
-    IndexProbe {
-        /// Column position the index covers.
-        column: usize,
-    },
-    /// Ordered-index range scan on the named column.
-    /// Ordered-index range scan on the named column.
-    /// Ordered-index range scan on the named column.
-    RangeScan {
-        /// Column position the index covers.
-        column: usize,
-    },
-}
-
-/// Equality-probe plan: `(column, key)`.
-type EqProbe = (usize, Value);
-/// Range-scan plan: `(column, bounds)`.
-type RangeProbe = (usize, RangeBounds);
-
-/// Pick the access path for a table given its pushed-down local predicates.
-fn choose_access_path(
-    table: &Table,
-    table_no: usize,
-    predicates: &[&BoundExpr],
-) -> (AccessPath, Option<EqProbe>, Option<RangeProbe>) {
-    for p in predicates {
-        if let Some((col, key)) = const_eq_key(p, table_no) {
-            if table.has_index(col) {
-                return (AccessPath::IndexProbe { column: col }, Some((col, key)), None);
-            }
-            if table.has_range_index(col) {
-                let b = RangeBounds {
-                    low: std::ops::Bound::Included(key.clone()),
-                    high: std::ops::Bound::Included(key),
-                };
-                return (AccessPath::RangeScan { column: col }, None, Some((col, b)));
-            }
-        }
-    }
-    for p in predicates {
-        if let Some((col, bounds)) = const_range_bounds(p, table_no) {
-            if table.has_range_index(col) {
-                return (AccessPath::RangeScan { column: col }, None, Some((col, bounds)));
-            }
-        }
-    }
-    (AccessPath::SeqScan, None, None)
-}
-
-/// Owned range bounds for an ordered-index scan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RangeBounds {
-    /// Lower bound.
-    pub low: std::ops::Bound<Value>,
-    /// Upper bound.
-    pub high: std::ops::Bound<Value>,
-}
-
-/// Scan one table applying pushed-down local predicates; uses a hash index
-/// for `col = literal` conjuncts and an ordered index for range conjuncts
-/// (`<`, `<=`, `>`, `>=`, `BETWEEN`) when available.
-fn scan_with_predicates<'a>(
-    table: &'a Table,
-    table_no: usize,
-    predicates: &[&BoundExpr],
-    stats: &mut ExecStats,
-) -> Vec<&'a Row> {
-    let (_path, eq, range) = choose_access_path(table, table_no, predicates);
-    if let Some((col, key)) = eq {
-        let mut out = Vec::new();
-        if let Some(rids) = table.index_lookup(col, &key) {
-            for rid in rids {
-                let row = table.get(*rid).expect("index points at live row");
-                stats.index_probes += 1;
-                if predicates.iter().all(|q| pred_single(q, table_no, row)) {
-                    out.push(row);
-                }
-            }
-        }
-        return out;
-    }
-    if let Some((col, bounds)) = range {
-        let mut out = Vec::new();
-        if let Some(rids) =
-            table.range_lookup(col, bounds.low.as_ref(), bounds.high.as_ref())
-        {
-            for rid in rids {
-                let row = table.get(rid).expect("index points at live row");
-                stats.index_probes += 1;
-                if predicates.iter().all(|q| pred_single(q, table_no, row)) {
-                    out.push(row);
-                }
-            }
-        }
-        return out;
-    }
-    let mut out = Vec::new();
-    stats.seq_scans += 1;
-    for (_, row) in table.scan() {
-        stats.rows_scanned += 1;
-        if predicates.iter().all(|q| pred_single(q, table_no, row)) {
-            out.push(row);
-        }
-    }
-    out
-}
-
-/// If `p` is a range comparison `col CMP literal` (or BETWEEN) over
-/// `table_no`, return the column and the bounds it implies.
-fn const_range_bounds(p: &BoundExpr, table_no: usize) -> Option<(usize, RangeBounds)> {
-    use crate::sql::ast::CmpOp;
-    use std::ops::Bound;
-    match p {
-        BoundExpr::Cmp { left, op, right } => {
-            let (col, lit, op) = match (&**left, &**right) {
-                (BoundExpr::Column { table, column }, BoundExpr::Literal(v))
-                    if *table == table_no =>
-                {
-                    (*column, v.clone(), *op)
-                }
-                (BoundExpr::Literal(v), BoundExpr::Column { table, column })
-                    if *table == table_no =>
-                {
-                    (*column, v.clone(), op.flip())
-                }
-                _ => return None,
-            };
-            let bounds = match op {
-                CmpOp::Lt => RangeBounds {
-                    low: Bound::Unbounded,
-                    high: Bound::Excluded(lit),
-                },
-                CmpOp::LtEq => RangeBounds {
-                    low: Bound::Unbounded,
-                    high: Bound::Included(lit),
-                },
-                CmpOp::Gt => RangeBounds {
-                    low: Bound::Excluded(lit),
-                    high: Bound::Unbounded,
-                },
-                CmpOp::GtEq => RangeBounds {
-                    low: Bound::Included(lit),
-                    high: Bound::Unbounded,
-                },
-                CmpOp::Eq => RangeBounds {
-                    low: Bound::Included(lit.clone()),
-                    high: Bound::Included(lit),
-                },
-                CmpOp::NotEq => return None,
-            };
-            Some((col, bounds))
-        }
-        BoundExpr::Between {
-            expr,
-            low,
-            high,
-            negated: false,
-        } => {
-            if let (
-                BoundExpr::Column { table, column },
-                BoundExpr::Literal(lo),
-                BoundExpr::Literal(hi),
-            ) = (&**expr, &**low, &**high)
-            {
-                if *table == table_no {
-                    return Some((
-                        *column,
-                        RangeBounds {
-                            low: std::ops::Bound::Included(lo.clone()),
-                            high: std::ops::Bound::Included(hi.clone()),
-                        },
-                    ));
-                }
-            }
-            None
-        }
-        _ => None,
-    }
-}
-
-/// Evaluate a bound predicate that references only `table_no`, against one
-/// row of that table. Builds the positional row slice expected by eval.
-fn pred_single(p: &BoundExpr, table_no: usize, row: &Row) -> bool {
-    // The predicate only indexes rows[table_no]; fill others with the same
-    // reference (never dereferenced for other tables).
-    let slots: Vec<&Row> = (0..=table_no).map(|_| row).collect();
-    p.eval_predicate(&slots)
-}
-
-/// If `p` is `col = literal` over `table_no`, return (column, key value).
-fn const_eq_key(p: &BoundExpr, table_no: usize) -> Option<(usize, Value)> {
-    if let BoundExpr::Cmp { left, op, right } = p {
-        if *op == crate::sql::ast::CmpOp::Eq {
-            match (&**left, &**right) {
-                (BoundExpr::Column { table, column }, BoundExpr::Literal(v))
-                | (BoundExpr::Literal(v), BoundExpr::Column { table, column })
-                    if *table == table_no =>
-                {
-                    return Some((*column, v.clone()));
-                }
-                _ => {}
-            }
-        }
-    }
-    None
-}
-
-/// If `p` is an equi-join between the new table `ti` and an earlier one,
-/// return `(outer_table, outer_col, inner_col)`.
-fn equi_join_key(p: &BoundExpr, ti: usize) -> Option<(usize, usize, usize)> {
-    if let BoundExpr::Cmp { left, op, right } = p {
-        if *op == crate::sql::ast::CmpOp::Eq {
-            if let (
-                BoundExpr::Column {
-                    table: t1,
-                    column: c1,
-                },
-                BoundExpr::Column {
-                    table: t2,
-                    column: c2,
-                },
-            ) = (&**left, &**right)
-            {
-                if *t1 == ti && *t2 < ti {
-                    return Some((*t2, *c2, *c1));
-                }
-                if *t2 == ti && *t1 < ti {
-                    return Some((*t1, *c1, *c2));
-                }
-            }
-        }
-    }
-    None
-}
-
-/// FROM-table indexes referenced by a bound expression.
-fn conjunct_tables(e: &BoundExpr) -> Vec<usize> {
-    let mut out = Vec::new();
-    fn walk(e: &BoundExpr, out: &mut Vec<usize>) {
-        match e {
-            BoundExpr::Column { table, .. } => out.push(*table),
-            BoundExpr::Literal(_) => {}
-            BoundExpr::Cmp { left, right, .. } | BoundExpr::Arith { left, right, .. } => {
-                walk(left, out);
-                walk(right, out);
-            }
-            BoundExpr::And(a, b) | BoundExpr::Or(a, b) => {
-                walk(a, out);
-                walk(b, out);
-            }
-            BoundExpr::Not(e) => walk(e, out),
-            BoundExpr::IsNull { expr, .. } => walk(expr, out),
-            BoundExpr::Between {
-                expr, low, high, ..
-            } => {
-                walk(expr, out);
-                walk(low, out);
-                walk(high, out);
-            }
-            BoundExpr::InList { expr, list, .. } => {
-                walk(expr, out);
-                for e in list {
-                    walk(e, out);
-                }
-            }
-            BoundExpr::Like { expr, pattern, .. } => {
-                walk(expr, out);
-                walk(pattern, out);
-            }
-            BoundExpr::Func { args, .. } => {
-                for a in args {
-                    walk(a, out);
-                }
-            }
-        }
-    }
-    walk(e, &mut out);
-    out
-}
-
-/// Produce a human-readable plan description without executing the query:
-/// access path per FROM table and join strategy per join step. Used by
-/// tests to pin planner decisions and by users for diagnostics.
-pub fn explain_select(
-    catalog: &Catalog,
-    select: &Select,
-    params: &[Value],
-) -> DbResult<String> {
-    let mut tables: Vec<&Table> = Vec::with_capacity(select.from.len());
-    let mut ctx_tables = Vec::with_capacity(select.from.len());
-    for tref in &select.from {
-        let t = catalog.require(&tref.table)?;
-        tables.push(t);
-        ctx_tables.push((tref.binding().to_string(), t.schema().clone()));
-    }
-    let ctx = BindContext::new(ctx_tables);
-    let mut conjuncts: Vec<ClassifiedConjunct> = Vec::new();
-    if let Some(w) = &select.where_clause {
-        for c in w.conjuncts() {
-            let bound = bind(c, &ctx, params)?;
-            let mut refs = conjunct_tables(&bound);
-            refs.sort_unstable();
-            refs.dedup();
-            conjuncts.push(ClassifiedConjunct { bound, tables: refs });
-        }
-    }
-
-    let mut out = String::new();
-    for (ti, table) in tables.iter().enumerate() {
-        let local: Vec<&BoundExpr> = conjuncts
+fn is_aggregate(select: &Select) -> bool {
+    !select.group_by.is_empty()
+        || select
+            .items
             .iter()
-            .filter(|c| c.tables.as_slice() == [ti])
-            .map(|c| &c.bound)
-            .collect();
-        let (path, _, _) = choose_access_path(table, ti, &local);
-        let path_str = match path {
-            AccessPath::SeqScan => "SEQ SCAN".to_string(),
-            AccessPath::IndexProbe { column } => format!(
-                "INDEX PROBE ({})",
-                table.schema().column(column).name
-            ),
-            AccessPath::RangeScan { column } => format!(
-                "RANGE SCAN ({})",
-                table.schema().column(column).name
-            ),
-        };
-        out.push_str(&format!(
-            "{} {} [{} local predicate(s)]\n",
-            path_str,
-            select.from[ti].binding(),
-            local.len()
-        ));
-        if ti > 0 {
-            let ready = |c: &ClassifiedConjunct| {
-                c.tables.len() > 1
-                    && c.tables.iter().all(|t| *t <= ti)
-                    && c.tables.contains(&ti)
-            };
-            let strategy = if conjuncts
-                .iter()
-                .filter(|c| ready(c))
-                .any(|c| equi_join_key(&c.bound, ti).is_some())
-            {
-                "HASH JOIN"
-            } else {
-                "NESTED LOOP"
-            };
-            out.push_str(&format!("  joined via {strategy}\n"));
-        }
-    }
-    if !select.group_by.is_empty()
-        || select.items.iter().any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.has_aggregate()))
-    {
+            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.has_aggregate()))
+}
+
+/// The plan [`execute_select`] would run, as text, without running it. Used
+/// by tests to pin planner decisions and by users for diagnostics.
+pub fn explain_select(catalog: &Catalog, select: &Select, params: &[Value]) -> DbResult<String> {
+    let mut out = plan_select(catalog, select, params)?.describe();
+    if is_aggregate(select) {
         out.push_str("AGGREGATE\n");
     }
     if !select.order_by.is_empty() {
@@ -641,13 +463,200 @@ pub fn explain_select(
     Ok(out)
 }
 
+/// The rows of `table` an UPDATE or DELETE with this WHERE clause touches,
+/// in storage order: the single-table case of [`plan_select`].
+pub(crate) fn find_rows<'a>(
+    table: &'a Table,
+    ctx: &BindContext,
+    where_clause: Option<&Expr>,
+    params: &[Value],
+    stats: &mut ExecStats,
+) -> DbResult<Vec<(RowId, &'a Row)>> {
+    let local = where_clause
+        .iter()
+        .flat_map(|w| w.conjuncts())
+        .map(|c| bind(c, ctx, params))
+        .collect::<DbResult<Vec<_>>>()?;
+    let access = choose_access_path(table, &local);
+    Ok(scan_with_predicates(table, &access, &local, stats))
+}
+
+/// Pick the access path for a table given the conjuncts over it alone: a
+/// hash index for `col = literal`, else an ordered index for an equality or
+/// range conjunct, else a scan.
+fn choose_access_path(table: &Table, local: &[BoundExpr]) -> AccessPath {
+    for ((_, column), key) in local.iter().filter_map(const_eq) {
+        if table.has_index(column) {
+            let key = key.clone();
+            return AccessPath::IndexProbe { column, key };
+        }
+    }
+    for (column, bounds) in local.iter().filter_map(const_range_bounds) {
+        if table.has_range_index(column) {
+            return AccessPath::RangeScan { column, bounds };
+        }
+    }
+    AccessPath::SeqScan
+}
+
+/// Do all of a table's pushed-down conjuncts hold for `row`?
+fn holds(local: &[BoundExpr], row: &Row) -> bool {
+    local
+        .iter()
+        .all(|p| p.eval_predicate(std::slice::from_ref(&row)))
+}
+
+/// Fetch through `access` the rows of `table` for which `local` holds, in
+/// storage order.
+fn scan_with_predicates<'a>(
+    table: &'a Table,
+    access: &AccessPath,
+    local: &[BoundExpr],
+    stats: &mut ExecStats,
+) -> Vec<(RowId, &'a Row)> {
+    let rids = match access {
+        AccessPath::SeqScan => {
+            stats.seq_scans += 1;
+            stats.rows_scanned += table.len() as u64;
+            return table.scan().filter(|(_, row)| holds(local, row)).collect();
+        }
+        AccessPath::IndexProbe { column, key } => {
+            table.index_lookup(*column, key).unwrap_or(&[]).to_vec()
+        }
+        AccessPath::RangeScan { column, bounds } => table
+            .range_lookup(*column, bounds.low.as_ref(), bounds.high.as_ref())
+            .unwrap_or_default(),
+    };
+    stats.index_probes += rids.len() as u64;
+    rids.into_iter()
+        .map(|rid| (rid, table.get(rid).expect("index points at live row")))
+        .filter(|(_, row)| holds(local, row))
+        .collect()
+}
+
+/// If `p` is a range comparison `col CMP literal` (or BETWEEN), return the
+/// column and the bounds it implies.
+fn const_range_bounds(p: &BoundExpr) -> Option<(usize, RangeBounds)> {
+    match p {
+        BoundExpr::Cmp { left, op, right } => {
+            let (column, lit, op) = match (&**left, &**right) {
+                (BoundExpr::Column { column, .. }, BoundExpr::Literal(v)) => (*column, v, *op),
+                (BoundExpr::Literal(v), BoundExpr::Column { column, .. }) => {
+                    (*column, v, op.flip())
+                }
+                _ => return None,
+            };
+            let (low, high) = match op {
+                CmpOp::Lt => (Bound::Unbounded, Bound::Excluded(lit.clone())),
+                CmpOp::LtEq => (Bound::Unbounded, Bound::Included(lit.clone())),
+                CmpOp::Gt => (Bound::Excluded(lit.clone()), Bound::Unbounded),
+                CmpOp::GtEq => (Bound::Included(lit.clone()), Bound::Unbounded),
+                CmpOp::Eq => (Bound::Included(lit.clone()), Bound::Included(lit.clone())),
+                CmpOp::NotEq => return None,
+            };
+            Some((column, RangeBounds { low, high }))
+        }
+        BoundExpr::Between {
+            expr,
+            low,
+            high,
+            negated: false,
+        } => match (&**expr, &**low, &**high) {
+            (BoundExpr::Column { column, .. }, BoundExpr::Literal(lo), BoundExpr::Literal(hi)) => {
+                let (low, high) = (Bound::Included(lo.clone()), Bound::Included(hi.clone()));
+                Some((*column, RangeBounds { low, high }))
+            }
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// The two sides of `p` if it is an equality.
+fn eq_sides(p: &BoundExpr) -> Option<(&BoundExpr, &BoundExpr)> {
+    match p {
+        BoundExpr::Cmp { left, op, right } if *op == CmpOp::Eq => Some((left, right)),
+        _ => None,
+    }
+}
+
+/// If `p` is `column = literal` (either way round), return both.
+fn const_eq(p: &BoundExpr) -> Option<(ColumnAt, &Value)> {
+    match eq_sides(p)? {
+        (BoundExpr::Column { table, column }, BoundExpr::Literal(v))
+        | (BoundExpr::Literal(v), BoundExpr::Column { table, column }) => {
+            Some(((*table, *column), v))
+        }
+        _ => None,
+    }
+}
+
+/// If `p` is `column = column`, return both sides.
+fn column_eq(p: &BoundExpr) -> Option<(ColumnAt, ColumnAt)> {
+    match eq_sides(p)? {
+        (
+            BoundExpr::Column { table, column },
+            BoundExpr::Column {
+                table: t2,
+                column: c2,
+            },
+        ) => Some(((*table, *column), (*t2, *c2))),
+        _ => None,
+    }
+}
+
+/// If `p` is an equi-join between the new table `ti` and an earlier one,
+/// return its key.
+fn equi_join_key(p: &BoundExpr, ti: usize) -> Option<EquiKey> {
+    let (a, b) = column_eq(p)?;
+    let (inner, outer) = if a.0 == ti { (a, b) } else { (b, a) };
+    (inner.0 == ti && outer.0 < ti).then_some(EquiKey {
+        outer,
+        inner_col: inner.1,
+    })
+}
+
+/// Visit the FROM position of every column reference in `e`.
+fn walk_columns(e: &mut BoundExpr, f: &mut impl FnMut(&mut usize)) {
+    match e {
+        BoundExpr::Column { table, .. } => f(table),
+        BoundExpr::Literal(_) => {}
+        BoundExpr::Cmp { left, right, .. } | BoundExpr::Arith { left, right, .. } => {
+            walk_columns(left, f);
+            walk_columns(right, f);
+        }
+        BoundExpr::And(a, b) | BoundExpr::Or(a, b) => {
+            walk_columns(a, f);
+            walk_columns(b, f);
+        }
+        BoundExpr::Not(expr) | BoundExpr::IsNull { expr, .. } => walk_columns(expr, f),
+        BoundExpr::Between {
+            expr, low, high, ..
+        } => {
+            walk_columns(expr, f);
+            walk_columns(low, f);
+            walk_columns(high, f);
+        }
+        BoundExpr::InList {
+            expr, list: rest, ..
+        } => {
+            walk_columns(expr, f);
+            rest.iter_mut().for_each(|e| walk_columns(e, f));
+        }
+        BoundExpr::Like { expr, pattern, .. } => {
+            walk_columns(expr, f);
+            walk_columns(pattern, f);
+        }
+        BoundExpr::Func { args, .. } => args.iter_mut().for_each(|e| walk_columns(e, f)),
+    }
+}
+
 /// Plain (non-aggregate) projection, including ORDER BY on source rows.
 fn project_plain(
     select: &Select,
     ctx: &BindContext,
     params: &[Value],
-    tables: &[&Table],
-    joined: &[Vec<&Row>],
+    mut combos: Vec<&[&Row]>,
 ) -> DbResult<(Vec<String>, Vec<Row>)> {
     // Expand items into (name, evaluator).
     enum Proj {
@@ -658,8 +667,8 @@ fn project_plain(
     for item in &select.items {
         match item {
             SelectItem::Star => {
-                for (ti, t) in tables.iter().enumerate() {
-                    for (ci, col) in t.schema().columns().iter().enumerate() {
+                for (ti, (_, schema)) in ctx.tables.iter().enumerate() {
+                    for (ci, col) in schema.columns().iter().enumerate() {
                         projs.push(Proj::Col(ti, ci, col.name.clone()));
                     }
                 }
@@ -682,7 +691,6 @@ fn project_plain(
     }
 
     // ORDER BY on source rows (keys need not be projected).
-    let mut combos: Vec<&Vec<&Row>> = joined.iter().collect();
     if !select.order_by.is_empty() {
         let keys: Vec<(BoundExpr, bool)> = select
             .order_by
@@ -752,7 +760,7 @@ fn project_aggregate(
     select: &Select,
     ctx: &BindContext,
     params: &[Value],
-    joined: &[Vec<&Row>],
+    joined: &[&[&Row]],
 ) -> DbResult<(Vec<String>, Vec<Row>)> {
     // Resolve group keys.
     let group_cols: Vec<(usize, usize)> = select
@@ -913,9 +921,7 @@ fn project_aggregate(
         let out_schema = std::sync::Arc::new(crate::schema::Schema::new(
             columns
                 .iter()
-                .map(|c| {
-                    crate::schema::ColumnDef::new(c.clone(), crate::schema::ColType::Float)
-                })
+                .map(|c| crate::schema::ColumnDef::new(c.clone(), crate::schema::ColType::Float))
                 .collect(),
         ));
         let ctx = BindContext::new(vec![("<output>".to_string(), out_schema)]);

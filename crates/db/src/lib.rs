@@ -33,7 +33,7 @@ pub mod table;
 pub mod txn;
 pub mod value;
 
-pub use engine::{Database, ExecOutcome, PreparedStatement};
+pub use engine::{Database, ExecOutcome};
 pub use fault::{FaultCounts, FaultPlan, FaultSpec, PollFault};
 pub use txn::Transaction;
 pub use error::{DbError, DbResult};

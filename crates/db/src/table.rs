@@ -19,6 +19,15 @@ pub struct RowId(pub u64);
 /// An owned row of values.
 pub type Row = Vec<Value>;
 
+/// Add `rid` to an index bucket, keeping the bucket in row-id order — which
+/// is storage order — so rows fetched through an index come out in the order
+/// a scan would emit them. (`replace` re-inserts an existing id; everything
+/// else appends the newest.)
+fn insert_sorted(rids: &mut Vec<RowId>, rid: RowId) {
+    let at = rids.partition_point(|r| *r < rid);
+    rids.insert(at, rid);
+}
+
 /// Hash index over one column.
 #[derive(Debug, Default)]
 struct HashIndex {
@@ -28,7 +37,7 @@ struct HashIndex {
 
 impl HashIndex {
     fn insert(&mut self, rid: RowId, row: &[Value]) {
-        self.map.entry(row[self.column].clone()).or_default().push(rid);
+        insert_sorted(self.map.entry(row[self.column].clone()).or_default(), rid);
     }
 
     fn remove(&mut self, rid: RowId, row: &[Value]) {
@@ -54,7 +63,7 @@ struct RangeIndex {
 
 impl RangeIndex {
     fn insert(&mut self, rid: RowId, row: &[Value]) {
-        self.map.entry(row[self.column].clone()).or_default().push(rid);
+        insert_sorted(self.map.entry(row[self.column].clone()).or_default(), rid);
     }
 
     fn remove(&mut self, rid: RowId, row: &[Value]) {
@@ -66,11 +75,19 @@ impl RangeIndex {
         }
     }
 
+    /// Row ids within the bounds, in storage order.
     fn range(&self, low: Bound<&Value>, high: Bound<&Value>) -> Vec<RowId> {
-        self.map
+        // `BETWEEN 4 AND 1` holds no rows; `BTreeMap::range` would panic.
+        if matches!((low, high), (Bound::Included(a), Bound::Included(b)) if a > b) {
+            return Vec::new();
+        }
+        let mut rids: Vec<RowId> = self
+            .map
             .range::<Value, _>((low, high))
             .flat_map(|(_, rids)| rids.iter().copied())
-            .collect()
+            .collect();
+        rids.sort_unstable();
+        rids
     }
 }
 
@@ -169,7 +186,7 @@ impl Table {
     }
 
     /// Ordered-index range scan: row ids with `column` values within the
-    /// bounds, if a range index exists on that column.
+    /// bounds, in storage order, if a range index exists on that column.
     pub fn range_lookup(
         &self,
         column: usize,
@@ -245,7 +262,8 @@ impl Table {
             .filter_map(|(i, s)| s.as_ref().map(|r| (RowId(i as u64), r)))
     }
 
-    /// Index lookup: row ids whose `column` equals `key`, if an index exists.
+    /// Index lookup: row ids whose `column` equals `key`, in storage order,
+    /// if an index exists.
     pub fn index_lookup(&self, column: usize, key: &Value) -> Option<&[RowId]> {
         self.indexes
             .iter()
@@ -256,6 +274,15 @@ impl Table {
     /// True if `column` (by position) has a hash index.
     pub fn has_index(&self, column: usize) -> bool {
         self.indexes.iter().any(|ix| ix.column == column)
+    }
+
+    /// Distinct values in the hash index on `column`, if there is one (the
+    /// planner's fan-out estimate for a join on that column).
+    pub fn index_keys(&self, column: usize) -> Option<usize> {
+        self.indexes
+            .iter()
+            .find(|ix| ix.column == column)
+            .map(|ix| ix.map.len())
     }
 
     /// Materialize all live rows (test/oracle helper).

@@ -222,3 +222,19 @@ fn drop_and_recreate_table() {
     db.execute("INSERT INTO t VALUES (7)").unwrap();
     assert_eq!(db.query("SELECT only FROM t").unwrap().rows.len(), 1);
 }
+
+#[test]
+fn conjuncts_over_no_table_and_inverted_ranges() {
+    let mut db = empty_db();
+    db.execute("INSERT INTO t VALUES (1, 1.5, 'x'), (2, 2.5, 'y')")
+        .unwrap();
+    // A constant conjunct filters like any other (polling queries carry them).
+    assert!(db.query("SELECT * FROM t WHERE 1 = 0").unwrap().rows.is_empty());
+    let r = db.query("SELECT * FROM t WHERE 1 = 0 OR a = 2").unwrap();
+    assert_eq!(r.rows.len(), 1);
+    let r = db.query("SELECT * FROM t x, t y WHERE 2 > 1 AND x.a = y.a").unwrap();
+    assert_eq!(r.rows.len(), 2);
+    // An inverted BETWEEN on a range-indexed column is empty, not a panic.
+    let r = db.query("SELECT * FROM t WHERE b BETWEEN 3.0 AND 1.0").unwrap();
+    assert!(r.rows.is_empty());
+}

@@ -203,6 +203,9 @@ pub struct Registry {
     instances: HashMap<QueryTypeId, HashMap<Vec<Value>, InstanceData>>,
     /// Which types read a given (lower-cased) table.
     types_by_table: HashMap<String, Vec<QueryTypeId>>,
+    /// Which types have an instance feeding a given page, sorted by id: the
+    /// reverse of `instances[..].pages`, kept in step on register/remove.
+    types_by_page: HashMap<PageKey, Vec<QueryTypeId>>,
     /// Per-type predicate index, parallel to `types`.
     indexes: Vec<TypeIndex>,
     /// Cached Σ instance_count — kept in sync on register/remove so
@@ -289,6 +292,10 @@ impl Registry {
         };
         let (template, params) = parameterize(&sel);
         let id = self.intern_type(template);
+        let of_page = self.types_by_page.entry(page.clone()).or_default();
+        if let Err(at) = of_page.binary_search(&id) {
+            of_page.insert(at, id);
+        }
         let ty = &mut self.types[id.0 as usize];
         ty.stats.registrations += 1;
         let tix = &mut self.indexes[id.0 as usize];
@@ -398,17 +405,11 @@ impl Registry {
     /// Query types with at least one instance feeding `page`, sorted by id
     /// (deterministic). The reverse of `pages_of`: it answers "which cached
     /// query results does this URL depend on?", which the scorecard board
-    /// uses to attribute request-side hit/miss/render-cost tallies. A full
-    /// instance scan — call at sync-point cadence, not per request.
-    pub fn types_of_page(&self, page: &PageKey) -> Vec<QueryTypeId> {
-        let mut out: Vec<QueryTypeId> = self
-            .instances
-            .iter()
-            .filter(|(_, by_params)| by_params.values().any(|d| d.pages.contains(page)))
-            .map(|(id, _)| *id)
-            .collect();
-        out.sort_unstable();
-        out
+    /// uses to attribute request-side hit/miss/render-cost tallies, and
+    /// admission to ask whether any of them is banned from caching. One map
+    /// lookup.
+    pub fn types_of_page(&self, page: &PageKey) -> &[QueryTypeId] {
+        self.types_by_page.get(page).map_or(&[], Vec::as_slice)
     }
 
     /// Remove page associations (pages ejected and no longer tracked);
@@ -416,6 +417,10 @@ impl Registry {
     pub fn remove_pages(&mut self, pages: &HashSet<PageKey>) -> usize {
         let mut dropped = 0;
         let mut index_nanos = 0u64;
+        // Every instance lets go of these pages, so no type feeds them.
+        for page in pages {
+            self.types_by_page.remove(page);
+        }
         for (id, by_params) in self.instances.iter_mut() {
             let tix = &mut self.indexes[id.0 as usize];
             by_params.retain(|params, data| {

@@ -5,7 +5,9 @@
 //! instance registry: a probe never yields a dropped instance, never
 //! misses a live one, and always matches a **naive rebuild** — a fresh
 //! registry re-registered from the live instance set, whose index is
-//! therefore trivially correct.
+//! therefore trivially correct. The page → types reverse map behind
+//! `Registry::types_of_page` is held to the same standard: after every
+//! operation it must equal a scan of the instances.
 
 use cacheportal_db::{Database, LogOp, LogRecord, Value};
 use cacheportal_invalidator::delta::DeltaSet;
@@ -92,6 +94,7 @@ proptest! {
         let (mut reg, ids) = fresh_registry();
         // Shadow model of the live instances: (type, param) → pages.
         let mut model: HashMap<(usize, i64), HashSet<u8>> = HashMap::new();
+        let mut pages_seen: BTreeSet<u8> = BTreeSet::new();
 
         for op in &ops {
             match op {
@@ -102,6 +105,7 @@ proptest! {
                     )
                     .unwrap();
                     model.entry((*ty, *param)).or_default().insert(*page);
+                    pages_seen.insert(*page);
                 }
                 Op::Remove { pages } => {
                     let gone: HashSet<PageKey> =
@@ -159,6 +163,16 @@ proptest! {
             // total_instances satellite; debug builds also cross-check
             // internally via debug_assert).
             prop_assert_eq!(reg.total_instances(), model.len());
+            for page in &pages_seen {
+                let key = PageKey::raw(&format!("p{page}"));
+                let mut scanned: Vec<QueryTypeId> = ids
+                    .iter()
+                    .copied()
+                    .filter(|id| reg.instances_of(*id).any(|(_, d)| d.pages.contains(&key)))
+                    .collect();
+                scanned.sort_unstable();
+                prop_assert_eq!(reg.types_of_page(&key), scanned.as_slice(), "page p{}", page);
+            }
         }
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! * the request path calls [`ScorecardBoard::note_request`] per served URL
 //!   (hit/miss plus a deterministic render-cost measure — database rows
-//!   scanned while generating the page, NOT wall time, so scorecards are
+//!   read while generating the page, NOT wall time, so scorecards are
 //!   byte-stable across seeded runs);
 //! * each sync point resolves pending URLs to their registered query types
 //!   via [`ScorecardBoard::attribute_pending`] and folds in that sync's
@@ -32,7 +32,8 @@ pub struct PageTally {
     pub misses: u64,
     /// Generations with a measured render cost.
     pub renders: u64,
-    /// Deterministic render cost units (db rows scanned during generation).
+    /// Deterministic render cost units (db rows read during generation, by
+    /// scan or through an index).
     pub render_cost_units: u64,
 }
 

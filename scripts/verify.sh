@@ -96,6 +96,14 @@ echo "== SLO-engine overhead smoke test (slo_overhead --smoke) =="
 grep -q '"history"' BENCH_slo_overhead.json \
   || { echo "BENCH_slo_overhead.json is not a history trajectory"; exit 1; }
 
+echo "== end-to-end load smoke (portal_load --smoke) =="
+# All four portal_load workloads with 1 s windows, each in a child process,
+# through the workspace binary. Every run carries its own correctness gate
+# (every response 200, final sync, regenerate-and-compare of origin and edge
+# caches); an incorrect run exits non-zero, which fails this script. Writes
+# target/portal_load/run.json; no repeatability bounds on a smoke run.
+cargo run --release --offline -p cacheportal-bench --bin portal_load -- --seed 1 --smoke
+
 echo "== SLO breach drill (harness slo-breach) =="
 # Deliberately violate a tight freshness objective and prove the whole
 # pipeline: burn-rate alert fires, /healthz degrades, the flight recorder
