@@ -32,6 +32,33 @@ fn page_cache_ops(c: &mut Criterion) {
             },
         );
     }
+    // Eviction at capacity must not depend on how many pages are resident:
+    // every `put` below inserts a page that is not cached into a full cache.
+    for capacity in [1024usize, 8192, 65536] {
+        group.bench_with_input(
+            BenchmarkId::new("churn_at_capacity", capacity),
+            &capacity,
+            |b, &capacity| {
+                let cache = PageCache::new(PageCacheConfig {
+                    capacity,
+                    policy: EvictionPolicy::Lru,
+                    ttl_micros: None,
+                });
+                let keys: Vec<PageKey> = (0..2 * capacity)
+                    .map(|i| PageKey::raw(format!("shop/product?g:sku={i}")))
+                    .collect();
+                let mut i = 0usize;
+                for k in &keys[..capacity] {
+                    cache.put(k.clone(), "body".into(), i as u64);
+                    i += 1;
+                }
+                b.iter(|| {
+                    cache.put(keys[i % keys.len()].clone(), "body".into(), i as u64);
+                    i += 1;
+                })
+            },
+        );
+    }
     group.bench_function("invalidate_batch_of_64", |b| {
         b.iter_batched(
             || {

@@ -192,12 +192,13 @@ impl EdgeEndpoint {
     }
 
     /// Admit a page at this edge. Declined while degraded — a degraded
-    /// edge must stay empty so it cannot serve anything stale.
-    pub fn admit(&self, key: PageKey, body: String, now: Micros) -> bool {
+    /// edge must stay empty so it cannot serve anything stale — and only an
+    /// edge that admits pays for its copy of the page.
+    pub fn admit(&self, key: &PageKey, body: &str, now: Micros) -> bool {
         if self.inner.lock().degraded {
             return false;
         }
-        self.cache.put(key, body, now);
+        self.cache.put(key.clone(), body.to_string(), now);
         true
     }
 
@@ -805,18 +806,16 @@ impl InvalidationBus {
     }
 
     /// Admit a page at every healthy (connected, non-degraded) edge.
-    /// Returns how many edges admitted it.
+    /// Returns how many edges admitted it. Runs under the bus lock, in the
+    /// order `deliver_all` already takes (bus, then edge, then cache), so a
+    /// miss copies no endpoint list and a portal without edges only locks.
     pub fn admit_page(&self, key: &PageKey, body: &str, now: Micros) -> usize {
-        let endpoints: Vec<Arc<EdgeEndpoint>> = self
-            .inner
+        self.inner
             .lock()
             .edges
             .iter()
-            .filter_map(|s| s.endpoint.clone())
-            .collect();
-        endpoints
-            .iter()
-            .filter(|ep| ep.admit(key.clone(), body.to_string(), now))
+            .filter_map(|s| s.endpoint.as_deref())
+            .filter(|ep| ep.admit(key, body, now))
             .count()
     }
 
@@ -1165,7 +1164,7 @@ mod tests {
         assert!(r1.newly_partitioned.is_empty(), "budget is 2 rounds");
         assert_eq!(r1.self_ejected, vec!["edge-0".to_string()]);
         assert!(edge.is_empty(), "degraded edge flushed everything");
-        assert!(!bus.endpoints()[0].admit(key("x"), "x".into(), 2), "degraded edge declines admission");
+        assert!(!bus.endpoints()[0].admit(&key("x"), "x", 2), "degraded edge declines admission");
 
         bus.publish(2, 2, vec![]);
         let r2 = bus.deliver_all(2);
@@ -1180,7 +1179,7 @@ mod tests {
         assert!(r3.catch_up_batches >= 2, "watermark-driven catch-up replayed");
         assert_eq!(bus.partitioned_count(), 0);
         assert_eq!(bus.edge_rows()[0].lag, 0);
-        assert!(bus.endpoints()[0].admit(key("x"), "x".into(), 4), "admission resumed");
+        assert!(bus.endpoints()[0].admit(&key("x"), "x", 4), "admission resumed");
     }
 
     #[test]

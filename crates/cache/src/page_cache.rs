@@ -11,7 +11,7 @@ use cacheportal_obs::{Counter, Gauge, MetricsRegistry};
 use cacheportal_web::clock::Micros;
 use cacheportal_web::PageKey;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Eviction policy.
@@ -48,18 +48,34 @@ impl Default for PageCacheConfig {
     }
 }
 
+/// "No slot": end of the eviction list.
+const NIL: u32 = u32::MAX;
+
+/// One cached page, in a slot of [`Inner::slab`].
 #[derive(Debug)]
-struct Entry {
+struct Node {
+    /// The one copy of the key's text; `Inner::map` holds the other handle.
+    key: Arc<str>,
     body: String,
     inserted_at: Micros,
-    last_used: Micros,
-    /// Logical use counter for LFU.
+    /// Neighbours in the eviction list (LRU, FIFO).
+    prev: u32,
+    next: u32,
+    /// Rank in the eviction set (LFU): hits since the last `put`, then the
+    /// call (`Inner::calls`) of the last `put` or hit.
     uses: u64,
-    /// Insertion sequence for FIFO and LRU tie-breaks.
-    seq: u64,
+    used_at: u64,
 }
 
 /// A web page cache.
+///
+/// Recency is the order of the calls, not of their `now` arguments. The
+/// victim is the one a scan for the least `now` picks only while `now`
+/// strictly increases from call to call. Calls that pass an equal `now` (a
+/// microsecond clock repeats itself under load) or an older one are still
+/// ranked in the order they were made, where such a scan would have broken
+/// the tie by insertion order. `now` itself drives only TTL expiry and
+/// [`PageCache::admitted_at`] / [`PageCache::evict_admitted_since`].
 ///
 /// ```
 /// use cacheportal_cache::{PageCache, PageCacheConfig};
@@ -92,38 +108,168 @@ struct WiredMetrics {
     resident: Arc<Gauge>,
 }
 
+/// The pages and their eviction order. Pages live in `slab` (a vacated slot
+/// is `None`); `map` finds a page's slot, and the order structure names the
+/// next victim without looking at the others: LRU and FIFO thread an
+/// index-linked list through the slots (`head` is the victim; a hit under
+/// LRU, and every `put`, moves the slot to `tail`), LFU keeps an ordered set
+/// of `(uses, used_at, slot)`.
 struct Inner {
-    map: HashMap<PageKey, Entry>,
+    policy: EvictionPolicy,
+    map: HashMap<Arc<str>, u32>,
+    slab: Vec<Option<Node>>,
+    /// Vacated slots, reused before `slab` grows.
+    free: Vec<u32>,
+    head: u32,
+    tail: u32,
+    lfu: BTreeSet<(u64, u64, u32)>,
+    /// Calls that ranked a page so far (`Node::used_at`).
+    calls: u64,
     stats: CacheStats,
-    next_seq: u64,
     wired: Option<WiredMetrics>,
 }
 
 impl Inner {
-    /// Re-publish the full `stats` struct into the wired registry handles.
-    /// Called after every stats mutation; field-by-field `set_total` keeps
-    /// the two paths equal by construction.
-    fn publish(&self) {
+    fn node(&self, slot: u32) -> &Node {
+        self.slab[slot as usize]
+            .as_ref()
+            .expect("a mapped or ordered slot holds a page")
+    }
+
+    fn node_mut(&mut self, slot: u32) -> &mut Node {
+        self.slab[slot as usize]
+            .as_mut()
+            .expect("a mapped or ordered slot holds a page")
+    }
+
+    /// Put `slot` in the eviction order as the most recent page.
+    fn attach(&mut self, slot: u32) {
+        self.calls += 1;
+        if self.policy == EvictionPolicy::Lfu {
+            let used_at = self.calls;
+            let n = self.node_mut(slot);
+            (n.uses, n.used_at) = (0, used_at);
+            self.lfu.insert((0, used_at, slot));
+            return;
+        }
+        let tail = self.tail;
+        let n = self.node_mut(slot);
+        (n.prev, n.next) = (tail, NIL);
+        match tail {
+            NIL => self.head = slot,
+            t => self.node_mut(t).next = slot,
+        }
+        self.tail = slot;
+    }
+
+    /// Take `slot` out of the eviction order.
+    fn detach(&mut self, slot: u32) {
+        let n = self.node(slot);
+        if self.policy == EvictionPolicy::Lfu {
+            let rank = (n.uses, n.used_at, slot);
+            self.lfu.remove(&rank);
+            return;
+        }
+        let (prev, next) = (n.prev, n.next);
+        match prev {
+            NIL => self.head = next,
+            p => self.node_mut(p).next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            x => self.node_mut(x).prev = prev,
+        }
+    }
+
+    /// A hit on `slot`.
+    fn touch(&mut self, slot: u32) {
+        match self.policy {
+            EvictionPolicy::Fifo => {}
+            EvictionPolicy::Lru => {
+                if self.tail != slot {
+                    self.detach(slot);
+                    self.attach(slot);
+                }
+            }
+            EvictionPolicy::Lfu => {
+                self.detach(slot);
+                self.calls += 1;
+                let used_at = self.calls;
+                let n = self.node_mut(slot);
+                (n.uses, n.used_at) = (n.uses + 1, used_at);
+                let rank = (n.uses, used_at, slot);
+                self.lfu.insert(rank);
+            }
+        }
+    }
+
+    /// The page capacity pressure evicts next.
+    fn victim(&self) -> Option<u32> {
+        match self.policy {
+            EvictionPolicy::Lfu => self.lfu.first().map(|&(_, _, slot)| slot),
+            _ => (self.head != NIL).then_some(self.head),
+        }
+    }
+
+    /// Drop the page in `slot` and hand back its key; the caller takes the
+    /// key out of `map`.
+    fn vacate(&mut self, slot: u32) -> Arc<str> {
+        self.detach(slot);
+        self.free.push(slot);
+        let gone = self.slab[slot as usize].take();
+        gone.expect("a mapped or ordered slot holds a page").key
+    }
+
+    fn remove(&mut self, key: &PageKey) -> bool {
+        match self.map.remove(key.as_str()) {
+            Some(slot) => {
+                self.vacate(slot);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn note_miss(&mut self) {
+        self.stats.misses += 1;
         if let Some(w) = &self.wired {
-            w.hits.set_total(self.stats.hits);
             w.misses.set_total(self.stats.misses);
-            w.insertions.set_total(self.stats.insertions);
-            w.evictions.set_total(self.stats.evictions);
-            w.invalidations.set_total(self.stats.invalidations);
-            w.expirations.set_total(self.stats.expirations);
+        }
+    }
+
+    fn publish_resident(&self) {
+        if let Some(w) = &self.wired {
             w.resident.set(self.map.len() as i64);
         }
+    }
+
+    fn note_invalidated(&mut self, n: usize) {
+        if n == 0 {
+            return;
+        }
+        self.stats.invalidations += n as u64;
+        if let Some(w) = &self.wired {
+            w.invalidations.set_total(self.stats.invalidations);
+        }
+        self.publish_resident();
     }
 }
 
 impl PageCache {
     /// Create a cache with the given configuration.
     pub fn new(config: PageCacheConfig) -> Self {
+        let prealloc = config.capacity.min(4096);
         PageCache {
             inner: Mutex::new(Inner {
-                map: HashMap::with_capacity(config.capacity.min(4096)),
+                policy: config.policy,
+                map: HashMap::with_capacity(prealloc),
+                slab: Vec::with_capacity(prealloc),
+                free: Vec::new(),
+                head: NIL,
+                tail: NIL,
+                lfu: BTreeSet::new(),
+                calls: 0,
                 stats: CacheStats::default(),
-                next_seq: 0,
                 wired: None,
             }),
             config,
@@ -151,75 +297,108 @@ impl PageCache {
             resident: registry.gauge(&format!("{prefix}.resident")),
         };
         let mut inner = self.inner.lock();
+        // Seed every handle once; afterwards each operation stores only the
+        // totals it moved.
+        let s = inner.stats;
+        wired.hits.set_total(s.hits);
+        wired.misses.set_total(s.misses);
+        wired.insertions.set_total(s.insertions);
+        wired.evictions.set_total(s.evictions);
+        wired.invalidations.set_total(s.invalidations);
+        wired.expirations.set_total(s.expirations);
         inner.wired = Some(wired);
-        inner.publish();
+        inner.publish_resident();
     }
 
-    /// Look up a page. `now` drives TTL expiry and recency bookkeeping.
+    /// Look up a page. `now` drives TTL expiry; the call itself is the use
+    /// that recency and frequency record.
     pub fn get(&self, key: &PageKey, now: Micros) -> Option<String> {
         let mut inner = self.inner.lock();
-        // TTL check first (entry may exist but be expired).
-        let expired = match inner.map.get(key) {
-            Some(e) => self
-                .config
-                .ttl_micros
-                .is_some_and(|ttl| now.saturating_sub(e.inserted_at) > ttl),
-            None => {
-                inner.stats.misses += 1;
-                inner.publish();
-                return None;
-            }
+        let Some(&slot) = inner.map.get(key.as_str()) else {
+            inner.note_miss();
+            return None;
         };
-        if expired {
-            inner.map.remove(key);
+        let inserted_at = inner.node(slot).inserted_at;
+        if self
+            .config
+            .ttl_micros
+            .is_some_and(|ttl| now.saturating_sub(inserted_at) > ttl)
+        {
+            inner.remove(key);
             inner.stats.expirations += 1;
-            inner.stats.misses += 1;
-            inner.publish();
+            if let Some(w) = &inner.wired {
+                w.expirations.set_total(inner.stats.expirations);
+            }
+            inner.publish_resident();
+            inner.note_miss();
             return None;
         }
-        let e = inner.map.get_mut(key).expect("checked above");
-        e.last_used = now;
-        e.uses += 1;
-        let body = e.body.clone();
+        inner.touch(slot);
         inner.stats.hits += 1;
-        inner.publish();
-        Some(body)
+        if let Some(w) = &inner.wired {
+            w.hits.set_total(inner.stats.hits);
+        }
+        Some(inner.node(slot).body.clone())
     }
 
     /// Insert (or overwrite) a page, evicting per policy if at capacity.
     pub fn put(&self, key: PageKey, body: String, now: Micros) {
-        let mut inner = self.inner.lock();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        if !inner.map.contains_key(&key) && inner.map.len() >= self.config.capacity {
-            if let Some(victim) = self.pick_victim(&inner.map) {
-                inner.map.remove(&victim);
-                inner.stats.evictions += 1;
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let slot = match inner.map.get(key.as_str()) {
+            // Overwriting replaces the whole entry: it re-enters the order
+            // as a new page.
+            Some(&slot) => {
+                inner.detach(slot);
+                let n = inner.node_mut(slot);
+                (n.body, n.inserted_at) = (body, now);
+                slot
             }
-        }
-        inner.map.insert(
-            key,
-            Entry {
-                body,
-                inserted_at: now,
-                last_used: now,
-                uses: 0,
-                seq,
-            },
-        );
-        inner.stats.insertions += 1;
-        inner.publish();
-    }
-
-    fn pick_victim(&self, map: &HashMap<PageKey, Entry>) -> Option<PageKey> {
-        let best = match self.config.policy {
-            EvictionPolicy::Lru => map
-                .iter()
-                .min_by_key(|(_, e)| (e.last_used, e.seq)),
-            EvictionPolicy::Lfu => map.iter().min_by_key(|(_, e)| (e.uses, e.last_used, e.seq)),
-            EvictionPolicy::Fifo => map.iter().min_by_key(|(_, e)| e.seq),
+            None => {
+                if inner.map.len() >= self.config.capacity {
+                    if let Some(victim) = inner.victim() {
+                        let doomed = inner.vacate(victim);
+                        inner.map.remove(&doomed);
+                        inner.stats.evictions += 1;
+                        if let Some(w) = &inner.wired {
+                            w.evictions.set_total(inner.stats.evictions);
+                        }
+                    }
+                }
+                let key: Arc<str> = key.as_str().into();
+                let node = Some(Node {
+                    key: key.clone(),
+                    body,
+                    inserted_at: now,
+                    prev: NIL,
+                    next: NIL,
+                    uses: 0,
+                    used_at: 0,
+                });
+                let slot = match inner.free.pop() {
+                    Some(slot) => {
+                        inner.slab[slot as usize] = node;
+                        slot
+                    }
+                    None => {
+                        let slot = u32::try_from(inner.slab.len())
+                            .ok()
+                            .filter(|&s| s != NIL)
+                            .expect("a page cache holds fewer than 2^32 - 1 pages");
+                        inner.slab.push(node);
+                        slot
+                    }
+                };
+                inner.map.insert(key, slot);
+                inner.publish_resident();
+                slot
+            }
         };
-        best.map(|(k, _)| k.clone())
+        inner.attach(slot);
+        inner.stats.insertions += 1;
+        if let Some(w) = &inner.wired {
+            w.insertions.set_total(inner.stats.insertions);
+        }
     }
 
     /// Process an invalidation (eject) message: remove the named pages.
@@ -238,12 +417,11 @@ impl PageCache {
         let mut inner = self.inner.lock();
         let mut removed = Vec::new();
         for k in keys {
-            if inner.map.remove(k).is_some() {
+            if inner.remove(k) {
                 removed.push(k.clone());
             }
         }
-        inner.stats.invalidations += removed.len() as u64;
-        inner.publish();
+        inner.note_invalidated(removed.len());
         removed
     }
 
@@ -251,9 +429,12 @@ impl PageCache {
     pub fn clear(&self) -> usize {
         let mut inner = self.inner.lock();
         let n = inner.map.len();
-        inner.stats.invalidations += n as u64;
         inner.map.clear();
-        inner.publish();
+        inner.slab.clear();
+        inner.free.clear();
+        inner.lfu.clear();
+        (inner.head, inner.tail) = (NIL, NIL);
+        inner.note_invalidated(n);
         n
     }
 
@@ -263,24 +444,28 @@ impl PageCache {
     /// eject while the edge was down, so it is flushed (over-invalidation,
     /// never staleness). Returns how many pages were dropped.
     pub fn evict_admitted_since(&self, cutoff_micros: Micros) -> usize {
-        let mut inner = self.inner.lock();
-        let doomed: Vec<PageKey> = inner
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let slab = &inner.slab;
+        let doomed: Vec<u32> = inner
             .map
-            .iter()
-            .filter(|(_, e)| e.inserted_at >= cutoff_micros)
-            .map(|(k, _)| k.clone())
+            .extract_if(|_, slot| {
+                slab[*slot as usize]
+                    .as_ref()
+                    .is_some_and(|n| n.inserted_at >= cutoff_micros)
+            })
+            .map(|(_, slot)| slot)
             .collect();
-        for k in &doomed {
-            inner.map.remove(k);
+        for &slot in &doomed {
+            inner.vacate(slot);
         }
-        inner.stats.invalidations += doomed.len() as u64;
-        inner.publish();
+        inner.note_invalidated(doomed.len());
         doomed.len()
     }
 
     /// Is the page currently cached (no stats side effects, no TTL check)?
     pub fn contains(&self, key: &PageKey) -> bool {
-        self.inner.lock().map.contains_key(key)
+        self.inner.lock().map.contains_key(key.as_str())
     }
 
     /// When the cached page was admitted (no stats side effects, no TTL
@@ -290,7 +475,11 @@ impl PageCache {
     /// mid-interval (which may reflect a transient state the interval's
     /// endpoint comparison cannot see).
     pub fn admitted_at(&self, key: &PageKey) -> Option<Micros> {
-        self.inner.lock().map.get(key).map(|e| e.inserted_at)
+        let inner = self.inner.lock();
+        inner
+            .map
+            .get(key.as_str())
+            .map(|&slot| inner.node(slot).inserted_at)
     }
 
     /// Number of cached pages.
@@ -305,7 +494,48 @@ impl PageCache {
 
     /// All currently cached keys (freshness-oracle support).
     pub fn keys(&self) -> Vec<PageKey> {
-        self.inner.lock().map.keys().cloned().collect()
+        self.inner
+            .lock()
+            .map
+            .keys()
+            .map(|k| PageKey::raw(&**k))
+            .collect()
+    }
+
+    /// Test support for `tests/cache_model.rs`, not part of the API: cached
+    /// keys in the order capacity pressure would evict them, next victim
+    /// first. Panics if the order structure, the slab and the key map
+    /// disagree about which pages are resident.
+    #[doc(hidden)]
+    pub fn eviction_order(&self) -> Vec<PageKey> {
+        let inner = self.inner.lock();
+        let slots: Vec<u32> = match inner.policy {
+            EvictionPolicy::Lfu => inner.lfu.iter().map(|&(_, _, slot)| slot).collect(),
+            _ => std::iter::successors((inner.head != NIL).then_some(inner.head), |&s| {
+                let next = inner.node(s).next;
+                (next != NIL).then_some(next)
+            })
+            .take(inner.slab.len() + 1)
+            .collect(),
+        };
+        assert_eq!(
+            slots.len(),
+            inner.map.len(),
+            "ordered pages vs resident pages"
+        );
+        assert_eq!(
+            inner.slab.len(),
+            inner.map.len() + inner.free.len(),
+            "every slot is either resident or free"
+        );
+        slots
+            .into_iter()
+            .map(|slot| {
+                let key = &inner.node(slot).key;
+                assert_eq!(inner.map.get(key), Some(&slot), "slot of {key}");
+                PageKey::raw(&**key)
+            })
+            .collect()
     }
 
     /// Hit/miss/eviction/invalidation counters.

@@ -392,6 +392,32 @@ mod tests {
     }
 
     #[test]
+    fn every_nodes_rows_reach_registration_typed() {
+        // The node mappers run one after another against the shared map
+        // before its one registration scan: a later mapper's rows must not
+        // push an earlier one's typed forms out.
+        let c = cluster(3);
+        for g in 0..3 {
+            assert_eq!(c.request(&req(g)).served, Served::Generated);
+        }
+        assert_eq!(c.node_loads(), vec![1, 1, 1]);
+        let r = c.sync_point().unwrap();
+        assert_eq!(r.invalidation.registered, 3);
+        assert_eq!(r.invalidation.registered_from_text, 0);
+        // A row without a typed form is parsed, and says so.
+        c.qi_url_map().insert(
+            "SELECT val FROM items WHERE grp = 3 ORDER BY val".into(),
+            PageKey::raw("by hand"),
+            "items".into(),
+        );
+        let r = c.sync_point().unwrap();
+        assert_eq!(
+            (r.invalidation.registered, r.invalidation.registered_from_text),
+            (1, 1)
+        );
+    }
+
+    #[test]
     fn per_node_logs_do_not_cross_contaminate() {
         // Two nodes serving different pages with interleaved timestamps:
         // each query must map to its own node's request only.

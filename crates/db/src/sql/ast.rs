@@ -29,7 +29,7 @@ pub enum Statement {
 
 /// `SELECT [DISTINCT] items FROM t1 [a1], t2 [a2] ... [WHERE ...]
 /// [GROUP BY ...] [ORDER BY ...] [LIMIT n]`
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Select {
     /// True when `SELECT DISTINCT`.
     pub distinct: bool,
@@ -49,8 +49,23 @@ pub struct Select {
     pub limit: Option<u64>,
 }
 
+impl Select {
+    /// Every expression of the statement: projection, WHERE, HAVING and
+    /// ORDER BY, in that order.
+    pub fn exprs(&self) -> impl Iterator<Item = &Expr> {
+        (self.items.iter())
+            .filter_map(|item| match item {
+                SelectItem::Expr { expr, .. } => Some(expr),
+                _ => None,
+            })
+            .chain(&self.where_clause)
+            .chain(&self.having)
+            .chain(self.order_by.iter().map(|k| &k.expr))
+    }
+}
+
 /// One projection item.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SelectItem {
     /// `*`
     Star,
@@ -68,7 +83,7 @@ pub enum SelectItem {
 
 /// A table in the FROM list with an optional alias (comma-join syntax, as in
 /// the paper's Example 4.1).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TableRef {
     /// Base table name.
     pub table: String,
@@ -84,7 +99,7 @@ impl TableRef {
 }
 
 /// `ORDER BY` key.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OrderKey {
     /// The key expression.
     pub expr: Expr,
@@ -257,7 +272,7 @@ impl AggFunc {
 }
 
 /// Scalar/boolean expression.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// Column reference.
     Column(ColumnRef),
@@ -446,6 +461,45 @@ impl Expr {
         }
     }
 
+    /// Apply `f` to each direct child, in the order [`Expr::visit`] walks
+    /// them. In-place rewrites recurse through this.
+    pub fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        match self {
+            Expr::Cmp { left, right, .. } | Expr::Arith { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            Expr::And(a, b) | Expr::Or(a, b) => {
+                f(a);
+                f(b);
+            }
+            Expr::Not(e) => f(e),
+            Expr::IsNull { expr, .. } => f(expr),
+            Expr::Between {
+                expr, low, high, ..
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            Expr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter_mut().for_each(f);
+            }
+            Expr::Like { expr, pattern, .. } => {
+                f(expr);
+                f(pattern);
+            }
+            Expr::Agg { arg, .. } => {
+                if let Some(a) = arg {
+                    f(a);
+                }
+            }
+            Expr::Func { args, .. } => args.iter_mut().for_each(f),
+            Expr::Column(_) | Expr::Literal(_) | Expr::Param(_) => {}
+        }
+    }
+
     /// Structure-preserving transformation: rebuild the expression, replacing
     /// each node by `f(node)` bottom-up where `f` returns `Some`.
     pub fn transform(&self, f: &impl Fn(&Expr) -> Option<Expr>) -> Expr {
@@ -564,20 +618,37 @@ pub struct CreateTable {
 // SQL rendering
 // ---------------------------------------------------------------------------
 
+/// `T` rendered as SQL with each `$n` that `params` covers written out as
+/// the literal `params[n-1]`: the text of `substitute_params(T, params)`
+/// without building it. An empty slice renders `T` as it stands.
+pub struct Bound<'a, T>(pub &'a T, pub &'a [Value]);
+
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
+        Bound(self, &[]).fmt(f)
+    }
+}
+
+impl<'a> fmt::Display for Bound<'a, Expr> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Bound(expr, params) = *self;
+        let b = |e: &'a Expr| Bound(e, params);
+        let not = |negated: bool| if negated { "NOT " } else { "" };
+        match expr {
             Expr::Column(c) => write!(f, "{c}"),
             Expr::Literal(v) => f.write_str(&v.to_sql_literal()),
-            Expr::Param(i) => write!(f, "${i}"),
-            Expr::Cmp { left, op, right } => write!(f, "{left} {} {right}", op.sql()),
-            Expr::Arith { left, op, right } => write!(f, "({left} {} {right})", op.sql()),
-            Expr::And(a, b) => write!(f, "{a} AND {b}"),
-            Expr::Or(a, b) => write!(f, "({a} OR {b})"),
-            Expr::Not(e) => write!(f, "NOT ({e})"),
-            Expr::IsNull { expr, negated } => {
-                write!(f, "{expr} IS {}NULL", if *negated { "NOT " } else { "" })
+            Expr::Param(i) => match i.checked_sub(1).and_then(|at| params.get(at)) {
+                Some(v) => f.write_str(&v.to_sql_literal()),
+                None => write!(f, "${i}"),
+            },
+            Expr::Cmp { left, op, right } => write!(f, "{} {} {}", b(left), op.sql(), b(right)),
+            Expr::Arith { left, op, right } => {
+                write!(f, "({} {} {})", b(left), op.sql(), b(right))
             }
+            Expr::And(l, r) => write!(f, "{} AND {}", b(l), b(r)),
+            Expr::Or(l, r) => write!(f, "({} OR {})", b(l), b(r)),
+            Expr::Not(e) => write!(f, "NOT ({})", b(e)),
+            Expr::IsNull { expr, negated } => write!(f, "{} IS {}NULL", b(expr), not(*negated)),
             Expr::Between {
                 expr,
                 low,
@@ -585,20 +656,23 @@ impl fmt::Display for Expr {
                 negated,
             } => write!(
                 f,
-                "{expr} {}BETWEEN {low} AND {high}",
-                if *negated { "NOT " } else { "" }
+                "{} {}BETWEEN {} AND {}",
+                b(expr),
+                not(*negated),
+                b(low),
+                b(high)
             ),
             Expr::InList {
                 expr,
                 list,
                 negated,
             } => {
-                write!(f, "{expr} {}IN (", if *negated { "NOT " } else { "" })?;
+                write!(f, "{} {}IN (", b(expr), not(*negated))?;
                 for (i, e) in list.iter().enumerate() {
                     if i > 0 {
                         f.write_str(", ")?;
                     }
-                    write!(f, "{e}")?;
+                    write!(f, "{}", b(e))?;
                 }
                 f.write_str(")")
             }
@@ -606,11 +680,7 @@ impl fmt::Display for Expr {
                 expr,
                 pattern,
                 negated,
-            } => write!(
-                f,
-                "{expr} {}LIKE {pattern}",
-                if *negated { "NOT " } else { "" }
-            ),
+            } => write!(f, "{} {}LIKE {}", b(expr), not(*negated), b(pattern)),
             Expr::Agg {
                 func,
                 arg,
@@ -618,9 +688,10 @@ impl fmt::Display for Expr {
             } => match arg {
                 Some(a) => write!(
                     f,
-                    "{}({}{a})",
+                    "{}({}{})",
                     func.sql(),
-                    if *distinct { "DISTINCT " } else { "" }
+                    if *distinct { "DISTINCT " } else { "" },
+                    b(a)
                 ),
                 None => write!(f, "{}(*)", func.sql()),
             },
@@ -630,7 +701,7 @@ impl fmt::Display for Expr {
                     if i > 0 {
                         f.write_str(", ")?;
                     }
-                    write!(f, "{a}")?;
+                    write!(f, "{}", b(a))?;
                 }
                 f.write_str(")")
             }
@@ -640,11 +711,20 @@ impl fmt::Display for Expr {
 
 impl fmt::Display for Select {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        Bound(self, &[]).fmt(f)
+    }
+}
+
+/// Like `substitute_params`, binds the projection, WHERE and ORDER BY; a
+/// marker in HAVING stays a marker.
+impl fmt::Display for Bound<'_, Select> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Bound(select, params) = *self;
         f.write_str("SELECT ")?;
-        if self.distinct {
+        if select.distinct {
             f.write_str("DISTINCT ")?;
         }
-        for (i, item) in self.items.iter().enumerate() {
+        for (i, item) in select.items.iter().enumerate() {
             if i > 0 {
                 f.write_str(", ")?;
             }
@@ -652,7 +732,7 @@ impl fmt::Display for Select {
                 SelectItem::Star => f.write_str("*")?,
                 SelectItem::QualifiedStar(t) => write!(f, "{t}.*")?,
                 SelectItem::Expr { expr, alias } => {
-                    write!(f, "{expr}")?;
+                    write!(f, "{}", Bound(expr, params))?;
                     if let Some(a) = alias {
                         write!(f, " AS {a}")?;
                     }
@@ -660,7 +740,7 @@ impl fmt::Display for Select {
             }
         }
         f.write_str(" FROM ")?;
-        for (i, t) in self.from.iter().enumerate() {
+        for (i, t) in select.from.iter().enumerate() {
             if i > 0 {
                 f.write_str(", ")?;
             }
@@ -669,31 +749,36 @@ impl fmt::Display for Select {
                 write!(f, " {a}")?;
             }
         }
-        if let Some(w) = &self.where_clause {
-            write!(f, " WHERE {w}")?;
+        if let Some(w) = &select.where_clause {
+            write!(f, " WHERE {}", Bound(w, params))?;
         }
-        if !self.group_by.is_empty() {
+        if !select.group_by.is_empty() {
             f.write_str(" GROUP BY ")?;
-            for (i, c) in self.group_by.iter().enumerate() {
+            for (i, c) in select.group_by.iter().enumerate() {
                 if i > 0 {
                     f.write_str(", ")?;
                 }
                 write!(f, "{c}")?;
             }
         }
-        if let Some(h) = &self.having {
+        if let Some(h) = &select.having {
             write!(f, " HAVING {h}")?;
         }
-        if !self.order_by.is_empty() {
+        if !select.order_by.is_empty() {
             f.write_str(" ORDER BY ")?;
-            for (i, k) in self.order_by.iter().enumerate() {
+            for (i, k) in select.order_by.iter().enumerate() {
                 if i > 0 {
                     f.write_str(", ")?;
                 }
-                write!(f, "{}{}", k.expr, if k.ascending { "" } else { " DESC" })?;
+                write!(
+                    f,
+                    "{}{}",
+                    Bound(&k.expr, params),
+                    if k.ascending { "" } else { " DESC" }
+                )?;
             }
         }
-        if let Some(n) = self.limit {
+        if let Some(n) = select.limit {
             write!(f, " LIMIT {n}")?;
         }
         Ok(())

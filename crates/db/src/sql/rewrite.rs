@@ -5,60 +5,40 @@
 //! * [`parameterize`] — the inverse: extract the literals of a query
 //!   instance, yielding the canonical query type and the parameter vector
 //!   (the invalidator's query-type *discovery*, §4.1.2).
+//! * [`TypePlan`] — both at once for a statement that is issued many times
+//!   with different values: what `parameterize ∘ substitute_params` makes of
+//!   it, worked out once.
 
 use crate::error::{DbError, DbResult};
 use crate::sql::ast::{Expr, Select, SelectItem};
 use crate::value::Value;
+use std::sync::Arc;
 
 /// Replace `$n` markers in a SELECT with the given values.
 pub fn substitute_params(select: &Select, params: &[Value]) -> DbResult<Select> {
+    let mut out = select.clone();
+    let mut exprs: Vec<&mut Expr> = out.where_clause.iter_mut().collect();
+    exprs.extend(out.items.iter_mut().filter_map(|item| match item {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        _ => None,
+    }));
+    exprs.extend(out.order_by.iter_mut().map(|k| &mut k.expr));
     // Validate all param references first for a precise error.
-    let mut max_param = 0usize;
-    if let Some(w) = &select.where_clause {
-        for p in w.params() {
-            max_param = max_param.max(p);
-        }
-    }
-    for item in &select.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            for p in expr.params() {
-                max_param = max_param.max(p);
-            }
-        }
-    }
+    let max_param = exprs.iter().flat_map(|e| e.params()).max().unwrap_or(0);
     if max_param > params.len() {
         return Err(DbError::UnboundParameter(max_param));
     }
-
-    let subst = |e: &Expr| -> Option<Expr> {
-        if let Expr::Param(i) = e {
-            Some(Expr::Literal(params[*i - 1].clone()))
-        } else {
-            None
-        }
-    };
-    let mut out = select.clone();
-    out.where_clause = out.where_clause.as_ref().map(|w| w.transform(&subst));
-    out.items = out
-        .items
-        .iter()
-        .map(|item| match item {
-            SelectItem::Expr { expr, alias } => SelectItem::Expr {
-                expr: expr.transform(&subst),
-                alias: alias.clone(),
-            },
-            other => other.clone(),
-        })
-        .collect();
-    out.order_by = out
-        .order_by
-        .iter()
-        .map(|k| crate::sql::ast::OrderKey {
-            expr: k.expr.transform(&subst),
-            ascending: k.ascending,
-        })
-        .collect();
+    for e in exprs {
+        substitute_expr(e, params);
+    }
     Ok(out)
+}
+
+fn substitute_expr(e: &mut Expr, params: &[Value]) {
+    match e {
+        Expr::Param(i) => *e = Expr::Literal(params[*i - 1].clone()),
+        _ => e.for_each_child_mut(&mut |c| substitute_expr(c, params)),
+    }
 }
 
 /// Extract every literal in the WHERE clause of a query instance, replacing
@@ -70,79 +50,96 @@ pub fn substitute_params(select: &Select, params: &[Value]) -> DbResult<Select> 
 /// keeping them verbatim makes the canonical type string stabler.
 pub fn parameterize(select: &Select) -> (Select, Vec<Value>) {
     let mut out = select.clone();
-    let mut params: Vec<Value> = Vec::new();
-    if let Some(w) = &select.where_clause {
-        let rewritten = parameterize_expr(w, &mut params);
-        out.where_clause = Some(rewritten);
-    }
+    let params = parameterize_in_place(&mut out);
     (out, params)
 }
 
-fn parameterize_expr(e: &Expr, params: &mut Vec<Value>) -> Expr {
-    match e {
-        Expr::Literal(v) => {
-            params.push(v.clone());
-            Expr::Param(params.len())
-        }
-        Expr::Cmp { left, op, right } => Expr::Cmp {
-            left: Box::new(parameterize_expr(left, params)),
-            op: *op,
-            right: Box::new(parameterize_expr(right, params)),
-        },
-        Expr::Arith { left, op, right } => Expr::Arith {
-            left: Box::new(parameterize_expr(left, params)),
-            op: *op,
-            right: Box::new(parameterize_expr(right, params)),
-        },
-        Expr::And(a, b) => Expr::And(
-            Box::new(parameterize_expr(a, params)),
-            Box::new(parameterize_expr(b, params)),
-        ),
-        Expr::Or(a, b) => Expr::Or(
-            Box::new(parameterize_expr(a, params)),
-            Box::new(parameterize_expr(b, params)),
-        ),
-        Expr::Not(x) => Expr::Not(Box::new(parameterize_expr(x, params))),
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(parameterize_expr(expr, params)),
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(parameterize_expr(expr, params)),
-            low: Box::new(parameterize_expr(low, params)),
-            high: Box::new(parameterize_expr(high, params)),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(parameterize_expr(expr, params)),
-            list: list.iter().map(|x| parameterize_expr(x, params)).collect(),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(parameterize_expr(expr, params)),
-            pattern: Box::new(parameterize_expr(pattern, params)),
-            negated: *negated,
-        },
-        Expr::Func { func, args } => Expr::Func {
-            func: *func,
-            args: args.iter().map(|x| parameterize_expr(x, params)).collect(),
-        },
-        // Params in the input stay params (idempotence); columns/aggs as-is.
-        other => other.clone(),
+/// [`parameterize`] for a caller that owns the instance and is done with it:
+/// `select` itself becomes the query type, nothing is copied.
+pub fn parameterize_in_place(select: &mut Select) -> Vec<Value> {
+    let mut params = Vec::new();
+    if let Some(w) = &mut select.where_clause {
+        lift_literals(w, &mut params, |v| v, None);
     }
+    params
+}
+
+/// The query type of every instance of one parameterized statement, and
+/// where each of the type's parameters takes its value from: for all `bound`,
+/// `parameterize(&substitute_params(stmt, bound)?)` equals
+/// `(plan.template, plan.params(bound)?)`, without building the instance.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TypePlan {
+    /// The canonical query type (shared: every instance names the same one).
+    pub template: Arc<Select>,
+    /// Per `$n` of `template`, in order.
+    slots: Vec<Slot>,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Slot {
+    /// A literal written into the statement.
+    Literal(Value),
+    /// The statement's own `$n`.
+    Bound(usize),
+}
+
+impl TypePlan {
+    /// Plan `stmt`. `None` when some `$n` sits where [`parameterize`] does
+    /// not reach (projection, ORDER BY, HAVING, inside an aggregate): the
+    /// type of such a statement depends on the values bound to it.
+    pub fn of(stmt: &Select) -> Option<TypePlan> {
+        let mut template = stmt.clone();
+        let mut slots = Vec::new();
+        if let Some(w) = &mut template.where_clause {
+            lift_literals(w, &mut slots, Slot::Literal, Some(Slot::Bound));
+        }
+        let bound_slots = slots.iter().filter(|s| matches!(s, Slot::Bound(_))).count();
+        let markers: usize = stmt.exprs().map(|e| e.params().len()).sum();
+        (markers == bound_slots).then(|| TypePlan {
+            template: Arc::new(template),
+            slots,
+        })
+    }
+
+    /// The type's parameter vector for the instance binding `bound` to the
+    /// statement's markers.
+    pub fn params(&self, bound: &[Value]) -> DbResult<Vec<Value>> {
+        self.slots
+            .iter()
+            .map(|slot| match slot {
+                Slot::Literal(v) => Ok(v.clone()),
+                Slot::Bound(i) => (i.checked_sub(1))
+                    .and_then(|at| bound.get(at))
+                    .cloned()
+                    .ok_or(DbError::UnboundParameter(*i)),
+            })
+            .collect()
+    }
+}
+
+/// Replace every literal under `e` with the next `$n`, in pre-order, and
+/// push what it stood for. With `marker`, the `$n` already there are
+/// renumbered in the same sequence; without, they stay as written
+/// (idempotence). An aggregate has no place in a WHERE clause and is left
+/// alone.
+fn lift_literals<S>(
+    e: &mut Expr,
+    out: &mut Vec<S>,
+    literal: fn(Value) -> S,
+    marker: Option<fn(usize) -> S>,
+) {
+    let slot = match e {
+        Expr::Literal(v) => literal(std::mem::replace(v, Value::Null)),
+        Expr::Param(i) => match marker {
+            Some(marker) => marker(*i),
+            None => return,
+        },
+        Expr::Agg { .. } => return,
+        _ => return e.for_each_child_mut(&mut |c| lift_literals(c, out, literal, marker)),
+    };
+    out.push(slot);
+    *e = Expr::Param(out.len());
 }
 
 #[cfg(test)]

@@ -141,6 +141,10 @@ pub struct InvalidationReport {
     pub tuples_analyzed: u64,
     /// New QI/URL rows registered this run.
     pub registered: u64,
+    /// Of `registered`, the rows that came as text only and were parsed
+    /// (inserted by hand, or a map rebuilt from JSON or the journal); the
+    /// mapper's rows come with their typed form.
+    pub registered_from_text: u64,
     /// QI/URL rows skipped because they could not be parsed.
     pub unparseable: u64,
     /// Log records consumed.
@@ -560,15 +564,21 @@ impl Invalidator {
         };
 
         // (1) Online registration scan of the QI/URL map (§4.1.2).
-        let (entries, cursor) = map.entries_since(self.map_cursor);
+        let (entries, cursor) = map.take_for_registration(self.map_cursor);
         self.map_cursor = cursor;
-        for entry in entries {
-            match self
-                .registry
-                .register_instance(&entry.sql, entry.page_key.clone())
-            {
-                Ok(_) => report.registered += 1,
-                Err(_) => report.unparseable += 1,
+        for (entry, typed) in entries {
+            match typed {
+                Some(t) => {
+                    self.registry.register_typed(&t.template, t.params, entry.page_key);
+                    report.registered += 1;
+                }
+                None => match self.registry.register_instance(&entry.sql, entry.page_key) {
+                    Ok(_) => {
+                        report.registered += 1;
+                        report.registered_from_text += 1;
+                    }
+                    Err(_) => report.unparseable += 1,
+                },
             }
         }
         report.registration_micros = started.elapsed().as_micros() as u64;

@@ -9,7 +9,7 @@
 
 use cacheportal_db::sql::ast::{Expr, Select, Statement, TableRef};
 use cacheportal_db::sql::parser::parse;
-use cacheportal_db::sql::rewrite::parameterize;
+use cacheportal_db::sql::rewrite::parameterize_in_place;
 use cacheportal_db::{Database, DbResult, Value};
 use cacheportal_web::PageKey;
 use std::collections::hash_map::Entry;
@@ -184,6 +184,14 @@ pub struct InstanceData {
     pub boundary: Option<Value>,
 }
 
+impl InstanceData {
+    /// Slot of this instance in its type's predicate index (diagnostics;
+    /// equal registries assign equal slots).
+    pub fn index_slot(&self) -> u32 {
+        self.slot
+    }
+}
+
 /// O(1) snapshot of the predicate-index bookkeeping.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IndexStats {
@@ -198,7 +206,14 @@ pub struct IndexStats {
 #[derive(Debug, Default)]
 pub struct Registry {
     types: Vec<QueryType>,
+    /// The identity of a type: the canonical text of its template.
     by_sql: HashMap<String, QueryTypeId>,
+    /// Templates already looked up in `by_sql`, so that a known type is found
+    /// without rendering its text again. Only templates without a literal
+    /// are kept: among those, equal ASTs render to equal text (an AST
+    /// comparison takes `1` and `1.0` for the same literal, the text does
+    /// not).
+    by_template: HashMap<Select, QueryTypeId>,
     /// Instance params per type.
     instances: HashMap<QueryTypeId, HashMap<Vec<Value>, InstanceData>>,
     /// Which types read a given (lower-cased) table.
@@ -231,14 +246,28 @@ impl Registry {
                 "query types must be SELECT statements".into(),
             ));
         };
-        Ok(self.intern_type(sel))
+        Ok(self.intern_type(&sel))
     }
 
-    fn intern_type(&mut self, select: Select) -> QueryTypeId {
-        let sql = Statement::Select(select.clone()).to_sql();
-        if let Some(id) = self.by_sql.get(&sql) {
-            return *id;
+    fn intern_type(&mut self, select: &Select) -> QueryTypeId {
+        let memoizable = literal_free(select);
+        if memoizable {
+            if let Some(id) = self.by_template.get(select) {
+                return *id;
+            }
         }
+        let sql = select.to_string();
+        let id = match self.by_sql.get(&sql) {
+            Some(id) => *id,
+            None => self.new_type(select, sql),
+        };
+        if memoizable {
+            self.by_template.insert(select.clone(), id);
+        }
+        id
+    }
+
+    fn new_type(&mut self, select: &Select, sql: String) -> QueryTypeId {
         let id = QueryTypeId(self.types.len() as u32);
         let mut tables: Vec<String> = select
             .from
@@ -260,11 +289,11 @@ impl Registry {
             self.types_by_table.entry(t.clone()).or_default().push(id);
         }
         self.by_sql.insert(sql.clone(), id);
-        self.indexes.push(TypeIndex::plan(&select));
-        let shape = QueryShape::classify(&select);
+        self.indexes.push(TypeIndex::plan(select));
+        let shape = QueryShape::classify(select);
         self.types.push(QueryType {
             id,
-            select,
+            select: select.clone(),
             sql,
             n_params,
             tables,
@@ -277,20 +306,35 @@ impl Registry {
     }
 
     /// Register a bound query instance discovered in the QI/URL map
-    /// (online discovery, §4.1.2): parameterize → intern type → record the
-    /// instance and its dependent page.
+    /// (online discovery, §4.1.2), given as text: parse, parameterize, then
+    /// [`Registry::register_typed`]. This is the entry for rows that exist
+    /// only as text — a map rebuilt from JSON or from the durable journal.
     pub fn register_instance(
         &mut self,
         bound_sql: &str,
         page: PageKey,
     ) -> DbResult<(QueryTypeId, Vec<Value>)> {
         let stmt = parse(bound_sql)?;
-        let Statement::Select(sel) = stmt else {
+        let Statement::Select(mut sel) = stmt else {
             return Err(cacheportal_db::DbError::Unsupported(
                 "query instances must be SELECT statements".into(),
             ));
         };
-        let (template, params) = parameterize(&sel);
+        let params = parameterize_in_place(&mut sel);
+        Ok((self.register_typed(&sel, params.clone(), page), params))
+    }
+
+    /// Register a query instance given as its type and parameter values:
+    /// intern the type, record the instance and its dependent page. The
+    /// mapper's rows arrive here directly, in the form `register_instance`
+    /// parses out of their text, so both entries leave the same registry
+    /// behind.
+    pub fn register_typed(
+        &mut self,
+        template: &Select,
+        params: Vec<Value>,
+        page: PageKey,
+    ) -> QueryTypeId {
         let id = self.intern_type(template);
         let of_page = self.types_by_page.entry(page.clone()).or_default();
         if let Err(at) = of_page.binary_search(&id) {
@@ -300,7 +344,7 @@ impl Registry {
         ty.stats.registrations += 1;
         let tix = &mut self.indexes[id.0 as usize];
         let by_params = self.instances.entry(id).or_default();
-        match by_params.entry(params.clone()) {
+        match by_params.entry(params) {
             Entry::Occupied(mut e) => {
                 e.get_mut().pages.insert(page);
             }
@@ -308,14 +352,14 @@ impl Registry {
                 ty.stats.instances += 1;
                 self.live_instances += 1;
                 let t0 = Instant::now();
-                let slot = tix.insert(&params);
+                let slot = tix.insert(e.key());
                 self.index_maintenance_nanos += t0.elapsed().as_nanos() as u64;
                 let mut pages = HashSet::new();
                 pages.insert(page);
                 e.insert(InstanceData { pages, slot, boundary: None });
             }
         }
-        Ok((id, params))
+        id
     }
 
     /// Type by id.
@@ -440,6 +484,15 @@ impl Registry {
         self.index_maintenance_nanos += index_nanos;
         dropped
     }
+}
+
+/// True when no expression of the template holds a literal.
+fn literal_free(select: &Select) -> bool {
+    select.exprs().all(|root| {
+        let mut clean = true;
+        root.visit(&mut |e| clean &= !matches!(e, Expr::Literal(_)));
+        clean
+    })
 }
 
 #[cfg(test)]

@@ -3,10 +3,20 @@
 //! Each row associates one *bound* query instance (canonical SQL text) with
 //! one page key. Rows are deduplicated — re-requesting a cached page must
 //! not grow the map.
+//!
+//! A row is text, and text is all that is stored, serialized or journaled.
+//! The mapper renders that text from an AST, and the invalidator's
+//! registration scan would parse it straight back to find the query type and
+//! its parameter values; so the mapper leaves those beside the row
+//! ([`TypedInstance`], [`QiUrlMap::insert_mapped`]) until the registration
+//! scan collects them ([`QiUrlMap::take_for_registration`]).
 
+use cacheportal_db::sql::ast::Select;
+use cacheportal_db::Value;
 use cacheportal_web::PageKey;
 use parking_lot::Mutex;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// One row of the QI/URL map.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -21,6 +31,32 @@ pub struct QiUrlEntry {
     pub servlet: String,
 }
 
+/// A query instance the way the invalidator's registry files it: exactly
+/// what `parameterize` makes of the instance's parsed text.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TypedInstance {
+    /// The query type; instances of one logged statement share it.
+    pub template: Arc<Select>,
+    /// The values of the type's `$n` markers.
+    pub params: Vec<Value>,
+}
+
+/// A row as the mapper produces it: a [`QiUrlEntry`] yet to be numbered,
+/// with the typed form of its `sql`. Page and servlet are borrowed from the
+/// request log: most rows repeat one the map already has, and are dropped
+/// without having copied either.
+#[derive(Debug, Clone)]
+pub struct MappedRow<'a> {
+    /// Canonical bound SQL text.
+    pub sql: String,
+    /// `sql`, parsed and parameterized.
+    pub typed: TypedInstance,
+    /// The page whose content depends on this query instance.
+    pub page_key: &'a PageKey,
+    /// Servlet that generated the page.
+    pub servlet: &'a str,
+}
+
 /// The map itself, with a read cursor for the invalidator's online
 /// registration scan.
 #[derive(Default)]
@@ -31,8 +67,41 @@ pub struct QiUrlMap {
 #[derive(Default)]
 struct MapInner {
     entries: Vec<QiUrlEntry>,
-    seen: HashSet<(String, PageKey)>,
+    /// Positions in `entries` of each page's rows: the dedup index (a row is
+    /// a duplicate when its page already has one with the same text), which
+    /// holds no second copy of any row's text.
+    by_page: HashMap<PageKey, Vec<u32>>,
     next_id: u64,
+    /// Typed forms of the rows the mapper inserted and no registration scan
+    /// has collected yet, by row id (ascending).
+    typed: Vec<(u64, TypedInstance)>,
+}
+
+impl MapInner {
+    /// Append a row unless it is already there; its id if it is new.
+    fn insert(&mut self, sql: String, page_key: &PageKey, servlet: &str) -> Option<u64> {
+        let at = u32::try_from(self.entries.len()).expect("the map holds fewer than 2^32 rows");
+        match self.by_page.get_mut(page_key) {
+            Some(rows) => {
+                if rows.iter().any(|&r| self.entries[r as usize].sql == sql) {
+                    return None;
+                }
+                rows.push(at);
+            }
+            None => {
+                self.by_page.insert(page_key.clone(), vec![at]);
+            }
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        self.entries.push(QiUrlEntry {
+            id,
+            sql,
+            page_key: page_key.clone(),
+            servlet: servlet.to_string(),
+        });
+        Some(id)
+    }
 }
 
 impl QiUrlMap {
@@ -43,19 +112,21 @@ impl QiUrlMap {
 
     /// Insert a (query instance, page) association; returns true if new.
     pub fn insert(&self, sql: String, page_key: PageKey, servlet: String) -> bool {
+        self.inner.lock().insert(sql, &page_key, &servlet).is_some()
+    }
+
+    /// Insert one mapper run's rows, in order, skipping those already there.
+    /// The typed forms of the new rows stay until the next
+    /// [`QiUrlMap::take_for_registration`], whichever mapper inserted them:
+    /// the nodes of a cluster run their mappers against one map before its
+    /// one registration scan. The map is locked until `rows` ends.
+    pub fn insert_mapped<'a>(&self, rows: impl IntoIterator<Item = MappedRow<'a>>) {
         let mut inner = self.inner.lock();
-        if !inner.seen.insert((sql.clone(), page_key.clone())) {
-            return false;
+        for row in rows {
+            if let Some(id) = inner.insert(row.sql, row.page_key, row.servlet) {
+                inner.typed.push((id, row.typed));
+            }
         }
-        let id = inner.next_id;
-        inner.next_id += 1;
-        inner.entries.push(QiUrlEntry {
-            id,
-            sql,
-            page_key,
-            servlet,
-        });
-        true
     }
 
     /// Entries with id >= `cursor`; returns them plus the next cursor.
@@ -67,6 +138,30 @@ impl QiUrlMap {
         (inner.entries[start..].to_vec(), inner.next_id)
     }
 
+    /// [`QiUrlMap::entries_since`] for the registration scan: each entry
+    /// comes with the typed form the mapper left for it, and every typed form
+    /// leaves the map — what one scan has passed, it does not need again. A
+    /// `None` means "parse `sql`": a row inserted as text, or one whose typed
+    /// form an earlier scan took. A map that no invalidator scans (a web-side
+    /// map shipped as JSON) keeps every typed form its mapper gave it.
+    pub fn take_for_registration(
+        &self,
+        cursor: u64,
+    ) -> (Vec<(QiUrlEntry, Option<TypedInstance>)>, u64) {
+        let mut inner = self.inner.lock();
+        let mut typed = std::mem::take(&mut inner.typed).into_iter().peekable();
+        let start = inner.entries.partition_point(|e| e.id < cursor);
+        let rows = inner.entries[start..]
+            .iter()
+            .map(|e| {
+                // Rows below the cursor, and rows `remove_pages` took away.
+                while typed.next_if(|(id, _)| *id < e.id).is_some() {}
+                (e.clone(), typed.next_if(|(id, _)| *id == e.id).map(|(_, t)| t))
+            })
+            .collect();
+        (rows, inner.next_id)
+    }
+
     /// Every entry (diagnostics, tests).
     pub fn all(&self) -> Vec<QiUrlEntry> {
         self.inner.lock().entries.clone()
@@ -76,21 +171,29 @@ impl QiUrlMap {
     /// provenance chain ("which query instances does this URL depend on?").
     pub fn entries_for_page(&self, page: &PageKey) -> Vec<QiUrlEntry> {
         let inner = self.inner.lock();
-        inner
-            .entries
-            .iter()
-            .filter(|e| &e.page_key == page)
-            .cloned()
+        let rows = inner.by_page.get(page).map_or(&[][..], Vec::as_slice);
+        rows.iter()
+            .map(|&r| inner.entries[r as usize].clone())
             .collect()
     }
 
     /// Remove all rows for the given pages (e.g. pages evicted from every
     /// cache no longer need invalidation tracking).
     pub fn remove_pages(&self, pages: &HashSet<PageKey>) -> usize {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let before = inner.entries.len();
         inner.entries.retain(|e| !pages.contains(&e.page_key));
-        inner.seen.retain(|(_, pk)| !pages.contains(pk));
+        // The rows behind the removed ones moved up: re-number the index in
+        // place (its keys stay, nothing is copied).
+        inner.by_page.retain(|page, rows| {
+            rows.clear();
+            !pages.contains(page)
+        });
+        for (at, e) in inner.entries.iter().enumerate() {
+            let rows = inner.by_page.get_mut(&e.page_key);
+            rows.expect("a kept row's page is indexed").push(at as u32);
+        }
         before - inner.entries.len()
     }
 
@@ -116,19 +219,28 @@ impl QiUrlMap {
     /// set, and the registration cursor position are all reconstructed.
     pub fn from_json(s: &str) -> Result<QiUrlMap, serde_json::Error> {
         let entries: Vec<QiUrlEntry> = serde_json::from_str(s)?;
-        let seen = entries
-            .iter()
-            .map(|e| (e.sql.clone(), e.page_key.clone()))
-            .collect();
+        let by_page = index_by_page(&entries);
         let next_id = entries.iter().map(|e| e.id + 1).max().unwrap_or(0);
         Ok(QiUrlMap {
             inner: Mutex::new(MapInner {
                 entries,
-                seen,
+                by_page,
                 next_id,
+                typed: Vec::new(),
             }),
         })
     }
+}
+
+fn index_by_page(entries: &[QiUrlEntry]) -> HashMap<PageKey, Vec<u32>> {
+    let mut by_page: HashMap<PageKey, Vec<u32>> = HashMap::new();
+    for (at, e) in entries.iter().enumerate() {
+        by_page
+            .entry(e.page_key.clone())
+            .or_default()
+            .push(at as u32);
+    }
+    by_page
 }
 
 #[cfg(test)]
@@ -176,14 +288,18 @@ mod tests {
     }
 
     #[test]
-    fn remove_pages_purges_seen_set_too() {
+    fn remove_pages_purges_the_dedup_index_too() {
         let m = QiUrlMap::new();
         m.insert("Q1".into(), PageKey::raw("p1"), "s".into());
+        m.insert("Q2".into(), PageKey::raw("p2"), "s".into());
         let mut gone = HashSet::new();
         gone.insert(PageKey::raw("p1"));
         assert_eq!(m.remove_pages(&gone), 1);
-        assert!(m.is_empty());
-        // Re-inserting after removal must work (seen set purged).
+        // The row that moved up is still found under its page.
+        assert!(!m.insert("Q2".into(), PageKey::raw("p2"), "s".into()));
+        assert_eq!(m.entries_for_page(&PageKey::raw("p2")), m.all());
+        // Re-inserting after removal must work (index rebuilt).
         assert!(m.insert("Q1".into(), PageKey::raw("p1"), "s".into()));
+        assert_eq!(m.entries_for_page(&PageKey::raw("p1")).len(), 1);
     }
 }

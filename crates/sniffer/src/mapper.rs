@@ -6,15 +6,30 @@
 //! inside several request windows; the mapper then attributes it to all of
 //! them — conservative in exactly the direction invalidation safety needs
 //! (a page is never missing a dependency, it can only have spurious ones).
+//!
+//! The join is indexed ([`WindowIndex`]): a run costs a sort of its request
+//! windows plus, per query, a binary search and a walk over the windows that
+//! can still reach it, instead of a pass over every window. Each distinct
+//! logged SQL text is parsed once, its query type worked out once, and what
+//! the invalidator's registration scan would otherwise parse back out of a
+//! row's text — the type and its parameter values — travels with the row
+//! ([`QiUrlMap::insert_mapped`]).
 
-use crate::map::QiUrlMap;
+use crate::map::{MappedRow, QiUrlMap, TypedInstance};
 use crate::query_log::{QueryLog, QueryRecord};
-use crate::request_log::RequestLog;
+use crate::request_log::{LoggedRequest, RequestLog};
+use cacheportal_db::sql::ast::{Bound, Select, Statement};
 use cacheportal_db::sql::parser::parse;
-use cacheportal_db::sql::rewrite::substitute_params;
-use cacheportal_db::sql::ast::Statement;
-use cacheportal_web::RequestRecord;
+use cacheportal_db::sql::rewrite::{parameterize_in_place, substitute_params, TypePlan};
+use cacheportal_web::clock::Micros;
+use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Distinct logged SQL texts whose parse the mapper keeps. Like
+/// `Database`'s statement cache: a site has a handful of servlet templates,
+/// and when more texts than this arrive the memo starts over rather than
+/// track recency.
+const PARSE_MEMO_CAPACITY: usize = 64;
 
 /// Outcome counters for one mapper run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -79,6 +94,16 @@ pub struct Mapper {
     max_retention: u8,
     /// Cumulative `QueryLog::lost` already reported in earlier runs.
     lost_cursor: u64,
+    /// Parameterised SELECTs by logged text; `None` for a text outside the
+    /// dialect. At most [`PARSE_MEMO_CAPACITY`] texts.
+    parsed: HashMap<Arc<str>, Option<Logged>>,
+}
+
+/// One logged statement, parsed.
+struct Logged {
+    stmt: Select,
+    /// Its query type, when that is the same for every instance.
+    plan: Option<TypePlan>,
 }
 
 impl Mapper {
@@ -91,6 +116,7 @@ impl Mapper {
             pending: Vec::new(),
             max_retention: 2,
             lost_cursor: 0,
+            parsed: HashMap::new(),
         }
     }
 
@@ -113,72 +139,165 @@ impl Mapper {
         report.lost = lost_total - self.lost_cursor;
         self.lost_cursor = lost_total;
         let requests = self.requests.drain();
-        let mut queries: Vec<(QueryRecord, u8)> =
-            std::mem::take(&mut self.pending);
-        for q in self.queries.drain() {
-            queries.push((q, 0));
-        }
+        let windows = WindowIndex::new(&requests);
+        let queries = std::mem::take(&mut self.pending)
+            .into_iter()
+            .chain(self.queries.drain().into_iter().map(|q| (q, 0)));
 
-        for (q, age) in queries {
+        let map = Arc::clone(&self.map);
+        let mut owners = Vec::new();
+        map.insert_mapped(queries.flat_map(|(q, age)| {
             if !q.is_select {
                 report.non_select += 1;
-                continue;
+                return Vec::new();
             }
-            let owners: Vec<&RequestRecord> = requests
-                .iter()
-                .filter(|r| r.received <= q.received && q.delivered <= r.delivered)
+            windows.owners_of(q.received, q.delivered, &mut owners);
+            let Some((&last, rest)) = owners.split_last() else {
+                if age >= self.max_retention {
+                    report.dropped += 1;
+                } else {
+                    report.retained += 1;
+                    self.pending.push((q, age + 1));
+                }
+                return Vec::new();
+            };
+            report.ambiguous += !rest.is_empty() as u64;
+            let Some((sql, typed)) = self.bind(&q) else {
+                report.unparseable += 1;
+                return Vec::new();
+            };
+            report.mapped += owners.len() as u64;
+            let row = |i: usize, sql, typed| MappedRow {
+                sql,
+                typed,
+                page_key: &requests[i].page_key,
+                servlet: &requests[i].servlet,
+            };
+            // One owner is the rule; only a query inside several windows
+            // copies its text.
+            let mut rows: Vec<MappedRow> = (rest.iter())
+                .map(|&i| row(i, sql.clone(), typed.clone()))
                 .collect();
-            match owners.len() {
-                0 => {
-                    if age >= self.max_retention {
-                        report.dropped += 1;
-                    } else {
-                        report.retained += 1;
-                        self.pending.push((q, age + 1));
-                    }
-                }
-                n => {
-                    if n > 1 {
-                        report.ambiguous += 1;
-                    }
-                    match canonical_bound_sql(&q) {
-                        Some(sql) => {
-                            for r in owners {
-                                self.map.insert(
-                                    sql.clone(),
-                                    r.page_key.clone(),
-                                    r.servlet.clone(),
-                                );
-                                report.mapped += 1;
-                            }
-                        }
-                        None => report.unparseable += 1,
-                    }
-                }
-            }
-        }
+            rows.push(row(last, sql, typed));
+            rows
+        }));
         report.elapsed_micros = start.elapsed().as_micros() as u64;
         report
+    }
+
+    /// The canonical bound text of a logged query — its parameters
+    /// substituted, re-rendered — and the typed form of that text; `None` for
+    /// statements outside the supported dialect. A parameterised text is
+    /// parsed the first time it is seen (a text with its values written into
+    /// it rarely comes twice, and is not kept).
+    fn bind(&mut self, q: &QueryRecord) -> Option<(String, TypedInstance)> {
+        if q.params.is_empty() {
+            return bind_parsed(&parse_select(&q.sql)?, None, q);
+        }
+        let logged = match self.parsed.get(&*q.sql) {
+            Some(logged) => logged,
+            None => {
+                if self.parsed.len() >= PARSE_MEMO_CAPACITY {
+                    self.parsed.clear();
+                }
+                let logged = parse_select(&q.sql).map(|stmt| Logged {
+                    plan: TypePlan::of(&stmt),
+                    stmt,
+                });
+                self.parsed.entry(q.sql.clone()).or_insert(logged)
+            }
+        };
+        let logged = logged.as_ref()?;
+        bind_parsed(&logged.stmt, logged.plan.as_ref(), q)
+    }
+}
+
+fn bind_parsed(
+    stmt: &Select,
+    plan: Option<&TypePlan>,
+    q: &QueryRecord,
+) -> Option<(String, TypedInstance)> {
+    let Some(plan) = plan else {
+        let mut bound = substitute_params(stmt, &q.params).ok()?;
+        let sql = bound.to_string();
+        let params = parameterize_in_place(&mut bound);
+        let template = Arc::new(bound);
+        return Some((sql, TypedInstance { template, params }));
+    };
+    // Every marker is one the plan binds, so a vector too short for the
+    // statement fails here as it would in `substitute_params`.
+    let params = plan.params(&q.params).ok()?;
+    let template = plan.template.clone();
+    let sql = Bound(stmt, &q.params).to_string();
+    Some((sql, TypedInstance { template, params }))
+}
+
+/// The request windows of one run, indexed for containment queries: sorted
+/// by `received`, each position also knowing the latest `delivered` among the
+/// windows up to it.
+struct WindowIndex {
+    /// `(received, delivered, position in the request log)`, by `received`.
+    windows: Vec<(Micros, Micros, usize)>,
+    /// `reach[j]` = max `delivered` over `windows[..=j]`.
+    reach: Vec<Micros>,
+}
+
+impl WindowIndex {
+    fn new(requests: &[LoggedRequest]) -> WindowIndex {
+        let mut windows: Vec<(Micros, Micros, usize)> = requests
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.received, r.delivered, i))
+            .collect();
+        windows.sort_unstable();
+        let reach = windows
+            .iter()
+            .scan(0, |max, w| {
+                *max = w.1.max(*max);
+                Some(*max)
+            })
+            .collect();
+        WindowIndex { windows, reach }
+    }
+
+    /// Fill `out` with the log positions, ascending, of every request whose
+    /// window contains `[received, delivered]`. Windows that open after the
+    /// query was issued are cut off by the binary search; walking back from
+    /// there stops at the first position no window up to which is still open
+    /// when the query is answered.
+    fn owners_of(&self, received: Micros, delivered: Micros, out: &mut Vec<usize>) {
+        out.clear();
+        let opened = self.windows.partition_point(|w| w.0 <= received);
+        for j in (0..opened).rev() {
+            if self.reach[j] < delivered {
+                break;
+            }
+            if self.windows[j].1 >= delivered {
+                out.push(self.windows[j].2);
+            }
+        }
+        out.sort_unstable();
+    }
+}
+
+fn parse_select(sql: &str) -> Option<Select> {
+    match parse(sql) {
+        Ok(Statement::Select(sel)) => Some(sel),
+        _ => None,
     }
 }
 
 /// Canonical bound SQL text of a logged query: parse, substitute parameters,
 /// re-render. Returns `None` for statements outside the supported dialect.
 pub fn canonical_bound_sql(q: &QueryRecord) -> Option<String> {
-    match parse(&q.sql) {
-        Ok(Statement::Select(sel)) => {
-            let bound = substitute_params(&sel, &q.params).ok()?;
-            Some(Statement::Select(bound).to_sql())
-        }
-        _ => None,
-    }
+    bind_parsed(&parse_select(&q.sql)?, None, q).map(|(sql, _)| sql)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cacheportal_db::Value;
-    use cacheportal_web::{PageKey, RequestObserver};
+    use cacheportal_web::{PageKey, RequestObserver, RequestRecord};
 
     fn request(id: u64, recv: u64, deliver: u64) -> RequestRecord {
         RequestRecord {

@@ -11,8 +11,13 @@ use cacheportal_db::{DbResult, ExecOutcome, FaultPlan, QueryResult, Value};
 use cacheportal_web::clock::{Clock, Micros};
 use cacheportal_web::Connection;
 use parking_lot::Mutex;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Distinct parameterised statement texts the log shares among records (a
+/// site has a handful of servlet templates).
+const TEXTS_CAPACITY: usize = 64;
 
 /// One logged query.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -20,7 +25,8 @@ pub struct QueryRecord {
     /// Unique query id.
     pub id: u64,
     /// The SQL as the application issued it (may contain `$n` / `?`).
-    pub sql: String,
+    /// Records of one parameterised statement share one copy of its text.
+    pub sql: Arc<str>,
     /// Bound parameter values.
     pub params: Vec<Value>,
     /// True for SELECTs (the only kind the mapper maps to pages).
@@ -40,6 +46,10 @@ pub struct QueryRecord {
 /// edge, which downstream turns into a conservative eject.
 pub struct QueryLog {
     records: Mutex<Vec<QueryRecord>>,
+    /// The parameterised texts seen, so that a record holds a reference
+    /// rather than a copy: between two mapper runs the log is as long as the
+    /// site is fast. At most [`TEXTS_CAPACITY`], then it starts over.
+    texts: Mutex<HashSet<Arc<str>>>,
     next_id: AtomicU64,
     fault: Mutex<FaultPlan>,
     lost: AtomicU64,
@@ -51,6 +61,7 @@ impl QueryLog {
     pub fn new() -> Arc<Self> {
         Arc::new(QueryLog {
             records: Mutex::new(Vec::new()),
+            texts: Mutex::new(HashSet::new()),
             next_id: AtomicU64::new(1),
             fault: Mutex::new(FaultPlan::default()),
             lost: AtomicU64::new(0),
@@ -86,7 +97,7 @@ impl QueryLog {
     ) {
         let rec = QueryRecord {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
-            sql: sql.to_string(),
+            sql: self.text(sql, params),
             params: params.to_vec(),
             is_select,
             received,
@@ -107,6 +118,24 @@ impl QueryLog {
             guard.push(rec.clone());
         }
         guard.push(rec);
+    }
+
+    /// `sql` as a record stores it. A text without parameters has its values
+    /// written into it and rarely comes twice; it is not kept.
+    fn text(&self, sql: &str, params: &[Value]) -> Arc<str> {
+        if params.is_empty() {
+            return sql.into();
+        }
+        let mut texts = self.texts.lock();
+        if let Some(text) = texts.get(sql) {
+            return text.clone();
+        }
+        if texts.len() >= TEXTS_CAPACITY {
+            texts.clear();
+        }
+        let text: Arc<str> = sql.into();
+        texts.insert(text.clone());
+        text
     }
 
     /// Take every record currently in the log. Under an injected reorder
@@ -230,7 +259,7 @@ mod tests {
         log.restore(first);
         let all = log.drain();
         assert_eq!(all.len(), 2);
-        assert_eq!(all[0].sql, "SELECT * FROM t");
-        assert_eq!(all[1].sql, "SELECT a FROM t");
+        assert_eq!(&*all[0].sql, "SELECT * FROM t");
+        assert_eq!(&*all[1].sql, "SELECT a FROM t");
     }
 }

@@ -3,14 +3,34 @@
 //! Implemented as a [`RequestObserver`] installed on the application server —
 //! the servlet-wrapper design from the paper: nothing in the servlet or the
 //! web server changes.
+//!
+//! The log keeps of a request what the mapper joins on: the page it produced
+//! and the window it was served in. The request, cookie and POST strings of
+//! §3.1 are what the page key was computed from, and are dropped on arrival:
+//! between two mapper runs the log holds one entry per generated page, so an
+//! entry's size is what a faster site pays in memory.
 
-use cacheportal_web::{RequestObserver, RequestRecord};
+use cacheportal_web::clock::Micros;
+use cacheportal_web::{PageKey, RequestObserver, RequestRecord};
 use parking_lot::Mutex;
+
+/// One logged request.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct LoggedRequest {
+    /// Canonical page key (host + path + key params).
+    pub(crate) page_key: PageKey,
+    /// Servlet that served the request.
+    pub(crate) servlet: String,
+    /// Receive timestamp.
+    pub(crate) received: Micros,
+    /// Delivery timestamp.
+    pub(crate) delivered: Micros,
+}
 
 /// Append-only request log with a consumption cursor for the mapper.
 #[derive(Default)]
 pub struct RequestLog {
-    inner: Mutex<Vec<RequestRecord>>,
+    inner: Mutex<Vec<LoggedRequest>>,
 }
 
 impl RequestLog {
@@ -20,7 +40,7 @@ impl RequestLog {
     }
 
     /// Take every record currently in the log (the mapper consumes them).
-    pub fn drain(&self) -> Vec<RequestRecord> {
+    pub(crate) fn drain(&self) -> Vec<LoggedRequest> {
         std::mem::take(&mut *self.inner.lock())
     }
 
@@ -37,14 +57,18 @@ impl RequestLog {
 
 impl RequestObserver for RequestLog {
     fn on_request(&self, record: RequestRecord) {
-        self.inner.lock().push(record);
+        self.inner.lock().push(LoggedRequest {
+            page_key: record.page_key,
+            servlet: record.servlet,
+            received: record.received,
+            delivered: record.delivered,
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cacheportal_web::PageKey;
 
     fn record(id: u64) -> RequestRecord {
         RequestRecord {
@@ -67,6 +91,9 @@ mod tests {
         assert_eq!(log.len(), 2);
         let drained = log.drain();
         assert_eq!(drained.len(), 2);
+        assert_eq!(drained[1].page_key, PageKey::raw("k2"));
+        assert_eq!((drained[1].received, drained[1].delivered), (20, 25));
+        assert_eq!(drained[1].servlet, "s");
         assert!(log.is_empty());
         assert!(log.drain().is_empty());
     }

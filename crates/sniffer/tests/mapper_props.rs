@@ -4,9 +4,19 @@
 //!   attributed to exactly the request that issued it.
 //! * With arbitrary (possibly overlapping) windows, the attribution is a
 //!   superset of the truth — conservative in the safe direction.
+//! * The mapper's indexed join, parse memo and direct rendering produce the
+//!   map — rows, order, ids — and the reports of the join it replaced: every
+//!   window compared with every query, every query parsed, substituted and
+//!   re-rendered; and what it hands the registration scan with a row is what
+//!   parsing and parameterizing the row's text gives.
 
-use cacheportal_db::Value;
-use cacheportal_sniffer::{Mapper, QiUrlMap, QueryLog, RequestLog};
+use cacheportal_db::sql::parser::parse_select;
+use cacheportal_db::sql::rewrite::parameterize;
+use cacheportal_db::{FaultPlan, FaultSpec, Value};
+use cacheportal_sniffer::{
+    canonical_bound_sql, Mapper, MapperReport, QiUrlEntry, QiUrlMap, QueryLog, QueryRecord,
+    RequestLog,
+};
 use cacheportal_web::{PageKey, RequestObserver, RequestRecord};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -117,6 +127,163 @@ proptest! {
                 owners.contains(&PageKey::raw(format!("page{req_id}"))),
                 "true owner page{req_id} missing from attributions of query {marker}: {owners:?}"
             );
+        }
+    }
+}
+
+/// Logged statements: parameterised, with literals of their own, with every
+/// value written in, a non-SELECT, and text outside the dialect.
+const STATEMENTS: [&str; 6] = [
+    "SELECT * FROM t WHERE a = $1",
+    "SELECT t.a, u.b FROM t, u WHERE t.a = u.a AND t.b < $1 AND u.c = 7 ORDER BY t.a",
+    "SELECT * FROM t WHERE a = 3",
+    "SELECT b + $1 FROM t WHERE a = $1",
+    "DELETE FROM t WHERE a = $1",
+    "SELECT FROM WHERE",
+];
+
+/// One run's logs: request windows `(received, length)` and queries
+/// `(statement, value, received, length)`.
+type RunSpec = (Vec<(u64, u64)>, Vec<(usize, i64, u64, u64)>);
+
+fn run_strategy() -> impl Strategy<Value = RunSpec> {
+    (
+        prop::collection::vec((0u64..60, 0u64..40), 0..10),
+        prop::collection::vec(
+            (0usize..STATEMENTS.len(), 0i64..4, 0u64..80, 0u64..12),
+            0..14,
+        ),
+    )
+}
+
+/// The join the mapper ran before it was indexed, over the same logs.
+#[derive(Default)]
+struct Reference {
+    pending: Vec<(QueryRecord, u8)>,
+    rows: Vec<QiUrlEntry>,
+}
+
+impl Reference {
+    fn run(&mut self, requests: &[RequestRecord], drained: Vec<QueryRecord>) -> MapperReport {
+        let mut report = MapperReport::default();
+        let mut queries = std::mem::take(&mut self.pending);
+        queries.extend(drained.into_iter().map(|q| (q, 0)));
+        for (q, age) in queries {
+            if !q.is_select {
+                report.non_select += 1;
+                continue;
+            }
+            let owners: Vec<&RequestRecord> = requests
+                .iter()
+                .filter(|r| r.received <= q.received && q.delivered <= r.delivered)
+                .collect();
+            if owners.is_empty() {
+                if age >= 2 {
+                    report.dropped += 1;
+                } else {
+                    report.retained += 1;
+                    self.pending.push((q, age + 1));
+                }
+                continue;
+            }
+            report.ambiguous += (owners.len() > 1) as u64;
+            let Some(sql) = canonical_bound_sql(&q) else {
+                report.unparseable += 1;
+                continue;
+            };
+            for r in owners {
+                report.mapped += 1;
+                if !self
+                    .rows
+                    .iter()
+                    .any(|e| e.sql == sql && e.page_key == r.page_key)
+                {
+                    self.rows.push(QiUrlEntry {
+                        id: self.rows.len() as u64,
+                        sql: sql.clone(),
+                        page_key: r.page_key.clone(),
+                        servlet: r.servlet.clone(),
+                    });
+                }
+            }
+        }
+        report
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn indexed_join_equals_brute_force_join(
+        runs in prop::collection::vec(run_strategy(), 1..5),
+        duplicate in 0u8..3,
+        reorder in any::<bool>(),
+        scan_every_run in any::<bool>(),
+    ) {
+        let rl = Arc::new(RequestLog::new());
+        let ql = QueryLog::new();
+        // The reference reads a log of its own with the same fault plan, so
+        // both joins see the same duplicated, reversed batches.
+        let shadow = QueryLog::new();
+        for log in [&ql, &shadow] {
+            log.set_fault_plan(FaultPlan::new(FaultSpec {
+                seed: 11,
+                sniffer_dup: f64::from(duplicate) * 0.4,
+                sniffer_reorder: reorder,
+                ..FaultSpec::default()
+            }));
+        }
+        let map = Arc::new(QiUrlMap::new());
+        let mut mapper = Mapper::new(rl.clone(), ql.clone(), map.clone());
+        let mut reference = Reference::default();
+        let (mut cursor, mut scanned) = (0, 0);
+
+        for (run, (windows, queries)) in runs.iter().enumerate() {
+            let requests: Vec<RequestRecord> = windows
+                .iter()
+                .enumerate()
+                // Few distinct pages, so the same (text, page) row comes up
+                // again within a run and in later runs.
+                .map(|(i, &(recv, len))| request((run * 3 + i % 4) as u64, recv, recv + len))
+                .collect();
+            for r in &requests {
+                rl.on_request(r.clone());
+            }
+            for &(stmt, value, recv, len) in queries {
+                let sql = STATEMENTS[stmt];
+                let params: &[Value] = if sql.contains('$') { &[Value::Int(value)] } else { &[] };
+                for log in [&ql, &shadow] {
+                    log.record(sql, params, !sql.starts_with("DELETE"), recv, recv + len);
+                }
+            }
+
+            let got = mapper.run_once();
+            let want = reference.run(&requests, shadow.drain());
+            prop_assert_eq!(
+                MapperReport { elapsed_micros: 0, ..got },
+                want,
+                "report of run {}", run
+            );
+            prop_assert_eq!(&map.all(), &reference.rows, "rows after run {}", run);
+
+            // The registration scan: every row the mapper inserted since the
+            // previous scan, in whichever run, comes with its typed form, and
+            // that form is its text, parsed.
+            if scan_every_run || run + 1 == runs.len() {
+                let (rows, next) = map.take_for_registration(cursor);
+                prop_assert_eq!(rows.len(), reference.rows.len() - scanned);
+                for (entry, typed) in &rows {
+                    prop_assert!(typed.is_some(), "untyped: {}", entry.sql);
+                    let typed = typed.as_ref().unwrap();
+                    let (template, params) = parameterize(&parse_select(&entry.sql).unwrap());
+                    prop_assert_eq!(&*typed.template, &template, "type of {}", entry.sql);
+                    prop_assert_eq!(&typed.params, &params, "values of {}", entry.sql);
+                }
+                (cursor, scanned) = (next, reference.rows.len());
+                let again = map.take_for_registration(0).0;
+                prop_assert!(again.iter().all(|(_, t)| t.is_none()), "handed over once");
+            }
         }
     }
 }

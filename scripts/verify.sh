@@ -14,6 +14,11 @@ cargo test -q --offline --workspace
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --offline -- -D warnings
 
+echo "== Criterion benches compile (cargo bench --no-run) =="
+# Nothing else builds the bench targets, so an API change under them would
+# otherwise surface the next time somebody wants a number.
+cargo bench --offline --workspace --no-run
+
 echo "== fuzz harness smoke (safety contract, all policies x fault classes) =="
 # The acceptance matrix: 50 seeds x 40 actions cycling all three
 # invalidation policies, workers {1,4}, and every fault class — including
