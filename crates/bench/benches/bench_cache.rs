@@ -1,8 +1,7 @@
-//! Page-cache and data-cache microbenchmarks: lookup/insert/invalidate
-//! throughput under each eviction policy.
+//! Page-cache microbenchmarks: lookup/insert/invalidate throughput under
+//! each eviction policy.
 
-use cacheportal_cache::{DataCache, EvictionPolicy, PageCache, PageCacheConfig};
-use cacheportal_db::QueryResult;
+use cacheportal_cache::{EvictionPolicy, PageCache, PageCacheConfig};
 use cacheportal_web::PageKey;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -77,27 +76,9 @@ fn page_cache_ops(c: &mut Criterion) {
     group.finish();
 }
 
-fn data_cache_ops(c: &mut Criterion) {
-    c.bench_function("data_cache_get_put", |b| {
-        let cache = DataCache::new(256);
-        let result = QueryResult {
-            columns: vec!["a".into()],
-            rows: vec![vec![cacheportal_db::Value::Int(1)]],
-        };
-        let mut i = 0u64;
-        b.iter(|| {
-            let sql = format!("SELECT a FROM t WHERE a = {}", i % 512);
-            if cache.get(&sql, &[]).is_none() {
-                cache.put(&sql, &[], result.clone());
-            }
-            i += 1;
-        })
-    });
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = page_cache_ops, data_cache_ops
+    targets = page_cache_ops
 }
 criterion_main!(benches);

@@ -20,9 +20,6 @@ fn build_logs(n: usize, overlap: u64) -> (Arc<RequestLog>, Arc<QueryLog>) {
         rl.on_request(RequestRecord {
             id: i,
             servlet: "s".into(),
-            request_string: format!("/s?i={i}"),
-            cookie_string: String::new(),
-            post_string: String::new(),
             page_key: PageKey::raw(format!("p{i}")),
             received: start,
             delivered: end,

@@ -2,19 +2,15 @@
 
 //! # cacheportal-cache
 //!
-//! Cache substrates for the CachePortal reproduction:
-//!
-//! * [`page_cache::PageCache`] — the dynamic web-page cache of
-//!   Configuration III, honouring eject-style invalidation messages, with
-//!   LRU/LFU/FIFO eviction and optional TTL (the time-based-refresh baseline).
-//! * [`data_cache::DataCache`] — the middle-tier query-result cache of
-//!   Configuration II, synchronized at table-level granularity from the
-//!   database update log.
+//! The cache substrate of the CachePortal reproduction:
+//! [`page_cache::PageCache`] — the dynamic web-page cache of
+//! Configuration III, honouring eject-style invalidation messages, with
+//! LRU/LFU/FIFO eviction and optional TTL (the time-based-refresh baseline).
+//! (Configuration II's middle-tier data cache is modelled in
+//! `cacheportal-sim`, which is what reproduces the paper's Conf II numbers.)
 
-pub mod data_cache;
 pub mod page_cache;
 pub mod stats;
 
-pub use data_cache::{CachingConnection, DataCache};
 pub use page_cache::{EvictionPolicy, PageCache, PageCacheConfig};
 pub use stats::CacheStats;

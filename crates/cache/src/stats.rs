@@ -1,6 +1,6 @@
-//! Shared cache statistics.
+//! Cache statistics.
 
-/// Counters kept by both the page cache and the data cache.
+/// Counters kept by the page cache.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from the cache.

@@ -11,9 +11,10 @@
 //! depend on which query instances) with an **invalidator** (which watches
 //! the database update log and ejects exactly the affected pages).
 //!
-//! This crate is the facade: [`CachePortal`] wires the database engine, the
-//! web/application servers, the page cache, the sniffer, and the invalidator
-//! into one functional system.
+//! This crate is the facade: [`CachePortal`] wires the database engine, a
+//! farm of web/application servers ([`CachePortalBuilder::nodes`], one by
+//! default) with a sniffer each, the page cache, and the invalidator into
+//! one functional system.
 //!
 //! ```
 //! use cacheportal::{CachePortal, Served};
@@ -47,11 +48,9 @@
 //! assert!(portal.request(&req).response.body.contains("Rio"));
 //! ```
 
-pub mod cluster;
 pub mod durability;
 pub mod system;
 
-pub use cluster::CachePortalCluster;
 pub use durability::{
     CursorRecord, Durability, DurableRecord, OriginRecord, PersistOutcome, RecoveredState,
     SnapshotDoc,
@@ -62,7 +61,7 @@ pub use system::{CachePortal, CachePortalBuilder, RecoveryStats, RequestOutcome,
 pub use cacheportal_db as db;
 /// Re-export: the HTTP/servlet substrate.
 pub use cacheportal_web as web;
-/// Re-export: page and data caches.
+/// Re-export: the page cache.
 pub use cacheportal_cache as cache;
 /// Re-export: the sniffer.
 pub use cacheportal_sniffer as sniffer;

@@ -210,7 +210,7 @@ impl ServletGen {
         }
     }
 
-    /// Instantiate the servlet for registration on a portal or cluster.
+    /// Instantiate the servlet for registration on a portal.
     pub fn build(&self, tables: &[TableGen]) -> Arc<dyn Servlet> {
         let params = match &self.kind {
             // The LIKE pattern carries the group ordinal as its literal
@@ -335,8 +335,15 @@ impl Scenario {
     }
 
     /// Apply the scenario's policy, worker count, maintained indexes, and
-    /// the given fault plan to a builder (shared by every assembly path).
-    fn configure(&self, mut builder: CachePortalBuilder, plan: FaultPlan) -> CachePortalBuilder {
+    /// the run's fault plan and node count to a builder (shared by every
+    /// assembly path). The node count belongs to the run, not the scenario:
+    /// one scenario must stay fresh on a farm of any size.
+    fn configure(
+        &self,
+        mut builder: CachePortalBuilder,
+        plan: FaultPlan,
+        nodes: usize,
+    ) -> CachePortalBuilder {
         let mut cfg = InvalidatorConfig::default();
         cfg.policy.default_policy = policy_of(self.policy);
         cfg.workers = self.workers;
@@ -344,7 +351,7 @@ impl Scenario {
         // the invalidator re-analyzes each sync with the predicate index
         // disabled and the runner flags any affected-set divergence.
         cfg.index_differential = true;
-        builder = builder.invalidator_config(cfg).fault_plan(plan);
+        builder = builder.invalidator_config(cfg).fault_plan(plan).nodes(nodes);
         for t in &self.tables {
             if t.maintained_index {
                 builder = builder.maintain_index(&t.name, "k");
@@ -375,12 +382,18 @@ impl Scenario {
         }
     }
 
-    /// Assemble the full portal: database, servlets, policy, workers, fault
-    /// plan, and maintained indexes.
+    /// Assemble the full one-node portal: database, servlets, policy,
+    /// workers, fault plan, and maintained indexes.
     pub fn build_portal(&self) -> CachePortal {
+        self.build_farm(1)
+    }
+
+    /// [`Scenario::build_portal`] over a farm of `nodes` servers.
+    pub fn build_farm(&self, nodes: usize) -> CachePortal {
         let db = self.build_database();
+        let plan = FaultPlan::new(self.fault.clone());
         let portal = self
-            .configure(CachePortal::builder(db), FaultPlan::new(self.fault.clone()))
+            .configure(CachePortal::builder(db), plan, nodes)
             .build()
             .expect("generated scenario must assemble");
         self.register(&portal);
@@ -396,9 +409,10 @@ impl Scenario {
         db: SharedDb,
         dir: &Path,
         plan: FaultPlan,
+        nodes: usize,
     ) -> CachePortal {
         let portal = self
-            .configure(CachePortal::builder_shared(db), plan)
+            .configure(CachePortal::builder_shared(db), plan, nodes)
             .durable(dir)
             .checkpoint_interval(3)
             .build()
@@ -417,9 +431,10 @@ impl Scenario {
         cache: Arc<PageCache>,
         dir: &Path,
         plan: FaultPlan,
+        nodes: usize,
     ) -> CachePortal {
         let portal = self
-            .configure(CachePortal::builder_shared(db), plan)
+            .configure(CachePortal::builder_shared(db), plan, nodes)
             .durable(dir)
             .checkpoint_interval(3)
             .surviving_cache(cache)

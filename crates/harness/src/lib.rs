@@ -42,7 +42,7 @@ pub use actions::{gen_actions, Action, Stmt};
 pub use faults::{FaultClass, ALL_CLASSES};
 pub use gen::{Scenario, ServletGen, ServletKind, TableGen};
 pub use repro::Reproducer;
-pub use runner::{run_scenario, RunOutcome, RunStats, Violation};
+pub use runner::{run_scenario, run_scenario_on, RunOutcome, RunStats, Violation};
 pub use shrink::shrink;
 pub use slo_breach::{run_drill, DrillReport};
 pub use sweep::{markdown_table, sweep, sweep_scenario, SweepConfig, SweepOutcome};

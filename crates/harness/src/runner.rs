@@ -176,9 +176,18 @@ impl Drop for DirCleanup {
 
 static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Run the scenario's action stream end to end. Deterministic: the same
-/// scenario and actions always produce the same [`RunOutcome`].
+/// Run the scenario's action stream end to end on a one-node portal.
+/// Deterministic: the same scenario and actions always produce the same
+/// [`RunOutcome`].
 pub fn run_scenario(sc: &Scenario, actions: &[Action]) -> RunOutcome {
+    run_scenario_on(sc, actions, 1)
+}
+
+/// [`run_scenario`] against a farm of `nodes` web/application servers: the
+/// same actions, the same oracle and cross-checks. The node count is an
+/// argument of the run, not part of the scenario, so reproducer files do not
+/// carry it.
+pub fn run_scenario_on(sc: &Scenario, actions: &[Action], nodes: usize) -> RunOutcome {
     let crash_ctx = if sc.fault.crash_restart > 0.0 {
         let dir = std::env::temp_dir().join(format!(
             "cp-harness-crash-{}-{}",
@@ -195,8 +204,8 @@ pub fn run_scenario(sc: &Scenario, actions: &[Action]) -> RunOutcome {
     };
     let _cleanup = DirCleanup(crash_ctx.as_ref().map(|c| c.dir.clone()));
     let mut portal = match &crash_ctx {
-        Some(c) => sc.build_portal_durable(c.db.clone(), &c.dir, c.plan.clone()),
-        None => sc.build_portal(),
+        Some(c) => sc.build_portal_durable(c.db.clone(), &c.dir, c.plan.clone(), nodes),
+        None => sc.build_farm(nodes),
     };
     portal.set_invalidation_audit(true);
     let fault_active = portal.fault_plan().is_active();
@@ -292,7 +301,8 @@ pub fn run_scenario(sc: &Scenario, actions: &[Action]) -> RunOutcome {
                 bases.fold(&portal);
                 let cache = portal.page_cache().clone();
                 drop(portal);
-                portal = sc.recover_portal(c.db.clone(), cache, &c.dir, c.plan.clone());
+                portal =
+                    sc.recover_portal(c.db.clone(), cache, &c.dir, c.plan.clone(), nodes);
                 portal.set_invalidation_audit(true);
             }
         }

@@ -118,7 +118,7 @@ impl QiUrlMap {
     /// Insert one mapper run's rows, in order, skipping those already there.
     /// The typed forms of the new rows stay until the next
     /// [`QiUrlMap::take_for_registration`], whichever mapper inserted them:
-    /// the nodes of a cluster run their mappers against one map before its
+    /// the nodes of a farm run their mappers against one map before its
     /// one registration scan. The map is locked until `rows` ends.
     pub fn insert_mapped<'a>(&self, rows: impl IntoIterator<Item = MappedRow<'a>>) {
         let mut inner = self.inner.lock();

@@ -56,6 +56,23 @@ pub struct MapperReport {
     pub elapsed_micros: u64,
 }
 
+impl MapperReport {
+    /// The report of two runs taken together: a farm runs one mapper per
+    /// server node at each sync point and reports them as one.
+    pub fn merge(self, other: MapperReport) -> MapperReport {
+        MapperReport {
+            mapped: self.mapped + other.mapped,
+            ambiguous: self.ambiguous + other.ambiguous,
+            retained: self.retained + other.retained,
+            dropped: self.dropped + other.dropped,
+            non_select: self.non_select + other.non_select,
+            unparseable: self.unparseable + other.unparseable,
+            lost: self.lost + other.lost,
+            elapsed_micros: self.elapsed_micros + other.elapsed_micros,
+        }
+    }
+}
+
 /// The mapper. Owns retention state between runs.
 ///
 /// ```
@@ -71,8 +88,6 @@ pub struct MapperReport {
 /// // A request window [10, 20] containing one query [12, 14].
 /// requests.on_request(RequestRecord {
 ///     id: 1, servlet: "cars".into(),
-///     request_string: "/cars?maxprice=20000".into(),
-///     cookie_string: String::new(), post_string: String::new(),
 ///     page_key: PageKey::raw("shop/cars?g:maxprice=20000"),
 ///     received: 10, delivered: 20,
 /// });
@@ -303,9 +318,6 @@ mod tests {
         RequestRecord {
             id,
             servlet: "s".into(),
-            request_string: format!("/s?id={id}"),
-            cookie_string: String::new(),
-            post_string: String::new(),
             page_key: PageKey::raw(format!("page{id}")),
             received: recv,
             delivered: deliver,

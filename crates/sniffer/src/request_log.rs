@@ -6,9 +6,9 @@
 //!
 //! The log keeps of a request what the mapper joins on: the page it produced
 //! and the window it was served in. The request, cookie and POST strings of
-//! §3.1 are what the page key was computed from, and are dropped on arrival:
-//! between two mapper runs the log holds one entry per generated page, so an
-//! entry's size is what a faster site pays in memory.
+//! §3.1 are what the page key was computed from, and the application server
+//! does not record them: between two mapper runs the log holds one entry per
+//! generated page, so an entry's size is what a faster site pays in memory.
 
 use cacheportal_web::clock::Micros;
 use cacheportal_web::{PageKey, RequestObserver, RequestRecord};
@@ -74,9 +74,6 @@ mod tests {
         RequestRecord {
             id,
             servlet: "s".into(),
-            request_string: "/s?a=1".into(),
-            cookie_string: String::new(),
-            post_string: String::new(),
             page_key: PageKey::raw(format!("k{id}")),
             received: id * 10,
             delivered: id * 10 + 5,

@@ -17,9 +17,6 @@ fn request(id: u64, recv: u64, deliver: u64) -> RequestRecord {
     RequestRecord {
         id,
         servlet: "s".into(),
-        request_string: format!("/s?id={id}"),
-        cookie_string: String::new(),
-        post_string: String::new(),
         page_key: PageKey::raw(format!("page{id}")),
         received: recv,
         delivered: deliver,

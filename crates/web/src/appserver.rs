@@ -12,19 +12,15 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// What the request logger records per request (§3.1's five fields).
+/// What the request logger records per request: the page it produced and
+/// the window it was served in. §3.1's request, cookie and POST strings are
+/// what the page key is computed from.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RequestRecord {
     /// Unique request id.
     pub id: u64,
     /// Servlet that served the request.
     pub servlet: String,
-    /// `path?get-params` string.
-    pub request_string: String,
-    /// Cookie string.
-    pub cookie_string: String,
-    /// POST string.
-    pub post_string: String,
     /// Canonical page key (host + path + key params).
     pub page_key: PageKey,
     /// Receive timestamp.
@@ -140,9 +136,6 @@ impl AppServer {
             obs.on_request(RequestRecord {
                 id: self.next_id.fetch_add(1, Ordering::Relaxed),
                 servlet: spec.name.clone(),
-                request_string: req.request_string(),
-                cookie_string: req.cookie_string(),
-                post_string: req.post_string(),
                 page_key: PageKey::for_request(req, spec),
                 received,
                 delivered,
@@ -252,7 +245,6 @@ mod tests {
         let r = &recs[0];
         assert!(r.received > 100 && r.delivered > r.received);
         assert_eq!(r.servlet, "cars");
-        assert!(r.request_string.contains("maxprice=30000"));
         assert!(r.page_key.as_str().contains("maxprice=30000"));
     }
 

@@ -93,35 +93,6 @@ impl HttpRequest {
     pub fn cookie(&self, key: &str) -> Option<&str> {
         Self::lookup(&self.cookies, key)
     }
-
-    /// The request string as the request logger records it:
-    /// `path?k1=v1&k2=v2` (GET parameters only).
-    pub fn request_string(&self) -> String {
-        if self.get.is_empty() {
-            self.path.clone()
-        } else {
-            let qs: Vec<String> = self.get.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            format!("{}?{}", self.path, qs.join("&"))
-        }
-    }
-
-    /// Cookie string as logged (`k1=v1; k2=v2`).
-    pub fn cookie_string(&self) -> String {
-        self.cookies
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join("; ")
-    }
-
-    /// POST string as logged.
-    pub fn post_string(&self) -> String {
-        self.post
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join("&")
-    }
 }
 
 /// Cacheability directive on a response.
@@ -260,21 +231,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn request_strings() {
+    fn get_params_and_cookies() {
         let r = HttpRequest::get("shop.example.com", "/catalog", &[("cat", "sedans"), ("page", "2")])
             .with_cookie("session", "abc");
-        assert_eq!(r.request_string(), "/catalog?cat=sedans&page=2");
-        assert_eq!(r.cookie_string(), "session=abc");
         assert_eq!(r.get_param("cat"), Some("sedans"));
         assert_eq!(r.get_param("nope"), None);
         assert_eq!(r.cookie("session"), Some("abc"));
     }
 
     #[test]
-    fn post_string() {
+    fn post_params() {
         let r = HttpRequest::post("h", "/p", &[("a", "1"), ("b", "2")]);
-        assert_eq!(r.post_string(), "a=1&b=2");
-        assert_eq!(r.request_string(), "/p");
         assert_eq!(r.post_param("b"), Some("2"));
     }
 

@@ -1,18 +1,17 @@
 //! The paper's full Figure 4 topology as a functional system: a farm of
 //! web/application servers behind a round-robin load balancer, one shared
 //! database, and one dynamic web-page cache in front — each node running
-//! its own sniffer logs, all feeding a single invalidator.
+//! its own sniffer logs, all feeding a single invalidator. It is the same
+//! `CachePortal` as everywhere else, built with `.nodes(4)`.
 //!
 //! ```text
 //! cargo run --example server_farm
 //! ```
 
-use cacheportal::cache::PageCacheConfig;
 use cacheportal::db::schema::ColType;
 use cacheportal::db::Database;
-use cacheportal::invalidator::InvalidatorConfig;
 use cacheportal::web::{HttpRequest, ParamSource, QueryTemplate, ServletSpec, SqlServlet};
-use cacheportal::{CachePortalCluster, Served};
+use cacheportal::{CachePortal, Served};
 use std::sync::Arc;
 
 fn main() {
@@ -31,13 +30,7 @@ fn main() {
     }
 
     // Four server nodes, like the paper's testbed.
-    let farm = CachePortalCluster::new(
-        db,
-        4,
-        PageCacheConfig::default(),
-        InvalidatorConfig::default(),
-    )
-    .unwrap();
+    let farm = CachePortal::builder(db).nodes(4).build().unwrap();
     farm.register_servlet(Arc::new(SqlServlet::new(
         ServletSpec::new("section").with_key_get_params(&["name"]),
         "Section front page",
@@ -89,6 +82,24 @@ fn main() {
     assert_eq!(tech.served, Served::Generated);
     assert!(tech.response.body.contains("CachePortal reproduced in Rust"));
     assert!(farm.stale_pages().is_empty());
+
+    // Why was the tech page ejected? The provenance chain — consumed LSNs,
+    // the ΔR group, the matched query type with its verdict — holds whichever
+    // node generated the page.
+    let key = tech.key.expect("a routable page has a key");
+    let why = farm.explain_invalidation(key.as_str());
+    let m = &why["matches"][0];
+    let cause = &m["causes"][0];
+    println!(
+        "why {} was ejected: update-log LSNs {}..={} matched `{}` — {} ({})",
+        key.as_str(),
+        m["lsn_first"].as_u64().unwrap(),
+        m["lsn_last"].as_u64().unwrap(),
+        cause["type_sql"].as_str().unwrap(),
+        cause["verdict"].as_str().unwrap(),
+        cause["detail"].as_str().unwrap()
+    );
+    assert_eq!(farm.verify_causal_chains(), Ok(1));
 
     let stats = farm.page_cache().stats();
     println!(

@@ -190,9 +190,6 @@ fn mapper_handles_interleaved_timestamps_from_concurrent_requests() {
     rl.on_request(RequestRecord {
         id: 1,
         servlet: "s".into(),
-        request_string: "/s?a=1".into(),
-        cookie_string: String::new(),
-        post_string: String::new(),
         page_key: PageKey::raw("A"),
         received: 0,
         delivered: 100,
@@ -200,9 +197,6 @@ fn mapper_handles_interleaved_timestamps_from_concurrent_requests() {
     rl.on_request(RequestRecord {
         id: 2,
         servlet: "s".into(),
-        request_string: "/s?a=2".into(),
-        cookie_string: String::new(),
-        post_string: String::new(),
         page_key: PageKey::raw("B"),
         received: 10,
         delivered: 60,

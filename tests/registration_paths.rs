@@ -119,9 +119,6 @@ proptest! {
                 requests.on_request(RequestRecord {
                     id: t,
                     servlet: "s".into(),
-                    request_string: String::new(),
-                    cookie_string: String::new(),
-                    post_string: String::new(),
                     page_key: PageKey::raw(format!("page{page}")),
                     received: t,
                     delivered: t + 3,
@@ -164,7 +161,7 @@ fn recovered_registry_equals_the_crashed_one() {
         let _ = std::fs::remove_dir_all(&dir);
         let db = cacheportal_web::shared(scenario.build_database());
         let plan = cacheportal_db::FaultPlan::none();
-        let portal = scenario.build_portal_durable(db.clone(), &dir, plan.clone());
+        let portal = scenario.build_portal_durable(db.clone(), &dir, plan.clone(), 1);
         let mut pages = Vec::new();
         for round in 0..3 {
             for idx in 0..scenario.servlets.len() {
@@ -185,7 +182,7 @@ fn recovered_registry_equals_the_crashed_one() {
         let cache = portal.page_cache().clone();
         drop(portal);
 
-        let recovered = scenario.recover_portal(db, cache, &dir, plan);
+        let recovered = scenario.recover_portal(db, cache, &dir, plan, 1);
         recovered.sync_point().unwrap();
         assert_eq!(registry_of(&recovered, &pages), want, "seed {seed}");
         drop(recovered);

@@ -1,20 +1,18 @@
 //! Soak tests: sustained load through harness-generated schemas.
 //!
-//! 1. The four-node cluster under concurrent readers, a writer mixing
+//! 1. A four-node farm under concurrent readers, a writer mixing
 //!    single statements and transactions, and a synchronizer — schema,
 //!    servlets, and workload all produced by the harness generators —
 //!    followed by a full-system freshness audit.
 //! 2. A single-portal generative soak: longer seeded traces with the mixed
 //!    fault class active, through the harness runner's full oracle.
 
-use cacheportal::cache::PageCacheConfig;
-use cacheportal::invalidator::InvalidatorConfig;
-use cacheportal::{CachePortalCluster, Served};
+use cacheportal::{CachePortal, Served};
 use cacheportal_harness::{gen_actions, run_scenario, Action, FaultClass, Scenario};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A seed whose generated scenario exercises the cluster well: picked (and
+/// A seed whose generated scenario exercises the farm well: picked (and
 /// pinned) for having several tables and at least two servlets including a
 /// join. The assertions below re-check those properties so a generator
 /// change cannot silently hollow out the test.
@@ -30,15 +28,7 @@ fn cluster_scenario() -> Scenario {
 #[test]
 fn cluster_soak_under_concurrent_load() {
     let sc = Arc::new(cluster_scenario());
-    let farm = Arc::new(
-        CachePortalCluster::new(
-            sc.build_database(),
-            4,
-            PageCacheConfig::default(),
-            InvalidatorConfig::default(),
-        )
-        .unwrap(),
-    );
+    let farm = Arc::new(CachePortal::builder(sc.build_database()).nodes(4).build().unwrap());
     for s in &sc.servlets {
         farm.register_servlet(s.build(&sc.tables));
     }
@@ -72,8 +62,7 @@ fn cluster_soak_under_concurrent_load() {
                 }
             });
         }
-        // A writer replaying the generated mutation script — transactions
-        // stay atomic through the shared database handle.
+        // A writer replaying the generated mutation script.
         {
             let farm = Arc::clone(&farm);
             let sc = Arc::clone(&sc);
@@ -84,14 +73,14 @@ fn cluster_soak_under_concurrent_load() {
                         Action::Mutate(s) => {
                             farm.update(&s.sql(&sc)).unwrap();
                         }
-                        Action::Txn(stmts) => {
-                            let mut db = farm.db().write();
-                            let mut tx = db.begin();
-                            for s in stmts {
-                                tx.execute(&s.sql(&sc)).unwrap();
-                            }
-                            tx.commit();
-                        }
+                        Action::Txn(stmts) => farm
+                            .update_txn(|tx| {
+                                for s in stmts {
+                                    tx.execute(&s.sql(&sc))?;
+                                }
+                                Ok(())
+                            })
+                            .unwrap(),
                         _ => unreachable!("filtered to mutations"),
                     }
                 }
