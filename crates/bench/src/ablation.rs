@@ -9,7 +9,7 @@
 //!   a naive per-(instance,tuple) poller.
 
 use cacheportal::{CachePortal, Served};
-use cacheportal_cache::{EvictionPolicy, PageCacheConfig};
+use cacheportal_cache::PageCacheConfig;
 use cacheportal_db::schema::ColType;
 use cacheportal_db::Database;
 use cacheportal_invalidator::{InvalidationPolicy, InvalidatorConfig};
@@ -186,7 +186,6 @@ pub fn run_workload(config: &WorkloadConfig) -> WorkloadResult {
         .invalidator_config(inv_cfg)
         .cache_config(PageCacheConfig {
             capacity: 256,
-            policy: EvictionPolicy::Lru,
             ttl_micros: match config.mode {
                 // One round advances the clock by its tick count; TTL is
                 // denominated in "plenty of ticks per round".

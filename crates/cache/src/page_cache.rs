@@ -4,34 +4,24 @@
 //! honours `Cache-Control: eject`-style invalidation messages
 //! ([`PageCache::invalidate`]) sent by the invalidator, supports optional
 //! TTL expiry (the Oracle9i time-based-refresh baseline the paper argues
-//! against), and offers LRU / LFU / FIFO eviction.
+//! against), and evicts with SIEVE (Zhang et al., NSDI '24): a page asked
+//! for twice outlives any number of pages asked for once.
 
 use crate::stats::CacheStats;
 use cacheportal_obs::{Counter, Gauge, MetricsRegistry};
 use cacheportal_web::clock::Micros;
 use cacheportal_web::PageKey;
-use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
+use parking_lot::RwLock;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Eviction policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Least recently used.
-    Lru,
-    /// Least frequently used (ties broken by recency).
-    Lfu,
-    /// First in, first out (insertion order, refreshed on overwrite).
-    Fifo,
-}
 
 /// Cache configuration.
 #[derive(Debug, Clone)]
 pub struct PageCacheConfig {
-    /// Maximum number of pages (the paper's `cache_size` parameter).
+    /// Maximum number of pages (the paper's `cache_size` parameter). With 0
+    /// nothing is admitted: every `put` is turned away as an eviction.
     pub capacity: usize,
-    /// Eviction policy.
-    pub policy: EvictionPolicy,
     /// Optional time-to-live; entries older than this are treated as
     /// expired on lookup. `None` disables TTL (CachePortal mode: freshness
     /// comes from invalidation, not expiry).
@@ -42,13 +32,12 @@ impl Default for PageCacheConfig {
     fn default() -> Self {
         PageCacheConfig {
             capacity: 1024,
-            policy: EvictionPolicy::Lru,
             ttl_micros: None,
         }
     }
 }
 
-/// "No slot": end of the eviction list.
+/// "No slot": past either end of the queue.
 const NIL: u32 = u32::MAX;
 
 /// One cached page, in a slot of [`Inner::slab`].
@@ -58,24 +47,23 @@ struct Node {
     key: Arc<str>,
     body: String,
     inserted_at: Micros,
-    /// Neighbours in the eviction list (LRU, FIFO).
-    prev: u32,
-    next: u32,
-    /// Rank in the eviction set (LFU): hits since the last `put`, then the
-    /// call (`Inner::calls`) of the last `put` or hit.
-    uses: u64,
-    used_at: u64,
+    /// Neighbours in the queue: admitted after and before this page.
+    newer: u32,
+    older: u32,
+    /// Hit since admission, or since the hand last passed. A statistic of
+    /// the page alone (it publishes nothing), so hits set it `Relaxed` under
+    /// the shared lock.
+    visited: AtomicBool,
 }
 
 /// A web page cache.
 ///
-/// Recency is the order of the calls, not of their `now` arguments. The
-/// victim is the one a scan for the least `now` picks only while `now`
-/// strictly increases from call to call. Calls that pass an equal `now` (a
-/// microsecond clock repeats itself under load) or an older one are still
-/// ranked in the order they were made, where such a scan would have broken
-/// the tie by insertion order. `now` itself drives only TTL expiry and
-/// [`PageCache::admitted_at`] / [`PageCache::evict_admitted_since`].
+/// Pages queue in admission order and a hit only marks its page visited; it
+/// moves nothing. Under capacity pressure a hand walks the queue from the
+/// oldest page towards the newest, un-marking the visited pages it passes
+/// and evicting the first unvisited one; it resumes where it stopped, and
+/// wraps from the newest page to the oldest. `now` drives only TTL expiry
+/// and [`PageCache::admitted_at`] / [`PageCache::evict_admitted_since`].
 ///
 /// ```
 /// use cacheportal_cache::{PageCache, PageCacheConfig};
@@ -91,14 +79,19 @@ struct Node {
 /// assert!(cache.get(&key, 2).is_none());
 /// ```
 pub struct PageCache {
-    inner: Mutex<Inner>,
+    /// Hits read under the shared lock: concurrent readers copy bodies in
+    /// parallel. Whatever adds, removes or rewrites a page takes it
+    /// exclusively.
+    inner: RwLock<Inner>,
     config: PageCacheConfig,
 }
 
-/// Registry handles mirroring [`CacheStats`], updated at the same mutation
-/// sites so `/metrics` and `metrics_snapshot()` always agree with
-/// [`PageCache::stats`].
-struct WiredMetrics {
+/// The counters behind [`CacheStats`] and the resident-page gauge. Private
+/// handles until [`PageCache::wire_metrics`] swaps in a registry's, so
+/// `/metrics`, `metrics_snapshot()` and [`PageCache::stats`] read the same
+/// atomics.
+#[derive(Default)]
+struct Tallies {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     insertions: Arc<Counter>,
@@ -108,116 +101,65 @@ struct WiredMetrics {
     resident: Arc<Gauge>,
 }
 
-/// The pages and their eviction order. Pages live in `slab` (a vacated slot
-/// is `None`); `map` finds a page's slot, and the order structure names the
-/// next victim without looking at the others: LRU and FIFO thread an
-/// index-linked list through the slots (`head` is the victim; a hit under
-/// LRU, and every `put`, moves the slot to `tail`), LFU keeps an ordered set
-/// of `(uses, used_at, slot)`.
+/// The pages and their queue. Pages live in `slab` (a vacated slot is
+/// `None`) and `map` finds a page's slot; an index-linked list threads the
+/// slots from `head` (newest) to `tail` (oldest).
 struct Inner {
-    policy: EvictionPolicy,
     map: HashMap<Arc<str>, u32>,
     slab: Vec<Option<Node>>,
     /// Vacated slots, reused before `slab` grows.
     free: Vec<u32>,
     head: u32,
     tail: u32,
-    lfu: BTreeSet<(u64, u64, u32)>,
-    /// Calls that ranked a page so far (`Node::used_at`).
-    calls: u64,
-    stats: CacheStats,
-    wired: Option<WiredMetrics>,
+    /// The page the next eviction looks at first; `NIL` stands for `tail`.
+    hand: u32,
+    tallies: Tallies,
 }
 
 impl Inner {
     fn node(&self, slot: u32) -> &Node {
         self.slab[slot as usize]
             .as_ref()
-            .expect("a mapped or ordered slot holds a page")
+            .expect("a mapped or queued slot holds a page")
     }
 
     fn node_mut(&mut self, slot: u32) -> &mut Node {
         self.slab[slot as usize]
             .as_mut()
-            .expect("a mapped or ordered slot holds a page")
+            .expect("a mapped or queued slot holds a page")
     }
 
-    /// Put `slot` in the eviction order as the most recent page.
+    /// Queue `slot` as the newest page.
     fn attach(&mut self, slot: u32) {
-        self.calls += 1;
-        if self.policy == EvictionPolicy::Lfu {
-            let used_at = self.calls;
-            let n = self.node_mut(slot);
-            (n.uses, n.used_at) = (0, used_at);
-            self.lfu.insert((0, used_at, slot));
-            return;
-        }
-        let tail = self.tail;
+        let head = self.head;
         let n = self.node_mut(slot);
-        (n.prev, n.next) = (tail, NIL);
-        match tail {
-            NIL => self.head = slot,
-            t => self.node_mut(t).next = slot,
+        (n.newer, n.older) = (NIL, head);
+        match head {
+            NIL => self.tail = slot,
+            h => self.node_mut(h).newer = slot,
         }
-        self.tail = slot;
-    }
-
-    /// Take `slot` out of the eviction order.
-    fn detach(&mut self, slot: u32) {
-        let n = self.node(slot);
-        if self.policy == EvictionPolicy::Lfu {
-            let rank = (n.uses, n.used_at, slot);
-            self.lfu.remove(&rank);
-            return;
-        }
-        let (prev, next) = (n.prev, n.next);
-        match prev {
-            NIL => self.head = next,
-            p => self.node_mut(p).next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            x => self.node_mut(x).prev = prev,
-        }
-    }
-
-    /// A hit on `slot`.
-    fn touch(&mut self, slot: u32) {
-        match self.policy {
-            EvictionPolicy::Fifo => {}
-            EvictionPolicy::Lru => {
-                if self.tail != slot {
-                    self.detach(slot);
-                    self.attach(slot);
-                }
-            }
-            EvictionPolicy::Lfu => {
-                self.detach(slot);
-                self.calls += 1;
-                let used_at = self.calls;
-                let n = self.node_mut(slot);
-                (n.uses, n.used_at) = (n.uses + 1, used_at);
-                let rank = (n.uses, used_at, slot);
-                self.lfu.insert(rank);
-            }
-        }
-    }
-
-    /// The page capacity pressure evicts next.
-    fn victim(&self) -> Option<u32> {
-        match self.policy {
-            EvictionPolicy::Lfu => self.lfu.first().map(|&(_, _, slot)| slot),
-            _ => (self.head != NIL).then_some(self.head),
-        }
+        self.head = slot;
     }
 
     /// Drop the page in `slot` and hand back its key; the caller takes the
-    /// key out of `map`.
+    /// key out of `map`. A hand resting on the page moves on to the next
+    /// newer one.
     fn vacate(&mut self, slot: u32) -> Arc<str> {
-        self.detach(slot);
-        self.free.push(slot);
         let gone = self.slab[slot as usize].take();
-        gone.expect("a mapped or ordered slot holds a page").key
+        let gone = gone.expect("a mapped or queued slot holds a page");
+        if self.hand == slot {
+            self.hand = gone.newer;
+        }
+        match gone.newer {
+            NIL => self.head = gone.older,
+            n => self.node_mut(n).older = gone.older,
+        }
+        match gone.older {
+            NIL => self.tail = gone.newer,
+            o => self.node_mut(o).newer = gone.newer,
+        }
+        self.free.push(slot);
+        gone.key
     }
 
     fn remove(&mut self, key: &PageKey) -> bool {
@@ -230,28 +172,35 @@ impl Inner {
         }
     }
 
-    fn note_miss(&mut self) {
-        self.stats.misses += 1;
-        if let Some(w) = &self.wired {
-            w.misses.set_total(self.stats.misses);
+    /// Make room for one page; the queue is not empty. The hand passes at
+    /// most every page once before it meets one it has un-marked.
+    fn evict(&mut self) {
+        let mut slot = self.hand;
+        loop {
+            if slot == NIL {
+                slot = self.tail;
+            }
+            let n = self.node_mut(slot);
+            if !std::mem::take(n.visited.get_mut()) {
+                break;
+            }
+            slot = n.newer;
         }
+        self.hand = slot;
+        let doomed = self.vacate(slot);
+        self.map.remove(&doomed);
+        self.tallies.evictions.inc();
     }
 
     fn publish_resident(&self) {
-        if let Some(w) = &self.wired {
-            w.resident.set(self.map.len() as i64);
-        }
+        self.tallies.resident.set(self.map.len() as i64);
     }
 
-    fn note_invalidated(&mut self, n: usize) {
-        if n == 0 {
-            return;
+    fn note_invalidated(&self, n: usize) {
+        if n > 0 {
+            self.tallies.invalidations.add(n as u64);
+            self.publish_resident();
         }
-        self.stats.invalidations += n as u64;
-        if let Some(w) = &self.wired {
-            w.invalidations.set_total(self.stats.invalidations);
-        }
-        self.publish_resident();
     }
 }
 
@@ -260,17 +209,14 @@ impl PageCache {
     pub fn new(config: PageCacheConfig) -> Self {
         let prealloc = config.capacity.min(4096);
         PageCache {
-            inner: Mutex::new(Inner {
-                policy: config.policy,
+            inner: RwLock::new(Inner {
                 map: HashMap::with_capacity(prealloc),
                 slab: Vec::with_capacity(prealloc),
                 free: Vec::new(),
                 head: NIL,
                 tail: NIL,
-                lfu: BTreeSet::new(),
-                calls: 0,
-                stats: CacheStats::default(),
-                wired: None,
+                hand: NIL,
+                tallies: Tallies::default(),
             }),
             config,
         }
@@ -281,124 +227,116 @@ impl PageCache {
         &self.config
     }
 
-    /// Mirror this cache's [`CacheStats`] into `registry` under
+    /// Keep this cache's [`CacheStats`] in `registry`, under
     /// `<prefix>.{hits,misses,insertions,evictions,invalidations,expirations}`
-    /// counters and a `<prefix>.resident` gauge. From this point on every
-    /// stats mutation also updates the registry, so metric snapshots and the
-    /// Prometheus endpoint agree with [`PageCache::stats`] at all times.
+    /// counters and a `<prefix>.resident` gauge. The totals so far carry
+    /// over; from this point on the registry's counters are the ones the
+    /// cache counts in, so metric snapshots and the Prometheus endpoint agree
+    /// with [`PageCache::stats`] at all times. One cache per prefix.
     pub fn wire_metrics(&self, registry: &MetricsRegistry, prefix: &str) {
-        let wired = WiredMetrics {
-            hits: registry.counter(&format!("{prefix}.hits")),
-            misses: registry.counter(&format!("{prefix}.misses")),
-            insertions: registry.counter(&format!("{prefix}.insertions")),
-            evictions: registry.counter(&format!("{prefix}.evictions")),
-            invalidations: registry.counter(&format!("{prefix}.invalidations")),
-            expirations: registry.counter(&format!("{prefix}.expirations")),
+        let counter = |name: &str, so_far: &Counter| {
+            let c = registry.counter(&format!("{prefix}.{name}"));
+            c.set_total(so_far.get());
+            c
+        };
+        let mut inner = self.inner.write();
+        let t = &inner.tallies;
+        let wired = Tallies {
+            hits: counter("hits", &t.hits),
+            misses: counter("misses", &t.misses),
+            insertions: counter("insertions", &t.insertions),
+            evictions: counter("evictions", &t.evictions),
+            invalidations: counter("invalidations", &t.invalidations),
+            expirations: counter("expirations", &t.expirations),
             resident: registry.gauge(&format!("{prefix}.resident")),
         };
-        let mut inner = self.inner.lock();
-        // Seed every handle once; afterwards each operation stores only the
-        // totals it moved.
-        let s = inner.stats;
-        wired.hits.set_total(s.hits);
-        wired.misses.set_total(s.misses);
-        wired.insertions.set_total(s.insertions);
-        wired.evictions.set_total(s.evictions);
-        wired.invalidations.set_total(s.invalidations);
-        wired.expirations.set_total(s.expirations);
-        inner.wired = Some(wired);
+        inner.tallies = wired;
         inner.publish_resident();
     }
 
-    /// Look up a page. `now` drives TTL expiry; the call itself is the use
-    /// that recency and frequency record.
-    pub fn get(&self, key: &PageKey, now: Micros) -> Option<String> {
-        let mut inner = self.inner.lock();
-        let Some(&slot) = inner.map.get(key.as_str()) else {
-            inner.note_miss();
-            return None;
-        };
-        let inserted_at = inner.node(slot).inserted_at;
-        if self
-            .config
+    fn expired(&self, page: &Node, now: Micros) -> bool {
+        self.config
             .ttl_micros
-            .is_some_and(|ttl| now.saturating_sub(inserted_at) > ttl)
-        {
-            inner.remove(key);
-            inner.stats.expirations += 1;
-            if let Some(w) = &inner.wired {
-                w.expirations.set_total(inner.stats.expirations);
-            }
-            inner.publish_resident();
-            inner.note_miss();
-            return None;
-        }
-        inner.touch(slot);
-        inner.stats.hits += 1;
-        if let Some(w) = &inner.wired {
-            w.hits.set_total(inner.stats.hits);
-        }
-        Some(inner.node(slot).body.clone())
+            .is_some_and(|ttl| now.saturating_sub(page.inserted_at) > ttl)
     }
 
-    /// Insert (or overwrite) a page, evicting per policy if at capacity.
-    pub fn put(&self, key: PageKey, body: String, now: Micros) {
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        let slot = match inner.map.get(key.as_str()) {
-            // Overwriting replaces the whole entry: it re-enters the order
-            // as a new page.
-            Some(&slot) => {
-                inner.detach(slot);
-                let n = inner.node_mut(slot);
-                (n.body, n.inserted_at) = (body, now);
-                slot
-            }
-            None => {
-                if inner.map.len() >= self.config.capacity {
-                    if let Some(victim) = inner.victim() {
-                        let doomed = inner.vacate(victim);
-                        inner.map.remove(&doomed);
-                        inner.stats.evictions += 1;
-                        if let Some(w) = &inner.wired {
-                            w.evictions.set_total(inner.stats.evictions);
-                        }
-                    }
+    /// Look up a page. `now` drives TTL expiry; a hit marks the page
+    /// visited and changes nothing else.
+    pub fn get(&self, key: &PageKey, now: Micros) -> Option<String> {
+        {
+            let inner = self.inner.read();
+            let Some(&slot) = inner.map.get(key.as_str()) else {
+                inner.tallies.misses.inc();
+                return None;
+            };
+            let page = inner.node(slot);
+            if !self.expired(page, now) {
+                // A hot page's bit is already set: leave its cache line
+                // shared between the readers.
+                if !page.visited.load(Ordering::Relaxed) {
+                    page.visited.store(true, Ordering::Relaxed);
                 }
-                let key: Arc<str> = key.as_str().into();
-                let node = Some(Node {
-                    key: key.clone(),
-                    body,
-                    inserted_at: now,
-                    prev: NIL,
-                    next: NIL,
-                    uses: 0,
-                    used_at: 0,
-                });
-                let slot = match inner.free.pop() {
-                    Some(slot) => {
-                        inner.slab[slot as usize] = node;
-                        slot
-                    }
-                    None => {
-                        let slot = u32::try_from(inner.slab.len())
-                            .ok()
-                            .filter(|&s| s != NIL)
-                            .expect("a page cache holds fewer than 2^32 - 1 pages");
-                        inner.slab.push(node);
-                        slot
-                    }
-                };
-                inner.map.insert(key, slot);
-                inner.publish_resident();
-                slot
+                inner.tallies.hits.inc();
+                return Some(page.body.clone());
             }
-        };
-        inner.attach(slot);
-        inner.stats.insertions += 1;
-        if let Some(w) = &inner.wired {
-            w.insertions.set_total(inner.stats.insertions);
         }
+        // Expired: a miss, whatever a concurrent `put` does to the key
+        // between the two locks; the page goes only if it is still expired.
+        let mut inner = self.inner.write();
+        inner.tallies.misses.inc();
+        let still = inner.map.get(key.as_str()).copied();
+        if still.is_some_and(|slot| self.expired(inner.node(slot), now)) {
+            inner.remove(key);
+            inner.tallies.expirations.inc();
+            inner.publish_resident();
+        }
+        None
+    }
+
+    /// Insert a page as the newest, evicting one if at capacity, or
+    /// overwrite a cached page's body and admission time in place: it keeps
+    /// its place in the queue and its visited mark.
+    pub fn put(&self, key: PageKey, body: String, now: Micros) {
+        let mut guard = self.inner.write();
+        let inner = &mut *guard;
+        if let Some(&slot) = inner.map.get(key.as_str()) {
+            let page = inner.node_mut(slot);
+            (page.body, page.inserted_at) = (body, now);
+        } else if self.config.capacity == 0 {
+            inner.tallies.evictions.inc();
+            return;
+        } else {
+            if inner.map.len() >= self.config.capacity {
+                inner.evict();
+            }
+            let key: Arc<str> = key.as_str().into();
+            let node = Some(Node {
+                key: key.clone(),
+                body,
+                inserted_at: now,
+                newer: NIL,
+                older: NIL,
+                visited: AtomicBool::new(false),
+            });
+            let slot = match inner.free.pop() {
+                Some(slot) => {
+                    inner.slab[slot as usize] = node;
+                    slot
+                }
+                None => {
+                    let slot = u32::try_from(inner.slab.len())
+                        .ok()
+                        .filter(|&s| s != NIL)
+                        .expect("a page cache holds fewer than 2^32 - 1 pages");
+                    inner.slab.push(node);
+                    slot
+                }
+            };
+            inner.map.insert(key, slot);
+            inner.attach(slot);
+            inner.publish_resident();
+        }
+        inner.tallies.insertions.inc();
     }
 
     /// Process an invalidation (eject) message: remove the named pages.
@@ -414,7 +352,7 @@ impl PageCache {
         &self,
         keys: impl IntoIterator<Item = &'a PageKey>,
     ) -> Vec<PageKey> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.write();
         let mut removed = Vec::new();
         for k in keys {
             if inner.remove(k) {
@@ -427,13 +365,12 @@ impl PageCache {
 
     /// Drop everything (used by the coarse `TableLevel` policy fallback).
     pub fn clear(&self) -> usize {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.write();
         let n = inner.map.len();
         inner.map.clear();
         inner.slab.clear();
         inner.free.clear();
-        inner.lfu.clear();
-        (inner.head, inner.tail) = (NIL, NIL);
+        (inner.head, inner.tail, inner.hand) = (NIL, NIL, NIL);
         inner.note_invalidated(n);
         n
     }
@@ -444,7 +381,7 @@ impl PageCache {
     /// eject while the edge was down, so it is flushed (over-invalidation,
     /// never staleness). Returns how many pages were dropped.
     pub fn evict_admitted_since(&self, cutoff_micros: Micros) -> usize {
-        let mut guard = self.inner.lock();
+        let mut guard = self.inner.write();
         let inner = &mut *guard;
         let slab = &inner.slab;
         let doomed: Vec<u32> = inner
@@ -465,7 +402,7 @@ impl PageCache {
 
     /// Is the page currently cached (no stats side effects, no TTL check)?
     pub fn contains(&self, key: &PageKey) -> bool {
-        self.inner.lock().map.contains_key(key.as_str())
+        self.inner.read().map.contains_key(key.as_str())
     }
 
     /// When the cached page was admitted (no stats side effects, no TTL
@@ -475,7 +412,7 @@ impl PageCache {
     /// mid-interval (which may reflect a transient state the interval's
     /// endpoint comparison cannot see).
     pub fn admitted_at(&self, key: &PageKey) -> Option<Micros> {
-        let inner = self.inner.lock();
+        let inner = self.inner.read();
         inner
             .map
             .get(key.as_str())
@@ -484,7 +421,7 @@ impl PageCache {
 
     /// Number of cached pages.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.inner.read().map.len()
     }
 
     /// True when nothing is cached.
@@ -495,52 +432,62 @@ impl PageCache {
     /// All currently cached keys (freshness-oracle support).
     pub fn keys(&self) -> Vec<PageKey> {
         self.inner
-            .lock()
+            .read()
             .map
             .keys()
             .map(|k| PageKey::raw(&**k))
             .collect()
     }
 
-    /// Test support for `tests/cache_model.rs`, not part of the API: cached
-    /// keys in the order capacity pressure would evict them, next victim
-    /// first. Panics if the order structure, the slab and the key map
-    /// disagree about which pages are resident.
+    /// Test support for `tests/cache_model.rs`, not part of the API: the
+    /// queue from the oldest page to the newest with each page's visited
+    /// mark, and the hand's index into it (0 when the queue is empty).
+    /// Panics if the queue, the slab and the key map disagree about which
+    /// pages are resident.
     #[doc(hidden)]
-    pub fn eviction_order(&self) -> Vec<PageKey> {
-        let inner = self.inner.lock();
-        let slots: Vec<u32> = match inner.policy {
-            EvictionPolicy::Lfu => inner.lfu.iter().map(|&(_, _, slot)| slot).collect(),
-            _ => std::iter::successors((inner.head != NIL).then_some(inner.head), |&s| {
-                let next = inner.node(s).next;
-                (next != NIL).then_some(next)
+    pub fn sieve_queue(&self) -> (Vec<(PageKey, bool)>, usize) {
+        let inner = self.inner.read();
+        let slots: Vec<u32> =
+            std::iter::successors((inner.tail != NIL).then_some(inner.tail), |&s| {
+                let newer = inner.node(s).newer;
+                (newer != NIL).then_some(newer)
             })
             .take(inner.slab.len() + 1)
-            .collect(),
-        };
-        assert_eq!(
-            slots.len(),
-            inner.map.len(),
-            "ordered pages vs resident pages"
-        );
+            .collect();
+        assert_eq!(slots.len(), inner.map.len(), "queued vs resident pages");
         assert_eq!(
             inner.slab.len(),
             inner.map.len() + inner.free.len(),
             "every slot is either resident or free"
         );
-        slots
+        assert_eq!(slots.last().copied().unwrap_or(NIL), inner.head, "head");
+        let hand = match inner.hand {
+            NIL => 0,
+            h => slots.iter().position(|&s| s == h).expect("hand is queued"),
+        };
+        let queue = slots
             .into_iter()
             .map(|slot| {
-                let key = &inner.node(slot).key;
-                assert_eq!(inner.map.get(key), Some(&slot), "slot of {key}");
-                PageKey::raw(&**key)
+                let n = inner.node(slot);
+                assert_eq!(inner.map.get(&n.key), Some(&slot), "slot of {}", n.key);
+                (PageKey::raw(&*n.key), n.visited.load(Ordering::Relaxed))
             })
-            .collect()
+            .collect();
+        (queue, hand)
     }
 
     /// Hit/miss/eviction/invalidation counters.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().stats
+        let inner = self.inner.read();
+        let t = &inner.tallies;
+        CacheStats {
+            hits: t.hits.get(),
+            misses: t.misses.get(),
+            insertions: t.insertions.get(),
+            evictions: t.evictions.get(),
+            invalidations: t.invalidations.get(),
+            expirations: t.expirations.get(),
+        }
     }
 }
 
@@ -552,17 +499,16 @@ mod tests {
         PageKey::raw(s)
     }
 
-    fn cache(capacity: usize, policy: EvictionPolicy) -> PageCache {
+    fn cache(capacity: usize) -> PageCache {
         PageCache::new(PageCacheConfig {
             capacity,
-            policy,
             ttl_micros: None,
         })
     }
 
     #[test]
     fn hit_and_miss_accounting() {
-        let c = cache(4, EvictionPolicy::Lru);
+        let c = cache(4);
         assert_eq!(c.get(&key("a"), 0), None);
         c.put(key("a"), "body".into(), 1);
         assert_eq!(c.get(&key("a"), 2), Some("body".into()));
@@ -572,58 +518,76 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recent() {
-        let c = cache(2, EvictionPolicy::Lru);
-        c.put(key("a"), "1".into(), 0);
-        c.put(key("b"), "2".into(), 1);
-        c.get(&key("a"), 2); // a now most recent
-        c.put(key("c"), "3".into(), 3); // evicts b
-        assert!(c.contains(&key("a")));
-        assert!(!c.contains(&key("b")));
-        assert!(c.contains(&key("c")));
-        assert_eq!(c.stats().evictions, 1);
+    fn evicts_the_oldest_page_never_hit() {
+        let c = cache(3);
+        for (now, k) in ["a", "b", "c"].into_iter().enumerate() {
+            c.put(key(k), k.into(), now as Micros);
+        }
+        c.get(&key("a"), 3);
+        c.put(key("d"), "d".into(), 4); // passes a (un-marks it), evicts b
+        assert!(c.contains(&key("a")) && !c.contains(&key("b")));
+        c.put(key("e"), "e".into(), 5); // the hand rests on c: evicts it
+        assert!(c.contains(&key("a")) && !c.contains(&key("c")));
+        c.get(&key("d"), 6);
+        c.get(&key("e"), 7);
+        c.put(key("f"), "f".into(), 8); // passes d and e, wraps to a
+        assert!(!c.contains(&key("a")));
+        let unmarked = [key("d"), key("e"), key("f")].map(|k| (k, false));
+        assert_eq!(c.sieve_queue(), (unmarked.to_vec(), 0));
+        assert_eq!(c.stats().evictions, 3);
     }
 
     #[test]
-    fn lfu_evicts_least_frequent() {
-        let c = cache(2, EvictionPolicy::Lfu);
+    fn overwrite_keeps_place_and_mark_and_does_not_evict() {
+        let c = cache(2);
         c.put(key("a"), "1".into(), 0);
         c.put(key("b"), "2".into(), 1);
         c.get(&key("a"), 2);
-        c.get(&key("a"), 3);
-        c.get(&key("b"), 4);
-        c.put(key("c"), "3".into(), 5); // evicts b (1 use < 2 uses)
-        assert!(c.contains(&key("a")));
-        assert!(!c.contains(&key("b")));
-    }
-
-    #[test]
-    fn fifo_evicts_oldest_insert() {
-        let c = cache(2, EvictionPolicy::Fifo);
-        c.put(key("a"), "1".into(), 0);
-        c.put(key("b"), "2".into(), 1);
-        c.get(&key("a"), 2); // recency must not matter
-        c.put(key("c"), "3".into(), 3); // evicts a
-        assert!(!c.contains(&key("a")));
-        assert!(c.contains(&key("b")));
-    }
-
-    #[test]
-    fn overwrite_does_not_evict() {
-        let c = cache(2, EvictionPolicy::Lru);
-        c.put(key("a"), "1".into(), 0);
-        c.put(key("b"), "2".into(), 1);
-        c.put(key("a"), "1b".into(), 2);
+        c.put(key("a"), "1b".into(), 3);
         assert_eq!(c.len(), 2);
-        assert_eq!(c.get(&key("a"), 3), Some("1b".into()));
+        assert_eq!(c.admitted_at(&key("a")), Some(3));
         assert_eq!(c.stats().evictions, 0);
+        assert_eq!(
+            c.sieve_queue().0,
+            vec![(key("a"), true), (key("b"), false)],
+            "a is still the oldest, still marked"
+        );
+        assert_eq!(c.get(&key("a"), 4), Some("1b".into()));
+    }
+
+    #[test]
+    fn every_removal_moves_the_hand_off_the_page() {
+        let c = PageCache::new(PageCacheConfig {
+            capacity: 4,
+            ttl_micros: Some(100),
+        });
+        for (now, k) in ["a", "b", "c", "d"].into_iter().enumerate() {
+            c.put(key(k), k.into(), now as Micros);
+        }
+        c.get(&key("a"), 4);
+        c.put(key("e"), "e".into(), 5); // evicts b: the hand rests on c
+        assert_eq!(c.sieve_queue().1, 1);
+        c.invalidate([&key("c")]); // on to d
+        assert_eq!(
+            c.sieve_queue(),
+            (
+                vec![(key("a"), false), (key("d"), false), (key("e"), false)],
+                1
+            )
+        );
+        assert_eq!(c.get(&key("d"), 200), None, "expired"); // on to e
+        assert_eq!(c.sieve_queue().1, 1);
+        assert_eq!(c.evict_admitted_since(5), 1); // e was the newest: wraps
+        assert_eq!(c.sieve_queue(), (vec![(key("a"), false)], 0));
+        c.put(key("f"), "f".into(), 201);
+        assert_eq!(c.clear(), 2);
+        assert_eq!(c.sieve_queue(), (vec![], 0));
     }
 
     #[test]
     fn ttl_expires_entries() {
         let c = PageCache::new(PageCacheConfig {
             capacity: 4,
-            policy: EvictionPolicy::Lru,
             ttl_micros: Some(100),
         });
         c.put(key("a"), "1".into(), 0);
@@ -634,7 +598,7 @@ mod tests {
 
     #[test]
     fn invalidate_removes_exactly_named_keys() {
-        let c = cache(8, EvictionPolicy::Lru);
+        let c = cache(8);
         for k in ["a", "b", "c"] {
             c.put(key(k), k.into(), 0);
         }
@@ -647,7 +611,7 @@ mod tests {
 
     #[test]
     fn invalidate_collect_names_resident_keys_only() {
-        let c = cache(8, EvictionPolicy::Lru);
+        let c = cache(8);
         for k in ["a", "b"] {
             c.put(key(k), k.into(), 0);
         }
@@ -658,9 +622,9 @@ mod tests {
 
     #[test]
     fn wired_metrics_track_cache_stats_exactly() {
-        let c = cache(2, EvictionPolicy::Lru);
+        let c = cache(2);
         let registry = MetricsRegistry::new();
-        c.put(key("pre"), "x".into(), 0); // before wiring: seeded at wire time
+        c.put(key("pre"), "x".into(), 0); // before wiring: carried over
         c.wire_metrics(&registry, "cache.page");
         assert_eq!(registry.counter_value("cache.page.insertions"), 1);
         assert_eq!(registry.gauge_value("cache.page.resident"), 1);
@@ -682,12 +646,13 @@ mod tests {
         ] {
             assert_eq!(registry.counter_value(name), want, "{name}");
         }
+        assert_eq!((s.hits, s.misses, s.evictions), (1, 1, 1));
         assert_eq!(registry.gauge_value("cache.page.resident"), c.len() as i64);
     }
 
     #[test]
     fn clear_counts_invalidations() {
-        let c = cache(8, EvictionPolicy::Lru);
+        let c = cache(8);
         c.put(key("a"), "1".into(), 0);
         c.put(key("b"), "2".into(), 0);
         assert_eq!(c.clear(), 2);
@@ -696,7 +661,7 @@ mod tests {
 
     #[test]
     fn evict_admitted_since_flushes_only_newer_pages() {
-        let c = cache(8, EvictionPolicy::Lru);
+        let c = cache(8);
         c.put(key("old"), "1".into(), 10);
         c.put(key("boundary"), "2".into(), 20);
         c.put(key("new"), "3".into(), 30);
@@ -709,10 +674,19 @@ mod tests {
 
     #[test]
     fn capacity_never_exceeded() {
-        let c = cache(3, EvictionPolicy::Lru);
-        for i in 0..50 {
-            c.put(key(&format!("k{i}")), "x".into(), i);
-            assert!(c.len() <= 3);
+        for capacity in [0, 1, 3] {
+            let c = cache(capacity);
+            for i in 0..50 {
+                c.put(key(&format!("k{i}")), "x".into(), i);
+                assert!(c.len() <= capacity, "capacity {capacity}");
+            }
+            let s = c.stats();
+            // A cache of nothing admits nothing: every put is turned away.
+            let admitted = if capacity == 0 { 0 } else { 50 };
+            assert_eq!(
+                (s.insertions, s.evictions),
+                (admitted, 50 - capacity as u64)
+            );
         }
     }
 }

@@ -7,9 +7,10 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Entries stored.
+    /// Entries stored (new pages and overwrites).
     pub insertions: u64,
-    /// Entries removed by capacity pressure.
+    /// Entries removed by capacity pressure, or turned away by a capacity
+    /// of 0.
     pub evictions: u64,
     /// Entries removed by invalidation messages.
     pub invalidations: u64,

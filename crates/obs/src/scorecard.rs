@@ -216,20 +216,20 @@ impl ScorecardBoard {
         if !self.enabled() {
             return;
         }
+        let one = PageTally {
+            hits: hit as u64,
+            misses: !hit as u64,
+            renders: render_cost.is_some() as u64,
+            render_cost_units: render_cost.unwrap_or(0),
+        };
+        // Only a URL's first request since the last sync point copies it.
         let mut pending = self.pending.lock();
-        if !pending.contains_key(url) && pending.len() >= self.pending_cap {
+        if let Some(t) = pending.get_mut(url) {
+            t.fold(&one);
+        } else if pending.len() >= self.pending_cap {
             self.pending_dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let t = pending.entry(url.to_string()).or_default();
-        if hit {
-            t.hits += 1;
         } else {
-            t.misses += 1;
-        }
-        if let Some(cost) = render_cost {
-            t.renders += 1;
-            t.render_cost_units += cost;
+            pending.insert(url.to_string(), one);
         }
     }
 

@@ -109,7 +109,7 @@ impl Tracer {
 
     /// Record a point event with no causal identity.
     pub fn event(&self, scope: &'static str, name: &'static str, ts: u64, detail: impl Into<String>) {
-        self.push(scope, name, ts, detail.into(), None, 0, 0, 0);
+        self.push(scope, name, ts, detail, None, 0, 0, 0);
     }
 
     /// Run `f`, recording a span event carrying its wall-clock duration
@@ -128,7 +128,7 @@ impl Tracer {
         let start = Instant::now();
         let out = f();
         let micros = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        self.push(scope, name, ts, detail.into(), Some(micros), 0, 0, 0);
+        self.push(scope, name, ts, detail, Some(micros), 0, 0, 0);
         out
     }
 
@@ -147,7 +147,7 @@ impl Tracer {
         }
         let trace_id = self.next_trace.fetch_add(1, Ordering::Relaxed);
         let span_id = self.next_span.fetch_add(1, Ordering::Relaxed);
-        self.push(scope, name, ts, detail.into(), None, trace_id, span_id, 0);
+        self.push(scope, name, ts, detail, None, trace_id, span_id, 0);
         TraceContext { trace_id, span_id }
     }
 
@@ -162,7 +162,7 @@ impl Tracer {
         ts: u64,
         detail: impl Into<String>,
     ) -> TraceContext {
-        self.child(parent, scope, name, ts, detail.into(), None)
+        self.child(parent, scope, name, ts, detail, None)
     }
 
     /// Record a completed span (duration measured by the caller) as a child
@@ -176,7 +176,7 @@ impl Tracer {
         detail: impl Into<String>,
         duration_micros: u64,
     ) -> TraceContext {
-        self.child(parent, scope, name, ts, detail.into(), Some(duration_micros))
+        self.child(parent, scope, name, ts, detail, Some(duration_micros))
     }
 
     fn child(
@@ -185,7 +185,7 @@ impl Tracer {
         scope: &'static str,
         name: &'static str,
         ts: u64,
-        detail: String,
+        detail: impl Into<String>,
         duration: Option<u64>,
     ) -> TraceContext {
         if !self.enabled() {
@@ -249,15 +249,18 @@ impl Tracer {
         scope: &'static str,
         name: &'static str,
         ts: u64,
-        detail: String,
+        detail: impl Into<String>,
         duration: Option<u64>,
         trace_id: u64,
         span_id: u64,
         parent_span: u64,
     ) {
+        // `detail` becomes a `String` only past this check: a switched-off
+        // tracer costs its callers no allocation.
         if !self.enabled() {
             return;
         }
+        let detail = detail.into();
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let mut ring = self.ring.lock();
         if ring.len() == self.capacity {
@@ -455,16 +458,26 @@ mod tests {
         assert_eq!(t.dropped(), 6);
     }
 
+    /// A detail whose text must never be built.
+    struct Unasked;
+
+    impl From<Unasked> for String {
+        fn from(_: Unasked) -> String {
+            panic!("a disabled tracer built an event's detail")
+        }
+    }
+
     #[test]
-    fn disabled_tracer_records_nothing() {
+    fn disabled_tracer_records_nothing_and_builds_no_detail() {
         let t = Tracer::new(8);
         t.set_enabled(false);
-        t.event("db", "sql.exec", 1, "");
-        let out = t.span("db", "sql.exec", 2, "", || 42);
+        t.event("db", "sql.exec", 1, Unasked);
+        let out = t.span("db", "sql.exec", 2, Unasked, || 42);
         assert_eq!(out, 42);
-        let ctx = t.start_trace("web", "request", 3, "/p");
+        let ctx = t.start_trace("web", "request", 3, Unasked);
         assert_eq!(ctx, TraceContext::NONE);
-        assert_eq!(t.child_event(ctx, "cache", "hit", 3, ""), TraceContext::NONE);
+        assert_eq!(t.child_event(ctx, "cache", "hit", 3, Unasked), TraceContext::NONE);
+        assert_eq!(t.child_span(ctx, "web", "request.generate", 3, Unasked, 1), TraceContext::NONE);
         assert_eq!(t.alloc_span(ctx), TraceContext::NONE);
         assert_eq!(t.recorded(), 0);
         assert!(t.recent(8).is_empty());

@@ -10,7 +10,7 @@
 //! cargo run --example auction_site
 //! ```
 
-use cacheportal::cache::{EvictionPolicy, PageCacheConfig};
+use cacheportal::cache::PageCacheConfig;
 use cacheportal::db::schema::ColType;
 use cacheportal::db::Database;
 use cacheportal::invalidator::InvalidatorConfig;
@@ -52,7 +52,6 @@ fn main() {
         .invalidator_config(inv_cfg)
         .cache_config(PageCacheConfig {
             capacity: 64,
-            policy: EvictionPolicy::Lru,
             ttl_micros: None,
         })
         .build()
