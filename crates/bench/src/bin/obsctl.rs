@@ -7,6 +7,7 @@
 //! obsctl explain --file obs-export.jsonl --lsn 5
 //! obsctl diff before.json after.json
 //! obsctl demo --serve 127.0.0.1:0 --hold-secs 30 --export obs-export.jsonl
+//! obsctl durable --addr 127.0.0.1:9184
 //! ```
 //!
 //! * `metrics` — fetch `/metrics` (Prometheus text exposition) and print it.
@@ -35,6 +36,9 @@
 //!   the self-contained black-box bundle to `--out FILE` for offline
 //!   post-mortems (`--stable` for the byte-stable rendering, `--index` to
 //!   list the recorder's capture ring instead).
+//! * `durable` — the journal's part of `/metrics` as a table: WAL appends,
+//!   bytes, fsyncs and resets, checkpoints taken and their bytes, and what a
+//!   persist pass and a checkpoint cost in wall-clock microseconds.
 //! * `demo` — run a small car-search workload, start the admin endpoint,
 //!   write a JSONL export, print one explain chain, and hold the server open
 //!   (CI smoke-tests `/metrics` and `/healthz` against it).
@@ -59,13 +63,14 @@ fn main() {
         Some("scorecard") => cmd_scorecard(&args[1..]),
         Some("slo") => cmd_slo(&args[1..]),
         Some("bus") => cmd_bus(&args[1..]),
+        Some("durable") => cmd_durable(&args[1..]),
         Some("blackbox") => cmd_blackbox(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("demo") => cmd_demo(&args[1..]),
         _ => {
             eprintln!(
-                "usage: obsctl <metrics|health|explain|trace|timeline|scorecard|slo|bus|blackbox|\
-                 diff|demo> [options]"
+                "usage: obsctl <metrics|health|explain|trace|timeline|scorecard|slo|bus|durable|\
+                 blackbox|diff|demo> [options]"
             );
             eprintln!("  metrics   --addr HOST:PORT");
             eprintln!("  health    --addr HOST:PORT");
@@ -75,9 +80,10 @@ fn main() {
             eprintln!("  scorecard --addr HOST:PORT [--json]");
             eprintln!("  slo       --addr HOST:PORT [--stable] [--json]");
             eprintln!("  bus       --addr HOST:PORT [--json]");
+            eprintln!("  durable   --addr HOST:PORT");
             eprintln!("  blackbox  --addr HOST:PORT --out FILE [--stable] | --index");
             eprintln!("  diff BEFORE.json AFTER.json");
-            eprintln!("  demo --serve HOST:PORT [--hold-secs N] [--export FILE]");
+            eprintln!("  demo --serve HOST:PORT [--hold-secs N] [--export FILE] [--durable DIR]");
             2
         }
     };
@@ -640,6 +646,42 @@ fn cmd_bus(args: &[String]) -> i32 {
 
 /// `obsctl blackbox`: pull a flight-record dump off a live portal for an
 /// offline post-mortem, or list the recorder's capture index.
+/// The `durable.*` samples of a `/metrics` body, one table row each.
+fn durable_rows(metrics: &str) -> Vec<Vec<String>> {
+    let mut rows = vec![vec!["durable".to_string(), "value".to_string()]];
+    rows.extend(metrics.lines().filter_map(|line| {
+        let (name, value) = line.strip_prefix("cacheportal_durable_")?.rsplit_once(' ')?;
+        Some(vec![name.to_string(), value.to_string()])
+    }));
+    rows
+}
+
+fn cmd_durable(args: &[String]) -> i32 {
+    let Some(addr) = flag(args, "--addr") else {
+        eprintln!("obsctl durable: --addr HOST:PORT required");
+        return 2;
+    };
+    match http_get(addr, "/metrics") {
+        Ok((200, body)) => {
+            let rows = durable_rows(&body);
+            if rows.len() == 1 {
+                println!("no durable journal: the portal was built without durable(dir)");
+            } else {
+                print!("{}", cacheportal_bench::render_table(&rows));
+            }
+            0
+        }
+        Ok((code, body)) => {
+            eprintln!("GET /metrics -> {code}\n{body}");
+            1
+        }
+        Err(e) => {
+            eprintln!("GET /metrics failed: {e}");
+            1
+        }
+    }
+}
+
 fn cmd_blackbox(args: &[String]) -> i32 {
     if args.iter().any(|a| a == "--index") {
         let Some(doc) = fetch_json(args, "blackbox", "/flightrecord") else {
@@ -729,7 +771,7 @@ fn cmd_demo(args: &[String]) -> i32 {
     };
     let hold_secs: u64 = flag(args, "--hold-secs").and_then(|s| s.parse().ok()).unwrap_or(30);
 
-    let portal = demo_portal();
+    let portal = demo_portal(flag(args, "--durable"));
     // Two edge caches behind the bus so `/bus` (and `obsctl bus`) shows a
     // live watermark table instead of the no-edges placeholder.
     for _ in 0..2 {
@@ -769,8 +811,10 @@ fn cmd_demo(args: &[String]) -> i32 {
     0
 }
 
-/// The paper's running car-search example, assembled as a live portal.
-fn demo_portal() -> CachePortal {
+/// The paper's running car-search example, assembled as a live portal;
+/// journaled to `durable_dir` if there is one, with a checkpoint at the
+/// demo's second sync point so that `obsctl durable` has one to show.
+fn demo_portal(durable_dir: Option<&str>) -> CachePortal {
     let mut db = Database::new();
     db.execute("CREATE TABLE Car (maker TEXT, model TEXT, price INT, INDEX(model))")
         .expect("schema");
@@ -780,7 +824,11 @@ fn demo_portal() -> CachePortal {
         .expect("seed");
     db.execute("INSERT INTO Mileage VALUES ('Avalon', 28.0), ('Civic', 36.5)")
         .expect("seed");
-    let portal = CachePortal::builder(db).build().expect("build portal");
+    let mut builder = CachePortal::builder(db);
+    if let Some(dir) = durable_dir {
+        builder = builder.durable(dir).checkpoint_interval(2);
+    }
+    let portal = builder.build().expect("build portal");
     portal.register_servlet(Arc::new(SqlServlet::new(
         ServletSpec::new("carSearch").with_key_get_params(&["maxprice"]),
         "Car search",
@@ -823,4 +871,37 @@ fn percent_encode(s: &str) -> String {
             }
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A journaled demo portal's registry carries every name the durable
+    /// table promises, and the table is the journal's part of `/metrics`.
+    #[test]
+    fn durable_table_lists_the_journals_metrics() {
+        let dir = std::env::temp_dir().join(format!("cp-obsctl-durable-{}", std::process::id()));
+        let portal = demo_portal(dir.to_str());
+        let req = HttpRequest::get("shop.example.com", "/carSearch", &[("maxprice", "20000")]);
+        portal.request(&req);
+        portal.sync_point().expect("sync");
+        portal.sync_point().expect("sync"); // interval 2: the checkpoint
+        let metrics = portal.obs().metrics.render_prometheus();
+        let rows = durable_rows(&metrics);
+        let value_of = |name: &str| {
+            let row = rows.iter().find(|r| r[0] == name);
+            row.unwrap_or_else(|| panic!("no {name} row in {rows:?}"))[1].clone()
+        };
+        assert_eq!(value_of("wal_syncs_total"), "2");
+        assert_eq!(value_of("checkpoints_total"), "1");
+        assert_eq!(value_of("persist_micros_count"), "2");
+        assert_eq!(value_of("checkpoint_micros_count"), "1");
+        let bytes: u64 = value_of("checkpoint_bytes_total").parse().unwrap();
+        let snapshot = std::fs::metadata(dir.join("snapshot.bin")).unwrap().len();
+        assert_eq!(bytes + 24, snapshot, "payload bytes plus the header are the file");
+        assert_eq!(durable_rows("cacheportal_cache_page_hits_total 3\n").len(), 1);
+        drop(portal);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

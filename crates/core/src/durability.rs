@@ -23,12 +23,23 @@
 //! Record and snapshot payloads are JSON (versioned by the durable layer's
 //! frame format); WAL replay is idempotent — map rows deduplicate, origin
 //! rows are last-write-wins, and the cursor takes the maximum.
+//!
+//! The write side never holds a second copy of what it journals: it reads
+//! map rows in place under the map's lock and origins through references,
+//! encodes one record at a time into one reused `String`, and hands each to
+//! the WAL's batch or the snapshot's stream. [`DurableRecord`],
+//! [`OriginRecord`] and [`SnapshotDoc`] are what [`Durability::load`]
+//! deserialises into; the writer spells the text their derived `Serialize`
+//! would, and `tests/durable_write_path.rs` holds it to that byte for byte.
 
+use cacheportal_durable::SnapshotWriter;
 use cacheportal_sniffer::{QiUrlEntry, QiUrlMap};
 use cacheportal_web::{HttpRequest, PageKey};
+use serde::Serialize as _;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// A cached page's origin: the request whose regeneration proves (or
 /// disproves) freshness.
@@ -112,6 +123,26 @@ pub struct PersistOutcome {
     /// I/O errors swallowed (state possibly not durable — the caller must
     /// mark health).
     pub errors: u64,
+    /// Wall-clock microseconds of the whole pass, checkpoint included.
+    pub persist_micros: u64,
+    /// Wall-clock microseconds of the checkpoint alone (0 without one).
+    pub checkpoint_micros: u64,
+    /// Payload bytes of the snapshot the checkpoint wrote (0 without one).
+    pub checkpoint_bytes: u64,
+}
+
+fn micros_since(started: Instant) -> u64 {
+    started.elapsed().as_micros().min(u64::MAX as u128) as u64
+}
+
+/// `OriginRecord { page, request }` as its derived `Serialize` writes it,
+/// from the parts.
+fn write_origin(out: &mut String, page: &PageKey, request: &HttpRequest) {
+    out.push_str("{\"page\":");
+    page.write_json(out);
+    out.push_str(",\"request\":");
+    request.write_json(out);
+    out.push('}');
 }
 
 /// The live durability pipeline owned by a portal.
@@ -124,6 +155,8 @@ pub struct Durability {
     map_cursor: u64,
     /// Snapshot sequence for the next checkpoint.
     next_snapshot_seq: u64,
+    /// The record being encoded; every record of every pass reuses it.
+    record: String,
 }
 
 impl Durability {
@@ -143,6 +176,7 @@ impl Durability {
             syncs_since_checkpoint: 0,
             map_cursor: 0,
             next_snapshot_seq,
+            record: String::new(),
         })
     }
 
@@ -211,9 +245,11 @@ impl Durability {
 
     /// Persist one completed sync point: new QI/URL rows since the durable
     /// map cursor, the window's admissions' origins, and the new cursor —
-    /// then fsync. Runs a checkpoint (full snapshot + WAL reset) every
-    /// `checkpoint_interval` persisted syncs. I/O errors are counted, not
-    /// propagated: the portal stays available, the caller flags health.
+    /// one WAL batch, written and fsynced once. The cursor goes last, so a
+    /// torn batch never recovers a cursor ahead of its rows. Runs a
+    /// checkpoint (full snapshot + WAL reset) every `checkpoint_interval`
+    /// persisted syncs. I/O errors are counted, not propagated: the portal
+    /// stays available, the caller flags health.
     pub fn persist_sync(
         &mut self,
         map: &QiUrlMap,
@@ -221,81 +257,100 @@ impl Durability {
         origins_full: &HashMap<PageKey, HttpRequest>,
         cursor: CursorRecord,
     ) -> PersistOutcome {
+        let started = Instant::now();
         let mut out = PersistOutcome::default();
-        let (new_entries, next_cursor) = map.entries_since(self.map_cursor);
-        for entry in new_entries {
-            out.errors += self.append(&DurableRecord::MapEntry(entry), &mut out.appended);
-        }
-        self.map_cursor = next_cursor;
+        let Durability { wal, record, .. } = self;
+        // One `DurableRecord`, spelled `{"<variant>":<payload>}`.
+        let mut append = |variant: &str, payload: &dyn Fn(&mut String)| {
+            record.clear();
+            record.push_str("{\"");
+            record.push_str(variant);
+            record.push_str("\":");
+            payload(record);
+            record.push('}');
+            match wal.append(record.as_bytes()) {
+                Ok(()) => out.appended += 1,
+                Err(_) => out.errors += 1,
+            }
+        };
+        self.map_cursor = map.visit_since(self.map_cursor, |entry| {
+            append("MapEntry", &|out| entry.write_json(out));
+        });
         for (page, request) in new_origins {
-            out.errors += self.append(
-                &DurableRecord::Origin(OriginRecord {
-                    page: page.clone(),
-                    request: request.clone(),
-                }),
-                &mut out.appended,
-            );
+            append("Origin", &|out| write_origin(out, page, request));
         }
-        out.errors += self.append(&DurableRecord::Cursor(cursor.clone()), &mut out.appended);
-        if let Err(_e) = self.wal.sync() {
+        append("Cursor", &|out| cursor.write_json(out));
+        if self.wal.sync().is_err() {
             out.errors += 1;
         }
 
         self.syncs_since_checkpoint += 1;
         if self.syncs_since_checkpoint >= self.checkpoint_interval {
-            match self.checkpoint(map, origins_full, cursor) {
-                Ok(()) => out.checkpointed = true,
+            let checkpoint_started = Instant::now();
+            match self.checkpoint(map, origins_full, &cursor) {
+                Ok(bytes) => {
+                    out.checkpointed = true;
+                    out.checkpoint_bytes = bytes;
+                    out.checkpoint_micros = micros_since(checkpoint_started);
+                }
                 Err(_) => out.errors += 1,
             }
         }
+        out.persist_micros = micros_since(started);
         out
     }
 
-    /// Write a full snapshot and reset the WAL. A crash between the
-    /// snapshot rename and the WAL reset leaves snapshot + stale WAL tail:
-    /// replay re-applies the tail on top, which is why records must be
-    /// idempotent.
+    /// Stream a full snapshot — `SnapshotDoc`'s text: every map row, every
+    /// origin in page order (hash order would not repeat), the cursor — and
+    /// reset the WAL; returns the snapshot's payload bytes. The map stays
+    /// locked while its rows go by. A crash between the snapshot rename and
+    /// the WAL reset leaves snapshot + stale WAL tail: replay re-applies the
+    /// tail on top, which is why records must be idempotent.
     pub fn checkpoint(
         &mut self,
         map: &QiUrlMap,
         origins_full: &HashMap<PageKey, HttpRequest>,
-        cursor: CursorRecord,
-    ) -> io::Result<()> {
-        let mut origins: Vec<OriginRecord> = origins_full
-            .iter()
-            .map(|(page, request)| OriginRecord {
-                page: page.clone(),
-                request: request.clone(),
-            })
-            .collect();
-        // HashMap order is nondeterministic; keep snapshots byte-stable.
-        origins.sort_by(|a, b| a.page.cmp(&b.page));
-        let doc = SnapshotDoc {
-            map: map.all(),
-            origins,
-            cursor,
-        };
-        let payload = serde_json::to_string(&doc)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        cacheportal_durable::Checkpoint::write(&self.dir, self.next_snapshot_seq, payload.as_bytes())?;
+        cursor: &CursorRecord,
+    ) -> io::Result<u64> {
+        let mut snapshot = SnapshotWriter::create(&self.dir, self.next_snapshot_seq)?;
+        let record = &mut self.record;
+        // The map's visit cannot stop early: once a write fails, the rows
+        // left are passed over.
+        let mut written = snapshot.write(b"{\"map\":[");
+        let mut separator = "";
+        map.visit_since(0, |entry| {
+            if written.is_ok() {
+                record.clear();
+                record.push_str(separator);
+                separator = ",";
+                entry.write_json(record);
+                written = snapshot.write(record.as_bytes());
+            }
+        });
+        written?;
+        snapshot.write(b"],\"origins\":[")?;
+        // Page order costs one pointer per origin: the only thing here that
+        // grows with the site.
+        let mut pages: Vec<&PageKey> = origins_full.keys().collect();
+        pages.sort_unstable();
+        let mut separator = "";
+        for page in pages {
+            record.clear();
+            record.push_str(separator);
+            separator = ",";
+            write_origin(record, page, &origins_full[page]);
+            snapshot.write(record.as_bytes())?;
+        }
+        record.clear();
+        record.push_str("],\"cursor\":");
+        cursor.write_json(record);
+        record.push('}');
+        snapshot.write(record.as_bytes())?;
+        let bytes = snapshot.finish()?;
         self.next_snapshot_seq += 1;
         self.wal.reset()?;
         self.syncs_since_checkpoint = 0;
-        Ok(())
-    }
-
-    fn append(&mut self, record: &DurableRecord, appended: &mut u64) -> u64 {
-        let payload = match serde_json::to_string(record) {
-            Ok(p) => p,
-            Err(_) => return 1,
-        };
-        match self.wal.append(payload.as_bytes()) {
-            Ok(()) => {
-                *appended += 1;
-                0
-            }
-            Err(_) => 1,
-        }
+        Ok(bytes)
     }
 }
 

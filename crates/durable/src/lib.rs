@@ -9,15 +9,18 @@
 //!
 //! * **WAL** (`wal.log`): an 8-byte header (`CPWAL\0` magic + `u16`
 //!   version) followed by frames `[len: u32 LE][crc32: u32 LE][payload]`.
-//!   Appends are buffered by the OS and flushed with an explicit
-//!   [`Wal::sync`] at each durability point (one fsync covers the whole
-//!   batch of records appended since the last sync). A torn tail — a
-//!   partial frame from a crash mid-write — is detected by length/checksum
-//!   and **truncated**, never replayed.
-//! * **Snapshot** (`snapshot.bin`): the full serialized state, written to a
-//!   temp file, fsynced, then atomically renamed over the previous snapshot
-//!   (and the directory fsynced). Header: `CPSNP\0` magic, `u16` version,
-//!   `u64` sequence number, `u32` payload length, `u32` crc32.
+//!   Appends are framed into one buffer the log keeps; [`Wal::sync`] at
+//!   each durability point hands the whole batch to the file in one write
+//!   and fsyncs it. Nothing is promised before that fsync, so holding the
+//!   frames in memory until then loses nothing a crash could not already
+//!   take. A torn tail — a partial frame from a crash mid-write — is
+//!   detected by length/checksum and **truncated**, never replayed.
+//! * **Snapshot** (`snapshot.bin`): the full serialized state, streamed
+//!   through [`SnapshotWriter`] to a temp file, fsynced, then atomically
+//!   renamed over the previous snapshot (and the directory fsynced).
+//!   Header: `CPSNP\0` magic, `u16` version, `u64` sequence number, `u32`
+//!   payload length, `u32` crc32 — the last two patched in once the
+//!   payload has gone by.
 //!
 //! Recovery ([`Recovery::replay`]) loads the latest snapshot (if any) and
 //! then every complete WAL frame. Because a crash can land *between* the
@@ -27,7 +30,7 @@
 //! records take the maximum).
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// On-disk format version for the WAL. Bump on incompatible changes.
@@ -40,8 +43,15 @@ const SNAP_MAGIC: &[u8; 6] = b"CPSNP\0";
 const WAL_HEADER_LEN: u64 = 8;
 const FRAME_HEADER_LEN: u64 = 8;
 const SNAP_HEADER_LEN: usize = 24;
-/// Upper bound on a single frame; anything larger is treated as corruption.
+/// Offset of the snapshot header's `[len: u32][crc32: u32]` pair.
+const SNAP_LEN_OFFSET: u64 = 16;
+/// Upper bound on a single frame: [`Wal::append`] refuses a larger payload,
+/// and replay treats a larger length field as corruption.
 const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
+/// The snapshot stream's file buffer.
+const SNAP_BUFFER_LEN: usize = 64 * 1024;
+/// Capacity the WAL's batch buffer keeps from one sync to the next.
+const BATCH_KEEP_LEN: usize = 64 * 1024;
 
 const CRC_TABLE: [u32; 256] = crc_table();
 
@@ -61,14 +71,38 @@ const fn crc_table() -> [u32; 256] {
     table
 }
 
-/// CRC-32 (IEEE 802.3 polynomial), the checksum used by every frame and
-/// snapshot in this crate.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+/// CRC-32 (IEEE 802.3 polynomial) of a byte stream fed in pieces: the
+/// checksum used by every frame and snapshot in this crate.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32(0xFFFF_FFFF)
     }
-    c ^ 0xFFFF_FFFF
+}
+
+impl Crc32 {
+    /// Fold the next piece of the stream in.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let mut c = self.0;
+        for &b in bytes {
+            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.0 = c;
+    }
+
+    /// The checksum of everything fed so far.
+    pub fn finish(self) -> u32 {
+        self.0 ^ 0xFFFF_FFFF
+    }
+}
+
+/// [`Crc32`] of one slice.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = Crc32::default();
+    crc.update(bytes);
+    crc.finish()
 }
 
 /// Path of the WAL inside a durability directory.
@@ -79,6 +113,11 @@ pub fn wal_path(dir: &Path) -> PathBuf {
 /// Path of the current snapshot inside a durability directory.
 pub fn snapshot_path(dir: &Path) -> PathBuf {
     dir.join("snapshot.bin")
+}
+
+/// Where a snapshot is written before it is renamed into place.
+fn snapshot_tmp_path(dir: &Path) -> PathBuf {
+    dir.join("snapshot.tmp")
 }
 
 /// Plain accounting the embedding layer exports as `durable.*` metrics.
@@ -108,6 +147,11 @@ pub struct WalReplay {
 
 fn corrupt(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// A write the on-disk format has no way to represent.
+fn oversized(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, msg)
 }
 
 /// Scan a WAL file without modifying it. A missing file is an empty log.
@@ -170,7 +214,10 @@ pub struct Wal {
     file: File,
     path: PathBuf,
     sync_every: usize,
+    /// Frames appended since the last sync; all of them are in `batch`.
     pending: usize,
+    /// The pending frames, back to back; each sync empties and reuses it.
+    batch: Vec<u8>,
     stats: WalStats,
 }
 
@@ -213,20 +260,31 @@ impl Wal {
             path: path.to_path_buf(),
             sync_every,
             pending: 0,
+            batch: Vec::new(),
             stats: WalStats::default(),
         })
     }
 
-    /// Append one record. Durable only after the next [`Wal::sync`] (or
-    /// automatic batch flush when `sync_every > 0`).
+    /// Frame one record into the pending batch. It reaches the file, and
+    /// becomes durable, at the next [`Wal::sync`] (or automatic batch flush
+    /// when `sync_every > 0`). A payload above the frame limit is refused
+    /// with `InvalidInput`: replay would read its length as a torn tail and
+    /// drop it together with every frame behind it.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN as usize + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
+        let len = u32::try_from(payload.len())
+            .ok()
+            .filter(|&len| len <= MAX_FRAME_LEN)
+            .ok_or_else(|| {
+                oversized(format!(
+                    "wal: a {}-byte record exceeds the {MAX_FRAME_LEN}-byte frame limit",
+                    payload.len()
+                ))
+            })?;
+        self.batch.extend_from_slice(&len.to_le_bytes());
+        self.batch.extend_from_slice(&crc32(payload).to_le_bytes());
+        self.batch.extend_from_slice(payload);
         self.stats.appends += 1;
-        self.stats.bytes += frame.len() as u64;
+        self.stats.bytes += FRAME_HEADER_LEN + u64::from(len);
         self.pending += 1;
         if self.sync_every > 0 && self.pending >= self.sync_every {
             self.sync()?;
@@ -234,24 +292,40 @@ impl Wal {
         Ok(())
     }
 
-    /// Flush every pending append with a single fsync (the batch boundary).
+    /// Write every pending frame with one `write_all` and make them durable
+    /// with one fsync (the batch boundary). A failed write takes back
+    /// whatever part of the batch reached the file — a torn frame in the
+    /// middle of the log would hide every later one — and the batch is
+    /// dropped: its window counts as not persisted.
     pub fn sync(&mut self) -> io::Result<()> {
         if self.pending == 0 {
             return Ok(());
         }
-        self.file.sync_all()?;
+        let end = self.file.stream_position()?;
         self.pending = 0;
+        let written = self.file.write_all(&self.batch);
+        self.batch.clear();
+        // A site's first sync journals every page; the syncs after it, a
+        // window's worth. Keep a window's worth of buffer.
+        self.batch.shrink_to(BATCH_KEEP_LEN);
+        if let Err(e) = written {
+            let _ = self.file.set_len(end);
+            let _ = self.file.seek(SeekFrom::Start(end));
+            return Err(e);
+        }
+        self.file.sync_all()?;
         self.stats.syncs += 1;
         Ok(())
     }
 
     /// Truncate the log back to an empty header — called right after a
-    /// snapshot makes every logged record redundant.
+    /// snapshot makes every logged record, pending ones included, redundant.
     pub fn reset(&mut self) -> io::Result<()> {
+        self.batch.clear();
+        self.pending = 0;
         self.file.set_len(WAL_HEADER_LEN)?;
         self.file.seek(SeekFrom::Start(WAL_HEADER_LEN))?;
         self.file.sync_all()?;
-        self.pending = 0;
         self.stats.resets += 1;
         Ok(())
     }
@@ -267,32 +341,81 @@ impl Wal {
     }
 }
 
+/// A snapshot being written: the payload streams through a buffered temp
+/// file, a piece at a time, and replaces `snapshot.bin` only in
+/// [`SnapshotWriter::finish`]. Dropped or failed before that, it leaves
+/// the temp file behind (the next writer truncates it) and the previous
+/// snapshot untouched.
+pub struct SnapshotWriter {
+    dir: PathBuf,
+    file: BufWriter<File>,
+    /// Payload bytes so far. Counted wider than the header's `u32` so that a
+    /// payload the format cannot hold is seen, not wrapped.
+    len: u64,
+    crc: Crc32,
+}
+
+impl SnapshotWriter {
+    /// Start snapshot `seq` in `dir`: the temp file holds the header, its
+    /// length and checksum still zero.
+    pub fn create(dir: &Path, seq: u64) -> io::Result<SnapshotWriter> {
+        fs::create_dir_all(dir)?;
+        let mut file = BufWriter::with_capacity(SNAP_BUFFER_LEN, File::create(snapshot_tmp_path(dir))?);
+        let mut header = [0u8; SNAP_HEADER_LEN];
+        header[..6].copy_from_slice(SNAP_MAGIC);
+        header[6..8].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        header[8..16].copy_from_slice(&seq.to_le_bytes());
+        file.write_all(&header)?;
+        Ok(SnapshotWriter {
+            dir: dir.to_path_buf(),
+            file,
+            len: 0,
+            crc: Crc32::default(),
+        })
+    }
+
+    /// Append the next piece of the payload.
+    pub fn write(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.len += bytes.len() as u64;
+        self.crc.update(bytes);
+        self.file.write_all(bytes)
+    }
+
+    /// Patch length and checksum into the header, fsync the temp file,
+    /// rename it over `snapshot.bin` and fsync the directory; returns the
+    /// payload length. A crash at any point leaves either the old or the
+    /// new snapshot intact. A payload of 4 GiB or more does not fit the
+    /// header's length field and is refused with `InvalidInput`.
+    pub fn finish(self) -> io::Result<u64> {
+        let len = u32::try_from(self.len).map_err(|_| {
+            oversized(format!(
+                "snapshot: a {}-byte payload exceeds the format's u32 length field",
+                self.len
+            ))
+        })?;
+        let mut file = self.file.into_inner().map_err(io::IntoInnerError::into_error)?;
+        file.seek(SeekFrom::Start(SNAP_LEN_OFFSET))?;
+        file.write_all(&len.to_le_bytes())?;
+        file.write_all(&self.crc.finish().to_le_bytes())?;
+        file.sync_all()?;
+        drop(file);
+        fs::rename(snapshot_tmp_path(&self.dir), snapshot_path(&self.dir))?;
+        // Make the rename itself durable.
+        File::open(&self.dir)?.sync_all()?;
+        Ok(self.len)
+    }
+}
+
 /// Atomic snapshot checkpoints.
 pub struct Checkpoint;
 
 impl Checkpoint {
-    /// Durably replace the snapshot: write header + payload to a temp file,
-    /// fsync it, rename over `snapshot.bin`, fsync the directory. A crash
-    /// at any point leaves either the old or the new snapshot intact.
+    /// Durably replace the snapshot with `payload` ([`SnapshotWriter`], fed
+    /// in one piece).
     pub fn write(dir: &Path, seq: u64, payload: &[u8]) -> io::Result<()> {
-        fs::create_dir_all(dir)?;
-        let mut buf = Vec::with_capacity(SNAP_HEADER_LEN + payload.len());
-        buf.extend_from_slice(SNAP_MAGIC);
-        buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        buf.extend_from_slice(&seq.to_le_bytes());
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&crc32(payload).to_le_bytes());
-        buf.extend_from_slice(payload);
-        let tmp = dir.join("snapshot.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&buf)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, snapshot_path(dir))?;
-        // Make the rename itself durable.
-        File::open(dir)?.sync_all()?;
-        Ok(())
+        let mut snapshot = SnapshotWriter::create(dir, seq)?;
+        snapshot.write(payload)?;
+        snapshot.finish().map(drop)
     }
 
     /// Load the current snapshot: `None` if absent, `Err` if present but
@@ -300,7 +423,7 @@ impl Checkpoint {
     /// protocol means a damaged snapshot is disk corruption, not a torn
     /// write, so it is refused rather than silently dropped).
     pub fn read(dir: &Path) -> io::Result<Option<(u64, Vec<u8>)>> {
-        let bytes = match fs::read(snapshot_path(dir)) {
+        let mut bytes = match fs::read(snapshot_path(dir)) {
             Ok(b) => b,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
@@ -325,7 +448,9 @@ impl Checkpoint {
         if crc32(payload) != crc {
             return Err(corrupt("snapshot: checksum mismatch"));
         }
-        Ok(Some((seq, payload.to_vec())))
+        // The file's buffer becomes the payload: no second copy.
+        bytes.drain(..SNAP_HEADER_LEN);
+        Ok(Some((seq, bytes)))
     }
 }
 
@@ -385,6 +510,74 @@ mod tests {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_fed_in_pieces_equals_one_slice() {
+        let bytes: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        for split in [0, 1, 7, 500, 999, 1000] {
+            let mut crc = Crc32::default();
+            crc.update(&bytes[..split]);
+            crc.update(&[]);
+            crc.update(&bytes[split..]);
+            assert_eq!(crc.finish(), crc32(&bytes), "split at {split}");
+        }
+    }
+
+    /// The frames of `payloads` as the format lays them out, framed here
+    /// independently of `Wal::append`.
+    fn framed(payloads: &[Vec<u8>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for p in payloads {
+            out.extend_from_slice(&(p.len() as u32).to_le_bytes());
+            out.extend_from_slice(&crc32(p).to_le_bytes());
+            out.extend_from_slice(p);
+        }
+        out
+    }
+
+    #[test]
+    fn wal_appends_reach_the_file_only_at_sync() {
+        let dir = temp_dir("batched");
+        let path = wal_path(&dir);
+        let payloads = vec![b"alpha".to_vec(), vec![], b"gamma".to_vec()];
+        let mut wal = Wal::open(&path).unwrap();
+        for p in &payloads {
+            wal.append(p).unwrap();
+        }
+        // Accounted for, not yet written: a process dying here loses the
+        // window, exactly as one dying before the fsync always did.
+        assert_eq!(wal.stats().appends, 3);
+        assert_eq!(wal.stats().bytes, 3 * FRAME_HEADER_LEN + 10);
+        assert_eq!(fs::read(&path).unwrap().len() as u64, WAL_HEADER_LEN);
+        wal.sync().unwrap();
+        assert_eq!(fs::read(&path).unwrap()[WAL_HEADER_LEN as usize..], framed(&payloads));
+        // A batch dropped with its process leaves the synced prefix.
+        wal.append(b"never synced").unwrap();
+        drop(wal);
+        assert_eq!(replay_wal(&path).unwrap().records, payloads);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn wal_refuses_a_record_above_the_frame_limit() {
+        let dir = temp_dir("oversize");
+        let path = wal_path(&dir);
+        let mut wal = Wal::open(&path).unwrap();
+        wal.append(b"before").unwrap();
+        let too_big = vec![0u8; MAX_FRAME_LEN as usize + 1];
+        let err = wal.append(&too_big).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        wal.append(b"after").unwrap();
+        wal.sync().unwrap();
+        assert_eq!(wal.stats().appends, 2, "the refused record is not counted");
+        drop(wal);
+        // Replay would have read the oversized length as a torn tail and
+        // cut "after" off with it; refused at append, nothing is lost.
+        let replay = replay_wal(&path).unwrap();
+        assert_eq!(replay.records, vec![b"before".to_vec(), b"after".to_vec()]);
+        assert_eq!(replay.torn_bytes, 0);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -510,6 +703,60 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_streamed_in_pieces_is_the_same_file() {
+        let payload: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
+        let whole = temp_dir("snap-whole");
+        Checkpoint::write(&whole, 9, &payload).unwrap();
+        let pieces = temp_dir("snap-pieces");
+        let mut w = SnapshotWriter::create(&pieces, 9).unwrap();
+        // Pieces below, at and above the file buffer's size.
+        let mut rest = &payload[..];
+        for size in [1, 0, 100, SNAP_BUFFER_LEN, SNAP_BUFFER_LEN + 1, usize::MAX] {
+            let (piece, tail) = rest.split_at(size.min(rest.len()));
+            w.write(piece).unwrap();
+            rest = tail;
+        }
+        assert_eq!(w.finish().unwrap(), payload.len() as u64);
+        assert_eq!(
+            fs::read(snapshot_path(&pieces)).unwrap(),
+            fs::read(snapshot_path(&whole)).unwrap()
+        );
+        assert_eq!(Checkpoint::read(&pieces).unwrap(), Some((9, payload)));
+        assert!(!pieces.join("snapshot.tmp").exists());
+        fs::remove_dir_all(&whole).unwrap();
+        fs::remove_dir_all(&pieces).unwrap();
+    }
+
+    #[test]
+    fn snapshot_writer_dropped_mid_stream_keeps_the_previous_snapshot() {
+        let dir = temp_dir("snap-dropped");
+        Checkpoint::write(&dir, 1, b"previous").unwrap();
+        let mut w = SnapshotWriter::create(&dir, 2).unwrap();
+        w.write(&vec![7u8; 3 * SNAP_BUFFER_LEN]).unwrap();
+        drop(w); // the process died, or the encoder above it failed
+        assert!(dir.join("snapshot.tmp").exists(), "never renamed");
+        assert_eq!(Checkpoint::read(&dir).unwrap(), Some((1, b"previous".to_vec())));
+        // The next checkpoint starts the temp file over.
+        Checkpoint::write(&dir, 2, b"next").unwrap();
+        assert_eq!(Checkpoint::read(&dir).unwrap(), Some((2, b"next".to_vec())));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn snapshot_too_long_for_its_header_is_refused_at_finish() {
+        let dir = temp_dir("snap-4gib");
+        Checkpoint::write(&dir, 1, b"previous").unwrap();
+        let mut w = SnapshotWriter::create(&dir, 2).unwrap();
+        w.write(b"the last piece of 4 GiB").unwrap();
+        // As if 4 GiB had gone by: `as u32` would have stored a length of 0
+        // and every later read refused the file as "length mismatch".
+        w.len = u64::from(u32::MAX) + 1;
+        assert_eq!(w.finish().unwrap_err().kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(Checkpoint::read(&dir).unwrap(), Some((1, b"previous".to_vec())));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn snapshot_corruption_is_refused() {
         let dir = temp_dir("snapcorrupt");
         Checkpoint::write(&dir, 1, b"payload-bytes").unwrap();
@@ -551,7 +798,8 @@ mod tests {
     /// The acceptance-criteria property, exhaustively for a fixed log:
     /// truncating the WAL file at EVERY byte boundary recovers exactly the
     /// frames that are complete within the prefix — never garbage, never an
-    /// error.
+    /// error. The log is two batches, each several frames in one
+    /// `write_all`: a torn batch keeps its complete frames.
     #[test]
     fn wal_truncation_at_every_byte_prefix_is_safe() {
         let dir = temp_dir("every-byte");
@@ -560,10 +808,13 @@ mod tests {
             vec![b"first".to_vec(), b"second-record".to_vec(), vec![9u8; 37], b"x".to_vec()];
         {
             let mut wal = Wal::open(&path).unwrap();
-            for p in &payloads {
-                wal.append(p).unwrap();
+            for batch in payloads.chunks(2) {
+                for p in batch {
+                    wal.append(p).unwrap();
+                }
+                wal.sync().unwrap();
             }
-            wal.sync().unwrap();
+            assert_eq!(wal.stats().syncs, 2);
         }
         let full = fs::read(&path).unwrap();
         // Frame boundaries: header, then header+frames cumulatively.

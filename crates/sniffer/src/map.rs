@@ -129,21 +129,30 @@ impl QiUrlMap {
         }
     }
 
-    /// Entries with id >= `cursor`; returns them plus the next cursor.
-    /// This is the invalidator's "constantly listening to the QI/URL map"
-    /// interface (§4.1.2).
-    pub fn entries_since(&self, cursor: u64) -> (Vec<QiUrlEntry>, u64) {
+    /// Show `visit` every entry with id >= `cursor`, in id order and in
+    /// place; returns the next cursor. The map is locked until the last
+    /// visit returns: the journal encodes rows straight out of it, and
+    /// copies none.
+    pub fn visit_since(&self, cursor: u64, visit: impl FnMut(&QiUrlEntry)) -> u64 {
         let inner = self.inner.lock();
         let start = inner.entries.partition_point(|e| e.id < cursor);
-        (inner.entries[start..].to_vec(), inner.next_id)
+        inner.entries[start..].iter().for_each(visit);
+        inner.next_id
     }
 
-    /// [`QiUrlMap::entries_since`] for the registration scan: each entry
-    /// comes with the typed form the mapper left for it, and every typed form
-    /// leaves the map — what one scan has passed, it does not need again. A
-    /// `None` means "parse `sql`": a row inserted as text, or one whose typed
-    /// form an earlier scan took. A map that no invalidator scans (a web-side
-    /// map shipped as JSON) keeps every typed form its mapper gave it.
+    /// The id the next new row will get: a cursor past every row there is.
+    pub fn next_id(&self) -> u64 {
+        self.inner.lock().next_id
+    }
+
+    /// The invalidator's "constantly listening to the QI/URL map" interface
+    /// (§4.1.2): the entries with id >= `cursor` plus the next cursor. Each
+    /// entry comes with the typed form the mapper left for it, and every
+    /// typed form leaves the map — what one scan has passed, it does not need
+    /// again. A `None` means "parse `sql`": a row inserted as text, or one
+    /// whose typed form an earlier scan took. A map that no invalidator scans
+    /// (a web-side map shipped as JSON) keeps every typed form its mapper
+    /// gave it.
     pub fn take_for_registration(
         &self,
         cursor: u64,
@@ -260,14 +269,19 @@ mod tests {
     #[test]
     fn cursor_scan_sees_only_new_entries() {
         let m = QiUrlMap::new();
+        let since = |cursor| {
+            let mut seen = Vec::new();
+            let next = m.visit_since(cursor, |e| seen.push(e.sql.clone()));
+            (seen, next)
+        };
         m.insert("Q1".into(), PageKey::raw("p1"), "s".into());
-        let (batch1, cur) = m.entries_since(0);
-        assert_eq!(batch1.len(), 1);
+        let (batch1, cur) = since(0);
+        assert_eq!(batch1, ["Q1"]);
         m.insert("Q2".into(), PageKey::raw("p2"), "s".into());
-        let (batch2, cur2) = m.entries_since(cur);
-        assert_eq!(batch2.len(), 1);
-        assert_eq!(batch2[0].sql, "Q2");
-        let (batch3, _) = m.entries_since(cur2);
+        let (batch2, cur2) = since(cur);
+        assert_eq!(batch2, ["Q2"]);
+        assert_eq!(cur2, m.next_id());
+        let (batch3, _) = since(cur2);
         assert!(batch3.is_empty());
     }
 

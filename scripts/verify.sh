@@ -19,6 +19,13 @@ echo "== Criterion benches compile (cargo bench --no-run) =="
 # otherwise surface the next time somebody wants a number.
 cargo bench --offline --workspace --no-run
 
+echo "== persist allocation bound (counting allocator, release) =="
+# A persist pass that checkpoints must not hold a copy of the site: the
+# counting-allocator test bounds its transient heap at 1 000, 4 300 and
+# 16 000 pages. In release, where the allocations are the ones production
+# makes (the debug run above counts the same 12, but proves less).
+cargo test -q --release --offline -p cacheportal --test persist_alloc
+
 echo "== fuzz harness smoke (safety contract, all policies x fault classes) =="
 # The acceptance matrix: 50 seeds x 40 actions cycling all three
 # invalidation policies, workers {1,4}, and every fault class — including
@@ -132,9 +139,10 @@ if [ "$ADMIN_PORT" != "0" ]; then
 fi
 DEMO_LOG=target/obsctl-demo.log
 EXPORT=target/obs-export.jsonl
-rm -f "$DEMO_LOG" "$EXPORT"
+JOURNAL=target/obsctl-demo-journal
+rm -rf "$DEMO_LOG" "$EXPORT" "$JOURNAL"
 ./target/release/obsctl demo --serve "127.0.0.1:$ADMIN_PORT" --hold-secs 60 \
-  --export "$EXPORT" >"$DEMO_LOG" 2>&1 &
+  --export "$EXPORT" --durable "$JOURNAL" >"$DEMO_LOG" 2>&1 &
 DEMO_PID=$!
 trap 'kill "$DEMO_PID" 2>/dev/null || true' EXIT
 
@@ -219,6 +227,16 @@ echo "$BUS_OUT" | grep -q "latest_seq=" \
 BUS_JSON=$(./target/release/obsctl bus --addr "$ADDR" --json)
 echo "$BUS_JSON" | grep -q '"cacheportal.bus.v1"' \
   || { echo "/bus missing the versioned schema marker"; exit 1; }
+
+# Durable journal: the demo journals to $JOURNAL and checkpoints at its
+# second sync point, so the table must show the WAL, the checkpoint's bytes
+# and what the persist stage cost.
+DURABLE_OUT=$(./target/release/obsctl durable --addr "$ADDR")
+for row in wal_syncs_total checkpoints_total checkpoint_bytes_total \
+           checkpoint_micros_count persist_micros_count; do
+  echo "$DURABLE_OUT" | grep -q "^$row " \
+    || { echo "obsctl durable table missing $row"; exit 1; }
+done
 
 # Black-box flight recorder: an on-demand stable dump is a versioned,
 # self-contained bundle (uploaded as a CI artifact).
