@@ -1,13 +1,23 @@
 //! Invalidator throughput benchmarks: cost of one synchronization point as
 //! the number of registered query instances and the update-batch size grow
-//! (§4's "the invalidator must not be a bottleneck" claim), for each policy.
+//! (§4's "the invalidator must not be a bottleneck" claim), for each policy —
+//! and what registering an instance costs to do and to keep
+//! (`registry/register_typed`, with the counting allocator of
+//! `crates/core/tests/common`).
 
-use cacheportal_db::Database;
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+
+#[global_allocator]
+static ALLOC: common::CountingAlloc = common::CountingAlloc;
+
+use cacheportal_db::{Database, Value};
 use cacheportal_invalidator::{InvalidationPolicy, Invalidator, InvalidatorConfig, QueryTypeId};
-use cacheportal_sniffer::QiUrlMap;
-use cacheportal_web::PageKey;
+use cacheportal_sniffer::{Mapper, QiUrlMap, QueryLog, RequestLog};
+use cacheportal_web::{PageKey, RequestObserver, RequestRecord};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn example_db() -> Database {
     let mut db = Database::new();
@@ -47,7 +57,7 @@ fn seeded_map(n: usize) -> QiUrlMap {
                 10_000 + i * 97
             ),
             PageKey::raw(format!("page{i}")),
-            "cars".to_string(),
+            "cars".into(),
         );
     }
     map
@@ -113,6 +123,60 @@ fn registration_cost(c: &mut Criterion) {
     });
 }
 
+/// A map of `rows` product pages as a mapper leaves it: every row with its
+/// typed form, one instance of one type per page.
+fn mapped(rows: usize) -> Arc<QiUrlMap> {
+    let (requests, queries) = (Arc::new(RequestLog::new()), QueryLog::new());
+    for sku in 0..rows as u64 {
+        requests.on_request(RequestRecord {
+            id: sku,
+            servlet: "product".into(),
+            page_key: PageKey::raw(format!("shop/product?g:sku={sku}")),
+            received: sku * 10,
+            delivered: sku * 10 + 9,
+        });
+        queries.record(
+            "SELECT Car.maker, Car.price FROM Car, Mileage \
+             WHERE Car.price = $1 AND Car.model = Mileage.model",
+            &[Value::Int(sku as i64)],
+            true,
+            sku * 10 + 2,
+            sku * 10 + 4,
+        );
+    }
+    let map = Arc::new(QiUrlMap::new());
+    Mapper::new(requests, queries, map.clone()).run_once();
+    assert_eq!(map.len(), rows);
+    map
+}
+
+/// The registration scan over 4 300 typed rows. Beside the time, once: the
+/// allocations it makes and the bytes the registry and the predicate index
+/// keep, per row.
+fn typed_registration(c: &mut Criterion) {
+    const ROWS: usize = 4300;
+    let (db, map) = (example_db(), mapped(ROWS));
+    let register = || {
+        let mut inv = Invalidator::new(InvalidatorConfig::default());
+        inv.start_from(db.high_water());
+        let report = inv.run_sync_point(&db, &map).unwrap();
+        assert_eq!((report.registered, report.registered_from_text), (ROWS as u64, 0));
+        inv
+    };
+    let (registered, allocated) = common::measure(register);
+    println!(
+        "registry/register_typed/{ROWS}: {:.1} allocations per row, {:.0} bytes in {:.2} blocks \
+         kept per row",
+        allocated.calls as f64 / ROWS as f64,
+        allocated.retained as f64 / ROWS as f64,
+        allocated.retained_blocks as f64 / ROWS as f64,
+    );
+    drop(registered);
+    c.bench_function(BenchmarkId::new("registry/register_typed", ROWS), |b| {
+        b.iter(|| black_box(register()))
+    });
+}
+
 fn maintained_index_benefit(c: &mut Criterion) {
     let mut group = c.benchmark_group("invalidator_index_ablation");
     for with_index in [false, true] {
@@ -149,6 +213,6 @@ fn maintained_index_benefit(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = sync_point_cost, registration_cost, maintained_index_benefit
+    targets = sync_point_cost, registration_cost, typed_registration, maintained_index_benefit
 }
 criterion_main!(benches);

@@ -1,6 +1,14 @@
 //! Sniffer benchmarks: mapper cost vs. log volume and request concurrency
 //! (Fig E5). The sniffer "has to run as fast as the web server" (§2.4) —
-//! these benches quantify the interval-containment join.
+//! these benches quantify the interval-containment join — and what a row of
+//! the QI/URL map costs to write and to keep (`map/insert_typed`, with the
+//! counting allocator of `crates/core/tests/common`).
+
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+
+#[global_allocator]
+static ALLOC: common::CountingAlloc = common::CountingAlloc;
 
 use cacheportal_db::Value;
 use cacheportal_sniffer::{Mapper, QiUrlMap, QueryLog, RequestLog};
@@ -14,6 +22,11 @@ use std::sync::Arc;
 fn build_logs(n: usize, overlap: u64) -> (Arc<RequestLog>, Arc<QueryLog>) {
     let rl = Arc::new(RequestLog::new());
     let ql = QueryLog::new();
+    fill_logs(&rl, &ql, n, overlap);
+    (rl, ql)
+}
+
+fn fill_logs(rl: &RequestLog, ql: &QueryLog, n: usize, overlap: u64) {
     for i in 0..n as u64 {
         let start = i * 10;
         let end = start + 10 * overlap; // windows overlap `overlap` deep
@@ -32,7 +45,6 @@ fn build_logs(n: usize, overlap: u64) -> (Arc<RequestLog>, Arc<QueryLog>) {
             start + 4,
         );
     }
-    (rl, ql)
 }
 
 fn mapper_throughput(c: &mut Criterion) {
@@ -61,6 +73,59 @@ fn mapper_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+/// One mapper run over `rows` serial requests of one query each: into an
+/// empty map (every row new: rendered, stored) and into a map that has them
+/// all (every row known by its typed form: nothing rendered, nothing kept).
+/// Beside the times, once: the bytes and blocks a row leaves in the map.
+fn map_rows(c: &mut Criterion) {
+    const ROWS: usize = 4300;
+    let per_row = |n: isize| n as f64 / ROWS as f64;
+    let (rl, ql) = (Arc::new(RequestLog::new()), QueryLog::new());
+    let map = Arc::new(QiUrlMap::new());
+    let mut mapper = Mapper::new(rl.clone(), ql.clone(), map.clone());
+    let mut run = || {
+        let ((), logged) = common::measure(|| fill_logs(&rl, &ql, ROWS, 1));
+        let (report, mapped) = common::measure(|| mapper.run_once());
+        (report, logged.retained + mapped.retained, mapped.calls)
+    };
+    let (new, kept, calls) = run();
+    let (again, kept_again, calls_again) = run();
+    assert_eq!((new.mapped, new.rendered), (ROWS as u64, ROWS as u64));
+    assert_eq!((again.mapped, again.rendered, map.len()), (ROWS as u64, 0, ROWS));
+    // Kept: what logging the requests and mapping them left behind, the
+    // page keys the log made and the map shares included.
+    println!(
+        "map/insert_typed/{ROWS} new: {:.1} allocations and {:.0} bytes kept per row",
+        per_row(calls as isize),
+        per_row(kept),
+    );
+    println!(
+        "map/insert_typed/{ROWS} duplicate: {:.1} allocations and {:.0} bytes kept per row",
+        per_row(calls_again as isize),
+        per_row(kept_again),
+    );
+
+    let mut group = c.benchmark_group("map/insert_typed");
+    group.bench_function(BenchmarkId::from_parameter(format!("{ROWS} new")), |b| {
+        b.iter_batched(
+            || {
+                let (rl, ql) = build_logs(ROWS, 1);
+                Mapper::new(rl, ql, Arc::new(QiUrlMap::new()))
+            },
+            |mut mapper| black_box(mapper.run_once()),
+            criterion::BatchSize::LargeInput,
+        )
+    });
+    group.bench_function(BenchmarkId::from_parameter(format!("{ROWS} duplicate")), |b| {
+        b.iter_batched(
+            || fill_logs(&rl, &ql, ROWS, 1),
+            |()| black_box(mapper.run_once()),
+            criterion::BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
 fn canonicalization(c: &mut Criterion) {
     let record = cacheportal_sniffer::QueryRecord {
         id: 1,
@@ -80,6 +145,6 @@ fn canonicalization(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = mapper_throughput, canonicalization
+    targets = mapper_throughput, map_rows, canonicalization
 }
 criterion_main!(benches);

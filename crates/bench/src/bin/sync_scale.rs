@@ -121,7 +121,7 @@ fn seed_map(w: &Workload) -> QiUrlMap {
                      WHERE item_{i}.k = ref_{i}.k AND item_{i}.v < {b}"
                 ),
                 PageKey::raw(format!("page:pair{i}:bound{b}")),
-                format!("search{i}"),
+                format!("search{i}").into(),
             );
         }
     }
@@ -425,7 +425,7 @@ fn sweep_map(n: usize) -> QiUrlMap {
         map.insert(
             format!("SELECT v FROM sweep_item WHERE sweep_item.k = {j}"),
             PageKey::raw(format!("page:eq{j}")),
-            "sweepEq".to_string(),
+            "sweepEq".into(),
         );
     }
     for b in 0..SWEEP_RANGE_QIS {
@@ -435,17 +435,24 @@ fn sweep_map(n: usize) -> QiUrlMap {
                 b * 31 + 7
             ),
             PageKey::raw(format!("page:lt{b}")),
-            "sweepRange".to_string(),
+            "sweepRange".into(),
         );
     }
     for j in 0..SWEEP_RESIDUAL_QIS {
         map.insert(
             format!("SELECT v FROM sweep_item WHERE sweep_item.k + 0 = {j}"),
             PageKey::raw(format!("page:res{j}")),
-            "sweepResidual".to_string(),
+            "sweepResidual".into(),
         );
     }
     map
+}
+
+/// Resident set of this process, MiB (`VmRSS`); `None` off Linux.
+fn vm_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status.lines().find_map(|l| l.strip_prefix("VmRSS:"))?;
+    kib.trim().trim_end_matches("kB").trim().parse::<f64>().ok().map(|k| k / 1024.0)
 }
 
 /// Replay the sweep workload once at one tier with the index on or off.
@@ -453,6 +460,7 @@ fn sweep_map(n: usize) -> QiUrlMap {
 /// substitution), so the numbers measure analysis cost, not polling RTT.
 fn run_sweep_arm(shape: &SweepShape, n: usize, use_index: bool) -> SweepArm {
     let mut db = sweep_db(shape);
+    let rss_before = vm_rss_mib();
     let map = sweep_map(n);
     let mut inv = Invalidator::new(InvalidatorConfig {
         predicate_index: use_index,
@@ -465,6 +473,17 @@ fn run_sweep_arm(shape: &SweepShape, n: usize, use_index: bool) -> SweepArm {
     let reg_started = Instant::now();
     inv.run_sync_point(&db, &map).unwrap();
     let registration_secs = reg_started.elapsed().as_secs_f64();
+    // What the tier's map, registry and predicate index hold, on record
+    // (stdout only: the artifact's schema is pinned). The first arm of the
+    // first tier starts from a fresh heap; later ones from what the
+    // allocator kept of the arms before.
+    if let (Some(before), Some(after)) = (rss_before, vm_rss_mib()) {
+        println!(
+            "  qi={:>9} ({} arm): VmRSS {before:.1} -> {after:.1} MiB over map + registration",
+            n + SWEEP_RANGE_QIS + SWEEP_RESIDUAL_QIS,
+            if use_index { "index" } else { "scan" },
+        );
+    }
 
     let mut rng = Rng(0xbeef_f00d);
     let mut next_id = shape.seed_rows as i64;
@@ -739,17 +758,17 @@ fn mix_map(shape: &MixShape) -> QiUrlMap {
         map.insert(
             format!("SELECT v FROM mix_item WHERE mix_item.g = {g}"),
             PageKey::raw(format!("conj:{g}")),
-            "mixConj".to_string(),
+            "mixConj".into(),
         );
         map.insert(
             format!("SELECT id, v FROM mix_item WHERE g = {g} ORDER BY v DESC LIMIT 3"),
             PageKey::raw(format!("topk:{g}")),
-            "mixTopK".to_string(),
+            "mixTopK".into(),
         );
         map.insert(
             format!("SELECT COUNT(*), SUM(v) FROM mix_item WHERE g = {g}"),
             PageKey::raw(format!("agg:{g}")),
-            "mixAgg".to_string(),
+            "mixAgg".into(),
         );
         map.insert(
             format!(
@@ -757,14 +776,14 @@ fn mix_map(shape: &MixShape) -> QiUrlMap {
                 (g + 1) % shape.groups
             ),
             PageKey::raw(format!("in:{g}")),
-            "mixIn".to_string(),
+            "mixIn".into(),
         );
     }
     for d in 0..10 {
         map.insert(
             format!("SELECT id FROM mix_item WHERE s LIKE 's{d}%' ORDER BY id"),
             PageKey::raw(format!("like:{d}")),
-            "mixLike".to_string(),
+            "mixLike".into(),
         );
     }
     map

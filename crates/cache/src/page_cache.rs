@@ -44,7 +44,7 @@ const NIL: u32 = u32::MAX;
 #[derive(Debug)]
 struct Node {
     /// The one copy of the key's text; `Inner::map` holds the other handle.
-    key: Arc<str>,
+    key: PageKey,
     body: String,
     inserted_at: Micros,
     /// Neighbours in the queue: admitted after and before this page.
@@ -105,7 +105,7 @@ struct Tallies {
 /// `None`) and `map` finds a page's slot; an index-linked list threads the
 /// slots from `head` (newest) to `tail` (oldest).
 struct Inner {
-    map: HashMap<Arc<str>, u32>,
+    map: HashMap<PageKey, u32>,
     slab: Vec<Option<Node>>,
     /// Vacated slots, reused before `slab` grows.
     free: Vec<u32>,
@@ -144,7 +144,7 @@ impl Inner {
     /// Drop the page in `slot` and hand back its key; the caller takes the
     /// key out of `map`. A hand resting on the page moves on to the next
     /// newer one.
-    fn vacate(&mut self, slot: u32) -> Arc<str> {
+    fn vacate(&mut self, slot: u32) -> PageKey {
         let gone = self.slab[slot as usize].take();
         let gone = gone.expect("a mapped or queued slot holds a page");
         if self.hand == slot {
@@ -163,7 +163,7 @@ impl Inner {
     }
 
     fn remove(&mut self, key: &PageKey) -> bool {
-        match self.map.remove(key.as_str()) {
+        match self.map.remove(key) {
             Some(slot) => {
                 self.vacate(slot);
                 true
@@ -265,7 +265,7 @@ impl PageCache {
     pub fn get(&self, key: &PageKey, now: Micros) -> Option<String> {
         {
             let inner = self.inner.read();
-            let Some(&slot) = inner.map.get(key.as_str()) else {
+            let Some(&slot) = inner.map.get(key) else {
                 inner.tallies.misses.inc();
                 return None;
             };
@@ -284,7 +284,7 @@ impl PageCache {
         // between the two locks; the page goes only if it is still expired.
         let mut inner = self.inner.write();
         inner.tallies.misses.inc();
-        let still = inner.map.get(key.as_str()).copied();
+        let still = inner.map.get(key).copied();
         if still.is_some_and(|slot| self.expired(inner.node(slot), now)) {
             inner.remove(key);
             inner.tallies.expirations.inc();
@@ -299,7 +299,7 @@ impl PageCache {
     pub fn put(&self, key: PageKey, body: String, now: Micros) {
         let mut guard = self.inner.write();
         let inner = &mut *guard;
-        if let Some(&slot) = inner.map.get(key.as_str()) {
+        if let Some(&slot) = inner.map.get(&key) {
             let page = inner.node_mut(slot);
             (page.body, page.inserted_at) = (body, now);
         } else if self.config.capacity == 0 {
@@ -309,7 +309,6 @@ impl PageCache {
             if inner.map.len() >= self.config.capacity {
                 inner.evict();
             }
-            let key: Arc<str> = key.as_str().into();
             let node = Some(Node {
                 key: key.clone(),
                 body,
@@ -402,7 +401,7 @@ impl PageCache {
 
     /// Is the page currently cached (no stats side effects, no TTL check)?
     pub fn contains(&self, key: &PageKey) -> bool {
-        self.inner.read().map.contains_key(key.as_str())
+        self.inner.read().map.contains_key(key)
     }
 
     /// When the cached page was admitted (no stats side effects, no TTL
@@ -415,7 +414,7 @@ impl PageCache {
         let inner = self.inner.read();
         inner
             .map
-            .get(key.as_str())
+            .get(key)
             .map(|&slot| inner.node(slot).inserted_at)
     }
 
@@ -431,12 +430,7 @@ impl PageCache {
 
     /// All currently cached keys (freshness-oracle support).
     pub fn keys(&self) -> Vec<PageKey> {
-        self.inner
-            .read()
-            .map
-            .keys()
-            .map(|k| PageKey::raw(&**k))
-            .collect()
+        self.inner.read().map.keys().cloned().collect()
     }
 
     /// Test support for `tests/cache_model.rs`, not part of the API: the
@@ -470,7 +464,7 @@ impl PageCache {
             .map(|slot| {
                 let n = inner.node(slot);
                 assert_eq!(inner.map.get(&n.key), Some(&slot), "slot of {}", n.key);
-                (PageKey::raw(&*n.key), n.visited.load(Ordering::Relaxed))
+                (n.key.clone(), n.visited.load(Ordering::Relaxed))
             })
             .collect();
         (queue, hand)

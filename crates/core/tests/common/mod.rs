@@ -15,11 +15,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+static BLOCKS: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static CALLS: AtomicUsize = AtomicUsize::new(0);
 
-/// The system allocator, with live bytes, their high-water mark and the
-/// number of allocations tallied.
+/// The system allocator, with live bytes, their high-water mark, live
+/// blocks and the number of allocations tallied.
 pub struct CountingAlloc;
 
 fn grew(by: usize) {
@@ -33,6 +34,7 @@ fn grew(by: usize) {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         CALLS.fetch_add(1, Ordering::Relaxed);
+        BLOCKS.fetch_add(1, Ordering::Relaxed);
         grew(layout.size());
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
@@ -40,6 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        BLOCKS.fetch_sub(1, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -54,7 +57,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// What one [`measure`]d call allocated.
+/// What one [`measure`]d call allocated. (The tests and benches that include
+/// this file each read some of it.)
+#[allow(dead_code)]
 #[derive(Debug, Clone, Copy)]
 pub struct Allocated {
     /// Calls to `alloc` and `realloc`.
@@ -65,6 +70,8 @@ pub struct Allocated {
     /// Bytes still live at its end, beyond those live at its start (negative
     /// when it freed more than it kept).
     pub retained: isize,
+    /// Blocks still live at its end, beyond those live at its start.
+    pub retained_blocks: isize,
 }
 
 /// Run `f` and report what it allocated.
@@ -72,11 +79,13 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Allocated) {
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
     let calls = CALLS.load(Ordering::Relaxed);
+    let blocks = BLOCKS.load(Ordering::Relaxed);
     let value = f();
     let allocated = Allocated {
         calls: CALLS.load(Ordering::Relaxed) - calls,
         transient_peak: PEAK.load(Ordering::Relaxed) - before,
         retained: LIVE.load(Ordering::Relaxed) as isize - before as isize,
+        retained_blocks: BLOCKS.load(Ordering::Relaxed) as isize - blocks as isize,
     };
     (value, allocated)
 }

@@ -314,7 +314,7 @@ proptest! {
         pages in prop::collection::vec(hostile_string(), 0..4),
     ) {
         let page = PageKey::raw(page);
-        let entry = cacheportal::sniffer::QiUrlEntry { id, sql, page_key: page.clone(), servlet };
+        let entry = cacheportal::sniffer::QiUrlEntry { id, sql, page_key: page.clone(), servlet: servlet.into() };
         let mut request = if post.is_empty() {
             HttpRequest::get(&host, &path, &[])
         } else {

@@ -129,7 +129,7 @@ fn every_eject_is_explained_with_the_full_chain() {
         }
 
         // URL + residency: the chain ends at the page itself.
-        assert_eq!(m["url"].as_str(), Some(rec.url.as_str()));
+        assert_eq!(m["url"].as_str(), Some(&*rec.url));
         assert!(m["resident"].as_bool().unwrap(), "cached pages were resident");
 
         // QI rows: the sniffer half of the chain.
@@ -249,13 +249,13 @@ fn admin_endpoint_serves_metrics_and_explanations() {
     let (code, body) = http_get(&addr, &format!("/explain?url={encoded}"));
     assert_eq!(code, 200);
     let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
-    assert_eq!(doc["matches"][0]["url"].as_str(), Some(url.as_str()));
+    assert_eq!(doc["matches"][0]["url"].as_str(), Some(&*url));
     assert!(!doc["qi_map"].as_array().unwrap().is_empty());
 
     let (code, body) = http_get(&addr, "/explain?lsn=4");
     assert_eq!(code, 200);
     let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
-    assert_eq!(doc["matches"][0]["url"].as_str(), Some(url.as_str()));
+    assert_eq!(doc["matches"][0]["url"].as_str(), Some(&*url));
 
     let (code, _) = http_get(&addr, "/explain");
     assert_eq!(code, 400);
@@ -312,7 +312,7 @@ fn snapshot_surfaces_ring_overflow_instead_of_hiding_it() {
             lsn_first: i,
             lsn_last: i,
             deltas: vec![],
-            url: format!("/p{i}"),
+            url: format!("/p{i}").into(),
             resident: false,
             causes: vec![],
             trace_id: 0,

@@ -181,6 +181,12 @@ fn breach_fires_dumps_black_box_and_resolves() {
     // ... and the live portal's full-fidelity chains agree.
     assert!(portal.verify_causal_chains().unwrap() > 0);
 
+    // A retained bundle is served as the text it was recorded as.
+    assert!(dumps[0].ends_with("flightrecord-000000.json"));
+    let (code, body) = http_get(&addr, "/flightrecord?seq=0");
+    assert_eq!(code, 200);
+    assert_eq!(body, raw, "GET /flightrecord?seq=0 against the dump of capture 0");
+
     // The index endpoint lists the captures.
     let (code, body) = http_get(&addr, "/flightrecord");
     assert_eq!(code, 200);

@@ -103,18 +103,24 @@ impl TypePlan {
     }
 
     /// The type's parameter vector for the instance binding `bound` to the
-    /// statement's markers.
-    pub fn params(&self, bound: &[Value]) -> DbResult<Vec<Value>> {
-        self.slots
-            .iter()
-            .map(|slot| match slot {
-                Slot::Literal(v) => Ok(v.clone()),
-                Slot::Bound(i) => (i.checked_sub(1))
-                    .and_then(|at| bound.get(at))
-                    .cloned()
-                    .ok_or(DbError::UnboundParameter(*i)),
-            })
-            .collect()
+    /// statement's markers, in the one allocation the sniffer's map and the
+    /// invalidator's registry then share.
+    pub fn params(&self, bound: &[Value]) -> DbResult<Arc<[Value]>> {
+        // Checked first: what is left cannot fail, so the values are
+        // collected straight into their allocation, exact-size.
+        for slot in &self.slots {
+            match slot {
+                Slot::Bound(i) if !(1..=bound.len()).contains(i) => {
+                    return Err(DbError::UnboundParameter(*i));
+                }
+                _ => {}
+            }
+        }
+        let value = |slot: &Slot| match slot {
+            Slot::Literal(v) => v.clone(),
+            Slot::Bound(i) => bound[i - 1].clone(),
+        };
+        Ok(self.slots.iter().map(value).collect())
     }
 }
 

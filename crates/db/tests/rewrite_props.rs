@@ -82,7 +82,7 @@ proptest! {
         let (template, params) = parameterize(&substitute_params(&stmt, &values[..n]).unwrap());
         let plan = TypePlan::of(&stmt).expect("every marker is in WHERE");
         prop_assert_eq!(&*plan.template, &template);
-        prop_assert_eq!(plan.params(&values[..n]).unwrap(), params);
+        prop_assert_eq!(&*plan.params(&values[..n]).unwrap(), &params[..]);
         prop_assert!(plan.params(&values[..n - 1]).is_err(), "a marker left unbound");
     }
 

@@ -19,6 +19,11 @@ use cacheportal_db::{Database, DbResult, Lsn, Value};
 use cacheportal_sniffer::QiUrlMap;
 use cacheportal_web::PageKey;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
+
+/// An instance judged affected: its type, its parameter values (a clone of
+/// the registry's key for it) and the verdict.
+type Affected = (QueryTypeId, Arc<[Value]>, VerdictCause);
 
 /// How an instance was judged affected (the provenance verdict).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,7 +118,7 @@ pub struct InstanceVerdict {
     /// The type's parameterised SQL.
     pub type_sql: String,
     /// Bound parameter values of the affected instance.
-    pub params: Vec<Value>,
+    pub params: Arc<[Value]>,
     /// Why the instance was judged affected.
     pub cause: VerdictCause,
     /// Pages depending on the instance (ejected as a consequence).
@@ -374,7 +379,7 @@ struct ShardCounters {
 struct TypeOutcome {
     order: usize,
     ty_id: QueryTypeId,
-    affected: Vec<(QueryTypeId, Vec<Value>, VerdictCause)>,
+    affected: Vec<Affected>,
     /// Analysis wall-clock to record into the type's stats; `None` for
     /// table-level types (the sequential path never recorded those).
     record_micros: Option<u64>,
@@ -564,15 +569,18 @@ impl Invalidator {
         };
 
         // (1) Online registration scan of the QI/URL map (§4.1.2).
-        let (entries, cursor) = map.take_for_registration(self.map_cursor);
-        self.map_cursor = cursor;
-        for (entry, typed) in entries {
+        // The rows are read in place, under the map's lock; what the
+        // registry keeps of one is clones of its page key and its parameter
+        // vector, which share the map's allocations.
+        let registry = &mut self.registry;
+        self.map_cursor = map.visit_for_registration(self.map_cursor, |entry, typed| {
+            let page = entry.page_key.clone();
             match typed {
                 Some(t) => {
-                    self.registry.register_typed(&t.template, t.params, entry.page_key);
+                    registry.register_typed(&t.template, t.params.clone(), page);
                     report.registered += 1;
                 }
-                None => match self.registry.register_instance(&entry.sql, entry.page_key) {
+                None => match registry.register_instance(&entry.sql, page) {
                     Ok(_) => {
                         report.registered += 1;
                         report.registered_from_text += 1;
@@ -580,7 +588,7 @@ impl Invalidator {
                     Err(_) => report.unparseable += 1,
                 },
             }
-        }
+        });
         report.registration_micros = started.elapsed().as_micros() as u64;
 
         // (2) Pull the update log and build deltas (§4.2.1). The log hands
@@ -660,7 +668,7 @@ impl Invalidator {
                     continue;
                 }
                 let ty_select = self.registry.get(ty_id).select.clone();
-                let instances: Vec<Vec<Value>> = self
+                let instances: Vec<Arc<[Value]>> = self
                     .registry
                     .instances_of(ty_id)
                     .map(|(params, _)| params.clone())
@@ -782,7 +790,7 @@ impl Invalidator {
         db: &Database,
         deltas: &DeltaSet,
         report: &mut InvalidationReport,
-    ) -> DbResult<Vec<(QueryTypeId, Vec<Value>, VerdictCause)>> {
+    ) -> DbResult<Vec<Affected>> {
         let runner = PollRunner::with_rtt(
             &self.info,
             deltas,
@@ -910,7 +918,7 @@ impl Invalidator {
         }
         type_outcomes.sort_unstable_by_key(|t| t.order);
 
-        let mut affected: Vec<(QueryTypeId, Vec<Value>, VerdictCause)> = Vec::new();
+        let mut affected: Vec<Affected> = Vec::new();
         let mut observations: HashMap<QueryTypeId, TypeObservation> = HashMap::new();
         let mut per_type: BTreeMap<QueryTypeId, TypeSyncStat> = BTreeMap::new();
         for outcome in type_outcomes {
@@ -978,12 +986,12 @@ impl Invalidator {
                 false,
                 shape_rules,
             )?;
-            let scan_set: BTreeSet<(QueryTypeId, Vec<Value>)> = shadow
+            let scan_set: BTreeSet<(QueryTypeId, Arc<[Value]>)> = shadow
                 .types
                 .iter()
                 .flat_map(|t| t.affected.iter().map(|(id, p, _)| (*id, p.clone())))
                 .collect();
-            let index_set: BTreeSet<(QueryTypeId, Vec<Value>)> = affected
+            let index_set: BTreeSet<(QueryTypeId, Arc<[Value]>)> = affected
                 .iter()
                 .map(|(id, p, _)| (*id, p.clone()))
                 .collect();
@@ -1035,7 +1043,7 @@ impl Invalidator {
         let mut netted_pages: Vec<PageKey> = Vec::new();
         // Bound instances are compiled once per (type, params) and reused
         // across every delta tuple the shard analyzes.
-        let mut bound_cache: HashMap<(QueryTypeId, Vec<Value>), BoundInstance> = HashMap::new();
+        let mut bound_cache: HashMap<(QueryTypeId, Arc<[Value]>), BoundInstance> = HashMap::new();
 
         for &(order, ty_id) in types {
             let type_started = std::time::Instant::now();
@@ -1060,7 +1068,7 @@ impl Invalidator {
             let mut ty_index_skipped = 0u64;
             let mut ty_index_residual = 0u64;
             let probe_allowed = use_index && policy != InvalidationPolicy::TableLevel;
-            let mut instances: Vec<Vec<Value>> = if probe_allowed {
+            let mut instances: Vec<Arc<[Value]>> = if probe_allowed {
                 let probe = if registry.index_fully_residual(ty_id) {
                     Probe::Scan
                 } else {
@@ -1108,8 +1116,8 @@ impl Invalidator {
             // run to run and across worker counts.
             instances.sort_unstable();
 
-            let mut affected: Vec<(QueryTypeId, Vec<Value>, VerdictCause)> = Vec::new();
-            let mut affected_set: HashSet<Vec<Value>> = HashSet::new();
+            let mut affected: Vec<Affected> = Vec::new();
+            let mut affected_set: HashSet<Arc<[Value]>> = HashSet::new();
 
             if policy == InvalidationPolicy::TableLevel {
                 let read_touched: Vec<String> = ty_select
@@ -1203,7 +1211,7 @@ impl Invalidator {
                         QueryShape::TopK => {
                             let boundary = registry
                                 .pages_of(ty_id, &params)
-                                .and_then(|data| data.boundary.clone());
+                                .and_then(|data| data.boundary().cloned());
                             match (boundary, topk_spec(&inst.select, db)) {
                                 (Some(boundary), Some(spec)) => {
                                     Self::decide_topk(inst, &spec, &boundary, deltas, &mut counters)?
@@ -1679,7 +1687,7 @@ mod tests {
              WHERE Car.model = Mileage.model AND Car.price < 20000"
                 .to_string(),
             PageKey::raw("URL1"),
-            "carSearch".to_string(),
+            "carSearch".into(),
         );
         let mut inv = Invalidator::new(InvalidatorConfig::default());
         // Consume the seeding inserts so tests start from a clean slate.
@@ -1863,7 +1871,7 @@ mod tests {
         map.insert(
             "SELECT * FROM Car WHERE price < 99".to_string(),
             PageKey::raw("URL2"),
-            "s".to_string(),
+            "s".into(),
         );
         let r = inv.run_sync_point(&db, &map).unwrap();
         assert_eq!(r.registered, 1);
@@ -1881,7 +1889,7 @@ mod tests {
              WHERE Car.model = Mileage.model AND Car.price < 30000"
                 .to_string(),
             PageKey::raw("URL3"),
-            "carSearch".to_string(),
+            "carSearch".into(),
         );
         db.execute("INSERT INTO Car VALUES ('Toyota','Avalon',15000)")
             .unwrap();
@@ -2148,7 +2156,7 @@ mod tests {
                 map.insert(
                     format!("SELECT v FROM T WHERE T.k = {i}"),
                     PageKey::raw(&format!("p{i}")),
-                    "s".to_string(),
+                    "s".into(),
                 );
             }
             let mut inv = Invalidator::new(InvalidatorConfig {
@@ -2181,12 +2189,12 @@ mod tests {
         map.insert(
             "SELECT model FROM Car WHERE Car.price < 19000".to_string(),
             PageKey::raw("URL2"),
-            "cheap".to_string(),
+            "cheap".into(),
         );
         map.insert(
             "SELECT model FROM Car WHERE Car.maker = 'Toyota'".to_string(),
             PageKey::raw("URL3"),
-            "maker".to_string(),
+            "maker".into(),
         );
         for sql in [
             "INSERT INTO Car VALUES ('Toyota','Avalon',15000)",
@@ -2212,7 +2220,7 @@ mod tests {
         map.insert(
             "SELECT v FROM T WHERE T.k = 3".to_string(),
             PageKey::raw("p"),
-            "s".to_string(),
+            "s".into(),
         );
         let mut inv = Invalidator::new(InvalidatorConfig::default());
         let r = inv.run_sync_point(&db, &map).unwrap();
@@ -2236,7 +2244,7 @@ mod tests {
         map.insert(
             "SELECT model FROM Car WHERE maker = 'T' ORDER BY price DESC LIMIT 2".to_string(),
             PageKey::raw("TOP"),
-            "top".to_string(),
+            "top".into(),
         );
         let mut inv = Invalidator::new(InvalidatorConfig::default());
         inv.run_sync_point(&db, &map).unwrap();
@@ -2319,7 +2327,7 @@ mod tests {
             "SELECT maker, COUNT(*), SUM(price) FROM Car GROUP BY maker ORDER BY maker"
                 .to_string(),
             PageKey::raw("AGG"),
-            "agg".to_string(),
+            "agg".into(),
         );
         let mut inv = Invalidator::new(InvalidatorConfig::default());
         inv.run_sync_point(&db, &map).unwrap();

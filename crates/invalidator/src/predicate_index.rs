@@ -56,8 +56,10 @@
 
 use cacheportal_db::sql::ast::{CmpOp, ColumnRef, Expr, Select, TableRef};
 use cacheportal_db::{Database, Value};
+use cacheportal_web::{push_tight, InlineVec};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound::{Excluded, Unbounded};
+use std::sync::Arc;
 
 use crate::delta::DeltaSet;
 
@@ -90,6 +92,10 @@ struct OccPlan {
     param: usize,
 }
 
+/// The slots posted under one indexed value: one, for a value that names a
+/// row (a product page's sku), and then held in place.
+type Postings = InlineVec<u32, 3>;
+
 /// Per-FROM-occurrence index structure.
 #[derive(Debug)]
 enum OccIndex {
@@ -99,26 +105,26 @@ enum OccIndex {
     /// Equality postings keyed by the bound parameter.
     Eq {
         plan: OccPlan,
-        map: HashMap<Value, Vec<u32>>,
+        map: HashMap<Value, Postings>,
     },
     /// Range postings ordered by the bound parameter.
     Range {
         plan: OccPlan,
-        map: BTreeMap<Value, Vec<u32>>,
+        map: BTreeMap<Value, Postings>,
     },
     /// IN-list postings: each instance keyed under every bound list value.
     InSet {
         column: String,
         /// 0-based parameter slots of the list elements.
         params: Vec<usize>,
-        map: HashMap<Value, Vec<u32>>,
+        map: HashMap<Value, Postings>,
     },
     /// LIKE postings keyed by the bound pattern's literal prefix.
     LikePrefix {
         column: String,
         /// 0-based parameter slot of the pattern.
         param: usize,
-        map: HashMap<String, Vec<u32>>,
+        map: HashMap<String, Postings>,
     },
 }
 
@@ -132,13 +138,14 @@ impl OccIndex {
         }
     }
 
-    /// Parameter slots this occurrence structure reads at insert time.
-    fn param_slots(&self, out: &mut Vec<usize>) {
+    /// Whether a parameter vector of `n` values has every slot this
+    /// occurrence structure reads at insert time.
+    fn slots_within(&self, n: usize) -> bool {
         match self {
-            OccIndex::Residual => {}
-            OccIndex::Eq { plan, .. } | OccIndex::Range { plan, .. } => out.push(plan.param),
-            OccIndex::InSet { params, .. } => out.extend_from_slice(params),
-            OccIndex::LikePrefix { param, .. } => out.push(*param),
+            OccIndex::Residual => true,
+            OccIndex::Eq { plan, .. } | OccIndex::Range { plan, .. } => plan.param < n,
+            OccIndex::InSet { params, .. } => params.iter().all(|p| *p < n),
+            OccIndex::LikePrefix { param, .. } => *param < n,
         }
     }
 }
@@ -163,7 +170,7 @@ pub enum Probe {
     /// Sound superset of the instances any delta tuple can affect, as
     /// bound parameter vectors (unsorted; the caller sorts with the same
     /// comparator the scan uses).
-    Candidates(Vec<Vec<Value>>),
+    Candidates(Vec<Arc<[Value]>>),
 }
 
 /// The per-type predicate index: occurrence structures plus a slot arena
@@ -171,8 +178,9 @@ pub enum Probe {
 #[derive(Debug)]
 pub struct TypeIndex {
     occs: Vec<OccIndex>,
-    /// Slot → parameter vector (`None` = freed).
-    params_of: Vec<Option<Vec<Value>>>,
+    /// Slot → parameter vector (`None` = freed): a clone of the registry's
+    /// key for the instance.
+    params_of: Vec<Option<Arc<[Value]>>>,
     free: Vec<u32>,
     /// Defensive bucket: instances whose parameters could not be placed
     /// in an occurrence structure. Always included in candidates.
@@ -227,14 +235,14 @@ impl TypeIndex {
     }
 
     /// Intern one newly-registered instance; returns its slot.
-    pub fn insert(&mut self, params: &[Value]) -> u32 {
+    pub fn insert(&mut self, params: &Arc<[Value]>) -> u32 {
         let slot = match self.free.pop() {
             Some(s) => {
-                self.params_of[s as usize] = Some(params.to_vec());
+                self.params_of[s as usize] = Some(params.clone());
                 s
             }
             None => {
-                self.params_of.push(Some(params.to_vec()));
+                push_tight(&mut self.params_of, Some(params.clone()));
                 (self.params_of.len() - 1) as u32
             }
         };
@@ -243,11 +251,7 @@ impl TypeIndex {
         // through the owning type's template; anything else — including a
         // LIKE pattern with no usable literal prefix — is defensively
         // routed to the always-scanned bucket.
-        let mut slots_needed = Vec::new();
-        for occ in &self.occs {
-            occ.param_slots(&mut slots_needed);
-        }
-        let mut placeable = slots_needed.iter().all(|p| *p < params.len());
+        let mut placeable = self.occs.iter().all(|occ| occ.slots_within(params.len()));
         if placeable {
             for occ in &self.occs {
                 if let OccIndex::LikePrefix { param, .. } = occ {
@@ -306,7 +310,7 @@ impl TypeIndex {
             return;
         }
         fn unpost<K: std::hash::Hash + Eq + Clone, S: std::hash::BuildHasher>(
-            map: &mut HashMap<K, Vec<u32>, S>,
+            map: &mut HashMap<K, Postings, S>,
             key: &K,
             slot: u32,
         ) {
@@ -436,7 +440,7 @@ impl TypeIndex {
                 }
             }
         }
-        let candidates: Vec<Vec<Value>> = slots
+        let candidates: Vec<Arc<[Value]>> = slots
             .iter()
             .filter_map(|s| self.params_of[*s as usize].clone())
             .collect();
@@ -631,7 +635,7 @@ mod tests {
         match p {
             Probe::Candidates(mut c) => {
                 c.sort_unstable();
-                c
+                c.iter().map(|params| params.to_vec()).collect()
             }
             Probe::Scan => panic!("expected candidates, got scan fallback"),
         }
@@ -642,7 +646,7 @@ mod tests {
         let db = db();
         let (template, mut tix) = type_of("SELECT v FROM item WHERE item.k = 7");
         for k in 0..100 {
-            tix.insert(&[Value::Int(k)]);
+            tix.insert(&[Value::Int(k)].into());
         }
         let d = deltas_for("item", vec![vec![Value::Int(1), Value::Int(42), Value::Int(0)]]);
         let got = candidates(tix.probe(&template.from, &d, &db));
@@ -656,7 +660,7 @@ mod tests {
         // value t satisfies t < p, i.e. p in (t, ∞).
         let (template, mut tix) = type_of("SELECT id FROM item WHERE item.v < 50");
         for p in [10, 20, 30] {
-            tix.insert(&[Value::Int(p)]);
+            tix.insert(&[Value::Int(p)].into());
         }
         let d = deltas_for("item", vec![vec![Value::Int(1), Value::Int(0), Value::Int(15)]]);
         let got = candidates(tix.probe(&template.from, &d, &db));
@@ -673,8 +677,8 @@ mod tests {
         let db = db();
         let (template, mut tix) = type_of("SELECT id FROM item WHERE item.v BETWEEN 10 AND 20");
         // col >= $low: tuple t probes p <= t.
-        tix.insert(&[Value::Int(10), Value::Int(20)]);
-        tix.insert(&[Value::Int(100), Value::Int(200)]);
+        tix.insert(&[Value::Int(10), Value::Int(20)].into());
+        tix.insert(&[Value::Int(100), Value::Int(200)].into());
         let d = deltas_for("item", vec![vec![Value::Int(1), Value::Int(0), Value::Int(15)]]);
         let got = candidates(tix.probe(&template.from, &d, &db));
         assert_eq!(got, vec![vec![Value::Int(10), Value::Int(20)]]);
@@ -684,7 +688,7 @@ mod tests {
     fn cross_type_numeric_equality_matches() {
         let db = db();
         let (template, mut tix) = type_of("SELECT v FROM item WHERE item.k = 7");
-        tix.insert(&[Value::Float(42.0)]);
+        tix.insert(&[Value::Float(42.0)].into());
         let d = deltas_for("item", vec![vec![Value::Int(1), Value::Int(42), Value::Int(0)]]);
         let got = candidates(tix.probe(&template.from, &d, &db));
         assert_eq!(got, vec![vec![Value::Float(42.0)]], "Int(42) must find Float(42.0)");
@@ -694,8 +698,8 @@ mod tests {
     fn null_tuple_value_probes_nothing() {
         let db = db();
         let (template, mut tix) = type_of("SELECT v FROM item WHERE item.k = 7");
-        tix.insert(&[Value::Int(1)]);
-        tix.insert(&[Value::Null]);
+        tix.insert(&[Value::Int(1)].into());
+        tix.insert(&[Value::Null].into());
         let d = deltas_for("item", vec![vec![Value::Int(1), Value::Null, Value::Int(0)]]);
         let got = candidates(tix.probe(&template.from, &d, &db));
         assert!(got.is_empty(), "NULL satisfies no comparison: {got:?}");
@@ -724,7 +728,7 @@ mod tests {
     fn dropped_table_falls_back_to_scan_for_bindfailure_parity() {
         let mut db = db();
         let (template, mut tix) = type_of("SELECT v FROM item WHERE item.k = 7");
-        tix.insert(&[Value::Int(1)]);
+        tix.insert(&[Value::Int(1)].into());
         let d = deltas_for("item", vec![vec![Value::Int(1), Value::Int(1), Value::Int(0)]]);
         assert!(matches!(tix.probe(&template.from, &d, &db), Probe::Candidates(_)));
         db.execute("DROP TABLE item").unwrap();
@@ -735,15 +739,15 @@ mod tests {
     fn remove_frees_slot_and_postings() {
         let db = db();
         let (template, mut tix) = type_of("SELECT v FROM item WHERE item.k = 7");
-        let s1 = tix.insert(&[Value::Int(1)]);
-        let s2 = tix.insert(&[Value::Int(2)]);
+        let s1 = tix.insert(&[Value::Int(1)].into());
+        let s2 = tix.insert(&[Value::Int(2)].into());
         assert_ne!(s1, s2);
         tix.remove(s1, &[Value::Int(1)]);
         assert_eq!(tix.live(), 1);
         let d = deltas_for("item", vec![vec![Value::Int(1), Value::Int(1), Value::Int(0)]]);
         assert!(candidates(tix.probe(&template.from, &d, &db)).is_empty());
         // The freed slot is recycled.
-        let s3 = tix.insert(&[Value::Int(3)]);
+        let s3 = tix.insert(&[Value::Int(3)].into());
         assert_eq!(s3, s1);
     }
 
@@ -758,10 +762,10 @@ mod tests {
         let db = db();
         let (template, mut tix) = type_of("SELECT v FROM item WHERE item.k IN (1, 2)");
         assert!(!tix.is_fully_residual());
-        tix.insert(&[Value::Int(10), Value::Int(20)]);
-        tix.insert(&[Value::Int(30), Value::Int(40)]);
+        tix.insert(&[Value::Int(10), Value::Int(20)].into());
+        tix.insert(&[Value::Int(30), Value::Int(40)].into());
         // Duplicate list values must not duplicate postings.
-        tix.insert(&[Value::Int(10), Value::Int(10)]);
+        tix.insert(&[Value::Int(10), Value::Int(10)].into());
         let d = deltas_for("item", vec![vec![Value::Int(1), Value::Int(20), Value::Int(0)]]);
         let got = candidates(tix.probe(&template.from, &d, &db));
         assert_eq!(got, vec![vec![Value::Int(10), Value::Int(20)]]);
@@ -783,11 +787,11 @@ mod tests {
         let db = str_db();
         let (template, mut tix) = type_of("SELECT id FROM item WHERE item.name LIKE 'ab%'");
         assert!(!tix.is_fully_residual());
-        tix.insert(&[Value::Str("ab%".into())]);
-        tix.insert(&[Value::Str("abc%".into())]);
-        tix.insert(&[Value::Str("x_y".into())]);
+        tix.insert(&[Value::Str("ab%".into())].into());
+        tix.insert(&[Value::Str("abc%".into())].into());
+        tix.insert(&[Value::Str("x_y".into())].into());
         // Pattern with no literal prefix: always-scanned bucket.
-        tix.insert(&[Value::Str("%z".into())]);
+        tix.insert(&[Value::Str("%z".into())].into());
         let d = deltas_for("item", vec![vec![Value::Int(1), Value::Str("abcd".into())]]);
         let got = candidates(tix.probe(&template.from, &d, &db));
         // 'ab%' (prefix "ab") and 'abc%' (prefix "abc") both prefix "abcd";
@@ -810,7 +814,7 @@ mod tests {
     fn like_and_in_removal_maintains_postings() {
         let sdb = str_db();
         let (template, mut tix) = type_of("SELECT id FROM item WHERE item.name LIKE 'ab%'");
-        let s1 = tix.insert(&[Value::Str("ab%".into())]);
+        let s1 = tix.insert(&[Value::Str("ab%".into())].into());
         tix.remove(s1, &[Value::Str("ab%".into())]);
         assert_eq!(tix.live(), 0);
         let d = deltas_for("item", vec![vec![Value::Int(1), Value::Str("abcd".into())]]);
@@ -818,7 +822,7 @@ mod tests {
 
         let idb = db();
         let (template, mut tix) = type_of("SELECT v FROM item WHERE item.k IN (1, 2)");
-        let s1 = tix.insert(&[Value::Int(5), Value::Int(6)]);
+        let s1 = tix.insert(&[Value::Int(5), Value::Int(6)].into());
         tix.remove(s1, &[Value::Int(5), Value::Int(6)]);
         let d = deltas_for("item", vec![vec![Value::Int(1), Value::Int(5), Value::Int(0)]]);
         assert!(candidates(tix.probe(&template.from, &d, &idb)).is_empty());
@@ -851,8 +855,8 @@ mod tests {
         let db = db();
         // `$1 > col` ≡ `col < $1` — the flip path.
         let (template, mut tix) = type_of("SELECT id FROM item WHERE 50 > item.v");
-        tix.insert(&[Value::Int(30)]);
-        tix.insert(&[Value::Int(5)]);
+        tix.insert(&[Value::Int(30)].into());
+        tix.insert(&[Value::Int(5)].into());
         let d = deltas_for("item", vec![vec![Value::Int(1), Value::Int(0), Value::Int(10)]]);
         let got = candidates(tix.probe(&template.from, &d, &db));
         assert_eq!(got, vec![vec![Value::Int(30)]]);

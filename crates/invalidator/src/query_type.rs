@@ -11,9 +11,10 @@ use cacheportal_db::sql::ast::{Expr, Select, Statement, TableRef};
 use cacheportal_db::sql::parser::parse;
 use cacheportal_db::sql::rewrite::parameterize_in_place;
 use cacheportal_db::{Database, DbResult, Value};
-use cacheportal_web::PageKey;
+use cacheportal_web::{InlineVec, PageKey};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::delta::DeltaSet;
@@ -169,19 +170,95 @@ impl QueryType {
     }
 }
 
+/// The pages depending on one instance. Nearly every instance has exactly
+/// one, which is held in place; a hash table is built only for the instance
+/// that several pages share.
+#[derive(Debug, Default, Clone)]
+pub struct PageSet(Pages);
+
+#[derive(Debug, Default, Clone)]
+enum Pages {
+    #[default]
+    None,
+    One(PageKey),
+    /// Boxed: the table's 48-byte header would otherwise be every
+    /// instance's, and is this one's only.
+    #[allow(clippy::box_collection)]
+    Many(Box<HashSet<PageKey>>),
+}
+
+impl PageSet {
+    /// Add `page`; true if it was not there.
+    pub fn insert(&mut self, page: PageKey) -> bool {
+        match &mut self.0 {
+            Pages::Many(pages) => return pages.insert(page),
+            Pages::One(only) if *only == page => return false,
+            _ => {}
+        }
+        self.0 = match std::mem::take(&mut self.0) {
+            Pages::One(only) => Pages::Many(Box::new(HashSet::from([only, page]))),
+            _ => Pages::One(page),
+        };
+        true
+    }
+
+    /// Is `page` one of them?
+    pub fn contains(&self, page: &PageKey) -> bool {
+        match &self.0 {
+            Pages::None => false,
+            Pages::One(only) => only == page,
+            Pages::Many(pages) => pages.contains(page),
+        }
+    }
+
+    /// The pages, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = &PageKey> {
+        let (one, many) = match &self.0 {
+            Pages::None => (None, None),
+            Pages::One(only) => (Some(only), None),
+            Pages::Many(pages) => (None, Some(pages.iter())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
+
+    /// How many pages.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Pages::None => 0,
+            Pages::One(_) => 1,
+            Pages::Many(pages) => pages.len(),
+        }
+    }
+
+    /// True when no page depends on the instance.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Keep the pages `keep` accepts.
+    pub fn retain(&mut self, mut keep: impl FnMut(&PageKey) -> bool) {
+        match &mut self.0 {
+            Pages::None => {}
+            Pages::One(only) => {
+                if !keep(only) {
+                    self.0 = Pages::None;
+                }
+            }
+            Pages::Many(pages) => pages.retain(keep),
+        }
+    }
+}
+
 /// One instance's data: the pages depending on it.
 #[derive(Debug, Default, Clone)]
 pub struct InstanceData {
     /// Pages whose content depends on this instance.
-    pub pages: HashSet<PageKey>,
+    pub pages: PageSet,
     /// Slot of this instance in its type's predicate index.
     pub(crate) slot: u32,
-    /// TopK instances only: first-order-key value of the k-th result row
-    /// as of the last boundary poll (`None` = unknown or result not full —
-    /// the shape rule then falls back to the conjunctive decision).
-    /// Initialized unknown at registration, refreshed by the sync-point
-    /// boundary pre-pass whenever the type's tables are touched.
-    pub boundary: Option<Value>,
+    /// TopK instances only — hence out of line: see
+    /// [`InstanceData::boundary`].
+    boundary: Option<Box<Value>>,
 }
 
 impl InstanceData {
@@ -189,6 +266,15 @@ impl InstanceData {
     /// equal registries assign equal slots).
     pub fn index_slot(&self) -> u32 {
         self.slot
+    }
+
+    /// TopK instances only: first-order-key value of the k-th result row
+    /// as of the last boundary poll (`None` = unknown or result not full —
+    /// the shape rule then falls back to the conjunctive decision).
+    /// Initialized unknown at registration, refreshed by the sync-point
+    /// boundary pre-pass whenever the type's tables are touched.
+    pub fn boundary(&self) -> Option<&Value> {
+        self.boundary.as_deref()
     }
 }
 
@@ -214,13 +300,15 @@ pub struct Registry {
     /// comparison takes `1` and `1.0` for the same literal, the text does
     /// not).
     by_template: HashMap<Select, QueryTypeId>,
-    /// Instance params per type.
-    instances: HashMap<QueryTypeId, HashMap<Vec<Value>, InstanceData>>,
+    /// Instances per type, by their parameter values; the type's predicate
+    /// index holds a clone of the key.
+    instances: HashMap<QueryTypeId, HashMap<Arc<[Value]>, InstanceData>>,
     /// Which types read a given (lower-cased) table.
     types_by_table: HashMap<String, Vec<QueryTypeId>>,
     /// Which types have an instance feeding a given page, sorted by id: the
     /// reverse of `instances[..].pages`, kept in step on register/remove.
-    types_by_page: HashMap<PageKey, Vec<QueryTypeId>>,
+    /// The one or few types of a page are held in place.
+    types_by_page: HashMap<PageKey, InlineVec<QueryTypeId, 3>>,
     /// Per-type predicate index, parallel to `types`.
     indexes: Vec<TypeIndex>,
     /// Cached Σ instance_count — kept in sync on register/remove so
@@ -313,14 +401,14 @@ impl Registry {
         &mut self,
         bound_sql: &str,
         page: PageKey,
-    ) -> DbResult<(QueryTypeId, Vec<Value>)> {
+    ) -> DbResult<(QueryTypeId, Arc<[Value]>)> {
         let stmt = parse(bound_sql)?;
         let Statement::Select(mut sel) = stmt else {
             return Err(cacheportal_db::DbError::Unsupported(
                 "query instances must be SELECT statements".into(),
             ));
         };
-        let params = parameterize_in_place(&mut sel);
+        let params: Arc<[Value]> = parameterize_in_place(&mut sel).into();
         Ok((self.register_typed(&sel, params.clone(), page), params))
     }
 
@@ -328,11 +416,12 @@ impl Registry {
     /// intern the type, record the instance and its dependent page. The
     /// mapper's rows arrive here directly, in the form `register_instance`
     /// parses out of their text, so both entries leave the same registry
-    /// behind.
+    /// behind. A new instance is filed under `params` itself — the
+    /// allocation the caller's clone shares.
     pub fn register_typed(
         &mut self,
         template: &Select,
-        params: Vec<Value>,
+        params: Arc<[Value]>,
         page: PageKey,
     ) -> QueryTypeId {
         let id = self.intern_type(template);
@@ -354,7 +443,7 @@ impl Registry {
                 let t0 = Instant::now();
                 let slot = tix.insert(e.key());
                 self.index_maintenance_nanos += t0.elapsed().as_nanos() as u64;
-                let mut pages = HashSet::new();
+                let mut pages = PageSet::default();
                 pages.insert(page);
                 e.insert(InstanceData { pages, slot, boundary: None });
             }
@@ -386,7 +475,10 @@ impl Registry {
     }
 
     /// Instances (param vectors + data) of one type.
-    pub fn instances_of(&self, id: QueryTypeId) -> impl Iterator<Item = (&Vec<Value>, &InstanceData)> {
+    pub fn instances_of(
+        &self,
+        id: QueryTypeId,
+    ) -> impl Iterator<Item = (&Arc<[Value]>, &InstanceData)> {
         self.instances
             .get(&id)
             .into_iter()
@@ -442,7 +534,7 @@ impl Registry {
     /// degrades to the conjunctive decision for this instance).
     pub fn set_boundary(&mut self, id: QueryTypeId, params: &[Value], boundary: Option<Value>) {
         if let Some(data) = self.instances.get_mut(&id).and_then(|m| m.get_mut(params)) {
-            data.boundary = boundary;
+            data.boundary = boundary.map(Box::new);
         }
     }
 
@@ -453,7 +545,15 @@ impl Registry {
     /// admission to ask whether any of them is banned from caching. One map
     /// lookup.
     pub fn types_of_page(&self, page: &PageKey) -> &[QueryTypeId] {
-        self.types_by_page.get(page).map_or(&[], Vec::as_slice)
+        self.page(page).map_or(&[], |(_, types)| types)
+    }
+
+    /// A page some instance feeds: the registry's own key for it — whoever
+    /// holds a clone of that shares the page's one allocation — and
+    /// [`Registry::types_of_page`]. `None` for a page no instance feeds.
+    pub fn page(&self, page: &PageKey) -> Option<(&PageKey, &[QueryTypeId])> {
+        let (known, types) = self.types_by_page.get_key_value(page)?;
+        Some((known, types))
     }
 
     /// Remove page associations (pages ejected and no longer tracked);
@@ -640,11 +740,11 @@ mod tests {
                 PageKey::raw("p"),
             )
             .unwrap();
-        assert_eq!(reg.pages_of(id, &params).unwrap().boundary, None);
+        assert_eq!(reg.pages_of(id, &params).unwrap().boundary(), None);
         reg.set_boundary(id, &params, Some(Value::Int(42)));
         assert_eq!(
-            reg.pages_of(id, &params).unwrap().boundary,
-            Some(Value::Int(42))
+            reg.pages_of(id, &params).unwrap().boundary(),
+            Some(&Value::Int(42))
         );
         // Unknown instance: silently ignored (instance may have been evicted
         // between the candidate walk and the refresh).

@@ -79,7 +79,7 @@ fn deltas(tuples: &[(i64, i64)], on_u: bool) -> DeltaSet {
 fn normalize(p: Probe) -> Option<BTreeSet<Vec<Value>>> {
     match p {
         Probe::Scan => None,
-        Probe::Candidates(c) => Some(c.into_iter().collect()),
+        Probe::Candidates(c) => Some(c.iter().map(|params| params.to_vec()).collect()),
     }
 }
 

@@ -193,7 +193,7 @@ mod tests {
                 inserted: 1,
                 deleted: 0,
             }],
-            url: url.to_string(),
+            url: url.into(),
             resident: true,
             causes: vec![Cause {
                 query_type: 0,

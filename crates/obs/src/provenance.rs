@@ -19,6 +19,7 @@
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::Lsn;
 
@@ -96,7 +97,7 @@ pub struct EjectRecord {
     /// Per-table ΔR group sizes for the consumed batch.
     pub deltas: Vec<DeltaGroup>,
     /// The ejected page URL (canonical cache key).
-    pub url: String,
+    pub url: Arc<str>,
     /// Whether the page was actually resident in the cache when ejected
     /// (false = the invalidation named it but it was not cached).
     pub resident: bool,
@@ -126,7 +127,7 @@ impl EjectRecord {
                 "deltas".to_string(),
                 Value::Array(self.deltas.iter().map(|d| d.to_json()).collect()),
             ),
-            ("url".to_string(), Value::String(self.url.clone())),
+            ("url".to_string(), Value::String(self.url.to_string())),
             ("resident".to_string(), Value::Bool(self.resident)),
             (
                 "causes".to_string(),
@@ -173,7 +174,7 @@ impl Explanation {
 #[derive(Default)]
 struct Inner {
     ring: VecDeque<EjectRecord>,
-    by_url: HashMap<String, Vec<u64>>,
+    by_url: HashMap<Arc<str>, Vec<u64>>,
     /// Keyed by `lsn_first`. Sync points consume disjoint LSN ranges, so the
     /// record(s) covering an LSN are exactly those at the greatest
     /// `lsn_first <= lsn` whose `lsn_last >= lsn`.
@@ -370,7 +371,7 @@ mod tests {
                 inserted: 1,
                 deleted: 0,
             }],
-            url: url.to_string(),
+            url: url.into(),
             resident: true,
             causes: vec![Cause {
                 query_type: 0,
@@ -404,7 +405,7 @@ mod tests {
         // LSN 3 is the second batch.
         let l3 = log.explain_lsn(3);
         assert_eq!(l3.matches.len(), 1);
-        assert_eq!(l3.matches[0].url, "/a");
+        assert_eq!(&*l3.matches[0].url, "/a");
         // LSN 4 was never consumed: greatest lsn_first <= 4 is 3, but the
         // check against lsn_last must still pass — here it does not.
         assert!(log.explain_lsn(4).matches.is_empty());
@@ -473,8 +474,8 @@ mod tests {
         }
         let recent = log.recent(2);
         assert_eq!(recent.len(), 2);
-        assert_eq!(recent[0].url, "/p3");
-        assert_eq!(recent[1].url, "/p4");
+        assert_eq!(&*recent[0].url, "/p3");
+        assert_eq!(&*recent[1].url, "/p4");
         let since = log.since(3);
         assert_eq!(since.len(), 2);
         assert_eq!(since[0].seq, 3);

@@ -6,7 +6,9 @@
 //!
 //! The recorder owns storage only; the portal assembles the bundle (it is
 //! the one holding every section). Bundles land in a bounded in-memory
-//! ring (served by `/flightrecord?seq=N`) and, when a directory is armed,
+//! ring (served by `/flightrecord?seq=N`) as the text they were rendered to
+//! — a bundle is read rarely, and its value tree is some twenty times its
+//! text in heap blocks — and, when a directory is armed,
 //! are atomically persisted as `flightrecord-<seq>.json` — written to a
 //! temp file first, then renamed, so a crash mid-dump never leaves a torn
 //! bundle.
@@ -62,7 +64,8 @@ struct RecorderInner {
     index: VecDeque<FlightRecordMeta>,
     index_cap: usize,
     index_dropped: u64,
-    bundles: VecDeque<(u64, Value)>,
+    /// Capture sequence number and rendered document, oldest first.
+    bundles: VecDeque<(u64, Box<str>)>,
     bundle_cap: usize,
     next_seq: u64,
 }
@@ -139,7 +142,7 @@ impl FlightRecorder {
         if inner.bundles.len() >= inner.bundle_cap {
             inner.bundles.pop_front();
         }
-        inner.bundles.push_back((seq, doc.clone()));
+        inner.bundles.push_back((seq, rendered.into_boxed_str()));
         Ok(meta)
     }
 
@@ -171,12 +174,14 @@ impl FlightRecorder {
     /// outlives the ring).
     pub fn bundle(&self, seq: u64) -> Option<Value> {
         let inner = self.inner.lock();
-        inner.bundles.iter().find(|(s, _)| *s == seq).map(|(_, d)| d.clone())
+        let (_, rendered) = inner.bundles.iter().find(|(s, _)| *s == seq)?;
+        Some(parsed(rendered))
     }
 
     /// The newest retained bundle.
     pub fn latest(&self) -> Option<Value> {
-        self.inner.lock().bundles.back().map(|(_, d)| d.clone())
+        let inner = self.inner.lock();
+        inner.bundles.back().map(|(_, rendered)| parsed(rendered))
     }
 
     /// The `/flightrecord` index document.
@@ -199,6 +204,12 @@ impl FlightRecorder {
             ),
         ])
     }
+}
+
+/// A retained bundle, read back: the document that was recorded, as far as
+/// its rendering tells (an unsigned number that fits comes back signed).
+fn parsed(rendered: &str) -> Value {
+    serde_json::from_str(rendered).expect("the ring holds documents this module rendered")
 }
 
 /// Write `rendered` to `dir/flightrecord-<seq>.json` atomically (temp file
@@ -367,6 +378,41 @@ mod tests {
         let idx = r.index_to_json();
         assert_eq!(idx["recorded"].as_u64(), Some(5));
         assert_eq!(idx["dumps"].as_array().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn a_retained_bundle_reads_back_as_it_was_rendered() {
+        let doc = Value::Object(vec![
+            ("schema".to_string(), Value::String(FLIGHT_RECORD_SCHEMA.to_string())),
+            ("unsigned".to_string(), Value::UInt(7)),
+            ("beyond_i64".to_string(), Value::UInt(u64::MAX)),
+            ("signed".to_string(), Value::Int(-7)),
+            ("floats".to_string(), Value::Array(vec![
+                Value::Float(1.0),
+                Value::Float(0.1 + 0.2),
+                Value::Float(-0.0),
+                Value::Float(f64::NAN),
+            ])),
+            ("text".to_string(), Value::String("quote \" slash \\ tab \t é \u{1}".to_string())),
+            ("nested".to_string(), Value::Object(vec![
+                ("empty".to_string(), Value::Array(vec![])),
+                ("none".to_string(), Value::Null),
+                ("flag".to_string(), Value::Bool(true)),
+            ])),
+        ]);
+        let r = FlightRecorder::default();
+        let meta = r.record("on-demand", 1, &doc).unwrap();
+        let rendered = serde_json::to_string_pretty(&doc).unwrap();
+        assert_eq!(meta.bytes, rendered.len() as u64);
+        for back in [r.bundle(meta.seq).unwrap(), r.latest().unwrap()] {
+            assert_eq!(serde_json::to_string_pretty(&back).unwrap(), rendered);
+            assert_eq!(
+                serde_json::to_string(&back).unwrap(),
+                serde_json::to_string(&doc).unwrap()
+            );
+            assert_eq!(back["nested"], doc["nested"]);
+            assert_eq!(back["beyond_i64"], doc["beyond_i64"]);
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub mod mapper;
 pub mod query_log;
 pub mod request_log;
 
-pub use map::{MappedRow, QiUrlEntry, QiUrlMap, TypedInstance};
+pub use map::{Inserted, MapWriter, QiUrlEntry, QiUrlMap, TypedInstance};
 pub use mapper::{canonical_bound_sql, Mapper, MapperReport};
 pub use query_log::{LoggedConnection, QueryLog, QueryRecord};
 pub use request_log::RequestLog;

@@ -4,18 +4,23 @@
 //! one page key. Rows are deduplicated — re-requesting a cached page must
 //! not grow the map.
 //!
-//! A row is text, and text is all that is stored, serialized or journaled.
-//! The mapper renders that text from an AST, and the invalidator's
-//! registration scan would parse it straight back to find the query type and
-//! its parameter values; so the mapper leaves those beside the row
-//! ([`TypedInstance`], [`QiUrlMap::insert_mapped`]) until the registration
-//! scan collects them ([`QiUrlMap::take_for_registration`]).
+//! A row is text, and text is all that is serialized or journaled. The
+//! mapper, though, has every instance *typed* before it has it as text — the
+//! query type and its parameter values ([`TypedInstance`]), which is also the
+//! form the invalidator's registry files it under. So a mapped row keeps its
+//! typed form beside its text: the mapper's next sight of the same instance
+//! for the same page is recognised by it without rendering anything
+//! ([`MapWriter::insert_typed`]), and the registration scan reads it instead
+//! of parsing the text back ([`QiUrlMap::visit_for_registration`]). The
+//! parameter values are one allocation, shared with the registry.
 
 use cacheportal_db::sql::ast::Select;
 use cacheportal_db::Value;
-use cacheportal_web::PageKey;
-use parking_lot::Mutex;
+use cacheportal_web::{push_tight, InlineVec, PageKey};
+use parking_lot::{Mutex, MutexGuard};
+use serde::Serialize as _;
 use std::collections::{HashMap, HashSet};
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// One row of the QI/URL map.
@@ -27,8 +32,8 @@ pub struct QiUrlEntry {
     pub sql: String,
     /// The page whose content depends on this query instance.
     pub page_key: PageKey,
-    /// Servlet that generated the page.
-    pub servlet: String,
+    /// Servlet that generated the page (a clone of its spec's name).
+    pub servlet: Arc<str>,
 }
 
 /// A query instance the way the invalidator's registry files it: exactly
@@ -38,23 +43,35 @@ pub struct TypedInstance {
     /// The query type; instances of one logged statement share it.
     pub template: Arc<Select>,
     /// The values of the type's `$n` markers.
-    pub params: Vec<Value>,
+    pub params: Arc<[Value]>,
 }
 
-/// A row as the mapper produces it: a [`QiUrlEntry`] yet to be numbered,
-/// with the typed form of its `sql`. Page and servlet are borrowed from the
-/// request log: most rows repeat one the map already has, and are dropped
-/// without having copied either.
-#[derive(Debug, Clone)]
-pub struct MappedRow<'a> {
-    /// Canonical bound SQL text.
-    pub sql: String,
-    /// `sql`, parsed and parameterized.
-    pub typed: TypedInstance,
-    /// The page whose content depends on this query instance.
-    pub page_key: &'a PageKey,
-    /// Servlet that generated the page.
-    pub servlet: &'a str,
+impl TypedInstance {
+    /// True when `other` is this instance spelled the same way — one
+    /// template, and value for value the same literal — so that the two
+    /// render the same text. Never true of instances whose texts differ;
+    /// instances with one text can still differ here (two parses of a
+    /// statement give two templates), and are then told apart as text.
+    /// `Value`'s own equality would not do: it takes `1` for `1.0`, and
+    /// those are two texts.
+    fn spelled_as(&self, other: &TypedInstance) -> bool {
+        Arc::ptr_eq(&self.template, &other.template)
+            && self.params.len() == other.params.len()
+            && (self.params.iter().zip(other.params.iter()))
+                .all(|(a, b)| std::mem::discriminant(a) == std::mem::discriminant(b) && a == b)
+    }
+}
+
+/// What [`MapWriter::insert_typed`] made of a row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Inserted {
+    /// The map holds the row, and knew it by its typed form: nothing was
+    /// rendered.
+    Known,
+    /// The map holds the row; to find that out, its text was rendered.
+    KnownAsText,
+    /// The row is new, and its text was rendered to store it.
+    New,
 }
 
 /// The map itself, with a read cursor for the invalidator's online
@@ -64,43 +81,102 @@ pub struct QiUrlMap {
     inner: Mutex<MapInner>,
 }
 
+/// A row and, if the mapper wrote it or has seen it since, its typed form.
+struct Row {
+    entry: QiUrlEntry,
+    typed: Option<TypedInstance>,
+}
+
 #[derive(Default)]
 struct MapInner {
-    entries: Vec<QiUrlEntry>,
-    /// Positions in `entries` of each page's rows: the dedup index (a row is
-    /// a duplicate when its page already has one with the same text), which
-    /// holds no second copy of any row's text.
-    by_page: HashMap<PageKey, Vec<u32>>,
+    rows: Vec<Row>,
+    /// Positions in `rows` of each page's rows: the dedup index (a row is a
+    /// duplicate when its page already has one with the same typed form or
+    /// the same text), which holds no second copy of either. The one or few
+    /// rows of a page are held in place.
+    by_page: HashMap<PageKey, InlineVec<u32, 3>>,
     next_id: u64,
-    /// Typed forms of the rows the mapper inserted and no registration scan
-    /// has collected yet, by row id (ascending).
-    typed: Vec<(u64, TypedInstance)>,
+    /// Where a row's text is rendered, to be compared and — if the row is
+    /// new — copied exact-size.
+    text: String,
 }
 
 impl MapInner {
-    /// Append a row unless it is already there; its id if it is new.
-    fn insert(&mut self, sql: String, page_key: &PageKey, servlet: &str) -> Option<u64> {
-        let at = u32::try_from(self.entries.len()).expect("the map holds fewer than 2^32 rows");
-        match self.by_page.get_mut(page_key) {
-            Some(rows) => {
-                if rows.iter().any(|&r| self.entries[r as usize].sql == sql) {
-                    return None;
-                }
-                rows.push(at);
+    /// File the row about to be pushed under `page`; returns the key its
+    /// rows share — the first the page came with, whichever request spelled
+    /// it again since.
+    fn index(&mut self, page: &PageKey) -> PageKey {
+        let at = u32::try_from(self.rows.len()).expect("the map holds fewer than 2^32 rows");
+        let of_page = self.by_page.entry(page.clone());
+        let shared = of_page.key().clone();
+        of_page.or_default().push(at);
+        shared
+    }
+
+    /// Append a row; its page has none with this text or typed form.
+    fn push(
+        &mut self,
+        sql: String,
+        typed: Option<TypedInstance>,
+        page: &PageKey,
+        servlet: &Arc<str>,
+    ) {
+        let entry = QiUrlEntry {
+            id: self.next_id,
+            sql,
+            page_key: self.index(page),
+            servlet: servlet.clone(),
+        };
+        self.next_id += 1;
+        push_tight(&mut self.rows, Row { entry, typed });
+    }
+
+    /// The position of `page`'s row that `is` accepts.
+    fn row_of(&self, page: &PageKey, is: impl Fn(&Row) -> bool) -> Option<usize> {
+        let rows = self.by_page.get(page)?;
+        rows.iter()
+            .map(|&r| r as usize)
+            .find(|&r| is(&self.rows[r]))
+    }
+}
+
+/// The map, locked for the rows of one mapper run: the nodes of a farm run
+/// their mappers against one map, one after the other.
+pub struct MapWriter<'a>(MutexGuard<'a, MapInner>);
+
+impl MapWriter<'_> {
+    /// Insert the row `(text, page)` unless it is there, `typed` being the
+    /// typed form of `text`. `text` is rendered only if no row of the page
+    /// is known by `typed`.
+    pub fn insert_typed(
+        &mut self,
+        typed: &TypedInstance,
+        text: &dyn fmt::Display,
+        page: &PageKey,
+        servlet: &Arc<str>,
+    ) -> Inserted {
+        let map = &mut *self.0;
+        let spelled = |row: &Row| row.typed.as_ref().is_some_and(|t| t.spelled_as(typed));
+        if map.row_of(page, spelled).is_some() {
+            return Inserted::Known;
+        }
+        let mut sql = std::mem::take(&mut map.text);
+        sql.clear();
+        write!(sql, "{text}").expect("writing to a String");
+        let outcome = match map.row_of(page, |row| row.entry.sql == sql) {
+            // A row that came as text, or under another parse of its
+            // statement: from now on it is known by this typed form.
+            Some(known) => {
+                map.rows[known].typed = Some(typed.clone());
+                Inserted::KnownAsText
             }
             None => {
-                self.by_page.insert(page_key.clone(), vec![at]);
+                map.push(sql.as_str().into(), Some(typed.clone()), page, servlet);
+                Inserted::New
             }
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.entries.push(QiUrlEntry {
-            id,
-            sql,
-            page_key: page_key.clone(),
-            servlet: servlet.to_string(),
-        });
-        Some(id)
+        };
+        map.text = sql;
+        outcome
     }
 }
 
@@ -111,33 +187,28 @@ impl QiUrlMap {
     }
 
     /// Insert a (query instance, page) association; returns true if new.
-    pub fn insert(&self, sql: String, page_key: PageKey, servlet: String) -> bool {
-        self.inner.lock().insert(sql, &page_key, &servlet).is_some()
+    pub fn insert(&self, sql: String, page_key: PageKey, servlet: Arc<str>) -> bool {
+        let mut inner = self.inner.lock();
+        let new = inner
+            .row_of(&page_key, |row| row.entry.sql == sql)
+            .is_none();
+        if new {
+            inner.push(sql, None, &page_key, &servlet);
+        }
+        new
     }
 
-    /// Insert one mapper run's rows, in order, skipping those already there.
-    /// The typed forms of the new rows stay until the next
-    /// [`QiUrlMap::take_for_registration`], whichever mapper inserted them:
-    /// the nodes of a farm run their mappers against one map before its
-    /// one registration scan. The map is locked until `rows` ends.
-    pub fn insert_mapped<'a>(&self, rows: impl IntoIterator<Item = MappedRow<'a>>) {
-        let mut inner = self.inner.lock();
-        for row in rows {
-            if let Some(id) = inner.insert(row.sql, row.page_key, row.servlet) {
-                inner.typed.push((id, row.typed));
-            }
-        }
+    /// Lock the map to insert a mapper run's rows.
+    pub fn writer(&self) -> MapWriter<'_> {
+        MapWriter(self.inner.lock())
     }
 
     /// Show `visit` every entry with id >= `cursor`, in id order and in
     /// place; returns the next cursor. The map is locked until the last
     /// visit returns: the journal encodes rows straight out of it, and
     /// copies none.
-    pub fn visit_since(&self, cursor: u64, visit: impl FnMut(&QiUrlEntry)) -> u64 {
-        let inner = self.inner.lock();
-        let start = inner.entries.partition_point(|e| e.id < cursor);
-        inner.entries[start..].iter().for_each(visit);
-        inner.next_id
+    pub fn visit_since(&self, cursor: u64, mut visit: impl FnMut(&QiUrlEntry)) -> u64 {
+        self.visit_for_registration(cursor, |entry, _| visit(entry))
     }
 
     /// The id the next new row will get: a cursor past every row there is.
@@ -146,43 +217,35 @@ impl QiUrlMap {
     }
 
     /// The invalidator's "constantly listening to the QI/URL map" interface
-    /// (§4.1.2): the entries with id >= `cursor` plus the next cursor. Each
-    /// entry comes with the typed form the mapper left for it, and every
-    /// typed form leaves the map — what one scan has passed, it does not need
-    /// again. A `None` means "parse `sql`": a row inserted as text, or one
-    /// whose typed form an earlier scan took. A map that no invalidator scans
-    /// (a web-side map shipped as JSON) keeps every typed form its mapper
-    /// gave it.
-    pub fn take_for_registration(
+    /// (§4.1.2): [`QiUrlMap::visit_since`], each entry with its typed form.
+    /// A `None` means "parse `sql`": a row inserted as text that no mapper
+    /// has come across since.
+    pub fn visit_for_registration(
         &self,
         cursor: u64,
-    ) -> (Vec<(QiUrlEntry, Option<TypedInstance>)>, u64) {
-        let mut inner = self.inner.lock();
-        let mut typed = std::mem::take(&mut inner.typed).into_iter().peekable();
-        let start = inner.entries.partition_point(|e| e.id < cursor);
-        let rows = inner.entries[start..]
-            .iter()
-            .map(|e| {
-                // Rows below the cursor, and rows `remove_pages` took away.
-                while typed.next_if(|(id, _)| *id < e.id).is_some() {}
-                (e.clone(), typed.next_if(|(id, _)| *id == e.id).map(|(_, t)| t))
-            })
-            .collect();
-        (rows, inner.next_id)
+        mut visit: impl FnMut(&QiUrlEntry, Option<&TypedInstance>),
+    ) -> u64 {
+        let inner = self.inner.lock();
+        let start = inner.rows.partition_point(|row| row.entry.id < cursor);
+        for row in &inner.rows[start..] {
+            visit(&row.entry, row.typed.as_ref());
+        }
+        inner.next_id
     }
 
     /// Every entry (diagnostics, tests).
     pub fn all(&self) -> Vec<QiUrlEntry> {
-        self.inner.lock().entries.clone()
+        let inner = self.inner.lock();
+        inner.rows.iter().map(|row| row.entry.clone()).collect()
     }
 
     /// All QI rows registered for `page` — the QI→URL half of an eject
     /// provenance chain ("which query instances does this URL depend on?").
     pub fn entries_for_page(&self, page: &PageKey) -> Vec<QiUrlEntry> {
         let inner = self.inner.lock();
-        let rows = inner.by_page.get(page).map_or(&[][..], Vec::as_slice);
+        let rows = inner.by_page.get(page).map_or(&[][..], |rows| rows);
         rows.iter()
-            .map(|&r| inner.entries[r as usize].clone())
+            .map(|&r| inner.rows[r as usize].entry.clone())
             .collect()
     }
 
@@ -191,24 +254,26 @@ impl QiUrlMap {
     pub fn remove_pages(&self, pages: &HashSet<PageKey>) -> usize {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        let before = inner.entries.len();
-        inner.entries.retain(|e| !pages.contains(&e.page_key));
+        let before = inner.rows.len();
+        inner
+            .rows
+            .retain(|row| !pages.contains(&row.entry.page_key));
         // The rows behind the removed ones moved up: re-number the index in
         // place (its keys stay, nothing is copied).
         inner.by_page.retain(|page, rows| {
             rows.clear();
             !pages.contains(page)
         });
-        for (at, e) in inner.entries.iter().enumerate() {
-            let rows = inner.by_page.get_mut(&e.page_key);
+        for (at, row) in inner.rows.iter().enumerate() {
+            let rows = inner.by_page.get_mut(&row.entry.page_key);
             rows.expect("a kept row's page is indexed").push(at as u32);
         }
-        before - inner.entries.len()
+        before - inner.rows.len()
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.inner.lock().rows.len()
     }
 
     /// True when the map has no rows.
@@ -219,37 +284,36 @@ impl QiUrlMap {
     /// Serialize every row to JSON — the transfer format when the sniffer
     /// and the invalidator run on different machines (the invalidator
     /// "fetches the logs from the appropriate servers at regular
-    /// intervals", §2.2 / Figure 7 arrow (c)).
+    /// intervals", §2.2 / Figure 7 arrow (c)): the text of
+    /// `serde_json::to_string(&map.all())`, written from the rows in place.
     pub fn to_json(&self) -> String {
-        serde_json::to_string(&self.inner.lock().entries).expect("entries serialize")
+        let mut json = String::from("[");
+        let mut separator = "";
+        self.visit_since(0, |entry| {
+            json.push_str(separator);
+            separator = ",";
+            entry.write_json(&mut json);
+        });
+        json.push(']');
+        json
     }
 
     /// Rebuild a map from [`QiUrlMap::to_json`] output. Row ids, the dedup
     /// set, and the registration cursor position are all reconstructed.
     pub fn from_json(s: &str) -> Result<QiUrlMap, serde_json::Error> {
         let entries: Vec<QiUrlEntry> = serde_json::from_str(s)?;
-        let by_page = index_by_page(&entries);
-        let next_id = entries.iter().map(|e| e.id + 1).max().unwrap_or(0);
+        let mut inner = MapInner {
+            next_id: entries.iter().map(|e| e.id + 1).max().unwrap_or(0),
+            ..MapInner::default()
+        };
+        for mut entry in entries {
+            entry.page_key = inner.index(&entry.page_key);
+            push_tight(&mut inner.rows, Row { entry, typed: None });
+        }
         Ok(QiUrlMap {
-            inner: Mutex::new(MapInner {
-                entries,
-                by_page,
-                next_id,
-                typed: Vec::new(),
-            }),
+            inner: Mutex::new(inner),
         })
     }
-}
-
-fn index_by_page(entries: &[QiUrlEntry]) -> HashMap<PageKey, Vec<u32>> {
-    let mut by_page: HashMap<PageKey, Vec<u32>> = HashMap::new();
-    for (at, e) in entries.iter().enumerate() {
-        by_page
-            .entry(e.page_key.clone())
-            .or_default()
-            .push(at as u32);
-    }
-    by_page
 }
 
 #[cfg(test)]
@@ -315,5 +379,123 @@ mod tests {
         // Re-inserting after removal must work (index rebuilt).
         assert!(m.insert("Q1".into(), PageKey::raw("p1"), "s".into()));
         assert_eq!(m.entries_for_page(&PageKey::raw("p1")).len(), 1);
+    }
+
+    #[test]
+    fn json_text_is_the_entries_serialized() {
+        let m = QiUrlMap::new();
+        assert_eq!(m.to_json(), "[]");
+        m.insert(
+            "SELECT 'q\"' FROM t".into(),
+            PageKey::raw("p1?g:a=\\"),
+            "s1".into(),
+        );
+        m.insert("Q2".into(), PageKey::raw("p2"), "s2".into());
+        assert_eq!(m.to_json(), serde_json::to_string(&m.all()).unwrap());
+    }
+
+    #[test]
+    fn remove_pages_renumbers_lists_in_place_and_on_the_heap() {
+        let m = QiUrlMap::new();
+        let (few, many) = (PageKey::raw("few"), PageKey::raw("many"));
+        m.insert("gone".into(), PageKey::raw("gone"), "s".into());
+        for i in 0..2 {
+            m.insert(format!("F{i}"), few.clone(), "s".into());
+        }
+        for i in 0..9 {
+            m.insert(format!("M{i}"), many.clone(), "s".into());
+            m.insert(format!("G{i}"), PageKey::raw("gone"), "s".into());
+        }
+        let gone: HashSet<PageKey> = [PageKey::raw("gone")].into();
+        assert_eq!(m.remove_pages(&gone), 10);
+        assert!(m.entries_for_page(&PageKey::raw("gone")).is_empty());
+        let texts = |page| -> Vec<String> {
+            m.entries_for_page(page)
+                .into_iter()
+                .map(|e| e.sql)
+                .collect()
+        };
+        assert_eq!(texts(&few), ["F0", "F1"]);
+        assert_eq!(
+            texts(&many),
+            (0..9).map(|i| format!("M{i}")).collect::<Vec<_>>()
+        );
+        // Every row is still found where the index says it is.
+        for i in 0..9 {
+            assert!(!m.insert(format!("M{i}"), many.clone(), "s".into()));
+        }
+        assert!(m.insert("M9".into(), many.clone(), "s".into()));
+        assert_eq!(m.len(), 12);
+    }
+
+    fn typed(template: &Arc<Select>, value: Value) -> TypedInstance {
+        TypedInstance {
+            template: template.clone(),
+            params: [value].into(),
+        }
+    }
+
+    #[test]
+    fn a_typed_row_is_known_without_its_text() {
+        use cacheportal_db::sql::parser::parse_select;
+        let template = Arc::new(parse_select("SELECT * FROM t WHERE a = $1").unwrap());
+        let reparsed = Arc::new((*template).clone());
+        let servlet: Arc<str> = "s".into();
+        let (p1, p2) = (PageKey::raw("p1"), PageKey::raw("p2"));
+        let m = QiUrlMap::new();
+        // A row that came as text (a recovered map).
+        assert!(m.insert(
+            "SELECT * FROM t WHERE a = 1".into(),
+            p1.clone(),
+            servlet.clone()
+        ));
+        let one = typed(&template, Value::Int(1));
+        let text_of = |v: &'static str| move || format!("SELECT * FROM t WHERE a = {v}");
+        let insert = |t: &TypedInstance, v, page: &PageKey| {
+            let rendered = std::cell::Cell::new(false);
+            let text = Lazy(text_of(v), &rendered);
+            let inserted = m.writer().insert_typed(t, &text, page, &servlet);
+            assert_eq!(rendered.get(), inserted != Inserted::Known, "{inserted:?}");
+            inserted
+        };
+        // Met as text once, by its typed form from then on.
+        assert_eq!(insert(&one, "1", &p1), Inserted::KnownAsText);
+        assert_eq!(insert(&one, "1", &p1), Inserted::Known);
+        // The same instance for another page is another row.
+        assert_eq!(insert(&one, "1", &p2), Inserted::New);
+        assert_eq!(insert(&one, "1", &p2), Inserted::Known);
+        // `1.0` equals `1` as a value, and is another text.
+        let one_point_oh = typed(&template, Value::Float(1.0));
+        assert_eq!(insert(&one_point_oh, "1.0", &p1), Inserted::New);
+        assert_eq!(insert(&one_point_oh, "1.0", &p1), Inserted::Known);
+        assert_eq!(insert(&one, "1", &p1), Inserted::Known);
+        // Another parse of the statement: the same rows, found by their text.
+        let again = typed(&reparsed, Value::Int(1));
+        assert_eq!(insert(&again, "1", &p2), Inserted::KnownAsText);
+        assert_eq!(insert(&again, "1", &p2), Inserted::Known);
+        assert_eq!(m.len(), 3);
+        // A stored text is its own size, whatever the buffer it was written in.
+        let mut typed_rows = 0;
+        m.visit_for_registration(0, |entry, typed| {
+            assert_eq!(entry.sql.capacity(), entry.sql.len());
+            typed_rows += typed.is_some() as usize;
+        });
+        assert_eq!(typed_rows, 3);
+        // A page's rows share the page's first key.
+        let rows = m.entries_for_page(&PageKey::raw("p1"));
+        assert_eq!(rows.len(), 2);
+        assert!(rows
+            .iter()
+            .all(|e| std::ptr::eq(e.page_key.as_str(), p1.as_str())));
+    }
+
+    /// A text that says when it was written.
+    struct Lazy<'a, F>(F, &'a std::cell::Cell<bool>);
+
+    impl<F: Fn() -> String> fmt::Display for Lazy<'_, F> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            self.1.set(true);
+            f.write_str(&(self.0)())
+        }
     }
 }

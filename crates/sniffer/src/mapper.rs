@@ -10,19 +10,25 @@
 //! The join is indexed ([`WindowIndex`]): a run costs a sort of its request
 //! windows plus, per query, a binary search and a walk over the windows that
 //! can still reach it, instead of a pass over every window. Each distinct
-//! logged SQL text is parsed once, its query type worked out once, and what
-//! the invalidator's registration scan would otherwise parse back out of a
-//! row's text — the type and its parameter values — travels with the row
-//! ([`QiUrlMap::insert_mapped`]).
+//! logged SQL text is parsed once, its query type worked out once, and an
+//! instance is typed — its type and parameter values worked out — before its
+//! text is rendered: the map knows by the typed form whether it already has
+//! the row, and most rows it has ([`MapWriter::insert_typed`]); the
+//! invalidator's registration scan, which would otherwise parse the type and
+//! the values back out of the text, reads them beside the row.
+//!
+//! [`MapWriter::insert_typed`]: crate::map::MapWriter::insert_typed
 
-use crate::map::{MappedRow, QiUrlMap, TypedInstance};
+use crate::map::{Inserted, QiUrlMap, TypedInstance};
 use crate::query_log::{QueryLog, QueryRecord};
 use crate::request_log::{LoggedRequest, RequestLog};
 use cacheportal_db::sql::ast::{Bound, Select, Statement};
 use cacheportal_db::sql::parser::parse;
 use cacheportal_db::sql::rewrite::{parameterize_in_place, substitute_params, TypePlan};
+use cacheportal_db::Value;
 use cacheportal_web::clock::Micros;
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 
 /// Distinct logged SQL texts whose parse the mapper keeps. Like
@@ -37,6 +43,9 @@ pub struct MapperReport {
     /// (query, request) associations written to the map (after dedup the
     /// map itself may record fewer).
     pub mapped: u64,
+    /// Of those, the ones whose bound text was rendered: new rows, and rows
+    /// the map held as text only. The rest it knew by their typed form.
+    pub rendered: u64,
     /// Queries that matched more than one request window.
     pub ambiguous: u64,
     /// Queries retained for the next run (enclosing request not yet logged).
@@ -62,6 +71,7 @@ impl MapperReport {
     pub fn merge(self, other: MapperReport) -> MapperReport {
         MapperReport {
             mapped: self.mapped + other.mapped,
+            rendered: self.rendered + other.rendered,
             ambiguous: self.ambiguous + other.ambiguous,
             retained: self.retained + other.retained,
             dropped: self.dropped + other.dropped,
@@ -160,91 +170,96 @@ impl Mapper {
             .chain(self.queries.drain().into_iter().map(|q| (q, 0)));
 
         let map = Arc::clone(&self.map);
+        let mut rows = map.writer();
         let mut owners = Vec::new();
-        map.insert_mapped(queries.flat_map(|(q, age)| {
+        for (q, age) in queries {
             if !q.is_select {
                 report.non_select += 1;
-                return Vec::new();
+                continue;
             }
             windows.owners_of(q.received, q.delivered, &mut owners);
-            let Some((&last, rest)) = owners.split_last() else {
+            if owners.is_empty() {
                 if age >= self.max_retention {
                     report.dropped += 1;
                 } else {
                     report.retained += 1;
                     self.pending.push((q, age + 1));
                 }
-                return Vec::new();
-            };
-            report.ambiguous += !rest.is_empty() as u64;
-            let Some((sql, typed)) = self.bind(&q) else {
+                continue;
+            }
+            report.ambiguous += (owners.len() > 1) as u64;
+            let Some((typed, text)) = self.bind(&q) else {
                 report.unparseable += 1;
-                return Vec::new();
+                continue;
             };
             report.mapped += owners.len() as u64;
-            let row = |i: usize, sql, typed| MappedRow {
-                sql,
-                typed,
-                page_key: &requests[i].page_key,
-                servlet: &requests[i].servlet,
-            };
-            // One owner is the rule; only a query inside several windows
-            // copies its text.
-            let mut rows: Vec<MappedRow> = (rest.iter())
-                .map(|&i| row(i, sql.clone(), typed.clone()))
-                .collect();
-            rows.push(row(last, sql, typed));
-            rows
-        }));
+            for request in owners.iter().map(|&i| &requests[i]) {
+                let inserted = rows.insert_typed(&typed, &text, &request.page_key, &request.servlet);
+                report.rendered += (inserted != Inserted::Known) as u64;
+            }
+        }
+        drop(rows);
         report.elapsed_micros = start.elapsed().as_micros() as u64;
         report
     }
 
-    /// The canonical bound text of a logged query — its parameters
-    /// substituted, re-rendered — and the typed form of that text; `None` for
-    /// statements outside the supported dialect. A parameterised text is
-    /// parsed the first time it is seen (a text with its values written into
-    /// it rarely comes twice, and is not kept).
-    fn bind(&mut self, q: &QueryRecord) -> Option<(String, TypedInstance)> {
+    /// A logged query, typed, and its canonical bound text — its parameters
+    /// substituted, re-rendered — yet to be written; `None` for statements
+    /// outside the supported dialect. A parameterised text is parsed the
+    /// first time it is seen (a text with its values written into it rarely
+    /// comes twice, and is not kept).
+    fn bind<'a>(&'a mut self, q: &'a QueryRecord) -> Option<(TypedInstance, BoundText<'a>)> {
         if q.params.is_empty() {
-            return bind_parsed(&parse_select(&q.sql)?, None, q);
+            return bind_unplanned(&parse_select(&q.sql)?, q);
         }
-        let logged = match self.parsed.get(&*q.sql) {
-            Some(logged) => logged,
-            None => {
-                if self.parsed.len() >= PARSE_MEMO_CAPACITY {
-                    self.parsed.clear();
-                }
-                let logged = parse_select(&q.sql).map(|stmt| Logged {
-                    plan: TypePlan::of(&stmt),
-                    stmt,
-                });
-                self.parsed.entry(q.sql.clone()).or_insert(logged)
-            }
-        };
+        if self.parsed.len() >= PARSE_MEMO_CAPACITY && !self.parsed.contains_key(&*q.sql) {
+            self.parsed.clear();
+        }
+        let logged = self.parsed.entry(q.sql.clone()).or_insert_with(|| {
+            parse_select(&q.sql).map(|stmt| Logged {
+                plan: TypePlan::of(&stmt),
+                stmt,
+            })
+        });
         let logged = logged.as_ref()?;
-        bind_parsed(&logged.stmt, logged.plan.as_ref(), q)
+        let Some(plan) = &logged.plan else {
+            return bind_unplanned(&logged.stmt, q);
+        };
+        // Every marker is one the plan binds, so a vector too short for the
+        // statement fails here as it would in `substitute_params`.
+        let typed = TypedInstance {
+            template: plan.template.clone(),
+            params: plan.params(&q.params).ok()?,
+        };
+        Some((typed, BoundText::Unwritten(&logged.stmt, &q.params)))
     }
 }
 
-fn bind_parsed(
-    stmt: &Select,
-    plan: Option<&TypePlan>,
-    q: &QueryRecord,
-) -> Option<(String, TypedInstance)> {
-    let Some(plan) = plan else {
-        let mut bound = substitute_params(stmt, &q.params).ok()?;
-        let sql = bound.to_string();
-        let params = parameterize_in_place(&mut bound);
-        let template = Arc::new(bound);
-        return Some((sql, TypedInstance { template, params }));
-    };
-    // Every marker is one the plan binds, so a vector too short for the
-    // statement fails here as it would in `substitute_params`.
-    let params = plan.params(&q.params).ok()?;
-    let template = plan.template.clone();
-    let sql = Bound(stmt, &q.params).to_string();
-    Some((sql, TypedInstance { template, params }))
+/// The canonical bound text of a logged query.
+enum BoundText<'a> {
+    /// The statement and the values to write into it.
+    Unwritten(&'a Select, &'a [Value]),
+    /// The text: a statement whose type depends on its values is
+    /// substituted, and so rendered, to be typed.
+    Written(String),
+}
+
+impl fmt::Display for BoundText<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BoundText::Unwritten(stmt, params) => Bound(*stmt, params).fmt(f),
+            BoundText::Written(sql) => f.write_str(sql),
+        }
+    }
+}
+
+/// [`Mapper::bind`] for a statement without a [`TypePlan`].
+fn bind_unplanned(stmt: &Select, q: &QueryRecord) -> Option<(TypedInstance, BoundText<'static>)> {
+    let mut bound = substitute_params(stmt, &q.params).ok()?;
+    let sql = bound.to_string();
+    let params = parameterize_in_place(&mut bound).into();
+    let template = Arc::new(bound);
+    Some((TypedInstance { template, params }, BoundText::Written(sql)))
 }
 
 /// The request windows of one run, indexed for containment queries: sorted
@@ -305,7 +320,7 @@ fn parse_select(sql: &str) -> Option<Select> {
 /// Canonical bound SQL text of a logged query: parse, substitute parameters,
 /// re-render. Returns `None` for statements outside the supported dialect.
 pub fn canonical_bound_sql(q: &QueryRecord) -> Option<String> {
-    bind_parsed(&parse_select(&q.sql)?, None, q).map(|(sql, _)| sql)
+    bind_unplanned(&parse_select(&q.sql)?, q).map(|(_, sql)| sql.to_string())
 }
 
 #[cfg(test)]
@@ -375,6 +390,38 @@ mod tests {
         assert_eq!(rep.mapped, 2);
         assert_eq!(rep.ambiguous, 1);
         assert_eq!(mapper.map().len(), 2);
+    }
+
+    #[test]
+    fn a_row_the_map_has_is_not_rendered_again() {
+        let (rl, ql, mut mapper) = setup();
+        let serve = |price: i64| {
+            rl.on_request(request(1, 10, 20));
+            push_query(&ql, query("SELECT * FROM Car WHERE price < $1", vec![Value::Int(price)], 12, 15));
+            push_query(&ql, query("SELECT * FROM Car WHERE price < 7", vec![], 16, 17));
+        };
+        serve(5);
+        let first = mapper.run_once();
+        assert_eq!((first.mapped, first.rendered), (2, 2));
+        // The page again: the parameterised statement's row is known by its
+        // typed form; the statement with its value written in is parsed and
+        // rendered to be typed at all.
+        serve(5);
+        let again = mapper.run_once();
+        assert_eq!((again.mapped, again.rendered), (2, 1));
+        assert_eq!(mapper.map().len(), 2);
+        serve(6);
+        let other = mapper.run_once();
+        assert_eq!((other.mapped, other.rendered), (2, 2));
+        let texts: Vec<String> = mapper.map().all().into_iter().map(|e| e.sql).collect();
+        assert_eq!(
+            texts,
+            [
+                "SELECT * FROM Car WHERE price < 5",
+                "SELECT * FROM Car WHERE price < 7",
+                "SELECT * FROM Car WHERE price < 6",
+            ]
+        );
     }
 
     #[test]

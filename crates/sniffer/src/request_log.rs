@@ -13,6 +13,7 @@
 use cacheportal_web::clock::Micros;
 use cacheportal_web::{PageKey, RequestObserver, RequestRecord};
 use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// One logged request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,7 +21,7 @@ pub(crate) struct LoggedRequest {
     /// Canonical page key (host + path + key params).
     pub(crate) page_key: PageKey,
     /// Servlet that served the request.
-    pub(crate) servlet: String,
+    pub(crate) servlet: Arc<str>,
     /// Receive timestamp.
     pub(crate) received: Micros,
     /// Delivery timestamp.
@@ -90,7 +91,7 @@ mod tests {
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[1].page_key, PageKey::raw("k2"));
         assert_eq!((drained[1].received, drained[1].delivered), (20, 25));
-        assert_eq!(drained[1].servlet, "s");
+        assert_eq!(&*drained[1].servlet, "s");
         assert!(log.is_empty());
         assert!(log.drain().is_empty());
     }

@@ -4,11 +4,12 @@
 //!   attributed to exactly the request that issued it.
 //! * With arbitrary (possibly overlapping) windows, the attribution is a
 //!   superset of the truth — conservative in the safe direction.
-//! * The mapper's indexed join, parse memo and direct rendering produce the
-//!   map — rows, order, ids — and the reports of the join it replaced: every
-//!   window compared with every query, every query parsed, substituted and
-//!   re-rendered; and what it hands the registration scan with a row is what
-//!   parsing and parameterizing the row's text gives.
+//! * The mapper's indexed join, parse memo and de-duplication by typed form
+//!   produce the map — rows, order, ids — and the reports of the join it
+//!   replaced: every window compared with every query, every query parsed,
+//!   substituted and re-rendered, every row compared as text; and what the
+//!   registration scan reads beside a row is what parsing and parameterizing
+//!   the row's text gives.
 
 use cacheportal_db::sql::parser::parse_select;
 use cacheportal_db::sql::rewrite::parameterize;
@@ -139,15 +140,27 @@ const STATEMENTS: [&str; 6] = [
     "SELECT FROM WHERE",
 ];
 
+/// Bound values. `1` and `1.0` are equal as `Value`s and two texts, `'1'`
+/// is a third; the rest make rows that differ in every way.
+fn value(pick: usize) -> Value {
+    match pick {
+        0 => Value::Int(1),
+        1 => Value::Float(1.0),
+        2 => Value::Str("1".into()),
+        3 => Value::Int(0),
+        _ => Value::Float(-0.5),
+    }
+}
+
 /// One run's logs: request windows `(received, length)` and queries
 /// `(statement, value, received, length)`.
-type RunSpec = (Vec<(u64, u64)>, Vec<(usize, i64, u64, u64)>);
+type RunSpec = (Vec<(u64, u64)>, Vec<(usize, usize, u64, u64)>);
 
 fn run_strategy() -> impl Strategy<Value = RunSpec> {
     (
         prop::collection::vec((0u64..60, 0u64..40), 0..10),
         prop::collection::vec(
-            (0usize..STATEMENTS.len(), 0i64..4, 0u64..80, 0u64..12),
+            (0usize..STATEMENTS.len(), 0usize..5, 0u64..80, 0u64..12),
             0..14,
         ),
     )
@@ -217,6 +230,7 @@ proptest! {
         duplicate in 0u8..3,
         reorder in any::<bool>(),
         scan_every_run in any::<bool>(),
+        preloaded in any::<bool>(),
     ) {
         let rl = Arc::new(RequestLog::new());
         let ql = QueryLog::new();
@@ -235,6 +249,17 @@ proptest! {
         let mut mapper = Mapper::new(rl.clone(), ql.clone(), map.clone());
         let mut reference = Reference::default();
         let (mut cursor, mut scanned) = (0, 0);
+        // Rows a recovered map starts with: text only, for pages and
+        // instances the runs then come across again.
+        if preloaded {
+            for (page, sql) in [(0, "SELECT * FROM t WHERE a = 1"), (1, "SELECT * FROM t WHERE a = 1.0")] {
+                let page_key = request(page, 0, 0).page_key;
+                assert!(map.insert(sql.into(), page_key.clone(), "s".into()));
+                let id = reference.rows.len() as u64;
+                reference.rows.push(QiUrlEntry { id, sql: sql.into(), page_key, servlet: "s".into() });
+            }
+        }
+        let text_only = reference.rows.clone();
 
         for (run, (windows, queries)) in runs.iter().enumerate() {
             let requests: Vec<RequestRecord> = windows
@@ -249,37 +274,54 @@ proptest! {
             }
             for &(stmt, value, recv, len) in queries {
                 let sql = STATEMENTS[stmt];
-                let params: &[Value] = if sql.contains('$') { &[Value::Int(value)] } else { &[] };
+                let params = if sql.contains('$') { vec![self::value(value)] } else { vec![] };
                 for log in [&ql, &shadow] {
-                    log.record(sql, params, !sql.starts_with("DELETE"), recv, recv + len);
+                    log.record(sql, &params, !sql.starts_with("DELETE"), recv, recv + len);
                 }
             }
 
+            let rows_before = map.len();
             let got = mapper.run_once();
             let want = reference.run(&requests, shadow.drain());
             prop_assert_eq!(
-                MapperReport { elapsed_micros: 0, ..got },
+                MapperReport { elapsed_micros: 0, rendered: 0, ..got },
                 want,
                 "report of run {}", run
             );
             prop_assert_eq!(&map.all(), &reference.rows, "rows after run {}", run);
+            let new_rows = (map.len() - rows_before) as u64;
+            prop_assert!(
+                (new_rows..=got.mapped).contains(&got.rendered),
+                "run {} rendered {} texts for {} new rows", run, got.rendered, new_rows
+            );
 
             // The registration scan: every row the mapper inserted since the
             // previous scan, in whichever run, comes with its typed form, and
-            // that form is its text, parsed.
+            // that form is its text, parsed. A row that came as text has one
+            // once a mapper has come across it.
             if scan_every_run || run + 1 == runs.len() {
-                let (rows, next) = map.take_for_registration(cursor);
+                let mut rows = Vec::new();
+                let next = map.visit_for_registration(cursor, |entry, typed| {
+                    rows.push((entry.clone(), typed.cloned()));
+                });
                 prop_assert_eq!(rows.len(), reference.rows.len() - scanned);
                 for (entry, typed) in &rows {
-                    prop_assert!(typed.is_some(), "untyped: {}", entry.sql);
-                    let typed = typed.as_ref().unwrap();
+                    let Some(typed) = typed else {
+                        prop_assert!(text_only.contains(entry), "untyped: {}", entry.sql);
+                        continue;
+                    };
                     let (template, params) = parameterize(&parse_select(&entry.sql).unwrap());
                     prop_assert_eq!(&*typed.template, &template, "type of {}", entry.sql);
-                    prop_assert_eq!(&typed.params, &params, "values of {}", entry.sql);
+                    prop_assert_eq!(&*typed.params, &params[..], "values of {}", entry.sql);
+                    // As texts, not only as values: `1` is not `1.0`.
+                    prop_assert_eq!(format!("{:?}", typed.params), format!("{params:?}"));
                 }
                 (cursor, scanned) = (next, reference.rows.len());
-                let again = map.take_for_registration(0).0;
-                prop_assert!(again.iter().all(|(_, t)| t.is_none()), "handed over once");
+                // The typed forms stay with their rows: a scan from the
+                // start reads them again.
+                let mut again = 0;
+                map.visit_for_registration(0, |_, typed| again += typed.is_some() as usize);
+                prop_assert!(again + text_only.len() >= reference.rows.len());
             }
         }
     }

@@ -19,8 +19,8 @@ use std::sync::Arc;
 pub struct RequestRecord {
     /// Unique request id.
     pub id: u64,
-    /// Servlet that served the request.
-    pub servlet: String,
+    /// Servlet that served the request (a clone of its spec's name).
+    pub servlet: Arc<str>,
     /// Canonical page key (host + path + key params).
     pub page_key: PageKey,
     /// Receive timestamp.
@@ -117,6 +117,21 @@ impl AppServer {
         let Some(servlet) = self.servlet_for(&req.path) else {
             return HttpResponse::not_found();
         };
+        self.serve(req, &*servlet, || {
+            PageKey::for_request(req, servlet.spec())
+        })
+    }
+
+    /// [`AppServer::handle`] for a front that has routed `req` to `servlet`
+    /// itself and, to look the page up in its cache, already built the page
+    /// key: `page_key` hands that key over, and is called only for a request
+    /// that is logged.
+    pub fn serve(
+        &self,
+        req: &HttpRequest,
+        servlet: &dyn Servlet,
+        page_key: impl FnOnce() -> PageKey,
+    ) -> HttpResponse {
         self.requests_served.fetch_add(1, Ordering::Relaxed);
 
         let received = self.clock.tick();
@@ -136,7 +151,7 @@ impl AppServer {
             obs.on_request(RequestRecord {
                 id: self.next_id.fetch_add(1, Ordering::Relaxed),
                 servlet: spec.name.clone(),
-                page_key: PageKey::for_request(req, spec),
+                page_key: page_key(),
                 received,
                 delivered,
             });
@@ -244,7 +259,7 @@ mod tests {
         assert_eq!(recs.len(), 1);
         let r = &recs[0];
         assert!(r.received > 100 && r.delivered > r.received);
-        assert_eq!(r.servlet, "cars");
+        assert_eq!(&*r.servlet, "cars");
         assert!(r.page_key.as_str().contains("maxprice=30000"));
     }
 

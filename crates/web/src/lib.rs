@@ -13,6 +13,7 @@ pub mod appserver;
 pub mod clock;
 pub mod connection;
 pub mod http;
+pub mod inline;
 pub mod render;
 pub mod servlet;
 pub mod url;
@@ -22,6 +23,7 @@ pub use appserver::{AppServer, AppServerConfig, RequestObserver, RequestRecord};
 pub use clock::{Clock, ManualClock, Micros, SystemClock};
 pub use connection::{shared, Connection, ConnectionFactory, ConnectionPool, DbConnection, SharedDb};
 pub use http::{CacheControl, HttpRequest, HttpResponse, Method, Status};
+pub use inline::{push_tight, InlineVec};
 pub use servlet::{FnServlet, ParamSource, QueryTemplate, Servlet, ServletSpec, SqlServlet};
 pub use url::PageKey;
 pub use webserver::WebServer;

@@ -12,13 +12,15 @@ use crate::http::HttpRequest;
 use crate::render;
 use cacheportal_db::schema::ColType;
 use cacheportal_db::{DbError, DbResult, Value};
+use std::sync::Arc;
 
 /// Per-servlet metadata (paper §3.1's six fields, minus collected stats
 /// which live in the invalidator's statistics store).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServletSpec {
-    /// Unique servlet name (also used as its route).
-    pub name: String,
+    /// Unique servlet name (also used as its route). Request records and
+    /// QI/URL map rows name their servlet with a clone of this.
+    pub name: Arc<str>,
     /// GET parameters that participate in cache identity.
     pub key_get_params: Vec<String>,
     /// POST parameters that participate in cache identity.
@@ -37,7 +39,7 @@ impl ServletSpec {
     /// A spec with the given name/route, no key parameters, cacheable.
     pub fn new(name: &str) -> Self {
         ServletSpec {
-            name: name.to_string(),
+            name: name.into(),
             key_get_params: Vec::new(),
             key_post_params: Vec::new(),
             key_cookie_params: Vec::new(),

@@ -4,6 +4,8 @@
 
 use crate::appserver::AppServer;
 use crate::http::{CacheControl, HttpRequest, HttpResponse};
+use crate::servlet::Servlet;
+use crate::url::PageKey;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,12 +44,24 @@ impl WebServer {
 
     /// Serve one request.
     pub fn handle(&self, req: &HttpRequest) -> HttpResponse {
+        self.route(req, |app| app.handle(req))
+    }
+
+    /// [`WebServer::handle`] for a request the caller has routed to
+    /// `servlet` and keyed as `page_key` (see [`AppServer::serve`]).
+    pub fn serve(&self, req: &HttpRequest, servlet: &dyn Servlet, page_key: &PageKey) -> HttpResponse {
+        self.route(req, |app| app.serve(req, servlet, || page_key.clone()))
+    }
+
+    /// A static page if there is one at the path, else what `dynamic` makes
+    /// of the application server.
+    fn route(&self, req: &HttpRequest, dynamic: impl FnOnce(&AppServer) -> HttpResponse) -> HttpResponse {
         if let Some(body) = self.static_pages.read().get(&req.path) {
             self.hits_static.fetch_add(1, Ordering::Relaxed);
             return HttpResponse::ok(body.clone(), CacheControl::Public);
         }
         self.hits_dynamic.fetch_add(1, Ordering::Relaxed);
-        self.app.handle(req)
+        dynamic(&self.app)
     }
 
     /// (static, dynamic) request counters.

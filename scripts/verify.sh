@@ -26,6 +26,19 @@ echo "== persist allocation bound (counting allocator, release) =="
 # makes (the debug run above counts the same 12, but proves less).
 cargo test -q --release --offline -p cacheportal --test persist_alloc
 
+echo "== registered-page footprint (counting allocator, release) =="
+# What the QI/URL map, the registry and the predicate index hold per
+# registered page of the benchmark's storefront (<= 720 bytes, <= 7 blocks),
+# that a pass of duplicate rows renders nothing and keeps nothing, and what
+# a cache hit allocates.
+cargo test -q --release --offline -p cacheportal --test page_footprint
+
+echo "== admission vs. mapper race (60 rounds, release) =="
+# Two readers missing on 400 pages against back-to-back sync points: no page
+# may be cached without its QI/URL rows. In release, where the interleaving
+# is the one production runs (the debug run above makes the same 60 rounds).
+cargo test -q --release --offline --test concurrency
+
 echo "== fuzz harness smoke (safety contract, all policies x fault classes) =="
 # The acceptance matrix: 50 seeds x 40 actions cycling all three
 # invalidation policies, workers {1,4}, and every fault class — including
