@@ -32,14 +32,14 @@ fn zipf_hit_ratio() {
     }
     let cache = sized(1024);
     for k in keys.iter().rev() {
-        cache.put(k.clone(), "body".into(), 0);
+        cache.put(k.clone(), "body", 0);
     }
     let mut rng = StdRng::seed_from_u64(1);
     for now in 0..REQUESTS {
         let u = rng.gen::<f64>() * acc;
         let k = &keys[cdf.partition_point(|&c| c <= u).min(PAGES - 1)];
         if cache.get(k, now).is_none() {
-            cache.put(k.clone(), "body".into(), now);
+            cache.put(k.clone(), "body", now);
         }
     }
     let s = cache.stats();
@@ -61,18 +61,23 @@ fn page_cache_ops(c: &mut Criterion) {
         b.iter(|| {
             let k = &keys[i % keys.len()];
             if cache.get(k, i as u64).is_none() {
-                cache.put(k.clone(), "body".into(), i as u64);
+                cache.put(k.clone(), "body", i as u64);
             }
             i += 1;
         })
     });
-    // A hit takes the lock shared: what one thread pays for a `get` while
-    // `threads - 1` others do nothing but `get` on the same cache.
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("get_hit_mt", threads),
-            &threads,
-            |b, &threads| {
+    // A hit takes the lock shared: what one thread pays for a lookup while
+    // `threads - 1` others do nothing but look up on the same cache. `get`
+    // copies the 1 KiB body out; `get_shared` bumps the body's reference
+    // count instead, a write to a line the other readers write too.
+    type Lookup = fn(&PageCache, &PageKey) -> usize;
+    let lookups: [(&str, Lookup); 2] = [
+        ("get_hit_mt", |cache, k| cache.get(k, 0).map_or(0, |body| body.len())),
+        ("get_shared_hit_mt", |cache, k| cache.get_shared(k, 0).map_or(0, |body| body.len())),
+    ];
+    for (name, lookup) in lookups {
+        for threads in [1usize, 2, 4] {
+            group.bench_with_input(BenchmarkId::new(name, threads), &threads, |b, &threads| {
                 let cache = sized(1024);
                 let keys: Vec<PageKey> = (0..1024)
                     .map(|i| PageKey::raw(format!("shop/product?g:sku={i}")))
@@ -87,7 +92,7 @@ fn page_cache_ops(c: &mut Criterion) {
                         scope.spawn(move || {
                             let mut i = t * 257;
                             while !stop.load(Ordering::Relaxed) {
-                                black_box(cache.get(&keys[i % keys.len()], 0));
+                                black_box(lookup(cache, &keys[i % keys.len()]));
                                 i += 1;
                             }
                         });
@@ -95,12 +100,12 @@ fn page_cache_ops(c: &mut Criterion) {
                     let mut i = 0usize;
                     b.iter(|| {
                         i += 1;
-                        cache.get(&keys[i % keys.len()], 0)
+                        lookup(&cache, &keys[i % keys.len()])
                     });
                     stop.store(true, Ordering::Relaxed);
                 });
-            },
-        );
+            });
+        }
     }
     // Eviction at capacity must not depend on how many pages are resident:
     // every `put` below inserts a page that is not cached into a full cache.
@@ -115,11 +120,11 @@ fn page_cache_ops(c: &mut Criterion) {
                     .collect();
                 let mut i = 0usize;
                 for k in &keys[..capacity] {
-                    cache.put(k.clone(), "body".into(), i as u64);
+                    cache.put(k.clone(), "body", i as u64);
                     i += 1;
                 }
                 b.iter(|| {
-                    cache.put(keys[i % keys.len()].clone(), "body".into(), i as u64);
+                    cache.put(keys[i % keys.len()].clone(), "body", i as u64);
                     i += 1;
                 })
             },
@@ -131,7 +136,7 @@ fn page_cache_ops(c: &mut Criterion) {
                 let cache = PageCache::new(PageCacheConfig::default());
                 let keys: Vec<PageKey> = (0..64).map(|i| PageKey::raw(format!("k{i}"))).collect();
                 for k in &keys {
-                    cache.put(k.clone(), "body".into(), 0);
+                    cache.put(k.clone(), "body", 0);
                 }
                 (cache, keys)
             },

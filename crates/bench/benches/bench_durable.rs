@@ -1,6 +1,14 @@
 //! Journal microbenchmarks: what a checkpoint costs as the site grows, and
 //! what the site's first sync point — every row and origin in one WAL batch —
-//! costs. Real files under the system temp directory, fsyncs included.
+//! costs, in time and (counted once per size, with the counting allocator of
+//! `crates/core/tests/common`) in transient heap. Real files under the
+//! system temp directory, fsyncs included.
+
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+
+#[global_allocator]
+static ALLOC: common::CountingAlloc = common::CountingAlloc;
 
 use cacheportal::durability::{CursorRecord, Durability};
 use cacheportal_sniffer::QiUrlMap;
@@ -68,27 +76,33 @@ fn durable_ops(c: &mut Criterion) {
             },
         );
     }
-    group.bench_function(BenchmarkId::new("persist_first_sync", 4_300), |b| {
-        let (map, origins) = site(4_300);
+    for pages in [1_000usize, 4_300, 16_000] {
+        let (map, origins) = site(pages);
         let admitted: Vec<(PageKey, HttpRequest)> = origins
             .iter()
             .map(|(page, request)| (page.clone(), request.clone()))
             .collect();
-        let dir = journal_dir("first-sync");
-        b.iter_batched(
-            || {
-                let _ = std::fs::remove_dir_all(&dir);
-                Durability::open(&dir, u64::MAX).expect("journal opens")
-            },
-            |mut journal| {
-                let out = journal.persist_sync(&map, &admitted, &origins, cursor());
-                assert_eq!(out.errors, 0);
-                black_box(out.appended)
-            },
-            BatchSize::PerIteration,
+        let dir = journal_dir(&format!("first-sync-{pages}"));
+        let fresh_journal = || {
+            let _ = std::fs::remove_dir_all(&dir);
+            Durability::open(&dir, u64::MAX).expect("journal opens")
+        };
+        let first_sync = |mut journal: Durability| {
+            let out = journal.persist_sync(&map, &admitted, &origins, cursor());
+            assert_eq!(out.errors, 0);
+            out.appended
+        };
+        let journal = fresh_journal();
+        let (frames, allocated) = common::measure(|| first_sync(journal));
+        println!(
+            "durable/persist_first_sync/{pages}: {frames} frames, {} transient bytes, {} allocations",
+            allocated.transient_peak, allocated.calls
         );
+        group.bench_function(BenchmarkId::new("persist_first_sync", pages), |b| {
+            b.iter_batched(fresh_journal, |journal| black_box(first_sync(journal)), BatchSize::PerIteration);
+        });
         std::fs::remove_dir_all(&dir).expect("journal directory removed");
-    });
+    }
     group.finish();
 }
 

@@ -205,7 +205,7 @@ pub fn run_workload(config: &WorkloadConfig) -> WorkloadResult {
     };
     // Body each cached page had when last generated (over-invalidation
     // detector).
-    let mut last_body: HashMap<PageKey, String> = HashMap::new();
+    let mut last_body: HashMap<PageKey, Arc<str>> = HashMap::new();
     let mut next_id = 10_000i64;
 
     for _round in 0..config.rounds {

@@ -32,8 +32,8 @@ fn key(s: &str) -> PageKey {
 
 fn seeded_cache() -> Arc<PageCache> {
     let cache = Arc::new(PageCache::new(PageCacheConfig::default()));
-    cache.put(key("a"), "page-a".into(), 1);
-    cache.put(key("b"), "page-b".into(), 1);
+    cache.put(key("a"), "page-a", 1);
+    cache.put(key("b"), "page-b", 1);
     cache
 }
 

@@ -192,13 +192,14 @@ impl EdgeEndpoint {
     }
 
     /// Admit a page at this edge. Declined while degraded — a degraded
-    /// edge must stay empty so it cannot serve anything stale — and only an
-    /// edge that admits pays for its copy of the page.
-    pub fn admit(&self, key: &PageKey, body: &str, now: Micros) -> bool {
+    /// edge must stay empty so it cannot serve anything stale — and an edge
+    /// that admits takes a handle on `body`, not a copy: the origin and
+    /// every in-process edge hold the one allocation.
+    pub fn admit(&self, key: &PageKey, body: &Arc<str>, now: Micros) -> bool {
         if self.inner.lock().degraded {
             return false;
         }
-        self.cache.put(key.clone(), body.to_string(), now);
+        self.cache.put(key.clone(), body.clone(), now);
         true
     }
 
@@ -809,7 +810,7 @@ impl InvalidationBus {
     /// Returns how many edges admitted it. Runs under the bus lock, in the
     /// order `deliver_all` already takes (bus, then edge, then cache), so a
     /// miss copies no endpoint list and a portal without edges only locks.
-    pub fn admit_page(&self, key: &PageKey, body: &str, now: Micros) -> usize {
+    pub fn admit_page(&self, key: &PageKey, body: &Arc<str>, now: Micros) -> usize {
         self.inner
             .lock()
             .edges
@@ -1066,8 +1067,8 @@ mod tests {
         let (bus, _t) = reliable_bus();
         let edge = cache();
         bus.register_edge("edge-0", edge.clone(), 0);
-        edge.put(key("a"), "1".into(), 1);
-        edge.put(key("b"), "2".into(), 2);
+        edge.put(key("a"), "1", 1);
+        edge.put(key("b"), "2", 2);
 
         let seq = bus.publish(1, 10, vec![key("a")]);
         assert_eq!(seq, 1);
@@ -1085,7 +1086,7 @@ mod tests {
     fn duplicates_are_absorbed_idempotently() {
         let edge = cache();
         let ep = EdgeEndpoint::new("e", edge.clone(), 0);
-        edge.put(key("a"), "1".into(), 0);
+        edge.put(key("a"), "1", 0);
         let batch = EjectBatch {
             seq: 1,
             sync_seq: 1,
@@ -1104,8 +1105,8 @@ mod tests {
     fn reorders_park_in_the_gap_buffer_until_the_gap_fills() {
         let edge = cache();
         let ep = EdgeEndpoint::new("e", edge.clone(), 0);
-        edge.put(key("a"), "1".into(), 0);
-        edge.put(key("b"), "2".into(), 0);
+        edge.put(key("a"), "1", 0);
+        edge.put(key("b"), "2", 0);
         let b1 = EjectBatch { seq: 1, sync_seq: 1, ts: 1, pages: vec![key("a")] };
         let b2 = EjectBatch { seq: 2, sync_seq: 2, ts: 2, pages: vec![key("b")] };
         // Batch 2 arrives first: buffered, ack stays 0, nothing ejected.
@@ -1132,8 +1133,8 @@ mod tests {
         let bus = InvalidationBus::new(BusConfig::default(), transport.clone(), plan);
         let edge = cache();
         bus.register_edge("edge-0", edge.clone(), 0);
-        edge.put(key("a"), "1".into(), 0);
-        edge.put(key("b"), "2".into(), 0);
+        edge.put(key("a"), "1", 0);
+        edge.put(key("b"), "2", 0);
 
         transport.set_partitioned(0, true);
         bus.publish(1, 1, vec![key("a")]);
@@ -1151,12 +1152,59 @@ mod tests {
         assert!(!ep.is_degraded(), "catch-up complete, admission resumed");
     }
 
+    /// An admission hands the origin's body to every healthy edge as a
+    /// handle: one allocation, read from wherever it is still cached.
+    #[test]
+    fn an_admitted_body_is_one_allocation_at_the_origin_and_every_edge() {
+        let (bus, _t) = reliable_bus();
+        let (origin, edges) = (cache(), [cache(), cache(), cache()]);
+        for (i, edge) in edges.iter().enumerate() {
+            bus.register_edge(&format!("edge-{i}"), edge.clone(), 0);
+        }
+        bus.endpoints()[2].enter_degraded();
+        // What `CachePortal::request` does with a rendered page.
+        let admit = |page: &str, text: &str, now: Micros| {
+            let body: Arc<str> = text.into();
+            origin.put(key(page), body.clone(), now);
+            (bus.admit_page(&key(page), &body, now), body)
+        };
+        let held = |cache: &PageCache, page: &str| cache.get_shared(&key(page), 9);
+
+        let (admitted_at, body) = admit("a", "<html>1</html>", 1);
+        assert_eq!(admitted_at, 2, "the degraded edge declines");
+        for cache in [&origin, &edges[0], &edges[1]] {
+            assert!(Arc::ptr_eq(&held(cache, "a").unwrap(), &body));
+        }
+        assert!(edges[2].is_empty());
+        // This handle, the origin's and two edges': the degraded edge has none.
+        assert_eq!(Arc::strong_count(&body), 4);
+
+        // An eject at the origin leaves an edge's copy readable, and one at
+        // an edge the origin's: each cache drops its own handle only.
+        admit("b", "<html>2</html>", 2);
+        origin.invalidate([&key("a")]);
+        edges[0].invalidate([&key("b")]);
+        assert_eq!(held(&origin, "a"), None);
+        assert_eq!(held(&edges[0], "a").as_deref(), Some("<html>1</html>"));
+        assert_eq!(held(&edges[0], "b"), None);
+        assert_eq!(held(&origin, "b").as_deref(), Some("<html>2</html>"));
+        assert_eq!(Arc::strong_count(&body), 3);
+
+        // Re-admission replaces the body everywhere; a reader still holding
+        // the old one keeps reading it.
+        let (_, fresh) = admit("a", "<html>3</html>", 3);
+        for cache in [&origin, &edges[0], &edges[1]] {
+            assert!(Arc::ptr_eq(&held(cache, "a").unwrap(), &fresh));
+        }
+        assert_eq!((Arc::strong_count(&body), &*body), (1, "<html>1</html>"));
+    }
+
     #[test]
     fn partition_budget_marks_edge_and_heal_catches_up() {
         let (bus, transport) = reliable_bus();
         let edge = cache();
         bus.register_edge("edge-0", edge.clone(), 0);
-        edge.put(key("a"), "1".into(), 0);
+        edge.put(key("a"), "1", 0);
 
         transport.set_partitioned(0, true);
         bus.publish(1, 1, vec![key("a")]);
@@ -1164,7 +1212,7 @@ mod tests {
         assert!(r1.newly_partitioned.is_empty(), "budget is 2 rounds");
         assert_eq!(r1.self_ejected, vec!["edge-0".to_string()]);
         assert!(edge.is_empty(), "degraded edge flushed everything");
-        assert!(!bus.endpoints()[0].admit(&key("x"), "x", 2), "degraded edge declines admission");
+        assert!(!bus.endpoints()[0].admit(&key("x"), &"x".into(), 2), "degraded edge declines admission");
 
         bus.publish(2, 2, vec![]);
         let r2 = bus.deliver_all(2);
@@ -1179,7 +1227,7 @@ mod tests {
         assert!(r3.catch_up_batches >= 2, "watermark-driven catch-up replayed");
         assert_eq!(bus.partitioned_count(), 0);
         assert_eq!(bus.edge_rows()[0].lag, 0);
-        assert!(bus.endpoints()[0].admit(&key("x"), "x", 4), "admission resumed");
+        assert!(bus.endpoints()[0].admit(&key("x"), &"x".into(), 4), "admission resumed");
     }
 
     #[test]
@@ -1218,11 +1266,11 @@ mod tests {
         let (bus, _t) = reliable_bus();
         let edge = cache();
         bus.register_edge("edge-0", edge.clone(), 0);
-        edge.put(key("old"), "1".into(), 5);
+        edge.put(key("old"), "1", 5);
         bus.publish(1, 10, vec![]);
         bus.deliver_all(10);
         // Admitted past the acked mark (ts 10): must be flushed on reboot.
-        edge.put(key("newer"), "2".into(), 15);
+        edge.put(key("newer"), "2", 15);
         let flushed = bus.reboot_edge(0, 20);
         assert_eq!(flushed, 1);
         assert!(edge.contains(&key("old")));
@@ -1242,8 +1290,8 @@ mod tests {
         // of them at ts 30.
         bus.restore(4, &[("edge-0".to_string(), 3, 30)]);
         let edge = cache();
-        edge.put(key("old"), "1".into(), 20);
-        edge.put(key("new"), "2".into(), 40);
+        edge.put(key("old"), "1", 20);
+        edge.put(key("new"), "2", 40);
         bus.register_edge("edge-0", edge.clone(), 50);
         assert!(edge.contains(&key("old")), "pre-mark page survives recovery");
         assert!(!edge.contains(&key("new")), "past-mark page flushed");
@@ -1259,7 +1307,7 @@ mod tests {
         // (3): batches 2..3 died with the crash, nothing to replay.
         bus.restore(4, &[("edge-0".to_string(), 1, 10)]);
         let edge = cache();
-        edge.put(key("old"), "1".into(), 5);
+        edge.put(key("old"), "1", 5);
         bus.register_edge("edge-0", edge.clone(), 50);
         assert!(edge.is_empty(), "stale mark forces a full conservative flush");
         assert_eq!(bus.edge_rows()[0].acked, 3);
@@ -1271,8 +1319,8 @@ mod tests {
         let (bus, _t) = reliable_bus();
         let edge = cache();
         bus.register_edge("edge-0", edge.clone(), 0);
-        edge.put(key("a"), "1".into(), 0);
-        edge.put(key("keep"), "2".into(), 0);
+        edge.put(key("a"), "1", 0);
+        edge.put(key("keep"), "2", 0);
         bus.publish(1, 1, vec![key("a")]);
         bus.deliver_all(1);
         let before_len = edge.len();

@@ -176,8 +176,8 @@ mod tests {
     #[test]
     fn batch_and_ack_round_trip_the_wire() {
         let cache = Arc::new(PageCache::new(PageCacheConfig::default()));
-        cache.put(key("a"), "1".into(), 1);
-        cache.put(key("b"), "2".into(), 2);
+        cache.put(key("a"), "1", 1);
+        cache.put(key("b"), "2", 2);
         let endpoint = Arc::new(EdgeEndpoint::new("edge-sock", cache.clone(), 0));
         let server = EdgeServer::serve("127.0.0.1:0", endpoint.clone()).unwrap();
         let transport = SocketTransport::new(vec![server.addr()]);
@@ -230,7 +230,7 @@ mod tests {
     #[test]
     fn bus_drives_a_remote_edge_through_the_socket() {
         let cache = Arc::new(PageCache::new(PageCacheConfig::default()));
-        cache.put(key("x"), "1".into(), 1);
+        cache.put(key("x"), "1", 1);
         let endpoint = Arc::new(EdgeEndpoint::new("edge-sock", cache.clone(), 0));
         let server = EdgeServer::serve("127.0.0.1:0", endpoint).unwrap();
         let transport = Arc::new(SocketTransport::new(vec![server.addr()]));

@@ -45,7 +45,9 @@ const NIL: u32 = u32::MAX;
 struct Node {
     /// The one copy of the key's text; `Inner::map` holds the other handle.
     key: PageKey,
-    body: String,
+    /// A handle on the rendered body: the response that was admitted, every
+    /// mirrored edge and every hit in flight hold the same allocation.
+    body: Arc<str>,
     inserted_at: Micros,
     /// Neighbours in the queue: admitted after and before this page.
     newer: u32,
@@ -71,17 +73,17 @@ struct Node {
 ///
 /// let cache = PageCache::new(PageCacheConfig::default());
 /// let key = PageKey::raw("shop/page?g:id=7");
-/// cache.put(key.clone(), "<html>…</html>".into(), 0);
-/// assert!(cache.get(&key, 1).is_some());
+/// cache.put(key.clone(), "<html>…</html>", 0);
+/// assert!(cache.get_shared(&key, 1).is_some());
 ///
 /// // The invalidator's eject message:
 /// cache.invalidate([&key]);
 /// assert!(cache.get(&key, 2).is_none());
 /// ```
 pub struct PageCache {
-    /// Hits read under the shared lock: concurrent readers copy bodies in
-    /// parallel. Whatever adds, removes or rewrites a page takes it
-    /// exclusively.
+    /// Hits read under the shared lock: concurrent readers take their
+    /// handles on a body in parallel. Whatever adds, removes or rewrites a
+    /// page takes it exclusively.
     inner: RwLock<Inner>,
     config: PageCacheConfig,
 }
@@ -260,9 +262,22 @@ impl PageCache {
             .is_some_and(|ttl| now.saturating_sub(page.inserted_at) > ttl)
     }
 
-    /// Look up a page. `now` drives TTL expiry; a hit marks the page
-    /// visited and changes nothing else.
+    /// Look up a page and copy its body out. The copy is made under the
+    /// shared lock and touches nothing that readers of the page share, the
+    /// body's reference count included.
     pub fn get(&self, key: &PageKey, now: Micros) -> Option<String> {
+        self.hit(key, now, |body| String::from(&**body))
+    }
+
+    /// Look up a page and take a handle on its body: no copy, and the
+    /// caller keeps the bytes alive even if the page is ejected meanwhile.
+    pub fn get_shared(&self, key: &PageKey, now: Micros) -> Option<Arc<str>> {
+        self.hit(key, now, Arc::clone)
+    }
+
+    /// The one lookup. `now` drives TTL expiry; a hit marks the page
+    /// visited, shows `found` the cached body and changes nothing else.
+    fn hit<R>(&self, key: &PageKey, now: Micros, found: impl FnOnce(&Arc<str>) -> R) -> Option<R> {
         {
             let inner = self.inner.read();
             let Some(&slot) = inner.map.get(key) else {
@@ -277,7 +292,7 @@ impl PageCache {
                     page.visited.store(true, Ordering::Relaxed);
                 }
                 inner.tallies.hits.inc();
-                return Some(page.body.clone());
+                return Some(found(&page.body));
             }
         }
         // Expired: a miss, whatever a concurrent `put` does to the key
@@ -295,8 +310,10 @@ impl PageCache {
 
     /// Insert a page as the newest, evicting one if at capacity, or
     /// overwrite a cached page's body and admission time in place: it keeps
-    /// its place in the queue and its visited mark.
-    pub fn put(&self, key: PageKey, body: String, now: Micros) {
+    /// its place in the queue and its visited mark. A body that already is
+    /// an `Arc<str>` is stored as that handle; a `String` is copied once.
+    pub fn put(&self, key: PageKey, body: impl Into<Arc<str>>, now: Micros) {
+        let body = body.into();
         let mut guard = self.inner.write();
         let inner = &mut *guard;
         if let Some(&slot) = inner.map.get(&key) {
@@ -504,7 +521,7 @@ mod tests {
     fn hit_and_miss_accounting() {
         let c = cache(4);
         assert_eq!(c.get(&key("a"), 0), None);
-        c.put(key("a"), "body".into(), 1);
+        c.put(key("a"), "body", 1);
         assert_eq!(c.get(&key("a"), 2), Some("body".into()));
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
@@ -515,16 +532,16 @@ mod tests {
     fn evicts_the_oldest_page_never_hit() {
         let c = cache(3);
         for (now, k) in ["a", "b", "c"].into_iter().enumerate() {
-            c.put(key(k), k.into(), now as Micros);
+            c.put(key(k), k, now as Micros);
         }
         c.get(&key("a"), 3);
-        c.put(key("d"), "d".into(), 4); // passes a (un-marks it), evicts b
+        c.put(key("d"), "d", 4); // passes a (un-marks it), evicts b
         assert!(c.contains(&key("a")) && !c.contains(&key("b")));
-        c.put(key("e"), "e".into(), 5); // the hand rests on c: evicts it
+        c.put(key("e"), "e", 5); // the hand rests on c: evicts it
         assert!(c.contains(&key("a")) && !c.contains(&key("c")));
         c.get(&key("d"), 6);
         c.get(&key("e"), 7);
-        c.put(key("f"), "f".into(), 8); // passes d and e, wraps to a
+        c.put(key("f"), "f", 8); // passes d and e, wraps to a
         assert!(!c.contains(&key("a")));
         let unmarked = [key("d"), key("e"), key("f")].map(|k| (k, false));
         assert_eq!(c.sieve_queue(), (unmarked.to_vec(), 0));
@@ -534,10 +551,10 @@ mod tests {
     #[test]
     fn overwrite_keeps_place_and_mark_and_does_not_evict() {
         let c = cache(2);
-        c.put(key("a"), "1".into(), 0);
-        c.put(key("b"), "2".into(), 1);
+        c.put(key("a"), "1", 0);
+        c.put(key("b"), "2", 1);
         c.get(&key("a"), 2);
-        c.put(key("a"), "1b".into(), 3);
+        c.put(key("a"), "1b", 3);
         assert_eq!(c.len(), 2);
         assert_eq!(c.admitted_at(&key("a")), Some(3));
         assert_eq!(c.stats().evictions, 0);
@@ -556,10 +573,10 @@ mod tests {
             ttl_micros: Some(100),
         });
         for (now, k) in ["a", "b", "c", "d"].into_iter().enumerate() {
-            c.put(key(k), k.into(), now as Micros);
+            c.put(key(k), k, now as Micros);
         }
         c.get(&key("a"), 4);
-        c.put(key("e"), "e".into(), 5); // evicts b: the hand rests on c
+        c.put(key("e"), "e", 5); // evicts b: the hand rests on c
         assert_eq!(c.sieve_queue().1, 1);
         c.invalidate([&key("c")]); // on to d
         assert_eq!(
@@ -573,7 +590,7 @@ mod tests {
         assert_eq!(c.sieve_queue().1, 1);
         assert_eq!(c.evict_admitted_since(5), 1); // e was the newest: wraps
         assert_eq!(c.sieve_queue(), (vec![(key("a"), false)], 0));
-        c.put(key("f"), "f".into(), 201);
+        c.put(key("f"), "f", 201);
         assert_eq!(c.clear(), 2);
         assert_eq!(c.sieve_queue(), (vec![], 0));
     }
@@ -584,7 +601,7 @@ mod tests {
             capacity: 4,
             ttl_micros: Some(100),
         });
-        c.put(key("a"), "1".into(), 0);
+        c.put(key("a"), "1", 0);
         assert_eq!(c.get(&key("a"), 50), Some("1".into()));
         assert_eq!(c.get(&key("a"), 200), None, "expired");
         assert_eq!(c.stats().expirations, 1);
@@ -594,7 +611,7 @@ mod tests {
     fn invalidate_removes_exactly_named_keys() {
         let c = cache(8);
         for k in ["a", "b", "c"] {
-            c.put(key(k), k.into(), 0);
+            c.put(key(k), k, 0);
         }
         let removed = c.invalidate([&key("a"), &key("c"), &key("zz")]);
         assert_eq!(removed, 2);
@@ -607,7 +624,7 @@ mod tests {
     fn invalidate_collect_names_resident_keys_only() {
         let c = cache(8);
         for k in ["a", "b"] {
-            c.put(key(k), k.into(), 0);
+            c.put(key(k), k, 0);
         }
         let removed = c.invalidate_collect([&key("a"), &key("zz")]);
         assert_eq!(removed, vec![key("a")]);
@@ -618,15 +635,15 @@ mod tests {
     fn wired_metrics_track_cache_stats_exactly() {
         let c = cache(2);
         let registry = MetricsRegistry::new();
-        c.put(key("pre"), "x".into(), 0); // before wiring: carried over
+        c.put(key("pre"), "x", 0); // before wiring: carried over
         c.wire_metrics(&registry, "cache.page");
         assert_eq!(registry.counter_value("cache.page.insertions"), 1);
         assert_eq!(registry.gauge_value("cache.page.resident"), 1);
 
         c.get(&key("pre"), 1); // hit
         c.get(&key("nope"), 2); // miss
-        c.put(key("b"), "2".into(), 3);
-        c.put(key("c"), "3".into(), 4); // evicts one
+        c.put(key("b"), "2", 3);
+        c.put(key("c"), "3", 4); // evicts one
         c.invalidate([&key("c")]);
 
         let s = c.stats();
@@ -647,8 +664,8 @@ mod tests {
     #[test]
     fn clear_counts_invalidations() {
         let c = cache(8);
-        c.put(key("a"), "1".into(), 0);
-        c.put(key("b"), "2".into(), 0);
+        c.put(key("a"), "1", 0);
+        c.put(key("b"), "2", 0);
         assert_eq!(c.clear(), 2);
         assert!(c.is_empty());
     }
@@ -656,9 +673,9 @@ mod tests {
     #[test]
     fn evict_admitted_since_flushes_only_newer_pages() {
         let c = cache(8);
-        c.put(key("old"), "1".into(), 10);
-        c.put(key("boundary"), "2".into(), 20);
-        c.put(key("new"), "3".into(), 30);
+        c.put(key("old"), "1", 10);
+        c.put(key("boundary"), "2", 20);
+        c.put(key("new"), "3", 30);
         assert_eq!(c.evict_admitted_since(20), 2, "boundary is inclusive");
         assert!(c.contains(&key("old")));
         assert!(!c.contains(&key("boundary")));
@@ -671,7 +688,7 @@ mod tests {
         for capacity in [0, 1, 3] {
             let c = cache(capacity);
             for i in 0..50 {
-                c.put(key(&format!("k{i}")), "x".into(), i);
+                c.put(key(&format!("k{i}")), "x", i);
                 assert!(c.len() <= capacity, "capacity {capacity}");
             }
             let s = c.stats();

@@ -1,16 +1,16 @@
 //! Readers hit the cache under its shared lock while one thread `put`s past
 //! capacity and another ejects. Whatever the interleaving: the cache never
 //! exceeds its capacity, every `get` is counted exactly once as a hit or a
-//! miss, the wired metrics are the cache's own counters, and a `get` never
-//! returns a body that an eject which had already returned should have
-//! removed.
+//! miss, the wired metrics are the cache's own counters, and neither `get`
+//! nor `get_shared` (the readers alternate) returns a body that an eject
+//! which had already returned should have removed.
 
 use cacheportal_cache::{PageCache, PageCacheConfig};
 use cacheportal_obs::MetricsRegistry;
 use cacheportal_web::PageKey;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 const CAPACITY: usize = 64;
@@ -71,7 +71,12 @@ fn hammer(readers: usize, run_for: Duration) {
                             let k = rng.gen_range(0..KEYS);
                             let dead_before = dead[k].load(SeqCst);
                             gets += 1;
-                            if let Some(body) = cache.get(&keys[k], 0) {
+                            let body = if gets.is_multiple_of(2) {
+                                cache.get(&keys[k], 0).map(Arc::from)
+                            } else {
+                                cache.get_shared(&keys[k], 0)
+                            };
+                            if let Some(body) = body {
                                 let body: u64 = body.parse().expect("a body is a number");
                                 assert!(
                                     body > dead_before,

@@ -149,7 +149,14 @@ fn run_against_model(capacity: usize, ttl: Option<u64>, ops: Vec<Op>) {
         match &op {
             Op::Get(k) => {
                 let want = model.get(*k, now).map(|put| format!("body{k}/{put}"));
-                assert_eq!(cache.get(&key(*k), now), want, "get({k}) at {now}");
+                // Either lookup is the one lookup: the same text, and the
+                // same mark and tally for the ops that follow to find.
+                let got = if now.is_multiple_of(2) {
+                    cache.get(&key(*k), now)
+                } else {
+                    cache.get_shared(&key(*k), now).map(|body| body.to_string())
+                };
+                assert_eq!(got, want, "get({k}) at {now}");
             }
             Op::Put(k) => {
                 puts += 1;
@@ -225,7 +232,7 @@ proptest! {
 
 fn get_or_put(cache: &PageCache, k: &PageKey, now: u64) {
     if cache.get(k, now).is_none() {
-        cache.put(k.clone(), "body".into(), now);
+        cache.put(k.clone(), "body", now);
     }
 }
 
@@ -246,7 +253,7 @@ fn zipf_stream_hit_ratio_is_pinned() {
     }
     let cache = PageCache::new(PageCacheConfig::default());
     for k in keys.iter().rev() {
-        cache.put(k.clone(), "body".into(), 0);
+        cache.put(k.clone(), "body", 0);
     }
     let mut rng = StdRng::seed_from_u64(1);
     for now in 0..500_000 {

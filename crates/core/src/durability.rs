@@ -245,11 +245,13 @@ impl Durability {
 
     /// Persist one completed sync point: new QI/URL rows since the durable
     /// map cursor, the window's admissions' origins, and the new cursor —
-    /// one WAL batch, written and fsynced once. The cursor goes last, so a
-    /// torn batch never recovers a cursor ahead of its rows. Runs a
-    /// checkpoint (full snapshot + WAL reset) every `checkpoint_interval`
-    /// persisted syncs. I/O errors are counted, not propagated: the portal
-    /// stays available, the caller flags health.
+    /// one WAL batch, written through 64 KiB at a time and fsynced once. The
+    /// cursor goes last, so a torn batch never recovers a cursor ahead of
+    /// its rows, and a batch one of whose writes failed is dropped whole:
+    /// the appends after it are refused (each counted) and so is the sync.
+    /// Runs a checkpoint (full snapshot + WAL reset) every
+    /// `checkpoint_interval` persisted syncs. I/O errors are counted, not
+    /// propagated: the portal stays available, the caller flags health.
     pub fn persist_sync(
         &mut self,
         map: &QiUrlMap,

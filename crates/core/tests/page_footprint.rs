@@ -13,13 +13,15 @@
 //! It also pins what does *not* grow: a second pass over the same pages, the
 //! page cache emptied, maps 4 300 rows the map already has — none is
 //! rendered, and the process holds no more than before (that pass used to
-//! render all 4 300 to find them duplicates) — and a cache hit
-//! allocates its key's text, the body's copy and the `Cache-Control` owner,
-//! and nothing for handing the key on.
+//! render all 4 300 to find them duplicates) — a cache hit allocates its
+//! key's text and nothing else (the body is a handle on the cached one, the
+//! `Cache-Control` owner a borrowed literal, the key handed on as it is) —
+//! and a page admitted at the origin and mirrored to two in-process edges
+//! puts one body on the heap, not three.
 
 mod common;
 
-use cacheportal::cache::PageCacheConfig;
+use cacheportal::cache::{PageCache, PageCacheConfig};
 use cacheportal::db::schema::ColType;
 use cacheportal::db::Database;
 use cacheportal::invalidator::{Invalidator, InvalidatorConfig};
@@ -38,6 +40,9 @@ const PAGES: usize = SKUS + 3 * CATEGORIES;
 const BYTES_PER_PAGE: usize = 720;
 /// Heap blocks they may hold per page.
 const BLOCKS_PER_PAGE: f64 = 7.0;
+/// Pages of the mirrored pass: fewer than the slots a page cache allocates
+/// up front, so what the pass leaves on the heap is bodies.
+const MIRRORED: usize = 2000;
 
 /// `portal_load`'s site: two tables, four servlets of one query each.
 fn storefront() -> CachePortal {
@@ -180,7 +185,7 @@ fn a_registered_page_costs_under_720_bytes_and_7_blocks() {
         second_pass.retained
     );
 
-    // Hits: the key's text, the body's copy, the `Cache-Control` owner.
+    // Hits: the key's text.
     let key = PageKey::raw("shop/product?g:sku=1");
     let (clone, cloned) = common::measure(|| key.clone());
     assert_eq!((cloned.calls, clone.as_str()), (0, key.as_str()));
@@ -192,7 +197,49 @@ fn a_registered_page_costs_under_720_bytes_and_7_blocks() {
         served.count()
     });
     assert_eq!(served, PAGES);
-    assert_eq!(hits.calls, 3 * PAGES, "allocations of {PAGES} hits");
+    assert_eq!(hits.calls, PAGES, "allocations of {PAGES} hits");
+
+    // Misses mirrored to two in-process edges: the response, the origin and
+    // both edges hold the one body the miss rendered.
+    let edges: Vec<Arc<PageCache>> = (0..2)
+        .map(|_| {
+            Arc::new(PageCache::new(PageCacheConfig {
+                capacity: 2 * PAGES,
+                ..PageCacheConfig::default()
+            }))
+        })
+        .collect();
+    for edge in &edges {
+        portal.register_edge_cache(edge.clone());
+    }
+    portal.page_cache().clear();
+    let (bodies, mirrored) = common::measure(|| {
+        let mut bodies = 0;
+        for req in &requests[..MIRRORED] {
+            let outcome = portal.request(req);
+            assert_eq!(outcome.served, Served::Generated);
+            assert_eq!(Arc::strong_count(&outcome.response.body), 4);
+            bodies += outcome.response.body.len();
+        }
+        portal.sync_point().unwrap();
+        bodies
+    });
+    assert!(edges.iter().all(|edge| edge.len() == MIRRORED));
+    println!(
+        "{MIRRORED} pages of {bodies} body bytes admitted at the origin and two edges: \
+         {} bytes in {} blocks left on the heap",
+        mirrored.retained, mirrored.retained_blocks
+    );
+    assert!(
+        (mirrored.retained as usize) < bodies * 5 / 4,
+        "{} bytes kept for {bodies} bytes of bodies",
+        mirrored.retained
+    );
+    assert!(
+        (mirrored.retained_blocks as usize) < MIRRORED + 64,
+        "{} blocks kept for {MIRRORED} bodies",
+        mirrored.retained_blocks
+    );
 
     // Take the map and the invalidator out, let the rest of the portal go,
     // and weigh them.
@@ -201,7 +248,7 @@ fn a_registered_page_costs_under_720_bytes_and_7_blocks() {
         std::mem::replace(inv, Invalidator::new(InvalidatorConfig::default()))
     });
     assert_eq!(invalidator.registry().total_instances(), PAGES);
-    drop(portal);
+    drop((portal, edges));
     let ((), freed_map) = common::measure(|| drop(map));
     let ((), freed_registry) = common::measure(|| drop(invalidator));
     let per_page = |n: isize| -n as f64 / PAGES as f64;

@@ -7,6 +7,10 @@
 //! lowered the clones to a value tree, rendered that into one string and
 //! copied the string: this test then counted 42 allocations and 2.4 KiB of
 //! transient heap per page — 181 k allocations and 9.9 MiB at 4 300 pages.)
+//! Nor must the site's *first* sync, whose window is every row and every
+//! origin: the WAL writes its batch through 64 KiB at a time. (When it kept
+//! the batch for one write at the sync, this test read a transient peak of
+//! 3.8 MB at 4 300 pages and 15.3 MB at 16 000; it reads 146 KB at both.)
 
 mod common;
 
@@ -18,9 +22,10 @@ use std::collections::HashMap;
 #[global_allocator]
 static ALLOC: common::CountingAlloc = common::CountingAlloc;
 
-/// A pass may hold the snapshot stream's 64 KiB file buffer, one pointer per
-/// origin for the page-order sort (125 KiB at 16 000 pages), and small
-/// change.
+/// A checkpointing pass may hold the snapshot stream's 64 KiB file buffer,
+/// one pointer per origin for the page-order sort (125 KiB at 16 000 pages),
+/// and small change; a first sync, the WAL's batch buffer as it doubles past
+/// 64 KiB.
 const TRANSIENT_BOUND: usize = 256 * 1024;
 
 fn cursor(consumed: u64) -> CursorRecord {
@@ -40,6 +45,7 @@ fn cursor(consumed: u64) -> CursorRecord {
 fn a_checkpointing_persist_holds_no_copy_of_the_site() {
     let mut report = Vec::new();
     let mut calls = Vec::new();
+    let mut first_calls = Vec::new();
     for pages in [1_000usize, 4_300, 16_000] {
         let dir =
             std::env::temp_dir().join(format!("cp-persist-alloc-{}-{pages}", std::process::id()));
@@ -63,10 +69,22 @@ fn a_checkpointing_persist_holds_no_copy_of_the_site() {
             .collect();
 
         let mut d = Durability::open(&dir, 2).unwrap();
-        // The site's first sync journals every row and origin: its WAL batch
-        // is the size of the window, which here is the whole site.
-        let out = d.persist_sync(&map, &admitted, &origins, cursor(1));
+        // The site's first sync journals every row and origin: its window
+        // is the whole site.
+        let (out, first) =
+            common::measure(|| d.persist_sync(&map, &admitted, &origins, cursor(1)));
         assert_eq!((out.errors, out.checkpointed), (0, false));
+        assert_eq!(out.appended as usize, 2 * pages + 1);
+        report.push(format!(
+            "{pages} pages: first sync of {} frames, transient peak {} bytes, {} allocations, {} bytes retained",
+            out.appended, first.transient_peak, first.calls, first.retained
+        ));
+        assert!(
+            first.transient_peak < TRANSIENT_BOUND,
+            "{pages} pages: the first sync held {} transient bytes (bound {TRANSIENT_BOUND})",
+            first.transient_peak
+        );
+        first_calls.push(first.calls);
 
         // Steady state: a window with a handful of admissions, and the
         // checkpoint that writes the whole site out.
@@ -97,5 +115,9 @@ fn a_checkpointing_persist_holds_no_copy_of_the_site() {
     assert!(
         calls.iter().all(|&c| c == calls[0] && c < 32),
         "allocations per pass: {calls:?}"
+    );
+    assert!(
+        first_calls.iter().all(|&c| c == first_calls[0] && c < 32),
+        "allocations per first sync: {first_calls:?}"
     );
 }

@@ -30,6 +30,10 @@ pub struct LogRecord {
     pub op: LogOp,
 }
 
+/// Records of capacity [`UpdateLog::truncate`] always leaves alone: a
+/// steady-state window fills and empties the log without reallocating.
+const TRUNCATE_KEEP: usize = 256;
+
 /// Append-only update log.
 #[derive(Debug, Default)]
 pub struct UpdateLog {
@@ -70,10 +74,16 @@ impl UpdateLog {
         &self.records[start..]
     }
 
-    /// Drop records below `below` (already consumed by every subscriber).
+    /// Drop records below `below` (already consumed by every subscriber),
+    /// and give back the room of a burst — a bulk load, a long outage —
+    /// once the log holds a quarter of it or less.
     pub fn truncate(&mut self, below: Lsn) {
         let start = self.records.partition_point(|r| r.lsn < below);
         self.records.drain(..start);
+        let keep = self.records.len().max(TRUNCATE_KEEP);
+        if self.records.capacity() > 4 * keep {
+            self.records.shrink_to(2 * keep);
+        }
     }
 
     /// Abort support: remove every record with `lsn >= at` and rewind the
@@ -139,5 +149,36 @@ mod tests {
         assert_eq!(log.pull_since(8).len(), 2);
         // appends continue from the same LSN sequence
         assert_eq!(log.append("t", rec(99)), 10);
+    }
+
+    #[test]
+    fn truncate_gives_a_bulk_loads_capacity_back() {
+        let mut log = UpdateLog::new();
+        for i in 0..8000 {
+            log.append("t", rec(i));
+        }
+        assert!(log.records.capacity() >= 8000);
+        log.truncate(7990);
+        assert!(
+            log.records.capacity() <= 2 * TRUNCATE_KEEP,
+            "{} records of capacity for 10 retained",
+            log.records.capacity()
+        );
+        // What is retained reads as before, and the log goes on.
+        assert_eq!(log.pull_since(0).len(), 10);
+        assert_eq!(log.pull_since(7995)[0].lsn, 7995);
+        assert_eq!(log.append("t", rec(0)), 8000);
+        log.rewind_to(7998);
+        assert_eq!((log.len(), log.high_water()), (8, 7998));
+        // A steady-state window keeps its room: no shrink, no regrowth.
+        log.truncate(log.high_water());
+        let settled = log.records.capacity();
+        for _ in 0..5 {
+            for i in 0..TRUNCATE_KEEP as i64 {
+                log.append("t", rec(i));
+            }
+            log.truncate(log.high_water());
+            assert_eq!(log.records.capacity(), settled);
+        }
     }
 }

@@ -9,12 +9,16 @@
 //!
 //! * **WAL** (`wal.log`): an 8-byte header (`CPWAL\0` magic + `u16`
 //!   version) followed by frames `[len: u32 LE][crc32: u32 LE][payload]`.
-//!   Appends are framed into one buffer the log keeps; [`Wal::sync`] at
-//!   each durability point hands the whole batch to the file in one write
-//!   and fsyncs it. Nothing is promised before that fsync, so holding the
-//!   frames in memory until then loses nothing a crash could not already
-//!   take. A torn tail — a partial frame from a crash mid-write — is
-//!   detected by length/checksum and **truncated**, never replayed.
+//!   Appends are framed into one buffer the log keeps and written through
+//!   to the file each time that buffer passes 64 KiB; [`Wal::sync`] at each
+//!   durability point writes the rest and issues the batch's one fsync.
+//!   Nothing is promised before that fsync, so a window of any size costs
+//!   64 KiB of memory and loses nothing a crash could not already take; a
+//!   write that fails cuts the file back to where the batch began. A torn
+//!   tail — a partial frame from a crash mid-write — is detected by
+//!   length/checksum and **truncated**, never replayed; the whole frames
+//!   of a batch whose fsync never came are replayed, so a batch carries the
+//!   record that vouches for the others (the portal's cursor) last.
 //! * **Snapshot** (`snapshot.bin`): the full serialized state, streamed
 //!   through [`SnapshotWriter`] to a temp file, fsynced, then atomically
 //!   renamed over the previous snapshot (and the directory fsynced).
@@ -50,7 +54,8 @@ const SNAP_LEN_OFFSET: u64 = 16;
 const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 /// The snapshot stream's file buffer.
 const SNAP_BUFFER_LEN: usize = 64 * 1024;
-/// Capacity the WAL's batch buffer keeps from one sync to the next.
+/// The length past which the WAL's batch buffer is written through, and the
+/// capacity it keeps from one sync to the next.
 const BATCH_KEEP_LEN: usize = 64 * 1024;
 
 const CRC_TABLE: [u32; 256] = crc_table();
@@ -154,6 +159,11 @@ fn oversized(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, msg)
 }
 
+/// What the rest of a batch gets once one of its writes has failed.
+fn batch_dropped() -> io::Error {
+    io::Error::other("wal: an earlier write of this batch failed; the batch is dropped")
+}
+
 /// Scan a WAL file without modifying it. A missing file is an empty log.
 ///
 /// Torn tails (partial header, partial frame, checksum mismatch, or an
@@ -214,11 +224,25 @@ pub struct Wal {
     file: File,
     path: PathBuf,
     sync_every: usize,
-    /// Frames appended since the last sync; all of them are in `batch`.
+    /// Frames appended since the last sync: the batch. They are in `batch`
+    /// or, written through, in the file from `batch_start` on.
     pending: usize,
-    /// The pending frames, back to back; each sync empties and reuses it.
+    /// The batch's frames not yet written, back to back.
     batch: Vec<u8>,
+    /// Where the batch begins in the file: what a failed write cuts the
+    /// file back to.
+    batch_start: u64,
+    /// Where the next write lands: `batch_start` plus what has been written
+    /// through.
+    file_end: u64,
+    /// A write-through of this batch failed and took the batch with it; the
+    /// appends up to the next sync are refused and that sync reports the
+    /// loss, so a batch reaches the file whole or not at all.
+    dropped: bool,
     stats: WalStats,
+    /// Bytes the file accepts before a write fails part-way, once.
+    #[cfg(test)]
+    fail_write_after: Option<usize>,
 }
 
 impl Wal {
@@ -239,7 +263,7 @@ impl Wal {
             .truncate(false)
             .open(path)?;
         let disk_len = file.metadata()?.len();
-        if replay.valid_len == 0 {
+        let end = if replay.valid_len == 0 {
             // Empty or torn-header file: start fresh.
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
@@ -248,28 +272,37 @@ impl Wal {
             header[6..8].copy_from_slice(&WAL_VERSION.to_le_bytes());
             file.write_all(&header)?;
             file.sync_all()?;
+            WAL_HEADER_LEN
         } else {
             if disk_len != replay.valid_len {
                 file.set_len(replay.valid_len)?;
                 file.sync_all()?;
             }
             file.seek(SeekFrom::Start(replay.valid_len))?;
-        }
+            replay.valid_len
+        };
         Ok(Wal {
             file,
             path: path.to_path_buf(),
             sync_every,
             pending: 0,
             batch: Vec::new(),
+            batch_start: end,
+            file_end: end,
+            dropped: false,
             stats: WalStats::default(),
+            #[cfg(test)]
+            fail_write_after: None,
         })
     }
 
-    /// Frame one record into the pending batch. It reaches the file, and
-    /// becomes durable, at the next [`Wal::sync`] (or automatic batch flush
-    /// when `sync_every > 0`). A payload above the frame limit is refused
-    /// with `InvalidInput`: replay would read its length as a torn tail and
-    /// drop it together with every frame behind it.
+    /// Frame one record into the pending batch. The batch is written
+    /// through to the file whenever it passes [`BATCH_KEEP_LEN`], so the log
+    /// holds a bounded part of a window in memory however large the window;
+    /// nothing is durable before the next [`Wal::sync`] (or automatic batch
+    /// flush when `sync_every > 0`). A payload above the frame limit is
+    /// refused with `InvalidInput`: replay would read its length as a torn
+    /// tail and drop it together with every frame behind it.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
         let len = u32::try_from(payload.len())
             .ok()
@@ -280,39 +313,78 @@ impl Wal {
                     payload.len()
                 ))
             })?;
+        if self.dropped {
+            return Err(batch_dropped());
+        }
         self.batch.extend_from_slice(&len.to_le_bytes());
         self.batch.extend_from_slice(&crc32(payload).to_le_bytes());
         self.batch.extend_from_slice(payload);
         self.stats.appends += 1;
         self.stats.bytes += FRAME_HEADER_LEN + u64::from(len);
         self.pending += 1;
+        if self.batch.len() > BATCH_KEEP_LEN {
+            if let Err(e) = self.write_through() {
+                self.dropped = true;
+                return Err(e);
+            }
+        }
         if self.sync_every > 0 && self.pending >= self.sync_every {
             self.sync()?;
         }
         Ok(())
     }
 
-    /// Write every pending frame with one `write_all` and make them durable
-    /// with one fsync (the batch boundary). A failed write takes back
-    /// whatever part of the batch reached the file — a torn frame in the
-    /// middle of the log would hide every later one — and the batch is
-    /// dropped: its window counts as not persisted.
+    /// Hand the buffered frames to the file. A failed write takes back
+    /// whatever part of the batch reached the file, in this write or an
+    /// earlier one — a torn frame in the middle of the log would hide every
+    /// later one — and the batch is dropped: its window counts as not
+    /// persisted.
+    fn write_through(&mut self) -> io::Result<()> {
+        let written = self.write_batch();
+        let len = self.batch.len() as u64;
+        self.batch.clear();
+        match written {
+            Ok(()) => self.file_end += len,
+            Err(_) => {
+                let _ = self.file.set_len(self.batch_start);
+                let _ = self.file.seek(SeekFrom::Start(self.batch_start));
+                self.file_end = self.batch_start;
+            }
+        }
+        written
+    }
+
+    fn write_batch(&mut self) -> io::Result<()> {
+        #[cfg(test)]
+        if let Some(room) = self.fail_write_after {
+            if room < self.batch.len() {
+                self.fail_write_after = None;
+                self.file.write_all(&self.batch[..room])?;
+                return Err(io::Error::other("injected write failure"));
+            }
+            self.fail_write_after = Some(room - self.batch.len());
+        }
+        self.file.write_all(&self.batch)
+    }
+
+    /// Write what is left of the batch and make all of it durable with one
+    /// fsync (the batch boundary). A write that fails here, or failed when
+    /// the batch was written through, leaves the file as the last sync left
+    /// it and is reported here.
     pub fn sync(&mut self) -> io::Result<()> {
         if self.pending == 0 {
             return Ok(());
         }
-        let end = self.file.stream_position()?;
         self.pending = 0;
-        let written = self.file.write_all(&self.batch);
-        self.batch.clear();
-        // A site's first sync journals every page; the syncs after it, a
-        // window's worth. Keep a window's worth of buffer.
+        let written = if std::mem::take(&mut self.dropped) {
+            Err(batch_dropped())
+        } else {
+            self.write_through()
+        };
+        // A record longer than a window's worth is not kept room for.
         self.batch.shrink_to(BATCH_KEEP_LEN);
-        if let Err(e) = written {
-            let _ = self.file.set_len(end);
-            let _ = self.file.seek(SeekFrom::Start(end));
-            return Err(e);
-        }
+        written?;
+        self.batch_start = self.file_end;
         self.file.sync_all()?;
         self.stats.syncs += 1;
         Ok(())
@@ -323,8 +395,10 @@ impl Wal {
     pub fn reset(&mut self) -> io::Result<()> {
         self.batch.clear();
         self.pending = 0;
+        self.dropped = false;
         self.file.set_len(WAL_HEADER_LEN)?;
         self.file.seek(SeekFrom::Start(WAL_HEADER_LEN))?;
+        (self.batch_start, self.file_end) = (WAL_HEADER_LEN, WAL_HEADER_LEN);
         self.file.sync_all()?;
         self.stats.resets += 1;
         Ok(())
@@ -536,8 +610,22 @@ mod tests {
         out
     }
 
+    /// A window the size of a site: `rows` records of a QI/URL row's length
+    /// (no two alike), then the record that vouches for them.
+    fn site_window(rows: usize) -> Vec<Vec<u8>> {
+        let mut window: Vec<Vec<u8>> = (0..rows)
+            .map(|i| format!("row {i:06} {}", "x".repeat(150 + i % 90)).into_bytes())
+            .collect();
+        window.push(b"cursor".to_vec());
+        window
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        fs::metadata(path).unwrap().len()
+    }
+
     #[test]
-    fn wal_appends_reach_the_file_only_at_sync() {
+    fn wal_batch_waits_for_sync_below_the_threshold_and_is_written_through_above_it() {
         let dir = temp_dir("batched");
         let path = wal_path(&dir);
         let payloads = vec![b"alpha".to_vec(), vec![], b"gamma".to_vec()];
@@ -549,13 +637,162 @@ mod tests {
         // window, exactly as one dying before the fsync always did.
         assert_eq!(wal.stats().appends, 3);
         assert_eq!(wal.stats().bytes, 3 * FRAME_HEADER_LEN + 10);
-        assert_eq!(fs::read(&path).unwrap().len() as u64, WAL_HEADER_LEN);
+        assert_eq!(file_len(&path), WAL_HEADER_LEN);
         wal.sync().unwrap();
         assert_eq!(fs::read(&path).unwrap()[WAL_HEADER_LEN as usize..], framed(&payloads));
-        // A batch dropped with its process leaves the synced prefix.
-        wal.append(b"never synced").unwrap();
+        let synced = file_len(&path);
+
+        // A batch past the threshold is in the file before its sync, whole
+        // frames only, and all of it but a buffer's worth.
+        let window = site_window(2 * BATCH_KEEP_LEN / 200);
+        let mut appended = 0;
+        for p in &window {
+            wal.append(p).unwrap();
+            appended += FRAME_HEADER_LEN as usize + p.len();
+            let in_file = (file_len(&path) - synced) as usize;
+            assert!(in_file <= appended && appended - in_file <= BATCH_KEEP_LEN);
+            assert_eq!(in_file > 0, appended > BATCH_KEEP_LEN, "{appended} appended");
+        }
+        assert!(file_len(&path) > synced + BATCH_KEEP_LEN as u64);
+        // In the file is not durable: the batch has had no fsync, and a
+        // process dying here leaves rows nothing vouches for.
+        assert_eq!(wal.stats().syncs, 1);
         drop(wal);
-        assert_eq!(replay_wal(&path).unwrap().records, payloads);
+        let replay = replay_wal(&path).unwrap();
+        assert_eq!(replay.torn_bytes, 0);
+        assert_eq!(replay.records[..3], payloads[..]);
+        assert_eq!(replay.records[3..], window[..replay.records.len() - 3]);
+        assert!(replay.records.len() < 3 + window.len());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A batch several times the threshold goes out in several writes. The
+    /// file is the one a single write made, and a crash that cuts it
+    /// anywhere — between two writes included — recovers the frames that are
+    /// whole before the cut: never one past a torn frame, and never the
+    /// last record (the cursor) without every row before it. Replaying a
+    /// prefix costs its length, so the frames cut are the ones on either
+    /// side of each write's end, the batch's first and last, and every
+    /// sixteenth: each in every byte of its header, mid-payload, one byte
+    /// short and whole. (`wal_truncation_at_every_byte_prefix_is_safe` cuts
+    /// a short log at every byte.)
+    #[test]
+    fn wal_batch_written_through_is_the_same_file_and_tears_safely() {
+        let dir = temp_dir("site-batch");
+        let path = wal_path(&dir);
+        let before = [b"last window".to_vec()];
+        let window = site_window(3 * BATCH_KEEP_LEN / 200);
+        let mut write_ends = Vec::new();
+        {
+            let mut wal = Wal::open(&path).unwrap();
+            wal.append(&before[0]).unwrap();
+            wal.sync().unwrap();
+            let mut len = file_len(&path);
+            for p in &window {
+                wal.append(p).unwrap();
+                if file_len(&path) != len {
+                    len = file_len(&path);
+                    write_ends.push(len as usize);
+                }
+            }
+            wal.sync().unwrap();
+            assert_eq!(wal.stats().syncs, 2);
+        }
+        assert!(write_ends.len() >= 3, "writes ended at {write_ends:?}");
+        let all: Vec<Vec<u8>> = before.iter().chain(&window).cloned().collect();
+        let full = fs::read(&path).unwrap();
+        assert_eq!(full[WAL_HEADER_LEN as usize..], framed(&all));
+
+        let mut boundaries = vec![WAL_HEADER_LEN as usize];
+        for p in &all {
+            boundaries.push(boundaries.last().unwrap() + FRAME_HEADER_LEN as usize + p.len());
+        }
+        assert!(write_ends.iter().all(|end| boundaries.contains(end)));
+        let mut cuts = Vec::new();
+        for (k, frame) in boundaries.windows(2).enumerate() {
+            let (start, end) = (frame[0], frame[1]);
+            let beside_a_write = write_ends.iter().any(|&w| w == start || w == end);
+            if beside_a_write || k <= 1 || k + 1 == all.len() || k.is_multiple_of(16) {
+                cuts.extend(start..=start + FRAME_HEADER_LEN as usize);
+                cuts.extend([(start + end) / 2, end - 1, end]);
+            }
+        }
+        let prefix_path = dir.join("prefix.log");
+        for cut in cuts {
+            fs::write(&prefix_path, &full[..cut]).unwrap();
+            let replay = replay_wal(&prefix_path).unwrap();
+            let whole = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
+            assert_eq!(replay.records.len(), whole, "cut at byte {cut}");
+            assert_eq!(replay.records[..], all[..whole], "cut at byte {cut}");
+            assert_eq!(replay.valid_len, boundaries[whole] as u64, "cut at byte {cut}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A write that fails — when the batch is written through, or at its
+    /// sync — takes the whole batch back, the part earlier writes put in the
+    /// file included, and the batch after it is whole.
+    #[test]
+    fn wal_failed_write_leaves_the_file_at_the_batch_start() {
+        let dir = temp_dir("write-fails");
+        let path = wal_path(&dir);
+        let window = site_window(3 * BATCH_KEEP_LEN / 200);
+        let mut wal = Wal::open(&path).unwrap();
+        wal.append(b"durable").unwrap();
+        wal.sync().unwrap();
+        let batch_start = file_len(&path);
+        let mut expected = vec![b"durable".to_vec()];
+
+        // The second write-through fails part-way.
+        wal.fail_write_after = Some(BATCH_KEEP_LEN + 1000);
+        let mut refused = 0;
+        for p in &window {
+            if wal.append(p).is_err() {
+                refused += 1;
+                assert_eq!(file_len(&path), batch_start, "cut back at the failure");
+            }
+        }
+        // Everything after the failure is refused, the cursor too: no sync
+        // can make part of this batch durable.
+        assert!(refused > window.len() / 3, "{refused} appends refused");
+        assert!(wal.append(b"straggler").is_err());
+        assert!(wal.sync().is_err());
+        assert_eq!((file_len(&path), wal.stats().syncs), (batch_start, 1));
+
+        // The next batch is written through and synced as if nothing happened.
+        for p in &window {
+            wal.append(p).unwrap();
+        }
+        wal.sync().unwrap();
+        expected.extend(window.iter().cloned());
+        let batch_start = file_len(&path);
+
+        // A batch whose last write, the one at sync, fails: what was written
+        // through before it goes too.
+        let one_write = window[..window.len() / 2].iter();
+        let spilled: usize = one_write.map(|p| FRAME_HEADER_LEN as usize + p.len()).sum();
+        assert!(spilled > BATCH_KEEP_LEN && spilled < 2 * BATCH_KEEP_LEN);
+        wal.fail_write_after = Some(spilled - 100);
+        for p in &window[..window.len() / 2] {
+            wal.append(p).unwrap();
+        }
+        assert!(file_len(&path) > batch_start, "written through");
+        assert!(wal.sync().is_err());
+        assert_eq!((file_len(&path), wal.stats().syncs), (batch_start, 2));
+
+        // And a small one, all of it in the one write at sync.
+        wal.fail_write_after = Some(10);
+        wal.append(b"lost with its batch").unwrap();
+        assert!(wal.sync().is_err());
+        assert_eq!(file_len(&path), batch_start);
+
+        wal.append(b"after").unwrap();
+        wal.sync().unwrap();
+        expected.push(b"after".to_vec());
+        drop(wal);
+        let replay = replay_wal(&path).unwrap();
+        assert_eq!(replay.torn_bytes, 0);
+        assert!(replay.records == expected, "{} records", replay.records.len());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -685,6 +922,27 @@ mod tests {
         drop(wal);
         let replay = replay_wal(&path).unwrap();
         assert_eq!(replay.records, vec![b"post-snapshot".to_vec()]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn wal_reset_after_a_write_through_leaves_an_empty_header() {
+        let dir = temp_dir("reset-written-through");
+        let path = wal_path(&dir);
+        let mut wal = Wal::open(&path).unwrap();
+        for p in &site_window(2 * BATCH_KEEP_LEN / 200) {
+            wal.append(p).unwrap();
+        }
+        assert!(file_len(&path) > BATCH_KEEP_LEN as u64);
+        wal.reset().unwrap();
+        let mut header = WAL_MAGIC.to_vec();
+        header.extend_from_slice(&WAL_VERSION.to_le_bytes());
+        assert_eq!(fs::read(&path).unwrap(), header);
+        // The unsynced batch is gone from the buffer too.
+        wal.append(b"post-snapshot").unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        assert_eq!(replay_wal(&path).unwrap().records, vec![b"post-snapshot".to_vec()]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -160,7 +160,7 @@ impl AppServer {
         // §3.1: translate `no-cache` into the owner-restricted directive so
         // CachePortal-compliant caches may store the page.
         let cache_control = if spec.cacheable && self.config.rewrite_cache_control {
-            CacheControl::PrivateOwner(self.config.cache_owner.clone())
+            CacheControl::PrivateOwner(self.config.cache_owner.clone().into())
         } else {
             CacheControl::NoCache
         };

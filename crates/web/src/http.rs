@@ -5,7 +5,9 @@
 //! parameters declared as *keys* by the servlet participate in cache
 //! identity. [`HttpRequest`] carries all three parameter sets.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// HTTP method; the model only distinguishes GET/POST semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -109,7 +111,9 @@ pub enum CacheControl {
     /// `no-cache`: not cacheable at all.
     NoCache,
     /// `private, owner="<owner>"`: cacheable only by caches run by `owner`.
-    PrivateOwner(String),
+    /// A literal owner (`"cacheportal".into()`) is borrowed: stamping it on
+    /// a response allocates nothing.
+    PrivateOwner(Cow<'static, str>),
     /// `eject`: invalidate this URL in the receiving cache.
     Eject,
 }
@@ -142,7 +146,7 @@ impl CacheControl {
             if let Some(idx) = lower.find("owner=") {
                 let rest = &t[idx + "owner=".len()..];
                 let owner = rest.trim().trim_matches('"');
-                return Some(CacheControl::PrivateOwner(owner.to_string()));
+                return Some(CacheControl::PrivateOwner(owner.to_string().into()));
             }
         }
         None
@@ -193,13 +197,15 @@ pub struct HttpResponse {
     pub status: Status,
     /// Cacheability directive.
     pub cache_control: CacheControl,
-    /// Response body (HTML).
-    pub body: String,
+    /// Response body (HTML): one immutable allocation, shared by handle
+    /// with every cache that admits the page.
+    pub body: Arc<str>,
 }
 
 impl HttpResponse {
-    /// A 200 response with the given body and directive.
-    pub fn ok(body: impl Into<String>, cache_control: CacheControl) -> Self {
+    /// A 200 response with the given body and directive. A `String` is
+    /// copied once into the shared allocation; an `Arc<str>` is taken as is.
+    pub fn ok(body: impl Into<Arc<str>>, cache_control: CacheControl) -> Self {
         HttpResponse {
             status: Status::Ok,
             cache_control,
@@ -212,7 +218,7 @@ impl HttpResponse {
         HttpResponse {
             status: Status::NotFound,
             cache_control: CacheControl::NoCache,
-            body: "<html><body>404 Not Found</body></html>".to_string(),
+            body: "<html><body>404 Not Found</body></html>".into(),
         }
     }
 
@@ -221,7 +227,7 @@ impl HttpResponse {
         HttpResponse {
             status: Status::ServerError,
             cache_control: CacheControl::NoCache,
-            body: format!("<html><body>500 Internal Server Error: {msg}</body></html>"),
+            body: format!("<html><body>500 Internal Server Error: {msg}</body></html>").into(),
         }
     }
 }

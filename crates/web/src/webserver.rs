@@ -14,7 +14,7 @@ use std::sync::Arc;
 /// A web server node.
 pub struct WebServer {
     app: Arc<AppServer>,
-    static_pages: RwLock<HashMap<String, String>>,
+    static_pages: RwLock<HashMap<String, Arc<str>>>,
     hits_static: AtomicU64,
     hits_dynamic: AtomicU64,
 }
@@ -34,7 +34,7 @@ impl WebServer {
     pub fn add_static(&self, path: &str, body: &str) {
         self.static_pages
             .write()
-            .insert(path.to_string(), body.to_string());
+            .insert(path.to_string(), body.into());
     }
 
     /// The application server behind this web server.

@@ -70,7 +70,7 @@ proptest! {
     /// Cache-control header encoding round-trips for arbitrary owners.
     #[test]
     fn cache_control_round_trips(owner in "[a-zA-Z0-9._-]{1,16}") {
-        let cc = CacheControl::PrivateOwner(owner.clone());
+        let cc = CacheControl::PrivateOwner(owner.clone().into());
         prop_assert_eq!(CacheControl::parse(&cc.header_value()), Some(cc.clone()));
         prop_assert!(cc.cacheable_by(&owner));
         prop_assert!(!cc.cacheable_by("someone-else"));

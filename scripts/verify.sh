@@ -19,18 +19,30 @@ echo "== Criterion benches compile (cargo bench --no-run) =="
 # otherwise surface the next time somebody wants a number.
 cargo bench --offline --workspace --no-run
 
+echo "== frozen benchmark compiles through its own manifest =="
+# BENCHMARK.json builds portal_load as a package of its own, against the
+# signatures it was written to (`PageCache::get -> Option<String>`, `put` of
+# a `String`, `admit_page(&key, &response.body, now)`): the workspace build
+# above compiles the same main.rs, this is the build the driver makes.
+cargo build --release --offline \
+  --manifest-path crates/bench/src/bin/portal_load/Cargo.toml \
+  --target-dir target/portal_load_manifest
+
 echo "== persist allocation bound (counting allocator, release) =="
-# A persist pass that checkpoints must not hold a copy of the site: the
-# counting-allocator test bounds its transient heap at 1 000, 4 300 and
-# 16 000 pages. In release, where the allocations are the ones production
-# makes (the debug run above counts the same 12, but proves less).
+# Neither a site's first sync (every row and origin in one window) nor a
+# persist pass that checkpoints may hold a copy of the site: the
+# counting-allocator test bounds the transient heap of both at 1 000, 4 300
+# and 16 000 pages, with an allocation count that does not follow the site.
+# In release, where the allocations are the ones production makes (the debug
+# run above counts the same, but proves less).
 cargo test -q --release --offline -p cacheportal --test persist_alloc
 
 echo "== registered-page footprint (counting allocator, release) =="
 # What the QI/URL map, the registry and the predicate index hold per
 # registered page of the benchmark's storefront (<= 720 bytes, <= 7 blocks),
-# that a pass of duplicate rows renders nothing and keeps nothing, and what
-# a cache hit allocates.
+# that a pass of duplicate rows renders nothing and keeps nothing, that a
+# cache hit allocates one block (its key's text), and that a page admitted
+# at the origin and two in-process edges puts one body on the heap.
 cargo test -q --release --offline -p cacheportal --test page_footprint
 
 echo "== admission vs. mapper race (60 rounds, release) =="
