@@ -1,9 +1,10 @@
 //! Invalidator throughput benchmarks: cost of one synchronization point as
 //! the number of registered query instances and the update-batch size grow
 //! (§4's "the invalidator must not be a bottleneck" claim), for each policy —
-//! and what registering an instance costs to do and to keep
-//! (`registry/register_typed`, with the counting allocator of
-//! `crates/core/tests/common`).
+//! what registering an instance costs to do and to keep
+//! (`registry/register_typed`), and what analysing one costs at a sync point
+//! (`analysis/join_poll`, `analysis/indexed`) — the last three with the
+//! counting allocator of `crates/core/tests/common`.
 
 #[path = "../../core/tests/common/mod.rs"]
 mod common;
@@ -177,6 +178,124 @@ fn typed_registration(c: &mut Criterion) {
     });
 }
 
+/// `portal_load`'s storefront: `skus` products with one inventory row each,
+/// a join page per sku and — with `categories` — a catalog, a top-ten and a
+/// statistics page per category, registered.
+fn storefront(skus: usize, categories: usize) -> (Database, QiUrlMap, Invalidator) {
+    let mut db = Database::new();
+    db.execute(
+        "CREATE TABLE products (sku INT, name TEXT, category INT, price INT, \
+         INDEX(sku), INDEX(category))",
+    )
+    .unwrap();
+    db.execute("CREATE TABLE inventory (sku INT, warehouse INT, stock INT, INDEX(sku))")
+        .unwrap();
+    let map = QiUrlMap::new();
+    let page = |sql: String, key: String| map.insert(sql, PageKey::raw(key), "shop".into());
+    for sku in 0..skus {
+        let category = (sku % categories.max(1)) as i64;
+        let price = (100 + sku * 7919 % 9900) as i64;
+        db.insert_row(
+            "products",
+            vec![(sku as i64).into(), format!("Product {sku}").into(), category.into(), price.into()],
+        )
+        .unwrap();
+        db.insert_row(
+            "inventory",
+            vec![(sku as i64).into(), ((sku % 8) as i64).into(), ((sku * 31 % 500) as i64).into()],
+        )
+        .unwrap();
+        page(
+            format!(
+                "SELECT products.sku, products.name, products.price, inventory.warehouse, \
+                 inventory.stock FROM products, inventory \
+                 WHERE products.sku = {sku} AND products.sku = inventory.sku"
+            ),
+            format!("shop/product?g:sku={sku}"),
+        );
+    }
+    for category in 0..categories {
+        page(
+            format!("SELECT sku, name, price FROM products WHERE category = {category} ORDER BY price, sku"),
+            format!("shop/catalog?g:category={category}"),
+        );
+        page(
+            format!(
+                "SELECT sku, name, price FROM products WHERE category = {category} \
+                 ORDER BY price DESC LIMIT 10"
+            ),
+            format!("shop/top?g:category={category}"),
+        );
+        page(
+            format!("SELECT COUNT(*), SUM(price) FROM products WHERE category = {category}"),
+            format!("shop/stats?g:category={category}"),
+        );
+    }
+    let mut inv = Invalidator::new(InvalidatorConfig::default());
+    inv.start_from(db.high_water());
+    let report = inv.run_sync_point(&db, &map).unwrap();
+    assert_eq!(report.registered as usize, skus + 3 * categories);
+    (db, map, inv)
+}
+
+/// One sync point over one update (the `UPDATE` itself is in the timed
+/// region: an indexed single-row write). Beside the time, once: what the
+/// sync point allocates, per instance it analyses.
+fn analysis_cost(c: &mut Criterion) {
+    // `join_poll`: the update lands on the join side, where no conjunct is
+    // indexable — every instance is analysed and polled.
+    for skus in [1000usize, 4000] {
+        let (mut db, map, mut inv) = storefront(skus, 0);
+        let mut tick = 0usize;
+        let mut sync = |db: &mut Database, inv: &mut Invalidator| {
+            tick += 1;
+            db.execute(&format!(
+                "UPDATE inventory SET stock = {} WHERE sku = {}",
+                tick % 500,
+                tick * 7 % skus
+            ))
+            .unwrap();
+            inv.run_sync_point(db, &map).unwrap()
+        };
+        let (report, allocated) = common::measure(|| sync(&mut db, &mut inv));
+        assert_eq!(report.polls.issued as usize, skus);
+        println!(
+            "analysis/join_poll/{skus}: {:.1} allocations per analysed instance, {} bytes \
+             transient per sync",
+            allocated.calls as f64 / report.checked_instances as f64,
+            allocated.transient_peak,
+        );
+        c.bench_function(BenchmarkId::new("analysis/join_poll", skus), |b| {
+            b.iter(|| black_box(sync(&mut db, &mut inv)))
+        });
+    }
+    // `update_mix`: a price update, which the predicate index answers with a
+    // handful of candidates out of 4 300 instances — the per-type work must
+    // not cost more than the per-instance work it replaces.
+    const PAGES: usize = 4300;
+    let (mut db, map, mut inv) = storefront(4000, 100);
+    let mut tick = 0usize;
+    let mut sync = |db: &mut Database, inv: &mut Invalidator| {
+        tick += 1;
+        db.execute(&format!(
+            "UPDATE products SET price = {} WHERE sku = {}",
+            100 + tick * 13 % 9900,
+            tick * 7 % 4000
+        ))
+        .unwrap();
+        inv.run_sync_point(db, &map).unwrap()
+    };
+    let (report, allocated) = common::measure(|| sync(&mut db, &mut inv));
+    println!(
+        "analysis/indexed/{PAGES}: {} instances analysed ({} skipped by the index), {} allocations, \
+         {} bytes transient per sync",
+        report.checked_instances, report.index_skipped, allocated.calls, allocated.transient_peak,
+    );
+    c.bench_function(BenchmarkId::new("analysis/indexed", PAGES), |b| {
+        b.iter(|| black_box(sync(&mut db, &mut inv)))
+    });
+}
+
 fn maintained_index_benefit(c: &mut Criterion) {
     let mut group = c.benchmark_group("invalidator_index_ablation");
     for with_index in [false, true] {
@@ -213,6 +332,7 @@ fn maintained_index_benefit(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = sync_point_cost, registration_cost, typed_registration, maintained_index_benefit
+    targets = sync_point_cost, registration_cost, typed_registration, analysis_cost,
+        maintained_index_benefit
 }
 criterion_main!(benches);

@@ -6,7 +6,7 @@ use crate::eval::{bind, BindContext};
 use crate::exec::{execute_select, find_rows, ExecStats, QueryResult};
 use crate::log::{LogOp, Lsn, UpdateLog};
 use crate::schema::{ColumnDef, Schema};
-use crate::sql::ast::{Expr, Statement};
+use crate::sql::ast::{Expr, Select, Statement};
 use crate::sql::parser::parse;
 use crate::table::{Catalog, Row, Table};
 use crate::value::Value;
@@ -345,15 +345,21 @@ impl Database {
         self.query_statement(&stmt, params)
     }
 
+    /// Run an already-parsed SELECT through the read-only query path: what
+    /// [`Database::query_with_params`] does once it has its statement. For a
+    /// caller that built the statement as a tree (the invalidator's polling
+    /// queries), so that it is never rendered to text and parsed back.
+    pub fn query_select(&self, select: &Select, params: &[Value]) -> DbResult<QueryResult> {
+        let mut stats = ExecStats::default();
+        let result = execute_select(&self.catalog, select, params, &mut stats)?;
+        self.stats.selects.fetch_add(1, Ordering::Relaxed);
+        self.stats.add_exec(&stats);
+        Ok(result)
+    }
+
     fn query_statement(&self, stmt: &Statement, params: &[Value]) -> DbResult<QueryResult> {
         match stmt {
-            Statement::Select(s) => {
-                let mut stats = ExecStats::default();
-                let result = execute_select(&self.catalog, s, params, &mut stats)?;
-                self.stats.selects.fetch_add(1, Ordering::Relaxed);
-                self.stats.add_exec(&stats);
-                Ok(result)
-            }
+            Statement::Select(s) => self.query_select(s, params),
             other => Err(DbError::Unsupported(format!(
                 "read-only query path accepts only SELECT, got {other:?}"
             ))),

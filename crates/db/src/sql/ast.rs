@@ -636,9 +636,9 @@ impl<'a> fmt::Display for Bound<'a, Expr> {
         let not = |negated: bool| if negated { "NOT " } else { "" };
         match expr {
             Expr::Column(c) => write!(f, "{c}"),
-            Expr::Literal(v) => f.write_str(&v.to_sql_literal()),
+            Expr::Literal(v) => v.write_sql_literal(f),
             Expr::Param(i) => match i.checked_sub(1).and_then(|at| params.get(at)) {
-                Some(v) => f.write_str(&v.to_sql_literal()),
+                Some(v) => v.write_sql_literal(f),
                 None => write!(f, "${i}"),
             },
             Expr::Cmp { left, op, right } => write!(f, "{} {} {}", b(left), op.sql(), b(right)),

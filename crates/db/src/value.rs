@@ -72,19 +72,39 @@ impl Value {
     /// invalidator uses to build polling queries, so it must round-trip
     /// through the parser.
     pub fn to_sql_literal(&self) -> String {
+        let mut out = String::new();
+        self.write_sql_literal(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// [`Value::to_sql_literal`] written into `out`: what the SQL renderer
+    /// calls, so that text streamed into a hasher or a larger statement
+    /// allocates nothing for an integer, a string or NULL.
+    pub fn write_sql_literal(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            Value::Null => "NULL".to_string(),
-            Value::Int(i) => i.to_string(),
+            Value::Null => out.write_str("NULL"),
+            Value::Int(i) => write!(out, "{i}"),
             Value::Float(f) => {
                 // Ensure a decimal point so the parser reads it back as Float.
                 let s = format!("{f}");
+                out.write_str(&s)?;
                 if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-                    s
+                    Ok(())
                 } else {
-                    format!("{s}.0")
+                    out.write_str(".0")
                 }
             }
-            Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
+            Value::Str(s) => {
+                out.write_char('\'')?;
+                for (i, part) in s.split('\'').enumerate() {
+                    if i > 0 {
+                        out.write_str("''")?;
+                    }
+                    out.write_str(part)?;
+                }
+                out.write_char('\'')
+            }
         }
     }
 }

@@ -1,7 +1,8 @@
 //! The invalidation decision algorithm (paper Example 4.1, §4.2.2).
 //!
-//! Given a bound query instance and one delta tuple of one FROM-list
-//! occurrence, decide whether the instance's result can be affected:
+//! Given a query type, one instance's parameter values and one delta tuple
+//! of one FROM-list occurrence, decide whether the instance's result can be
+//! affected:
 //!
 //! 1. Substitute the tuple's values for that occurrence's columns throughout
 //!    the WHERE clause.
@@ -13,6 +14,12 @@
 //!    paper); a non-empty result means the instance is affected.
 //! 4. With no other tables (single-table query) the decision is immediate.
 //!
+//! Everything that does not depend on the instance is worked out once per
+//! query *type* ([`TypeAnalysis`]): the FROM list's binding context and, per
+//! WHERE conjunct of the parameterised text, which occurrences it references.
+//! An instance is its parameter slice; what a sync point pays for one is a
+//! predicate check on the changed tuple and, for a join, one poll.
+//!
 //! Soundness note (beyond the paper): when several correlated deletes land
 //! in one synchronization batch, a residual poll against the *post-batch*
 //! state can miss join partners that were deleted in the same batch. The
@@ -20,11 +27,18 @@
 //! other table referenced by the residual had deletions this batch (see
 //! [`PollingQuery::other_tables`]). This only over-invalidates.
 
+use crate::query_type::QueryShape;
 use cacheportal_db::error::{DbError, DbResult};
 use cacheportal_db::eval::{bind, BindContext};
 use cacheportal_db::schema::SchemaRef;
-use cacheportal_db::sql::ast::{Expr, Select, SelectItem, Statement, TableRef};
+use cacheportal_db::sql::ast::{AggFunc, Expr, Select, SelectItem, TableRef};
+use cacheportal_db::sql::parser::parse_select;
 use cacheportal_db::table::Row;
+use cacheportal_db::Value;
+use std::collections::hash_map::DefaultHasher;
+use std::fmt::{self, Write as _};
+use std::hash::Hasher;
+use std::sync::Arc;
 
 /// Source of table schemas (the invalidator's view of the DB catalog).
 pub trait SchemaProvider {
@@ -45,43 +59,119 @@ impl SchemaProvider for cacheportal_db::Database {
 }
 
 /// A residual polling query awaiting execution.
+///
+/// It carries the `SELECT` it was built as: the index answer, the
+/// correlated-delete guard and the engine all work from that tree, so a poll
+/// is never rendered to text and parsed back. Its text ([`PollingQuery::sql`])
+/// is rendered where it is shown — a verdict's detail, a fault message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PollingQuery {
-    /// `SELECT COUNT(*) FROM <others> WHERE <residual>` — non-empty ⇔
-    /// the instance is affected.
-    pub sql: String,
+    form: PollForm,
     /// Lower-cased names of the tables the poll reads (for the correlated-
-    /// delete guard and for maintained-index answering).
-    pub other_tables: Vec<String>,
-    /// Structural dedup key: a 64-bit hash of the canonical poll SQL,
-    /// computed once at construction. The per-sync-point dedup cache keys on
-    /// this instead of the SQL string, so cache hits neither clone nor
-    /// re-hash the full string. The SQL is built deterministically from the
-    /// residual, so equal keys ⇔ equal polls (modulo a vanishing 2⁻⁶⁴
-    /// collision chance, which only costs a skipped poll — over-invalidation
-    /// is impossible because cached answers are only reused affirmatively
-    /// per identical SQL text in practice).
+    /// delete guard and for maintained-index answering). One list per type
+    /// and occurrence, shared by every poll built from them.
+    pub other_tables: Arc<[String]>,
+    /// Structural dedup key: the `DefaultHasher` hash of the canonical poll
+    /// SQL, computed once at construction. The per-sync-point dedup cache,
+    /// the fault plan and the retry jitter key on this instead of the text,
+    /// so none of them renders or hashes it again. The SQL is a
+    /// deterministic rendering of the tree, so equal keys ⇔ equal polls
+    /// (modulo a vanishing 2⁻⁶⁴ collision chance, which only costs a skipped
+    /// poll — over-invalidation is impossible because cached answers are
+    /// only reused affirmatively per identical SQL text in practice).
     pub key: u64,
 }
 
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum PollForm {
+    /// `SELECT COUNT(*) FROM <others> WHERE <residual>` — non-empty ⇔ the
+    /// instance is affected.
+    Built(Select),
+    /// Given as text that does not parse ([`PollingQuery::from_sql`]).
+    Unparsed(String),
+}
+
+/// Feeds rendered SQL to a hasher as it is written, so that hashing a poll's
+/// text builds no `String`.
+struct HashText(DefaultHasher);
+
+impl fmt::Write for HashText {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.write(s.as_bytes());
+        Ok(())
+    }
+}
+
+impl HashText {
+    /// What `text.hash(&mut DefaultHasher::new())` followed by `finish()`
+    /// gives for the text written so far: `str`'s `Hash` writes its bytes
+    /// and then `0xff`, and the hasher works on the byte stream however it
+    /// is cut into writes.
+    fn finish(mut self) -> u64 {
+        self.0.write_u8(0xff);
+        self.0.finish()
+    }
+}
+
 impl PollingQuery {
-    /// Build a poll, computing its structural dedup key. `DefaultHasher`
-    /// with its fixed initial state keeps keys stable across threads and
-    /// runs, which the deterministic shard merge relies on.
-    pub fn new(sql: String, other_tables: Vec<String>) -> Self {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        sql.hash(&mut h);
-        let key = h.finish();
+    /// A poll built as a tree. Its key is the hash of its canonical text —
+    /// `DefaultHasher` with its fixed initial state, stable across threads
+    /// and runs, which the deterministic shard merge relies on — computed by
+    /// streaming the rendering into the hasher.
+    pub fn new(select: Select, other_tables: impl Into<Arc<[String]>>) -> Self {
+        let mut text = HashText(DefaultHasher::new());
+        write!(text, "{select}").expect("hashing cannot fail");
         PollingQuery {
-            sql,
-            other_tables,
-            key,
+            form: PollForm::Built(select),
+            other_tables: other_tables.into(),
+            key: text.finish(),
+        }
+    }
+
+    /// A poll given as text (tests, tools), parsed here, once; its key is
+    /// the hash of the text as given. Text that is not a `SELECT` is kept as
+    /// it stands: no index answers it, the engine reports its parse error if
+    /// it is issued, and the correlated-delete guard counts it as a hit.
+    pub fn from_sql(sql: &str, other_tables: Vec<String>) -> Self {
+        let mut text = HashText(DefaultHasher::new());
+        text.write_str(sql).expect("hashing cannot fail");
+        PollingQuery {
+            form: match parse_select(sql) {
+                Ok(select) => PollForm::Built(select),
+                Err(_) => PollForm::Unparsed(sql.to_string()),
+            },
+            other_tables: other_tables.into(),
+            key: text.finish(),
+        }
+    }
+
+    /// The poll's `SELECT`; `None` only for text that did not parse.
+    pub fn select(&self) -> Option<&Select> {
+        match &self.form {
+            PollForm::Built(select) => Some(select),
+            PollForm::Unparsed(_) => None,
+        }
+    }
+
+    /// The poll's SQL text, rendered now (`Display` writes the same).
+    pub fn sql(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl fmt::Display for PollingQuery {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.form {
+            PollForm::Built(select) => select.fmt(f),
+            PollForm::Unparsed(text) => f.write_str(text),
         }
     }
 }
 
 /// Decision for one (instance, occurrence, tuple).
+// Returned and matched at once: boxing the poll would be one more allocation
+// per analysed tuple to save a copy of a value that is about to be consumed.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TupleImpact {
     /// The tuple cannot affect this instance's result.
@@ -90,185 +180,6 @@ pub enum TupleImpact {
     Affected,
     /// Run the polling query to decide.
     NeedsPoll(PollingQuery),
-}
-
-/// One WHERE conjunct, compiled once per instance (not once per tuple):
-/// which FROM occurrences it references, whether it has column references
-/// at all, and — for constant conjuncts — its pre-evaluated truth value.
-/// `tuple_residual` consults this to skip the transform walk entirely for
-/// conjuncts that cannot be changed by substituting a given occurrence.
-struct CompiledConjunct {
-    expr: Expr,
-    /// Bit i set ⇔ the conjunct references FROM occurrence i. `u64::MAX`
-    /// is the fallback for conjuncts we could not fully classify (a column
-    /// that fails to resolve, or an occurrence index ≥ 64): those take the
-    /// original per-tuple path so errors surface exactly as before.
-    occ_mask: u64,
-    /// Any column reference at all (false ⇒ the conjunct is constant).
-    has_columns: bool,
-    /// Constant conjunct that evaluates to not-true: the instance can never
-    /// be affected by any tuple.
-    const_false: bool,
-}
-
-fn compile_conjunct(e: &Expr, ctx: &BindContext) -> CompiledConjunct {
-    let cols = e.columns();
-    let has_columns = !cols.is_empty();
-    let mut mask = 0u64;
-    let mut fallback = false;
-    for c in &cols {
-        match ctx.resolve(c) {
-            Ok((t, _)) if t < 64 => mask |= 1 << t,
-            _ => fallback = true,
-        }
-    }
-    let const_false = if has_columns {
-        false
-    } else {
-        match bind(e, &BindContext::new(vec![]), &[]) {
-            Ok(b) => !b.eval_predicate(&[]),
-            Err(_) => {
-                fallback = true;
-                false
-            }
-        }
-    };
-    CompiledConjunct {
-        expr: e.clone(),
-        occ_mask: if fallback { u64::MAX } else { mask },
-        has_columns,
-        const_false,
-    }
-}
-
-/// Pre-resolved information about one query instance, reused across all
-/// delta tuples of a batch.
-pub struct BoundInstance {
-    /// Fully bound SELECT (params substituted).
-    pub select: Select,
-    /// Binding context of the FROM list.
-    pub ctx: BindContext,
-    /// WHERE conjuncts with per-conjunct occurrence masks, compiled once.
-    conjuncts: Vec<CompiledConjunct>,
-}
-
-impl BoundInstance {
-    /// Resolve the FROM list of a bound SELECT against schemas.
-    pub fn new(select: Select, schemas: &dyn SchemaProvider) -> DbResult<BoundInstance> {
-        let mut tables = Vec::with_capacity(select.from.len());
-        for tref in &select.from {
-            let schema = schemas
-                .schema_of(&tref.table)
-                .ok_or_else(|| DbError::UnknownTable(tref.table.clone()))?;
-            tables.push((tref.binding().to_string(), schema));
-        }
-        let ctx = BindContext::new(tables);
-        let conjuncts = match &select.where_clause {
-            Some(w) => w
-                .conjuncts()
-                .into_iter()
-                .map(|c| compile_conjunct(c, &ctx))
-                .collect(),
-            None => Vec::new(),
-        };
-        Ok(BoundInstance {
-            select,
-            ctx,
-            conjuncts,
-        })
-    }
-
-    /// Occurrence indexes of `table` (lower-cased match) in the FROM list.
-    pub fn occurrences_of(&self, table: &str) -> Vec<usize> {
-        self.select
-            .from
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.table.eq_ignore_ascii_case(table))
-            .map(|(i, _)| i)
-            .collect()
-    }
-}
-
-/// Analyze one delta tuple against one occurrence of its table.
-pub fn analyze_tuple(
-    inst: &BoundInstance,
-    occurrence: usize,
-    tuple: &Row,
-) -> DbResult<TupleImpact> {
-    match tuple_residual(inst, occurrence, tuple)? {
-        None => Ok(TupleImpact::NoImpact),
-        Some(residual) if inst.select.from.len() == 1 => {
-            debug_assert!(residual.is_empty(), "single-table residual impossible");
-            Ok(TupleImpact::Affected)
-        }
-        Some(residual) => Ok(TupleImpact::NeedsPoll(build_poll(
-            inst,
-            occurrence,
-            Expr::conjoin(residual),
-        ))),
-    }
-}
-
-/// Analyze a *batch* of delta tuples against one occurrence at once —
-/// §4.2.1's grouped update processing. Tuples failing their local checks
-/// are dropped; the survivors' residuals are OR-combined into a single
-/// polling query (`(res₁) OR (res₂) OR …`): the instance is affected iff
-/// any survivor's residual is satisfiable, so one poll decides the batch.
-///
-/// `max_or_terms` chunks pathological batches; each chunk yields one poll.
-/// Returns the per-batch decision plus how many tuples survived locally.
-pub fn analyze_tuple_batch(
-    inst: &BoundInstance,
-    occurrence: usize,
-    tuples: &[&Row],
-    max_or_terms: usize,
-) -> DbResult<(BatchImpact, usize)> {
-    debug_assert!(max_or_terms > 0);
-    let mut residuals: Vec<Expr> = Vec::new();
-    let mut survivors = 0usize;
-    for tuple in tuples {
-        match tuple_residual(inst, occurrence, tuple)? {
-            None => continue,
-            Some(residual) => {
-                survivors += 1;
-                if inst.select.from.len() == 1 {
-                    return Ok((BatchImpact::Affected, survivors));
-                }
-                if residual.is_empty() {
-                    // Unconstrained join: other tables' non-emptiness decides;
-                    // this dominates any OR.
-                    return Ok((
-                        BatchImpact::NeedsPolls(vec![build_poll(inst, occurrence, None)]),
-                        survivors,
-                    ));
-                }
-                residuals.push(Expr::conjoin(residual).expect("non-empty"));
-            }
-        }
-    }
-    if residuals.is_empty() {
-        return Ok((
-            if survivors > 0 {
-                BatchImpact::Affected
-            } else {
-                BatchImpact::NoImpact
-            },
-            survivors,
-        ));
-    }
-    let polls = residuals
-        .chunks(max_or_terms)
-        .map(|chunk| {
-            let ored = chunk
-                .iter()
-                .cloned()
-                .reduce(|a, b| Expr::Or(Box::new(a), Box::new(b)))
-                .expect("chunk non-empty");
-            build_poll(inst, occurrence, Some(ored))
-        })
-        .collect();
-    Ok((BatchImpact::NeedsPolls(polls), survivors))
 }
 
 /// Decision for one (instance, occurrence, tuple *batch*).
@@ -282,121 +193,468 @@ pub enum BatchImpact {
     NeedsPolls(Vec<PollingQuery>),
 }
 
-/// Local-check + substitution core shared by single and batched analysis:
-/// `None` = tuple ruled out locally; `Some(residual conjuncts)` otherwise.
-fn tuple_residual(
-    inst: &BoundInstance,
-    occurrence: usize,
-    tuple: &Row,
-) -> DbResult<Option<Vec<Expr>>> {
-    let ctx = &inst.ctx;
-    let bit = if occurrence < 64 { 1u64 << occurrence } else { 0 };
-    let mut residual: Vec<Expr> = Vec::new();
-    for compiled in &inst.conjuncts {
-        if compiled.const_false {
-            // A constant-false conjunct rules out every tuple; decided at
-            // compile time, no per-tuple work at all.
-            return Ok(None);
-        }
-        let must_walk = occurrence >= 64
-            || compiled.occ_mask == u64::MAX
-            || (compiled.occ_mask & bit) != 0;
-        if !must_walk {
-            // Substituting this occurrence cannot change the conjunct:
-            // constant-true conjuncts drop out, column-bearing ones pass to
-            // the residual verbatim — no transform walk, no re-evaluation.
-            if compiled.has_columns {
-                residual.push(compiled.expr.clone());
+/// Occurrence mask of a conjunct that could not be classified (a column
+/// that fails to resolve, an occurrence index ≥ 64): it is walked for every
+/// occurrence, so its error surfaces where the tuple meets it.
+const UNCLASSIFIED: u64 = u64::MAX;
+
+/// One WHERE conjunct of the parameterised text, classified once per type.
+#[derive(Debug)]
+struct TypeConjunct {
+    expr: Expr,
+    /// Bit i set ⇔ the conjunct references FROM occurrence i; or
+    /// [`UNCLASSIFIED`].
+    occ_mask: u64,
+    /// Any column reference at all (false ⇒ constant once the parameters
+    /// are given).
+    has_columns: bool,
+}
+
+impl TypeConjunct {
+    fn new(expr: &Expr, ctx: &BindContext) -> TypeConjunct {
+        let columns = expr.columns();
+        let mut mask = 0u64;
+        for c in &columns {
+            match ctx.resolve(c) {
+                Ok((t, _)) if t < 64 => mask |= 1 << t,
+                _ => mask = UNCLASSIFIED,
             }
-            continue;
         }
-        let substituted = substitute_occurrence(&compiled.expr, ctx, occurrence, tuple)?;
-        if has_columns(&substituted) {
-            residual.push(substituted);
+        TypeConjunct {
+            expr: expr.clone(),
+            occ_mask: mask,
+            has_columns: !columns.is_empty(),
+        }
+    }
+}
+
+/// How one conjunct meets a delta tuple of one occurrence.
+enum Meets {
+    /// No column: true or false once the parameters are given.
+    Constant,
+    /// Every column is the occurrence's: a check on the tuple alone.
+    Local,
+    /// No column is the occurrence's: goes into the residual, parameters
+    /// filled in.
+    Elsewhere,
+    /// Columns of the occurrence and of others: substituted, then residual.
+    Joins,
+    /// Unclassified, or an occurrence the mask has no bit for: substituted,
+    /// then whichever of the above the result turns out to be.
+    Unknown,
+}
+
+/// What a sync point needs of a query type, compiled once: the FROM list's
+/// binding context, the WHERE conjuncts classified by the occurrences they
+/// reference, and the shape rule's plan. An instance of the type is its
+/// parameter slice; nothing here is copied for one.
+///
+/// Built against the schemas of one moment; [`TypeAnalysis::is_current`]
+/// says whether they are still the catalog's.
+#[derive(Debug)]
+pub struct TypeAnalysis {
+    from: Vec<TableRef>,
+    ctx: BindContext,
+    /// Per occurrence, the context of that table alone: what a
+    /// [`Meets::Local`] conjunct binds against to read the tuple directly.
+    alone: Vec<BindContext>,
+    /// Per occurrence, [`PollingQuery::other_tables`] of its polls.
+    other_tables: Vec<Arc<[String]>>,
+    conjuncts: Vec<TypeConjunct>,
+    /// Highest `$n` of the WHERE clause, the projection and ORDER BY: an
+    /// instance with fewer values does not bind.
+    max_param: usize,
+    /// The boundary rule's plan, for a [`QueryShape::TopK`] type it fits.
+    pub(crate) topk: Option<TopKPlan>,
+    /// The value-preserving rule's plan, for a [`QueryShape::Aggregate`]
+    /// type it fits.
+    pub(crate) agg: Option<AggSpec>,
+}
+
+impl TypeAnalysis {
+    /// Compile `select` (a parameterised template, or a statement without
+    /// markers) against the current schemas. Fails when a FROM table is
+    /// unknown.
+    pub fn new(
+        select: &Select,
+        shape: QueryShape,
+        schemas: &dyn SchemaProvider,
+    ) -> DbResult<TypeAnalysis> {
+        let mut tables = Vec::with_capacity(select.from.len());
+        for tref in &select.from {
+            let schema = schemas
+                .schema_of(&tref.table)
+                .ok_or_else(|| DbError::UnknownTable(tref.table.clone()))?;
+            tables.push((tref.binding().to_string(), schema));
+        }
+        let alone = tables
+            .iter()
+            .map(|t| BindContext::new(vec![t.clone()]))
+            .collect();
+        let ctx = BindContext::new(tables);
+        let other_tables = if select.from.len() == 1 {
+            Vec::new() // single-table polls are never built
         } else {
-            // Fully bound: decide locally with the engine's evaluator
-            // (empty context — no columns remain by construction).
-            let bound = bind(&substituted, &BindContext::new(vec![]), &[])?;
-            if !bound.eval_predicate(&[]) {
+            (0..select.from.len())
+                .map(|occurrence| {
+                    let mut others: Vec<String> = select
+                        .from
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| *i != occurrence)
+                        .map(|(_, t)| t.table.to_ascii_lowercase())
+                        .collect();
+                    others.sort();
+                    others.dedup();
+                    others.into()
+                })
+                .collect()
+        };
+        let conjuncts = match &select.where_clause {
+            Some(w) => w
+                .conjuncts()
+                .into_iter()
+                .map(|c| TypeConjunct::new(c, &ctx))
+                .collect(),
+            None => Vec::new(),
+        };
+        // The clauses `substitute_params` binds (a marker in HAVING stays).
+        let max_param = select
+            .where_clause
+            .iter()
+            .chain(select.items.iter().filter_map(|item| match item {
+                SelectItem::Expr { expr, .. } => Some(expr),
+                _ => None,
+            }))
+            .chain(select.order_by.iter().map(|k| &k.expr))
+            .flat_map(|e| e.params())
+            .max()
+            .unwrap_or(0);
+        Ok(TypeAnalysis {
+            topk: (shape == QueryShape::TopK)
+                .then(|| topk_plan(select, schemas))
+                .flatten(),
+            agg: (shape == QueryShape::Aggregate)
+                .then(|| agg_spec(select, schemas))
+                .flatten(),
+            from: select.from.clone(),
+            ctx,
+            alone,
+            other_tables,
+            conjuncts,
+            max_param,
+        })
+    }
+
+    /// Are the schemas this was compiled against still the ones `schemas`
+    /// hands out? (The same allocations: a table dropped and created again
+    /// has a new one, whatever its columns.)
+    pub fn is_current(&self, schemas: &dyn SchemaProvider) -> bool {
+        self.from.iter().zip(&self.ctx.tables).all(|(tref, (_, known))| {
+            schemas
+                .schema_of(&tref.table)
+                .is_some_and(|now| Arc::ptr_eq(&now, known))
+        })
+    }
+
+    /// The FROM list (a table may occur several times).
+    pub fn from_refs(&self) -> &[TableRef] {
+        &self.from
+    }
+
+    /// Does an instance with these values bind? The error is the one
+    /// substituting them into the type would report.
+    pub fn check_params(&self, params: &[Value]) -> DbResult<()> {
+        if self.max_param > params.len() {
+            return Err(DbError::UnboundParameter(self.max_param));
+        }
+        Ok(())
+    }
+
+    /// Analyze one delta tuple against one occurrence of its table, for the
+    /// instance binding `params`.
+    pub fn analyze_tuple(
+        &self,
+        params: &[Value],
+        occurrence: usize,
+        tuple: &Row,
+    ) -> DbResult<TupleImpact> {
+        match self.tuple_residual(params, occurrence, tuple)? {
+            None => Ok(TupleImpact::NoImpact),
+            Some(residual) if self.from.len() == 1 => {
+                debug_assert!(residual.is_empty(), "single-table residual impossible");
+                Ok(TupleImpact::Affected)
+            }
+            Some(residual) => Ok(TupleImpact::NeedsPoll(
+                self.build_poll(occurrence, Expr::conjoin(residual)),
+            )),
+        }
+    }
+
+    /// Analyze a *batch* of delta tuples against one occurrence at once —
+    /// §4.2.1's grouped update processing. Tuples failing their local checks
+    /// are dropped; the survivors' residuals are OR-combined into a single
+    /// polling query (`(res₁) OR (res₂) OR …`): the instance is affected iff
+    /// any survivor's residual is satisfiable, so one poll decides the batch.
+    ///
+    /// `max_or_terms` chunks pathological batches; each chunk yields one poll.
+    /// Returns the per-batch decision plus how many tuples survived locally.
+    pub fn analyze_tuple_batch(
+        &self,
+        params: &[Value],
+        occurrence: usize,
+        tuples: &[Row],
+        max_or_terms: usize,
+    ) -> DbResult<(BatchImpact, usize)> {
+        debug_assert!(max_or_terms > 0);
+        let mut residuals: Vec<Expr> = Vec::new();
+        let mut survivors = 0usize;
+        for tuple in tuples {
+            let Some(residual) = self.tuple_residual(params, occurrence, tuple)? else {
+                continue;
+            };
+            survivors += 1;
+            if self.from.len() == 1 {
+                return Ok((BatchImpact::Affected, survivors));
+            }
+            match Expr::conjoin(residual) {
+                Some(residual) => residuals.push(residual),
+                // Unconstrained join: other tables' non-emptiness decides;
+                // this dominates any OR.
+                None => {
+                    return Ok((
+                        BatchImpact::NeedsPolls(vec![self.build_poll(occurrence, None)]),
+                        survivors,
+                    ))
+                }
+            }
+        }
+        if residuals.is_empty() {
+            return Ok((
+                if survivors > 0 {
+                    BatchImpact::Affected
+                } else {
+                    BatchImpact::NoImpact
+                },
+                survivors,
+            ));
+        }
+        let mut polls = Vec::with_capacity(residuals.len().div_ceil(max_or_terms));
+        let mut residuals = residuals.into_iter();
+        while let Some(first) = residuals.next() {
+            let ored = residuals
+                .by_ref()
+                .take(max_or_terms - 1)
+                .fold(first, |a, b| Expr::Or(Box::new(a), Box::new(b)));
+            polls.push(self.build_poll(occurrence, Some(ored)));
+        }
+        Ok((BatchImpact::NeedsPolls(polls), survivors))
+    }
+
+    fn meets(&self, conjunct: &TypeConjunct, occurrence: usize) -> Meets {
+        if conjunct.occ_mask == UNCLASSIFIED || occurrence >= 64 {
+            return Meets::Unknown;
+        }
+        let bit = 1u64 << occurrence;
+        if !conjunct.has_columns {
+            Meets::Constant
+        } else if conjunct.occ_mask == bit {
+            Meets::Local
+        } else if conjunct.occ_mask & bit == 0 {
+            Meets::Elsewhere
+        } else {
+            Meets::Joins
+        }
+    }
+
+    /// Local-check + substitution core shared by single and batched analysis:
+    /// `None` = tuple ruled out locally; `Some(residual conjuncts)` otherwise.
+    /// The conjuncts are met in the order they are written, so the first one
+    /// that fails — or that does not bind — decides.
+    fn tuple_residual(
+        &self,
+        params: &[Value],
+        occurrence: usize,
+        tuple: &Row,
+    ) -> DbResult<Option<Vec<Expr>>> {
+        self.check_params(params)?;
+        let nothing = BindContext::new(vec![]);
+        let mut residual: Vec<Expr> = Vec::new();
+        for conjunct in &self.conjuncts {
+            let holds = match self.meets(conjunct, occurrence) {
+                Meets::Constant => bind(&conjunct.expr, &nothing, params)?.eval_predicate(&[]),
+                // Bound against the occurrence's table alone, the conjunct
+                // reads the tuple where it lies: nothing is substituted.
+                Meets::Local => {
+                    bind(&conjunct.expr, &self.alone[occurrence], params)?.eval_predicate(&[tuple])
+                }
+                Meets::Elsewhere => {
+                    residual.push(substitute(&conjunct.expr, params, None)?);
+                    continue;
+                }
+                Meets::Joins => {
+                    let at = Some((&self.ctx, occurrence, tuple));
+                    residual.push(substitute(&conjunct.expr, params, at)?);
+                    continue;
+                }
+                Meets::Unknown => {
+                    let at = Some((&self.ctx, occurrence, tuple));
+                    let substituted = substitute(&conjunct.expr, params, at)?;
+                    if has_columns(&substituted) {
+                        residual.push(substituted);
+                        continue;
+                    }
+                    bind(&substituted, &nothing, &[])?.eval_predicate(&[])
+                }
+            };
+            if !holds {
                 return Ok(None);
             }
         }
+        Ok(Some(residual))
     }
-    Ok(Some(residual))
+
+    /// Build `SELECT COUNT(*) FROM <others> WHERE <residual>`.
+    ///
+    /// `ORDER BY`/`LIMIT` from the instance are intentionally absent: this
+    /// poll only asks whether matching rows *exist*, and its cardinality is
+    /// clause-independent. TopK instances additionally get a boundary poll
+    /// ([`TopKPlan`]) that does carry the original clause.
+    fn build_poll(&self, occurrence: usize, residual: Option<Expr>) -> PollingQuery {
+        debug_assert!(self.from.len() > 1, "single-table polls never built");
+        let poll = Select {
+            distinct: false,
+            items: vec![SelectItem::Expr {
+                expr: Expr::Agg {
+                    func: AggFunc::Count,
+                    arg: None,
+                    distinct: false,
+                },
+                alias: None,
+            }],
+            from: self
+                .from
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| *i != occurrence)
+                .map(|(_, t)| t.clone())
+                .collect(),
+            where_clause: residual,
+            group_by: vec![],
+            having: None,
+            order_by: vec![],
+            limit: None,
+        };
+        PollingQuery::new(poll, self.other_tables[occurrence].clone())
+    }
 }
 
-/// Pre-resolved TopK shape information for one bound instance: which
-/// column bounds the result, in which direction, and the *boundary poll*
-/// that re-derives the k-th row's key.
+/// A copy of `e` with every `$n` replaced by `params[n-1]` and, given
+/// `at = (ctx, occurrence, tuple)`, every column of that FROM occurrence by
+/// the tuple's value; other columns are left intact (with their
+/// qualification). The caller has checked that `params` covers the markers.
+fn substitute(
+    e: &Expr,
+    params: &[Value],
+    at: Option<(&BindContext, usize, &Row)>,
+) -> DbResult<Expr> {
+    // Resolve first so ambiguity errors surface as errors, not silence.
+    let err: std::cell::RefCell<Option<DbError>> = std::cell::RefCell::new(None);
+    let out = e.transform(&|node| match (node, at) {
+        (Expr::Param(i), _) => Some(Expr::Literal(params[*i - 1].clone())),
+        (Expr::Column(c), Some((ctx, occurrence, tuple))) => match ctx.resolve(c) {
+            Ok((t, col)) if t == occurrence => Some(Expr::Literal(tuple[col].clone())),
+            Ok(_) => None,
+            Err(e) => {
+                *err.borrow_mut() = Some(e);
+                None
+            }
+        },
+        _ => None,
+    });
+    match err.into_inner() {
+        Some(e) => Err(e),
+        None => Ok(out),
+    }
+}
+
+/// Does the expression still reference any column?
+fn has_columns(e: &Expr) -> bool {
+    !e.columns().is_empty()
+}
+
+/// The boundary rule's plan for one TopK type: which column bounds the
+/// result, in which direction, and the *boundary poll* that re-derives the
+/// k-th row's key.
 ///
-/// Unlike the residual `COUNT(*)` polls built by [`build_poll`] below —
-/// which correctly drop `ORDER BY`/`LIMIT` because a count's cardinality
-/// does not depend on them — the boundary poll **carries the instance's
-/// original `ORDER BY … LIMIT k` clause verbatim**: it must return exactly
-/// the bounded, ordered result prefix so the k-th row is the real
-/// boundary.
+/// Unlike the residual `COUNT(*)` polls of [`TypeAnalysis`] — which
+/// correctly drop `ORDER BY`/`LIMIT` because a count's cardinality does not
+/// depend on them — the boundary poll **carries the type's original
+/// `ORDER BY … LIMIT k` clause verbatim**: it must return exactly the
+/// bounded, ordered result prefix so the k-th row is the real boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopKSpec {
+pub struct TopKPlan {
     /// Schema position of the first ORDER BY key column.
     pub order_col: usize,
     /// Sort direction of the first key (`false` = DESC).
     pub ascending: bool,
     /// `LIMIT k`.
     pub k: usize,
-    /// `SELECT <first-order-key> FROM … WHERE … ORDER BY … LIMIT k`.
-    pub poll_sql: String,
+    /// `SELECT <first-order-key> FROM … WHERE … ORDER BY … LIMIT k`, with the
+    /// type's `$n` markers: run with an instance's values as its parameters.
+    pub poll: Select,
 }
 
-/// Resolve the TopK shape of a bound instance, or `None` when the boundary
-/// rule does not apply (joins, DISTINCT, aggregates, expression order
-/// keys): those instances take the conjunctive decision path unchanged.
-pub fn topk_spec(bound: &Select, schemas: &dyn SchemaProvider) -> Option<TopKSpec> {
-    if bound.from.len() != 1
-        || bound.distinct
-        || !bound.group_by.is_empty()
-        || bound.having.is_some()
-        || bound.items.iter().any(|i| match i {
+/// Resolve the TopK plan of a type, or `None` when the boundary rule does
+/// not apply (joins, DISTINCT, aggregates, expression order keys): those
+/// types take the conjunctive decision path unchanged. Nothing it looks at
+/// depends on an instance's values.
+pub fn topk_plan(select: &Select, schemas: &dyn SchemaProvider) -> Option<TopKPlan> {
+    if select.from.len() != 1
+        || select.distinct
+        || !select.group_by.is_empty()
+        || select.having.is_some()
+        || select.items.iter().any(|i| match i {
             SelectItem::Expr { expr, .. } => expr.has_aggregate(),
             _ => false,
         })
     {
         return None;
     }
-    let k = match bound.limit {
+    let k = match select.limit {
         Some(k) if k > 0 => k as usize,
         _ => return None,
     };
-    let first = bound.order_by.first()?;
+    let first = select.order_by.first()?;
     let Expr::Column(c) = &first.expr else {
         return None;
     };
     // The key must resolve on the single FROM table (qualifier, if any,
     // must name its binding) — mirroring the engine's binder.
     if let Some(q) = &c.table {
-        if !bound.from[0].binding().eq_ignore_ascii_case(q) {
+        if !select.from[0].binding().eq_ignore_ascii_case(q) {
             return None;
         }
     }
-    let schema = schemas.schema_of(&bound.from[0].table)?;
+    let schema = schemas.schema_of(&select.from[0].table)?;
     let order_col = schema.require(&c.column).ok()?;
-    let poll = Select {
-        distinct: false,
-        items: vec![SelectItem::Expr {
-            expr: Expr::Column(c.clone()),
-            alias: None,
-        }],
-        from: bound.from.clone(),
-        where_clause: bound.where_clause.clone(),
-        group_by: vec![],
-        having: None,
-        order_by: bound.order_by.clone(),
-        limit: bound.limit,
-    };
-    Some(TopKSpec {
+    Some(TopKPlan {
         order_col,
         ascending: first.ascending,
         k,
-        poll_sql: Statement::Select(poll).to_sql(),
+        poll: Select {
+            distinct: false,
+            items: vec![SelectItem::Expr {
+                expr: Expr::Column(c.clone()),
+                alias: None,
+            }],
+            from: select.from.clone(),
+            where_clause: select.where_clause.clone(),
+            group_by: vec![],
+            having: None,
+            order_by: select.order_by.clone(),
+            limit: select.limit,
+        },
     })
 }
 
@@ -494,10 +752,10 @@ pub fn agg_spec(bound: &Select, schemas: &dyn SchemaProvider) -> Option<AggSpec>
                     },
                 };
                 let kind = match (func, arg_col) {
-                    (cacheportal_db::sql::ast::AggFunc::Count, None) => AggKind::CountStar,
-                    (cacheportal_db::sql::ast::AggFunc::Count, Some(c)) => AggKind::CountCol(c),
-                    (cacheportal_db::sql::ast::AggFunc::Sum, Some(c)) => AggKind::SumCol(c),
-                    (cacheportal_db::sql::ast::AggFunc::Avg, Some(c)) => AggKind::AvgCol(c),
+                    (AggFunc::Count, None) => AggKind::CountStar,
+                    (AggFunc::Count, Some(c)) => AggKind::CountCol(c),
+                    (AggFunc::Sum, Some(c)) => AggKind::SumCol(c),
+                    (AggFunc::Avg, Some(c)) => AggKind::AvgCol(c),
                     _ => return None, // MIN/MAX, SUM(*) etc.
                 };
                 aggs.push(kind);
@@ -597,102 +855,11 @@ pub fn judge_aggregate_delta(spec: &AggSpec, matching: &[(&Row, bool)]) -> AggJu
     AggJudgement::Unchanged
 }
 
-/// Build `SELECT COUNT(*) FROM <others> WHERE <residual>`.
-///
-/// `ORDER BY`/`LIMIT` from the instance are intentionally absent: this
-/// poll only asks whether matching rows *exist*, and its cardinality is
-/// clause-independent. TopK instances additionally get a boundary poll
-/// ([`topk_spec`]) that does carry the original clause.
-fn build_poll(inst: &BoundInstance, occurrence: usize, residual: Option<Expr>) -> PollingQuery {
-    let others: Vec<&TableRef> = inst
-        .select
-        .from
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != occurrence)
-        .map(|(_, t)| t)
-        .collect();
-    debug_assert!(!others.is_empty(), "single-table polls never built");
-    let poll = Select {
-        distinct: false,
-        items: vec![SelectItem::Expr {
-            expr: Expr::Agg {
-                func: cacheportal_db::sql::ast::AggFunc::Count,
-                arg: None,
-                distinct: false,
-            },
-            alias: None,
-        }],
-        from: others.iter().map(|t| (*t).clone()).collect(),
-        where_clause: residual,
-        group_by: vec![],
-        having: None,
-        order_by: vec![],
-        limit: None,
-    };
-    let mut other_tables: Vec<String> = others
-        .iter()
-        .map(|t| t.table.to_ascii_lowercase())
-        .collect();
-    other_tables.sort();
-    other_tables.dedup();
-    PollingQuery::new(Statement::Select(poll).to_sql(), other_tables)
-}
-
-/// Replace every column of FROM-occurrence `occurrence` with the tuple's
-/// value; other columns are left intact (with their qualification).
-fn substitute_occurrence(
-    e: &Expr,
-    ctx: &BindContext,
-    occurrence: usize,
-    tuple: &Row,
-) -> DbResult<Expr> {
-    // Resolve first so ambiguity errors surface as errors, not silence.
-    let err: std::cell::RefCell<Option<DbError>> = std::cell::RefCell::new(None);
-    let out = e.transform(&|node| {
-        if let Expr::Column(c) = node {
-            match ctx.resolve(c) {
-                Ok((t, col)) if t == occurrence => {
-                    return Some(Expr::Literal(tuple[col].clone()));
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    *err.borrow_mut() = Some(e);
-                }
-            }
-        }
-        None
-    });
-    match err.into_inner() {
-        Some(e) => Err(e),
-        None => Ok(out),
-    }
-}
-
-/// Does the expression still reference any column?
-fn has_columns(e: &Expr) -> bool {
-    !e.columns().is_empty()
-}
-
-/// Unresolved column references in the residual, re-qualified against the
-/// remaining FROM list, must stay valid. Columns that were *unqualified* and
-/// resolved to the removed occurrence have been substituted; unqualified
-/// columns resolving elsewhere keep working because binding names are
-/// unchanged. This helper is used by tests to assert the invariant.
-pub fn residual_is_executable(poll: &PollingQuery, schemas: &dyn SchemaProvider) -> bool {
-    let Ok(Statement::Select(sel)) =
-        cacheportal_db::sql::parser::parse(&poll.sql)
-    else {
-        return false;
-    };
-    BoundInstance::new(sel, schemas).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cacheportal_db::sql::parser::parse_select;
-    use cacheportal_db::{Database, Value};
+    use cacheportal_db::sql::rewrite::parameterize;
+    use cacheportal_db::Database;
 
     /// Example 4.1 database: Car(maker, model, price), Mileage(model, EPA).
     fn example_db() -> Database {
@@ -704,8 +871,28 @@ mod tests {
         db
     }
 
-    fn bound(sql: &str, db: &Database) -> BoundInstance {
-        BoundInstance::new(parse_select(sql).unwrap(), db).unwrap()
+    /// An instance as the registry holds it: its type's analysis and its
+    /// parameter values, parsed out of the instance's text.
+    struct Instance(TypeAnalysis, Vec<Value>);
+
+    fn bound(sql: &str, db: &Database) -> Instance {
+        let (template, params) = parameterize(&parse_select(sql).unwrap());
+        let shape = QueryShape::classify(&template);
+        Instance(TypeAnalysis::new(&template, shape, db).unwrap(), params)
+    }
+
+    fn analyze_tuple(inst: &Instance, occurrence: usize, tuple: &Row) -> DbResult<TupleImpact> {
+        inst.0.analyze_tuple(&inst.1, occurrence, tuple)
+    }
+
+    /// The poll's text parses back to the tree it was rendered from, and
+    /// that tree binds against the remaining FROM list: columns that
+    /// resolved to the removed occurrence were substituted, the others keep
+    /// working because binding names are unchanged.
+    fn residual_is_executable(poll: &PollingQuery, db: &Database) -> bool {
+        let select = poll.select().expect("built as a tree");
+        parse_select(&poll.sql()).as_ref() == Ok(select)
+            && TypeAnalysis::new(select, QueryShape::Conjunctive, db).is_ok()
     }
 
     const QUERY1: &str = "select Car.maker, Car.model, Car.price, Mileage.EPA \
@@ -744,10 +931,10 @@ mod tests {
         };
         // Residual: 'Avalon' = Mileage.model over table Mileage.
         assert_eq!(
-            poll.sql,
+            poll.sql(),
             "SELECT COUNT(*) FROM Mileage WHERE 'Avalon' = Mileage.model"
         );
-        assert_eq!(poll.other_tables, vec!["mileage"]);
+        assert_eq!(&*poll.other_tables, ["mileage"]);
         assert!(residual_is_executable(&poll, &db));
     }
 
@@ -760,7 +947,7 @@ mod tests {
             panic!("expected poll")
         };
         assert_eq!(
-            poll.sql,
+            poll.sql(),
             "SELECT COUNT(*) FROM Car WHERE Car.model = 'Avalon' AND Car.price < 20000"
         );
         assert!(residual_is_executable(&poll, &db));
@@ -793,7 +980,7 @@ mod tests {
         let TupleImpact::NeedsPoll(poll) = impact else {
             panic!()
         };
-        assert_eq!(poll.sql, "SELECT COUNT(*) FROM Mileage");
+        assert_eq!(poll.sql(), "SELECT COUNT(*) FROM Mileage");
     }
 
     #[test]
@@ -815,7 +1002,7 @@ mod tests {
         let TupleImpact::NeedsPoll(poll) = impact else {
             panic!()
         };
-        assert_eq!(poll.sql, "SELECT COUNT(*) FROM Mileage m WHERE 'X' = m.model");
+        assert_eq!(poll.sql(), "SELECT COUNT(*) FROM Mileage m WHERE 'X' = m.model");
         assert!(residual_is_executable(&poll, &db));
     }
 
@@ -826,18 +1013,17 @@ mod tests {
             "SELECT a.maker FROM Car a, Car b WHERE a.model = b.model AND a.price < b.price",
             &db,
         );
-        assert_eq!(inst.occurrences_of("car"), vec![0, 1]);
         let t = vec!["T".into(), "M".into(), Value::Int(100)];
         let i0 = analyze_tuple(&inst, 0, &t).unwrap();
         let TupleImpact::NeedsPoll(p0) = i0 else { panic!() };
         assert_eq!(
-            p0.sql,
+            p0.sql(),
             "SELECT COUNT(*) FROM Car b WHERE 'M' = b.model AND 100 < b.price"
         );
         let i1 = analyze_tuple(&inst, 1, &t).unwrap();
         let TupleImpact::NeedsPoll(p1) = i1 else { panic!() };
         assert_eq!(
-            p1.sql,
+            p1.sql(),
             "SELECT COUNT(*) FROM Car a WHERE a.model = 'M' AND a.price < 100"
         );
     }
@@ -856,7 +1042,7 @@ mod tests {
         let TupleImpact::NeedsPoll(poll) = impact else {
             panic!()
         };
-        assert!(poll.sql.contains("(50 < 10 OR Mileage.EPA > 30)"));
+        assert!(poll.sql().contains("(50 < 10 OR Mileage.EPA > 30)"));
     }
 
     #[test]
@@ -880,21 +1066,22 @@ mod tests {
             db.execute(&format!("INSERT INTO Car VALUES ('T','{m}',{p})"))
                 .unwrap();
         }
-        let sel = parse_select(
-            "SELECT model FROM Car WHERE maker = 'T' ORDER BY price DESC LIMIT 3",
-        )
-        .unwrap();
-        let spec = topk_spec(&sel, &db).unwrap();
+        // As registered: the type with its marker, the instance's value apart.
+        let (template, params) = parameterize(
+            &parse_select("SELECT model FROM Car WHERE maker = 'T' ORDER BY price DESC LIMIT 3")
+                .unwrap(),
+        );
+        let spec = topk_plan(&template, &db).unwrap();
         assert_eq!(spec.k, 3);
         assert!(!spec.ascending);
         assert_eq!(spec.order_col, 2, "price is the third Car column");
         assert_eq!(
-            spec.poll_sql,
+            cacheportal_db::sql::ast::Bound(&spec.poll, &params).to_string(),
             "SELECT price FROM Car WHERE maker = 'T' ORDER BY price DESC LIMIT 3"
         );
         // Executing the poll returns exactly the bounded, ordered set — not
         // the full matching set the old clause-stripping would have given.
-        let res = db.query(&spec.poll_sql).unwrap();
+        let res = db.query_select(&spec.poll, &params).unwrap();
         let got: Vec<Value> = res.rows.iter().map(|r| r[0].clone()).collect();
         assert_eq!(
             got,
@@ -904,7 +1091,7 @@ mod tests {
     }
 
     #[test]
-    fn topk_spec_rejects_ineligible_shapes() {
+    fn topk_plan_rejects_ineligible_shapes() {
         let db = example_db();
         let ineligible = [
             // Join: the boundary rule needs the order key on the touched table.
@@ -921,7 +1108,7 @@ mod tests {
         ];
         for sql in ineligible {
             let sel = parse_select(sql).unwrap();
-            assert!(topk_spec(&sel, &db).is_none(), "{sql}");
+            assert!(topk_plan(&sel, &db).is_none(), "{sql}");
         }
     }
 

@@ -5,8 +5,8 @@
 //! set of page keys to eject from the caches.
 
 use crate::analysis::{
-    agg_spec, analyze_tuple, analyze_tuple_batch, judge_aggregate_delta, topk_spec, AggJudgement,
-    AggSpec, BatchImpact, BoundInstance, TopKSpec, TupleImpact,
+    judge_aggregate_delta, AggJudgement, AggSpec, BatchImpact, PollingQuery, TopKPlan,
+    TupleImpact, TypeAnalysis,
 };
 use crate::breaker::{BreakerConfig, BreakerDecision, CircuitBreaker, TypeObservation};
 use crate::delta::{DeltaGroupStat, DeltaSet};
@@ -14,7 +14,6 @@ use crate::policy::{InvalidationPolicy, PolicyConfig, PolicyStore};
 use crate::polling::{InfoManager, PollAnswer, PollRunner, PollStats};
 use crate::predicate_index::Probe;
 use crate::query_type::{QueryShape, QueryTypeId, Registry};
-use cacheportal_db::sql::rewrite::substitute_params;
 use cacheportal_db::{Database, DbResult, Lsn, Value};
 use cacheportal_sniffer::QiUrlMap;
 use cacheportal_web::PageKey;
@@ -427,6 +426,14 @@ enum ShapeDecision {
     Affected(VerdictCause),
 }
 
+/// One instance under analysis: what was compiled of its type, and its
+/// parameter values. Nothing is built for it.
+#[derive(Clone, Copy)]
+struct Instance<'a> {
+    ty: &'a TypeAnalysis,
+    params: &'a [Value],
+}
+
 /// The CachePortal invalidator.
 ///
 /// ```
@@ -667,23 +674,26 @@ impl Invalidator {
                 {
                     continue;
                 }
-                let ty_select = self.registry.get(ty_id).select.clone();
+                self.registry.refresh_analysis(ty_id, db);
                 let instances: Vec<Arc<[Value]>> = self
                     .registry
                     .instances_of(ty_id)
                     .map(|(params, _)| params.clone())
                     .collect();
                 for params in instances {
-                    let boundary = substitute_params(&ty_select, &params)
-                        .ok()
-                        .and_then(|bound| topk_spec(&bound, db))
-                        .and_then(|spec| {
+                    // The type's boundary poll, run with the instance's
+                    // values as its parameters.
+                    let boundary = (self.registry.analysis(ty_id))
+                        .and_then(|compiled| compiled.as_ref().ok())
+                        .filter(|compiled| compiled.check_params(&params).is_ok())
+                        .and_then(|compiled| compiled.topk.as_ref())
+                        .and_then(|plan| {
                             report.shape_boundary_polls += 1;
-                            match db.query(&spec.poll_sql) {
+                            match db.query_select(&plan.poll, &params) {
                                 // Only a *full* result has a meaningful
                                 // boundary; short results (or a failed
                                 // poll) disable the rule for the instance.
-                                Ok(res) if res.rows.len() == spec.k => res
+                                Ok(res) if res.rows.len() == plan.k => res
                                     .rows
                                     .last()
                                     .and_then(|r| r.first())
@@ -809,6 +819,11 @@ impl Invalidator {
             .collect();
         candidate_types.sort_unstable();
         candidate_types.dedup();
+        // Compiled once per type, here, where the registry is still ours to
+        // change: the shards share it read-only.
+        for &id in &candidate_types {
+            self.registry.refresh_analysis(id, db);
+        }
 
         // Breaker decisions are taken up front, before the fan-out: every
         // shard sees the same per-type decision regardless of worker count
@@ -1041,9 +1056,6 @@ impl Invalidator {
         // Pages kept only by the aggregate netting shortcut; the orchestrator
         // guard-ejects the ones admitted mid-window (see InvalidationReport).
         let mut netted_pages: Vec<PageKey> = Vec::new();
-        // Bound instances are compiled once per (type, params) and reused
-        // across every delta tuple the shard analyzes.
-        let mut bound_cache: HashMap<(QueryTypeId, Arc<[Value]>), BoundInstance> = HashMap::new();
 
         for &(order, ty_id) in types {
             let type_started = std::time::Instant::now();
@@ -1056,8 +1068,10 @@ impl Invalidator {
             let faults_before = counters.poll_faults;
             let attempts_before = counters.polls_attempted;
             let ty = registry.get(ty_id);
-            let ty_select = ty.select.clone();
             let ty_shape = ty.shape;
+            let compiled = registry
+                .analysis(ty_id)
+                .expect("candidate types are compiled before the fan-out");
             let mut ty_shape_skipped = 0u64;
             // Predicate-index probe: map the delta tuples directly to the
             // instances they can affect. `Probe::Scan` (residual occurrence
@@ -1120,7 +1134,8 @@ impl Invalidator {
             let mut affected_set: HashSet<Arc<[Value]>> = HashSet::new();
 
             if policy == InvalidationPolicy::TableLevel {
-                let read_touched: Vec<String> = ty_select
+                let read_touched: Vec<String> = ty
+                    .select
                     .from
                     .iter()
                     .map(|tref| tref.table.to_ascii_lowercase())
@@ -1163,35 +1178,31 @@ impl Invalidator {
                 if affected_set.contains(&params) {
                     continue;
                 }
-                let key = (ty_id, params.clone());
-                let inst = match bound_cache.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        // Binding can fail if the schema changed under the
-                        // registry (table/column dropped). Fail safe: the
-                        // instance is considered affected — its pages get
-                        // ejected and the next regeneration re-registers it
-                        // against the current schema (or 500s honestly).
-                        let bound = substitute_params(&ty_select, &params)
-                            .and_then(|sel| BoundInstance::new(sel, db));
-                        match bound {
-                            Ok(inst) => e.insert(inst),
-                            Err(err) => {
-                                counters.bind_failures += 1;
-                                affected_set.insert(params.clone());
-                                affected.push((
-                                    ty_id,
-                                    params,
-                                    VerdictCause {
-                                        kind: VerdictKind::BindFailure,
-                                        detail: format!(
-                                            "instance no longer binds against the schema ({err}); failed safe"
-                                        ),
-                                    },
-                                ));
-                                continue 'instances;
-                            }
-                        }
+                // Binding can fail if the schema changed under the registry
+                // (table/column dropped). Fail safe: the instance is
+                // considered affected — its pages get ejected and the next
+                // regeneration re-registers it against the current schema
+                // (or 500s honestly).
+                let bound = compiled
+                    .as_ref()
+                    .map_err(|err| err.clone())
+                    .and_then(|ty| ty.check_params(&params).map(|()| ty));
+                let inst = match bound {
+                    Ok(ty) => Instance { ty, params: &params },
+                    Err(err) => {
+                        counters.bind_failures += 1;
+                        affected_set.insert(params.clone());
+                        affected.push((
+                            ty_id,
+                            params,
+                            VerdictCause {
+                                kind: VerdictKind::BindFailure,
+                                detail: format!(
+                                    "instance no longer binds against the schema ({err}); failed safe"
+                                ),
+                            },
+                        ));
+                        continue 'instances;
                     }
                 };
 
@@ -1212,16 +1223,16 @@ impl Invalidator {
                             let boundary = registry
                                 .pages_of(ty_id, &params)
                                 .and_then(|data| data.boundary().cloned());
-                            match (boundary, topk_spec(&inst.select, db)) {
-                                (Some(boundary), Some(spec)) => {
-                                    Self::decide_topk(inst, &spec, &boundary, deltas, &mut counters)?
+                            match (boundary, &inst.ty.topk) {
+                                (Some(boundary), Some(plan)) => {
+                                    Self::decide_topk(inst, plan, &boundary, deltas, &mut counters)?
                                 }
                                 _ => ShapeDecision::Fallback,
                             }
                         }
-                        QueryShape::Aggregate => match agg_spec(&inst.select, db) {
+                        QueryShape::Aggregate => match &inst.ty.agg {
                             Some(spec) => {
-                                Self::decide_aggregate(inst, &spec, deltas, &mut counters)?
+                                Self::decide_aggregate(inst, spec, deltas, &mut counters)?
                             }
                             None => ShapeDecision::Fallback,
                         },
@@ -1257,7 +1268,7 @@ impl Invalidator {
                     }
                 }
 
-                for (occ, tref) in inst.select.from.iter().enumerate() {
+                for (occ, tref) in inst.ty.from_refs().iter().enumerate() {
                     let Some(delta) = deltas.for_table(&tref.table) else {
                         continue;
                     };
@@ -1332,21 +1343,21 @@ impl Invalidator {
     /// inside the boundary and matches locally ejects with
     /// [`VerdictKind::TopKBoundary`].
     fn decide_topk(
-        inst: &BoundInstance,
-        spec: &TopKSpec,
+        inst: Instance<'_>,
+        spec: &TopKPlan,
         boundary: &Value,
         deltas: &DeltaSet,
         counters: &mut ShardCounters,
     ) -> DbResult<ShapeDecision> {
         use std::cmp::Ordering;
-        let table = &inst.select.from[0].table;
+        let table = &inst.ty.from_refs()[0].table;
         let Some(delta) = deltas.for_table(table) else {
             return Ok(ShapeDecision::Fallback);
         };
         let mut used_boundary = false;
         for (tuple, is_insert) in delta.tuples() {
             counters.tuples_analyzed += 1;
-            let impact = analyze_tuple(inst, 0, tuple)?;
+            let impact = inst.ty.analyze_tuple(inst.params, 0, tuple)?;
             if matches!(impact, TupleImpact::NoImpact) {
                 counters.local_decisions += 1;
                 continue;
@@ -1401,19 +1412,19 @@ impl Invalidator {
     /// [`VerdictKind::AggregateDelta`] (including judgements the exactness
     /// argument cannot cover — those never convert to NoImpact).
     fn decide_aggregate(
-        inst: &BoundInstance,
+        inst: Instance<'_>,
         spec: &AggSpec,
         deltas: &DeltaSet,
         counters: &mut ShardCounters,
     ) -> DbResult<ShapeDecision> {
-        let table = &inst.select.from[0].table;
+        let table = &inst.ty.from_refs()[0].table;
         let Some(delta) = deltas.for_table(table) else {
             return Ok(ShapeDecision::Fallback);
         };
         let mut matching: Vec<(&cacheportal_db::table::Row, bool)> = Vec::new();
         for (tuple, is_insert) in delta.tuples() {
             counters.tuples_analyzed += 1;
-            match analyze_tuple(inst, 0, tuple)? {
+            match inst.ty.analyze_tuple(inst.params, 0, tuple)? {
                 TupleImpact::NoImpact => counters.local_decisions += 1,
                 TupleImpact::Affected => matching.push((tuple, is_insert)),
                 TupleImpact::NeedsPoll(_) => return Ok(ShapeDecision::Fallback),
@@ -1444,7 +1455,7 @@ impl Invalidator {
         info: &InfoManager,
         runner: &PollRunner,
         db: &Database,
-        inst: &BoundInstance,
+        inst: Instance<'_>,
         occ: usize,
         delta: &crate::delta::TableDelta,
         policy: InvalidationPolicy,
@@ -1453,10 +1464,10 @@ impl Invalidator {
         retry_budget: &mut u64,
         counters: &mut ShardCounters,
     ) -> DbResult<Option<VerdictCause>> {
-        let table = &inst.select.from[occ].table;
+        let table = &inst.ty.from_refs()[occ].table;
         for (tuple, is_insert) in delta.tuples() {
             counters.tuples_analyzed += 1;
-            let impact = analyze_tuple(inst, occ, tuple)?;
+            let impact = inst.ty.analyze_tuple(inst.params, occ, tuple)?;
             let hit = match impact {
                 TupleImpact::NoImpact => {
                     counters.local_decisions += 1;
@@ -1502,7 +1513,7 @@ impl Invalidator {
         info: &InfoManager,
         runner: &PollRunner,
         db: &Database,
-        inst: &BoundInstance,
+        inst: Instance<'_>,
         occ: usize,
         delta: &crate::delta::TableDelta,
         policy: InvalidationPolicy,
@@ -1511,7 +1522,7 @@ impl Invalidator {
         retry_budget: &mut u64,
         counters: &mut ShardCounters,
     ) -> DbResult<Option<VerdictCause>> {
-        let table = &inst.select.from[occ].table;
+        let table = &inst.ty.from_refs()[occ].table;
         let groups: [(&[cacheportal_db::table::Row], bool); 2] =
             [(&delta.inserted, false), (&delta.deleted, true)];
         for (rows, was_delete) in groups {
@@ -1519,11 +1530,10 @@ impl Invalidator {
                 continue;
             }
             counters.tuples_analyzed += rows.len() as u64;
-            let refs: Vec<&cacheportal_db::table::Row> = rows.iter().collect();
-            let (impact, _survivors) = analyze_tuple_batch(
-                inst,
+            let (impact, _survivors) = inst.ty.analyze_tuple_batch(
+                inst.params,
                 occ,
-                &refs,
+                rows,
                 policy_cfg.max_or_terms_per_poll.max(1),
             )?;
             let hit = match impact {
@@ -1585,7 +1595,7 @@ impl Invalidator {
         info: &InfoManager,
         runner: &PollRunner,
         db: &Database,
-        poll: &crate::analysis::PollingQuery,
+        poll: &PollingQuery,
         tuple_was_delete: bool,
         policy: InvalidationPolicy,
         breaker_degraded: bool,
@@ -1602,15 +1612,14 @@ impl Invalidator {
             return Ok(Some(VerdictCause {
                 kind: VerdictKind::BreakerDegraded,
                 detail: format!(
-                    "circuit breaker open for this query type; assumed affected without polling: {}",
-                    poll.sql
+                    "circuit breaker open for this query type; assumed affected without polling: {poll}"
                 ),
             }));
         }
         match policy {
             InvalidationPolicy::Conservative => Ok(Some(VerdictCause {
                 kind: VerdictKind::Conservative,
-                detail: format!("conservative policy assumed affected, skipping poll: {}", poll.sql),
+                detail: format!("conservative policy assumed affected, skipping poll: {poll}"),
             })),
             InvalidationPolicy::Exact => {
                 let over_budget = policy_cfg
@@ -1622,7 +1631,7 @@ impl Invalidator {
                     counters.degraded_by_budget += 1;
                     Ok(Some(VerdictCause {
                         kind: VerdictKind::BudgetDegraded,
-                        detail: format!("poll budget exhausted; assumed affected instead of polling: {}", poll.sql),
+                        detail: format!("poll budget exhausted; assumed affected instead of polling: {poll}"),
                     }))
                 } else {
                     // Retries come out of the type's per-sync budget: once
@@ -1635,10 +1644,10 @@ impl Invalidator {
                             Ok(answer.map(|answer| VerdictCause {
                                 kind: answer.into(),
                                 detail: match answer {
-                                    PollAnswer::Issued => format!("polling query found matching rows: {}", poll.sql),
-                                    PollAnswer::FromCache => format!("deduplicated poll already answered yes this sync point: {}", poll.sql),
-                                    PollAnswer::FromIndex => format!("maintained index answered the poll: {}", poll.sql),
-                                    PollAnswer::DeleteGuard => format!("correlated same-batch deletion of a join partner; poll was: {}", poll.sql),
+                                    PollAnswer::Issued => format!("polling query found matching rows: {poll}"),
+                                    PollAnswer::FromCache => format!("deduplicated poll already answered yes this sync point: {poll}"),
+                                    PollAnswer::FromIndex => format!("maintained index answered the poll: {poll}"),
+                                    PollAnswer::DeleteGuard => format!("correlated same-batch deletion of a join partner; poll was: {poll}"),
                                 },
                             }))
                         }

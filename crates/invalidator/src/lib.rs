@@ -8,8 +8,9 @@
 //! * [`query_type`] — query-type registration & discovery, the
 //!   type/instance/page registry (registration module, §4.1).
 //! * [`delta`] — update-log batching into Δ⁺R / Δ⁻R (§4.2.1).
-//! * [`analysis`] — the Example 4.1 decision algorithm: local predicate
-//!   checks and residual polling-query construction.
+//! * [`analysis`] — the Example 4.1 decision algorithm, compiled once per
+//!   query type: local predicate checks and residual polling-query
+//!   construction for an instance given as its parameter values.
 //! * [`polling`] — polling execution with per-sync dedup and maintained
 //!   join-attribute indexes (information management module, §4.3).
 //! * [`policy`] — Exact / Conservative / TableLevel policies, the polling
@@ -31,7 +32,7 @@ pub mod polling;
 pub mod predicate_index;
 pub mod query_type;
 
-pub use analysis::{analyze_tuple, analyze_tuple_batch, BatchImpact, BoundInstance, PollingQuery, SchemaProvider, TupleImpact};
+pub use analysis::{BatchImpact, PollingQuery, SchemaProvider, TupleImpact, TypeAnalysis};
 pub use breaker::{BreakerConfig, BreakerDecision, BreakerEvents, CircuitBreaker, TypeObservation};
 pub use delta::{DeltaGroupStat, DeltaSet, TableDelta};
 pub use invalidator::{

@@ -9,10 +9,10 @@
 //! multisets kept current from the update deltas, trading invalidator memory
 //! for DBMS load.
 
-use crate::analysis::{analyze_tuple, BoundInstance, PollingQuery, TupleImpact};
+use crate::analysis::{PollingQuery, TupleImpact, TypeAnalysis};
 use crate::delta::DeltaSet;
-use cacheportal_db::sql::ast::{CmpOp, Expr, Statement};
-use cacheportal_db::sql::parser::parse;
+use crate::query_type::QueryShape;
+use cacheportal_db::sql::ast::{CmpOp, Expr};
 use cacheportal_db::{Database, DbError, DbResult, FaultPlan, PollFault, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -136,31 +136,28 @@ impl InfoManager {
     /// * If additionally that equality is the *only* conjunct and the poll
     ///   reads a single table, a present value means count > 0.
     ///
-    /// Returns `None` when the index cannot decide.
+    /// Returns `None` when the index cannot decide — which, with no index
+    /// maintained, is known before the poll is looked at.
     pub fn try_answer(&self, poll: &PollingQuery) -> Option<bool> {
-        let Ok(Statement::Select(sel)) = parse(&poll.sql) else {
-            return None;
-        };
-        if sel.from.len() != 1 {
+        if self.indexes.is_empty() {
             return None;
         }
-        let table_lc = sel.from[0].table.to_ascii_lowercase();
-        let conjuncts: Vec<&Expr> = match &sel.where_clause {
-            Some(w) => w.conjuncts(),
-            None => return None,
+        let sel = poll.select()?;
+        let [only] = sel.from.as_slice() else {
+            return None;
         };
+        let conjuncts = sel.where_clause.as_ref()?.conjuncts();
         for (i, c) in conjuncts.iter().enumerate() {
             let Some((col_name, value)) = as_col_eq_literal(c) else {
                 continue;
             };
-            let Some(ix) = self
-                .indexes
-                .iter()
-                .find(|ix| ix.table == table_lc && ix.column.eq_ignore_ascii_case(col_name))
-            else {
+            let Some(ix) = self.indexes.iter().find(|ix| {
+                ix.table.eq_ignore_ascii_case(&only.table)
+                    && ix.column.eq_ignore_ascii_case(col_name)
+            }) else {
                 continue;
             };
-            if !ix.contains(&value) {
+            if !ix.contains(value) {
                 return Some(false); // definite: no row matches the equality
             }
             if conjuncts.len() == 1 && i == 0 {
@@ -172,12 +169,12 @@ impl InfoManager {
 }
 
 /// Match `col = literal` / `literal = col` (column possibly qualified).
-fn as_col_eq_literal(e: &Expr) -> Option<(&str, Value)> {
+fn as_col_eq_literal(e: &Expr) -> Option<(&str, &Value)> {
     if let Expr::Cmp { left, op, right } = e {
         if *op == CmpOp::Eq {
             match (&**left, &**right) {
                 (Expr::Column(c), Expr::Literal(v)) | (Expr::Literal(v), Expr::Column(c)) => {
-                    return Some((c.column.as_str(), v.clone()));
+                    return Some((c.column.as_str(), v));
                 }
                 _ => {}
             }
@@ -375,12 +372,8 @@ impl<'a> PollRunner<'a> {
                                 }
                                 if attempt >= max_retries {
                                     return Err(DbError::Faulted(match kind {
-                                        PollFault::Error => {
-                                            format!("poll rejected: {}", poll.sql)
-                                        }
-                                        PollFault::Timeout => {
-                                            format!("poll timed out: {}", poll.sql)
-                                        }
+                                        PollFault::Error => format!("poll rejected: {poll}"),
+                                        PollFault::Timeout => format!("poll timed out: {poll}"),
                                     }));
                                 }
                                 self.retries.fetch_add(1, Ordering::Relaxed);
@@ -398,7 +391,11 @@ impl<'a> PollRunner<'a> {
                         if !self.poll_rtt.is_zero() {
                             std::thread::sleep(self.poll_rtt);
                         }
-                        let r = db.query(&poll.sql)?;
+                        let r = match poll.select() {
+                            Some(select) => db.query_select(select, &[])?,
+                            // Text that did not parse: the engine says why.
+                            None => db.query(&poll.sql())?,
+                        };
                         let ans = matches!(r.rows.first().and_then(|row| row.first()),
                                  Some(Value::Int(n)) if *n > 0);
                         (ans, PollAnswer::Issued)
@@ -439,26 +436,27 @@ impl<'a> PollRunner<'a> {
     }
 
     /// Exact Δ⁻ re-check for single-other-table residuals; coarse guard
-    /// (any deletions at all) for multi-table residuals.
+    /// (any deletions at all) for multi-table residuals. A poll that is not
+    /// a `SELECT` (text that did not parse) cannot be re-checked: it counts
+    /// as a hit, which only over-invalidates.
     fn residual_hits_deleted_rows(
         &self,
         db: &Database,
         poll: &PollingQuery,
     ) -> DbResult<bool> {
-        let Ok(Statement::Select(sel)) = parse(&poll.sql) else {
-            return Ok(false);
+        let Some(sel) = poll.select() else {
+            return Ok(true);
         };
-        if sel.from.len() == 1 {
-            let table = sel.from[0].table.clone();
-            let Some(delta) = self.deltas.for_table(&table) else {
+        if let [only] = sel.from.as_slice() {
+            let Some(delta) = self.deltas.for_table(&only.table) else {
                 return Ok(false);
             };
             if delta.deleted.is_empty() {
                 return Ok(false);
             }
-            let inst = BoundInstance::new(sel, db)?;
+            let residual = TypeAnalysis::new(sel, QueryShape::Conjunctive, db)?;
             for row in &delta.deleted {
-                if analyze_tuple(&inst, 0, row)? == TupleImpact::Affected {
+                if residual.analyze_tuple(&[], 0, row)? == TupleImpact::Affected {
                     return Ok(true);
                 }
             }
@@ -486,7 +484,7 @@ mod tests {
     }
 
     fn poll(sql: &str) -> PollingQuery {
-        PollingQuery::new(sql.to_string(), vec!["mileage".to_string()])
+        PollingQuery::from_sql(sql, vec!["mileage".to_string()])
     }
 
     #[test]
@@ -664,6 +662,82 @@ mod tests {
         let runner = PollRunner::new(&info, &deltas);
         let p = poll("SELECT COUNT(*) FROM Mileage WHERE 'Edsel' = Mileage.model");
         assert!(!runner.is_affected(&database, &p, true).unwrap());
+    }
+
+    /// A poll as the analysis builds it — a tree — whose text does not read
+    /// back as itself: `inf` lexes as a column name.
+    fn poll_with_unreadable_text(model: &str) -> PollingQuery {
+        let mut select = cacheportal_db::sql::parser::parse_select(&format!(
+            "SELECT COUNT(*) FROM Mileage WHERE '{model}' = Mileage.model AND Mileage.EPA < 0"
+        ))
+        .unwrap();
+        select.where_clause = select.where_clause.map(|w| {
+            w.transform(&|e| {
+                (*e == Expr::Literal(Value::Int(0)))
+                    .then_some(Expr::Literal(Value::Float(f64::INFINITY)))
+            })
+        });
+        let poll = PollingQuery::new(select, vec!["mileage".to_string()]);
+        assert_ne!(
+            cacheportal_db::sql::parser::parse_select(&poll.sql()).ok().as_ref(),
+            poll.select()
+        );
+        poll
+    }
+
+    #[test]
+    fn guard_and_index_read_the_tree_never_the_text() {
+        let mut database = db();
+        let mut info = InfoManager::new();
+        info.maintain_index(&database, "Mileage", "model").unwrap();
+        let indexed_at = database.high_water();
+        database
+            .execute("DELETE FROM Mileage WHERE model = 'Avalon'")
+            .unwrap();
+        let recs: Vec<LogRecord> = database.update_log().pull_since(indexed_at).to_vec();
+        let deltas = DeltaSet::from_records(&recs);
+        info.apply_deltas(&deltas);
+        // The index says no Avalon is left; the guard finds the deleted
+        // partner. Re-parsing the text would have found neither: it names a
+        // column `inf`.
+        let p = poll_with_unreadable_text("Avalon");
+        assert_eq!(info.try_answer(&p), Some(false));
+        let runner = PollRunner::new(&info, &deltas);
+        assert_eq!(
+            runner.decide(&database, &p, true).unwrap(),
+            Some(PollAnswer::DeleteGuard)
+        );
+        // And the engine runs it as built.
+        let none = InfoManager::new();
+        let runner = PollRunner::new(&none, &deltas);
+        let civic = poll_with_unreadable_text("Civic");
+        assert_eq!(
+            runner.decide(&database, &civic, false).unwrap(),
+            Some(PollAnswer::Issued)
+        );
+    }
+
+    #[test]
+    fn text_that_does_not_parse_counts_as_a_deleted_partner() {
+        let mut database = db();
+        database
+            .execute("DELETE FROM Mileage WHERE model = 'Civic'")
+            .unwrap();
+        let recs: Vec<LogRecord> = database.update_log().pull_since(0).to_vec();
+        let deltas = DeltaSet::from_records(&recs);
+        let mut info = InfoManager::new();
+        info.maintain_index(&database, "Mileage", "model").unwrap();
+        let runner = PollRunner::new(&info, &deltas);
+        let p = poll("SELECT COUNT(*) FROM Mileage WHERE");
+        assert!(p.select().is_none());
+        // No index answers it, the guard cannot rule a deleted partner out,
+        // and issuing it reports the engine's parse error.
+        assert_eq!(info.try_answer(&p), None);
+        assert!(runner.residual_hits_deleted_rows(&database, &p).unwrap());
+        assert!(matches!(
+            runner.decide(&database, &p, true),
+            Err(DbError::Parse(_))
+        ));
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::analysis::{SchemaProvider, TypeAnalysis};
 use crate::delta::DeltaSet;
 use crate::predicate_index::{Probe, TypeIndex};
 
@@ -311,6 +312,11 @@ pub struct Registry {
     types_by_page: HashMap<PageKey, InlineVec<QueryTypeId, 3>>,
     /// Per-type predicate index, parallel to `types`.
     indexes: Vec<TypeIndex>,
+    /// Per type, parallel to `types`: what the sync point's analysis needs
+    /// of `types[i].select`, compiled against the schemas of the sync point
+    /// that last touched the type (`None` until one does; an `Err` is the
+    /// reason its instances do not bind). See [`Registry::refresh_analysis`].
+    analyses: Vec<Option<DbResult<TypeAnalysis>>>,
     /// Cached Σ instance_count — kept in sync on register/remove so
     /// metrics snapshots stay O(1) at 1M QIs.
     live_instances: usize,
@@ -378,6 +384,7 @@ impl Registry {
         }
         self.by_sql.insert(sql.clone(), id);
         self.indexes.push(TypeIndex::plan(select));
+        self.analyses.push(None);
         let shape = QueryShape::classify(select);
         self.types.push(QueryType {
             id,
@@ -509,6 +516,25 @@ impl Registry {
     pub fn probe_index(&self, id: QueryTypeId, deltas: &DeltaSet, db: &Database) -> Probe {
         let ty = &self.types[id.0 as usize];
         self.indexes[id.0 as usize].probe(&ty.select.from, deltas, db)
+    }
+
+    /// Make `id`'s compiled analysis current: compile it if this is the first
+    /// sync point to touch the type, or if the schemas it was compiled
+    /// against are no longer the catalog's (a table dropped, or dropped and
+    /// created again) — which is also how a type that failed to bind gets
+    /// another try. A type whose tables stand still is compiled once.
+    pub fn refresh_analysis(&mut self, id: QueryTypeId, schemas: &dyn SchemaProvider) {
+        let slot = &mut self.analyses[id.0 as usize];
+        if !matches!(slot, Some(Ok(compiled)) if compiled.is_current(schemas)) {
+            let ty = &self.types[id.0 as usize];
+            *slot = Some(TypeAnalysis::new(&ty.select, ty.shape, schemas));
+        }
+    }
+
+    /// The compiled analysis [`Registry::refresh_analysis`] left for `id`;
+    /// `None` if no sync point has touched the type yet.
+    pub fn analysis(&self, id: QueryTypeId) -> Option<&DbResult<TypeAnalysis>> {
+        self.analyses[id.0 as usize].as_ref()
     }
 
     /// Whether a type's index is all-residual (probing it always scans).

@@ -45,6 +45,14 @@ echo "== registered-page footprint (counting allocator, release) =="
 # at the origin and two in-process edges puts one body on the heap.
 cargo test -q --release --offline -p cacheportal --test page_footprint
 
+echo "== sync-point analysis allocation bound (counting allocator, release) =="
+# One UPDATE on the join side of a two-table type with 1 000, 4 000 and
+# 16 000 registered instances, every one analysed and polled: the sync point
+# holds one instance's working set at a time (one transient-heap bound for
+# all three sizes), allocates a third of what a bound copy per instance did,
+# and the engine parses nothing — a poll runs from the tree it was built as.
+cargo test -q --release --offline -p cacheportal-invalidator --test analysis_alloc
+
 echo "== admission vs. mapper race (60 rounds, release) =="
 # Two readers missing on 400 pages against back-to-back sync points: no page
 # may be cached without its QI/URL rows. In release, where the interleaving
