@@ -131,7 +131,7 @@ pub struct PersistOutcome {
     pub checkpoint_bytes: u64,
 }
 
-fn micros_since(started: Instant) -> u64 {
+pub(crate) fn micros_since(started: Instant) -> u64 {
     started.elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 

@@ -7,6 +7,7 @@
 
 use cacheportal::db::schema::ColType;
 use cacheportal::db::Database;
+use cacheportal::invalidator::InvalidatorConfig;
 use cacheportal::web::{HttpRequest, ParamSource, QueryTemplate, ServletSpec, SqlServlet};
 use cacheportal::CachePortal;
 use std::io::{Read as _, Write as _};
@@ -393,7 +394,7 @@ fn jsonl_export_streams_without_duplicates() {
 fn parallel_analysis_keeps_eject_provenance_complete() {
     let run = |workers: usize| {
         let p = CachePortal::builder(example_db())
-            .workers(workers)
+            .invalidator_config(InvalidatorConfig { workers, ..InvalidatorConfig::default() })
             .build()
             .unwrap();
         p.register_servlet(search_servlet());

@@ -17,7 +17,7 @@ use crate::query_type::{QueryShape, QueryTypeId, Registry};
 use cacheportal_db::{Database, DbResult, Lsn, Value};
 use cacheportal_sniffer::QiUrlMap;
 use cacheportal_web::PageKey;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// An instance judged affected: its type, its parameter values (a clone of
@@ -350,26 +350,22 @@ impl Default for InvalidatorConfig {
     }
 }
 
-/// Per-shard tallies of the analysis-stage counters, merged into the
-/// [`InvalidationReport`] after all shards join.
+/// Per-shard tallies of the analysis stage that no per-type stat carries,
+/// summed into the [`InvalidationReport`] after all shards join.
 #[derive(Debug, Default)]
-struct ShardCounters {
+struct ShardTally {
     checked_instances: u64,
     tuples_analyzed: u64,
     local_decisions: u64,
     degraded_by_budget: u64,
     bind_failures: u64,
-    poll_faults: u64,
-    polls_attempted: u64,
     breaker_degraded: u64,
-    index_candidates: u64,
-    index_skipped: u64,
-    index_residual_scanned: u64,
     index_probed_types: u64,
     index_residual_types: u64,
     index_probe_micros: u64,
-    shape_topk_skipped: u64,
-    shape_agg_skipped: u64,
+    /// Pages of aggregate instances the value-preserving netting kept
+    /// cached (see [`InvalidationReport::netted_pages`]).
+    netted_pages: Vec<PageKey>,
 }
 
 /// One analyzed query type's results, tagged with its position in the
@@ -377,53 +373,43 @@ struct ShardCounters {
 /// which shard ran it.
 struct TypeOutcome {
     order: usize,
-    ty_id: QueryTypeId,
     affected: Vec<Affected>,
-    /// Analysis wall-clock to record into the type's stats; `None` for
-    /// table-level types (the sequential path never recorded those).
-    record_micros: Option<u64>,
-    /// Poll-fault verdicts this type produced (breaker evidence).
-    poll_faults: u64,
-    /// Poll decisions that reached the DBMS fault site for this type.
-    polls_attempted: u64,
-    /// Instances the predicate index handed to the decision loop.
-    index_candidates: u64,
-    /// Instances the predicate index skipped.
-    index_skipped: u64,
-    /// Instances scanned via the residual fallback.
-    index_residual: u64,
-    /// Instances a shape rule kept cached for this type.
-    shape_skipped: u64,
-}
-
-/// Per-call retry settings handed to the shard workers.
-#[derive(Debug, Clone, Copy)]
-struct RetrySettings {
-    max_retries: u32,
-    budget_per_type: u64,
+    /// The type's share of the sync point. A type lives wholly within one
+    /// shard, so this is complete as it stands.
+    stat: TypeSyncStat,
+    /// Whether `stat.analysis_micros` goes into the type's running stats;
+    /// false for table-level types, whose time was never recorded.
+    timed: bool,
 }
 
 /// Everything one shard worker produced.
 struct ShardOutcome {
     types: Vec<TypeOutcome>,
-    counters: ShardCounters,
+    tally: ShardTally,
     elapsed_micros: u64,
-    /// Pages of aggregate instances the value-preserving netting kept
-    /// cached (see [`InvalidationReport::netted_pages`]).
-    netted_pages: Vec<PageKey>,
 }
 
-/// What a per-shape decision rule concluded for one instance.
-enum ShapeDecision {
-    /// The rule does not apply (no boundary, ineligible shape details, or a
-    /// tuple needed a poll); run the conventional per-occurrence loop.
-    Fallback,
-    /// Provably unaffected. `shape_skip` is true when the proof *needed*
-    /// the shape rule (a boundary comparison or delta judgement) — i.e. the
-    /// conventional path would have ejected the instance.
-    NoImpact { shape_skip: bool },
-    /// Affected, with shape-specific provenance.
-    Affected(VerdictCause),
+/// How one query type's instances are decided, chosen once per type.
+enum Decider<'a> {
+    /// Table-level policy: every instance goes, with this detail.
+    TableLevel(String),
+    /// TopK boundary rule, the conventional loop where it does not apply.
+    TopK(&'a TopKPlan),
+    /// Aggregate value-preserving rule, likewise.
+    Aggregate(&'a AggSpec),
+    /// The paper's per-occurrence local checks and polls.
+    Conventional,
+}
+
+/// One query type under analysis in a shard: the policy it runs under and
+/// what it has spent and counted so far.
+struct TypeRun {
+    policy: InvalidationPolicy,
+    breaker_degraded: bool,
+    /// Retries left to the type this sync point; a type lives wholly within
+    /// one shard, so the budget is shard-local state.
+    retry_budget: u64,
+    stat: TypeSyncStat,
 }
 
 /// One instance under analysis: what was compiled of its type, and its
@@ -432,6 +418,23 @@ enum ShapeDecision {
 struct Instance<'a> {
     ty: &'a TypeAnalysis,
     params: &'a [Value],
+}
+
+/// What every shard of one sync point's analysis reads, borrowed for the
+/// length of the stage: the decision functions are its methods.
+#[derive(Clone, Copy)]
+struct SyncContext<'a> {
+    registry: &'a Registry,
+    policies: &'a PolicyStore,
+    config: &'a InvalidatorConfig,
+    info: &'a InfoManager,
+    runner: &'a PollRunner<'a>,
+    db: &'a Database,
+    deltas: &'a DeltaSet,
+    decisions: &'a HashMap<QueryTypeId, BreakerDecision>,
+    /// Probe the predicate index before scanning a type's instances (off in
+    /// the differential shadow pass).
+    use_index: bool,
 }
 
 /// The CachePortal invalidator.
@@ -564,6 +567,10 @@ impl Invalidator {
     /// Takes `&Database`: the sync point only *reads* the DBMS (update
     /// log + read-only polling queries), so with `workers > 1` the
     /// analysis stage fans out across threads that poll concurrently.
+    ///
+    /// The stages run in order, each filling its part of the report:
+    /// register, delta, boundary pre-pass, analyse, collect. An empty update
+    /// log ends the sync point after the delta stage.
     pub fn run_sync_point(
         &mut self,
         db: &Database,
@@ -574,11 +581,29 @@ impl Invalidator {
             workers: self.config.workers.max(1) as u64,
             ..InvalidationReport::default()
         };
+        self.register(map, &mut report);
+        report.registration_micros = started.elapsed().as_micros() as u64;
+        if let Some(deltas) = self.pull_deltas(db, &mut report) {
+            self.refresh_boundaries(db, &deltas, &mut report);
+            let analysis_started = std::time::Instant::now();
+            let affected = self.analyze_batch(db, &deltas, &mut report)?;
+            report.analysis_micros = analysis_started.elapsed().as_micros() as u64;
+            self.collect(&deltas, affected, &mut report);
+        }
+        report.breaker_open_types = self.breaker.open_count();
+        report.breaker_half_open_types = self.breaker.half_open_count();
+        let istats = self.registry.index_stats();
+        report.index_size = istats.entries;
+        report.index_maintenance_micros = istats.maintenance_micros;
+        report.elapsed = started.elapsed();
+        Ok(report)
+    }
 
-        // (1) Online registration scan of the QI/URL map (§4.1.2).
-        // The rows are read in place, under the map's lock; what the
-        // registry keeps of one is clones of its page key and its parameter
-        // vector, which share the map's allocations.
+    /// Stage 1: online registration scan of the QI/URL map (§4.1.2). The
+    /// rows are read in place, under the map's lock; what the registry keeps
+    /// of one is clones of its page key and its parameter vector, which
+    /// share the map's allocations.
+    fn register(&mut self, map: &QiUrlMap, report: &mut InvalidationReport) {
         let registry = &mut self.registry;
         self.map_cursor = map.visit_for_registration(self.map_cursor, |entry, typed| {
             let page = entry.page_key.clone();
@@ -596,33 +621,33 @@ impl Invalidator {
                 },
             }
         });
-        report.registration_micros = started.elapsed().as_micros() as u64;
+    }
 
-        // (2) Pull the update log and build deltas (§4.2.1). The log hands
-        // out a borrowed slice; DeltaSet::from_records clones only the rows
-        // it groups, so the records themselves are never copied.
+    /// Stage 2: pull the update log and build deltas (§4.2.1), advance
+    /// `consumed_lsn` past them and bring the maintained indexes to the
+    /// post-batch state. `None` when the log holds nothing new. The log
+    /// hands out a borrowed slice; `DeltaSet::from_records` clones only the
+    /// rows it groups, so the records themselves are never copied.
+    fn pull_deltas(&mut self, db: &Database, report: &mut InvalidationReport) -> Option<DeltaSet> {
         let delta_started = std::time::Instant::now();
         let records: &[cacheportal_db::LogRecord] =
             db.update_log().pull_since(self.consumed_lsn);
-        if records.is_empty() {
+        let (Some(first), Some(last)) = (records.first(), records.last()) else {
             report.delta_micros = delta_started.elapsed().as_micros() as u64;
-            report.breaker_open_types = self.breaker.open_count();
-            report.breaker_half_open_types = self.breaker.half_open_count();
-            let istats = self.registry.index_stats();
-            report.index_size = istats.entries;
-            report.index_maintenance_micros = istats.maintenance_micros;
-            report.elapsed = started.elapsed();
-            return Ok(report);
-        }
-        let mut deltas = DeltaSet::from_records(records);
-        if self.config.policy.compact_deltas {
-            deltas = deltas.compacted();
-        }
-        report.records_consumed = records.len() as u64;
-        report.lsn_range = match (records.first(), records.last()) {
-            (Some(f), Some(l)) => Some((f.lsn, l.lsn)),
-            _ => None,
+            return None;
         };
+        let compact = self.config.policy.compact_deltas;
+        let build = |records: &[cacheportal_db::LogRecord]| {
+            let deltas = DeltaSet::from_records(records);
+            if compact {
+                deltas.compacted()
+            } else {
+                deltas
+            }
+        };
+        let deltas = build(records);
+        report.records_consumed = records.len() as u64;
+        report.lsn_range = Some((first.lsn, last.lsn));
         report.delta_groups = deltas.group_stats();
         self.consumed_lsn = deltas.next_lsn.max(self.consumed_lsn);
 
@@ -635,86 +660,271 @@ impl Invalidator {
             self.info.apply_deltas(&deltas);
         } else {
             let floor = self.index_floor;
-            let fresh: Vec<cacheportal_db::LogRecord> = records
-                .iter()
-                .filter(|r| r.lsn > floor)
-                .cloned()
-                .collect();
+            let fresh: Vec<cacheportal_db::LogRecord> =
+                records.iter().filter(|r| r.lsn > floor).cloned().collect();
             if !fresh.is_empty() {
-                let mut fresh_deltas = DeltaSet::from_records(&fresh);
-                if self.config.policy.compact_deltas {
-                    fresh_deltas = fresh_deltas.compacted();
-                }
-                self.info.apply_deltas(&fresh_deltas);
+                self.info.apply_deltas(&build(&fresh));
             }
             if self.consumed_lsn > floor {
                 self.index_floor = 0;
             }
         }
         report.delta_micros = delta_started.elapsed().as_micros() as u64;
+        Some(deltas)
+    }
 
-        // Shape pre-pass: refresh per-instance top-k boundaries before the
-        // sharded analysis reads them. The database is already at the
-        // post-batch state here, so the stored boundary is the k-th row's
-        // first ORDER BY key *after* the update — which is what the
-        // boundary rule's proof compares delta tuples against. Sequential
-        // (needs `&mut registry`) and bounded: one `ORDER BY … LIMIT k`
-        // poll per live TopK instance whose read table was touched.
-        if self.config.shape_rules {
-            let mut topk_types: Vec<QueryTypeId> = deltas
-                .touched_tables()
-                .flat_map(|t| self.registry.types_reading(t).iter().copied())
-                .filter(|&id| self.registry.get(id).shape == QueryShape::TopK)
+    /// Stage 3, the shape pre-pass: refresh per-instance top-k boundaries
+    /// before the sharded analysis reads them. The database is already at
+    /// the post-batch state here, so the stored boundary is the k-th row's
+    /// first ORDER BY key *after* the update — which is what the boundary
+    /// rule's proof compares delta tuples against. Sequential (needs
+    /// `&mut registry`) and bounded: one `ORDER BY … LIMIT k` poll per live
+    /// TopK instance whose read table was touched.
+    fn refresh_boundaries(
+        &mut self,
+        db: &Database,
+        deltas: &DeltaSet,
+        report: &mut InvalidationReport,
+    ) {
+        if !self.config.shape_rules {
+            return;
+        }
+        let mut topk_types: Vec<QueryTypeId> = deltas
+            .touched_tables()
+            .flat_map(|t| self.registry.types_reading(t).iter().copied())
+            .filter(|&id| self.registry.get(id).shape == QueryShape::TopK)
+            .collect();
+        topk_types.sort_unstable();
+        topk_types.dedup();
+        for ty_id in topk_types {
+            if self.policies.policy_for(ty_id, &self.config.policy) != InvalidationPolicy::Exact {
+                continue;
+            }
+            self.registry.refresh_analysis(ty_id, db);
+            let instances: Vec<Arc<[Value]>> = self
+                .registry
+                .instances_of(ty_id)
+                .map(|(params, _)| params.clone())
                 .collect();
-            topk_types.sort_unstable();
-            topk_types.dedup();
-            for ty_id in topk_types {
-                if self.policies.policy_for(ty_id, &self.config.policy)
-                    != InvalidationPolicy::Exact
-                {
-                    continue;
-                }
-                self.registry.refresh_analysis(ty_id, db);
-                let instances: Vec<Arc<[Value]>> = self
-                    .registry
-                    .instances_of(ty_id)
-                    .map(|(params, _)| params.clone())
-                    .collect();
-                for params in instances {
-                    // The type's boundary poll, run with the instance's
-                    // values as its parameters.
-                    let boundary = (self.registry.analysis(ty_id))
-                        .and_then(|compiled| compiled.as_ref().ok())
-                        .filter(|compiled| compiled.check_params(&params).is_ok())
-                        .and_then(|compiled| compiled.topk.as_ref())
-                        .and_then(|plan| {
-                            report.shape_boundary_polls += 1;
-                            match db.query_select(&plan.poll, &params) {
-                                // Only a *full* result has a meaningful
-                                // boundary; short results (or a failed
-                                // poll) disable the rule for the instance.
-                                Ok(res) if res.rows.len() == plan.k => res
-                                    .rows
-                                    .last()
-                                    .and_then(|r| r.first())
-                                    .cloned(),
-                                _ => None,
+            for params in instances {
+                // The type's boundary poll, run with the instance's
+                // values as its parameters.
+                let boundary = (self.registry.analysis(ty_id))
+                    .and_then(|compiled| compiled.as_ref().ok())
+                    .filter(|compiled| compiled.check_params(&params).is_ok())
+                    .and_then(|compiled| compiled.topk.as_ref())
+                    .and_then(|plan| {
+                        report.shape_boundary_polls += 1;
+                        match db.query_select(&plan.poll, &params) {
+                            // Only a *full* result has a meaningful
+                            // boundary; short results (or a failed
+                            // poll) disable the rule for the instance.
+                            Ok(res) if res.rows.len() == plan.k => {
+                                res.rows.last().and_then(|r| r.first()).cloned()
                             }
-                        });
-                    self.registry.set_boundary(ty_id, &params, boundary);
-                }
+                            _ => None,
+                        }
+                    });
+                self.registry.set_boundary(ty_id, &params, boundary);
             }
         }
+    }
 
-        // (3) Decide affected instances.
-        let analysis_started = std::time::Instant::now();
-        let mut affected = self.analyze_batch(db, &deltas, &mut report)?;
-        report.analysis_micros = analysis_started.elapsed().as_micros() as u64;
+    /// Stage 4: analyze one delta batch; returns affected (type, params,
+    /// verdict) triples.
+    ///
+    /// Candidate query types are sharded round-robin (in stable type-id
+    /// order) across `config.workers` shards: shard 0 runs on the calling
+    /// thread, the others on scoped threads. Each shard analyzes its types
+    /// independently against the shared read-only database and a shared
+    /// [`PollRunner`] whose lock-striped dedup cache guarantees identical
+    /// polls execute exactly once across shards. Per-shard results are
+    /// merged back in candidate-type order, so the affected list — and
+    /// therefore verdicts, pages, and provenance — is identical whatever
+    /// the worker count.
+    fn analyze_batch(
+        &mut self,
+        db: &Database,
+        deltas: &DeltaSet,
+        report: &mut InvalidationReport,
+    ) -> DbResult<Vec<Affected>> {
+        let runner = PollRunner::with_rtt(
+            &self.info,
+            deltas,
+            std::time::Duration::from_micros(self.config.poll_rtt_micros),
+        )
+        .with_fault_plan(self.config.fault.clone())
+        .with_retry(
+            self.config.poll_max_retries,
+            std::time::Duration::from_micros(self.config.poll_backoff_base_micros),
+        );
 
-        // (4) Collect dependent pages, keeping the per-instance chain
-        // (type → params → verdict → pages) for the provenance log.
+        let mut candidate_types: Vec<QueryTypeId> = deltas
+            .touched_tables()
+            .flat_map(|t| self.registry.types_reading(t).iter().copied())
+            .collect();
+        candidate_types.sort_unstable();
+        candidate_types.dedup();
+        // Compiled once per type, here, where the registry is still ours to
+        // change: the shards share it read-only.
+        for &id in &candidate_types {
+            self.registry.refresh_analysis(id, db);
+        }
+
+        // Breaker decisions are taken up front, before the fan-out: every
+        // shard sees the same per-type decision regardless of worker count
+        // or scheduling, preserving parallel equivalence.
+        let breaker_cfg = self.config.breaker.clone();
+        let decisions: HashMap<QueryTypeId, BreakerDecision> = candidate_types
+            .iter()
+            .map(|&id| (id, self.breaker.decision(id, &breaker_cfg)))
+            .collect();
+
+        let workers = self
+            .config
+            .workers
+            .max(1)
+            .min(candidate_types.len().max(1));
+        let mut shards: Vec<Vec<(usize, QueryTypeId)>> = vec![Vec::new(); workers];
+        for (order, ty_id) in candidate_types.iter().copied().enumerate() {
+            shards[order % workers].push((order, ty_id));
+        }
+
+        let ctx = SyncContext {
+            registry: &self.registry,
+            policies: &self.policies,
+            config: &self.config,
+            info: &self.info,
+            runner: &runner,
+            db,
+            deltas,
+            decisions: &decisions,
+            use_index: self.config.predicate_index,
+        };
+        let run_shard = |types: &[(usize, QueryTypeId)]| ctx.analyze_types_shard(types);
+        let shard_results: Vec<DbResult<ShardOutcome>> = crossbeam::scope(|s| {
+            let spawned: Vec<_> = shards[1..]
+                .iter()
+                .map(|types| s.spawn(move |_| run_shard(types)))
+                .collect();
+            let mut results = vec![run_shard(&shards[0])];
+            results.extend(
+                spawned
+                    .into_iter()
+                    .map(|h| h.join().expect("invalidator shard worker panicked")),
+            );
+            results
+        })
+        .expect("invalidator shard worker panicked");
+
+        // Deterministic merge: flatten per-type outcomes and restore the
+        // candidate-type order they were assigned from.
+        let mut type_outcomes: Vec<TypeOutcome> = Vec::with_capacity(candidate_types.len());
+        for result in shard_results {
+            let ShardOutcome { types, tally, elapsed_micros } = result?;
+            report.shard_micros.push(elapsed_micros);
+            report.checked_instances += tally.checked_instances;
+            report.tuples_analyzed += tally.tuples_analyzed;
+            report.local_decisions += tally.local_decisions;
+            report.degraded_by_budget += tally.degraded_by_budget;
+            report.bind_failures += tally.bind_failures;
+            report.breaker_degraded += tally.breaker_degraded;
+            report.index_probed_types += tally.index_probed_types;
+            report.index_residual_types += tally.index_residual_types;
+            report.index_probe_micros += tally.index_probe_micros;
+            report.netted_pages.extend(tally.netted_pages);
+            type_outcomes.extend(types);
+        }
+        type_outcomes.sort_unstable_by_key(|t| t.order);
+
+        // Index-vs-scan differential mode: re-run the whole batch
+        // sequentially with the index disabled against a fresh runner
+        // (zero RTT, same fault plan — `poll_fault(key, attempt)` is a
+        // pure function, and index-skipped instances never poll, so both
+        // passes see identical poll outcomes) and count affected-set
+        // divergences. The shadow pass reuses the up-front breaker
+        // decisions and touches no registry/breaker state, so enabling
+        // the mode never changes what the sync point ejects.
+        if self.config.index_differential && self.config.predicate_index {
+            let shadow_runner = PollRunner::with_rtt(&self.info, deltas, std::time::Duration::ZERO)
+                .with_fault_plan(self.config.fault.clone())
+                .with_retry(self.config.poll_max_retries, std::time::Duration::ZERO);
+            let all_types: Vec<(usize, QueryTypeId)> =
+                candidate_types.iter().copied().enumerate().collect();
+            let shadow = SyncContext { runner: &shadow_runner, use_index: false, ..ctx }
+                .analyze_types_shard(&all_types)?;
+            let instances_of = |types: &[TypeOutcome]| -> BTreeSet<(QueryTypeId, Arc<[Value]>)> {
+                types
+                    .iter()
+                    .flat_map(|t| t.affected.iter().map(|(id, p, _)| (*id, p.clone())))
+                    .collect()
+            };
+            report.index_divergences = instances_of(&shadow.types)
+                .symmetric_difference(&instances_of(&type_outcomes))
+                .count() as u64;
+        }
+
+        // Each candidate type was analysed by exactly one shard, so its
+        // outcome's stat is the type's whole share: the report's per-type
+        // tallies are their sums, and `per_type` is the stats in order.
+        let mut affected: Vec<Affected> = Vec::new();
+        let mut observations: HashMap<QueryTypeId, TypeObservation> = HashMap::new();
+        for TypeOutcome { affected: of_type, stat, timed, .. } in type_outcomes {
+            affected.extend(of_type);
+            report.poll_faults += stat.poll_faults;
+            report.index_candidates += stat.index_candidates;
+            report.index_skipped += stat.index_skipped;
+            report.index_residual_scanned += stat.index_residual;
+            match stat.shape {
+                QueryShape::TopK => report.shape_topk_skipped += stat.shape_skipped,
+                QueryShape::Aggregate => report.shape_agg_skipped += stat.shape_skipped,
+                _ => {}
+            }
+            let obs = observations.entry(stat.id).or_default();
+            obs.poll_faults = stat.poll_faults;
+            obs.polls_attempted = stat.polls_attempted;
+            if timed {
+                self.registry.get_mut(stat.id).stats.record_analysis(stat.analysis_micros);
+            }
+            report.per_type.push(stat);
+        }
+
+        // Advance the breaker with the sync point's aggregated evidence —
+        // per-type sums, independent of shard assignment and join order.
+        let events = self.breaker.observe_sync(&breaker_cfg, &observations);
+        report.breaker_opened = events.opened;
+        report.breaker_half_opened = events.half_opened;
+        report.breaker_closed = events.closed;
+
+        // Deliberately broken invalidation for harness acceptance: drop
+        // every other affected instance so some stale pages survive sync
+        // points. MUST never be enabled in a real build — the feature
+        // exists to prove the fuzzer catches safety violations.
+        #[cfg(feature = "canary")]
+        {
+            let mut keep = false;
+            affected.retain(|_| {
+                keep = !keep;
+                keep
+            });
+        }
+        report.polls = runner.stats();
+        report.poll_lock_contended = runner.contended();
+        Ok(affected)
+    }
+
+    /// Stage 5: collect the affected instances' dependent pages, keeping the
+    /// per-instance chain (type → params → verdict → pages) for the
+    /// provenance log, then the per-type bookkeeping and policy discovery
+    /// (§4.1.4).
+    fn collect(
+        &mut self,
+        deltas: &DeltaSet,
+        affected: Vec<Affected>,
+        report: &mut InvalidationReport,
+    ) {
         let collect_started = std::time::Instant::now();
-        for (ty, params, cause) in affected.drain(..) {
+        for (ty, params, cause) in affected {
             let pages: Vec<PageKey> = self
                 .registry
                 .pages_of(ty, &params)
@@ -741,16 +951,14 @@ impl Invalidator {
             report.netted_pages.retain(|k| !ejected.contains(k));
         }
 
-        // Bookkeeping + policy discovery (§4.1.4).
         let mut invalidated_per_type: HashMap<QueryTypeId, u64> = HashMap::new();
         for v in &report.verdicts {
             *invalidated_per_type.entry(v.type_id).or_insert(0) += 1;
         }
-        let touched: Vec<String> = deltas.touched_tables().map(str::to_string).collect();
-        let mut touched_types: HashSet<QueryTypeId> = HashSet::new();
-        for t in &touched {
-            touched_types.extend(self.registry.types_reading(t).iter().copied());
-        }
+        let touched_types: HashSet<QueryTypeId> = deltas
+            .touched_tables()
+            .flat_map(|t| self.registry.types_reading(t).iter().copied())
+            .collect();
         for id in touched_types {
             let instance_count = self.registry.instance_count(id) as u64;
             let ratio_cfg = self.config.policy.non_cacheable_invalidation_ratio;
@@ -775,353 +983,38 @@ impl Invalidator {
                 }
             }
         }
-
         report.collect_micros = collect_started.elapsed().as_micros() as u64;
-        let istats = self.registry.index_stats();
-        report.index_size = istats.entries;
-        report.index_maintenance_micros = istats.maintenance_micros;
-        report.elapsed = started.elapsed();
-        Ok(report)
     }
+}
 
-    /// Analyze one delta batch; returns affected (type, params, verdict)
-    /// triples.
-    ///
-    /// Candidate query types are sharded round-robin (in stable type-id
-    /// order) across `config.workers` scoped threads. Each shard analyzes
-    /// its types independently against the shared read-only database and a
-    /// shared [`PollRunner`] whose lock-striped dedup cache guarantees
-    /// identical polls execute exactly once across shards. Per-shard results
-    /// are merged back in candidate-type order, so the affected list — and
-    /// therefore verdicts, pages, and provenance — is identical whatever
-    /// the worker count.
-    fn analyze_batch(
-        &mut self,
-        db: &Database,
-        deltas: &DeltaSet,
-        report: &mut InvalidationReport,
-    ) -> DbResult<Vec<Affected>> {
-        let runner = PollRunner::with_rtt(
-            &self.info,
-            deltas,
-            std::time::Duration::from_micros(self.config.poll_rtt_micros),
-        )
-        .with_fault_plan(self.config.fault.clone())
-        .with_retry(
-            self.config.poll_max_retries,
-            std::time::Duration::from_micros(self.config.poll_backoff_base_micros),
-        );
-
-        let touched: Vec<String> = deltas.touched_tables().map(str::to_string).collect();
-        let mut candidate_types: Vec<QueryTypeId> = touched
-            .iter()
-            .flat_map(|t| self.registry.types_reading(t).iter().copied())
-            .collect();
-        candidate_types.sort_unstable();
-        candidate_types.dedup();
-        // Compiled once per type, here, where the registry is still ours to
-        // change: the shards share it read-only.
-        for &id in &candidate_types {
-            self.registry.refresh_analysis(id, db);
-        }
-
-        // Breaker decisions are taken up front, before the fan-out: every
-        // shard sees the same per-type decision regardless of worker count
-        // or scheduling, preserving parallel equivalence.
-        let breaker_cfg = self.config.breaker.clone();
-        let decisions: HashMap<QueryTypeId, BreakerDecision> = candidate_types
-            .iter()
-            .map(|&id| (id, self.breaker.decision(id, &breaker_cfg)))
-            .collect();
-        let retry = RetrySettings {
-            max_retries: self.config.poll_max_retries,
-            budget_per_type: self.config.poll_retry_budget_per_type,
-        };
-
-        let workers = self
-            .config
-            .workers
-            .max(1)
-            .min(candidate_types.len().max(1));
-        let shards: Vec<Vec<(usize, QueryTypeId)>> = {
-            let mut shards = vec![Vec::new(); workers];
-            for (order, ty_id) in candidate_types.iter().copied().enumerate() {
-                shards[order % workers].push((order, ty_id));
-            }
-            shards
-        };
-
-        let registry = &self.registry;
-        let policies = &self.policies;
-        let policy_cfg = &self.config.policy;
-        let info = &self.info;
-        let runner_ref = &runner;
-        let decisions_ref = &decisions;
-        let use_index = self.config.predicate_index;
-        let shape_rules = self.config.shape_rules;
-
-        let shard_results: Vec<DbResult<ShardOutcome>> = if workers == 1 {
-            vec![Self::analyze_types_shard(
-                registry,
-                policies,
-                policy_cfg,
-                info,
-                runner_ref,
-                db,
-                deltas,
-                decisions_ref,
-                retry,
-                &shards[0],
-                use_index,
-                shape_rules,
-            )]
-        } else {
-            crossbeam::scope(|s| {
-                let handles: Vec<_> = shards
-                    .iter()
-                    .map(|types| {
-                        s.spawn(move |_| {
-                            Self::analyze_types_shard(
-                                registry,
-                                policies,
-                                policy_cfg,
-                                info,
-                                runner_ref,
-                                db,
-                                deltas,
-                                decisions_ref,
-                                retry,
-                                types,
-                                use_index,
-                                shape_rules,
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("invalidator shard worker panicked"))
-                    .collect()
-            })
-            .expect("invalidator shard worker panicked")
-        };
-
-        // Deterministic merge: flatten per-type outcomes and restore the
-        // candidate-type order they were assigned from.
-        let mut type_outcomes: Vec<TypeOutcome> = Vec::with_capacity(candidate_types.len());
-        for (shard_idx, result) in shard_results.into_iter().enumerate() {
-            let outcome = result?;
-            debug_assert!(shard_idx < workers);
-            report.shard_micros.push(outcome.elapsed_micros);
-            report.checked_instances += outcome.counters.checked_instances;
-            report.tuples_analyzed += outcome.counters.tuples_analyzed;
-            report.local_decisions += outcome.counters.local_decisions;
-            report.degraded_by_budget += outcome.counters.degraded_by_budget;
-            report.bind_failures += outcome.counters.bind_failures;
-            report.poll_faults += outcome.counters.poll_faults;
-            report.breaker_degraded += outcome.counters.breaker_degraded;
-            report.index_candidates += outcome.counters.index_candidates;
-            report.index_skipped += outcome.counters.index_skipped;
-            report.index_residual_scanned += outcome.counters.index_residual_scanned;
-            report.index_probed_types += outcome.counters.index_probed_types;
-            report.index_residual_types += outcome.counters.index_residual_types;
-            report.index_probe_micros += outcome.counters.index_probe_micros;
-            report.shape_topk_skipped += outcome.counters.shape_topk_skipped;
-            report.shape_agg_skipped += outcome.counters.shape_agg_skipped;
-            report.netted_pages.extend(outcome.netted_pages);
-            type_outcomes.extend(outcome.types);
-        }
-        type_outcomes.sort_unstable_by_key(|t| t.order);
-
-        let mut affected: Vec<Affected> = Vec::new();
-        let mut observations: HashMap<QueryTypeId, TypeObservation> = HashMap::new();
-        let mut per_type: BTreeMap<QueryTypeId, TypeSyncStat> = BTreeMap::new();
-        for outcome in type_outcomes {
-            let obs = observations.entry(outcome.ty_id).or_default();
-            obs.poll_faults += outcome.poll_faults;
-            obs.polls_attempted += outcome.polls_attempted;
-            let stat = per_type.entry(outcome.ty_id).or_default();
-            stat.id = outcome.ty_id;
-            stat.polls_attempted += outcome.polls_attempted;
-            stat.poll_faults += outcome.poll_faults;
-            stat.index_candidates += outcome.index_candidates;
-            stat.index_skipped += outcome.index_skipped;
-            stat.index_residual += outcome.index_residual;
-            stat.shape = self.registry.get(outcome.ty_id).shape;
-            stat.shape_skipped += outcome.shape_skipped;
-            affected.extend(outcome.affected);
-            if let Some(micros) = outcome.record_micros {
-                stat.analysis_micros += micros;
-                self.registry
-                    .get_mut(outcome.ty_id)
-                    .stats
-                    .record_analysis(micros);
-            }
-        }
-        report.per_type = per_type.into_values().collect();
-
-        // Advance the breaker with the sync point's aggregated evidence —
-        // per-type sums, independent of shard assignment and join order.
-        let events = self.breaker.observe_sync(&breaker_cfg, &observations);
-        report.breaker_opened = events.opened;
-        report.breaker_half_opened = events.half_opened;
-        report.breaker_closed = events.closed;
-        report.breaker_open_types = self.breaker.open_count();
-        report.breaker_half_open_types = self.breaker.half_open_count();
-
-        // Index-vs-scan differential mode: re-run the whole batch
-        // sequentially with the index disabled against a fresh runner
-        // (zero RTT, same fault plan — `poll_fault(key, attempt)` is a
-        // pure function, and index-skipped instances never poll, so both
-        // passes see identical poll outcomes) and count affected-set
-        // divergences. The shadow pass reuses the up-front breaker
-        // decisions and touches no registry/breaker state, so enabling
-        // the mode never changes what the sync point ejects.
-        if self.config.index_differential && self.config.predicate_index {
-            let shadow_runner = PollRunner::with_rtt(
-                &self.info,
-                deltas,
-                std::time::Duration::ZERO,
-            )
-            .with_fault_plan(self.config.fault.clone())
-            .with_retry(self.config.poll_max_retries, std::time::Duration::ZERO);
-            let all_types: Vec<(usize, QueryTypeId)> =
-                candidate_types.iter().copied().enumerate().collect();
-            let shadow = Self::analyze_types_shard(
-                &self.registry,
-                &self.policies,
-                &self.config.policy,
-                &self.info,
-                &shadow_runner,
-                db,
-                deltas,
-                &decisions,
-                retry,
-                &all_types,
-                false,
-                shape_rules,
-            )?;
-            let scan_set: BTreeSet<(QueryTypeId, Arc<[Value]>)> = shadow
-                .types
-                .iter()
-                .flat_map(|t| t.affected.iter().map(|(id, p, _)| (*id, p.clone())))
-                .collect();
-            let index_set: BTreeSet<(QueryTypeId, Arc<[Value]>)> = affected
-                .iter()
-                .map(|(id, p, _)| (*id, p.clone()))
-                .collect();
-            report.index_divergences =
-                scan_set.symmetric_difference(&index_set).count() as u64;
-        }
-
-        // Deliberately broken invalidation for harness acceptance: drop
-        // every other affected instance so some stale pages survive sync
-        // points. MUST never be enabled in a real build — the feature
-        // exists to prove the fuzzer catches safety violations.
-        #[cfg(feature = "canary")]
-        {
-            let mut keep = false;
-            affected.retain(|_| {
-                keep = !keep;
-                keep
-            });
-        }
-        report.polls = runner.stats();
-        report.poll_lock_contended = runner.contended();
-        Ok(affected)
-    }
-
-    /// Analyze one shard's query types. Runs on a worker thread (or inline
-    /// for `workers == 1`); everything it touches is either shard-local or
-    /// a shared `&` reference (`Registry`, `PolicyStore`, `InfoManager`,
-    /// `PollRunner`, `Database`, `DeltaSet`).
-    #[allow(clippy::too_many_arguments)]
-    fn analyze_types_shard(
-        registry: &Registry,
-        policies: &PolicyStore,
-        policy_cfg: &crate::policy::PolicyConfig,
-        info: &InfoManager,
-        runner: &PollRunner,
-        db: &Database,
-        deltas: &DeltaSet,
-        decisions: &HashMap<QueryTypeId, BreakerDecision>,
-        retry: RetrySettings,
-        types: &[(usize, QueryTypeId)],
-        use_index: bool,
-        shape_rules: bool,
-    ) -> DbResult<ShardOutcome> {
+impl SyncContext<'_> {
+    /// Analyze one shard's query types, on the calling thread or a worker:
+    /// everything it reads is a shared `&` reference, everything it counts is
+    /// its own.
+    fn analyze_types_shard(&self, types: &[(usize, QueryTypeId)]) -> DbResult<ShardOutcome> {
         let shard_started = std::time::Instant::now();
-        let mut counters = ShardCounters::default();
+        let mut tally = ShardTally::default();
         let mut out_types: Vec<TypeOutcome> = Vec::with_capacity(types.len());
-        // Pages kept only by the aggregate netting shortcut; the orchestrator
-        // guard-ejects the ones admitted mid-window (see InvalidationReport).
-        let mut netted_pages: Vec<PageKey> = Vec::new();
 
         for &(order, ty_id) in types {
             let type_started = std::time::Instant::now();
-            let policy = policies.policy_for(ty_id, policy_cfg);
-            let breaker_degraded = decisions.get(&ty_id).copied()
-                == Some(BreakerDecision::Degrade);
-            // Retry budget is per type per sync point; a type lives wholly
-            // within one shard, so the budget is shard-local state.
-            let mut retry_budget = retry.budget_per_type;
-            let faults_before = counters.poll_faults;
-            let attempts_before = counters.polls_attempted;
-            let ty = registry.get(ty_id);
-            let ty_shape = ty.shape;
-            let compiled = registry
+            let ty = self.registry.get(ty_id);
+            let mut run = TypeRun {
+                policy: self.policies.policy_for(ty_id, &self.config.policy),
+                breaker_degraded: self.decisions.get(&ty_id).copied()
+                    == Some(BreakerDecision::Degrade),
+                retry_budget: self.config.poll_retry_budget_per_type,
+                stat: TypeSyncStat { id: ty_id, shape: ty.shape, ..TypeSyncStat::default() },
+            };
+            let compiled = self
+                .registry
                 .analysis(ty_id)
                 .expect("candidate types are compiled before the fan-out");
-            let mut ty_shape_skipped = 0u64;
-            // Predicate-index probe: map the delta tuples directly to the
-            // instances they can affect. `Probe::Scan` (residual occurrence
-            // touched, schema drift, missing FROM table) and table-level
-            // types fall back to the full instance list — the index may
-            // only skip work, never change verdicts.
-            let mut ty_index_candidates = 0u64;
-            let mut ty_index_skipped = 0u64;
-            let mut ty_index_residual = 0u64;
-            let probe_allowed = use_index && policy != InvalidationPolicy::TableLevel;
-            let mut instances: Vec<Arc<[Value]>> = if probe_allowed {
-                let probe = if registry.index_fully_residual(ty_id) {
-                    Probe::Scan
-                } else {
-                    let probe_started = std::time::Instant::now();
-                    let p = registry.probe_index(ty_id, deltas, db);
-                    counters.index_probe_micros +=
-                        probe_started.elapsed().as_micros() as u64;
-                    p
-                };
-                match probe {
-                    Probe::Candidates(cands) => {
-                        counters.index_probed_types += 1;
-                        let total = registry.instance_count(ty_id) as u64;
-                        ty_index_candidates = cands.len() as u64;
-                        ty_index_skipped = total.saturating_sub(ty_index_candidates);
-                        counters.index_candidates += ty_index_candidates;
-                        counters.index_skipped += ty_index_skipped;
-                        cands
-                    }
-                    Probe::Scan => {
-                        counters.index_residual_types += 1;
-                        ty_index_residual = registry.instance_count(ty_id) as u64;
-                        counters.index_residual_scanned += ty_index_residual;
-                        registry
-                            .instances_of(ty_id)
-                            .map(|(params, _)| params.clone())
-                            .collect()
-                    }
-                }
-            } else {
-                registry
-                    .instances_of(ty_id)
-                    .map(|(params, _)| params.clone())
-                    .collect()
-            };
+            let mut instances = self.instances_to_check(&mut run, &mut tally);
             // Empty-type fast path, preserved from the scan-only days. When
             // the index skipped live instances the outcome is still pushed
             // so the per-type skip tallies reach the scorecards.
-            if instances.is_empty() && ty_index_skipped == 0 {
+            if instances.is_empty() && run.stat.index_skipped == 0 {
                 continue;
             }
             // The registry's instance map iterates in hash order (and probe
@@ -1130,210 +1023,125 @@ impl Invalidator {
             // run to run and across worker counts.
             instances.sort_unstable();
 
+            // Per-shape decision rules (TopK boundary, aggregate delta) only
+            // under the Exact policy with a healthy poll path —
+            // Conservative/TableLevel and an open breaker keep the paper's
+            // behavior untouched. A shape rule may resolve an instance (skip
+            // it or eject with a shape verdict) or hand it to the
+            // conventional per-occurrence loop; it never ejects an instance
+            // the conventional path would keep.
+            let shape_plan = compiled.as_ref().ok().filter(|_| {
+                self.config.shape_rules
+                    && run.policy == InvalidationPolicy::Exact
+                    && !run.breaker_degraded
+            });
+            let decider = match ty.shape {
+                _ if run.policy == InvalidationPolicy::TableLevel => {
+                    let read_touched: Vec<String> = (ty.select.from.iter())
+                        .map(|tref| tref.table.to_ascii_lowercase())
+                        .filter(|t| self.deltas.for_table(t).is_some())
+                        .collect();
+                    Decider::TableLevel(format!(
+                        "table-level policy: update batch touched read table(s) {}",
+                        read_touched.join(", ")
+                    ))
+                }
+                QueryShape::TopK => (shape_plan.and_then(|c| c.topk.as_ref()))
+                    .map_or(Decider::Conventional, Decider::TopK),
+                QueryShape::Aggregate => (shape_plan.and_then(|c| c.agg.as_ref()))
+                    .map_or(Decider::Conventional, Decider::Aggregate),
+                _ => Decider::Conventional,
+            };
+
             let mut affected: Vec<Affected> = Vec::new();
-            let mut affected_set: HashSet<Arc<[Value]>> = HashSet::new();
-
-            if policy == InvalidationPolicy::TableLevel {
-                let read_touched: Vec<String> = ty
-                    .select
-                    .from
-                    .iter()
-                    .map(|tref| tref.table.to_ascii_lowercase())
-                    .filter(|t| deltas.for_table(t).is_some())
-                    .collect();
-                let detail = format!(
-                    "table-level policy: update batch touched read table(s) {}",
-                    read_touched.join(", ")
-                );
-                for params in instances {
-                    counters.checked_instances += 1;
-                    if affected_set.insert(params.clone()) {
-                        affected.push((
-                            ty_id,
-                            params,
-                            VerdictCause {
-                                kind: VerdictKind::TableLevel,
-                                detail: detail.clone(),
-                            },
-                        ));
-                    }
-                }
-                out_types.push(TypeOutcome {
-                    order,
-                    ty_id,
-                    affected,
-                    record_micros: None,
-                    poll_faults: 0,
-                    polls_attempted: 0,
-                    index_candidates: 0,
-                    index_skipped: 0,
-                    index_residual: 0,
-                    shape_skipped: 0,
-                });
-                continue;
-            }
-
-            'instances: for params in instances {
-                counters.checked_instances += 1;
-                if affected_set.contains(&params) {
-                    continue;
-                }
+            for params in instances {
+                tally.checked_instances += 1;
                 // Binding can fail if the schema changed under the registry
                 // (table/column dropped). Fail safe: the instance is
                 // considered affected — its pages get ejected and the next
                 // regeneration re-registers it against the current schema
                 // (or 500s honestly).
-                let bound = compiled
-                    .as_ref()
-                    .map_err(|err| err.clone())
-                    .and_then(|ty| ty.check_params(&params).map(|()| ty));
-                let inst = match bound {
-                    Ok(ty) => Instance { ty, params: &params },
-                    Err(err) => {
-                        counters.bind_failures += 1;
-                        affected_set.insert(params.clone());
-                        affected.push((
-                            ty_id,
-                            params,
-                            VerdictCause {
-                                kind: VerdictKind::BindFailure,
-                                detail: format!(
-                                    "instance no longer binds against the schema ({err}); failed safe"
-                                ),
-                            },
-                        ));
-                        continue 'instances;
+                let bound = (compiled.as_ref().map_err(|err| err.clone()))
+                    .and_then(|ty| ty.check_params(&params).map(|()| Instance { ty, params: &params }));
+                let cause = match (&decider, bound) {
+                    (Decider::TableLevel(detail), _) => Some(VerdictCause {
+                        kind: VerdictKind::TableLevel,
+                        detail: detail.clone(),
+                    }),
+                    (_, Err(err)) => {
+                        tally.bind_failures += 1;
+                        Some(VerdictCause {
+                            kind: VerdictKind::BindFailure,
+                            detail: format!(
+                                "instance no longer binds against the schema ({err}); failed safe"
+                            ),
+                        })
+                    }
+                    (Decider::TopK(plan), Ok(inst)) => {
+                        self.decide_topk(&mut run, &mut tally, inst, plan)?
+                    }
+                    (Decider::Aggregate(spec), Ok(inst)) => {
+                        self.decide_aggregate(&mut run, &mut tally, inst, spec)?
+                    }
+                    (Decider::Conventional, Ok(inst)) => {
+                        self.decide_conventional(&mut run, &mut tally, inst)?
                     }
                 };
-
-                // Per-shape decision rules (TopK boundary, aggregate delta).
-                // Only under the Exact policy with a healthy poll path —
-                // Conservative/TableLevel and an open breaker keep the
-                // paper's behavior untouched. A shape rule may resolve the
-                // instance (skip it or eject with a shape verdict) or fall
-                // back to the conventional per-occurrence loop below; it
-                // never ejects an instance the conventional path would keep.
-                if shape_rules
-                    && policy == InvalidationPolicy::Exact
-                    && !breaker_degraded
-                    && matches!(ty_shape, QueryShape::TopK | QueryShape::Aggregate)
-                {
-                    let decision = match ty_shape {
-                        QueryShape::TopK => {
-                            let boundary = registry
-                                .pages_of(ty_id, &params)
-                                .and_then(|data| data.boundary().cloned());
-                            match (boundary, &inst.ty.topk) {
-                                (Some(boundary), Some(plan)) => {
-                                    Self::decide_topk(inst, plan, &boundary, deltas, &mut counters)?
-                                }
-                                _ => ShapeDecision::Fallback,
-                            }
-                        }
-                        QueryShape::Aggregate => match &inst.ty.agg {
-                            Some(spec) => {
-                                Self::decide_aggregate(inst, spec, deltas, &mut counters)?
-                            }
-                            None => ShapeDecision::Fallback,
-                        },
-                        _ => unreachable!("guarded by the matches! above"),
-                    };
-                    match decision {
-                        ShapeDecision::Fallback => {}
-                        ShapeDecision::NoImpact { shape_skip } => {
-                            if shape_skip {
-                                ty_shape_skipped += 1;
-                                match ty_shape {
-                                    QueryShape::TopK => counters.shape_topk_skipped += 1,
-                                    QueryShape::Aggregate => {
-                                        counters.shape_agg_skipped += 1;
-                                        // The netting proof only holds for pages
-                                        // that existed at the interval endpoints;
-                                        // report these so the orchestrator can
-                                        // guard-eject any admitted mid-window.
-                                        if let Some(data) = registry.pages_of(ty_id, &params) {
-                                            netted_pages.extend(data.pages.iter().cloned());
-                                        }
-                                    }
-                                    _ => {}
-                                }
-                            }
-                            continue 'instances;
-                        }
-                        ShapeDecision::Affected(cause) => {
-                            affected_set.insert(params.clone());
-                            affected.push((ty_id, params, cause));
-                            continue 'instances;
-                        }
-                    }
-                }
-
-                for (occ, tref) in inst.ty.from_refs().iter().enumerate() {
-                    let Some(delta) = deltas.for_table(&tref.table) else {
-                        continue;
-                    };
-                    let cause = if policy_cfg.batch_polls {
-                        Self::decide_batched(
-                            policy_cfg,
-                            info,
-                            runner,
-                            db,
-                            inst,
-                            occ,
-                            delta,
-                            policy,
-                            breaker_degraded,
-                            retry,
-                            &mut retry_budget,
-                            &mut counters,
-                        )?
-                    } else {
-                        Self::decide_per_tuple(
-                            policy_cfg,
-                            info,
-                            runner,
-                            db,
-                            inst,
-                            occ,
-                            delta,
-                            policy,
-                            breaker_degraded,
-                            retry,
-                            &mut retry_budget,
-                            &mut counters,
-                        )?
-                    };
-                    if let Some(cause) = cause {
-                        affected_set.insert(params.clone());
-                        affected.push((ty_id, params, cause));
-                        continue 'instances;
-                    }
-                }
+                affected.extend(cause.map(|cause| (ty_id, params, cause)));
             }
-            out_types.push(TypeOutcome {
-                order,
-                ty_id,
-                affected,
-                record_micros: Some(type_started.elapsed().as_micros() as u64),
-                poll_faults: counters.poll_faults - faults_before,
-                polls_attempted: counters.polls_attempted - attempts_before,
-                index_candidates: ty_index_candidates,
-                index_skipped: ty_index_skipped,
-                index_residual: ty_index_residual,
-                shape_skipped: ty_shape_skipped,
-            });
+            let timed = !matches!(decider, Decider::TableLevel(_));
+            if timed {
+                run.stat.analysis_micros = type_started.elapsed().as_micros() as u64;
+            }
+            out_types.push(TypeOutcome { order, affected, stat: run.stat, timed });
         }
         Ok(ShardOutcome {
             types: out_types,
-            counters,
+            tally,
             elapsed_micros: shard_started.elapsed().as_micros() as u64,
-            netted_pages,
         })
     }
 
-    /// TopK boundary rule. `boundary` is the first ORDER BY key of the k-th
-    /// row of the *post-batch* result (refreshed by the shape pre-pass; only
-    /// stored when the result was full). A delta tuple whose key sorts
+    /// The instances of `run`'s type this batch can affect. The predicate
+    /// index maps the delta tuples directly to them; `Probe::Scan` (residual
+    /// occurrence touched, schema drift, missing FROM table) and table-level
+    /// types fall back to the full instance list — the index may only skip
+    /// work, never change verdicts.
+    fn instances_to_check(&self, run: &mut TypeRun, tally: &mut ShardTally) -> Vec<Arc<[Value]>> {
+        let ty_id = run.stat.id;
+        let all = || -> Vec<Arc<[Value]>> {
+            (self.registry.instances_of(ty_id)).map(|(params, _)| params.clone()).collect()
+        };
+        if !self.use_index || run.policy == InvalidationPolicy::TableLevel {
+            return all();
+        }
+        let probe = if self.registry.index_fully_residual(ty_id) {
+            Probe::Scan
+        } else {
+            let probe_started = std::time::Instant::now();
+            let p = self.registry.probe_index(ty_id, self.deltas, self.db);
+            tally.index_probe_micros += probe_started.elapsed().as_micros() as u64;
+            p
+        };
+        let total = self.registry.instance_count(ty_id) as u64;
+        match probe {
+            Probe::Candidates(cands) => {
+                tally.index_probed_types += 1;
+                run.stat.index_candidates = cands.len() as u64;
+                run.stat.index_skipped = total.saturating_sub(cands.len() as u64);
+                cands
+            }
+            Probe::Scan => {
+                tally.index_residual_types += 1;
+                run.stat.index_residual = total;
+                all()
+            }
+        }
+    }
+
+    /// TopK boundary rule. The boundary is the first ORDER BY key of the
+    /// k-th row of the *post-batch* result (refreshed by the shape pre-pass;
+    /// only stored when the result was full). A delta tuple whose key sorts
     /// strictly beyond the boundary can neither enter the top-k (it sorts
     /// after k surviving rows) nor displace it (the post-state top-k rows
     /// all pre-existed the batch, and the engine's ORDER BY breaks key ties
@@ -1341,49 +1149,50 @@ impl Invalidator {
     /// the row set) — whether or not the tuple matches the WHERE clause.
     /// Ties and missing keys stay conservative; a tuple that lands at or
     /// inside the boundary and matches locally ejects with
-    /// [`VerdictKind::TopKBoundary`].
+    /// [`VerdictKind::TopKBoundary`]. Without a boundary, or for a matching
+    /// tuple that can neither be decided locally nor pruned by the boundary,
+    /// the whole instance goes to the conventional polling path.
     fn decide_topk(
+        &self,
+        run: &mut TypeRun,
+        tally: &mut ShardTally,
         inst: Instance<'_>,
         spec: &TopKPlan,
-        boundary: &Value,
-        deltas: &DeltaSet,
-        counters: &mut ShardCounters,
-    ) -> DbResult<ShapeDecision> {
+    ) -> DbResult<Option<VerdictCause>> {
         use std::cmp::Ordering;
         let table = &inst.ty.from_refs()[0].table;
-        let Some(delta) = deltas.for_table(table) else {
-            return Ok(ShapeDecision::Fallback);
+        let boundary = (self.registry.pages_of(run.stat.id, inst.params))
+            .and_then(|data| data.boundary());
+        let (Some(boundary), Some(delta)) = (boundary, self.deltas.for_table(table)) else {
+            return self.decide_conventional(run, tally, inst);
         };
         let mut used_boundary = false;
         for (tuple, is_insert) in delta.tuples() {
-            counters.tuples_analyzed += 1;
+            tally.tuples_analyzed += 1;
             let impact = inst.ty.analyze_tuple(inst.params, 0, tuple)?;
             if matches!(impact, TupleImpact::NoImpact) {
-                counters.local_decisions += 1;
+                tally.local_decisions += 1;
                 continue;
             }
             // Strictly beyond the boundary in sort direction, under the
             // engine's own comparator (`Value::cmp`, same as its ORDER BY).
-            let beyond = tuple
-                .get(spec.order_col)
-                .map(|key| {
-                    let ord = key.cmp(boundary);
-                    if spec.ascending {
-                        ord == Ordering::Greater
-                    } else {
-                        ord == Ordering::Less
-                    }
-                })
-                .unwrap_or(false);
+            let beyond = tuple.get(spec.order_col).is_some_and(|key| {
+                let ord = key.cmp(boundary);
+                if spec.ascending {
+                    ord == Ordering::Greater
+                } else {
+                    ord == Ordering::Less
+                }
+            });
             if beyond {
                 used_boundary = true;
-                counters.local_decisions += 1;
+                tally.local_decisions += 1;
                 continue;
             }
             match impact {
                 TupleImpact::Affected => {
-                    counters.local_decisions += 1;
-                    return Ok(ShapeDecision::Affected(VerdictCause {
+                    tally.local_decisions += 1;
+                    return Ok(Some(VerdictCause {
                         kind: VerdictKind::TopKBoundary,
                         detail: format!(
                             "{} tuple in `{table}` lands at or inside the top-{} boundary ({})",
@@ -1393,16 +1202,14 @@ impl Invalidator {
                         ),
                     }));
                 }
-                // A matching tuple we can neither decide locally nor prune
-                // by the boundary: hand the whole instance back to the
-                // conventional polling path.
-                TupleImpact::NeedsPoll(_) => return Ok(ShapeDecision::Fallback),
+                TupleImpact::NeedsPoll(_) => return self.decide_conventional(run, tally, inst),
                 TupleImpact::NoImpact => unreachable!("handled above"),
             }
         }
-        Ok(ShapeDecision::NoImpact {
-            shape_skip: used_boundary,
-        })
+        // A proof that *needed* the boundary kept a page the conventional
+        // path would have ejected.
+        run.stat.shape_skipped += u64::from(used_boundary);
+        Ok(None)
     }
 
     /// Aggregate value-preserving rule: collect the delta tuples that match
@@ -1410,71 +1217,99 @@ impl Invalidator {
     /// row count and every tracked aggregate provably unchanged. Unchanged
     /// keeps the page cached; anything else ejects with
     /// [`VerdictKind::AggregateDelta`] (including judgements the exactness
-    /// argument cannot cover — those never convert to NoImpact).
+    /// argument cannot cover — those never convert to NoImpact). A tuple
+    /// that needs a poll sends the instance to the conventional path.
     fn decide_aggregate(
+        &self,
+        run: &mut TypeRun,
+        tally: &mut ShardTally,
         inst: Instance<'_>,
         spec: &AggSpec,
-        deltas: &DeltaSet,
-        counters: &mut ShardCounters,
-    ) -> DbResult<ShapeDecision> {
+    ) -> DbResult<Option<VerdictCause>> {
         let table = &inst.ty.from_refs()[0].table;
-        let Some(delta) = deltas.for_table(table) else {
-            return Ok(ShapeDecision::Fallback);
+        let Some(delta) = self.deltas.for_table(table) else {
+            return self.decide_conventional(run, tally, inst);
         };
         let mut matching: Vec<(&cacheportal_db::table::Row, bool)> = Vec::new();
         for (tuple, is_insert) in delta.tuples() {
-            counters.tuples_analyzed += 1;
+            tally.tuples_analyzed += 1;
             match inst.ty.analyze_tuple(inst.params, 0, tuple)? {
-                TupleImpact::NoImpact => counters.local_decisions += 1,
+                TupleImpact::NoImpact => tally.local_decisions += 1,
                 TupleImpact::Affected => matching.push((tuple, is_insert)),
-                TupleImpact::NeedsPoll(_) => return Ok(ShapeDecision::Fallback),
+                TupleImpact::NeedsPoll(_) => return self.decide_conventional(run, tally, inst),
             }
         }
         if matching.is_empty() {
-            return Ok(ShapeDecision::NoImpact { shape_skip: false });
+            return Ok(None);
         }
-        counters.local_decisions += 1;
-        match judge_aggregate_delta(spec, &matching) {
-            AggJudgement::Unchanged => Ok(ShapeDecision::NoImpact { shape_skip: true }),
-            AggJudgement::Changed(detail) => Ok(ShapeDecision::Affected(VerdictCause {
-                kind: VerdictKind::AggregateDelta,
-                detail: format!("matching delta changes the aggregate: {detail}"),
-            })),
-            AggJudgement::Unprovable(detail) => Ok(ShapeDecision::Affected(VerdictCause {
-                kind: VerdictKind::AggregateDelta,
-                detail: format!("aggregate delta not provably unchanged: {detail}"),
-            })),
+        tally.local_decisions += 1;
+        let detail = match judge_aggregate_delta(spec, &matching) {
+            AggJudgement::Unchanged => {
+                run.stat.shape_skipped += 1;
+                // The netting proof only holds for pages that existed at the
+                // interval endpoints; report these so the orchestrator can
+                // guard-eject any admitted mid-window.
+                if let Some(data) = self.registry.pages_of(run.stat.id, inst.params) {
+                    tally.netted_pages.extend(data.pages.iter().cloned());
+                }
+                return Ok(None);
+            }
+            AggJudgement::Changed(detail) => {
+                format!("matching delta changes the aggregate: {detail}")
+            }
+            AggJudgement::Unprovable(detail) => {
+                format!("aggregate delta not provably unchanged: {detail}")
+            }
+        };
+        Ok(Some(VerdictCause { kind: VerdictKind::AggregateDelta, detail }))
+    }
+
+    /// The paper's decision for one instance: each FROM occurrence whose
+    /// table the batch touched is checked locally, then by polls, until one
+    /// proves impact.
+    fn decide_conventional(
+        &self,
+        run: &mut TypeRun,
+        tally: &mut ShardTally,
+        inst: Instance<'_>,
+    ) -> DbResult<Option<VerdictCause>> {
+        for (occ, tref) in inst.ty.from_refs().iter().enumerate() {
+            let Some(delta) = self.deltas.for_table(&tref.table) else {
+                continue;
+            };
+            let cause = if self.config.policy.batch_polls {
+                self.decide_batched(run, tally, inst, occ, delta)?
+            } else {
+                self.decide_per_tuple(run, tally, inst, occ, delta)?
+            };
+            if cause.is_some() {
+                return Ok(cause);
+            }
         }
+        Ok(None)
     }
 
     /// Per-tuple decision loop (grouping disabled): one poll per surviving
     /// delta tuple. Returns the verdict that proved impact, or `None`.
-    #[allow(clippy::too_many_arguments)]
     fn decide_per_tuple(
-        policy_cfg: &crate::policy::PolicyConfig,
-        info: &InfoManager,
-        runner: &PollRunner,
-        db: &Database,
+        &self,
+        run: &mut TypeRun,
+        tally: &mut ShardTally,
         inst: Instance<'_>,
         occ: usize,
         delta: &crate::delta::TableDelta,
-        policy: InvalidationPolicy,
-        breaker_degraded: bool,
-        retry: RetrySettings,
-        retry_budget: &mut u64,
-        counters: &mut ShardCounters,
     ) -> DbResult<Option<VerdictCause>> {
         let table = &inst.ty.from_refs()[occ].table;
         for (tuple, is_insert) in delta.tuples() {
-            counters.tuples_analyzed += 1;
+            tally.tuples_analyzed += 1;
             let impact = inst.ty.analyze_tuple(inst.params, occ, tuple)?;
             let hit = match impact {
                 TupleImpact::NoImpact => {
-                    counters.local_decisions += 1;
+                    tally.local_decisions += 1;
                     None
                 }
                 TupleImpact::Affected => {
-                    counters.local_decisions += 1;
+                    tally.local_decisions += 1;
                     Some(VerdictCause {
                         kind: VerdictKind::LocalPredicate,
                         detail: format!(
@@ -1483,19 +1318,7 @@ impl Invalidator {
                         ),
                     })
                 }
-                TupleImpact::NeedsPoll(poll) => Self::run_poll(
-                    policy_cfg,
-                    info,
-                    runner,
-                    db,
-                    &poll,
-                    !is_insert,
-                    policy,
-                    breaker_degraded,
-                    retry,
-                    retry_budget,
-                    counters,
-                )?,
+                TupleImpact::NeedsPoll(poll) => self.run_poll(run, tally, &poll, !is_insert)?,
             };
             if hit.is_some() {
                 return Ok(hit);
@@ -1507,20 +1330,13 @@ impl Invalidator {
     /// Grouped decision (§4.2.1): inserts and deletes are batched separately
     /// (the correlated-delete guard only applies to deletions), each batch
     /// producing at most ⌈n / max_or_terms⌉ polls.
-    #[allow(clippy::too_many_arguments)]
     fn decide_batched(
-        policy_cfg: &crate::policy::PolicyConfig,
-        info: &InfoManager,
-        runner: &PollRunner,
-        db: &Database,
+        &self,
+        run: &mut TypeRun,
+        tally: &mut ShardTally,
         inst: Instance<'_>,
         occ: usize,
         delta: &crate::delta::TableDelta,
-        policy: InvalidationPolicy,
-        breaker_degraded: bool,
-        retry: RetrySettings,
-        retry_budget: &mut u64,
-        counters: &mut ShardCounters,
     ) -> DbResult<Option<VerdictCause>> {
         let table = &inst.ty.from_refs()[occ].table;
         let groups: [(&[cacheportal_db::table::Row], bool); 2] =
@@ -1529,20 +1345,20 @@ impl Invalidator {
             if rows.is_empty() {
                 continue;
             }
-            counters.tuples_analyzed += rows.len() as u64;
+            tally.tuples_analyzed += rows.len() as u64;
             let (impact, _survivors) = inst.ty.analyze_tuple_batch(
                 inst.params,
                 occ,
                 rows,
-                policy_cfg.max_or_terms_per_poll.max(1),
+                self.config.policy.max_or_terms_per_poll.max(1),
             )?;
             let hit = match impact {
                 BatchImpact::NoImpact => {
-                    counters.local_decisions += 1;
+                    tally.local_decisions += 1;
                     None
                 }
                 BatchImpact::Affected => {
-                    counters.local_decisions += 1;
+                    tally.local_decisions += 1;
                     Some(VerdictCause {
                         kind: VerdictKind::LocalPredicate,
                         detail: format!(
@@ -1555,20 +1371,8 @@ impl Invalidator {
                 BatchImpact::NeedsPolls(polls) => {
                     let mut any = None;
                     for poll in &polls {
-                        if let Some(cause) = Self::run_poll(
-                            policy_cfg,
-                            info,
-                            runner,
-                            db,
-                            poll,
-                            was_delete,
-                            policy,
-                            breaker_degraded,
-                            retry,
-                            retry_budget,
-                            counters,
-                        )? {
-                            any = Some(cause);
+                        any = self.run_poll(run, tally, poll, was_delete)?;
+                        if any.is_some() {
                             break;
                         }
                     }
@@ -1589,26 +1393,19 @@ impl Invalidator {
     /// polls may race past it). That only trades poll volume against
     /// precision in the direction the budget already trades it; outcome
     /// equivalence is guaranteed for the default unbudgeted configuration.
-    #[allow(clippy::too_many_arguments)]
     fn run_poll(
-        policy_cfg: &crate::policy::PolicyConfig,
-        info: &InfoManager,
-        runner: &PollRunner,
-        db: &Database,
+        &self,
+        run: &mut TypeRun,
+        tally: &mut ShardTally,
         poll: &PollingQuery,
         tuple_was_delete: bool,
-        policy: InvalidationPolicy,
-        breaker_degraded: bool,
-        retry: RetrySettings,
-        retry_budget: &mut u64,
-        counters: &mut ShardCounters,
     ) -> DbResult<Option<VerdictCause>> {
-        if breaker_degraded {
+        if run.breaker_degraded {
             // Open breaker: the polling path is judged unhealthy, so the
             // type runs the paper's no-polling conservative policy — local
             // checks still decided NoImpact/Affected above; anything that
             // would need the DBMS is assumed affected.
-            counters.breaker_degraded += 1;
+            tally.breaker_degraded += 1;
             return Ok(Some(VerdictCause {
                 kind: VerdictKind::BreakerDegraded,
                 detail: format!(
@@ -1616,19 +1413,18 @@ impl Invalidator {
                 ),
             }));
         }
-        match policy {
+        match run.policy {
             InvalidationPolicy::Conservative => Ok(Some(VerdictCause {
                 kind: VerdictKind::Conservative,
                 detail: format!("conservative policy assumed affected, skipping poll: {poll}"),
             })),
             InvalidationPolicy::Exact => {
-                let over_budget = policy_cfg
-                    .poll_budget_per_sync
-                    .is_some_and(|b| runner.stats().issued >= b);
-                if over_budget && info.try_answer(poll).is_none() {
+                let over_budget = (self.config.policy.poll_budget_per_sync)
+                    .is_some_and(|b| self.runner.stats().issued >= b);
+                if over_budget && self.info.try_answer(poll).is_none() {
                     // Budget exhausted and no free answer: degrade to
                     // Conservative (§4.2.2's quality/real-time trade-off).
-                    counters.degraded_by_budget += 1;
+                    tally.degraded_by_budget += 1;
                     Ok(Some(VerdictCause {
                         kind: VerdictKind::BudgetDegraded,
                         detail: format!("poll budget exhausted; assumed affected instead of polling: {poll}"),
@@ -1636,11 +1432,12 @@ impl Invalidator {
                 } else {
                     // Retries come out of the type's per-sync budget: once
                     // it is spent, remaining polls fail on the first fault.
-                    let allowance = (retry.max_retries as u64).min(*retry_budget) as u32;
-                    counters.polls_attempted += 1;
-                    match runner.decide_with_allowance(db, poll, tuple_was_delete, allowance) {
+                    let allowance =
+                        (self.config.poll_max_retries as u64).min(run.retry_budget) as u32;
+                    run.stat.polls_attempted += 1;
+                    match self.runner.decide_with_allowance(self.db, poll, tuple_was_delete, allowance) {
                         Ok((answer, retries_spent)) => {
-                            *retry_budget = retry_budget.saturating_sub(retries_spent as u64);
+                            run.retry_budget = run.retry_budget.saturating_sub(retries_spent as u64);
                             Ok(answer.map(|answer| VerdictCause {
                                 kind: answer.into(),
                                 detail: match answer {
@@ -1656,8 +1453,8 @@ impl Invalidator {
                         // would-be Invalidate to NoInvalidate — the fault
                         // can only add invalidations.
                         Err(cacheportal_db::DbError::Faulted(msg)) => {
-                            *retry_budget = retry_budget.saturating_sub(allowance as u64);
-                            counters.poll_faults += 1;
+                            run.retry_budget = run.retry_budget.saturating_sub(allowance as u64);
+                            run.stat.poll_faults += 1;
                             Ok(Some(VerdictCause {
                                 kind: VerdictKind::PollFault,
                                 detail: format!(
