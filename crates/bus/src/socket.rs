@@ -14,12 +14,28 @@
 
 use crate::{Ack, BusTransport, EdgeEndpoint, EjectBatch, TransportError};
 use parking_lot::Mutex;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Longest frame either side reads, batch or ack (a batch of some 80 000
+/// page keys). A peer that streams more than this without a newline gets no
+/// ack and the connection is closed; the bus treats that like any other
+/// failed delivery.
+const MAX_FRAME_BYTES: u64 = 4 << 20;
+
+/// Read one `\n`-terminated frame of at most [`MAX_FRAME_BYTES`].
+fn read_frame(stream: TcpStream) -> std::io::Result<String> {
+    let mut line = String::new();
+    BufReader::new(stream.take(MAX_FRAME_BYTES)).read_line(&mut line)?;
+    if line.len() as u64 == MAX_FRAME_BYTES && !line.ends_with('\n') {
+        return Err(std::io::Error::other("frame exceeds the wire limit"));
+    }
+    Ok(line)
+}
 
 /// Client side: delivers batches to remote [`EdgeServer`]s by address.
 /// Edge index = position in the address list (matching the bus's
@@ -71,10 +87,7 @@ impl BusTransport for SocketTransport {
             .and_then(|_| writer.write_all(b"\n"))
             .and_then(|_| writer.flush())
             .map_err(|_| TransportError::Unreachable("write"))?;
-        let mut reply = String::new();
-        BufReader::new(stream)
-            .read_line(&mut reply)
-            .map_err(|_| TransportError::Unreachable("read"))?;
+        let reply = read_frame(stream).map_err(|_| TransportError::Unreachable("read"))?;
         serde_json::from_str::<Ack>(reply.trim())
             .map_err(|_| TransportError::Unreachable("decode"))
     }
@@ -147,9 +160,7 @@ impl Drop for EdgeServer {
 
 fn handle_delivery(stream: &mut TcpStream, endpoint: &EdgeEndpoint) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    let mut line = String::new();
-    let mut reader = BufReader::new(stream.try_clone().map_err(std::io::Error::other)?);
-    reader.read_line(&mut line)?;
+    let line = read_frame(stream.try_clone()?)?;
     let Ok(batch) = serde_json::from_str::<EjectBatch>(line.trim()) else {
         // Malformed delivery (or the shutdown throwaway connect): no ack.
         return Ok(());
@@ -165,6 +176,7 @@ fn handle_delivery(stream: &mut TcpStream, endpoint: &EdgeEndpoint) -> std::io::
 mod tests {
     use super::*;
     use crate::{BusConfig, InvalidationBus};
+    use std::io::ErrorKind;
     use cacheportal_cache::{PageCache, PageCacheConfig};
     use cacheportal_db::FaultPlan;
     use cacheportal_web::PageKey;
@@ -202,10 +214,45 @@ mod tests {
     }
 
     #[test]
-    fn dead_edge_is_unreachable_and_bus_marks_it_partitioned() {
+    fn overlong_frame_gets_no_ack_and_the_listener_keeps_serving() {
         let cache = Arc::new(PageCache::new(PageCacheConfig::default()));
-        let endpoint = Arc::new(EdgeEndpoint::new("edge-sock", cache, 0));
+        cache.put(key("a"), "1", 1);
+        let endpoint = Arc::new(EdgeEndpoint::new("edge-sock", cache.clone(), 0));
         let server = EdgeServer::serve("127.0.0.1:0", endpoint).unwrap();
+
+        // Twice the cap without a newline, and the connection left open.
+        // The server hangs up at the cap (so the tail of the stream may fail
+        // to send) instead of waiting out its read timeout for a newline.
+        let mut hostile = TcpStream::connect(server.addr()).unwrap();
+        hostile.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        let chunk = vec![b'x'; 1 << 16];
+        for _ in 0..(2 * MAX_FRAME_BYTES as usize / chunk.len()) {
+            if hostile.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+        let mut reply = Vec::new();
+        let hung_up = match hostile.read_to_end(&mut reply) {
+            Ok(_) => true,
+            Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+        };
+        assert!(hung_up, "the server kept reading past the frame limit");
+        assert!(reply.is_empty(), "an over-long frame must not be acked");
+        assert!(cache.contains(&key("a")));
+
+        let transport = SocketTransport::new(vec![server.addr()]);
+        let batch = EjectBatch { seq: 1, sync_seq: 1, ts: 1, pages: vec![key("a")] };
+        assert_eq!(transport.deliver(0, &batch, 0).unwrap(), Ack { applied_seq: 1 });
+        assert!(!cache.contains(&key("a")));
+        server.shutdown();
+    }
+
+    #[test]
+    fn dead_edge_is_marked_partitioned_and_catches_up_after_a_rebind() {
+        let cache = Arc::new(PageCache::new(PageCacheConfig::default()));
+        cache.put(key("a"), "1", 1);
+        let endpoint = Arc::new(EdgeEndpoint::new("edge-sock", cache.clone(), 0));
+        let server = EdgeServer::serve("127.0.0.1:0", endpoint.clone()).unwrap();
         let addr = server.addr();
         server.shutdown();
 
@@ -225,6 +272,19 @@ mod tests {
         let report = bus.deliver_all(2);
         assert_eq!(report.newly_partitioned, vec!["edge-sock".to_string()]);
         assert_eq!(bus.partitioned_count(), 1);
+        assert!(bus.edge_rows()[0].lag > 0);
+        assert!(cache.contains(&key("a")), "the undelivered eject has not landed");
+
+        // The listener comes back on the same port: the next round replays
+        // what the edge missed, from its acked watermark.
+        let revived = EdgeServer::serve(&addr.to_string(), endpoint).unwrap();
+        let report = bus.deliver_all(3);
+        assert_eq!(report.healed, vec!["edge-sock".to_string()]);
+        assert_eq!(bus.partitioned_count(), 0);
+        let row = &bus.edge_rows()[0];
+        assert_eq!((row.acked, row.lag), (1, 0));
+        assert!(!cache.contains(&key("a")), "catch-up applied the eject");
+        revived.shutdown();
     }
 
     #[test]

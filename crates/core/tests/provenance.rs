@@ -5,6 +5,7 @@
 //! (`/metrics`, `/explain`, JSONL export) must agree with the in-process
 //! snapshot.
 
+use cacheportal::cache::{PageCache, PageCacheConfig};
 use cacheportal::db::schema::ColType;
 use cacheportal::db::Database;
 use cacheportal::invalidator::InvalidatorConfig;
@@ -260,6 +261,40 @@ fn admin_endpoint_serves_metrics_and_explanations() {
 
     let (code, _) = http_get(&addr, "/explain");
     assert_eq!(code, 400);
+
+    // A partitioned edge shows on /healthz as a degradation, not an outage
+    // (the control edge keeps the delivery objective inside its budget), and
+    // clears once the link heals and the edge has caught up.
+    let edges: Vec<Arc<PageCache>> = (0..2)
+        .map(|_| {
+            let edge = Arc::new(PageCache::new(PageCacheConfig::default()));
+            p.register_edge_cache(edge.clone());
+            edge
+        })
+        .collect();
+    let (control, drilled) = (0, 1);
+    p.request(&req(30000));
+    p.sync_point().unwrap();
+    assert_eq!(edges[drilled].len(), 1, "admissions mirror to the edges");
+    p.partition_edge(drilled, true);
+    for price in [22000, 23000] {
+        p.advance_clock(1_000);
+        p.update(&format!("UPDATE Car SET price = {price} WHERE model = 'Avalon'")).unwrap();
+        p.sync_point().unwrap();
+        p.request(&req(30000));
+    }
+    assert!(edges[drilled].is_empty(), "an edge that misses a round ejects itself");
+    assert_eq!(edges[control].len(), 1);
+    assert!(p.bus().edge_rows()[drilled].partitioned);
+    let (code, body) = http_get(&addr, "/healthz");
+    assert!(code == 200 && body.contains("edge-partitioned"), "{code} {body}");
+    p.partition_edge(drilled, false);
+    p.advance_clock(1_000);
+    p.sync_point().unwrap();
+    let row = &p.bus().edge_rows()[drilled];
+    assert!(!row.partitioned && !row.degraded && row.lag == 0, "{row:?}");
+    let (code, body) = http_get(&addr, "/healthz");
+    assert!(code == 200 && !body.contains("edge-partitioned"), "{code} {body}");
 
     server.shutdown();
 }

@@ -340,8 +340,9 @@ impl SloEngine {
         }
     }
 
-    /// Toggle evaluation (the A/B arm of `slo_overhead` and an operator
-    /// kill switch). Disabling does not clear state; re-enabling resumes.
+    /// Toggle evaluation (the off arm of `portal_load`'s `obs.*` layers and
+    /// an operator kill switch). Disabling does not clear state; re-enabling
+    /// resumes.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }

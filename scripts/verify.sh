@@ -74,21 +74,6 @@ echo "== crash-recovery smoke (durable journal, gap ejection, provenance) =="
 # and the freshness oracle finds zero stale pages afterwards.
 ./target/release/recovery_smoke
 
-echo "== bus socket smoke (real TCP transport end-to-end on localhost) =="
-# Two edge caches behind EdgeServer TCP listeners, driven over
-# SocketTransport: delivery + ack, wire-duplicate absorption, partition
-# detection against a dead listener, and watermark catch-up after the
-# listener rebinds. The binary checks every stage and exits 1 on the first
-# that fails.
-./target/release/bus_smoke
-
-echo "== scripted partition drill (partition -> degrade -> heal -> converge) =="
-# Portal-level drill: cut one edge's bus link, watch /healthz report
-# edge-partitioned while the edge self-ejects to empty (never stale), heal,
-# and check watermark catch-up leaves the drilled edge byte-identical to
-# an untouched control edge. Exits 1 on the first failed check.
-./target/release/partition_drill
-
 echo "== server farm walkthrough (examples/server_farm.rs, 4 nodes) =="
 # cargo test compiles the examples but runs none of them; this is the one
 # scripted multi-node walkthrough, and it asserts as it goes.
@@ -125,22 +110,6 @@ echo "== shape-mix precision smoke test (sync_scale --shape-mix --smoke) =="
 ./target/release/sync_scale --shape-mix --smoke
 grep -q '"shape_mix"' BENCH_sync_scale.json \
   || { echo "BENCH_sync_scale.json carries no shape_mix record"; exit 1; }
-
-echo "== tracing-overhead smoke test (trace_overhead --smoke) =="
-# Exercises the portal-level tracing A/B path and appends to the
-# BENCH_trace_overhead.json history; the <=5% overhead target is enforced
-# only on full (non-smoke) runs, where the signal clears scheduler noise.
-./target/release/trace_overhead --smoke
-grep -q '"history"' BENCH_trace_overhead.json \
-  || { echo "BENCH_trace_overhead.json is not a history trajectory"; exit 1; }
-
-echo "== SLO-engine overhead smoke test (slo_overhead --smoke) =="
-# A/B replay with the freshness SLO engine armed vs disabled; appends to
-# the BENCH_slo_overhead.json history. The <=5% target is enforced only on
-# full (non-smoke) runs.
-./target/release/slo_overhead --smoke
-grep -q '"history"' BENCH_slo_overhead.json \
-  || { echo "BENCH_slo_overhead.json is not a history trajectory"; exit 1; }
 
 echo "== end-to-end load smoke (portal_load --smoke) =="
 # All four portal_load workloads with 1 s windows, each in a child process,
