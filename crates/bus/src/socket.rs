@@ -176,22 +176,29 @@ fn handle_delivery(stream: &mut TcpStream, endpoint: &EdgeEndpoint) -> std::io::
 mod tests {
     use super::*;
     use crate::{BusConfig, InvalidationBus};
-    use std::io::ErrorKind;
     use cacheportal_cache::{PageCache, PageCacheConfig};
     use cacheportal_db::FaultPlan;
     use cacheportal_web::PageKey;
+    use std::io::ErrorKind;
 
     fn key(s: &str) -> PageKey {
         PageKey::raw(s)
     }
 
-    #[test]
-    fn batch_and_ack_round_trip_the_wire() {
+    /// A listening edge whose cache holds `pages`.
+    fn listening_edge(pages: &[&str]) -> (Arc<PageCache>, Arc<EdgeEndpoint>, EdgeServer) {
         let cache = Arc::new(PageCache::new(PageCacheConfig::default()));
-        cache.put(key("a"), "1", 1);
-        cache.put(key("b"), "2", 2);
+        for page in pages {
+            cache.put(key(page), "1", 1);
+        }
         let endpoint = Arc::new(EdgeEndpoint::new("edge-sock", cache.clone(), 0));
         let server = EdgeServer::serve("127.0.0.1:0", endpoint.clone()).unwrap();
+        (cache, endpoint, server)
+    }
+
+    #[test]
+    fn batch_and_ack_round_trip_the_wire() {
+        let (cache, endpoint, server) = listening_edge(&["a", "b"]);
         let transport = SocketTransport::new(vec![server.addr()]);
 
         let batch = EjectBatch {
@@ -215,10 +222,7 @@ mod tests {
 
     #[test]
     fn overlong_frame_gets_no_ack_and_the_listener_keeps_serving() {
-        let cache = Arc::new(PageCache::new(PageCacheConfig::default()));
-        cache.put(key("a"), "1", 1);
-        let endpoint = Arc::new(EdgeEndpoint::new("edge-sock", cache.clone(), 0));
-        let server = EdgeServer::serve("127.0.0.1:0", endpoint).unwrap();
+        let (cache, _, server) = listening_edge(&["a"]);
 
         // Twice the cap without a newline, and the connection left open.
         // The server hangs up at the cap (so the tail of the stream may fail
@@ -249,10 +253,7 @@ mod tests {
 
     #[test]
     fn dead_edge_is_marked_partitioned_and_catches_up_after_a_rebind() {
-        let cache = Arc::new(PageCache::new(PageCacheConfig::default()));
-        cache.put(key("a"), "1", 1);
-        let endpoint = Arc::new(EdgeEndpoint::new("edge-sock", cache.clone(), 0));
-        let server = EdgeServer::serve("127.0.0.1:0", endpoint.clone()).unwrap();
+        let (cache, endpoint, server) = listening_edge(&["a"]);
         let addr = server.addr();
         server.shutdown();
 
@@ -289,10 +290,7 @@ mod tests {
 
     #[test]
     fn bus_drives_a_remote_edge_through_the_socket() {
-        let cache = Arc::new(PageCache::new(PageCacheConfig::default()));
-        cache.put(key("x"), "1", 1);
-        let endpoint = Arc::new(EdgeEndpoint::new("edge-sock", cache.clone(), 0));
-        let server = EdgeServer::serve("127.0.0.1:0", endpoint).unwrap();
+        let (cache, _, server) = listening_edge(&["x"]);
         let transport = Arc::new(SocketTransport::new(vec![server.addr()]));
         let bus = InvalidationBus::new(BusConfig::default(), transport, FaultPlan::none());
         bus.register_remote_edge("edge-sock", 0);

@@ -431,7 +431,8 @@ struct SyncContext<'a> {
     runner: &'a PollRunner<'a>,
     db: &'a Database,
     deltas: &'a DeltaSet,
-    decisions: &'a HashMap<QueryTypeId, BreakerDecision>,
+    /// Types whose breaker is open this sync point.
+    degraded: &'a HashSet<QueryTypeId>,
     /// Probe the predicate index before scanning a type's instances (off in
     /// the differential shadow pass).
     use_index: bool,
@@ -584,11 +585,19 @@ impl Invalidator {
         self.register(map, &mut report);
         report.registration_micros = started.elapsed().as_micros() as u64;
         if let Some(deltas) = self.pull_deltas(db, &mut report) {
-            self.refresh_boundaries(db, &deltas, &mut report);
+            // The types the batch can affect, in stable type-id order: what
+            // the later stages walk.
+            let mut candidate_types: Vec<QueryTypeId> = deltas
+                .touched_tables()
+                .flat_map(|t| self.registry.types_reading(t).iter().copied())
+                .collect();
+            candidate_types.sort_unstable();
+            candidate_types.dedup();
+            self.refresh_boundaries(db, &candidate_types, &mut report);
             let analysis_started = std::time::Instant::now();
-            let affected = self.analyze_batch(db, &deltas, &mut report)?;
+            let affected = self.analyze_batch(db, &deltas, &candidate_types, &mut report)?;
             report.analysis_micros = analysis_started.elapsed().as_micros() as u64;
-            self.collect(&deltas, affected, &mut report);
+            self.collect(&candidate_types, affected, &mut report);
         }
         report.breaker_open_types = self.breaker.open_count();
         report.breaker_half_open_types = self.breaker.half_open_count();
@@ -683,21 +692,16 @@ impl Invalidator {
     fn refresh_boundaries(
         &mut self,
         db: &Database,
-        deltas: &DeltaSet,
+        candidate_types: &[QueryTypeId],
         report: &mut InvalidationReport,
     ) {
         if !self.config.shape_rules {
             return;
         }
-        let mut topk_types: Vec<QueryTypeId> = deltas
-            .touched_tables()
-            .flat_map(|t| self.registry.types_reading(t).iter().copied())
-            .filter(|&id| self.registry.get(id).shape == QueryShape::TopK)
-            .collect();
-        topk_types.sort_unstable();
-        topk_types.dedup();
-        for ty_id in topk_types {
-            if self.policies.policy_for(ty_id, &self.config.policy) != InvalidationPolicy::Exact {
+        for &ty_id in candidate_types {
+            if self.registry.get(ty_id).shape != QueryShape::TopK
+                || self.policies.policy_for(ty_id, &self.config.policy) != InvalidationPolicy::Exact
+            {
                 continue;
             }
             self.registry.refresh_analysis(ty_id, db);
@@ -746,38 +750,32 @@ impl Invalidator {
         &mut self,
         db: &Database,
         deltas: &DeltaSet,
+        candidate_types: &[QueryTypeId],
         report: &mut InvalidationReport,
     ) -> DbResult<Vec<Affected>> {
-        let runner = PollRunner::with_rtt(
-            &self.info,
-            deltas,
-            std::time::Duration::from_micros(self.config.poll_rtt_micros),
-        )
-        .with_fault_plan(self.config.fault.clone())
-        .with_retry(
-            self.config.poll_max_retries,
-            std::time::Duration::from_micros(self.config.poll_backoff_base_micros),
-        );
+        let poll_runner = |rtt_micros: u64, backoff_base_micros: u64| {
+            PollRunner::with_rtt(&self.info, deltas, std::time::Duration::from_micros(rtt_micros))
+                .with_fault_plan(self.config.fault.clone())
+                .with_retry(
+                    self.config.poll_max_retries,
+                    std::time::Duration::from_micros(backoff_base_micros),
+                )
+        };
+        let runner = poll_runner(self.config.poll_rtt_micros, self.config.poll_backoff_base_micros);
 
-        let mut candidate_types: Vec<QueryTypeId> = deltas
-            .touched_tables()
-            .flat_map(|t| self.registry.types_reading(t).iter().copied())
-            .collect();
-        candidate_types.sort_unstable();
-        candidate_types.dedup();
         // Compiled once per type, here, where the registry is still ours to
         // change: the shards share it read-only.
-        for &id in &candidate_types {
+        for &id in candidate_types {
             self.registry.refresh_analysis(id, db);
         }
 
         // Breaker decisions are taken up front, before the fan-out: every
         // shard sees the same per-type decision regardless of worker count
         // or scheduling, preserving parallel equivalence.
-        let breaker_cfg = self.config.breaker.clone();
-        let decisions: HashMap<QueryTypeId, BreakerDecision> = candidate_types
-            .iter()
-            .map(|&id| (id, self.breaker.decision(id, &breaker_cfg)))
+        let degraded: HashSet<QueryTypeId> = (candidate_types.iter().copied())
+            .filter(|&id| {
+                self.breaker.decision(id, &self.config.breaker) == BreakerDecision::Degrade
+            })
             .collect();
 
         let workers = self
@@ -798,7 +796,7 @@ impl Invalidator {
             runner: &runner,
             db,
             deltas,
-            decisions: &decisions,
+            degraded: &degraded,
             use_index: self.config.predicate_index,
         };
         let run_shard = |types: &[(usize, QueryTypeId)]| ctx.analyze_types_shard(types);
@@ -846,9 +844,7 @@ impl Invalidator {
         // decisions and touches no registry/breaker state, so enabling
         // the mode never changes what the sync point ejects.
         if self.config.index_differential && self.config.predicate_index {
-            let shadow_runner = PollRunner::with_rtt(&self.info, deltas, std::time::Duration::ZERO)
-                .with_fault_plan(self.config.fault.clone())
-                .with_retry(self.config.poll_max_retries, std::time::Duration::ZERO);
+            let shadow_runner = poll_runner(0, 0);
             let all_types: Vec<(usize, QueryTypeId)> =
                 candidate_types.iter().copied().enumerate().collect();
             let shadow = SyncContext { runner: &shadow_runner, use_index: false, ..ctx }
@@ -891,7 +887,7 @@ impl Invalidator {
 
         // Advance the breaker with the sync point's aggregated evidence —
         // per-type sums, independent of shard assignment and join order.
-        let events = self.breaker.observe_sync(&breaker_cfg, &observations);
+        let events = self.breaker.observe_sync(&self.config.breaker, &observations);
         report.breaker_opened = events.opened;
         report.breaker_half_opened = events.half_opened;
         report.breaker_closed = events.closed;
@@ -919,7 +915,7 @@ impl Invalidator {
     /// (§4.1.4).
     fn collect(
         &mut self,
-        deltas: &DeltaSet,
+        candidate_types: &[QueryTypeId],
         affected: Vec<Affected>,
         report: &mut InvalidationReport,
     ) {
@@ -955,11 +951,7 @@ impl Invalidator {
         for v in &report.verdicts {
             *invalidated_per_type.entry(v.type_id).or_insert(0) += 1;
         }
-        let touched_types: HashSet<QueryTypeId> = deltas
-            .touched_tables()
-            .flat_map(|t| self.registry.types_reading(t).iter().copied())
-            .collect();
-        for id in touched_types {
+        for &id in candidate_types {
             let instance_count = self.registry.instance_count(id) as u64;
             let ratio_cfg = self.config.policy.non_cacheable_invalidation_ratio;
             let min_batches = self.config.policy.min_batches_for_ratio;
@@ -1001,8 +993,7 @@ impl SyncContext<'_> {
             let ty = self.registry.get(ty_id);
             let mut run = TypeRun {
                 policy: self.policies.policy_for(ty_id, &self.config.policy),
-                breaker_degraded: self.decisions.get(&ty_id).copied()
-                    == Some(BreakerDecision::Degrade),
+                breaker_degraded: self.degraded.contains(&ty_id),
                 retry_budget: self.config.poll_retry_budget_per_type,
                 stat: TypeSyncStat { id: ty_id, shape: ty.shape, ..TypeSyncStat::default() },
             };
@@ -1166,30 +1157,24 @@ impl SyncContext<'_> {
         let (Some(boundary), Some(delta)) = (boundary, self.deltas.for_table(table)) else {
             return self.decide_conventional(run, tally, inst);
         };
+        // Strictly beyond the boundary in sort direction, under the engine's
+        // own comparator (`Value::cmp`, same as its ORDER BY).
+        let beyond = |tuple: &cacheportal_db::table::Row| {
+            tuple.get(spec.order_col).is_some_and(|key| match key.cmp(boundary) {
+                Ordering::Greater => spec.ascending,
+                Ordering::Less => !spec.ascending,
+                Ordering::Equal => false,
+            })
+        };
         let mut used_boundary = false;
         for (tuple, is_insert) in delta.tuples() {
             tally.tuples_analyzed += 1;
-            let impact = inst.ty.analyze_tuple(inst.params, 0, tuple)?;
-            if matches!(impact, TupleImpact::NoImpact) {
-                tally.local_decisions += 1;
-                continue;
-            }
-            // Strictly beyond the boundary in sort direction, under the
-            // engine's own comparator (`Value::cmp`, same as its ORDER BY).
-            let beyond = tuple.get(spec.order_col).is_some_and(|key| {
-                let ord = key.cmp(boundary);
-                if spec.ascending {
-                    ord == Ordering::Greater
-                } else {
-                    ord == Ordering::Less
+            match inst.ty.analyze_tuple(inst.params, 0, tuple)? {
+                TupleImpact::NoImpact => tally.local_decisions += 1,
+                _ if beyond(tuple) => {
+                    used_boundary = true;
+                    tally.local_decisions += 1;
                 }
-            });
-            if beyond {
-                used_boundary = true;
-                tally.local_decisions += 1;
-                continue;
-            }
-            match impact {
                 TupleImpact::Affected => {
                     tally.local_decisions += 1;
                     return Ok(Some(VerdictCause {
@@ -1203,7 +1188,6 @@ impl SyncContext<'_> {
                     }));
                 }
                 TupleImpact::NeedsPoll(_) => return self.decide_conventional(run, tally, inst),
-                TupleImpact::NoImpact => unreachable!("handled above"),
             }
         }
         // A proof that *needed* the boundary kept a page the conventional
@@ -1413,60 +1397,56 @@ impl SyncContext<'_> {
                 ),
             }));
         }
-        match run.policy {
-            InvalidationPolicy::Conservative => Ok(Some(VerdictCause {
+        if run.policy == InvalidationPolicy::Conservative {
+            return Ok(Some(VerdictCause {
                 kind: VerdictKind::Conservative,
                 detail: format!("conservative policy assumed affected, skipping poll: {poll}"),
-            })),
-            InvalidationPolicy::Exact => {
-                let over_budget = (self.config.policy.poll_budget_per_sync)
-                    .is_some_and(|b| self.runner.stats().issued >= b);
-                if over_budget && self.info.try_answer(poll).is_none() {
-                    // Budget exhausted and no free answer: degrade to
-                    // Conservative (§4.2.2's quality/real-time trade-off).
-                    tally.degraded_by_budget += 1;
-                    Ok(Some(VerdictCause {
-                        kind: VerdictKind::BudgetDegraded,
-                        detail: format!("poll budget exhausted; assumed affected instead of polling: {poll}"),
-                    }))
-                } else {
-                    // Retries come out of the type's per-sync budget: once
-                    // it is spent, remaining polls fail on the first fault.
-                    let allowance =
-                        (self.config.poll_max_retries as u64).min(run.retry_budget) as u32;
-                    run.stat.polls_attempted += 1;
-                    match self.runner.decide_with_allowance(self.db, poll, tuple_was_delete, allowance) {
-                        Ok((answer, retries_spent)) => {
-                            run.retry_budget = run.retry_budget.saturating_sub(retries_spent as u64);
-                            Ok(answer.map(|answer| VerdictCause {
-                                kind: answer.into(),
-                                detail: match answer {
-                                    PollAnswer::Issued => format!("polling query found matching rows: {poll}"),
-                                    PollAnswer::FromCache => format!("deduplicated poll already answered yes this sync point: {poll}"),
-                                    PollAnswer::FromIndex => format!("maintained index answered the poll: {poll}"),
-                                    PollAnswer::DeleteGuard => format!("correlated same-batch deletion of a join partner; poll was: {poll}"),
-                                },
-                            }))
-                        }
-                        // A failed poll left the question unanswered; the
-                        // only safe answer is "affected". Never converts a
-                        // would-be Invalidate to NoInvalidate — the fault
-                        // can only add invalidations.
-                        Err(cacheportal_db::DbError::Faulted(msg)) => {
-                            run.retry_budget = run.retry_budget.saturating_sub(allowance as u64);
-                            run.stat.poll_faults += 1;
-                            Ok(Some(VerdictCause {
-                                kind: VerdictKind::PollFault,
-                                detail: format!(
-                                    "poll failed ({msg}); assumed affected as the conservative fallback"
-                                ),
-                            }))
-                        }
-                        Err(other) => Err(other),
-                    }
-                }
+            }));
+        }
+        // The Exact policy from here: table-level types are decided before
+        // any poll is built.
+        let over_budget = (self.config.policy.poll_budget_per_sync)
+            .is_some_and(|b| self.runner.stats().issued >= b);
+        if over_budget && self.info.try_answer(poll).is_none() {
+            // Budget exhausted and no free answer: degrade to Conservative
+            // (§4.2.2's quality/real-time trade-off).
+            tally.degraded_by_budget += 1;
+            return Ok(Some(VerdictCause {
+                kind: VerdictKind::BudgetDegraded,
+                detail: format!("poll budget exhausted; assumed affected instead of polling: {poll}"),
+            }));
+        }
+        // Retries come out of the type's per-sync budget: once it is spent,
+        // remaining polls fail on the first fault.
+        let allowance = (self.config.poll_max_retries as u64).min(run.retry_budget) as u32;
+        run.stat.polls_attempted += 1;
+        match self.runner.decide_with_allowance(self.db, poll, tuple_was_delete, allowance) {
+            Ok((answer, retries_spent)) => {
+                run.retry_budget = run.retry_budget.saturating_sub(retries_spent as u64);
+                Ok(answer.map(|answer| VerdictCause {
+                    kind: answer.into(),
+                    detail: match answer {
+                        PollAnswer::Issued => format!("polling query found matching rows: {poll}"),
+                        PollAnswer::FromCache => format!("deduplicated poll already answered yes this sync point: {poll}"),
+                        PollAnswer::FromIndex => format!("maintained index answered the poll: {poll}"),
+                        PollAnswer::DeleteGuard => format!("correlated same-batch deletion of a join partner; poll was: {poll}"),
+                    },
+                }))
             }
-            InvalidationPolicy::TableLevel => unreachable!("handled before analysis"),
+            // A failed poll left the question unanswered; the only safe
+            // answer is "affected". Never converts a would-be Invalidate to
+            // NoInvalidate — the fault can only add invalidations.
+            Err(cacheportal_db::DbError::Faulted(msg)) => {
+                run.retry_budget = run.retry_budget.saturating_sub(allowance as u64);
+                run.stat.poll_faults += 1;
+                Ok(Some(VerdictCause {
+                    kind: VerdictKind::PollFault,
+                    detail: format!(
+                        "poll failed ({msg}); assumed affected as the conservative fallback"
+                    ),
+                }))
+            }
+            Err(other) => Err(other),
         }
     }
 }
