@@ -876,9 +876,8 @@ impl Invalidator {
                 QueryShape::Aggregate => report.shape_agg_skipped += stat.shape_skipped,
                 _ => {}
             }
-            let obs = observations.entry(stat.id).or_default();
-            obs.poll_faults = stat.poll_faults;
-            obs.polls_attempted = stat.polls_attempted;
+            let (polls_attempted, poll_faults) = (stat.polls_attempted, stat.poll_faults);
+            observations.insert(stat.id, TypeObservation { polls_attempted, poll_faults });
             if timed {
                 self.registry.get_mut(stat.id).stats.record_analysis(stat.analysis_micros);
             }
