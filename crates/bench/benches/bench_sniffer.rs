@@ -1,6 +1,8 @@
 //! Sniffer benchmarks: mapper cost vs. log volume and request concurrency
 //! (Fig E5). The sniffer "has to run as fast as the web server" (§2.4) —
-//! these benches quantify the interval-containment join — and what a row of
+//! these benches quantify the interval-containment join, and beside it the
+//! join by request id that records stamped by the query logger take
+//! (`sniffer_mapper/by_id`) — and what a row of
 //! the QI/URL map costs to write and to keep (`map/insert_typed`, with the
 //! counting allocator of `crates/core/tests/common`).
 
@@ -18,15 +20,16 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 /// Build logs with `n` requests, `overlap` controlling how many request
-/// windows each query falls into (1 = serial, k = k-way concurrency).
-fn build_logs(n: usize, overlap: u64) -> (Arc<RequestLog>, Arc<QueryLog>) {
+/// windows each query falls into (1 = serial, k = k-way concurrency);
+/// `stamped` queries name their request, as the query logger's do.
+fn build_logs(n: usize, overlap: u64, stamped: bool) -> (Arc<RequestLog>, Arc<QueryLog>) {
     let rl = Arc::new(RequestLog::new());
     let ql = QueryLog::new();
-    fill_logs(&rl, &ql, n, overlap);
+    fill_logs(&rl, &ql, n, overlap, stamped);
     (rl, ql)
 }
 
-fn fill_logs(rl: &RequestLog, ql: &QueryLog, n: usize, overlap: u64) {
+fn fill_logs(rl: &RequestLog, ql: &QueryLog, n: usize, overlap: u64, stamped: bool) {
     for i in 0..n as u64 {
         let start = i * 10;
         let end = start + 10 * overlap; // windows overlap `overlap` deep
@@ -37,7 +40,8 @@ fn fill_logs(rl: &RequestLog, ql: &QueryLog, n: usize, overlap: u64) {
             received: start,
             delivered: end,
         });
-        ql.record(
+        ql.record_for(
+            stamped.then_some(i),
             "SELECT * FROM Car WHERE price < $1",
             &[Value::Int(i as i64)],
             true,
@@ -51,31 +55,33 @@ fn mapper_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("sniffer_mapper");
     // The 5000-request run is there for the serial case only: against 1000
     // it shows whether a run costs in proportion to its log.
+    let mut run = |name: String, n: usize, overlap: u64, stamped: bool| {
+        group.bench_with_input(BenchmarkId::new(name, n), &n, |b, &n| {
+            b.iter_batched(
+                || {
+                    let (rl, ql) = build_logs(n, overlap, stamped);
+                    let map = Arc::new(QiUrlMap::new());
+                    Mapper::new(rl, ql, map)
+                },
+                |mut mapper| black_box(mapper.run_once()),
+                criterion::BatchSize::LargeInput,
+            )
+        });
+    };
     for (n, overlaps) in [(100usize, &[1u64, 4, 16][..]), (1000, &[1, 4, 16]), (5000, &[1])] {
         for &overlap in overlaps {
-            group.bench_with_input(
-                BenchmarkId::new(format!("overlap{overlap}"), n),
-                &(n, overlap),
-                |b, &(n, overlap)| {
-                    b.iter_batched(
-                        || {
-                            let (rl, ql) = build_logs(n, overlap);
-                            let map = Arc::new(QiUrlMap::new());
-                            Mapper::new(rl, ql, map)
-                        },
-                        |mut mapper| black_box(mapper.run_once()),
-                        criterion::BatchSize::LargeInput,
-                    )
-                },
-            );
+            run(format!("overlap{overlap}"), n, overlap, false);
         }
     }
+    // The same serial log with every query naming its request.
+    run("by_id".into(), 5000, 1, true);
     group.finish();
 }
 
 /// One mapper run over `rows` serial requests of one query each: into an
-/// empty map (every row new: rendered, stored) and into a map that has them
-/// all (every row known by its typed form: nothing rendered, nothing kept).
+/// empty map (every row new: stored typed) and into a map that has them
+/// all (every row known by its typed form: nothing kept). Nothing is
+/// rendered in either.
 /// Beside the times, once: the bytes and blocks a row leaves in the map.
 fn map_rows(c: &mut Criterion) {
     const ROWS: usize = 4300;
@@ -84,13 +90,13 @@ fn map_rows(c: &mut Criterion) {
     let map = Arc::new(QiUrlMap::new());
     let mut mapper = Mapper::new(rl.clone(), ql.clone(), map.clone());
     let mut run = || {
-        let ((), logged) = common::measure(|| fill_logs(&rl, &ql, ROWS, 1));
+        let ((), logged) = common::measure(|| fill_logs(&rl, &ql, ROWS, 1, false));
         let (report, mapped) = common::measure(|| mapper.run_once());
         (report, logged.retained + mapped.retained, mapped.calls)
     };
     let (new, kept, calls) = run();
     let (again, kept_again, calls_again) = run();
-    assert_eq!((new.mapped, new.rendered), (ROWS as u64, ROWS as u64));
+    assert_eq!((new.mapped, new.rendered), (ROWS as u64, 0));
     assert_eq!((again.mapped, again.rendered, map.len()), (ROWS as u64, 0, ROWS));
     // Kept: what logging the requests and mapping them left behind, the
     // page keys the log made and the map shares included.
@@ -109,7 +115,7 @@ fn map_rows(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter(format!("{ROWS} new")), |b| {
         b.iter_batched(
             || {
-                let (rl, ql) = build_logs(ROWS, 1);
+                let (rl, ql) = build_logs(ROWS, 1, false);
                 Mapper::new(rl, ql, Arc::new(QiUrlMap::new()))
             },
             |mut mapper| black_box(mapper.run_once()),
@@ -118,7 +124,7 @@ fn map_rows(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::from_parameter(format!("{ROWS} duplicate")), |b| {
         b.iter_batched(
-            || fill_logs(&rl, &ql, ROWS, 1),
+            || fill_logs(&rl, &ql, ROWS, 1, false),
             |()| black_box(mapper.run_once()),
             criterion::BatchSize::LargeInput,
         )
@@ -136,6 +142,7 @@ fn canonicalization(c: &mut Criterion) {
         is_select: true,
         received: 0,
         delivered: 1,
+        request: None,
     };
     c.bench_function("sniffer_canonical_bound_sql", |b| {
         b.iter(|| black_box(cacheportal_sniffer::canonical_bound_sql(black_box(&record))))

@@ -25,8 +25,10 @@
 //! rows are last-write-wins, and the cursor takes the maximum.
 //!
 //! The write side never holds a second copy of what it journals: it reads
-//! map rows in place under the map's lock and origins through references,
-//! encodes one record at a time into one reused `String`, and hands each to
+//! map rows in place under the map's lock — a row's text, which the map does
+//! not keep, is rendered from its typed form straight into the record — and
+//! origins through references, encodes one record at a time into one reused
+//! `String`, and hands each to
 //! the WAL's batch or the snapshot's stream. [`DurableRecord`],
 //! [`OriginRecord`] and [`SnapshotDoc`] are what [`Durability::load`]
 //! deserialises into; the writer spells the text their derived `Serialize`
@@ -275,8 +277,8 @@ impl Durability {
                 Err(_) => out.errors += 1,
             }
         };
-        self.map_cursor = map.visit_since(self.map_cursor, |entry| {
-            append("MapEntry", &|out| entry.write_json(out));
+        self.map_cursor = map.visit_since(self.map_cursor, |row| {
+            append("MapEntry", &|out| row.write_json(out));
         });
         for (page, request) in new_origins {
             append("Origin", &|out| write_origin(out, page, request));
@@ -320,12 +322,12 @@ impl Durability {
         // left are passed over.
         let mut written = snapshot.write(b"{\"map\":[");
         let mut separator = "";
-        map.visit_since(0, |entry| {
+        map.visit_since(0, |row| {
             if written.is_ok() {
                 record.clear();
                 record.push_str(separator);
                 separator = ",";
-                entry.write_json(record);
+                row.write_json(record);
                 written = snapshot.write(record.as_bytes());
             }
         });

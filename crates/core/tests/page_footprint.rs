@@ -8,11 +8,12 @@
 //! and parameter vectors they share included. (When a page key was a
 //! `String` that every structure copied, a row's text was kept in a buffer
 //! of 256, and per-page lists and sets were heap blocks of their own, this
-//! test read 1 289 bytes in 12 blocks per page; it reads 685 in 3.)
+//! test read 1 289 bytes in 12 blocks per page; while a mapped row held its
+//! bound text beside its typed form, 685 in 3; it reads 494 in 2.)
 //!
 //! It also pins what does *not* grow: a second pass over the same pages, the
-//! page cache emptied, maps 4 300 rows the map already has — none is
-//! rendered, and the process holds no more than before (that pass used to
+//! page cache emptied, maps 4 300 rows the map already has — known by their
+//! typed form, and the process holds no more than before (that pass used to
 //! render all 4 300 to find them duplicates) — a cache hit allocates its
 //! key's text and nothing else (the body is a handle on the cached one, the
 //! `Cache-Control` owner a borrowed literal, the key handed on as it is) —
@@ -37,9 +38,9 @@ const CATEGORIES: usize = 100;
 const PAGES: usize = SKUS + 3 * CATEGORIES;
 
 /// Bytes the map, the registry and the predicate index may hold per page.
-const BYTES_PER_PAGE: usize = 720;
+const BYTES_PER_PAGE: usize = 540;
 /// Heap blocks they may hold per page.
-const BLOCKS_PER_PAGE: f64 = 7.0;
+const BLOCKS_PER_PAGE: f64 = 3.0;
 /// Pages of the mirrored pass: fewer than the slots a page cache allocates
 /// up front, so what the pass leaves on the heap is bodies.
 const MIRRORED: usize = 2000;
@@ -140,20 +141,22 @@ fn requests() -> Vec<HttpRequest> {
 }
 
 #[test]
-fn a_registered_page_costs_under_720_bytes_and_7_blocks() {
+fn a_registered_page_costs_under_540_bytes_and_3_blocks() {
     let portal = storefront();
     let requests = requests();
     assert_eq!(requests.len(), PAGES);
 
-    // Every page once, one sync point: 4 300 rows, each rendered once.
+    // Every page once, one sync point: 4 300 rows, each joined to its
+    // request by id and stored typed; no text is rendered.
     for req in &requests {
         assert_eq!(portal.request(req).served, Served::Generated);
     }
     let sync = portal.sync_point().unwrap();
     assert_eq!(
-        (sync.mapper.mapped, sync.mapper.rendered),
-        (PAGES as u64, PAGES as u64)
+        (sync.mapper.mapped, sync.mapper.by_id, sync.mapper.rendered),
+        (PAGES as u64, PAGES as u64, 0)
     );
+    assert_eq!(sync.invalidation.registered_from_text, 0);
     assert_eq!(sync.invalidation.registered, PAGES as u64);
     assert_eq!(portal.qi_url_map().len(), PAGES);
 

@@ -14,8 +14,9 @@ use crate::policy::{InvalidationPolicy, PolicyConfig, PolicyStore};
 use crate::polling::{InfoManager, PollAnswer, PollRunner, PollStats};
 use crate::predicate_index::Probe;
 use crate::query_type::{QueryShape, QueryTypeId, Registry};
+use cacheportal_db::sql::ast::Select;
 use cacheportal_db::{Database, DbResult, Lsn, Value};
-use cacheportal_sniffer::QiUrlMap;
+use cacheportal_sniffer::{QiUrlMap, RowInstance, TypedInstance};
 use cacheportal_web::PageKey;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -611,22 +612,34 @@ impl Invalidator {
     /// Stage 1: online registration scan of the QI/URL map (§4.1.2). The
     /// rows are read in place, under the map's lock; what the registry keeps
     /// of one is clones of its page key and its parameter vector, which
-    /// share the map's allocations.
+    /// share the map's allocations. A row still held as text (a recovered or
+    /// shipped map) is parsed here, once: it leaves typed — the type's tree
+    /// shared by the scan's rows of that type — and the map drops the text.
     fn register(&mut self, map: &QiUrlMap, report: &mut InvalidationReport) {
         let registry = &mut self.registry;
-        self.map_cursor = map.visit_for_registration(self.map_cursor, |entry, typed| {
-            let page = entry.page_key.clone();
-            match typed {
-                Some(t) => {
+        let mut templates: HashMap<QueryTypeId, Arc<Select>> = HashMap::new();
+        self.map_cursor = map.visit_for_registration(self.map_cursor, |row| {
+            let page = row.page_key().clone();
+            match row.instance() {
+                RowInstance::Typed(t) => {
                     registry.register_typed(&t.template, t.params.clone(), page);
                     report.registered += 1;
+                    None
                 }
-                None => match registry.register_instance(&entry.sql, page) {
-                    Ok(_) => {
+                RowInstance::Text(sql) => match registry.register_instance(sql, page) {
+                    Ok((ty, params)) => {
                         report.registered += 1;
                         report.registered_from_text += 1;
+                        let template = templates
+                            .entry(ty)
+                            .or_insert_with(|| Arc::new(registry.get(ty).select.clone()))
+                            .clone();
+                        Some(TypedInstance { template, params })
                     }
-                    Err(_) => report.unparseable += 1,
+                    Err(_) => {
+                        report.unparseable += 1;
+                        None
+                    }
                 },
             }
         });

@@ -8,15 +8,16 @@
 //!
 //! * [`request_log::RequestLog`] — servlet-wrapper request logger.
 //! * [`query_log::LoggedConnection`] — JDBC-wrapper query logger.
-//! * [`mapper::Mapper`] — interval-containment join of the two logs,
-//!   producing the [`map::QiUrlMap`].
+//! * [`mapper::Mapper`] — joins the two logs, by the request id the query
+//!   logger stamped on a record or, for a record without one, on interval
+//!   containment, producing the [`map::QiUrlMap`].
 
 pub mod map;
 pub mod mapper;
 pub mod query_log;
 pub mod request_log;
 
-pub use map::{Inserted, MapWriter, QiUrlEntry, QiUrlMap, TypedInstance};
+pub use map::{Inserted, MapWriter, QiUrlEntry, QiUrlMap, Row, RowInstance, TypedInstance};
 pub use mapper::{canonical_bound_sql, Mapper, MapperReport};
 pub use query_log::{LoggedConnection, QueryLog, QueryRecord};
 pub use request_log::RequestLog;

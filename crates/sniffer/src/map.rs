@@ -1,20 +1,25 @@
 //! The QI/URL map (§2.4): the sniffer's output, the invalidator's input.
 //!
-//! Each row associates one *bound* query instance (canonical SQL text) with
-//! one page key. Rows are deduplicated — re-requesting a cached page must
-//! not grow the map.
+//! Each row associates one *bound* query instance with one page key. Rows
+//! are deduplicated — re-requesting a cached page must not grow the map.
 //!
-//! A row is text, and text is all that is serialized or journaled. The
-//! mapper, though, has every instance *typed* before it has it as text — the
-//! query type and its parameter values ([`TypedInstance`]), which is also the
-//! form the invalidator's registry files it under. So a mapped row keeps its
-//! typed form beside its text: the mapper's next sight of the same instance
-//! for the same page is recognised by it without rendering anything
-//! ([`MapWriter::insert_typed`]), and the registration scan reads it instead
-//! of parsing the text back ([`QiUrlMap::visit_for_registration`]). The
-//! parameter values are one allocation, shared with the registry.
+//! A row holds its instance in **one form** ([`RowInstance`]). The mapper has
+//! every instance *typed* before it has it as text — the query type and its
+//! parameter values ([`TypedInstance`]), which is also the form the
+//! invalidator's registry files it under — so a mapped row is `Typed`: the
+//! mapper's next sight of the same instance for the same page is recognised
+//! by comparing typed forms ([`MapWriter::insert_typed`]), and the
+//! registration scan reads it as it stands
+//! ([`QiUrlMap::visit_for_registration`]). The parameter values are one
+//! allocation, shared with the registry. The instance's canonical text is
+//! what is shown, shipped and journaled ([`QiUrlEntry`]); it is written from
+//! the typed form where it is wanted ([`QiUrlMap::all`],
+//! [`QiUrlMap::entries_for_page`], [`Row::write_json`]) and kept nowhere. A
+//! row that arrives as text — [`QiUrlMap::insert`], [`QiUrlMap::from_json`],
+//! a journal replayed — is `Text` until a mapper or the registration scan
+//! types it, and then drops the text.
 
-use cacheportal_db::sql::ast::Select;
+use cacheportal_db::sql::ast::{Bound, Select};
 use cacheportal_db::Value;
 use cacheportal_web::{push_tight, InlineVec, PageKey};
 use parking_lot::{Mutex, MutexGuard};
@@ -23,7 +28,8 @@ use std::collections::{HashMap, HashSet};
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
-/// One row of the QI/URL map.
+/// One row of the QI/URL map as it is shown, shipped and journaled: its
+/// query instance as text.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct QiUrlEntry {
     /// Unique row id.
@@ -47,30 +53,124 @@ pub struct TypedInstance {
 }
 
 impl TypedInstance {
-    /// True when `other` is this instance spelled the same way — one
-    /// template, and value for value the same literal — so that the two
-    /// render the same text. Never true of instances whose texts differ;
-    /// instances with one text can still differ here (two parses of a
-    /// statement give two templates), and are then told apart as text.
-    /// `Value`'s own equality would not do: it takes `1` for `1.0`, and
-    /// those are two texts.
+    /// The instance's canonical bound text: the type with its values
+    /// written back in.
+    pub fn sql(&self) -> impl fmt::Display + '_ {
+        Bound(&*self.template, &self.params)
+    }
+
+    /// True when `other` is this instance spelled the same way — value for
+    /// value the same literal, and one template: the same allocation (every
+    /// instance a mapper makes of one logged statement) or, failing that,
+    /// equal trees (another mapper's parse, the registry's copy) — so that
+    /// the two render the same text. Never true of instances whose texts
+    /// differ. `Value`'s own equality would not do: it takes `1` for `1.0`,
+    /// and those are two texts.
     fn spelled_as(&self, other: &TypedInstance) -> bool {
-        Arc::ptr_eq(&self.template, &other.template)
-            && self.params.len() == other.params.len()
+        self.params.len() == other.params.len()
             && (self.params.iter().zip(other.params.iter()))
                 .all(|(a, b)| std::mem::discriminant(a) == std::mem::discriminant(b) && a == b)
+            && (Arc::ptr_eq(&self.template, &other.template) || self.template == other.template)
+    }
+
+    /// True when [`TypedInstance::sql`] is `text`. The rendering is checked
+    /// against `text` piece by piece and stops at the first that differs;
+    /// nothing is built.
+    fn renders_as(&self, text: &str) -> bool {
+        /// What is left of a text the pieces written so far were a prefix of.
+        struct Rest<'a>(&'a str);
+        impl fmt::Write for Rest<'_> {
+            fn write_str(&mut self, piece: &str) -> fmt::Result {
+                self.0 = self.0.strip_prefix(piece).ok_or(fmt::Error)?;
+                Ok(())
+            }
+        }
+        let mut rest = Rest(text);
+        write!(rest, "{}", self.sql()).is_ok() && rest.0.is_empty()
+    }
+}
+
+/// The query instance of a row, in the one form the row holds it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RowInstance {
+    /// Typed: a row a mapper wrote, or a text row since typed.
+    Typed(TypedInstance),
+    /// Canonical bound SQL text: a row that came as text and that no mapper
+    /// or registration scan has come across since.
+    Text(Box<str>),
+}
+
+impl fmt::Display for RowInstance {
+    /// The canonical bound SQL text.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RowInstance::Typed(typed) => typed.sql().fmt(f),
+            RowInstance::Text(sql) => f.write_str(sql),
+        }
+    }
+}
+
+/// One row of the map, read in place.
+pub struct Row {
+    id: u64,
+    page_key: PageKey,
+    servlet: Arc<str>,
+    instance: RowInstance,
+}
+
+impl Row {
+    /// The page whose content depends on the row's query instance.
+    pub fn page_key(&self) -> &PageKey {
+        &self.page_key
+    }
+
+    /// The query instance.
+    pub fn instance(&self) -> &RowInstance {
+        &self.instance
+    }
+
+    /// The row with its instance rendered.
+    pub fn entry(&self) -> QiUrlEntry {
+        QiUrlEntry {
+            id: self.id,
+            sql: self.instance.to_string(),
+            page_key: self.page_key.clone(),
+            servlet: self.servlet.clone(),
+        }
+    }
+
+    /// Append the JSON of [`Row::entry`] — what `QiUrlEntry`'s derived
+    /// `Serialize` writes — to `out`, the instance's text streamed into it.
+    pub fn write_json(&self, out: &mut String) {
+        /// JSON string content, escaped as it is written.
+        struct Escaped<'a>(&'a mut String);
+        impl fmt::Write for Escaped<'_> {
+            fn write_str(&mut self, piece: &str) -> fmt::Result {
+                serde::json::write_escaped(self.0, piece);
+                Ok(())
+            }
+        }
+        out.push_str("{\"id\":");
+        self.id.write_json(out);
+        out.push_str(",\"sql\":\"");
+        write!(Escaped(out), "{}", self.instance).expect("writing to a String");
+        out.push_str("\",\"page_key\":");
+        self.page_key.write_json(out);
+        out.push_str(",\"servlet\":");
+        self.servlet.write_json(out);
+        out.push('}');
     }
 }
 
 /// What [`MapWriter::insert_typed`] made of a row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Inserted {
-    /// The map holds the row, and knew it by its typed form: nothing was
-    /// rendered.
+    /// The map holds the row, typed: nothing was rendered.
     Known,
-    /// The map holds the row; to find that out, its text was rendered.
+    /// The map held the row as text, which the instance rendered to; the row
+    /// is typed now, and the text dropped.
     KnownAsText,
-    /// The row is new, and its text was rendered to store it.
+    /// The row is new.
     New,
 }
 
@@ -81,24 +181,15 @@ pub struct QiUrlMap {
     inner: Mutex<MapInner>,
 }
 
-/// A row and, if the mapper wrote it or has seen it since, its typed form.
-struct Row {
-    entry: QiUrlEntry,
-    typed: Option<TypedInstance>,
-}
-
 #[derive(Default)]
 struct MapInner {
     rows: Vec<Row>,
     /// Positions in `rows` of each page's rows: the dedup index (a row is a
-    /// duplicate when its page already has one with the same typed form or
-    /// the same text), which holds no second copy of either. The one or few
-    /// rows of a page are held in place.
+    /// duplicate when its page already has one with the same instance),
+    /// which holds no copy of any. The one or few rows of a page are held
+    /// in place.
     by_page: HashMap<PageKey, InlineVec<u32, 3>>,
     next_id: u64,
-    /// Where a row's text is rendered, to be compared and — if the row is
-    /// new — copied exact-size.
-    text: String,
 }
 
 impl MapInner {
@@ -113,30 +204,24 @@ impl MapInner {
         shared
     }
 
-    /// Append a row; its page has none with this text or typed form.
-    fn push(
-        &mut self,
-        sql: String,
-        typed: Option<TypedInstance>,
-        page: &PageKey,
-        servlet: &Arc<str>,
-    ) {
-        let entry = QiUrlEntry {
+    /// Append a row; its page has none with this instance.
+    fn push(&mut self, instance: RowInstance, page: &PageKey, servlet: &Arc<str>) {
+        let row = Row {
             id: self.next_id,
-            sql,
             page_key: self.index(page),
             servlet: servlet.clone(),
+            instance,
         };
         self.next_id += 1;
-        push_tight(&mut self.rows, Row { entry, typed });
+        push_tight(&mut self.rows, row);
     }
 
-    /// The position of `page`'s row that `is` accepts.
-    fn row_of(&self, page: &PageKey, is: impl Fn(&Row) -> bool) -> Option<usize> {
+    /// The position of `page`'s row whose instance `is` accepts.
+    fn row_of(&self, page: &PageKey, is: impl Fn(&RowInstance) -> bool) -> Option<usize> {
         let rows = self.by_page.get(page)?;
         rows.iter()
             .map(|&r| r as usize)
-            .find(|&r| is(&self.rows[r]))
+            .find(|&r| is(&self.rows[r].instance))
     }
 }
 
@@ -145,38 +230,31 @@ impl MapInner {
 pub struct MapWriter<'a>(MutexGuard<'a, MapInner>);
 
 impl MapWriter<'_> {
-    /// Insert the row `(text, page)` unless it is there, `typed` being the
-    /// typed form of `text`. `text` is rendered only if no row of the page
-    /// is known by `typed`.
+    /// Insert the row `(typed, page)` unless it is there. Typed forms are
+    /// compared first; only against a row the page holds as text is `typed`
+    /// rendered.
     pub fn insert_typed(
         &mut self,
         typed: &TypedInstance,
-        text: &dyn fmt::Display,
         page: &PageKey,
         servlet: &Arc<str>,
     ) -> Inserted {
         let map = &mut *self.0;
-        let spelled = |row: &Row| row.typed.as_ref().is_some_and(|t| t.spelled_as(typed));
+        let spelled = |row: &RowInstance| matches!(row, RowInstance::Typed(t) if t.spelled_as(typed));
         if map.row_of(page, spelled).is_some() {
             return Inserted::Known;
         }
-        let mut sql = std::mem::take(&mut map.text);
-        sql.clear();
-        write!(sql, "{text}").expect("writing to a String");
-        let outcome = match map.row_of(page, |row| row.entry.sql == sql) {
-            // A row that came as text, or under another parse of its
-            // statement: from now on it is known by this typed form.
+        let as_text = |row: &RowInstance| matches!(row, RowInstance::Text(sql) if typed.renders_as(sql));
+        match map.row_of(page, as_text) {
             Some(known) => {
-                map.rows[known].typed = Some(typed.clone());
+                map.rows[known].instance = RowInstance::Typed(typed.clone());
                 Inserted::KnownAsText
             }
             None => {
-                map.push(sql.as_str().into(), Some(typed.clone()), page, servlet);
+                map.push(RowInstance::Typed(typed.clone()), page, servlet);
                 Inserted::New
             }
-        };
-        map.text = sql;
-        outcome
+        }
     }
 }
 
@@ -186,14 +264,17 @@ impl QiUrlMap {
         QiUrlMap::default()
     }
 
-    /// Insert a (query instance, page) association; returns true if new.
+    /// Insert a (query instance, page) association given as text; returns
+    /// true if new.
     pub fn insert(&self, sql: String, page_key: PageKey, servlet: Arc<str>) -> bool {
         let mut inner = self.inner.lock();
-        let new = inner
-            .row_of(&page_key, |row| row.entry.sql == sql)
-            .is_none();
+        let same = |row: &RowInstance| match row {
+            RowInstance::Typed(typed) => typed.renders_as(&sql),
+            RowInstance::Text(text) => **text == *sql,
+        };
+        let new = inner.row_of(&page_key, same).is_none();
         if new {
-            inner.push(sql, None, &page_key, &servlet);
+            inner.push(RowInstance::Text(sql.into()), &page_key, &servlet);
         }
         new
     }
@@ -203,12 +284,15 @@ impl QiUrlMap {
         MapWriter(self.inner.lock())
     }
 
-    /// Show `visit` every entry with id >= `cursor`, in id order and in
+    /// Show `visit` every row with id >= `cursor`, in id order and in
     /// place; returns the next cursor. The map is locked until the last
     /// visit returns: the journal encodes rows straight out of it, and
     /// copies none.
-    pub fn visit_since(&self, cursor: u64, mut visit: impl FnMut(&QiUrlEntry)) -> u64 {
-        self.visit_for_registration(cursor, |entry, _| visit(entry))
+    pub fn visit_since(&self, cursor: u64, mut visit: impl FnMut(&Row)) -> u64 {
+        self.visit_for_registration(cursor, |row| {
+            visit(row);
+            None
+        })
     }
 
     /// The id the next new row will get: a cursor past every row there is.
@@ -217,18 +301,21 @@ impl QiUrlMap {
     }
 
     /// The invalidator's "constantly listening to the QI/URL map" interface
-    /// (§4.1.2): [`QiUrlMap::visit_since`], each entry with its typed form.
-    /// A `None` means "parse `sql`": a row inserted as text that no mapper
-    /// has come across since.
+    /// (§4.1.2): [`QiUrlMap::visit_since`] for a visitor that types what it
+    /// reads. What `visit` returns for a [`RowInstance::Text`] row — the
+    /// text, parsed and parameterized — the row holds from then on, in place
+    /// of the text.
     pub fn visit_for_registration(
         &self,
         cursor: u64,
-        mut visit: impl FnMut(&QiUrlEntry, Option<&TypedInstance>),
+        mut visit: impl FnMut(&Row) -> Option<TypedInstance>,
     ) -> u64 {
-        let inner = self.inner.lock();
-        let start = inner.rows.partition_point(|row| row.entry.id < cursor);
-        for row in &inner.rows[start..] {
-            visit(&row.entry, row.typed.as_ref());
+        let mut inner = self.inner.lock();
+        let start = inner.rows.partition_point(|row| row.id < cursor);
+        for row in &mut inner.rows[start..] {
+            if let (Some(typed), RowInstance::Text(_)) = (visit(row), &row.instance) {
+                row.instance = RowInstance::Typed(typed);
+            }
         }
         inner.next_id
     }
@@ -236,7 +323,7 @@ impl QiUrlMap {
     /// Every entry (diagnostics, tests).
     pub fn all(&self) -> Vec<QiUrlEntry> {
         let inner = self.inner.lock();
-        inner.rows.iter().map(|row| row.entry.clone()).collect()
+        inner.rows.iter().map(Row::entry).collect()
     }
 
     /// All QI rows registered for `page` — the QI→URL half of an eject
@@ -245,7 +332,7 @@ impl QiUrlMap {
         let inner = self.inner.lock();
         let rows = inner.by_page.get(page).map_or(&[][..], |rows| rows);
         rows.iter()
-            .map(|&r| inner.rows[r as usize].entry.clone())
+            .map(|&r| inner.rows[r as usize].entry())
             .collect()
     }
 
@@ -255,9 +342,7 @@ impl QiUrlMap {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         let before = inner.rows.len();
-        inner
-            .rows
-            .retain(|row| !pages.contains(&row.entry.page_key));
+        inner.rows.retain(|row| !pages.contains(&row.page_key));
         // The rows behind the removed ones moved up: re-number the index in
         // place (its keys stay, nothing is copied).
         inner.by_page.retain(|page, rows| {
@@ -265,7 +350,7 @@ impl QiUrlMap {
             !pages.contains(page)
         });
         for (at, row) in inner.rows.iter().enumerate() {
-            let rows = inner.by_page.get_mut(&row.entry.page_key);
+            let rows = inner.by_page.get_mut(&row.page_key);
             rows.expect("a kept row's page is indexed").push(at as u32);
         }
         before - inner.rows.len()
@@ -289,26 +374,32 @@ impl QiUrlMap {
     pub fn to_json(&self) -> String {
         let mut json = String::from("[");
         let mut separator = "";
-        self.visit_since(0, |entry| {
+        self.visit_since(0, |row| {
             json.push_str(separator);
             separator = ",";
-            entry.write_json(&mut json);
+            row.write_json(&mut json);
         });
         json.push(']');
         json
     }
 
     /// Rebuild a map from [`QiUrlMap::to_json`] output. Row ids, the dedup
-    /// set, and the registration cursor position are all reconstructed.
+    /// set, and the registration cursor position are all reconstructed; the
+    /// rows are text.
     pub fn from_json(s: &str) -> Result<QiUrlMap, serde_json::Error> {
         let entries: Vec<QiUrlEntry> = serde_json::from_str(s)?;
         let mut inner = MapInner {
             next_id: entries.iter().map(|e| e.id + 1).max().unwrap_or(0),
             ..MapInner::default()
         };
-        for mut entry in entries {
-            entry.page_key = inner.index(&entry.page_key);
-            push_tight(&mut inner.rows, Row { entry, typed: None });
+        for entry in entries {
+            let row = Row {
+                id: entry.id,
+                page_key: inner.index(&entry.page_key),
+                servlet: entry.servlet,
+                instance: RowInstance::Text(entry.sql.into()),
+            };
+            push_tight(&mut inner.rows, row);
         }
         Ok(QiUrlMap {
             inner: Mutex::new(inner),
@@ -335,7 +426,7 @@ mod tests {
         let m = QiUrlMap::new();
         let since = |cursor| {
             let mut seen = Vec::new();
-            let next = m.visit_since(cursor, |e| seen.push(e.sql.clone()));
+            let next = m.visit_since(cursor, |row| seen.push(row.entry().sql));
             (seen, next)
         };
         m.insert("Q1".into(), PageKey::raw("p1"), "s".into());
@@ -391,7 +482,16 @@ mod tests {
             "s1".into(),
         );
         m.insert("Q2".into(), PageKey::raw("p2"), "s2".into());
+        // A typed row's text is escaped as it is streamed.
+        let hostile = typed(
+            &Arc::new(parse_select("SELECT * FROM t WHERE a = $1").unwrap()),
+            Value::Str("q\"\\\n\u{1}'é".into()),
+        );
+        let inserted = (m.writer()).insert_typed(&hostile, &PageKey::raw("p3"), &"s3".into());
+        assert_eq!(inserted, Inserted::New);
         assert_eq!(m.to_json(), serde_json::to_string(&m.all()).unwrap());
+        let shipped = QiUrlMap::from_json(&m.to_json()).unwrap();
+        assert_eq!(shipped.all(), m.all());
     }
 
     #[test]
@@ -428,6 +528,8 @@ mod tests {
         assert_eq!(m.len(), 12);
     }
 
+    use cacheportal_db::sql::parser::parse_select;
+
     fn typed(template: &Arc<Select>, value: Value) -> TypedInstance {
         TypedInstance {
             template: template.clone(),
@@ -436,8 +538,7 @@ mod tests {
     }
 
     #[test]
-    fn a_typed_row_is_known_without_its_text() {
-        use cacheportal_db::sql::parser::parse_select;
+    fn a_row_holds_one_form_and_is_known_by_it() {
         let template = Arc::new(parse_select("SELECT * FROM t WHERE a = $1").unwrap());
         let reparsed = Arc::new((*template).clone());
         let servlet: Arc<str> = "s".into();
@@ -450,52 +551,72 @@ mod tests {
             servlet.clone()
         ));
         let one = typed(&template, Value::Int(1));
-        let text_of = |v: &'static str| move || format!("SELECT * FROM t WHERE a = {v}");
-        let insert = |t: &TypedInstance, v, page: &PageKey| {
-            let rendered = std::cell::Cell::new(false);
-            let text = Lazy(text_of(v), &rendered);
-            let inserted = m.writer().insert_typed(t, &text, page, &servlet);
-            assert_eq!(rendered.get(), inserted != Inserted::Known, "{inserted:?}");
-            inserted
-        };
-        // Met as text once, by its typed form from then on.
-        assert_eq!(insert(&one, "1", &p1), Inserted::KnownAsText);
-        assert_eq!(insert(&one, "1", &p1), Inserted::Known);
+        let insert = |t: &TypedInstance, page: &PageKey| m.writer().insert_typed(t, page, &servlet);
+        // Met as text once — and typed, the text dropped — known by its typed
+        // form from then on.
+        assert_eq!(insert(&one, &p1), Inserted::KnownAsText);
+        assert_eq!(insert(&one, &p1), Inserted::Known);
         // The same instance for another page is another row.
-        assert_eq!(insert(&one, "1", &p2), Inserted::New);
-        assert_eq!(insert(&one, "1", &p2), Inserted::Known);
+        assert_eq!(insert(&one, &p2), Inserted::New);
+        assert_eq!(insert(&one, &p2), Inserted::Known);
         // `1.0` equals `1` as a value, and is another text.
         let one_point_oh = typed(&template, Value::Float(1.0));
-        assert_eq!(insert(&one_point_oh, "1.0", &p1), Inserted::New);
-        assert_eq!(insert(&one_point_oh, "1.0", &p1), Inserted::Known);
-        assert_eq!(insert(&one, "1", &p1), Inserted::Known);
-        // Another parse of the statement: the same rows, found by their text.
-        let again = typed(&reparsed, Value::Int(1));
-        assert_eq!(insert(&again, "1", &p2), Inserted::KnownAsText);
-        assert_eq!(insert(&again, "1", &p2), Inserted::Known);
+        assert_eq!(insert(&one_point_oh, &p1), Inserted::New);
+        assert_eq!(insert(&one_point_oh, &p1), Inserted::Known);
+        assert_eq!(insert(&one, &p1), Inserted::Known);
+        // Another parse of the statement: the same rows, found by the
+        // template's structure.
+        assert_eq!(insert(&typed(&reparsed, Value::Int(1)), &p2), Inserted::Known);
         assert_eq!(m.len(), 3);
-        // A stored text is its own size, whatever the buffer it was written in.
-        let mut typed_rows = 0;
-        m.visit_for_registration(0, |entry, typed| {
-            assert_eq!(entry.sql.capacity(), entry.sql.len());
-            typed_rows += typed.is_some() as usize;
-        });
-        assert_eq!(typed_rows, 3);
+        m.visit_since(0, |row| assert!(matches!(row.instance(), RowInstance::Typed(_))));
+        // A typed row is found as text, too, and shown as text.
+        assert!(!m.insert("SELECT * FROM t WHERE a = 1.0".into(), p1.clone(), servlet.clone()));
+        assert!(m.insert("SELECT * FROM t WHERE a = 1.00".into(), p1.clone(), servlet.clone()));
+        let texts: Vec<String> = m.entries_for_page(&p1).into_iter().map(|e| e.sql).collect();
+        assert_eq!(
+            texts,
+            [
+                "SELECT * FROM t WHERE a = 1",
+                "SELECT * FROM t WHERE a = 1.0",
+                "SELECT * FROM t WHERE a = 1.00",
+            ]
+        );
         // A page's rows share the page's first key.
         let rows = m.entries_for_page(&PageKey::raw("p1"));
-        assert_eq!(rows.len(), 2);
         assert!(rows
             .iter()
             .all(|e| std::ptr::eq(e.page_key.as_str(), p1.as_str())));
     }
 
-    /// A text that says when it was written.
-    struct Lazy<'a, F>(F, &'a std::cell::Cell<bool>);
+    #[test]
+    fn a_rendering_is_compared_without_being_built() {
+        let template = Arc::new(parse_select("SELECT * FROM t WHERE a = $1 AND b = 'x'").unwrap());
+        let instance = typed(&template, Value::Int(12));
+        let text = instance.sql().to_string();
+        assert_eq!(text, "SELECT * FROM t WHERE a = 12 AND b = 'x'");
+        assert!(instance.renders_as(&text));
+        // A prefix, an extension and a text that parts ways in the middle.
+        assert!(!instance.renders_as(&text[..text.len() - 1]));
+        assert!(!instance.renders_as(&format!("{text} ")));
+        assert!(!instance.renders_as("SELECT * FROM t WHERE a = 13 AND b = 'x'"));
+        assert!(!instance.renders_as(""));
+    }
 
-    impl<F: Fn() -> String> fmt::Display for Lazy<'_, F> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            self.1.set(true);
-            f.write_str(&(self.0)())
-        }
+    #[test]
+    fn the_registration_scan_types_a_text_row_in_place() {
+        let template = Arc::new(parse_select("SELECT * FROM t WHERE a = $1").unwrap());
+        let m = QiUrlMap::new();
+        m.insert("SELECT * FROM t WHERE a = 1".into(), PageKey::raw("p1"), "s".into());
+        (m.writer()).insert_typed(&typed(&template, Value::Int(2)), &PageKey::raw("p2"), &"s".into());
+        let before = m.to_json();
+        let mut seen = Vec::new();
+        let next = m.visit_for_registration(0, |row| {
+            seen.push(matches!(row.instance(), RowInstance::Text(_)));
+            // What is returned for a typed row is ignored.
+            Some(typed(&template, Value::Int(1)))
+        });
+        assert_eq!((seen, next), (vec![true, false], 2));
+        m.visit_since(0, |row| assert!(matches!(row.instance(), RowInstance::Typed(_))));
+        assert_eq!(m.to_json(), before, "the same rows, as text");
     }
 }

@@ -1,34 +1,38 @@
 //! The request-to-query mapper (§3.3).
 //!
-//! At every run it joins the two logs on *interval containment*: a query
+//! At every run it joins the two logs. A query record that names its request
+//! — stamped by the query logger on the thread that served it — is joined to
+//! that one request **by id** ([`IdIndex`]): exact at any concurrency, and
+//! until the request is logged the query is retained, never handed to a
+//! neighbour. A record without an id (a hand-fed or shipped log,
+//! `QueryLog::record` called directly, a servlet that queries from another
+//! thread) is joined the paper's way, on *interval containment*: a query
 //! issued and answered inside a request's [receive, delivery] window is
-//! attributed to that request. Under concurrency a query interval can fall
-//! inside several request windows; the mapper then attributes it to all of
-//! them — conservative in exactly the direction invalidation safety needs
-//! (a page is never missing a dependency, it can only have spurious ones).
+//! attributed to that request, and one inside several windows to all of them
+//! — conservative in exactly the direction invalidation safety needs (a page
+//! is never missing a dependency, it can only have spurious ones). The
+//! record selects the join; nothing else does.
 //!
-//! The join is indexed ([`WindowIndex`]): a run costs a sort of its request
+//! Either index is built when the run's first record of its kind turns up.
+//! The containment join ([`WindowIndex`]) costs a sort of the run's request
 //! windows plus, per query, a binary search and a walk over the windows that
-//! can still reach it, instead of a pass over every window. Each distinct
-//! logged SQL text is parsed once, its query type worked out once, and an
-//! instance is typed — its type and parameter values worked out — before its
-//! text is rendered: the map knows by the typed form whether it already has
-//! the row, and most rows it has ([`MapWriter::insert_typed`]); the
-//! invalidator's registration scan, which would otherwise parse the type and
-//! the values back out of the text, reads them beside the row.
+//! can still reach it. Each distinct logged SQL text is parsed once, its
+//! query type worked out once, and an instance is typed — its type and
+//! parameter values worked out — and never rendered: the map compares typed
+//! forms to know whether it already has the row
+//! ([`MapWriter::insert_typed`]), keeps the typed form as the row, and the
+//! invalidator's registration scan reads it as it stands.
 //!
 //! [`MapWriter::insert_typed`]: crate::map::MapWriter::insert_typed
 
 use crate::map::{Inserted, QiUrlMap, TypedInstance};
 use crate::query_log::{QueryLog, QueryRecord};
 use crate::request_log::{LoggedRequest, RequestLog};
-use cacheportal_db::sql::ast::{Bound, Select, Statement};
+use cacheportal_db::sql::ast::{Select, Statement};
 use cacheportal_db::sql::parser::parse;
 use cacheportal_db::sql::rewrite::{parameterize_in_place, substitute_params, TypePlan};
-use cacheportal_db::Value;
 use cacheportal_web::clock::Micros;
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::Arc;
 
 /// Distinct logged SQL texts whose parse the mapper keeps. Like
@@ -43,12 +47,15 @@ pub struct MapperReport {
     /// (query, request) associations written to the map (after dedup the
     /// map itself may record fewer).
     pub mapped: u64,
-    /// Of those, the ones whose bound text was rendered: new rows, and rows
-    /// the map held as text only. The rest it knew by their typed form.
+    /// Of those, rows the map held as text only (a recovered or shipped
+    /// map), found by rendering the instance against the text and typed from
+    /// then on. Every other row is known, or new, by its typed form.
     pub rendered: u64,
-    /// Queries that matched more than one request window.
+    /// Queries joined to the request they name, by id.
+    pub by_id: u64,
+    /// Queries without an id that matched more than one request window.
     pub ambiguous: u64,
-    /// Queries retained for the next run (enclosing request not yet logged).
+    /// Queries retained for the next run (their request not yet logged).
     pub retained: u64,
     /// Queries dropped after exceeding the retention limit.
     pub dropped: u64,
@@ -72,6 +79,7 @@ impl MapperReport {
         MapperReport {
             mapped: self.mapped + other.mapped,
             rendered: self.rendered + other.rendered,
+            by_id: self.by_id + other.by_id,
             ambiguous: self.ambiguous + other.ambiguous,
             retained: self.retained + other.retained,
             dropped: self.dropped + other.dropped,
@@ -107,6 +115,7 @@ impl MapperReport {
 /// let mut mapper = Mapper::new(requests, queries, map.clone());
 /// let report = mapper.run_once();
 /// assert_eq!(report.mapped, 1);
+/// assert_eq!(report.by_id, 0, "a record made by hand names no request");
 /// assert_eq!(map.all()[0].sql, "SELECT * FROM Car WHERE price < 20000");
 /// ```
 pub struct Mapper {
@@ -164,7 +173,7 @@ impl Mapper {
         report.lost = lost_total - self.lost_cursor;
         self.lost_cursor = lost_total;
         let requests = self.requests.drain();
-        let windows = WindowIndex::new(&requests);
+        let (mut by_id, mut windows) = (None, None);
         let queries = std::mem::take(&mut self.pending)
             .into_iter()
             .chain(self.queries.drain().into_iter().map(|q| (q, 0)));
@@ -177,7 +186,16 @@ impl Mapper {
                 report.non_select += 1;
                 continue;
             }
-            windows.owners_of(q.received, q.delivered, &mut owners);
+            owners.clear();
+            match q.request {
+                Some(id) => {
+                    let by_id = by_id.get_or_insert_with(|| IdIndex::new(&requests));
+                    owners.extend(by_id.position_of(id, &requests));
+                }
+                None => windows
+                    .get_or_insert_with(|| WindowIndex::new(&requests))
+                    .owners_of(q.received, q.delivered, &mut owners),
+            }
             if owners.is_empty() {
                 if age >= self.max_retention {
                     report.dropped += 1;
@@ -187,15 +205,16 @@ impl Mapper {
                 }
                 continue;
             }
+            report.by_id += q.request.is_some() as u64;
             report.ambiguous += (owners.len() > 1) as u64;
-            let Some((typed, text)) = self.bind(&q) else {
+            let Some(typed) = self.bind(&q) else {
                 report.unparseable += 1;
                 continue;
             };
             report.mapped += owners.len() as u64;
             for request in owners.iter().map(|&i| &requests[i]) {
-                let inserted = rows.insert_typed(&typed, &text, &request.page_key, &request.servlet);
-                report.rendered += (inserted != Inserted::Known) as u64;
+                let inserted = rows.insert_typed(&typed, &request.page_key, &request.servlet);
+                report.rendered += (inserted == Inserted::KnownAsText) as u64;
             }
         }
         drop(rows);
@@ -203,12 +222,11 @@ impl Mapper {
         report
     }
 
-    /// A logged query, typed, and its canonical bound text — its parameters
-    /// substituted, re-rendered — yet to be written; `None` for statements
-    /// outside the supported dialect. A parameterised text is parsed the
-    /// first time it is seen (a text with its values written into it rarely
-    /// comes twice, and is not kept).
-    fn bind<'a>(&'a mut self, q: &'a QueryRecord) -> Option<(TypedInstance, BoundText<'a>)> {
+    /// A logged query, typed; `None` for statements outside the supported
+    /// dialect. A parameterised text is parsed the first time it is seen (a
+    /// text with its values written into it rarely comes twice, and is not
+    /// kept).
+    fn bind(&mut self, q: &QueryRecord) -> Option<TypedInstance> {
         if q.params.is_empty() {
             return bind_unplanned(&parse_select(&q.sql)?, q);
         }
@@ -227,39 +245,60 @@ impl Mapper {
         };
         // Every marker is one the plan binds, so a vector too short for the
         // statement fails here as it would in `substitute_params`.
-        let typed = TypedInstance {
+        Some(TypedInstance {
             template: plan.template.clone(),
             params: plan.params(&q.params).ok()?,
-        };
-        Some((typed, BoundText::Unwritten(&logged.stmt, &q.params)))
+        })
     }
 }
 
-/// The canonical bound text of a logged query.
-enum BoundText<'a> {
-    /// The statement and the values to write into it.
-    Unwritten(&'a Select, &'a [Value]),
-    /// The text: a statement whose type depends on its values is
-    /// substituted, and so rendered, to be typed.
-    Written(String),
-}
-
-impl fmt::Display for BoundText<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BoundText::Unwritten(stmt, params) => Bound(*stmt, params).fmt(f),
-            BoundText::Written(sql) => f.write_str(sql),
-        }
-    }
-}
-
-/// [`Mapper::bind`] for a statement without a [`TypePlan`].
-fn bind_unplanned(stmt: &Select, q: &QueryRecord) -> Option<(TypedInstance, BoundText<'static>)> {
+/// [`Mapper::bind`] for a statement without a [`TypePlan`]: its type depends
+/// on its values, so they are substituted and lifted back out.
+fn bind_unplanned(stmt: &Select, q: &QueryRecord) -> Option<TypedInstance> {
     let mut bound = substitute_params(stmt, &q.params).ok()?;
-    let sql = bound.to_string();
     let params = parameterize_in_place(&mut bound).into();
     let template = Arc::new(bound);
-    Some((TypedInstance { template, params }, BoundText::Written(sql)))
+    Some(TypedInstance { template, params })
+}
+
+/// The requests of one run by id. One application server numbers its
+/// requests from one counter, so the ids a run sees are dense: a table of
+/// log positions indexed by `id − min`, smaller than the window index it
+/// stands in for and built without a sort.
+struct IdIndex {
+    min: u64,
+    /// Log position + 1 of the request with id `min + i`; 0 for none. Empty
+    /// when the run's ids are not dense (hand-fed records): the log is
+    /// searched then, rather than a table sized by what the ids say.
+    slots: Vec<u32>,
+}
+
+impl IdIndex {
+    fn new(requests: &[LoggedRequest]) -> IdIndex {
+        let ids = || requests.iter().map(|r| r.id);
+        let (min, max) = (ids().min().unwrap_or(0), ids().max().unwrap_or(0));
+        let mut slots = Vec::new();
+        if let Some(span) = usize::try_from(max - min)
+            .ok()
+            .filter(|&span| span <= 8 * requests.len() + 1024)
+        {
+            slots.resize(span + 1, 0);
+            for (at, r) in requests.iter().enumerate().rev() {
+                slots[(r.id - min) as usize] =
+                    u32::try_from(at + 1).expect("a run holds fewer than 2^32 requests");
+            }
+        }
+        IdIndex { min, slots }
+    }
+
+    /// The log position of the (first) request with `id`.
+    fn position_of(&self, id: u64, requests: &[LoggedRequest]) -> Option<usize> {
+        if self.slots.is_empty() {
+            return requests.iter().position(|r| r.id == id);
+        }
+        let slot = *self.slots.get(usize::try_from(id.checked_sub(self.min)?).ok()?)?;
+        (slot as usize).checked_sub(1)
+    }
 }
 
 /// The request windows of one run, indexed for containment queries: sorted
@@ -320,7 +359,8 @@ fn parse_select(sql: &str) -> Option<Select> {
 /// Canonical bound SQL text of a logged query: parse, substitute parameters,
 /// re-render. Returns `None` for statements outside the supported dialect.
 pub fn canonical_bound_sql(q: &QueryRecord) -> Option<String> {
-    bind_unplanned(&parse_select(&q.sql)?, q).map(|(_, sql)| sql.to_string())
+    let bound = substitute_params(&parse_select(&q.sql)?, &q.params).ok()?;
+    Some(bound.to_string())
 }
 
 #[cfg(test)]
@@ -347,6 +387,7 @@ mod tests {
             is_select: true,
             received: recv,
             delivered: deliver,
+            request: None,
         }
     }
 
@@ -359,7 +400,7 @@ mod tests {
     }
 
     fn push_query(ql: &QueryLog, q: QueryRecord) {
-        ql.record(&q.sql, &q.params, q.is_select, q.received, q.delivered);
+        ql.record_for(q.request, &q.sql, &q.params, q.is_select, q.received, q.delivered);
     }
 
     #[test]
@@ -388,12 +429,55 @@ mod tests {
         push_query(&ql, query("SELECT * FROM Car", vec![], 25, 30));
         let rep = mapper.run_once();
         assert_eq!(rep.mapped, 2);
-        assert_eq!(rep.ambiguous, 1);
+        assert_eq!((rep.ambiguous, rep.by_id), (1, 0));
         assert_eq!(mapper.map().len(), 2);
     }
 
     #[test]
-    fn a_row_the_map_has_is_not_rendered_again() {
+    fn a_query_that_names_its_request_maps_to_it_alone() {
+        let (rl, ql, mut mapper) = setup();
+        rl.on_request(request(1, 10, 50));
+        rl.on_request(request(2, 20, 40));
+        // Inside both windows, and outside its own request's: the id decides.
+        let by = |id, recv, deliver| QueryRecord {
+            request: Some(id),
+            ..query("SELECT * FROM Car", vec![], recv, deliver)
+        };
+        push_query(&ql, by(1, 25, 30));
+        push_query(&ql, by(2, 90, 95));
+        // Request 3 is not logged yet (or failed): its query waits for it,
+        // whatever windows contain it.
+        push_query(&ql, by(3, 25, 30));
+        let rep = mapper.run_once();
+        assert_eq!((rep.mapped, rep.by_id, rep.ambiguous, rep.retained), (2, 2, 0, 1));
+        let pages: Vec<_> = mapper.map().all().into_iter().map(|e| e.page_key).collect();
+        assert_eq!(pages, [PageKey::raw("page1"), PageKey::raw("page2")]);
+        rl.on_request(request(3, 0, 100));
+        let rep = mapper.run_once();
+        assert_eq!((rep.mapped, rep.by_id, rep.retained), (1, 1, 0));
+        assert_eq!(mapper.map().all()[2].page_key, PageKey::raw("page3"));
+    }
+
+    #[test]
+    fn ids_that_are_not_dense_are_searched_not_tabled() {
+        let (rl, ql, mut mapper) = setup();
+        // Hand-fed ids a table indexed by `id - min` could not hold.
+        rl.on_request(request(7, 10, 20));
+        rl.on_request(request(u64::MAX, 10, 20));
+        for id in [u64::MAX, 7, 8] {
+            push_query(&ql, QueryRecord {
+                request: Some(id),
+                ..query("SELECT * FROM Car", vec![], 12, 15)
+            });
+        }
+        let rep = mapper.run_once();
+        assert_eq!((rep.mapped, rep.by_id, rep.retained), (2, 2, 1));
+        let pages: Vec<_> = mapper.map().all().into_iter().map(|e| e.page_key).collect();
+        assert_eq!(pages, [PageKey::raw(format!("page{}", u64::MAX)), PageKey::raw("page7")]);
+    }
+
+    #[test]
+    fn a_row_the_map_has_is_known_by_its_typed_form() {
         let (rl, ql, mut mapper) = setup();
         let serve = |price: i64| {
             rl.on_request(request(1, 10, 20));
@@ -402,17 +486,17 @@ mod tests {
         };
         serve(5);
         let first = mapper.run_once();
-        assert_eq!((first.mapped, first.rendered), (2, 2));
+        assert_eq!((first.mapped, first.rendered), (2, 0));
         // The page again: the parameterised statement's row is known by its
-        // typed form; the statement with its value written in is parsed and
-        // rendered to be typed at all.
+        // template, the statement with its value written in — parsed anew —
+        // by its template's structure.
         serve(5);
         let again = mapper.run_once();
-        assert_eq!((again.mapped, again.rendered), (2, 1));
+        assert_eq!((again.mapped, again.rendered), (2, 0));
         assert_eq!(mapper.map().len(), 2);
         serve(6);
         let other = mapper.run_once();
-        assert_eq!((other.mapped, other.rendered), (2, 2));
+        assert_eq!((other.mapped, other.rendered), (2, 0));
         let texts: Vec<String> = mapper.map().all().into_iter().map(|e| e.sql).collect();
         assert_eq!(
             texts,

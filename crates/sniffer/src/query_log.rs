@@ -6,10 +6,16 @@
 //! seam, wrapping the factory captures *all* queries regardless of how the
 //! application obtained the connection — the paper's argument for wrapping
 //! at the driver.
+//!
+//! The wrapper runs on the thread that runs the servlet, inside the servlet
+//! wrapper's [`RequestScope`](cacheportal_web::RequestScope): it stamps each
+//! record with the id of the request it was issued for, and the mapper joins
+//! on that. A record made any other way carries no id and is joined on its
+//! timestamps, as in the paper.
 
 use cacheportal_db::{DbResult, ExecOutcome, FaultPlan, QueryResult, Value};
 use cacheportal_web::clock::{Clock, Micros};
-use cacheportal_web::Connection;
+use cacheportal_web::{current_request, Connection};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,6 +41,12 @@ pub struct QueryRecord {
     pub received: Micros,
     /// Result delivery time.
     pub delivered: Micros,
+    /// The request the statement was issued for — the id its
+    /// `RequestRecord` will carry — when the logger knew: it was called on
+    /// the thread serving the request. `None` (a hand-fed or shipped log, a
+    /// servlet that queries from another thread) leaves the mapper the
+    /// timestamps.
+    pub request: Option<u64>,
 }
 
 /// Append-only query log shared by all logged connections.
@@ -86,9 +98,22 @@ impl QueryLog {
         self.duplicated.load(Ordering::Relaxed)
     }
 
-    /// Append one query record.
+    /// Append one query record that names no request.
     pub fn record(
         &self,
+        sql: &str,
+        params: &[Value],
+        is_select: bool,
+        received: Micros,
+        delivered: Micros,
+    ) {
+        self.record_for(None, sql, params, is_select, received, delivered);
+    }
+
+    /// Append one query record, issued for `request` if that is known.
+    pub fn record_for(
+        &self,
+        request: Option<u64>,
         sql: &str,
         params: &[Value],
         is_select: bool,
@@ -102,6 +127,7 @@ impl QueryLog {
             is_select,
             received,
             delivered,
+            request,
         };
         let fault = self.fault.lock().clone();
         if fault.drop_query_record(rec.id) {
@@ -189,7 +215,8 @@ impl<C: Connection> Connection for LoggedConnection<C> {
         let result = self.inner.query(sql, params);
         let delivered = self.clock.tick();
         if result.is_ok() {
-            self.log.record(sql, params, true, received, delivered);
+            self.log
+                .record_for(current_request(), sql, params, true, received, delivered);
         }
         result
     }
@@ -199,7 +226,8 @@ impl<C: Connection> Connection for LoggedConnection<C> {
         let result = self.inner.execute(sql, params);
         let delivered = self.clock.tick();
         if result.is_ok() {
-            self.log.record(sql, params, false, received, delivered);
+            self.log
+                .record_for(current_request(), sql, params, false, received, delivered);
         }
         result
     }
@@ -232,6 +260,20 @@ mod tests {
         assert!(r.is_select);
         assert_eq!(r.params, vec![Value::Int(1)]);
         assert!(r.received > 100 && r.delivered > r.received);
+        assert_eq!(r.request, None, "no request is being served");
+    }
+
+    #[test]
+    fn queries_are_stamped_with_the_request_their_thread_serves() {
+        let (mut conn, log, _) = setup();
+        {
+            let _scope = cacheportal_web::RequestScope::enter(7);
+            conn.query("SELECT * FROM t", &[]).unwrap();
+            conn.execute("INSERT INTO t VALUES (2)", &[]).unwrap();
+        }
+        conn.query("SELECT * FROM t", &[]).unwrap();
+        let stamps: Vec<Option<u64>> = log.drain().iter().map(|r| r.request).collect();
+        assert_eq!(stamps, [Some(7), Some(7), None]);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! the servlet-wrapper design from the paper: nothing in the servlet or the
 //! web server changes.
 //!
-//! The log keeps of a request what the mapper joins on: the page it produced
-//! and the window it was served in. The request, cookie and POST strings of
+//! The log keeps of a request what the mapper joins on: its id, the page it
+//! produced and the window it was served in. The request, cookie and POST strings of
 //! §3.1 are what the page key was computed from, and the application server
 //! does not record them: between two mapper runs the log holds one entry per
 //! generated page, so an entry's size is what a faster site pays in memory.
@@ -18,6 +18,9 @@ use std::sync::Arc;
 /// One logged request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct LoggedRequest {
+    /// The id the application server gave the request, and the query logger
+    /// stamped on its queries.
+    pub(crate) id: u64,
     /// Canonical page key (host + path + key params).
     pub(crate) page_key: PageKey,
     /// Servlet that served the request.
@@ -59,6 +62,7 @@ impl RequestLog {
 impl RequestObserver for RequestLog {
     fn on_request(&self, record: RequestRecord) {
         self.inner.lock().push(LoggedRequest {
+            id: record.id,
             page_key: record.page_key,
             servlet: record.servlet,
             received: record.received,
@@ -89,6 +93,7 @@ mod tests {
         assert_eq!(log.len(), 2);
         let drained = log.drain();
         assert_eq!(drained.len(), 2);
+        assert_eq!(drained[1].id, 2);
         assert_eq!(drained[1].page_key, PageKey::raw("k2"));
         assert_eq!((drained[1].received, drained[1].delivered), (20, 25));
         assert_eq!(&*drained[1].servlet, "s");

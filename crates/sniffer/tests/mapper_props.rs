@@ -1,10 +1,16 @@
-//! Property tests for the interval-containment mapper.
+//! Property tests for the mapper's two joins.
 //!
 //! * With non-overlapping request windows (serial requests), every query is
 //!   attributed to exactly the request that issued it.
-//! * With arbitrary (possibly overlapping) windows, the attribution is a
-//!   superset of the truth — conservative in the safe direction.
-//! * The mapper's indexed join, parse memo and de-duplication by typed form
+//! * With arbitrary (possibly overlapping) windows, the containment join's
+//!   attribution is a superset of the truth — conservative in the safe
+//!   direction.
+//! * Queries that name their request are attributed to it and to no other,
+//!   whatever overlaps — the ground truth, and a subset of what the
+//!   containment join makes of the same logs without the ids — also in logs
+//!   where only some queries name one, where requests fail or are logged a
+//!   run late, and under duplicate and reorder faults.
+//! * The mapper's indexed joins, parse memo and de-duplication by typed form
 //!   produce the map — rows, order, ids — and the reports of the join it
 //!   replaced: every window compared with every query, every query parsed,
 //!   substituted and re-rendered, every row compared as text; and what the
@@ -16,7 +22,7 @@ use cacheportal_db::sql::rewrite::parameterize;
 use cacheportal_db::{FaultPlan, FaultSpec, Value};
 use cacheportal_sniffer::{
     canonical_bound_sql, Mapper, MapperReport, QiUrlEntry, QiUrlMap, QueryLog, QueryRecord,
-    RequestLog,
+    RequestLog, RowInstance,
 };
 use cacheportal_web::{PageKey, RequestObserver, RequestRecord};
 use proptest::prelude::*;
@@ -166,7 +172,9 @@ fn run_strategy() -> impl Strategy<Value = RunSpec> {
     )
 }
 
-/// The join the mapper ran before it was indexed, over the same logs.
+/// The join the mapper ran before it was indexed, over the same logs: every
+/// window compared with every query — or, for a query that names its
+/// request, every request's id.
 #[derive(Default)]
 struct Reference {
     pending: Vec<(QueryRecord, u8)>,
@@ -183,10 +191,13 @@ impl Reference {
                 report.non_select += 1;
                 continue;
             }
-            let owners: Vec<&RequestRecord> = requests
-                .iter()
-                .filter(|r| r.received <= q.received && q.delivered <= r.delivered)
-                .collect();
+            let owners: Vec<&RequestRecord> = match q.request {
+                Some(id) => requests.iter().filter(|r| r.id == id).take(1).collect(),
+                None => requests
+                    .iter()
+                    .filter(|r| r.received <= q.received && q.delivered <= r.delivered)
+                    .collect(),
+            };
             if owners.is_empty() {
                 if age >= 2 {
                     report.dropped += 1;
@@ -196,6 +207,7 @@ impl Reference {
                 }
                 continue;
             }
+            report.by_id += q.request.is_some() as u64;
             report.ambiguous += (owners.len() > 1) as u64;
             let Some(sql) = canonical_bound_sql(&q) else {
                 report.unparseable += 1;
@@ -260,6 +272,7 @@ proptest! {
             }
         }
         let text_only = reference.rows.clone();
+        let mut text_typed = 0;
 
         for (run, (windows, queries)) in runs.iter().enumerate() {
             let requests: Vec<RequestRecord> = windows
@@ -280,7 +293,6 @@ proptest! {
                 }
             }
 
-            let rows_before = map.len();
             let got = mapper.run_once();
             let want = reference.run(&requests, shadow.drain());
             prop_assert_eq!(
@@ -289,24 +301,22 @@ proptest! {
                 "report of run {}", run
             );
             prop_assert_eq!(&map.all(), &reference.rows, "rows after run {}", run);
-            let new_rows = (map.len() - rows_before) as u64;
-            prop_assert!(
-                (new_rows..=got.mapped).contains(&got.rendered),
-                "run {} rendered {} texts for {} new rows", run, got.rendered, new_rows
-            );
+            // Only a row held as text is ever rendered against, and once.
+            text_typed += got.rendered as usize;
+            prop_assert!(text_typed <= text_only.len(), "run {} rendered {}", run, got.rendered);
 
             // The registration scan: every row the mapper inserted since the
-            // previous scan, in whichever run, comes with its typed form, and
-            // that form is its text, parsed. A row that came as text has one
-            // once a mapper has come across it.
+            // previous scan, in whichever run, is typed, and its typed form
+            // is its text, parsed. A row that came as text is typed once a
+            // mapper has come across it.
             if scan_every_run || run + 1 == runs.len() {
                 let mut rows = Vec::new();
-                let next = map.visit_for_registration(cursor, |entry, typed| {
-                    rows.push((entry.clone(), typed.cloned()));
+                let next = map.visit_since(cursor, |row| {
+                    rows.push((row.entry(), row.instance().clone()));
                 });
                 prop_assert_eq!(rows.len(), reference.rows.len() - scanned);
-                for (entry, typed) in &rows {
-                    let Some(typed) = typed else {
+                for (entry, instance) in &rows {
+                    let RowInstance::Typed(typed) = instance else {
                         prop_assert!(text_only.contains(entry), "untyped: {}", entry.sql);
                         continue;
                     };
@@ -320,9 +330,151 @@ proptest! {
                 // The typed forms stay with their rows: a scan from the
                 // start reads them again.
                 let mut again = 0;
-                map.visit_for_registration(0, |_, typed| again += typed.is_some() as usize);
+                map.visit_since(0, |row| {
+                    again += matches!(row.instance(), RowInstance::Typed(_)) as usize;
+                });
                 prop_assert!(again + text_only.len() >= reference.rows.len());
             }
+        }
+    }
+}
+
+/// What became of a request: logged when it was delivered; delivered, and so
+/// logged, only after the next mapper run had drained the logs; or failed —
+/// its queries logged, the request never.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fate {
+    Logged,
+    LoggedLate,
+    Failed,
+}
+
+/// `(received, length, queries, fate)`; a query is `(how far into the window
+/// it was issued, whether it names its request)`.
+type Served = (u64, u64, Vec<(u64, bool)>, Fate);
+
+fn served_strategy() -> impl Strategy<Value = Vec<Served>> {
+    let fate = prop_oneof![
+        3 => Just(Fate::Logged),
+        1 => Just(Fate::LoggedLate),
+        1 => Just(Fate::Failed),
+    ];
+    let queries = prop::collection::vec((0u64..100, any::<bool>()), 0..4);
+    prop::collection::vec((0u64..100, 4u64..60, queries, fate), 1..14)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Concurrent requests whose queries name them (all, or some: a mixed
+    /// log): the id join is the ground truth, equals the exhaustive join, and
+    /// stays inside what interval containment makes of the same logs.
+    #[test]
+    fn queries_that_name_their_request_map_to_it_alone(
+        served in served_strategy(),
+        first_id in 1u64..1000,
+        all_named in any::<bool>(),
+        duplicate in 0u8..3,
+        reorder in any::<bool>(),
+    ) {
+        let rl = Arc::new(RequestLog::new());
+        let (ql, shadow) = (QueryLog::new(), QueryLog::new());
+        // The same logs without the ids, joined on containment in one run.
+        let (plain_rl, plain_ql) = (Arc::new(RequestLog::new()), QueryLog::new());
+        for log in [&ql, &shadow, &plain_ql] {
+            log.set_fault_plan(FaultPlan::new(FaultSpec {
+                seed: 11,
+                sniffer_dup: f64::from(duplicate) * 0.4,
+                sniffer_reorder: reorder,
+                ..FaultSpec::default()
+            }));
+        }
+        let map = Arc::new(QiUrlMap::new());
+        let mut mapper = Mapper::new(rl.clone(), ql.clone(), map.clone());
+        let mut reference = Reference::default();
+
+        // (marker, the request's page if it is ever logged, named)
+        let mut issued = Vec::new();
+        let (mut on_time, mut late) = (Vec::new(), Vec::new());
+        for (i, (recv, len, queries, fate)) in served.iter().enumerate() {
+            // One counter numbers the requests; a failed one leaves a gap.
+            let record = request(first_id + i as u64, *recv, recv + len);
+            for (k, &(offset, named)) in queries.iter().enumerate() {
+                let named = all_named || named;
+                let marker = (i * 10 + k) as i64;
+                let at = recv + 1 + offset % (len - 2);
+                for log in [&ql, &shadow] {
+                    log.record_for(
+                        named.then_some(record.id),
+                        "SELECT * FROM t WHERE a = $1",
+                        &[Value::Int(marker)],
+                        true,
+                        at,
+                        at + 1,
+                    );
+                }
+                plain_ql.record("SELECT * FROM t WHERE a = $1", &[Value::Int(marker)], true, at, at + 1);
+                let page = (*fate != Fate::Failed).then(|| record.page_key.clone());
+                issued.push((marker, page, named, *fate));
+            }
+            match fate {
+                Fate::Logged => on_time.push(record),
+                Fate::LoggedLate => late.push(record),
+                Fate::Failed => {}
+            }
+        }
+        // Run 1 sees the requests logged on time, run 2 the late ones, runs
+        // 3 and 4 nothing new: what is still retained is dropped.
+        for (run, requests) in [on_time.clone(), late.clone(), vec![], vec![]].iter().enumerate() {
+            for r in requests {
+                rl.on_request(r.clone());
+            }
+            let got = mapper.run_once();
+            let want = reference.run(requests, shadow.drain());
+            prop_assert_eq!(
+                MapperReport { elapsed_micros: 0, ..got },
+                want,
+                "report of run {}", run
+            );
+            prop_assert_eq!(&map.all(), &reference.rows, "rows after run {}", run);
+            if all_named {
+                prop_assert_eq!((got.ambiguous, got.by_id), (0, got.mapped), "run {}", run);
+            }
+        }
+        let rows = map.all();
+        let pages_of = |rows: &[QiUrlEntry], marker: i64| -> Vec<PageKey> {
+            rows.iter()
+                .filter(|r| r.sql.ends_with(&format!("a = {marker}")))
+                .map(|r| r.page_key.clone())
+                .collect()
+        };
+        // Ground truth: a query that names its request is filed under that
+        // request's page and no other — under none if the request failed.
+        for (marker, page, named, _) in &issued {
+            if *named {
+                let want: Vec<PageKey> = page.iter().cloned().collect();
+                prop_assert_eq!(pages_of(&rows, *marker), want, "query {}", marker);
+            }
+        }
+        // A query that names none still never loses an owner logged on time.
+        for (marker, page, named, fate) in &issued {
+            if !*named && *fate == Fate::Logged {
+                prop_assert!(pages_of(&rows, *marker).contains(page.as_ref().unwrap()));
+            }
+        }
+
+        // And every row is one the containment join makes of the same logs.
+        for r in on_time.iter().chain(&late) {
+            plain_rl.on_request(r.clone());
+        }
+        let plain_map = Arc::new(QiUrlMap::new());
+        Mapper::new(plain_rl, plain_ql, plain_map.clone()).run_once();
+        let plain = plain_map.all();
+        for row in &rows {
+            prop_assert!(
+                plain.iter().any(|p| p.sql == row.sql && p.page_key == row.page_key),
+                "{} under {} is not in the containment join", row.sql, row.page_key
+            );
         }
     }
 }

@@ -5,6 +5,7 @@
 use crate::clock::{Clock, Micros};
 use crate::connection::ConnectionPool;
 use crate::http::{CacheControl, HttpRequest, HttpResponse};
+use crate::scope::RequestScope;
 use crate::servlet::Servlet;
 use crate::url::PageKey;
 use parking_lot::RwLock;
@@ -17,7 +18,9 @@ use std::sync::Arc;
 /// what the page key is computed from.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RequestRecord {
-    /// Unique request id.
+    /// Unique request id, taken before the servlet ran: the query logger
+    /// finds it in the thread's [`RequestScope`] and stamps it on the
+    /// request's queries.
     pub id: u64,
     /// Servlet that served the request (a clone of its spec's name).
     pub servlet: Arc<str>,
@@ -134,10 +137,16 @@ impl AppServer {
     ) -> HttpResponse {
         self.requests_served.fetch_add(1, Ordering::Relaxed);
 
+        // The request's id is taken before the servlet runs and held where
+        // the query logger finds it: every statement the servlet issues on
+        // this thread is logged as this request's.
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let received = self.clock.tick();
-        let mut conn = self.pool.checkout();
-        let outcome = servlet.handle(req, &mut conn);
-        drop(conn);
+        let outcome = {
+            let _scope = RequestScope::enter(id);
+            let mut conn = self.pool.checkout();
+            servlet.handle(req, &mut conn)
+        };
         let delivered = self.clock.tick();
 
         let body = match outcome {
@@ -149,7 +158,7 @@ impl AppServer {
         let spec = servlet.spec();
         if let Some(obs) = self.observer.read().as_ref() {
             obs.on_request(RequestRecord {
-                id: self.next_id.fetch_add(1, Ordering::Relaxed),
+                id,
                 servlet: spec.name.clone(),
                 page_key: page_key(),
                 received,
@@ -173,7 +182,8 @@ mod tests {
     use super::*;
     use crate::clock::ManualClock;
     use crate::connection::{shared, ConnectionFactory, DbConnection};
-    use crate::servlet::{ParamSource, QueryTemplate, ServletSpec, SqlServlet};
+    use crate::scope::current_request;
+    use crate::servlet::{FnServlet, ParamSource, QueryTemplate, ServletSpec, SqlServlet};
     use cacheportal_db::schema::ColType;
     use cacheportal_db::Database;
     use parking_lot::Mutex;
@@ -261,6 +271,57 @@ mod tests {
         assert!(r.received > 100 && r.delivered > r.received);
         assert_eq!(&*r.servlet, "cars");
         assert!(r.page_key.as_str().contains("maxprice=30000"));
+    }
+
+    /// A servlet that notes which request its thread is serving, then does
+    /// what its `then` parameter says: fail, panic, or serve `/probe` again
+    /// from inside itself.
+    fn probe(app: &Arc<AppServer>, seen: &Arc<Mutex<Vec<Option<u64>>>>) -> Arc<dyn Servlet> {
+        let (inner, seen) = (Arc::downgrade(app), seen.clone());
+        Arc::new(FnServlet::new(ServletSpec::new("probe"), move |req, _conn| {
+            seen.lock().push(current_request());
+            match req.get_param("then") {
+                Some("fail") => Err(cacheportal_db::DbError::Unsupported("probe".into())),
+                Some("panic") => panic!("probe"),
+                Some("nest") => {
+                    let app = inner.upgrade().expect("the server outlives its requests");
+                    let nested = app.handle(&HttpRequest::get("h", "/probe", &[]));
+                    seen.lock().push(current_request());
+                    Ok(nested.body.to_string())
+                }
+                _ => Ok("ok".into()),
+            }
+        }))
+    }
+
+    #[test]
+    fn request_scope_is_restored_after_error_panic_and_nested_serve() {
+        let (app, _) = app(false);
+        let app = Arc::new(app);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        app.register(probe(&app, &seen));
+        let cap = Arc::new(Capture(Mutex::new(Vec::new())));
+        app.set_observer(cap.clone());
+        let get = |then: &str| app.handle(&HttpRequest::get("h", "/probe", &[("then", then)]));
+
+        assert_eq!(get("fail").status.code(), 500);
+        assert_eq!(current_request(), None, "after a servlet error");
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| get("panic")));
+        assert!(unwound.is_err());
+        assert_eq!(current_request(), None, "after a panic");
+        assert_eq!(get("nest").status.code(), 200);
+        assert_eq!(current_request(), None, "after a nested serve");
+        assert_eq!(get("").status.code(), 200);
+
+        // Each servlet ran in its own request's scope; the outer servlet of
+        // the nested pair was back in its own after the inner returned.
+        assert_eq!(
+            *seen.lock(),
+            [Some(1), Some(2), Some(3), Some(4), Some(3), Some(5)]
+        );
+        // The logged ids are the ones the servlets saw; failures log nothing.
+        let logged: Vec<u64> = cap.0.lock().iter().map(|r| r.id).collect();
+        assert_eq!(logged, [4, 3, 5]);
     }
 
     #[test]

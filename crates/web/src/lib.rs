@@ -15,6 +15,7 @@ pub mod connection;
 pub mod http;
 pub mod inline;
 pub mod render;
+pub mod scope;
 pub mod servlet;
 pub mod url;
 pub mod webserver;
@@ -24,6 +25,7 @@ pub use clock::{Clock, ManualClock, Micros, SystemClock};
 pub use connection::{shared, Connection, ConnectionFactory, ConnectionPool, DbConnection, SharedDb};
 pub use http::{CacheControl, HttpRequest, HttpResponse, Method, Status};
 pub use inline::{push_tight, InlineVec};
+pub use scope::{current_request, RequestScope};
 pub use servlet::{FnServlet, ParamSource, QueryTemplate, Servlet, ServletSpec, SqlServlet};
 pub use url::PageKey;
 pub use webserver::WebServer;

@@ -39,7 +39,7 @@ cargo test -q --release --offline -p cacheportal --test persist_alloc
 
 echo "== registered-page footprint (counting allocator, release) =="
 # What the QI/URL map, the registry and the predicate index hold per
-# registered page of the benchmark's storefront (<= 720 bytes, <= 7 blocks),
+# registered page of the benchmark's storefront (<= 540 bytes, <= 3 blocks),
 # that a pass of duplicate rows renders nothing and keeps nothing, that a
 # cache hit allocates one block (its key's text), and that a page admitted
 # at the origin and two in-process edges puts one body on the heap.
@@ -53,10 +53,14 @@ echo "== sync-point analysis allocation bound (counting allocator, release) =="
 # and the engine parses nothing — a poll runs from the tree it was built as.
 cargo test -q --release --offline -p cacheportal-invalidator --test analysis_alloc
 
-echo "== admission vs. mapper race (60 rounds, release) =="
+echo "== admission vs. mapper race (60 rounds), attribution counted (release) =="
 # Two readers missing on 400 pages against back-to-back sync points: no page
-# may be cached without its QI/URL rows. In release, where the interleaving
-# is the one production runs (the debug run above makes the same 60 rounds).
+# may be cached without its QI/URL rows. And the storefront's 4 300 pages
+# missed from 1, 2 and 4 threads, and from 4 threads on a 3-node farm: the
+# map holds exactly one row per page, each under the page that issued it
+# (`mapper.mapped == by_id == 4300`, `ambiguous == 0`). In release, where
+# the interleaving is the one production runs (the debug run above makes the
+# same rounds).
 cargo test -q --release --offline --test concurrency
 
 echo "== fuzz harness smoke (safety contract, all policies x fault classes) =="

@@ -3,6 +3,8 @@
 //! multiple threads simultaneously without deadlock — and a final sync
 //! point restores full freshness. And the admission rule under the same
 //! contention: no page is cached whose generation a mapper run overlapped.
+//! And attribution: however many threads miss at once, on one server or a
+//! farm, every query is filed under the request that issued it and no other.
 
 use cacheportal::db::schema::ColType;
 use cacheportal::db::Database;
@@ -184,4 +186,138 @@ fn no_page_is_cached_whose_generation_a_mapper_run_overlapped() {
         declined += (portal.obs().metrics).counter_value("cache.admission.declined_race");
     }
     println!("{declined} admissions declined over {ROUNDS} rounds");
+}
+
+/// `portal_load`'s storefront: 4 000 product pages and 100 each of three
+/// category pages, one query per page.
+const STOREFRONT: [(&str, &str, usize, &str); 4] = [
+    (
+        "product",
+        "sku",
+        4000,
+        "SELECT products.sku, products.name, products.price, inventory.warehouse, \
+         inventory.stock FROM products, inventory \
+         WHERE products.sku = $1 AND products.sku = inventory.sku",
+    ),
+    (
+        "catalog",
+        "category",
+        100,
+        "SELECT sku, name, price FROM products WHERE category = $1 ORDER BY price, sku",
+    ),
+    (
+        "top",
+        "category",
+        100,
+        "SELECT sku, name, price FROM products WHERE category = $1 ORDER BY price DESC LIMIT 10",
+    ),
+    (
+        "stats",
+        "category",
+        100,
+        "SELECT COUNT(*), SUM(price) FROM products WHERE category = $1",
+    ),
+];
+
+fn storefront(nodes: usize) -> CachePortal {
+    let mut db = Database::new();
+    db.execute(
+        "CREATE TABLE products (sku INT, name TEXT, category INT, price INT, \
+         INDEX(sku), INDEX(category))",
+    )
+    .unwrap();
+    db.execute("CREATE TABLE inventory (sku INT, warehouse INT, stock INT, INDEX(sku))")
+        .unwrap();
+    for sku in 0..4000i64 {
+        let product = vec![sku.into(), format!("Product {sku}").into(), (sku % 100).into(), (100 + sku).into()];
+        db.insert_row("products", product).unwrap();
+        db.insert_row("inventory", vec![sku.into(), (sku % 8).into(), (sku % 500).into()])
+            .unwrap();
+    }
+    let portal = CachePortal::builder(db)
+        .nodes(nodes)
+        .cache_config(cacheportal::cache::PageCacheConfig {
+            capacity: 8600,
+            ..Default::default()
+        })
+        .build()
+        .unwrap();
+    for (name, param, _, sql) in STOREFRONT {
+        portal.register_servlet(Arc::new(SqlServlet::new(
+            ServletSpec::new(name).with_key_get_params(&[param]),
+            name,
+            vec![QueryTemplate::new(sql, vec![ParamSource::Get(param.into(), ColType::Int)])],
+        )));
+    }
+    portal
+}
+
+/// Every page of the storefront missed once, from `threads` threads at a
+/// time, then one sync point: the map holds exactly one row per page, and
+/// each row's instance is the one its page's servlet issued for its page.
+/// Joined on interval containment this counted 4 980–7 245 rows on two
+/// threads: a query was filed under every request it overlapped.
+fn prefill_maps_one_row_per_page(nodes: usize, threads: usize) {
+    let portal = storefront(nodes);
+    // (request, the page it makes, the query instance that page depends on)
+    let mut pages = Vec::new();
+    for (name, param, count, sql) in STOREFRONT {
+        for value in 0..count {
+            let req = HttpRequest::get("shop", &format!("/{name}"), &[(param, &value.to_string())]);
+            let page = format!("shop/{name}?g:{param}={value}");
+            pages.push((req, page, sql.replace("$1", &value.to_string())));
+        }
+    }
+    let start = Barrier::new(threads);
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let (portal, pages, start) = (&portal, &pages, &start);
+            scope.spawn(move || {
+                start.wait();
+                for (req, _, _) in pages.iter().skip(t).step_by(threads) {
+                    assert_eq!(portal.request(req).served, Served::Generated);
+                }
+            });
+        }
+    });
+    let sync = portal.sync_point().unwrap();
+    let at = format!("{nodes} node(s), {threads} thread(s)");
+    let mapper = sync.mapper;
+    assert_eq!(
+        (mapper.mapped, mapper.by_id, mapper.ambiguous, mapper.retained),
+        (pages.len() as u64, pages.len() as u64, 0, 0),
+        "{at}"
+    );
+    let registered = &sync.invalidation;
+    assert_eq!(
+        (registered.registered, registered.registered_from_text),
+        (pages.len() as u64, 0),
+        "{at}"
+    );
+    let mut rows: Vec<(String, String)> = (portal.qi_url_map().all().into_iter())
+        .map(|row| (row.page_key.to_string(), row.sql))
+        .collect();
+    rows.sort();
+    let mut want: Vec<(String, String)> = (pages.into_iter()).map(|(_, page, sql)| (page, sql)).collect();
+    want.sort();
+    assert!(rows == want, "{at}: rows differ from one per page, each under its own page");
+    if nodes > 1 {
+        let loads = portal.node_loads();
+        assert!(loads.iter().all(|&served| served > 0), "{at}: {loads:?}");
+    }
+}
+
+#[test]
+fn concurrent_misses_map_exactly_one_row_per_page() {
+    for threads in [1, 2, 4] {
+        prefill_maps_one_row_per_page(1, threads);
+    }
+}
+
+/// The same on a farm: every node numbers its requests from 1, so the ids
+/// of different nodes coincide all the time — and never meet, each node's
+/// mapper joining that node's two logs.
+#[test]
+fn concurrent_misses_on_a_farm_map_exactly_one_row_per_page() {
+    prefill_maps_one_row_per_page(3, 4);
 }

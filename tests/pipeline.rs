@@ -9,7 +9,7 @@ use cacheportal_invalidator::{Invalidator, InvalidatorConfig};
 use cacheportal_sniffer::{LoggedConnection, Mapper, QiUrlMap, QueryLog, RequestLog};
 use cacheportal_web::{
     shared, AppServer, AppServerConfig, Clock, ConnectionFactory, ConnectionPool, DbConnection,
-    HttpRequest, ManualClock, ParamSource, QueryTemplate, ServletSpec, SqlServlet,
+    FnServlet, HttpRequest, ManualClock, ParamSource, QueryTemplate, ServletSpec, SqlServlet,
 };
 use std::sync::Arc;
 
@@ -86,9 +86,9 @@ fn logs_flow_into_map_and_registry() {
         assert_eq!(resp.status.code(), 200);
     }
     let report = d.mapper.run_once();
-    assert_eq!(report.mapped, 2);
+    assert_eq!((report.mapped, report.by_id), (2, 2), "the logger's records name their request");
     assert_eq!(d.map.len(), 2);
-    // Map rows carry bound SQL text.
+    // Map rows show bound SQL text.
     let rows = d.map.all();
     assert!(rows[0].sql.contains("price < 20000"));
 
@@ -158,6 +158,57 @@ fn non_select_statements_never_reach_the_map() {
     let report = d.mapper.run_once();
     assert_eq!(report.non_select, 1);
     assert_eq!(report.mapped, 1, "only the SELECT is mapped");
+}
+
+/// A request that fails after it has queried logs its queries and no
+/// request record. Served from inside another request — its queries fall
+/// into that request's window, where interval containment filed them under
+/// the outer page — they are filed under no page at all.
+#[test]
+fn a_failed_requests_queries_are_filed_under_no_neighbour() {
+    let mut d = deploy();
+    d.app.register(Arc::new(FnServlet::new(ServletSpec::new("failing"), |_req, conn| {
+        conn.query("SELECT maker FROM Car", &[])?;
+        Err(cacheportal_db::DbError::Unsupported("fails after its query".into()))
+    })));
+    let app = Arc::downgrade(&d.app);
+    d.app.register(Arc::new(FnServlet::new(ServletSpec::new("outer"), move |_req, conn| {
+        let app = app.upgrade().expect("the server outlives its requests");
+        let inner = app.handle(&HttpRequest::get("h", "/failing", &[]));
+        assert_eq!(inner.status.code(), 500);
+        let r = conn.query("SELECT COUNT(*) FROM Car", &[])?;
+        Ok(format!("<html><body>{}</body></html>", r.rows[0][0]))
+    })));
+    assert_eq!(d.app.handle(&HttpRequest::get("h", "/outer", &[])).status.code(), 200);
+
+    let report = d.mapper.run_once();
+    assert_eq!((report.mapped, report.by_id, report.retained), (1, 1, 1));
+    let rows = d.map.all();
+    assert_eq!(rows.len(), 1);
+    assert_eq!((rows[0].sql.as_str(), &*rows[0].servlet), ("SELECT COUNT(*) FROM Car", "outer"));
+    // The orphan waits two runs for a request record that never comes.
+    assert_eq!(d.mapper.run_once().retained, 1);
+    assert_eq!(d.mapper.run_once().dropped, 1);
+    assert_eq!(d.map.len(), 1);
+}
+
+/// A servlet that hands its connection to another thread queries outside
+/// the request's scope: the record names no request and is joined, as in the
+/// paper, to the window that contains it.
+#[test]
+fn a_query_from_another_thread_falls_back_to_interval_containment() {
+    let mut d = deploy();
+    d.app.register(Arc::new(FnServlet::new(ServletSpec::new("threaded"), |_req, conn| {
+        let r = std::thread::scope(|scope| {
+            let worker = scope.spawn(|| conn.query("SELECT COUNT(*) FROM Car", &[]));
+            worker.join().expect("the worker returns")
+        })?;
+        Ok(format!("<html><body>{}</body></html>", r.rows[0][0]))
+    })));
+    assert_eq!(d.app.handle(&HttpRequest::get("h", "/threaded", &[])).status.code(), 200);
+    let report = d.mapper.run_once();
+    assert_eq!((report.mapped, report.by_id, report.ambiguous), (1, 0, 0));
+    assert_eq!(&*d.map.all()[0].servlet, "threaded");
 }
 
 struct CountingServlet;
