@@ -10,6 +10,7 @@
 
 use cacheportal::db::schema::ColType;
 use cacheportal::db::Database;
+use cacheportal::sniffer::RowInstance;
 use cacheportal::web::{shared, HttpRequest, ParamSource, QueryTemplate, ServletSpec, SqlServlet};
 use cacheportal::{CachePortal, Served};
 use std::path::PathBuf;
@@ -93,6 +94,21 @@ fn recovery_restores_map_origins_and_cursor() {
     assert!(p2.stale_pages().is_empty());
     assert_eq!(p2.request(&req(20000)).served, Served::CacheHit);
     assert_eq!(p2.request(&req(30000)).served, Served::CacheHit);
+
+    // The recovered rows are the journal's text until the first sync point
+    // registers them: parsed once, they are typed from then on, their text
+    // freed and still what they show.
+    let rows_are_text = |p: &CachePortal| {
+        let mut text = Vec::new();
+        (p.qi_url_map()).visit_since(0, |row| text.push(matches!(row.instance(), RowInstance::Text(_))));
+        text
+    };
+    let shown = p2.qi_url_map().all();
+    assert_eq!(rows_are_text(&p2), [true, true]);
+    let first = p2.sync_point().unwrap().invalidation;
+    assert_eq!((first.registered, first.registered_from_text), (2, 2));
+    assert_eq!(rows_are_text(&p2), [false, false]);
+    assert_eq!(p2.qi_url_map().all(), shown);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
