@@ -167,7 +167,7 @@ pub struct WorkloadResult {
     pub hit_ratio: f64,
     /// The portal's full `metrics_snapshot()` at the end of the run
     /// (registry counters/histograms, staleness window, recent trace).
-    pub observability: serde_json::Value,
+    pub observability: Option<cacheportal::obs::Snapshot>,
 }
 
 /// Drive the functional system under the configured workload.
@@ -288,7 +288,7 @@ pub fn run_workload(config: &WorkloadConfig) -> WorkloadResult {
     } else {
         result.cache_hits as f64 / result.requests as f64
     };
-    result.observability = portal.metrics_snapshot();
+    result.observability = Some(portal.metrics_snapshot());
     result
 }
 

@@ -25,7 +25,7 @@ struct GroupingPoint {
     actual_polls: u64,
     saved_by_cache: u64,
     saved_by_index: u64,
-    observability: serde_json::Value,
+    observability: Option<cacheportal::obs::Snapshot>,
 }
 
 fn main() {

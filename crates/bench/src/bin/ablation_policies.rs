@@ -54,10 +54,10 @@ fn main() {
                 r.ejected_unchanged as f64 / r.pages_ejected as f64 * 100.0
             )
         };
-        let staleness_p95 = r.observability["staleness"]["commit_to_eject_micros"]["p95"]
-            .as_u64()
-            .map(|v| v.to_string())
-            .unwrap_or_else(|| "-".to_string());
+        let staleness_p95 = match &r.observability {
+            Some(snap) => snap.staleness.commit_to_eject_micros.p95.to_string(),
+            None => "-".to_string(),
+        };
         rows.push(vec![
             r.mode.clone(),
             format!("{:.2}", r.hit_ratio),

@@ -43,11 +43,17 @@
 //!   write a JSONL export, print one explain chain, and hold the server open
 //!   (CI smoke-tests `/metrics` and `/healthz` against it).
 
+use cacheportal::bus::BusDoc;
 use cacheportal::cache::{PageCache, PageCacheConfig};
 use cacheportal::db::schema::ColType;
 use cacheportal::db::Database;
+use cacheportal::obs::{
+    EjectRecord, Explanation, FlightBundle, FlightIndexDoc, MetricsDoc, ScorecardsDoc, SloDoc,
+    TimelineDoc, TraceDoc,
+};
 use cacheportal::web::{HttpRequest, ParamSource, QueryTemplate, ServletSpec, SqlServlet};
 use cacheportal::CachePortal;
+use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -153,46 +159,39 @@ fn cmd_explain(args: &[String]) -> i32 {
             (_, Some(l)) => format!("/explain?lsn={l}"),
             _ => unreachable!(),
         };
-        match http_get(addr, &path) {
-            Ok((200, body)) => match serde_json::from_str(&body) {
-                Ok(doc) => doc,
-                Err(e) => {
-                    eprintln!("invalid JSON from {path}: {e}");
-                    return 1;
-                }
-            },
-            Ok((code, body)) => {
-                eprintln!("GET {path} -> {code}\n{body}");
-                return 1;
-            }
-            Err(e) => {
-                eprintln!("GET {path} failed: {e}");
-                return 1;
-            }
-        }
+        fetch(addr, &path)
     } else if let Some(file) = flag(args, "--file") {
-        match explain_from_export(file, url, lsn) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("cannot explain from {file}: {e}");
-                return 1;
-            }
-        }
+        explain_from_export(file, url, lsn).map_err(|e| format!("cannot explain from {file}: {e}"))
     } else {
         eprintln!("obsctl explain: --addr or --file required");
         return 2;
     };
-    print!("{}", render_explanation(&doc));
-    0
+    match doc {
+        Ok(doc) => {
+            print!("{}", render_explanation(&doc));
+            0
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            1
+        }
+    }
 }
 
-/// Rebuild an `Explanation`-shaped document from the `eject` lines of a
-/// JSONL export (the offline twin of the admin endpoint).
+/// What kind of JSONL line this is; the rest of the line is that kind's
+/// document.
+#[derive(Deserialize)]
+struct Line {
+    kind: String,
+}
+
+/// Rebuild an [`Explanation`] from the `eject` lines of a JSONL export (the
+/// offline twin of the admin endpoint).
 fn explain_from_export(
     path: &str,
     url: Option<&str>,
     lsn: Option<&str>,
-) -> Result<serde_json::Value, String> {
+) -> Result<Explanation, String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let lsn: Option<u64> = match lsn {
         Some(s) => Some(s.parse().map_err(|_| format!("bad --lsn {s}"))?),
@@ -200,134 +199,105 @@ fn explain_from_export(
     };
     let mut matches = Vec::new();
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let v: serde_json::Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
-        if v["kind"].as_str() != Some("eject") {
+        let Line { kind } = serde_json::from_str(line).map_err(|e| e.to_string())?;
+        if kind != "eject" {
             continue;
         }
+        let rec: EjectRecord = serde_json::from_str(line).map_err(|e| e.to_string())?;
         let hit = match (url, lsn) {
-            (Some(u), _) => v["url"].as_str() == Some(u),
-            (_, Some(l)) => {
-                v["lsn_first"].as_u64().is_some_and(|f| f <= l)
-                    && v["lsn_last"].as_u64().is_some_and(|t| t >= l)
-            }
+            (Some(u), _) => &*rec.url == u,
+            (_, Some(l)) => rec.lsn_first <= l && rec.lsn_last >= l,
             _ => false,
         };
         if hit {
-            matches.push(v);
+            matches.push(rec);
         }
     }
-    Ok(serde_json::Value::Object(vec![
-        ("matches".to_string(), serde_json::Value::Array(matches)),
-        ("truncated".to_string(), serde_json::Value::Bool(false)),
-        ("source".to_string(), serde_json::Value::String(path.to_string())),
-    ]))
+    Ok(Explanation { matches, truncated: false, dropped_records: 0, qi_map: None })
 }
 
-/// Pretty-print one explanation document (live `/explain` response or the
-/// offline reconstruction): one block per eject chain.
-fn render_explanation(doc: &serde_json::Value) -> String {
+/// Pretty-print one explanation (live `/explain` response or the offline
+/// reconstruction): one block per eject chain.
+fn render_explanation(doc: &Explanation) -> String {
     let mut out = String::new();
-    let empty = Vec::new();
-    let matches = doc["matches"].as_array().unwrap_or(&empty);
-    if matches.is_empty() {
+    if doc.matches.is_empty() {
         out.push_str("no matching eject records\n");
     }
-    for m in matches {
+    for m in &doc.matches {
         out.push_str(&format!(
             "eject #{} of {}  (sync #{}, t={}us{})\n",
-            m["seq"].as_u64().unwrap_or(0),
-            m["url"].as_str().unwrap_or("?"),
-            m["sync_seq"].as_u64().unwrap_or(0),
-            m["ts"].as_u64().unwrap_or(0),
-            if m["resident"].as_bool() == Some(false) {
-                ", not resident"
-            } else {
-                ""
-            },
+            m.seq,
+            m.url,
+            m.sync_seq,
+            m.ts,
+            if m.resident { "" } else { ", not resident" },
         ));
-        out.push_str(&format!(
-            "  update log: LSNs {}..={}\n",
-            m["lsn_first"].as_u64().unwrap_or(0),
-            m["lsn_last"].as_u64().unwrap_or(0)
-        ));
-        for d in m["deltas"].as_array().unwrap_or(&empty) {
-            out.push_str(&format!(
-                "  delta: {} +{} / -{}\n",
-                d["table"].as_str().unwrap_or("?"),
-                d["inserted"].as_u64().unwrap_or(0),
-                d["deleted"].as_u64().unwrap_or(0)
-            ));
+        out.push_str(&format!("  update log: LSNs {}..={}\n", m.lsn_first, m.lsn_last));
+        for d in &m.deltas {
+            out.push_str(&format!("  delta: {} +{} / -{}\n", d.table, d.inserted, d.deleted));
         }
-        for c in m["causes"].as_array().unwrap_or(&empty) {
-            let params: Vec<&str> = c["params"]
-                .as_array()
-                .unwrap_or(&empty)
-                .iter()
-                .filter_map(|p| p.as_str())
-                .collect();
+        for c in &m.causes {
             out.push_str(&format!(
                 "  cause: type #{} {}\n         params [{}]\n         verdict {} — {}\n",
-                c["query_type"].as_u64().unwrap_or(0),
-                c["type_sql"].as_str().unwrap_or("?"),
-                params.join(", "),
-                c["verdict"].as_str().unwrap_or("?"),
-                c["detail"].as_str().unwrap_or("")
+                c.query_type,
+                c.type_sql,
+                c.params.join(", "),
+                c.verdict,
+                c.detail
             ));
         }
     }
-    for row in doc["qi_map"].as_array().unwrap_or(&empty) {
-        out.push_str(&format!(
-            "qi row #{} [{}]: {}\n",
-            row["id"].as_u64().unwrap_or(0),
-            row["servlet"].as_str().unwrap_or("?"),
-            row["sql"].as_str().unwrap_or("?")
-        ));
+    for row in doc.qi_map.iter().flatten() {
+        out.push_str(&format!("qi row #{} [{}]: {}\n", row.id, row.servlet, row.sql));
     }
-    if doc["truncated"].as_bool() == Some(true) {
+    if doc.truncated {
         out.push_str(&format!(
             "warning: ring truncated ({} records dropped) — older evidence is gone\n",
-            doc["dropped_records"].as_u64().unwrap_or(0)
+            doc.dropped_records
         ));
     }
     out
 }
 
-/// Fetch `path` from `--addr` and parse the JSON body; prints errors and
-/// returns `None` on any failure (caller exits non-zero).
-fn fetch_json(args: &[String], cmd: &str, path: &str) -> Option<serde_json::Value> {
+/// GET `path` and read the body as that route's document. The error names
+/// the route and, when the body is not the document this build knows, the
+/// field it stopped at.
+fn fetch<T: Deserialize>(addr: &str, path: &str) -> Result<T, String> {
+    match http_get(addr, path) {
+        Ok((200, body)) => serde_json::from_str(&body).map_err(|e| format!("GET {path}: {e}")),
+        Ok((code, body)) => Err(format!("GET {path} -> {code}\n{body}")),
+        Err(e) => Err(format!("GET {path} failed: {e}")),
+    }
+}
+
+/// [`fetch`] from `--addr`, for a command: the error is printed and what
+/// comes back in its place is the exit code.
+fn fetch_doc<T: Deserialize>(args: &[String], cmd: &str, path: &str) -> Result<T, i32> {
     let Some(addr) = flag(args, "--addr") else {
         eprintln!("obsctl {cmd}: --addr HOST:PORT required");
-        return None;
+        return Err(2);
     };
-    match http_get(addr, path) {
-        Ok((200, body)) => match serde_json::from_str(&body) {
-            Ok(doc) => Some(doc),
-            Err(e) => {
-                eprintln!("invalid JSON from {path}: {e}");
-                None
-            }
-        },
-        Ok((code, body)) => {
-            eprintln!("GET {path} -> {code}\n{body}");
-            None
-        }
-        Err(e) => {
-            eprintln!("GET {path} failed: {e}");
-            None
-        }
-    }
+    fetch(addr, path).map_err(|e| {
+        eprintln!("{e}");
+        1
+    })
+}
+
+/// `--json`: the document as the route rendered it.
+fn print_json<T: Serialize>(doc: &T) {
+    println!("{}", serde_json::to_string_pretty(doc).expect("render"));
 }
 
 fn cmd_trace(args: &[String]) -> i32 {
     let n: u64 = flag(args, "-n").and_then(|s| s.parse().ok()).unwrap_or(64);
-    let Some(doc) = fetch_json(args, "trace", &format!("/trace?n={n}")) else {
-        return if flag(args, "--addr").is_none() { 2 } else { 1 };
+    let doc: TraceDoc = match fetch_doc(args, "trace", &format!("/trace?n={n}")) {
+        Ok(doc) => doc,
+        Err(code) => return code,
     };
     if args.iter().any(|a| a == "--json") {
-        println!("{}", serde_json::to_string_pretty(&doc).expect("render"));
+        print_json(&doc);
         return 0;
     }
-    let empty = Vec::new();
     let mut rows = vec![vec![
         "seq".to_string(),
         "ts_us".to_string(),
@@ -339,106 +309,104 @@ fn cmd_trace(args: &[String]) -> i32 {
         "name".to_string(),
         "detail".to_string(),
     ]];
-    for e in doc["recent"].as_array().unwrap_or(&empty) {
-        let id = |k: &str| match e[k].as_u64() {
-            Some(v) => v.to_string(),
-            None => "-".to_string(),
-        };
+    for e in &doc.recent {
+        let id = |v: u64| if e.trace_id == 0 { "-".to_string() } else { v.to_string() };
         rows.push(vec![
-            e["seq"].as_u64().unwrap_or(0).to_string(),
-            e["ts"].as_u64().unwrap_or(0).to_string(),
-            id("trace_id"),
-            id("span_id"),
-            id("parent_span"),
-            id("duration_micros"),
-            e["scope"].as_str().unwrap_or("?").to_string(),
-            e["name"].as_str().unwrap_or("?").to_string(),
-            e["detail"].as_str().unwrap_or("").to_string(),
+            e.seq.to_string(),
+            e.ts.to_string(),
+            id(e.trace_id),
+            id(e.span_id),
+            id(e.parent_span),
+            e.duration_micros.map_or("-".to_string(), |d| d.to_string()),
+            e.scope.to_string(),
+            e.name.to_string(),
+            e.detail.clone(),
         ]);
     }
     print!("{}", cacheportal_bench::render_table(&rows));
     println!(
         "{} recorded, {} dropped{}",
-        doc["recorded"].as_u64().unwrap_or(0),
-        doc["dropped"].as_u64().unwrap_or(0),
-        if doc["truncated"].as_bool() == Some(true) {
-            " (ring truncated — older events are gone)"
-        } else {
-            ""
-        }
+        doc.recorded,
+        doc.dropped,
+        if doc.truncated { " (ring truncated — older events are gone)" } else { "" }
     );
     0
 }
 
+/// As much of Chrome's `trace_event` document as the count needs; the
+/// format is Chrome's, and what is written out is the document as fetched.
+#[derive(Deserialize)]
+#[allow(non_snake_case)]
+struct ChromeTrace {
+    traceEvents: Vec<serde_json::Value>,
+}
+
 fn cmd_timeline(args: &[String]) -> i32 {
     if let Some(path) = flag(args, "--chrome") {
-        let Some(doc) = fetch_json(args, "timeline", "/timeline?format=chrome") else {
-            return if flag(args, "--addr").is_none() { 2 } else { 1 };
+        let doc: serde_json::Value = match fetch_doc(args, "timeline", "/timeline?format=chrome") {
+            Ok(doc) => doc,
+            Err(code) => return code,
         };
         let json = serde_json::to_string(&doc).expect("render");
         if let Err(e) = std::fs::write(path, json + "\n") {
             eprintln!("cannot write {path}: {e}");
             return 1;
         }
-        let n = doc["traceEvents"].as_array().map(Vec::len).unwrap_or(0);
+        let n = match serde_json::from_value::<ChromeTrace>(doc) {
+            Ok(trace) => trace.traceEvents.len(),
+            Err(e) => {
+                eprintln!("GET /timeline?format=chrome: {e}");
+                return 1;
+            }
+        };
         println!("wrote {n} trace events to {path} (open in chrome://tracing or Perfetto)");
         return 0;
     }
     let stable = args.iter().any(|a| a == "--stable");
     let path = if stable { "/timeline?stable=1" } else { "/timeline" };
-    let Some(doc) = fetch_json(args, "timeline", path) else {
-        return if flag(args, "--addr").is_none() { 2 } else { 1 };
+    let doc: TimelineDoc = match fetch_doc(args, "timeline", path) {
+        Ok(doc) => doc,
+        Err(code) => return code,
     };
     if args.iter().any(|a| a == "--json") {
-        println!("{}", serde_json::to_string_pretty(&doc).expect("render"));
+        print_json(&doc);
         return 0;
     }
-    let empty = Vec::new();
-    for t in doc["sync_points"].as_array().unwrap_or(&empty) {
+    for t in &doc.sync_points {
         println!(
             "sync #{} (trace {}): lsns {}..={}, {} records, {} polls, {} ejected, wall {}us",
-            t["sync_seq"].as_u64().unwrap_or(0),
-            t["trace_id"].as_u64().unwrap_or(0),
-            t["lsn_first"].as_u64().unwrap_or(0),
-            t["lsn_last"].as_u64().unwrap_or(0),
-            t["records"].as_u64().unwrap_or(0),
-            t["polls"].as_u64().unwrap_or(0),
-            t["ejected"].as_u64().unwrap_or(0),
-            t["wall_micros"].as_u64().unwrap_or(0),
+            t.sync_seq,
+            t.trace_id,
+            t.lsn_first,
+            t.lsn_last,
+            t.records,
+            t.polls,
+            t.ejected,
+            t.wall_micros,
         );
-        for s in t["stages"].as_array().unwrap_or(&empty) {
-            println!(
-                "  {:<12} {:>8} us  work={}",
-                s["name"].as_str().unwrap_or("?"),
-                s["micros"].as_u64().unwrap_or(0),
-                s["work"].as_u64().unwrap_or(0),
-            );
+        for s in &t.stages {
+            println!("  {:<12} {:>8} us  work={}", s.name, s.micros, s.work);
         }
     }
     println!(
         "{} sync points recorded, {} dropped{}",
-        doc["recorded"].as_u64().unwrap_or(0),
-        doc["dropped"].as_u64().unwrap_or(0),
-        if doc["truncated"].as_bool() == Some(true) {
-            " (truncated — older entries or trace events are gone)"
-        } else {
-            ""
-        }
+        doc.recorded,
+        doc.dropped,
+        if doc.truncated { " (truncated — older entries or trace events are gone)" } else { "" }
     );
     0
 }
 
 fn cmd_scorecard(args: &[String]) -> i32 {
-    let Some(doc) = fetch_json(args, "scorecard", "/scorecards") else {
-        return if flag(args, "--addr").is_none() { 2 } else { 1 };
+    let doc: ScorecardsDoc = match fetch_doc(args, "scorecard", "/scorecards") {
+        Ok(doc) => doc,
+        Err(code) => return code,
     };
     if args.iter().any(|a| a == "--json") {
-        println!("{}", serde_json::to_string_pretty(&doc).expect("render"));
+        print_json(&doc);
         return 0;
     }
-    let empty = Vec::new();
-    let cards = doc["scorecards"].as_array().unwrap_or(&empty);
-    if cards.is_empty() {
+    if doc.scorecards.is_empty() {
         println!("no scorecards yet (no query types attributed)");
         return 0;
     }
@@ -456,35 +424,27 @@ fn cmd_scorecard(args: &[String]) -> i32 {
         "idx_hit".to_string(),
         "residual".to_string(),
     ]];
-    for c in cards {
+    for c in &doc.scorecards {
         rows.push(vec![
-            format!("#{}", c["type_id"].as_u64().unwrap_or(0)),
-            c["hits"].as_u64().unwrap_or(0).to_string(),
-            c["misses"].as_u64().unwrap_or(0).to_string(),
-            format!("{:.3}", c["hit_rate"].as_f64().unwrap_or(0.0)),
-            format!("{:.1}", c["avg_render_cost"].as_f64().unwrap_or(0.0)),
-            c["invalidations"].as_u64().unwrap_or(0).to_string(),
-            c["pages_ejected"].as_u64().unwrap_or(0).to_string(),
-            c["polls"].as_u64().unwrap_or(0).to_string(),
-            c["poll_spend_micros"].as_u64().unwrap_or(0).to_string(),
-            c["staleness_micros"].as_u64().unwrap_or(0).to_string(),
-            format!("{:.3}", c["index_hit_rate"].as_f64().unwrap_or(0.0)),
-            format!("{:.3}", c["residual_fraction"].as_f64().unwrap_or(0.0)),
+            format!("#{}", c.type_id),
+            c.hits.to_string(),
+            c.misses.to_string(),
+            format!("{:.3}", c.hit_rate),
+            format!("{:.1}", c.avg_render_cost),
+            c.invalidations.to_string(),
+            c.pages_ejected.to_string(),
+            c.polls.to_string(),
+            c.poll_spend_micros.to_string(),
+            c.staleness_micros.to_string(),
+            format!("{:.3}", c.index_hit_rate),
+            format!("{:.3}", c.residual_fraction),
         ]);
     }
     print!("{}", cacheportal_bench::render_table(&rows));
-    for c in cards {
-        println!(
-            "type #{}: {}",
-            c["type_id"].as_u64().unwrap_or(0),
-            c["sql"].as_str().unwrap_or("?")
-        );
+    for c in &doc.scorecards {
+        println!("type #{}: {}", c.type_id, c.sql);
     }
-    println!(
-        "version {}, {} urls pending attribution",
-        doc["version"].as_u64().unwrap_or(0),
-        doc["pending_urls"].as_u64().unwrap_or(0),
-    );
+    println!("version {}, {} urls pending attribution", doc.version, doc.pending_urls);
     0
 }
 
@@ -494,16 +454,15 @@ fn cmd_scorecard(args: &[String]) -> i32 {
 fn cmd_slo(args: &[String]) -> i32 {
     let stable = args.iter().any(|a| a == "--stable");
     let path = if stable { "/slo?stable=1" } else { "/slo" };
-    let Some(doc) = fetch_json(args, "slo", path) else {
-        return if flag(args, "--addr").is_none() { 2 } else { 1 };
+    let doc: SloDoc = match fetch_doc(args, "slo", path) {
+        Ok(doc) => doc,
+        Err(code) => return code,
     };
-    let fast = doc["firing"]["fast"].as_u64().unwrap_or(0);
-    let slow = doc["firing"]["slow"].as_u64().unwrap_or(0);
+    let (fast, slow) = (doc.firing.fast, doc.firing.slow);
     if args.iter().any(|a| a == "--json") {
-        println!("{}", serde_json::to_string_pretty(&doc).expect("render"));
+        print_json(&doc);
         return i32::from(fast + slow > 0);
     }
-    let empty = Vec::new();
     let mut rows = vec![vec![
         "objective".to_string(),
         "goal".to_string(),
@@ -513,50 +472,31 @@ fn cmd_slo(args: &[String]) -> i32 {
         "burn(slow)".to_string(),
         "state".to_string(),
     ]];
-    for o in doc["objectives"].as_array().unwrap_or(&empty) {
-        let mut burns = ["-".to_string(), "-".to_string()];
-        for b in o["burn"].as_array().unwrap_or(&empty) {
-            let cell = format!(
-                "{:.1}/{:.1}",
-                b["short"].as_f64().unwrap_or(0.0),
-                b["long"].as_f64().unwrap_or(0.0)
-            );
-            match b["pair"].as_str() {
-                Some("fast") => burns[0] = cell,
-                Some("slow") => burns[1] = cell,
-                _ => {}
-            }
-        }
+    for o in &doc.objectives {
+        let burn = |pair: &str| match o.burn.iter().find(|b| b.pair == pair) {
+            Some(b) => format!("{:.1}/{:.1}", b.short, b.long),
+            None => "-".to_string(),
+        };
         rows.push(vec![
-            o["id"].as_str().unwrap_or("?").to_string(),
-            format!("{:.2}", o["goal"].as_f64().unwrap_or(0.0)),
-            o["good"].as_u64().unwrap_or(0).to_string(),
-            o["bad"].as_u64().unwrap_or(0).to_string(),
-            burns[0].clone(),
-            burns[1].clone(),
-            if o["firing"].as_u64().unwrap_or(0) > 0 {
-                "FIRING".to_string()
-            } else {
-                "ok".to_string()
-            },
+            o.id.to_string(),
+            format!("{:.2}", o.goal),
+            o.good.to_string(),
+            o.bad.to_string(),
+            burn("fast"),
+            burn("slow"),
+            if o.firing { "FIRING" } else { "ok" }.to_string(),
         ]);
     }
     print!("{}", cacheportal_bench::render_table(&rows));
-    for a in doc["alerts"]["recent"].as_array().unwrap_or(&empty) {
+    for a in &doc.alerts.recent {
         println!(
             "alert #{} t={}us {} {}/{} ({})",
-            a["seq"].as_u64().unwrap_or(0),
-            a["ts"].as_u64().unwrap_or(0),
-            a["state"].as_str().unwrap_or("?"),
-            a["objective"].as_str().unwrap_or("?"),
-            a["pair"].as_str().unwrap_or("?"),
-            a["severity"].as_str().unwrap_or("?"),
+            a.seq, a.ts, a.state, a.objective, a.pair, a.severity,
         );
     }
     println!(
         "firing: fast={fast} slow={slow} (alerts recorded={} dropped={})",
-        doc["alerts"]["recorded"].as_u64().unwrap_or(0),
-        doc["alerts"]["dropped"].as_u64().unwrap_or(0),
+        doc.alerts.recorded, doc.alerts.dropped,
     );
     i32::from(fast + slow > 0)
 }
@@ -566,23 +506,13 @@ fn cmd_slo(args: &[String]) -> i32 {
 /// Exits 1 when any edge is partitioned or degraded so scripts can gate
 /// on bus health the same way `slo` gates on burn alerts.
 fn cmd_bus(args: &[String]) -> i32 {
-    let Some(doc) = fetch_json(args, "bus", "/bus") else {
-        return if flag(args, "--addr").is_none() { 2 } else { 1 };
+    let doc: BusDoc = match fetch_doc(args, "bus", "/bus") {
+        Ok(doc) => doc,
+        Err(code) => return code,
     };
-    if doc.as_object().map(|o| o.is_empty()).unwrap_or(true) && doc["edges"].as_array().is_none() {
-        eprintln!("no bus attached (portal is running without edges)");
-        return 1;
-    }
-    let empty = Vec::new();
-    let edges = doc["edges"].as_array().unwrap_or(&empty);
-    let unhealthy = edges
-        .iter()
-        .filter(|e| {
-            e["partitioned"].as_bool() == Some(true) || e["degraded"].as_bool() == Some(true)
-        })
-        .count();
+    let unhealthy = doc.edges.iter().filter(|e| e.partitioned || e.degraded).count();
     if args.iter().any(|a| a == "--json") {
-        println!("{}", serde_json::to_string_pretty(&doc).expect("render"));
+        print_json(&doc);
         return i32::from(unhealthy > 0);
     }
     let mut rows = vec![vec![
@@ -600,46 +530,41 @@ fn cmd_bus(args: &[String]) -> i32 {
         "ejected".to_string(),
         "flushed".to_string(),
     ]];
-    for e in edges {
-        let state = if e["partitioned"].as_bool() == Some(true) {
+    for e in &doc.edges {
+        let state = if e.partitioned {
             "PARTITIONED"
-        } else if e["degraded"].as_bool() == Some(true) {
+        } else if e.degraded {
             "DEGRADED"
         } else {
             "ok"
         };
-        let n = |k: &str| e[k].as_u64().unwrap_or(0).to_string();
         rows.push(vec![
-            e["name"].as_str().unwrap_or("?").to_string(),
-            if e["connected"].as_bool() == Some(true) {
-                "local".to_string()
-            } else {
-                "remote".to_string()
-            },
-            n("acked"),
-            n("lag"),
+            e.name.clone(),
+            if e.connected { "local" } else { "remote" }.to_string(),
+            e.acked.to_string(),
+            e.lag.to_string(),
             state.to_string(),
-            n("consec_failed_rounds"),
-            n("retries"),
-            n("failures"),
-            n("applied_batches"),
-            n("duplicates_absorbed"),
-            n("gaps_buffered"),
-            n("ejected_pages"),
-            n("flushed_pages"),
+            e.consec_failed_rounds.to_string(),
+            e.retries.to_string(),
+            e.failures.to_string(),
+            e.applied_batches.to_string(),
+            e.duplicates_absorbed.to_string(),
+            e.gaps_buffered.to_string(),
+            e.ejected_pages.to_string(),
+            e.flushed_pages.to_string(),
         ]);
     }
     print!("{}", cacheportal_bench::render_table(&rows));
     println!(
         "latest_seq={} published={} rounds={} retained={} catch_up={} reboots={} \
          partitioned_edges={}",
-        doc["latest_seq"].as_u64().unwrap_or(0),
-        doc["published"].as_u64().unwrap_or(0),
-        doc["rounds"].as_u64().unwrap_or(0),
-        doc["retained"].as_u64().unwrap_or(0),
-        doc["catch_up_batches"].as_u64().unwrap_or(0),
-        doc["reboots"].as_u64().unwrap_or(0),
-        doc["partitioned_edges"].as_u64().unwrap_or(0),
+        doc.latest_seq,
+        doc.published,
+        doc.rounds,
+        doc.retained,
+        doc.catch_up_batches,
+        doc.reboots,
+        doc.partitioned_edges,
     );
     i32::from(unhealthy > 0)
 }
@@ -684,14 +609,15 @@ fn cmd_durable(args: &[String]) -> i32 {
 
 fn cmd_blackbox(args: &[String]) -> i32 {
     if args.iter().any(|a| a == "--index") {
-        let Some(doc) = fetch_json(args, "blackbox", "/flightrecord") else {
-            return if flag(args, "--addr").is_none() { 2 } else { 1 };
+        let doc: FlightIndexDoc = match fetch_doc(args, "blackbox", "/flightrecord") {
+            Ok(doc) => doc,
+            Err(code) => return code,
         };
-        if doc["schema"].as_str() != Some("cacheportal.flightrecord.v1.index") {
-            eprintln!("unexpected index schema: {:?}", doc["schema"].as_str());
+        if doc.schema != "cacheportal.flightrecord.v1.index" {
+            eprintln!("unexpected index schema: {:?}", doc.schema);
             return 1;
         }
-        println!("{}", serde_json::to_string_pretty(&doc).expect("render"));
+        print_json(&doc);
         return 0;
     }
     let Some(out) = flag(args, "--out") else {
@@ -704,11 +630,12 @@ fn cmd_blackbox(args: &[String]) -> i32 {
     } else {
         "/flightrecord?dump=1"
     };
-    let Some(doc) = fetch_json(args, "blackbox", path) else {
-        return if flag(args, "--addr").is_none() { 2 } else { 1 };
+    let doc: FlightBundle = match fetch_doc(args, "blackbox", path) {
+        Ok(doc) => doc,
+        Err(code) => return code,
     };
-    if doc["schema"].as_str() != Some("cacheportal.flightrecord.v1") {
-        eprintln!("unexpected dump schema: {:?}", doc["schema"].as_str());
+    if doc.schema != cacheportal::obs::FLIGHT_RECORD_SCHEMA {
+        eprintln!("unexpected dump schema: {:?}", doc.schema);
         return 1;
     }
     let rendered = serde_json::to_string_pretty(&doc).expect("render");
@@ -719,11 +646,17 @@ fn cmd_blackbox(args: &[String]) -> i32 {
     println!(
         "wrote {out}: {} bytes, reason {:?}, t={}us{}",
         rendered.len(),
-        doc["reason"].as_str().unwrap_or("?"),
-        doc["ts"].as_u64().unwrap_or(0),
+        doc.reason,
+        doc.ts,
         if stable { " (stable)" } else { "" },
     );
     0
+}
+
+/// The part of a `metrics_snapshot()` document `diff` compares.
+#[derive(Deserialize)]
+struct Registry {
+    metrics: MetricsDoc,
 }
 
 fn cmd_diff(args: &[String]) -> i32 {
@@ -731,28 +664,21 @@ fn cmd_diff(args: &[String]) -> i32 {
         eprintln!("obsctl diff: two snapshot files required");
         return 2;
     };
-    let load = |p: &str| -> Result<Vec<(String, u64)>, String> {
+    let load = |p: &str| -> Result<MetricsDoc, String> {
         let text = std::fs::read_to_string(p).map_err(|e| e.to_string())?;
-        let doc: serde_json::Value = serde_json::from_str(&text).map_err(|e| e.to_string())?;
-        match &doc["metrics"]["counters"] {
-            serde_json::Value::Object(fields) => Ok(fields
-                .iter()
-                .filter_map(|(k, v)| v.as_u64().map(|v| (k.clone(), v)))
-                .collect()),
-            _ => Err("no metrics.counters section".to_string()),
-        }
+        let doc: Registry = serde_json::from_str(&text).map_err(|e| format!("{p}: {e}"))?;
+        Ok(doc.metrics)
     };
     let (before, after) = match (load(a), load(b)) {
-        (Ok(x), Ok(y)) => (x, y),
+        (Ok(x), Ok(y)) => (x.counters, y.counters),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("obsctl diff: {e}");
             return 1;
         }
     };
-    let old: std::collections::BTreeMap<_, _> = before.into_iter().collect();
     let mut changed = 0;
     for (k, v) in &after {
-        let prev = old.get(k).copied().unwrap_or(0);
+        let prev = before.get(k).copied().unwrap_or(0);
         if *v != prev {
             println!("{k}: {prev} -> {v} ({:+})", *v as i64 - prev as i64);
             changed += 1;
@@ -876,6 +802,29 @@ fn percent_encode(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A route whose document has lost a field this build reads: the
+    /// command fails, and says which route and which field.
+    #[test]
+    fn a_document_missing_a_field_names_the_route_and_the_field() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            // `recorded` is gone from the /trace document.
+            let body = r#"{"dropped": 0, "truncated": false, "recent": []}"#;
+            for conn in listener.incoming().take(2) {
+                let mut conn = conn.unwrap();
+                let mut head = [0u8; 512];
+                let _ = conn.read(&mut head).unwrap();
+                write!(conn, "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{body}", body.len())
+                    .unwrap();
+            }
+        });
+        let err = fetch::<TraceDoc>(&addr, "/trace?n=64").unwrap_err();
+        assert!(err.contains("GET /trace?n=64") && err.contains("TraceDoc.recorded"), "{err}");
+        assert_eq!(cmd_trace(&["--addr".to_string(), addr]), 1);
+        server.join().unwrap();
+    }
 
     /// A journaled demo portal's registry carries every name the durable
     /// table promises, and the table is the journal's part of `/metrics`.

@@ -365,7 +365,7 @@ pub struct BusStats {
 }
 
 /// One `/bus` table row.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct EdgeRow {
     /// Edge name.
     pub name: String,
@@ -391,8 +391,49 @@ pub struct EdgeRow {
     pub failures: u64,
     /// Round of the last full renewal.
     pub last_renewal_round: u64,
-    /// Apply-side counters (zero for remote edges).
-    pub counters: EdgeCounters,
+    /// Batches the edge applied in order (this and the five counters after
+    /// it are the edge's apply side: zero for a remote edge).
+    pub applied_batches: u64,
+    /// Duplicate deliveries the edge absorbed.
+    pub duplicates_absorbed: u64,
+    /// Out-of-order batches the edge parked in its gap buffer.
+    pub gaps_buffered: u64,
+    /// Pages the edge's applied ejects removed.
+    pub ejected_pages: u64,
+    /// Times the edge entered degraded (self-ejection) mode.
+    pub self_ejections: u64,
+    /// Pages the edge flushed conservatively.
+    pub flushed_pages: u64,
+}
+
+/// The `/bus` admin document: the bus's aggregate delivery counters and
+/// one row per edge.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct BusDoc {
+    /// `cacheportal.bus.v1`.
+    pub schema: String,
+    /// The newest published batch.
+    pub latest_seq: u64,
+    /// Batches published.
+    pub published: u64,
+    /// Delivery rounds run.
+    pub rounds: u64,
+    /// Batches currently retained.
+    pub retained: u64,
+    /// Successful deliveries across all rounds.
+    pub deliveries_ok: u64,
+    /// Failed delivery attempts across all rounds.
+    pub delivery_failures: u64,
+    /// Retry attempts across all rounds.
+    pub retries: u64,
+    /// Catch-up deliveries across all rounds.
+    pub catch_up_batches: u64,
+    /// Edges currently marked partitioned.
+    pub partitioned_edges: u64,
+    /// Edge reboots processed.
+    pub reboots: u64,
+    /// Per-edge watermark, lag and partition state.
+    pub edges: Vec<EdgeRow>,
 }
 
 struct EdgeSlot {
@@ -856,115 +897,53 @@ impl InvalidationBus {
             .edges
             .iter()
             .enumerate()
-            .map(|(index, s)| EdgeRow {
-                name: s.name.clone(),
-                index,
-                connected: s.endpoint.is_some(),
-                acked: s.acked,
-                acked_ts: s.acked_ts,
-                lag: latest.saturating_sub(s.acked),
-                partitioned: s.partitioned,
-                degraded: s
-                    .endpoint
-                    .as_ref()
-                    .map(|e| e.is_degraded())
-                    .unwrap_or(false),
-                consec_failed_rounds: s.consec_failed_rounds,
-                retries: s.retries_total,
-                failures: s.failures_total,
-                last_renewal_round: s.last_renewal_round,
-                counters: s
-                    .endpoint
-                    .as_ref()
-                    .map(|e| e.counters())
-                    .unwrap_or_default(),
+            .map(|(index, s)| {
+                let counters = s.endpoint.as_ref().map(|e| e.counters()).unwrap_or_default();
+                EdgeRow {
+                    name: s.name.clone(),
+                    index,
+                    connected: s.endpoint.is_some(),
+                    acked: s.acked,
+                    acked_ts: s.acked_ts,
+                    lag: latest.saturating_sub(s.acked),
+                    partitioned: s.partitioned,
+                    degraded: s
+                        .endpoint
+                        .as_ref()
+                        .map(|e| e.is_degraded())
+                        .unwrap_or(false),
+                    consec_failed_rounds: s.consec_failed_rounds,
+                    retries: s.retries_total,
+                    failures: s.failures_total,
+                    last_renewal_round: s.last_renewal_round,
+                    applied_batches: counters.applied_batches,
+                    duplicates_absorbed: counters.absorbed_duplicates,
+                    gaps_buffered: counters.buffered_gaps,
+                    ejected_pages: counters.ejected_pages,
+                    self_ejections: counters.self_ejections,
+                    flushed_pages: counters.flushed_pages,
+                }
             })
             .collect()
     }
 
     /// The `/bus` admin document.
-    pub fn to_json(&self) -> serde_json::Value {
-        use serde_json::Value;
+    pub fn doc(&self) -> BusDoc {
         let stats = self.stats();
-        let rows: Vec<Value> = self
-            .edge_rows()
-            .into_iter()
-            .map(|r| {
-                Value::Object(vec![
-                    ("name".to_string(), Value::String(r.name)),
-                    ("index".to_string(), Value::UInt(r.index as u64)),
-                    ("connected".to_string(), Value::Bool(r.connected)),
-                    ("acked".to_string(), Value::UInt(r.acked)),
-                    ("acked_ts".to_string(), Value::UInt(r.acked_ts)),
-                    ("lag".to_string(), Value::UInt(r.lag)),
-                    ("partitioned".to_string(), Value::Bool(r.partitioned)),
-                    ("degraded".to_string(), Value::Bool(r.degraded)),
-                    (
-                        "consec_failed_rounds".to_string(),
-                        Value::UInt(r.consec_failed_rounds),
-                    ),
-                    ("retries".to_string(), Value::UInt(r.retries)),
-                    ("failures".to_string(), Value::UInt(r.failures)),
-                    (
-                        "last_renewal_round".to_string(),
-                        Value::UInt(r.last_renewal_round),
-                    ),
-                    (
-                        "applied_batches".to_string(),
-                        Value::UInt(r.counters.applied_batches),
-                    ),
-                    (
-                        "duplicates_absorbed".to_string(),
-                        Value::UInt(r.counters.absorbed_duplicates),
-                    ),
-                    (
-                        "gaps_buffered".to_string(),
-                        Value::UInt(r.counters.buffered_gaps),
-                    ),
-                    (
-                        "ejected_pages".to_string(),
-                        Value::UInt(r.counters.ejected_pages),
-                    ),
-                    (
-                        "self_ejections".to_string(),
-                        Value::UInt(r.counters.self_ejections),
-                    ),
-                    (
-                        "flushed_pages".to_string(),
-                        Value::UInt(r.counters.flushed_pages),
-                    ),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            (
-                "schema".to_string(),
-                Value::String("cacheportal.bus.v1".to_string()),
-            ),
-            ("latest_seq".to_string(), Value::UInt(self.latest_seq())),
-            ("published".to_string(), Value::UInt(stats.published)),
-            ("rounds".to_string(), Value::UInt(stats.rounds)),
-            ("retained".to_string(), Value::UInt(stats.retained)),
-            (
-                "deliveries_ok".to_string(),
-                Value::UInt(stats.deliveries_ok),
-            ),
-            (
-                "delivery_failures".to_string(),
-                Value::UInt(stats.delivery_failures),
-            ),
-            ("retries".to_string(), Value::UInt(stats.retries)),
-            (
-                "catch_up_batches".to_string(),
-                Value::UInt(stats.catch_up_batches),
-            ),
-            (
-                "partitioned_edges".to_string(),
-                Value::UInt(stats.partitioned_edges),
-            ),
-            ("reboots".to_string(), Value::UInt(stats.reboots)),
-            ("edges".to_string(), Value::Array(rows)),
-        ])
+        BusDoc {
+            schema: "cacheportal.bus.v1".to_string(),
+            latest_seq: self.latest_seq(),
+            published: stats.published,
+            rounds: stats.rounds,
+            retained: stats.retained,
+            deliveries_ok: stats.deliveries_ok,
+            delivery_failures: stats.delivery_failures,
+            retries: stats.retries,
+            catch_up_batches: stats.catch_up_batches,
+            partitioned_edges: stats.partitioned_edges,
+            reboots: stats.reboots,
+            edges: self.edge_rows(),
+        }
     }
 }
 
@@ -1332,16 +1311,17 @@ mod tests {
     }
 
     #[test]
-    fn bus_json_has_schema_and_edge_rows() {
+    fn bus_doc_has_schema_and_edge_rows() {
         let (bus, _t) = reliable_bus();
         bus.register_edge("edge-0", cache(), 0);
         bus.publish(1, 1, vec![]);
         bus.deliver_all(1);
-        let doc = bus.to_json();
-        assert_eq!(doc["schema"].as_str(), Some("cacheportal.bus.v1"));
-        assert_eq!(doc["latest_seq"].as_u64(), Some(1));
-        assert_eq!(doc["edges"][0]["name"].as_str(), Some("edge-0"));
-        assert_eq!(doc["edges"][0]["lag"].as_u64(), Some(0));
-        assert_eq!(doc["edges"][0]["partitioned"].as_bool(), Some(false));
+        let doc = bus.doc();
+        assert_eq!((doc.schema.as_str(), doc.latest_seq), ("cacheportal.bus.v1", 1));
+        let edge = &doc.edges[0];
+        assert_eq!((edge.name.as_str(), edge.lag, edge.partitioned), ("edge-0", 0, false));
+        assert_eq!(edge.applied_batches, 1);
+        let text = serde_json::to_string_pretty(&doc).unwrap();
+        assert_eq!(serde_json::from_str::<BusDoc>(&text).unwrap(), doc);
     }
 }

@@ -24,11 +24,11 @@ fn example_db() -> Database {
 }
 
 fn counter(p: &CachePortal, name: &str) -> u64 {
-    p.metrics_snapshot()["metrics"]["counters"][name].as_u64().unwrap_or(0)
+    p.metrics_snapshot().metrics.counters.get(name).copied().unwrap_or(0)
 }
 
 fn gauge(p: &CachePortal, name: &str) -> i64 {
-    p.metrics_snapshot()["metrics"]["gauges"][name].as_i64().unwrap_or(0)
+    p.metrics_snapshot().metrics.gauges.get(name).copied().unwrap_or(0)
 }
 
 #[test]

@@ -89,7 +89,7 @@ fn every_eject_resolves_to_commit_and_sync_roots() {
         assert_ne!(rec.trace_id, 0, "eject of {} is untraced", rec.url);
         assert_ne!(rec.span_id, 0);
         let chain = p.obs().tracer.resolve_chain(rec.trace_id, rec.parent_span);
-        assert_eq!(chain.first().map(|e| e.name), Some("sync.phase.eject"));
+        assert_eq!(chain.first().map(|e| &*e.name), Some("sync.phase.eject"));
         let root = chain.last().unwrap();
         assert_eq!(root.name, "sync.point");
         assert_eq!(root.parent_span, 0, "sync.point is a trace root");
@@ -124,7 +124,7 @@ fn timeline_entries_carry_the_sync_roots_identity() {
         assert_ne!(t.trace_id, 0);
         let root = p.obs().tracer.find_span(t.trace_id, t.span_id).unwrap();
         assert_eq!(root.name, "sync.point");
-        let stages: Vec<&str> = t.stages.iter().map(|s| s.name).collect();
+        let stages: Vec<&str> = t.stages.iter().map(|s| &*s.name).collect();
         assert_eq!(
             stages,
             ["mapper", "registration", "delta", "index", "analysis", "poll_wait", "eject", "persist"]
@@ -151,8 +151,8 @@ fn stable_surfaces_are_byte_identical_for_a_fixed_workload() {
         let p = portal();
         run_workload(&p);
         (
-            serde_json::to_string(&p.timeline_json(true)).unwrap(),
-            serde_json::to_string(&p.scorecards_json()).unwrap(),
+            serde_json::to_string(&p.timeline(true)).unwrap(),
+            serde_json::to_string(&p.scorecards()).unwrap(),
         )
     };
     let (timeline_a, scorecards_a) = render();
@@ -162,20 +162,19 @@ fn stable_surfaces_are_byte_identical_for_a_fixed_workload() {
 
     // And the scorecards actually contain the workload's signal: the join
     // query type with hits, misses, render cost, and invalidation churn.
-    let doc = p_scorecards();
-    let cards = doc["scorecards"].as_array().unwrap();
+    let cards = p_scorecards().scorecards;
     assert_eq!(cards.len(), 1, "one registered query type");
     let card = &cards[0];
-    assert!(card["sql"].as_str().unwrap().to_lowercase().contains("from car, mileage"));
-    assert!(card["hits"].as_u64().unwrap() >= 1, "page B was served from cache");
-    assert!(card["misses"].as_u64().unwrap() >= 2, "both pages generated");
-    assert!(card["render_cost_units"].as_u64().unwrap() > 0, "rows scanned attributed");
-    assert!(card["invalidations"].as_u64().unwrap() >= 1);
-    assert!(card["pages_ejected"].as_u64().unwrap() >= 1);
+    assert!(card.sql.to_lowercase().contains("from car, mileage"));
+    assert!(card.hits >= 1, "page B was served from cache");
+    assert!(card.misses >= 2, "both pages generated");
+    assert!(card.render_cost_units > 0, "rows scanned attributed");
+    assert!(card.invalidations >= 1);
+    assert!(card.pages_ejected >= 1);
 }
 
-fn p_scorecards() -> serde_json::Value {
+fn p_scorecards() -> cacheportal::obs::ScorecardsDoc {
     let p = portal();
     run_workload(&p);
-    p.scorecards_json()
+    p.scorecards()
 }

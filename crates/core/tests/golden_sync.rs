@@ -17,7 +17,7 @@ use cacheportal::web::{
     HttpRequest, PageKey, ParamSource, QueryTemplate, Servlet, ServletSpec, SqlServlet,
 };
 use cacheportal::{CachePortal, Served, SyncReport};
-use serde_json::Value as J;
+use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -102,14 +102,7 @@ fn one_loss_plan() -> FaultPlan {
     FaultPlan::new(spec)
 }
 
-/// Drop the wall-clock-carrying entries of a registry section, as the stable
-/// flight bundle does.
-fn without_micros(section: &J) -> J {
-    let J::Object(entries) = section else { panic!("registry section is an object") };
-    J::Object(entries.iter().filter(|(k, _)| !k.contains("micros")).cloned().collect())
-}
-
-fn check(name: &str, doc: &J, failures: &mut Vec<String>) {
+fn check(name: &str, doc: &impl Serialize, failures: &mut Vec<String>) {
     let actual = serde_json::to_string_pretty(doc).unwrap() + "\n";
     let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
     if std::fs::read_to_string(&golden).ok().as_deref() == Some(actual.as_str()) {
@@ -223,16 +216,17 @@ fn scripted_run_matches_the_golden_renderings() {
     }
 
     let mut failures = Vec::new();
-    check("trace.json", &p.obs().tracer.to_json_opts(1024, true), &mut failures);
-    check("timeline.json", &p.timeline_json(true), &mut failures);
-    check("scorecards.json", &p.scorecards_json(), &mut failures);
-    check("slo.json", &p.slo_json(true), &mut failures);
+    let mut trace = p.trace(1024);
+    trace.stabilize();
+    check("trace.json", &trace, &mut failures);
+    check("timeline.json", &p.timeline(true), &mut failures);
+    check("scorecards.json", &p.scorecards(), &mut failures);
+    check("slo.json", &p.slo(true), &mut failures);
     check("flight.json", &p.flight_record("golden", true), &mut failures);
-    let snap = p.metrics_snapshot();
-    let registry = J::Object(vec![
-        ("counters".to_string(), without_micros(&snap["metrics"]["counters"])),
-        ("gauges".to_string(), without_micros(&snap["metrics"]["gauges"])),
-    ]);
+    // The registry without its wall-clock-carrying entries, as the stable
+    // flight bundle has it.
+    let mut registry = p.metrics_snapshot().metrics;
+    registry.stabilize();
     check("metrics.json", &registry, &mut failures);
     let stats_page = PageKey::for_request(&get("stats", "category", 1), servlets()[3].spec());
     check("explain.json", &p.explain_invalidation(stats_page.as_str()), &mut failures);

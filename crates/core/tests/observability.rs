@@ -66,42 +66,36 @@ fn snapshot_covers_acceptance_metrics() {
     let snap = p.metrics_snapshot();
 
     // Page-cache hit ratio: 1 hit / 3 keyed lookups.
-    let ratio = snap["derived"]["page_cache_hit_ratio"].as_f64().unwrap();
+    let ratio = snap.derived.page_cache_hit_ratio;
     assert!(ratio > 0.0 && ratio < 1.0, "ratio = {ratio}");
-    assert!(snap["metrics"]["counters"]["cache.page.hits"].as_u64().unwrap() >= 1);
-    assert!(snap["metrics"]["counters"]["cache.page.misses"].as_u64().unwrap() >= 2);
-    assert_eq!(
-        snap["metrics"]["counters"]["web.requests.total"].as_u64(),
-        Some(3)
-    );
+    assert_eq!(ratio, p.page_cache().stats().hit_ratio());
+    let counters = &snap.metrics.counters;
+    assert!(counters["cache.page.hits"] >= 1);
+    assert!(counters["cache.page.misses"] >= 2);
+    assert_eq!(counters["web.requests.total"], 3);
 
     // Polls issued vs avoided: the join insert needs a polling query for
     // the 30000 page, while the 20000 page is cleared by the local check.
-    let issued = snap["derived"]["polls_issued"].as_u64().unwrap();
-    let avoided = snap["derived"]["polls_avoided"].as_u64().unwrap();
+    let issued = snap.derived.polls_issued;
+    let avoided = snap.derived.polls_avoided;
     assert!(issued >= 1, "join inserts must poll (issued = {issued})");
     assert!(avoided >= 1, "local checks must avoid polls (avoided = {avoided})");
 
     // Commit→eject staleness histogram with quantiles.
-    let window = &snap["staleness"]["commit_to_eject_micros"];
-    assert!(window["count"].as_u64().unwrap() >= 1);
-    for q in ["p50", "p95", "p99"] {
-        let v = window[q].as_u64().unwrap();
+    let window = &snap.staleness.commit_to_eject_micros;
+    assert!(window.count >= 1);
+    for (q, v) in [("p50", window.p50), ("p95", window.p95), ("p99", window.p99)] {
         assert!(v >= 1_000, "{q} = {v}, expected ≥ the 1000us pause");
     }
-    assert!(window["max"].as_u64().unwrap() >= window["p50"].as_u64().unwrap());
+    assert!(window.max >= window.p50);
 
     // Trace captured the pipeline milestones.
-    assert!(snap["trace"]["recorded"].as_u64().unwrap() > 0);
+    assert!(snap.trace.recorded > 0);
 
-    // The document renders and re-parses as JSON text.
+    // The document renders and reads back as JSON text.
     let text = serde_json::to_string_pretty(&snap).unwrap();
-    let back: serde_json::Value = serde_json::from_str(&text).unwrap();
-    assert_eq!(
-        back["derived"]["polls_issued"].as_u64(),
-        Some(issued),
-        "snapshot must round-trip through JSON text"
-    );
+    let back: cacheportal::obs::Snapshot = serde_json::from_str(&text).unwrap();
+    assert_eq!(back, snap, "snapshot must round-trip through JSON text");
 }
 
 #[test]
@@ -127,12 +121,9 @@ fn over_invalidation_audit_counts_false_ejects() {
     assert_eq!(report.ejected, 1);
 
     let snap = p.metrics_snapshot();
-    assert_eq!(snap["derived"]["over_invalidations"].as_u64(), Some(1));
-    assert_eq!(snap["derived"]["pages_ejected"].as_u64(), Some(1));
-    assert_eq!(
-        snap["metrics"]["counters"]["invalidator.audited_sync_points"].as_u64(),
-        Some(1)
-    );
+    assert_eq!(snap.derived.over_invalidations, 1);
+    assert_eq!(snap.derived.pages_ejected, 1);
+    assert_eq!(snap.metrics.counters["invalidator.audited_sync_points"], 1);
 }
 
 #[test]
@@ -151,8 +142,7 @@ fn exact_policy_audit_reports_no_over_invalidation() {
 
     let snap = p.metrics_snapshot();
     assert_eq!(
-        snap["derived"]["over_invalidations"].as_u64(),
-        Some(0),
+        snap.derived.over_invalidations, 0,
         "the exact policy ejected only the genuinely stale page"
     );
 }

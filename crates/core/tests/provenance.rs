@@ -9,6 +9,9 @@ use cacheportal::cache::{PageCache, PageCacheConfig};
 use cacheportal::db::schema::ColType;
 use cacheportal::db::Database;
 use cacheportal::invalidator::InvalidatorConfig;
+use cacheportal::obs::{
+    Explanation, FlightBundle, FlightIndexDoc, ScorecardsDoc, SloDoc, TimelineDoc, TraceDoc,
+};
 use cacheportal::web::{HttpRequest, ParamSource, QueryTemplate, ServletSpec, SqlServlet};
 use cacheportal::CachePortal;
 use std::io::{Read as _, Write as _};
@@ -83,34 +86,29 @@ fn every_eject_is_explained_with_the_full_chain() {
 
     for rec in &records {
         let doc = p.explain_invalidation(&rec.url);
-        let matches = doc["matches"].as_array().unwrap();
-        assert!(!matches.is_empty(), "no explanation for {}", rec.url);
-        let m = matches
+        assert!(!doc.matches.is_empty(), "no explanation for {}", rec.url);
+        let m = doc
+            .matches
             .iter()
-            .find(|m| m["seq"].as_u64() == Some(rec.seq))
+            .find(|m| m.seq == rec.seq)
             .expect("the record itself is among the matches");
 
         // LSN range: present and ordered.
-        let first = m["lsn_first"].as_u64().unwrap();
-        let last = m["lsn_last"].as_u64().unwrap();
-        assert!(first <= last);
+        assert!(m.lsn_first <= m.lsn_last);
 
         // ΔR groups: at least one table with a non-empty delta.
-        let deltas = m["deltas"].as_array().unwrap();
-        assert!(!deltas.is_empty());
-        for d in deltas {
-            assert!(d["table"].as_str().is_some());
-            assert!(d["inserted"].as_u64().unwrap() + d["deleted"].as_u64().unwrap() > 0);
+        assert!(!m.deltas.is_empty());
+        for d in &m.deltas {
+            assert!(!d.table.is_empty());
+            assert!(d.inserted + d.deleted > 0);
         }
 
         // Query type + verdict: the matched instance names the join and a
         // concrete decision procedure.
-        let causes = m["causes"].as_array().unwrap();
-        assert!(!causes.is_empty(), "eject of {} has no cause", rec.url);
-        for c in causes {
-            assert!(c["type_sql"].as_str().unwrap().to_lowercase().contains("from car, mileage"));
-            assert!(!c["params"].as_array().unwrap().is_empty());
-            let verdict = c["verdict"].as_str().unwrap();
+        assert!(!m.causes.is_empty(), "eject of {} has no cause", rec.url);
+        for c in &m.causes {
+            assert!(c.type_sql.to_lowercase().contains("from car, mileage"));
+            assert!(!c.params.is_empty());
             assert!(
                 [
                     "local-predicate",
@@ -124,29 +122,30 @@ fn every_eject_is_explained_with_the_full_chain() {
                     "bind-failure",
                     "poll-fault",
                 ]
-                .contains(&verdict),
-                "unknown verdict {verdict}"
+                .contains(&c.verdict.as_str()),
+                "unknown verdict {}",
+                c.verdict
             );
-            assert!(!c["detail"].as_str().unwrap().is_empty());
+            assert!(!c.detail.is_empty());
         }
 
         // URL + residency: the chain ends at the page itself.
-        assert_eq!(m["url"].as_str(), Some(&*rec.url));
-        assert!(m["resident"].as_bool().unwrap(), "cached pages were resident");
+        assert_eq!(m.url, rec.url);
+        assert!(m.resident, "cached pages were resident");
 
         // QI rows: the sniffer half of the chain.
-        let qi = doc["qi_map"].as_array().unwrap();
+        let qi = doc.qi_map.as_ref().unwrap();
         assert!(!qi.is_empty(), "{} has no QI rows", rec.url);
         for row in qi {
-            assert!(row["sql"].as_str().unwrap().to_lowercase().contains("select"));
-            assert_eq!(row["servlet"].as_str(), Some("carSearch"));
+            assert!(row.sql.to_lowercase().contains("select"));
+            assert_eq!(row.servlet, "carSearch");
         }
     }
 
     // Both syncs in this test ejected page B specifically.
     let b = p.explain_invalidation(&url_b);
-    assert_eq!(b["matches"].as_array().unwrap().len(), 2);
-    assert_eq!(b["truncated"].as_bool(), Some(false));
+    assert_eq!(b.matches.len(), 2);
+    assert!(!b.truncated);
 }
 
 #[test]
@@ -167,15 +166,14 @@ fn explain_update_resolves_any_lsn_in_the_consumed_batch() {
     // the eject.
     for lsn in [lsn_before, lsn_before + 1] {
         let doc = p.explain_update(lsn);
-        let matches = doc["matches"].as_array().unwrap();
-        assert_eq!(matches.len(), 1, "lsn {lsn} must resolve to the eject");
-        assert!(matches[0]["url"].as_str().unwrap().contains("carSearch"));
+        assert_eq!(doc.matches.len(), 1, "lsn {lsn} must resolve to the eject");
+        assert!(doc.matches[0].url.contains("carSearch"));
     }
     // An LSN never consumed resolves to nothing — and says the ring is
     // intact, so "nothing" means "no eject", not "evidence rotated out".
     let miss = p.explain_update(999_999);
-    assert!(miss["matches"].as_array().unwrap().is_empty());
-    assert_eq!(miss["truncated"].as_bool(), Some(false));
+    assert!(miss.matches.is_empty());
+    assert!(!miss.truncated);
 }
 
 /// Acceptance: `/metrics` is valid Prometheus text exposition and its
@@ -200,17 +198,10 @@ fn prometheus_exposition_matches_the_snapshot() {
     }
 
     // Every snapshot counter appears with the same value.
-    let counters = match &snap["metrics"]["counters"] {
-        serde_json::Value::Object(fields) => fields.clone(),
-        other => panic!("counters section missing: {other:?}"),
-    };
+    let counters = &snap.metrics.counters;
     assert!(!counters.is_empty());
-    for (dotted, v) in &counters {
-        let expect = format!(
-            "{}_total {}",
-            cacheportal::obs::prometheus_name(dotted),
-            v.as_u64().unwrap()
-        );
+    for (dotted, v) in counters {
+        let expect = format!("{}_total {v}", cacheportal::obs::prometheus_name(dotted));
         assert!(
             text.lines().any(|l| l == expect),
             "snapshot counter {dotted} not in exposition as `{expect}`"
@@ -248,16 +239,41 @@ fn admin_endpoint_serves_metrics_and_explanations() {
             }
         })
         .collect();
-    let (code, body) = http_get(&addr, &format!("/explain?url={encoded}"));
-    assert_eq!(code, 200);
-    let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
-    assert_eq!(doc["matches"][0]["url"].as_str(), Some(&*url));
-    assert!(!doc["qi_map"].as_array().unwrap().is_empty());
+    let doc: Explanation = round_trip(&addr, &format!("/explain?url={encoded}"));
+    assert_eq!(doc.matches[0].url, url);
+    assert!(!doc.qi_map.unwrap().is_empty());
+    assert_eq!(doc.matches, p.explain_invalidation(&url).matches);
 
-    let (code, body) = http_get(&addr, "/explain?lsn=4");
-    assert_eq!(code, 200);
-    let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
-    assert_eq!(doc["matches"][0]["url"].as_str(), Some(&*url));
+    let doc: Explanation = round_trip(&addr, "/explain?lsn=4");
+    assert_eq!(doc.matches[0].url, url);
+    assert_eq!(doc, p.explain_update(4));
+
+    // Every other JSON route is its document type, byte for byte, and the
+    // accessor of the same name answers what the route does.
+    let trace: TraceDoc = round_trip(&addr, "/trace");
+    assert_eq!(trace, p.trace(256));
+    assert!(trace.recent.iter().any(|e| e.name == "sync.phase.eject" && e.trace_id != 0));
+    let timeline: TimelineDoc = round_trip(&addr, "/timeline");
+    assert_eq!(timeline, p.timeline(false));
+    assert!(timeline.sync_points.iter().all(|t| !t.stages.is_empty()));
+    assert_eq!(round_trip::<TimelineDoc>(&addr, "/timeline?stable=1"), p.timeline(true));
+    let scorecards: ScorecardsDoc = round_trip(&addr, "/scorecards");
+    assert_eq!(scorecards, p.scorecards());
+    assert!(scorecards.scorecards[0].render_cost_units > 0);
+    assert_eq!(round_trip::<SloDoc>(&addr, "/slo"), p.slo(false));
+    let slo: SloDoc = round_trip(&addr, "/slo?stable=1");
+    assert!(slo.stable && slo.objectives.iter().any(|o| o.id == "staleness-p99"));
+    let bus: cacheportal::bus::BusDoc = round_trip(&addr, "/bus");
+    assert_eq!((bus.schema.as_str(), bus.edges.len()), ("cacheportal.bus.v1", 0));
+    let stable: FlightBundle = round_trip(&addr, "/flightrecord?dump=1&stable=1");
+    assert_eq!(stable, p.flight_record("on-demand", true));
+    let full: FlightBundle = round_trip(&addr, "/flightrecord?dump=1");
+    assert!(full.metrics.histograms.is_some() && !full.stable);
+    let kept: FlightBundle = round_trip(&addr, "/flightrecord?seq=1");
+    assert_eq!(kept, full);
+    let index: FlightIndexDoc = round_trip(&addr, "/flightrecord");
+    assert_eq!(index.schema, "cacheportal.flightrecord.v1.index");
+    assert_eq!(index.dumps.iter().map(|d| d.seq).collect::<Vec<_>>(), vec![0, 1]);
 
     let (code, _) = http_get(&addr, "/explain");
     assert_eq!(code, 400);
@@ -317,8 +333,8 @@ fn rolled_back_transactions_leave_no_provenance() {
 
     assert_eq!(p.obs().provenance.recorded(), 0, "no eject, no record");
     let doc = p.explain_invalidation(p.request(&req(30000)).key.unwrap().as_str());
-    assert!(doc["matches"].as_array().unwrap().is_empty());
-    assert_eq!(doc["truncated"].as_bool(), Some(false));
+    assert!(doc.matches.is_empty());
+    assert!(!doc.truncated);
 
     // The same statements committed do produce the full chain.
     p.update_txn(|tx| {
@@ -357,15 +373,15 @@ fn snapshot_surfaces_ring_overflow_instead_of_hiding_it() {
         });
     }
     let snap = p.metrics_snapshot();
-    assert!(snap["trace"]["dropped"].as_u64().unwrap() > 0);
-    assert!(snap["provenance"]["dropped"].as_u64().unwrap() > 0);
-    assert_eq!(snap["provenance"]["recorded"].as_u64(), Some(600));
+    assert!(snap.trace.dropped > 0);
+    assert!(snap.provenance.dropped > 0);
+    assert_eq!(snap.provenance.recorded, 600);
 
     // Evicted evidence is flagged, not silently absent.
     let doc = p.explain_invalidation("/p0");
-    assert!(doc["matches"].as_array().unwrap().is_empty());
-    assert_eq!(doc["truncated"].as_bool(), Some(true));
-    assert!(doc["dropped_records"].as_u64().unwrap() > 0);
+    assert!(doc.matches.is_empty());
+    assert!(doc.truncated);
+    assert!(doc.dropped_records > 0);
 }
 
 #[test]
@@ -515,16 +531,16 @@ fn poll_fault_ejects_carry_poll_fault_provenance() {
     assert!(r.invalidation.poll_faults > 0, "p=1.0 must fault the poll");
 
     let doc = p.explain_invalidation(&url);
-    let matches = doc["matches"].as_array().unwrap();
-    assert!(!matches.is_empty(), "faulted eject left no provenance");
-    let fault_causes: Vec<&serde_json::Value> = matches
+    assert!(!doc.matches.is_empty(), "faulted eject left no provenance");
+    let fault_causes: Vec<_> = doc
+        .matches
         .iter()
-        .flat_map(|m| m["causes"].as_array().unwrap())
-        .filter(|c| c["verdict"].as_str() == Some("poll-fault"))
+        .flat_map(|m| &m.causes)
+        .filter(|c| c.verdict == "poll-fault")
         .collect();
     assert!(!fault_causes.is_empty(), "no cause carries the poll-fault verdict");
     for c in &fault_causes {
-        let detail = c["detail"].as_str().unwrap();
+        let detail = &c.detail;
         assert!(
             detail.contains("conservative fallback"),
             "detail must explain the degradation: {detail}"
@@ -536,6 +552,16 @@ fn poll_fault_ejects_carry_poll_fault_provenance() {
     let m = &p.obs().metrics;
     assert!(m.counter_value("invalidator.polls.faulted") > 0);
     assert!(m.counter_value("invalidator.poll_fault_verdicts") > 0);
+}
+
+/// GET a JSON route: the body must read as the route's document type and
+/// that document must render back to the very bytes that were served.
+fn round_trip<T: serde::Serialize + serde::Deserialize>(addr: &str, path: &str) -> T {
+    let (code, body) = http_get(addr, path);
+    assert_eq!(code, 200, "{path}: {body}");
+    let doc: T = serde_json::from_str(&body).unwrap_or_else(|e| panic!("{path}: {e}"));
+    assert_eq!(serde_json::to_string_pretty(&doc).unwrap(), body, "{path}");
+    doc
 }
 
 /// Minimal blocking HTTP/1.1 GET against the admin server.

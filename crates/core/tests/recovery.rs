@@ -207,9 +207,8 @@ fn checkpoint_interval_is_configurable() {
             p.sync_point().unwrap();
         }
         let snap = p.metrics_snapshot();
-        let checkpoints = snap["metrics"]["counters"]["durable.checkpoints"]
-            .as_u64()
-            .unwrap_or(0);
+        let checkpoints =
+            snap.metrics.counters.get("durable.checkpoints").copied().unwrap_or(0);
         std::fs::remove_dir_all(&dir).unwrap();
         checkpoints
     };

@@ -9,7 +9,7 @@
 
 use cacheportal::db::schema::ColType;
 use cacheportal::db::Database;
-use cacheportal::obs::{verify_flight_record, Objective, SloKind, SloPolicy};
+use cacheportal::obs::{verify_flight_record, FlightBundle, Objective, SloKind, SloPolicy};
 use cacheportal::web::{HttpRequest, ParamSource, QueryTemplate, ServletSpec, SqlServlet};
 use cacheportal::CachePortal;
 use std::io::{Read, Write};
@@ -168,10 +168,10 @@ fn breach_fires_dumps_black_box_and_resolves() {
     dumps.sort();
     assert!(!dumps.is_empty(), "armed flight dir must hold at least one dump");
     let raw = std::fs::read_to_string(&dumps[0]).unwrap();
-    let bundle: serde_json::Value = serde_json::from_str(&raw).unwrap();
-    assert_eq!(bundle["schema"].as_str(), Some("cacheportal.flightrecord.v1"));
+    let bundle: FlightBundle = serde_json::from_str(&raw).unwrap();
+    assert_eq!(bundle.schema, "cacheportal.flightrecord.v1");
     assert!(
-        bundle["reason"].as_str().unwrap_or("").starts_with("slo-breach:staleness-p99:"),
+        bundle.reason.starts_with("slo-breach:staleness-p99:"),
         "auto-dump reason names the breached objective"
     );
     // Bundle-local coherence: provenance trace ids resolve against the
@@ -239,6 +239,6 @@ fn stable_flight_record_is_byte_identical_across_runs() {
 
     // The stable rendering is still a coherent black box: its provenance
     // tail resolves against its own (duration-zeroed) trace section.
-    let bundle: serde_json::Value = serde_json::from_str(&bodies[0]).unwrap();
+    let bundle: FlightBundle = serde_json::from_str(&bodies[0]).unwrap();
     assert!(verify_flight_record(&bundle).expect("stable bundle chains must resolve") > 0);
 }

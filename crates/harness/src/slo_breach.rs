@@ -178,7 +178,7 @@ fn verify_contract(portal: &CachePortal, report: &mut DrillReport) -> Result<(),
         .latest()
         .ok_or_else(|| "flight recorder ring holds the capture".to_string())?;
     check(
-        bundle["schema"].as_str() == Some("cacheportal.flightrecord.v1"),
+        bundle.schema == "cacheportal.flightrecord.v1",
         "bundle carries the versioned schema marker",
     )?;
     report.chains_verified = verify_flight_record(&bundle)?;

@@ -11,7 +11,10 @@ use crate::analysis::{
 use crate::breaker::{BreakerConfig, BreakerDecision, CircuitBreaker, TypeObservation};
 use crate::delta::{DeltaGroupStat, DeltaSet};
 use crate::policy::{InvalidationPolicy, PolicyConfig, PolicyStore};
-use crate::polling::{InfoManager, PollAnswer, PollRunner, PollStats};
+use crate::polling::{
+    InfoManager, PollAnswer, PollRunner, PollStats, POLL_BACKOFF_BASE, POLL_MAX_RETRIES,
+    POLL_RETRY_BUDGET_PER_TYPE,
+};
 use crate::predicate_index::Probe;
 use crate::query_type::{QueryShape, QueryTypeId, Registry};
 use cacheportal_db::sql::ast::Select;
@@ -297,18 +300,6 @@ pub struct InvalidatorConfig {
     /// Fault-injection plan for polling queries (harness only; the default
     /// plan is inert). Installed into every sync point's [`PollRunner`].
     pub fault: cacheportal_db::FaultPlan,
-    /// Retries allowed per poll after a transient fault (0 = fail on the
-    /// first fault, the pre-retry behavior).
-    pub poll_max_retries: u32,
-    /// Base of the bounded exponential retry backoff, microseconds. `0`
-    /// (the default) models the backoff without sleeping — tests and the
-    /// harness stay fast and deterministic.
-    pub poll_backoff_base_micros: u64,
-    /// Retry budget per query type per sync point: once a type has spent
-    /// this many retries, its remaining polls fail on first fault. Keeps a
-    /// flapping DBMS from multiplying sync-point latency. Shard-local and
-    /// deterministic (each type is analyzed wholly within one shard).
-    pub poll_retry_budget_per_type: u64,
     /// Circuit-breaker configuration for adaptive poll degradation.
     pub breaker: BreakerConfig,
     /// Probe the predicate index before scanning a type's instances (on by
@@ -340,9 +331,6 @@ impl Default for InvalidatorConfig {
             workers: 1,
             poll_rtt_micros: 0,
             fault: cacheportal_db::FaultPlan::default(),
-            poll_max_retries: 2,
-            poll_backoff_base_micros: 0,
-            poll_retry_budget_per_type: 32,
             breaker: BreakerConfig::default(),
             predicate_index: true,
             index_differential: false,
@@ -766,15 +754,12 @@ impl Invalidator {
         candidate_types: &[QueryTypeId],
         report: &mut InvalidationReport,
     ) -> DbResult<Vec<Affected>> {
-        let poll_runner = |rtt_micros: u64, backoff_base_micros: u64| {
+        let poll_runner = |rtt_micros: u64| {
             PollRunner::with_rtt(&self.info, deltas, std::time::Duration::from_micros(rtt_micros))
                 .with_fault_plan(self.config.fault.clone())
-                .with_retry(
-                    self.config.poll_max_retries,
-                    std::time::Duration::from_micros(backoff_base_micros),
-                )
+                .with_retry(POLL_MAX_RETRIES, POLL_BACKOFF_BASE)
         };
-        let runner = poll_runner(self.config.poll_rtt_micros, self.config.poll_backoff_base_micros);
+        let runner = poll_runner(self.config.poll_rtt_micros);
 
         // Compiled once per type, here, where the registry is still ours to
         // change: the shards share it read-only.
@@ -857,7 +842,7 @@ impl Invalidator {
         // decisions and touches no registry/breaker state, so enabling
         // the mode never changes what the sync point ejects.
         if self.config.index_differential && self.config.predicate_index {
-            let shadow_runner = poll_runner(0, 0);
+            let shadow_runner = poll_runner(0);
             let all_types: Vec<(usize, QueryTypeId)> =
                 candidate_types.iter().copied().enumerate().collect();
             let shadow = SyncContext { runner: &shadow_runner, use_index: false, ..ctx }
@@ -1006,7 +991,7 @@ impl SyncContext<'_> {
             let mut run = TypeRun {
                 policy: self.policies.policy_for(ty_id, &self.config.policy),
                 breaker_degraded: self.degraded.contains(&ty_id),
-                retry_budget: self.config.poll_retry_budget_per_type,
+                retry_budget: POLL_RETRY_BUDGET_PER_TYPE,
                 stat: TypeSyncStat { id: ty_id, shape: ty.shape, ..TypeSyncStat::default() },
             };
             let compiled = self
@@ -1430,7 +1415,7 @@ impl SyncContext<'_> {
         }
         // Retries come out of the type's per-sync budget: once it is spent,
         // remaining polls fail on the first fault.
-        let allowance = (self.config.poll_max_retries as u64).min(run.retry_budget) as u32;
+        let allowance = (POLL_MAX_RETRIES as u64).min(run.retry_budget) as u32;
         run.stat.polls_attempted += 1;
         match self.runner.decide_with_allowance(self.db, poll, tuple_was_delete, allowance) {
             Ok((answer, retries_spent)) => {

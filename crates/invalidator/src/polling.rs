@@ -201,6 +201,17 @@ pub enum PollAnswer {
 /// even with the full worker fan-out while bounding memory.
 const DEDUP_STRIPES: usize = 64;
 
+/// Retries a sync point allows each poll after a transient fault.
+pub(crate) const POLL_MAX_RETRIES: u32 = 2;
+/// Base of the retry backoff a sync point's runner gets: zero, which models
+/// the backoff without sleeping, so sync points stay fast and deterministic.
+pub(crate) const POLL_BACKOFF_BASE: Duration = Duration::ZERO;
+/// Retries one query type may spend in one sync point: once they are gone
+/// its remaining polls fail on the first fault, which keeps a flapping DBMS
+/// from multiplying sync-point latency. Shard-local and deterministic (each
+/// type is analyzed wholly within one shard).
+pub(crate) const POLL_RETRY_BUDGET_PER_TYPE: u64 = 32;
+
 /// Executes polls for one synchronization point, with dedup and the
 /// correlated-delete guard.
 ///

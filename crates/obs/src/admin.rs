@@ -22,80 +22,41 @@
 //!   `?dump=1[&stable=1]` captures and returns an on-demand bundle,
 //!   `?seq=N` fetches a retained bundle.
 //!
-//! The server is decoupled from `CachePortal` through [`AdminSource`]; the
-//! core crate implements it over the live registry + provenance log and
-//! exposes `CachePortal::serve_admin(addr)`.
+//! Every route reads the [`Obs`] it was given and renders the document
+//! type that module owns, so a route and the `CachePortal` accessor of the
+//! same name cannot disagree. What `Obs` cannot answer — the counters it
+//! only mirrors, the logical clock, the QI/URL map, the bus — comes through
+//! [`AdminSource`], which the core crate implements.
 
+// Status, content type and body: what `/healthz` renders is what every route
+// answers with.
+use crate::{HealthResponse as Reply, Obs, QiRow};
+use serde::Serialize;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// What the admin endpoint serves. Implementations must be cheap enough to
-/// call per-request (snapshots, not recomputation).
+/// What the admin endpoint needs of the portal beyond its [`Obs`].
 pub trait AdminSource: Send + Sync {
-    /// Body for `GET /metrics` (Prometheus text exposition).
-    fn prometheus(&self) -> String;
-    /// Body for `GET /explain?url=…`.
-    fn explain_url(&self, url: &str) -> serde_json::Value;
-    /// Body for `GET /explain?lsn=…`.
-    fn explain_lsn(&self, lsn: u64) -> serde_json::Value;
-    /// Reply for `GET /healthz`. The default keeps the legacy
-    /// always-healthy plain `ok`; real portals return their
-    /// [`crate::HealthSnapshot::to_response`] so open breakers, in-flight
-    /// recovery, and WAL errors surface as `503`.
-    fn health(&self) -> crate::HealthResponse {
-        crate::HealthResponse::ok()
-    }
-    /// Body for `GET /trace` — the `n` most recent causal trace events.
-    /// Default: no tracer wired.
-    fn trace(&self, _limit: usize) -> serde_json::Value {
-        serde_json::Value::Null
-    }
-    /// Body for `GET /timeline`. `stable` zeroes wall-clock fields so the
-    /// document is byte-stable for a fixed seed. Default: no timeline wired.
-    fn timeline(&self, _stable: bool) -> serde_json::Value {
-        serde_json::Value::Null
-    }
-    /// Body for `GET /timeline?format=chrome` (Chrome `trace_event` JSON).
-    /// Default: no timeline wired.
-    fn timeline_chrome(&self) -> serde_json::Value {
-        serde_json::Value::Null
-    }
-    /// Body for `GET /scorecards`. Default: no scorecards wired.
-    fn scorecards(&self) -> serde_json::Value {
-        serde_json::Value::Null
-    }
-    /// Body for `GET /slo`. `stable` drops wall-fed objectives so the
-    /// document is byte-stable for a fixed seed. Default: no SLO engine
-    /// wired.
-    fn slo(&self, _stable: bool) -> serde_json::Value {
-        serde_json::Value::Null
-    }
-    /// Body for `GET /bus` — per-edge invalidation-bus delivery state
-    /// (watermarks, lag, retries, partition state). Default: no bus wired.
-    fn bus(&self) -> serde_json::Value {
-        serde_json::Value::Null
-    }
-    /// Body for `GET /flightrecord` — the flight-recorder dump index.
-    /// Default: no recorder wired.
-    fn flightrecord_index(&self) -> serde_json::Value {
-        serde_json::Value::Null
-    }
-    /// Body for `GET /flightrecord?dump=1` — capture an on-demand bundle
-    /// and return it (`stable` controls the returned rendering). Default:
-    /// no recorder wired.
-    fn flightrecord_dump(&self, _stable: bool) -> serde_json::Value {
-        serde_json::Value::Null
-    }
-    /// Body for `GET /flightrecord?seq=N` — a retained bundle by capture
-    /// sequence number. Default: no recorder wired.
-    fn flightrecord_get(&self, _seq: u64) -> serde_json::Value {
-        serde_json::Value::Null
-    }
+    /// Mirror component-owned cumulative statistics (database, connection
+    /// pools, QI/URL map) into the registry; runs before `/metrics` and a
+    /// flight-record dump read it.
+    fn refresh(&self);
+    /// The portal's logical clock, microseconds.
+    fn now_micros(&self) -> u64;
+    /// The QI/URL map rows of the page `url`.
+    fn qi_rows(&self, url: &str) -> Vec<QiRow>;
+    /// Body for `GET /bus`: the bus crate's document, rendered.
+    fn bus(&self) -> String;
 }
+
+/// A connection gets this long to deliver its request head, and each write
+/// of the response this long to make progress. Connections are served one
+/// at a time, so this also bounds how long one peer can hold every route.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
 
 /// A running admin endpoint. Dropping (or calling [`AdminServer::shutdown`])
 /// stops the accept loop and joins the thread.
@@ -106,9 +67,13 @@ pub struct AdminServer {
 }
 
 impl AdminServer {
-    /// Bind `addr` (e.g. `"127.0.0.1:0"`) and serve `source` on a
-    /// background thread.
-    pub fn serve(addr: &str, source: Arc<dyn AdminSource>) -> std::io::Result<AdminServer> {
+    /// Bind `addr` (e.g. `"127.0.0.1:0"`) and serve `obs` on a background
+    /// thread.
+    pub fn serve(
+        addr: &str,
+        obs: Arc<Obs>,
+        source: Arc<dyn AdminSource>,
+    ) -> std::io::Result<AdminServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -121,7 +86,7 @@ impl AdminServer {
                         break;
                     }
                     if let Ok(mut stream) = conn {
-                        let _ = handle_conn(&mut stream, source.as_ref());
+                        let _ = handle_conn(&mut stream, &obs, source.as_ref());
                     }
                 }
             })?;
@@ -161,112 +126,99 @@ impl Drop for AdminServer {
     }
 }
 
-fn handle_conn(stream: &mut TcpStream, source: &dyn AdminSource) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    let request_line = read_request_line(stream)?;
+fn handle_conn(stream: &mut TcpStream, obs: &Obs, source: &dyn AdminSource) -> std::io::Result<()> {
+    let request_line = read_request_line(stream, Instant::now() + REQUEST_DEADLINE)?;
+    stream.set_write_timeout(Some(REQUEST_DEADLINE))?;
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let target = parts.next().unwrap_or("");
-    if method != "GET" {
-        return respond(stream, 405, "text/plain; charset=utf-8", "method not allowed\n");
-    }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
+    let reply = if method == "GET" {
+        let (path, query) = target.split_once('?').unwrap_or((target, ""));
+        route(obs, source, path, query)
+    } else {
+        text(405, "method not allowed\n")
     };
+    respond(stream, &reply)
+}
+
+const TEXT: &str = "text/plain; charset=utf-8";
+const JSON: &str = "application/json";
+
+fn text(status: u16, body: &str) -> Reply {
+    Reply { status, content_type: TEXT, body: body.to_string() }
+}
+
+fn json<T: Serialize>(doc: &T) -> Reply {
+    let body = serde_json::to_string_pretty(doc).expect("a document renders");
+    Reply { status: 200, content_type: JSON, body }
+}
+
+/// The route table: which document answers which path.
+fn route(obs: &Obs, source: &dyn AdminSource, path: &str, query: &str) -> Reply {
+    let param = |name: &str| query_param(query, name);
+    let number = |name: &str| param(name).and_then(|v| v.parse::<u64>().ok());
+    let flag = |name: &str| param(name).as_deref() == Some("1");
     match path {
-        "/healthz" => {
-            let h = source.health();
-            respond(stream, h.status, h.content_type, &h.body)
+        "/healthz" => obs.health.snapshot().to_response(),
+        "/metrics" => {
+            source.refresh();
+            Reply {
+                status: 200,
+                content_type: "text/plain; version=0.0.4; charset=utf-8",
+                body: obs.metrics.render_prometheus(),
+            }
         }
-        "/metrics" => respond(
-            stream,
-            200,
-            "text/plain; version=0.0.4; charset=utf-8",
-            &source.prometheus(),
-        ),
         "/explain" => {
-            if let Some(url) = query_param(query, "url") {
-                let body = serde_json::to_string_pretty(&source.explain_url(&url))
-                    .unwrap_or_else(|_| "{}".to_string());
-                respond(stream, 200, "application/json", &body)
-            } else if let Some(lsn) = query_param(query, "lsn").and_then(|v| v.parse::<u64>().ok()) {
-                let body = serde_json::to_string_pretty(&source.explain_lsn(lsn))
-                    .unwrap_or_else(|_| "{}".to_string());
-                respond(stream, 200, "application/json", &body)
+            if let Some(url) = param("url") {
+                json(&obs.explain_url(&url, source.qi_rows(&url)))
+            } else if let Some(lsn) = number("lsn") {
+                json(&obs.provenance.explain_lsn(lsn))
             } else {
-                respond(
-                    stream,
-                    400,
-                    "text/plain; charset=utf-8",
-                    "expected ?url=<url> or ?lsn=<n>\n",
-                )
+                text(400, "expected ?url=<url> or ?lsn=<n>\n")
             }
         }
-        "/trace" => {
-            let limit = query_param(query, "n")
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(256);
-            let body = serde_json::to_string_pretty(&source.trace(limit))
-                .unwrap_or_else(|_| "{}".to_string());
-            respond(stream, 200, "application/json", &body)
+        "/trace" => json(&obs.tracer.doc(number("n").map_or(256, |n| n as usize))),
+        "/timeline" if param("format").as_deref() == Some("chrome") => {
+            json(&obs.timeline.to_chrome_trace(64))
         }
-        "/timeline" => {
-            let doc = if query_param(query, "format").as_deref() == Some("chrome") {
-                source.timeline_chrome()
-            } else {
-                let stable = query_param(query, "stable").as_deref() == Some("1");
-                source.timeline(stable)
-            };
-            let body = serde_json::to_string_pretty(&doc).unwrap_or_else(|_| "{}".to_string());
-            respond(stream, 200, "application/json", &body)
-        }
-        "/scorecards" => {
-            let body = serde_json::to_string_pretty(&source.scorecards())
-                .unwrap_or_else(|_| "{}".to_string());
-            respond(stream, 200, "application/json", &body)
-        }
-        "/slo" => {
-            let stable = query_param(query, "stable").as_deref() == Some("1");
-            let body = serde_json::to_string_pretty(&source.slo(stable))
-                .unwrap_or_else(|_| "{}".to_string());
-            respond(stream, 200, "application/json", &body)
-        }
-        "/bus" => {
-            let body = serde_json::to_string_pretty(&source.bus())
-                .unwrap_or_else(|_| "{}".to_string());
-            respond(stream, 200, "application/json", &body)
-        }
-        "/flightrecord" => {
-            let doc = if query_param(query, "dump").as_deref() == Some("1") {
-                let stable = query_param(query, "stable").as_deref() == Some("1");
-                source.flightrecord_dump(stable)
-            } else if let Some(seq) = query_param(query, "seq").and_then(|v| v.parse::<u64>().ok())
-            {
-                source.flightrecord_get(seq)
-            } else {
-                source.flightrecord_index()
-            };
-            if doc == serde_json::Value::Null && query_param(query, "seq").is_some() {
-                return respond(
-                    stream,
-                    404,
-                    "text/plain; charset=utf-8",
-                    "bundle rotated out or never captured\n",
-                );
+        "/timeline" => json(&obs.timeline_doc(flag("stable"))),
+        "/scorecards" => json(&obs.scorecards.doc()),
+        "/slo" => json(&obs.slo_doc(source.now_micros(), flag("stable"))),
+        "/bus" => Reply { status: 200, content_type: JSON, body: source.bus() },
+        // `?dump=1` captures the full bundle (ring + disk when armed) so the
+        // post-mortem artifact loses nothing; `stable=1` reduces only what
+        // is sent back.
+        "/flightrecord" if flag("dump") => {
+            source.refresh();
+            let mut bundle = obs.capture_flight_record("on-demand", source.now_micros());
+            if flag("stable") {
+                bundle.stabilize();
             }
-            let body = serde_json::to_string_pretty(&doc).unwrap_or_else(|_| "{}".to_string());
-            respond(stream, 200, "application/json", &body)
+            json(&bundle)
         }
-        _ => respond(stream, 404, "text/plain; charset=utf-8", "not found\n"),
+        "/flightrecord" => match number("seq") {
+            Some(seq) => match obs.recorder.bundle(seq) {
+                Some(body) => Reply { status: 200, content_type: JSON, body },
+                None => text(404, "bundle rotated out or never captured\n"),
+            },
+            None => json(&obs.recorder.index()),
+        },
+        _ => text(404, "not found\n"),
     }
 }
 
 /// Read up to the end of the request head and return the request line.
-fn read_request_line(stream: &mut TcpStream) -> std::io::Result<String> {
+/// The whole head has until `deadline`, however it is paced: each read
+/// waits for what is left of it.
+fn read_request_line(stream: &mut TcpStream, deadline: Instant) -> std::io::Result<String> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             break;
@@ -280,7 +232,8 @@ fn read_request_line(stream: &mut TcpStream) -> std::io::Result<String> {
     Ok(head.lines().next().unwrap_or("").to_string())
 }
 
-fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) -> std::io::Result<()> {
+fn respond(stream: &mut TcpStream, reply: &Reply) -> std::io::Result<()> {
+    let Reply { status, content_type, body } = reply;
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
@@ -350,25 +303,29 @@ fn percent_decode(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{
+        Explanation, FlightBundle, FlightIndexDoc, ScorecardsDoc, SloDoc, TimelineDoc, TraceDoc,
+        FLIGHT_RECORD_SCHEMA,
+    };
 
-    struct StubSource;
+    /// The portal's side of the endpoint, with answers a test can tell apart.
+    struct Stub;
 
-    impl AdminSource for StubSource {
-        fn prometheus(&self) -> String {
-            "# TYPE cacheportal_test_total counter\ncacheportal_test_total 1\n".to_string()
+    impl AdminSource for Stub {
+        fn refresh(&self) {}
+        fn now_micros(&self) -> u64 {
+            1_234
         }
-        fn explain_url(&self, url: &str) -> serde_json::Value {
-            serde_json::Value::Object(vec![(
-                "url".to_string(),
-                serde_json::Value::String(url.to_string()),
-            )])
+        fn qi_rows(&self, url: &str) -> Vec<QiRow> {
+            vec![QiRow { id: 7, sql: format!("SELECT '{url}'"), servlet: "stub".to_string() }]
         }
-        fn explain_lsn(&self, lsn: u64) -> serde_json::Value {
-            serde_json::Value::Object(vec![(
-                "lsn".to_string(),
-                serde_json::Value::UInt(lsn),
-            )])
+        fn bus(&self) -> String {
+            "{\"schema\": \"stub.bus\"}".to_string()
         }
+    }
+
+    fn serve(obs: &Arc<Obs>) -> AdminServer {
+        AdminServer::serve("127.0.0.1:0", obs.clone(), Arc::new(Stub)).unwrap()
     }
 
     /// Tiny blocking HTTP GET for tests.
@@ -388,9 +345,18 @@ mod tests {
         (status, body)
     }
 
+    /// GET `path`, expect 200 and read the body as the route's document.
+    fn get_doc<T: serde::Deserialize>(addr: SocketAddr, path: &str) -> T {
+        let (status, body) = http_get(addr, path);
+        assert_eq!(status, 200, "{path}: {body}");
+        serde_json::from_str(&body).unwrap_or_else(|e| panic!("{path}: {e}"))
+    }
+
     #[test]
     fn serves_health_metrics_and_explain() {
-        let server = AdminServer::serve("127.0.0.1:0", Arc::new(StubSource)).unwrap();
+        let obs = Obs::shared();
+        obs.metrics.counter("test").inc();
+        let server = serve(&obs);
         let addr = server.addr();
 
         let (status, body) = http_get(addr, "/healthz");
@@ -401,173 +367,72 @@ mod tests {
         assert_eq!(status, 200);
         assert!(body.contains("cacheportal_test_total 1"));
 
-        let (status, body) = http_get(addr, "/explain?url=a%20b+c");
-        assert_eq!(status, 200);
-        let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
-        assert_eq!(doc["url"].as_str(), Some("a b c"));
-
-        let (status, body) = http_get(addr, "/explain?lsn=7");
-        assert_eq!(status, 200);
-        let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
-        assert_eq!(doc["lsn"].as_u64(), Some(7));
+        let doc: Explanation = get_doc(addr, "/explain?url=a%20b+c");
+        assert_eq!(doc.qi_map.unwrap()[0].sql, "SELECT 'a b c'");
+        let doc: Explanation = get_doc(addr, "/explain?lsn=7");
+        assert_eq!(doc.qi_map, None);
 
         let (status, _) = http_get(addr, "/explain?bogus=1");
         assert_eq!(status, 400);
         let (status, _) = http_get(addr, "/nope");
         assert_eq!(status, 404);
-
-        // New endpoints fall back to the default (null) trait impls, so
-        // sources written before tracing existed keep working.
-        for path in ["/trace", "/timeline", "/scorecards", "/slo", "/bus", "/flightrecord"] {
-            let (status, body) = http_get(addr, path);
-            assert_eq!(status, 200, "{path}");
-            assert_eq!(body.trim(), "null", "{path}");
-        }
+        assert_eq!(http_get(addr, "/bus"), (200, "{\"schema\": \"stub.bus\"}".to_string()));
 
         server.shutdown();
-    }
-
-    struct TracedSource;
-
-    impl AdminSource for TracedSource {
-        fn prometheus(&self) -> String {
-            String::new()
-        }
-        fn explain_url(&self, _url: &str) -> serde_json::Value {
-            serde_json::Value::Null
-        }
-        fn explain_lsn(&self, _lsn: u64) -> serde_json::Value {
-            serde_json::Value::Null
-        }
-        fn trace(&self, limit: usize) -> serde_json::Value {
-            serde_json::Value::Object(vec![(
-                "limit".to_string(),
-                serde_json::Value::UInt(limit as u64),
-            )])
-        }
-        fn timeline(&self, stable: bool) -> serde_json::Value {
-            serde_json::Value::Object(vec![(
-                "stable".to_string(),
-                serde_json::Value::Bool(stable),
-            )])
-        }
-        fn timeline_chrome(&self) -> serde_json::Value {
-            serde_json::Value::Object(vec![(
-                "traceEvents".to_string(),
-                serde_json::Value::Array(Vec::new()),
-            )])
-        }
-        fn scorecards(&self) -> serde_json::Value {
-            serde_json::Value::Object(vec![(
-                "scorecards".to_string(),
-                serde_json::Value::Array(Vec::new()),
-            )])
-        }
     }
 
     #[test]
     fn serves_trace_timeline_and_scorecards() {
-        let server = AdminServer::serve("127.0.0.1:0", Arc::new(TracedSource)).unwrap();
+        let obs = Obs::shared();
+        for ts in 0..3 {
+            obs.tracer.event("core", "tick", ts, "");
+        }
+        obs.timeline.record(crate::SyncTimeline { wall_micros: 9, ..Default::default() });
+        let server = serve(&obs);
         let addr = server.addr();
 
-        let (status, body) = http_get(addr, "/trace?n=42");
-        assert_eq!(status, 200);
-        let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
-        assert_eq!(doc["limit"].as_u64(), Some(42));
-        let (_, body) = http_get(addr, "/trace");
-        let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
-        assert_eq!(doc["limit"].as_u64(), Some(256));
+        let doc: TraceDoc = get_doc(addr, "/trace?n=2");
+        assert_eq!((doc.recorded, doc.recent.len()), (3, 2));
+        let doc: TraceDoc = get_doc(addr, "/trace");
+        assert_eq!(doc.recent.len(), 3);
 
-        let (_, body) = http_get(addr, "/timeline");
-        let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
-        assert_eq!(doc["stable"].as_bool(), Some(false));
-        let (_, body) = http_get(addr, "/timeline?stable=1");
-        let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
-        assert_eq!(doc["stable"].as_bool(), Some(true));
+        let doc: TimelineDoc = get_doc(addr, "/timeline");
+        assert_eq!((doc.stable, doc.sync_points[0].wall_micros), (false, 9));
+        let doc: TimelineDoc = get_doc(addr, "/timeline?stable=1");
+        assert_eq!((doc.stable, doc.sync_points[0].wall_micros), (true, 0));
         let (_, body) = http_get(addr, "/timeline?format=chrome");
         let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
-        assert!(doc["traceEvents"].as_array().is_some());
+        assert_eq!(doc["traceEvents"].as_array().map(Vec::len), Some(1));
 
-        let (status, body) = http_get(addr, "/scorecards");
-        assert_eq!(status, 200);
-        let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
-        assert!(doc["scorecards"].as_array().is_some());
+        let doc: ScorecardsDoc = get_doc(addr, "/scorecards");
+        assert!(doc.scorecards.is_empty());
 
         server.shutdown();
     }
 
-    struct SloSource;
-
-    impl AdminSource for SloSource {
-        fn prometheus(&self) -> String {
-            String::new()
-        }
-        fn explain_url(&self, _url: &str) -> serde_json::Value {
-            serde_json::Value::Null
-        }
-        fn explain_lsn(&self, _lsn: u64) -> serde_json::Value {
-            serde_json::Value::Null
-        }
-        fn slo(&self, stable: bool) -> serde_json::Value {
-            serde_json::Value::Object(vec![(
-                "stable".to_string(),
-                serde_json::Value::Bool(stable),
-            )])
-        }
-        fn flightrecord_index(&self) -> serde_json::Value {
-            serde_json::Value::Object(vec![(
-                "dumps".to_string(),
-                serde_json::Value::Array(Vec::new()),
-            )])
-        }
-        fn flightrecord_dump(&self, stable: bool) -> serde_json::Value {
-            serde_json::Value::Object(vec![
-                (
-                    "schema".to_string(),
-                    serde_json::Value::String(crate::FLIGHT_RECORD_SCHEMA.to_string()),
-                ),
-                ("stable".to_string(), serde_json::Value::Bool(stable)),
-            ])
-        }
-        fn flightrecord_get(&self, seq: u64) -> serde_json::Value {
-            if seq == 3 {
-                serde_json::Value::Object(vec![(
-                    "seq".to_string(),
-                    serde_json::Value::UInt(seq),
-                )])
-            } else {
-                serde_json::Value::Null
-            }
-        }
-    }
-
     #[test]
     fn serves_slo_and_flightrecord() {
-        let server = AdminServer::serve("127.0.0.1:0", Arc::new(SloSource)).unwrap();
+        let obs = Obs::shared();
+        let server = serve(&obs);
         let addr = server.addr();
 
-        let (status, body) = http_get(addr, "/slo");
-        assert_eq!(status, 200);
-        let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
-        assert_eq!(doc["stable"].as_bool(), Some(false));
-        let (_, body) = http_get(addr, "/slo?stable=1");
-        let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
-        assert_eq!(doc["stable"].as_bool(), Some(true));
+        let doc: SloDoc = get_doc(addr, "/slo");
+        assert_eq!((doc.stable, doc.now), (false, 1_234));
+        assert_eq!(doc.context.unwrap().status, "healthy");
+        let doc: SloDoc = get_doc(addr, "/slo?stable=1");
+        assert!(doc.stable && doc.objectives.iter().all(|o| o.deterministic));
 
-        let (status, body) = http_get(addr, "/flightrecord");
-        assert_eq!(status, 200);
-        let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
-        assert!(doc["dumps"].as_array().is_some());
+        let doc: FlightIndexDoc = get_doc(addr, "/flightrecord");
+        assert!(doc.dumps.is_empty());
 
-        let (_, body) = http_get(addr, "/flightrecord?dump=1&stable=1");
-        let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
-        assert_eq!(doc["schema"].as_str(), Some(crate::FLIGHT_RECORD_SCHEMA));
-        assert_eq!(doc["stable"].as_bool(), Some(true));
-
-        let (status, body) = http_get(addr, "/flightrecord?seq=3");
-        assert_eq!(status, 200);
-        let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
-        assert_eq!(doc["seq"].as_u64(), Some(3));
+        let doc: FlightBundle = get_doc(addr, "/flightrecord?dump=1&stable=1");
+        assert_eq!(doc.schema, FLIGHT_RECORD_SCHEMA);
+        assert!(doc.stable && doc.metrics.histograms.is_none());
+        // What was captured is the full bundle, whatever was sent back.
+        let kept: FlightBundle = get_doc(addr, "/flightrecord?seq=0");
+        assert_eq!((kept.stable, kept.ts), (false, 1_234));
+        let doc: FlightIndexDoc = get_doc(addr, "/flightrecord");
+        assert_eq!(doc.dumps[0].reason, "on-demand");
         // A rotated-out / never-captured seq is an explicit 404, not null.
         let (status, _) = http_get(addr, "/flightrecord?seq=99");
         assert_eq!(status, 404);
@@ -575,32 +440,46 @@ mod tests {
         server.shutdown();
     }
 
-    struct SickSource(crate::HealthState);
-
-    impl AdminSource for SickSource {
-        fn prometheus(&self) -> String {
-            String::new()
-        }
-        fn explain_url(&self, _url: &str) -> serde_json::Value {
-            serde_json::Value::Null
-        }
-        fn explain_lsn(&self, _lsn: u64) -> serde_json::Value {
-            serde_json::Value::Null
-        }
-        fn health(&self) -> crate::HealthResponse {
-            self.0.snapshot().to_response()
-        }
-    }
-
     #[test]
-    fn healthz_reflects_the_source_health_state() {
-        let state = crate::HealthState::new();
-        state.set_breaker(1, 0);
-        let server = AdminServer::serve("127.0.0.1:0", Arc::new(SickSource(state))).unwrap();
+    fn healthz_reflects_the_health_state() {
+        let obs = Obs::shared();
+        obs.health.set_breaker(1, 0);
+        let server = serve(&obs);
         let (status, body) = http_get(server.addr(), "/healthz");
         assert_eq!(status, 503);
         assert!(body.contains("\"status\": \"unhealthy\""));
         assert!(body.contains("breaker-open"));
+        server.shutdown();
+    }
+
+    /// A peer that sends its request a byte at a time never lets a single
+    /// read time out. It is dropped when the head's deadline passes, and the
+    /// request queued behind it is answered.
+    #[test]
+    fn a_trickling_peer_is_dropped_at_the_deadline() {
+        let server = serve(&Obs::shared());
+        let addr = server.addr();
+        let started = Instant::now();
+        let mut slow = TcpStream::connect(addr).unwrap();
+        let trickler = std::thread::spawn(move || {
+            // Far more bytes than the deadline has room for; the writes
+            // start failing once the server has hung up.
+            for byte in b"GET /healthz?".iter().chain(std::iter::repeat_n(&b'x', 200)) {
+                if slow.write_all(&[*byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            let mut reply = Vec::new();
+            let _ = slow.read_to_end(&mut reply);
+            reply
+        });
+        let (status, body) = http_get(addr, "/healthz");
+        let waited = started.elapsed();
+        assert_eq!((status, body.as_str()), (200, "ok\n"));
+        assert!(waited >= REQUEST_DEADLINE, "answered before the trickler was dropped: {waited:?}");
+        assert!(waited < REQUEST_DEADLINE * 3, "held for {waited:?}");
+        assert!(trickler.join().unwrap().is_empty(), "the trickler got no reply");
         server.shutdown();
     }
 

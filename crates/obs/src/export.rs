@@ -23,6 +23,8 @@
 
 use std::io;
 
+use serde::Serialize;
+
 use crate::Obs;
 
 /// What one [`JsonlExporter::export`] call wrote.
@@ -53,6 +55,36 @@ pub struct JsonlExporter {
     next_flight_seq: u64,
 }
 
+/// One line: the document's own object with `head` (`"kind":"…"` and any
+/// other leading members) in front of its first key.
+fn write_line<W: io::Write, T: Serialize>(w: &mut W, head: &str, doc: &T) -> io::Result<()> {
+    let body = serde_json::to_string(doc).expect("a document renders");
+    let members = body.strip_prefix('{').expect("a document is an object");
+    writeln!(w, "{{{head},{members}")
+}
+
+/// Write what a ring holds from `cursor` on as lines of `kind`, move the
+/// cursor past them and add the numbers that rotated out unwritten to
+/// `skipped`. Returns the lines written.
+fn drain<W: io::Write, T: Serialize>(
+    w: &mut W,
+    kind: &str,
+    tail: Vec<T>,
+    seq: impl Fn(&T) -> u64,
+    cursor: &mut u64,
+    skipped: &mut u64,
+) -> io::Result<u64> {
+    if let Some(first) = tail.first() {
+        *skipped += seq(first).saturating_sub(*cursor);
+    }
+    let head = format!("\"kind\":\"{kind}\"");
+    for doc in &tail {
+        write_line(w, &head, doc)?;
+        *cursor = seq(doc) + 1;
+    }
+    Ok(tail.len() as u64)
+}
+
 impl JsonlExporter {
     /// An exporter starting from the beginning of both rings.
     pub fn new() -> Self {
@@ -63,113 +95,31 @@ impl JsonlExporter {
     /// call as JSONL, advancing the cursors.
     pub fn export<W: io::Write>(&mut self, obs: &Obs, w: &mut W) -> io::Result<ExportStats> {
         let mut stats = ExportStats::default();
+        let skipped = &mut stats.skipped;
 
-        let events = obs.tracer.recent(usize::MAX);
-        if let Some(first) = events.first() {
-            stats.skipped += first.seq.saturating_sub(self.next_trace_seq);
-        }
-        let trace_cursor = self.next_trace_seq;
-        for e in events.iter().filter(|e| e.seq >= trace_cursor) {
-            let mut obj = vec![
-                ("kind".to_string(), serde_json::Value::String("trace".to_string())),
-                ("seq".to_string(), serde_json::Value::UInt(e.seq)),
-                ("ts".to_string(), serde_json::Value::UInt(e.ts)),
-                ("scope".to_string(), serde_json::Value::String(e.scope.to_string())),
-                ("name".to_string(), serde_json::Value::String(e.name.to_string())),
-                ("detail".to_string(), serde_json::Value::String(e.detail.clone())),
-            ];
-            if let Some(d) = e.duration_micros {
-                obj.push(("duration_micros".to_string(), serde_json::Value::UInt(d)));
-            }
-            if e.trace_id != 0 {
-                obj.push(("trace_id".to_string(), serde_json::Value::UInt(e.trace_id)));
-                obj.push(("span_id".to_string(), serde_json::Value::UInt(e.span_id)));
-                obj.push(("parent_span".to_string(), serde_json::Value::UInt(e.parent_span)));
-            }
-            let line = serde_json::to_string(&serde_json::Value::Object(obj))
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            writeln!(w, "{line}")?;
-            stats.trace_events += 1;
-            self.next_trace_seq = e.seq + 1;
-        }
-
+        let events = obs.tracer.since(self.next_trace_seq);
+        stats.trace_events =
+            drain(w, "trace", events, |e| e.seq, &mut self.next_trace_seq, skipped)?;
         let records = obs.provenance.since(self.next_eject_seq);
-        if let Some(first) = records.first() {
-            stats.skipped += first.seq.saturating_sub(self.next_eject_seq);
-        }
-        for r in &records {
-            let mut obj = vec![(
-                "kind".to_string(),
-                serde_json::Value::String("eject".to_string()),
-            )];
-            if let serde_json::Value::Object(fields) = r.to_json() {
-                obj.extend(fields);
-            }
-            let line = serde_json::to_string(&serde_json::Value::Object(obj))
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            writeln!(w, "{line}")?;
-            stats.eject_records += 1;
-            self.next_eject_seq = r.seq + 1;
-        }
+        stats.eject_records =
+            drain(w, "eject", records, |r| r.seq, &mut self.next_eject_seq, skipped)?;
 
+        // Not a ring: the whole board again whenever its version moved.
         let version = obs.scorecards.version();
         if version != self.last_scorecard_version {
+            let head = format!("\"kind\":\"scorecard\",\"version\":{version}");
             for row in obs.scorecards.rows() {
-                let mut obj = vec![
-                    (
-                        "kind".to_string(),
-                        serde_json::Value::String("scorecard".to_string()),
-                    ),
-                    ("version".to_string(), serde_json::Value::UInt(version)),
-                ];
-                if let serde_json::Value::Object(fields) = crate::ScorecardBoard::row_to_json(&row) {
-                    obj.extend(fields);
-                }
-                let line = serde_json::to_string(&serde_json::Value::Object(obj))
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                writeln!(w, "{line}")?;
+                write_line(w, &head, &row)?;
                 stats.scorecard_rows += 1;
             }
             self.last_scorecard_version = version;
         }
 
         let alerts = obs.slo.alerts_since(self.next_alert_seq);
-        if let Some(first) = alerts.first() {
-            stats.skipped += first.seq.saturating_sub(self.next_alert_seq);
-        }
-        for a in &alerts {
-            let mut obj = vec![(
-                "kind".to_string(),
-                serde_json::Value::String("alert".to_string()),
-            )];
-            if let serde_json::Value::Object(fields) = a.to_json() {
-                obj.extend(fields);
-            }
-            let line = serde_json::to_string(&serde_json::Value::Object(obj))
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            writeln!(w, "{line}")?;
-            stats.alerts += 1;
-            self.next_alert_seq = a.seq + 1;
-        }
-
+        stats.alerts = drain(w, "alert", alerts, |a| a.seq, &mut self.next_alert_seq, skipped)?;
         let dumps = obs.recorder.index_since(self.next_flight_seq);
-        if let Some(first) = dumps.first() {
-            stats.skipped += first.seq.saturating_sub(self.next_flight_seq);
-        }
-        for m in &dumps {
-            let mut obj = vec![(
-                "kind".to_string(),
-                serde_json::Value::String("flightrecord".to_string()),
-            )];
-            if let serde_json::Value::Object(fields) = m.to_json() {
-                obj.extend(fields);
-            }
-            let line = serde_json::to_string(&serde_json::Value::Object(obj))
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            writeln!(w, "{line}")?;
-            stats.flight_records += 1;
-            self.next_flight_seq = m.seq + 1;
-        }
+        stats.flight_records =
+            drain(w, "flightrecord", dumps, |m| m.seq, &mut self.next_flight_seq, skipped)?;
 
         w.flush()?;
         Ok(stats)
@@ -378,10 +328,7 @@ mod tests {
     #[test]
     fn exports_flight_record_index_with_overflow_marker() {
         let obs = Obs::new();
-        let doc = serde_json::Value::Object(vec![(
-            "schema".to_string(),
-            serde_json::Value::String(crate::FLIGHT_RECORD_SCHEMA.to_string()),
-        )]);
+        let doc = obs.flight_bundle("on-demand", 10);
         obs.recorder.record("on-demand", 10, &doc).unwrap();
         obs.recorder.record("slo-breach:staleness-p99:fast", 20, &doc).unwrap();
 

@@ -19,6 +19,8 @@
 //! `health.reason.*` metric gauges all render the same strings, so
 //! dashboards, alert routes, and scripts key on a single vocabulary.
 
+use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Canonical degradation causes. The `as_str` code is the single source
@@ -138,11 +140,14 @@ impl HealthState {
         self.recovery_gap_ejects.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy for rendering.
+    /// A point-in-time copy: the flags, the reasons they amount to and the
+    /// status those add up to.
     pub fn snapshot(&self) -> HealthSnapshot {
-        HealthSnapshot {
-            breaker_open: self.breaker_open.load(Ordering::Relaxed),
-            breaker_half_open: self.breaker_half_open.load(Ordering::Relaxed),
+        let mut snap = HealthSnapshot {
+            status: Cow::Borrowed(HealthStatus::Healthy.as_str()),
+            reasons: Vec::new(),
+            breaker_open_types: self.breaker_open.load(Ordering::Relaxed),
+            breaker_half_open_types: self.breaker_half_open.load(Ordering::Relaxed),
             recovering: self.recovering.load(Ordering::Relaxed),
             wal_errors: self.wal_errors.load(Ordering::Relaxed),
             recovery_gap_ejects: self.recovery_gap_ejects.load(Ordering::Relaxed),
@@ -150,17 +155,60 @@ impl HealthState {
             slo_fast_firing: self.slo_fast_firing.load(Ordering::Relaxed),
             slo_slow_firing: self.slo_slow_firing.load(Ordering::Relaxed),
             edges_partitioned: self.edges_partitioned.load(Ordering::Relaxed),
-        }
+        };
+        let active = Reason::ALL.iter().filter(|&&r| snap.reason_count(r) > 0);
+        snap.reasons = active.map(|&r| ReasonRow::new(r, snap.reason_count(r))).collect();
+        snap.status = Cow::Borrowed(snap.classify().as_str());
+        snap
     }
 }
 
-/// Point-in-time health flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One active degradation cause as every rendering spells it.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ReasonRow {
+    /// The canonical [`Reason`] code.
+    pub code: Cow<'static, str>,
+    /// How many instances are active.
+    pub count: u64,
+    /// A line for a human.
+    pub detail: String,
+}
+
+impl ReasonRow {
+    fn new(r: Reason, n: u64) -> ReasonRow {
+        let detail = match r {
+            Reason::BreakerOpen => {
+                format!("{n} query type(s) breaker-open (polling degraded to conservative)")
+            }
+            Reason::BreakerHalfOpen => format!("{n} query type(s) half-open (probing)"),
+            Reason::CrashRecovery => "crash recovery in progress".to_string(),
+            Reason::WalError => {
+                format!("{n} durable-layer write error(s); crash safety compromised")
+            }
+            Reason::SloFastBurn => format!(
+                "{n} fast-burn SLO alert(s) firing (error budget burning at page rate)"
+            ),
+            Reason::SloSlowBurn => format!("{n} slow-burn SLO alert(s) firing"),
+            Reason::EdgePartitioned => {
+                format!("{n} bus edge(s) partitioned (self-ejecting until catch-up)")
+            }
+        };
+        ReasonRow { code: Cow::Borrowed(r.as_str()), count: n, detail }
+    }
+}
+
+/// Point-in-time health: the document a degraded `/healthz` answers with,
+/// `/slo`'s `context` and a flight bundle's `health` section.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HealthSnapshot {
+    /// [`HealthStatus::as_str`] of what the reasons add up to.
+    pub status: Cow<'static, str>,
+    /// Active reasons, in [`Reason::ALL`] order.
+    pub reasons: Vec<ReasonRow>,
     /// Query types whose poll-path breaker is open (degraded).
-    pub breaker_open: u64,
+    pub breaker_open_types: u64,
     /// Query types half-open (probing).
-    pub breaker_half_open: u64,
+    pub breaker_half_open_types: u64,
     /// Crash recovery currently rebuilding state.
     pub recovering: bool,
     /// Durable-layer write failures since start (sticky).
@@ -212,26 +260,14 @@ pub struct HealthResponse {
     pub body: String,
 }
 
-impl HealthResponse {
-    /// The legacy always-healthy reply (used by sources with no health
-    /// signal — keeps plain probes working).
-    pub fn ok() -> Self {
-        HealthResponse {
-            status: 200,
-            content_type: "text/plain; charset=utf-8",
-            body: "ok\n".to_string(),
-        }
-    }
-}
-
 impl HealthSnapshot {
     /// How many instances of `reason` the snapshot carries (0 = not
     /// active). One shared accessor so `/healthz`, `/slo`, and the
     /// `health.reason.*` gauges can never disagree.
     pub fn reason_count(&self, reason: Reason) -> u64 {
         match reason {
-            Reason::BreakerOpen => self.breaker_open,
-            Reason::BreakerHalfOpen => self.breaker_half_open,
+            Reason::BreakerOpen => self.breaker_open_types,
+            Reason::BreakerHalfOpen => self.breaker_half_open_types,
             Reason::CrashRecovery => u64::from(self.recovering),
             Reason::WalError => self.wal_errors,
             Reason::SloFastBurn => self.slo_fast_firing,
@@ -240,119 +276,34 @@ impl HealthSnapshot {
         }
     }
 
-    /// Active reasons with their counts and a human detail line.
-    pub fn reasons(&self) -> Vec<(Reason, u64, String)> {
-        Reason::ALL
-            .iter()
-            .filter_map(|&r| {
-                let n = self.reason_count(r);
-                if n == 0 {
-                    return None;
-                }
-                let detail = match r {
-                    Reason::BreakerOpen => format!(
-                        "{n} query type(s) breaker-open (polling degraded to conservative)"
-                    ),
-                    Reason::BreakerHalfOpen => {
-                        format!("{n} query type(s) half-open (probing)")
-                    }
-                    Reason::CrashRecovery => "crash recovery in progress".to_string(),
-                    Reason::WalError => format!(
-                        "{n} durable-layer write error(s); crash safety compromised"
-                    ),
-                    Reason::SloFastBurn => format!(
-                        "{n} fast-burn SLO alert(s) firing (error budget burning at page rate)"
-                    ),
-                    Reason::SloSlowBurn => {
-                        format!("{n} slow-burn SLO alert(s) firing")
-                    }
-                    Reason::EdgePartitioned => format!(
-                        "{n} bus edge(s) partitioned (self-ejecting until catch-up)"
-                    ),
-                };
-                Some((r, n, detail))
-            })
-            .collect()
-    }
-
-    /// Classify the snapshot.
-    pub fn status(&self) -> HealthStatus {
-        let reasons = self.reasons();
-        if reasons.iter().any(|(r, _, _)| r.unhealthy()) {
+    /// Classify the snapshot's flags.
+    pub fn classify(&self) -> HealthStatus {
+        let active = |r: &Reason| self.reason_count(*r) > 0;
+        if Reason::ALL.iter().any(|r| active(r) && r.unhealthy()) {
             HealthStatus::Unhealthy
-        } else if reasons.is_empty() {
-            HealthStatus::Healthy
-        } else {
+        } else if Reason::ALL.iter().any(active) {
             HealthStatus::Degraded
+        } else {
+            HealthStatus::Healthy
         }
-    }
-
-    /// The snapshot as a JSON object (flight-record bundles, `/slo`
-    /// context). Reasons appear as `{code, count, detail}` rows using the
-    /// canonical [`Reason`] codes.
-    pub fn to_json(&self) -> serde_json::Value {
-        use serde_json::Value;
-        let reasons: Vec<Value> = self
-            .reasons()
-            .into_iter()
-            .map(|(r, n, detail)| {
-                Value::Object(vec![
-                    ("code".to_string(), Value::String(r.as_str().to_string())),
-                    ("count".to_string(), Value::UInt(n)),
-                    ("detail".to_string(), Value::String(detail)),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            (
-                "status".to_string(),
-                Value::String(self.status().as_str().to_string()),
-            ),
-            ("reasons".to_string(), Value::Array(reasons)),
-            ("breaker_open_types".to_string(), Value::UInt(self.breaker_open)),
-            (
-                "breaker_half_open_types".to_string(),
-                Value::UInt(self.breaker_half_open),
-            ),
-            ("recovering".to_string(), Value::Bool(self.recovering)),
-            ("wal_errors".to_string(), Value::UInt(self.wal_errors)),
-            (
-                "recovery_gap_ejects".to_string(),
-                Value::UInt(self.recovery_gap_ejects),
-            ),
-            ("recoveries".to_string(), Value::UInt(self.recoveries)),
-            (
-                "slo_fast_firing".to_string(),
-                Value::UInt(self.slo_fast_firing),
-            ),
-            (
-                "slo_slow_firing".to_string(),
-                Value::UInt(self.slo_slow_firing),
-            ),
-            (
-                "edges_partitioned".to_string(),
-                Value::UInt(self.edges_partitioned),
-            ),
-        ])
     }
 
     /// Render the `/healthz` reply. Healthy keeps the exact plain `ok`
-    /// body existing probes and scripts match on; anything else is the
-    /// [`HealthSnapshot::to_json`] document, with `503` when unhealthy.
+    /// body existing probes and scripts match on; anything else is this
+    /// snapshot as JSON, with `503` when unhealthy.
     pub fn to_response(&self) -> HealthResponse {
-        let status = self.status();
+        let status = self.classify();
         if status == HealthStatus::Healthy {
-            return HealthResponse::ok();
+            return HealthResponse {
+                status: 200,
+                content_type: "text/plain; charset=utf-8",
+                body: "ok\n".to_string(),
+            };
         }
         HealthResponse {
-            status: if status == HealthStatus::Unhealthy {
-                503
-            } else {
-                200
-            },
+            status: if status == HealthStatus::Unhealthy { 503 } else { 200 },
             content_type: "application/json",
-            body: serde_json::to_string_pretty(&self.to_json())
-                .unwrap_or_else(|_| "{}".to_string()),
+            body: serde_json::to_string_pretty(self).expect("a snapshot renders"),
         }
     }
 }
@@ -376,13 +327,13 @@ mod tests {
         let resp = h.snapshot().to_response();
         assert_eq!(resp.status, 503);
         assert!(resp.body.contains("breaker-open"));
-        assert_eq!(h.snapshot().status(), HealthStatus::Unhealthy);
+        assert_eq!(h.snapshot().classify(), HealthStatus::Unhealthy);
 
         h.set_breaker(0, 1);
         let resp = h.snapshot().to_response();
         assert_eq!(resp.status, 200, "half-open still serves correctly");
         assert!(resp.body.contains("half-open"));
-        assert_eq!(h.snapshot().status(), HealthStatus::Degraded);
+        assert_eq!(h.snapshot().classify(), HealthStatus::Degraded);
 
         h.set_breaker(0, 0);
         assert_eq!(h.snapshot().to_response().body, "ok\n");
@@ -392,9 +343,9 @@ mod tests {
     fn recovery_and_wal_errors_are_unhealthy() {
         let h = HealthState::new();
         h.set_recovering(true);
-        assert_eq!(h.snapshot().status(), HealthStatus::Unhealthy);
+        assert_eq!(h.snapshot().classify(), HealthStatus::Unhealthy);
         h.set_recovering(false);
-        assert_eq!(h.snapshot().status(), HealthStatus::Healthy);
+        assert_eq!(h.snapshot().classify(), HealthStatus::Healthy);
         assert_eq!(h.snapshot().recoveries, 1);
 
         h.record_wal_error();
@@ -410,7 +361,7 @@ mod tests {
         let resp = h.snapshot().to_response();
         assert_eq!(resp.status, 200, "slow burn degrades, does not page");
         assert!(resp.body.contains("slo-slow-burn"));
-        assert_eq!(h.snapshot().status(), HealthStatus::Degraded);
+        assert_eq!(h.snapshot().classify(), HealthStatus::Degraded);
 
         h.set_slo(2, 1);
         let resp = h.snapshot().to_response();
@@ -428,7 +379,7 @@ mod tests {
         let resp = h.snapshot().to_response();
         assert_eq!(resp.status, 200, "partitioned edge degrades, serves safely");
         assert!(resp.body.contains("edge-partitioned"));
-        assert_eq!(h.snapshot().status(), HealthStatus::Degraded);
+        assert_eq!(h.snapshot().classify(), HealthStatus::Degraded);
         assert_eq!(h.snapshot().reason_count(Reason::EdgePartitioned), 1);
 
         h.set_edges_partitioned(0);
@@ -441,12 +392,14 @@ mod tests {
         h.set_breaker(1, 2);
         h.set_slo(1, 0);
         let snap = h.snapshot();
-        let codes: Vec<&str> = snap.reasons().iter().map(|(r, _, _)| r.as_str()).collect();
+        let codes: Vec<&str> = snap.reasons.iter().map(|r| &*r.code).collect();
         assert_eq!(codes, vec!["breaker-open", "slo-fast-burn", "breaker-half-open"]);
-        // The JSON rendering carries the same codes as {code, count, detail}.
-        let doc = snap.to_json();
-        assert_eq!(doc["reasons"][0]["code"].as_str(), Some("breaker-open"));
-        assert_eq!(doc["reasons"][0]["count"].as_u64(), Some(1));
+        assert_eq!(snap.status, "unhealthy");
+        // The JSON rendering carries the same codes as {code, count, detail},
+        // and reads back as the snapshot it was.
+        let text = serde_json::to_string(&snap).unwrap();
+        assert!(text.starts_with(r#"{"status":"unhealthy","reasons":[{"code":"breaker-open","count":1,"#));
+        assert_eq!(serde_json::from_str::<HealthSnapshot>(&text).unwrap(), snap);
         // Counts come from the single shared accessor.
         assert_eq!(snap.reason_count(Reason::BreakerHalfOpen), 2);
         assert_eq!(snap.reason_count(Reason::CrashRecovery), 0);

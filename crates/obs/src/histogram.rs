@@ -5,6 +5,7 @@
 //! quantile error of `1/SUB` (12.5%) while keeping `record` a handful of
 //! atomic operations — cheap enough to sit on the request path.
 
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sub-bucket resolution: 2^SUB_BITS linear bins per power of two.
@@ -127,8 +128,8 @@ impl Histogram {
     }
 }
 
-/// Point-in-time summary of a [`Histogram`].
-#[derive(Debug, Clone, PartialEq)]
+/// Point-in-time summary of a [`Histogram`], as every document shows one.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     pub count: u64,
     pub sum: u64,
@@ -138,23 +139,6 @@ pub struct HistogramSnapshot {
     pub p50: u64,
     pub p95: u64,
     pub p99: u64,
-}
-
-impl HistogramSnapshot {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> serde_json::Value {
-        use serde_json::Value;
-        Value::Object(vec![
-            ("count".to_string(), Value::UInt(self.count)),
-            ("sum".to_string(), Value::UInt(self.sum)),
-            ("min".to_string(), Value::UInt(self.min)),
-            ("max".to_string(), Value::UInt(self.max)),
-            ("mean".to_string(), Value::Float(self.mean)),
-            ("p50".to_string(), Value::UInt(self.p50)),
-            ("p95".to_string(), Value::UInt(self.p95)),
-            ("p99".to_string(), Value::UInt(self.p99)),
-        ])
-    }
 }
 
 /// Bucket index for a value: exact below [`SUB`], then `SUB` linear

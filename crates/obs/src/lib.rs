@@ -1,8 +1,8 @@
 //! `cacheportal-obs` — unified observability layer for the CachePortal
 //! pipeline.
 //!
-//! Three instruments, deliberately dependency-free (atomics, `parking_lot`,
-//! and `serde_json` only) so every runtime crate can use them:
+//! Four instruments, deliberately dependency-free (atomics, `parking_lot`,
+//! and the `serde` stand-ins only) so every runtime crate can use them:
 //!
 //! * [`MetricsRegistry`] — named counters, gauges, and log-bucketed latency
 //!   histograms with p50/p95/p99/max summaries.
@@ -16,14 +16,18 @@
 //!   full update→query-type→verdict→URL chain behind every page eject,
 //!   indexed by URL and by LSN for `explain_*` queries.
 //!
-//! Live exposure: [`AdminServer`] serves `/metrics` (Prometheus text
-//! exposition via [`MetricsRegistry::render_prometheus`]), `/explain` and
-//! `/healthz` over a plain `TcpListener`, and [`JsonlExporter`] streams
-//! trace events + provenance records as JSONL for offline analysis.
+//! Live exposure: [`AdminServer`] serves every document below (and the
+//! Prometheus text of [`MetricsRegistry::render_prometheus`]) over a plain
+//! `TcpListener`, and [`JsonlExporter`] streams the rings as JSONL for
+//! offline analysis.
 //!
-//! [`Obs`] bundles the instruments behind one `Arc`-shareable handle and renders
-//! the combined [`Obs::snapshot`] JSON document and human-readable
-//! [`Obs::fmt_report`] that `CachePortal::metrics_snapshot()` exposes.
+//! [`Obs`] bundles the instruments behind one `Arc`-shareable handle. Every
+//! document the portal serves or exports is a struct here, in the module
+//! that owns its data, deriving `Serialize`/`Deserialize`; [`Obs`] assembles
+//! the ones that span modules ([`Obs::snapshot`], [`Obs::slo_doc`],
+//! [`Obs::flight_bundle`], ...), and a `stable` rendering is the same struct
+//! after its `stabilize()` pass. The admin routes, `CachePortal`'s accessors
+//! and `obsctl` all go through these types.
 
 mod admin;
 mod export;
@@ -32,6 +36,7 @@ mod histogram;
 pub mod provenance;
 pub mod recorder;
 mod registry;
+mod ring;
 pub mod scorecard;
 pub mod slo;
 mod staleness;
@@ -40,17 +45,26 @@ mod trace;
 
 pub use admin::{AdminServer, AdminSource};
 pub use export::{ExportStats, JsonlExporter};
-pub use health::{HealthResponse, HealthSnapshot, HealthState, HealthStatus, Reason};
+pub use health::{HealthResponse, HealthSnapshot, HealthState, HealthStatus, Reason, ReasonRow};
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use provenance::{Cause, DeltaGroup, EjectRecord, Explanation, ProvenanceLog};
-pub use recorder::{verify_flight_record, FlightRecordMeta, FlightRecorder, FLIGHT_RECORD_SCHEMA};
-pub use registry::{prometheus_name, Counter, Gauge, MetricsRegistry};
-pub use scorecard::{PageTally, ScorecardBoard, TypeScore, TypeSyncOutcome};
-pub use slo::{AlertEvent, BurnPair, EvalOutcome, Objective, SloEngine, SloKind, SloPolicy};
-pub use staleness::{Lsn, StalenessProbe};
-pub use timeline::{StageSample, SyncTimeline, TimelineLog};
-pub use trace::{CommitIndex, CommitRoot, TraceContext, TraceEvent, Tracer};
+pub use provenance::{
+    Cause, DeltaGroup, EjectRecord, Explanation, ProvenanceDoc, ProvenanceLog, QiRow,
+};
+pub use recorder::{
+    verify_flight_record, FlightBundle, FlightIndexDoc, FlightRecordMeta, FlightRecorder,
+    FLIGHT_RECORD_SCHEMA,
+};
+pub use registry::{prometheus_name, Counter, Gauge, MetricsDoc, MetricsRegistry};
+pub use ring::Ring;
+pub use scorecard::{PageTally, ScorecardBoard, ScorecardsDoc, TypeScore, TypeSyncOutcome};
+pub use slo::{
+    AlertEvent, BurnPair, EvalOutcome, Objective, SloDoc, SloEngine, SloKind, SloPolicy,
+};
+pub use staleness::{Lsn, StalenessDoc, StalenessProbe};
+pub use timeline::{StageSample, SyncTimeline, TimelineDoc, TimelineLog};
+pub use trace::{CommitIndex, CommitRoot, TraceContext, TraceDoc, TraceEvent, Tracer};
 
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The bundle of instruments one `CachePortal` owns.
@@ -75,6 +89,43 @@ pub struct Obs {
     pub slo: SloEngine,
     /// Black-box flight recorder behind `/flightrecord`.
     pub recorder: FlightRecorder,
+}
+
+/// [`Obs::snapshot`]'s document: what `CachePortal::metrics_snapshot()`
+/// returns and the bench artifacts embed under `"observability"`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Snapshot {
+    /// Registry counters, gauges and histograms.
+    pub metrics: MetricsDoc,
+    /// The commit→eject staleness distribution.
+    pub staleness: StalenessDoc,
+    /// Recent trace events.
+    pub trace: TraceDoc,
+    /// Recent eject records.
+    pub provenance: ProvenanceDoc,
+    /// Recent sync points.
+    pub timeline: TimelineDoc,
+    /// The per-type scorecards.
+    pub scorecards: ScorecardsDoc,
+    /// The SLO evaluation as of its last pass.
+    pub slo: SloDoc,
+    /// The headline figures.
+    pub derived: Derived,
+}
+
+/// Headline figures worked out from the registry's counters.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Derived {
+    /// `cache.page.hits` over all page-cache lookups (0 before the first).
+    pub page_cache_hit_ratio: f64,
+    /// Polling queries sent to the database.
+    pub polls_issued: u64,
+    /// Polls answered locally, from the poll cache or from an index.
+    pub polls_avoided: u64,
+    /// Ejections the invalidation audit found unnecessary.
+    pub over_invalidations: u64,
+    /// Pages ejected by sync points.
+    pub pages_ejected: u64,
 }
 
 impl Default for Obs {
@@ -124,37 +175,92 @@ impl Obs {
         Arc::new(Self::new())
     }
 
-    /// The combined observability document:
-    ///
-    /// ```json
-    /// {
-    ///   "metrics": {"counters": {...}, "gauges": {...}, "histograms": {...}},
-    ///   "staleness": {"pending_mutations": n, "commit_to_eject_micros": {...}},
-    ///   "trace": {"recorded": n, "dropped": n, "recent": [...]},
-    ///   "provenance": {"recorded": n, "dropped": n, "recent": [...]}
-    /// }
-    /// ```
-    pub fn snapshot(&self) -> serde_json::Value {
-        self.snapshot_with_trace(32)
+    /// The combined observability document, with the 32 newest trace events.
+    pub fn snapshot(&self) -> Snapshot {
+        let metrics = self.metrics.snapshot();
+        let count = |name: &str| metrics.counters.get(name).copied().unwrap_or(0);
+        let lookups = count("cache.page.hits") + count("cache.page.misses");
+        let derived = Derived {
+            page_cache_hit_ratio: if lookups == 0 {
+                0.0
+            } else {
+                count("cache.page.hits") as f64 / lookups as f64
+            },
+            polls_issued: count("invalidator.polls.issued"),
+            polls_avoided: count("invalidator.polls.avoided_local")
+                + count("invalidator.polls.from_cache")
+                + count("invalidator.polls.from_index"),
+            over_invalidations: count("invalidator.over_invalidations"),
+            pages_ejected: count("invalidator.pages.ejected"),
+        };
+        Snapshot {
+            metrics,
+            staleness: self.staleness.doc(),
+            trace: self.tracer.doc(32),
+            provenance: self.provenance.doc(8),
+            timeline: self.timeline.doc(8, self.tracer.dropped()),
+            scorecards: self.scorecards.doc(),
+            slo: self.slo.doc(self.slo.last_eval_ts()),
+            derived,
+        }
     }
 
-    /// [`Obs::snapshot`] with an explicit cap on embedded trace events.
-    pub fn snapshot_with_trace(&self, recent_events: usize) -> serde_json::Value {
-        serde_json::Value::Object(vec![
-            ("metrics".to_string(), self.metrics.snapshot()),
-            ("staleness".to_string(), self.staleness.to_json()),
-            ("trace".to_string(), self.tracer.to_json(recent_events)),
-            ("provenance".to_string(), self.provenance.to_json(8)),
-            (
-                "timeline".to_string(),
-                self.timeline.to_json(8, self.tracer.dropped(), false),
-            ),
-            ("scorecards".to_string(), self.scorecards.to_json()),
-            (
-                "slo".to_string(),
-                self.slo.to_json(self.slo.last_eval_ts(), false),
-            ),
-        ])
+    /// The `/timeline` document: the newest 64 sync points.
+    pub fn timeline_doc(&self, stable: bool) -> TimelineDoc {
+        let mut doc = self.timeline.doc(64, self.tracer.dropped());
+        if stable {
+            doc.stabilize();
+        }
+        doc
+    }
+
+    /// The `/slo` document at logical time `now`: the engine's burn-rate
+    /// rendering plus the live health snapshot as `context`.
+    pub fn slo_doc(&self, now: u64, stable: bool) -> SloDoc {
+        let mut doc = self.slo.doc(now);
+        doc.context = Some(self.health.snapshot());
+        if stable {
+            doc.stabilize();
+        }
+        doc
+    }
+
+    /// The `/explain?url=` document: every retained eject of `url`, and the
+    /// page's current QI/URL map rows (which the caller reads off the map).
+    pub fn explain_url(&self, url: &str, qi_map: Vec<QiRow>) -> Explanation {
+        Explanation { qi_map: Some(qi_map), ..self.provenance.explain_url(url) }
+    }
+
+    /// Assemble (without recording) a self-contained black-box bundle at
+    /// logical time `now`; see [`FlightBundle::stabilize`] for the
+    /// byte-stable rendering. Callers that mirror component-owned counters
+    /// into the registry refresh them first.
+    pub fn flight_bundle(&self, reason: &str, now: u64) -> FlightBundle {
+        FlightBundle {
+            schema: FLIGHT_RECORD_SCHEMA.to_string(),
+            reason: reason.to_string(),
+            ts: now,
+            stable: false,
+            slo: self.slo.doc(now),
+            health: self.health.snapshot(),
+            metrics: self.metrics.snapshot(),
+            staleness: self.staleness.doc(),
+            trace: self.tracer.doc(1024),
+            timeline: self.timeline.doc(64, self.tracer.dropped()),
+            scorecards: self.scorecards.doc(),
+            provenance: self.provenance.doc(64),
+        }
+    }
+
+    /// Assemble a full (non-stable) bundle and capture it into the
+    /// recorder's ring and, when a flight directory is armed, onto disk.
+    /// A failed disk write loses that capture and nothing else — a
+    /// post-mortem aid must never take the portal down — and the bundle is
+    /// returned either way.
+    pub fn capture_flight_record(&self, reason: &str, now: u64) -> FlightBundle {
+        let bundle = self.flight_bundle(reason, now);
+        let _ = self.recorder.record(reason, now, &bundle);
+        bundle
     }
 
     /// Multi-line human-readable report of every instrument.
@@ -231,17 +337,15 @@ mod tests {
         obs.staleness.stamp(1, 10);
         obs.staleness.on_sync_point(1, 50, 2);
         obs.tracer.event("core", "sync.point", 50, "lsn=1");
+        obs.metrics.counter("cache.page.misses").add(1);
         let snap = obs.snapshot();
-        assert_eq!(snap["metrics"]["counters"]["cache.page.hits"].as_u64(), Some(3));
-        assert_eq!(
-            snap["staleness"]["commit_to_eject_micros"]["count"].as_u64(),
-            Some(2)
-        );
-        assert_eq!(snap["trace"]["recorded"].as_u64(), Some(1));
-        // The whole document renders and re-parses as JSON text.
+        assert_eq!(snap.metrics.counters["cache.page.hits"], 3);
+        assert_eq!(snap.staleness.commit_to_eject_micros.count, 2);
+        assert_eq!(snap.trace.recorded, 1);
+        assert_eq!(snap.derived.page_cache_hit_ratio, 0.75);
+        // The whole document renders and reads back as what it was.
         let text = serde_json::to_string_pretty(&snap).unwrap();
-        let back: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(back["metrics"]["counters"]["cache.page.hits"].as_u64(), Some(3));
+        assert_eq!(serde_json::from_str::<Snapshot>(&text).unwrap(), snap);
     }
 
     #[test]

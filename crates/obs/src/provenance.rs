@@ -17,17 +17,19 @@
 //! from "never ejected".
 
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use crate::ring::Ring;
 use crate::Lsn;
 
 /// Default ring capacity (eject records retained).
 pub const DEFAULT_PROVENANCE_CAPACITY: usize = 512;
 
 /// Per-table ΔR group summary for one sync point's consumed update batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeltaGroup {
     /// Table the updates touched.
     pub table: String,
@@ -37,20 +39,9 @@ pub struct DeltaGroup {
     pub deleted: u64,
 }
 
-impl DeltaGroup {
-    fn to_json(&self) -> serde_json::Value {
-        use serde_json::Value;
-        Value::Object(vec![
-            ("table".to_string(), Value::String(self.table.clone())),
-            ("inserted".to_string(), Value::UInt(self.inserted)),
-            ("deleted".to_string(), Value::UInt(self.deleted)),
-        ])
-    }
-}
-
 /// One affected query instance in an eject chain: the matched query type,
 /// its bound parameters, and the verdict that flagged it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Cause {
     /// Registered query-type id the update matched.
     pub query_type: u32,
@@ -64,25 +55,10 @@ pub struct Cause {
     pub detail: String,
 }
 
-impl Cause {
-    fn to_json(&self) -> serde_json::Value {
-        use serde_json::Value;
-        Value::Object(vec![
-            ("query_type".to_string(), Value::UInt(self.query_type as u64)),
-            ("type_sql".to_string(), Value::String(self.type_sql.clone())),
-            (
-                "params".to_string(),
-                Value::Array(self.params.iter().cloned().map(Value::String).collect()),
-            ),
-            ("verdict".to_string(), Value::String(self.verdict.clone())),
-            ("detail".to_string(), Value::String(self.detail.clone())),
-        ])
-    }
-}
-
 /// The full causal chain behind one ejected URL at one sync point:
-/// LSN range → ΔR groups → matched query types/verdicts → URL.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// LSN range → ΔR groups → matched query types/verdicts → URL. A ring
+/// entry, an `/explain` match and a JSONL `eject` line.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EjectRecord {
     /// Dense per-log sequence number (assigned by [`ProvenanceLog::record`]).
     pub seq: u64,
@@ -113,36 +89,22 @@ pub struct EjectRecord {
     pub parent_span: u64,
 }
 
-impl EjectRecord {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> serde_json::Value {
-        use serde_json::Value;
-        Value::Object(vec![
-            ("seq".to_string(), Value::UInt(self.seq)),
-            ("sync_seq".to_string(), Value::UInt(self.sync_seq)),
-            ("ts".to_string(), Value::UInt(self.ts)),
-            ("lsn_first".to_string(), Value::UInt(self.lsn_first)),
-            ("lsn_last".to_string(), Value::UInt(self.lsn_last)),
-            (
-                "deltas".to_string(),
-                Value::Array(self.deltas.iter().map(|d| d.to_json()).collect()),
-            ),
-            ("url".to_string(), Value::String(self.url.to_string())),
-            ("resident".to_string(), Value::Bool(self.resident)),
-            (
-                "causes".to_string(),
-                Value::Array(self.causes.iter().map(|c| c.to_json()).collect()),
-            ),
-            ("trace_id".to_string(), Value::UInt(self.trace_id)),
-            ("span_id".to_string(), Value::UInt(self.span_id)),
-            ("parent_span".to_string(), Value::UInt(self.parent_span)),
-        ])
-    }
+/// One QI/URL map row of a page: the query instance it is registered
+/// against (the QI→URL half of an explanation).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct QiRow {
+    /// Map row id.
+    pub id: u64,
+    /// The bound query instance's SQL.
+    pub sql: String,
+    /// The servlet that issued it.
+    pub servlet: String,
 }
 
-/// Answer to an `explain_*` query: matching records plus an explicit
-/// truncation marker so callers can tell "not found" from "rotated out".
-#[derive(Debug, Clone, PartialEq)]
+/// Answer to an `explain_*` query (the `/explain` document): matching
+/// records plus an explicit truncation marker so callers can tell "not
+/// found" from "rotated out".
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Explanation {
     /// Matching eject records, oldest first.
     pub matches: Vec<EjectRecord>,
@@ -151,29 +113,28 @@ pub struct Explanation {
     pub truncated: bool,
     /// Records dropped from the ring so far.
     pub dropped_records: u64,
+    /// The page's current QI/URL map rows; only an explanation by URL
+    /// carries the key.
+    #[serde(skip_if = "self.qi_map.is_none()")]
+    pub qi_map: Option<Vec<QiRow>>,
 }
 
-impl Explanation {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> serde_json::Value {
-        use serde_json::Value;
-        Value::Object(vec![
-            (
-                "matches".to_string(),
-                Value::Array(self.matches.iter().map(|m| m.to_json()).collect()),
-            ),
-            ("truncated".to_string(), Value::Bool(self.truncated)),
-            ("dropped_records".to_string(), Value::UInt(self.dropped_records)),
-        ])
-    }
+/// The provenance section of a snapshot or flight bundle: the log's totals
+/// and its newest records.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ProvenanceDoc {
+    /// Records ever recorded.
+    pub recorded: u64,
+    /// Records the ring bound evicted.
+    pub dropped: u64,
+    /// The newest records, oldest first.
+    pub recent: Vec<EjectRecord>,
 }
 
-/// Ring state. `ring` holds records in `seq` order; because `seq` is dense,
-/// a record's position is `seq - front.seq`, so the secondary indexes store
-/// bare sequence numbers.
-#[derive(Default)]
+/// Ring state. The ring numbers its records densely, so the secondary
+/// indexes store bare sequence numbers.
 struct Inner {
-    ring: VecDeque<EjectRecord>,
+    ring: Ring<EjectRecord>,
     by_url: HashMap<Arc<str>, Vec<u64>>,
     /// Keyed by `lsn_first`. Sync points consume disjoint LSN ranges, so the
     /// record(s) covering an LSN are exactly those at the greatest
@@ -183,14 +144,10 @@ struct Inner {
 
 /// Bounded, shareable log of [`EjectRecord`]s with URL and LSN indexes.
 ///
-/// All methods take `&self`; the ring is guarded by a mutex held only for
-/// short record/lookup critical sections, while the monotone `recorded` /
-/// `dropped` counters are plain atomics readable without the lock.
+/// All methods take `&self`; ring and indexes are guarded by one mutex held
+/// only for short record/lookup critical sections.
 pub struct ProvenanceLog {
     inner: Mutex<Inner>,
-    capacity: usize,
-    seq: AtomicU64,
-    dropped: AtomicU64,
     enabled: AtomicBool,
 }
 
@@ -204,10 +161,11 @@ impl ProvenanceLog {
     /// A log retaining at most `capacity` eject records.
     pub fn new(capacity: usize) -> Self {
         ProvenanceLog {
-            inner: Mutex::new(Inner::default()),
-            capacity: capacity.max(1),
-            seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            inner: Mutex::new(Inner {
+                ring: Ring::new(capacity),
+                by_url: HashMap::new(),
+                by_first_lsn: BTreeMap::new(),
+            }),
             enabled: AtomicBool::new(true),
         }
     }
@@ -224,17 +182,16 @@ impl ProvenanceLog {
             return None;
         }
         let mut inner = self.inner.lock();
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        rec.seq = seq;
-        if inner.ring.len() == self.capacity {
-            if let Some(old) = inner.ring.pop_front() {
-                Self::unindex(&mut inner, &old);
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
+        let (url, lsn_first) = (rec.url.clone(), rec.lsn_first);
+        let (seq, evicted) = inner.ring.push(|seq| {
+            rec.seq = seq;
+            rec
+        });
+        if let Some(old) = evicted {
+            Self::unindex(&mut inner, &old);
         }
-        inner.by_url.entry(rec.url.clone()).or_default().push(seq);
-        inner.by_first_lsn.entry(rec.lsn_first).or_default().push(seq);
-        inner.ring.push_back(rec);
+        inner.by_url.entry(url).or_default().push(seq);
+        inner.by_first_lsn.entry(lsn_first).or_default().push(seq);
         Some(seq)
     }
 
@@ -255,12 +212,12 @@ impl ProvenanceLog {
 
     /// Total records ever recorded.
     pub fn recorded(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
+        self.inner.lock().ring.recorded()
     }
 
     /// Records dropped to stay within capacity.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.inner.lock().ring.dropped()
     }
 
     /// Records currently retained.
@@ -280,9 +237,9 @@ impl ProvenanceLog {
         let matches = inner
             .by_url
             .get(url)
-            .map(|seqs| seqs.iter().filter_map(|&s| Self::by_seq(&inner, s).cloned()).collect())
+            .map(|seqs| seqs.iter().filter_map(|&s| inner.ring.get(s).cloned()).collect())
             .unwrap_or_default();
-        self.explanation(matches)
+        Self::explanation(&inner, matches)
     }
 
     /// What did the update at `lsn` invalidate? All retained records whose
@@ -297,61 +254,43 @@ impl ProvenanceLog {
             .next_back()
             .map(|(_, seqs)| {
                 seqs.iter()
-                    .filter_map(|&s| Self::by_seq(&inner, s))
+                    .filter_map(|&s| inner.ring.get(s))
                     .filter(|r| r.lsn_last >= lsn)
                     .cloned()
                     .collect()
             })
             .unwrap_or_default();
-        self.explanation(matches)
+        Self::explanation(&inner, matches)
     }
 
-    fn explanation(&self, matches: Vec<EjectRecord>) -> Explanation {
-        let dropped = self.dropped();
+    fn explanation(inner: &Inner, matches: Vec<EjectRecord>) -> Explanation {
+        let dropped = inner.ring.dropped();
         Explanation {
             matches,
             truncated: dropped > 0,
             dropped_records: dropped,
+            qi_map: None,
         }
-    }
-
-    fn by_seq(inner: &Inner, seq: u64) -> Option<&EjectRecord> {
-        let front = inner.ring.front()?.seq;
-        inner.ring.get(seq.checked_sub(front)? as usize)
     }
 
     /// The most recent `n` records, oldest first.
     pub fn recent(&self, n: usize) -> Vec<EjectRecord> {
-        let inner = self.inner.lock();
-        let skip = inner.ring.len().saturating_sub(n);
-        inner.ring.iter().skip(skip).cloned().collect()
+        self.inner.lock().ring.recent(n).cloned().collect()
     }
 
     /// Records with `seq >= since`, oldest first (for incremental export).
     pub fn since(&self, since: u64) -> Vec<EjectRecord> {
+        self.inner.lock().ring.since(since).cloned().collect()
+    }
+
+    /// Totals plus the most recent `limit` records.
+    pub fn doc(&self, limit: usize) -> ProvenanceDoc {
         let inner = self.inner.lock();
-        inner.ring.iter().filter(|r| r.seq >= since).cloned().collect()
-    }
-
-    /// Summary + the most recent `limit` records as JSON.
-    pub fn to_json(&self, limit: usize) -> serde_json::Value {
-        use serde_json::Value;
-        Value::Object(vec![
-            ("recorded".to_string(), Value::UInt(self.recorded())),
-            ("dropped".to_string(), Value::UInt(self.dropped())),
-            (
-                "recent".to_string(),
-                Value::Array(self.recent(limit).iter().map(|r| r.to_json()).collect()),
-            ),
-        ])
-    }
-
-    /// Drop all retained records (counters keep their totals).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.ring.clear();
-        inner.by_url.clear();
-        inner.by_first_lsn.clear();
+        ProvenanceDoc {
+            recorded: inner.ring.recorded(),
+            dropped: inner.ring.dropped(),
+            recent: inner.ring.recent(limit).cloned().collect(),
+        }
     }
 }
 
@@ -450,20 +389,35 @@ mod tests {
     }
 
     #[test]
-    fn json_shape_round_trips() {
+    fn an_explanation_round_trips_and_only_names_qi_rows_it_has() {
         let log = ProvenanceLog::new(4);
         log.record(rec("/a", 5, 7));
-        let doc = log.explain_url("/a").to_json();
+        let mut doc = log.explain_url("/a");
         let text = serde_json::to_string(&doc).unwrap();
-        let back: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(back["truncated"].as_bool(), Some(false));
-        let m = &back["matches"][0];
-        assert_eq!(m["url"].as_str(), Some("/a"));
-        assert_eq!(m["lsn_first"].as_u64(), Some(5));
-        assert_eq!(m["lsn_last"].as_u64(), Some(7));
-        assert_eq!(m["deltas"][0]["table"].as_str(), Some("car"));
-        assert_eq!(m["causes"][0]["verdict"].as_str(), Some("polling-query"));
-        assert_eq!(m["causes"][0]["params"][0].as_str(), Some("20000"));
+        assert!(text.ends_with(r#""truncated":false,"dropped_records":0}"#), "{text}");
+        assert_eq!(serde_json::from_str::<Explanation>(&text).unwrap(), doc);
+        doc.qi_map = Some(vec![QiRow { id: 3, sql: "SELECT 1".into(), servlet: "s".into() }]);
+        let text = serde_json::to_string(&doc).unwrap();
+        assert!(text.ends_with(r#""qi_map":[{"id":3,"sql":"SELECT 1","servlet":"s"}]}"#), "{text}");
+        assert_eq!(serde_json::from_str::<Explanation>(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn an_evicted_record_leaves_both_indexes() {
+        let log = ProvenanceLog::new(2);
+        log.record(rec("/a", 0, 0));
+        log.record(rec("/a", 1, 1));
+        log.record(rec("/b", 2, 2)); // evicts the first "/a"
+        {
+            let inner = log.inner.lock();
+            assert_eq!(inner.by_url["/a"], vec![1]);
+            assert!(!inner.by_first_lsn.contains_key(&0));
+        }
+        log.record(rec("/b", 3, 3)); // evicts the second: the URL's entry goes
+        let inner = log.inner.lock();
+        assert!(!inner.by_url.contains_key("/a"));
+        assert_eq!(inner.by_url["/b"], vec![2, 3]);
+        assert_eq!(inner.by_first_lsn.keys().copied().collect::<Vec<_>>(), vec![2, 3]);
     }
 
     #[test]

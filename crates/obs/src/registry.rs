@@ -5,8 +5,9 @@
 //! only locked again to take snapshots. Metric names are dotted paths such
 //! as `cache.page.hits` or `invalidator.polls.issued`.
 
-use crate::histogram::Histogram;
+use crate::histogram::{Histogram, HistogramSnapshot};
 use parking_lot::RwLock;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -56,6 +57,31 @@ impl Gauge {
     /// Current level.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// Every instrument's value by name: the metrics section of a snapshot or
+/// flight bundle. The maps are sorted, so artifacts (results/*.json) are
+/// byte-stable across runs regardless of registration order.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct MetricsDoc {
+    /// Counter totals.
+    pub counters: BTreeMap<String, u64>,
+    /// Gauge levels.
+    pub gauges: BTreeMap<String, i64>,
+    /// Histogram summaries; a stable document has no such key.
+    #[serde(skip_if = "self.histograms.is_none()")]
+    pub histograms: Option<BTreeMap<String, HistogramSnapshot>>,
+}
+
+impl MetricsDoc {
+    /// Strip what carries wall-clock time: every histogram (each records
+    /// measured durations) and any counter or gauge whose name contains
+    /// `micros` (e.g. `web.pool.wait_micros`).
+    pub fn stabilize(&mut self) {
+        self.histograms = None;
+        self.counters.retain(|name, _| !name.contains("micros"));
+        self.gauges.retain(|name, _| !name.contains("micros"));
     }
 }
 
@@ -120,39 +146,15 @@ impl MetricsRegistry {
         self.gauges.read().get(name).map_or(0, |g| g.get())
     }
 
-    /// Snapshot every instrument as JSON:
-    /// `{"counters": {..}, "gauges": {..}, "histograms": {name: {count, ..}}}`.
-    ///
-    /// Keys are explicitly sorted so snapshot artifacts (results/*.json) are
-    /// byte-stable across runs regardless of registration order.
-    pub fn snapshot(&self) -> serde_json::Value {
-        use serde_json::Value;
-        let mut counters: Vec<(String, Value)> = self
-            .counters
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), Value::UInt(v.get())))
-            .collect();
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut gauges: Vec<(String, Value)> = self
-            .gauges
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), Value::Int(v.get())))
-            .collect();
-        gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut histograms: Vec<(String, Value)> = self
-            .histograms
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.snapshot().to_json()))
-            .collect();
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(vec![
-            ("counters".to_string(), Value::Object(counters)),
-            ("gauges".to_string(), Value::Object(gauges)),
-            ("histograms".to_string(), Value::Object(histograms)),
-        ])
+    /// Snapshot every instrument.
+    pub fn snapshot(&self) -> MetricsDoc {
+        MetricsDoc {
+            counters: self.counters.read().iter().map(|(k, v)| (k.clone(), v.get())).collect(),
+            gauges: self.gauges.read().iter().map(|(k, v)| (k.clone(), v.get())).collect(),
+            histograms: Some(
+                self.histograms.read().iter().map(|(k, v)| (k.clone(), v.snapshot())).collect(),
+            ),
+        }
     }
 
     /// Render every instrument in Prometheus text exposition format
@@ -188,7 +190,7 @@ impl MetricsRegistry {
             let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v}");
         }
 
-        let mut summaries: Vec<(String, crate::HistogramSnapshot)> = self
+        let mut summaries: Vec<(String, HistogramSnapshot)> = self
             .histograms
             .read()
             .iter()
@@ -328,13 +330,17 @@ mod tests {
         r.counter("a").inc();
         r.gauge("b").set(-1);
         r.histogram("c").record(10);
-        let s = r.snapshot();
-        assert_eq!(s["counters"]["a"].as_u64(), Some(1));
-        assert_eq!(s["gauges"]["b"].as_i64(), Some(-1));
-        assert_eq!(s["histograms"]["c"]["count"].as_u64(), Some(1));
-        // Round-trips through JSON text.
+        r.counter("wait_micros").inc();
+        let mut s = r.snapshot();
+        assert_eq!(s.counters["a"], 1);
+        assert_eq!(s.gauges["b"], -1);
+        assert_eq!(s.histograms.as_ref().unwrap()["c"].count, 1);
+        // Round-trips through JSON text, with and without the wall clock.
         let text = serde_json::to_string(&s).unwrap();
-        let back: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(back["counters"]["a"].as_u64(), Some(1));
+        assert_eq!(serde_json::from_str::<MetricsDoc>(&text).unwrap(), s);
+        s.stabilize();
+        let text = serde_json::to_string(&s).unwrap();
+        assert_eq!(text, r#"{"counters":{"a":1},"gauges":{"b":-1}}"#);
+        assert_eq!(serde_json::from_str::<MetricsDoc>(&text).unwrap(), s);
     }
 }

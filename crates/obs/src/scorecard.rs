@@ -20,11 +20,13 @@
 //! leaking memory. Rendering is sorted by type id and fully deterministic.
 
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Request-side tallies for one URL, pending attribution to query types.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Request-side tallies for one URL, pending attribution to query types
+/// (and the `/scorecards` document's `unattributed` bucket).
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PageTally {
     /// Cache hits served.
     pub hits: u64,
@@ -82,15 +84,27 @@ pub struct TypeSyncOutcome {
     pub shape_skipped: u64,
 }
 
-/// Cumulative cost/benefit score for one query type.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Cumulative cost/benefit score for one query type: a `/scorecards` row
+/// and a JSONL `scorecard` line. The five ratios are filled in from the
+/// tallies when a row leaves the board ([`ScorecardBoard::rows`]).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TypeScore {
     /// Query type id.
     pub type_id: u32,
     /// Parameterized SQL template.
     pub sql: String,
-    /// Request-side benefit measures.
-    pub pages: PageTally,
+    /// Cache hits served for pages of this type.
+    pub hits: u64,
+    /// Misses (page generated).
+    pub misses: u64,
+    /// Observed hit rate over requests attributed to this type.
+    pub hit_rate: f64,
+    /// Generations with a measured render cost.
+    pub renders: u64,
+    /// Deterministic render cost units (db rows read during generation).
+    pub render_cost_units: u64,
+    /// Mean render cost units per generation.
+    pub avg_render_cost: f64,
     /// Update batches (sync points) that touched this type.
     pub sync_touches: u64,
     /// Instance invalidations across all syncs.
@@ -105,12 +119,20 @@ pub struct TypeScore {
     pub staleness_micros: u64,
     /// Observations behind `staleness_micros`.
     pub staleness_events: u64,
+    /// Mean attributed staleness window per observation (logical micros).
+    pub avg_staleness_micros: f64,
     /// Instances the predicate index handed to the decision loop.
     pub index_candidates: u64,
     /// Instances the predicate index proved unaffected and skipped.
     pub index_skipped: u64,
     /// Instances scanned via the residual (unindexable) fallback.
     pub index_residual: u64,
+    /// Fraction of registered-instance visits the predicate index skipped
+    /// (0.0 when no instances were considered — e.g. index disabled).
+    pub index_hit_rate: f64,
+    /// Fraction of instance visits that went through the residual full
+    /// scan (the index could not classify or narrow them).
+    pub residual_fraction: f64,
     /// Query-shape classifier verdict (kept current on the score row).
     pub shape: String,
     /// Cumulative instances the shape rules kept cached.
@@ -118,55 +140,41 @@ pub struct TypeScore {
 }
 
 impl TypeScore {
-    /// Observed hit rate over requests attributed to this type.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.pages.hits + self.pages.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.pages.hits as f64 / total as f64
-        }
+    /// The row with its ratios worked out from its tallies.
+    fn with_ratios(mut self) -> TypeScore {
+        let ratio = |num: u64, den: u64| if den == 0 { 0.0 } else { num as f64 / den as f64 };
+        let visits = self.index_candidates + self.index_skipped + self.index_residual;
+        self.hit_rate = ratio(self.hits, self.hits + self.misses);
+        self.avg_render_cost = ratio(self.render_cost_units, self.renders);
+        self.avg_staleness_micros = ratio(self.staleness_micros, self.staleness_events);
+        self.index_hit_rate = ratio(self.index_skipped, visits);
+        self.residual_fraction = ratio(self.index_residual, visits);
+        self
     }
 
-    /// Mean render cost units per generation.
-    pub fn avg_render_cost(&self) -> f64 {
-        if self.pages.renders == 0 {
-            0.0
-        } else {
-            self.pages.render_cost_units as f64 / self.pages.renders as f64
-        }
+    fn fold_pages(&mut self, t: &PageTally) {
+        self.hits += t.hits;
+        self.misses += t.misses;
+        self.renders += t.renders;
+        self.render_cost_units += t.render_cost_units;
     }
+}
 
-    /// Mean attributed staleness window per observation (logical micros).
-    pub fn avg_staleness_micros(&self) -> f64 {
-        if self.staleness_events == 0 {
-            0.0
-        } else {
-            self.staleness_micros as f64 / self.staleness_events as f64
-        }
-    }
-
-    /// Fraction of registered-instance visits the predicate index skipped
-    /// (0.0 when no instances were considered — e.g. index disabled).
-    pub fn index_hit_rate(&self) -> f64 {
-        let total = self.index_candidates + self.index_skipped + self.index_residual;
-        if total == 0 {
-            0.0
-        } else {
-            self.index_skipped as f64 / total as f64
-        }
-    }
-
-    /// Fraction of instance visits that went through the residual full
-    /// scan (the index could not classify or narrow them).
-    pub fn residual_fraction(&self) -> f64 {
-        let total = self.index_candidates + self.index_skipped + self.index_residual;
-        if total == 0 {
-            0.0
-        } else {
-            self.index_residual as f64 / total as f64
-        }
-    }
+/// The `/scorecards` document: sorted rows plus the unattributed bucket
+/// and pending-map health. Fully deterministic for a fixed seed (no
+/// wall-clock fields anywhere).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ScorecardsDoc {
+    /// The board's change counter.
+    pub version: u64,
+    /// URLs served since the last sync point, awaiting attribution.
+    pub pending_urls: u64,
+    /// URLs the pending-map bound turned away.
+    pub pending_dropped: u64,
+    /// Tallies of URLs that resolved to no query type.
+    pub unattributed: PageTally,
+    /// One row per query type, by type id.
+    pub scorecards: Vec<TypeScore>,
 }
 
 /// The scorecard aggregation board. All methods take `&self`.
@@ -260,7 +268,7 @@ impl ScorecardBoard {
                 if row.sql.is_empty() {
                     row.sql = sql;
                 }
-                row.pages.fold(&tally);
+                row.fold_pages(&tally);
             }
         }
         self.version.fetch_add(1, Ordering::Relaxed);
@@ -308,92 +316,18 @@ impl ScorecardBoard {
 
     /// Current rows, sorted by type id.
     pub fn rows(&self) -> Vec<TypeScore> {
-        self.scores.lock().values().cloned().collect()
+        self.scores.lock().values().cloned().map(TypeScore::with_ratios).collect()
     }
 
-    /// Render one score row as a JSON object (used by `/scorecards` and the
-    /// JSONL exporter so both emit the identical shape).
-    pub fn row_to_json(row: &TypeScore) -> serde_json::Value {
-        use serde_json::Value;
-        Value::Object(vec![
-            ("type_id".to_string(), Value::UInt(row.type_id as u64)),
-            ("sql".to_string(), Value::String(row.sql.clone())),
-            ("hits".to_string(), Value::UInt(row.pages.hits)),
-            ("misses".to_string(), Value::UInt(row.pages.misses)),
-            ("hit_rate".to_string(), Value::Float(row.hit_rate())),
-            ("renders".to_string(), Value::UInt(row.pages.renders)),
-            (
-                "render_cost_units".to_string(),
-                Value::UInt(row.pages.render_cost_units),
-            ),
-            ("avg_render_cost".to_string(), Value::Float(row.avg_render_cost())),
-            ("sync_touches".to_string(), Value::UInt(row.sync_touches)),
-            ("invalidations".to_string(), Value::UInt(row.invalidations)),
-            ("pages_ejected".to_string(), Value::UInt(row.pages_ejected)),
-            ("polls".to_string(), Value::UInt(row.polls)),
-            (
-                "poll_spend_micros".to_string(),
-                Value::UInt(row.poll_spend_micros),
-            ),
-            (
-                "staleness_micros".to_string(),
-                Value::UInt(row.staleness_micros),
-            ),
-            (
-                "staleness_events".to_string(),
-                Value::UInt(row.staleness_events),
-            ),
-            (
-                "avg_staleness_micros".to_string(),
-                Value::Float(row.avg_staleness_micros()),
-            ),
-            (
-                "index_candidates".to_string(),
-                Value::UInt(row.index_candidates),
-            ),
-            ("index_skipped".to_string(), Value::UInt(row.index_skipped)),
-            ("index_residual".to_string(), Value::UInt(row.index_residual)),
-            ("index_hit_rate".to_string(), Value::Float(row.index_hit_rate())),
-            (
-                "residual_fraction".to_string(),
-                Value::Float(row.residual_fraction()),
-            ),
-            ("shape".to_string(), Value::String(row.shape.clone())),
-            ("shape_skipped".to_string(), Value::UInt(row.shape_skipped)),
-        ])
-    }
-
-    /// The `/scorecards` JSON document: sorted rows plus the unattributed
-    /// bucket and pending-map health. Fully deterministic for a fixed seed
-    /// (no wall-clock fields anywhere).
-    pub fn to_json(&self) -> serde_json::Value {
-        use serde_json::Value;
-        let rows = self.rows().iter().map(Self::row_to_json).collect();
-        let un = self.unattributed.lock().clone();
-        Value::Object(vec![
-            ("version".to_string(), Value::UInt(self.version())),
-            (
-                "pending_urls".to_string(),
-                Value::UInt(self.pending.lock().len() as u64),
-            ),
-            (
-                "pending_dropped".to_string(),
-                Value::UInt(self.pending_dropped()),
-            ),
-            (
-                "unattributed".to_string(),
-                Value::Object(vec![
-                    ("hits".to_string(), Value::UInt(un.hits)),
-                    ("misses".to_string(), Value::UInt(un.misses)),
-                    ("renders".to_string(), Value::UInt(un.renders)),
-                    (
-                        "render_cost_units".to_string(),
-                        Value::UInt(un.render_cost_units),
-                    ),
-                ]),
-            ),
-            ("scorecards".to_string(), Value::Array(rows)),
-        ])
+    /// The `/scorecards` document.
+    pub fn doc(&self) -> ScorecardsDoc {
+        ScorecardsDoc {
+            version: self.version(),
+            pending_urls: self.pending.lock().len() as u64,
+            pending_dropped: self.pending_dropped(),
+            unattributed: self.unattributed.lock().clone(),
+            scorecards: self.rows(),
+        }
     }
 }
 
@@ -432,19 +366,19 @@ mod tests {
         assert_eq!(rows.len(), 2);
         let t1 = &rows[0];
         assert_eq!(t1.type_id, 1);
-        assert_eq!(t1.pages.hits, 2); // page:a hit + page:b hit
-        assert_eq!(t1.pages.misses, 1);
-        assert_eq!(t1.pages.render_cost_units, 12);
-        assert!((t1.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
+        assert_eq!(t1.hits, 2); // page:a hit + page:b hit
+        assert_eq!(t1.misses, 1);
+        assert_eq!(t1.render_cost_units, 12);
+        assert!((t1.hit_rate - 2.0 / 3.0).abs() < 1e-9);
         let t2 = &rows[1];
         assert_eq!(t2.type_id, 2);
-        assert_eq!(t2.pages.hits, 1);
+        assert_eq!(t2.hits, 1);
 
         // Unresolvable URL landed in the unattributed bucket, not a row.
-        let j = board.to_json();
-        assert_eq!(j["unattributed"]["misses"].as_u64(), Some(1));
-        assert_eq!(j["unattributed"]["render_cost_units"].as_u64(), Some(5));
-        assert_eq!(j["pending_urls"].as_u64(), Some(0));
+        let doc = board.doc();
+        assert_eq!(doc.unattributed.misses, 1);
+        assert_eq!(doc.unattributed.render_cost_units, 5);
+        assert_eq!(doc.pending_urls, 0);
     }
 
     #[test]
@@ -477,7 +411,7 @@ mod tests {
         assert_eq!(rows[0].invalidations, 3);
         assert_eq!(rows[0].sync_touches, 2);
         assert_eq!(rows[0].poll_spend_micros, 400);
-        assert!((rows[0].avg_staleness_micros() - 45.0).abs() < 1e-9);
+        assert!((rows[0].avg_staleness_micros - 45.0).abs() < 1e-9);
         // Empty outcome list does not bump the version.
         let v = board.version();
         board.note_sync(&[]);
@@ -499,12 +433,11 @@ mod tests {
             board.note_request("page:b", true, None);
             board.note_request("page:a", false, Some(7));
             board.attribute_pending(resolve_fixed);
-            serde_json::to_string(&board.to_json()).unwrap()
+            serde_json::to_string(&board.doc()).unwrap()
         };
         assert_eq!(run(&[5, 1, 9]), run(&[9, 5, 1]));
-        let doc: serde_json::Value = serde_json::from_str(&run(&[5, 1, 9])).unwrap();
-        let rows = doc["scorecards"].as_array().unwrap();
-        let ids: Vec<u64> = rows.iter().map(|r| r["type_id"].as_u64().unwrap()).collect();
+        let doc: ScorecardsDoc = serde_json::from_str(&run(&[5, 1, 9])).unwrap();
+        let ids: Vec<u32> = doc.scorecards.iter().map(|r| r.type_id).collect();
         assert_eq!(ids, vec![1, 2, 5, 9]);
     }
 
@@ -517,7 +450,7 @@ mod tests {
         board.note_request("page:a", true, None); // existing: still folds
         assert_eq!(board.pending_dropped(), 1);
         board.attribute_pending(resolve_fixed);
-        assert_eq!(board.rows()[0].pages.hits, 3);
+        assert_eq!(board.rows()[0].hits, 3);
     }
 
     #[test]

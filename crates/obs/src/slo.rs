@@ -22,12 +22,15 @@
 //! the `stable=1` rendering that the flight recorder's byte-stability
 //! contract relies on.
 //!
-//! Firing/resolved transitions append to a bounded alert log (ring with a
-//! dropped counter) that the JSONL exporter cursors over, exactly like the
-//! trace and provenance rings.
+//! Firing/resolved transitions append to a bounded alert log (a
+//! [`Ring`]) that the JSONL exporter cursors over, exactly like the trace
+//! and provenance rings.
 
+use crate::health::HealthSnapshot;
+use crate::ring::Ring;
 use parking_lot::Mutex;
-use serde_json::Value;
+use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -99,21 +102,28 @@ impl Objective {
     }
 }
 
-/// A short/long burn-rate window pair with its firing threshold.
-#[derive(Debug, Clone)]
+/// A short/long burn-rate window pair with its firing threshold (policy,
+/// and a row of the `/slo` document's `pairs`).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BurnPair {
     /// Stable name ("fast" / "slow").
-    pub name: &'static str,
+    pub name: Cow<'static, str>,
     /// Alerting severity rendered in alert lines ("page" / "ticket").
-    pub severity: &'static str,
+    pub severity: Cow<'static, str>,
     /// Short window (fast resolution) in logical micros.
     pub short_micros: u64,
     /// Long window (flap suppression) in logical micros.
     pub long_micros: u64,
     /// Burn-rate threshold that BOTH windows must exceed to fire.
-    pub threshold: f64,
-    /// Fast pairs drive `/healthz` to unhealthy; slow pairs to degraded.
-    pub fast: bool,
+    pub burn_threshold: f64,
+}
+
+impl BurnPair {
+    /// A page-severity pair is a fast pair: it drives `/healthz` to
+    /// unhealthy, any other to degraded.
+    pub fn fast(&self) -> bool {
+        self.severity == "page"
+    }
 }
 
 /// The full declarative policy: objectives, window pairs, and sizing.
@@ -154,20 +164,18 @@ impl SloPolicy {
     pub fn default_pairs() -> Vec<BurnPair> {
         vec![
             BurnPair {
-                name: "fast",
-                severity: "page",
+                name: "fast".into(),
+                severity: "page".into(),
                 short_micros: 5 * MINUTE,
                 long_micros: HOUR,
-                threshold: 14.4,
-                fast: true,
+                burn_threshold: 14.4,
             },
             BurnPair {
-                name: "slow",
-                severity: "ticket",
+                name: "slow".into(),
+                severity: "ticket".into(),
                 short_micros: 30 * MINUTE,
                 long_micros: 6 * HOUR,
-                threshold: 6.0,
-                fast: false,
+                burn_threshold: 6.0,
             },
         ]
     }
@@ -231,21 +239,22 @@ impl WindowedCounter {
     }
 }
 
-/// One firing/resolved transition in the bounded alert log.
-#[derive(Debug, Clone, PartialEq)]
+/// One firing/resolved transition in the bounded alert log: a ring entry,
+/// a row of `/slo`'s recent alerts and a JSONL `alert` line.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AlertEvent {
     /// Monotone sequence number (exporter cursor key).
     pub seq: u64,
     /// Logical timestamp of the evaluation that produced the transition.
     pub ts: u64,
     /// Objective id ([`SloKind::as_str`] by default).
-    pub objective: &'static str,
+    pub objective: Cow<'static, str>,
     /// Window-pair name ("fast" / "slow").
-    pub pair: &'static str,
+    pub pair: Cow<'static, str>,
     /// Severity ("page" / "ticket").
-    pub severity: &'static str,
+    pub severity: Cow<'static, str>,
     /// "firing" or "resolved".
-    pub state: &'static str,
+    pub state: Cow<'static, str>,
     /// Burn rate in the short window at transition time.
     pub burn_short: f64,
     /// Burn rate in the long window at transition time.
@@ -254,20 +263,95 @@ pub struct AlertEvent {
     pub deterministic: bool,
 }
 
-impl AlertEvent {
-    /// JSON object (one exporter line body / alert-log entry).
-    pub fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("seq".to_string(), Value::UInt(self.seq)),
-            ("ts".to_string(), Value::UInt(self.ts)),
-            ("objective".to_string(), Value::String(self.objective.to_string())),
-            ("pair".to_string(), Value::String(self.pair.to_string())),
-            ("severity".to_string(), Value::String(self.severity.to_string())),
-            ("state".to_string(), Value::String(self.state.to_string())),
-            ("burn_short".to_string(), Value::Float(self.burn_short)),
-            ("burn_long".to_string(), Value::Float(self.burn_long)),
-            ("deterministic".to_string(), Value::Bool(self.deterministic)),
-        ])
+/// One objective's burn over one window pair.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct BurnStatus {
+    /// Window-pair name.
+    pub pair: Cow<'static, str>,
+    /// Burn rate over the pair's short window.
+    pub short: f64,
+    /// Burn rate over the pair's long window.
+    pub long: f64,
+    /// Whether the pair is firing for this objective.
+    pub firing: bool,
+}
+
+/// One objective as `/slo` shows it: its policy and where it stands.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ObjectiveStatus {
+    /// Objective id.
+    pub id: Cow<'static, str>,
+    /// The feeding event stream ([`SloKind::as_str`]).
+    pub kind: Cow<'static, str>,
+    /// Required good fraction.
+    pub goal: f64,
+    /// Good/bad threshold for latency kinds.
+    pub threshold_micros: u64,
+    /// False for a wall-fed objective (absent from a stable document).
+    pub deterministic: bool,
+    /// Good events over the longest window.
+    pub good: u64,
+    /// Bad events over the longest window.
+    pub bad: u64,
+    /// Burn per window pair.
+    pub burn: Vec<BurnStatus>,
+    /// Whether any pair is firing.
+    pub firing: bool,
+}
+
+/// The alert log as `/slo` shows it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct AlertLogDoc {
+    /// Transitions ever recorded.
+    pub recorded: u64,
+    /// Transitions the log bound evicted.
+    pub dropped: u64,
+    /// The retained transitions, oldest first.
+    pub recent: Vec<AlertEvent>,
+}
+
+/// Firing (objective, pair) combinations by pair speed.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FiringCounts {
+    /// On fast (page) pairs.
+    pub fast: u64,
+    /// On slow (ticket) pairs.
+    pub slow: u64,
+}
+
+/// The `/slo` document (and, without `context`, a flight bundle's `slo`
+/// section).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SloDoc {
+    /// `cacheportal.slo.v1`.
+    pub schema: String,
+    /// Whether the engine is observing and evaluating.
+    pub enabled: bool,
+    /// Whether [`SloDoc::stabilize`] has been applied.
+    pub stable: bool,
+    /// Logical time the burns were computed at.
+    pub now: u64,
+    /// The policy's window pairs.
+    pub pairs: Vec<BurnPair>,
+    /// Every objective's standing.
+    pub objectives: Vec<ObjectiveStatus>,
+    /// The bounded alert log.
+    pub alerts: AlertLogDoc,
+    /// What is firing now.
+    pub firing: FiringCounts,
+    /// The live health snapshot, so an operator sees which reason codes the
+    /// firing alerts map to without a second fetch; `/slo` only.
+    #[serde(skip_if = "self.context.is_none()")]
+    pub context: Option<HealthSnapshot>,
+}
+
+impl SloDoc {
+    /// Drop the wall-fed objectives and their alerts, so the rendering is
+    /// byte-identical across replays of the same deterministic script.
+    pub fn stabilize(&mut self) {
+        self.stable = true;
+        self.objectives.retain(|o| o.deterministic);
+        self.alerts.recent.retain(|a| a.deterministic);
     }
 }
 
@@ -288,9 +372,7 @@ struct EngineInner {
     policy: SloPolicy,
     counters: Vec<WindowedCounter>,
     firing: Vec<Vec<bool>>,
-    alerts: VecDeque<AlertEvent>,
-    alert_seq: u64,
-    alerts_dropped: u64,
+    alerts: Ring<AlertEvent>,
     last_eval_ts: u64,
 }
 
@@ -301,20 +383,10 @@ impl EngineInner {
         EngineInner {
             counters: (0..n).map(|_| WindowedCounter::default()).collect(),
             firing: vec![vec![false; pairs]; n],
-            alerts: VecDeque::new(),
-            alert_seq: 0,
-            alerts_dropped: 0,
+            alerts: Ring::new(policy.alert_log_cap),
             last_eval_ts: 0,
             policy,
         }
-    }
-
-    fn push_alert(&mut self, ev: AlertEvent) {
-        if self.alerts.len() >= self.policy.alert_log_cap.max(1) {
-            self.alerts.pop_front();
-            self.alerts_dropped += 1;
-        }
-        self.alerts.push_back(ev);
     }
 }
 
@@ -419,10 +491,10 @@ impl SloEngine {
                 let (o, p) = (&inner.policy.objectives[oi], &inner.policy.pairs[pi]);
                 let burn_short = burn(&inner.counters[oi], now, width, p.short_micros, o);
                 let burn_long = burn(&inner.counters[oi], now, width, p.long_micros, o);
-                let firing = burn_short >= p.threshold && burn_long >= p.threshold;
+                let firing = burn_short >= p.burn_threshold && burn_long >= p.burn_threshold;
                 let was = inner.firing[oi][pi];
                 if firing {
-                    if p.fast {
+                    if p.fast() {
                         out.fast_firing += 1;
                     } else {
                         out.slow_firing += 1;
@@ -432,10 +504,10 @@ impl SloEngine {
                     transitions.push(AlertEvent {
                         seq: 0, // assigned on push below
                         ts: now,
-                        objective: o.id,
-                        pair: p.name,
-                        severity: p.severity,
-                        state: if firing { "firing" } else { "resolved" },
+                        objective: Cow::Borrowed(o.id),
+                        pair: p.name.clone(),
+                        severity: p.severity.clone(),
+                        state: Cow::Borrowed(if firing { "firing" } else { "resolved" }),
                         burn_short,
                         burn_long,
                         deterministic: o.deterministic,
@@ -445,14 +517,15 @@ impl SloEngine {
             }
         }
         for mut ev in transitions {
-            ev.seq = inner.alert_seq;
-            inner.alert_seq += 1;
+            inner.alerts.push(|seq| {
+                ev.seq = seq;
+                ev.clone()
+            });
             if ev.state == "firing" {
-                out.newly_fired.push(ev.clone());
+                out.newly_fired.push(ev);
             } else {
-                out.newly_resolved.push(ev.clone());
+                out.newly_resolved.push(ev);
             }
-            inner.push_alert(ev);
         }
         out
     }
@@ -466,7 +539,7 @@ impl SloEngine {
         for row in &inner.firing {
             for (pi, &f) in row.iter().enumerate() {
                 if f {
-                    if inner.policy.pairs[pi].fast {
+                    if inner.policy.pairs[pi].fast() {
                         fast += 1;
                     } else {
                         slow += 1;
@@ -484,123 +557,78 @@ impl SloEngine {
 
     /// Total alert transitions ever recorded.
     pub fn alerts_recorded(&self) -> u64 {
-        self.inner.lock().alert_seq
+        self.inner.lock().alerts.recorded()
     }
 
     /// Transitions evicted from the bounded log.
     pub fn alerts_dropped(&self) -> u64 {
-        self.inner.lock().alerts_dropped
+        self.inner.lock().alerts.dropped()
     }
 
     /// Alert transitions with `seq >= since`, oldest first (exporter
     /// cursor access, mirroring `ProvenanceLog::since`).
     pub fn alerts_since(&self, since: u64) -> Vec<AlertEvent> {
-        let inner = self.inner.lock();
-        inner.alerts.iter().filter(|a| a.seq >= since).cloned().collect()
+        self.inner.lock().alerts.since(since).cloned().collect()
     }
 
     /// The newest `n` transitions, oldest first.
     pub fn alerts_recent(&self, n: usize) -> Vec<AlertEvent> {
-        let inner = self.inner.lock();
-        let skip = inner.alerts.len().saturating_sub(n);
-        inner.alerts.iter().skip(skip).cloned().collect()
+        self.inner.lock().alerts.recent(n).cloned().collect()
     }
 
-    /// The `/slo` document. `stable=1` drops wall-fed objectives and their
-    /// alerts so the rendering is byte-identical across replays of the
-    /// same deterministic script.
-    pub fn to_json(&self, now: u64, stable: bool) -> Value {
+    /// The engine's part of the `/slo` document at logical time `now`
+    /// (every objective, no `context`).
+    pub fn doc(&self, now: u64) -> SloDoc {
         let inner = self.inner.lock();
         let width = inner.policy.bucket_micros;
         let longest = inner.policy.longest_window();
-        let pairs: Vec<Value> = inner
-            .policy
-            .pairs
-            .iter()
-            .map(|p| {
-                Value::Object(vec![
-                    ("name".to_string(), Value::String(p.name.to_string())),
-                    ("severity".to_string(), Value::String(p.severity.to_string())),
-                    ("short_micros".to_string(), Value::UInt(p.short_micros)),
-                    ("long_micros".to_string(), Value::UInt(p.long_micros)),
-                    ("burn_threshold".to_string(), Value::Float(p.threshold)),
-                ])
-            })
-            .collect();
-        let mut fast = 0u64;
-        let mut slow = 0u64;
+        let mut firing = FiringCounts { fast: 0, slow: 0 };
         let mut objectives = Vec::new();
         for (oi, o) in inner.policy.objectives.iter().enumerate() {
-            let mut any = false;
             let mut burns = Vec::new();
             for (pi, p) in inner.policy.pairs.iter().enumerate() {
-                let firing = inner.firing[oi][pi];
-                if firing {
-                    any = true;
-                    if p.fast {
-                        fast += 1;
+                if inner.firing[oi][pi] {
+                    if p.fast() {
+                        firing.fast += 1;
                     } else {
-                        slow += 1;
+                        firing.slow += 1;
                     }
                 }
-                burns.push(Value::Object(vec![
-                    ("pair".to_string(), Value::String(p.name.to_string())),
-                    (
-                        "short".to_string(),
-                        Value::Float(burn(&inner.counters[oi], now, width, p.short_micros, o)),
-                    ),
-                    (
-                        "long".to_string(),
-                        Value::Float(burn(&inner.counters[oi], now, width, p.long_micros, o)),
-                    ),
-                    ("firing".to_string(), Value::Bool(firing)),
-                ]));
-            }
-            if stable && !o.deterministic {
-                continue;
+                burns.push(BurnStatus {
+                    pair: p.name.clone(),
+                    short: burn(&inner.counters[oi], now, width, p.short_micros, o),
+                    long: burn(&inner.counters[oi], now, width, p.long_micros, o),
+                    firing: inner.firing[oi][pi],
+                });
             }
             let (good, bad) = inner.counters[oi].totals(now, width, longest);
-            objectives.push(Value::Object(vec![
-                ("id".to_string(), Value::String(o.id.to_string())),
-                ("kind".to_string(), Value::String(o.kind.as_str().to_string())),
-                ("goal".to_string(), Value::Float(o.goal)),
-                ("threshold_micros".to_string(), Value::UInt(o.threshold_micros)),
-                ("deterministic".to_string(), Value::Bool(o.deterministic)),
-                ("good".to_string(), Value::UInt(good)),
-                ("bad".to_string(), Value::UInt(bad)),
-                ("burn".to_string(), Value::Array(burns)),
-                ("firing".to_string(), Value::Bool(any)),
-            ]));
+            objectives.push(ObjectiveStatus {
+                id: Cow::Borrowed(o.id),
+                kind: Cow::Borrowed(o.kind.as_str()),
+                goal: o.goal,
+                threshold_micros: o.threshold_micros,
+                deterministic: o.deterministic,
+                good,
+                bad,
+                firing: burns.iter().any(|b| b.firing),
+                burn: burns,
+            });
         }
-        let recent: Vec<Value> = inner
-            .alerts
-            .iter()
-            .filter(|a| !stable || a.deterministic)
-            .map(|a| a.to_json())
-            .collect();
-        Value::Object(vec![
-            ("schema".to_string(), Value::String("cacheportal.slo.v1".to_string())),
-            ("enabled".to_string(), Value::Bool(self.enabled())),
-            ("stable".to_string(), Value::Bool(stable)),
-            ("now".to_string(), Value::UInt(now)),
-            ("pairs".to_string(), Value::Array(pairs)),
-            ("objectives".to_string(), Value::Array(objectives)),
-            (
-                "alerts".to_string(),
-                Value::Object(vec![
-                    ("recorded".to_string(), Value::UInt(inner.alert_seq)),
-                    ("dropped".to_string(), Value::UInt(inner.alerts_dropped)),
-                    ("recent".to_string(), Value::Array(recent)),
-                ]),
-            ),
-            (
-                "firing".to_string(),
-                Value::Object(vec![
-                    ("fast".to_string(), Value::UInt(fast)),
-                    ("slow".to_string(), Value::UInt(slow)),
-                ]),
-            ),
-        ])
+        SloDoc {
+            schema: "cacheportal.slo.v1".to_string(),
+            enabled: self.enabled(),
+            stable: false,
+            now,
+            pairs: inner.policy.pairs.clone(),
+            objectives,
+            alerts: AlertLogDoc {
+                recorded: inner.alerts.recorded(),
+                dropped: inner.alerts.dropped(),
+                recent: inner.alerts.iter().cloned().collect(),
+            },
+            firing,
+            context: None,
+        }
     }
 }
 
@@ -689,9 +717,9 @@ mod tests {
         e.observe_counts(SloKind::PollErrors, 500, 6, 6);
         let out = e.evaluate(500);
         assert_eq!(out.fast_firing, 1);
-        let doc = e.to_json(500, false);
-        assert_eq!(doc["objectives"][0]["bad"].as_u64(), Some(6));
-        assert_eq!(doc["firing"]["fast"].as_u64(), Some(1));
+        let doc = e.doc(500);
+        assert_eq!(doc.objectives[0].bad, 6);
+        assert_eq!(doc.firing.fast, 1);
     }
 
     #[test]
@@ -723,8 +751,7 @@ mod tests {
         let out = e.evaluate(1_000);
         assert_eq!(out.fast_firing + out.slow_firing, 0);
         e.set_enabled(true);
-        let doc = e.to_json(1_000, false);
-        assert_eq!(doc["objectives"][0]["bad"].as_u64(), Some(0));
+        assert_eq!(e.doc(1_000).objectives[0].bad, 0);
     }
 
     #[test]
@@ -732,8 +759,10 @@ mod tests {
         let e = SloEngine::default();
         e.observe_latency(SloKind::SyncLatency, 1_000, u64::MAX, 50);
         e.evaluate(1_000);
-        let full = serde_json::to_string_pretty(&e.to_json(1_000, false)).unwrap();
-        let stable = serde_json::to_string_pretty(&e.to_json(1_000, true)).unwrap();
+        let mut doc = e.doc(1_000);
+        let full = serde_json::to_string_pretty(&doc).unwrap();
+        doc.stabilize();
+        let stable = serde_json::to_string_pretty(&doc).unwrap();
         assert!(full.contains("sync-latency-p95"));
         assert!(!stable.contains("sync-latency-p95"));
         assert!(stable.contains("\"stable\": true"));

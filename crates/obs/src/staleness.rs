@@ -14,11 +14,21 @@
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Log sequence number (mirrors `cacheportal_db::Lsn` without depending on
 /// the db crate).
 pub type Lsn = u64;
+
+/// The staleness section of a snapshot or flight bundle.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct StalenessDoc {
+    /// Committed mutations no sync point has consumed yet.
+    pub pending_mutations: u64,
+    /// The commit→eject window per ejected page, logical micros.
+    pub commit_to_eject_micros: HistogramSnapshot,
+}
 
 /// Tracks commit timestamps per LSN and the commit→eject latency histogram.
 #[derive(Default)]
@@ -84,19 +94,12 @@ impl StalenessProbe {
         self.window.snapshot()
     }
 
-    /// JSON summary.
-    pub fn to_json(&self) -> serde_json::Value {
-        use serde_json::Value;
-        Value::Object(vec![
-            (
-                "pending_mutations".to_string(),
-                Value::UInt(self.pending_len() as u64),
-            ),
-            (
-                "commit_to_eject_micros".to_string(),
-                self.window_snapshot().to_json(),
-            ),
-        ])
+    /// The probe's section of a snapshot.
+    pub fn doc(&self) -> StalenessDoc {
+        StalenessDoc {
+            pending_mutations: self.pending_len() as u64,
+            commit_to_eject_micros: self.window_snapshot(),
+        }
     }
 }
 

@@ -10,21 +10,22 @@
 //!   polls issued, pages ejected, ...) that is byte-stable across seeded
 //!   runs, which is what the determinism tests and the harness gate on.
 //!
-//! [`TimelineLog::to_json`] renders the full document; the *stable* variant
-//! zeroes wall-clock fields so two runs of the same seed render identical
+//! [`TimelineLog::doc`] is the full document; [`TimelineDoc::stabilize`]
+//! zeroes its wall-clock fields so two runs of the same seed render identical
 //! bytes. [`TimelineLog::to_chrome_trace`] emits Chrome `trace_event` JSON
 //! (open in chrome://tracing or Perfetto).
 
+use crate::ring::Ring;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// One pipeline phase inside a sync point.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageSample {
     /// Phase name: `"mapper"`, `"registration"`, `"delta"`, `"analysis"`,
     /// `"poll_wait"`, `"eject"`, `"persist"`.
-    pub name: &'static str,
+    pub name: Cow<'static, str>,
     /// Wall-clock duration in microseconds (nondeterministic; `poll_wait`
     /// is modeled as `polls x rtt` and therefore deterministic).
     pub micros: u64,
@@ -33,7 +34,7 @@ pub struct StageSample {
 }
 
 /// One sync point's timeline entry.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SyncTimeline {
     /// Portal sync sequence number.
     pub sync_seq: u64,
@@ -53,120 +54,99 @@ pub struct SyncTimeline {
     pub ejected: u64,
     /// Polling queries issued.
     pub polls: u64,
-    /// Phase samples in pipeline order.
-    pub stages: Vec<StageSample>,
     /// End-to-end wall-clock duration in microseconds.
     pub wall_micros: u64,
+    /// Phase samples in pipeline order.
+    pub stages: Vec<StageSample>,
+}
+
+/// The `/timeline` document (and a flight bundle's `timeline` section).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct TimelineDoc {
+    /// Timelines ever recorded.
+    pub recorded: u64,
+    /// Timelines the ring bound evicted.
+    pub dropped: u64,
+    /// The tracer ring's eviction count: the causal chains old entries
+    /// name may no longer resolve.
+    pub trace_dropped: u64,
+    /// Whether either ring has let anything go.
+    pub truncated: bool,
+    /// Whether [`TimelineDoc::stabilize`] has been applied.
+    pub stable: bool,
+    /// The newest sync points, oldest first.
+    pub sync_points: Vec<SyncTimeline>,
+}
+
+impl TimelineDoc {
+    /// Zero every wall-clock field, making the document byte-stable across
+    /// runs of the same seed (work units, ids and the modelled `poll_wait`
+    /// stage are deterministic; that stage's time is zeroed with the rest).
+    pub fn stabilize(&mut self) {
+        self.stable = true;
+        for t in &mut self.sync_points {
+            t.wall_micros = 0;
+            for s in &mut t.stages {
+                s.micros = 0;
+            }
+        }
+    }
 }
 
 /// Bounded ring of sync-point timelines.
 pub struct TimelineLog {
-    ring: Mutex<VecDeque<SyncTimeline>>,
-    capacity: usize,
-    recorded: AtomicU64,
-    dropped: AtomicU64,
+    ring: Mutex<Ring<SyncTimeline>>,
 }
 
 impl TimelineLog {
     /// A log retaining the `capacity` most recent sync points.
     pub fn new(capacity: usize) -> Self {
-        TimelineLog {
-            ring: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
-            capacity: capacity.max(1),
-            recorded: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
+        TimelineLog { ring: Mutex::new(Ring::new(capacity)) }
     }
 
     /// Append one sync point's timeline, evicting the oldest at capacity.
     pub fn record(&self, entry: SyncTimeline) {
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.ring.lock();
-        if ring.len() == self.capacity {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(entry);
+        self.ring.lock().push(|_| entry);
     }
 
     /// Timelines ever recorded.
     pub fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
+        self.ring.lock().recorded()
     }
 
     /// Timelines evicted by the ring bound.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.lock().dropped()
     }
 
     /// The most recent `n` timelines, oldest first.
     pub fn recent(&self, n: usize) -> Vec<SyncTimeline> {
-        let ring = self.ring.lock();
-        let skip = ring.len().saturating_sub(n);
-        ring.iter().skip(skip).cloned().collect()
+        self.ring.lock().recent(n).cloned().collect()
     }
 
-    /// The `/timeline` JSON document. `trace_dropped` is the tracer ring's
-    /// eviction count, surfaced here (with a combined `truncated` marker) so
-    /// a consumer knows when causal chains referenced by old entries may no
-    /// longer resolve. With `stable = true` every wall-clock field renders
-    /// as 0, making the document byte-stable across runs of the same seed.
-    pub fn to_json(&self, limit: usize, trace_dropped: u64, stable: bool) -> serde_json::Value {
-        use serde_json::Value;
-        let entries = self
-            .recent(limit)
-            .into_iter()
-            .map(|t| {
-                let stages = t
-                    .stages
-                    .iter()
-                    .map(|s| {
-                        Value::Object(vec![
-                            ("name".to_string(), Value::String(s.name.to_string())),
-                            (
-                                "micros".to_string(),
-                                Value::UInt(if stable { 0 } else { s.micros }),
-                            ),
-                            ("work".to_string(), Value::UInt(s.work)),
-                        ])
-                    })
-                    .collect();
-                Value::Object(vec![
-                    ("sync_seq".to_string(), Value::UInt(t.sync_seq)),
-                    ("ts".to_string(), Value::UInt(t.ts)),
-                    ("trace_id".to_string(), Value::UInt(t.trace_id)),
-                    ("span_id".to_string(), Value::UInt(t.span_id)),
-                    ("lsn_first".to_string(), Value::UInt(t.lsn_first)),
-                    ("lsn_last".to_string(), Value::UInt(t.lsn_last)),
-                    ("records".to_string(), Value::UInt(t.records)),
-                    ("ejected".to_string(), Value::UInt(t.ejected)),
-                    ("polls".to_string(), Value::UInt(t.polls)),
-                    (
-                        "wall_micros".to_string(),
-                        Value::UInt(if stable { 0 } else { t.wall_micros }),
-                    ),
-                    ("stages".to_string(), Value::Array(stages)),
-                ])
-            })
-            .collect();
-        let dropped = self.dropped();
-        Value::Object(vec![
-            ("recorded".to_string(), Value::UInt(self.recorded())),
-            ("dropped".to_string(), Value::UInt(dropped)),
-            ("trace_dropped".to_string(), Value::UInt(trace_dropped)),
-            (
-                "truncated".to_string(),
-                Value::Bool(dropped > 0 || trace_dropped > 0),
-            ),
-            ("stable".to_string(), Value::Bool(stable)),
-            ("sync_points".to_string(), Value::Array(entries)),
-        ])
+    /// The `/timeline` document over the newest `limit` sync points.
+    /// `trace_dropped` is the tracer ring's eviction count, surfaced here
+    /// (with a combined `truncated` marker) so a consumer knows when causal
+    /// chains referenced by old entries may no longer resolve.
+    pub fn doc(&self, limit: usize, trace_dropped: u64) -> TimelineDoc {
+        let ring = self.ring.lock();
+        TimelineDoc {
+            recorded: ring.recorded(),
+            dropped: ring.dropped(),
+            trace_dropped,
+            truncated: ring.dropped() > 0 || trace_dropped > 0,
+            stable: false,
+            sync_points: ring.recent(limit).cloned().collect(),
+        }
     }
 
     /// Chrome `trace_event` JSON (the `{"traceEvents": [...]}` object
     /// format). Each sync point renders as one complete ("X") event on
     /// tid 0 with its phases laid out end-to-end on tid 1, all stamped in
     /// logical-clock microseconds so concurrent runs don't interleave.
+    ///
+    /// The format is Chrome's, not this crate's: its keys are spelled here
+    /// by hand and no document type stands behind it.
     pub fn to_chrome_trace(&self, limit: usize) -> serde_json::Value {
         use serde_json::Value;
         let mut events = Vec::new();
@@ -241,9 +221,9 @@ mod tests {
             ejected: 2,
             polls: 1,
             stages: vec![
-                StageSample { name: "delta", micros: wall, work: 3 },
-                StageSample { name: "analysis", micros: wall * 2, work: 9 },
-                StageSample { name: "eject", micros: wall / 2, work: 2 },
+                StageSample { name: "delta".into(), micros: wall, work: 3 },
+                StageSample { name: "analysis".into(), micros: wall * 2, work: 9 },
+                StageSample { name: "eject".into(), micros: wall / 2, work: 2 },
             ],
             wall_micros: wall * 4,
         }
@@ -257,17 +237,17 @@ mod tests {
         }
         assert_eq!(log.recorded(), 3);
         assert_eq!(log.dropped(), 1);
-        let j = log.to_json(10, 0, false);
-        assert_eq!(j["truncated"].as_bool(), Some(true));
-        assert_eq!(j["sync_points"].as_array().unwrap().len(), 2);
-        assert_eq!(j["sync_points"][0]["sync_seq"].as_u64(), Some(1));
+        let doc = log.doc(10, 0);
+        assert!(doc.truncated);
+        assert_eq!(doc.sync_points.len(), 2);
+        assert_eq!(doc.sync_points[0].sync_seq, 1);
 
         // A dropped-tracer-events count also marks the output truncated.
         let fresh = TimelineLog::new(8);
         fresh.record(entry(0, 50));
-        assert_eq!(fresh.to_json(10, 0, false)["truncated"].as_bool(), Some(false));
-        assert_eq!(fresh.to_json(10, 5, false)["truncated"].as_bool(), Some(true));
-        assert_eq!(fresh.to_json(10, 5, false)["trace_dropped"].as_u64(), Some(5));
+        assert!(!fresh.doc(10, 0).truncated);
+        assert!(fresh.doc(10, 5).truncated);
+        assert_eq!(fresh.doc(10, 5).trace_dropped, 5);
     }
 
     #[test]
@@ -277,12 +257,16 @@ mod tests {
         // Same deterministic fields, different wall-clock noise.
         a.record(entry(0, 37));
         b.record(entry(0, 9001));
-        let ja = serde_json::to_string(&a.to_json(10, 0, true)).unwrap();
-        let jb = serde_json::to_string(&b.to_json(10, 0, true)).unwrap();
-        assert_eq!(ja, jb);
+        let stable = |log: &TimelineLog| {
+            let mut doc = log.doc(10, 0);
+            doc.stabilize();
+            serde_json::to_string(&doc).unwrap()
+        };
+        assert_eq!(stable(&a), stable(&b));
+        assert!(stable(&a).contains(r#""stable":true"#));
         // The unstable renderings differ (sanity: wall noise is visible).
-        let ua = serde_json::to_string(&a.to_json(10, 0, false)).unwrap();
-        let ub = serde_json::to_string(&b.to_json(10, 0, false)).unwrap();
+        let ua = serde_json::to_string(&a.doc(10, 0)).unwrap();
+        let ub = serde_json::to_string(&b.doc(10, 0)).unwrap();
         assert_ne!(ua, ub);
     }
 

@@ -15,8 +15,11 @@
 //! under simulation; wall-clock durations for spans are measured separately
 //! with [`Tracer::span`] or supplied via [`Tracer::child_span`].
 
+use crate::ring::Ring;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, VecDeque};
+use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -41,27 +44,33 @@ impl TraceContext {
     }
 }
 
-/// One pipeline milestone.
-#[derive(Debug, Clone, PartialEq)]
+/// One pipeline milestone: a ring entry, a `/trace` row and a JSONL `trace`
+/// line. A point event carries no `duration_micros` key and an uncorrelated
+/// one none of the three causal ids.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceEvent {
     /// Global sequence number (monotone, gap-free per tracer).
     pub seq: u64,
     /// Logical timestamp supplied by the caller (microseconds).
     pub ts: u64,
     /// Subsystem: `"web"`, `"db"`, `"cache"`, `"sniffer"`, `"invalidator"`, `"core"`.
-    pub scope: &'static str,
+    pub scope: Cow<'static, str>,
     /// Milestone name, e.g. `"sql.exec"`, `"cache.admit"`, `"sync.eject"`.
-    pub name: &'static str,
+    pub name: Cow<'static, str>,
     /// Free-form context (page key, SQL template, poll count, ...).
     pub detail: String,
     /// Wall-clock duration in microseconds for span events, `None` for
     /// point events.
+    #[serde(skip_if = "self.duration_micros.is_none()")]
     pub duration_micros: Option<u64>,
     /// Lifecycle this event belongs to; 0 = uncorrelated.
+    #[serde(skip_if = "self.trace_id == 0")]
     pub trace_id: u64,
     /// This event's span id; 0 = uncorrelated.
+    #[serde(skip_if = "self.trace_id == 0")]
     pub span_id: u64,
     /// Parent span within the same trace; 0 = trace root (or uncorrelated).
+    #[serde(skip_if = "self.trace_id == 0")]
     pub parent_span: u64,
 }
 
@@ -72,12 +81,33 @@ impl TraceEvent {
     }
 }
 
+/// The `/trace` document (and a flight bundle's `trace` section): the
+/// ring's totals and its newest events.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TraceDoc {
+    /// Events ever recorded.
+    pub recorded: u64,
+    /// Events the ring bound evicted.
+    pub dropped: u64,
+    /// Whether any were: a chain that does not resolve may have rotated out.
+    pub truncated: bool,
+    /// The newest events, oldest first.
+    pub recent: Vec<TraceEvent>,
+}
+
+impl TraceDoc {
+    /// Zero what the wall clock fed (span durations); ids, parents and
+    /// logical timestamps stay.
+    pub fn stabilize(&mut self) {
+        for e in &mut self.recent {
+            e.duration_micros = e.duration_micros.map(|_| 0);
+        }
+    }
+}
+
 /// Bounded event recorder; all methods take `&self`.
 pub struct Tracer {
-    ring: Mutex<VecDeque<TraceEvent>>,
-    capacity: usize,
-    seq: AtomicU64,
-    dropped: AtomicU64,
+    ring: Mutex<Ring<TraceEvent>>,
     enabled: AtomicBool,
     next_trace: AtomicU64,
     next_span: AtomicU64,
@@ -87,10 +117,7 @@ impl Tracer {
     /// A tracer retaining the `capacity` most recent events.
     pub fn new(capacity: usize) -> Self {
         Tracer {
-            ring: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
-            capacity: capacity.max(1),
-            seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            ring: Mutex::new(Ring::new(capacity)),
             enabled: AtomicBool::new(true),
             next_trace: AtomicU64::new(1),
             next_span: AtomicU64::new(1),
@@ -221,8 +248,11 @@ impl Tracer {
         if trace_id == 0 || span_id == 0 {
             return None;
         }
-        let ring = self.ring.lock();
-        ring.iter().find(|e| e.trace_id == trace_id && e.span_id == span_id).cloned()
+        self.ring
+            .lock()
+            .iter()
+            .find(|e| e.trace_id == trace_id && e.span_id == span_id)
+            .cloned()
     }
 
     /// Walk parent links from `(trace_id, span_id)` up to the trace root,
@@ -261,17 +291,11 @@ impl Tracer {
             return;
         }
         let detail = detail.into();
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.ring.lock();
-        if ring.len() == self.capacity {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(TraceEvent {
+        self.ring.lock().push(|seq| TraceEvent {
             seq,
             ts,
-            scope,
-            name,
+            scope: Cow::Borrowed(scope),
+            name: Cow::Borrowed(name),
             detail,
             duration_micros: duration,
             trace_id,
@@ -282,68 +306,34 @@ impl Tracer {
 
     /// Total events ever recorded (including since-dropped ones).
     pub fn recorded(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
+        self.ring.lock().recorded()
     }
 
     /// Events evicted by the ring bound.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.lock().dropped()
     }
 
     /// The most recent `n` events, oldest first.
     pub fn recent(&self, n: usize) -> Vec<TraceEvent> {
+        self.ring.lock().recent(n).cloned().collect()
+    }
+
+    /// The buffered events numbered `cursor` and up, oldest first (the
+    /// exporter's cursor).
+    pub fn since(&self, cursor: u64) -> Vec<TraceEvent> {
+        self.ring.lock().since(cursor).cloned().collect()
+    }
+
+    /// The `/trace` document: totals plus the `limit` most recent events.
+    pub fn doc(&self, limit: usize) -> TraceDoc {
         let ring = self.ring.lock();
-        let skip = ring.len().saturating_sub(n);
-        ring.iter().skip(skip).cloned().collect()
-    }
-
-    /// Drop all buffered events (counters keep their totals).
-    pub fn clear(&self) {
-        self.ring.lock().clear();
-    }
-
-    /// JSON summary: totals plus the `recent_limit` most recent events.
-    /// Causal ids are emitted only when present, so legacy uncorrelated
-    /// events keep their original shape.
-    pub fn to_json(&self, recent_limit: usize) -> serde_json::Value {
-        self.to_json_opts(recent_limit, false)
-    }
-
-    /// [`Tracer::to_json`] with a `stable` mode for deterministic
-    /// renderings (flight-record bundles): span durations are wall-clock
-    /// measurements, so stable mode zeroes them while keeping the causal
-    /// structure (ids, parents, logical timestamps) intact.
-    pub fn to_json_opts(&self, recent_limit: usize, stable: bool) -> serde_json::Value {
-        use serde_json::Value;
-        let events = self
-            .recent(recent_limit)
-            .into_iter()
-            .map(|e| {
-                let mut fields = vec![
-                    ("seq".to_string(), Value::UInt(e.seq)),
-                    ("ts".to_string(), Value::UInt(e.ts)),
-                    ("scope".to_string(), Value::String(e.scope.to_string())),
-                    ("name".to_string(), Value::String(e.name.to_string())),
-                    ("detail".to_string(), Value::String(e.detail)),
-                ];
-                if let Some(d) = e.duration_micros {
-                    let d = if stable { 0 } else { d };
-                    fields.push(("duration_micros".to_string(), Value::UInt(d)));
-                }
-                if e.trace_id != 0 {
-                    fields.push(("trace_id".to_string(), Value::UInt(e.trace_id)));
-                    fields.push(("span_id".to_string(), Value::UInt(e.span_id)));
-                    fields.push(("parent_span".to_string(), Value::UInt(e.parent_span)));
-                }
-                Value::Object(fields)
-            })
-            .collect();
-        Value::Object(vec![
-            ("recorded".to_string(), Value::UInt(self.recorded())),
-            ("dropped".to_string(), Value::UInt(self.dropped())),
-            ("truncated".to_string(), Value::Bool(self.dropped() > 0)),
-            ("recent".to_string(), Value::Array(events)),
-        ])
+        TraceDoc {
+            recorded: ring.recorded(),
+            dropped: ring.dropped(),
+            truncated: ring.dropped() > 0,
+            recent: ring.recent(limit).cloned().collect(),
+        }
     }
 }
 
@@ -560,17 +550,29 @@ mod tests {
     }
 
     #[test]
-    fn json_shape() {
+    fn document_omits_what_an_event_does_not_carry() {
         let t = Tracer::new(8);
         t.event("web", "request", 3, "/page");
         let root = t.start_trace("core", "sync.point", 4, "sync#0");
-        let j = t.to_json(8);
-        assert_eq!(j["recorded"].as_u64(), Some(2));
-        assert_eq!(j["truncated"].as_bool(), Some(false));
-        assert_eq!(j["recent"][0]["scope"].as_str(), Some("web"));
-        // Uncorrelated events omit causal ids; correlated ones carry them.
-        assert!(j["recent"][0]["trace_id"].as_u64().is_none());
-        assert_eq!(j["recent"][1]["trace_id"].as_u64(), Some(root.trace_id));
-        assert_eq!(j["recent"][1]["parent_span"].as_u64(), Some(0));
+        t.child_span(root, "invalidator", "sync.phase.eject", 5, "pages=1", 17);
+        let mut doc = t.doc(8);
+        assert_eq!((doc.recorded, doc.truncated), (3, false));
+        let text = serde_json::to_string(&doc.recent).unwrap();
+        // Uncorrelated point event: no duration, no causal ids. A trace
+        // root keeps its `parent_span` of 0.
+        assert_eq!(
+            text,
+            format!(
+                r#"[{{"seq":0,"ts":3,"scope":"web","name":"request","detail":"/page"}},{{"seq":1,"ts":4,"scope":"core","name":"sync.point","detail":"sync#0","trace_id":{t},"span_id":{s},"parent_span":0}},{{"seq":2,"ts":5,"scope":"invalidator","name":"sync.phase.eject","detail":"pages=1","duration_micros":17,"trace_id":{t},"span_id":{c},"parent_span":{s}}}]"#,
+                t = root.trace_id,
+                s = root.span_id,
+                c = root.span_id + 1,
+            )
+        );
+        let back: Vec<TraceEvent> = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, doc.recent);
+        doc.stabilize();
+        assert_eq!(doc.recent[0].duration_micros, None);
+        assert_eq!(doc.recent[2].duration_micros, Some(0));
     }
 }

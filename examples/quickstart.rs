@@ -78,24 +78,13 @@ fn main() {
     let ejected_url = &portal.obs().provenance.recent(1)[0].url;
     let chain = portal.explain_invalidation(ejected_url);
     println!("\nwhy was {ejected_url} ejected?");
-    let m = &chain["matches"][0];
-    println!(
-        "  update log LSNs {}..={}",
-        m["lsn_first"].as_u64().unwrap(),
-        m["lsn_last"].as_u64().unwrap()
-    );
-    let c = &m["causes"][0];
-    println!("  matched type : {}", c["type_sql"].as_str().unwrap());
-    println!(
-        "  bound params : {:?}",
-        c["params"].as_array().unwrap().iter().filter_map(|p| p.as_str()).collect::<Vec<_>>()
-    );
-    println!(
-        "  verdict      : {} ({})",
-        c["verdict"].as_str().unwrap(),
-        c["detail"].as_str().unwrap()
-    );
-    for row in chain["qi_map"].as_array().unwrap() {
-        println!("  qi row       : {}", row["sql"].as_str().unwrap());
+    let m = &chain.matches[0];
+    println!("  update log LSNs {}..={}", m.lsn_first, m.lsn_last);
+    let c = &m.causes[0];
+    println!("  matched type : {}", c.type_sql);
+    println!("  bound params : {:?}", c.params);
+    println!("  verdict      : {} ({})", c.verdict, c.detail);
+    for row in chain.qi_map.iter().flatten() {
+        println!("  qi row       : {}", row.sql);
     }
 }

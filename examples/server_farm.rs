@@ -88,16 +88,16 @@ fn main() {
     // node generated the page.
     let key = tech.key.expect("a routable page has a key");
     let why = farm.explain_invalidation(key.as_str());
-    let m = &why["matches"][0];
-    let cause = &m["causes"][0];
+    let m = &why.matches[0];
+    let cause = &m.causes[0];
     println!(
         "why {} was ejected: update-log LSNs {}..={} matched `{}` — {} ({})",
         key.as_str(),
-        m["lsn_first"].as_u64().unwrap(),
-        m["lsn_last"].as_u64().unwrap(),
-        cause["type_sql"].as_str().unwrap(),
-        cause["verdict"].as_str().unwrap(),
-        cause["detail"].as_str().unwrap()
+        m.lsn_first,
+        m.lsn_last,
+        cause.type_sql,
+        cause.verdict,
+        cause.detail
     );
     assert_eq!(farm.verify_causal_chains(), Ok(1));
 

@@ -162,108 +162,42 @@ for _ in $(seq 1 50); do
 done
 [ -n "$ADDR" ] || { echo "admin server never came up"; cat "$DEMO_LOG"; exit 1; }
 
-# A live healthy portal must pass the health gate (exit 0 on HTTP 200).
-./target/release/obsctl health --addr "$ADDR" || { echo "obsctl health failed"; exit 1; }
-
-# curl where available; fall back to obsctl's built-in HTTP client.
-if command -v curl >/dev/null 2>&1; then
-  curl -fsS "http://$ADDR/healthz" | grep -qx "ok" || { echo "/healthz failed"; exit 1; }
-  METRICS=$(curl -fsS "http://$ADDR/metrics")
-else
-  echo "(curl not found; checking /metrics via obsctl)"
-  METRICS=$(./target/release/obsctl metrics --addr "$ADDR")
-fi
-echo "$METRICS" | grep -q "^cacheportal_" || { echo "/metrics is not Prometheus exposition"; exit 1; }
-echo "$METRICS" | grep -q "^cacheportal_invalidator_pages_ejected_total 1$" \
-  || { echo "/metrics missing expected eject counter"; exit 1; }
-
-# Causal-tracing surfaces: the demo's eject must be reachable through
-# /trace (sync-point phase spans), /timeline (per-sync stage timeline, with
-# a deterministic stable rendering), and /scorecards (per-query-type
-# cost/benefit rows). The chrome-format timeline is written as an artifact
-# loadable in chrome://tracing / Perfetto. Capture each surface once and
-# grep the variable — `cmd | grep -q` SIGPIPEs the writer under pipefail.
-TRACE_OUT=$(./target/release/obsctl trace --addr "$ADDR")
-echo "$TRACE_OUT" | grep -q "sync.phase.eject" \
-  || { echo "/trace carries no sync.phase.eject span"; exit 1; }
-echo "$TRACE_OUT" | grep -q "update.commit" \
-  || { echo "/trace carries no update.commit root"; exit 1; }
-TIMELINE_OUT=$(./target/release/obsctl timeline --addr "$ADDR" --json)
-echo "$TIMELINE_OUT" | grep -q '"stages"' \
-  || { echo "/timeline carries no stage samples"; exit 1; }
-TIMELINE_STABLE=$(./target/release/obsctl timeline --addr "$ADDR" --stable --json)
-echo "$TIMELINE_STABLE" | grep -q '"stable": true' \
-  || { echo "/timeline?stable=1 not marked stable"; exit 1; }
-CHROME=target/chrome-trace.json
-rm -f "$CHROME"
-./target/release/obsctl timeline --addr "$ADDR" --chrome "$CHROME"
-test -s "$CHROME" || { echo "chrome trace export missing or empty"; exit 1; }
-grep -q '"traceEvents"' "$CHROME" || { echo "chrome trace has no traceEvents"; exit 1; }
-SCORECARD_OUT=$(./target/release/obsctl scorecard --addr "$ADDR")
-echo "$SCORECARD_OUT" | grep -q "hit_rate" \
-  || { echo "scorecard table missing"; exit 1; }
-echo "$SCORECARD_OUT" | grep -q "idx_hit" \
-  || { echo "scorecard table missing predicate-index columns"; exit 1; }
-SCORECARD_JSON=$(./target/release/obsctl scorecard --addr "$ADDR" --json)
-echo "$SCORECARD_JSON" | grep -q '"render_cost_units"' \
-  || { echo "/scorecards missing cost fields"; exit 1; }
-echo "$SCORECARD_JSON" | grep -q '"index_hit_rate"' \
-  || { echo "/scorecards missing index_hit_rate"; exit 1; }
-
-# Freshness SLO surfaces: /slo renders the default objectives with burn
-# rates (obsctl exits 0 only while nothing fires — the healthy demo must
-# pass the gate), and the stable rendering is marked as such.
-SLO_OUT=$(./target/release/obsctl slo --addr "$ADDR") \
-  || { echo "obsctl slo reported a firing alert on a healthy demo"; exit 1; }
-echo "$SLO_OUT" | grep -q "staleness-p99" \
-  || { echo "/slo missing the staleness-p99 objective"; exit 1; }
-SLO_STABLE=$(./target/release/obsctl slo --addr "$ADDR" --stable --json)
-echo "$SLO_STABLE" | grep -q '"stable": true' \
-  || { echo "/slo?stable=1 not marked stable"; exit 1; }
-
-# Invalidation bus: the demo attaches two edge caches, so /bus must show
-# a healthy per-edge watermark table (obsctl bus exits non-zero while any
-# edge is partitioned or degraded — the healthy demo must pass the gate).
-BUS_OUT=$(./target/release/obsctl bus --addr "$ADDR") \
-  || { echo "obsctl bus reported an unhealthy edge on a healthy demo"; exit 1; }
-echo "$BUS_OUT" | grep -q "edge-0" \
-  || { echo "obsctl bus table missing edge rows"; exit 1; }
-echo "$BUS_OUT" | grep -q "latest_seq=" \
-  || { echo "obsctl bus missing the bus summary line"; exit 1; }
-BUS_JSON=$(./target/release/obsctl bus --addr "$ADDR" --json)
-echo "$BUS_JSON" | grep -q '"cacheportal.bus.v1"' \
-  || { echo "/bus missing the versioned schema marker"; exit 1; }
-
-# Durable journal: the demo journals to $JOURNAL and checkpoints at its
-# second sync point, so the table must show the WAL, the checkpoint's bytes
-# and what the persist stage cost.
-DURABLE_OUT=$(./target/release/obsctl durable --addr "$ADDR")
-for row in wal_syncs_total checkpoints_total checkpoint_bytes_total \
-           checkpoint_micros_count persist_micros_count; do
-  echo "$DURABLE_OUT" | grep -q "^$row " \
-    || { echo "obsctl durable table missing $row"; exit 1; }
+# The three gates a deploy script would use: a live healthy portal passes
+# `health` (exit 0 on HTTP 200), `slo` (non-zero while any burn-rate alert
+# fires) and `bus` (non-zero while an edge is partitioned or degraded; the
+# demo attaches two edge caches).
+for gate in health slo bus; do
+  ./target/release/obsctl "$gate" --addr "$ADDR" >/dev/null \
+    || { echo "obsctl $gate failed on a healthy demo"; exit 1; }
 done
 
-# Black-box flight recorder: an on-demand stable dump is a versioned,
-# self-contained bundle (uploaded as a CI artifact).
+# Every other command reads its route into the document type the server
+# rendered it from and exits non-zero on a field it cannot find, so running
+# them is the schema check (crates/core/tests/provenance.rs round-trips
+# every route byte for byte; what each document must say is asserted there
+# and in the crates that own the types).
+for cmd in metrics trace timeline "timeline --stable" scorecard "slo --stable --json" \
+           "bus --json" durable "blackbox --index"; do
+  # shellcheck disable=SC2086  # $cmd is a command and its flags
+  ./target/release/obsctl $cmd --addr "$ADDR" >/dev/null \
+    || { echo "obsctl $cmd failed"; exit 1; }
+done
+
+# The artifacts CI uploads: the timeline as Chrome trace_event JSON
+# (chrome://tracing / Perfetto) and an on-demand stable flight-record dump.
+CHROME=target/chrome-trace.json
 FLIGHT=target/flightrecord-smoke.json
-rm -f "$FLIGHT"
+rm -f "$CHROME" "$FLIGHT"
+./target/release/obsctl timeline --addr "$ADDR" --chrome "$CHROME"
 ./target/release/obsctl blackbox --addr "$ADDR" --out "$FLIGHT" --stable
-grep -q '"cacheportal.flightrecord.v1"' "$FLIGHT" \
-  || { echo "flight record missing the versioned schema marker"; exit 1; }
-FLIGHT_INDEX=$(./target/release/obsctl blackbox --addr "$ADDR" --index)
-echo "$FLIGHT_INDEX" | grep -q "cacheportal.flightrecord.v1.index" \
-  || { echo "/flightrecord index missing"; exit 1; }
 
 kill "$DEMO_PID" 2>/dev/null || true
 wait "$DEMO_PID" 2>/dev/null || true
 trap - EXIT
 
-test -s "$EXPORT" || { echo "JSONL export missing or empty"; exit 1; }
-grep -q '"kind": *"eject"' "$EXPORT" || { echo "export carries no eject records"; exit 1; }
-grep -q '"kind": *"scorecard"' "$EXPORT" \
-  || { echo "export carries no scorecard snapshots"; exit 1; }
-grep -q '"trace_id"' "$EXPORT" || { echo "export lines carry no causal ids"; exit 1; }
+for artifact in "$EXPORT" "$CHROME" "$FLIGHT"; do
+  test -s "$artifact" || { echo "$artifact missing or empty"; exit 1; }
+done
 echo "admin endpoint + JSONL export + tracing surfaces: OK"
 
 echo "verify: OK"
