@@ -116,4 +116,26 @@ mod tests {
         assert!(lines[1].starts_with("---"));
         assert!(lines[2].contains("10"));
     }
+
+    #[test]
+    fn history_starts_fresh_adopts_a_legacy_record_and_survives_garbage() {
+        use serde_json::{json, Value};
+        let file = std::env::temp_dir().join(format!("cp-history-{}.json", std::process::id()));
+        let path = file.to_str().unwrap();
+        let read = || serde_json::from_str::<Value>(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let run = |n: i64| json!({ "run": n });
+
+        let _ = std::fs::remove_file(path);
+        assert_eq!(append_history(path, &run(1)).unwrap(), 1);
+        assert_eq!(read(), json!({ "history": [(run(1))] }));
+
+        std::fs::write(path, serde_json::to_string(&run(0)).unwrap()).unwrap();
+        assert_eq!(append_history(path, &run(1)).unwrap(), 2);
+        assert_eq!(read(), json!({ "history": [(run(0)), (run(1))] }));
+
+        std::fs::write(path, "not json").unwrap();
+        assert_eq!(append_history(path, &run(2)).unwrap(), 1);
+        assert_eq!(read(), json!({ "history": [(run(2))] }));
+        std::fs::remove_file(path).unwrap();
+    }
 }

@@ -18,7 +18,7 @@ use crate::polling::{
 use crate::predicate_index::Probe;
 use crate::query_type::{QueryShape, QueryTypeId, Registry};
 use cacheportal_db::sql::ast::Select;
-use cacheportal_db::{Database, DbResult, Lsn, Value};
+use cacheportal_db::{Database, DbError, DbResult, Lsn, Value};
 use cacheportal_sniffer::{QiUrlMap, RowInstance, TypedInstance};
 use cacheportal_web::PageKey;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -47,7 +47,10 @@ pub enum VerdictKind {
     Conservative,
     /// Table-level policy: any update to a read table invalidates.
     TableLevel,
-    /// The instance's SQL no longer binds against the schema; failed safe.
+    /// The instance could not be analysed against the current schema — its
+    /// type no longer compiles, its values do not bind, a conjunct names a
+    /// column that is gone, or a poll the engine rejects — so it was assumed
+    /// affected; the detail names the error. Failed safe.
     BindFailure,
     /// A polling query failed (error or timeout); the instance was assumed
     /// affected rather than risk a stale page. The conservative fallback
@@ -164,8 +167,8 @@ pub struct InvalidationReport {
     /// Canonical SQL of types newly marked non-cacheable by policy
     /// discovery.
     pub newly_non_cacheable: Vec<String>,
-    /// Instances whose queries no longer bind against the current schema
-    /// (table/column dropped); their pages are conservatively ejected.
+    /// Instances that could not be analysed against the current schema
+    /// ([`VerdictKind::BindFailure`]); their pages are conservatively ejected.
     pub bind_failures: u64,
     /// Delta-tuple/batch decisions resolved purely by local analysis
     /// (`NoImpact` or `Affected` without a polling query) — each of these is
@@ -561,6 +564,11 @@ impl Invalidator {
     /// The stages run in order, each filling its part of the report:
     /// register, delta, boundary pre-pass, analyse, collect. An empty update
     /// log ends the sync point after the delta stage.
+    ///
+    /// Returns `Ok` on every path: an instance that cannot be analysed is a
+    /// [`VerdictKind::BindFailure`] verdict (affected), never an error, so
+    /// every update the delta stage consumes is judged. The `Result` stays
+    /// for callers written against it.
     pub fn run_sync_point(
         &mut self,
         db: &Database,
@@ -584,7 +592,7 @@ impl Invalidator {
             candidate_types.dedup();
             self.refresh_boundaries(db, &candidate_types, &mut report);
             let analysis_started = std::time::Instant::now();
-            let affected = self.analyze_batch(db, &deltas, &candidate_types, &mut report)?;
+            let affected = self.analyze_batch(db, &deltas, &candidate_types, &mut report);
             report.analysis_micros = analysis_started.elapsed().as_micros() as u64;
             self.collect(&candidate_types, affected, &mut report);
         }
@@ -753,7 +761,7 @@ impl Invalidator {
         deltas: &DeltaSet,
         candidate_types: &[QueryTypeId],
         report: &mut InvalidationReport,
-    ) -> DbResult<Vec<Affected>> {
+    ) -> Vec<Affected> {
         let poll_runner = |rtt_micros: u64| {
             PollRunner::with_rtt(&self.info, deltas, std::time::Duration::from_micros(rtt_micros))
                 .with_fault_plan(self.config.fault.clone())
@@ -798,10 +806,10 @@ impl Invalidator {
             use_index: self.config.predicate_index,
         };
         let run_shard = |types: &[(usize, QueryTypeId)]| ctx.analyze_types_shard(types);
-        let shard_results: Vec<DbResult<ShardOutcome>> = crossbeam::scope(|s| {
+        let shard_results: Vec<ShardOutcome> = std::thread::scope(|s| {
             let spawned: Vec<_> = shards[1..]
                 .iter()
-                .map(|types| s.spawn(move |_| run_shard(types)))
+                .map(|types| s.spawn(move || run_shard(types)))
                 .collect();
             let mut results = vec![run_shard(&shards[0])];
             results.extend(
@@ -810,14 +818,12 @@ impl Invalidator {
                     .map(|h| h.join().expect("invalidator shard worker panicked")),
             );
             results
-        })
-        .expect("invalidator shard worker panicked");
+        });
 
         // Deterministic merge: flatten per-type outcomes and restore the
         // candidate-type order they were assigned from.
         let mut type_outcomes: Vec<TypeOutcome> = Vec::with_capacity(candidate_types.len());
-        for result in shard_results {
-            let ShardOutcome { types, tally, elapsed_micros } = result?;
+        for ShardOutcome { types, tally, elapsed_micros } in shard_results {
             report.shard_micros.push(elapsed_micros);
             report.checked_instances += tally.checked_instances;
             report.tuples_analyzed += tally.tuples_analyzed;
@@ -846,7 +852,7 @@ impl Invalidator {
             let all_types: Vec<(usize, QueryTypeId)> =
                 candidate_types.iter().copied().enumerate().collect();
             let shadow = SyncContext { runner: &shadow_runner, use_index: false, ..ctx }
-                .analyze_types_shard(&all_types)?;
+                .analyze_types_shard(&all_types);
             let instances_of = |types: &[TypeOutcome]| -> BTreeSet<(QueryTypeId, Arc<[Value]>)> {
                 types
                     .iter()
@@ -903,7 +909,7 @@ impl Invalidator {
         }
         report.polls = runner.stats();
         report.poll_lock_contended = runner.contended();
-        Ok(affected)
+        affected
     }
 
     /// Stage 5: collect the affected instances' dependent pages, keeping the
@@ -980,7 +986,7 @@ impl SyncContext<'_> {
     /// Analyze one shard's query types, on the calling thread or a worker:
     /// everything it reads is a shared `&` reference, everything it counts is
     /// its own.
-    fn analyze_types_shard(&self, types: &[(usize, QueryTypeId)]) -> DbResult<ShardOutcome> {
+    fn analyze_types_shard(&self, types: &[(usize, QueryTypeId)]) -> ShardOutcome {
         let shard_started = std::time::Instant::now();
         let mut tally = ShardTally::default();
         let mut out_types: Vec<TypeOutcome> = Vec::with_capacity(types.len());
@@ -1044,37 +1050,30 @@ impl SyncContext<'_> {
             let mut affected: Vec<Affected> = Vec::new();
             for params in instances {
                 tally.checked_instances += 1;
-                // Binding can fail if the schema changed under the registry
-                // (table/column dropped). Fail safe: the instance is
-                // considered affected — its pages get ejected and the next
-                // regeneration re-registers it against the current schema
-                // (or 500s honestly).
                 let bound = (compiled.as_ref().map_err(|err| err.clone()))
                     .and_then(|ty| ty.check_params(&params).map(|()| Instance { ty, params: &params }));
-                let cause = match (&decider, bound) {
-                    (Decider::TableLevel(detail), _) => Some(VerdictCause {
-                        kind: VerdictKind::TableLevel,
-                        detail: detail.clone(),
-                    }),
-                    (_, Err(err)) => {
-                        tally.bind_failures += 1;
-                        Some(VerdictCause {
-                            kind: VerdictKind::BindFailure,
-                            detail: format!(
-                                "instance no longer binds against the schema ({err}); failed safe"
-                            ),
-                        })
+                let decided = match &decider {
+                    Decider::TableLevel(detail) => {
+                        Ok(Some(VerdictCause { kind: VerdictKind::TableLevel, detail: detail.clone() }))
                     }
-                    (Decider::TopK(plan), Ok(inst)) => {
-                        self.decide_topk(&mut run, &mut tally, inst, plan)?
-                    }
-                    (Decider::Aggregate(spec), Ok(inst)) => {
-                        self.decide_aggregate(&mut run, &mut tally, inst, spec)?
-                    }
-                    (Decider::Conventional, Ok(inst)) => {
-                        self.decide_conventional(&mut run, &mut tally, inst)?
-                    }
+                    Decider::TopK(plan) => bound.and_then(|i| self.decide_topk(&mut run, &mut tally, i, plan)),
+                    Decider::Aggregate(spec) => bound.and_then(|i| self.decide_aggregate(&mut run, &mut tally, i, spec)),
+                    Decider::Conventional => bound.and_then(|i| self.decide_conventional(&mut run, &mut tally, i)),
                 };
+                // An instance that does not analyse — its type no longer
+                // compiles, its values do not bind, a conjunct does not
+                // resolve on a tuple, the engine rejects its poll — met a
+                // schema changed under the registry. Fail safe: it is
+                // affected, its pages get ejected and the next regeneration
+                // re-registers it against the current schema (or 500s
+                // honestly).
+                let cause = decided.unwrap_or_else(|err| {
+                    tally.bind_failures += 1;
+                    Some(VerdictCause {
+                        kind: VerdictKind::BindFailure,
+                        detail: format!("instance no longer analyses against the schema ({err}); failed safe"),
+                    })
+                });
                 affected.extend(cause.map(|cause| (ty_id, params, cause)));
             }
             let timed = !matches!(decider, Decider::TableLevel(_));
@@ -1083,11 +1082,11 @@ impl SyncContext<'_> {
             }
             out_types.push(TypeOutcome { order, affected, stat: run.stat, timed });
         }
-        Ok(ShardOutcome {
+        ShardOutcome {
             types: out_types,
             tally,
             elapsed_micros: shard_started.elapsed().as_micros() as u64,
-        })
+        }
     }
 
     /// The instances of `run`'s type this batch can affect. The predicate
@@ -1417,34 +1416,35 @@ impl SyncContext<'_> {
         // remaining polls fail on the first fault.
         let allowance = (POLL_MAX_RETRIES as u64).min(run.retry_budget) as u32;
         run.stat.polls_attempted += 1;
-        match self.runner.decide_with_allowance(self.db, poll, tuple_was_delete, allowance) {
-            Ok((answer, retries_spent)) => {
-                run.retry_budget = run.retry_budget.saturating_sub(retries_spent as u64);
-                Ok(answer.map(|answer| VerdictCause {
-                    kind: answer.into(),
-                    detail: match answer {
-                        PollAnswer::Issued => format!("polling query found matching rows: {poll}"),
-                        PollAnswer::FromCache => format!("deduplicated poll already answered yes this sync point: {poll}"),
-                        PollAnswer::FromIndex => format!("maintained index answered the poll: {poll}"),
-                        PollAnswer::DeleteGuard => format!("correlated same-batch deletion of a join partner; poll was: {poll}"),
-                    },
-                }))
-            }
-            // A failed poll left the question unanswered; the only safe
-            // answer is "affected". Never converts a would-be Invalidate to
-            // NoInvalidate — the fault can only add invalidations.
-            Err(cacheportal_db::DbError::Faulted(msg)) => {
-                run.retry_budget = run.retry_budget.saturating_sub(allowance as u64);
-                run.stat.poll_faults += 1;
-                Ok(Some(VerdictCause {
-                    kind: VerdictKind::PollFault,
-                    detail: format!(
-                        "poll failed ({msg}); assumed affected as the conservative fallback"
-                    ),
-                }))
-            }
-            Err(other) => Err(other),
-        }
+        let (answer, retries_spent) =
+            match self.runner.decide_with_allowance(self.db, poll, tuple_was_delete, allowance) {
+                // A failed poll left the question unanswered; the only safe
+                // answer is "affected". Never converts a would-be Invalidate
+                // to NoInvalidate — the fault can only add invalidations.
+                Err(DbError::Faulted(msg)) => {
+                    run.retry_budget = run.retry_budget.saturating_sub(allowance as u64);
+                    run.stat.poll_faults += 1;
+                    return Ok(Some(VerdictCause {
+                        kind: VerdictKind::PollFault,
+                        detail: format!(
+                            "poll failed ({msg}); assumed affected as the conservative fallback"
+                        ),
+                    }));
+                }
+                // Any other error is a poll the current schema rejects: the
+                // instance loop makes it the instance's `BindFailure`.
+                decided => decided?,
+            };
+        run.retry_budget = run.retry_budget.saturating_sub(retries_spent as u64);
+        Ok(answer.map(|answer| VerdictCause {
+            kind: answer.into(),
+            detail: match answer {
+                PollAnswer::Issued => format!("polling query found matching rows: {poll}"),
+                PollAnswer::FromCache => format!("deduplicated poll already answered yes this sync point: {poll}"),
+                PollAnswer::FromIndex => format!("maintained index answered the poll: {poll}"),
+                PollAnswer::DeleteGuard => format!("correlated same-batch deletion of a join partner; poll was: {poll}"),
+            },
+        }))
     }
 }
 
@@ -1569,14 +1569,29 @@ mod tests {
         let r = inv.run_sync_point(&db, &map).unwrap();
         assert_eq!(r.verdicts[0].cause.kind, VerdictKind::MaintainedIndex);
 
-        // Local predicate only: deleting a Mileage partner row decides via
-        // the delete guard or locally; bind failure path is separate.
+        // Bind failure at compile time: with Mileage dropped the type no
+        // longer compiles, so every instance fails before any tuple is read.
         let (mut db, map, mut inv) = setup();
         db.execute("DROP TABLE Mileage").unwrap();
         db.execute("CREATE TABLE Unrelated (x INT)").unwrap();
         db.execute("INSERT INTO Car VALUES ('m','x',1)").unwrap();
         let r = inv.run_sync_point(&db, &map).unwrap();
         assert_eq!(r.verdicts[0].cause.kind, VerdictKind::BindFailure);
+        assert!(r.verdicts[0].cause.detail.contains("unknown table"));
+
+        // Bind failure on a tuple: Mileage re-created with `model` renamed.
+        // The type compiles (every FROM table exists), then the join
+        // conjunct does not resolve on the Car tuple. The sync point still
+        // returns, with the instance affected and counted.
+        let (mut db, map, mut inv) = setup();
+        db.execute("DROP TABLE Mileage").unwrap();
+        db.execute("CREATE TABLE Mileage (name TEXT, EPA FLOAT)").unwrap();
+        db.execute("INSERT INTO Car VALUES ('m','x',1)").unwrap();
+        let r = inv.run_sync_point(&db, &map).unwrap();
+        assert_eq!(r.verdicts[0].cause.kind, VerdictKind::BindFailure);
+        assert!(r.verdicts[0].cause.detail.contains("unknown column: model"));
+        assert!(r.pages.contains(&PageKey::raw("URL1")));
+        assert_eq!(r.bind_failures, 1);
     }
 
     #[test]

@@ -32,13 +32,17 @@ fn update_strategy() -> impl Strategy<Value = Update> {
 }
 
 /// The instance SQL shapes; joins force residual polling queries, which is
-/// where the cross-shard dedup cache actually gets exercised.
+/// where the cross-shard dedup cache actually gets exercised. The last
+/// names a column `S` lacks: it registers and compiles, then fails to
+/// analyse on every tuple, which must be a `bind-failure` verdict at any
+/// worker count.
 fn instance_sql(kind: u8, param: i64) -> String {
-    match kind % 4 {
+    match kind % 5 {
         0 => format!("SELECT R.v, S.w FROM R, S WHERE R.g = S.g AND R.v < {param}"),
         1 => format!("SELECT S.w, T.u FROM S, T WHERE S.g = T.g AND S.w < {param}"),
         2 => format!("SELECT R.v, T.u FROM R, T WHERE R.g = T.g AND T.u < {param}"),
-        _ => format!("SELECT g, v FROM R WHERE v >= {param} ORDER BY g, v"),
+        3 => format!("SELECT g, v FROM R WHERE v >= {param} ORDER BY g, v"),
+        _ => format!("SELECT R.v, S.w FROM R, S WHERE R.g = S.g AND S.gone < {param}"),
     }
 }
 
@@ -149,7 +153,7 @@ proptest! {
     #[test]
     fn sharded_analysis_matches_sequential(
         rows in prop::collection::vec((0i64..5, 0i64..20), 0..20),
-        instances in prop::collection::vec((0u8..4, 0i64..20), 1..10),
+        instances in prop::collection::vec((0u8..5, 0i64..20), 1..10),
         updates in prop::collection::vec(update_strategy(), 1..15),
     ) {
         let seq = run_with_workers(&rows, &instances, &updates, 1);
@@ -162,13 +166,13 @@ proptest! {
 }
 
 /// Deterministic regression: a fixed workload where every verdict kind the
-/// dedup cache can produce (Issued, FromCache) appears, checked at every
-/// supported worker count — including counts above the candidate-type
-/// count (clamped) and a poll RTT that forces real cross-shard overlap.
+/// dedup cache can produce (Issued, FromCache) appears, and instances that
+/// fail to analyse, checked at every supported worker count — including
+/// counts above the candidate-type count (clamped).
 #[test]
 fn all_worker_counts_agree_on_fixed_workload() {
     let rows: Vec<(i64, i64)> = (0..12).map(|i| (i % 5, i * 3 % 20)).collect();
-    let instances: Vec<(u8, i64)> = (0..8).map(|i| (i as u8 % 4, (i * 5) as i64 % 20)).collect();
+    let instances: Vec<(u8, i64)> = (0..10).map(|i| (i as u8 % 5, (i * 5) as i64 % 20)).collect();
     let updates: Vec<Update> = vec![
         Update::InsertR(1, 4),
         Update::InsertS(1, 4),
@@ -178,7 +182,9 @@ fn all_worker_counts_agree_on_fixed_workload() {
         Update::DeleteSg(0),
         Update::InsertT(4, 1),
     ];
-    let baseline = digest(&run_with_workers(&rows, &instances, &updates, 1));
+    let sequential = run_with_workers(&rows, &instances, &updates, 1);
+    assert_eq!(sequential.bind_failures, 2, "both erroring instances are affected");
+    let baseline = digest(&sequential);
     for workers in [2, 3, 4, 8, 16] {
         let report = run_with_workers(&rows, &instances, &updates, workers);
         assert_eq!(

@@ -29,8 +29,10 @@ fn build_db(rows: &[(i64, i64)]) -> Database {
 }
 
 /// One registered instance per shape under test; `p` picks the parameter.
+/// The last two are a TopK and an Aggregate type whose conjunct names a
+/// column `R` lacks: they compile, then fail to analyse on every tuple.
 fn instance_sql(kind: u8, p: i64) -> String {
-    match kind % 5 {
+    match kind % 7 {
         // TopK: bounded ordered page per group (k in 1..=3 from p).
         0 => format!(
             "SELECT g, v FROM R WHERE g = {} ORDER BY v DESC LIMIT {}",
@@ -44,11 +46,15 @@ fn instance_sql(kind: u8, p: i64) -> String {
         // LIKE with a literal prefix.
         3 => format!("SELECT g, v, s FROM R WHERE s LIKE 's{}%' ORDER BY g, v, s", p % 10),
         // IN-list over groups.
-        _ => format!(
+        4 => format!(
             "SELECT g, v FROM R WHERE g IN ({}, {}, 7) ORDER BY g, v",
             p % 5,
             (p + 2) % 5
         ),
+        // TopK over a column that is not there.
+        5 => format!("SELECT g, v FROM R WHERE gone = {} ORDER BY v DESC LIMIT 2", p % 5),
+        // Aggregate, likewise.
+        _ => format!("SELECT COUNT(*), SUM(v) FROM R WHERE gone = {}", p % 5),
     }
 }
 
@@ -117,23 +123,28 @@ fn run_shape_oracle(
     let mut inv_on = new_invalidator(&db, &map, true);
     let mut inv_off = new_invalidator(&db, &map, false);
 
+    let table = |db: &Database| db.query("SELECT g, v, s FROM R ORDER BY g, v, s").unwrap();
     for batch in &batches {
-        let before: Vec<QueryResult> = queries
-            .iter()
-            .map(|(_, sql)| db.query(sql).unwrap())
-            .collect();
+        let before: Vec<Option<QueryResult>> =
+            queries.iter().map(|(_, sql)| db.query(sql).ok()).collect();
+        let table_before = table(&db);
         for u in batch {
             apply(&mut db, u);
         }
         let on = inv_on.run_sync_point(&db, &map).unwrap();
         let off = inv_off.run_sync_point(&db, &map).unwrap();
-        let after: Vec<QueryResult> = queries
-            .iter()
-            .map(|(_, sql)| db.query(sql).unwrap())
-            .collect();
+        let after: Vec<Option<QueryResult>> =
+            queries.iter().map(|(_, sql)| db.query(sql).ok()).collect();
+        let table_changed = table_before != table(&db);
 
         for (i, (page, sql)) in queries.iter().enumerate() {
-            if before[i] != after[i] {
+            // A query that does not run cannot be recomputed: any change to
+            // its table must eject its page.
+            let changed = match (&before[i], &after[i]) {
+                (Some(before), Some(after)) => before != after,
+                _ => table_changed,
+            };
+            if changed {
                 prop_assert!(
                     on.pages.contains(page),
                     "SAFETY violated (shape rules on): result of {sql} changed \
@@ -159,7 +170,7 @@ proptest! {
     /// shape-aware arm never ejects more than the conventional arm.
     #[test]
     fn shape_verdicts_are_safe_and_subset_of_conventional(
-        kind in 0u8..5,
+        kind in 0u8..7,
         rows in prop::collection::vec((0i64..5, 0i64..20), 0..25),
         instances in prop::collection::vec(0i64..20, 1..6),
         batches in prop::collection::vec(
@@ -214,7 +225,7 @@ fn topk_boundary_crossing_below_at_above() {
 fn precision_regression_per_shape() {
     // (kind, instance params, workload): each workload contains at least
     // one update the shape rule can prove harmless.
-    let shapes: [(u8, Vec<i64>, Vec<Update>, bool); 4] = [
+    let shapes: [(u8, Vec<i64>, Vec<Update>, bool); 6] = [
         // TopK: k=2 over group 1; the (1,2) insert is far below the
         // boundary and the touch of (1,19) is invisible to the top-2.
         (0, vec![1], vec![Update::Insert(1, 2), Update::Insert(0, 3)], true),
@@ -224,6 +235,10 @@ fn precision_regression_per_shape() {
         (3, vec![2, 12], vec![Update::Insert(2, 12), Update::DeleteGroup(4)], false),
         // IN-list: same.
         (4, vec![1, 3], vec![Update::Insert(1, 9), Update::DeleteGroup(3)], false),
+        // TopK and Aggregate types that do not analyse: both arms eject
+        // every instance as a bind failure.
+        (5, vec![1], vec![Update::Insert(1, 2)], false),
+        (6, vec![0, 2], vec![Update::Touch(2, 10)], false),
     ];
     for (kind, params, workload, expect_strict) in shapes {
         let mut db = build_db(&[(0, 7), (1, 40), (1, 30), (2, 10), (3, 9), (4, 1)]);
@@ -242,6 +257,10 @@ fn precision_regression_per_shape() {
         }
         let on = inv_on.run_sync_point(&db, &map).unwrap();
         let off = inv_off.run_sync_point(&db, &map).unwrap();
+        if kind >= 5 {
+            assert_eq!(on.bind_failures, params.len() as u64, "shape {kind}: {:?}", on.verdicts);
+            assert_eq!(on.pages.len(), params.len(), "shape {kind}");
+        }
         assert!(
             on.pages.is_subset(&off.pages),
             "shape {kind}: on-arm must eject a subset (on {:?}, off {:?})",

@@ -42,13 +42,13 @@ fn concurrent_requests_updates_and_syncs() {
     let hits = AtomicU64::new(0);
     let served = AtomicU64::new(0);
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         // Four reader threads.
         for t in 0..4 {
             let portal = Arc::clone(&portal);
             let hits = &hits;
             let served = &served;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..150u64 {
                     let grp = ((i + t * 3) % 8).to_string();
                     let req = HttpRequest::get("h", "/items", &[("grp", &grp)]);
@@ -64,7 +64,7 @@ fn concurrent_requests_updates_and_syncs() {
         // One writer thread.
         {
             let portal = Arc::clone(&portal);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..60i64 {
                     portal
                         .update(&format!("INSERT INTO items VALUES ({}, {})", i % 8, 1000 + i))
@@ -75,15 +75,14 @@ fn concurrent_requests_updates_and_syncs() {
         // One synchronizer thread.
         {
             let portal = Arc::clone(&portal);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for _ in 0..25 {
                     portal.sync_point().unwrap();
                     std::thread::yield_now();
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     assert_eq!(served.load(Ordering::Relaxed), 600);
     // Mid-run hits may have been transiently stale (between update and
@@ -105,12 +104,12 @@ fn parallel_readers_share_cached_pages() {
     let req = HttpRequest::get("h", "/items", &[("grp", "3")]);
     let warm = portal.request(&req).response.body;
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..8 {
             let portal = Arc::clone(&portal);
             let req = req.clone();
             let warm = warm.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for _ in 0..100 {
                     let out = portal.request(&req);
                     assert_eq!(out.served, Served::CacheHit);
@@ -118,8 +117,7 @@ fn parallel_readers_share_cached_pages() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let stats = portal.page_cache().stats();
     assert_eq!(stats.hits, 800);
 }

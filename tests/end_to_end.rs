@@ -183,6 +183,63 @@ fn two_servlets_do_not_cross_invalidate() {
     assert!(p.stale_pages().is_empty());
 }
 
+/// A schema change that leaves a registered instance unable to analyse must
+/// not cost the window's other verdicts: the instance is a `bind-failure`
+/// verdict and its page goes, and the unrelated Car page that the same
+/// batch changed goes with its ordinary verdict, in the same sync point.
+#[test]
+fn an_instance_that_no_longer_analyses_is_ejected_with_the_rest_of_its_window() {
+    let p = CachePortal::builder(example_db()).build().unwrap();
+    p.register_servlet(Arc::new(SqlServlet::new(
+        ServletSpec::new("car").with_key_get_params(&["m"]),
+        "Car",
+        vec![QueryTemplate::new(
+            "SELECT maker, price FROM Car WHERE model = $1",
+            vec![ParamSource::Get("m".into(), ColType::Str)],
+        )],
+    )));
+    p.register_servlet(Arc::new(SqlServlet::new(
+        ServletSpec::new("thrifty").with_key_get_params(&["epa"]),
+        "Thrifty models",
+        vec![QueryTemplate::new(
+            "SELECT model FROM Mileage WHERE EPA > $1",
+            vec![ParamSource::Get("epa".into(), ColType::Float)],
+        )],
+    )));
+    let car = HttpRequest::get("shop", "/car", &[("m", "Civic")]);
+    let thrifty = HttpRequest::get("shop", "/thrifty", &[("epa", "30")]);
+    assert_eq!(p.request(&car).served, Served::Generated);
+    assert_eq!(p.request(&thrifty).served, Served::Generated);
+    p.sync_point().unwrap();
+    assert_eq!(p.page_cache().len(), 2);
+
+    // Mileage comes back without `EPA`: the thrifty type still compiles
+    // (its table exists) and then fails on every Mileage tuple.
+    p.update("DROP TABLE Mileage").unwrap();
+    p.update("CREATE TABLE Mileage (model TEXT, mpg FLOAT)").unwrap();
+    p.update("INSERT INTO Mileage VALUES ('Civic', 36.5)").unwrap();
+    p.update("UPDATE Car SET price = 99999 WHERE model = 'Civic'").unwrap();
+
+    let r = p.sync_point().expect("a sync point does not fail on analysis");
+    assert_eq!(r.ejected, 2, "both pages go in the window that changed them");
+    assert_eq!(r.invalidation.bind_failures, 1);
+    assert!(p.stale_pages().is_empty());
+
+    let verdict = |url: &str| {
+        let doc = p.explain_invalidation(url);
+        assert_eq!(doc.matches.len(), 1, "{url}: {doc:?}");
+        doc.matches[0].causes[0].clone()
+    };
+    let mileage = verdict("shop/thrifty?g:epa=30");
+    assert_eq!(mileage.verdict, "bind-failure");
+    assert!(mileage.detail.contains("EPA"), "{}", mileage.detail);
+    assert_eq!(verdict("shop/car?g:m=Civic").verdict, "local-predicate");
+
+    let regenerated = p.request(&car);
+    assert_eq!(regenerated.served, Served::Generated);
+    assert!(regenerated.response.body.contains("99999"));
+}
+
 #[test]
 fn qi_url_map_grows_only_with_new_pages() {
     let p = portal();

@@ -42,14 +42,14 @@ fn cluster_soak_under_concurrent_load() {
     let served = AtomicU64::new(0);
     let hits = AtomicU64::new(0);
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         // Six reader threads across the generated page families.
         for t in 0..6u64 {
             let farm = Arc::clone(&farm);
             let sc = Arc::clone(&sc);
             let served = &served;
             let hits = &hits;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..200u64 {
                     let servlet = ((i + t) % sc.servlets.len() as u64) as usize;
                     let g = ((i * 7 + t) % cacheportal_harness::gen::GROUPS as u64) as i64;
@@ -67,7 +67,7 @@ fn cluster_soak_under_concurrent_load() {
             let farm = Arc::clone(&farm);
             let sc = Arc::clone(&sc);
             let script = &script;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for action in script {
                     match action {
                         Action::Mutate(s) => {
@@ -89,15 +89,14 @@ fn cluster_soak_under_concurrent_load() {
         // Synchronizer.
         {
             let farm = Arc::clone(&farm);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for _ in 0..40 {
                     farm.sync_point().unwrap();
                     std::thread::yield_now();
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     assert_eq!(served.load(Ordering::Relaxed), 1200);
     assert!(hits.load(Ordering::Relaxed) > 100, "cache did real work");
