@@ -6,8 +6,10 @@
 //!
 //! * the sniffer's **QI/URL map** — losing a row means a cached page whose
 //!   dependencies are unknown, i.e. a page that can silently go stale;
-//! * each cached page's **origin request** — the freshness oracle and the
-//!   recovery gap scan both need to know which request produced a page;
+//! * each cached page's **admission** — the request that produced it (the
+//!   freshness oracle regenerates from it) and the logical time it entered
+//!   the cache (recovery keeps a surviving page only if the journal holds
+//!   that very admission);
 //! * the invalidator's **sync cursor** — the last-processed LSN (claiming
 //!   too much means unprocessed updates are skipped: staleness), the sync
 //!   ordinal, and per-relation delta-group watermarks.
@@ -22,7 +24,9 @@
 //!
 //! Record and snapshot payloads are JSON (versioned by the durable layer's
 //! frame format); WAL replay is idempotent — map rows deduplicate, origin
-//! rows are last-write-wins, and the cursor takes the maximum.
+//! rows are last-write-wins, and the cursor takes the maximum. An origin
+//! counts only once the cursor that closes its batch has been read: the
+//! origins of a torn batch prove nothing.
 //!
 //! The write side never holds a second copy of what it journals: it reads
 //! map rows in place under the map's lock — a row's text, which the map does
@@ -44,13 +48,56 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// A cached page's origin: the request whose regeneration proves (or
-/// disproves) freshness.
+/// disproves) freshness, and when the page was admitted.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct OriginRecord {
     /// The page's cache key.
     pub page: PageKey,
     /// The request that generated it.
     pub request: HttpRequest,
+    /// The logical time the page entered the cache, its
+    /// [`PageCache::admitted_at`](cacheportal_cache::PageCache::admitted_at);
+    /// 0 — no key — for a record written without one (a bare request, or a
+    /// journal from before the stamp), which proves no admission.
+    #[serde(skip_if = "self.admitted_at == 0")]
+    pub admitted_at: u64,
+}
+
+/// A page's admission: what the portal keeps per cached page, and what
+/// recovery reads back.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Admission {
+    /// The request that generated the page.
+    pub request: HttpRequest,
+    /// When the page entered the cache (0: not known).
+    pub admitted_at: u64,
+}
+
+/// What the journal writes of a page's origin: the request that generated
+/// the page and when the page entered the cache (0: not known). A bare
+/// [`HttpRequest`] journals no stamp, so recovery ejects its page whatever
+/// the cache holds; an [`Admission`] journals its own.
+pub trait Origin {
+    /// The request and the admission stamp.
+    fn origin(&self) -> (&HttpRequest, u64);
+}
+
+impl Origin for HttpRequest {
+    fn origin(&self) -> (&HttpRequest, u64) {
+        (self, 0)
+    }
+}
+
+impl Origin for Admission {
+    fn origin(&self) -> (&HttpRequest, u64) {
+        (&self.request, self.admitted_at)
+    }
+}
+
+impl<O: Origin> Origin for &O {
+    fn origin(&self) -> (&HttpRequest, u64) {
+        (**self).origin()
+    }
 }
 
 /// The invalidator's durable position in the update stream.
@@ -102,8 +149,9 @@ pub struct RecoveredState {
     /// QI/URL rows, snapshot-then-WAL order (duplicates possible — the
     /// map's insert dedups).
     pub map_entries: Vec<QiUrlEntry>,
-    /// Origins, last-write-wins per page.
-    pub origins: HashMap<PageKey, HttpRequest>,
+    /// Admissions, last-write-wins per page; only those whose batch's
+    /// cursor reached the disk.
+    pub origins: HashMap<PageKey, Admission>,
     /// The highest durable cursor.
     pub cursor: CursorRecord,
     /// Snapshot sequence number found, if any.
@@ -137,13 +185,18 @@ pub(crate) fn micros_since(started: Instant) -> u64 {
     started.elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 
-/// `OriginRecord { page, request }` as its derived `Serialize` writes it,
-/// from the parts.
-fn write_origin(out: &mut String, page: &PageKey, request: &HttpRequest) {
+/// `OriginRecord { page, request, admitted_at }` as its derived `Serialize`
+/// writes it, from the parts.
+fn write_origin(out: &mut String, page: &PageKey, origin: &impl Origin) {
     out.push_str("{\"page\":");
     page.write_json(out);
+    let (request, admitted_at) = origin.origin();
     out.push_str(",\"request\":");
     request.write_json(out);
+    if admitted_at != 0 {
+        out.push_str(",\"admitted_at\":");
+        admitted_at.write_json(out);
+    }
     out.push('}');
 }
 
@@ -211,17 +264,19 @@ impl Durability {
             torn_bytes: recovery.wal_torn_bytes,
             ..RecoveredState::default()
         };
+        let admission =
+            |o: OriginRecord| (o.page, Admission { request: o.request, admitted_at: o.admitted_at });
         if let Some(snapshot) = &recovery.snapshot {
             let text = std::str::from_utf8(snapshot)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
             let doc: SnapshotDoc = serde_json::from_str(text)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
             state.map_entries = doc.map;
-            for o in doc.origins {
-                state.origins.insert(o.page, o.request);
-            }
+            state.origins.extend(doc.origins.into_iter().map(admission));
             state.cursor = doc.cursor;
         }
+        // A batch's origins wait for the cursor that closes it.
+        let mut batch = Vec::new();
         for frame in &recovery.wal_records {
             let text = std::str::from_utf8(frame)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
@@ -229,10 +284,9 @@ impl Durability {
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
             match record {
                 DurableRecord::MapEntry(e) => state.map_entries.push(e),
-                DurableRecord::Origin(o) => {
-                    state.origins.insert(o.page, o.request);
-                }
+                DurableRecord::Origin(o) => batch.push(o),
                 DurableRecord::Cursor(c) => {
+                    state.origins.extend(batch.drain(..).map(admission));
                     // Idempotent replay: a crash between snapshot rename
                     // and WAL reset can leave older cursors behind — take
                     // the maximum, never step backwards.
@@ -246,7 +300,8 @@ impl Durability {
     }
 
     /// Persist one completed sync point: new QI/URL rows since the durable
-    /// map cursor, the window's admissions' origins, and the new cursor —
+    /// map cursor, the origins of the admissions since the last durable
+    /// batch, and the new cursor —
     /// one WAL batch, written through 64 KiB at a time and fsynced once. The
     /// cursor goes last, so a torn batch never recovers a cursor ahead of
     /// its rows, and a batch one of whose writes failed is dropped whole:
@@ -254,11 +309,11 @@ impl Durability {
     /// Runs a checkpoint (full snapshot + WAL reset) every
     /// `checkpoint_interval` persisted syncs. I/O errors are counted, not
     /// propagated: the portal stays available, the caller flags health.
-    pub fn persist_sync(
+    pub fn persist_sync<N: Origin, F: Origin>(
         &mut self,
         map: &QiUrlMap,
-        new_origins: &[(PageKey, HttpRequest)],
-        origins_full: &HashMap<PageKey, HttpRequest>,
+        new_origins: &[(PageKey, N)],
+        origins_full: &HashMap<PageKey, F>,
         cursor: CursorRecord,
     ) -> PersistOutcome {
         let started = Instant::now();
@@ -280,8 +335,8 @@ impl Durability {
         self.map_cursor = map.visit_since(self.map_cursor, |row| {
             append("MapEntry", &|out| row.write_json(out));
         });
-        for (page, request) in new_origins {
-            append("Origin", &|out| write_origin(out, page, request));
+        for (page, origin) in new_origins {
+            append("Origin", &|out| write_origin(out, page, origin));
         }
         append("Cursor", &|out| cursor.write_json(out));
         if self.wal.sync().is_err() {
@@ -310,10 +365,10 @@ impl Durability {
     /// locked while its rows go by. A crash between the snapshot rename and
     /// the WAL reset leaves snapshot + stale WAL tail: replay re-applies the
     /// tail on top, which is why records must be idempotent.
-    pub fn checkpoint(
+    pub fn checkpoint<O: Origin>(
         &mut self,
         map: &QiUrlMap,
-        origins_full: &HashMap<PageKey, HttpRequest>,
+        origins_full: &HashMap<PageKey, O>,
         cursor: &CursorRecord,
     ) -> io::Result<u64> {
         let mut snapshot = SnapshotWriter::create(&self.dir, self.next_snapshot_seq)?;
@@ -409,7 +464,8 @@ mod tests {
 
         let state = Durability::load(&dir).unwrap();
         assert_eq!(state.map_entries.len(), 2);
-        assert_eq!(state.origins.get(&PageKey::raw("p1")), Some(&req));
+        let p1 = &state.origins[&PageKey::raw("p1")];
+        assert_eq!((&p1.request, p1.admitted_at), (&req, 0), "a bare request has no stamp");
         assert_eq!(state.cursor.consumed, 7);
         assert_eq!(state.cursor.sync_seq, 3);
         assert_eq!(state.cursor.watermarks, vec![("car".to_string(), 6)]);
@@ -470,11 +526,11 @@ mod tests {
     fn reopen_continues_the_journal() {
         let dir = temp_dir();
         let map = entry_map();
-        let origins_full = HashMap::new();
+        let origins_full: HashMap<PageKey, HttpRequest> = HashMap::new();
         let mut d = Durability::open(&dir, 100).unwrap();
         d.persist_sync(
             &map,
-            &[],
+            &[] as &[(PageKey, HttpRequest)],
             &origins_full,
             CursorRecord { consumed: 1, sync_seq: 0, ..CursorRecord::default() },
         );
@@ -484,7 +540,7 @@ mod tests {
         d.set_map_cursor(2);
         d.persist_sync(
             &map,
-            &[],
+            &[] as &[(PageKey, HttpRequest)],
             &origins_full,
             CursorRecord { consumed: 9, sync_seq: 1, ..CursorRecord::default() },
         );

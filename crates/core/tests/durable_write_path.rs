@@ -11,7 +11,7 @@
 
 use cacheportal::sniffer::QiUrlMap;
 use cacheportal::web::{HttpRequest, PageKey};
-use cacheportal::{CursorRecord, Durability, DurableRecord, OriginRecord, SnapshotDoc};
+use cacheportal::{Admission, CursorRecord, Durability, DurableRecord, OriginRecord, SnapshotDoc};
 use cacheportal_bus::{Ack, EjectBatch};
 use cacheportal_durable::{crc32, snapshot_path, wal_path};
 use proptest::prelude::*;
@@ -62,6 +62,7 @@ fn snapshot_file(
         .map(|(page, request)| OriginRecord {
             page: page.clone(),
             request: request.clone(),
+            admitted_at: 0,
         })
         .collect();
     origins.sort_by(|a, b| a.page.cmp(&b.page));
@@ -117,6 +118,18 @@ fn site() -> (QiUrlMap, Vec<(PageKey, HttpRequest)>) {
     (map, origins)
 }
 
+/// No origins, of the type a bare-request caller passes.
+const NO_ORIGINS: &[(PageKey, HttpRequest)] = &[];
+
+/// What `Durability::load` reads back for origins journaled as bare
+/// requests: no admission stamp.
+fn unstamped(origins: &HashMap<PageKey, HttpRequest>) -> HashMap<PageKey, Admission> {
+    origins
+        .iter()
+        .map(|(page, request)| (page.clone(), Admission { request: request.clone(), admitted_at: 0 }))
+        .collect()
+}
+
 fn cursor(consumed: u64) -> CursorRecord {
     CursorRecord {
         consumed,
@@ -148,6 +161,7 @@ fn wal_and_snapshot_files_are_what_the_parent_wrote() {
             &DurableRecord::Origin(OriginRecord {
                 page: page.clone(),
                 request: request.clone(),
+                admitted_at: 0,
             }),
         );
     }
@@ -161,7 +175,7 @@ fn wal_and_snapshot_files_are_what_the_parent_wrote() {
 
     // Second sync: one new row, no admissions, then the checkpoint.
     map.insert("SELECT 1".into(), PageKey::raw("shop/top?"), "top".into());
-    let out = d.persist_sync(&map, &[], &origins_full, cursor(20));
+    let out = d.persist_sync(&map, NO_ORIGINS, &origins_full, cursor(20));
     assert_eq!((out.errors, out.appended, out.checkpointed), (0, 2, true));
     let expected = snapshot_file(1, &map, &origins_full, &cursor(20));
     assert_eq!(std::fs::read(snapshot_path(&dir)).unwrap(), expected);
@@ -172,7 +186,7 @@ fn wal_and_snapshot_files_are_what_the_parent_wrote() {
 
     let state = Durability::load(&dir).unwrap();
     assert_eq!(state.map_entries, map.all());
-    assert_eq!(state.origins, origins_full);
+    assert_eq!(state.origins, unstamped(&origins_full));
     assert_eq!(state.cursor, cursor(20));
     assert_eq!(state.snapshot_seq, Some(1));
     std::fs::remove_dir_all(&dir).unwrap();
@@ -183,7 +197,7 @@ fn empty_state_checkpoints_to_the_parents_bytes() {
     let dir = temp_dir();
     let (map, origins) = (QiUrlMap::new(), HashMap::new());
     let mut d = Durability::open(&dir, 1).unwrap();
-    let out = d.persist_sync(&map, &[], &origins, CursorRecord::default());
+    let out = d.persist_sync(&map, NO_ORIGINS, &origins, CursorRecord::default());
     assert_eq!((out.errors, out.checkpointed), (0, true));
     assert_eq!(
         std::fs::read(snapshot_path(&dir)).unwrap(),
@@ -203,7 +217,7 @@ fn a_torn_batch_never_recovers_a_cursor_ahead_of_its_rows() {
     let (map, admitted) = site();
     let origins_full: HashMap<PageKey, HttpRequest> = admitted.iter().cloned().collect();
     let mut d = Durability::open(&dir, 100).unwrap();
-    d.persist_sync(&map, &[], &HashMap::new(), cursor(10));
+    d.persist_sync(&map, NO_ORIGINS, &HashMap::<PageKey, HttpRequest>::new(), cursor(10));
     let rows_before = map.len();
     let synced = std::fs::read(wal_path(&dir)).unwrap().len();
     // The second window: new rows, its admissions, its cursor.
@@ -223,16 +237,18 @@ fn a_torn_batch_never_recovers_a_cursor_ahead_of_its_rows() {
         }
         if state.cursor.consumed == 20 {
             assert_eq!(state.map_entries, map.all(), "cut at {cut}");
-            assert_eq!(state.origins, origins_full, "cut at {cut}");
+            assert_eq!(state.origins, unstamped(&origins_full), "cut at {cut}");
         } else {
             assert_eq!(state.cursor, cursor(10), "cut at {cut}");
             assert!(state.map_entries.len() >= rows_before, "cut at {cut}");
+            // Origins count only with the cursor that closes their batch.
+            assert!(state.origins.is_empty(), "cut at {cut}");
         }
         // The journal stays appendable: the torn tail is cut off on open.
         let mut d = Durability::open(&crashed, 100).unwrap();
         d.set_map_cursor(map.next_id());
         assert_eq!(
-            d.persist_sync(&map, &[], &origins_full, cursor(30)).errors,
+            d.persist_sync(&map, NO_ORIGINS, &origins_full, cursor(30)).errors,
             0
         );
         drop(d);
@@ -261,7 +277,7 @@ fn a_failed_checkpoint_is_counted_and_leaves_the_journal_loadable() {
     );
     // `snapshot.tmp` as a directory: the writer cannot create its file.
     std::fs::create_dir(dir.join("snapshot.tmp")).unwrap();
-    let out = d.persist_sync(&map, &[], &origins_full, cursor(20));
+    let out = d.persist_sync(&map, NO_ORIGINS, &origins_full, cursor(20));
     assert_eq!(
         (out.errors, out.checkpointed, out.checkpoint_bytes),
         (1, false, 0)
@@ -273,12 +289,51 @@ fn a_failed_checkpoint_is_counted_and_leaves_the_journal_loadable() {
         cursor(20),
         "the WAL batch went out before the checkpoint"
     );
-    assert_eq!(state.origins, origins_full);
+    assert_eq!(state.origins, unstamped(&origins_full));
     // The next pass tries again, and succeeds once the obstacle is gone.
     std::fs::remove_dir(dir.join("snapshot.tmp")).unwrap();
-    let out = d.persist_sync(&map, &[], &origins_full, cursor(30));
+    let out = d.persist_sync(&map, NO_ORIGINS, &origins_full, cursor(30));
     assert_eq!((out.errors, out.checkpointed), (0, true));
     assert_eq!(Durability::load(&dir).unwrap().cursor, cursor(30));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An admission's stamp is written as `OriginRecord`'s `admitted_at`, in the
+/// WAL and the snapshot alike, and read back with its request.
+#[test]
+fn stamped_origins_are_what_the_derive_writes() {
+    let dir = temp_dir();
+    let (map, admitted) = site();
+    let stamped: Vec<(PageKey, Admission)> = (admitted.into_iter().zip(1..))
+        .map(|((page, request), admitted_at)| (page, Admission { request, admitted_at }))
+        .collect();
+    let full: HashMap<PageKey, Admission> = stamped.iter().cloned().collect();
+    let mut d = Durability::open(&dir, 2).unwrap();
+    d.persist_sync(&map, &stamped, &full, cursor(10));
+    let mut expected = WAL_HEADER.to_vec();
+    for entry in map.all() {
+        frame(&mut expected, &DurableRecord::MapEntry(entry));
+    }
+    for (page, a) in &stamped {
+        frame(
+            &mut expected,
+            &DurableRecord::Origin(OriginRecord {
+                page: page.clone(),
+                request: a.request.clone(),
+                admitted_at: a.admitted_at,
+            }),
+        );
+    }
+    frame(&mut expected, &DurableRecord::Cursor(cursor(10)));
+    assert_eq!(std::fs::read(wal_path(&dir)).unwrap(), expected);
+    assert_eq!(Durability::load(&dir).unwrap().origins, full);
+
+    // The checkpoint's snapshot carries the stamps too.
+    d.persist_sync(&map, NO_ORIGINS, &full, cursor(20));
+    drop(d);
+    let state = Durability::load(&dir).unwrap();
+    assert_eq!(state.snapshot_seq, Some(1));
+    assert_eq!(state.origins, full);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -312,6 +367,7 @@ proptest! {
         watermarks in prop::collection::vec((hostile_string(), any::<u64>()), 0..3),
         edge_marks in prop::collection::vec((hostile_string(), any::<u64>(), any::<u64>()), 0..3),
         pages in prop::collection::vec(hostile_string(), 0..4),
+        admitted_at in prop_oneof![Just(0u64), any::<u64>()],
     ) {
         let page = PageKey::raw(page);
         let entry = cacheportal::sniffer::QiUrlEntry { id, sql, page_key: page.clone(), servlet: servlet.into() };
@@ -326,7 +382,7 @@ proptest! {
         let cursor = CursorRecord { consumed, sync_seq, watermarks, bus_seq, edge_marks };
         assert_round_trips(&cursor);
         assert_round_trips(&DurableRecord::MapEntry(entry));
-        assert_round_trips(&DurableRecord::Origin(OriginRecord { page, request }));
+        assert_round_trips(&DurableRecord::Origin(OriginRecord { page, request, admitted_at }));
         assert_round_trips(&DurableRecord::Cursor(cursor));
         assert_round_trips(&EjectBatch {
             seq: bus_seq,

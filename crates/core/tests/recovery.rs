@@ -11,8 +11,11 @@
 use cacheportal::db::schema::ColType;
 use cacheportal::db::Database;
 use cacheportal::sniffer::RowInstance;
-use cacheportal::web::{shared, HttpRequest, ParamSource, QueryTemplate, ServletSpec, SqlServlet};
-use cacheportal::{CachePortal, Served};
+use cacheportal::web::{
+    shared, HttpRequest, PageKey, ParamSource, QueryTemplate, ServletSpec, SqlServlet,
+};
+use cacheportal::{CachePortal, CursorRecord, Durability, Served};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -188,6 +191,109 @@ fn unsynced_updates_are_reanalyzed_after_recovery() {
     // …and never after it.
     assert!(p2.stale_pages().is_empty());
     assert!(p2.request(&req(30000)).response.body.contains("Camry"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A group total, the shape whose "unchanged" verdict holds only for pages
+/// that existed at both ends of the window.
+fn totals_servlet() -> Arc<dyn cacheportal::web::Servlet> {
+    Arc::new(SqlServlet::new(
+        ServletSpec::new("totals").with_key_get_params(&["g"]),
+        "Group totals",
+        vec![QueryTemplate::new(
+            "SELECT COUNT(*), SUM(k) FROM t WHERE g = $1",
+            vec![ParamSource::Get("g".into(), ColType::Int)],
+        )],
+    ))
+}
+
+/// The nightly crash-restart soak's seed 129, in miniature. The journal
+/// records admissions and never ejections, so a page ejected at one sync
+/// point and admitted again before the crash still has its first origin on
+/// disk. Recovery used to keep such a page on the strength of that origin.
+/// Here the page was regenerated between an insert and the delete that
+/// cancels it: re-analysing the window finds the group's totals unchanged,
+/// and only the netting guard, whose window died with the process, would
+/// have ejected it. The journal's stamp is the first admission's, the
+/// cache's is the second's, so recovery ejects it.
+#[test]
+fn a_page_admitted_again_after_its_eject_is_not_kept_on_its_old_origin() {
+    let dir = temp_dir();
+    let mut db = Database::new();
+    db.execute("CREATE TABLE t (k INT, g INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1, 4), (2, 5)").unwrap();
+    let db = shared(db);
+    let p = CachePortal::builder_shared(db.clone())
+        .durable(&dir)
+        .build()
+        .unwrap();
+    p.register_servlet(totals_servlet());
+    let page = HttpRequest::get("shop", "/totals", &[("g", "4")]);
+    let key = p.request(&page).key.unwrap();
+    let first_admitted_at = p.page_cache().admitted_at(&key).unwrap();
+    p.sync_point().unwrap(); // its rows and origin are durable
+    p.update("INSERT INTO t VALUES (3, 4)").unwrap();
+    assert_eq!(p.sync_point().unwrap().ejected, 1);
+
+    // The next window: a row comes and goes around the regeneration.
+    p.update("INSERT INTO t VALUES (6, 4)").unwrap();
+    assert_eq!(p.request(&page).served, Served::Generated);
+    p.update("DELETE FROM t WHERE k = 6").unwrap();
+    assert_eq!(p.stale_pages(), [key.clone()]);
+    let cache = p.page_cache().clone();
+    assert!(cache.admitted_at(&key).unwrap() > first_admitted_at);
+    drop(p); // crash before the sync point whose guard would eject it
+
+    let p2 = CachePortal::builder_shared(db)
+        .durable(&dir)
+        .surviving_cache(cache.clone())
+        .recover()
+        .unwrap();
+    p2.register_servlet(totals_servlet());
+    let stats = p2.recovery_stats().unwrap().clone();
+    assert_eq!((stats.origins, stats.gap_ejected), (1, 1));
+    assert!(!cache.contains(&key), "the journal holds an older admission");
+    p2.sync_point().unwrap();
+    assert!(p2.stale_pages().is_empty());
+    // The clock resumed past the journal's stamps: no admission from here
+    // on can pass for the journaled one.
+    assert_eq!(p2.request(&page).served, Served::Generated);
+    assert!(cache.admitted_at(&key).unwrap() > first_admitted_at);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A journal written before admissions were stamped (its origins are bare
+/// requests) still loads, and proves no admission: every surviving page is
+/// gap-ejected, and the map rows and cursor are used as before.
+#[test]
+fn a_journal_without_stamps_recovers_conservatively() {
+    let dir = temp_dir();
+    let db = shared(example_db());
+    let p = CachePortal::builder_shared(db.clone()).build().unwrap();
+    p.register_servlet(search_servlet());
+    let key = p.request(&req(30000)).key.unwrap();
+    p.sync_point().unwrap();
+    let origins: HashMap<PageKey, HttpRequest> = [(key.clone(), req(30000))].into_iter().collect();
+    let cursor = CursorRecord { consumed: db.read().high_water(), sync_seq: 1, ..CursorRecord::default() };
+    let mut journal = Durability::open(&dir, 8).unwrap();
+    let batch: Vec<_> = origins.clone().into_iter().collect();
+    assert_eq!(journal.persist_sync(p.qi_url_map(), &batch, &origins, cursor).errors, 0);
+    drop(journal);
+    let cache = p.page_cache().clone();
+    drop(p);
+
+    let p2 = CachePortal::builder_shared(db)
+        .durable(&dir)
+        .surviving_cache(cache.clone())
+        .recover()
+        .unwrap();
+    p2.register_servlet(search_servlet());
+    let stats = p2.recovery_stats().unwrap().clone();
+    assert_eq!((stats.map_entries, stats.origins, stats.gap_ejected), (1, 1, 1));
+    assert!(cache.is_empty());
+    p2.update("UPDATE Car SET price = 24000 WHERE model = 'Avalon'").unwrap();
+    assert_eq!(p2.sync_point().unwrap().invalidation.registered, 1);
+    assert!(p2.request(&req(30000)).response.body.contains("24000"));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -62,13 +62,36 @@ fn gen_stmt(rng: &mut StdRng, n_tables: usize) -> Stmt {
     }
 }
 
+/// A page is cached and journaled, ejected by a delete of its group, and
+/// admitted again between an insert into the emptied group and the delete
+/// that empties it again, so the window's deltas net out around the page.
+/// A crash before the next sync point once let recovery keep that page on
+/// its first admission's origin (`tests/repros/`): crash-restart streams
+/// are biased toward this shape so that short runs reach it.
+fn readmit_after_eject(rng: &mut StdRng, sc: &Scenario) -> [Action; 7] {
+    let s = rng.gen_range(0..sc.servlets.len());
+    let t = sc.servlets[s].kind.table();
+    let g = rng.gen_range(0..GROUPS);
+    let insert = Stmt::Insert(t, rng.gen_range(0..KEYS), g, rng.gen_range(0..50i64));
+    [
+        Action::Request(s, g),
+        Action::Sync,
+        Action::Mutate(Stmt::Delete(t, g)),
+        Action::Sync,
+        Action::Mutate(insert),
+        Action::Request(s, g),
+        Action::Mutate(Stmt::Delete(t, g)),
+    ]
+}
+
 /// Generate `n` actions for the scenario, deterministically from its seed.
 pub fn gen_actions(sc: &Scenario, n: usize) -> Vec<Action> {
     let mut rng = StdRng::seed_from_u64(sc.seed ^ 0xac71_0057_2ea3_0002);
     let n_tables = sc.tables.len();
     let n_servlets = sc.servlets.len();
+    let crashes = sc.fault.crash_restart > 0.0;
     let mut actions = Vec::with_capacity(n);
-    for _ in 0..n {
+    while actions.len() < n {
         let roll = rng.gen_range(0..100u8);
         let action = if roll < 35 {
             Action::Request(rng.gen_range(0..n_servlets), rng.gen_range(0..GROUPS))
@@ -79,10 +102,14 @@ pub fn gen_actions(sc: &Scenario, n: usize) -> Vec<Action> {
             Action::Txn((0..len).map(|_| gen_stmt(&mut rng, n_tables)).collect())
         } else if roll < 80 {
             Action::SetPolicy(rng.gen_range(0..3u8))
+        } else if crashes && rng.gen_bool(0.3) {
+            actions.extend(readmit_after_eject(&mut rng, sc));
+            continue;
         } else {
             Action::Sync
         };
         actions.push(action);
     }
+    actions.truncate(n);
     actions
 }

@@ -144,6 +144,24 @@ pub enum ServletKind {
     InList(usize, i64, i64),
 }
 
+impl ServletKind {
+    /// The table whose `g` column the page's parameter selects on.
+    pub(crate) fn table(&self) -> usize {
+        match *self {
+            ServletKind::Select(i)
+            | ServletKind::Project(i)
+            | ServletKind::SelectFiltered(i, _)
+            | ServletKind::Join(i, _)
+            | ServletKind::JoinFiltered(i, _, _)
+            | ServletKind::Agg(i)
+            | ServletKind::TopK(i, _)
+            | ServletKind::AggGroup(i)
+            | ServletKind::Like(i)
+            | ServletKind::InList(i, _, _) => i,
+        }
+    }
+}
+
 /// One generated servlet: a name and the query shape it serves.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServletGen {

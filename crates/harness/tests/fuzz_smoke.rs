@@ -128,6 +128,23 @@ fn every_fault_class_fires_and_stays_fresh() {
     }
 }
 
+/// The crash-restart class's streams are biased toward a page cached,
+/// ejected, admitted again inside a window whose deltas net out, then a
+/// crash (`actions.rs`). Recovery used to keep such a page on its first
+/// admission's origin; 32 short runs reach it (seed 18 did, at 40 actions),
+/// where the unbiased soak needed 130 runs of 160.
+#[cfg(not(feature = "canary"))]
+#[test]
+fn crash_restart_runs_reach_pages_admitted_again_after_an_eject() {
+    let cfg = SweepConfig { seeds: 32, actions: 40, classes: vec![FaultClass::CrashRestart] };
+    let outcome = sweep(&cfg, None);
+    if let Some(repro) = &outcome.failure {
+        panic!("{} (shrunk to {} actions)", repro.violation, repro.actions.len());
+    }
+    let gaps: u64 = outcome.cells.values().map(|c| c.stats.gap_ejected).sum();
+    assert!(gaps > 0, "no run crashed with a page to gap-eject");
+}
+
 /// A three-node farm is under the same contract as one server: the full
 /// oracle (zero staleness at origin and edges, bus degradation, index
 /// differential, counter coherence, causal chains) over the fault classes
@@ -176,6 +193,31 @@ fn three_node_farm_stays_fresh_under_faults() {
 /// Reproducer files are self-contained and replay deterministically: the
 /// JSON round-trips losslessly and two runs of the same trace produce the
 /// identical outcome (stats and all), including with 4 analysis workers.
+/// Every reproducer under `tests/repros/` is a failure that was found,
+/// shrunk and fixed; each must keep replaying clean. Each file still names
+/// the violation it reproduced when it was captured.
+#[cfg(not(feature = "canary"))]
+#[test]
+fn committed_reproducers_stay_fixed() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/repros");
+    let mut replayed = 0;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let repro = Reproducer::load(&path).unwrap();
+        let outcome = repro.replay();
+        assert!(
+            outcome.violation.is_none(),
+            "{} (captured as {}) fails again: {}",
+            path.display(),
+            repro.violation,
+            outcome.violation.unwrap()
+        );
+        assert!(outcome.stats.crashes > 0 || repro.scenario.fault.crash_restart == 0.0);
+        replayed += 1;
+    }
+    assert!(replayed > 0, "no reproducer under {}", dir.display());
+}
+
 #[test]
 fn reproducer_roundtrip_and_determinism() {
     let sc = Scenario::generate(7)
