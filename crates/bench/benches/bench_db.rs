@@ -1,9 +1,21 @@
 //! Microbenchmarks for the relational engine substrate: the paper's three
-//! query classes (§5.2.1) plus parse/plan costs and DML.
+//! query classes (§5.2.1) plus parse/plan costs and DML, and what
+//! `portal_load`'s storefront asks of the engine — its bulk load and its
+//! four servlet queries — with the counting allocator of
+//! `crates/core/tests/common`.
+
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+#[path = "../../db/tests/storefront/mod.rs"]
+mod storefront;
+
+#[global_allocator]
+static ALLOC: common::CountingAlloc = common::CountingAlloc;
 
 use cacheportal_bench::ablation::paper_application;
 use cacheportal_db::sql::parser::parse;
-use criterion::{criterion_group, criterion_main, Criterion};
+use cacheportal_db::Value;
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 fn bench_queries(c: &mut Criterion) {
@@ -139,9 +151,43 @@ fn bench_dml(c: &mut Criterion) {
     group.finish();
 }
 
+/// The storefront's set-up bulk load (40 INSERT statements of 200 rows) and
+/// its four servlet queries run from the statement cache, as a miss runs
+/// them. Beside the time, once: the allocations per row and per query.
+fn bench_storefront(c: &mut Criterion) {
+    let rows = 2 * storefront::SKUS;
+    let statements = storefront::bulk_load(1);
+    let load = || {
+        let mut db = storefront::empty_database();
+        for sql in &statements {
+            db.execute(sql).unwrap();
+        }
+        db
+    };
+    let (db, allocated) = common::measure(load);
+    println!(
+        "db_bulk_load/{rows}: {:.2} allocations per row",
+        allocated.calls as f64 / rows as f64
+    );
+    c.bench_function(BenchmarkId::new("db_bulk_load", rows), |b| {
+        b.iter(|| black_box(load()))
+    });
+
+    let param = [Value::Int(7)];
+    for (name, _, sql) in storefront::SERVLETS {
+        db.query_with_params(sql, &param).unwrap();
+        let (_, allocated) = common::measure(|| db.query_with_params(sql, &param).unwrap());
+        println!("db_servlet_queries/{name}: {} allocations per query", allocated.calls);
+        c.bench_function(BenchmarkId::new("db_servlet_queries", name), |b| {
+            b.iter(|| black_box(db.query_with_params(sql, &param).unwrap()))
+        });
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_queries, bench_parse, bench_dml, bench_statement_cache, bench_range_index
+    targets = bench_queries, bench_parse, bench_dml, bench_statement_cache, bench_range_index,
+        bench_storefront
 }
 criterion_main!(benches);

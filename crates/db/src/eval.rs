@@ -9,6 +9,7 @@ use crate::schema::SchemaRef;
 use crate::sql::ast::{AggFunc, ArithOp, CmpOp, ColumnRef, Expr};
 use crate::table::Row;
 use crate::value::Value;
+use std::borrow::Cow;
 
 /// The binding environment: one entry per FROM-list table, in order.
 #[derive(Debug, Clone)]
@@ -56,7 +57,6 @@ impl BindContext {
 #[derive(Debug, Clone)]
 pub enum BoundExpr {
     /// Resolved column `(table_no, column_no)`.
-    /// Resolved column `(table_no, column_no)`.
     Column {
         /// FROM-list position.
         table: usize,
@@ -65,6 +65,9 @@ pub enum BoundExpr {
     },
     /// Constant value (parameters are substituted at bind time).
     Literal(Value),
+    /// A `$n` marker a prepared statement keeps instead of its value; it
+    /// evaluates to the execution's `params[n - 1]`.
+    Param(usize),
     /// Comparison `left op right`.
     Cmp {
         /// Left operand.
@@ -137,39 +140,57 @@ pub enum BoundExpr {
 /// Bind `expr` against `ctx`, substituting `params` for `$n` markers.
 /// Aggregate nodes are rejected here; the executor handles them separately.
 pub fn bind(expr: &Expr, ctx: &BindContext, params: &[Value]) -> DbResult<BoundExpr> {
+    bind_expr(expr, ctx, params, false)
+}
+
+/// [`bind`], except that each `$n` stays a [`BoundExpr::Param`] marker
+/// (after the same check that `params` covers it): the form a prepared
+/// statement keeps, bound once and evaluated with each execution's values.
+pub(crate) fn bind_marked(
+    expr: &Expr,
+    ctx: &BindContext,
+    params: &[Value],
+) -> DbResult<BoundExpr> {
+    bind_expr(expr, ctx, params, true)
+}
+
+fn bind_expr(
+    expr: &Expr,
+    ctx: &BindContext,
+    params: &[Value],
+    keep_markers: bool,
+) -> DbResult<BoundExpr> {
+    let bind = |e: &Expr| bind_expr(e, ctx, params, keep_markers);
+    let boxed = |e: &Expr| bind(e).map(Box::new);
     Ok(match expr {
         Expr::Column(c) => {
             let (table, column) = ctx.resolve(c)?;
             BoundExpr::Column { table, column }
         }
         Expr::Literal(v) => BoundExpr::Literal(v.clone()),
-        Expr::Param(i) => BoundExpr::Literal(
-            params
-                .get(i - 1)
-                .cloned()
-                .ok_or(DbError::UnboundParameter(*i))?,
-        ),
+        Expr::Param(i) => {
+            let value = params.get(i - 1).ok_or(DbError::UnboundParameter(*i))?;
+            if keep_markers {
+                BoundExpr::Param(*i)
+            } else {
+                BoundExpr::Literal(value.clone())
+            }
+        }
         Expr::Cmp { left, op, right } => BoundExpr::Cmp {
-            left: Box::new(bind(left, ctx, params)?),
+            left: boxed(left)?,
             op: *op,
-            right: Box::new(bind(right, ctx, params)?),
+            right: boxed(right)?,
         },
         Expr::Arith { left, op, right } => BoundExpr::Arith {
-            left: Box::new(bind(left, ctx, params)?),
+            left: boxed(left)?,
             op: *op,
-            right: Box::new(bind(right, ctx, params)?),
+            right: boxed(right)?,
         },
-        Expr::And(a, b) => BoundExpr::And(
-            Box::new(bind(a, ctx, params)?),
-            Box::new(bind(b, ctx, params)?),
-        ),
-        Expr::Or(a, b) => BoundExpr::Or(
-            Box::new(bind(a, ctx, params)?),
-            Box::new(bind(b, ctx, params)?),
-        ),
-        Expr::Not(e) => BoundExpr::Not(Box::new(bind(e, ctx, params)?)),
+        Expr::And(a, b) => BoundExpr::And(boxed(a)?, boxed(b)?),
+        Expr::Or(a, b) => BoundExpr::Or(boxed(a)?, boxed(b)?),
+        Expr::Not(e) => BoundExpr::Not(boxed(e)?),
         Expr::IsNull { expr, negated } => BoundExpr::IsNull {
-            expr: Box::new(bind(expr, ctx, params)?),
+            expr: boxed(expr)?,
             negated: *negated,
         },
         Expr::Between {
@@ -178,9 +199,9 @@ pub fn bind(expr: &Expr, ctx: &BindContext, params: &[Value]) -> DbResult<BoundE
             high,
             negated,
         } => BoundExpr::Between {
-            expr: Box::new(bind(expr, ctx, params)?),
-            low: Box::new(bind(low, ctx, params)?),
-            high: Box::new(bind(high, ctx, params)?),
+            expr: boxed(expr)?,
+            low: boxed(low)?,
+            high: boxed(high)?,
             negated: *negated,
         },
         Expr::InList {
@@ -188,11 +209,8 @@ pub fn bind(expr: &Expr, ctx: &BindContext, params: &[Value]) -> DbResult<BoundE
             list,
             negated,
         } => BoundExpr::InList {
-            expr: Box::new(bind(expr, ctx, params)?),
-            list: list
-                .iter()
-                .map(|e| bind(e, ctx, params))
-                .collect::<DbResult<_>>()?,
+            expr: boxed(expr)?,
+            list: list.iter().map(bind).collect::<DbResult<_>>()?,
             negated: *negated,
         },
         Expr::Like {
@@ -200,16 +218,13 @@ pub fn bind(expr: &Expr, ctx: &BindContext, params: &[Value]) -> DbResult<BoundE
             pattern,
             negated,
         } => BoundExpr::Like {
-            expr: Box::new(bind(expr, ctx, params)?),
-            pattern: Box::new(bind(pattern, ctx, params)?),
+            expr: boxed(expr)?,
+            pattern: boxed(pattern)?,
             negated: *negated,
         },
         Expr::Func { func, args } => BoundExpr::Func {
             func: *func,
-            args: args
-                .iter()
-                .map(|a| bind(a, ctx, params))
-                .collect::<DbResult<_>>()?,
+            args: args.iter().map(bind).collect::<DbResult<_>>()?,
         },
         Expr::Agg { .. } => {
             return Err(DbError::Unsupported(
@@ -219,48 +234,70 @@ pub fn bind(expr: &Expr, ctx: &BindContext, params: &[Value]) -> DbResult<BoundE
     })
 }
 
+/// What a `$n` marker reads when `params` does not cover it.
+static NULL: Value = Value::Null;
+
 impl BoundExpr {
     /// Evaluate against one row per FROM table.
     pub fn eval(&self, rows: &[&Row]) -> Value {
+        self.eval_with(rows, &[])
+    }
+
+    /// Evaluate as a predicate: NULL and non-true collapse to `false`.
+    pub fn eval_predicate(&self, rows: &[&Row]) -> bool {
+        self.holds(rows, &[])
+    }
+
+    /// A column, literal or marker as a borrow of the value it names;
+    /// anything else evaluated. Comparisons read their operands through this,
+    /// so that comparing a string column copies no string.
+    pub(crate) fn operand<'a>(&'a self, rows: &[&'a Row], params: &'a [Value]) -> Cow<'a, Value> {
         match self {
-            BoundExpr::Column { table, column } => rows[*table][*column].clone(),
-            BoundExpr::Literal(v) => v.clone(),
+            BoundExpr::Column { table, column } => Cow::Borrowed(&rows[*table][*column]),
+            BoundExpr::Literal(v) => Cow::Borrowed(v),
+            BoundExpr::Param(i) => Cow::Borrowed(i.checked_sub(1).and_then(|at| params.get(at)).unwrap_or(&NULL)),
+            other => Cow::Owned(other.eval_with(rows, params)),
+        }
+    }
+
+    /// [`BoundExpr::eval_predicate`] with `params` for the `$n` markers.
+    pub(crate) fn holds(&self, rows: &[&Row], params: &[Value]) -> bool {
+        match self {
+            BoundExpr::Cmp { left, op, right } => compare(
+                &left.operand(rows, params),
+                *op,
+                &right.operand(rows, params),
+            )
+            .unwrap_or(false),
+            BoundExpr::And(a, b) => a.holds(rows, params) && b.holds(rows, params),
+            BoundExpr::Or(a, b) => a.holds(rows, params) || b.holds(rows, params),
+            BoundExpr::Not(e) => !e.holds(rows, params),
+            other => truthy(&other.eval_with(rows, params)),
+        }
+    }
+
+    /// [`BoundExpr::eval`] with `params` for the `$n` markers.
+    pub(crate) fn eval_with(&self, rows: &[&Row], params: &[Value]) -> Value {
+        let bit = |b: bool| Value::Int(i64::from(b));
+        match self {
+            BoundExpr::Column { .. } | BoundExpr::Literal(_) | BoundExpr::Param(_) => {
+                self.operand(rows, params).into_owned()
+            }
             BoundExpr::Cmp { left, op, right } => {
-                let l = left.eval(rows);
-                let r = right.eval(rows);
-                match l.sql_cmp(&r) {
-                    None => Value::Null,
-                    Some(ord) => Value::Int(i64::from(match op {
-                        CmpOp::Eq => ord.is_eq(),
-                        CmpOp::NotEq => ord.is_ne(),
-                        CmpOp::Lt => ord.is_lt(),
-                        CmpOp::LtEq => ord.is_le(),
-                        CmpOp::Gt => ord.is_gt(),
-                        CmpOp::GtEq => ord.is_ge(),
-                    })),
-                }
+                let l = left.operand(rows, params);
+                compare(&l, *op, &right.operand(rows, params)).map_or(Value::Null, bit)
             }
-            BoundExpr::Arith { left, op, right } => {
-                arith(&left.eval(rows), *op, &right.eval(rows))
+            BoundExpr::Arith { left, op, right } => arith(
+                &left.operand(rows, params),
+                *op,
+                &right.operand(rows, params),
+            ),
+            // Collapsed three-valued logic: NULL acts as false.
+            BoundExpr::And(..) | BoundExpr::Or(..) | BoundExpr::Not(_) => {
+                bit(self.holds(rows, params))
             }
-            BoundExpr::And(a, b) => {
-                // Collapsed three-valued logic: NULL acts as false.
-                if truthy(&a.eval(rows)) && truthy(&b.eval(rows)) {
-                    Value::Int(1)
-                } else {
-                    Value::Int(0)
-                }
-            }
-            BoundExpr::Or(a, b) => {
-                if truthy(&a.eval(rows)) || truthy(&b.eval(rows)) {
-                    Value::Int(1)
-                } else {
-                    Value::Int(0)
-                }
-            }
-            BoundExpr::Not(e) => Value::Int(i64::from(!truthy(&e.eval(rows)))),
             BoundExpr::IsNull { expr, negated } => {
-                Value::Int(i64::from(expr.eval(rows).is_null() != *negated))
+                bit(expr.operand(rows, params).is_null() != *negated)
             }
             BoundExpr::Between {
                 expr,
@@ -268,79 +305,70 @@ impl BoundExpr {
                 high,
                 negated,
             } => {
-                let v = expr.eval(rows);
-                let lo = low.eval(rows);
-                let hi = high.eval(rows);
-                let inside = matches!(v.sql_cmp(&lo), Some(o) if o.is_ge())
-                    && matches!(v.sql_cmp(&hi), Some(o) if o.is_le());
-                Value::Int(i64::from(inside != *negated))
+                let v = expr.operand(rows, params);
+                let inside = matches!(v.sql_cmp(&low.operand(rows, params)), Some(o) if o.is_ge())
+                    && matches!(v.sql_cmp(&high.operand(rows, params)), Some(o) if o.is_le());
+                bit(inside != *negated)
             }
             BoundExpr::InList {
                 expr,
                 list,
                 negated,
             } => {
-                let v = expr.eval(rows);
+                let v = expr.operand(rows, params);
                 let found = list
                     .iter()
-                    .any(|e| v.sql_eq(&e.eval(rows)).unwrap_or(false));
-                Value::Int(i64::from(found != *negated))
+                    .any(|e| v.sql_eq(&e.operand(rows, params)).unwrap_or(false));
+                bit(found != *negated)
             }
             BoundExpr::Like {
                 expr,
                 pattern,
                 negated,
             } => {
-                let v = expr.eval(rows);
-                let p = pattern.eval(rows);
-                match (v, p) {
-                    (Value::Str(s), Value::Str(pat)) => {
-                        Value::Int(i64::from(like_match(&s, &pat) != *negated))
-                    }
+                match (&*expr.operand(rows, params), &*pattern.operand(rows, params)) {
+                    (Value::Str(s), Value::Str(pat)) => bit(like_match(s, pat) != *negated),
                     _ => Value::Int(0),
                 }
             }
             BoundExpr::Func { func, args } => {
                 use crate::sql::ast::ScalarFunc;
-                match func {
-                    ScalarFunc::Coalesce => {
-                        for a in args {
-                            let v = a.eval(rows);
-                            if !v.is_null() {
-                                return v;
-                            }
-                        }
-                        Value::Null
-                    }
-                    _ => {
-                        let v = args.first().map(|a| a.eval(rows)).unwrap_or(Value::Null);
-                        match (func, v) {
-                            (_, Value::Null) => Value::Null,
-                            (ScalarFunc::Upper, Value::Str(s)) => {
-                                Value::Str(s.to_ascii_uppercase())
-                            }
-                            (ScalarFunc::Lower, Value::Str(s)) => {
-                                Value::Str(s.to_ascii_lowercase())
-                            }
-                            (ScalarFunc::Length, Value::Str(s)) => {
-                                Value::Int(s.chars().count() as i64)
-                            }
-                            (ScalarFunc::Abs, Value::Int(i)) => Value::Int(i.abs()),
-                            (ScalarFunc::Abs, Value::Float(f)) => Value::Float(f.abs()),
-                            // Type mismatches yield NULL (collapses to false
-                            // in predicates, consistent with the engine).
-                            _ => Value::Null,
-                        }
-                    }
+                if *func == ScalarFunc::Coalesce {
+                    return args
+                        .iter()
+                        .map(|a| a.operand(rows, params))
+                        .find(|v| !v.is_null())
+                        .map_or(Value::Null, Cow::into_owned);
+                }
+                let v = args.first().map(|a| a.operand(rows, params));
+                match (func, v.as_deref().unwrap_or(&NULL)) {
+                    (_, Value::Null) => Value::Null,
+                    (ScalarFunc::Upper, Value::Str(s)) => Value::Str(s.to_ascii_uppercase()),
+                    (ScalarFunc::Lower, Value::Str(s)) => Value::Str(s.to_ascii_lowercase()),
+                    (ScalarFunc::Length, Value::Str(s)) => Value::Int(s.chars().count() as i64),
+                    (ScalarFunc::Abs, Value::Int(i)) => Value::Int(i.abs()),
+                    (ScalarFunc::Abs, Value::Float(f)) => Value::Float(f.abs()),
+                    // Type mismatches yield NULL (collapses to false in
+                    // predicates, consistent with the engine).
+                    _ => Value::Null,
                 }
             }
         }
     }
+}
 
-    /// Evaluate as a predicate: NULL and non-true collapse to `false`.
-    pub fn eval_predicate(&self, rows: &[&Row]) -> bool {
-        truthy(&self.eval(rows))
-    }
+/// `l op r` under SQL comparison: `None` when either side is NULL or the
+/// two are incomparable.
+fn compare(l: &Value, op: CmpOp, r: &Value) -> Option<bool> {
+    let ord = l.sql_cmp(r)?;
+    Some(match op {
+        CmpOp::Eq => ord.is_eq(),
+        CmpOp::NotEq => ord.is_ne(),
+        CmpOp::Lt => ord.is_lt(),
+        CmpOp::LtEq => ord.is_le(),
+        CmpOp::Gt => ord.is_gt(),
+        CmpOp::GtEq => ord.is_ge(),
+    })
 }
 
 /// SQL truthiness: nonzero numbers are true, everything else false.

@@ -6,6 +6,7 @@
 //! exactly the Δ⁻R / Δ⁺R decomposition of §4.2.1 of the paper.
 
 use crate::table::Row;
+use std::sync::Arc;
 
 /// Logical timestamp of a mutation (monotonic counter).
 pub type Lsn = u64;
@@ -24,8 +25,9 @@ pub enum LogOp {
 pub struct LogRecord {
     /// Log sequence number.
     pub lsn: Lsn,
-    /// Table the mutation applied to.
-    pub table: String,
+    /// Table the mutation applied to: a handle on the table's own name, so
+    /// a record allocates nothing for it.
+    pub table: Arc<str>,
     /// What changed.
     pub op: LogOp,
 }
@@ -48,14 +50,10 @@ impl UpdateLog {
     }
 
     /// Append a record; returns its LSN.
-    pub fn append(&mut self, table: &str, op: LogOp) -> Lsn {
+    pub fn append(&mut self, table: Arc<str>, op: LogOp) -> Lsn {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        self.records.push(LogRecord {
-            lsn,
-            table: table.to_string(),
-            op,
-        });
+        self.records.push(LogRecord { lsn, table, op });
         lsn
     }
 
@@ -120,8 +118,8 @@ mod tests {
     #[test]
     fn lsns_are_monotonic_and_dense() {
         let mut log = UpdateLog::new();
-        assert_eq!(log.append("t", rec(1)), 0);
-        assert_eq!(log.append("t", rec(2)), 1);
+        assert_eq!(log.append("t".into(), rec(1)), 0);
+        assert_eq!(log.append("t".into(), rec(2)), 1);
         assert_eq!(log.high_water(), 2);
     }
 
@@ -129,7 +127,7 @@ mod tests {
     fn pull_since_returns_suffix() {
         let mut log = UpdateLog::new();
         for i in 0..5 {
-            log.append("t", rec(i));
+            log.append("t".into(), rec(i));
         }
         assert_eq!(log.pull_since(0).len(), 5);
         assert_eq!(log.pull_since(3).len(), 2);
@@ -141,21 +139,21 @@ mod tests {
     fn truncate_preserves_pull_semantics() {
         let mut log = UpdateLog::new();
         for i in 0..10 {
-            log.append("t", rec(i));
+            log.append("t".into(), rec(i));
         }
         log.truncate(6);
         assert_eq!(log.len(), 4);
         assert_eq!(log.pull_since(0).len(), 4, "truncated records are gone");
         assert_eq!(log.pull_since(8).len(), 2);
         // appends continue from the same LSN sequence
-        assert_eq!(log.append("t", rec(99)), 10);
+        assert_eq!(log.append("t".into(), rec(99)), 10);
     }
 
     #[test]
     fn truncate_gives_a_bulk_loads_capacity_back() {
         let mut log = UpdateLog::new();
         for i in 0..8000 {
-            log.append("t", rec(i));
+            log.append("t".into(), rec(i));
         }
         assert!(log.records.capacity() >= 8000);
         log.truncate(7990);
@@ -167,7 +165,7 @@ mod tests {
         // What is retained reads as before, and the log goes on.
         assert_eq!(log.pull_since(0).len(), 10);
         assert_eq!(log.pull_since(7995)[0].lsn, 7995);
-        assert_eq!(log.append("t", rec(0)), 8000);
+        assert_eq!(log.append("t".into(), rec(0)), 8000);
         log.rewind_to(7998);
         assert_eq!((log.len(), log.high_water()), (8, 7998));
         // A steady-state window keeps its room: no shrink, no regrowth.
@@ -175,7 +173,7 @@ mod tests {
         let settled = log.records.capacity();
         for _ in 0..5 {
             for i in 0..TRUNCATE_KEEP as i64 {
-                log.append("t", rec(i));
+                log.append("t".into(), rec(i));
             }
             log.truncate(log.high_water());
             assert_eq!(log.records.capacity(), settled);

@@ -232,14 +232,15 @@ impl ScalarFunc {
 
     /// Look a function up by (case-insensitive) name.
     pub fn by_name(name: &str) -> Option<ScalarFunc> {
-        match name.to_ascii_uppercase().as_str() {
-            "UPPER" => Some(ScalarFunc::Upper),
-            "LOWER" => Some(ScalarFunc::Lower),
-            "LENGTH" => Some(ScalarFunc::Length),
-            "ABS" => Some(ScalarFunc::Abs),
-            "COALESCE" => Some(ScalarFunc::Coalesce),
-            _ => None,
-        }
+        [
+            ScalarFunc::Upper,
+            ScalarFunc::Lower,
+            ScalarFunc::Length,
+            ScalarFunc::Abs,
+            ScalarFunc::Coalesce,
+        ]
+        .into_iter()
+        .find(|f| f.sql().eq_ignore_ascii_case(name))
     }
 }
 

@@ -11,6 +11,7 @@ use crate::schema::SchemaRef;
 use crate::value::Value;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// Stable identifier of a row within one table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -19,38 +20,77 @@ pub struct RowId(pub u64);
 /// An owned row of values.
 pub type Row = Vec<Value>;
 
-/// Add `rid` to an index bucket, keeping the bucket in row-id order — which
-/// is storage order — so rows fetched through an index come out in the order
-/// a scan would emit them. (`replace` re-inserts an existing id; everything
-/// else appends the newest.)
-fn insert_sorted(rids: &mut Vec<RowId>, rid: RowId) {
-    let at = rids.partition_point(|r| *r < rid);
-    rids.insert(at, rid);
+/// The row ids under one index key, in row-id order — which is storage
+/// order — so rows fetched through an index come out in the order a scan
+/// would emit them. A key that holds one row (every key of a key column)
+/// keeps its id inline and costs no allocation.
+#[derive(Debug)]
+enum Bucket {
+    One(RowId),
+    Many(Vec<RowId>),
+}
+
+impl Bucket {
+    fn as_slice(&self) -> &[RowId] {
+        match self {
+            Bucket::One(rid) => std::slice::from_ref(rid),
+            Bucket::Many(rids) => rids,
+        }
+    }
+
+    /// Add `rid` in order. (`replace` re-inserts an existing id; everything
+    /// else appends the newest.)
+    fn insert(&mut self, rid: RowId) {
+        match self {
+            Bucket::One(first) => {
+                let pair = if *first < rid { [*first, rid] } else { [rid, *first] };
+                *self = Bucket::Many(pair.to_vec());
+            }
+            Bucket::Many(rids) => {
+                let at = rids.partition_point(|r| *r < rid);
+                rids.insert(at, rid);
+            }
+        }
+    }
+
+    /// Remove `rid`; true when no id is left.
+    fn remove(&mut self, rid: RowId) -> bool {
+        match self {
+            Bucket::One(only) => *only == rid,
+            Bucket::Many(rids) => {
+                rids.retain(|r| *r != rid);
+                rids.is_empty()
+            }
+        }
+    }
 }
 
 /// Hash index over one column.
 #[derive(Debug, Default)]
 struct HashIndex {
     column: usize,
-    map: HashMap<Value, Vec<RowId>>,
+    map: HashMap<Value, Bucket>,
 }
 
 impl HashIndex {
     fn insert(&mut self, rid: RowId, row: &[Value]) {
-        insert_sorted(self.map.entry(row[self.column].clone()).or_default(), rid);
-    }
-
-    fn remove(&mut self, rid: RowId, row: &[Value]) {
-        if let Some(v) = self.map.get_mut(&row[self.column]) {
-            v.retain(|r| *r != rid);
-            if v.is_empty() {
-                self.map.remove(&row[self.column]);
+        match self.map.get_mut(&row[self.column]) {
+            Some(bucket) => bucket.insert(rid),
+            None => {
+                self.map.insert(row[self.column].clone(), Bucket::One(rid));
             }
         }
     }
 
+    fn remove(&mut self, rid: RowId, row: &[Value]) {
+        let key = &row[self.column];
+        if self.map.get_mut(key).is_some_and(|b| b.remove(rid)) {
+            self.map.remove(key);
+        }
+    }
+
     fn lookup(&self, key: &Value) -> &[RowId] {
-        self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
+        self.map.get(key).map_or(&[], Bucket::as_slice)
     }
 }
 
@@ -58,20 +98,23 @@ impl HashIndex {
 #[derive(Debug, Default)]
 struct RangeIndex {
     column: usize,
-    map: BTreeMap<Value, Vec<RowId>>,
+    map: BTreeMap<Value, Bucket>,
 }
 
 impl RangeIndex {
     fn insert(&mut self, rid: RowId, row: &[Value]) {
-        insert_sorted(self.map.entry(row[self.column].clone()).or_default(), rid);
+        match self.map.get_mut(&row[self.column]) {
+            Some(bucket) => bucket.insert(rid),
+            None => {
+                self.map.insert(row[self.column].clone(), Bucket::One(rid));
+            }
+        }
     }
 
     fn remove(&mut self, rid: RowId, row: &[Value]) {
-        if let Some(v) = self.map.get_mut(&row[self.column]) {
-            v.retain(|r| *r != rid);
-            if v.is_empty() {
-                self.map.remove(&row[self.column]);
-            }
+        let key = &row[self.column];
+        if self.map.get_mut(key).is_some_and(|b| b.remove(rid)) {
+            self.map.remove(key);
         }
     }
 
@@ -84,7 +127,7 @@ impl RangeIndex {
         let mut rids: Vec<RowId> = self
             .map
             .range::<Value, _>((low, high))
-            .flat_map(|(_, rids)| rids.iter().copied())
+            .flat_map(|(_, rids)| rids.as_slice().iter().copied())
             .collect();
         rids.sort_unstable();
         rids
@@ -94,7 +137,7 @@ impl RangeIndex {
 /// One heap table.
 #[derive(Debug)]
 pub struct Table {
-    name: String,
+    name: Arc<str>,
     schema: SchemaRef,
     slots: Vec<Option<Row>>,
     live: usize,
@@ -104,7 +147,7 @@ pub struct Table {
 
 impl Table {
     /// Create an empty table with the given schema.
-    pub fn new(name: impl Into<String>, schema: SchemaRef) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, schema: SchemaRef) -> Self {
         Table {
             name: name.into(),
             schema,
@@ -118,6 +161,11 @@ impl Table {
     /// Table name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// A handle on the table name, for update-log records.
+    pub(crate) fn shared_name(&self) -> Arc<str> {
+        Arc::clone(&self.name)
     }
 
     /// The table’s schema.
@@ -367,7 +415,7 @@ impl Catalog {
 
     /// Names of all registered tables.
     pub fn table_names(&self) -> Vec<&str> {
-        self.tables.iter().map(|t| t.name.as_str()).collect()
+        self.tables.iter().map(|t| t.name()).collect()
     }
 }
 

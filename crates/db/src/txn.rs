@@ -88,7 +88,7 @@ impl Transaction<'_> {
     fn rollback_inner(&mut self) -> DbResult<()> {
         self.db.note_txn_abort();
         // Collect the records to undo (newest first).
-        let records: Vec<(String, LogOp)> = self
+        let records: Vec<(std::sync::Arc<str>, LogOp)> = self
             .db
             .update_log()
             .pull_since(self.start_lsn)

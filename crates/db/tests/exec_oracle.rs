@@ -247,3 +247,137 @@ proptest! {
         prop_assert_eq!(rows.len(), want.len());
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// LIMIT keeps a prefix of the unlimited result: with and without ORDER
+    /// BY (storage order), with DISTINCT, and with ties on the sort key —
+    /// which the full-row tie-break settles the same way whatever order the
+    /// rows were inserted in.
+    #[test]
+    fn limit_keeps_a_prefix_of_the_unlimited_result(
+        r_rows in prop::collection::vec((0i64..4, 0i64..3, small_string()), 0..30),
+        s_rows in prop::collection::vec((0i64..3, 0i64..4), 0..10),
+        n in 0u64..12,
+        a_lit in 0i64..4,
+    ) {
+        let db = build_db(&r_rows, &s_rows);
+        let mut reversed: Vec<_> = r_rows.clone();
+        reversed.reverse();
+        let shuffled = build_db(&reversed, &s_rows);
+        for sql in [
+            format!("SELECT * FROM R WHERE a >= {a_lit}"),
+            "SELECT s, b FROM R ORDER BY a".to_string(),
+            "SELECT a FROM R ORDER BY b DESC, s".to_string(),
+            "SELECT DISTINCT a FROM R".to_string(),
+            "SELECT DISTINCT b, s FROM R ORDER BY s DESC".to_string(),
+            "SELECT R.a, S.c FROM R, S WHERE R.b = S.b ORDER BY S.c".to_string(),
+            "SELECT b, COUNT(*) FROM R GROUP BY b ORDER BY b DESC".to_string(),
+        ] {
+            let all = db.query(&sql).unwrap();
+            let limited = db.query(&format!("{sql} LIMIT {n}")).unwrap();
+            prop_assert_eq!(&limited.columns, &all.columns);
+            prop_assert_eq!(&limited.rows[..], &all.rows[..all.rows.len().min(n as usize)], "{}", sql);
+            if sql.contains("ORDER BY") {
+                prop_assert_eq!(
+                    shuffled.query(&format!("{sql} LIMIT {n}")).unwrap(),
+                    limited,
+                    "{} LIMIT {}",
+                    sql,
+                    n
+                );
+            }
+        }
+    }
+
+    /// A multi-row INSERT leaves exactly the state that putting the same
+    /// rows through `insert_row` one at a time does: slots in the same
+    /// order, the same index lookups, the same update-log images and LSNs.
+    #[test]
+    fn multi_row_insert_equals_rows_inserted_one_at_a_time(
+        rows in prop::collection::vec((int_cell(), float_cell(), text_cell()), 1..12),
+        shape in 0usize..3,
+    ) {
+        let ddl = "CREATE TABLE T (i INT, f FLOAT, s TEXT, INDEX(i), INDEX(s), RANGE INDEX(f))";
+        let (mut bulk, mut single) = (Database::new(), Database::new());
+        bulk.execute(ddl).unwrap();
+        single.execute(ddl).unwrap();
+        // The column list names every column, permuted, or leaves `f` out.
+        let (columns, order): (&str, &[usize]) = match shape {
+            0 => ("", &[0, 1, 2]),
+            1 => (" (s, f, i)", &[2, 1, 0]),
+            _ => (" (i, s)", &[0, 2]),
+        };
+        let values: Vec<String> = rows
+            .iter()
+            .map(|(i, f, s)| {
+                let cells = [i, f, s];
+                let literals: Vec<String> = order.iter().map(|&c| cells[c].to_sql_literal()).collect();
+                format!("({})", literals.join(", "))
+            })
+            .collect();
+        let sql = format!("INSERT INTO T{columns} VALUES {}", values.join(", "));
+        prop_assert_eq!(bulk.execute(&sql).unwrap().affected(), rows.len(), "{}", sql);
+        for (i, f, s) in &rows {
+            let f = if shape == 2 { Value::Null } else { f.clone() };
+            single.insert_row("T", vec![i.clone(), f, s.clone()]).unwrap();
+        }
+
+        prop_assert_eq!(bulk.update_log().pull_since(0), single.update_log().pull_since(0));
+        prop_assert_eq!(bulk.high_water(), single.high_water());
+        let (b, s) = (bulk.catalog().get("T").unwrap(), single.catalog().get("T").unwrap());
+        prop_assert_eq!(b.scan().collect::<Vec<_>>(), s.scan().collect::<Vec<_>>());
+        for (i, f, text) in &rows {
+            prop_assert_eq!(b.index_lookup(0, i), s.index_lookup(0, i));
+            prop_assert_eq!(b.index_lookup(2, text), s.index_lookup(2, text));
+            let at = std::ops::Bound::Included(f);
+            prop_assert_eq!(b.range_lookup(1, at, at), s.range_lookup(1, at, at));
+        }
+    }
+}
+
+fn int_cell() -> impl Strategy<Value = Value> {
+    prop_oneof![1 => Just(Value::Null), 4 => (-50i64..50).prop_map(Value::Int)]
+}
+
+fn float_cell() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        1 => Just(Value::Null),
+        2 => (-20i64..20).prop_map(Value::Int),
+        4 => (-20i64..20).prop_map(|q| Value::Float(q as f64 / 4.0)),
+    ]
+}
+
+fn text_cell() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        1 => Just(Value::Null),
+        4 => prop::sample::select(vec!["", "x", "O'Hara", "''", "it's 'quoted'", "<&>", "héllo"])
+            .prop_map(Value::from),
+    ]
+}
+
+/// Aggregates over no rows: one row of COUNT 0 and NULLs without GROUP BY,
+/// no rows with it — alone, behind a filter, and behind an empty join.
+#[test]
+fn aggregates_over_an_empty_match() {
+    let db = build_db(&[(1, 1, "x".into()), (2, 2, "y".into())], &[(9, 9)]);
+    for from_where in ["R WHERE a > 100", "R WHERE b = 5 AND a = 1", "R, S WHERE R.b = S.b"] {
+        let r = db
+            .query(&format!(
+                "SELECT COUNT(*), COUNT(R.s), SUM(R.a), AVG(R.b), MIN(R.s), MAX(R.a) FROM {from_where}"
+            ))
+            .unwrap();
+        let nulls = vec![Value::Null; 4];
+        let want: Vec<Value> = [Value::Int(0), Value::Int(0)].into_iter().chain(nulls).collect();
+        assert_eq!(r.rows, vec![want], "{from_where}");
+        let grouped = db
+            .query(&format!("SELECT R.b, COUNT(*) FROM {from_where} GROUP BY R.b"))
+            .unwrap();
+        assert!(grouped.rows.is_empty(), "{from_where}");
+        let limited = db
+            .query(&format!("SELECT COUNT(*) FROM {from_where} LIMIT 0"))
+            .unwrap();
+        assert!(limited.rows.is_empty());
+    }
+}

@@ -90,6 +90,17 @@ fn selects(l: i64, m: i64) -> Vec<String> {
         format!("SELECT * FROM A, C WHERE A.k = C.k AND (A.v = {l} OR C.x = {m})"),
         format!("SELECT A.k, COUNT(*) FROM A, B WHERE A.k = B.k AND B.w < {l} GROUP BY A.k"),
         format!("SELECT B.w FROM A, B WHERE A.k = B.k ORDER BY B.w LIMIT {m}"),
+        // LIMIT without ORDER BY keeps storage order; with it, ties on the
+        // key (v, f and k repeat) are settled by the whole row; DISTINCT
+        // comes before the cut.
+        format!("SELECT * FROM A WHERE k = {l} OR v > {m} LIMIT {m}"),
+        format!("SELECT * FROM A, B WHERE A.f = B.f LIMIT {l}"),
+        format!("SELECT v, k FROM A ORDER BY v DESC LIMIT {m}"),
+        format!("SELECT DISTINCT k FROM A WHERE v < {l} ORDER BY k LIMIT {m}"),
+        format!("SELECT DISTINCT f FROM B LIMIT {l}"),
+        // Aggregates over an empty match.
+        format!("SELECT COUNT(*), SUM(v), MIN(f), MAX(k), AVG(v) FROM A WHERE k = {l} AND v > 9"),
+        "SELECT A.k, COUNT(*), SUM(A.v) FROM A, E WHERE A.k = E.k GROUP BY A.k".into(),
     ]
 }
 

@@ -624,7 +624,7 @@ mod tests {
             .enumerate()
             .map(|(i, row)| LogRecord {
                 lsn: i as u64 + 1,
-                table: table.to_string(),
+                table: table.into(),
                 op: LogOp::Insert(row),
             })
             .collect();

@@ -68,7 +68,7 @@ fn deltas(tuples: &[(i64, i64)], on_u: bool) -> DeltaSet {
         .enumerate()
         .map(|(i, (a, b))| LogRecord {
             lsn: i as u64 + 1,
-            table: table.to_string(),
+            table: table.into(),
             op: LogOp::Insert(vec![Value::Int(*a), Value::Int(*b)]),
         })
         .collect();

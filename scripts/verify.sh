@@ -28,40 +28,36 @@ cargo build --release --offline \
   --manifest-path crates/bench/src/bin/portal_load/Cargo.toml \
   --target-dir target/portal_load_manifest
 
-echo "== persist allocation bound (counting allocator, release) =="
-# Neither a site's first sync (every row and origin in one window) nor a
-# persist pass that checkpoints may hold a copy of the site: the
-# counting-allocator test bounds the transient heap of both at 1 000, 4 300
-# and 16 000 pages, with an allocation count that does not follow the site.
-# In release, where the allocations are the ones production makes (the debug
-# run above counts the same, but proves less).
-cargo test -q --release --offline -p cacheportal --test persist_alloc
-
-echo "== registered-page footprint (counting allocator, release) =="
-# What the QI/URL map, the registry and the predicate index hold per
-# registered page of the benchmark's storefront (<= 540 bytes, <= 3 blocks),
-# that a pass of duplicate rows renders nothing and keeps nothing, that a
-# cache hit allocates one block (its key's text), and that a page admitted
-# at the origin and two in-process edges puts one body on the heap.
-cargo test -q --release --offline -p cacheportal --test page_footprint
-
-echo "== sync-point analysis allocation bound (counting allocator, release) =="
-# One UPDATE on the join side of a two-table type with 1 000, 4 000 and
-# 16 000 registered instances, every one analysed and polled: the sync point
-# holds one instance's working set at a time (one transient-heap bound for
-# all three sizes), allocates a third of what a bound copy per instance did,
-# and the engine parses nothing — a poll runs from the tree it was built as.
-cargo test -q --release --offline -p cacheportal-invalidator --test analysis_alloc
-
-echo "== admission vs. mapper race (60 rounds), attribution counted (release) =="
-# Two readers missing on 400 pages against back-to-back sync points: no page
-# may be cached without its QI/URL rows. And the storefront's 4 300 pages
-# missed from 1, 2 and 4 threads, and from 4 threads on a 3-node farm: the
-# map holds exactly one row per page, each under the page that issued it
-# (`mapper.mapped == by_id == 4300`, `ambiguous == 0`). In release, where
-# the interleaving is the one production runs (the debug run above makes the
-# same rounds).
-cargo test -q --release --offline --test concurrency
+echo "== counted budgets and the admission race (release, one command) =="
+# In release, where the allocations and the interleavings are the ones
+# production makes (the debug run above makes the same counts and rounds,
+# but proves less). Each counting binary installs a counting allocator and
+# holds one test:
+# - persist_alloc: neither a site's first sync (every row and origin in one
+#   window) nor a persist pass that checkpoints holds a copy of the site, at
+#   1 000, 4 300 and 16 000 pages, with an allocation count that does not
+#   follow the site.
+# - page_footprint: the QI/URL map, the registry and the predicate index hold
+#   <= 540 bytes in <= 3 blocks per registered storefront page; a pass of
+#   duplicate rows renders and keeps nothing; a cache hit allocates one block
+#   (its key's text); a page admitted at the origin and two in-process edges
+#   puts one body on the heap.
+# - analysis_alloc: a sync point that analyses and polls 1 000, 4 000 and
+#   16 000 instances of a join type holds one instance's working set at a
+#   time, and the engine parses nothing (a poll runs from its tree).
+# - statement_alloc: the storefront's four servlet queries and its 8 000-row
+#   bulk load stay within their allocation budgets, exactly repeatably.
+# - render_alloc: a page render is a few blocks whatever its row count.
+# - concurrency: two readers missing on 400 pages against back-to-back sync
+#   points never cache a page without its QI/URL rows, and the storefront's
+#   4 300 pages missed from 1, 2 and 4 threads and on a 3-node farm map
+#   exactly one row each, under the page that issued it.
+cargo test -q --release --offline \
+  -p cacheportal --test persist_alloc --test page_footprint \
+  -p cacheportal-invalidator --test analysis_alloc \
+  -p cacheportal-db --test statement_alloc \
+  -p cacheportal-web --test render_alloc \
+  -p cacheportal-repro --test concurrency
 
 echo "== fuzz harness smoke (safety contract, all policies x fault classes) =="
 # The acceptance matrix: 50 seeds x 40 actions cycling all three
