@@ -26,7 +26,7 @@ fn site(pages: usize) -> (QiUrlMap, HashMap<PageKey, HttpRequest>) {
     for sku in 0..pages {
         let page = PageKey::raw(format!("shop.example.com/product?g:sku={sku}"));
         map.insert(
-            format!("SELECT name, price, stock FROM product WHERE sku = {sku}"),
+            &format!("SELECT name, price, stock FROM product WHERE sku = {sku}"),
             page.clone(),
             "product".into(),
         );

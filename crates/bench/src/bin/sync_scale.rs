@@ -116,7 +116,7 @@ fn seed_map(w: &Workload) -> QiUrlMap {
     for i in 0..w.pairs {
         for b in w.bounds {
             map.insert(
-                format!(
+                &format!(
                     "SELECT item_{i}.id, ref_{i}.w FROM item_{i}, ref_{i} \
                      WHERE item_{i}.k = ref_{i}.k AND item_{i}.v < {b}"
                 ),
@@ -423,14 +423,14 @@ fn sweep_map(n: usize) -> QiUrlMap {
     let map = QiUrlMap::new();
     for j in 0..n {
         map.insert(
-            format!("SELECT v FROM sweep_item WHERE sweep_item.k = {j}"),
+            &format!("SELECT v FROM sweep_item WHERE sweep_item.k = {j}"),
             PageKey::raw(format!("page:eq{j}")),
             "sweepEq".into(),
         );
     }
     for b in 0..SWEEP_RANGE_QIS {
         map.insert(
-            format!(
+            &format!(
                 "SELECT id FROM sweep_item WHERE sweep_item.v < {}",
                 b * 31 + 7
             ),
@@ -440,7 +440,7 @@ fn sweep_map(n: usize) -> QiUrlMap {
     }
     for j in 0..SWEEP_RESIDUAL_QIS {
         map.insert(
-            format!("SELECT v FROM sweep_item WHERE sweep_item.k + 0 = {j}"),
+            &format!("SELECT v FROM sweep_item WHERE sweep_item.k + 0 = {j}"),
             PageKey::raw(format!("page:res{j}")),
             "sweepResidual".into(),
         );
@@ -756,22 +756,22 @@ fn mix_map(shape: &MixShape) -> QiUrlMap {
     let map = QiUrlMap::new();
     for g in 0..shape.groups {
         map.insert(
-            format!("SELECT v FROM mix_item WHERE mix_item.g = {g}"),
+            &format!("SELECT v FROM mix_item WHERE mix_item.g = {g}"),
             PageKey::raw(format!("conj:{g}")),
             "mixConj".into(),
         );
         map.insert(
-            format!("SELECT id, v FROM mix_item WHERE g = {g} ORDER BY v DESC LIMIT 3"),
+            &format!("SELECT id, v FROM mix_item WHERE g = {g} ORDER BY v DESC LIMIT 3"),
             PageKey::raw(format!("topk:{g}")),
             "mixTopK".into(),
         );
         map.insert(
-            format!("SELECT COUNT(*), SUM(v) FROM mix_item WHERE g = {g}"),
+            &format!("SELECT COUNT(*), SUM(v) FROM mix_item WHERE g = {g}"),
             PageKey::raw(format!("agg:{g}")),
             "mixAgg".into(),
         );
         map.insert(
-            format!(
+            &format!(
                 "SELECT id FROM mix_item WHERE g IN ({g}, {}, 99) ORDER BY id",
                 (g + 1) % shape.groups
             ),
@@ -781,7 +781,7 @@ fn mix_map(shape: &MixShape) -> QiUrlMap {
     }
     for d in 0..10 {
         map.insert(
-            format!("SELECT id FROM mix_item WHERE s LIKE 's{d}%' ORDER BY id"),
+            &format!("SELECT id FROM mix_item WHERE s LIKE 's{d}%' ORDER BY id"),
             PageKey::raw(format!("like:{d}")),
             "mixLike".into(),
         );

@@ -432,8 +432,8 @@ mod tests {
 
     fn entry_map() -> QiUrlMap {
         let map = QiUrlMap::new();
-        map.insert("SELECT 1".into(), PageKey::raw("p1"), "s".into());
-        map.insert("SELECT 2".into(), PageKey::raw("p2"), "s".into());
+        map.insert("SELECT a FROM t WHERE a = 1", PageKey::raw("p1"), "s".into());
+        map.insert("SELECT a FROM t WHERE a = 2", PageKey::raw("p2"), "s".into());
         map
     }
 

@@ -98,12 +98,12 @@ fn site() -> (QiUrlMap, Vec<(PageKey, HttpRequest)>) {
     {
         let page = PageKey::raw(format!("shop/item?g:name={odd}&g:sku={i}"));
         map.insert(
-            format!("SELECT * FROM item WHERE name = '{odd}'"),
+            &format!("SELECT * FROM item WHERE name = '{odd}'"),
             page.clone(),
             "item".into(),
         );
         map.insert(
-            format!("SELECT count(*) FROM stock WHERE sku = {i}"),
+            &format!("SELECT COUNT(*) FROM stock WHERE sku = {i}"),
             page.clone(),
             odd.into(),
         );
@@ -174,7 +174,7 @@ fn wal_and_snapshot_files_are_what_the_parent_wrote() {
     assert_eq!(d.wal_stats().syncs, 1);
 
     // Second sync: one new row, no admissions, then the checkpoint.
-    map.insert("SELECT 1".into(), PageKey::raw("shop/top?"), "top".into());
+    map.insert("SELECT * FROM top WHERE rank = 1", PageKey::raw("shop/top?"), "top".into());
     let out = d.persist_sync(&map, NO_ORIGINS, &origins_full, cursor(20));
     assert_eq!((out.errors, out.appended, out.checkpointed), (0, 2, true));
     let expected = snapshot_file(1, &map, &origins_full, &cursor(20));
@@ -221,8 +221,8 @@ fn a_torn_batch_never_recovers_a_cursor_ahead_of_its_rows() {
     let rows_before = map.len();
     let synced = std::fs::read(wal_path(&dir)).unwrap().len();
     // The second window: new rows, its admissions, its cursor.
-    map.insert("SELECT 2".into(), PageKey::raw("shop/top?"), "top".into());
-    map.insert("SELECT 3".into(), PageKey::raw("shop/top?"), "top".into());
+    map.insert("SELECT * FROM top WHERE rank = 2", PageKey::raw("shop/top?"), "top".into());
+    map.insert("SELECT * FROM top WHERE rank = 3", PageKey::raw("shop/top?"), "top".into());
     let out = d.persist_sync(&map, &admitted, &origins_full, cursor(20));
     assert_eq!(out.errors, 0);
     drop(d);

@@ -147,22 +147,21 @@ fn a_registered_page_costs_under_540_bytes_and_3_blocks() {
     assert_eq!(requests.len(), PAGES);
 
     // Every page once, one sync point: 4 300 rows, each joined to its
-    // request by id and stored typed; no text is rendered.
+    // request by id and stored typed.
     for req in &requests {
         assert_eq!(portal.request(req).served, Served::Generated);
     }
     let sync = portal.sync_point().unwrap();
     assert_eq!(
-        (sync.mapper.mapped, sync.mapper.by_id, sync.mapper.rendered),
-        (PAGES as u64, PAGES as u64, 0)
+        (sync.mapper.mapped, sync.mapper.by_id),
+        (PAGES as u64, PAGES as u64)
     );
-    assert_eq!(sync.invalidation.registered_from_text, 0);
     assert_eq!(sync.invalidation.registered, PAGES as u64);
     assert_eq!(portal.qi_url_map().len(), PAGES);
 
     // The same pages again, from an empty cache: every row is one the map
-    // has. None is rendered, none registered, and nothing is kept that was
-    // not kept before.
+    // has. None is registered, and nothing is kept that was not kept
+    // before.
     let (sync, second_pass) = common::measure(|| {
         portal.page_cache().clear();
         for req in &requests {
@@ -170,10 +169,7 @@ fn a_registered_page_costs_under_540_bytes_and_3_blocks() {
         }
         portal.sync_point().unwrap()
     });
-    assert_eq!(
-        (sync.mapper.mapped, sync.mapper.rendered),
-        (PAGES as u64, 0)
-    );
+    assert_eq!(sync.mapper.mapped, PAGES as u64);
     assert_eq!(sync.invalidation.registered, 0);
     assert_eq!(portal.qi_url_map().len(), PAGES);
     // What may differ is bookkeeping that does not follow the pages: the

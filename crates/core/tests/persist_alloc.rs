@@ -54,7 +54,7 @@ fn a_checkpointing_persist_holds_no_copy_of_the_site() {
         for sku in 0..pages {
             let page = PageKey::raw(format!("shop.example.com/product?g:sku={sku}"));
             map.insert(
-                format!("SELECT name, price, stock FROM product WHERE sku = {sku}"),
+                &format!("SELECT name, price, stock FROM product WHERE sku = {sku}"),
                 page.clone(),
                 "product".into(),
             );

@@ -10,11 +10,11 @@
 
 use cacheportal::db::schema::ColType;
 use cacheportal::db::Database;
-use cacheportal::sniffer::RowInstance;
+use cacheportal::sniffer::QiUrlEntry;
 use cacheportal::web::{
     shared, HttpRequest, PageKey, ParamSource, QueryTemplate, ServletSpec, SqlServlet,
 };
-use cacheportal::{CachePortal, CursorRecord, Durability, Served};
+use cacheportal::{CachePortal, CursorRecord, Durability, DurableRecord, OriginRecord, Served};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,6 +80,8 @@ fn recovery_restores_map_origins_and_cursor() {
     let cache = p.page_cache().clone();
     let map_len = p.qi_url_map().len();
     drop(p); // crash
+    let journaled: Vec<String> =
+        (Durability::load(&dir).unwrap().map_entries.into_iter()).map(|e| e.sql).collect();
 
     let p2 = CachePortal::builder_shared(db)
         .durable(&dir)
@@ -98,20 +100,120 @@ fn recovery_restores_map_origins_and_cursor() {
     assert_eq!(p2.request(&req(20000)).served, Served::CacheHit);
     assert_eq!(p2.request(&req(30000)).served, Served::CacheHit);
 
-    // The recovered rows are the journal's text until the first sync point
-    // registers them: parsed once, they are typed from then on, their text
-    // freed and still what they show.
-    let rows_are_text = |p: &CachePortal| {
-        let mut text = Vec::new();
-        (p.qi_url_map()).visit_since(0, |row| text.push(matches!(row.instance(), RowInstance::Text(_))));
-        text
-    };
-    let shown = p2.qi_url_map().all();
-    assert_eq!(rows_are_text(&p2), [true, true]);
-    let first = p2.sync_point().unwrap().invalidation;
-    assert_eq!((first.registered, first.registered_from_text), (2, 2));
-    assert_eq!(rows_are_text(&p2), [false, false]);
-    assert_eq!(p2.qi_url_map().all(), shown);
+    // The recovered rows were typed as they were replayed: they render the
+    // texts they were journaled as, and the two rows of the one type share
+    // its template.
+    let shown: Vec<String> = (p2.qi_url_map().all().into_iter()).map(|e| e.sql).collect();
+    assert_eq!(shown, journaled);
+    let mut templates = Vec::new();
+    p2.qi_url_map().visit_since(0, |row| templates.push(row.instance().template.clone()));
+    assert_eq!(templates.len(), 2);
+    assert!(Arc::ptr_eq(&templates[0], &templates[1]));
+    assert_eq!(p2.sync_point().unwrap().invalidation.registered, 2);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every car priced above `minprice`.
+fn above_servlet() -> Arc<dyn cacheportal::web::Servlet> {
+    Arc::new(SqlServlet::new(
+        ServletSpec::new("carsAbove").with_key_get_params(&["minprice"]),
+        "Cars above",
+        vec![QueryTemplate::new(
+            "SELECT Car.model, Car.price FROM Car WHERE Car.price > $1",
+            vec![ParamSource::Get("minprice".into(), ColType::Int)],
+        )],
+    ))
+}
+
+/// The smallest INT a request can carry is journaled as
+/// `-9223372036854775808`; the row must read back, or no update would ever
+/// reach the page recovery keeps.
+#[test]
+fn a_page_keyed_on_the_smallest_int_is_ejected_after_recovery() {
+    let dir = temp_dir();
+    let db = shared(example_db());
+    let p = CachePortal::builder_shared(db.clone())
+        .durable(&dir)
+        .build()
+        .unwrap();
+    p.register_servlet(above_servlet());
+    let page = HttpRequest::get("shop", "/carsAbove", &[("minprice", &i64::MIN.to_string())]);
+    assert_eq!(p.request(&page).served, Served::Generated);
+    p.sync_point().unwrap();
+    let cache = p.page_cache().clone();
+    drop(p);
+
+    let p2 = CachePortal::builder_shared(db)
+        .durable(&dir)
+        .surviving_cache(cache)
+        .recover()
+        .unwrap();
+    p2.register_servlet(above_servlet());
+    assert_eq!(p2.recovery_stats().unwrap().gap_ejected, 0);
+    assert_eq!(p2.request(&page).served, Served::CacheHit);
+    p2.update("INSERT INTO Car VALUES ('Kia','Rio',12000)").unwrap();
+    assert_eq!(p2.sync_point().unwrap().ejected, 1);
+    assert!(p2.stale_pages().is_empty());
+    assert!(p2.request(&page).response.body.contains("Rio"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A journaled row whose text does not parse is a dependency edge recovery
+/// cannot restore: the page it belongs to is gap-ejected, whatever the
+/// journal says of its admission, and the row is counted as unparseable.
+#[test]
+fn a_journaled_row_that_does_not_type_gap_ejects_its_page() {
+    let dir = temp_dir();
+    let db = shared(example_db());
+    let p = CachePortal::builder_shared(db.clone()).build().unwrap();
+    p.register_servlet(search_servlet());
+    let (kept, lost) = (p.request(&req(30000)).key.unwrap(), p.request(&req(20000)).key.unwrap());
+    p.sync_point().unwrap();
+    let stamp = |key: &PageKey| p.page_cache().admitted_at(key).unwrap();
+    let rows = p.qi_url_map().all().into_iter();
+    let mut records: Vec<DurableRecord> = rows.map(DurableRecord::MapEntry).collect();
+    records.push(DurableRecord::MapEntry(QiUrlEntry {
+        id: 2,
+        sql: "SELECT Car.model FROM Car WHERE".into(),
+        page_key: lost.clone(),
+        servlet: "carSearch".into(),
+    }));
+    for (key, maxprice) in [(&kept, 30000), (&lost, 20000)] {
+        let (page, request, admitted_at) = (key.clone(), req(maxprice), stamp(key));
+        let origin = OriginRecord { page, request, admitted_at };
+        records.push(DurableRecord::Origin(origin));
+    }
+    let consumed = db.read().high_water();
+    let cursor = CursorRecord { consumed, sync_seq: 1, ..CursorRecord::default() };
+    records.push(DurableRecord::Cursor(cursor));
+    // The journal's framing: header, then `[len][crc32][payload]` per record.
+    let mut wal = b"CPWAL\0\x01\x00".to_vec();
+    for record in &records {
+        let payload = serde_json::to_string(record).unwrap();
+        wal.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        wal.extend_from_slice(&cacheportal_durable::crc32(payload.as_bytes()).to_le_bytes());
+        wal.extend_from_slice(payload.as_bytes());
+    }
+    std::fs::write(cacheportal_durable::wal_path(&dir), wal).unwrap();
+    let cache = p.page_cache().clone();
+    drop(p);
+
+    let p2 = CachePortal::builder_shared(db)
+        .durable(&dir)
+        .surviving_cache(cache.clone())
+        .recover()
+        .unwrap();
+    p2.register_servlet(search_servlet());
+    let stats = p2.recovery_stats().unwrap().clone();
+    assert_eq!((stats.map_entries, stats.origins, stats.gap_ejected), (2, 2, 1));
+    assert!(cache.contains(&kept));
+    assert!(!cache.contains(&lost));
+    assert_eq!(p2.obs().metrics.counter_value("invalidator.unparseable"), 1);
+    let why = serde_json::to_string(&p2.explain_invalidation(lost.as_str())).unwrap();
+    assert!(why.contains("recovery-gap") && why.contains("does not parse"), "{why}");
+    p2.update("UPDATE Car SET price = 17000 WHERE model = 'Civic'").unwrap();
+    p2.sync_point().unwrap();
+    assert!(p2.stale_pages().is_empty());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -239,7 +341,7 @@ fn a_page_admitted_again_after_its_eject_is_not_kept_on_its_old_origin() {
     p.update("INSERT INTO t VALUES (6, 4)").unwrap();
     assert_eq!(p.request(&page).served, Served::Generated);
     p.update("DELETE FROM t WHERE k = 6").unwrap();
-    assert_eq!(p.stale_pages(), [key.clone()]);
+    assert_eq!(p.stale_pages(), std::slice::from_ref(&key));
     let cache = p.page_cache().clone();
     assert!(cache.admitted_at(&key).unwrap() > first_admitted_at);
     drop(p); // crash before the sync point whose guard would eject it

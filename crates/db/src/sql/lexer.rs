@@ -16,7 +16,9 @@ pub enum Token<'a> {
     /// Identifier or keyword (keywords are matched by the parser via
     /// [`Token::is_kw`], so quoted identifiers are unnecessary for our subset).
     Ident(&'a str),
-    /// Integer literal.
+    /// Integer literal. `i64::MIN` stands for `9223372036854775808`, the
+    /// one magnitude outside `i64` whose negation is in it: the parser takes
+    /// it only after a unary minus, which is how `i64::MIN` is written.
     Int(i64),
     /// Float literal.
     Float(f64),
@@ -214,9 +216,14 @@ impl<'a> Lexer<'a> {
                         DbError::Parse(format!("bad float literal '{text}' at byte {start}"))
                     })?)
                 } else {
-                    Token::Int(text.parse().map_err(|_| {
-                        DbError::Parse(format!("bad int literal '{text}' at byte {start}"))
-                    })?)
+                    match text.parse() {
+                        Ok(int) => Token::Int(int),
+                        Err(_) if text == "9223372036854775808" => Token::Int(i64::MIN),
+                        Err(_) => {
+                            let bad = format!("bad int literal '{text}' at byte {start}");
+                            return Err(DbError::Parse(bad));
+                        }
+                    }
                 };
                 (token, i - start)
             }

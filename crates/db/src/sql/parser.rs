@@ -618,9 +618,13 @@ impl<'a> Parser<'a> {
 
     fn unary(&mut self) -> DbResult<Expr> {
         if self.accept(Token::Minus) {
+            if self.peek() == Some(&Token::Int(i64::MIN)) {
+                self.next();
+                return Ok(Expr::Literal(Value::Int(i64::MIN)));
+            }
             // Fold negation into numeric literals; otherwise 0 - e.
             return Ok(match self.unary()? {
-                Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(-i)),
+                Expr::Literal(Value::Int(i)) if i != i64::MIN => Expr::Literal(Value::Int(-i)),
                 Expr::Literal(Value::Float(f)) => Expr::Literal(Value::Float(-f)),
                 e => Expr::Arith {
                     left: Box::new(Expr::Literal(Value::Int(0))),
@@ -639,6 +643,8 @@ impl<'a> Parser<'a> {
     /// parameter marker, consumed; `None`, consuming nothing, otherwise.
     fn literal(&mut self) -> Option<Expr> {
         match self.peek()? {
+            // `9223372036854775808` without a minus: out of range.
+            Token::Int(i64::MIN) => return None,
             Token::Int(_) | Token::Float(_) | Token::Str(_) | Token::Param(_) => {}
             t if t.is_kw("NULL") => {
                 self.next();
@@ -900,6 +906,22 @@ mod tests {
             cs[0],
             Expr::Cmp { right, .. } if **right == Expr::Literal(Value::Int(-5))
         ));
+    }
+
+    #[test]
+    fn the_smallest_int_reads_back_as_written() {
+        let min = Expr::Literal(Value::Int(i64::MIN));
+        let text = format!("SELECT * FROM t WHERE a = {min} AND b = - {min}");
+        let written = "-9223372036854775808";
+        assert_eq!(text, format!("SELECT * FROM t WHERE a = {written} AND b = - {written}"));
+        let cs = parse_select(&text).unwrap().where_clause.unwrap();
+        let cs = cs.conjuncts();
+        assert!(matches!(cs[0], Expr::Cmp { right, .. } if **right == min));
+        // Its negation is out of range: left to arithmetic, not folded.
+        assert!(matches!(cs[1], Expr::Cmp { right, .. } if matches!(**right, Expr::Arith { .. })));
+        // Without the minus the magnitude is out of range.
+        assert!(parse("SELECT * FROM t WHERE a = 9223372036854775808").is_err());
+        assert!(parse("SELECT * FROM t WHERE a = 9223372036854775809").is_err());
     }
 
     #[test]

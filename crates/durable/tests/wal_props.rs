@@ -6,7 +6,7 @@
 use cacheportal_durable::{replay_wal, wal_path, Checkpoint, Recovery, Wal};
 use proptest::prelude::*;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -22,7 +22,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// Write `records` through a Wal and return the raw file bytes.
-fn encode(dir: &PathBuf, records: &[Vec<u8>]) -> Vec<u8> {
+fn encode(dir: &Path, records: &[Vec<u8>]) -> Vec<u8> {
     let path = wal_path(dir);
     let mut wal = Wal::open(&path).unwrap();
     for r in records {

@@ -32,7 +32,6 @@ use cacheportal_db::error::{DbError, DbResult};
 use cacheportal_db::eval::{bind, BindContext};
 use cacheportal_db::schema::SchemaRef;
 use cacheportal_db::sql::ast::{AggFunc, Expr, Select, SelectItem, TableRef};
-use cacheportal_db::sql::parser::parse_select;
 use cacheportal_db::table::Row;
 use cacheportal_db::Value;
 use std::collections::hash_map::DefaultHasher;
@@ -66,29 +65,22 @@ impl SchemaProvider for cacheportal_db::Database {
 /// is rendered where it is shown — a verdict's detail, a fault message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PollingQuery {
-    form: PollForm,
+    /// `SELECT COUNT(*) FROM <others> WHERE <residual>` — non-empty ⇔ the
+    /// instance is affected.
+    select: Select,
     /// Lower-cased names of the tables the poll reads (for the correlated-
     /// delete guard and for maintained-index answering). One list per type
     /// and occurrence, shared by every poll built from them.
     pub other_tables: Arc<[String]>,
     /// Structural dedup key: the `DefaultHasher` hash of the canonical poll
-    /// SQL, computed once at construction. The per-sync-point dedup cache,
-    /// the fault plan and the retry jitter key on this instead of the text,
-    /// so none of them renders or hashes it again. The SQL is a
+    /// SQL, computed once at construction. The per-sync-point dedup cache
+    /// and the fault plan key on this instead of the text, so neither
+    /// renders or hashes it again. The SQL is a
     /// deterministic rendering of the tree, so equal keys ⇔ equal polls
     /// (modulo a vanishing 2⁻⁶⁴ collision chance, which only costs a skipped
     /// poll — over-invalidation is impossible because cached answers are
     /// only reused affirmatively per identical SQL text in practice).
     pub key: u64,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum PollForm {
-    /// `SELECT COUNT(*) FROM <others> WHERE <residual>` — non-empty ⇔ the
-    /// instance is affected.
-    Built(Select),
-    /// Given as text that does not parse ([`PollingQuery::from_sql`]).
-    Unparsed(String),
 }
 
 /// Feeds rendered SQL to a hasher as it is written, so that hashing a poll's
@@ -122,35 +114,15 @@ impl PollingQuery {
         let mut text = HashText(DefaultHasher::new());
         write!(text, "{select}").expect("hashing cannot fail");
         PollingQuery {
-            form: PollForm::Built(select),
+            select,
             other_tables: other_tables.into(),
             key: text.finish(),
         }
     }
 
-    /// A poll given as text (tests, tools), parsed here, once; its key is
-    /// the hash of the text as given. Text that is not a `SELECT` is kept as
-    /// it stands: no index answers it, the engine reports its parse error if
-    /// it is issued, and the correlated-delete guard counts it as a hit.
-    pub fn from_sql(sql: &str, other_tables: Vec<String>) -> Self {
-        let mut text = HashText(DefaultHasher::new());
-        text.write_str(sql).expect("hashing cannot fail");
-        PollingQuery {
-            form: match parse_select(sql) {
-                Ok(select) => PollForm::Built(select),
-                Err(_) => PollForm::Unparsed(sql.to_string()),
-            },
-            other_tables: other_tables.into(),
-            key: text.finish(),
-        }
-    }
-
-    /// The poll's `SELECT`; `None` only for text that did not parse.
-    pub fn select(&self) -> Option<&Select> {
-        match &self.form {
-            PollForm::Built(select) => Some(select),
-            PollForm::Unparsed(_) => None,
-        }
+    /// The poll's `SELECT`.
+    pub fn select(&self) -> &Select {
+        &self.select
     }
 
     /// The poll's SQL text, rendered now (`Display` writes the same).
@@ -161,10 +133,7 @@ impl PollingQuery {
 
 impl fmt::Display for PollingQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.form {
-            PollForm::Built(select) => select.fmt(f),
-            PollForm::Unparsed(text) => f.write_str(text),
-        }
+        self.select.fmt(f)
     }
 }
 
@@ -858,6 +827,7 @@ pub fn judge_aggregate_delta(spec: &AggSpec, matching: &[(&Row, bool)]) -> AggJu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cacheportal_db::sql::parser::parse_select;
     use cacheportal_db::sql::rewrite::parameterize;
     use cacheportal_db::Database;
 
@@ -890,7 +860,7 @@ mod tests {
     /// resolved to the removed occurrence were substituted, the others keep
     /// working because binding names are unchanged.
     fn residual_is_executable(poll: &PollingQuery, db: &Database) -> bool {
-        let select = poll.select().expect("built as a tree");
+        let select = poll.select();
         parse_select(&poll.sql()).as_ref() == Ok(select)
             && TypeAnalysis::new(select, QueryShape::Conjunctive, db).is_ok()
     }

@@ -114,59 +114,6 @@ impl DeltaSet {
             .get(&table.to_ascii_lowercase())
             .is_some_and(|d| !d.deleted.is_empty())
     }
-
-    /// Total delta tuples across all tables.
-    pub fn total_tuples(&self) -> usize {
-        self.tables.values().map(TableDelta::len).sum()
-    }
-
-    /// **Net-change compaction**: cancel matching insert/delete pairs of
-    /// identical rows within the interval (an inserted-then-deleted row, or
-    /// a value-preserving UPDATE's delete+insert pair, nets to nothing
-    /// between the interval's endpoints).
-    ///
-    /// Caveat (documented in DESIGN.md): compaction reasons about the
-    /// *endpoint* states only. A page generated from a mid-interval
-    /// transient state can depend on a cancelled tuple; deployments where
-    /// pages may be generated concurrently with update bursts should leave
-    /// this off (the default). It is sound whenever page generation and
-    /// update application do not interleave within one sync interval.
-    pub fn compacted(&self) -> DeltaSet {
-        let mut out = DeltaSet {
-            tables: HashMap::with_capacity(self.tables.len()),
-            next_lsn: self.next_lsn,
-            records: 0,
-        };
-        for (name, delta) in &self.tables {
-            // Multiset difference in both directions.
-            let mut del_counts: HashMap<&Row, usize> = HashMap::new();
-            for d in &delta.deleted {
-                *del_counts.entry(d).or_insert(0) += 1;
-            }
-            let mut inserted = Vec::new();
-            for i in &delta.inserted {
-                match del_counts.get_mut(i) {
-                    Some(c) if *c > 0 => *c -= 1, // cancels one deletion
-                    _ => inserted.push(i.clone()),
-                }
-            }
-            let mut deleted = Vec::new();
-            for d in &delta.deleted {
-                if let Some(c) = del_counts.get_mut(d) {
-                    if *c > 0 {
-                        *c -= 1;
-                        deleted.push(d.clone());
-                    }
-                }
-            }
-            let compacted = TableDelta { inserted, deleted };
-            if !compacted.is_empty() {
-                out.records += compacted.len();
-                out.tables.insert(name.clone(), compacted);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -208,52 +155,6 @@ mod tests {
         assert!(set.is_empty());
         assert_eq!(set.next_lsn, 0);
         assert_eq!(set.touched_tables().count(), 0);
-    }
-
-    #[test]
-    fn compaction_cancels_matching_pairs() {
-        let row = |i: i64| vec![Value::Int(i)];
-        let records = vec![
-            rec(0, "t", LogOp::Insert(row(1))), // inserted then deleted → nets out
-            rec(1, "t", LogOp::Delete(row(1))),
-            rec(2, "t", LogOp::Delete(row(2))), // value-preserving update → nets out
-            rec(3, "t", LogOp::Insert(row(2))),
-            rec(4, "t", LogOp::Insert(row(3))), // survives
-            rec(5, "t", LogOp::Delete(row(4))), // survives
-        ];
-        let set = DeltaSet::from_records(&records).compacted();
-        let d = set.for_table("t").unwrap();
-        assert_eq!(d.inserted, vec![row(3)]);
-        assert_eq!(d.deleted, vec![row(4)]);
-        assert_eq!(set.next_lsn, 6, "LSN progress preserved");
-    }
-
-    #[test]
-    fn compaction_respects_multiplicities() {
-        let row = vec![Value::Int(7)];
-        // 3 inserts, 1 delete of the same row → net 2 inserts.
-        let records = vec![
-            rec(0, "t", LogOp::Insert(row.clone())),
-            rec(1, "t", LogOp::Insert(row.clone())),
-            rec(2, "t", LogOp::Insert(row.clone())),
-            rec(3, "t", LogOp::Delete(row.clone())),
-        ];
-        let set = DeltaSet::from_records(&records).compacted();
-        let d = set.for_table("t").unwrap();
-        assert_eq!(d.inserted.len(), 2);
-        assert!(d.deleted.is_empty());
-    }
-
-    #[test]
-    fn compaction_drops_fully_cancelled_tables() {
-        let row = vec![Value::Int(1)];
-        let records = vec![
-            rec(0, "t", LogOp::Insert(row.clone())),
-            rec(1, "t", LogOp::Delete(row)),
-        ];
-        let set = DeltaSet::from_records(&records).compacted();
-        assert!(set.for_table("t").is_none());
-        assert_eq!(set.total_tuples(), 0);
     }
 
     #[test]

@@ -12,14 +12,12 @@ use crate::breaker::{BreakerConfig, BreakerDecision, CircuitBreaker, TypeObserva
 use crate::delta::{DeltaGroupStat, DeltaSet};
 use crate::policy::{InvalidationPolicy, PolicyConfig, PolicyStore};
 use crate::polling::{
-    InfoManager, PollAnswer, PollRunner, PollStats, POLL_BACKOFF_BASE, POLL_MAX_RETRIES,
-    POLL_RETRY_BUDGET_PER_TYPE,
+    InfoManager, PollAnswer, PollRunner, PollStats, POLL_MAX_RETRIES, POLL_RETRY_BUDGET_PER_TYPE,
 };
 use crate::predicate_index::Probe;
 use crate::query_type::{QueryShape, QueryTypeId, Registry};
-use cacheportal_db::sql::ast::Select;
 use cacheportal_db::{Database, DbError, DbResult, Lsn, Value};
-use cacheportal_sniffer::{QiUrlMap, RowInstance, TypedInstance};
+use cacheportal_sniffer::QiUrlMap;
 use cacheportal_web::PageKey;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -152,12 +150,6 @@ pub struct InvalidationReport {
     pub tuples_analyzed: u64,
     /// New QI/URL rows registered this run.
     pub registered: u64,
-    /// Of `registered`, the rows that came as text only and were parsed
-    /// (inserted by hand, or a map rebuilt from JSON or the journal); the
-    /// mapper's rows come with their typed form.
-    pub registered_from_text: u64,
-    /// QI/URL rows skipped because they could not be parsed.
-    pub unparseable: u64,
     /// Log records consumed.
     pub records_consumed: u64,
     /// Polling statistics.
@@ -445,7 +437,7 @@ struct SyncContext<'a> {
 ///
 /// // The sniffer found that URL1 depends on this query instance:
 /// let map = QiUrlMap::new();
-/// map.insert("SELECT * FROM Car WHERE price < 20000".into(),
+/// map.insert("SELECT * FROM Car WHERE price < 20000",
 ///            PageKey::raw("URL1"), "cars".into());
 ///
 /// // A backend update lands; the next sync point names the stale page.
@@ -548,11 +540,6 @@ impl Invalidator {
         self.info.maintain_index(db, table, column)
     }
 
-    /// Forget page associations (pages no longer cached anywhere).
-    pub fn forget_pages(&mut self, pages: &HashSet<PageKey>) -> usize {
-        self.registry.remove_pages(pages)
-    }
-
     /// Run one synchronization point against the database and the sniffer's
     /// QI/URL map. Returns the invalidation report; the caller delivers
     /// `report.pages` to the caches as eject messages.
@@ -608,36 +595,13 @@ impl Invalidator {
     /// Stage 1: online registration scan of the QI/URL map (§4.1.2). The
     /// rows are read in place, under the map's lock; what the registry keeps
     /// of one is clones of its page key and its parameter vector, which
-    /// share the map's allocations. A row still held as text (a recovered or
-    /// shipped map) is parsed here, once: it leaves typed — the type's tree
-    /// shared by the scan's rows of that type — and the map drops the text.
+    /// share the map's allocations.
     fn register(&mut self, map: &QiUrlMap, report: &mut InvalidationReport) {
         let registry = &mut self.registry;
-        let mut templates: HashMap<QueryTypeId, Arc<Select>> = HashMap::new();
-        self.map_cursor = map.visit_for_registration(self.map_cursor, |row| {
-            let page = row.page_key().clone();
-            match row.instance() {
-                RowInstance::Typed(t) => {
-                    registry.register_typed(&t.template, t.params.clone(), page);
-                    report.registered += 1;
-                    None
-                }
-                RowInstance::Text(sql) => match registry.register_instance(sql, page) {
-                    Ok((ty, params)) => {
-                        report.registered += 1;
-                        report.registered_from_text += 1;
-                        let template = templates
-                            .entry(ty)
-                            .or_insert_with(|| Arc::new(registry.get(ty).select.clone()))
-                            .clone();
-                        Some(TypedInstance { template, params })
-                    }
-                    Err(_) => {
-                        report.unparseable += 1;
-                        None
-                    }
-                },
-            }
+        self.map_cursor = map.visit_since(self.map_cursor, |row| {
+            let typed = row.instance();
+            registry.register_typed(&typed.template, typed.params.clone(), row.page_key().clone());
+            report.registered += 1;
         });
     }
 
@@ -654,16 +618,7 @@ impl Invalidator {
             report.delta_micros = delta_started.elapsed().as_micros() as u64;
             return None;
         };
-        let compact = self.config.policy.compact_deltas;
-        let build = |records: &[cacheportal_db::LogRecord]| {
-            let deltas = DeltaSet::from_records(records);
-            if compact {
-                deltas.compacted()
-            } else {
-                deltas
-            }
-        };
-        let deltas = build(records);
+        let deltas = DeltaSet::from_records(records);
         report.records_consumed = records.len() as u64;
         report.lsn_range = Some((first.lsn, last.lsn));
         report.delta_groups = deltas.group_stats();
@@ -681,7 +636,7 @@ impl Invalidator {
             let fresh: Vec<cacheportal_db::LogRecord> =
                 records.iter().filter(|r| r.lsn > floor).cloned().collect();
             if !fresh.is_empty() {
-                self.info.apply_deltas(&build(&fresh));
+                self.info.apply_deltas(&DeltaSet::from_records(&fresh));
             }
             if self.consumed_lsn > floor {
                 self.index_floor = 0;
@@ -765,7 +720,7 @@ impl Invalidator {
         let poll_runner = |rtt_micros: u64| {
             PollRunner::with_rtt(&self.info, deltas, std::time::Duration::from_micros(rtt_micros))
                 .with_fault_plan(self.config.fault.clone())
-                .with_retry(POLL_MAX_RETRIES, POLL_BACKOFF_BASE)
+                .with_retry(POLL_MAX_RETRIES)
         };
         let runner = poll_runner(self.config.poll_rtt_micros);
 
@@ -1467,8 +1422,7 @@ mod tests {
         let map = QiUrlMap::new();
         map.insert(
             "SELECT Car.maker, Car.model, Car.price, Mileage.EPA FROM Car, Mileage \
-             WHERE Car.model = Mileage.model AND Car.price < 20000"
-                .to_string(),
+             WHERE Car.model = Mileage.model AND Car.price < 20000",
             PageKey::raw("URL1"),
             "carSearch".into(),
         );
@@ -1667,7 +1621,7 @@ mod tests {
     fn no_updates_means_empty_report_but_registration_happens() {
         let (db, map, mut inv) = setup();
         map.insert(
-            "SELECT * FROM Car WHERE price < 99".to_string(),
+            "SELECT * FROM Car WHERE price < 99",
             PageKey::raw("URL2"),
             "s".into(),
         );
@@ -1684,8 +1638,7 @@ mod tests {
         // the inserted tuple's price → identical residual poll.
         map.insert(
             "SELECT Car.maker, Car.model, Car.price, Mileage.EPA FROM Car, Mileage \
-             WHERE Car.model = Mileage.model AND Car.price < 30000"
-                .to_string(),
+             WHERE Car.model = Mileage.model AND Car.price < 30000",
             PageKey::raw("URL3"),
             "carSearch".into(),
         );
@@ -1779,25 +1732,17 @@ mod tests {
     }
 
     #[test]
-    fn compacted_deltas_skip_self_cancelling_bursts() {
+    fn a_self_cancelling_burst_is_analysed_and_invalidates() {
+        // Insert-then-delete of an impactful row within one interval: both
+        // records are analysed, and the page goes (a page generated between
+        // the two could hold the row).
         let (mut db, map, mut inv) = setup();
-        inv.config.policy.compact_deltas = true;
-        // Insert-then-delete of an impactful row within one interval: with
-        // compaction the batch nets to nothing and no analysis work happens.
         db.execute("INSERT INTO Car VALUES ('Toyota','Avalon',15000)").unwrap();
         db.execute("DELETE FROM Car WHERE model = 'Avalon' AND price = 15000").unwrap();
         let r = inv.run_sync_point(&db, &map).unwrap();
         assert_eq!(r.records_consumed, 2);
-        assert_eq!(r.tuples_analyzed, 0);
-        assert!(r.pages.is_empty());
-
-        // Without compaction the same burst costs analysis and invalidates.
-        let (mut db2, map2, mut inv2) = setup();
-        db2.execute("INSERT INTO Car VALUES ('Toyota','Avalon',15000)").unwrap();
-        db2.execute("DELETE FROM Car WHERE model = 'Avalon' AND price = 15000").unwrap();
-        let r2 = inv2.run_sync_point(&db2, &map2).unwrap();
-        assert!(r2.tuples_analyzed > 0);
-        assert!(r2.pages.contains(&PageKey::raw("URL1")), "conservative endpoint");
+        assert!(r.tuples_analyzed > 0);
+        assert!(r.pages.contains(&PageKey::raw("URL1")), "conservative endpoint");
     }
 
     #[test]
@@ -1952,8 +1897,8 @@ mod tests {
             let map = QiUrlMap::new();
             for i in 0..50 {
                 map.insert(
-                    format!("SELECT v FROM T WHERE T.k = {i}"),
-                    PageKey::raw(&format!("p{i}")),
+                    &format!("SELECT v FROM T WHERE T.k = {i}"),
+                    PageKey::raw(format!("p{i}")),
                     "s".into(),
                 );
             }
@@ -1985,12 +1930,12 @@ mod tests {
         let (mut db, map, mut inv) = setup();
         inv.config.index_differential = true;
         map.insert(
-            "SELECT model FROM Car WHERE Car.price < 19000".to_string(),
+            "SELECT model FROM Car WHERE Car.price < 19000",
             PageKey::raw("URL2"),
             "cheap".into(),
         );
         map.insert(
-            "SELECT model FROM Car WHERE Car.maker = 'Toyota'".to_string(),
+            "SELECT model FROM Car WHERE Car.maker = 'Toyota'",
             PageKey::raw("URL3"),
             "maker".into(),
         );
@@ -2016,7 +1961,7 @@ mod tests {
         db.execute("CREATE TABLE T (k INT, v INT)").unwrap();
         let map = QiUrlMap::new();
         map.insert(
-            "SELECT v FROM T WHERE T.k = 3".to_string(),
+            "SELECT v FROM T WHERE T.k = 3",
             PageKey::raw("p"),
             "s".into(),
         );
@@ -2040,7 +1985,7 @@ mod tests {
             .unwrap();
         let map = QiUrlMap::new();
         map.insert(
-            "SELECT model FROM Car WHERE maker = 'T' ORDER BY price DESC LIMIT 2".to_string(),
+            "SELECT model FROM Car WHERE maker = 'T' ORDER BY price DESC LIMIT 2",
             PageKey::raw("TOP"),
             "top".into(),
         );
@@ -2122,8 +2067,7 @@ mod tests {
             .unwrap();
         let map = QiUrlMap::new();
         map.insert(
-            "SELECT maker, COUNT(*), SUM(price) FROM Car GROUP BY maker ORDER BY maker"
-                .to_string(),
+            "SELECT maker, COUNT(*), SUM(price) FROM Car GROUP BY maker ORDER BY maker",
             PageKey::raw("AGG"),
             "agg".into(),
         );

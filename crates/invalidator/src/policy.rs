@@ -50,10 +50,6 @@ pub struct PolicyConfig {
     pub batch_polls: bool,
     /// Maximum OR terms per batched poll; longer batches are chunked.
     pub max_or_terms_per_poll: usize,
-    /// Net-change delta compaction (cancel insert/delete pairs of identical
-    /// rows within one interval). Off by default — see
-    /// [`crate::delta::DeltaSet::compacted`] for the safety caveat.
-    pub compact_deltas: bool,
 }
 
 impl Default for PolicyConfig {
@@ -65,7 +61,6 @@ impl Default for PolicyConfig {
             min_batches_for_ratio: 10,
             batch_polls: true,
             max_or_terms_per_poll: 16,
-            compact_deltas: false,
         }
     }
 }

@@ -142,7 +142,7 @@ impl InfoManager {
         if self.indexes.is_empty() {
             return None;
         }
-        let sel = poll.select()?;
+        let sel = poll.select();
         let [only] = sel.from.as_slice() else {
             return None;
         };
@@ -203,9 +203,6 @@ const DEDUP_STRIPES: usize = 64;
 
 /// Retries a sync point allows each poll after a transient fault.
 pub(crate) const POLL_MAX_RETRIES: u32 = 2;
-/// Base of the retry backoff a sync point's runner gets: zero, which models
-/// the backoff without sleeping, so sync points stay fast and deterministic.
-pub(crate) const POLL_BACKOFF_BASE: Duration = Duration::ZERO;
 /// Retries one query type may spend in one sync point: once they are gone
 /// its remaining polls fail on the first fault, which keeps a flapping DBMS
 /// from multiplying sync-point latency. Shard-local and deterministic (each
@@ -236,7 +233,6 @@ pub struct PollRunner<'a> {
     poll_rtt: Duration,
     fault: FaultPlan,
     max_retries: u32,
-    backoff_base: Duration,
 }
 
 impl<'a> PollRunner<'a> {
@@ -265,7 +261,6 @@ impl<'a> PollRunner<'a> {
             poll_rtt,
             fault: FaultPlan::default(),
             max_retries: 0,
-            backoff_base: Duration::ZERO,
         }
     }
 
@@ -278,15 +273,10 @@ impl<'a> PollRunner<'a> {
         self
     }
 
-    /// Configure the default retry policy: up to `max_retries` re-attempts
-    /// after a transient poll fault, with bounded exponential backoff from
-    /// `backoff_base` (doubling per attempt, capped at 64×) plus a
-    /// deterministic jitter derived from the poll key — no wall-clock or
-    /// OS randomness, so replays sleep identically. `Duration::ZERO`
-    /// models the backoff without sleeping (the test/harness default).
-    pub fn with_retry(mut self, max_retries: u32, backoff_base: Duration) -> Self {
+    /// Configure the default retry policy: up to `max_retries` re-attempts,
+    /// at once, after a transient poll fault.
+    pub fn with_retry(mut self, max_retries: u32) -> Self {
         self.max_retries = max_retries;
-        self.backoff_base = backoff_base;
         self
     }
 
@@ -368,12 +358,11 @@ impl<'a> PollRunner<'a> {
                     None => {
                         // The DBMS interaction is the fault site: local
                         // index answers and cache hits cannot fault. A
-                        // transient fault is retried (up to the allowance)
-                        // with bounded exponential backoff; only an
-                        // exhausted allowance surfaces as an error. Faulted
-                        // answers are *not* cached, and fault decisions key
-                        // on (poll key, attempt), so fault and retry counts
-                        // are shard-independent.
+                        // transient fault is retried at once (up to the
+                        // allowance); only an exhausted allowance surfaces
+                        // as an error. Faulted answers are *not* cached,
+                        // and fault decisions key on (poll key, attempt), so
+                        // fault and retry counts are shard-independent.
                         let mut attempt: u32 = 0;
                         loop {
                             if let Some(kind) = self.fault.poll_fault(poll.key, attempt) {
@@ -390,10 +379,6 @@ impl<'a> PollRunner<'a> {
                                 self.retries.fetch_add(1, Ordering::Relaxed);
                                 retries_spent += 1;
                                 attempt += 1;
-                                let delay = self.backoff_delay(poll.key, attempt);
-                                if !delay.is_zero() {
-                                    std::thread::sleep(delay);
-                                }
                                 continue;
                             }
                             break;
@@ -402,11 +387,7 @@ impl<'a> PollRunner<'a> {
                         if !self.poll_rtt.is_zero() {
                             std::thread::sleep(self.poll_rtt);
                         }
-                        let r = match poll.select() {
-                            Some(select) => db.query_select(select, &[])?,
-                            // Text that did not parse: the engine says why.
-                            None => db.query(&poll.sql())?,
-                        };
+                        let r = db.query_select(poll.select(), &[])?;
                         let ans = matches!(r.rows.first().and_then(|row| row.first()),
                                  Some(Value::Int(n)) if *n > 0);
                         (ans, PollAnswer::Issued)
@@ -431,33 +412,14 @@ impl<'a> PollRunner<'a> {
         Ok((None, retries_spent))
     }
 
-    /// Bounded exponential backoff with deterministic jitter: base × 2^min(attempt,6),
-    /// plus up to 50% jitter hashed from `(key, attempt)` — the "seeded
-    /// RNG" here is splitmix64 over stable inputs, so replays are exact.
-    fn backoff_delay(&self, key: u64, attempt: u32) -> Duration {
-        if self.backoff_base.is_zero() {
-            return Duration::ZERO;
-        }
-        let exp = self.backoff_base * (1u32 << attempt.min(6));
-        let mut z = key ^ (attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        let jitter_ns = (z ^ (z >> 31)) % (exp.as_nanos().max(2) as u64 / 2);
-        exp + Duration::from_nanos(jitter_ns)
-    }
-
     /// Exact Δ⁻ re-check for single-other-table residuals; coarse guard
-    /// (any deletions at all) for multi-table residuals. A poll that is not
-    /// a `SELECT` (text that did not parse) cannot be re-checked: it counts
-    /// as a hit, which only over-invalidates.
+    /// (any deletions at all) for multi-table residuals.
     fn residual_hits_deleted_rows(
         &self,
         db: &Database,
         poll: &PollingQuery,
     ) -> DbResult<bool> {
-        let Some(sel) = poll.select() else {
-            return Ok(true);
-        };
+        let sel = poll.select();
         if let [only] = sel.from.as_slice() {
             let Some(delta) = self.deltas.for_table(&only.table) else {
                 return Ok(false);
@@ -495,7 +457,8 @@ mod tests {
     }
 
     fn poll(sql: &str) -> PollingQuery {
-        PollingQuery::from_sql(sql, vec!["mileage".to_string()])
+        let select = cacheportal_db::sql::parser::parse_select(sql).unwrap();
+        PollingQuery::new(select, vec!["mileage".to_string()])
     }
 
     #[test]
@@ -690,7 +653,7 @@ mod tests {
         let poll = PollingQuery::new(select, vec!["mileage".to_string()]);
         assert_ne!(
             cacheportal_db::sql::parser::parse_select(&poll.sql()).ok().as_ref(),
-            poll.select()
+            Some(poll.select())
         );
         poll
     }
@@ -728,29 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn text_that_does_not_parse_counts_as_a_deleted_partner() {
-        let mut database = db();
-        database
-            .execute("DELETE FROM Mileage WHERE model = 'Civic'")
-            .unwrap();
-        let recs: Vec<LogRecord> = database.update_log().pull_since(0).to_vec();
-        let deltas = DeltaSet::from_records(&recs);
-        let mut info = InfoManager::new();
-        info.maintain_index(&database, "Mileage", "model").unwrap();
-        let runner = PollRunner::new(&info, &deltas);
-        let p = poll("SELECT COUNT(*) FROM Mileage WHERE");
-        assert!(p.select().is_none());
-        // No index answers it, the guard cannot rule a deleted partner out,
-        // and issuing it reports the engine's parse error.
-        assert_eq!(info.try_answer(&p), None);
-        assert!(runner.residual_hits_deleted_rows(&database, &p).unwrap());
-        assert!(matches!(
-            runner.decide(&database, &p, true),
-            Err(DbError::Parse(_))
-        ));
-    }
-
-    #[test]
     fn retry_clears_transient_fault_and_counts() {
         use cacheportal_db::{FaultPlan, FaultSpec};
         let database = db();
@@ -784,7 +724,7 @@ mod tests {
         // attempt, the retry, and the eventually-issued poll.
         let runner = PollRunner::new(&info, &deltas)
             .with_fault_plan(FaultPlan::new(spec))
-            .with_retry(1, Duration::ZERO);
+            .with_retry(1);
         assert_eq!(
             runner.decide(&database, &p, false).unwrap(),
             Some(PollAnswer::Issued)

@@ -178,14 +178,12 @@ pub enum Probe {
 #[derive(Debug)]
 pub struct TypeIndex {
     occs: Vec<OccIndex>,
-    /// Slot → parameter vector (`None` = freed): a clone of the registry's
-    /// key for the instance.
-    params_of: Vec<Option<Arc<[Value]>>>,
-    free: Vec<u32>,
+    /// Slot → parameter vector: a clone of the registry's key for the
+    /// instance.
+    params_of: Vec<Arc<[Value]>>,
     /// Defensive bucket: instances whose parameters could not be placed
     /// in an occurrence structure. Always included in candidates.
     unclassified: BTreeSet<u32>,
-    live: usize,
 }
 
 impl TypeIndex {
@@ -217,15 +215,8 @@ impl TypeIndex {
         TypeIndex {
             occs,
             params_of: Vec::new(),
-            free: Vec::new(),
             unclassified: BTreeSet::new(),
-            live: 0,
         }
-    }
-
-    /// Live instances interned in this type's index.
-    pub fn live(&self) -> usize {
-        self.live
     }
 
     /// Whether every occurrence is residual (the index can never narrow
@@ -236,17 +227,9 @@ impl TypeIndex {
 
     /// Intern one newly-registered instance; returns its slot.
     pub fn insert(&mut self, params: &Arc<[Value]>) -> u32 {
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.params_of[s as usize] = Some(params.clone());
-                s
-            }
-            None => {
-                push_tight(&mut self.params_of, Some(params.clone()));
-                (self.params_of.len() - 1) as u32
-            }
-        };
-        self.live += 1;
+        let slot =
+            u32::try_from(self.params_of.len()).expect("a type has fewer than 2^32 instances");
+        push_tight(&mut self.params_of, params.clone());
         // A plan's parameter slots always exist for instances registered
         // through the owning type's template; anything else — including a
         // LIKE pattern with no usable literal prefix — is defensively
@@ -291,60 +274,6 @@ impl TypeIndex {
             }
         }
         slot
-    }
-
-    /// Drop one instance (eviction via `remove_pages`).
-    pub fn remove(&mut self, slot: u32, params: &[Value]) {
-        if self
-            .params_of
-            .get(slot as usize)
-            .map(Option::is_none)
-            .unwrap_or(true)
-        {
-            return; // already freed (defensive)
-        }
-        self.params_of[slot as usize] = None;
-        self.free.push(slot);
-        self.live -= 1;
-        if self.unclassified.remove(&slot) {
-            return;
-        }
-        fn unpost<K: std::hash::Hash + Eq + Clone, S: std::hash::BuildHasher>(
-            map: &mut HashMap<K, Postings, S>,
-            key: &K,
-            slot: u32,
-        ) {
-            if let Some(postings) = map.get_mut(key) {
-                postings.retain(|s| *s != slot);
-                if postings.is_empty() {
-                    map.remove(key);
-                }
-            }
-        }
-        for occ in &mut self.occs {
-            match occ {
-                OccIndex::Residual => {}
-                OccIndex::Eq { plan, map } => unpost(map, &params[plan.param], slot),
-                OccIndex::Range { plan, map } => {
-                    if let Some(postings) = map.get_mut(&params[plan.param]) {
-                        postings.retain(|s| *s != slot);
-                        if postings.is_empty() {
-                            map.remove(&params[plan.param]);
-                        }
-                    }
-                }
-                OccIndex::InSet { params: slots, map, .. } => {
-                    for v in distinct_values(slots, params) {
-                        unpost(map, v, slot);
-                    }
-                }
-                OccIndex::LikePrefix { param, map, .. } => {
-                    if let Value::Str(s) = &params[*param] {
-                        unpost(map, &like_literal_prefix(s).to_string(), slot);
-                    }
-                }
-            }
-        }
     }
 
     /// Map one delta batch to candidate instances. `from` is the type's
@@ -442,7 +371,7 @@ impl TypeIndex {
         }
         let candidates: Vec<Arc<[Value]>> = slots
             .iter()
-            .filter_map(|s| self.params_of[*s as usize].clone())
+            .map(|s| self.params_of[*s as usize].clone())
             .collect();
         Probe::Candidates(candidates)
     }
@@ -735,22 +664,6 @@ mod tests {
         assert!(matches!(tix.probe(&template.from, &d, &db), Probe::Scan));
     }
 
-    #[test]
-    fn remove_frees_slot_and_postings() {
-        let db = db();
-        let (template, mut tix) = type_of("SELECT v FROM item WHERE item.k = 7");
-        let s1 = tix.insert(&[Value::Int(1)].into());
-        let s2 = tix.insert(&[Value::Int(2)].into());
-        assert_ne!(s1, s2);
-        tix.remove(s1, &[Value::Int(1)]);
-        assert_eq!(tix.live(), 1);
-        let d = deltas_for("item", vec![vec![Value::Int(1), Value::Int(1), Value::Int(0)]]);
-        assert!(candidates(tix.probe(&template.from, &d, &db)).is_empty());
-        // The freed slot is recycled.
-        let s3 = tix.insert(&[Value::Int(3)].into());
-        assert_eq!(s3, s1);
-    }
-
     fn str_db() -> Database {
         let mut db = Database::new();
         db.execute("CREATE TABLE item (id INT, name TEXT)").unwrap();
@@ -808,24 +721,6 @@ mod tests {
         let d = deltas_for("item", vec![vec![Value::Int(1), Value::Int(7)]]);
         let got = candidates(tix.probe(&template.from, &d, &db));
         assert_eq!(got, vec![vec![Value::Str("%z".into())]]);
-    }
-
-    #[test]
-    fn like_and_in_removal_maintains_postings() {
-        let sdb = str_db();
-        let (template, mut tix) = type_of("SELECT id FROM item WHERE item.name LIKE 'ab%'");
-        let s1 = tix.insert(&[Value::Str("ab%".into())].into());
-        tix.remove(s1, &[Value::Str("ab%".into())]);
-        assert_eq!(tix.live(), 0);
-        let d = deltas_for("item", vec![vec![Value::Int(1), Value::Str("abcd".into())]]);
-        assert!(candidates(tix.probe(&template.from, &d, &sdb)).is_empty());
-
-        let idb = db();
-        let (template, mut tix) = type_of("SELECT v FROM item WHERE item.k IN (1, 2)");
-        let s1 = tix.insert(&[Value::Int(5), Value::Int(6)].into());
-        tix.remove(s1, &[Value::Int(5), Value::Int(6)]);
-        let d = deltas_for("item", vec![vec![Value::Int(1), Value::Int(5), Value::Int(0)]]);
-        assert!(candidates(tix.probe(&template.from, &d, &idb)).is_empty());
     }
 
     #[test]

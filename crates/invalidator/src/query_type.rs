@@ -9,7 +9,6 @@
 
 use cacheportal_db::sql::ast::{Expr, Select, Statement, TableRef};
 use cacheportal_db::sql::parser::parse;
-use cacheportal_db::sql::rewrite::parameterize_in_place;
 use cacheportal_db::{Database, DbResult, Value};
 use cacheportal_web::{InlineVec, PageKey};
 use std::collections::hash_map::Entry;
@@ -235,19 +234,6 @@ impl PageSet {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Keep the pages `keep` accepts.
-    pub fn retain(&mut self, mut keep: impl FnMut(&PageKey) -> bool) {
-        match &mut self.0 {
-            Pages::None => {}
-            Pages::One(only) => {
-                if !keep(only) {
-                    self.0 = Pages::None;
-                }
-            }
-            Pages::Many(pages) => pages.retain(keep),
-        }
-    }
 }
 
 /// One instance's data: the pages depending on it.
@@ -285,7 +271,7 @@ pub struct IndexStats {
     /// Live instances interned across all per-type indexes.
     pub entries: u64,
     /// Cumulative wall-clock microseconds spent maintaining the indexes
-    /// (insert on registration, remove on eviction).
+    /// (an insert per registered instance).
     pub maintenance_micros: u64,
 }
 
@@ -307,7 +293,7 @@ pub struct Registry {
     /// Which types read a given (lower-cased) table.
     types_by_table: HashMap<String, Vec<QueryTypeId>>,
     /// Which types have an instance feeding a given page, sorted by id: the
-    /// reverse of `instances[..].pages`, kept in step on register/remove.
+    /// reverse of `instances[..].pages`, kept in step on register.
     /// The one or few types of a page are held in place.
     types_by_page: HashMap<PageKey, InlineVec<QueryTypeId, 3>>,
     /// Per-type predicate index, parallel to `types`.
@@ -317,8 +303,8 @@ pub struct Registry {
     /// that last touched the type (`None` until one does; an `Err` is the
     /// reason its instances do not bind). See [`Registry::refresh_analysis`].
     analyses: Vec<Option<DbResult<TypeAnalysis>>>,
-    /// Cached Σ instance_count — kept in sync on register/remove so
-    /// metrics snapshots stay O(1) at 1M QIs.
+    /// Cached Σ instance_count — kept in step on register so metrics
+    /// snapshots stay O(1) at 1M QIs.
     live_instances: usize,
     /// Index maintenance time, accumulated in nanoseconds (per-insert
     /// costs are sub-microsecond; accumulating micros would truncate to 0).
@@ -400,31 +386,10 @@ impl Registry {
         id
     }
 
-    /// Register a bound query instance discovered in the QI/URL map
-    /// (online discovery, §4.1.2), given as text: parse, parameterize, then
-    /// [`Registry::register_typed`]. This is the entry for rows that exist
-    /// only as text — a map rebuilt from JSON or from the durable journal.
-    pub fn register_instance(
-        &mut self,
-        bound_sql: &str,
-        page: PageKey,
-    ) -> DbResult<(QueryTypeId, Arc<[Value]>)> {
-        let stmt = parse(bound_sql)?;
-        let Statement::Select(mut sel) = stmt else {
-            return Err(cacheportal_db::DbError::Unsupported(
-                "query instances must be SELECT statements".into(),
-            ));
-        };
-        let params: Arc<[Value]> = parameterize_in_place(&mut sel).into();
-        Ok((self.register_typed(&sel, params.clone(), page), params))
-    }
-
     /// Register a query instance given as its type and parameter values:
-    /// intern the type, record the instance and its dependent page. The
-    /// mapper's rows arrive here directly, in the form `register_instance`
-    /// parses out of their text, so both entries leave the same registry
-    /// behind. A new instance is filed under `params` itself — the
-    /// allocation the caller's clone shares.
+    /// intern the type, record the instance and its dependent page. Every
+    /// QI/URL map row arrives here in this form. A new instance is filed
+    /// under `params` itself — the allocation the caller's clone shares.
     pub fn register_typed(
         &mut self,
         template: &Select,
@@ -498,8 +463,8 @@ impl Registry {
     }
 
     /// Instances across all types. O(1): returns the cached counter
-    /// maintained on register/remove (debug builds cross-check it against
-    /// the recomputed sum).
+    /// maintained on register (debug builds cross-check it against the
+    /// recomputed sum).
     pub fn total_instances(&self) -> usize {
         debug_assert_eq!(
             self.live_instances,
@@ -581,35 +546,6 @@ impl Registry {
         let (known, types) = self.types_by_page.get_key_value(page)?;
         Some((known, types))
     }
-
-    /// Remove page associations (pages ejected and no longer tracked);
-    /// instances left with no pages are dropped. Returns dropped instances.
-    pub fn remove_pages(&mut self, pages: &HashSet<PageKey>) -> usize {
-        let mut dropped = 0;
-        let mut index_nanos = 0u64;
-        // Every instance lets go of these pages, so no type feeds them.
-        for page in pages {
-            self.types_by_page.remove(page);
-        }
-        for (id, by_params) in self.instances.iter_mut() {
-            let tix = &mut self.indexes[id.0 as usize];
-            by_params.retain(|params, data| {
-                data.pages.retain(|p| !pages.contains(p));
-                if data.pages.is_empty() {
-                    let t0 = Instant::now();
-                    tix.remove(data.slot, params);
-                    index_nanos += t0.elapsed().as_nanos() as u64;
-                    dropped += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        self.live_instances -= dropped;
-        self.index_maintenance_nanos += index_nanos;
-        dropped
-    }
 }
 
 /// True when no expression of the template holds a literal.
@@ -625,21 +561,19 @@ fn literal_free(select: &Select) -> bool {
 mod tests {
     use super::*;
 
+    /// Register an instance given as its bound text, typed as the QI/URL map
+    /// types a row that arrives as text.
+    fn register(reg: &mut Registry, sql: &str, page: &str) -> (QueryTypeId, Arc<[Value]>) {
+        let typed = cacheportal_sniffer::type_text(sql).expect("a SELECT");
+        let id = reg.register_typed(&typed.template, typed.params.clone(), PageKey::raw(page));
+        (id, typed.params)
+    }
+
     #[test]
     fn discovery_groups_instances_under_one_type() {
         let mut reg = Registry::new();
-        let (t1, p1) = reg
-            .register_instance(
-                "SELECT * FROM Car WHERE price < 20000",
-                PageKey::raw("p1"),
-            )
-            .unwrap();
-        let (t2, p2) = reg
-            .register_instance(
-                "SELECT * FROM Car WHERE price < 30000",
-                PageKey::raw("p2"),
-            )
-            .unwrap();
+        let (t1, p1) = register(&mut reg, "SELECT * FROM Car WHERE price < 20000", "p1");
+        let (t2, p2) = register(&mut reg, "SELECT * FROM Car WHERE price < 30000", "p2");
         assert_eq!(t1, t2);
         assert_ne!(p1, p2);
         assert_eq!(reg.types().len(), 1);
@@ -651,8 +585,8 @@ mod tests {
     fn same_instance_twice_adds_pages_not_instances() {
         let mut reg = Registry::new();
         let sql = "SELECT * FROM Car WHERE price < 20000";
-        reg.register_instance(sql, PageKey::raw("p1")).unwrap();
-        let (id, params) = reg.register_instance(sql, PageKey::raw("p2")).unwrap();
+        register(&mut reg, sql, "p1");
+        let (id, params) = register(&mut reg, sql, "p2");
         assert_eq!(reg.instance_count(id), 1);
         assert_eq!(reg.pages_of(id, &params).unwrap().pages.len(), 2);
         assert_eq!(reg.get(id).stats.registrations, 2);
@@ -664,63 +598,32 @@ mod tests {
         let offline = reg
             .register_type_sql("SELECT * FROM Car WHERE price < $1")
             .unwrap();
-        let (discovered, _) = reg
-            .register_instance("SELECT * FROM Car WHERE price < 42", PageKey::raw("p"))
-            .unwrap();
+        let (discovered, _) = register(&mut reg, "SELECT * FROM Car WHERE price < 42", "p");
         assert_eq!(offline, discovered);
     }
 
     #[test]
     fn types_by_table_index() {
         let mut reg = Registry::new();
-        reg.register_instance(
-            "SELECT Car.maker FROM Car, Mileage WHERE Car.model = Mileage.model",
-            PageKey::raw("p"),
-        )
-        .unwrap();
-        reg.register_instance("SELECT EPA FROM Mileage", PageKey::raw("q"))
-            .unwrap();
+        let join = "SELECT Car.maker FROM Car, Mileage WHERE Car.model = Mileage.model";
+        register(&mut reg, join, "p");
+        register(&mut reg, "SELECT EPA FROM Mileage", "q");
         assert_eq!(reg.types_reading("car").len(), 1);
         assert_eq!(reg.types_reading("MILEAGE").len(), 2);
         assert_eq!(reg.types_reading("other").len(), 0);
     }
 
     #[test]
-    fn remove_pages_drops_empty_instances() {
-        let mut reg = Registry::new();
-        let (id, params) = reg
-            .register_instance("SELECT * FROM Car WHERE price < 1", PageKey::raw("p1"))
-            .unwrap();
-        let mut gone = HashSet::new();
-        gone.insert(PageKey::raw("p1"));
-        assert_eq!(reg.remove_pages(&gone), 1);
-        assert!(reg.pages_of(id, &params).is_none());
-        assert_eq!(reg.instance_count(id), 0);
-    }
-
-    #[test]
     fn types_of_page_is_sorted_reverse_lookup() {
         let mut reg = Registry::new();
-        let (t_car, _) = reg
-            .register_instance("SELECT * FROM Car WHERE price < 20000", PageKey::raw("p1"))
-            .unwrap();
-        let (t_epa, _) = reg
-            .register_instance("SELECT EPA FROM Mileage", PageKey::raw("p1"))
-            .unwrap();
-        reg.register_instance("SELECT * FROM Car WHERE price < 30000", PageKey::raw("p2"))
-            .unwrap();
+        let (t_car, _) = register(&mut reg, "SELECT * FROM Car WHERE price < 20000", "p1");
+        let (t_epa, _) = register(&mut reg, "SELECT EPA FROM Mileage", "p1");
+        register(&mut reg, "SELECT * FROM Car WHERE price < 30000", "p2");
 
         let p1_types = reg.types_of_page(&PageKey::raw("p1"));
         assert_eq!(p1_types, vec![t_car.min(t_epa), t_car.max(t_epa)]);
         assert_eq!(reg.types_of_page(&PageKey::raw("p2")), vec![t_car]);
         assert!(reg.types_of_page(&PageKey::raw("p3")).is_empty());
-
-        // Ejecting p1 removes it from the reverse lookup.
-        let mut gone = HashSet::new();
-        gone.insert(PageKey::raw("p1"));
-        reg.remove_pages(&gone);
-        assert!(reg.types_of_page(&PageKey::raw("p1")).is_empty());
-        assert_eq!(reg.types_of_page(&PageKey::raw("p2")), vec![t_car]);
     }
 
     #[test]
@@ -752,7 +655,7 @@ mod tests {
             ("SELECT * FROM Car LIMIT 5", QueryShape::Conjunctive),
         ];
         for (sql, want) in cases {
-            let (id, _) = reg.register_instance(sql, PageKey::raw("p")).unwrap();
+            let (id, _) = register(&mut reg, sql, "p");
             assert_eq!(reg.get(id).shape, want, "shape of {sql}");
         }
     }
@@ -760,20 +663,15 @@ mod tests {
     #[test]
     fn boundary_is_stored_per_instance() {
         let mut reg = Registry::new();
-        let (id, params) = reg
-            .register_instance(
-                "SELECT model FROM Car WHERE maker = 'T' ORDER BY price DESC LIMIT 3",
-                PageKey::raw("p"),
-            )
-            .unwrap();
+        let top = "SELECT model FROM Car WHERE maker = 'T' ORDER BY price DESC LIMIT 3";
+        let (id, params) = register(&mut reg, top, "p");
         assert_eq!(reg.pages_of(id, &params).unwrap().boundary(), None);
         reg.set_boundary(id, &params, Some(Value::Int(42)));
         assert_eq!(
             reg.pages_of(id, &params).unwrap().boundary(),
             Some(&Value::Int(42))
         );
-        // Unknown instance: silently ignored (instance may have been evicted
-        // between the candidate walk and the refresh).
+        // Unknown instance: silently ignored.
         reg.set_boundary(id, &[Value::Int(999)], Some(Value::Int(1)));
     }
 
@@ -781,8 +679,5 @@ mod tests {
     fn non_select_rejected() {
         let mut reg = Registry::new();
         assert!(reg.register_type_sql("DELETE FROM Car").is_err());
-        assert!(reg
-            .register_instance("INSERT INTO Car VALUES (1)", PageKey::raw("p"))
-            .is_err());
     }
 }

@@ -59,7 +59,7 @@ fn site(n: usize) -> (Database, QiUrlMap) {
         )
         .unwrap();
         map.insert(
-            format!(
+            &format!(
                 "SELECT products.sku, products.name, inventory.stock FROM products, inventory \
                  WHERE products.sku = {sku} AND products.sku = inventory.sku"
             ),

@@ -47,7 +47,7 @@ fn run(workers: usize, fault: FaultPlan) -> InvalidationReport {
     let map = QiUrlMap::new();
     for i in 0..8u8 {
         map.insert(
-            instance_sql(i % 3, (i as i64 * 5) % 20),
+            &instance_sql(i % 3, (i as i64 * 5) % 20),
             PageKey::raw(format!("page{i}")),
             "s".into(),
         );

@@ -1,13 +1,13 @@
-//! Eviction ↔ predicate-index coherence (ISSUE 8 satellite).
+//! Registration ↔ predicate-index coherence.
 //!
-//! Interleaves `register_instance` / `remove_pages` / probes and asserts
-//! the incrementally-maintained predicate index stays coherent with the
-//! instance registry: a probe never yields a dropped instance, never
-//! misses a live one, and always matches a **naive rebuild** — a fresh
-//! registry re-registered from the live instance set, whose index is
-//! therefore trivially correct. The page → types reverse map behind
-//! `Registry::types_of_page` is held to the same standard: after every
-//! operation it must equal a scan of the instances.
+//! Interleaves registrations and probes and asserts the
+//! incrementally-maintained predicate index stays coherent with the
+//! instance registry: a probe never yields an unregistered instance, never
+//! misses a registered one, and always matches a **naive rebuild** — a
+//! fresh registry fed the registered instance set at once, in another
+//! order. The page → types reverse map behind `Registry::types_of_page` is
+//! held to the same standard: after every operation it must equal a scan of
+//! the instances.
 
 use cacheportal_db::{Database, LogOp, LogRecord, Value};
 use cacheportal_invalidator::delta::DeltaSet;
@@ -28,7 +28,6 @@ const TYPE_SQL: [fn(i64) -> String; 3] = [
 #[derive(Debug, Clone)]
 enum Op {
     Register { ty: usize, param: i64, page: u8 },
-    Remove { pages: Vec<u8> },
     Probe { tuples: Vec<(i64, i64)>, on_u: bool },
 }
 
@@ -36,8 +35,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => (0usize..3, -8i64..8, any::<u8>())
             .prop_map(|(ty, param, page)| Op::Register { ty, param, page }),
-        2 => proptest::collection::vec(any::<u8>(), 1..6)
-            .prop_map(|pages| Op::Remove { pages }),
         3 => (proptest::collection::vec((-8i64..8, -8i64..8), 1..4), any::<bool>())
             .prop_map(|(tuples, on_u)| Op::Probe { tuples, on_u }),
     ]
@@ -59,6 +56,13 @@ fn fresh_registry() -> (Registry, Vec<QueryTypeId>) {
             .unwrap(),
     ];
     (reg, ids)
+}
+
+/// Register the instance `TYPE_SQL[ty](param)` for page `p{page}`, typed
+/// as the QI/URL map types a row given as text.
+fn register(reg: &mut Registry, ty: usize, param: i64, page: u8) {
+    let typed = cacheportal_sniffer::type_text(&TYPE_SQL[ty](param)).expect("a SELECT");
+    reg.register_typed(&typed.template, typed.params, PageKey::raw(format!("p{page}")));
 }
 
 fn deltas(tuples: &[(i64, i64)], on_u: bool) -> DeltaSet {
@@ -99,36 +103,17 @@ proptest! {
         for op in &ops {
             match op {
                 Op::Register { ty, param, page } => {
-                    reg.register_instance(
-                        &TYPE_SQL[*ty](*param),
-                        PageKey::raw(&format!("p{page}")),
-                    )
-                    .unwrap();
+                    register(&mut reg, *ty, *param, *page);
                     model.entry((*ty, *param)).or_default().insert(*page);
                     pages_seen.insert(*page);
                 }
-                Op::Remove { pages } => {
-                    let gone: HashSet<PageKey> =
-                        pages.iter().map(|p| PageKey::raw(&format!("p{p}"))).collect();
-                    reg.remove_pages(&gone);
-                    model.retain(|_, ps| {
-                        ps.retain(|p| !pages.contains(p));
-                        !ps.is_empty()
-                    });
-                }
                 Op::Probe { tuples, on_u } => {
-                    // Naive rebuild: a fresh registry fed only the live
-                    // instances. Its index never saw a removal, so it is
-                    // correct by construction.
+                    // Naive rebuild: a fresh registry fed the registered
+                    // instances at once, in the model's order.
                     let (mut rebuilt, rebuilt_ids) = fresh_registry();
                     for ((ty, param), pages) in &model {
                         for page in pages {
-                            rebuilt
-                                .register_instance(
-                                    &TYPE_SQL[*ty](*param),
-                                    PageKey::raw(&format!("p{page}")),
-                                )
-                                .unwrap();
+                            register(&mut rebuilt, *ty, *param, *page);
                         }
                     }
                     let d = deltas(tuples, *on_u);
@@ -141,8 +126,8 @@ proptest! {
                             "type {} diverged from naive rebuild (deltas on {})",
                             ty, if *on_u { "U" } else { "T" }
                         );
-                        // Candidates must all be live instances of the type
-                        // (a dropped instance must never resurface).
+                        // Candidates must all be registered instances of the
+                        // type.
                         if let Some(cands) = &live {
                             for params in cands {
                                 let p = match params[0] {
@@ -151,7 +136,7 @@ proptest! {
                                 };
                                 prop_assert!(
                                     model.contains_key(&(ty, p)),
-                                    "probe yielded dropped instance {:?} of type {}",
+                                    "probe yielded unregistered instance {:?} of type {}",
                                     params, ty
                                 );
                             }
@@ -164,7 +149,7 @@ proptest! {
             // internally via debug_assert).
             prop_assert_eq!(reg.total_instances(), model.len());
             for page in &pages_seen {
-                let key = PageKey::raw(&format!("p{page}"));
+                let key = PageKey::raw(format!("p{page}"));
                 let mut scanned: Vec<QueryTypeId> = ids
                     .iter()
                     .copied()

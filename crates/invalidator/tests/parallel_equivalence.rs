@@ -91,7 +91,7 @@ fn run_with_workers(
     let map = QiUrlMap::new();
     for (i, (kind, param)) in instances.iter().enumerate() {
         map.insert(
-            instance_sql(*kind, *param),
+            &instance_sql(*kind, *param),
             PageKey::raw(format!("page{i}")),
             "s".into(),
         );

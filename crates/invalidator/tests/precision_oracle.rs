@@ -94,7 +94,7 @@ fn run_oracle(
     for (i, (kind, param)) in instances.iter().enumerate() {
         let sql = instance_sql(*kind, *param);
         let page = PageKey::raw(format!("page{i}"));
-        map.insert(sql.clone(), page.clone(), "s".into());
+        map.insert(&sql, page.clone(), "s".into());
         queries.push((page, sql));
     }
     let mut cfg = InvalidatorConfig::default();

@@ -95,9 +95,8 @@ fn apply(db: &mut Database, u: &Update) {
 }
 
 fn new_invalidator(db: &Database, map: &QiUrlMap, shape_rules: bool) -> Invalidator {
-    let mut cfg = InvalidatorConfig::default();
-    cfg.shape_rules = shape_rules;
-    let mut inv = Invalidator::new(cfg);
+    let config = InvalidatorConfig { shape_rules, ..InvalidatorConfig::default() };
+    let mut inv = Invalidator::new(config);
     inv.start_from(db.high_water());
     inv.run_sync_point(db, map).unwrap();
     inv
@@ -117,7 +116,7 @@ fn run_shape_oracle(
     for (i, p) in instances.iter().enumerate() {
         let sql = instance_sql(kind, *p);
         let page = PageKey::raw(format!("page{i}"));
-        map.insert(sql.clone(), page.clone(), "s".into());
+        map.insert(&sql, page.clone(), "s".into());
         queries.push((page, sql));
     }
     let mut inv_on = new_invalidator(&db, &map, true);
@@ -191,7 +190,7 @@ fn topk_boundary_crossing_below_at_above() {
     let map = QiUrlMap::new();
     let sql = "SELECT g, v FROM R WHERE g = 1 ORDER BY v DESC LIMIT 2";
     let page = PageKey::raw("topk");
-    map.insert(sql.into(), page.clone(), "s".into());
+    map.insert(sql, page.clone(), "s".into());
     let mut inv = new_invalidator(&db, &map, true);
 
     // Just below the boundary (30): top-2 unchanged, page stays cached.
@@ -245,7 +244,7 @@ fn precision_regression_per_shape() {
         let map = QiUrlMap::new();
         for (i, p) in params.iter().enumerate() {
             map.insert(
-                instance_sql(kind, *p),
+                &instance_sql(kind, *p),
                 PageKey::raw(format!("k{kind}p{i}")),
                 "s".into(),
             );
@@ -295,7 +294,7 @@ fn netted_aggregate_batches_are_reported_for_the_guard() {
     let map = QiUrlMap::new();
     let sql = "SELECT COUNT(*), SUM(v) FROM R WHERE g = 0";
     let page = PageKey::raw("agg");
-    map.insert(sql.into(), page.clone(), "s".into());
+    map.insert(sql, page.clone(), "s".into());
     let mut inv_on = new_invalidator(&db, &map, true);
     let mut inv_off = new_invalidator(&db, &map, false);
 

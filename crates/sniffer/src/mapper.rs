@@ -25,12 +25,13 @@
 //!
 //! [`MapWriter::insert_typed`]: crate::map::MapWriter::insert_typed
 
-use crate::map::{Inserted, QiUrlMap, TypedInstance};
+use crate::map::{QiUrlMap, TypedInstance};
 use crate::query_log::{QueryLog, QueryRecord};
 use crate::request_log::{LoggedRequest, RequestLog};
 use cacheportal_db::sql::ast::{Select, Statement};
 use cacheportal_db::sql::parser::parse;
 use cacheportal_db::sql::rewrite::{parameterize_in_place, substitute_params, TypePlan};
+use cacheportal_db::Value;
 use cacheportal_web::clock::Micros;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -41,16 +42,15 @@ use std::sync::Arc;
 /// track recency.
 const PARSE_MEMO_CAPACITY: usize = 64;
 
+/// How many runs an unmatched query survives before being dropped.
+const MAX_RETENTION: u8 = 2;
+
 /// Outcome counters for one mapper run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MapperReport {
     /// (query, request) associations written to the map (after dedup the
     /// map itself may record fewer).
     pub mapped: u64,
-    /// Of those, rows the map held as text only (a recovered or shipped
-    /// map), found by rendering the instance against the text and typed from
-    /// then on. Every other row is known, or new, by its typed form.
-    pub rendered: u64,
     /// Queries joined to the request they name, by id.
     pub by_id: u64,
     /// Queries without an id that matched more than one request window.
@@ -78,7 +78,6 @@ impl MapperReport {
     pub fn merge(self, other: MapperReport) -> MapperReport {
         MapperReport {
             mapped: self.mapped + other.mapped,
-            rendered: self.rendered + other.rendered,
             by_id: self.by_id + other.by_id,
             ambiguous: self.ambiguous + other.ambiguous,
             retained: self.retained + other.retained,
@@ -124,8 +123,6 @@ pub struct Mapper {
     map: Arc<QiUrlMap>,
     /// (record, runs it has been retained).
     pending: Vec<(QueryRecord, u8)>,
-    /// How many runs an unmatched query survives before being dropped.
-    max_retention: u8,
     /// Cumulative `QueryLog::lost` already reported in earlier runs.
     lost_cursor: u64,
     /// Parameterised SELECTs by logged text; `None` for a text outside the
@@ -148,16 +145,9 @@ impl Mapper {
             queries,
             map,
             pending: Vec::new(),
-            max_retention: 2,
             lost_cursor: 0,
             parsed: HashMap::new(),
         }
-    }
-
-    /// How many runs an unmatched query survives before being dropped.
-    pub fn with_max_retention(mut self, runs: u8) -> Self {
-        self.max_retention = runs;
-        self
     }
 
     /// The QI/URL map this mapper writes to.
@@ -197,7 +187,7 @@ impl Mapper {
                     .owners_of(q.received, q.delivered, &mut owners),
             }
             if owners.is_empty() {
-                if age >= self.max_retention {
+                if age >= MAX_RETENTION {
                     report.dropped += 1;
                 } else {
                     report.retained += 1;
@@ -213,8 +203,7 @@ impl Mapper {
             };
             report.mapped += owners.len() as u64;
             for request in owners.iter().map(|&i| &requests[i]) {
-                let inserted = rows.insert_typed(&typed, &request.page_key, &request.servlet);
-                report.rendered += (inserted == Inserted::KnownAsText) as u64;
+                rows.insert_typed(&typed, &request.page_key, &request.servlet);
             }
         }
         drop(rows);
@@ -228,7 +217,7 @@ impl Mapper {
     /// kept).
     fn bind(&mut self, q: &QueryRecord) -> Option<TypedInstance> {
         if q.params.is_empty() {
-            return bind_unplanned(&parse_select(&q.sql)?, q);
+            return type_text(&q.sql);
         }
         if self.parsed.len() >= PARSE_MEMO_CAPACITY && !self.parsed.contains_key(&*q.sql) {
             self.parsed.clear();
@@ -241,7 +230,7 @@ impl Mapper {
         });
         let logged = logged.as_ref()?;
         let Some(plan) = &logged.plan else {
-            return bind_unplanned(&logged.stmt, q);
+            return bind_unplanned(&logged.stmt, &q.params);
         };
         // Every marker is one the plan binds, so a vector too short for the
         // statement fails here as it would in `substitute_params`.
@@ -252,10 +241,19 @@ impl Mapper {
     }
 }
 
+/// A query instance given as text — a `SELECT` with its values written in —
+/// typed: parsed, and its literals lifted out into the type's parameters.
+/// This is how the mapper types a statement logged without parameters, and
+/// how a row that arrives as text (a journal replayed, a test's) is typed.
+/// `None` for text outside the supported dialect.
+pub fn type_text(sql: &str) -> Option<TypedInstance> {
+    bind_unplanned(&parse_select(sql)?, &[])
+}
+
 /// [`Mapper::bind`] for a statement without a [`TypePlan`]: its type depends
 /// on its values, so they are substituted and lifted back out.
-fn bind_unplanned(stmt: &Select, q: &QueryRecord) -> Option<TypedInstance> {
-    let mut bound = substitute_params(stmt, &q.params).ok()?;
+fn bind_unplanned(stmt: &Select, params: &[Value]) -> Option<TypedInstance> {
+    let mut bound = substitute_params(stmt, params).ok()?;
     let params = parameterize_in_place(&mut bound).into();
     let template = Arc::new(bound);
     Some(TypedInstance { template, params })
@@ -366,7 +364,6 @@ pub fn canonical_bound_sql(q: &QueryRecord) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cacheportal_db::Value;
     use cacheportal_web::{PageKey, RequestObserver, RequestRecord};
 
     fn request(id: u64, recv: u64, deliver: u64) -> RequestRecord {
@@ -486,17 +483,17 @@ mod tests {
         };
         serve(5);
         let first = mapper.run_once();
-        assert_eq!((first.mapped, first.rendered), (2, 0));
+        assert_eq!(first.mapped, 2);
         // The page again: the parameterised statement's row is known by its
         // template, the statement with its value written in — parsed anew —
         // by its template's structure.
         serve(5);
         let again = mapper.run_once();
-        assert_eq!((again.mapped, again.rendered), (2, 0));
+        assert_eq!(again.mapped, 2);
         assert_eq!(mapper.map().len(), 2);
         serve(6);
         let other = mapper.run_once();
-        assert_eq!((other.mapped, other.rendered), (2, 0));
+        assert_eq!(other.mapped, 2);
         let texts: Vec<String> = mapper.map().all().into_iter().map(|e| e.sql).collect();
         assert_eq!(
             texts,

@@ -22,7 +22,7 @@ use cacheportal_db::sql::rewrite::parameterize;
 use cacheportal_db::{FaultPlan, FaultSpec, Value};
 use cacheportal_sniffer::{
     canonical_bound_sql, Mapper, MapperReport, QiUrlEntry, QiUrlMap, QueryLog, QueryRecord,
-    RequestLog, RowInstance,
+    RequestLog,
 };
 use cacheportal_web::{PageKey, RequestObserver, RequestRecord};
 use proptest::prelude::*;
@@ -261,18 +261,16 @@ proptest! {
         let mut mapper = Mapper::new(rl.clone(), ql.clone(), map.clone());
         let mut reference = Reference::default();
         let (mut cursor, mut scanned) = (0, 0);
-        // Rows a recovered map starts with: text only, for pages and
+        // Rows a recovered map starts with, given as text, for pages and
         // instances the runs then come across again.
         if preloaded {
             for (page, sql) in [(0, "SELECT * FROM t WHERE a = 1"), (1, "SELECT * FROM t WHERE a = 1.0")] {
                 let page_key = request(page, 0, 0).page_key;
-                assert!(map.insert(sql.into(), page_key.clone(), "s".into()));
+                assert_eq!(map.insert(sql, page_key.clone(), "s".into()), Some(true));
                 let id = reference.rows.len() as u64;
                 reference.rows.push(QiUrlEntry { id, sql: sql.into(), page_key, servlet: "s".into() });
             }
         }
-        let text_only = reference.rows.clone();
-        let mut text_typed = 0;
 
         for (run, (windows, queries)) in runs.iter().enumerate() {
             let requests: Vec<RequestRecord> = windows
@@ -296,30 +294,22 @@ proptest! {
             let got = mapper.run_once();
             let want = reference.run(&requests, shadow.drain());
             prop_assert_eq!(
-                MapperReport { elapsed_micros: 0, rendered: 0, ..got },
+                MapperReport { elapsed_micros: 0, ..got },
                 want,
                 "report of run {}", run
             );
             prop_assert_eq!(&map.all(), &reference.rows, "rows after run {}", run);
-            // Only a row held as text is ever rendered against, and once.
-            text_typed += got.rendered as usize;
-            prop_assert!(text_typed <= text_only.len(), "run {} rendered {}", run, got.rendered);
 
-            // The registration scan: every row the mapper inserted since the
-            // previous scan, in whichever run, is typed, and its typed form
-            // is its text, parsed. A row that came as text is typed once a
-            // mapper has come across it.
+            // The registration scan: every row inserted since the previous
+            // scan, in whichever run, is read typed, and its typed form is
+            // its text, parsed.
             if scan_every_run || run + 1 == runs.len() {
                 let mut rows = Vec::new();
                 let next = map.visit_since(cursor, |row| {
                     rows.push((row.entry(), row.instance().clone()));
                 });
                 prop_assert_eq!(rows.len(), reference.rows.len() - scanned);
-                for (entry, instance) in &rows {
-                    let RowInstance::Typed(typed) = instance else {
-                        prop_assert!(text_only.contains(entry), "untyped: {}", entry.sql);
-                        continue;
-                    };
+                for (entry, typed) in &rows {
                     let (template, params) = parameterize(&parse_select(&entry.sql).unwrap());
                     prop_assert_eq!(&*typed.template, &template, "type of {}", entry.sql);
                     prop_assert_eq!(&*typed.params, &params[..], "values of {}", entry.sql);
@@ -327,13 +317,6 @@ proptest! {
                     prop_assert_eq!(format!("{:?}", typed.params), format!("{params:?}"));
                 }
                 (cursor, scanned) = (next, reference.rows.len());
-                // The typed forms stay with their rows: a scan from the
-                // start reads them again.
-                let mut again = 0;
-                map.visit_since(0, |row| {
-                    again += matches!(row.instance(), RowInstance::Typed(_)) as usize;
-                });
-                prop_assert!(again + text_only.len() >= reference.rows.len());
             }
         }
     }

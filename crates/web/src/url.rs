@@ -258,6 +258,6 @@ mod tests {
         // A clone is the same allocation, and equal to a key spelled anew.
         let clone = keys[0].clone();
         assert!(std::ptr::eq(clone.as_str(), keys[0].as_str()));
-        assert_eq!(clone, PageKey::raw(keys[0].as_str().to_string()));
+        assert_eq!(clone, PageKey::raw(keys[0].as_str()));
     }
 }

@@ -12,7 +12,7 @@ echo "== tests (workspace, offline) =="
 cargo test -q --offline --workspace
 
 echo "== clippy (deny warnings) =="
-cargo clippy --workspace --offline -- -D warnings
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== Criterion benches compile (cargo bench --no-run) =="
 # Nothing else builds the bench targets, so an API change under them would
@@ -39,7 +39,7 @@ echo "== counted budgets and the admission race (release, one command) =="
 #   follow the site.
 # - page_footprint: the QI/URL map, the registry and the predicate index hold
 #   <= 540 bytes in <= 3 blocks per registered storefront page; a pass of
-#   duplicate rows renders and keeps nothing; a cache hit allocates one block
+#   duplicate rows registers and keeps nothing; a cache hit allocates one block
 #   (its key's text); a page admitted at the origin and two in-process edges
 #   puts one body on the heap.
 # - analysis_alloc: a sync point that analyses and polls 1 000, 4 000 and

@@ -1,17 +1,18 @@
-//! A query instance reaches the invalidator's registry by one of two
-//! entries: typed, handed over by the mapper with the QI/URL map row, or as
-//! the row's text, parsed — which is all a map rebuilt from JSON or from the
-//! durable journal has. Both must leave the same registry behind: same
-//! types in the same order (canonical text, parameter count, tables, shape),
-//! same instances (values, pages, predicate-index slots), same page-to-types
-//! map — over the rewrite property tests' templates and the statements the
-//! harness generators give their servlets.
+//! A query instance reaches the invalidator's registry typed: handed over
+//! by the mapper with the QI/URL map row, or typed from the row's text as it
+//! arrives — which is all a map rebuilt from the durable journal has. Both
+//! must leave the same registry behind, and so must registering the rows'
+//! texts one by one: same types in the same order (canonical text,
+//! parameter count, tables, shape), same instances (values, pages,
+//! predicate-index slots), same page-to-types map — over the rewrite
+//! property tests' templates and the statements the harness generators give
+//! their servlets.
 
 use cacheportal::CachePortal;
 use cacheportal_db::{Database, Value};
 use cacheportal_harness::Scenario;
 use cacheportal_invalidator::{Invalidator, InvalidatorConfig, Registry};
-use cacheportal_sniffer::{Mapper, QiUrlMap, QueryLog, RequestLog};
+use cacheportal_sniffer::{type_text, Mapper, QiUrlMap, QueryLog, RequestLog};
 use cacheportal_web::{PageKey, RequestObserver, RequestRecord};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -73,15 +74,13 @@ fn fingerprint(reg: &Registry, pages: &[PageKey]) -> Vec<String> {
     out
 }
 
-/// Register the rows of a map that holds text only, the way a sync point
-/// does.
+/// Register the rows of a map the way a sync point does.
 fn registered(map: &QiUrlMap) -> Invalidator {
     let mut invalidator = Invalidator::new(InvalidatorConfig::default());
     let report = invalidator
         .run_sync_point(&Database::new(), map)
         .expect("a sync point without updates");
-    assert_eq!(report.unparseable, 0);
-    assert_eq!(report.registered_from_text, report.registered);
+    assert_eq!(report.registered as usize, map.len());
     invalidator
 }
 
@@ -126,27 +125,28 @@ proptest! {
             }
             let report = mapper.run_once();
             prop_assert_eq!(report.mapped as usize, chunk.len());
-            let scan = typed.run_sync_point(&db, &map).unwrap();
-            prop_assert_eq!((scan.unparseable, scan.registered_from_text), (0, 0));
+            typed.run_sync_point(&db, &map).unwrap();
         }
         let pages: Vec<PageKey> = (0..6).map(|p| PageKey::raw(format!("page{p}"))).collect();
         let want = fingerprint(typed.registry(), &pages);
 
-        // The text entry: the same map, through its wire format …
-        let shipped = QiUrlMap::from_json(&map.to_json()).unwrap();
-        prop_assert_eq!(&fingerprint(registered(&shipped).registry(), &pages), &want);
+        // The text entry: the same map, as the journal replays it …
+        let replayed = QiUrlMap::new();
+        prop_assert!(replayed.load(&map.all()).is_empty());
+        prop_assert_eq!(&fingerprint(registered(&replayed).registry(), &pages), &want);
         // … and row by row.
         let mut by_text = Registry::new();
         for row in map.all() {
-            by_text.register_instance(&row.sql, row.page_key).unwrap();
+            let typed = type_text(&row.sql).unwrap();
+            by_text.register_typed(&typed.template, typed.params, row.page_key);
         }
         prop_assert_eq!(&fingerprint(&by_text, &pages), &want);
     }
 }
 
-/// Durable recovery rebuilds the map from journaled text and registers from
-/// it at the first sync point: the recovered registry equals the one the
-/// crashed portal had built from typed rows.
+/// Durable recovery rebuilds the map from journaled text, typed as it is
+/// replayed, and registers from it at the first sync point: the recovered
+/// registry equals the one the crashed portal had built.
 #[test]
 fn recovered_registry_equals_the_crashed_one() {
     fn registry_of(portal: &CachePortal, pages: &[PageKey]) -> Vec<String> {
