@@ -17,7 +17,9 @@
 //!
 //! Appends one run record to the `BENCH_sync_scale.json` trajectory
 //! (`{"history": [...]}`) in the working directory, so repeated runs keep
-//! the perf history instead of overwriting it.
+//! the perf history instead of overwriting it. A `--smoke` run appends to
+//! `target/sync_scale/BENCH_sync_scale.json` instead, so checking the tree
+//! leaves the tracked history as it was.
 
 use cacheportal_db::Database;
 use cacheportal_invalidator::{Invalidator, InvalidatorConfig, PolicyConfig};
@@ -210,6 +212,19 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     }
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
+}
+
+/// Append `artifact` to the run history: the tracked one for a full run, the
+/// one under `target/sync_scale/` for a smoke run.
+fn append_record<T: Serialize>(smoke: bool, artifact: &T) {
+    let path = if smoke {
+        std::fs::create_dir_all("target/sync_scale").expect("create target/sync_scale");
+        "target/sync_scale/BENCH_sync_scale.json"
+    } else {
+        "BENCH_sync_scale.json"
+    };
+    let runs = cacheportal_bench::append_history(path, artifact).expect("write artifact");
+    println!("artifact: {path} ({runs} runs in history)");
 }
 
 /// Replay the whole workload at one worker count against a fresh seed
@@ -616,9 +631,7 @@ fn run_qi_sweep(smoke: bool) {
         burst_rows: shape.burst_rows,
         tiers,
     };
-    let path = "BENCH_sync_scale.json";
-    let runs = cacheportal_bench::append_history(path, &artifact).expect("write artifact");
-    println!("artifact: {path} ({runs} runs in history)");
+    append_record(smoke, &artifact);
 }
 
 // ---------------------------------------------------------------------------
@@ -993,9 +1006,7 @@ fn run_shape_mix(smoke: bool) {
         artifact.on.shape_agg_skipped,
         artifact.on.shape_boundary_polls
     );
-    let path = "BENCH_sync_scale.json";
-    let runs = cacheportal_bench::append_history(path, &artifact).expect("write artifact");
-    println!("artifact: {path} ({runs} runs in history)");
+    append_record(smoke, &artifact);
 }
 
 fn main() {
@@ -1079,9 +1090,7 @@ fn main() {
         speedup_vs_1w,
         configs,
     };
-    let path = "BENCH_sync_scale.json";
-    let runs = cacheportal_bench::append_history(path, &artifact).expect("write artifact");
-    println!("artifact: {path} ({runs} runs in history)");
+    append_record(smoke, &artifact);
 }
 
 #[cfg(test)]

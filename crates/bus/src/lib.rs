@@ -273,40 +273,29 @@ impl EdgeEndpoint {
     }
 }
 
-/// Bus tuning knobs.
-#[derive(Debug, Clone)]
-pub struct BusConfig {
-    /// Delivery attempts per batch per round (>= 1). Partitioned edges
-    /// get a single probe per round instead.
-    pub max_attempts: u32,
-    /// Base for the modeled exponential backoff between attempts
-    /// (recorded in the delivery report, never slept).
-    pub backoff_base_micros: u64,
-    /// Consecutive failed rounds before an edge is marked partitioned.
-    pub partition_after: u64,
-    /// Rounds an edge may go un-renewed before it self-ejects. 0 means
-    /// the lease expires on the first missed round — the setting the
-    /// zero-staleness oracle requires.
-    pub lease_rounds: u64,
-    /// Hard cap on retained (undelivered + redelivery-buffer) batches.
-    pub retain_cap: usize,
-    /// Newest batches kept past full acknowledgement as a redelivery
-    /// buffer (lost-ack recovery).
-    pub redelivery_keep: u64,
-}
+/// What [`InvalidationBus::new`] takes: the bus has no settings of its own
+/// (its limits are the constants below); the value stays for callers
+/// written against it.
+#[derive(Debug, Clone, Default)]
+pub struct BusConfig {}
 
-impl Default for BusConfig {
-    fn default() -> BusConfig {
-        BusConfig {
-            max_attempts: 3,
-            backoff_base_micros: 1_000,
-            partition_after: 2,
-            lease_rounds: 0,
-            retain_cap: 1024,
-            redelivery_keep: 4,
-        }
-    }
-}
+/// Delivery attempts per batch per round. Partitioned edges get a single
+/// probe per round instead.
+const MAX_ATTEMPTS: u32 = 3;
+
+/// Base for the modeled exponential backoff between attempts (recorded in
+/// the delivery report, never slept).
+const BACKOFF_BASE_MICROS: u64 = 1_000;
+
+/// Consecutive failed rounds before an edge is marked partitioned.
+const PARTITION_AFTER: u64 = 2;
+
+/// Hard cap on retained (undelivered + redelivery-buffer) batches.
+const RETAIN_CAP: usize = 1024;
+
+/// Newest batches kept past full acknowledgement as a redelivery buffer
+/// (lost-ack recovery).
+const REDELIVERY_KEEP: u64 = 4;
 
 /// What one [`InvalidationBus::deliver_all`] round did.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -465,7 +454,6 @@ struct BusInner {
 /// The invalidator side of the bus: sequencing, retained batches,
 /// per-edge watermarks, retry/partition bookkeeping.
 pub struct InvalidationBus {
-    config: BusConfig,
     transport: Arc<dyn BusTransport>,
     plan: FaultPlan,
     inner: Mutex<BusInner>,
@@ -474,9 +462,8 @@ pub struct InvalidationBus {
 impl InvalidationBus {
     /// A bus over `transport`. `plan` drives the deterministic reorder
     /// scheduling (the drop/dup/partition sites live in the transport).
-    pub fn new(config: BusConfig, transport: Arc<dyn BusTransport>, plan: FaultPlan) -> InvalidationBus {
+    pub fn new(_config: BusConfig, transport: Arc<dyn BusTransport>, plan: FaultPlan) -> InvalidationBus {
         InvalidationBus {
-            config,
             transport,
             plan,
             inner: Mutex::new(BusInner {
@@ -493,11 +480,6 @@ impl InvalidationBus {
                 reboots: 0,
             }),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &BusConfig {
-        &self.config
     }
 
     /// Register an in-process edge cache. If a durable watermark was
@@ -642,11 +624,7 @@ impl InvalidationBus {
                 backlog.reverse();
             }
             // Partitioned edges get one probe; healthy edges full retries.
-            let max_attempts = if partitioned {
-                1
-            } else {
-                self.config.max_attempts.max(1)
-            };
+            let max_attempts = if partitioned { 1 } else { MAX_ATTEMPTS };
             let mut new_acked = acked;
             let mut round_ok = true;
             for batch in &backlog {
@@ -657,7 +635,7 @@ impl InvalidationBus {
                         inner.retries += 1;
                         inner.edges[idx].retries_total += 1;
                         report.backoff_micros +=
-                            self.config.backoff_base_micros << (attempt - 1).min(10);
+                            BACKOFF_BASE_MICROS << (attempt - 1).min(10);
                     }
                     match self.transport.deliver(idx, batch, attempt) {
                         Ok(ack) => {
@@ -683,7 +661,6 @@ impl InvalidationBus {
                     break;
                 }
             }
-            let config = self.config.clone();
             let slot = &mut inner.edges[idx];
             if new_acked > slot.acked {
                 slot.acked = new_acked;
@@ -704,16 +681,16 @@ impl InvalidationBus {
                 }
             } else {
                 slot.consec_failed_rounds += 1;
-                if !slot.partitioned && slot.consec_failed_rounds >= config.partition_after {
+                if !slot.partitioned && slot.consec_failed_rounds >= PARTITION_AFTER {
                     slot.partitioned = true;
                     report.newly_partitioned.push(slot.name.clone());
                 }
-                if round - slot.last_renewal_round > config.lease_rounds {
-                    if let Some(ep) = &slot.endpoint {
-                        let (newly, _) = ep.enter_degraded();
-                        if newly {
-                            report.self_ejected.push(slot.name.clone());
-                        }
+                // Not renewed this round: the lease has lapsed, and the
+                // edge self-ejects (what the zero-staleness oracle needs).
+                if let Some(ep) = &slot.endpoint {
+                    let (newly, _) = ep.enter_degraded();
+                    if newly {
+                        report.self_ejected.push(slot.name.clone());
                     }
                 }
             }
@@ -731,7 +708,7 @@ impl InvalidationBus {
             .unwrap_or(latest);
         // Keep a small redelivery buffer of the newest batches even once
         // fully acked (lost-ack recovery via redeliver_all).
-        let gc_limit = min_acked.min(latest.saturating_sub(self.config.redelivery_keep));
+        let gc_limit = min_acked.min(latest.saturating_sub(REDELIVERY_KEEP));
         let doomed: Vec<u64> = inner
             .retained
             .range(..=gc_limit)
@@ -740,7 +717,7 @@ impl InvalidationBus {
         for k in doomed {
             inner.retained.remove(&k);
         }
-        while inner.retained.len() > self.config.retain_cap.max(1) {
+        while inner.retained.len() > RETAIN_CAP {
             let Some((&oldest, _)) = inner.retained.iter().next() else {
                 break;
             };
@@ -1212,22 +1189,15 @@ mod tests {
     #[test]
     fn dropped_deliveries_retry_within_the_round() {
         // bus_drop with seed chosen so some first attempts drop; retries
-        // (re-rolled under the attempt key) eventually succeed, so the
-        // edge still renews every round.
+        // (re-rolled under the attempt key) succeed within MAX_ATTEMPTS, so
+        // the edge still renews every round.
         let plan = FaultPlan::new(cacheportal_db::FaultSpec {
             seed: 42,
-            bus_drop: 0.4,
+            bus_drop: 0.2,
             ..cacheportal_db::FaultSpec::default()
         });
         let transport = Arc::new(MemoryTransport::new(plan.clone()));
-        let bus = InvalidationBus::new(
-            BusConfig {
-                max_attempts: 8,
-                ..BusConfig::default()
-            },
-            transport,
-            plan.clone(),
-        );
+        let bus = InvalidationBus::new(BusConfig::default(), transport, plan.clone());
         let edge = cache();
         bus.register_edge("edge-0", edge.clone(), 0);
         for s in 1..=30u64 {

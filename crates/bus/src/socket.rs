@@ -14,27 +14,52 @@
 
 use crate::{Ack, BusTransport, EdgeEndpoint, EjectBatch, TransportError};
 use parking_lot::Mutex;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Longest frame either side reads, batch or ack (a batch of some 80 000
 /// page keys). A peer that streams more than this without a newline gets no
 /// ack and the connection is closed; the bus treats that like any other
 /// failed delivery.
-const MAX_FRAME_BYTES: u64 = 4 << 20;
+const MAX_FRAME_BYTES: usize = 4 << 20;
 
-/// Read one `\n`-terminated frame of at most [`MAX_FRAME_BYTES`].
-fn read_frame(stream: TcpStream) -> std::io::Result<String> {
-    let mut line = String::new();
-    BufReader::new(stream.take(MAX_FRAME_BYTES)).read_line(&mut line)?;
-    if line.len() as u64 == MAX_FRAME_BYTES && !line.ends_with('\n') {
-        return Err(std::io::Error::other("frame exceeds the wire limit"));
+/// How long an [`EdgeServer`] gives one delivery, the whole batch frame
+/// however it is paced and then the ack. The listener serves one connection
+/// at a time, so this is also the longest a slow peer holds it; it is below
+/// [`SocketTransport`]'s timeout, so a delivery queued behind such a peer is
+/// still answered.
+const FRAME_DEADLINE: Duration = Duration::from_secs(1);
+
+/// Read one `\n`-terminated frame of at most [`MAX_FRAME_BYTES`]. The whole
+/// frame has until `deadline`: each read waits only for what is left of it.
+fn read_frame(stream: &TcpStream, deadline: Instant) -> std::io::Result<String> {
+    let mut frame = Vec::new();
+    let mut chunk = [0u8; 8192];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
+        let room = chunk.len().min(MAX_FRAME_BYTES - frame.len());
+        let n = (&*stream).read(&mut chunk[..room])?;
+        if n == 0 {
+            break;
+        }
+        if let Some(end) = chunk[..n].iter().position(|&b| b == b'\n') {
+            frame.extend_from_slice(&chunk[..=end]);
+            break;
+        }
+        frame.extend_from_slice(&chunk[..n]);
+        if frame.len() == MAX_FRAME_BYTES {
+            return Err(std::io::Error::other("frame exceeds the wire limit"));
+        }
     }
-    Ok(line)
+    String::from_utf8(frame).map_err(std::io::Error::other)
 }
 
 /// Client side: delivers batches to remote [`EdgeServer`]s by address.
@@ -73,9 +98,6 @@ impl BusTransport for SocketTransport {
         let stream =
             TcpStream::connect(addr).map_err(|_| TransportError::Unreachable("connect"))?;
         stream
-            .set_read_timeout(Some(self.timeout))
-            .map_err(|_| TransportError::Unreachable("socket"))?;
-        stream
             .set_write_timeout(Some(self.timeout))
             .map_err(|_| TransportError::Unreachable("socket"))?;
         let line = serde_json::to_string(batch).map_err(|_| TransportError::Unreachable("encode"))?;
@@ -87,7 +109,8 @@ impl BusTransport for SocketTransport {
             .and_then(|_| writer.write_all(b"\n"))
             .and_then(|_| writer.flush())
             .map_err(|_| TransportError::Unreachable("write"))?;
-        let reply = read_frame(stream).map_err(|_| TransportError::Unreachable("read"))?;
+        let reply = read_frame(&stream, Instant::now() + self.timeout)
+            .map_err(|_| TransportError::Unreachable("read"))?;
         serde_json::from_str::<Ack>(reply.trim())
             .map_err(|_| TransportError::Unreachable("decode"))
     }
@@ -159,8 +182,8 @@ impl Drop for EdgeServer {
 }
 
 fn handle_delivery(stream: &mut TcpStream, endpoint: &EdgeEndpoint) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    let line = read_frame(stream.try_clone()?)?;
+    stream.set_write_timeout(Some(FRAME_DEADLINE))?;
+    let line = read_frame(stream, Instant::now() + FRAME_DEADLINE)?;
     let Ok(batch) = serde_json::from_str::<EjectBatch>(line.trim()) else {
         // Malformed delivery (or the shutdown throwaway connect): no ack.
         return Ok(());
@@ -230,7 +253,7 @@ mod tests {
         let mut hostile = TcpStream::connect(server.addr()).unwrap();
         hostile.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
         let chunk = vec![b'x'; 1 << 16];
-        for _ in 0..(2 * MAX_FRAME_BYTES as usize / chunk.len()) {
+        for _ in 0..(2 * MAX_FRAME_BYTES / chunk.len()) {
             if hostile.write_all(&chunk).is_err() {
                 break;
             }
@@ -252,21 +275,47 @@ mod tests {
     }
 
     #[test]
+    fn a_trickling_peer_is_dropped_at_the_frame_deadline() {
+        let (cache, _, server) = listening_edge(&["a"]);
+
+        // One byte every 50 ms, never a newline: under a per-read timeout
+        // this peer would hold the listener until it had sent the frame cap.
+        let started = Instant::now();
+        let mut trickler = TcpStream::connect(server.addr()).unwrap();
+        let mut reader = trickler.try_clone().unwrap();
+        let sender = std::thread::spawn(move || {
+            while trickler.write_all(b"x").is_ok() && started.elapsed() < 3 * FRAME_DEADLINE {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        reader.set_read_timeout(Some(3 * FRAME_DEADLINE)).unwrap();
+        let mut reply = Vec::new();
+        let hung_up = match reader.read_to_end(&mut reply) {
+            Ok(_) => true,
+            Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+        };
+        let held = started.elapsed();
+        assert!(hung_up, "the trickler still held the listener after {held:?}");
+        assert!(held >= FRAME_DEADLINE, "dropped before its deadline: {held:?}");
+        assert!(held < 3 * FRAME_DEADLINE, "held the listener {held:?}");
+        assert!(reply.is_empty(), "a partial frame must not be acked");
+        sender.join().unwrap();
+
+        let transport = SocketTransport::new(vec![server.addr()]);
+        let batch = EjectBatch { seq: 1, sync_seq: 1, ts: 1, pages: vec![key("a")] };
+        assert_eq!(transport.deliver(0, &batch, 0).unwrap(), Ack { applied_seq: 1 });
+        assert!(!cache.contains(&key("a")));
+        server.shutdown();
+    }
+
+    #[test]
     fn dead_edge_is_marked_partitioned_and_catches_up_after_a_rebind() {
         let (cache, endpoint, server) = listening_edge(&["a"]);
         let addr = server.addr();
         server.shutdown();
 
         let transport = Arc::new(SocketTransport::new(vec![addr]));
-        let bus = InvalidationBus::new(
-            BusConfig {
-                max_attempts: 1,
-                partition_after: 2,
-                ..BusConfig::default()
-            },
-            transport,
-            FaultPlan::none(),
-        );
+        let bus = InvalidationBus::new(BusConfig::default(), transport, FaultPlan::none());
         bus.register_remote_edge("edge-sock", 0);
         bus.publish(1, 1, vec![key("a")]);
         bus.deliver_all(1);

@@ -27,13 +27,14 @@
 //! other table referenced by the residual had deletions this batch (see
 //! [`PollingQuery::other_tables`]). This only over-invalidates.
 
+use crate::delta::TableDelta;
 use crate::query_type::QueryShape;
 use cacheportal_db::error::{DbError, DbResult};
 use cacheportal_db::eval::{bind, BindContext};
 use cacheportal_db::schema::SchemaRef;
 use cacheportal_db::sql::ast::{AggFunc, Expr, Select, SelectItem, TableRef};
 use cacheportal_db::table::Row;
-use cacheportal_db::Value;
+use cacheportal_db::{Database, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::fmt::{self, Write as _};
 use std::hash::Hasher;
@@ -574,6 +575,101 @@ pub struct TopKPlan {
     pub poll: Select,
 }
 
+/// What a shape rule made of one instance and its table's delta.
+#[derive(Debug)]
+pub(crate) enum RuleOutcome {
+    /// No delta tuple can change the instance's result.
+    Unaffected,
+    /// The rule kept the instance where the conventional check would eject
+    /// it.
+    Kept,
+    /// The rule proved the instance affected; the detail says how.
+    Affected(String),
+    /// The rule cannot decide the instance: the conventional path does.
+    HandOn,
+}
+
+/// What a shape rule counted on its way to a [`RuleOutcome`], in the sync
+/// report's terms.
+#[derive(Debug, Default)]
+pub(crate) struct RuleWork {
+    /// Delta tuples analysed.
+    pub(crate) tuples_analyzed: u64,
+    /// Decisions taken without a poll.
+    pub(crate) local_decisions: u64,
+    /// Boundary polls run.
+    pub(crate) boundary_polls: u64,
+}
+
+impl TopKPlan {
+    /// The boundary rule for one instance of `ty`, on `db` as it stands
+    /// after the batch. The boundary is the first ORDER BY key of the k-th
+    /// row of the instance's result, which the plan's boundary poll returns;
+    /// a short result or a failed poll has none, and the instance is handed
+    /// on. A delta tuple whose key sorts strictly beyond the boundary can
+    /// neither enter the top-k (it sorts after k surviving rows) nor
+    /// displace it (the post-state top-k rows all pre-existed the batch, and
+    /// the engine's ORDER BY breaks key ties by full row content, so their
+    /// relative order is a pure function of the row set) — whether or not
+    /// the tuple matches the WHERE clause. Ties and missing keys stay
+    /// conservative: a tuple that lands at or inside the boundary and
+    /// matches locally makes the instance affected, and one that needs a
+    /// poll hands it on.
+    pub(crate) fn decide(
+        &self,
+        ty: &TypeAnalysis,
+        params: &[Value],
+        delta: &TableDelta,
+        db: &Database,
+        work: &mut RuleWork,
+    ) -> DbResult<RuleOutcome> {
+        use std::cmp::Ordering;
+        work.boundary_polls += 1;
+        let boundary = match db.query_select(&self.poll, params) {
+            Ok(res) if res.rows.len() == self.k => {
+                res.rows.into_iter().last().and_then(|row| row.into_iter().next())
+            }
+            _ => None,
+        };
+        let Some(boundary) = boundary else {
+            return Ok(RuleOutcome::HandOn);
+        };
+        // Strictly beyond the boundary in sort direction, under the engine's
+        // own comparator (`Value::cmp`, same as its ORDER BY).
+        let beyond = |tuple: &Row| {
+            tuple.get(self.order_col).is_some_and(|key| match key.cmp(&boundary) {
+                Ordering::Greater => self.ascending,
+                Ordering::Less => !self.ascending,
+                Ordering::Equal => false,
+            })
+        };
+        let mut used_boundary = false;
+        for (tuple, is_insert) in delta.tuples() {
+            work.tuples_analyzed += 1;
+            match ty.analyze_tuple(params, 0, tuple)? {
+                TupleImpact::NoImpact => work.local_decisions += 1,
+                _ if beyond(tuple) => {
+                    used_boundary = true;
+                    work.local_decisions += 1;
+                }
+                TupleImpact::Affected => {
+                    work.local_decisions += 1;
+                    return Ok(RuleOutcome::Affected(format!(
+                        "{} tuple in `{}` lands at or inside the top-{} boundary ({boundary})",
+                        if is_insert { "Δ⁺ inserted" } else { "Δ⁻ deleted" },
+                        ty.from[0].table,
+                        self.k,
+                    )));
+                }
+                TupleImpact::NeedsPoll(_) => return Ok(RuleOutcome::HandOn),
+            }
+        }
+        // A proof that *needed* the boundary kept a page the conventional
+        // path would have ejected.
+        Ok(if used_boundary { RuleOutcome::Kept } else { RuleOutcome::Unaffected })
+    }
+}
+
 /// Resolve the TopK plan of a type, or `None` when the boundary rule does
 /// not apply (joins, DISTINCT, aggregates, expression order keys): those
 /// types take the conjunctive decision path unchanged. Nothing it looks at
@@ -735,9 +831,49 @@ pub fn agg_spec(bound: &Select, schemas: &dyn SchemaProvider) -> Option<AggSpec>
     Some(AggSpec { group_cols, aggs })
 }
 
+impl AggSpec {
+    /// The value-preserving rule for one instance of `ty`: collect the delta
+    /// tuples that match the instance's predicates and judge whether they
+    /// leave every group's row count and every tracked aggregate provably
+    /// unchanged. Unchanged keeps the instance; anything else makes it
+    /// affected, including judgements the exactness argument cannot cover
+    /// (those never count as unchanged). A tuple that needs a poll hands the
+    /// instance on.
+    pub(crate) fn decide(
+        &self,
+        ty: &TypeAnalysis,
+        params: &[Value],
+        delta: &TableDelta,
+        work: &mut RuleWork,
+    ) -> DbResult<RuleOutcome> {
+        let mut matching: Vec<(&Row, bool)> = Vec::new();
+        for (tuple, is_insert) in delta.tuples() {
+            work.tuples_analyzed += 1;
+            match ty.analyze_tuple(params, 0, tuple)? {
+                TupleImpact::NoImpact => work.local_decisions += 1,
+                TupleImpact::Affected => matching.push((tuple, is_insert)),
+                TupleImpact::NeedsPoll(_) => return Ok(RuleOutcome::HandOn),
+            }
+        }
+        if matching.is_empty() {
+            return Ok(RuleOutcome::Unaffected);
+        }
+        work.local_decisions += 1;
+        Ok(match judge_aggregate_delta(self, &matching) {
+            AggJudgement::Unchanged => RuleOutcome::Kept,
+            AggJudgement::Changed(detail) => {
+                RuleOutcome::Affected(format!("matching delta changes the aggregate: {detail}"))
+            }
+            AggJudgement::Unprovable(detail) => {
+                RuleOutcome::Affected(format!("aggregate delta not provably unchanged: {detail}"))
+            }
+        })
+    }
+}
+
 /// Verdict of the delta-only aggregate recomputation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AggJudgement {
+enum AggJudgement {
     /// Every touched group's row count and every tracked aggregate are
     /// provably unchanged: the cached page stays valid.
     Unchanged,
@@ -757,7 +893,7 @@ const AGG_EXACT_BOUND: i64 = 1 << 40;
 /// Recompute the net effect of the matching delta tuples on every tracked
 /// group/aggregate. `matching` holds rows that already passed the
 /// instance's WHERE clause, tagged with `true` for Δ⁺ inserts.
-pub fn judge_aggregate_delta(spec: &AggSpec, matching: &[(&Row, bool)]) -> AggJudgement {
+fn judge_aggregate_delta(spec: &AggSpec, matching: &[(&Row, bool)]) -> AggJudgement {
     use std::collections::HashMap;
     // Per group: (net rows, per tracked agg: (net non-NULL count, net sum)).
     type GroupNet = (i64, Vec<(i64, i128)>);

@@ -8,11 +8,11 @@
 //! sync point analyzes nothing and leaves the machines untouched):
 //!
 //! * **Closed** — polls run normally. Faults within consecutive faulty sync
-//!   points accumulate; reaching `fault_threshold` trips the breaker. A
+//!   points accumulate; reaching `FAULT_THRESHOLD` trips the breaker. A
 //!   clean sync point (polls attempted, none faulted) resets the count.
 //! * **Open** — the type is degraded to the conservative policy (verdict
 //!   kind `breaker-degraded`): no polls are attempted, so a flapping DBMS
-//!   cannot stall or error a sync point. After `cooldown_syncs` sync points
+//!   cannot stall or error a sync point. After `COOLDOWN_SYNCS` sync points
 //!   the breaker moves to half-open.
 //! * **HalfOpen** — polls are allowed again as a probe. Any fault re-opens
 //!   the breaker (restarting the cooldown); a sync point where the type
@@ -27,27 +27,12 @@
 use crate::query_type::QueryTypeId;
 use std::collections::HashMap;
 
-/// Breaker tuning knobs (per query type, shared configuration).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BreakerConfig {
-    /// Master switch; `false` keeps every type permanently closed.
-    pub enabled: bool,
-    /// Cumulative poll faults (across consecutive faulty sync points)
-    /// that trip a closed breaker.
-    pub fault_threshold: u64,
-    /// Sync points an open breaker waits before half-open re-probing.
-    pub cooldown_syncs: u64,
-}
+/// Cumulative poll faults (across consecutive faulty sync points) that trip
+/// a closed breaker.
+pub(crate) const FAULT_THRESHOLD: u64 = 3;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            enabled: true,
-            fault_threshold: 3,
-            cooldown_syncs: 2,
-        }
-    }
-}
+/// Sync points an open breaker waits before half-open re-probing.
+pub(crate) const COOLDOWN_SYNCS: u64 = 2;
 
 /// What the invalidator should do with a type this sync point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,10 +87,7 @@ impl CircuitBreaker {
     }
 
     /// The decision for `ty` this sync point. Unknown types are closed.
-    pub fn decision(&self, ty: QueryTypeId, cfg: &BreakerConfig) -> BreakerDecision {
-        if !cfg.enabled {
-            return BreakerDecision::Normal;
-        }
+    pub fn decision(&self, ty: QueryTypeId) -> BreakerDecision {
         match self.states.get(&ty) {
             None | Some(State::Closed { .. }) => BreakerDecision::Normal,
             Some(State::Open { .. }) => BreakerDecision::Degrade,
@@ -119,13 +101,9 @@ impl CircuitBreaker {
     /// transition deltas for metrics.
     pub fn observe_sync(
         &mut self,
-        cfg: &BreakerConfig,
         observations: &HashMap<QueryTypeId, TypeObservation>,
     ) -> BreakerEvents {
         let mut events = BreakerEvents::default();
-        if !cfg.enabled {
-            return events;
-        }
         // Phase 1: fold this sync point's evidence into closed/half-open
         // machines (sorted for deterministic iteration).
         let mut observed: Vec<(&QueryTypeId, &TypeObservation)> = observations.iter().collect();
@@ -140,9 +118,9 @@ impl CircuitBreaker {
                 State::Closed { recent_faults } => {
                     if obs.poll_faults > 0 {
                         let total = recent_faults + obs.poll_faults;
-                        if total >= cfg.fault_threshold {
+                        if total >= FAULT_THRESHOLD {
                             *state = State::Open {
-                                cooldown_left: cfg.cooldown_syncs,
+                                cooldown_left: COOLDOWN_SYNCS,
                             };
                             events.opened += 1;
                             just_opened.push(*ty);
@@ -160,7 +138,7 @@ impl CircuitBreaker {
                 State::HalfOpen => {
                     if obs.poll_faults > 0 {
                         *state = State::Open {
-                            cooldown_left: cfg.cooldown_syncs,
+                            cooldown_left: COOLDOWN_SYNCS,
                         };
                         events.opened += 1;
                         just_opened.push(*ty);
@@ -242,111 +220,87 @@ mod tests {
     }
 
     /// The deterministic scripted walk the acceptance criteria name:
-    /// closed → open → half-open → closed.
+    /// closed → open → half-open → closed, at the threshold of 3 faults and
+    /// the cooldown of 2 sync points.
     #[test]
     fn scripted_error_sequence_walks_all_states() {
-        let cfg = BreakerConfig {
-            enabled: true,
-            fault_threshold: 3,
-            cooldown_syncs: 2,
-        };
+        assert_eq!((FAULT_THRESHOLD, COOLDOWN_SYNCS), (3, 2));
         let ty = QueryTypeId(0);
         let mut b = CircuitBreaker::new();
-        assert_eq!(b.decision(ty, &cfg), BreakerDecision::Normal);
+        assert_eq!(b.decision(ty), BreakerDecision::Normal);
 
         // Sync 1: two faults — under threshold, stays closed.
-        let e = b.observe_sync(&cfg, &obs(2, 4));
+        let e = b.observe_sync(&obs(2, 4));
         assert_eq!(e, BreakerEvents::default());
-        assert_eq!(b.decision(ty, &cfg), BreakerDecision::Normal);
+        assert_eq!(b.decision(ty), BreakerDecision::Normal);
         assert_eq!(b.state_name(ty), "closed");
 
         // Sync 2: one more fault — cumulative 3 hits the threshold: OPEN.
-        let e = b.observe_sync(&cfg, &obs(1, 2));
+        let e = b.observe_sync(&obs(1, 2));
         assert_eq!(e.opened, 1);
-        assert_eq!(b.decision(ty, &cfg), BreakerDecision::Degrade);
+        assert_eq!(b.decision(ty), BreakerDecision::Degrade);
         assert_eq!(b.state_name(ty), "open");
         assert_eq!(b.open_count(), 1);
 
         // Syncs 3–4: degraded (no observations for the type); the cooldown
         // ages and expires into HALF-OPEN.
-        let e = b.observe_sync(&cfg, &HashMap::new());
+        let e = b.observe_sync(&HashMap::new());
         assert_eq!(e, BreakerEvents::default());
-        assert_eq!(b.decision(ty, &cfg), BreakerDecision::Degrade);
-        let e = b.observe_sync(&cfg, &HashMap::new());
+        assert_eq!(b.decision(ty), BreakerDecision::Degrade);
+        let e = b.observe_sync(&HashMap::new());
         assert_eq!(e.half_opened, 1);
-        assert_eq!(b.decision(ty, &cfg), BreakerDecision::Probe);
+        assert_eq!(b.decision(ty), BreakerDecision::Probe);
         assert_eq!(b.half_open_count(), 1);
 
         // Sync 5: the probe polls cleanly: CLOSED again.
-        let e = b.observe_sync(&cfg, &obs(0, 3));
+        let e = b.observe_sync(&obs(0, 3));
         assert_eq!(e.closed, 1);
-        assert_eq!(b.decision(ty, &cfg), BreakerDecision::Normal);
+        assert_eq!(b.decision(ty), BreakerDecision::Normal);
         assert_eq!(b.state_name(ty), "closed");
         assert_eq!((b.open_count(), b.half_open_count()), (0, 0));
     }
 
     #[test]
     fn failed_probe_reopens_with_full_cooldown() {
-        let cfg = BreakerConfig {
-            enabled: true,
-            fault_threshold: 1,
-            cooldown_syncs: 1,
-        };
         let ty = QueryTypeId(0);
         let mut b = CircuitBreaker::new();
-        b.observe_sync(&cfg, &obs(1, 1)); // trip
-        assert_eq!(b.decision(ty, &cfg), BreakerDecision::Degrade);
-        b.observe_sync(&cfg, &HashMap::new()); // cooldown → half-open
-        assert_eq!(b.decision(ty, &cfg), BreakerDecision::Probe);
-        let e = b.observe_sync(&cfg, &obs(1, 1)); // probe faults → reopen
+        b.observe_sync(&obs(FAULT_THRESHOLD, FAULT_THRESHOLD)); // trip
+        for _ in 0..COOLDOWN_SYNCS {
+            assert_eq!(b.decision(ty), BreakerDecision::Degrade);
+            b.observe_sync(&HashMap::new()); // cooldown → half-open
+        }
+        assert_eq!(b.decision(ty), BreakerDecision::Probe);
+        let e = b.observe_sync(&obs(1, 1)); // probe faults → reopen
         assert_eq!(e.opened, 1);
-        assert_eq!(b.decision(ty, &cfg), BreakerDecision::Degrade);
+        // The full cooldown again, not what was left of the last one.
+        for _ in 0..COOLDOWN_SYNCS {
+            assert_eq!(b.decision(ty), BreakerDecision::Degrade);
+            b.observe_sync(&HashMap::new());
+        }
+        assert_eq!(b.decision(ty), BreakerDecision::Probe);
     }
 
     #[test]
     fn clean_syncs_reset_the_fault_accumulator() {
-        let cfg = BreakerConfig {
-            enabled: true,
-            fault_threshold: 3,
-            cooldown_syncs: 2,
-        };
         let ty = QueryTypeId(0);
         let mut b = CircuitBreaker::new();
-        b.observe_sync(&cfg, &obs(2, 4));
-        b.observe_sync(&cfg, &obs(0, 4)); // clean: accumulator resets
-        b.observe_sync(&cfg, &obs(2, 4)); // 2 again, still under threshold
-        assert_eq!(b.decision(ty, &cfg), BreakerDecision::Normal);
-        assert_eq!(b.open_count(), 0);
-    }
-
-    #[test]
-    fn disabled_breaker_never_trips() {
-        let cfg = BreakerConfig {
-            enabled: false,
-            ..BreakerConfig::default()
-        };
-        let mut b = CircuitBreaker::new();
-        for _ in 0..10 {
-            b.observe_sync(&cfg, &obs(100, 100));
-        }
-        assert_eq!(b.decision(QueryTypeId(0), &cfg), BreakerDecision::Normal);
+        b.observe_sync(&obs(2, 4));
+        b.observe_sync(&obs(0, 4)); // clean: accumulator resets
+        b.observe_sync(&obs(2, 4)); // 2 again, still under threshold
+        assert_eq!(b.decision(ty), BreakerDecision::Normal);
         assert_eq!(b.open_count(), 0);
     }
 
     #[test]
     fn independent_types_trip_independently() {
-        let cfg = BreakerConfig {
-            enabled: true,
-            fault_threshold: 1,
-            cooldown_syncs: 5,
-        };
         let mut m = HashMap::new();
-        m.insert(QueryTypeId(1), TypeObservation { polls_attempted: 2, poll_faults: 2 });
+        let faults = FAULT_THRESHOLD;
+        m.insert(QueryTypeId(1), TypeObservation { polls_attempted: faults, poll_faults: faults });
         m.insert(QueryTypeId(2), TypeObservation { polls_attempted: 2, poll_faults: 0 });
         let mut b = CircuitBreaker::new();
-        let e = b.observe_sync(&cfg, &m);
+        let e = b.observe_sync(&m);
         assert_eq!(e.opened, 1);
-        assert_eq!(b.decision(QueryTypeId(1), &cfg), BreakerDecision::Degrade);
-        assert_eq!(b.decision(QueryTypeId(2), &cfg), BreakerDecision::Normal);
+        assert_eq!(b.decision(QueryTypeId(1)), BreakerDecision::Degrade);
+        assert_eq!(b.decision(QueryTypeId(2)), BreakerDecision::Normal);
     }
 }

@@ -5,12 +5,12 @@
 //! set of page keys to eject from the caches.
 
 use crate::analysis::{
-    judge_aggregate_delta, AggJudgement, AggSpec, BatchImpact, PollingQuery, TopKPlan,
-    TupleImpact, TypeAnalysis,
+    AggSpec, BatchImpact, PollingQuery, RuleOutcome, RuleWork, TopKPlan, TupleImpact,
+    TypeAnalysis,
 };
-use crate::breaker::{BreakerConfig, BreakerDecision, CircuitBreaker, TypeObservation};
+use crate::breaker::{BreakerDecision, CircuitBreaker, TypeObservation};
 use crate::delta::{DeltaGroupStat, DeltaSet};
-use crate::policy::{InvalidationPolicy, PolicyConfig, PolicyStore};
+use crate::policy::{InvalidationPolicy, PolicyConfig, PolicyStore, MAX_OR_TERMS_PER_POLL};
 use crate::polling::{
     InfoManager, PollAnswer, PollRunner, PollStats, POLL_MAX_RETRIES, POLL_RETRY_BUDGET_PER_TYPE,
 };
@@ -63,8 +63,8 @@ pub enum VerdictKind {
     /// dependencies cannot be proven — eject rather than risk staleness.
     RecoveryGap,
     /// A TopK (ORDER BY + LIMIT) instance: a delta tuple lands at or inside
-    /// the registered top-k boundary value, so it can enter or displace the
-    /// bounded result.
+    /// the instance's post-batch top-k boundary value, so it can enter or
+    /// displace the bounded result.
     TopKBoundary,
     /// An Aggregate instance: matching delta tuples change (or cannot be
     /// proven not to change) the aggregate values the page displays.
@@ -231,14 +231,14 @@ pub struct InvalidationReport {
     /// [`InvalidatorConfig::index_differential`] is set.
     pub index_divergences: u64,
     /// TopK instances the boundary rule kept cached: every matching delta
-    /// tuple was provably beyond the registered top-k boundary, where the
-    /// conventional local check would have ejected.
+    /// tuple was provably beyond the instance's post-batch top-k boundary,
+    /// where the conventional local check would have ejected.
     pub shape_topk_skipped: u64,
     /// Aggregate instances the value-preserving rule kept cached: matching
     /// tuples netted to zero on every group and tracked aggregate.
     pub shape_agg_skipped: u64,
-    /// Boundary polls issued by the shape pre-pass (one bounded ORDER
-    /// BY/LIMIT query per live TopK instance of a candidate type).
+    /// Boundary polls the top-k rule ran: one bounded ORDER BY/LIMIT query
+    /// per TopK instance that reached the rule this sync point.
     pub shape_boundary_polls: u64,
     /// Pages the aggregate value-preserving rule kept cached this sync
     /// point (sorted, deduplicated, minus pages ejected anyway). The
@@ -295,8 +295,6 @@ pub struct InvalidatorConfig {
     /// Fault-injection plan for polling queries (harness only; the default
     /// plan is inert). Installed into every sync point's [`PollRunner`].
     pub fault: cacheportal_db::FaultPlan,
-    /// Circuit-breaker configuration for adaptive poll degradation.
-    pub breaker: BreakerConfig,
     /// Probe the predicate index before scanning a type's instances (on by
     /// default). The index only ever *skips* instances whose indexed
     /// conjunct is provably false for every delta tuple — verdicts are
@@ -311,7 +309,7 @@ pub struct InvalidatorConfig {
     /// Expensive — every sync point analyzes twice.
     pub index_differential: bool,
     /// Per-shape decision rules (on by default): TopK instances compare
-    /// delta tuples against the registered top-k boundary, Aggregate
+    /// delta tuples against their post-batch top-k boundary, Aggregate
     /// instances run the value-preserving delta judgement. Both may only
     /// *keep pages cached* that the conventional path would eject (or
     /// relabel a verdict's provenance) — never invalidate more; turning
@@ -326,7 +324,6 @@ impl Default for InvalidatorConfig {
             workers: 1,
             poll_rtt_micros: 0,
             fault: cacheportal_db::FaultPlan::default(),
-            breaker: BreakerConfig::default(),
             predicate_index: true,
             index_differential: false,
             shape_rules: true,
@@ -347,6 +344,7 @@ struct ShardTally {
     index_probed_types: u64,
     index_residual_types: u64,
     index_probe_micros: u64,
+    boundary_polls: u64,
     /// Pages of aggregate instances the value-preserving netting kept
     /// cached (see [`InvalidationReport::netted_pages`]).
     netted_pages: Vec<PageKey>,
@@ -549,8 +547,8 @@ impl Invalidator {
     /// analysis stage fans out across threads that poll concurrently.
     ///
     /// The stages run in order, each filling its part of the report:
-    /// register, delta, boundary pre-pass, analyse, collect. An empty update
-    /// log ends the sync point after the delta stage.
+    /// register, delta, analyse, collect. An empty update log ends the sync
+    /// point after the delta stage.
     ///
     /// Returns `Ok` on every path: an instance that cannot be analysed is a
     /// [`VerdictKind::BindFailure`] verdict (affected), never an error, so
@@ -577,7 +575,6 @@ impl Invalidator {
                 .collect();
             candidate_types.sort_unstable();
             candidate_types.dedup();
-            self.refresh_boundaries(db, &candidate_types, &mut report);
             let analysis_started = std::time::Instant::now();
             let affected = self.analyze_batch(db, &deltas, &candidate_types, &mut report);
             report.analysis_micros = analysis_started.elapsed().as_micros() as u64;
@@ -646,59 +643,7 @@ impl Invalidator {
         Some(deltas)
     }
 
-    /// Stage 3, the shape pre-pass: refresh per-instance top-k boundaries
-    /// before the sharded analysis reads them. The database is already at
-    /// the post-batch state here, so the stored boundary is the k-th row's
-    /// first ORDER BY key *after* the update — which is what the boundary
-    /// rule's proof compares delta tuples against. Sequential (needs
-    /// `&mut registry`) and bounded: one `ORDER BY … LIMIT k` poll per live
-    /// TopK instance whose read table was touched.
-    fn refresh_boundaries(
-        &mut self,
-        db: &Database,
-        candidate_types: &[QueryTypeId],
-        report: &mut InvalidationReport,
-    ) {
-        if !self.config.shape_rules {
-            return;
-        }
-        for &ty_id in candidate_types {
-            if self.registry.get(ty_id).shape != QueryShape::TopK
-                || self.policies.policy_for(ty_id, &self.config.policy) != InvalidationPolicy::Exact
-            {
-                continue;
-            }
-            self.registry.refresh_analysis(ty_id, db);
-            let instances: Vec<Arc<[Value]>> = self
-                .registry
-                .instances_of(ty_id)
-                .map(|(params, _)| params.clone())
-                .collect();
-            for params in instances {
-                // The type's boundary poll, run with the instance's
-                // values as its parameters.
-                let boundary = (self.registry.analysis(ty_id))
-                    .and_then(|compiled| compiled.as_ref().ok())
-                    .filter(|compiled| compiled.check_params(&params).is_ok())
-                    .and_then(|compiled| compiled.topk.as_ref())
-                    .and_then(|plan| {
-                        report.shape_boundary_polls += 1;
-                        match db.query_select(&plan.poll, &params) {
-                            // Only a *full* result has a meaningful
-                            // boundary; short results (or a failed
-                            // poll) disable the rule for the instance.
-                            Ok(res) if res.rows.len() == plan.k => {
-                                res.rows.last().and_then(|r| r.first()).cloned()
-                            }
-                            _ => None,
-                        }
-                    });
-                self.registry.set_boundary(ty_id, &params, boundary);
-            }
-        }
-    }
-
-    /// Stage 4: analyze one delta batch; returns affected (type, params,
+    /// Stage 3: analyze one delta batch; returns affected (type, params,
     /// verdict) triples.
     ///
     /// Candidate query types are sharded round-robin (in stable type-id
@@ -734,9 +679,7 @@ impl Invalidator {
         // shard sees the same per-type decision regardless of worker count
         // or scheduling, preserving parallel equivalence.
         let degraded: HashSet<QueryTypeId> = (candidate_types.iter().copied())
-            .filter(|&id| {
-                self.breaker.decision(id, &self.config.breaker) == BreakerDecision::Degrade
-            })
+            .filter(|&id| self.breaker.decision(id) == BreakerDecision::Degrade)
             .collect();
 
         let workers = self
@@ -789,6 +732,7 @@ impl Invalidator {
             report.index_probed_types += tally.index_probed_types;
             report.index_residual_types += tally.index_residual_types;
             report.index_probe_micros += tally.index_probe_micros;
+            report.shape_boundary_polls += tally.boundary_polls;
             report.netted_pages.extend(tally.netted_pages);
             type_outcomes.extend(types);
         }
@@ -845,7 +789,7 @@ impl Invalidator {
 
         // Advance the breaker with the sync point's aggregated evidence —
         // per-type sums, independent of shard assignment and join order.
-        let events = self.breaker.observe_sync(&self.config.breaker, &observations);
+        let events = self.breaker.observe_sync(&observations);
         report.breaker_opened = events.opened;
         report.breaker_half_opened = events.half_opened;
         report.breaker_closed = events.closed;
@@ -867,7 +811,7 @@ impl Invalidator {
         affected
     }
 
-    /// Stage 5: collect the affected instances' dependent pages, keeping the
+    /// Stage 4: collect the affected instances' dependent pages, keeping the
     /// per-instance chain (type → params → verdict → pages) for the
     /// provenance log, then the per-type bookkeeping and policy discovery
     /// (§4.1.4).
@@ -1011,9 +955,8 @@ impl SyncContext<'_> {
                     Decider::TableLevel(detail) => {
                         Ok(Some(VerdictCause { kind: VerdictKind::TableLevel, detail: detail.clone() }))
                     }
-                    Decider::TopK(plan) => bound.and_then(|i| self.decide_topk(&mut run, &mut tally, i, plan)),
-                    Decider::Aggregate(spec) => bound.and_then(|i| self.decide_aggregate(&mut run, &mut tally, i, spec)),
                     Decider::Conventional => bound.and_then(|i| self.decide_conventional(&mut run, &mut tally, i)),
+                    rule => bound.and_then(|i| self.decide_by_rule(&mut run, &mut tally, i, rule)),
                 };
                 // An instance that does not analyse — its type no longer
                 // compiles, its values do not bind, a conjunct does not
@@ -1081,122 +1024,49 @@ impl SyncContext<'_> {
         }
     }
 
-    /// TopK boundary rule. The boundary is the first ORDER BY key of the
-    /// k-th row of the *post-batch* result (refreshed by the shape pre-pass;
-    /// only stored when the result was full). A delta tuple whose key sorts
-    /// strictly beyond the boundary can neither enter the top-k (it sorts
-    /// after k surviving rows) nor displace it (the post-state top-k rows
-    /// all pre-existed the batch, and the engine's ORDER BY breaks key ties
-    /// by full row content, so their relative order is a pure function of
-    /// the row set) — whether or not the tuple matches the WHERE clause.
-    /// Ties and missing keys stay conservative; a tuple that lands at or
-    /// inside the boundary and matches locally ejects with
-    /// [`VerdictKind::TopKBoundary`]. Without a boundary, or for a matching
-    /// tuple that can neither be decided locally nor pruned by the boundary,
-    /// the whole instance goes to the conventional polling path.
-    fn decide_topk(
+    /// A shape rule's decision for one instance, as a verdict: the rule's
+    /// outcome (in `analysis`, beside its plan) maps to the rule's verdict
+    /// kind, or to the conventional path where the rule hands it on.
+    fn decide_by_rule(
         &self,
         run: &mut TypeRun,
         tally: &mut ShardTally,
         inst: Instance<'_>,
-        spec: &TopKPlan,
+        rule: &Decider<'_>,
     ) -> DbResult<Option<VerdictCause>> {
-        use std::cmp::Ordering;
-        let table = &inst.ty.from_refs()[0].table;
-        let boundary = (self.registry.pages_of(run.stat.id, inst.params))
-            .and_then(|data| data.boundary());
-        let (Some(boundary), Some(delta)) = (boundary, self.deltas.for_table(table)) else {
-            return self.decide_conventional(run, tally, inst);
+        let mut work = RuleWork::default();
+        let delta = self.deltas.for_table(&inst.ty.from_refs()[0].table);
+        let (outcome, kind) = match (rule, delta) {
+            (Decider::TopK(plan), Some(delta)) => (
+                plan.decide(inst.ty, inst.params, delta, self.db, &mut work),
+                VerdictKind::TopKBoundary,
+            ),
+            (Decider::Aggregate(spec), Some(delta)) => (
+                spec.decide(inst.ty, inst.params, delta, &mut work),
+                VerdictKind::AggregateDelta,
+            ),
+            _ => return self.decide_conventional(run, tally, inst),
         };
-        // Strictly beyond the boundary in sort direction, under the engine's
-        // own comparator (`Value::cmp`, same as its ORDER BY).
-        let beyond = |tuple: &cacheportal_db::table::Row| {
-            tuple.get(spec.order_col).is_some_and(|key| match key.cmp(boundary) {
-                Ordering::Greater => spec.ascending,
-                Ordering::Less => !spec.ascending,
-                Ordering::Equal => false,
-            })
-        };
-        let mut used_boundary = false;
-        for (tuple, is_insert) in delta.tuples() {
-            tally.tuples_analyzed += 1;
-            match inst.ty.analyze_tuple(inst.params, 0, tuple)? {
-                TupleImpact::NoImpact => tally.local_decisions += 1,
-                _ if beyond(tuple) => {
-                    used_boundary = true;
-                    tally.local_decisions += 1;
-                }
-                TupleImpact::Affected => {
-                    tally.local_decisions += 1;
-                    return Ok(Some(VerdictCause {
-                        kind: VerdictKind::TopKBoundary,
-                        detail: format!(
-                            "{} tuple in `{table}` lands at or inside the top-{} boundary ({})",
-                            if is_insert { "Δ⁺ inserted" } else { "Δ⁻ deleted" },
-                            spec.k,
-                            boundary,
-                        ),
-                    }));
-                }
-                TupleImpact::NeedsPoll(_) => return self.decide_conventional(run, tally, inst),
-            }
-        }
-        // A proof that *needed* the boundary kept a page the conventional
-        // path would have ejected.
-        run.stat.shape_skipped += u64::from(used_boundary);
-        Ok(None)
-    }
-
-    /// Aggregate value-preserving rule: collect the delta tuples that match
-    /// the instance's predicates and judge whether they leave every group's
-    /// row count and every tracked aggregate provably unchanged. Unchanged
-    /// keeps the page cached; anything else ejects with
-    /// [`VerdictKind::AggregateDelta`] (including judgements the exactness
-    /// argument cannot cover — those never convert to NoImpact). A tuple
-    /// that needs a poll sends the instance to the conventional path.
-    fn decide_aggregate(
-        &self,
-        run: &mut TypeRun,
-        tally: &mut ShardTally,
-        inst: Instance<'_>,
-        spec: &AggSpec,
-    ) -> DbResult<Option<VerdictCause>> {
-        let table = &inst.ty.from_refs()[0].table;
-        let Some(delta) = self.deltas.for_table(table) else {
-            return self.decide_conventional(run, tally, inst);
-        };
-        let mut matching: Vec<(&cacheportal_db::table::Row, bool)> = Vec::new();
-        for (tuple, is_insert) in delta.tuples() {
-            tally.tuples_analyzed += 1;
-            match inst.ty.analyze_tuple(inst.params, 0, tuple)? {
-                TupleImpact::NoImpact => tally.local_decisions += 1,
-                TupleImpact::Affected => matching.push((tuple, is_insert)),
-                TupleImpact::NeedsPoll(_) => return self.decide_conventional(run, tally, inst),
-            }
-        }
-        if matching.is_empty() {
-            return Ok(None);
-        }
-        tally.local_decisions += 1;
-        let detail = match judge_aggregate_delta(spec, &matching) {
-            AggJudgement::Unchanged => {
+        tally.tuples_analyzed += work.tuples_analyzed;
+        tally.local_decisions += work.local_decisions;
+        tally.boundary_polls += work.boundary_polls;
+        match outcome? {
+            RuleOutcome::Unaffected => Ok(None),
+            RuleOutcome::Kept => {
                 run.stat.shape_skipped += 1;
                 // The netting proof only holds for pages that existed at the
                 // interval endpoints; report these so the orchestrator can
                 // guard-eject any admitted mid-window.
-                if let Some(data) = self.registry.pages_of(run.stat.id, inst.params) {
-                    tally.netted_pages.extend(data.pages.iter().cloned());
+                if kind == VerdictKind::AggregateDelta {
+                    if let Some(data) = self.registry.pages_of(run.stat.id, inst.params) {
+                        tally.netted_pages.extend(data.pages.iter().cloned());
+                    }
                 }
-                return Ok(None);
+                Ok(None)
             }
-            AggJudgement::Changed(detail) => {
-                format!("matching delta changes the aggregate: {detail}")
-            }
-            AggJudgement::Unprovable(detail) => {
-                format!("aggregate delta not provably unchanged: {detail}")
-            }
-        };
-        Ok(Some(VerdictCause { kind: VerdictKind::AggregateDelta, detail }))
+            RuleOutcome::Affected(detail) => Ok(Some(VerdictCause { kind, detail })),
+            RuleOutcome::HandOn => self.decide_conventional(run, tally, inst),
+        }
     }
 
     /// The paper's decision for one instance: each FROM occurrence whose
@@ -1264,7 +1134,7 @@ impl SyncContext<'_> {
 
     /// Grouped decision (§4.2.1): inserts and deletes are batched separately
     /// (the correlated-delete guard only applies to deletions), each batch
-    /// producing at most ⌈n / max_or_terms⌉ polls.
+    /// producing at most ⌈n / [`MAX_OR_TERMS_PER_POLL`]⌉ polls.
     fn decide_batched(
         &self,
         run: &mut TypeRun,
@@ -1285,7 +1155,7 @@ impl SyncContext<'_> {
                 inst.params,
                 occ,
                 rows,
-                self.config.policy.max_or_terms_per_poll.max(1),
+                MAX_OR_TERMS_PER_POLL,
             )?;
             let hit = match impact {
                 BatchImpact::NoImpact => {
@@ -1704,9 +1574,8 @@ mod tests {
     #[test]
     fn or_term_chunking_caps_poll_size() {
         let (mut db, map, mut inv) = setup();
-        inv.config.policy.max_or_terms_per_poll = 4;
-        // 10 surviving tuples → ⌈10/4⌉ = 3 polls (none matching, so all run).
-        for i in 0..10 {
+        // 2·cap + 1 surviving tuples → 3 polls (none matching, so all run).
+        for i in 0..2 * MAX_OR_TERMS_PER_POLL + 1 {
             db.execute(&format!("INSERT INTO Car VALUES ('m','zz{i}',15000)"))
                 .unwrap();
         }
@@ -1794,45 +1663,47 @@ mod tests {
     }
 
     /// End-to-end breaker walk through real sync points: a fully faulty
-    /// DBMS trips the type open, the next sync degrades without touching
+    /// DBMS trips the type open, the next syncs degrade without touching
     /// the poll path, and once the DBMS heals the half-open probe closes
     /// the breaker again.
     #[test]
     fn breaker_degrades_and_recovers_across_sync_points() {
+        use crate::breaker::{COOLDOWN_SYNCS, FAULT_THRESHOLD};
         let (mut db, map, mut inv) = setup();
-        inv.config.breaker = crate::breaker::BreakerConfig {
-            enabled: true,
-            fault_threshold: 1,
-            cooldown_syncs: 1,
-        };
         inv.config.fault = cacheportal_db::FaultPlan::new(cacheportal_db::FaultSpec {
             poll_error: 1.0,
             ..cacheportal_db::FaultSpec::default()
         });
+        let mut cars =
+            (0..).map(|i| format!("INSERT INTO Car VALUES ('Toyota','Avalon',{})", 15000 + i));
 
-        // Sync 1: the poll faults on every attempt (retries included), the
-        // instance fails safe, and the breaker trips open.
-        db.execute("INSERT INTO Car VALUES ('Toyota','Avalon',15000)")
-            .unwrap();
-        let r = inv.run_sync_point(&db, &map).unwrap();
-        assert_eq!(r.poll_faults, 1);
-        assert_eq!(r.verdicts[0].cause.kind, VerdictKind::PollFault);
-        assert!(r.pages.contains(&PageKey::raw("URL1")));
-        assert_eq!((r.breaker_opened, r.breaker_open_types), (1, 1));
+        // The poll faults on every attempt (retries included) and the
+        // instance fails safe, sync after sync, until the faults add up to
+        // the threshold and the breaker trips open.
+        for sync in 1..=FAULT_THRESHOLD {
+            db.execute(&cars.next().unwrap()).unwrap();
+            let r = inv.run_sync_point(&db, &map).unwrap();
+            assert_eq!(r.poll_faults, 1);
+            assert_eq!(r.verdicts[0].cause.kind, VerdictKind::PollFault);
+            assert!(r.pages.contains(&PageKey::raw("URL1")));
+            let tripped = u64::from(sync == FAULT_THRESHOLD);
+            assert_eq!((r.breaker_opened, r.breaker_open_types), (tripped, tripped));
+        }
 
-        // Sync 2: degraded — no poll reaches the DBMS, the verdict says so,
-        // and the elapsed cooldown moves the breaker to half-open.
-        db.execute("INSERT INTO Car VALUES ('Honda','Fit',12000)")
-            .unwrap();
-        let r = inv.run_sync_point(&db, &map).unwrap();
-        assert_eq!(r.verdicts[0].cause.kind, VerdictKind::BreakerDegraded);
-        assert_eq!(r.breaker_degraded, 1);
-        assert_eq!((r.polls.issued, r.polls.faulted), (0, 0));
-        assert_eq!(r.breaker_half_opened, 1);
-        assert_eq!(r.breaker_half_open_types, 1);
+        // Degraded for the cooldown — no poll reaches the DBMS and the
+        // verdict says so — after which the breaker is half-open.
+        for sync in 1..=COOLDOWN_SYNCS {
+            db.execute(&cars.next().unwrap()).unwrap();
+            let r = inv.run_sync_point(&db, &map).unwrap();
+            assert_eq!(r.verdicts[0].cause.kind, VerdictKind::BreakerDegraded);
+            assert_eq!(r.breaker_degraded, 1);
+            assert_eq!((r.polls.issued, r.polls.faulted), (0, 0));
+            let probing = u64::from(sync == COOLDOWN_SYNCS);
+            assert_eq!((r.breaker_half_opened, r.breaker_half_open_types), (probing, probing));
+        }
 
-        // Sync 3: the DBMS healed; the half-open probe polls cleanly and
-        // the breaker closes.
+        // The DBMS healed; the half-open probe polls cleanly and the
+        // breaker closes.
         inv.config.fault = cacheportal_db::FaultPlan::none();
         db.execute("INSERT INTO Car VALUES ('Toyota','Camry',14000)")
             .unwrap();
@@ -1847,24 +1718,22 @@ mod tests {
     /// (the PR 3 parallel-equivalence property extends to degradation).
     #[test]
     fn breaker_behavior_is_worker_count_independent() {
+        use crate::breaker::{COOLDOWN_SYNCS, FAULT_THRESHOLD};
+        // Faulty long enough to trip and sit out the cooldown, then healed.
+        let healed_at = FAULT_THRESHOLD + COOLDOWN_SYNCS;
         let runs: Vec<Vec<(u64, u64, u64, usize)>> = [1usize, 4]
             .iter()
             .map(|&workers| {
                 let (mut db, map, mut inv) = setup();
                 inv.config.workers = workers;
-                inv.config.breaker = crate::breaker::BreakerConfig {
-                    enabled: true,
-                    fault_threshold: 1,
-                    cooldown_syncs: 1,
-                };
                 inv.config.fault =
                     cacheportal_db::FaultPlan::new(cacheportal_db::FaultSpec {
                         poll_error: 1.0,
                         ..cacheportal_db::FaultSpec::default()
                     });
                 let mut trace = Vec::new();
-                for i in 0..4 {
-                    if i == 2 {
+                for i in 0..healed_at + 2 {
+                    if i == healed_at {
                         inv.config.fault = cacheportal_db::FaultPlan::none();
                     }
                     db.execute(&format!(
@@ -1884,6 +1753,9 @@ mod tests {
             })
             .collect();
         assert_eq!(runs[0], runs[1]);
+        let opened: u64 = runs[0].iter().map(|t| t.0).sum();
+        let closed: u64 = runs[0].iter().map(|t| t.1).sum();
+        assert_eq!((opened, closed), (1, 1), "the walk trips and recovers: {:?}", runs[0]);
     }
 
     /// A single-table equality type: the index skips every instance whose
@@ -2021,6 +1893,60 @@ mod tests {
         assert!(r.pages.contains(&PageKey::raw("TOP")));
         assert_eq!(r.verdicts[0].cause.kind, VerdictKind::TopKBoundary);
         assert_eq!(r.shape_topk_skipped, 0);
+    }
+
+    /// The storefront's shape: N live `WHERE category = $1 ORDER BY price
+    /// DESC LIMIT k` pages, and one price update in one category. The batch
+    /// reaches one instance, which runs one boundary poll; the index-vs-scan
+    /// shadow pass analyses every instance again, and its polls stay out of
+    /// the report.
+    #[test]
+    fn boundary_polls_follow_the_update_not_the_site() {
+        const CATEGORIES: i64 = 20;
+        for index_differential in [false, true] {
+            let mut db = Database::new();
+            db.execute("CREATE TABLE products (sku INT, category INT, price INT)").unwrap();
+            let map = QiUrlMap::new();
+            for c in 0..CATEGORIES {
+                // Prices 10..=50; the top-3 boundary is 30.
+                for i in 1..=5 {
+                    let (sku, price) = (10 * c + i, 10 * i);
+                    db.execute(&format!("INSERT INTO products VALUES ({sku}, {c}, {price})"))
+                        .unwrap();
+                }
+                map.insert(
+                    &format!(
+                        "SELECT sku FROM products WHERE category = {c} ORDER BY price DESC LIMIT 3"
+                    ),
+                    PageKey::raw(format!("top{c}")),
+                    "top".into(),
+                );
+            }
+            let mut inv = Invalidator::new(InvalidatorConfig {
+                index_differential,
+                ..InvalidatorConfig::default()
+            });
+            inv.start_from(db.high_water());
+            inv.run_sync_point(&db, &map).unwrap();
+
+            // Category 7's cheapest product, 10 → 15: both images sort
+            // beyond the boundary, and the rule keeps the page.
+            db.execute("UPDATE products SET price = 15 WHERE sku = 71").unwrap();
+            let r = inv.run_sync_point(&db, &map).unwrap();
+            assert_eq!(r.shape_boundary_polls, 1, "differential {index_differential}");
+            assert!(r.verdicts.is_empty());
+            assert_eq!(r.shape_topk_skipped, 1);
+            assert_eq!(r.index_divergences, 0);
+
+            // 15 → 45 lands inside the top-3: that page alone goes.
+            db.execute("UPDATE products SET price = 45 WHERE sku = 71").unwrap();
+            let r = inv.run_sync_point(&db, &map).unwrap();
+            assert_eq!(r.shape_boundary_polls, 1, "differential {index_differential}");
+            assert_eq!(r.verdicts.len(), 1);
+            assert_eq!(r.verdicts[0].cause.kind, VerdictKind::TopKBoundary);
+            assert_eq!(r.verdicts[0].pages, vec![PageKey::raw("top7")]);
+            assert_eq!(r.index_divergences, 0);
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod predicate_index;
 pub mod query_type;
 
 pub use analysis::{BatchImpact, PollingQuery, SchemaProvider, TupleImpact, TypeAnalysis};
-pub use breaker::{BreakerConfig, BreakerDecision, BreakerEvents, CircuitBreaker, TypeObservation};
+pub use breaker::{BreakerDecision, BreakerEvents, CircuitBreaker, TypeObservation};
 pub use delta::{DeltaGroupStat, DeltaSet, TableDelta};
 pub use invalidator::{
     InstanceVerdict, InvalidationReport, Invalidator, InvalidatorConfig, TypeSyncStat, VerdictCause,

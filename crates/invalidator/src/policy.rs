@@ -48,9 +48,10 @@ pub struct PolicyConfig {
     /// delta tuples surviving the local checks into one polling query per
     /// (instance, occurrence, op-kind) instead of one per tuple.
     pub batch_polls: bool,
-    /// Maximum OR terms per batched poll; longer batches are chunked.
-    pub max_or_terms_per_poll: usize,
 }
+
+/// Maximum OR terms per batched poll; longer batches are chunked.
+pub(crate) const MAX_OR_TERMS_PER_POLL: usize = 16;
 
 impl Default for PolicyConfig {
     fn default() -> Self {
@@ -60,7 +61,6 @@ impl Default for PolicyConfig {
             non_cacheable_invalidation_ratio: None,
             min_batches_for_ratio: 10,
             batch_polls: true,
-            max_or_terms_per_poll: 16,
         }
     }
 }

@@ -243,9 +243,6 @@ pub struct InstanceData {
     pub pages: PageSet,
     /// Slot of this instance in its type's predicate index.
     pub(crate) slot: u32,
-    /// TopK instances only — hence out of line: see
-    /// [`InstanceData::boundary`].
-    boundary: Option<Box<Value>>,
 }
 
 impl InstanceData {
@@ -253,15 +250,6 @@ impl InstanceData {
     /// equal registries assign equal slots).
     pub fn index_slot(&self) -> u32 {
         self.slot
-    }
-
-    /// TopK instances only: first-order-key value of the k-th result row
-    /// as of the last boundary poll (`None` = unknown or result not full —
-    /// the shape rule then falls back to the conjunctive decision).
-    /// Initialized unknown at registration, refreshed by the sync-point
-    /// boundary pre-pass whenever the type's tables are touched.
-    pub fn boundary(&self) -> Option<&Value> {
-        self.boundary.as_deref()
     }
 }
 
@@ -417,7 +405,7 @@ impl Registry {
                 self.index_maintenance_nanos += t0.elapsed().as_nanos() as u64;
                 let mut pages = PageSet::default();
                 pages.insert(page);
-                e.insert(InstanceData { pages, slot, boundary: None });
+                e.insert(InstanceData { pages, slot });
             }
         }
         id
@@ -518,15 +506,6 @@ impl Registry {
     /// Pages depending on a specific instance.
     pub fn pages_of(&self, id: QueryTypeId, params: &[Value]) -> Option<&InstanceData> {
         self.instances.get(&id).and_then(|m| m.get(params))
-    }
-
-    /// Store a TopK instance's refreshed boundary value (`None` = the
-    /// boundary poll failed or the result is not full; the shape rule then
-    /// degrades to the conjunctive decision for this instance).
-    pub fn set_boundary(&mut self, id: QueryTypeId, params: &[Value], boundary: Option<Value>) {
-        if let Some(data) = self.instances.get_mut(&id).and_then(|m| m.get_mut(params)) {
-            data.boundary = boundary.map(Box::new);
-        }
     }
 
     /// Query types with at least one instance feeding `page`, sorted by id
@@ -658,21 +637,6 @@ mod tests {
             let (id, _) = register(&mut reg, sql, "p");
             assert_eq!(reg.get(id).shape, want, "shape of {sql}");
         }
-    }
-
-    #[test]
-    fn boundary_is_stored_per_instance() {
-        let mut reg = Registry::new();
-        let top = "SELECT model FROM Car WHERE maker = 'T' ORDER BY price DESC LIMIT 3";
-        let (id, params) = register(&mut reg, top, "p");
-        assert_eq!(reg.pages_of(id, &params).unwrap().boundary(), None);
-        reg.set_boundary(id, &params, Some(Value::Int(42)));
-        assert_eq!(
-            reg.pages_of(id, &params).unwrap().boundary(),
-            Some(&Value::Int(42))
-        );
-        // Unknown instance: silently ignored.
-        reg.set_boundary(id, &[Value::Int(999)], Some(Value::Int(1)));
     }
 
     #[test]

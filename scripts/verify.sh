@@ -86,8 +86,10 @@ cargo test -q --offline -p cacheportal-harness --features canary
 
 echo "== sync-point scaling smoke test (sync_scale --smoke) =="
 # Small burst at 1 vs 2 workers; the binary asserts identical verdicts,
-# ejected pages, and poll counts across worker counts and appends a run
-# record to the BENCH_sync_scale.json history (uploaded as a CI artifact).
+# ejected pages, and poll counts across worker counts. Each of the three
+# sync_scale smoke runs appends its record to
+# target/sync_scale/BENCH_sync_scale.json (uploaded as a CI artifact); only
+# full runs append to the tracked BENCH_sync_scale.json.
 ./target/release/sync_scale --smoke
 
 echo "== registered-QI sweep smoke test (sync_scale --qi-sweep --smoke) =="
