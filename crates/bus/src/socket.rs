@@ -13,7 +13,6 @@
 //! socket path; the deterministic harness uses [`crate::MemoryTransport`].
 
 use crate::{Ack, BusTransport, EdgeEndpoint, EjectBatch, TransportError};
-use parking_lot::Mutex;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,7 +65,7 @@ fn read_frame(stream: &TcpStream, deadline: Instant) -> std::io::Result<String> 
 /// Edge index = position in the address list (matching the bus's
 /// registration order of `register_remote_edge`).
 pub struct SocketTransport {
-    addrs: Mutex<Vec<SocketAddr>>,
+    addrs: Vec<SocketAddr>,
     timeout: Duration,
 }
 
@@ -74,16 +73,9 @@ impl SocketTransport {
     /// A transport over `addrs` (index-aligned with edge registration).
     pub fn new(addrs: Vec<SocketAddr>) -> SocketTransport {
         SocketTransport {
-            addrs: Mutex::new(addrs),
+            addrs,
             timeout: Duration::from_secs(2),
         }
-    }
-
-    /// Append an edge address; returns its index.
-    pub fn add_edge(&self, addr: SocketAddr) -> usize {
-        let mut addrs = self.addrs.lock();
-        addrs.push(addr);
-        addrs.len() - 1
     }
 }
 
@@ -91,12 +83,10 @@ impl BusTransport for SocketTransport {
     fn deliver(&self, edge: usize, batch: &EjectBatch, _attempt: u32) -> Result<Ack, TransportError> {
         let addr = self
             .addrs
-            .lock()
             .get(edge)
-            .copied()
             .ok_or(TransportError::Unreachable("unknown-edge"))?;
-        let stream =
-            TcpStream::connect(addr).map_err(|_| TransportError::Unreachable("connect"))?;
+        let stream = TcpStream::connect_timeout(addr, self.timeout)
+            .map_err(|_| TransportError::Unreachable("connect"))?;
         stream
             .set_write_timeout(Some(self.timeout))
             .map_err(|_| TransportError::Unreachable("socket"))?;
@@ -352,5 +342,36 @@ mod tests {
         assert_eq!(bus.edge_rows()[0].lag, 0);
 
         server.shutdown();
+    }
+
+    /// A peer that drops SYNs: a listener that never accepts, its backlog
+    /// filled by connections held open. An unbounded connect to it retries
+    /// for the kernel's SYN timeout (minutes on Linux); the delivery gives
+    /// up after the transport's own timeout.
+    #[test]
+    fn a_peer_that_drops_syns_fails_the_delivery_within_its_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut held = Vec::new();
+        let backlog_full = (0..1_000).any(|_| {
+            match TcpStream::connect_timeout(&addr, Duration::from_millis(50)) {
+                Ok(conn) => {
+                    held.push(conn);
+                    false
+                }
+                Err(e) => e.kind() == ErrorKind::TimedOut,
+            }
+        });
+        assert!(backlog_full, "{} connects, none was left unanswered", held.len());
+
+        let transport = SocketTransport::new(vec![addr]);
+        let timeout = transport.timeout;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let batch = EjectBatch { seq: 1, sync_seq: 1, ts: 1, pages: vec![key("a")] };
+            let _ = tx.send(transport.deliver(0, &batch, 0));
+        });
+        let outcome = rx.recv_timeout(3 * timeout).expect("the delivery outlived its timeout");
+        assert_eq!(outcome, Err(TransportError::Unreachable("connect")));
     }
 }

@@ -19,6 +19,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -271,6 +272,7 @@ fn unsynced_updates_are_reanalyzed_after_recovery() {
         .build()
         .unwrap();
     p.register_servlet(search_servlet());
+    p.request(&req(20000));
     p.request(&req(30000));
     p.sync_point().unwrap();
     // Updates land in the shared log; the portal crashes before the sync
@@ -293,6 +295,11 @@ fn unsynced_updates_are_reanalyzed_after_recovery() {
     // …and never after it.
     assert!(p2.stale_pages().is_empty());
     assert!(p2.request(&req(30000)).response.body.contains("Camry"));
+    assert_eq!(
+        p2.request(&req(20000)).served,
+        Served::CacheHit,
+        "a durable page the tail does not touch still serves from the surviving cache"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -423,6 +430,65 @@ fn checkpoint_interval_is_configurable() {
     assert_eq!(run(1, 4), 4, "interval 1 snapshots every sync");
     assert_eq!(run(2, 4), 2, "interval 2 snapshots every other sync");
     assert_eq!(run(100, 4), 0, "interval above the sync count never snapshots");
+}
+
+/// Recovery cost against the checkpoint interval, the table EXPERIMENTS.md
+/// quotes. Each cell requests 54 pages over 18 sync points with an update
+/// per round, leaves two admissions in the durability gap, crashes, and
+/// recovers; the recovered portal must be fresh after one sync point.
+///
+/// ```text
+/// cargo test --release -p cacheportal --test recovery -- --ignored --nocapture
+/// ```
+#[test]
+#[ignore = "checkpoint-interval sweep; prints the EXPERIMENTS.md recovery table"]
+fn checkpoint_interval_sweep() {
+    let (pages, syncs) = (54, 18);
+    let mut table = String::from(
+        "| checkpoint interval | recovery time (µs) | WAL records replayed | \
+         gap ejects | map entries recovered |\n|---:|---:|---:|---:|---:|\n",
+    );
+    for interval in [1u64, 2, 4, 8, 16, 32] {
+        let dir = temp_dir();
+        let db = shared(example_db());
+        let p = CachePortal::builder_shared(db.clone())
+            .durable(&dir)
+            .checkpoint_interval(interval)
+            .build()
+            .unwrap();
+        p.register_servlet(search_servlet());
+        let mut price = 15000;
+        for round in 0..syncs {
+            for _ in 0..pages / syncs {
+                p.request(&req(price));
+                price += 500;
+            }
+            let civic = 17000 + round;
+            p.update(&format!("UPDATE Car SET price = {civic} WHERE model = 'Civic'")).unwrap();
+            p.sync_point().unwrap();
+        }
+        p.request(&req(price));
+        p.request(&req(price + 500));
+        let cache = p.page_cache().clone();
+        drop(p);
+
+        let started = Instant::now();
+        let p2 = CachePortal::builder_shared(db)
+            .durable(&dir)
+            .checkpoint_interval(interval)
+            .surviving_cache(cache)
+            .recover()
+            .unwrap();
+        let us = started.elapsed().as_micros();
+        p2.register_servlet(search_servlet());
+        let stats = p2.recovery_stats().unwrap().clone();
+        p2.sync_point().unwrap();
+        assert!(p2.stale_pages().is_empty(), "interval {interval}: stale after recovery");
+        let (wal, gap, map) = (stats.wal_records, stats.gap_ejected, stats.map_entries);
+        table += &format!("| {interval} | {us} | {wal} | {gap} | {map} |\n");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    print!("{table}");
 }
 
 /// Crash the invalidator *between* an edge's ack and the journal persist:

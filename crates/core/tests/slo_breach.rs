@@ -115,6 +115,7 @@ fn breach_fires_dumps_black_box_and_resolves() {
     let dir = temp_dir();
     let portal = portal_with(tight_policy(), &dir);
     let mut price = 20_000i64;
+    assert_eq!(portal.obs().health.snapshot().to_response().status, 200, "healthy at rest");
 
     // Clean baseline: windows close in a few logical µs, well under the
     // 50µs objective. Nothing fires.
@@ -139,6 +140,8 @@ fn breach_fires_dumps_black_box_and_resolves() {
         fired.iter().any(|a| a.objective == "staleness-p99" && a.state == "firing"),
         "alert log must record the staleness-p99 firing transition"
     );
+    let firing = fired.iter().filter(|a| a.state == "firing").count();
+    assert!(firing >= 2, "both burn pairs' firing transitions are logged: {firing}");
 
     // The breach degraded /healthz to 503 with the canonical reason code,
     // over real HTTP.
@@ -194,6 +197,13 @@ fn breach_fires_dumps_black_box_and_resolves() {
     assert!(body.contains("slo-breach:staleness-p99"));
     drop(server);
 
+    // The JSONL export carries the alert transitions and the captures.
+    let mut jsonl = Vec::new();
+    portal.export_jsonl(&mut jsonl).unwrap();
+    let jsonl = String::from_utf8(jsonl).unwrap();
+    assert!(jsonl.contains("\"kind\":\"alert\""), "export carries alert lines");
+    assert!(jsonl.contains("\"kind\":\"flightrecord\""), "export carries flight-record lines");
+
     // Resolution: age the windows past the 6h long lookback, then resume
     // clean syncs. The burn drops to zero in every window and the alerts
     // resolve; /healthz recovers to the exact healthy contract.
@@ -203,15 +213,13 @@ fn breach_fires_dumps_black_box_and_resolves() {
     }
     let (fast, slow) = portal.obs().slo.firing_counts();
     assert_eq!((fast, slow), (0, 0), "aged windows must resolve every alert");
+    let alerts = portal.obs().slo.alerts_recent(32);
     assert!(
-        portal
-            .obs()
-            .slo
-            .alerts_recent(32)
-            .iter()
-            .any(|a| a.objective == "staleness-p99" && a.state == "resolved"),
+        alerts.iter().any(|a| a.objective == "staleness-p99" && a.state == "resolved"),
         "alert log must record the resolved transition"
     );
+    let resolved = alerts.iter().filter(|a| a.state == "resolved").count();
+    assert!(resolved >= 2, "both burn pairs' resolved transitions are logged: {resolved}");
     let resp = portal.obs().health.snapshot().to_response();
     assert_eq!((resp.status, resp.body.as_str()), (200, "ok\n"));
     assert!(portal.stale_pages().is_empty());

@@ -223,7 +223,6 @@ pub fn replay_wal(path: &Path) -> io::Result<WalReplay> {
 pub struct Wal {
     file: File,
     path: PathBuf,
-    sync_every: usize,
     /// Frames appended since the last sync: the batch. They are in `batch`
     /// or, written through, in the file from `batch_start` on.
     pending: usize,
@@ -249,12 +248,6 @@ impl Wal {
     /// Open (creating if absent) with explicit-only fsync batching: records
     /// accumulate until [`Wal::sync`] is called at the durability point.
     pub fn open(path: &Path) -> io::Result<Wal> {
-        Wal::open_with(path, 0)
-    }
-
-    /// Open with an automatic fsync every `sync_every` appends
-    /// (`0` = only on explicit [`Wal::sync`]).
-    pub fn open_with(path: &Path, sync_every: usize) -> io::Result<Wal> {
         let replay = replay_wal(path)?;
         let mut file = OpenOptions::new()
             .create(true)
@@ -284,7 +277,6 @@ impl Wal {
         Ok(Wal {
             file,
             path: path.to_path_buf(),
-            sync_every,
             pending: 0,
             batch: Vec::new(),
             batch_start: end,
@@ -299,10 +291,10 @@ impl Wal {
     /// Frame one record into the pending batch. The batch is written
     /// through to the file whenever it passes [`BATCH_KEEP_LEN`], so the log
     /// holds a bounded part of a window in memory however large the window;
-    /// nothing is durable before the next [`Wal::sync`] (or automatic batch
-    /// flush when `sync_every > 0`). A payload above the frame limit is
-    /// refused with `InvalidInput`: replay would read its length as a torn
-    /// tail and drop it together with every frame behind it.
+    /// nothing is durable before the next [`Wal::sync`]. A payload above the
+    /// frame limit is refused with `InvalidInput`: replay would read its
+    /// length as a torn tail and drop it together with every frame behind
+    /// it.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
         let len = u32::try_from(payload.len())
             .ok()
@@ -327,9 +319,6 @@ impl Wal {
                 self.dropped = true;
                 return Err(e);
             }
-        }
-        if self.sync_every > 0 && self.pending >= self.sync_every {
-            self.sync()?;
         }
         Ok(())
     }

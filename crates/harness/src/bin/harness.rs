@@ -4,7 +4,6 @@
 //! harness smoke [--seeds N] [--actions M] [--out DIR]
 //! harness soak  [--seeds N] [--actions M] [--out DIR] [--class NAME] [--markdown]
 //! harness replay <file.json>
-//! harness slo-breach
 //! ```
 //!
 //! `smoke` is the CI gate: the acceptance matrix (≥50 seeds × ≥40 actions,
@@ -13,14 +12,8 @@
 //! directory (or `--out`). `soak` is the long-running variant that also
 //! prints the precision-per-policy-per-fault-class table. `replay` re-runs
 //! a reproducer file and reports whether the violation still reproduces.
-//! `slo-breach` is the deterministic canary drill for the freshness SLO
-//! pipeline: inject a breach, assert the burn-rate alert fires, `/healthz`
-//! degrades and recovers, and the auto-captured flight record is coherent
-//! and byte-stable.
 
-use cacheportal_harness::{
-    markdown_table, run_drill, sweep, FaultClass, Reproducer, SweepConfig, ALL_CLASSES,
-};
+use cacheportal_harness::{markdown_table, sweep, FaultClass, Reproducer, SweepConfig, ALL_CLASSES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -29,7 +22,6 @@ fn usage() -> ExitCode {
         "usage: harness smoke [--seeds N] [--actions M] [--out DIR]\n\
          \x20      harness soak  [--seeds N] [--actions M] [--out DIR] [--class NAME] [--markdown]\n\
          \x20      harness replay <file.json>\n\
-         \x20      harness slo-breach\n\
          fault classes: {}",
         ALL_CLASSES.map(|c| c.as_str()).join(", ")
     );
@@ -177,23 +169,6 @@ fn replay(path: &str) -> ExitCode {
     }
 }
 
-fn slo_breach() -> ExitCode {
-    println!("slo-breach drill: tight staleness objective, scripted breach + recovery");
-    match run_drill() {
-        Ok(r) => {
-            println!(
-                "OK: fired={} resolved={} auto_dumps={} chains_verified={} stable_bytes={}",
-                r.fired, r.resolved, r.auto_dumps, r.chains_verified, r.stable_bytes
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("FAIL: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
@@ -220,13 +195,6 @@ fn main() -> ExitCode {
             Some(path) if args.len() == 2 => replay(path),
             _ => usage(),
         },
-        "slo-breach" => {
-            if args.len() == 1 {
-                slo_breach()
-            } else {
-                usage()
-            }
-        }
         _ => usage(),
     }
 }

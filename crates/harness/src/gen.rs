@@ -30,15 +30,6 @@ pub const COL_FLOAT: u8 = 1;
 /// Text column code.
 pub const COL_STR: u8 = 2;
 
-/// Decode a wire column code.
-pub fn col_type(code: u8) -> ColType {
-    match code % 3 {
-        COL_INT => ColType::Int,
-        COL_FLOAT => ColType::Float,
-        _ => ColType::Str,
-    }
-}
-
 /// SQL type name for a wire column code.
 fn col_sql(code: u8) -> &'static str {
     match code % 3 {

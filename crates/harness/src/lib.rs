@@ -35,7 +35,6 @@ pub mod gen;
 pub mod repro;
 pub mod runner;
 pub mod shrink;
-pub mod slo_breach;
 pub mod sweep;
 
 pub use actions::{gen_actions, Action, Stmt};
@@ -44,5 +43,4 @@ pub use gen::{Scenario, ServletGen, ServletKind, TableGen};
 pub use repro::Reproducer;
 pub use runner::{run_scenario, run_scenario_on, RunOutcome, RunStats, Violation};
 pub use shrink::shrink;
-pub use slo_breach::{run_drill, DrillReport};
 pub use sweep::{markdown_table, sweep, sweep_scenario, SweepConfig, SweepOutcome};

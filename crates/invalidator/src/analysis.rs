@@ -76,11 +76,11 @@ pub struct PollingQuery {
     /// Structural dedup key: the `DefaultHasher` hash of the canonical poll
     /// SQL, computed once at construction. The per-sync-point dedup cache
     /// and the fault plan key on this instead of the text, so neither
-    /// renders or hashes it again. The SQL is a
-    /// deterministic rendering of the tree, so equal keys ⇔ equal polls
-    /// (modulo a vanishing 2⁻⁶⁴ collision chance, which only costs a skipped
-    /// poll — over-invalidation is impossible because cached answers are
-    /// only reused affirmatively per identical SQL text in practice).
+    /// renders or hashes it again. The SQL is a deterministic rendering of
+    /// the tree, so equal polls always share a key. The converse holds only
+    /// up to a 64-bit hash collision: two different polls that collide
+    /// share one cached answer, affirmative or negative, within a sync
+    /// point.
     pub key: u64,
 }
 

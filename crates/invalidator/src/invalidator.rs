@@ -490,11 +490,6 @@ impl Invalidator {
         &self.registry
     }
 
-    /// Mutable registry access.
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
-    }
-
     /// The information-management module (maintained indexes).
     pub fn info(&self) -> &InfoManager {
         &self.info

@@ -299,19 +299,10 @@ impl<'a> PollRunner<'a> {
         self.contended.load(Ordering::Relaxed)
     }
 
-    /// Decide whether the polled instance is affected. `tuple_was_delete`
-    /// enables the correlated-delete guard (see `analysis` module docs).
-    pub fn is_affected(
-        &self,
-        db: &Database,
-        poll: &PollingQuery,
-        tuple_was_delete: bool,
-    ) -> DbResult<bool> {
-        Ok(self.decide(db, poll, tuple_was_delete)?.is_some())
-    }
-
-    /// Like [`PollRunner::is_affected`], but reports *how* an affirmative
-    /// answer was reached (`None` = not affected).
+    /// Decide whether the polled instance is affected, and *how* an
+    /// affirmative answer was reached (`None` = not affected).
+    /// `tuple_was_delete` enables the correlated-delete guard (see
+    /// `analysis` module docs).
     pub fn decide(
         &self,
         db: &Database,
@@ -548,8 +539,8 @@ mod tests {
         let deltas = DeltaSet::default();
         let runner = PollRunner::new(&info, &deltas);
         let p = poll("SELECT COUNT(*) FROM Mileage WHERE Mileage.model = 'Avalon'");
-        assert!(runner.is_affected(&database, &p, false).unwrap());
-        assert!(runner.is_affected(&database, &p, false).unwrap());
+        assert!(runner.decide(&database, &p, false).unwrap().is_some());
+        assert!(runner.decide(&database, &p, false).unwrap().is_some());
         assert_eq!(runner.stats().issued, 1);
         assert_eq!(runner.stats().from_cache, 1);
     }
@@ -567,7 +558,7 @@ mod tests {
         let p = poll("SELECT COUNT(*) FROM Mileage WHERE Mileage.EPA > 1");
         std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|| assert!(runner.is_affected(&database, &p, false).unwrap()));
+                s.spawn(|| assert!(runner.decide(&database, &p, false).unwrap().is_some()));
             }
         });
         assert_eq!(runner.stats().issued, 1, "exactly-once across threads");
@@ -588,13 +579,13 @@ mod tests {
         let runner = PollRunner::new(&info, &deltas);
         let p = poll("SELECT COUNT(*) FROM Mileage WHERE 'Avalon' = Mileage.model");
         assert!(
-            runner.is_affected(&database, &p, true).unwrap(),
+            runner.decide(&database, &p, true).unwrap().is_some(),
             "deleted partner must still count for a deleted tuple"
         );
         assert_eq!(runner.stats().delete_guard_hits, 1);
         // For an *inserted* tuple the guard must not fire.
         let runner2 = PollRunner::new(&info, &deltas);
-        assert!(!runner2.is_affected(&database, &p, false).unwrap());
+        assert!(runner2.decide(&database, &p, false).unwrap().is_none());
     }
 
     #[test]
@@ -634,7 +625,7 @@ mod tests {
         let info = InfoManager::new();
         let runner = PollRunner::new(&info, &deltas);
         let p = poll("SELECT COUNT(*) FROM Mileage WHERE 'Edsel' = Mileage.model");
-        assert!(!runner.is_affected(&database, &p, true).unwrap());
+        assert!(runner.decide(&database, &p, true).unwrap().is_none());
     }
 
     /// A poll as the analysis builds it — a tree — whose text does not read

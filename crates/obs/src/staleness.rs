@@ -84,11 +84,6 @@ impl StalenessProbe {
         self.pending.lock().len()
     }
 
-    /// Commit timestamp of the oldest unconsumed mutation, if any.
-    pub fn oldest_pending_ts(&self) -> Option<u64> {
-        self.pending.lock().values().copied().min()
-    }
-
     /// Snapshot of the commit→eject latency distribution.
     pub fn window_snapshot(&self) -> HistogramSnapshot {
         self.window.snapshot()

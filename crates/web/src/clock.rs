@@ -38,13 +38,6 @@ impl ManualClock {
         Arc::new(ManualClock::default())
     }
 
-    /// Create a clock pre-set to `micros`.
-    pub fn starting_at(micros: Micros) -> Arc<Self> {
-        let c = ManualClock::default();
-        c.now.store(micros, Ordering::SeqCst);
-        Arc::new(c)
-    }
-
     /// Advance time by `delta` microseconds; returns the new now.
     pub fn advance(&self, delta: Micros) -> Micros {
         self.now.fetch_add(delta, Ordering::SeqCst) + delta

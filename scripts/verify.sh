@@ -68,12 +68,6 @@ echo "== fuzz harness smoke (safety contract, all policies x fault classes) =="
 # JSON under target/harness-repros/ (uploaded as a CI artifact).
 ./target/release/harness smoke --out target/harness-repros
 
-echo "== crash-recovery smoke (durable journal, gap ejection, provenance) =="
-# One scripted crash: durable pages survive, the gap page is ejected with
-# recovery-gap provenance, the replayed update tail re-ejects its victims,
-# and the freshness oracle finds zero stale pages afterwards.
-./target/release/recovery_smoke
-
 echo "== server farm walkthrough (examples/server_farm.rs, 4 nodes) =="
 # cargo test compiles the examples but runs none of them; this is the one
 # scripted multi-node walkthrough, and it asserts as it goes.
@@ -114,13 +108,6 @@ echo "== end-to-end load smoke (portal_load --smoke) =="
 # caches); an incorrect run exits non-zero, which fails this script. Writes
 # target/portal_load/run.json; no repeatability bounds on a smoke run.
 cargo run --release --offline -p cacheportal-bench --bin portal_load -- --seed 1 --smoke
-
-echo "== SLO breach drill (harness slo-breach) =="
-# Deliberately violate a tight freshness objective and prove the whole
-# pipeline: burn-rate alert fires, /healthz degrades, the flight recorder
-# auto-captures a self-resolving black box, the stable rendering is
-# byte-identical across runs, and the alert resolves once windows age out.
-./target/release/harness slo-breach
 
 echo "== admin endpoint smoke test (obsctl demo) =="
 # Start the demo workload with a live admin server, writing the JSONL
