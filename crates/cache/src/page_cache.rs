@@ -295,8 +295,29 @@ impl PageCache {
                 return Some(found(&page.body));
             }
         }
-        // Expired: a miss, whatever a concurrent `put` does to the key
-        // between the two locks; the page goes only if it is still expired.
+        self.expire(key, now);
+        None
+    }
+
+    /// The body of a live page as the freshness oracle reads it: a read
+    /// that is not a request, so the page is not marked visited and no hit
+    /// is counted. An expired page is expired as a lookup expires it.
+    pub fn peek(&self, key: &PageKey, now: Micros) -> Option<Arc<str>> {
+        {
+            let inner = self.inner.read();
+            let page = inner.node(*inner.map.get(key)?);
+            if !self.expired(page, now) {
+                return Some(Arc::clone(&page.body));
+            }
+        }
+        self.expire(key, now);
+        None
+    }
+
+    /// A lookup found `key` expired: a miss, whatever a concurrent `put`
+    /// does to the key between the two locks; the page goes only if it is
+    /// still expired.
+    fn expire(&self, key: &PageKey, now: Micros) {
         let mut inner = self.inner.write();
         inner.tallies.misses.inc();
         let still = inner.map.get(key).copied();
@@ -305,7 +326,6 @@ impl PageCache {
             inner.tallies.expirations.inc();
             inner.publish_resident();
         }
-        None
     }
 
     /// Insert a page as the newest, evicting one if at capacity, or
@@ -605,6 +625,23 @@ mod tests {
         assert_eq!(c.get(&key("a"), 50), Some("1".into()));
         assert_eq!(c.get(&key("a"), 200), None, "expired");
         assert_eq!(c.stats().expirations, 1);
+    }
+
+    #[test]
+    fn peek_reads_without_marking_or_counting() {
+        let c = PageCache::new(PageCacheConfig {
+            capacity: 4,
+            ttl_micros: Some(100),
+        });
+        c.put(key("a"), "1", 0);
+        assert_eq!(c.peek(&key("a"), 50).as_deref(), Some("1"));
+        assert_eq!(c.sieve_queue(), (vec![(key("a"), false)], 0), "not visited");
+        assert_eq!((c.stats().hits, c.stats().misses), (0, 0));
+        assert_eq!(c.peek(&key("zz"), 50), None);
+        // An expired page goes as a lookup would take it.
+        assert_eq!(c.peek(&key("a"), 200), None);
+        assert!(!c.contains(&key("a")));
+        assert_eq!((c.stats().misses, c.stats().expirations), (1, 1));
     }
 
     #[test]

@@ -151,8 +151,8 @@ fn stable_surfaces_are_byte_identical_for_a_fixed_workload() {
         let p = portal();
         run_workload(&p);
         (
-            serde_json::to_string(&p.timeline(true)).unwrap(),
-            serde_json::to_string(&p.scorecards()).unwrap(),
+            serde_json::to_string(&p.obs().timeline_doc(true)).unwrap(),
+            serde_json::to_string(&p.obs().scorecards.doc()).unwrap(),
         )
     };
     let (timeline_a, scorecards_a) = render();
@@ -176,5 +176,5 @@ fn stable_surfaces_are_byte_identical_for_a_fixed_workload() {
 fn p_scorecards() -> cacheportal::obs::ScorecardsDoc {
     let p = portal();
     run_workload(&p);
-    p.scorecards()
+    p.obs().scorecards.doc()
 }

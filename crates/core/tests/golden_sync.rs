@@ -216,11 +216,11 @@ fn scripted_run_matches_the_golden_renderings() {
     }
 
     let mut failures = Vec::new();
-    let mut trace = p.trace(1024);
+    let mut trace = p.obs().tracer.doc(1024);
     trace.stabilize();
     check("trace.json", &trace, &mut failures);
-    check("timeline.json", &p.timeline(true), &mut failures);
-    check("scorecards.json", &p.scorecards(), &mut failures);
+    check("timeline.json", &p.obs().timeline_doc(true), &mut failures);
+    check("scorecards.json", &p.obs().scorecards.doc(), &mut failures);
     check("slo.json", &p.slo(true), &mut failures);
     check("flight.json", &p.flight_record("golden", true), &mut failures);
     // The registry without its wall-clock-carrying entries, as the stable

@@ -173,17 +173,3 @@ fn staleness_probe_ignores_rolled_back_transactions() {
     );
 }
 
-#[test]
-fn fmt_report_renders_all_sections() {
-    let p = CachePortal::builder(example_db()).build().unwrap();
-    p.register_servlet(search_servlet());
-    p.request(&req(20000));
-    p.sync_point().unwrap();
-
-    let report = p.fmt_report();
-    assert!(report.contains("== metrics =="));
-    assert!(report.contains("cache.page.hits"));
-    assert!(report.contains("web.requests.total"));
-    assert!(report.contains("== staleness =="));
-    assert!(report.contains("== trace =="));
-}

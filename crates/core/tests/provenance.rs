@@ -165,13 +165,13 @@ fn explain_update_resolves_any_lsn_in_the_consumed_batch() {
     // Both committed LSNs fall in the same consumed batch: either explains
     // the eject.
     for lsn in [lsn_before, lsn_before + 1] {
-        let doc = p.explain_update(lsn);
+        let doc = p.obs().provenance.explain_lsn(lsn);
         assert_eq!(doc.matches.len(), 1, "lsn {lsn} must resolve to the eject");
         assert!(doc.matches[0].url.contains("carSearch"));
     }
     // An LSN never consumed resolves to nothing — and says the ring is
     // intact, so "nothing" means "no eject", not "evidence rotated out".
-    let miss = p.explain_update(999_999);
+    let miss = p.obs().provenance.explain_lsn(999_999);
     assert!(miss.matches.is_empty());
     assert!(!miss.truncated);
 }
@@ -246,19 +246,19 @@ fn admin_endpoint_serves_metrics_and_explanations() {
 
     let doc: Explanation = round_trip(&addr, "/explain?lsn=4");
     assert_eq!(doc.matches[0].url, url);
-    assert_eq!(doc, p.explain_update(4));
+    assert_eq!(doc, p.obs().provenance.explain_lsn(4));
 
     // Every other JSON route is its document type, byte for byte, and the
     // accessor of the same name answers what the route does.
     let trace: TraceDoc = round_trip(&addr, "/trace");
-    assert_eq!(trace, p.trace(256));
+    assert_eq!(trace, p.obs().tracer.doc(256));
     assert!(trace.recent.iter().any(|e| e.name == "sync.phase.eject" && e.trace_id != 0));
     let timeline: TimelineDoc = round_trip(&addr, "/timeline");
-    assert_eq!(timeline, p.timeline(false));
+    assert_eq!(timeline, p.obs().timeline_doc(false));
     assert!(timeline.sync_points.iter().all(|t| !t.stages.is_empty()));
-    assert_eq!(round_trip::<TimelineDoc>(&addr, "/timeline?stable=1"), p.timeline(true));
+    assert_eq!(round_trip::<TimelineDoc>(&addr, "/timeline?stable=1"), p.obs().timeline_doc(true));
     let scorecards: ScorecardsDoc = round_trip(&addr, "/scorecards");
-    assert_eq!(scorecards, p.scorecards());
+    assert_eq!(scorecards, p.obs().scorecards.doc());
     assert!(scorecards.scorecards[0].render_cost_units > 0);
     assert_eq!(round_trip::<SloDoc>(&addr, "/slo"), p.slo(false));
     let slo: SloDoc = round_trip(&addr, "/slo?stable=1");

@@ -1,20 +1,20 @@
 //! Query planning and execution.
 //!
 //! One access-path planner serves SELECT, UPDATE and DELETE. A SELECT is
-//! planned in two parts. [`PreparedSelect`] is everything that does not
+//! planned in two parts. `PreparedSelect` is everything that does not
 //! depend on parameter values: it binds each WHERE conjunct once (a `$n`
 //! stays a marker), files it under the FROM table that completes it,
 //! propagates constants across equi-join equalities (`a.x = $1 ∧ a.x = b.y
 //! ⇒ b.y = $1`), binds the projection and the ORDER BY keys and names the
 //! output columns. It is tied to the schema `Arc`s it was bound against, and
 //! the engine keeps it with a cached statement. Each execution then fixes,
-//! per FROM table, an [`AccessPath`] and a join kind from the values at
+//! per FROM table, an `AccessPath` and a join kind from the values at
 //! hand: index nested-loop when the join column is hash-indexed and the
 //! outer side is estimated no larger than what the table's own access path
 //! would fetch, else a hash join on an equi-join conjunct, else a filtered
 //! nested loop. Running the plan only dispatches on those kinds, and
 //! [`explain_select`] prints the same plan. UPDATE and DELETE find their
-//! rows through [`find_rows`], the single-table case of the same
+//! rows through `find_rows`, the single-table case of the same
 //! classification. Every access path emits rows in storage order, so a
 //! result — including the order of an un-`ORDER`ed one — does not depend on
 //! which indexes exist.

@@ -289,7 +289,7 @@ impl Wal {
     }
 
     /// Frame one record into the pending batch. The batch is written
-    /// through to the file whenever it passes [`BATCH_KEEP_LEN`], so the log
+    /// through to the file whenever it passes `BATCH_KEEP_LEN`, so the log
     /// holds a bounded part of a window in memory however large the window;
     /// nothing is durable before the next [`Wal::sync`]. A payload above the
     /// frame limit is refused with `InvalidInput`: replay would read its

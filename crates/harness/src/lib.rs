@@ -22,9 +22,9 @@
 //!   mid-stream transaction aborts — asserting the system degrades
 //!   *conservatively*: faults may only over-invalidate, never leave a
 //!   stale page.
-//! - [`shrink`] + [`repro`] turn a failing run into a self-contained,
+//! - [`shrink`](mod@shrink) + [`repro`] turn a failing run into a self-contained,
 //!   shrunk reproducer file replayable with `harness replay <file>`.
-//! - [`sweep`] is the smoke/soak matrix CI runs.
+//! - [`sweep`](mod@sweep) is the smoke/soak matrix CI runs.
 //!
 //! [`CachePortal`]: cacheportal::CachePortal
 //! [`CachePortal::stale_pages`]: cacheportal::CachePortal::stale_pages

@@ -245,29 +245,25 @@ mod tests {
 
     #[test]
     fn reports_skipped_when_ring_rotates() {
-        let obs = Obs::with_capacity(2, 2);
+        let cap = crate::provenance::CAPACITY as u64;
+        let obs = Obs::new();
         let mut exporter = JsonlExporter::new();
-        for i in 0..5u64 {
+        for i in 0..cap + 3 {
             obs.provenance.record(eject(&format!("/p{i}"), i));
         }
         let mut out = Vec::new();
         let stats = exporter.export(&obs, &mut out).unwrap();
-        // Ring holds the last 2 of 5; the first 3 rotated out unexported.
-        assert_eq!(stats.eject_records, 2);
+        // Ring holds the last `cap`; the first 3 rotated out unexported.
+        assert_eq!(stats.eject_records, cap);
         assert_eq!(stats.skipped, 3);
     }
 
     #[test]
     fn exports_alert_transitions_incrementally() {
-        use crate::slo::{Objective, SloKind, SloPolicy};
+        use crate::slo::SloKind;
         let obs = Obs::new();
-        obs.slo.configure(SloPolicy {
-            objectives: vec![Objective::new(SloKind::StalenessP99, 100, 0.99, true)],
-            pairs: SloPolicy::default_pairs(),
-            bucket_micros: 60_000_000,
-            alert_log_cap: 32,
-        });
-        obs.slo.observe_latency(SloKind::StalenessP99, 1_000, 5_000, 10);
+        // Ten page ejects 5 s stale, against the 1 s objective.
+        obs.slo.observe_latency(SloKind::StalenessP99, 1_000, 5_000_000, 10);
         obs.slo.evaluate(1_000);
 
         let mut exporter = JsonlExporter::new();
@@ -300,19 +296,14 @@ mod tests {
 
     #[test]
     fn reports_skipped_when_alert_log_overflows() {
-        use crate::slo::{Objective, SloKind, SloPolicy};
+        use crate::slo::{SloKind, ALERT_LOG_CAP};
         let obs = Obs::new();
-        obs.slo.configure(SloPolicy {
-            objectives: vec![Objective::new(SloKind::StalenessP99, 100, 0.99, true)],
-            pairs: SloPolicy::default_pairs(),
-            bucket_micros: 60_000_000,
-            alert_log_cap: 2,
-        });
-        // Flap 3×: fire (bad burst) then resolve (age out) = 12 transitions
-        // against a 2-entry log.
+        // Each flap fires (bad burst) then resolves (age out) on both pairs:
+        // four transitions. Two flaps more than the log holds push 8 out.
+        let flaps = ALERT_LOG_CAP / 4 + 2;
         let mut now = 1_000u64;
-        for _ in 0..3 {
-            obs.slo.observe_latency(SloKind::StalenessP99, now, 5_000, 10);
+        for _ in 0..flaps {
+            obs.slo.observe_latency(SloKind::StalenessP99, now, 5_000_000, 10);
             obs.slo.evaluate(now);
             now += 8 * 3_600_000_000;
             obs.slo.evaluate(now);
@@ -321,8 +312,8 @@ mod tests {
         let mut exporter = JsonlExporter::new();
         let mut out = Vec::new();
         let stats = exporter.export(&obs, &mut out).unwrap();
-        assert_eq!(stats.alerts, 2, "only what survived the bounded log");
-        assert_eq!(stats.skipped, 10, "the truncation gap is visible");
+        assert_eq!(stats.alerts, ALERT_LOG_CAP as u64, "only what survived the bounded log");
+        assert_eq!(stats.skipped, 8, "the truncation gap is visible");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `cacheportal-obs` — unified observability layer for the CachePortal
 //! pipeline.
 //!
-//! Four instruments, deliberately dependency-free (atomics, `parking_lot`,
+//! Ten instruments, deliberately dependency-free (atomics, `parking_lot`,
 //! and the `serde` stand-ins only) so every runtime crate can use them:
 //!
 //! * [`MetricsRegistry`] — named counters, gauges, and log-bucketed latency
@@ -15,6 +15,17 @@
 //! * [`ProvenanceLog`] — bounded ring of [`EjectRecord`]s capturing the
 //!   full update→query-type→verdict→URL chain behind every page eject,
 //!   indexed by URL and by LSN for `explain_*` queries.
+//! * [`HealthState`] — the live flags behind `/healthz`.
+//! * [`CommitIndex`] — committed LSN ranges → their update-commit trace
+//!   roots.
+//! * [`TimelineLog`] — per-sync-point stage timelines.
+//! * [`ScorecardBoard`] — per-query-type cost/benefit scorecards.
+//! * [`SloEngine`] — the freshness objectives with burn-rate alerting.
+//! * [`FlightRecorder`] — black-box bundles captured on a breach or on
+//!   demand.
+//!
+//! Nothing here is configured: every ring size and the SLO policy are
+//! constants of the module that owns them.
 //!
 //! Live exposure: [`AdminServer`] serves every document below (and the
 //! Prometheus text of [`MetricsRegistry::render_prometheus`]) over a plain
@@ -55,11 +66,8 @@ pub use recorder::{
     FLIGHT_RECORD_SCHEMA,
 };
 pub use registry::{prometheus_name, Counter, Gauge, MetricsDoc, MetricsRegistry};
-pub use ring::Ring;
 pub use scorecard::{PageTally, ScorecardBoard, ScorecardsDoc, TypeScore, TypeSyncOutcome};
-pub use slo::{
-    AlertEvent, BurnPair, EvalOutcome, Objective, SloDoc, SloEngine, SloKind, SloPolicy,
-};
+pub use slo::{AlertEvent, BurnPair, EvalOutcome, SloDoc, SloEngine, SloKind};
 pub use staleness::{Lsn, StalenessDoc, StalenessProbe};
 pub use timeline::{StageSample, SyncTimeline, TimelineDoc, TimelineLog};
 pub use trace::{CommitIndex, CommitRoot, TraceContext, TraceDoc, TraceEvent, Tracer};
@@ -135,8 +143,7 @@ impl Default for Obs {
 }
 
 impl Obs {
-    /// Instruments with default sizing (1024-event trace ring,
-    /// 512-record provenance ring).
+    /// Every instrument, enabled and empty.
     pub fn new() -> Self {
         Obs {
             metrics: MetricsRegistry::new(),
@@ -145,24 +152,6 @@ impl Obs {
             provenance: ProvenanceLog::default(),
             health: HealthState::new(),
             commits: CommitIndex::default(),
-            timeline: TimelineLog::default(),
-            scorecards: ScorecardBoard::default(),
-            slo: SloEngine::default(),
-            recorder: FlightRecorder::default(),
-        }
-    }
-
-    /// Instruments with explicit ring capacities (trace events, provenance
-    /// records). The commit index matches the trace ring's capacity so both
-    /// truncate together.
-    pub fn with_capacity(trace_events: usize, provenance_records: usize) -> Self {
-        Obs {
-            metrics: MetricsRegistry::new(),
-            tracer: Tracer::new(trace_events),
-            staleness: StalenessProbe::new(),
-            provenance: ProvenanceLog::new(provenance_records),
-            health: HealthState::new(),
-            commits: CommitIndex::new(trace_events),
             timeline: TimelineLog::default(),
             scorecards: ScorecardBoard::default(),
             slo: SloEngine::default(),
@@ -262,68 +251,6 @@ impl Obs {
         let _ = self.recorder.record(reason, now, &bundle);
         bundle
     }
-
-    /// Multi-line human-readable report of every instrument.
-    pub fn fmt_report(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "== metrics ==");
-        out.push_str(&self.metrics.fmt_report());
-        let s = self.staleness.window_snapshot();
-        let _ = writeln!(
-            out,
-            "== staleness ==\ncommit->eject micros: n={} mean={:.1} p50={} p95={} p99={} max={} (pending mutations: {})",
-            s.count,
-            s.mean,
-            s.p50,
-            s.p95,
-            s.p99,
-            s.max,
-            self.staleness.pending_len()
-        );
-        let _ = writeln!(
-            out,
-            "== trace ==\nrecorded={} dropped={}",
-            self.tracer.recorded(),
-            self.tracer.dropped()
-        );
-        for e in self.tracer.recent(16) {
-            let dur = e
-                .duration_micros
-                .map(|d| format!(" ({d}us)"))
-                .unwrap_or_default();
-            let _ = writeln!(out, "  [{}] t={} {}.{}{} {}", e.seq, e.ts, e.scope, e.name, dur, e.detail);
-        }
-        let _ = writeln!(
-            out,
-            "== provenance ==\nrecorded={} dropped={}",
-            self.provenance.recorded(),
-            self.provenance.dropped()
-        );
-        for r in self.provenance.recent(8) {
-            let _ = writeln!(
-                out,
-                "  [{}] sync#{} lsn {}..={} {} ({} causes)",
-                r.seq,
-                r.sync_seq,
-                r.lsn_first,
-                r.lsn_last,
-                r.url,
-                r.causes.len()
-            );
-        }
-        let (fast, slow) = self.slo.firing_counts();
-        let _ = writeln!(
-            out,
-            "== slo ==\nfiring: fast={} slow={} (alert transitions recorded={} dropped={}; flight records={})",
-            fast,
-            slow,
-            self.slo.alerts_recorded(),
-            self.slo.alerts_dropped(),
-            self.recorder.recorded()
-        );
-        out
-    }
 }
 
 #[cfg(test)]
@@ -346,16 +273,5 @@ mod tests {
         // The whole document renders and reads back as what it was.
         let text = serde_json::to_string_pretty(&snap).unwrap();
         assert_eq!(serde_json::from_str::<Snapshot>(&text).unwrap(), snap);
-    }
-
-    #[test]
-    fn report_mentions_each_section() {
-        let obs = Obs::new();
-        obs.metrics.counter("db.queries").inc();
-        let report = obs.fmt_report();
-        assert!(report.contains("== metrics =="));
-        assert!(report.contains("db.queries"));
-        assert!(report.contains("== staleness =="));
-        assert!(report.contains("== trace =="));
     }
 }

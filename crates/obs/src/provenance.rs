@@ -25,8 +25,8 @@ use std::sync::Arc;
 use crate::ring::Ring;
 use crate::Lsn;
 
-/// Default ring capacity (eject records retained).
-pub const DEFAULT_PROVENANCE_CAPACITY: usize = 512;
+/// Eject records retained.
+pub(crate) const CAPACITY: usize = 512;
 
 /// Per-table ΔR group summary for one sync point's consumed update batch.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -153,13 +153,13 @@ pub struct ProvenanceLog {
 
 impl Default for ProvenanceLog {
     fn default() -> Self {
-        Self::new(DEFAULT_PROVENANCE_CAPACITY)
+        Self::new(CAPACITY)
     }
 }
 
 impl ProvenanceLog {
     /// A log retaining at most `capacity` eject records.
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         ProvenanceLog {
             inner: Mutex::new(Inner {
                 ring: Ring::new(capacity),

@@ -135,7 +135,7 @@ impl Default for FlightRecorder {
 impl FlightRecorder {
     /// Recorder retaining the newest `bundle_cap` full bundles and
     /// `index_cap` index rows.
-    pub fn new(bundle_cap: usize, index_cap: usize) -> FlightRecorder {
+    fn new(bundle_cap: usize, index_cap: usize) -> FlightRecorder {
         FlightRecorder {
             inner: Mutex::new(RecorderInner {
                 dir: None,

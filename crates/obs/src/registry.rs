@@ -206,27 +206,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Human-readable dump, one instrument per line, sorted by name.
-    pub fn fmt_report(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (k, v) in self.counters.read().iter() {
-            let _ = writeln!(out, "counter    {k:<48} {}", v.get());
-        }
-        for (k, v) in self.gauges.read().iter() {
-            let _ = writeln!(out, "gauge      {k:<48} {}", v.get());
-        }
-        for (k, v) in self.histograms.read().iter() {
-            let s = v.snapshot();
-            let _ = writeln!(
-                out,
-                "histogram  {k:<48} n={} mean={:.1} p50={} p95={} p99={} max={}",
-                s.count, s.mean, s.p50, s.p95, s.p99, s.max
-            );
-        }
-        out
-    }
 }
 
 /// `cache.page.hits` → `cacheportal_cache_page_hits`.

@@ -57,11 +57,6 @@ impl<T> Ring<T> {
         self.items.len()
     }
 
-    /// Whether nothing is held.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// The held items, oldest first.
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = &T> + ExactSizeIterator {
         self.items.iter()

@@ -196,7 +196,7 @@ pub struct ScorecardBoard {
 impl ScorecardBoard {
     /// A board holding at most `pending_cap` distinct unattributed URLs
     /// between sync points.
-    pub fn new(pending_cap: usize) -> Self {
+    fn new(pending_cap: usize) -> Self {
         ScorecardBoard {
             pending: Mutex::new(HashMap::new()),
             scores: Mutex::new(BTreeMap::new()),

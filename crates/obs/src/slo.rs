@@ -1,4 +1,4 @@
-//! Freshness SLO engine: declarative objectives evaluated over sliding
+//! Freshness SLO engine: a fixed set of objectives evaluated over sliding
 //! windows, with Prometheus-style multi-window burn-rate alerting.
 //!
 //! Every objective is reduced to a good/bad event stream — a latency
@@ -12,9 +12,12 @@
 //!
 //! An alert pair fires when the burn rate exceeds its threshold in BOTH
 //! the short and the long window (the short window makes the alert fast to
-//! resolve, the long window keeps one bad minute from paging). The default
-//! pairs follow SRE practice: fast = 5m/1h at 14.4× (page severity),
+//! resolve, the long window keeps one bad minute from paging). The pairs
+//! follow SRE practice: fast = 5m/1h at 14.4× (page severity),
 //! slow = 30m/6h at 6× (ticket severity).
+//!
+//! There is one objective per [`SloKind`], whose threshold and goal are
+//! match arms on the kind; there is nothing to configure.
 //!
 //! All windows run on the portal's *logical* clock, so evaluation is
 //! deterministic under a fixed seed. The one wall-clock-fed objective
@@ -22,9 +25,9 @@
 //! the `stable=1` rendering that the flight recorder's byte-stability
 //! contract relies on.
 //!
-//! Firing/resolved transitions append to a bounded alert log (a
-//! [`Ring`]) that the JSONL exporter cursors over, exactly like the trace
-//! and provenance rings.
+//! Firing/resolved transitions append to a bounded alert log that the
+//! JSONL exporter cursors over, exactly like the trace and provenance
+//! rings.
 
 use crate::health::HealthSnapshot;
 use crate::ring::Ring;
@@ -56,6 +59,17 @@ pub enum SloKind {
 }
 
 impl SloKind {
+    /// Every objective, in the order `/slo` lists them (each kind's
+    /// discriminant is its place here).
+    const ALL: [SloKind; 6] = [
+        SloKind::StalenessP99,
+        SloKind::CommitEject,
+        SloKind::HitRate,
+        SloKind::SyncLatency,
+        SloKind::PollErrors,
+        SloKind::BusDelivery,
+    ];
+
     /// Stable kebab-case identifier (used as the objective id, in alert
     /// lines, and in metric names).
     pub fn as_str(self) -> &'static str {
@@ -68,42 +82,42 @@ impl SloKind {
             SloKind::BusDelivery => "bus-delivery-rate",
         }
     }
-}
 
-/// One declarative objective: "`goal` of events must be good", where good
-/// is `value <= threshold_micros` for latency kinds and the positive
-/// outcome for ratio kinds.
-#[derive(Debug, Clone)]
-pub struct Objective {
-    /// Stable identifier (defaults to the kind's name).
-    pub id: &'static str,
-    /// Which event stream feeds this objective.
-    pub kind: SloKind,
-    /// Good/bad classification threshold for latency kinds (ignored by
-    /// ratio kinds).
-    pub threshold_micros: u64,
-    /// Required good fraction in [0, 1), e.g. 0.99.
-    pub goal: f64,
-    /// Whether the feed is purely logical-clock driven. Wall-fed
-    /// objectives are excluded from `stable=1` renderings.
-    pub deterministic: bool,
-}
-
-impl Objective {
-    /// Objective with the kind's canonical id.
-    pub fn new(kind: SloKind, threshold_micros: u64, goal: f64, deterministic: bool) -> Objective {
-        Objective { id: kind.as_str(), kind, threshold_micros, goal, deterministic }
+    /// Good/bad classification threshold of a latency kind: an event is
+    /// good when `value <= threshold`. Ratio kinds count outcomes and have
+    /// none (0).
+    fn threshold_micros(self) -> u64 {
+        match self {
+            SloKind::StalenessP99 => 1_000_000,
+            SloKind::CommitEject => 2_000_000,
+            SloKind::SyncLatency => 250_000,
+            SloKind::HitRate | SloKind::PollErrors | SloKind::BusDelivery => 0,
+        }
     }
 
-    /// Error budget: the tolerated bad fraction, floored so burn rates
-    /// stay finite even for goal=1.0 misconfigurations.
-    fn budget(&self) -> f64 {
-        (1.0 - self.goal).max(1e-4)
+    /// Required good fraction.
+    fn goal(self) -> f64 {
+        match self {
+            SloKind::StalenessP99 | SloKind::PollErrors => 0.99,
+            SloKind::CommitEject | SloKind::SyncLatency | SloKind::BusDelivery => 0.95,
+            SloKind::HitRate => 0.50,
+        }
+    }
+
+    /// Whether the feed is purely logical-clock driven. The one wall-fed
+    /// objective is excluded from `stable=1` renderings.
+    fn deterministic(self) -> bool {
+        self != SloKind::SyncLatency
+    }
+
+    /// Error budget: the tolerated bad fraction.
+    fn budget(self) -> f64 {
+        1.0 - self.goal()
     }
 }
 
-/// A short/long burn-rate window pair with its firing threshold (policy,
-/// and a row of the `/slo` document's `pairs`).
+/// A short/long burn-rate window pair with its firing threshold (a row of
+/// the `/slo` document's `pairs`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BurnPair {
     /// Stable name ("fast" / "slow").
@@ -126,64 +140,34 @@ impl BurnPair {
     }
 }
 
-/// The full declarative policy: objectives, window pairs, and sizing.
-#[derive(Debug, Clone)]
-pub struct SloPolicy {
-    /// Objectives, evaluated independently.
-    pub objectives: Vec<Objective>,
-    /// Burn-rate window pairs applied to every objective.
-    pub pairs: Vec<BurnPair>,
-    /// Window bucket width in logical micros (coarser = cheaper).
-    pub bucket_micros: u64,
-    /// Alert-log ring capacity.
-    pub alert_log_cap: usize,
-}
+/// The window pairs every objective is evaluated over: fast (5m/1h at
+/// 14.4×, page) and slow (30m/6h at 6×, ticket).
+static PAIRS: [BurnPair; 2] = [
+    BurnPair {
+        name: Cow::Borrowed("fast"),
+        severity: Cow::Borrowed("page"),
+        short_micros: 5 * MINUTE,
+        long_micros: HOUR,
+        burn_threshold: 14.4,
+    },
+    BurnPair {
+        name: Cow::Borrowed("slow"),
+        severity: Cow::Borrowed("ticket"),
+        short_micros: 30 * MINUTE,
+        long_micros: LONGEST_WINDOW,
+        burn_threshold: 6.0,
+    },
+];
 
-impl Default for SloPolicy {
-    /// The shipped policy: the six objectives from the freshness contract
-    /// and the standard fast(5m/1h@14.4×)/slow(30m/6h@6×) pairs.
-    fn default() -> SloPolicy {
-        SloPolicy {
-            objectives: vec![
-                Objective::new(SloKind::StalenessP99, 1_000_000, 0.99, true),
-                Objective::new(SloKind::CommitEject, 2_000_000, 0.95, true),
-                Objective::new(SloKind::HitRate, 0, 0.50, true),
-                Objective::new(SloKind::SyncLatency, 250_000, 0.95, false),
-                Objective::new(SloKind::PollErrors, 0, 0.99, true),
-                Objective::new(SloKind::BusDelivery, 0, 0.95, true),
-            ],
-            pairs: SloPolicy::default_pairs(),
-            bucket_micros: MINUTE,
-            alert_log_cap: 256,
-        }
-    }
-}
+/// The longest window of [`PAIRS`] (the slow pair's long one): how far
+/// back counts are kept.
+const LONGEST_WINDOW: u64 = 6 * HOUR;
 
-impl SloPolicy {
-    /// The standard multi-window pairs (usable by custom policies).
-    pub fn default_pairs() -> Vec<BurnPair> {
-        vec![
-            BurnPair {
-                name: "fast".into(),
-                severity: "page".into(),
-                short_micros: 5 * MINUTE,
-                long_micros: HOUR,
-                burn_threshold: 14.4,
-            },
-            BurnPair {
-                name: "slow".into(),
-                severity: "ticket".into(),
-                short_micros: 30 * MINUTE,
-                long_micros: 6 * HOUR,
-                burn_threshold: 6.0,
-            },
-        ]
-    }
+/// Window bucket width in logical micros.
+const BUCKET: u64 = MINUTE;
 
-    fn longest_window(&self) -> u64 {
-        self.pairs.iter().map(|p| p.long_micros).max().unwrap_or(6 * HOUR)
-    }
-}
+/// Alert transitions the log keeps.
+pub(crate) const ALERT_LOG_CAP: usize = 256;
 
 /// Time-bucketed good/bad counts; windows query a suffix of buckets.
 #[derive(Debug, Default)]
@@ -199,8 +183,8 @@ struct Bucket {
 }
 
 impl WindowedCounter {
-    fn add(&mut self, now: u64, width: u64, good: u64, bad: u64) {
-        let start = now - now % width.max(1);
+    fn add(&mut self, now: u64, good: u64, bad: u64) {
+        let start = now - now % BUCKET;
         match self.buckets.back_mut() {
             // The logical clock is monotone, but fold clock regressions
             // into the newest bucket rather than corrupting the order.
@@ -210,16 +194,21 @@ impl WindowedCounter {
             }
             _ => self.buckets.push_back(Bucket { start, good, bad }),
         }
+        // Keep what the longest window can still see.
+        let cutoff = now.saturating_sub(LONGEST_WINDOW + BUCKET);
+        while self.buckets.front().is_some_and(|b| b.start + BUCKET <= cutoff) {
+            self.buckets.pop_front();
+        }
     }
 
     /// (good, bad) totals over `[now - window, now]`.
-    fn totals(&self, now: u64, width: u64, window: u64) -> (u64, u64) {
+    fn totals(&self, now: u64, window: u64) -> (u64, u64) {
         let cutoff = now.saturating_sub(window);
         let mut good = 0;
         let mut bad = 0;
         for b in self.buckets.iter().rev() {
             // A bucket contributes while any part of it overlaps the window.
-            if b.start + width.max(1) <= cutoff {
+            if b.start + BUCKET <= cutoff {
                 break;
             }
             good += b.good;
@@ -228,14 +217,14 @@ impl WindowedCounter {
         (good, bad)
     }
 
-    fn prune(&mut self, now: u64, width: u64, keep: u64) {
-        let cutoff = now.saturating_sub(keep);
-        while let Some(b) = self.buckets.front() {
-            if b.start + width.max(1) > cutoff {
-                break;
-            }
-            self.buckets.pop_front();
+    /// Burn rate of `kind`'s objective over `window` at logical time `now`.
+    fn burn(&self, kind: SloKind, now: u64, window: u64) -> f64 {
+        let (good, bad) = self.totals(now, window);
+        let total = good + bad;
+        if total == 0 {
+            return 0.0;
         }
+        (bad as f64 / total as f64) / kind.budget()
     }
 }
 
@@ -369,25 +358,12 @@ pub struct EvalOutcome {
 }
 
 struct EngineInner {
-    policy: SloPolicy,
-    counters: Vec<WindowedCounter>,
-    firing: Vec<Vec<bool>>,
+    /// One per objective, indexed by the kind's discriminant.
+    counters: [WindowedCounter; SloKind::ALL.len()],
+    /// `[objective][pair]`.
+    firing: [[bool; PAIRS.len()]; SloKind::ALL.len()],
     alerts: Ring<AlertEvent>,
     last_eval_ts: u64,
-}
-
-impl EngineInner {
-    fn fresh(policy: SloPolicy) -> EngineInner {
-        let n = policy.objectives.len();
-        let pairs = policy.pairs.len();
-        EngineInner {
-            counters: (0..n).map(|_| WindowedCounter::default()).collect(),
-            firing: vec![vec![false; pairs]; n],
-            alerts: Ring::new(policy.alert_log_cap),
-            last_eval_ts: 0,
-            policy,
-        }
-    }
 }
 
 /// The sliding-window SLO evaluator. Shared via `Obs`; all methods take
@@ -399,19 +375,19 @@ pub struct SloEngine {
 
 impl Default for SloEngine {
     fn default() -> Self {
-        SloEngine::new(SloPolicy::default())
+        SloEngine {
+            enabled: AtomicBool::new(true),
+            inner: Mutex::new(EngineInner {
+                counters: Default::default(),
+                firing: Default::default(),
+                alerts: Ring::new(ALERT_LOG_CAP),
+                last_eval_ts: 0,
+            }),
+        }
     }
 }
 
 impl SloEngine {
-    /// Engine with an explicit policy.
-    pub fn new(policy: SloPolicy) -> SloEngine {
-        SloEngine {
-            enabled: AtomicBool::new(true),
-            inner: Mutex::new(EngineInner::fresh(policy)),
-        }
-    }
-
     /// Toggle evaluation (the off arm of `portal_load`'s `obs.*` layers and
     /// an operator kill switch). Disabling does not clear state; re-enabling
     /// resumes.
@@ -424,50 +400,22 @@ impl SloEngine {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Replace the policy, resetting counters, firing state, and the
-    /// alert log.
-    pub fn configure(&self, policy: SloPolicy) {
-        *self.inner.lock() = EngineInner::fresh(policy);
-    }
-
-    /// Feed `count` observations of `value_micros` to every latency
-    /// objective of `kind`.
+    /// Feed `count` observations of `value_micros` to `kind`'s objective,
+    /// classified against its threshold.
     pub fn observe_latency(&self, kind: SloKind, now: u64, value_micros: u64, count: u64) {
-        if !self.enabled() || count == 0 {
-            return;
-        }
-        let inner = &mut *self.inner.lock();
-        let width = inner.policy.bucket_micros;
-        let keep = inner.policy.longest_window() + width;
-        for (o, c) in inner.policy.objectives.iter().zip(inner.counters.iter_mut()) {
-            if o.kind != kind {
-                continue;
-            }
-            if value_micros <= o.threshold_micros {
-                c.add(now, width, count, 0);
-            } else {
-                c.add(now, width, 0, count);
-            }
-            c.prune(now, width, keep);
+        if value_micros <= kind.threshold_micros() {
+            self.observe_counts(kind, now, count, 0);
+        } else {
+            self.observe_counts(kind, now, 0, count);
         }
     }
 
-    /// Feed pre-classified good/bad counts to every ratio objective of
-    /// `kind`.
+    /// Feed pre-classified good/bad counts to `kind`'s objective.
     pub fn observe_counts(&self, kind: SloKind, now: u64, good: u64, bad: u64) {
         if !self.enabled() || good + bad == 0 {
             return;
         }
-        let inner = &mut *self.inner.lock();
-        let width = inner.policy.bucket_micros;
-        let keep = inner.policy.longest_window() + width;
-        for (o, c) in inner.policy.objectives.iter().zip(inner.counters.iter_mut()) {
-            if o.kind != kind {
-                continue;
-            }
-            c.add(now, width, good, bad);
-            c.prune(now, width, keep);
-        }
+        self.inner.lock().counters[kind as usize].add(now, good, bad);
     }
 
     /// Feed one boolean outcome (e.g. a cache hit/miss).
@@ -482,17 +430,14 @@ impl SloEngine {
         if !self.enabled() {
             return out;
         }
-        let mut inner = self.inner.lock();
+        let inner = &mut *self.inner.lock();
         inner.last_eval_ts = now;
-        let width = inner.policy.bucket_micros;
-        let mut transitions: Vec<AlertEvent> = Vec::new();
-        for oi in 0..inner.policy.objectives.len() {
-            for pi in 0..inner.policy.pairs.len() {
-                let (o, p) = (&inner.policy.objectives[oi], &inner.policy.pairs[pi]);
-                let burn_short = burn(&inner.counters[oi], now, width, p.short_micros, o);
-                let burn_long = burn(&inner.counters[oi], now, width, p.long_micros, o);
+        for kind in SloKind::ALL {
+            let counter = &inner.counters[kind as usize];
+            for (p, was) in PAIRS.iter().zip(&mut inner.firing[kind as usize]) {
+                let burn_short = counter.burn(kind, now, p.short_micros);
+                let burn_long = counter.burn(kind, now, p.long_micros);
                 let firing = burn_short >= p.burn_threshold && burn_long >= p.burn_threshold;
-                let was = inner.firing[oi][pi];
                 if firing {
                     if p.fast() {
                         out.fast_firing += 1;
@@ -500,31 +445,29 @@ impl SloEngine {
                         out.slow_firing += 1;
                     }
                 }
-                if firing != was {
-                    transitions.push(AlertEvent {
-                        seq: 0, // assigned on push below
+                if firing != *was {
+                    let mut ev = AlertEvent {
+                        seq: 0, // assigned on push
                         ts: now,
-                        objective: Cow::Borrowed(o.id),
+                        objective: Cow::Borrowed(kind.as_str()),
                         pair: p.name.clone(),
                         severity: p.severity.clone(),
                         state: Cow::Borrowed(if firing { "firing" } else { "resolved" }),
                         burn_short,
                         burn_long,
-                        deterministic: o.deterministic,
+                        deterministic: kind.deterministic(),
+                    };
+                    inner.alerts.push(|seq| {
+                        ev.seq = seq;
+                        ev.clone()
                     });
+                    if firing {
+                        out.newly_fired.push(ev);
+                    } else {
+                        out.newly_resolved.push(ev);
+                    }
                 }
-                inner.firing[oi][pi] = firing;
-            }
-        }
-        for mut ev in transitions {
-            inner.alerts.push(|seq| {
-                ev.seq = seq;
-                ev.clone()
-            });
-            if ev.state == "firing" {
-                out.newly_fired.push(ev);
-            } else {
-                out.newly_resolved.push(ev);
+                *was = firing;
             }
         }
         out
@@ -533,36 +476,13 @@ impl SloEngine {
     /// Currently-firing (fast, slow) combination counts without
     /// re-evaluating.
     pub fn firing_counts(&self) -> (u64, u64) {
-        let inner = self.inner.lock();
-        let mut fast = 0;
-        let mut slow = 0;
-        for row in &inner.firing {
-            for (pi, &f) in row.iter().enumerate() {
-                if f {
-                    if inner.policy.pairs[pi].fast() {
-                        fast += 1;
-                    } else {
-                        slow += 1;
-                    }
-                }
-            }
-        }
-        (fast, slow)
+        let counts = firing_counts(&self.inner.lock().firing);
+        (counts.fast, counts.slow)
     }
 
     /// Logical timestamp of the most recent [`SloEngine::evaluate`] pass.
     pub fn last_eval_ts(&self) -> u64 {
         self.inner.lock().last_eval_ts
-    }
-
-    /// Total alert transitions ever recorded.
-    pub fn alerts_recorded(&self) -> u64 {
-        self.inner.lock().alerts.recorded()
-    }
-
-    /// Transitions evicted from the bounded log.
-    pub fn alerts_dropped(&self) -> u64 {
-        self.inner.lock().alerts.dropped()
     }
 
     /// Alert transitions with `seq >= since`, oldest first (exporter
@@ -580,91 +500,91 @@ impl SloEngine {
     /// (every objective, no `context`).
     pub fn doc(&self, now: u64) -> SloDoc {
         let inner = self.inner.lock();
-        let width = inner.policy.bucket_micros;
-        let longest = inner.policy.longest_window();
-        let mut firing = FiringCounts { fast: 0, slow: 0 };
-        let mut objectives = Vec::new();
-        for (oi, o) in inner.policy.objectives.iter().enumerate() {
-            let mut burns = Vec::new();
-            for (pi, p) in inner.policy.pairs.iter().enumerate() {
-                if inner.firing[oi][pi] {
-                    if p.fast() {
-                        firing.fast += 1;
-                    } else {
-                        firing.slow += 1;
-                    }
+        let objectives = SloKind::ALL
+            .iter()
+            .map(|&kind| {
+                let counter = &inner.counters[kind as usize];
+                let burn: Vec<BurnStatus> = PAIRS
+                    .iter()
+                    .zip(inner.firing[kind as usize])
+                    .map(|(p, firing)| BurnStatus {
+                        pair: p.name.clone(),
+                        short: counter.burn(kind, now, p.short_micros),
+                        long: counter.burn(kind, now, p.long_micros),
+                        firing,
+                    })
+                    .collect();
+                let (good, bad) = counter.totals(now, LONGEST_WINDOW);
+                ObjectiveStatus {
+                    id: Cow::Borrowed(kind.as_str()),
+                    kind: Cow::Borrowed(kind.as_str()),
+                    goal: kind.goal(),
+                    threshold_micros: kind.threshold_micros(),
+                    deterministic: kind.deterministic(),
+                    good,
+                    bad,
+                    firing: burn.iter().any(|b| b.firing),
+                    burn,
                 }
-                burns.push(BurnStatus {
-                    pair: p.name.clone(),
-                    short: burn(&inner.counters[oi], now, width, p.short_micros, o),
-                    long: burn(&inner.counters[oi], now, width, p.long_micros, o),
-                    firing: inner.firing[oi][pi],
-                });
-            }
-            let (good, bad) = inner.counters[oi].totals(now, width, longest);
-            objectives.push(ObjectiveStatus {
-                id: Cow::Borrowed(o.id),
-                kind: Cow::Borrowed(o.kind.as_str()),
-                goal: o.goal,
-                threshold_micros: o.threshold_micros,
-                deterministic: o.deterministic,
-                good,
-                bad,
-                firing: burns.iter().any(|b| b.firing),
-                burn: burns,
-            });
-        }
+            })
+            .collect();
         SloDoc {
             schema: "cacheportal.slo.v1".to_string(),
             enabled: self.enabled(),
             stable: false,
             now,
-            pairs: inner.policy.pairs.clone(),
+            pairs: PAIRS.to_vec(),
             objectives,
             alerts: AlertLogDoc {
                 recorded: inner.alerts.recorded(),
                 dropped: inner.alerts.dropped(),
                 recent: inner.alerts.iter().cloned().collect(),
             },
-            firing,
+            firing: firing_counts(&inner.firing),
             context: None,
         }
     }
 }
 
-/// Burn rate of one objective over one window at logical time `now`.
-fn burn(c: &WindowedCounter, now: u64, width: u64, window: u64, o: &Objective) -> f64 {
-    let (good, bad) = c.totals(now, width, window);
-    let total = good + bad;
-    if total == 0 {
-        return 0.0;
+/// Firing (objective, pair) combinations by pair speed.
+fn firing_counts(firing: &[[bool; PAIRS.len()]]) -> FiringCounts {
+    let mut counts = FiringCounts { fast: 0, slow: 0 };
+    for row in firing {
+        for (p, _) in PAIRS.iter().zip(row).filter(|(_, &f)| f) {
+            if p.fast() {
+                counts.fast += 1;
+            } else {
+                counts.slow += 1;
+            }
+        }
     }
-    (bad as f64 / total as f64) / o.budget()
+    counts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tight_policy() -> SloPolicy {
-        SloPolicy {
-            objectives: vec![Objective::new(SloKind::StalenessP99, 100, 0.99, true)],
-            pairs: SloPolicy::default_pairs(),
-            bucket_micros: MINUTE,
-            alert_log_cap: 4,
+    /// Five seconds: a bad event against the 1 s staleness objective.
+    const BAD: u64 = 5_000_000;
+
+    #[test]
+    fn kinds_are_listed_in_discriminant_order() {
+        for (i, kind) in SloKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{}", kind.as_str());
         }
     }
 
     #[test]
     fn burn_rate_fires_and_resolves() {
-        let e = SloEngine::new(tight_policy());
+        let e = SloEngine::default();
         // All good: nothing fires.
         e.observe_latency(SloKind::StalenessP99, 1_000, 50, 10);
         let out = e.evaluate(1_000);
         assert!(out.newly_fired.is_empty());
         assert_eq!(e.firing_counts(), (0, 0));
         // A burst of bad windows: bad fraction 0.5 ≫ 14.4 × 0.01 budget.
-        e.observe_latency(SloKind::StalenessP99, 2_000, 5_000, 10);
+        e.observe_latency(SloKind::StalenessP99, 2_000, BAD, 10);
         let out = e.evaluate(2_000);
         assert_eq!(out.newly_fired.len(), 2, "fast and slow pairs both fire");
         assert_eq!(out.fast_firing, 1);
@@ -691,8 +611,8 @@ mod tests {
         // After a breach, fresh good traffic clears the short window while
         // the long window still remembers the bad burst — the AND of the
         // two windows is what resolves the alert quickly.
-        let e = SloEngine::new(tight_policy());
-        e.observe_latency(SloKind::StalenessP99, 1_000, 5_000, 100);
+        let e = SloEngine::default();
+        e.observe_latency(SloKind::StalenessP99, 1_000, BAD, 100);
         assert_eq!(e.evaluate(1_000).newly_fired.len(), 2);
         // 10 minutes later (outside 5m, inside 1h), all-good traffic.
         let later = 1_000 + 10 * MINUTE;
@@ -707,37 +627,35 @@ mod tests {
 
     #[test]
     fn ratio_objective_counts_outcomes() {
-        let pol = SloPolicy {
-            objectives: vec![Objective::new(SloKind::PollErrors, 0, 0.99, true)],
-            pairs: SloPolicy::default_pairs(),
-            bucket_micros: MINUTE,
-            alert_log_cap: 8,
-        };
-        let e = SloEngine::new(pol);
+        let e = SloEngine::default();
         e.observe_counts(SloKind::PollErrors, 500, 6, 6);
         let out = e.evaluate(500);
         assert_eq!(out.fast_firing, 1);
         let doc = e.doc(500);
-        assert_eq!(doc.objectives[0].bad, 6);
+        let polls = doc.objectives.iter().find(|o| o.id == "poll-error-rate").unwrap();
+        assert_eq!(polls.bad, 6);
         assert_eq!(doc.firing.fast, 1);
     }
 
     #[test]
     fn alert_log_is_bounded_with_dropped_counter() {
-        let e = SloEngine::new(tight_policy());
-        // Flap the objective: bad burst → fire, age out → resolve, repeat.
+        let e = SloEngine::default();
+        // Flap the objective: bad burst → fire, age out → resolve, repeat,
+        // two flaps more than the log holds.
+        let flaps = ALERT_LOG_CAP / 4 + 2;
         let mut now = 1_000;
-        for _ in 0..3 {
-            e.observe_latency(SloKind::StalenessP99, now, 5_000, 10);
+        for _ in 0..flaps {
+            e.observe_latency(SloKind::StalenessP99, now, BAD, 10);
             e.evaluate(now);
             now += 7 * HOUR;
             e.evaluate(now);
             now += MINUTE;
         }
-        // 3 flaps × 2 pairs × 2 transitions = 12 recorded, cap 4.
-        assert_eq!(e.alerts_recorded(), 12);
-        assert_eq!(e.alerts_dropped(), 8);
-        assert_eq!(e.alerts_since(0).len(), 4);
+        // flaps × 2 pairs × 2 transitions recorded; the log keeps its cap.
+        let alerts = e.doc(now).alerts;
+        assert_eq!(alerts.recorded, 4 * flaps as u64);
+        assert_eq!(alerts.dropped, 8);
+        assert_eq!(e.alerts_since(0).len(), ALERT_LOG_CAP);
         // The cursor view only sees what survived the ring.
         let first_kept = e.alerts_since(0)[0].seq;
         assert_eq!(first_kept, 8);
@@ -766,16 +684,5 @@ mod tests {
         assert!(full.contains("sync-latency-p95"));
         assert!(!stable.contains("sync-latency-p95"));
         assert!(stable.contains("\"stable\": true"));
-    }
-
-    #[test]
-    fn configure_resets_state() {
-        let e = SloEngine::new(tight_policy());
-        e.observe_latency(SloKind::StalenessP99, 1_000, 5_000, 10);
-        e.evaluate(1_000);
-        assert_ne!(e.firing_counts(), (0, 0));
-        e.configure(tight_policy());
-        assert_eq!(e.firing_counts(), (0, 0));
-        assert_eq!(e.alerts_recorded(), 0);
     }
 }

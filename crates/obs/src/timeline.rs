@@ -100,7 +100,7 @@ pub struct TimelineLog {
 
 impl TimelineLog {
     /// A log retaining the `capacity` most recent sync points.
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         TimelineLog { ring: Mutex::new(Ring::new(capacity)) }
     }
 

@@ -105,6 +105,10 @@ impl TraceDoc {
     }
 }
 
+/// Trace events kept, and commit ranges indexed: one bound, so the ring and
+/// the [`CommitIndex`] truncate together.
+const CAPACITY: usize = 1024;
+
 /// Bounded event recorder; all methods take `&self`.
 pub struct Tracer {
     ring: Mutex<Ring<TraceEvent>>,
@@ -115,7 +119,7 @@ pub struct Tracer {
 
 impl Tracer {
     /// A tracer retaining the `capacity` most recent events.
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         Tracer {
             ring: Mutex::new(Ring::new(capacity)),
             enabled: AtomicBool::new(true),
@@ -340,7 +344,7 @@ impl Tracer {
 impl Default for Tracer {
     /// 1024-event ring, enabled.
     fn default() -> Self {
-        Tracer::new(1024)
+        Tracer::new(CAPACITY)
     }
 }
 
@@ -369,7 +373,7 @@ pub struct CommitIndex {
 
 impl CommitIndex {
     /// An index retaining the `capacity` most recent commit ranges.
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         CommitIndex {
             inner: Mutex::new(BTreeMap::new()),
             capacity: capacity.max(1),
@@ -426,7 +430,7 @@ impl CommitIndex {
 impl Default for CommitIndex {
     /// 1024-range index.
     fn default() -> Self {
-        CommitIndex::new(1024)
+        CommitIndex::new(CAPACITY)
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! At every run it joins the two logs. A query record that names its request
 //! — stamped by the query logger on the thread that served it — is joined to
-//! that one request **by id** ([`IdIndex`]): exact at any concurrency, and
+//! that one request **by id** (`IdIndex`): exact at any concurrency, and
 //! until the request is logged the query is retained, never handed to a
 //! neighbour. A record without an id (a hand-fed or shipped log,
 //! `QueryLog::record` called directly, a servlet that queries from another
@@ -14,7 +14,7 @@
 //! record selects the join; nothing else does.
 //!
 //! Either index is built when the run's first record of its kind turns up.
-//! The containment join ([`WindowIndex`]) costs a sort of the run's request
+//! The containment join (`WindowIndex`) costs a sort of the run's request
 //! windows plus, per query, a binary search and a walk over the windows that
 //! can still reach it. Each distinct logged SQL text is parsed once, its
 //! query type worked out once, and an instance is typed — its type and

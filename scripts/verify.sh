@@ -14,6 +14,11 @@ cargo test -q --offline --workspace
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== rustdoc (deny warnings) =="
+# A doc link left pointing at a removed or private item is a broken link,
+# and this is the step that says so.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "== Criterion benches compile (cargo bench --no-run) =="
 # Nothing else builds the bench targets, so an API change under them would
 # otherwise surface the next time somebody wants a number.
