@@ -526,7 +526,6 @@ fn cmd_bus(args: &[String]) -> i32 {
         "failures".to_string(),
         "applied".to_string(),
         "dupes".to_string(),
-        "gaps".to_string(),
         "ejected".to_string(),
         "flushed".to_string(),
     ]];
@@ -549,7 +548,6 @@ fn cmd_bus(args: &[String]) -> i32 {
             e.failures.to_string(),
             e.applied_batches.to_string(),
             e.duplicates_absorbed.to_string(),
-            e.gaps_buffered.to_string(),
             e.ejected_pages.to_string(),
             e.flushed_pages.to_string(),
         ]);

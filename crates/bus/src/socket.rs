@@ -1,13 +1,16 @@
 //! Real-socket bus transport over `std::net::TcpStream`, mirroring the
 //! dependency-free style of the `crates/obs` admin server: one accept
-//! thread per edge, line-delimited JSON, connection per delivery.
+//! thread per edge, line-delimited JSON, connection per frame per attempt.
 //!
 //! Wire protocol (deliberately trivial — the reliability contract lives in
-//! the bus, not the wire): the sender connects, writes one
-//! `serde_json`-encoded [`EjectBatch`] terminated by `\n`, and reads back
-//! one encoded [`Ack`] line. Any connect/read/parse failure surfaces as
-//! [`TransportError::Unreachable`], which the bus treats exactly like a
-//! dropped delivery — retry, then partition bookkeeping.
+//! the bus and the edge's apply rule, not the wire): the sender connects,
+//! writes one frame, a JSON array of [`EjectBatch`]es terminated by `\n`,
+//! and reads back one encoded [`Ack`] line. A frame that would not fit in
+//! the 4 MiB line limit is cut to its newest batches that do; the edge then
+//! flushes, as for any frame that skips its mark. Any connect/read/parse
+//! failure surfaces as [`TransportError::Unreachable`], which the bus
+//! treats exactly like a dropped delivery — retry, then partition
+//! bookkeeping.
 //!
 //! This transport exists for CI smoke coverage of the serialization and
 //! socket path; the deterministic harness uses [`crate::MemoryTransport`].
@@ -20,13 +23,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Longest frame either side reads, batch or ack (a batch of some 80 000
-/// page keys). A peer that streams more than this without a newline gets no
-/// ack and the connection is closed; the bus treats that like any other
-/// failed delivery.
+/// Longest line either side reads, frame or ack (some 80 000 page keys). A
+/// peer that streams more than this without a newline gets no ack and the
+/// connection is closed; the bus treats that like any other failed
+/// delivery.
 const MAX_FRAME_BYTES: usize = 4 << 20;
 
-/// How long an [`EdgeServer`] gives one delivery, the whole batch frame
+/// How long an [`EdgeServer`] gives one delivery, the whole frame
 /// however it is paced and then the ack. The listener serves one connection
 /// at a time, so this is also the longest a slow peer holds it; it is below
 /// [`SocketTransport`]'s timeout, so a delivery queued behind such a peer is
@@ -61,7 +64,28 @@ fn read_frame(stream: &TcpStream, deadline: Instant) -> std::io::Result<String> 
     String::from_utf8(frame).map_err(std::io::Error::other)
 }
 
-/// Client side: delivers batches to remote [`EdgeServer`]s by address.
+/// Encode `frame` as one wire line, newline included: the newest suffix
+/// of its batches whose line fits in [`MAX_FRAME_BYTES`].
+fn encode_frame(frame: &[EjectBatch]) -> Result<String, TransportError> {
+    let batches = frame
+        .iter()
+        .map(serde_json::to_string)
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|_| TransportError::Unreachable("encode"))?;
+    // "]\n", then each batch and the '[' or ',' before it.
+    let mut len = 2;
+    let keep = batches
+        .iter()
+        .rev()
+        .take_while(|b| {
+            len += b.len() + 1;
+            len <= MAX_FRAME_BYTES
+        })
+        .count();
+    Ok(format!("[{}]\n", batches[batches.len() - keep..].join(",")))
+}
+
+/// Client side: delivers frames to remote [`EdgeServer`]s by address.
 /// Edge index = position in the address list (matching the bus's
 /// registration order of `register_remote_edge`).
 pub struct SocketTransport {
@@ -80,7 +104,7 @@ impl SocketTransport {
 }
 
 impl BusTransport for SocketTransport {
-    fn deliver(&self, edge: usize, batch: &EjectBatch, _attempt: u32) -> Result<Ack, TransportError> {
+    fn deliver(&self, edge: usize, frame: &[EjectBatch], _attempt: u32) -> Result<Ack, TransportError> {
         let addr = self
             .addrs
             .get(edge)
@@ -90,13 +114,12 @@ impl BusTransport for SocketTransport {
         stream
             .set_write_timeout(Some(self.timeout))
             .map_err(|_| TransportError::Unreachable("socket"))?;
-        let line = serde_json::to_string(batch).map_err(|_| TransportError::Unreachable("encode"))?;
+        let line = encode_frame(frame)?;
         let mut writer = stream
             .try_clone()
             .map_err(|_| TransportError::Unreachable("socket"))?;
         writer
             .write_all(line.as_bytes())
-            .and_then(|_| writer.write_all(b"\n"))
             .and_then(|_| writer.flush())
             .map_err(|_| TransportError::Unreachable("write"))?;
         let reply = read_frame(&stream, Instant::now() + self.timeout)
@@ -106,7 +129,7 @@ impl BusTransport for SocketTransport {
     }
 }
 
-/// Server side: one edge endpoint listening for batch deliveries.
+/// Server side: one edge endpoint listening for frame deliveries.
 /// Dropping (or [`EdgeServer::shutdown`]) stops the accept loop and joins
 /// the thread, like the obs admin server.
 pub struct EdgeServer {
@@ -116,7 +139,7 @@ pub struct EdgeServer {
 }
 
 impl EdgeServer {
-    /// Bind `addr` (e.g. `"127.0.0.1:0"`) and apply incoming batches to
+    /// Bind `addr` (e.g. `"127.0.0.1:0"`) and apply incoming frames to
     /// `endpoint` on a background thread.
     pub fn serve(addr: &str, endpoint: Arc<EdgeEndpoint>) -> std::io::Result<EdgeServer> {
         let listener = TcpListener::bind(addr)?;
@@ -174,11 +197,12 @@ impl Drop for EdgeServer {
 fn handle_delivery(stream: &mut TcpStream, endpoint: &EdgeEndpoint) -> std::io::Result<()> {
     stream.set_write_timeout(Some(FRAME_DEADLINE))?;
     let line = read_frame(stream, Instant::now() + FRAME_DEADLINE)?;
-    let Ok(batch) = serde_json::from_str::<EjectBatch>(line.trim()) else {
-        // Malformed delivery (or the shutdown throwaway connect): no ack.
+    let Ok(frame) = serde_json::from_str::<Vec<EjectBatch>>(line.trim()) else {
+        // Malformed or cut-off delivery (or the shutdown throwaway
+        // connect): no ack.
         return Ok(());
     };
-    let ack = endpoint.apply(&batch);
+    let ack = endpoint.apply(&frame);
     let reply = serde_json::to_string(&ack).map_err(std::io::Error::other)?;
     stream.write_all(reply.as_bytes())?;
     stream.write_all(b"\n")?;
@@ -220,13 +244,13 @@ mod tests {
             ts: 100,
             pages: vec![key("a")],
         };
-        let ack = transport.deliver(0, &batch, 0).unwrap();
+        let ack = transport.deliver(0, std::slice::from_ref(&batch), 0).unwrap();
         assert_eq!(ack, Ack { applied_seq: 1 });
         assert!(!cache.contains(&key("a")));
         assert!(cache.contains(&key("b")));
 
         // Redelivery over the wire is absorbed idempotently.
-        let ack = transport.deliver(0, &batch, 1).unwrap();
+        let ack = transport.deliver(0, &[batch], 1).unwrap();
         assert_eq!(ack, Ack { applied_seq: 1 });
         assert_eq!(endpoint.counters().absorbed_duplicates, 1);
 
@@ -259,7 +283,7 @@ mod tests {
 
         let transport = SocketTransport::new(vec![server.addr()]);
         let batch = EjectBatch { seq: 1, sync_seq: 1, ts: 1, pages: vec![key("a")] };
-        assert_eq!(transport.deliver(0, &batch, 0).unwrap(), Ack { applied_seq: 1 });
+        assert_eq!(transport.deliver(0, &[batch], 0).unwrap(), Ack { applied_seq: 1 });
         assert!(!cache.contains(&key("a")));
         server.shutdown();
     }
@@ -293,7 +317,7 @@ mod tests {
 
         let transport = SocketTransport::new(vec![server.addr()]);
         let batch = EjectBatch { seq: 1, sync_seq: 1, ts: 1, pages: vec![key("a")] };
-        assert_eq!(transport.deliver(0, &batch, 0).unwrap(), Ack { applied_seq: 1 });
+        assert_eq!(transport.deliver(0, &[batch], 0).unwrap(), Ack { applied_seq: 1 });
         assert!(!cache.contains(&key("a")));
         server.shutdown();
     }
@@ -309,18 +333,17 @@ mod tests {
         bus.register_remote_edge("edge-sock", 0);
         bus.publish(1, 1, vec![key("a")]);
         bus.deliver_all(1);
-        let report = bus.deliver_all(2);
-        assert_eq!(report.newly_partitioned, vec!["edge-sock".to_string()]);
-        assert_eq!(bus.partitioned_count(), 1);
+        bus.deliver_all(2);
+        assert!(bus.edge_rows()[0].partitioned);
+        assert_eq!(bus.stats().partitioned_edges, 1);
         assert!(bus.edge_rows()[0].lag > 0);
         assert!(cache.contains(&key("a")), "the undelivered eject has not landed");
 
         // The listener comes back on the same port: the next round replays
         // what the edge missed, from its acked watermark.
         let revived = EdgeServer::serve(&addr.to_string(), endpoint).unwrap();
-        let report = bus.deliver_all(3);
-        assert_eq!(report.healed, vec!["edge-sock".to_string()]);
-        assert_eq!(bus.partitioned_count(), 0);
+        bus.deliver_all(3);
+        assert_eq!(bus.stats().partitioned_edges, 0);
         let row = &bus.edge_rows()[0];
         assert_eq!((row.acked, row.lag), (1, 0));
         assert!(!cache.contains(&key("a")), "catch-up applied the eject");
@@ -341,6 +364,92 @@ mod tests {
         assert_eq!(bus.edge_rows()[0].acked, 1);
         assert_eq!(bus.edge_rows()[0].lag, 0);
 
+        server.shutdown();
+    }
+
+    /// An edge registered after the first publishes, whose own mark is 0,
+    /// gets frames that start past its mark: it flushes and is current.
+    #[test]
+    fn a_remote_edge_that_joins_late_catches_up() {
+        let (cache, _, server) = listening_edge(&["a"]);
+        let transport = Arc::new(SocketTransport::new(vec![server.addr()]));
+        let bus = InvalidationBus::new(BusConfig::default(), transport, FaultPlan::none());
+        for s in 1..=3 {
+            bus.publish(s, s, vec![]);
+            bus.deliver_all(s);
+        }
+        bus.register_remote_edge("edge-sock", 3);
+        bus.publish(4, 4, vec![key("a")]);
+        bus.deliver_all(4);
+        for s in 5..=40 {
+            bus.publish(s, s, vec![]);
+            bus.deliver_all(s);
+        }
+        assert!(!cache.contains(&key("a")), "the page batch 4 ejected is still cached");
+        let row = &bus.edge_rows()[0];
+        assert_eq!((row.lag, row.partitioned), (0, false));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_frame_with_a_gap_inside_applies_nothing_and_acks_the_old_mark() {
+        let (cache, endpoint, server) = listening_edge(&["a", "b"]);
+        let transport = SocketTransport::new(vec![server.addr()]);
+        let b1 = EjectBatch { seq: 1, sync_seq: 1, ts: 1, pages: vec![key("a")] };
+        let b3 = EjectBatch { seq: 3, sync_seq: 3, ts: 3, pages: vec![key("b")] };
+        let ack = transport.deliver(0, &[b1.clone(), b3], 0).unwrap();
+        assert_eq!(ack, Ack { applied_seq: 0 });
+        assert!(cache.contains(&key("a")) && cache.contains(&key("b")));
+        assert_eq!(endpoint.counters(), Default::default());
+
+        assert_eq!(transport.deliver(0, &[b1], 0).unwrap(), Ack { applied_seq: 1 });
+        assert!(!cache.contains(&key("a")) && cache.contains(&key("b")));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_frame_cut_off_mid_json_gets_no_ack_and_changes_nothing() {
+        let (cache, endpoint, server) = listening_edge(&["a"]);
+        let batch = EjectBatch { seq: 1, sync_seq: 1, ts: 1, pages: vec![key("a")] };
+        let line = encode_frame(&[batch]).unwrap();
+        let mut peer = TcpStream::connect(server.addr()).unwrap();
+        peer.write_all(&line.as_bytes()[..line.len() / 2]).unwrap();
+        peer.shutdown(std::net::Shutdown::Write).unwrap();
+        peer.set_read_timeout(Some(3 * FRAME_DEADLINE)).unwrap();
+        let mut reply = Vec::new();
+        peer.read_to_end(&mut reply).unwrap();
+        assert!(reply.is_empty(), "a cut-off frame must not be acked");
+        assert!(cache.contains(&key("a")));
+        assert_eq!(endpoint.applied_seq(), 0);
+        server.shutdown();
+    }
+
+    /// A backlog past the line limit goes out as its newest batches that
+    /// fit; the edge flushes on the skipped mark and renews this round.
+    #[test]
+    fn a_backlog_past_the_line_limit_renews_by_flushing() {
+        let (cache, endpoint, server) = listening_edge(&["a", "b"]);
+        let transport = Arc::new(SocketTransport::new(vec![server.addr()]));
+        let bus = InvalidationBus::new(BusConfig::default(), transport, FaultPlan::none());
+        bus.register_remote_edge("edge-sock", 0);
+        let huge: Vec<PageKey> =
+            (0..MAX_FRAME_BYTES / 24).map(|i| key(&format!("shop/product?sku={i:08}"))).collect();
+        bus.publish(1, 1, huge);
+        bus.publish(2, 2, vec![key("a")]);
+        bus.publish(3, 3, vec![]);
+        let report = bus.deliver_all(3);
+        assert_eq!(report.failed_attempts, 0, "the frame was refused at the edge");
+        let row = &bus.edge_rows()[0];
+        assert_eq!((row.acked, row.lag, row.partitioned), (3, 0, false));
+        assert!(cache.is_empty(), "batch 1 never arrived, so the edge flushed");
+        assert_eq!(endpoint.counters().flushed_pages, 2);
+
+        // The next frame starts at the adopted mark and applies in order.
+        cache.put(key("c"), "1", 4);
+        bus.publish(4, 4, vec![key("c")]);
+        bus.deliver_all(4);
+        assert!(!cache.contains(&key("c")));
+        assert_eq!(endpoint.counters().applied_batches, 1);
         server.shutdown();
     }
 
@@ -369,7 +478,7 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let batch = EjectBatch { seq: 1, sync_seq: 1, ts: 1, pages: vec![key("a")] };
-            let _ = tx.send(transport.deliver(0, &batch, 0));
+            let _ = tx.send(transport.deliver(0, &[batch], 0));
         });
         let outcome = rx.recv_timeout(3 * timeout).expect("the delivery outlived its timeout");
         assert_eq!(outcome, Err(TransportError::Unreachable("connect")));

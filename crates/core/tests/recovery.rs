@@ -567,12 +567,12 @@ fn edge_ack_ahead_of_journal_is_replayed_and_absorbed() {
     // At-least-once also means raw wire duplicates: re-applying the same
     // batch seq is absorbed without touching the cache.
     let before = edge.len();
-    let ack = ep.apply(&cacheportal::bus::EjectBatch {
+    let ack = ep.apply(&[cacheportal::bus::EjectBatch {
         seq: row.acked,
         sync_seq: 2,
         ts: 1_000_001,
         pages: vec![key_a.clone()],
-    });
+    }]);
     assert_eq!(ack.applied_seq, row.acked, "duplicate re-acks the watermark");
     assert_eq!(ep.counters().absorbed_duplicates, 1);
     assert_eq!(edge.len(), before, "duplicate leaves the cache untouched");

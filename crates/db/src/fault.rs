@@ -47,16 +47,15 @@ pub struct FaultSpec {
     /// Leading sync points of each cycle during which *every* poll faults
     /// with an error — the bursty outage that should trip the breaker.
     pub poll_flap_burst: u64,
-    /// Probability one bus delivery attempt (edge, batch, attempt) is
-    /// dropped in flight — the edge never sees the batch, the bus never
-    /// sees an ack, and the at-least-once retry loop must re-send.
+    /// Probability one bus delivery attempt (edge, frame's newest seq,
+    /// attempt) is dropped in flight — the edge never sees the frame, the
+    /// bus never sees an ack, and the round's retry loop must re-send.
     pub bus_drop: f64,
     /// Probability a bus delivery is duplicated in flight (the edge
-    /// applies the same sequenced batch twice; idempotent apply absorbs
-    /// the second copy).
+    /// applies the same frame twice; the second copy is absorbed).
     pub bus_dup: f64,
-    /// Deterministically reverse the bus send order whenever an edge has a
-    /// multi-batch backlog, forcing the edge's gap buffer to engage.
+    /// Deliver each edge's previous frame again after its current one — a
+    /// stale frame arriving late, which the edge must absorb.
     pub bus_reorder: bool,
     /// Probability an edge is unreachable for a whole partition burst
     /// window (see the two period/burst fields below).
@@ -397,9 +396,10 @@ impl FaultPlan {
         hit
     }
 
-    /// Mix an `(edge, batch seq, attempt)` delivery coordinate into one
-    /// decision key. Attempt is included so a dropped send can succeed on
-    /// a later retry — the transience the at-least-once loop exploits.
+    /// Mix an `(edge, frame's newest seq, attempt)` delivery coordinate
+    /// into one decision key. Attempt is included so a dropped send can
+    /// succeed on a later retry — the transience the round's retry loop
+    /// exploits.
     fn bus_key(edge: u64, seq: u64, attempt: u32) -> u64 {
         mix(edge.wrapping_mul(0xff51_afd7_ed55_8ccd) ^ seq)
             .wrapping_add((attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
@@ -416,7 +416,7 @@ impl FaultPlan {
     }
 
     /// Bus site: is this delivery duplicated in flight? Keyed without the
-    /// attempt so a duplicated batch stays duplicated on replay.
+    /// attempt so a duplicated frame stays duplicated on replay.
     pub fn bus_duplicate_delivery(&self, edge: u64, seq: u64) -> bool {
         let Some(s) = &self.state else { return false };
         let hit = Self::roll(s, 8, Self::bus_key(edge, seq, 0), s.spec.bus_dup);
@@ -426,7 +426,8 @@ impl FaultPlan {
         hit
     }
 
-    /// Bus site: reverse the send order of a multi-batch backlog?
+    /// Bus site: deliver an edge's previous frame again after its current
+    /// one?
     pub fn bus_reorder_sends(&self) -> bool {
         self.state.as_ref().is_some_and(|s| s.spec.bus_reorder)
     }

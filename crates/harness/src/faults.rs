@@ -33,8 +33,8 @@ pub enum FaultClass {
     /// The invalidation bus drops eject deliveries to edge caches; bounded
     /// retries within the round must keep every edge renewed or degraded.
     BusDrop,
-    /// The bus duplicates and reorders deliveries; idempotent apply and the
-    /// gap buffer must absorb both.
+    /// The bus drops and duplicates frames and delivers stale ones late;
+    /// the edge's apply rule must absorb all three.
     BusReorder,
     /// Bursty edge partitions: whole windows where an edge is unreachable —
     /// the edge must self-eject (Vcache-style) and catch up on heal.

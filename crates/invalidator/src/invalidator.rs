@@ -518,11 +518,6 @@ impl Invalidator {
         self.consumed_lsn = self.consumed_lsn.max(lsn);
     }
 
-    /// Off-line registration: declare a query type up front (§4.1.1).
-    pub fn register_type(&mut self, sql: &str) -> DbResult<QueryTypeId> {
-        self.registry.register_type_sql(sql)
-    }
-
     /// Off-line policy registration (§4.1.3).
     pub fn set_policy(&mut self, id: QueryTypeId, policy: InvalidationPolicy) {
         self.policies.set_override(id, policy);

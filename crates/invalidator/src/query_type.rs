@@ -44,16 +44,6 @@ pub struct TypeStats {
 }
 
 impl TypeStats {
-    /// Ratio of instance-invalidations per touching update batch (the
-    /// paper's "invalidation ratio").
-    pub fn invalidation_ratio(&self) -> f64 {
-        if self.update_batches == 0 {
-            0.0
-        } else {
-            self.invalidations as f64 / self.update_batches as f64
-        }
-    }
-
     /// Average analysis time per touching batch (µs) — the paper's
     /// "average invalidation time" statistic (§4.1.1).
     pub fn avg_analysis_micros(&self) -> f64 {

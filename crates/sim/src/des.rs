@@ -77,11 +77,6 @@ impl Station {
         }
     }
 
-    /// Current queue length (diagnostics).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Utilization over `elapsed` (0..=1 per worker).
     pub fn utilization(&self, elapsed: SimTime) -> f64 {
         if elapsed == 0 {

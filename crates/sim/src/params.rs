@@ -350,12 +350,6 @@ impl SimParams {
         self
     }
 
-    /// Set the workload seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Set the simulated experiment length.
     pub fn with_duration(mut self, duration: SimTime) -> Self {
         self.duration = duration;
