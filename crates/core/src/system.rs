@@ -443,7 +443,6 @@ impl CachePortalBuilder {
             req_counters,
             slo_metrics,
             sync_seq: AtomicU64::new(sync_seq_start),
-            mapper_epoch: AtomicU64::new(0),
             exporter: Mutex::new(JsonlExporter::new()),
             audit_invalidations: AtomicBool::new(false),
             durability: durability.map(Mutex::new),
@@ -729,12 +728,10 @@ pub struct CachePortal {
     hub: Arc<TelemetryHub>,
     req_counters: RequestCounters,
     slo_metrics: SloMetricHandles,
-    /// Sync-point ordinal (stamped onto provenance records).
+    /// Sync ordinal: provenance, bus batch seq, and the admission stamp
+    /// (advanced under the invalidator lock once a sync point has mapped and
+    /// consumed; see `request`).
     sync_seq: AtomicU64,
-    /// How many times the mappers have drained the logs: bumped under the
-    /// invalidator lock once every node's mapper has run. A page whose
-    /// generation saw it move is not admitted (see `request`).
-    mapper_epoch: AtomicU64,
     /// Incremental JSONL export cursor (trace events + eject records).
     exporter: Mutex<JsonlExporter>,
     /// When set, every sync point replays the freshness oracle over the
@@ -824,6 +821,10 @@ impl CachePortal {
     }
 
     /// Access the invalidator (policy overrides, registry inspection).
+    ///
+    /// Consuming the update log from here (`run_sync_point`) is unsupported:
+    /// only [`sync_point`](Self::sync_point) advances the admission stamp, so
+    /// a miss in flight would not see that consume and could be cached stale.
     pub fn with_invalidator<R>(&self, f: impl FnOnce(&mut Invalidator) -> R) -> R {
         f(&mut self.invalidator.lock())
     }
@@ -867,26 +868,11 @@ impl CachePortal {
             }
         }
 
-        // Admission control against the sniffer/invalidator race: remember
-        // the update-log position before generation starts. If a sync point
-        // consumes records at or past this position before we insert the
-        // page, the invalidator may already have processed updates this page
-        // does not reflect — and, its QI/URL entry not yet registered, would
-        // never eject it. Such pages are served but not cached; the next
-        // request regenerates and re-tries admission.
-        let gen_start_lsn = self.db.read().high_water();
-        // The other half of the race: a mapper run that drains the logs
-        // while this page is being generated sees its queries without its
-        // request record (logged only at delivery). The queries name their
-        // request, so the mapper hands them to no neighbour: it *retains*
-        // them until the record arrives — the next run, or the one after.
-        // Until then the page's rows are not in the map, are not registered,
-        // and an update consumed meanwhile would not eject it; and past two
-        // runs the queries are dropped. So the check stands: a page is
-        // admitted only if no mapper drained the logs between here and its
-        // admission, which is what makes "its rows reach the map at the next
-        // sync point" true of every cached page.
-        let gen_start_epoch = self.mapper_epoch.load(Ordering::SeqCst);
+        // Admission stamp (DESIGN §7): a page is cached only if no sync
+        // point advanced the ordinal between here and its admission. SeqCst
+        // pairs with the advance in `sync_point`, made after its mapper run
+        // and its consume.
+        let stamp = self.sync_seq.load(Ordering::SeqCst);
         let ctx = self
             .obs
             .tracer
@@ -932,11 +918,9 @@ impl CachePortal {
             if response.status == cacheportal_web::Status::Ok
                 && response.cache_control.cacheable_by("cacheportal")
             {
-                // Hold the invalidator lock across check + put so no sync
-                // point can interleave. A page admitted here has its request
-                // record already logged (logging precedes delivery), so the
-                // next sync's mapper run registers it before any update at
-                // or after `gen_start_lsn` is consumed.
+                // Check and put under the invalidator lock, so no sync point
+                // interleaves. The request record is logged before this, so
+                // the next sync maps the page before it consumes.
                 let inv = self.invalidator.lock();
                 let reg = inv.registry();
                 let registered = reg.page(key);
@@ -946,12 +930,7 @@ impl CachePortal {
                     // Policy discovery has banned one of this page's query
                     // types from caching.
                     self.req_counters.declined_policy.inc();
-                } else if inv.consumed_lsn() <= gen_start_lsn
-                    // SeqCst pairs with the bump in `sync_point`, which is
-                    // made holding this lock: an unchanged epoch here means
-                    // no mapper has run since `gen_start_epoch` was read.
-                    && self.mapper_epoch.load(Ordering::SeqCst) == gen_start_epoch
-                {
+                } else if self.sync_seq.load(Ordering::SeqCst) == stamp {
                     // A page the registry knows is admitted under the
                     // registry's key: a page is one allocation, however often
                     // it is evicted and generated again.
@@ -1118,8 +1097,9 @@ impl CachePortal {
         let mapper = self.map_logs();
         let window_start = self.cut_window(ts);
         let Analysed { mut invalidation, consumed, watermarks } = self.analyse(&mut invalidator);
+        // Mapped and consumed: a miss stamped before this is not admitted.
+        self.sync_seq.fetch_add(1, Ordering::SeqCst);
         let guard = self.guard(window_start, mapper.lost, &mut invalidation);
-        self.sync_seq.fetch_add(1, Ordering::Relaxed);
         let ejected = self.eject(&invalidation.pages);
         let delivered = self.deliver(sync_seq, ts, &invalidation.pages);
         let persisted = self.persist(ts, sync_seq, consumed, watermarks, &invalidation.pages);
@@ -1149,15 +1129,10 @@ impl CachePortal {
 
     /// Map stage: every node's mapper drains its own logs into the one map.
     fn map_logs(&self) -> MapperReport {
-        let report = self
-            .nodes
+        self.nodes
             .iter()
             .map(|n| n.mapper.lock().run_once())
-            .fold(MapperReport::default(), MapperReport::merge);
-        // Every log is drained: a page still being generated may have lost
-        // queries to this run, and must not be admitted (see `request`).
-        self.mapper_epoch.fetch_add(1, Ordering::SeqCst);
-        report
+            .fold(MapperReport::default(), MapperReport::merge)
     }
 
     /// Cut stage: close the window at `ts`, the sync point's logical time,

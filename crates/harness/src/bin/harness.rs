@@ -13,7 +13,9 @@
 //! prints the precision-per-policy-per-fault-class table. `replay` re-runs
 //! a reproducer file and reports whether the violation still reproduces.
 
-use cacheportal_harness::{markdown_table, sweep, FaultClass, Reproducer, SweepConfig, ALL_CLASSES};
+use cacheportal_harness::{
+    cell_lines, markdown_table, sweep, FaultClass, Reproducer, SweepConfig, ALL_CLASSES,
+};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -120,21 +122,7 @@ fn run_sweep(opts: &Opts, defaults: SweepConfig, label: &str) -> ExitCode {
     if opts.markdown {
         println!("\n{}", markdown_table(&outcome.cells));
     } else {
-        for ((policy, class), agg) in &outcome.cells {
-            let s = &agg.stats;
-            println!(
-                "  {policy:>12} / {class:<15} runs={:<3} syncs={:<5} ejected={:<5} \
-                 over={:<4} fault_ejected={:<4} polls_faulted={:<4} lost={:<4} aborts={}",
-                agg.runs,
-                s.syncs,
-                s.ejected,
-                s.over_invalidations,
-                s.fault_ejected,
-                s.polls_faulted,
-                s.records_lost,
-                s.txn_aborts,
-            );
-        }
+        print!("{}", cell_lines(&outcome.cells));
     }
     println!("OK: {} runs, zero staleness violations", outcome.runs);
     ExitCode::SUCCESS

@@ -43,4 +43,4 @@ pub use gen::{Scenario, ServletGen, ServletKind, TableGen};
 pub use repro::Reproducer;
 pub use runner::{run_scenario, run_scenario_on, RunOutcome, RunStats, Violation};
 pub use shrink::shrink;
-pub use sweep::{markdown_table, sweep, sweep_scenario, SweepConfig, SweepOutcome};
+pub use sweep::{cell_lines, markdown_table, sweep, sweep_scenario, SweepConfig, SweepOutcome};

@@ -120,6 +120,28 @@ pub fn sweep(cfg: &SweepConfig, mut progress: Option<&mut dyn FnMut(u64)>) -> Sw
     }
 }
 
+/// One line per cell, as `harness smoke` prints them. The smoke matrix's
+/// lines are pinned in `tests/golden/smoke.txt`.
+pub fn cell_lines(cells: &BTreeMap<(String, String), CellAgg>) -> String {
+    let mut out = String::new();
+    for ((policy, class), agg) in cells {
+        let s = &agg.stats;
+        out.push_str(&format!(
+            "  {policy:>12} / {class:<15} runs={:<3} syncs={:<5} ejected={:<5} \
+             over={:<4} fault_ejected={:<4} polls_faulted={:<4} lost={:<4} aborts={}\n",
+            agg.runs,
+            s.syncs,
+            s.ejected,
+            s.over_invalidations,
+            s.fault_ejected,
+            s.polls_faulted,
+            s.records_lost,
+            s.txn_aborts,
+        ));
+    }
+    out
+}
+
 /// Render the per-cell precision table as GitHub markdown (the EXPERIMENTS
 /// table is generated from this).
 pub fn markdown_table(cells: &BTreeMap<(String, String), CellAgg>) -> String {

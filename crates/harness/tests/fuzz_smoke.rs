@@ -3,13 +3,14 @@
 //! canary proving a broken invalidator is actually caught.
 
 use cacheportal_harness::{
-    gen_actions, run_scenario, run_scenario_on, sweep, FaultClass, Reproducer, Scenario,
-    SweepConfig, ALL_CLASSES,
+    cell_lines, gen_actions, run_scenario, run_scenario_on, sweep, FaultClass, Reproducer,
+    Scenario, SweepConfig, ALL_CLASSES,
 };
 use std::collections::BTreeSet;
 
 /// Acceptance: ≥50 seeds × ≥40 actions, zero staleness violations, with
-/// all three policies, workers ∈ {1, 4}, and every fault class covered.
+/// all three policies, workers ∈ {1, 4}, and every fault class covered;
+/// and each cell's accounting equal to the pinned `harness smoke` lines.
 /// (Gated off under the canary feature: with invalidation deliberately
 /// broken, this matrix is *supposed* to fail — that is the canary test.)
 #[cfg(not(feature = "canary"))]
@@ -43,6 +44,12 @@ fn smoke_matrix_has_zero_staleness_violations() {
         );
     }
     assert_eq!(outcome.runs, cfg.seeds);
+    // And what `harness smoke` prints per cell is pinned, across commits: a
+    // change to any run's accounting shows here. Re-pin a deliberate one
+    // from `harness smoke`'s output and say why.
+    let lines = cell_lines(&outcome.cells);
+    let golden = include_str!("golden/smoke.txt");
+    assert!(lines == golden, "smoke cells moved from tests/golden/smoke.txt:\n{lines}");
 }
 
 /// Every fault class degrades conservatively: zero staleness, and the

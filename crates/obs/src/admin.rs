@@ -58,6 +58,10 @@ pub trait AdminSource: Send + Sync {
 /// at a time, so this also bounds how long one peer can hold every route.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
 
+/// The request head is read up to this many bytes. A request line that does
+/// not end inside it is refused whole (414), never routed as a prefix.
+const HEAD_LIMIT: usize = 8192;
+
 /// A running admin endpoint. Dropping (or calling [`AdminServer::shutdown`])
 /// stops the accept loop and joins the thread.
 pub struct AdminServer {
@@ -129,6 +133,9 @@ impl Drop for AdminServer {
 fn handle_conn(stream: &mut TcpStream, obs: &Obs, source: &dyn AdminSource) -> std::io::Result<()> {
     let request_line = read_request_line(stream, Instant::now() + REQUEST_DEADLINE)?;
     stream.set_write_timeout(Some(REQUEST_DEADLINE))?;
+    let Some(request_line) = request_line else {
+        return respond(stream, &text(414, "request line too long\n"));
+    };
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let target = parts.next().unwrap_or("");
@@ -207,10 +214,11 @@ fn route(obs: &Obs, source: &dyn AdminSource, path: &str, query: &str) -> Reply 
     }
 }
 
-/// Read up to the end of the request head and return the request line.
-/// The whole head has until `deadline`, however it is paced: each read
-/// waits for what is left of it.
-fn read_request_line(stream: &mut TcpStream, deadline: Instant) -> std::io::Result<String> {
+/// Read up to the end of the request head and return the request line:
+/// up to its line end, or all the peer sent before it half-closed. `None`
+/// if the line does not end within [`HEAD_LIMIT`]. The whole head has until
+/// `deadline`, however it is paced: each read waits for what is left of it.
+fn read_request_line(stream: &mut TcpStream, deadline: Instant) -> std::io::Result<Option<String>> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
@@ -224,12 +232,16 @@ fn read_request_line(stream: &mut TcpStream, deadline: Instant) -> std::io::Resu
             break;
         }
         buf.extend_from_slice(&chunk[..n]);
-        if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.len() > 8192 {
+        if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.len() > HEAD_LIMIT {
             break;
         }
     }
-    let head = String::from_utf8_lossy(&buf);
-    Ok(head.lines().next().unwrap_or("").to_string())
+    let end = buf.iter().position(|&b| b == b'\n').unwrap_or(buf.len());
+    if end > HEAD_LIMIT {
+        return Ok(None);
+    }
+    let line = String::from_utf8_lossy(&buf[..end]);
+    Ok(Some(line.trim_end_matches('\r').to_string()))
 }
 
 fn respond(stream: &mut TcpStream, reply: &Reply) -> std::io::Result<()> {
@@ -239,6 +251,7 @@ fn respond(stream: &mut TcpStream, reply: &Reply) -> std::io::Result<()> {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        414 => "URI Too Long",
         503 => "Service Unavailable",
         _ => "Error",
     };
@@ -480,6 +493,51 @@ mod tests {
         assert!(waited >= REQUEST_DEADLINE, "answered before the trickler was dropped: {waited:?}");
         assert!(waited < REQUEST_DEADLINE * 3, "held for {waited:?}");
         assert!(trickler.join().unwrap().is_empty(), "the trickler got no reply");
+        server.shutdown();
+    }
+
+    /// Send `head`, half-close, and return the reply's status. The reply
+    /// must come at once: nothing here may wait out the head's deadline.
+    fn exchange(addr: SocketAddr, head: &[u8]) -> u16 {
+        let started = Instant::now();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(head).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut raw = Vec::new();
+        stream.read_to_end(&mut raw).unwrap();
+        assert!(started.elapsed() < REQUEST_DEADLINE, "held for {:?}", started.elapsed());
+        let raw = String::from_utf8_lossy(&raw);
+        raw.split_whitespace().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0)
+    }
+
+    /// Malformed, oversized and truncated heads each get an answer at once,
+    /// and the server answers the next request. An oversized head is one
+    /// byte past the limit, so the server has read all of it when it
+    /// answers and its close resets nothing.
+    #[test]
+    fn malformed_oversized_and_truncated_heads_are_answered() {
+        let server = serve(&Obs::shared());
+        let addr = server.addr();
+        let over_limit = |start: &[u8]| {
+            let mut head = start.to_vec();
+            head.resize(HEAD_LIMIT + 1, b'x');
+            head
+        };
+        let cases: [(&str, Vec<u8>, u16); 6] = [
+            // Routed as the prefix `/healthz?xxx…` (200) before the limit
+            // was enforced.
+            ("long query", over_limit(b"GET /healthz?"), 414),
+            ("long path", over_limit(b"GET /"), 414),
+            ("non-UTF-8 head", b"GET /\xff\xfe HTTP/1.1\r\n\r\n".to_vec(), 404),
+            ("POST", b"POST /healthz HTTP/1.1\r\n\r\n".to_vec(), 405),
+            // The request line is whole; the missing blank line is forgiven.
+            ("no blank line", b"GET /healthz HTTP/1.1\r\n".to_vec(), 200),
+            ("empty", Vec::new(), 405),
+        ];
+        for (case, head, want) in cases {
+            assert_eq!(exchange(addr, &head), want, "{case}");
+            assert_eq!(http_get(addr, "/healthz"), (200, "ok\n".to_string()), "after {case}");
+        }
         server.shutdown();
     }
 

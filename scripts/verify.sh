@@ -56,7 +56,9 @@ echo "== counted budgets and the admission race (release, one command) =="
 # - concurrency: two readers missing on 400 pages against back-to-back sync
 #   points never cache a page without its QI/URL rows, and the storefront's
 #   4 300 pages missed from 1, 2 and 4 threads and on a 3-node farm map
-#   exactly one row each, under the page that issued it.
+#   exactly one row each, under the page that issued it; and a miss parked
+#   between its queries and its request record, across a consuming sync or
+#   three mapper runs, is served but not cached.
 cargo test -q --release --offline \
   -p cacheportal --test persist_alloc --test page_footprint \
   -p cacheportal-invalidator --test analysis_alloc \

@@ -5,10 +5,14 @@
 //! contention: no page is cached whose generation a mapper run overlapped.
 //! And attribution: however many threads miss at once, on one server or a
 //! farm, every query is filed under the request that issued it and no other.
+//! And the admission stamp without a race to win: a miss parked between its
+//! queries and its request record while sync points run is not cached.
 
 use cacheportal::db::schema::ColType;
-use cacheportal::db::Database;
-use cacheportal::web::{HttpRequest, ParamSource, QueryTemplate, ServletSpec, SqlServlet};
+use cacheportal::db::{Database, DbResult};
+use cacheportal::web::{
+    Connection, HttpRequest, ParamSource, QueryTemplate, Servlet, ServletSpec, SqlServlet,
+};
 use cacheportal::{CachePortal, Served};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -18,6 +22,10 @@ fn build_portal() -> CachePortal {
 }
 
 fn build_portal_with_groups(groups: i64) -> CachePortal {
+    build_portal_serving(groups, Arc::new(items_servlet()))
+}
+
+fn build_portal_serving(groups: i64, servlet: Arc<dyn Servlet>) -> CachePortal {
     let mut db = Database::new();
     db.execute("CREATE TABLE items (grp INT, val INT, INDEX(grp))").unwrap();
     for i in 0..groups.max(200) {
@@ -25,15 +33,19 @@ fn build_portal_with_groups(groups: i64) -> CachePortal {
             .unwrap();
     }
     let portal = CachePortal::builder(db).build().unwrap();
-    portal.register_servlet(Arc::new(SqlServlet::new(
+    portal.register_servlet(servlet);
+    portal
+}
+
+fn items_servlet() -> SqlServlet {
+    SqlServlet::new(
         ServletSpec::new("items").with_key_get_params(&["grp"]),
         "Items",
         vec![QueryTemplate::new(
             "SELECT grp, val FROM items WHERE grp = $1 ORDER BY val",
             vec![ParamSource::Get("grp".into(), ColType::Int)],
         )],
-    )));
-    portal
+    )
 }
 
 #[test]
@@ -122,13 +134,14 @@ fn parallel_readers_share_cached_pages() {
     assert_eq!(stats.hits, 800);
 }
 
-/// A page is admitted only if no mapper drained the logs between the start
-/// of its generation and its admission. Without that rule this test finds,
-/// with no fault injected, pages cached with no QI/URL row — a mapper run
-/// that falls into a page's generation sees the page's query before its
-/// request record, and gives the query to a concurrent request's window —
-/// and such a page is never ejected: a handful per round of two readers
-/// missing on 400 pages against back-to-back sync points.
+/// A page is admitted only if no sync point advanced the admission stamp,
+/// and so no mapper drained the logs, between the start of its generation
+/// and its admission. Without that rule this test finds, with no fault
+/// injected, pages cached with no QI/URL row — a mapper run that falls into
+/// a page's generation sees the page's query before its request record, and
+/// gives the query to a concurrent request's window — and such a page is
+/// never ejected: a handful per round of two readers missing on 400 pages
+/// against back-to-back sync points.
 #[test]
 fn no_page_is_cached_whose_generation_a_mapper_run_overlapped() {
     const GROUPS: i64 = 400;
@@ -184,6 +197,93 @@ fn no_page_is_cached_whose_generation_a_mapper_run_overlapped() {
         declined += (portal.obs().metrics).counter_value("cache.admission.declined_race");
     }
     println!("{declined} admissions declined over {ROUNDS} rounds");
+}
+
+/// The `items` servlet, except that its first generation parks after its
+/// queries and before it returns: the queries are logged, the request record
+/// is not. Only the first parks, since `stale_pages` regenerates through the
+/// same servlet.
+struct ParkOnce {
+    inner: SqlServlet,
+    park: Barrier,
+    parked: AtomicBool,
+}
+
+impl Servlet for ParkOnce {
+    fn spec(&self) -> &ServletSpec {
+        self.inner.spec()
+    }
+
+    fn handle(&self, req: &HttpRequest, conn: &mut dyn Connection) -> DbResult<String> {
+        let body = self.inner.handle(req, conn)?;
+        if !self.parked.swap(true, Ordering::SeqCst) {
+            self.park.wait(); // parked
+            self.park.wait(); // released
+        }
+        Ok(body)
+    }
+}
+
+/// Miss on `grp=1`, run `while_parked` with the miss parked, release it,
+/// then run `after` and one sync point. The miss is served but declined, no
+/// page is stale, and the next miss on the page is admitted.
+fn parked_miss(while_parked: impl FnOnce(&CachePortal), after: impl FnOnce(&CachePortal)) {
+    let servlet = Arc::new(ParkOnce {
+        inner: items_servlet(),
+        park: Barrier::new(2),
+        parked: AtomicBool::new(false),
+    });
+    let portal = build_portal_serving(8, servlet.clone());
+    let req = HttpRequest::get("h", "/items", &[("grp", "1")]);
+    let served = std::thread::scope(|scope| {
+        let miss = scope.spawn(|| portal.request(&req).served);
+        servlet.park.wait();
+        while_parked(&portal);
+        servlet.park.wait();
+        miss.join().unwrap()
+    });
+    assert_eq!(served, Served::Generated);
+    after(&portal);
+    portal.sync_point().unwrap();
+    let stale = portal.stale_pages();
+    assert!(stale.is_empty(), "stale: {stale:?}");
+    let declined = || (portal.obs().metrics).counter_value("cache.admission.declined_race");
+    assert_eq!(declined(), 1);
+    assert_eq!(portal.request(&req).served, Served::Generated);
+    assert_eq!(portal.request(&req).served, Served::CacheHit);
+    assert_eq!(declined(), 1);
+}
+
+/// A sync point consumes an update to the page while it is generated: the
+/// page does not reflect it, and the sync that consumed it could not eject
+/// a page it had not mapped.
+#[test]
+fn a_miss_parked_across_a_consuming_sync_is_not_cached() {
+    parked_miss(
+        |portal| {
+            portal.update("INSERT INTO items VALUES (1, 999)").unwrap();
+            portal.sync_point().unwrap();
+        },
+        |_| {},
+    );
+}
+
+/// Three sync points run while the page is generated and consume nothing,
+/// but their mappers see its queries without its request record: they retain
+/// them, then drop them after two runs. Cached, the page would never have its
+/// rows, so a later update to it would not eject it.
+#[test]
+fn a_miss_parked_across_three_mapper_runs_is_not_cached() {
+    parked_miss(
+        |portal| {
+            for _ in 0..3 {
+                portal.sync_point().unwrap();
+            }
+        },
+        |portal| {
+            portal.update("INSERT INTO items VALUES (1, 999)").unwrap();
+        },
+    );
 }
 
 /// `portal_load`'s storefront: 4 000 product pages and 100 each of three
