@@ -320,7 +320,7 @@ fn cmd_trace(args: &[String]) -> i32 {
             e.duration_micros.map_or("-".to_string(), |d| d.to_string()),
             e.scope.to_string(),
             e.name.to_string(),
-            e.detail.clone(),
+            e.detail.to_string(),
         ]);
     }
     print!("{}", cacheportal_bench::render_table(&rows));

@@ -10,6 +10,9 @@ use cacheportal::web::{HttpRequest, ParamSource, QueryTemplate, ServletSpec, Sql
 use cacheportal::{CachePortal, Served};
 use std::sync::Arc;
 
+#[path = "../../db/tests/storefront/mod.rs"]
+mod storefront;
+
 fn example_db() -> Database {
     let mut db = Database::new();
     db.execute("CREATE TABLE Car (maker TEXT, model TEXT, price INT, INDEX(model))")
@@ -173,3 +176,58 @@ fn staleness_probe_ignores_rolled_back_transactions() {
     );
 }
 
+
+/// The benchmark storefront's 1 000 product pages and 100 catalog pages,
+/// missed once each from `threads` threads, then attributed at a sync
+/// point: the render cost the scorecards charge, rows and unattributed
+/// bucket together, is the rows the database read for them — each page is
+/// charged its own statements' rows, whatever the other thread runs
+/// meanwhile. (A render cost read as a delta of the database's global
+/// counters charged each concurrent miss the other's rows as well.)
+#[test]
+fn a_concurrent_miss_is_charged_only_its_own_rows() {
+    for threads in [1, 2] {
+        let p = CachePortal::builder(storefront::database(1)).build().unwrap();
+        for (name, title, sql) in storefront::SERVLETS {
+            let param = if name == "product" { "sku" } else { "category" };
+            p.register_servlet(Arc::new(SqlServlet::new(
+                ServletSpec::new(name).with_key_get_params(&[param]),
+                title,
+                vec![QueryTemplate::new(
+                    sql,
+                    vec![ParamSource::Get(param.into(), ColType::Int)],
+                )],
+            )));
+        }
+        let page = |servlet: &str, param: &str, value: usize| {
+            HttpRequest::get("shop", &format!("/{servlet}"), &[(param, &value.to_string())])
+        };
+        let pages: Vec<HttpRequest> = (0..1000)
+            .map(|sku| page("product", "sku", sku))
+            .chain((0..storefront::CATEGORIES).map(|c| page("catalog", "category", c)))
+            .collect();
+        let before = p.db().read().stats().exec.rows_read();
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let (p, pages) = (&p, &pages);
+                s.spawn(move || {
+                    for request in pages.iter().skip(t).step_by(threads) {
+                        assert_eq!(p.request(request).served, Served::Generated);
+                    }
+                });
+            }
+        });
+        let read = p.db().read().stats().exec.rows_read() - before;
+        p.sync_point().unwrap();
+
+        let doc = p.obs().scorecards.doc();
+        assert_eq!(doc.pending_dropped, 0, "{threads} threads: every page was tallied");
+        let rows: u64 = doc.scorecards.iter().map(|r| r.render_cost_units).sum();
+        assert_eq!(
+            rows + doc.unattributed.render_cost_units,
+            read,
+            "{threads} threads: render cost charged vs rows read"
+        );
+        assert_eq!(doc.scorecards.iter().map(|r| r.misses).sum::<u64>(), 1100);
+    }
+}

@@ -33,8 +33,9 @@ use std::sync::Arc;
 /// Result set of a SELECT.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
-    /// Output column names.
-    pub columns: Vec<String>,
+    /// Output column names: the prepared statement's, shared by every
+    /// result of it.
+    pub columns: Arc<[String]>,
     /// Result rows, in output order.
     pub rows: Vec<Row>,
 }
@@ -202,7 +203,7 @@ pub(crate) struct PreparedSelect {
     schemas: Vec<SchemaRef>,
     filed: Vec<Filed>,
     projection: Projection,
-    columns: Vec<String>,
+    columns: Arc<[String]>,
     /// The highest `$n` the statement names.
     needs: usize,
 }
@@ -318,7 +319,7 @@ impl PreparedSelect {
             schemas: ctx.tables.into_iter().map(|(_, schema)| schema).collect(),
             filed,
             projection,
-            columns,
+            columns: columns.into(),
             needs,
         })
     }

@@ -29,11 +29,12 @@ pub mod exec;
 pub mod log;
 pub mod schema;
 pub mod sql;
+pub mod stripe;
 pub mod table;
 pub mod txn;
 pub mod value;
 
-pub use engine::{Database, ExecOutcome};
+pub use engine::{rows_read_by_this_thread, Database, ExecOutcome, PreparedStatement};
 pub use fault::{FaultCounts, FaultPlan, FaultSpec, PollFault};
 pub use txn::Transaction;
 pub use error::{DbError, DbResult};

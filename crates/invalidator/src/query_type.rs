@@ -11,14 +11,20 @@ use cacheportal_db::sql::ast::{Expr, Select, Statement, TableRef};
 use cacheportal_db::sql::parser::parse;
 use cacheportal_db::{Database, DbResult, Value};
 use cacheportal_web::{InlineVec, PageKey};
+use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::analysis::{SchemaProvider, TypeAnalysis};
 use crate::delta::DeltaSet;
 use crate::predicate_index::{Probe, TypeIndex};
+
+/// Template handles [`Registry::register_typed`] remembers. A site has a
+/// handful of servlet templates; past this many the memo starts over.
+const HANDLE_MEMO_CAPACITY: usize = 64;
 
 /// Identifier of a registered query type.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -265,6 +271,13 @@ pub struct Registry {
     /// comparison takes `1` and `1.0` for the same literal, the text does
     /// not).
     by_template: HashMap<Select, QueryTypeId>,
+    /// Templates already interned, by the address of the mapper's shared
+    /// parse: every instance a mapper makes of one logged statement holds
+    /// the same `Arc`, so a known type is found without hashing its tree.
+    /// The entry holds the handle, so the address is never reused while it
+    /// is here. At most [`HANDLE_MEMO_CAPACITY`], then it starts over (a
+    /// statement typed per instance brings a new handle every time).
+    by_handle: HashMap<usize, (Arc<Select>, QueryTypeId)>,
     /// Instances per type, by their parameter values; the type's predicate
     /// index holds a clone of the key.
     instances: HashMap<QueryTypeId, HashMap<Arc<[Value]>, InstanceData>>,
@@ -364,17 +377,34 @@ impl Registry {
         id
     }
 
+    /// The type of `template`, found by its handle: a handle seen before
+    /// costs one lookup of its address, a new one is interned by its tree
+    /// once.
+    fn intern_handle(&mut self, template: &Arc<Select>) -> QueryTypeId {
+        let address = Arc::as_ptr(template) as usize;
+        if let Some((_, id)) = self.by_handle.get(&address) {
+            return *id;
+        }
+        let id = self.intern_type(template);
+        if self.by_handle.len() >= HANDLE_MEMO_CAPACITY {
+            self.by_handle.clear();
+        }
+        self.by_handle.insert(address, (template.clone(), id));
+        id
+    }
+
     /// Register a query instance given as its type and parameter values:
-    /// intern the type, record the instance and its dependent page. Every
-    /// QI/URL map row arrives here in this form. A new instance is filed
-    /// under `params` itself — the allocation the caller's clone shares.
+    /// intern the type by its handle, record the instance and its dependent
+    /// page. Every QI/URL map row arrives here in this form. A new instance
+    /// is filed under `params` itself — the allocation the caller's clone
+    /// shares.
     pub fn register_typed(
         &mut self,
-        template: &Select,
+        template: &Arc<Select>,
         params: Arc<[Value]>,
         page: PageKey,
     ) -> QueryTypeId {
-        let id = self.intern_type(template);
+        let id = self.intern_handle(template);
         let of_page = self.types_by_page.entry(page.clone()).or_default();
         if let Err(at) = of_page.binary_search(&id) {
             of_page.insert(at, id);
@@ -504,14 +534,22 @@ impl Registry {
     /// uses to attribute request-side hit/miss/render-cost tallies, and
     /// admission to ask whether any of them is banned from caching. One map
     /// lookup.
-    pub fn types_of_page(&self, page: &PageKey) -> &[QueryTypeId] {
+    pub fn types_of_page<Q>(&self, page: &Q) -> &[QueryTypeId]
+    where
+        PageKey: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.page(page).map_or(&[], |(_, types)| types)
     }
 
     /// A page some instance feeds: the registry's own key for it — whoever
     /// holds a clone of that shares the page's one allocation — and
     /// [`Registry::types_of_page`]. `None` for a page no instance feeds.
-    pub fn page(&self, page: &PageKey) -> Option<(&PageKey, &[QueryTypeId])> {
+    pub fn page<Q>(&self, page: &Q) -> Option<(&PageKey, &[QueryTypeId])>
+    where
+        PageKey: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let (known, types) = self.types_by_page.get_key_value(page)?;
         Some((known, types))
     }

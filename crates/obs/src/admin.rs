@@ -1,7 +1,8 @@
 //! Minimal admin/introspection HTTP endpoint over `std::net::TcpListener`.
 //!
-//! Deliberately dependency-free: one accept thread, `HTTP/1.1` with
-//! `Connection: close`, GET only. Routes:
+//! Deliberately dependency-free: one accept thread that serves each
+//! connection on a thread of its own, at most [`MAX_CONNECTIONS`] at once,
+//! `HTTP/1.1` with `Connection: close`, GET only. Routes:
 //!
 //! * `GET /healthz` — liveness, plain `ok`.
 //! * `GET /metrics` — Prometheus text exposition (version 0.0.4).
@@ -54,9 +55,14 @@ pub trait AdminSource: Send + Sync {
 }
 
 /// A connection gets this long to deliver its request head, and each write
-/// of the response this long to make progress. Connections are served one
-/// at a time, so this also bounds how long one peer can hold every route.
+/// of the response this long to make progress: how long one peer can hold
+/// its connection's thread.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Connections served at once, each on a thread of its own. A connection
+/// accepted past this many is answered 503 on the accept thread and closed,
+/// so slow peers can hold at most this many threads, never the routes.
+const MAX_CONNECTIONS: usize = 16;
 
 /// The request head is read up to this many bytes. A request line that does
 /// not end inside it is refused whole (414), never routed as a prefix.
@@ -85,13 +91,35 @@ impl AdminServer {
         let thread = std::thread::Builder::new()
             .name("cacheportal-admin".to_string())
             .spawn(move || {
+                let mut serving: Vec<JoinHandle<()>> = Vec::new();
                 for conn in listener.incoming() {
                     if stop_flag.load(Ordering::Relaxed) {
                         break;
                     }
-                    if let Ok(mut stream) = conn {
-                        let _ = handle_conn(&mut stream, &obs, source.as_ref());
+                    let Ok(mut stream) = conn else { continue };
+                    // Reap the connections that are done; a panic in one
+                    // ended only that connection.
+                    let done: Vec<JoinHandle<()>>;
+                    (done, serving) = serving.drain(..).partition(|c| c.is_finished());
+                    for conn in done {
+                        let _ = conn.join();
                     }
+                    if serving.len() >= MAX_CONNECTIONS {
+                        refuse(&mut stream);
+                        continue;
+                    }
+                    let (obs, source) = (obs.clone(), source.clone());
+                    let spawned = std::thread::Builder::new()
+                        .name("cacheportal-admin-conn".to_string())
+                        .spawn(move || {
+                            let _ = handle_conn(&mut stream, &obs, source.as_ref());
+                        });
+                    // A connection whose thread cannot start is closed
+                    // unanswered.
+                    serving.extend(spawned);
+                }
+                for conn in serving {
+                    let _ = conn.join();
                 }
             })?;
         Ok(AdminServer {
@@ -106,7 +134,8 @@ impl AdminServer {
         self.addr
     }
 
-    /// Stop accepting and join the server thread.
+    /// Stop accepting and join the server thread, which joins the
+    /// connections it is serving (each within `REQUEST_DEADLINE`).
     pub fn shutdown(mut self) {
         self.stop_inner();
     }
@@ -128,6 +157,18 @@ impl Drop for AdminServer {
     fn drop(&mut self) {
         self.stop_inner();
     }
+}
+
+/// Answer 503 to a connection past the bound.
+fn refuse(stream: &mut TcpStream) {
+    // Take what the peer has sent so far, without waiting: closing over
+    // unread bytes would reset the connection under the reply.
+    let mut sink = [0u8; 512];
+    let _ = stream.set_nonblocking(true);
+    while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_write_timeout(Some(REQUEST_DEADLINE));
+    let _ = respond(stream, &text(503, "too many admin connections\n"));
 }
 
 fn handle_conn(stream: &mut TcpStream, obs: &Obs, source: &dyn AdminSource) -> std::io::Result<()> {
@@ -466,18 +507,20 @@ mod tests {
     }
 
     /// A peer that sends its request a byte at a time never lets a single
-    /// read time out. It is dropped when the head's deadline passes, and the
-    /// request queued behind it is answered.
+    /// read time out. It holds its own connection's thread, not the routes:
+    /// the request queued behind it is answered at once, while it is still
+    /// connected, and it is dropped at the head's deadline without a reply.
     #[test]
-    fn a_trickling_peer_is_dropped_at_the_deadline() {
+    fn a_trickling_peer_does_not_delay_the_next_request() {
         let server = serve(&Obs::shared());
         let addr = server.addr();
-        let started = Instant::now();
         let mut slow = TcpStream::connect(addr).unwrap();
+        slow.write_all(b"GET /heal").unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
         let trickler = std::thread::spawn(move || {
             // Far more bytes than the deadline has room for; the writes
             // start failing once the server has hung up.
-            for byte in b"GET /healthz?".iter().chain(std::iter::repeat_n(&b'x', 200)) {
+            for byte in b"thz?".iter().chain(std::iter::repeat_n(&b'x', 200)) {
                 if slow.write_all(&[*byte]).is_err() {
                     break;
                 }
@@ -485,14 +528,36 @@ mod tests {
             }
             let mut reply = Vec::new();
             let _ = slow.read_to_end(&mut reply);
+            done_tx.send(()).unwrap();
             reply
         });
+        let started = Instant::now();
         let (status, body) = http_get(addr, "/healthz");
         let waited = started.elapsed();
         assert_eq!((status, body.as_str()), (200, "ok\n"));
-        assert!(waited >= REQUEST_DEADLINE, "answered before the trickler was dropped: {waited:?}");
-        assert!(waited < REQUEST_DEADLINE * 3, "held for {waited:?}");
+        assert!(waited < REQUEST_DEADLINE / 4, "held behind the trickler for {waited:?}");
+        assert!(done_rx.try_recv().is_err(), "the trickler was still connected");
         assert!(trickler.join().unwrap().is_empty(), "the trickler got no reply");
+        server.shutdown();
+    }
+
+    /// Past [`MAX_CONNECTIONS`] connections being served, the next is
+    /// answered 503 at once rather than queued behind them.
+    #[test]
+    fn a_connection_past_the_bound_is_refused_at_once() {
+        let server = serve(&Obs::shared());
+        let addr = server.addr();
+        let silent: Vec<TcpStream> =
+            (0..MAX_CONNECTIONS).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        // The refused peer sends nothing, so no unread byte can reset the
+        // connection under the reply.
+        let started = Instant::now();
+        let mut refused = TcpStream::connect(addr).unwrap();
+        let mut raw = String::new();
+        refused.read_to_string(&mut raw).unwrap();
+        assert!(raw.starts_with("HTTP/1.1 503 "), "{raw}");
+        assert!(started.elapsed() < REQUEST_DEADLINE / 4, "held for {:?}", started.elapsed());
+        drop(silent);
         server.shutdown();
     }
 

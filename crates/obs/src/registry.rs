@@ -6,15 +6,17 @@
 //! as `cache.page.hits` or `invalidator.polls.issued`.
 
 use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::stripe::Striped;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Monotone event counter.
+/// Monotone event counter, striped per thread: an increment writes the
+/// calling thread's own cache line, and a read sums the stripes.
 #[derive(Default)]
-pub struct Counter(AtomicU64);
+pub struct Counter(Striped<AtomicU64>);
 
 impl Counter {
     /// Add 1.
@@ -24,18 +26,21 @@ impl Counter {
 
     /// Add `n`.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0.mine().fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
     /// Overwrite with a cumulative total maintained elsewhere. For metrics
-    /// integrated from component-owned stats structs at sync points.
+    /// integrated from component-owned stats structs at sync points, which
+    /// are never incremented.
     pub fn set_total(&self, total: u64) {
-        self.0.store(total, Ordering::Relaxed);
+        for (i, c) in self.0.iter().enumerate() {
+            c.store(if i == 0 { total } else { 0 }, Ordering::Relaxed);
+        }
     }
 }
 

@@ -11,7 +11,8 @@
 //!   read while generating the page, NOT wall time, so scorecards are
 //!   byte-stable across seeded runs);
 //! * each sync point resolves pending URLs to their registered query types
-//!   via [`ScorecardBoard::attribute_pending`] and folds in that sync's
+//!   via [`ScorecardBoard::attribute_pending`] (ids only: a type's SQL is
+//!   copied once, into its new row) and folds in that sync's
 //!   per-type invalidation/poll/staleness outcome via
 //!   [`ScorecardBoard::note_sync`].
 //!
@@ -19,10 +20,12 @@
 //! non-cacheable paths) fold into the `unattributed` bucket instead of
 //! leaking memory. Rendering is sorted by type id and fully deterministic.
 
+use crate::stripe::Striped;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Request-side tallies for one URL, pending attribution to query types
 /// (and the `/scorecards` document's `unattributed` bucket).
@@ -179,8 +182,9 @@ pub struct ScorecardsDoc {
 
 /// The scorecard aggregation board. All methods take `&self`.
 pub struct ScorecardBoard {
-    /// URL → tallies accumulated since the last sync point.
-    pending: Mutex<HashMap<String, PageTally>>,
+    /// URL → tallies accumulated since the last sync point, striped per
+    /// request thread; each stripe holds at most `pending_cap` URLs.
+    pending: Striped<Mutex<HashMap<Arc<str>, PageTally>>>,
     /// type id → cumulative score (BTreeMap: sorted, deterministic render).
     scores: Mutex<BTreeMap<u32, TypeScore>>,
     /// Tallies for URLs that never resolved to a query type.
@@ -198,7 +202,7 @@ impl ScorecardBoard {
     /// between sync points.
     fn new(pending_cap: usize) -> Self {
         ScorecardBoard {
-            pending: Mutex::new(HashMap::new()),
+            pending: Striped::default(),
             scores: Mutex::new(BTreeMap::new()),
             unattributed: Mutex::new(PageTally::default()),
             version: AtomicU64::new(0),
@@ -221,6 +225,16 @@ impl ScorecardBoard {
     /// Record one served request for `url`. `render_cost` is the
     /// deterministic unit count for a generated page (None for cache hits).
     pub fn note_request(&self, url: &str, hit: bool, render_cost: Option<u64>) {
+        self.note(url, || url.into(), hit, render_cost);
+    }
+
+    /// [`ScorecardBoard::note_request`] for a URL whose text the caller
+    /// shares (a page key's): a new URL keeps a clone of the handle.
+    pub fn note_page(&self, url: &Arc<str>, hit: bool, render_cost: Option<u64>) {
+        self.note(url, || url.clone(), hit, render_cost);
+    }
+
+    fn note(&self, url: &str, key: impl FnOnce() -> Arc<str>, hit: bool, render_cost: Option<u64>) {
         if !self.enabled() {
             return;
         }
@@ -230,45 +244,50 @@ impl ScorecardBoard {
             renders: render_cost.is_some() as u64,
             render_cost_units: render_cost.unwrap_or(0),
         };
-        // Only a URL's first request since the last sync point copies it.
-        let mut pending = self.pending.lock();
+        let mut pending = self.pending.mine().lock();
         if let Some(t) = pending.get_mut(url) {
             t.fold(&one);
         } else if pending.len() >= self.pending_cap {
             self.pending_dropped.fetch_add(1, Ordering::Relaxed);
         } else {
-            pending.insert(url.to_string(), one);
+            pending.insert(key(), one);
         }
     }
 
     /// Drain pending URL tallies, attributing each to the query types
-    /// `resolve` reports for it (a URL feeding several types credits each).
-    /// Unresolvable URLs fold into the `unattributed` bucket.
-    pub fn attribute_pending(&self, mut resolve: impl FnMut(&str) -> Vec<(u32, String)>) {
-        let drained: Vec<(String, PageTally)> = {
-            let mut pending = self.pending.lock();
-            let mut items: Vec<_> = pending.drain().collect();
-            // Deterministic fold order regardless of hash iteration.
-            items.sort_by(|a, b| a.0.cmp(&b.0));
-            items
-        };
-        if drained.is_empty() {
+    /// `types_of` puts in its buffer for it (a URL feeding several types
+    /// credits each). A new row takes its SQL from `sql_of`. Unresolvable
+    /// URLs fold into the `unattributed` bucket.
+    pub fn attribute_pending(
+        &self,
+        mut types_of: impl FnMut(&str, &mut Vec<u32>),
+        mut sql_of: impl FnMut(u32) -> String,
+    ) {
+        // Tallies only add up, so neither the stripes' order nor a hash
+        // table's changes a row: each URL's tally folds as it comes, and a
+        // URL two threads served folds twice.
+        let drained: Vec<HashMap<Arc<str>, PageTally>> =
+            self.pending.iter().map(|p| std::mem::take(&mut *p.lock())).collect();
+        if drained.iter().all(HashMap::is_empty) {
             return;
         }
         let mut scores = self.scores.lock();
-        for (url, tally) in drained {
-            let types = resolve(&url);
+        let mut unattributed = self.unattributed.lock();
+        let mut types = Vec::new();
+        for (url, tally) in drained.iter().flatten() {
+            types.clear();
+            types_of(url, &mut types);
             if types.is_empty() {
-                self.unattributed.lock().fold(&tally);
+                unattributed.fold(tally);
                 continue;
             }
-            for (type_id, sql) in types {
+            for &type_id in &types {
                 let row = scores.entry(type_id).or_default();
                 row.type_id = type_id;
                 if row.sql.is_empty() {
-                    row.sql = sql;
+                    row.sql = sql_of(type_id);
                 }
-                row.fold_pages(&tally);
+                row.fold_pages(tally);
             }
         }
         self.version.fetch_add(1, Ordering::Relaxed);
@@ -323,7 +342,7 @@ impl ScorecardBoard {
     pub fn doc(&self) -> ScorecardsDoc {
         ScorecardsDoc {
             version: self.version(),
-            pending_urls: self.pending.lock().len() as u64,
+            pending_urls: self.pending.iter().map(|p| p.lock().len() as u64).sum(),
             pending_dropped: self.pending_dropped(),
             unattributed: self.unattributed.lock().clone(),
             scorecards: self.rows(),
@@ -342,14 +361,18 @@ impl Default for ScorecardBoard {
 mod tests {
     use super::*;
 
-    fn resolve_fixed(url: &str) -> Vec<(u32, String)> {
+    fn types_fixed(url: &str, types: &mut Vec<u32>) {
         match url {
-            "page:a" => vec![(1, "SELECT x FROM t WHERE k = $1".to_string())],
-            "page:b" => vec![
-                (1, "SELECT x FROM t WHERE k = $1".to_string()),
-                (2, "SELECT y FROM u WHERE k = $1".to_string()),
-            ],
-            _ => Vec::new(),
+            "page:a" => types.push(1),
+            "page:b" => types.extend([1, 2]),
+            _ => {}
+        }
+    }
+
+    fn sql_fixed(id: u32) -> String {
+        match id {
+            1 => "SELECT x FROM t WHERE k = $1".to_string(),
+            _ => "SELECT y FROM u WHERE k = $1".to_string(),
         }
     }
 
@@ -360,7 +383,7 @@ mod tests {
         board.note_request("page:a", true, None);
         board.note_request("page:b", true, None);
         board.note_request("page:zzz", false, Some(5));
-        board.attribute_pending(resolve_fixed);
+        board.attribute_pending(types_fixed, sql_fixed);
 
         let rows = board.rows();
         assert_eq!(rows.len(), 2);
@@ -432,7 +455,7 @@ mod tests {
             }
             board.note_request("page:b", true, None);
             board.note_request("page:a", false, Some(7));
-            board.attribute_pending(resolve_fixed);
+            board.attribute_pending(types_fixed, sql_fixed);
             serde_json::to_string(&board.doc()).unwrap()
         };
         assert_eq!(run(&[5, 1, 9]), run(&[9, 5, 1]));
@@ -449,8 +472,26 @@ mod tests {
         board.note_request("page:c", true, None); // over cap: dropped
         board.note_request("page:a", true, None); // existing: still folds
         assert_eq!(board.pending_dropped(), 1);
-        board.attribute_pending(resolve_fixed);
+        board.attribute_pending(types_fixed, sql_fixed);
         assert_eq!(board.rows()[0].hits, 3);
+    }
+
+    /// Two threads tally one URL in two stripes; attribution folds both.
+    #[test]
+    fn a_url_tallied_on_two_threads_folds_once_per_stripe() {
+        let board = ScorecardBoard::default();
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    board.note_request("page:a", false, Some(3));
+                    board.note_page(&Arc::from("page:a"), true, None);
+                });
+            }
+        });
+        board.attribute_pending(types_fixed, sql_fixed);
+        let row = &board.rows()[0];
+        assert_eq!((row.hits, row.misses, row.render_cost_units), (2, 2, 6));
+        assert_eq!(board.doc().pending_urls, 0);
     }
 
     #[test]
@@ -458,7 +499,7 @@ mod tests {
         let board = ScorecardBoard::default();
         board.set_enabled(false);
         board.note_request("page:a", true, None);
-        board.attribute_pending(resolve_fixed);
+        board.attribute_pending(types_fixed, sql_fixed);
         assert!(board.rows().is_empty());
         assert_eq!(board.version(), 0);
     }

@@ -31,6 +31,7 @@
 
 use crate::health::HealthSnapshot;
 use crate::ring::Ring;
+use crate::stripe::Striped;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -370,6 +371,10 @@ struct EngineInner {
 /// `&self`.
 pub struct SloEngine {
     enabled: AtomicBool,
+    /// Observations not yet folded into `inner`, per request thread, in the
+    /// buckets of their logical time: a hit or a miss writes only its own
+    /// thread's stripe. Evaluation and the document fold them first.
+    observed: Striped<Mutex<[WindowedCounter; SloKind::ALL.len()]>>,
     inner: Mutex<EngineInner>,
 }
 
@@ -377,6 +382,7 @@ impl Default for SloEngine {
     fn default() -> Self {
         SloEngine {
             enabled: AtomicBool::new(true),
+            observed: Striped::default(),
             inner: Mutex::new(EngineInner {
                 counters: Default::default(),
                 firing: Default::default(),
@@ -415,7 +421,22 @@ impl SloEngine {
         if !self.enabled() || good + bad == 0 {
             return;
         }
-        self.inner.lock().counters[kind as usize].add(now, good, bad);
+        self.observed.mine().lock()[kind as usize].add(now, good, bad);
+    }
+
+    /// Move every stripe's observations into the engine's counters, each
+    /// objective's buckets in logical-time order.
+    fn fold(&self, inner: &mut EngineInner) {
+        let mut buckets = Vec::new();
+        for kind in SloKind::ALL {
+            for stripe in self.observed.iter() {
+                buckets.extend(stripe.lock()[kind as usize].buckets.drain(..));
+            }
+            buckets.sort_by_key(|b: &Bucket| b.start);
+            for b in buckets.drain(..) {
+                inner.counters[kind as usize].add(b.start, b.good, b.bad);
+            }
+        }
     }
 
     /// Feed one boolean outcome (e.g. a cache hit/miss).
@@ -431,6 +452,7 @@ impl SloEngine {
             return out;
         }
         let inner = &mut *self.inner.lock();
+        self.fold(inner);
         inner.last_eval_ts = now;
         for kind in SloKind::ALL {
             let counter = &inner.counters[kind as usize];
@@ -499,7 +521,8 @@ impl SloEngine {
     /// The engine's part of the `/slo` document at logical time `now`
     /// (every objective, no `context`).
     pub fn doc(&self, now: u64) -> SloDoc {
-        let inner = self.inner.lock();
+        let mut inner = self.inner.lock();
+        self.fold(&mut inner);
         let objectives = SloKind::ALL
             .iter()
             .map(|&kind| {

@@ -15,11 +15,12 @@
 //! under simulation; wall-clock durations for spans are measured separately
 //! with [`Tracer::span`] or supplied via [`Tracer::child_span`].
 
-use crate::ring::Ring;
+use crate::stripe::Striped;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -57,8 +58,9 @@ pub struct TraceEvent {
     pub scope: Cow<'static, str>,
     /// Milestone name, e.g. `"sql.exec"`, `"cache.admit"`, `"sync.eject"`.
     pub name: Cow<'static, str>,
-    /// Free-form context (page key, SQL template, poll count, ...).
-    pub detail: String,
+    /// Free-form context (page key, SQL template, poll count, ...). A
+    /// request's events share its path's and its page key's text.
+    pub detail: Arc<str>,
     /// Wall-clock duration in microseconds for span events, `None` for
     /// point events.
     #[serde(skip_if = "self.duration_micros.is_none()")]
@@ -110,8 +112,16 @@ impl TraceDoc {
 const CAPACITY: usize = 1024;
 
 /// Bounded event recorder; all methods take `&self`.
+///
+/// The events are striped per thread: a thread appends to a ring of its
+/// own, and takes its event's sequence number under that ring's lock. A
+/// reader locks every ring, in stripe order, and merges them by number, so
+/// it sees the numbers without a gap and the newest `capacity` events as
+/// one ring would have kept them.
 pub struct Tracer {
-    ring: Mutex<Ring<TraceEvent>>,
+    stripes: Striped<Mutex<VecDeque<TraceEvent>>>,
+    capacity: usize,
+    next_seq: AtomicU64,
     enabled: AtomicBool,
     next_trace: AtomicU64,
     next_span: AtomicU64,
@@ -121,7 +131,9 @@ impl Tracer {
     /// A tracer retaining the `capacity` most recent events.
     fn new(capacity: usize) -> Self {
         Tracer {
-            ring: Mutex::new(Ring::new(capacity)),
+            stripes: Striped::default(),
+            capacity: capacity.max(1),
+            next_seq: AtomicU64::new(0),
             enabled: AtomicBool::new(true),
             next_trace: AtomicU64::new(1),
             next_span: AtomicU64::new(1),
@@ -139,7 +151,7 @@ impl Tracer {
     }
 
     /// Record a point event with no causal identity.
-    pub fn event(&self, scope: &'static str, name: &'static str, ts: u64, detail: impl Into<String>) {
+    pub fn event(&self, scope: &'static str, name: &'static str, ts: u64, detail: impl Into<Arc<str>>) {
         self.push(scope, name, ts, detail, None, 0, 0, 0);
     }
 
@@ -150,7 +162,7 @@ impl Tracer {
         scope: &'static str,
         name: &'static str,
         ts: u64,
-        detail: impl Into<String>,
+        detail: impl Into<Arc<str>>,
         f: impl FnOnce() -> R,
     ) -> R {
         if !self.enabled() {
@@ -171,7 +183,7 @@ impl Tracer {
         scope: &'static str,
         name: &'static str,
         ts: u64,
-        detail: impl Into<String>,
+        detail: impl Into<Arc<str>>,
     ) -> TraceContext {
         if !self.enabled() {
             return TraceContext::NONE;
@@ -191,7 +203,7 @@ impl Tracer {
         scope: &'static str,
         name: &'static str,
         ts: u64,
-        detail: impl Into<String>,
+        detail: impl Into<Arc<str>>,
     ) -> TraceContext {
         self.child(parent, scope, name, ts, detail, None)
     }
@@ -204,7 +216,7 @@ impl Tracer {
         scope: &'static str,
         name: &'static str,
         ts: u64,
-        detail: impl Into<String>,
+        detail: impl Into<Arc<str>>,
         duration_micros: u64,
     ) -> TraceContext {
         self.child(parent, scope, name, ts, detail, Some(duration_micros))
@@ -216,7 +228,7 @@ impl Tracer {
         scope: &'static str,
         name: &'static str,
         ts: u64,
-        detail: impl Into<String>,
+        detail: impl Into<Arc<str>>,
         duration: Option<u64>,
     ) -> TraceContext {
         if !self.enabled() {
@@ -252,11 +264,12 @@ impl Tracer {
         if trace_id == 0 || span_id == 0 {
             return None;
         }
-        self.ring
-            .lock()
-            .iter()
-            .find(|e| e.trace_id == trace_id && e.span_id == span_id)
-            .cloned()
+        self.view(|_, events| {
+            events
+                .into_iter()
+                .find(|e| e.trace_id == trace_id && e.span_id == span_id)
+                .cloned()
+        })
     }
 
     /// Walk parent links from `(trace_id, span_id)` up to the trace root,
@@ -283,19 +296,27 @@ impl Tracer {
         scope: &'static str,
         name: &'static str,
         ts: u64,
-        detail: impl Into<String>,
+        detail: impl Into<Arc<str>>,
         duration: Option<u64>,
         trace_id: u64,
         span_id: u64,
         parent_span: u64,
     ) {
-        // `detail` becomes a `String` only past this check: a switched-off
+        // `detail` becomes an `Arc<str>` only past this check: a switched-off
         // tracer costs its callers no allocation.
         if !self.enabled() {
             return;
         }
         let detail = detail.into();
-        self.ring.lock().push(|seq| TraceEvent {
+        let mut ring = self.stripes.mine().lock();
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        // What one ring of `capacity` would have let go by now goes here
+        // too, however long ago this thread pushed.
+        let front = (seq + 1).saturating_sub(self.capacity as u64);
+        while ring.front().is_some_and(|e| e.seq < front) {
+            ring.pop_front();
+        }
+        ring.push_back(TraceEvent {
             seq,
             ts,
             scope: Cow::Borrowed(scope),
@@ -308,36 +329,63 @@ impl Tracer {
         });
     }
 
+    /// Run `read` over the events a single ring of `capacity` would hold,
+    /// oldest first, with the count ever recorded.
+    /// The rings let go of what they hold past that, and an emptied ring
+    /// of its buffer.
+    fn view<R>(&self, read: impl FnOnce(u64, Vec<&TraceEvent>) -> R) -> R {
+        let mut stripes: Vec<_> = self.stripes.iter().map(|ring| ring.lock()).collect();
+        let recorded = self.next_seq.load(Ordering::Relaxed);
+        let front = recorded.saturating_sub(self.capacity as u64);
+        for ring in &mut stripes {
+            while ring.front().is_some_and(|e| e.seq < front) {
+                ring.pop_front();
+            }
+            if ring.is_empty() {
+                **ring = VecDeque::new();
+            }
+        }
+        let mut events: Vec<&TraceEvent> = stripes.iter().flat_map(|ring| ring.iter()).collect();
+        events.sort_unstable_by_key(|e| e.seq);
+        read(recorded, events)
+    }
+
     /// Total events ever recorded (including since-dropped ones).
     pub fn recorded(&self) -> u64 {
-        self.ring.lock().recorded()
+        self.view(|recorded, _| recorded)
     }
 
     /// Events evicted by the ring bound.
     pub fn dropped(&self) -> u64 {
-        self.ring.lock().dropped()
+        self.view(|recorded, events| recorded - events.len() as u64)
     }
 
     /// The most recent `n` events, oldest first.
     pub fn recent(&self, n: usize) -> Vec<TraceEvent> {
-        self.ring.lock().recent(n).cloned().collect()
+        self.view(|_, events| {
+            let skip = events.len().saturating_sub(n);
+            events.into_iter().skip(skip).cloned().collect()
+        })
     }
 
     /// The buffered events numbered `cursor` and up, oldest first (the
     /// exporter's cursor).
     pub fn since(&self, cursor: u64) -> Vec<TraceEvent> {
-        self.ring.lock().since(cursor).cloned().collect()
+        self.view(|_, events| events.into_iter().filter(|e| e.seq >= cursor).cloned().collect())
     }
 
     /// The `/trace` document: totals plus the `limit` most recent events.
     pub fn doc(&self, limit: usize) -> TraceDoc {
-        let ring = self.ring.lock();
-        TraceDoc {
-            recorded: ring.recorded(),
-            dropped: ring.dropped(),
-            truncated: ring.dropped() > 0,
-            recent: ring.recent(limit).cloned().collect(),
-        }
+        self.view(|recorded, events| {
+            let dropped = recorded - events.len() as u64;
+            let skip = events.len().saturating_sub(limit);
+            TraceDoc {
+                recorded,
+                dropped,
+                truncated: dropped > 0,
+                recent: events.into_iter().skip(skip).cloned().collect(),
+            }
+        })
     }
 }
 
@@ -455,8 +503,8 @@ mod tests {
     /// A detail whose text must never be built.
     struct Unasked;
 
-    impl From<Unasked> for String {
-        fn from(_: Unasked) -> String {
+    impl From<Unasked> for Arc<str> {
+        fn from(_: Unasked) -> Arc<str> {
             panic!("a disabled tracer built an event's detail")
         }
     }

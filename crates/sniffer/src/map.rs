@@ -23,6 +23,7 @@ use cacheportal_db::Value;
 use cacheportal_web::{push_tight, InlineVec, PageKey};
 use parking_lot::{Mutex, MutexGuard};
 use serde::Serialize as _;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
@@ -160,26 +161,26 @@ impl MapWriter<'_> {
         page: &PageKey,
         servlet: &Arc<str>,
     ) -> bool {
-        let map = &mut *self.0;
-        if let Some(rows) = map.by_page.get(page) {
-            if rows.iter().any(|&r| map.rows[r as usize].instance.spelled_as(typed)) {
+        let MapInner { rows, by_page, next_id, .. } = &mut *self.0;
+        let of_page = by_page.entry(page.clone());
+        if let Entry::Occupied(known) = &of_page {
+            if known.get().iter().any(|&r| rows[r as usize].instance.spelled_as(typed)) {
                 return false;
             }
         }
         // File the row under `page`; its rows share the key the page first
         // came with, whichever request spelled it again since.
-        let at = u32::try_from(map.rows.len()).expect("the map holds fewer than 2^32 rows");
-        let of_page = map.by_page.entry(page.clone());
+        let at = u32::try_from(rows.len()).expect("the map holds fewer than 2^32 rows");
         let page_key = of_page.key().clone();
         of_page.or_default().push(at);
         let row = Row {
-            id: map.next_id,
+            id: *next_id,
             page_key,
             servlet: servlet.clone(),
             instance: typed.clone(),
         };
-        map.next_id += 1;
-        push_tight(&mut map.rows, row);
+        *next_id += 1;
+        push_tight(rows, row);
         true
     }
 

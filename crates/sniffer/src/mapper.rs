@@ -33,7 +33,6 @@ use cacheportal_db::sql::parser::parse;
 use cacheportal_db::sql::rewrite::{parameterize_in_place, substitute_params, TypePlan};
 use cacheportal_db::Value;
 use cacheportal_web::clock::Micros;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Distinct logged SQL texts whose parse the mapper keeps. Like
@@ -126,8 +125,10 @@ pub struct Mapper {
     /// Cumulative `QueryLog::lost` already reported in earlier runs.
     lost_cursor: u64,
     /// Parameterised SELECTs by logged text; `None` for a text outside the
-    /// dialect. At most [`PARSE_MEMO_CAPACITY`] texts.
-    parsed: HashMap<Arc<str>, Option<Logged>>,
+    /// dialect. At most [`PARSE_MEMO_CAPACITY`] texts. A record is looked up
+    /// by its text handle — the records of one servlet template share the
+    /// template's — and by its text only when no handle matches.
+    parsed: Vec<(Arc<str>, Option<Logged>)>,
 }
 
 /// One logged statement, parsed.
@@ -146,7 +147,7 @@ impl Mapper {
             map,
             pending: Vec::new(),
             lost_cursor: 0,
-            parsed: HashMap::new(),
+            parsed: Vec::new(),
         }
     }
 
@@ -219,16 +220,24 @@ impl Mapper {
         if q.params.is_empty() {
             return type_text(&q.sql);
         }
-        if self.parsed.len() >= PARSE_MEMO_CAPACITY && !self.parsed.contains_key(&*q.sql) {
-            self.parsed.clear();
-        }
-        let logged = self.parsed.entry(q.sql.clone()).or_insert_with(|| {
-            parse_select(&q.sql).map(|stmt| Logged {
-                plan: TypePlan::of(&stmt),
-                stmt,
-            })
-        });
-        let logged = logged.as_ref()?;
+        let memo = &mut self.parsed;
+        let at = match (memo.iter().position(|(text, _)| Arc::ptr_eq(text, &q.sql)))
+            .or_else(|| memo.iter().position(|(text, _)| *text == q.sql))
+        {
+            Some(at) => at,
+            None => {
+                if memo.len() >= PARSE_MEMO_CAPACITY {
+                    memo.clear();
+                }
+                let logged = parse_select(&q.sql).map(|stmt| Logged {
+                    plan: TypePlan::of(&stmt),
+                    stmt,
+                });
+                memo.push((q.sql.clone(), logged));
+                memo.len() - 1
+            }
+        };
+        let logged = memo[at].1.as_ref()?;
         let Some(plan) = &logged.plan else {
             return bind_unplanned(&logged.stmt, &q.params);
         };

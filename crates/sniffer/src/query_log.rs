@@ -13,16 +13,18 @@
 //! on that. A record made any other way carries no id and is joined on its
 //! timestamps, as in the paper.
 
+use cacheportal_db::stripe::Striped;
 use cacheportal_db::{DbResult, ExecOutcome, FaultPlan, QueryResult, Value};
 use cacheportal_web::clock::{Clock, Micros};
 use cacheportal_web::{current_request, Connection};
+use crate::request_log::drain_stripes;
 use parking_lot::Mutex;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// Distinct parameterised statement texts the log shares among records (a
-/// site has a handful of servlet templates).
+/// Distinct statement texts a [`LoggedConnection`] keeps a shared copy of,
+/// for the statements it is handed as plain `&str`. A site has a handful of
+/// servlet templates; past this many the connection starts over.
 const TEXTS_CAPACITY: usize = 64;
 
 /// One logged query.
@@ -31,7 +33,7 @@ pub struct QueryRecord {
     /// Unique query id.
     pub id: u64,
     /// The SQL as the application issued it (may contain `$n` / `?`).
-    /// Records of one parameterised statement share one copy of its text.
+    /// Records of one servlet template share the template's own text.
     pub sql: Arc<str>,
     /// Bound parameter values.
     pub params: Vec<Value>,
@@ -51,19 +53,20 @@ pub struct QueryRecord {
 
 /// Append-only query log shared by all logged connections.
 ///
+/// The records are striped per thread ([`cacheportal_db::stripe`]): a
+/// request thread appends to a stripe of its own, and the mapper drains
+/// them all — it does not depend on log order.
+///
 /// An installed [`FaultPlan`] models a lossy sniffer: records may be
 /// dropped (never reach the mapper), duplicated, or delivered out of order.
 /// The log counts what it lost so the sync-point pipeline can compensate —
 /// a dropped SELECT means some cached page may be missing a dependency
 /// edge, which downstream turns into a conservative eject.
 pub struct QueryLog {
-    records: Mutex<Vec<QueryRecord>>,
-    /// The parameterised texts seen, so that a record holds a reference
-    /// rather than a copy: between two mapper runs the log is as long as the
-    /// site is fast. At most [`TEXTS_CAPACITY`], then it starts over.
-    texts: Mutex<HashSet<Arc<str>>>,
+    records: Striped<Mutex<Vec<QueryRecord>>>,
     next_id: AtomicU64,
-    fault: Mutex<FaultPlan>,
+    /// Set once, before the first record; read without a lock.
+    fault: OnceLock<FaultPlan>,
     lost: AtomicU64,
     duplicated: AtomicU64,
 }
@@ -72,18 +75,21 @@ impl QueryLog {
     /// Create an empty shared log / wrap a connection.
     pub fn new() -> Arc<Self> {
         Arc::new(QueryLog {
-            records: Mutex::new(Vec::new()),
-            texts: Mutex::new(HashSet::new()),
+            records: Striped::default(),
             next_id: AtomicU64::new(1),
-            fault: Mutex::new(FaultPlan::default()),
+            fault: OnceLock::new(),
             lost: AtomicU64::new(0),
             duplicated: AtomicU64::new(0),
         })
     }
 
-    /// Install a fault plan (harness only; the default plan is inert).
+    /// Install a fault plan (harness only; the default plan is inert). A
+    /// log takes one plan, before its first record.
+    ///
+    /// # Panics
+    /// When the log already has a plan.
     pub fn set_fault_plan(&self, plan: FaultPlan) {
-        *self.fault.lock() = plan;
+        assert!(self.fault.set(plan).is_ok(), "a query log takes one fault plan");
     }
 
     /// SELECT records the sniffer lost to injected drops, cumulatively.
@@ -120,73 +126,70 @@ impl QueryLog {
         received: Micros,
         delivered: Micros,
     ) {
+        self.append(request, sql.into(), params, is_select, received, delivered);
+    }
+
+    /// [`QueryLog::record_for`] of a text the record shares.
+    fn append(
+        &self,
+        request: Option<u64>,
+        sql: Arc<str>,
+        params: &[Value],
+        is_select: bool,
+        received: Micros,
+        delivered: Micros,
+    ) {
         let rec = QueryRecord {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
-            sql: self.text(sql, params),
+            sql,
             params: params.to_vec(),
             is_select,
             received,
             delivered,
             request,
         };
-        let fault = self.fault.lock().clone();
-        if fault.drop_query_record(rec.id) {
-            // Only SELECT drops threaten safety (non-SELECTs never map to
-            // pages), but count every loss — the portal over-compensates
-            // rather than reason about which kind vanished.
-            self.lost.fetch_add(1, Ordering::Relaxed);
-            return;
+        let mut duplicate = false;
+        if let Some(fault) = self.fault.get() {
+            if fault.drop_query_record(rec.id) {
+                // Only SELECT drops threaten safety (non-SELECTs never map to
+                // pages), but count every loss — the portal over-compensates
+                // rather than reason about which kind vanished.
+                self.lost.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            duplicate = fault.duplicate_query_record(rec.id);
         }
-        let duplicate = fault.duplicate_query_record(rec.id);
-        let mut guard = self.records.lock();
+        let mut records = self.records.mine().lock();
         if duplicate {
             self.duplicated.fetch_add(1, Ordering::Relaxed);
-            guard.push(rec.clone());
+            records.push(rec.clone());
         }
-        guard.push(rec);
+        records.push(rec);
     }
 
-    /// `sql` as a record stores it. A text without parameters has its values
-    /// written into it and rarely comes twice; it is not kept.
-    fn text(&self, sql: &str, params: &[Value]) -> Arc<str> {
-        if params.is_empty() {
-            return sql.into();
-        }
-        let mut texts = self.texts.lock();
-        if let Some(text) = texts.get(sql) {
-            return text.clone();
-        }
-        if texts.len() >= TEXTS_CAPACITY {
-            texts.clear();
-        }
-        let text: Arc<str> = sql.into();
-        texts.insert(text.clone());
-        text
-    }
-
-    /// Take every record currently in the log. Under an injected reorder
-    /// fault the batch comes out in a deterministic shuffle (reversed) —
-    /// the mapper must not depend on log order.
+    /// Take every record currently in the log, stripe by stripe. Under an
+    /// injected reorder fault the batch comes out in a deterministic shuffle
+    /// (reversed) — the mapper must not depend on log order.
     pub fn drain(&self) -> Vec<QueryRecord> {
-        let mut records = std::mem::take(&mut *self.records.lock());
-        if self.fault.lock().reorder_query_records() {
+        let mut records = drain_stripes(&self.records);
+        if self.fault.get().is_some_and(FaultPlan::reorder_query_records) {
             records.reverse();
         }
         records
     }
 
-    /// Put unconsumed records back (the mapper retains queries whose
-    /// enclosing request has not been logged yet).
+    /// Put unconsumed records back, ahead of what this thread has logged
+    /// since.
     pub fn restore(&self, records: Vec<QueryRecord>) {
-        let mut guard = self.records.lock();
+        let mut stripe = self.records.mine().lock();
         let mut merged = records;
-        merged.append(&mut guard);
-        *guard = merged;
+        merged.append(&mut stripe);
+        *stripe = merged;
     }
 
     /// Number of buffered records.
     pub fn len(&self) -> usize {
-        self.records.lock().len()
+        self.records.iter().map(|s| s.lock().len()).sum()
     }
 
     /// True when no records are buffered.
@@ -200,36 +203,65 @@ pub struct LoggedConnection<C: Connection> {
     inner: C,
     log: Arc<QueryLog>,
     clock: Arc<dyn Clock>,
+    /// Shared copies of the parameterised texts this connection was handed
+    /// as `&str`, so that a record holds a reference rather than a copy.
+    texts: Vec<Arc<str>>,
 }
 
 impl<C: Connection> LoggedConnection<C> {
     /// Create an empty shared log / wrap a connection.
     pub fn new(inner: C, log: Arc<QueryLog>, clock: Arc<dyn Clock>) -> Self {
-        LoggedConnection { inner, log, clock }
+        LoggedConnection { inner, log, clock, texts: Vec::new() }
+    }
+
+    /// `sql` as a record stores it. A text without parameters has its values
+    /// written into it and rarely comes twice; it is not kept.
+    fn text(&mut self, sql: &str, params: &[Value]) -> Arc<str> {
+        if params.is_empty() {
+            return sql.into();
+        }
+        if let Some(text) = self.texts.iter().find(|t| ***t == *sql) {
+            return text.clone();
+        }
+        if self.texts.len() >= TEXTS_CAPACITY {
+            self.texts.clear();
+        }
+        let text: Arc<str> = sql.into();
+        self.texts.push(text.clone());
+        text
+    }
+
+    /// Run `statement` between two ticks and log it if it succeeds.
+    fn logged<R>(
+        &mut self,
+        sql: impl FnOnce(&mut Self) -> Arc<str>,
+        params: &[Value],
+        is_select: bool,
+        statement: impl FnOnce(&mut C) -> DbResult<R>,
+    ) -> DbResult<R> {
+        let received = self.clock.tick();
+        let result = statement(&mut self.inner);
+        let delivered = self.clock.tick();
+        if result.is_ok() {
+            let sql = sql(self);
+            self.log
+                .append(current_request(), sql, params, is_select, received, delivered);
+        }
+        result
     }
 }
 
 impl<C: Connection> Connection for LoggedConnection<C> {
     fn query(&mut self, sql: &str, params: &[Value]) -> DbResult<QueryResult> {
-        let received = self.clock.tick();
-        let result = self.inner.query(sql, params);
-        let delivered = self.clock.tick();
-        if result.is_ok() {
-            self.log
-                .record_for(current_request(), sql, params, true, received, delivered);
-        }
-        result
+        self.logged(|c| c.text(sql, params), params, true, |c| c.query(sql, params))
+    }
+
+    fn query_shared(&mut self, sql: &Arc<str>, params: &[Value]) -> DbResult<QueryResult> {
+        self.logged(|_| sql.clone(), params, true, |c| c.query_shared(sql, params))
     }
 
     fn execute(&mut self, sql: &str, params: &[Value]) -> DbResult<ExecOutcome> {
-        let received = self.clock.tick();
-        let result = self.inner.execute(sql, params);
-        let delivered = self.clock.tick();
-        if result.is_ok() {
-            self.log
-                .record_for(current_request(), sql, params, false, received, delivered);
-        }
-        result
+        self.logged(|c| c.text(sql, params), params, false, |c| c.execute(sql, params))
     }
 }
 

@@ -10,6 +10,7 @@
 //! does not record them: between two mapper runs the log holds one entry per
 //! generated page, so an entry's size is what a faster site pays in memory.
 
+use cacheportal_db::stripe::Striped;
 use cacheportal_web::clock::Micros;
 use cacheportal_web::{PageKey, RequestObserver, RequestRecord};
 use parking_lot::Mutex;
@@ -31,10 +32,29 @@ pub(crate) struct LoggedRequest {
     pub(crate) delivered: Micros,
 }
 
-/// Append-only request log with a consumption cursor for the mapper.
+/// Take every stripe's records, stripe by stripe, into one vector of their
+/// exact number; each stripe's buffer is freed as it empties.
+pub(crate) fn drain_stripes<T>(stripes: &Striped<Mutex<Vec<T>>>) -> Vec<T> {
+    let mut taken: Vec<Vec<T>> = (stripes.iter())
+        .map(|stripe| std::mem::take(&mut *stripe.lock()))
+        .filter(|records| !records.is_empty())
+        .collect();
+    if taken.len() <= 1 {
+        return taken.pop().unwrap_or_default();
+    }
+    let mut drained = Vec::with_capacity(taken.iter().map(Vec::len).sum());
+    for mut records in taken {
+        drained.append(&mut records);
+    }
+    drained
+}
+
+/// Append-only request log the mapper drains. Striped per thread
+/// ([`cacheportal_db::stripe`]) like the query log: a request thread
+/// appends to a stripe of its own.
 #[derive(Default)]
 pub struct RequestLog {
-    inner: Mutex<Vec<LoggedRequest>>,
+    inner: Striped<Mutex<Vec<LoggedRequest>>>,
 }
 
 impl RequestLog {
@@ -45,12 +65,12 @@ impl RequestLog {
 
     /// Take every record currently in the log (the mapper consumes them).
     pub(crate) fn drain(&self) -> Vec<LoggedRequest> {
-        std::mem::take(&mut *self.inner.lock())
+        drain_stripes(&self.inner)
     }
 
     /// Number of buffered records.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.iter().map(|s| s.lock().len()).sum()
     }
 
     /// True when no records are buffered.
@@ -61,7 +81,7 @@ impl RequestLog {
 
 impl RequestObserver for RequestLog {
     fn on_request(&self, record: RequestRecord) {
-        self.inner.lock().push(LoggedRequest {
+        self.inner.mine().lock().push(LoggedRequest {
             id: record.id,
             page_key: record.page_key,
             servlet: record.servlet,

@@ -11,7 +11,7 @@ use crate::url::PageKey;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// What the request logger records per request: the page it produced and
 /// the window it was served in. §3.1's request, cookie and POST strings are
@@ -59,13 +59,16 @@ impl Default for AppServerConfig {
 
 /// The application server.
 pub struct AppServer {
-    routes: RwLock<HashMap<String, Arc<dyn Servlet>>>,
+    /// Servlets by route; a route's text is shared with whoever asks for it
+    /// through [`AppServer::route`].
+    routes: RwLock<HashMap<Arc<str>, Arc<dyn Servlet>>>,
     pool: Arc<ConnectionPool>,
     clock: Arc<dyn Clock>,
-    observer: RwLock<Option<Arc<dyn RequestObserver>>>,
+    /// Set once; read without a lock on every request.
+    observer: OnceLock<Arc<dyn RequestObserver>>,
     config: AppServerConfig,
+    /// The next request's id: one more than the requests routed so far.
     next_id: AtomicU64,
-    requests_served: AtomicU64,
 }
 
 impl AppServer {
@@ -75,28 +78,39 @@ impl AppServer {
             routes: RwLock::new(HashMap::new()),
             pool,
             clock,
-            observer: RwLock::new(None),
+            observer: OnceLock::new(),
             config,
             next_id: AtomicU64::new(1),
-            requests_served: AtomicU64::new(0),
         }
     }
 
     /// Register a servlet at `/{spec.name}`.
     pub fn register(&self, servlet: Arc<dyn Servlet>) {
         let path = format!("/{}", servlet.spec().name);
-        self.routes.write().insert(path, servlet);
+        self.routes.write().insert(path.into(), servlet);
     }
 
     /// Install the request observer (the sniffer's request logger). The
     /// paper's design is non-invasive: this wrapper is the only touch point.
+    ///
+    /// # Panics
+    /// When an observer is installed already: a server has one.
     pub fn set_observer(&self, obs: Arc<dyn RequestObserver>) {
-        *self.observer.write() = Some(obs);
+        assert!(self.observer.set(obs).is_ok(), "an application server takes one observer");
     }
 
     /// Look up the servlet for a request path.
     pub fn servlet_for(&self, path: &str) -> Option<Arc<dyn Servlet>> {
         self.routes.read().get(path).cloned()
+    }
+
+    /// The route matching `path` — its text, equal to `path`, and its
+    /// servlet — for a front that shares the path's text rather than copy
+    /// it.
+    pub fn route(&self, path: &str) -> Option<(Arc<str>, Arc<dyn Servlet>)> {
+        let routes = self.routes.read();
+        let (route, servlet) = routes.get_key_value(path)?;
+        Some((route.clone(), servlet.clone()))
     }
 
     /// Registered servlets (deployment introspection).
@@ -106,7 +120,7 @@ impl AppServer {
 
     /// Total requests routed to servlets.
     pub fn requests_served(&self) -> u64 {
-        self.requests_served.load(Ordering::Relaxed)
+        self.next_id.load(Ordering::Relaxed) - 1
     }
 
     /// The connection pool this server draws from (checkout counters and
@@ -135,8 +149,6 @@ impl AppServer {
         servlet: &dyn Servlet,
         page_key: impl FnOnce() -> PageKey,
     ) -> HttpResponse {
-        self.requests_served.fetch_add(1, Ordering::Relaxed);
-
         // The request's id is taken before the servlet runs and held where
         // the query logger finds it: every statement the servlet issues on
         // this thread is logged as this request's.
@@ -156,7 +168,7 @@ impl AppServer {
 
         // Request-logger wrapper: record after successful delivery.
         let spec = servlet.spec();
-        if let Some(obs) = self.observer.read().as_ref() {
+        if let Some(obs) = self.observer.get() {
             obs.on_request(RequestRecord {
                 id,
                 servlet: spec.name.clone(),

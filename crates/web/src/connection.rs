@@ -6,7 +6,8 @@
 //! (explicit driver, pool, or data source), exactly like the paper's JDBC
 //! driver wrapper.
 
-use cacheportal_db::{Database, DbResult, ExecOutcome, QueryResult, Value};
+use cacheportal_db::stripe::Striped;
+use cacheportal_db::{Database, DbResult, ExecOutcome, PreparedStatement, QueryResult, Value};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,19 +24,34 @@ pub fn shared(db: Database) -> SharedDb {
 pub trait Connection: Send {
     /// Run a SELECT.
     fn query(&mut self, sql: &str, params: &[Value]) -> DbResult<QueryResult>;
+    /// Run a SELECT whose text the caller holds shared, as a servlet holds
+    /// its templates: a wrapper that keeps the text keeps a clone of the
+    /// handle instead of a copy. The same statement as [`Connection::query`].
+    fn query_shared(&mut self, sql: &Arc<str>, params: &[Value]) -> DbResult<QueryResult> {
+        self.query(sql, params)
+    }
     /// Run any statement (updates arrive through here too).
     fn execute(&mut self, sql: &str, params: &[Value]) -> DbResult<ExecOutcome>;
 }
 
+/// Statement texts a connection keeps prepared. A site has a handful of
+/// servlet templates; past this many the connection starts over.
+const PREPARED_CAPACITY: usize = 64;
+
 /// Direct connection to an in-process [`Database`] (the "native driver").
+/// Like a JDBC connection it keeps the statements it has prepared: a
+/// parameterised SELECT is prepared on the connection's first run of its
+/// text, and every later run takes the database's read lock and nothing
+/// else another connection writes.
 pub struct DbConnection {
     db: SharedDb,
+    prepared: Vec<(Box<str>, PreparedStatement)>,
 }
 
 impl DbConnection {
     /// Create the connection/pool.
     pub fn new(db: SharedDb) -> Self {
-        DbConnection { db }
+        DbConnection { db, prepared: Vec::new() }
     }
 }
 
@@ -44,7 +60,22 @@ impl Connection for DbConnection {
         // SELECTs go through the engine's read-only path: a shared read
         // lock suffices, so connections never serialize behind each other
         // (or behind the invalidator's pollers) on reads.
-        self.db.read().query_with_params(sql, params)
+        let db = self.db.read();
+        if params.is_empty() {
+            // A text with its values written in rarely comes twice.
+            return db.query_with_params(sql, params);
+        }
+        let at = match self.prepared.iter().position(|(text, _)| **text == *sql) {
+            Some(at) => at,
+            None => {
+                if self.prepared.len() >= PREPARED_CAPACITY {
+                    self.prepared.clear();
+                }
+                self.prepared.push((sql.into(), db.prepare(sql)?));
+                self.prepared.len() - 1
+            }
+        };
+        db.query_prepared(&mut self.prepared[at].1, params)
     }
 
     fn execute(&mut self, sql: &str, params: &[Value]) -> DbResult<ExecOutcome> {
@@ -66,21 +97,30 @@ pub struct PoolStats {
     /// pool was empty (resource-pressure signal; the paper's §5.3 starvation
     /// story is about exactly this kind of contention).
     pub overflow: u64,
-    /// Wall-clock microseconds spent inside `checkout` (lock contention +
-    /// factory construction) across all checkouts.
-    pub wait_micros: u64,
+}
+
+/// One stripe of a pool: the connections its threads returned, and the
+/// checkouts it served.
+#[derive(Default)]
+struct PoolStripe {
+    idle: Vec<Box<dyn Connection>>,
+    checkouts: u64,
 }
 
 /// A fixed-size connection pool with overflow accounting — the BEA WebLogic
 /// "connection pool / data source" analogue (§3.2).
+///
+/// The idle connections are striped per thread ([`cacheportal_db::stripe`]):
+/// a thread checks out from, and returns to, a stripe of its own, so two
+/// request threads take no lock in common, and a thread gets back the
+/// connection it returned, with the statements it prepared. Each stripe
+/// keeps at most `max` idle connections.
 pub struct ConnectionPool {
     factory: ConnectionFactory,
-    idle: Mutex<Vec<Box<dyn Connection>>>,
+    stripes: Striped<Mutex<PoolStripe>>,
     max: usize,
     created: AtomicU64,
-    checkouts: AtomicU64,
     overflow: AtomicU64,
-    wait_micros: AtomicU64,
 }
 
 impl ConnectionPool {
@@ -88,22 +128,19 @@ impl ConnectionPool {
     pub fn new(factory: ConnectionFactory, max: usize) -> Arc<Self> {
         Arc::new(ConnectionPool {
             factory,
-            idle: Mutex::new(Vec::new()),
+            stripes: Striped::default(),
             max,
             created: AtomicU64::new(0),
-            checkouts: AtomicU64::new(0),
             overflow: AtomicU64::new(0),
-            wait_micros: AtomicU64::new(0),
         })
     }
 
     /// Borrow a connection; it returns to the pool when dropped.
     pub fn checkout(self: &Arc<Self>) -> PooledConnection {
-        let start = std::time::Instant::now();
-        self.checkouts.fetch_add(1, Ordering::Relaxed);
         let conn = {
-            let mut idle = self.idle.lock();
-            idle.pop()
+            let mut stripe = self.stripes.mine().lock();
+            stripe.checkouts += 1;
+            stripe.idle.pop()
         };
         let conn = conn.unwrap_or_else(|| {
             let prev = self.created.fetch_add(1, Ordering::Relaxed);
@@ -112,8 +149,6 @@ impl ConnectionPool {
             }
             (self.factory)()
         });
-        self.wait_micros
-            .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
         PooledConnection {
             conn: Some(conn),
             pool: Arc::clone(self),
@@ -123,17 +158,16 @@ impl ConnectionPool {
     /// Pool counters.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
-            checkouts: self.checkouts.load(Ordering::Relaxed),
+            checkouts: self.stripes.iter().map(|s| s.lock().checkouts).sum(),
             created: self.created.load(Ordering::Relaxed),
             overflow: self.overflow.load(Ordering::Relaxed),
-            wait_micros: self.wait_micros.load(Ordering::Relaxed),
         }
     }
 
     fn checkin(&self, conn: Box<dyn Connection>) {
-        let mut idle = self.idle.lock();
-        if idle.len() < self.max {
-            idle.push(conn);
+        let mut stripe = self.stripes.mine().lock();
+        if stripe.idle.len() < self.max {
+            stripe.idle.push(conn);
         }
         // else: drop the overflow connection.
     }
@@ -148,6 +182,10 @@ pub struct PooledConnection {
 impl Connection for PooledConnection {
     fn query(&mut self, sql: &str, params: &[Value]) -> DbResult<QueryResult> {
         self.conn.as_mut().expect("live connection").query(sql, params)
+    }
+
+    fn query_shared(&mut self, sql: &Arc<str>, params: &[Value]) -> DbResult<QueryResult> {
+        self.conn.as_mut().expect("live connection").query_shared(sql, params)
     }
 
     fn execute(&mut self, sql: &str, params: &[Value]) -> DbResult<ExecOutcome> {

@@ -88,7 +88,7 @@ pub fn html_table(result: &QueryResult) -> String {
             .sum::<usize>();
     let mut out = String::with_capacity(len);
     out.push_str("<table>\n<tr>");
-    for c in &result.columns {
+    for c in result.columns.iter() {
         out.push_str("<th>");
         push_escaped(&mut out, c);
         out.push_str("</th>");
@@ -144,7 +144,7 @@ mod tests {
     #[test]
     fn table_is_built_in_one_buffer_of_its_exact_length() {
         let r = QueryResult {
-            columns: vec!["a&b".into(), "n".into(), "x".into(), "f".into()],
+            columns: ["a&b".into(), "n".into(), "x".into(), "f".into()].into(),
             rows: vec![
                 vec![Value::Str("<i>".into()), Value::Int(-12), Value::Null, Value::Float(0.5)],
                 vec![Value::Str("ok".into()), Value::Int(0), Value::Float(1e21), Value::Float(2.0)],
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn table_rendering_is_deterministic() {
         let r = QueryResult {
-            columns: vec!["maker".into(), "price".into()],
+            columns: ["maker".into(), "price".into()].into(),
             rows: vec![vec![Value::Str("Toyota".into()), Value::Int(25000)]],
         };
         let a = html_table(&r);

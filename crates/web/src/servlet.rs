@@ -141,7 +141,8 @@ fn convert(raw: &str, ty: ColType) -> Option<Value> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryTemplate {
     /// SQL with `$1…$n` placeholders — the paper's query type (§2.3.2).
-    pub sql: String,
+    /// The query logger's records of it share this one copy.
+    pub sql: Arc<str>,
     /// One source per placeholder, in order.
     pub params: Vec<ParamSource>,
 }
@@ -150,7 +151,7 @@ impl QueryTemplate {
     /// A template from parameterized SQL and its parameter sources.
     pub fn new(sql: &str, params: Vec<ParamSource>) -> Self {
         QueryTemplate {
-            sql: sql.to_string(),
+            sql: sql.into(),
             params,
         }
     }
@@ -187,7 +188,7 @@ impl Servlet for SqlServlet {
                 .iter()
                 .map(|p| p.resolve(req))
                 .collect::<DbResult<_>>()?;
-            let result = conn.query(&q.sql, &params)?;
+            let result = conn.query_shared(&q.sql, &params)?;
             fragments.push(render::html_table(&result));
         }
         Ok(render::html_page(&self.title, &fragments))
