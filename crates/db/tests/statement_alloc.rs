@@ -1,5 +1,6 @@
 //! What a statement allocates, counted: the storefront's four servlet queries
-//! (each after its first execution, which parses and plans it) and its
+//! run as a pooled connection runs them, from a statement it keeps prepared
+//! (each after its first execution, which parses and plans it), and its
 //! 40-statement bulk load of 8 000 rows, parse and execute together. The
 //! counts are allocator calls (`alloc` + `realloc`), which repeat exactly
 //! from run to run where times do not. A cached statement that re-does
@@ -46,11 +47,14 @@ fn storefront_statements_allocate_within_budget() {
 
     let param = [Value::Int(7)];
     for ((name, _, sql), budget) in storefront::SERVLETS.iter().zip(QUERY_BUDGET) {
-        let first = db.query_with_params(sql, &param).expect("query runs");
+        let mut stmt = db.prepare(sql).expect("statement parses");
+        let first = db.query_prepared(&mut stmt, &param).expect("query runs");
+        assert_eq!(db.query_with_params(sql, &param).expect("query runs"), first);
         let counts: Vec<usize> = (0..3)
             .map(|_| {
-                let (result, allocated) =
-                    common::measure(|| db.query_with_params(sql, &param).expect("query runs"));
+                let (result, allocated) = common::measure(|| {
+                    db.query_prepared(&mut stmt, &param).expect("query runs")
+                });
                 assert_eq!(result, first);
                 allocated.calls
             })
