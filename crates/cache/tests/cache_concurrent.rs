@@ -4,6 +4,11 @@
 //! miss, the wired metrics are the cache's own counters, and neither `get`
 //! nor `get_shared` (the readers alternate) returns a body that an eject
 //! which had already returned should have removed.
+//!
+//! The readers run for at least the given time and until the writer has put
+//! `2 * KEYS` pages and the ejector has removed a resident one, so a loaded
+//! box cannot starve either of them into a vacuous run; past [`DEADLINE`]
+//! the test fails and names the starved thread.
 
 use cacheportal_cache::{PageCache, PageCacheConfig};
 use cacheportal_obs::MetricsRegistry;
@@ -15,6 +20,9 @@ use std::time::{Duration, Instant};
 
 const CAPACITY: usize = 64;
 const KEYS: usize = 4 * CAPACITY;
+/// How long the readers wait for the writer and the ejector to get their
+/// turns.
+const DEADLINE: Duration = Duration::from_secs(30);
 
 fn hammer(readers: usize, run_for: Duration) {
     let cache = PageCache::new(PageCacheConfig {
@@ -32,10 +40,15 @@ fn hammer(readers: usize, run_for: Duration) {
     let dead: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
     let stop = AtomicBool::new(false);
     let start = Barrier::new(readers + 2);
+    // What the writer and the ejector have done: puts, and whether an eject
+    // has removed a resident page.
+    let puts = AtomicU64::new(0);
+    let removed = AtomicBool::new(false);
 
     let gets: u64 = std::thread::scope(|scope| {
-        let (cache, keys, put_done, dead, stop, start) =
-            (&cache, &keys, &put_done, &dead, &stop, &start);
+        let (cache, keys, put_done, dead, stop, start, puts, removed) = (
+            &cache, &keys, &put_done, &dead, &stop, &start, &puts, &removed,
+        );
         scope.spawn(move || {
             let mut rng = StdRng::seed_from_u64(1);
             let mut next = vec![0u64; KEYS];
@@ -45,6 +58,7 @@ fn hammer(readers: usize, run_for: Duration) {
                 next[k] += 1;
                 cache.put(keys[k].clone(), next[k].to_string(), next[k]);
                 put_done[k].store(next[k], SeqCst);
+                puts.fetch_add(1, SeqCst);
             }
         });
         scope.spawn(move || {
@@ -55,6 +69,9 @@ fn hammer(readers: usize, run_for: Duration) {
                 let before = put_done[k].load(SeqCst);
                 let ejected = cache.invalidate_collect([&keys[k]]);
                 assert!(ejected.len() <= 1);
+                if !ejected.is_empty() {
+                    removed.store(true, SeqCst);
+                }
                 dead[k].fetch_max(before, SeqCst);
                 assert!(cache.len() <= CAPACITY);
             }
@@ -66,7 +83,9 @@ fn hammer(readers: usize, run_for: Duration) {
                     let mut gets = 0u64;
                     start.wait();
                     let began = Instant::now();
-                    while began.elapsed() < run_for {
+                    let turns = || puts.load(SeqCst) >= 2 * KEYS as u64 && removed.load(SeqCst);
+                    let more = |t| t < run_for || (!turns() && t < DEADLINE);
+                    while more(began.elapsed()) {
                         for _ in 0..256 {
                             let k = rng.gen_range(0..KEYS);
                             let dead_before = dead[k].load(SeqCst);
@@ -94,6 +113,15 @@ fn hammer(readers: usize, run_for: Duration) {
         gets
     });
 
+    let puts = puts.into_inner();
+    assert!(
+        puts >= 2 * KEYS as u64,
+        "the writer was starved: {puts} puts in {DEADLINE:?}"
+    );
+    assert!(
+        removed.into_inner(),
+        "the ejector was starved: nothing removed in {DEADLINE:?}"
+    );
     let s = cache.stats();
     assert_eq!(s.hits + s.misses, gets, "every get is a hit or a miss");
     assert!(s.hits > 0 && s.misses > 0 && s.evictions > 0 && s.invalidations > 0);

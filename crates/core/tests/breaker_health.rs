@@ -6,6 +6,7 @@
 
 use cacheportal::db::schema::ColType;
 use cacheportal::db::{Database, FaultPlan, FaultSpec};
+use cacheportal::obs::HealthSnapshot;
 use cacheportal::web::{HttpRequest, ParamSource, QueryTemplate, ServletSpec, SqlServlet};
 use cacheportal::CachePortal;
 use std::sync::Arc;
@@ -21,6 +22,11 @@ fn example_db() -> Database {
     db.execute("INSERT INTO Mileage VALUES ('Avalon', 28.0), ('Civic', 36.5)")
         .unwrap();
     db
+}
+
+/// What `/healthz` would answer now.
+fn health(p: &CachePortal) -> HealthSnapshot {
+    p.obs().health.snapshot(&p.obs().metrics)
 }
 
 fn counter(p: &CachePortal, name: &str) -> u64 {
@@ -57,7 +63,7 @@ fn poll_flap_opens_breaker_surfaces_health_and_closes_again() {
     let req = HttpRequest::get("shop.example.com", "/carSearch", &[("maxprice", "30000")]);
 
     // Healthy at rest.
-    assert_eq!(portal.obs().health.snapshot().to_response().status, 200);
+    assert_eq!(health(&portal).to_response().status, 200);
 
     // Drive record-consuming sync points through the faulty burst: each
     // one polls (join residue), every attempt faults, and the cumulative
@@ -83,7 +89,7 @@ fn poll_flap_opens_breaker_surfaces_health_and_closes_again() {
     );
 
     // Open breaker => /healthz is a 503 naming the breaker.
-    let resp = portal.obs().health.snapshot().to_response();
+    let resp = health(&portal).to_response();
     assert_eq!(resp.status, 503, "open breaker must unhealth the portal: {}", resp.body);
     assert!(resp.body.contains("breaker-open"), "reason names the breaker: {}", resp.body);
 
@@ -104,7 +110,7 @@ fn poll_flap_opens_breaker_surfaces_health_and_closes_again() {
 
     // Closed breaker => healthy again, and the oracle stayed clean the
     // whole time (degradation may over-eject, never under-eject).
-    let resp = portal.obs().health.snapshot().to_response();
+    let resp = health(&portal).to_response();
     assert_eq!(resp.status, 200, "closed breaker must restore health: {}", resp.body);
     assert_eq!(resp.body, "ok\n");
     assert!(portal.stale_pages().is_empty());

@@ -81,7 +81,7 @@ fn every_eject_resolves_to_commit_and_sync_roots() {
     assert!(records.len() >= 2, "the workload ejects across two windows");
 
     // The portal-level check verifies every record...
-    let verified = p.verify_causal_chains().expect("all chains resolve");
+    let verified = p.obs().verify_causal_chains().expect("all chains resolve");
     assert_eq!(verified, records.len() as u64, "no record skipped as untraced");
 
     // ...and the raw rings agree with it hop by hop.

@@ -254,7 +254,7 @@ fn gap_admissions_are_conservatively_ejected() {
     );
 
     // Health remembers the recovery and the gap ejects.
-    let h = p2.obs().health.snapshot();
+    let h = p2.obs().health.snapshot(&p2.obs().metrics);
     assert_eq!(h.recoveries, 1);
     assert_eq!(h.recovery_gap_ejects, 1);
 

@@ -31,7 +31,7 @@ const HIT: usize = 1;
 /// Allocations of a miss, in `storefront::SERVLETS` order.
 const MISS: [usize; 4] = [20, 97, 37, 19];
 /// Allocations of the first sync point over the whole site.
-const FIRST_SYNC: usize = 5046;
+const FIRST_SYNC: usize = 5009;
 
 fn portal() -> CachePortal {
     let portal = CachePortal::builder(storefront::database(1))

@@ -10,7 +10,7 @@
 
 use cacheportal::db::schema::ColType;
 use cacheportal::db::Database;
-use cacheportal::obs::{verify_flight_record, FlightBundle};
+use cacheportal::obs::{verify_flight_record, FlightBundle, HealthSnapshot};
 use cacheportal::web::{HttpRequest, ParamSource, QueryTemplate, ServletSpec, SqlServlet, Status};
 use cacheportal::CachePortal;
 use std::io::{Read, Write};
@@ -18,6 +18,11 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// What `/healthz` would answer now.
+fn health(p: &CachePortal) -> HealthSnapshot {
+    p.obs().health.snapshot(&p.obs().metrics)
+}
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -105,7 +110,7 @@ fn breach_fires_dumps_black_box_and_resolves() {
     let dir = temp_dir();
     let portal = portal_with(&dir);
     let mut price = 20_000i64;
-    assert_eq!(portal.obs().health.snapshot().to_response().status, 200, "healthy at rest");
+    assert_eq!(health(&portal).to_response().status, 200, "healthy at rest");
 
     // Clean baseline: windows close in a few logical µs, well under the
     // 1 s objective. Nothing fires.
@@ -114,7 +119,7 @@ fn breach_fires_dumps_black_box_and_resolves() {
     }
     let (fast, slow) = portal.obs().slo.firing_counts();
     assert_eq!((fast, slow), (0, 0), "baseline must stay healthy");
-    assert_eq!(portal.obs().health.snapshot().to_response().status, 200);
+    assert_eq!(health(&portal).to_response().status, 200);
 
     // Breach: four windows of 5 s each — 5× the objective. The bad
     // fraction (4 bad / 12 total) burns the 1% budget at ~33×, over both
@@ -172,7 +177,7 @@ fn breach_fires_dumps_black_box_and_resolves() {
     let verified = verify_flight_record(&bundle).expect("bundle chains must resolve");
     assert!(verified > 0, "the breach window ejected pages, so chains must exist");
     // ... and the live portal's full-fidelity chains agree.
-    assert!(portal.verify_causal_chains().unwrap() > 0);
+    assert!(portal.obs().verify_causal_chains().unwrap() > 0);
 
     // A retained bundle is served as the text it was recorded as.
     assert!(dumps[0].ends_with("flightrecord-000000.json"));
@@ -210,7 +215,7 @@ fn breach_fires_dumps_black_box_and_resolves() {
     );
     let resolved = alerts.iter().filter(|a| a.state == "resolved").count();
     assert!(resolved >= 2, "both burn pairs' resolved transitions are logged: {resolved}");
-    let resp = portal.obs().health.snapshot().to_response();
+    let resp = health(&portal).to_response();
     assert_eq!((resp.status, resp.body.as_str()), (200, "ok\n"));
     assert!(portal.stale_pages().is_empty());
 }
@@ -262,6 +267,6 @@ fn a_cold_start_fires_no_alert() {
     assert!(slo.objectives.iter().all(|o| !o.firing), "{slo:?}");
     assert_eq!(slo.alerts.recorded, 0, "no alert transition is logged");
     assert_eq!(portal.obs().recorder.recorded(), 0, "no flight record is captured");
-    let resp = portal.obs().health.snapshot().to_response();
+    let resp = health(&portal).to_response();
     assert_eq!((resp.status, resp.body.as_str()), (200, "ok\n"));
 }

@@ -486,7 +486,7 @@ pub fn run_scenario_on(sc: &Scenario, actions: &[Action], nodes: usize) -> RunOu
     // and the check itself degrades to a no-op when any bounded ring
     // dropped entries (truncation, not incoherence).
     if stats.crashes == 0 {
-        if let Err(detail) = portal.verify_causal_chains() {
+        if let Err(detail) = portal.obs().verify_causal_chains() {
             return RunOutcome::fail(stats, usize::MAX, "trace-incoherent", detail)
                 .with_flight_record(&portal);
         }

@@ -4,7 +4,8 @@
 //! connection on a thread of its own, at most [`MAX_CONNECTIONS`] at once,
 //! `HTTP/1.1` with `Connection: close`, GET only. Routes:
 //!
-//! * `GET /healthz` — liveness, plain `ok`.
+//! * `GET /healthz` — liveness: plain `ok`, or the reasons it is not, read
+//!   off the registry.
 //! * `GET /metrics` — Prometheus text exposition (version 0.0.4).
 //! * `GET /explain?url=<percent-encoded url>` — eject provenance as JSON.
 //! * `GET /explain?lsn=<n>` — update provenance as JSON.
@@ -207,7 +208,7 @@ fn route(obs: &Obs, source: &dyn AdminSource, path: &str, query: &str) -> Reply 
     let number = |name: &str| param(name).and_then(|v| v.parse::<u64>().ok());
     let flag = |name: &str| param(name).as_deref() == Some("1");
     match path {
-        "/healthz" => obs.health.snapshot().to_response(),
+        "/healthz" => obs.health.snapshot(&obs.metrics).to_response(),
         "/metrics" => {
             source.refresh();
             Reply {
@@ -497,7 +498,7 @@ mod tests {
     #[test]
     fn healthz_reflects_the_health_state() {
         let obs = Obs::shared();
-        obs.health.set_breaker(1, 0);
+        obs.metrics.gauge("invalidator.breaker.open_types").set(1);
         let server = serve(&obs);
         let (status, body) = http_get(server.addr(), "/healthz");
         assert_eq!(status, 503);

@@ -1,8 +1,11 @@
-//! Live health state behind the admin endpoint's `/healthz`.
+//! Live health behind the admin endpoint's `/healthz`.
 //!
-//! The portal's components publish their condition into a [`HealthState`]
-//! (lock-free atomics, cheap to update from the sync-point path); the admin
-//! endpoint renders a [`HealthSnapshot`] per request. The contract:
+//! Every count `/healthz` reports is a metric the sync point or recovery
+//! already publishes (DESIGN §3.9 maps each [`HealthSnapshot`] field to its
+//! metric); [`HealthState`] keeps the one fact no metric carries, whether a
+//! recovery is in progress, and [`HealthState::snapshot`] reads the rest off
+//! the registry. The admin endpoint renders a snapshot per request. The
+//! contract:
 //!
 //! * **healthy** — every breaker closed, no recovery in progress, no WAL
 //!   errors, no fast-burn SLO alert: `200` with the plain `ok` body probes
@@ -19,9 +22,10 @@
 //! `health.reason.*` metric gauges all render the same strings, so
 //! dashboards, alert routes, and scripts key on a single vocabulary.
 
+use crate::registry::MetricsRegistry;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Canonical degradation causes. The `as_str` code is the single source
 /// of truth for every rendering (`/healthz` reasons, `/slo` context,
@@ -82,19 +86,11 @@ impl Reason {
     }
 }
 
-/// Shared mutable health flags; one per portal, updated by the sync-point
-/// and recovery paths, read by `/healthz`.
+/// The health flag no metric carries: whether crash recovery is rebuilding
+/// state. One per portal.
 #[derive(Debug, Default)]
 pub struct HealthState {
-    breaker_open: AtomicU64,
-    breaker_half_open: AtomicU64,
     recovering: AtomicBool,
-    wal_errors: AtomicU64,
-    recovery_gap_ejects: AtomicU64,
-    recoveries: AtomicU64,
-    slo_fast_firing: AtomicU64,
-    slo_slow_firing: AtomicU64,
-    edges_partitioned: AtomicU64,
 }
 
 impl HealthState {
@@ -103,58 +99,28 @@ impl HealthState {
         HealthState::default()
     }
 
-    /// Publish the breaker gauges after a sync point.
-    pub fn set_breaker(&self, open: u64, half_open: u64) {
-        self.breaker_open.store(open, Ordering::Relaxed);
-        self.breaker_half_open.store(half_open, Ordering::Relaxed);
-    }
-
-    /// Publish the firing SLO alert counts after an evaluation pass.
-    pub fn set_slo(&self, fast_firing: u64, slow_firing: u64) {
-        self.slo_fast_firing.store(fast_firing, Ordering::Relaxed);
-        self.slo_slow_firing.store(slow_firing, Ordering::Relaxed);
-    }
-
-    /// Publish how many bus edges are currently marked partitioned.
-    pub fn set_edges_partitioned(&self, n: u64) {
-        self.edges_partitioned.store(n, Ordering::Relaxed);
-    }
-
     /// Mark crash recovery as started (`true`) or finished (`false`).
     pub fn set_recovering(&self, active: bool) {
         self.recovering.store(active, Ordering::Relaxed);
-        if !active {
-            self.recoveries.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
-    /// Count a failed WAL append/sync/checkpoint. Durability errors are
-    /// sticky: once the crash-safety guarantee is gone, the portal stays
-    /// unhealthy until restarted.
-    pub fn record_wal_error(&self) {
-        self.wal_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count pages ejected by the recovery gap scan (informational).
-    pub fn add_recovery_gap_ejects(&self, n: u64) {
-        self.recovery_gap_ejects.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy: the flags, the reasons they amount to and the
-    /// status those add up to.
-    pub fn snapshot(&self) -> HealthSnapshot {
+    /// A point-in-time copy: the recovery flag and the counts `metrics`
+    /// holds, the reasons they amount to and the status those add up to.
+    /// Reading creates no metric.
+    pub fn snapshot(&self, metrics: &MetricsRegistry) -> HealthSnapshot {
+        let gauge = |name| metrics.gauge_value(name) as u64;
         let mut snap = HealthSnapshot {
             status: Cow::Borrowed(HealthStatus::Healthy.as_str()),
             reasons: Vec::new(),
-            breaker_open_types: self.breaker_open.load(Ordering::Relaxed),
-            breaker_half_open_types: self.breaker_half_open.load(Ordering::Relaxed),
+            breaker_open_types: gauge("invalidator.breaker.open_types"),
+            breaker_half_open_types: gauge("invalidator.breaker.half_open_types"),
             recovering: self.recovering.load(Ordering::Relaxed),
-            wal_errors: self.wal_errors.load(Ordering::Relaxed),
-            recovery_gap_ejects: self.recovery_gap_ejects.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-            slo_fast_firing: self.slo_fast_firing.load(Ordering::Relaxed),
-            slo_slow_firing: self.slo_slow_firing.load(Ordering::Relaxed),
-            edges_partitioned: self.edges_partitioned.load(Ordering::Relaxed),
+            wal_errors: metrics.counter_value("durable.wal.errors"),
+            recovery_gap_ejects: metrics.counter_value("durable.recovery.gap_ejected"),
+            recoveries: metrics.counter_value("durable.recoveries"),
+            slo_fast_firing: gauge("slo.firing.fast"),
+            slo_slow_firing: gauge("slo.firing.slow"),
+            edges_partitioned: gauge("bus.partitioned_edges"),
         };
         let active = Reason::ALL.iter().filter(|&&r| snap.reason_count(r) > 0);
         snap.reasons = active.map(|&r| ReasonRow::new(r, snap.reason_count(r))).collect();
@@ -312,43 +278,66 @@ impl HealthSnapshot {
 mod tests {
     use super::*;
 
+    /// A registry and health state, and the snapshot of the two.
+    struct Probe {
+        metrics: MetricsRegistry,
+        health: HealthState,
+    }
+
+    impl Probe {
+        fn new() -> Probe {
+            Probe { metrics: MetricsRegistry::new(), health: HealthState::new() }
+        }
+
+        fn set(&self, gauge: &str, v: i64) -> &Probe {
+            self.metrics.gauge(gauge).set(v);
+            self
+        }
+
+        fn snapshot(&self) -> HealthSnapshot {
+            self.health.snapshot(&self.metrics)
+        }
+    }
+
     #[test]
     fn healthy_state_keeps_the_plain_ok_contract() {
-        let h = HealthState::new();
+        let h = Probe::new();
         let resp = h.snapshot().to_response();
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, "ok\n");
+        assert!(h.metrics.snapshot().gauges.is_empty(), "reading creates no metric");
     }
 
     #[test]
     fn open_breakers_flip_to_503_and_back() {
-        let h = HealthState::new();
-        h.set_breaker(2, 0);
+        let h = Probe::new();
+        h.set("invalidator.breaker.open_types", 2);
         let resp = h.snapshot().to_response();
         assert_eq!(resp.status, 503);
         assert!(resp.body.contains("breaker-open"));
         assert_eq!(h.snapshot().classify(), HealthStatus::Unhealthy);
 
-        h.set_breaker(0, 1);
+        h.set("invalidator.breaker.open_types", 0).set("invalidator.breaker.half_open_types", 1);
         let resp = h.snapshot().to_response();
         assert_eq!(resp.status, 200, "half-open still serves correctly");
         assert!(resp.body.contains("half-open"));
         assert_eq!(h.snapshot().classify(), HealthStatus::Degraded);
 
-        h.set_breaker(0, 0);
+        h.set("invalidator.breaker.half_open_types", 0);
         assert_eq!(h.snapshot().to_response().body, "ok\n");
     }
 
     #[test]
     fn recovery_and_wal_errors_are_unhealthy() {
-        let h = HealthState::new();
-        h.set_recovering(true);
+        let h = Probe::new();
+        h.health.set_recovering(true);
         assert_eq!(h.snapshot().classify(), HealthStatus::Unhealthy);
-        h.set_recovering(false);
+        h.health.set_recovering(false);
+        h.metrics.counter("durable.recoveries").inc();
         assert_eq!(h.snapshot().classify(), HealthStatus::Healthy);
         assert_eq!(h.snapshot().recoveries, 1);
 
-        h.record_wal_error();
+        h.metrics.counter("durable.wal.errors").inc();
         let resp = h.snapshot().to_response();
         assert_eq!(resp.status, 503);
         assert!(resp.body.contains("crash safety compromised"));
@@ -356,41 +345,42 @@ mod tests {
 
     #[test]
     fn slo_burns_map_to_status_like_breakers() {
-        let h = HealthState::new();
-        h.set_slo(0, 1);
+        let h = Probe::new();
+        h.set("slo.firing.slow", 1);
         let resp = h.snapshot().to_response();
         assert_eq!(resp.status, 200, "slow burn degrades, does not page");
         assert!(resp.body.contains("slo-slow-burn"));
         assert_eq!(h.snapshot().classify(), HealthStatus::Degraded);
 
-        h.set_slo(2, 1);
+        h.set("slo.firing.fast", 2);
         let resp = h.snapshot().to_response();
         assert_eq!(resp.status, 503, "fast burn is unhealthy");
         assert!(resp.body.contains("slo-fast-burn"));
 
-        h.set_slo(0, 0);
+        h.set("slo.firing.fast", 0).set("slo.firing.slow", 0);
         assert_eq!(h.snapshot().to_response().body, "ok\n");
     }
 
     #[test]
     fn partitioned_edges_degrade_without_paging() {
-        let h = HealthState::new();
-        h.set_edges_partitioned(1);
+        let h = Probe::new();
+        h.set("bus.partitioned_edges", 1);
         let resp = h.snapshot().to_response();
         assert_eq!(resp.status, 200, "partitioned edge degrades, serves safely");
         assert!(resp.body.contains("edge-partitioned"));
         assert_eq!(h.snapshot().classify(), HealthStatus::Degraded);
         assert_eq!(h.snapshot().reason_count(Reason::EdgePartitioned), 1);
 
-        h.set_edges_partitioned(0);
+        h.set("bus.partitioned_edges", 0);
         assert_eq!(h.snapshot().to_response().body, "ok\n");
     }
 
     #[test]
     fn reasons_use_canonical_codes_everywhere() {
-        let h = HealthState::new();
-        h.set_breaker(1, 2);
-        h.set_slo(1, 0);
+        let h = Probe::new();
+        h.set("invalidator.breaker.open_types", 1)
+            .set("invalidator.breaker.half_open_types", 2)
+            .set("slo.firing.fast", 1);
         let snap = h.snapshot();
         let codes: Vec<&str> = snap.reasons.iter().map(|r| &*r.code).collect();
         assert_eq!(codes, vec!["breaker-open", "slo-fast-burn", "breaker-half-open"]);

@@ -15,7 +15,7 @@
 //! * [`ProvenanceLog`] — bounded ring of [`EjectRecord`]s capturing the
 //!   full update→query-type→verdict→URL chain behind every page eject,
 //!   indexed by URL and by LSN for `explain_*` queries.
-//! * [`HealthState`] — the live flags behind `/healthz`.
+//! * [`HealthState`] — `/healthz`'s recovery flag; its counts are metrics.
 //! * [`CommitIndex`] — committed LSN ranges → their update-commit trace
 //!   roots.
 //! * [`TimelineLog`] — per-sync-point stage timelines.
@@ -90,7 +90,8 @@ pub struct Obs {
     pub staleness: StalenessProbe,
     /// Invalidation provenance ring (why was each page ejected?).
     pub provenance: ProvenanceLog,
-    /// Live health flags behind `/healthz` (breakers, recovery, WAL).
+    /// The recovery flag behind `/healthz`, which reads its counts (breakers,
+    /// WAL errors, alerts, partitions) off `metrics`.
     pub health: HealthState,
     /// Commit LSN range → update-commit trace root (causal chain anchor).
     pub commits: CommitIndex,
@@ -212,7 +213,7 @@ impl Obs {
     /// rendering plus the live health snapshot as `context`.
     pub fn slo_doc(&self, now: u64, stable: bool) -> SloDoc {
         let mut doc = self.slo.doc(now);
-        doc.context = Some(self.health.snapshot());
+        doc.context = Some(self.health.snapshot(&self.metrics));
         if stable {
             doc.stabilize();
         }
@@ -236,7 +237,7 @@ impl Obs {
             ts: now,
             stable: false,
             slo: self.slo.doc(now),
-            health: self.health.snapshot(),
+            health: self.health.snapshot(&self.metrics),
             metrics: self.metrics.snapshot(),
             staleness: self.staleness.doc(),
             trace: self.tracer.doc(1024),
@@ -244,6 +245,35 @@ impl Obs {
             scorecards: self.scorecards.doc(),
             provenance: self.provenance.doc(64),
         }
+    }
+
+    /// Check that every retained eject record's causal chain resolves in the
+    /// trace ring — record → `sync.phase.eject` span → `sync.point` root —
+    /// and that an `update.commit` trace root in the commit index covers
+    /// the record's LSN range. Returns the number of records verified; the
+    /// walk is [`verify_flight_record`]'s, over the live rings.
+    ///
+    /// Returns `Ok(0)` without checking when any bounded ring has dropped
+    /// entries (a rotated-out hop is truncation, not incoherence); records
+    /// with no causal identity (tracer disabled, recovery-gap ejects) are
+    /// skipped the same way.
+    pub fn verify_causal_chains(&self) -> Result<u64, String> {
+        if self.tracer.dropped() > 0 || self.commits.dropped() > 0 || self.provenance.dropped() > 0
+        {
+            return Ok(0);
+        }
+        let events = self.tracer.recent(usize::MAX);
+        let records = self.provenance.recent(usize::MAX);
+        recorder::walk_chains(&events, &records, "the trace ring", |rec| {
+            if self.commits.roots_covering(rec.lsn_first, rec.lsn_last).is_empty() {
+                return Err(format!(
+                    "record for {}: consumed lsns {}..={} but no update.commit trace root \
+                     covers that range",
+                    rec.url, rec.lsn_first, rec.lsn_last
+                ));
+            }
+            Ok(())
+        })
     }
 
     /// Assemble a full (non-stable) bundle and capture it into the
@@ -266,7 +296,7 @@ mod tests {
     fn combined_snapshot_has_all_sections() {
         let obs = Obs::new();
         obs.metrics.counter("cache.page.hits").add(3);
-        obs.staleness.stamp(1, 10);
+        obs.staleness.stamp(1, 1, 10);
         obs.staleness.on_sync_point(1, 50, 2);
         obs.tracer.event("core", "sync.point", 50, "lsn=1");
         obs.metrics.counter("cache.page.misses").add(1);

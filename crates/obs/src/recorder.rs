@@ -15,8 +15,9 @@
 //!
 //! [`verify_flight_record`] checks the bundle's *internal* coherence: every
 //! provenance record's causal chain must resolve against the bundle's own
-//! trace section (eject-phase span → `sync.point` root), the offline
-//! mirror of `CachePortal::verify_causal_chains`.
+//! trace section (eject-phase span → `sync.point` root). It walks the chains
+//! as [`crate::Obs::verify_causal_chains`] does over the live rings: both go
+//! through one walk.
 
 use crate::health::HealthSnapshot;
 use crate::provenance::ProvenanceDoc;
@@ -26,7 +27,8 @@ use crate::scorecard::ScorecardsDoc;
 use crate::slo::SloDoc;
 use crate::staleness::StalenessDoc;
 use crate::timeline::TimelineDoc;
-use crate::trace::TraceDoc;
+use crate::trace::{TraceDoc, TraceEvent};
+use crate::EjectRecord;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -247,25 +249,33 @@ pub fn verify_flight_record(doc: &FlightBundle) -> Result<u64, String> {
     if doc.trace.truncated {
         return Ok(0);
     }
-    // (trace_id, span_id) → (name, parent_span) over the embedded events.
-    let spans: HashMap<(u64, u64), (&str, u64)> = doc
-        .trace
-        .recent
+    let records = &doc.provenance.recent;
+    walk_chains(&doc.trace.recent, records, "bundle trace section", |_| Ok(()))
+}
+
+/// Walk each traced record's causal chain through `events`, named `source`
+/// in an error: the record's parent span must be a `sync.phase.eject` span
+/// whose parent links lead to a `sync.point` root, and `also` must accept
+/// the record. Returns the number of records walked; an untraced record (a
+/// recovery-gap eject, a disabled tracer) is skipped.
+pub(crate) fn walk_chains(
+    events: &[TraceEvent],
+    records: &[EjectRecord],
+    source: &str,
+    also: impl Fn(&EjectRecord) -> Result<(), String>,
+) -> Result<u64, String> {
+    // (trace_id, span_id) → (name, parent_span).
+    let spans: HashMap<(u64, u64), (&str, u64)> = events
         .iter()
         .filter(|e| e.trace_id != 0)
         .map(|e| ((e.trace_id, e.span_id), (&*e.name, e.parent_span)))
         .collect();
     let mut verified = 0u64;
-    for rec in &doc.provenance.recent {
+    for rec in records.iter().filter(|rec| rec.trace_id != 0) {
         let (tid, url) = (rec.trace_id, &rec.url);
-        if tid == 0 {
-            continue; // untraced eject (recovery gap, tracing disabled)
-        }
         let mut span = rec.parent_span;
         let Some(&(first_name, mut parent)) = spans.get(&(tid, span)) else {
-            return Err(format!(
-                "record for {url}: span {span} of trace {tid} not in bundle trace section"
-            ));
+            return Err(format!("record for {url}: span {span} of trace {tid} not in {source}"));
         };
         if first_name != "sync.phase.eject" {
             return Err(format!(
@@ -293,6 +303,7 @@ pub fn verify_flight_record(doc: &FlightBundle) -> Result<u64, String> {
                 "record for {url}: chain roots at {root_name:?}, expected sync.point"
             ));
         }
+        also(rec)?;
         verified += 1;
     }
     Ok(verified)

@@ -6,9 +6,10 @@
 //! is exactly the interval during which the cache may serve stale content —
 //! the paper's freshness argument is about keeping this window short.
 //!
-//! The probe stamps each committed mutation's LSN with the logical clock at
-//! commit time. When a sync point consumes the update log up to some LSN and
-//! ejects pages, the probe records one observation per ejected page: the age
+//! The probe stamps each commit's LSN range with the logical clock at commit
+//! time, one entry per commit however many records it appended. When a sync
+//! point consumes the update log up to some LSN and ejects pages, the probe
+//! records one observation per ejected page: the age
 //! (`now - commit_ts`) of the **oldest** mutation in the consumed batch,
 //! i.e. the worst-case time that page could have been stale.
 
@@ -30,11 +31,13 @@ pub struct StalenessDoc {
     pub commit_to_eject_micros: HistogramSnapshot,
 }
 
-/// Tracks commit timestamps per LSN and the commit→eject latency histogram.
+/// Tracks commit timestamps per commit and the commit→eject latency
+/// histogram.
 #[derive(Default)]
 pub struct StalenessProbe {
-    /// Commit timestamp (logical micros) for each not-yet-consumed LSN.
-    pending: Mutex<BTreeMap<Lsn, u64>>,
+    /// Each not-yet-consumed commit: its first LSN → (its last LSN, its
+    /// commit timestamp in logical micros).
+    pending: Mutex<BTreeMap<Lsn, (Lsn, u64)>>,
     /// Commit→eject latency per ejected page, logical micros.
     window: Histogram,
 }
@@ -45,9 +48,10 @@ impl StalenessProbe {
         Self::default()
     }
 
-    /// Record that the mutation with `lsn` committed at logical time `ts`.
-    pub fn stamp(&self, lsn: Lsn, ts: u64) {
-        self.pending.lock().insert(lsn, ts);
+    /// Record that the mutations `first..=last` committed at logical time
+    /// `ts`.
+    pub fn stamp(&self, first: Lsn, last: Lsn, ts: u64) {
+        self.pending.lock().insert(first, (last, ts));
     }
 
     /// A sync point consumed the log through `consumed_lsn` (inclusive) at
@@ -57,12 +61,12 @@ impl StalenessProbe {
     /// mutation was consumed.
     pub fn on_sync_point(&self, consumed_lsn: Lsn, now: u64, ejected_pages: usize) -> Option<u64> {
         let mut pending = self.pending.lock();
-        let mut oldest: Option<u64> = None;
-        // BTreeMap keys are sorted; split off the consumed prefix.
+        // BTreeMap keys are sorted; split off the commits that begin in the
+        // consumed prefix. A commit is consumed whole: a sync point reads
+        // the update log to its end under the database's write lock, which
+        // a commit appends under.
         let still_pending = pending.split_off(&(consumed_lsn + 1));
-        for ts in pending.values() {
-            oldest = Some(oldest.map_or(*ts, |o: u64| o.min(*ts)));
-        }
+        let oldest = pending.values().map(|&(_, ts)| ts).min();
         *pending = still_pending;
         drop(pending);
 
@@ -81,7 +85,11 @@ impl StalenessProbe {
 
     /// Number of committed mutations not yet consumed by a sync point.
     pub fn pending_len(&self) -> usize {
-        self.pending.lock().len()
+        let pending = self.pending.lock();
+        pending
+            .iter()
+            .map(|(first, (last, _))| (last - first + 1) as usize)
+            .sum()
     }
 
     /// Snapshot of the commit→eject latency distribution.
@@ -105,9 +113,9 @@ mod tests {
     #[test]
     fn window_uses_oldest_consumed_commit() {
         let p = StalenessProbe::new();
-        p.stamp(1, 100);
-        p.stamp(2, 250);
-        p.stamp(3, 400); // not consumed below
+        p.stamp(1, 1, 100);
+        p.stamp(2, 2, 250);
+        p.stamp(3, 3, 400); // not consumed below
         let w = p.on_sync_point(2, 1_000, 3);
         assert_eq!(w, Some(900)); // 1000 - 100 (oldest consumed)
         assert_eq!(p.pending_len(), 1); // lsn 3 survives
@@ -119,10 +127,22 @@ mod tests {
     #[test]
     fn sync_with_no_ejections_still_closes_window() {
         let p = StalenessProbe::new();
-        p.stamp(7, 50);
+        p.stamp(7, 7, 50);
         let w = p.on_sync_point(7, 80, 0);
         assert_eq!(w, Some(30));
         assert_eq!(p.window_snapshot().count, 1);
+        assert_eq!(p.pending_len(), 0);
+    }
+
+    #[test]
+    fn a_commit_is_one_entry_counted_by_its_records() {
+        let p = StalenessProbe::new();
+        p.stamp(4, 6, 10); // one commit, three records
+        p.stamp(7, 7, 20);
+        assert_eq!(p.pending_len(), 4);
+        assert_eq!(p.on_sync_point(6, 100, 1), Some(90));
+        assert_eq!(p.pending_len(), 1);
+        assert_eq!(p.on_sync_point(7, 200, 1), Some(180));
         assert_eq!(p.pending_len(), 0);
     }
 

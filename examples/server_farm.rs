@@ -99,7 +99,7 @@ fn main() {
         cause.verdict,
         cause.detail
     );
-    assert_eq!(farm.verify_causal_chains(), Ok(1));
+    assert_eq!(farm.obs().verify_causal_chains(), Ok(1));
 
     let stats = farm.page_cache().stats();
     println!(
