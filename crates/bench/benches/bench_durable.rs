@@ -2,7 +2,8 @@
 //! what the site's first sync point — every row and origin in one WAL batch —
 //! costs, in time and (counted once per size, with the counting allocator of
 //! `crates/core/tests/common`) in transient heap. Real files under the
-//! system temp directory, fsyncs included.
+//! system temp directory, fsyncs included. Beside them, the checksum every
+//! frame and snapshot pays, over 1 MiB.
 
 #[path = "../../core/tests/common/mod.rs"]
 mod common;
@@ -55,6 +56,12 @@ fn journal_dir(tag: &str) -> PathBuf {
 fn durable_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("durable");
     group.sample_size(20);
+    let mebibyte: Vec<u8> = (0..1u32 << 20)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    group.bench_function("crc32/1MiB", |b| {
+        b.iter(|| cacheportal_durable::crc32(black_box(&mebibyte)))
+    });
     for pages in [1_000usize, 4_300, 16_000] {
         group.bench_with_input(
             BenchmarkId::new("checkpoint", pages),

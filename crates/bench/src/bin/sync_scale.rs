@@ -224,7 +224,10 @@ fn append_record<T: Serialize>(smoke: bool, artifact: &T) {
         "BENCH_sync_scale.json"
     };
     let runs = cacheportal_bench::append_history(path, artifact).expect("write artifact");
-    println!("artifact: {path} ({runs} runs in history)");
+    // How many runs the file holds depends on the checkout, not on this
+    // run: it goes to stderr, so stdout compares across checkouts.
+    println!("artifact: {path}");
+    eprintln!("{path}: {runs} runs in history");
 }
 
 /// Replay the whole workload at one worker count against a fresh seed

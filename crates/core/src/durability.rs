@@ -30,7 +30,8 @@
 //!
 //! The write side never holds a second copy of what it journals: it reads
 //! map rows in place under the map's lock — a row's text, which the map does
-//! not keep, is rendered from its typed form straight into the record — and
+//! not keep, is its query type's text, rendered once per journal and kept
+//! by type (at most 64), with the row's values escaped in between — and
 //! origins through references, encodes one record at a time into one reused
 //! `String`, and hands each to
 //! the WAL's batch or the snapshot's stream. [`DurableRecord`],
@@ -39,7 +40,7 @@
 //! would, and `tests/durable_write_path.rs` holds it to that byte for byte.
 
 use cacheportal_durable::SnapshotWriter;
-use cacheportal_sniffer::{QiUrlEntry, QiUrlMap};
+use cacheportal_sniffer::{QiUrlEntry, QiUrlMap, TemplateTexts};
 use cacheportal_web::{HttpRequest, PageKey};
 use serde::Serialize as _;
 use std::collections::HashMap;
@@ -212,6 +213,8 @@ pub struct Durability {
     next_snapshot_seq: u64,
     /// The record being encoded; every record of every pass reuses it.
     record: String,
+    /// The text of the query types whose rows this journal has written.
+    templates: TemplateTexts,
 }
 
 impl Durability {
@@ -232,6 +235,7 @@ impl Durability {
             map_cursor: 0,
             next_snapshot_seq,
             record: String::new(),
+            templates: TemplateTexts::default(),
         })
     }
 
@@ -318,9 +322,9 @@ impl Durability {
     ) -> PersistOutcome {
         let started = Instant::now();
         let mut out = PersistOutcome::default();
-        let Durability { wal, record, .. } = self;
+        let Durability { wal, record, templates, .. } = self;
         // One `DurableRecord`, spelled `{"<variant>":<payload>}`.
-        let mut append = |variant: &str, payload: &dyn Fn(&mut String)| {
+        let mut append = |variant: &str, payload: &mut dyn FnMut(&mut String)| {
             record.clear();
             record.push_str("{\"");
             record.push_str(variant);
@@ -333,12 +337,12 @@ impl Durability {
             }
         };
         self.map_cursor = map.visit_since(self.map_cursor, |row| {
-            append("MapEntry", &|out| row.write_json(out));
+            append("MapEntry", &mut |out| row.write_json(out, templates));
         });
         for (page, origin) in new_origins {
-            append("Origin", &|out| write_origin(out, page, origin));
+            append("Origin", &mut |out| write_origin(out, page, origin));
         }
-        append("Cursor", &|out| cursor.write_json(out));
+        append("Cursor", &mut |out| cursor.write_json(out));
         if self.wal.sync().is_err() {
             out.errors += 1;
         }
@@ -372,7 +376,7 @@ impl Durability {
         cursor: &CursorRecord,
     ) -> io::Result<u64> {
         let mut snapshot = SnapshotWriter::create(&self.dir, self.next_snapshot_seq)?;
-        let record = &mut self.record;
+        let Durability { record, templates, .. } = self;
         // The map's visit cannot stop early: once a write fails, the rows
         // left are passed over.
         let mut written = snapshot.write(b"{\"map\":[");
@@ -382,7 +386,7 @@ impl Durability {
                 record.clear();
                 record.push_str(separator);
                 separator = ",";
-                row.write_json(record);
+                row.write_json(record, templates);
                 written = snapshot.write(record.as_bytes());
             }
         });
@@ -473,6 +477,58 @@ mod tests {
         assert_eq!(state.cursor.edge_marks, vec![("edge-0".to_string(), 4, 99)]);
         assert_eq!(state.torn_bytes, 0);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rows_of_hostile_types_recover_as_written_from_the_wal_and_the_snapshot() {
+        use cacheportal_db::sql::parser::parse_select;
+        use cacheportal_db::Value;
+        use cacheportal_sniffer::TypedInstance;
+        use std::sync::Arc;
+        // Literals that hold a marker's spelling, quotes, a backslash, a
+        // newline and a tab; values negative, fractional, NULL and text.
+        let types = [
+            "SELECT 'x$1''\"\\\n\t' AS s, a FROM t WHERE a = $1 AND b = $2",
+            "SELECT * FROM u WHERE c = '$1' AND d < $1 ORDER BY d DESC LIMIT 3",
+        ]
+        .map(|sql| Arc::new(parse_select(sql).unwrap()));
+        let values = [
+            Value::Int(7),
+            Value::Float(2.5),
+            Value::Null,
+            Value::Str("o'\"\\\n\t$1é".into()),
+        ];
+        let map = QiUrlMap::new();
+        let servlet: Arc<str> = "s".into();
+        for (i, v) in values.iter().enumerate() {
+            let page = PageKey::raw(format!("p{i}"));
+            for (template, params) in [
+                (&types[0], [v.clone(), Value::Int(-(i as i64))].into()),
+                (&types[1], [v.clone()].into()),
+            ] {
+                let typed = TypedInstance { template: template.clone(), params };
+                assert!(map.writer().insert_typed(&typed, &page, &servlet));
+            }
+        }
+        let cursor = CursorRecord { consumed: 1, ..CursorRecord::default() };
+        let none: &[(PageKey, HttpRequest)] = &[];
+        let origins: HashMap<PageKey, HttpRequest> = HashMap::new();
+        let written = map.all();
+        for checkpoint_interval in [u64::MAX, 1] {
+            let dir = temp_dir();
+            let mut d = Durability::open(&dir, checkpoint_interval).unwrap();
+            let out = d.persist_sync(&map, none, &origins, cursor.clone());
+            assert_eq!((out.errors, out.checkpointed), (0, checkpoint_interval == 1));
+            drop(d);
+            let state = Durability::load(&dir).unwrap();
+            assert_eq!(state.snapshot_seq.is_some(), checkpoint_interval == 1);
+            assert_eq!(state.map_entries, written);
+            // The text types again, as the rows it was written from.
+            let recovered = QiUrlMap::new();
+            assert!(recovered.load(&state.map_entries).is_empty());
+            assert_eq!(recovered.all(), written);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

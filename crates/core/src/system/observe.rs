@@ -38,7 +38,7 @@ pub(super) struct TelemetryHub {
 
 impl AdminSource for TelemetryHub {
     /// Mirror component-owned cumulative statistics (database, connection
-    /// pool, QI/URL map) into the registry.
+    /// pool, QI/URL map, bus) into the registry.
     fn refresh(&self) {
         let m = &self.obs.metrics;
         let (s, log_pending) = {
@@ -65,6 +65,20 @@ impl AdminSource for TelemetryHub {
         m.counter("web.pool.overflow").set_total(pools().map(|p| p.overflow).sum());
 
         m.gauge("sniffer.map.entries").set(self.map.len() as i64);
+
+        let s = self.bus.stats();
+        m.counter("bus.published").set_total(s.published);
+        m.counter("bus.rounds").set_total(s.rounds);
+        m.counter("bus.deliveries_ok").set_total(s.deliveries_ok);
+        m.counter("bus.delivery_failures").set_total(s.delivery_failures);
+        m.counter("bus.retries").set_total(s.retries);
+        m.counter("bus.catch_up_batches").set_total(s.catch_up_batches);
+        m.counter("bus.reboots").set_total(s.reboots);
+        m.counter("bus.duplicates_absorbed").set_total(s.duplicates_absorbed);
+        m.counter("bus.self_ejections").set_total(s.self_ejections);
+        m.counter("bus.flushed_pages").set_total(s.flushed_pages);
+        m.gauge("bus.edges").set(s.edges as i64);
+        m.gauge("bus.retained").set(s.retained as i64);
     }
 
     fn now_micros(&self) -> u64 {
@@ -271,7 +285,7 @@ impl CachePortal {
         // record's parent link resolves to it in the ring.
         let eject_ctx = span(eject);
         self.record_provenance(run, eject_ctx);
-        let Delivered { published, round, micros, stats, edges } = &run.delivered;
+        let Delivered { published, round, micros, edges, partitioned } = &run.delivered;
         let bus_ctx = tracer.child_span(
             root,
             "bus",
@@ -283,7 +297,7 @@ impl CachePortal {
                 round.deliveries_ok,
                 round.failed_attempts,
                 round.catch_up_batches,
-                stats.partitioned_edges,
+                partitioned,
             ),
             *micros,
         );
@@ -395,32 +409,34 @@ impl CachePortal {
     /// exposure) and commit→eject objectives, the poll tallies score the
     /// poll-error-rate, and the measured sync wall-clock scores the
     /// (non-deterministic) sync-latency objective. Newly fired alerts
-    /// update `/healthz`, the reason-code gauges, and trigger an automatic
-    /// black-box capture per alert.
+    /// update `/healthz` and trigger an automatic black-box capture per
+    /// alert. The reason-code gauges are written on every sync point, the
+    /// engine on or off.
     fn observe_slo(&self, run: &SyncRun, staleness_window: Option<u64>) {
         let slo = &self.obs.slo;
-        if !slo.enabled() {
-            return;
-        }
-        let polls = &run.invalidation.polls;
-        let now = self.clock.now_micros();
-        if let Some(window) = staleness_window {
-            let ejected = run.ejected.keys.len() as u64;
-            slo.observe_latency(SloKind::StalenessP99, now, window, ejected.max(1));
-            slo.observe_latency(SloKind::CommitEject, now, window, 1);
-        }
-        if polls.issued > 0 {
-            let bad = polls.faulted.min(polls.issued);
-            slo.observe_counts(SloKind::PollErrors, now, polls.issued - bad, bad);
-        }
-        slo.observe_latency(SloKind::SyncLatency, now, micros_since(run.started), 1);
-
-        let out = slo.evaluate(now);
         let m = &self.slo_metrics;
-        m.firing_fast.set(out.fast_firing as i64);
-        m.firing_slow.set(out.slow_firing as i64);
-        m.alerts_fired.add(out.newly_fired.len() as u64);
-        m.alerts_resolved.add(out.newly_resolved.len() as u64);
+        let now = self.clock.now_micros();
+        let out = slo.enabled().then(|| {
+            let polls = &run.invalidation.polls;
+            if let Some(window) = staleness_window {
+                let ejected = run.ejected.keys.len() as u64;
+                slo.observe_latency(SloKind::StalenessP99, now, window, ejected.max(1));
+                slo.observe_latency(SloKind::CommitEject, now, window, 1);
+            }
+            if polls.issued > 0 {
+                let bad = polls.faulted.min(polls.issued);
+                slo.observe_counts(SloKind::PollErrors, now, polls.issued - bad, bad);
+            }
+            slo.observe_latency(SloKind::SyncLatency, now, micros_since(run.started), 1);
+            let out = slo.evaluate(now);
+            m.firing_fast.set(out.fast_firing as i64);
+            m.firing_slow.set(out.slow_firing as i64);
+            m.alerts_fired.add(out.newly_fired.len() as u64);
+            m.alerts_resolved.add(out.newly_resolved.len() as u64);
+            out
+        });
+        // The reason gauges tell `/healthz`'s story whether or not the SLO
+        // engine runs: a breaker or a journal error is a reason without it.
         let snap = self.obs.health.snapshot(&self.obs.metrics);
         for (r, gauge) in &m.reasons {
             gauge.set(snap.reason_count(*r) as i64);
@@ -428,7 +444,7 @@ impl CachePortal {
         // The black box flies itself: each newly fired alert captures a
         // bundle while the evidence (trace ring, provenance tail, timeline)
         // still covers the breach window.
-        for alert in &out.newly_fired {
+        for alert in out.iter().flat_map(|out| &out.newly_fired) {
             m.flight_auto.inc();
             self.hub.refresh();
             let reason = format!("slo-breach:{}:{}", alert.objective, alert.pair);
@@ -559,26 +575,14 @@ impl CachePortal {
         self.obs.scorecards.note_sync(&outcomes);
     }
 
-    /// Mirror the bus's cumulative delivery counters and gauges into the
-    /// registry (`bus.partitioned_edges` is what `/healthz` reads), and score
-    /// this round against the bus-delivery SLO objective.
+    /// Publish the round's partitioned edges (`bus.partitioned_edges`, what
+    /// `/healthz` reads; the bus's other counters are mirrored where they
+    /// are read) and score the round against the bus-delivery SLO
+    /// objective.
     fn observe_delivery(&self, delivered: &Delivered, now: u64) {
-        let m = &self.obs.metrics;
-        let (s, round) = (&delivered.stats, &delivered.round);
-        m.counter("bus.published").set_total(s.published);
-        m.counter("bus.rounds").set_total(s.rounds);
-        m.counter("bus.deliveries_ok").set_total(s.deliveries_ok);
-        m.counter("bus.delivery_failures").set_total(s.delivery_failures);
-        m.counter("bus.retries").set_total(s.retries);
-        m.counter("bus.catch_up_batches").set_total(s.catch_up_batches);
-        m.counter("bus.reboots").set_total(s.reboots);
-        m.counter("bus.duplicates_absorbed").set_total(s.duplicates_absorbed);
-        m.counter("bus.self_ejections").set_total(s.self_ejections);
-        m.counter("bus.flushed_pages").set_total(s.flushed_pages);
-        m.gauge("bus.edges").set(s.edges as i64);
-        m.gauge("bus.partitioned_edges").set(s.partitioned_edges as i64);
-        m.gauge("bus.retained").set(s.retained as i64);
-        if s.edges > 0 && self.obs.slo.enabled() {
+        let round = &delivered.round;
+        self.obs.metrics.gauge("bus.partitioned_edges").set(delivered.partitioned as i64);
+        if !delivered.edges.is_empty() && self.obs.slo.enabled() {
             self.obs.slo.observe_counts(
                 SloKind::BusDelivery,
                 now,

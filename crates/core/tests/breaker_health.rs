@@ -37,10 +37,10 @@ fn gauge(p: &CachePortal, name: &str) -> i64 {
     p.metrics_snapshot().metrics.gauges.get(name).copied().unwrap_or(0)
 }
 
-#[test]
-fn poll_flap_opens_breaker_surfaces_health_and_closes_again() {
-    // Epochs (= sync ordinals) 0..6 fault every poll, 7..13 are clean,
-    // then the window would wrap — the test stays within one period.
+/// A portal over a DBMS whose polls flap: epochs (= sync ordinals) 0..6
+/// fault every poll, 7..13 are clean, then the window would wrap — the
+/// tests stay within one period.
+fn flapping_portal() -> (CachePortal, HttpRequest) {
     let spec = FaultSpec {
         seed: 7,
         poll_flap_period: 14,
@@ -61,25 +61,36 @@ fn poll_flap_opens_breaker_surfaces_health_and_closes_again() {
         )],
     )));
     let req = HttpRequest::get("shop.example.com", "/carSearch", &[("maxprice", "30000")]);
+    (portal, req)
+}
+
+/// Drive `syncs` record-consuming sync points, each after a request for
+/// the page and an update under its maxprice: the Car-side predicate passes
+/// locally, but deciding the join needs a residual poll on Mileage — the
+/// site the flap faults.
+fn drive(portal: &CachePortal, req: &HttpRequest, price: &mut i64, syncs: usize) {
+    for _ in 0..syncs {
+        portal.request(req);
+        portal
+            .update(&format!("INSERT INTO Car VALUES ('Kia','Rio',{price})"))
+            .unwrap();
+        *price += 1;
+        portal.sync_point().unwrap();
+    }
+}
+
+#[test]
+fn poll_flap_opens_breaker_surfaces_health_and_closes_again() {
+    let (portal, req) = flapping_portal();
 
     // Healthy at rest.
     assert_eq!(health(&portal).to_response().status, 200);
 
-    // Drive record-consuming sync points through the faulty burst: each
-    // one polls (join residue), every attempt faults, and the cumulative
-    // faults trip the breaker. No sync point may stall or error out.
-    // Prices under the page's maxprice: the Car-side predicate passes
-    // locally, but deciding the join needs a residual poll on Mileage —
-    // the site the flap faults.
+    // Drive sync points through the faulty burst: each one polls (join
+    // residue), every attempt faults, and the cumulative faults trip the
+    // breaker. No sync point may stall or error out.
     let mut price = 20000;
-    for _ in 0..7 {
-        portal.request(&req);
-        portal
-            .update(&format!("INSERT INTO Car VALUES ('Kia','Rio',{price})"))
-            .unwrap();
-        price += 1;
-        portal.sync_point().unwrap();
-    }
+    drive(&portal, &req, &mut price, 7);
     assert!(counter(&portal, "invalidator.polls.faulted") > 0, "burst never faulted a poll");
     assert!(counter(&portal, "invalidator.breaker.opened") >= 1, "breaker never opened");
     assert!(gauge(&portal, "invalidator.breaker.open_types") >= 1, "no type shows open");
@@ -95,14 +106,7 @@ fn poll_flap_opens_breaker_surfaces_health_and_closes_again() {
 
     // The burst is over: clean sync points age the cooldown, half-open
     // re-probes, and a clean probe closes the breaker.
-    for _ in 0..6 {
-        portal.request(&req);
-        portal
-            .update(&format!("INSERT INTO Car VALUES ('Kia','Rio',{price})"))
-            .unwrap();
-        price += 1;
-        portal.sync_point().unwrap();
-    }
+    drive(&portal, &req, &mut price, 6);
     assert!(counter(&portal, "invalidator.breaker.half_opened") >= 1, "breaker never probed");
     assert!(counter(&portal, "invalidator.breaker.closed") >= 1, "breaker never closed");
     assert_eq!(gauge(&portal, "invalidator.breaker.open_types"), 0);
@@ -114,4 +118,24 @@ fn poll_flap_opens_breaker_surfaces_health_and_closes_again() {
     assert_eq!(resp.status, 200, "closed breaker must restore health: {}", resp.body);
     assert_eq!(resp.body, "ok\n");
     assert!(portal.stale_pages().is_empty());
+}
+
+#[test]
+fn reason_gauges_follow_healthz_with_the_slo_engine_off() {
+    let (portal, req) = flapping_portal();
+    portal.obs().slo.set_enabled(false);
+    let reason = "health.reason.breaker-open";
+    let mut price = 20000;
+    drive(&portal, &req, &mut price, 7);
+    let resp = health(&portal).to_response();
+    assert_eq!(resp.status, 503, "open breaker must unhealth the portal: {}", resp.body);
+    assert!(gauge(&portal, reason) >= 1, "{reason} reads 0 while /healthz says: {}", resp.body);
+    assert_eq!(
+        gauge(&portal, reason),
+        gauge(&portal, "invalidator.breaker.open_types"),
+        "the gauge counts what /healthz counts"
+    );
+    drive(&portal, &req, &mut price, 6);
+    assert_eq!(health(&portal).to_response().status, 200);
+    assert_eq!(gauge(&portal, reason), 0);
 }

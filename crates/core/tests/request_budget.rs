@@ -29,9 +29,9 @@ const PAGES: usize = storefront::SKUS + 3 * storefront::CATEGORIES;
 /// Allocations of a cache hit: its page key's text.
 const HIT: usize = 1;
 /// Allocations of a miss, in `storefront::SERVLETS` order.
-const MISS: [usize; 4] = [20, 97, 37, 19];
+const MISS: [usize; 4] = [19, 96, 36, 18];
 /// Allocations of the first sync point over the whole site.
-const FIRST_SYNC: usize = 5009;
+const FIRST_SYNC: usize = 4983;
 
 fn portal() -> CachePortal {
     let portal = CachePortal::builder(storefront::database(1))

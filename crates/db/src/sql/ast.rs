@@ -624,89 +624,213 @@ pub struct CreateTable {
 /// without building it. An empty slice renders `T` as it stands.
 pub struct Bound<'a, T>(pub &'a T, pub &'a [Value]);
 
+/// What [`write_select`] renders into: SQL text, and in place of each `$n`
+/// marker that binding fills in, a call to [`ParamSink::param`].
+pub trait ParamSink: fmt::Write {
+    /// The marker `$n` (1-based), where `Bound` writes `params[n - 1]`.
+    fn param(&mut self, n: usize) -> fmt::Result;
+}
+
+/// `select` as [`Bound`] renders it, each marker that binding fills in —
+/// those of the projection, WHERE and ORDER BY — handed to `out` rather
+/// than written. A caller that renders many instances of one type splits
+/// its text at these markers once; a `$1` inside a string literal is text.
+pub fn write_select(select: &Select, out: &mut impl ParamSink) -> fmt::Result {
+    out.write_str("SELECT ")?;
+    if select.distinct {
+        out.write_str("DISTINCT ")?;
+    }
+    for (i, item) in select.items.iter().enumerate() {
+        if i > 0 {
+            out.write_str(", ")?;
+        }
+        match item {
+            SelectItem::Star => out.write_str("*")?,
+            SelectItem::QualifiedStar(t) => write!(out, "{t}.*")?,
+            SelectItem::Expr { expr, alias } => {
+                write_expr(expr, out)?;
+                if let Some(a) = alias {
+                    write!(out, " AS {a}")?;
+                }
+            }
+        }
+    }
+    out.write_str(" FROM ")?;
+    for (i, t) in select.from.iter().enumerate() {
+        if i > 0 {
+            out.write_str(", ")?;
+        }
+        out.write_str(&t.table)?;
+        if let Some(a) = &t.alias {
+            write!(out, " {a}")?;
+        }
+    }
+    if let Some(w) = &select.where_clause {
+        out.write_str(" WHERE ")?;
+        write_expr(w, out)?;
+    }
+    if !select.group_by.is_empty() {
+        out.write_str(" GROUP BY ")?;
+        for (i, c) in select.group_by.iter().enumerate() {
+            if i > 0 {
+                out.write_str(", ")?;
+            }
+            write!(out, "{c}")?;
+        }
+    }
+    // Like `substitute_params`, binding leaves a marker in HAVING a marker.
+    if let Some(h) = &select.having {
+        write!(out, " HAVING {h}")?;
+    }
+    if !select.order_by.is_empty() {
+        out.write_str(" ORDER BY ")?;
+        for (i, k) in select.order_by.iter().enumerate() {
+            if i > 0 {
+                out.write_str(", ")?;
+            }
+            write_expr(&k.expr, out)?;
+            if !k.ascending {
+                out.write_str(" DESC")?;
+            }
+        }
+    }
+    if let Some(n) = select.limit {
+        write!(out, " LIMIT {n}")?;
+    }
+    Ok(())
+}
+
+fn write_expr(expr: &Expr, out: &mut impl ParamSink) -> fmt::Result {
+    let not = |negated: bool| if negated { "NOT " } else { "" };
+    match expr {
+        Expr::Column(c) => write!(out, "{c}"),
+        Expr::Literal(v) => v.write_sql_literal(out),
+        Expr::Param(i) => out.param(*i),
+        Expr::Cmp { left, op, right } => {
+            write_expr(left, out)?;
+            write!(out, " {} ", op.sql())?;
+            write_expr(right, out)
+        }
+        Expr::Arith { left, op, right } => {
+            out.write_str("(")?;
+            write_expr(left, out)?;
+            write!(out, " {} ", op.sql())?;
+            write_expr(right, out)?;
+            out.write_str(")")
+        }
+        Expr::And(l, r) => {
+            write_expr(l, out)?;
+            out.write_str(" AND ")?;
+            write_expr(r, out)
+        }
+        Expr::Or(l, r) => {
+            out.write_str("(")?;
+            write_expr(l, out)?;
+            out.write_str(" OR ")?;
+            write_expr(r, out)?;
+            out.write_str(")")
+        }
+        Expr::Not(e) => {
+            out.write_str("NOT (")?;
+            write_expr(e, out)?;
+            out.write_str(")")
+        }
+        Expr::IsNull { expr, negated } => {
+            write_expr(expr, out)?;
+            write!(out, " IS {}NULL", not(*negated))
+        }
+        Expr::Between {
+            expr,
+            low,
+            high,
+            negated,
+        } => {
+            write_expr(expr, out)?;
+            write!(out, " {}BETWEEN ", not(*negated))?;
+            write_expr(low, out)?;
+            out.write_str(" AND ")?;
+            write_expr(high, out)
+        }
+        Expr::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            write_expr(expr, out)?;
+            write!(out, " {}IN (", not(*negated))?;
+            for (i, e) in list.iter().enumerate() {
+                if i > 0 {
+                    out.write_str(", ")?;
+                }
+                write_expr(e, out)?;
+            }
+            out.write_str(")")
+        }
+        Expr::Like {
+            expr,
+            pattern,
+            negated,
+        } => {
+            write_expr(expr, out)?;
+            write!(out, " {}LIKE ", not(*negated))?;
+            write_expr(pattern, out)
+        }
+        Expr::Agg {
+            func,
+            arg,
+            distinct,
+        } => match arg {
+            Some(a) => {
+                write!(out, "{}({}", func.sql(), if *distinct { "DISTINCT " } else { "" })?;
+                write_expr(a, out)?;
+                out.write_str(")")
+            }
+            None => write!(out, "{}(*)", func.sql()),
+        },
+        Expr::Func { func, args } => {
+            write!(out, "{}(", func.sql())?;
+            for (i, a) in args.iter().enumerate() {
+                if i > 0 {
+                    out.write_str(", ")?;
+                }
+                write_expr(a, out)?;
+            }
+            out.write_str(")")
+        }
+    }
+}
+
+/// [`Bound`]'s sink: the formatter, with each marker `params` covers
+/// written as its literal and any other left a marker.
+struct Binder<'a, 'f> {
+    f: &'a mut fmt::Formatter<'f>,
+    params: &'a [Value],
+}
+
+impl fmt::Write for Binder<'_, '_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.f.write_str(s)
+    }
+}
+
+impl ParamSink for Binder<'_, '_> {
+    fn param(&mut self, n: usize) -> fmt::Result {
+        match n.checked_sub(1).and_then(|at| self.params.get(at)) {
+            Some(v) => v.write_sql_literal(self.f),
+            None => write!(self.f, "${n}"),
+        }
+    }
+}
+
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         Bound(self, &[]).fmt(f)
     }
 }
 
-impl<'a> fmt::Display for Bound<'a, Expr> {
+impl fmt::Display for Bound<'_, Expr> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let Bound(expr, params) = *self;
-        let b = |e: &'a Expr| Bound(e, params);
-        let not = |negated: bool| if negated { "NOT " } else { "" };
-        match expr {
-            Expr::Column(c) => write!(f, "{c}"),
-            Expr::Literal(v) => v.write_sql_literal(f),
-            Expr::Param(i) => match i.checked_sub(1).and_then(|at| params.get(at)) {
-                Some(v) => v.write_sql_literal(f),
-                None => write!(f, "${i}"),
-            },
-            Expr::Cmp { left, op, right } => write!(f, "{} {} {}", b(left), op.sql(), b(right)),
-            Expr::Arith { left, op, right } => {
-                write!(f, "({} {} {})", b(left), op.sql(), b(right))
-            }
-            Expr::And(l, r) => write!(f, "{} AND {}", b(l), b(r)),
-            Expr::Or(l, r) => write!(f, "({} OR {})", b(l), b(r)),
-            Expr::Not(e) => write!(f, "NOT ({})", b(e)),
-            Expr::IsNull { expr, negated } => write!(f, "{} IS {}NULL", b(expr), not(*negated)),
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => write!(
-                f,
-                "{} {}BETWEEN {} AND {}",
-                b(expr),
-                not(*negated),
-                b(low),
-                b(high)
-            ),
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                write!(f, "{} {}IN (", b(expr), not(*negated))?;
-                for (i, e) in list.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    write!(f, "{}", b(e))?;
-                }
-                f.write_str(")")
-            }
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => write!(f, "{} {}LIKE {}", b(expr), not(*negated), b(pattern)),
-            Expr::Agg {
-                func,
-                arg,
-                distinct,
-            } => match arg {
-                Some(a) => write!(
-                    f,
-                    "{}({}{})",
-                    func.sql(),
-                    if *distinct { "DISTINCT " } else { "" },
-                    b(a)
-                ),
-                None => write!(f, "{}(*)", func.sql()),
-            },
-            Expr::Func { func, args } => {
-                write!(f, "{}(", func.sql())?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    write!(f, "{}", b(a))?;
-                }
-                f.write_str(")")
-            }
-        }
+        write_expr(self.0, &mut Binder { f, params: self.1 })
     }
 }
 
@@ -720,69 +844,7 @@ impl fmt::Display for Select {
 /// marker in HAVING stays a marker.
 impl fmt::Display for Bound<'_, Select> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let Bound(select, params) = *self;
-        f.write_str("SELECT ")?;
-        if select.distinct {
-            f.write_str("DISTINCT ")?;
-        }
-        for (i, item) in select.items.iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            match item {
-                SelectItem::Star => f.write_str("*")?,
-                SelectItem::QualifiedStar(t) => write!(f, "{t}.*")?,
-                SelectItem::Expr { expr, alias } => {
-                    write!(f, "{}", Bound(expr, params))?;
-                    if let Some(a) = alias {
-                        write!(f, " AS {a}")?;
-                    }
-                }
-            }
-        }
-        f.write_str(" FROM ")?;
-        for (i, t) in select.from.iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            f.write_str(&t.table)?;
-            if let Some(a) = &t.alias {
-                write!(f, " {a}")?;
-            }
-        }
-        if let Some(w) = &select.where_clause {
-            write!(f, " WHERE {}", Bound(w, params))?;
-        }
-        if !select.group_by.is_empty() {
-            f.write_str(" GROUP BY ")?;
-            for (i, c) in select.group_by.iter().enumerate() {
-                if i > 0 {
-                    f.write_str(", ")?;
-                }
-                write!(f, "{c}")?;
-            }
-        }
-        if let Some(h) = &select.having {
-            write!(f, " HAVING {h}")?;
-        }
-        if !select.order_by.is_empty() {
-            f.write_str(" ORDER BY ")?;
-            for (i, k) in select.order_by.iter().enumerate() {
-                if i > 0 {
-                    f.write_str(", ")?;
-                }
-                write!(
-                    f,
-                    "{}{}",
-                    Bound(&k.expr, params),
-                    if k.ascending { "" } else { " DESC" }
-                )?;
-            }
-        }
-        if let Some(n) = select.limit {
-            write!(f, " LIMIT {n}")?;
-        }
-        Ok(())
+        write_select(self.0, &mut Binder { f, params: self.1 })
     }
 }
 

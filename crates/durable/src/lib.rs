@@ -58,10 +58,13 @@ const SNAP_BUFFER_LEN: usize = 64 * 1024;
 /// capacity it keeps from one sync to the next.
 const BATCH_KEEP_LEN: usize = 64 * 1024;
 
-const CRC_TABLE: [u32; 256] = crc_table();
+/// Slicing-by-16 tables: `CRC_TABLES[0]` is the bytewise table, and
+/// `CRC_TABLES[k][b]` is the CRC register after byte `b` is followed by `k`
+/// zero bytes, so sixteen lookups fold sixteen bytes at once.
+const CRC_TABLES: [[u32; 256]; 16] = crc_tables();
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -70,10 +73,20 @@ const fn crc_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 16 {
+            let c = tables[k - 1][i];
+            tables[k][i] = (c >> 8) ^ tables[0][(c & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
 /// CRC-32 (IEEE 802.3 polynomial) of a byte stream fed in pieces: the
@@ -90,9 +103,32 @@ impl Default for Crc32 {
 impl Crc32 {
     /// Fold the next piece of the stream in.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
         let mut c = self.0;
-        for &b in bytes {
-            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let mut blocks = bytes.chunks_exact(16);
+        for b in &mut blocks {
+            // The register folds into the block's first four bytes; byte
+            // `j` of the block then has `15 - j` bytes after it.
+            let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            c = t[15][(x & 0xFF) as usize]
+                ^ t[14][((x >> 8) & 0xFF) as usize]
+                ^ t[13][((x >> 16) & 0xFF) as usize]
+                ^ t[12][(x >> 24) as usize]
+                ^ t[11][b[4] as usize]
+                ^ t[10][b[5] as usize]
+                ^ t[9][b[6] as usize]
+                ^ t[8][b[7] as usize]
+                ^ t[7][b[8] as usize]
+                ^ t[6][b[9] as usize]
+                ^ t[5][b[10] as usize]
+                ^ t[4][b[11] as usize]
+                ^ t[3][b[12] as usize]
+                ^ t[2][b[13] as usize]
+                ^ t[1][b[14] as usize]
+                ^ t[0][b[15] as usize];
+        }
+        for &b in blocks.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         self.0 = c;
     }
@@ -573,6 +609,37 @@ mod tests {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The CRC-32 bit by bit, from the polynomial alone: no table.
+    fn bitwise_crc32(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            }
+        }
+        !c
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bitwise_one_at_every_alignment_and_split() {
+        assert_eq!(bitwise_crc32(b"123456789"), 0xCBF4_3926);
+        let buffer: Vec<u8> = (0..216u32).map(|i| (i.wrapping_mul(167) ^ (i >> 3)) as u8).collect();
+        for start in 0..16 {
+            for len in 0..=200 {
+                let bytes = &buffer[start..start + len];
+                let want = bitwise_crc32(bytes);
+                assert_eq!(crc32(bytes), want, "start {start}, length {len}");
+                for split in 0..=len {
+                    let mut crc = Crc32::default();
+                    crc.update(&bytes[..split]);
+                    crc.update(&bytes[split..]);
+                    assert_eq!(crc.finish(), want, "start {start}, length {len}, split {split}");
+                }
+            }
+        }
     }
 
     #[test]

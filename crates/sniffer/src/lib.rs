@@ -17,7 +17,7 @@ pub mod mapper;
 pub mod query_log;
 pub mod request_log;
 
-pub use map::{MapWriter, QiUrlEntry, QiUrlMap, Row, TypedInstance};
+pub use map::{MapWriter, QiUrlEntry, QiUrlMap, Row, TemplateTexts, TypedInstance};
 pub use mapper::{canonical_bound_sql, type_text, Mapper, MapperReport};
 pub use query_log::{LoggedConnection, QueryLog, QueryRecord};
 pub use request_log::RequestLog;

@@ -12,13 +12,14 @@
 //! allocation, shared with the registry. The instance's canonical text is
 //! what is shown and journaled ([`QiUrlEntry`]); it is written from the
 //! typed form where it is wanted ([`QiUrlMap::all`],
-//! [`QiUrlMap::entries_for_page`], [`Row::write_json`]) and kept nowhere. A
+//! [`QiUrlMap::entries_for_page`]) and kept nowhere; a journal writes it
+//! from its type's text, rendered once ([`Row::write_json`]). A
 //! row that arrives as text — a journal replayed ([`QiUrlMap::load`]), a test
 //! ([`QiUrlMap::insert`]) — is typed on arrival, as the mapper types a
 //! statement logged with its values written in ([`type_text`]).
 
 use crate::mapper::type_text;
-use cacheportal_db::sql::ast::{Bound, Select};
+use cacheportal_db::sql::ast::{write_select, Bound, ParamSink, Select};
 use cacheportal_db::Value;
 use cacheportal_web::{push_tight, InlineVec, PageKey};
 use parking_lot::{Mutex, MutexGuard};
@@ -104,25 +105,94 @@ impl Row {
     }
 
     /// Append the JSON of [`Row::entry`] — what `QiUrlEntry`'s derived
-    /// `Serialize` writes — to `out`, the instance's text streamed into it.
-    pub fn write_json(&self, out: &mut String) {
-        /// JSON string content, escaped as it is written.
-        struct Escaped<'a>(&'a mut String);
-        impl fmt::Write for Escaped<'_> {
-            fn write_str(&mut self, piece: &str) -> fmt::Result {
-                serde::json::write_escaped(self.0, piece);
-                Ok(())
-            }
-        }
+    /// `Serialize` writes — to `out`: the instance's text is its type's, as
+    /// `texts` keeps it, with the values escaped in between.
+    pub fn write_json(&self, out: &mut String, texts: &mut TemplateTexts) {
         out.push_str("{\"id\":");
         self.id.write_json(out);
         out.push_str(",\"sql\":\"");
-        write!(Escaped(out), "{}", self.instance.sql()).expect("writing to a String");
+        let TemplateText { text, params } = texts.get(&self.instance.template);
+        let mut from = 0;
+        for &(at, n) in params {
+            out.push_str(&text[from..at]);
+            from = at;
+            // A number or NULL holds nothing JSON escapes.
+            match n.checked_sub(1).and_then(|i| self.instance.params.get(i)) {
+                Some(v @ Value::Str(_)) => v.write_sql_literal(&mut Escaped(out)),
+                Some(v) => v.write_sql_literal(out),
+                None => write!(out, "${n}"),
+            }
+            .expect("writing to a String");
+        }
+        out.push_str(&text[from..]);
         out.push_str("\",\"page_key\":");
         self.page_key.write_json(out);
         out.push_str(",\"servlet\":");
         self.servlet.write_json(out);
         out.push('}');
+    }
+}
+
+/// JSON string content, escaped as it is written.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, piece: &str) -> fmt::Result {
+        serde::json::write_escaped(self.0, piece);
+        Ok(())
+    }
+}
+
+/// Query types whose text [`TemplateTexts`] keeps at most. Like the
+/// mapper's parse memo: a site has a handful, and when more than this
+/// arrive the memo starts over rather than track recency.
+const TEMPLATE_TEXTS_CAPACITY: usize = 64;
+
+/// The text of each query type whose rows [`Row::write_json`] writes,
+/// rendered once: what a journal writer keeps from one row to the next. A
+/// type is known by its template handle, which the memo holds, so a freed
+/// template's address never names another.
+#[derive(Default)]
+pub struct TemplateTexts {
+    texts: Vec<(Arc<Select>, TemplateText)>,
+}
+
+/// A query type's text as JSON string content, split where its instances'
+/// values go. JSON escapes one character at a time, so the pieces escaped
+/// apart read as the whole text escaped.
+#[derive(Default)]
+struct TemplateText {
+    text: String,
+    /// `(offset in text, n)` for each bound `$n` marker, in text order.
+    params: Vec<(usize, usize)>,
+}
+
+impl fmt::Write for TemplateText {
+    fn write_str(&mut self, piece: &str) -> fmt::Result {
+        serde::json::write_escaped(&mut self.text, piece);
+        Ok(())
+    }
+}
+
+impl ParamSink for TemplateText {
+    fn param(&mut self, n: usize) -> fmt::Result {
+        self.params.push((self.text.len(), n));
+        Ok(())
+    }
+}
+
+impl TemplateTexts {
+    fn get(&mut self, template: &Arc<Select>) -> &TemplateText {
+        if let Some(at) = self.texts.iter().position(|(t, _)| Arc::ptr_eq(t, template)) {
+            return &self.texts[at].1;
+        }
+        if self.texts.len() >= TEMPLATE_TEXTS_CAPACITY {
+            self.texts.clear();
+        }
+        let mut text = TemplateText::default();
+        write_select(template, &mut text).expect("writing to a String");
+        self.texts.push((template.clone(), text));
+        &self.texts[self.texts.len() - 1].1
     }
 }
 
@@ -335,12 +405,79 @@ mod tests {
             Value::Str("q\"\\\n\u{1}'é".into()),
         );
         assert!((m.writer()).insert_typed(&hostile, &PageKey::raw("p3"), &"s3".into()));
+        let (mut json, mut texts) = (Vec::new(), TemplateTexts::default());
+        m.visit_since(0, |row| {
+            let mut text = String::new();
+            row.write_json(&mut text, &mut texts);
+            json.push(text);
+        });
+        let want: Vec<String> = m.all().iter().map(|e| serde_json::to_string(e).unwrap()).collect();
+        assert_eq!(json, want);
+    }
+
+    #[test]
+    fn rows_written_from_their_types_text_are_their_entries_serialized() {
+        // String literals that hold a marker's spelling, quotes, a
+        // backslash, a newline and a tab: text, not places for values.
+        let a = Arc::new(
+            parse_select("SELECT 'x$1''\"\\\n\t' AS s, a FROM t WHERE a = $1 AND b = $2").unwrap(),
+        );
+        let b = Arc::new(
+            parse_select("SELECT * FROM u WHERE c = '$1' AND d < $1 ORDER BY d LIMIT 3").unwrap(),
+        );
+        let values = [
+            Value::Int(-7),
+            Value::Float(-2.5),
+            Value::Float(3.0),
+            Value::Null,
+            Value::Str("o'\"\\\n\t$1\u{1}é".into()),
+        ];
+        let m = QiUrlMap::new();
+        let servlet: Arc<str> = "s".into();
+        for (i, v) in values.iter().enumerate() {
+            let page = PageKey::raw(format!("p{i}"));
+            let rows = [
+                TypedInstance { template: a.clone(), params: [v.clone(), Value::Int(i as i64)].into() },
+                typed(&b, v.clone()),
+            ];
+            for row in &rows {
+                assert!(m.writer().insert_typed(row, &page, &servlet));
+            }
+        }
+        // A row with a value short: its marker is written as it stands.
+        assert!(m.writer().insert_typed(&typed(&a, Value::Int(1)), &PageKey::raw("short"), &servlet));
+        // The two types share one memo, each rendered once.
+        let mut texts = TemplateTexts::default();
         let mut json = Vec::new();
         m.visit_since(0, |row| {
             let mut text = String::new();
-            row.write_json(&mut text);
+            row.write_json(&mut text, &mut texts);
             json.push(text);
         });
+        assert_eq!(texts.texts.len(), 2);
+        let want: Vec<String> = m.all().iter().map(|e| serde_json::to_string(e).unwrap()).collect();
+        assert_eq!(json, want);
+        assert!(want[0].contains(r#"'x$1''\"\\\n\t'"#), "{}", want[0]);
+    }
+
+    #[test]
+    fn a_full_memo_starts_over_and_writes_the_same_text() {
+        let m = QiUrlMap::new();
+        let servlet: Arc<str> = "s".into();
+        let types = TEMPLATE_TEXTS_CAPACITY + 6;
+        for i in 0..2 * types {
+            let template = parse_select(&format!("SELECT * FROM t{} WHERE a = $1", i % types));
+            let row = typed(&Arc::new(template.unwrap()), Value::Int(i as i64));
+            assert!(m.writer().insert_typed(&row, &PageKey::raw(format!("p{i}")), &servlet));
+        }
+        let mut texts = TemplateTexts::default();
+        let mut json = Vec::new();
+        m.visit_since(0, |row| {
+            let mut text = String::new();
+            row.write_json(&mut text, &mut texts);
+            json.push(text);
+        });
+        assert!(texts.texts.len() <= TEMPLATE_TEXTS_CAPACITY);
         let want: Vec<String> = m.all().iter().map(|e| serde_json::to_string(e).unwrap()).collect();
         assert_eq!(json, want);
     }

@@ -4,7 +4,7 @@
 
 use crate::clock::{Clock, Micros};
 use crate::connection::ConnectionPool;
-use crate::http::{CacheControl, HttpRequest, HttpResponse};
+use crate::http::{CacheControl, HttpRequest, HttpResponse, Owner};
 use crate::scope::RequestScope;
 use crate::servlet::Servlet;
 use crate::url::PageKey;
@@ -66,7 +66,10 @@ pub struct AppServer {
     clock: Arc<dyn Clock>,
     /// Set once; read without a lock on every request.
     observer: OnceLock<Arc<dyn RequestObserver>>,
-    config: AppServerConfig,
+    /// The owner a cacheable response names, `AppServerConfig::cache_owner`
+    /// made once and shared; `None` when the server leaves `no-cache` as it
+    /// is.
+    owner: Option<Owner>,
     /// The next request's id: one more than the requests routed so far.
     next_id: AtomicU64,
 }
@@ -79,7 +82,7 @@ impl AppServer {
             pool,
             clock,
             observer: OnceLock::new(),
-            config,
+            owner: config.rewrite_cache_control.then(|| config.cache_owner.into()),
             next_id: AtomicU64::new(1),
         }
     }
@@ -180,10 +183,9 @@ impl AppServer {
 
         // §3.1: translate `no-cache` into the owner-restricted directive so
         // CachePortal-compliant caches may store the page.
-        let cache_control = if spec.cacheable && self.config.rewrite_cache_control {
-            CacheControl::PrivateOwner(self.config.cache_owner.clone().into())
-        } else {
-            CacheControl::NoCache
+        let cache_control = match &self.owner {
+            Some(owner) if spec.cacheable => CacheControl::PrivateOwner(owner.clone()),
+            _ => CacheControl::NoCache,
         };
         HttpResponse::ok(body, cache_control)
     }

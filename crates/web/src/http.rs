@@ -5,7 +5,6 @@
 //! parameters declared as *keys* by the servlet participate in cache
 //! identity. [`HttpRequest`] carries all three parameter sets.
 
-use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -97,6 +96,48 @@ impl HttpRequest {
     }
 }
 
+/// The owner a `private, owner="…"` directive names. A literal
+/// (`"cacheportal".into()`) is borrowed and a server's configured owner is
+/// shared, so stamping either on a response allocates nothing.
+#[derive(Debug, Clone)]
+pub enum Owner {
+    /// A literal.
+    Literal(&'static str),
+    /// Text made once and shared.
+    Shared(Arc<str>),
+}
+
+impl std::ops::Deref for Owner {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        match self {
+            Owner::Literal(text) => text,
+            Owner::Shared(text) => text,
+        }
+    }
+}
+
+impl PartialEq for Owner {
+    fn eq(&self, other: &Owner) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Owner {}
+
+impl From<&'static str> for Owner {
+    fn from(text: &'static str) -> Owner {
+        Owner::Literal(text)
+    }
+}
+
+impl From<String> for Owner {
+    fn from(text: String) -> Owner {
+        Owner::Shared(text.into())
+    }
+}
+
 /// Cacheability directive on a response.
 ///
 /// `PrivateOwner` is the paper's rewritten form
@@ -111,9 +152,7 @@ pub enum CacheControl {
     /// `no-cache`: not cacheable at all.
     NoCache,
     /// `private, owner="<owner>"`: cacheable only by caches run by `owner`.
-    /// A literal owner (`"cacheportal".into()`) is borrowed: stamping it on
-    /// a response allocates nothing.
-    PrivateOwner(Cow<'static, str>),
+    PrivateOwner(Owner),
     /// `eject`: invalidate this URL in the receiving cache.
     Eject,
 }
@@ -124,7 +163,7 @@ impl CacheControl {
         match self {
             CacheControl::Public => "public".to_string(),
             CacheControl::NoCache => "no-cache".to_string(),
-            CacheControl::PrivateOwner(o) => format!("private, owner=\"{o}\""),
+            CacheControl::PrivateOwner(o) => format!("private, owner=\"{}\"", &**o),
             CacheControl::Eject => "eject".to_string(),
         }
     }
@@ -157,7 +196,7 @@ impl CacheControl {
         match self {
             CacheControl::Public => true,
             CacheControl::NoCache | CacheControl::Eject => false,
-            CacheControl::PrivateOwner(o) => o == owner,
+            CacheControl::PrivateOwner(o) => &**o == owner,
         }
     }
 }

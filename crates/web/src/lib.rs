@@ -23,7 +23,7 @@ pub mod webserver;
 pub use appserver::{AppServer, AppServerConfig, RequestObserver, RequestRecord};
 pub use clock::{Clock, ManualClock, Micros, SystemClock};
 pub use connection::{shared, Connection, ConnectionFactory, ConnectionPool, DbConnection, SharedDb};
-pub use http::{CacheControl, HttpRequest, HttpResponse, Method, Status};
+pub use http::{CacheControl, HttpRequest, HttpResponse, Method, Owner, Status};
 pub use inline::{push_tight, InlineVec};
 pub use scope::{current_request, RequestScope};
 pub use servlet::{FnServlet, ParamSource, QueryTemplate, Servlet, ServletSpec, SqlServlet};
