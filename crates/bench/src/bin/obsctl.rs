@@ -824,6 +824,40 @@ mod tests {
         server.join().unwrap();
     }
 
+    /// A page whose key holds escaped bytes is explained through the admin
+    /// server: `percent_encode` carries the key's own `%XX` escapes intact,
+    /// and the admin decodes the query value back to the key.
+    #[test]
+    fn explain_by_url_finds_a_key_with_escaped_bytes() {
+        let portal = demo_portal(None);
+        portal.register_servlet(Arc::new(SqlServlet::new(
+            ServletSpec::new("byMaker").with_key_get_params(&["maker"]),
+            "By maker",
+            vec![QueryTemplate::new(
+                "SELECT model, price FROM Car WHERE maker = $1",
+                vec![ParamSource::Get("maker".into(), ColType::Str)],
+            )],
+        )));
+        let maker = "Kia&g:x=1%?+";
+        let req = HttpRequest::get("shop.example.com", "/byMaker", &[("maker", maker)]);
+        let key = portal.request(&req).key.expect("a routed page");
+        assert_eq!(key.as_str(), "shop.example.com/byMaker?g:maker=Kia%26g:x%3D1%25%3F+");
+        portal.sync_point().expect("sync");
+        portal.update(&format!("INSERT INTO Car VALUES ('{maker}', 'Rio', 12000)")).expect("insert");
+        portal.sync_point().expect("sync");
+
+        let admin = portal.serve_admin("127.0.0.1:0").expect("admin server");
+        let addr = admin.addr().to_string();
+        let path = format!("/explain?url={}", percent_encode(key.as_str()));
+        let doc: Explanation = fetch(&addr, &path).expect("explain");
+        assert_eq!(doc, portal.explain_invalidation(key.as_str()));
+        assert_eq!(doc.matches.len(), 1, "the insert ejected the page");
+        assert_eq!(&*doc.matches[0].url, key.as_str());
+        let args = ["--addr", &addr, "--url", key.as_str()].map(String::from);
+        assert_eq!(cmd_explain(&args), 0);
+        admin.shutdown();
+    }
+
     /// A journaled demo portal's registry carries every name the durable
     /// table promises, and the table is the journal's part of `/metrics`.
     #[test]

@@ -6,10 +6,10 @@
 //!
 //! * the sniffer's **QI/URL map** — losing a row means a cached page whose
 //!   dependencies are unknown, i.e. a page that can silently go stale;
-//! * each cached page's **admission** — the request that produced it (the
-//!   freshness oracle regenerates from it) and the logical time it entered
+//! * each cached page's **admission stamp** — the logical time it entered
 //!   the cache (recovery keeps a surviving page only if the journal holds
-//!   that very admission);
+//!   that very stamp). The page's key is its origin: the freshness oracle
+//!   regenerates the page from the request the key names;
 //! * the invalidator's **sync cursor** — the last-processed LSN (claiming
 //!   too much means unprocessed updates are skipped: staleness), the sync
 //!   ordinal, and per-relation delta-group watermarks.
@@ -32,7 +32,7 @@
 //! map rows in place under the map's lock — a row's text, which the map does
 //! not keep, is its query type's text, rendered once per journal and kept
 //! by type (at most 64), with the row's values escaped in between — and
-//! origins through references, encodes one record at a time into one reused
+//! origins as key and stamp, encodes one record at a time into one reused
 //! `String`, and hands each to
 //! the WAL's batch or the snapshot's stream. [`DurableRecord`],
 //! [`OriginRecord`] and [`SnapshotDoc`] are what [`Durability::load`]
@@ -48,14 +48,13 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// A cached page's origin: the request whose regeneration proves (or
-/// disproves) freshness, and when the page was admitted.
+/// A cached page's origin: its key, which names the request that
+/// regenerates it, and when the page was admitted. An older record also
+/// carries that request; it is read past.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct OriginRecord {
     /// The page's cache key.
     pub page: PageKey,
-    /// The request that generated it.
-    pub request: HttpRequest,
     /// The logical time the page entered the cache, its
     /// [`PageCache::admitted_at`](cacheportal_cache::PageCache::admitted_at);
     /// 0 — no key — for a record written without one (a bare request, or a
@@ -64,40 +63,24 @@ pub struct OriginRecord {
     pub admitted_at: u64,
 }
 
-/// A page's admission: what the portal keeps per cached page, and what
-/// recovery reads back.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Admission {
-    /// The request that generated the page.
-    pub request: HttpRequest,
-    /// When the page entered the cache (0: not known).
-    pub admitted_at: u64,
+/// What the journal writes of a page's origin besides its key: when the
+/// page entered the cache (0: not known). An admission stamp (`u64`)
+/// journals itself; a bare [`HttpRequest`] journals no stamp, so recovery
+/// ejects its page whatever the cache holds.
+pub trait Origin {
+    /// The admission stamp.
+    fn admitted_at(&self) -> u64;
 }
 
-/// What the journal writes of a page's origin: the request that generated
-/// the page and when the page entered the cache (0: not known). A bare
-/// [`HttpRequest`] journals no stamp, so recovery ejects its page whatever
-/// the cache holds; an [`Admission`] journals its own.
-pub trait Origin {
-    /// The request and the admission stamp.
-    fn origin(&self) -> (&HttpRequest, u64);
+impl Origin for u64 {
+    fn admitted_at(&self) -> u64 {
+        *self
+    }
 }
 
 impl Origin for HttpRequest {
-    fn origin(&self) -> (&HttpRequest, u64) {
-        (self, 0)
-    }
-}
-
-impl Origin for Admission {
-    fn origin(&self) -> (&HttpRequest, u64) {
-        (&self.request, self.admitted_at)
-    }
-}
-
-impl<O: Origin> Origin for &O {
-    fn origin(&self) -> (&HttpRequest, u64) {
-        (**self).origin()
+    fn admitted_at(&self) -> u64 {
+        0
     }
 }
 
@@ -127,7 +110,7 @@ pub struct CursorRecord {
 pub enum DurableRecord {
     /// A new QI/URL map row.
     MapEntry(QiUrlEntry),
-    /// A page admission's origin request.
+    /// A page admission's stamp.
     Origin(OriginRecord),
     /// The cursor after a completed sync point.
     Cursor(CursorRecord),
@@ -150,9 +133,9 @@ pub struct RecoveredState {
     /// QI/URL rows, snapshot-then-WAL order (duplicates possible — the
     /// map's insert dedups).
     pub map_entries: Vec<QiUrlEntry>,
-    /// Admissions, last-write-wins per page; only those whose batch's
-    /// cursor reached the disk.
-    pub origins: HashMap<PageKey, Admission>,
+    /// Admission stamps, last-write-wins per page; only those whose
+    /// batch's cursor reached the disk.
+    pub origins: HashMap<PageKey, u64>,
     /// The highest durable cursor.
     pub cursor: CursorRecord,
     /// Snapshot sequence number found, if any.
@@ -186,14 +169,11 @@ pub(crate) fn micros_since(started: Instant) -> u64 {
     started.elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 
-/// `OriginRecord { page, request, admitted_at }` as its derived `Serialize`
-/// writes it, from the parts.
-fn write_origin(out: &mut String, page: &PageKey, origin: &impl Origin) {
+/// `OriginRecord { page, admitted_at }` as its derived `Serialize` writes
+/// it, from the parts.
+fn write_origin(out: &mut String, page: &PageKey, admitted_at: u64) {
     out.push_str("{\"page\":");
     page.write_json(out);
-    let (request, admitted_at) = origin.origin();
-    out.push_str(",\"request\":");
-    request.write_json(out);
     if admitted_at != 0 {
         out.push_str(",\"admitted_at\":");
         admitted_at.write_json(out);
@@ -268,15 +248,14 @@ impl Durability {
             torn_bytes: recovery.wal_torn_bytes,
             ..RecoveredState::default()
         };
-        let admission =
-            |o: OriginRecord| (o.page, Admission { request: o.request, admitted_at: o.admitted_at });
+        let stamp = |o: OriginRecord| (o.page, o.admitted_at);
         if let Some(snapshot) = &recovery.snapshot {
             let text = std::str::from_utf8(snapshot)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
             let doc: SnapshotDoc = serde_json::from_str(text)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
             state.map_entries = doc.map;
-            state.origins.extend(doc.origins.into_iter().map(admission));
+            state.origins.extend(doc.origins.into_iter().map(stamp));
             state.cursor = doc.cursor;
         }
         // A batch's origins wait for the cursor that closes it.
@@ -290,7 +269,7 @@ impl Durability {
                 DurableRecord::MapEntry(e) => state.map_entries.push(e),
                 DurableRecord::Origin(o) => batch.push(o),
                 DurableRecord::Cursor(c) => {
-                    state.origins.extend(batch.drain(..).map(admission));
+                    state.origins.extend(batch.drain(..).map(stamp));
                     // Idempotent replay: a crash between snapshot rename
                     // and WAL reset can leave older cursors behind — take
                     // the maximum, never step backwards.
@@ -340,7 +319,7 @@ impl Durability {
             append("MapEntry", &mut |out| row.write_json(out, templates));
         });
         for (page, origin) in new_origins {
-            append("Origin", &mut |out| write_origin(out, page, origin));
+            append("Origin", &mut |out| write_origin(out, page, origin.admitted_at()));
         }
         append("Cursor", &mut |out| cursor.write_json(out));
         if self.wal.sync().is_err() {
@@ -401,7 +380,7 @@ impl Durability {
             record.clear();
             record.push_str(separator);
             separator = ",";
-            write_origin(record, page, &origins_full[page]);
+            write_origin(record, page, origins_full[page].admitted_at());
             snapshot.write(record.as_bytes())?;
         }
         record.clear();
@@ -468,8 +447,7 @@ mod tests {
 
         let state = Durability::load(&dir).unwrap();
         assert_eq!(state.map_entries.len(), 2);
-        let p1 = &state.origins[&PageKey::raw("p1")];
-        assert_eq!((&p1.request, p1.admitted_at), (&req, 0), "a bare request has no stamp");
+        assert_eq!(state.origins[&PageKey::raw("p1")], 0, "a bare request has no stamp");
         assert_eq!(state.cursor.consumed, 7);
         assert_eq!(state.cursor.sync_seq, 3);
         assert_eq!(state.cursor.watermarks, vec![("car".to_string(), 6)]);

@@ -52,8 +52,8 @@ pub mod durability;
 pub mod system;
 
 pub use durability::{
-    Admission, CursorRecord, Durability, DurableRecord, Origin, OriginRecord, PersistOutcome,
-    RecoveredState, SnapshotDoc,
+    CursorRecord, Durability, DurableRecord, Origin, OriginRecord, PersistOutcome, RecoveredState,
+    SnapshotDoc,
 };
 pub use system::{CachePortal, CachePortalBuilder, RecoveryStats, RequestOutcome, Served, SyncReport};
 

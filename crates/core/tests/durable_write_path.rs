@@ -11,7 +11,7 @@
 
 use cacheportal::sniffer::QiUrlMap;
 use cacheportal::web::{HttpRequest, PageKey};
-use cacheportal::{Admission, CursorRecord, Durability, DurableRecord, OriginRecord, SnapshotDoc};
+use cacheportal::{CursorRecord, Durability, DurableRecord, OriginRecord, SnapshotDoc};
 use cacheportal_bus::{Ack, EjectBatch};
 use cacheportal_durable::{crc32, snapshot_path, wal_path};
 use proptest::prelude::*;
@@ -41,6 +41,10 @@ fn through_the_tree<T: Serialize>(value: &T) -> String {
 
 const WAL_HEADER: &[u8] = b"CPWAL\0\x01\x00";
 
+/// The first sync's WAL and the checkpoint's snapshot of `site()`.
+const WAL_BYTES: usize = 2371;
+const SNAPSHOT_BYTES: usize = 2124;
+
 /// The parent's WAL framing: `[len: u32 LE][crc32: u32 LE][payload]`.
 fn frame(out: &mut Vec<u8>, record: &DurableRecord) {
     let payload = through_the_tree(record);
@@ -58,12 +62,8 @@ fn snapshot_file(
     cursor: &CursorRecord,
 ) -> Vec<u8> {
     let mut origins: Vec<OriginRecord> = origins
-        .iter()
-        .map(|(page, request)| OriginRecord {
-            page: page.clone(),
-            request: request.clone(),
-            admitted_at: 0,
-        })
+        .keys()
+        .map(|page| OriginRecord { page: page.clone(), admitted_at: 0 })
         .collect();
     origins.sort_by(|a, b| a.page.cmp(&b.page));
     let payload = through_the_tree(&SnapshotDoc {
@@ -123,11 +123,8 @@ const NO_ORIGINS: &[(PageKey, HttpRequest)] = &[];
 
 /// What `Durability::load` reads back for origins journaled as bare
 /// requests: no admission stamp.
-fn unstamped(origins: &HashMap<PageKey, HttpRequest>) -> HashMap<PageKey, Admission> {
-    origins
-        .iter()
-        .map(|(page, request)| (page.clone(), Admission { request: request.clone(), admitted_at: 0 }))
-        .collect()
+fn unstamped(origins: &HashMap<PageKey, HttpRequest>) -> HashMap<PageKey, u64> {
+    origins.keys().map(|page| (page.clone(), 0)).collect()
 }
 
 fn cursor(consumed: u64) -> CursorRecord {
@@ -155,18 +152,13 @@ fn wal_and_snapshot_files_are_what_the_parent_wrote() {
     for entry in map.all() {
         frame(&mut expected, &DurableRecord::MapEntry(entry));
     }
-    for (page, request) in &admitted {
-        frame(
-            &mut expected,
-            &DurableRecord::Origin(OriginRecord {
-                page: page.clone(),
-                request: request.clone(),
-                admitted_at: 0,
-            }),
-        );
+    for (page, _) in &admitted {
+        let origin = OriginRecord { page: page.clone(), admitted_at: 0 };
+        frame(&mut expected, &DurableRecord::Origin(origin));
     }
     frame(&mut expected, &DurableRecord::Cursor(cursor(10)));
     assert_eq!(std::fs::read(wal_path(&dir)).unwrap(), expected);
+    assert_eq!(expected.len(), WAL_BYTES);
     assert_eq!(
         d.wal_stats().bytes as usize,
         expected.len() - WAL_HEADER.len()
@@ -179,6 +171,7 @@ fn wal_and_snapshot_files_are_what_the_parent_wrote() {
     assert_eq!((out.errors, out.appended, out.checkpointed), (0, 2, true));
     let expected = snapshot_file(1, &map, &origins_full, &cursor(20));
     assert_eq!(std::fs::read(snapshot_path(&dir)).unwrap(), expected);
+    assert_eq!(expected.len(), SNAPSHOT_BYTES);
     assert_eq!(out.checkpoint_bytes as usize, expected.len() - 24);
     assert_eq!(std::fs::read(wal_path(&dir)).unwrap(), WAL_HEADER);
     assert!(!dir.join("snapshot.tmp").exists());
@@ -299,30 +292,24 @@ fn a_failed_checkpoint_is_counted_and_leaves_the_journal_loadable() {
 }
 
 /// An admission's stamp is written as `OriginRecord`'s `admitted_at`, in the
-/// WAL and the snapshot alike, and read back with its request.
+/// WAL and the snapshot alike, and read back with its page.
 #[test]
 fn stamped_origins_are_what_the_derive_writes() {
     let dir = temp_dir();
     let (map, admitted) = site();
-    let stamped: Vec<(PageKey, Admission)> = (admitted.into_iter().zip(1..))
-        .map(|((page, request), admitted_at)| (page, Admission { request, admitted_at }))
+    let stamped: Vec<(PageKey, u64)> = (admitted.into_iter().zip(1..))
+        .map(|((page, _), admitted_at)| (page, admitted_at))
         .collect();
-    let full: HashMap<PageKey, Admission> = stamped.iter().cloned().collect();
+    let full: HashMap<PageKey, u64> = stamped.iter().cloned().collect();
     let mut d = Durability::open(&dir, 2).unwrap();
     d.persist_sync(&map, &stamped, &full, cursor(10));
     let mut expected = WAL_HEADER.to_vec();
     for entry in map.all() {
         frame(&mut expected, &DurableRecord::MapEntry(entry));
     }
-    for (page, a) in &stamped {
-        frame(
-            &mut expected,
-            &DurableRecord::Origin(OriginRecord {
-                page: page.clone(),
-                request: a.request.clone(),
-                admitted_at: a.admitted_at,
-            }),
-        );
+    for (page, admitted_at) in &stamped {
+        let origin = OriginRecord { page: page.clone(), admitted_at: *admitted_at };
+        frame(&mut expected, &DurableRecord::Origin(origin));
     }
     frame(&mut expected, &DurableRecord::Cursor(cursor(10)));
     assert_eq!(std::fs::read(wal_path(&dir)).unwrap(), expected);
@@ -351,10 +338,6 @@ fn hostile_string() -> impl Strategy<Value = String> {
         .prop_map(|chars| chars.into_iter().collect())
 }
 
-fn params() -> impl Strategy<Value = Vec<(String, String)>> {
-    prop::collection::vec((hostile_string(), hostile_string()), 0..3)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -362,7 +345,6 @@ proptest! {
     #[test]
     fn journal_records_and_bus_messages_round_trip(
         (id, sql, page, servlet) in (any::<u64>(), hostile_string(), hostile_string(), hostile_string()),
-        (host, path, get, post, cookies) in (hostile_string(), hostile_string(), params(), params(), params()),
         (consumed, sync_seq, bus_seq) in (any::<u64>(), any::<u64>(), any::<u64>()),
         watermarks in prop::collection::vec((hostile_string(), any::<u64>()), 0..3),
         edge_marks in prop::collection::vec((hostile_string(), any::<u64>(), any::<u64>()), 0..3),
@@ -371,18 +353,10 @@ proptest! {
     ) {
         let page = PageKey::raw(page);
         let entry = cacheportal::sniffer::QiUrlEntry { id, sql, page_key: page.clone(), servlet: servlet.into() };
-        let mut request = if post.is_empty() {
-            HttpRequest::get(&host, &path, &[])
-        } else {
-            HttpRequest::post(&host, &path, &[])
-        };
-        request.get = get;
-        request.post = post;
-        request.cookies = cookies;
         let cursor = CursorRecord { consumed, sync_seq, watermarks, bus_seq, edge_marks };
         assert_round_trips(&cursor);
         assert_round_trips(&DurableRecord::MapEntry(entry));
-        assert_round_trips(&DurableRecord::Origin(OriginRecord { page, request, admitted_at }));
+        assert_round_trips(&DurableRecord::Origin(OriginRecord { page, admitted_at }));
         assert_round_trips(&DurableRecord::Cursor(cursor));
         assert_round_trips(&EjectBatch {
             seq: bus_seq,

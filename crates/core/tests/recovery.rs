@@ -12,11 +12,11 @@ use cacheportal::db::schema::ColType;
 use cacheportal::db::Database;
 use cacheportal::sniffer::QiUrlEntry;
 use cacheportal::web::{
-    shared, HttpRequest, PageKey, ParamSource, QueryTemplate, ServletSpec, SqlServlet,
+    shared, HttpRequest, Method, PageKey, ParamSource, QueryTemplate, ServletSpec, SqlServlet,
 };
 use cacheportal::{CachePortal, CursorRecord, Durability, DurableRecord, OriginRecord, Served};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,6 +56,19 @@ fn search_servlet() -> Arc<dyn cacheportal::web::Servlet> {
             vec![ParamSource::Get("maxprice".into(), ColType::Int)],
         )],
     ))
+}
+
+/// A WAL of `records` in the journal's framing: header, then
+/// `[len][crc32][payload]` per record.
+fn write_wal<T: serde::Serialize>(dir: &Path, records: &[T]) {
+    let mut wal = b"CPWAL\0\x01\x00".to_vec();
+    for record in records {
+        let payload = serde_json::to_string(record).unwrap();
+        wal.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        wal.extend_from_slice(&cacheportal_durable::crc32(payload.as_bytes()).to_le_bytes());
+        wal.extend_from_slice(payload.as_bytes());
+    }
+    std::fs::write(cacheportal_durable::wal_path(dir), wal).unwrap();
 }
 
 fn req(maxprice: i64) -> HttpRequest {
@@ -179,23 +192,14 @@ fn a_journaled_row_that_does_not_type_gap_ejects_its_page() {
         page_key: lost.clone(),
         servlet: "carSearch".into(),
     }));
-    for (key, maxprice) in [(&kept, 30000), (&lost, 20000)] {
-        let (page, request, admitted_at) = (key.clone(), req(maxprice), stamp(key));
-        let origin = OriginRecord { page, request, admitted_at };
+    for key in [&kept, &lost] {
+        let origin = OriginRecord { page: key.clone(), admitted_at: stamp(key) };
         records.push(DurableRecord::Origin(origin));
     }
     let consumed = db.read().high_water();
     let cursor = CursorRecord { consumed, sync_seq: 1, ..CursorRecord::default() };
     records.push(DurableRecord::Cursor(cursor));
-    // The journal's framing: header, then `[len][crc32][payload]` per record.
-    let mut wal = b"CPWAL\0\x01\x00".to_vec();
-    for record in &records {
-        let payload = serde_json::to_string(record).unwrap();
-        wal.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        wal.extend_from_slice(&cacheportal_durable::crc32(payload.as_bytes()).to_le_bytes());
-        wal.extend_from_slice(payload.as_bytes());
-    }
-    std::fs::write(cacheportal_durable::wal_path(&dir), wal).unwrap();
+    write_wal(&dir, &records);
     let cache = p.page_cache().clone();
     drop(p);
 
@@ -678,4 +682,126 @@ fn recovery_survives_repeated_crashes() {
         // crash at end of round
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An origin record as journals wrote it while the portal kept each page's
+/// request: the request beside the key and the stamp.
+#[derive(serde::Serialize)]
+struct OriginWithRequest {
+    page: PageKey,
+    request: RequestAsJournaled,
+    #[serde(skip_if = "self.admitted_at == 0")]
+    admitted_at: u64,
+}
+
+/// `HttpRequest` as the derive spelled it then.
+#[derive(serde::Serialize)]
+struct RequestAsJournaled {
+    method: &'static str,
+    host: String,
+    path: String,
+    get: Vec<(String, String)>,
+    post: Vec<(String, String)>,
+    cookies: Vec<(String, String)>,
+}
+
+impl From<HttpRequest> for RequestAsJournaled {
+    fn from(r: HttpRequest) -> Self {
+        let method = if r.method == Method::Get { "Get" } else { "Post" };
+        let HttpRequest { host, path, get, post, cookies, .. } = r;
+        RequestAsJournaled { method, host, path, get, post, cookies }
+    }
+}
+
+/// `DurableRecord` (the variants this test writes) and `SnapshotDoc` of
+/// that format.
+#[derive(serde::Serialize)]
+enum RecordWithRequest {
+    Origin(OriginWithRequest),
+    Cursor(CursorRecord),
+}
+
+#[derive(serde::Serialize)]
+struct SnapshotWithRequests {
+    map: Vec<QiUrlEntry>,
+    origins: Vec<OriginWithRequest>,
+    cursor: CursorRecord,
+}
+
+/// Three pages cached and synced, their journal written by hand in the
+/// format of `with_requests` or in today's, and the portal recovered from
+/// it over the surviving cache: what it loaded, and what it kept.
+fn recover_from_hand_written_journal(with_requests: bool) -> (HashMap<PageKey, u64>, Vec<PageKey>) {
+    let dir = temp_dir();
+    let db = shared(example_db());
+    let p = CachePortal::builder_shared(db.clone()).build().unwrap();
+    p.register_servlet(search_servlet());
+    let prices = [20000, 30000, 40000];
+    let keys: Vec<PageKey> = prices.iter().map(|&m| p.request(&req(m)).key.unwrap()).collect();
+    p.sync_point().unwrap();
+    // The snapshot holds the map and the first page; the WAL the second
+    // with its stamp, the third with one the cache does not hold.
+    let stamps: Vec<u64> = keys.iter().map(|k| p.page_cache().admitted_at(k).unwrap()).collect();
+    let stamps = [stamps[0], stamps[1], stamps[2] + 1];
+    let cursor = CursorRecord {
+        consumed: db.read().high_water(),
+        sync_seq: 1,
+        ..CursorRecord::default()
+    };
+    let map = p.qi_url_map().all();
+    let snapshot = if with_requests {
+        let origin = |i: usize| OriginWithRequest {
+            page: keys[i].clone(),
+            request: req(prices[i]).into(),
+            admitted_at: stamps[i],
+        };
+        write_wal(&dir, &[
+            RecordWithRequest::Origin(origin(1)),
+            RecordWithRequest::Origin(origin(2)),
+            RecordWithRequest::Cursor(cursor.clone()),
+        ]);
+        serde_json::to_string(&SnapshotWithRequests { map, origins: vec![origin(0)], cursor: cursor.clone() })
+    } else {
+        let origin = |i: usize| OriginRecord { page: keys[i].clone(), admitted_at: stamps[i] };
+        write_wal(&dir, &[
+            DurableRecord::Origin(origin(1)),
+            DurableRecord::Origin(origin(2)),
+            DurableRecord::Cursor(cursor.clone()),
+        ]);
+        serde_json::to_string(&cacheportal::SnapshotDoc { map, origins: vec![origin(0)], cursor: cursor.clone() })
+    };
+    let snapshot = snapshot.unwrap();
+    assert_eq!(snapshot.contains("\"request\""), with_requests);
+    cacheportal_durable::Checkpoint::write(&dir, 1, snapshot.as_bytes()).unwrap();
+    let loaded = Durability::load(&dir).unwrap().origins;
+    let cache = p.page_cache().clone();
+    drop(p);
+
+    let p2 = CachePortal::builder_shared(db)
+        .durable(&dir)
+        .surviving_cache(cache.clone())
+        .recover()
+        .unwrap();
+    p2.register_servlet(search_servlet());
+    let stats = p2.recovery_stats().unwrap().clone();
+    assert_eq!((stats.map_entries, stats.origins, stats.gap_ejected), (3, 3, 1));
+    assert!(p2.stale_pages().is_empty());
+    p2.update("UPDATE Car SET price = 35000 WHERE model = 'Avalon'").unwrap();
+    p2.sync_point().unwrap();
+    assert!(p2.stale_pages().is_empty());
+    let mut kept = cache.keys();
+    kept.sort();
+    std::fs::remove_dir_all(&dir).unwrap();
+    (loaded, kept)
+}
+
+/// A journal whose origin records carry the request that generated each
+/// page, as they did before the page's key became its origin, loads the
+/// same stamps as today's and recovers the same pages.
+#[test]
+fn a_journal_whose_origins_carry_requests_recovers_as_todays_does() {
+    let (loaded, kept) = recover_from_hand_written_journal(true);
+    assert_eq!((loaded, kept.clone()), recover_from_hand_written_journal(false));
+    assert_eq!(kept.len(), 1, "the update ejected 30000's page, the gap 40000's");
+    assert!(kept[0].as_str().ends_with("maxprice=20000"));
 }

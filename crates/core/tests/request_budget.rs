@@ -29,7 +29,7 @@ const PAGES: usize = storefront::SKUS + 3 * storefront::CATEGORIES;
 /// Allocations of a cache hit: its page key's text.
 const HIT: usize = 1;
 /// Allocations of a miss, in `storefront::SERVLETS` order.
-const MISS: [usize; 4] = [19, 96, 36, 18];
+const MISS: [usize; 4] = [14, 91, 31, 13];
 /// Allocations of the first sync point over the whole site.
 const FIRST_SYNC: usize = 4983;
 

@@ -87,13 +87,13 @@ impl Value {
             Value::Int(i) => write!(out, "{i}"),
             Value::Float(f) => {
                 // Ensure a decimal point so the parser reads it back as Float.
-                let s = format!("{f}");
-                out.write_str(&s)?;
-                if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-                    Ok(())
-                } else {
-                    out.write_str(".0")
+                // `Display` never writes an exponent, so a finite float shows
+                // one exactly when it has a fraction.
+                write!(out, "{f}")?;
+                if f.is_finite() && f.fract() == 0.0 {
+                    out.write_str(".0")?;
                 }
+                Ok(())
             }
             Value::Str(s) => {
                 out.write_char('\'')?;
@@ -260,6 +260,40 @@ mod tests {
         assert_eq!(Value::Int(-3).to_sql_literal(), "-3");
         assert_eq!(Value::Float(2.0).to_sql_literal(), "2.0");
         assert_eq!(Value::Null.to_sql_literal(), "NULL");
+    }
+
+    /// A float is written straight into the output; the text is what
+    /// formatting it into a `String` first and looking for a point gave.
+    #[test]
+    fn float_literals_are_spelled_as_before() {
+        let old = |f: f64| {
+            let s = format!("{f}");
+            if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
+                s
+            } else {
+                s + ".0"
+            }
+        };
+        let floats = [
+            -0.0,
+            0.0,
+            1e300,
+            -1e300,
+            1e-7,
+            0.1 + 0.2,
+            3.0,
+            -2.5,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for f in floats {
+            assert_eq!(Value::Float(f).to_sql_literal(), old(f), "{f:?}");
+        }
+        assert_eq!(Value::Float(-0.0).to_sql_literal(), "-0.0");
+        assert_eq!(Value::Float(1e-7).to_sql_literal(), "0.0000001");
     }
 
     #[test]

@@ -310,49 +310,13 @@ fn respond(stream: &mut TcpStream, reply: &Reply) -> std::io::Result<()> {
 fn query_param(query: &str, name: &str) -> Option<String> {
     query.split('&').find_map(|pair| {
         let (k, v) = pair.split_once('=')?;
-        (k == name).then(|| percent_decode(v))
+        (k == name).then(|| form_decode(v))
     })
 }
 
-fn hex_val(b: u8) -> Option<u8> {
-    match b {
-        b'0'..=b'9' => Some(b - b'0'),
-        b'a'..=b'f' => Some(b - b'a' + 10),
-        b'A'..=b'F' => Some(b - b'A' + 10),
-        _ => None,
-    }
-}
-
-/// Percent-decode a query value (`%XX` escapes and `+` as space).
-fn percent_decode(s: &str) -> String {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'+' => {
-                out.push(b' ');
-                i += 1;
-            }
-            b'%' if i + 2 < bytes.len() => {
-                match (hex_val(bytes[i + 1]), hex_val(bytes[i + 2])) {
-                    (Some(hi), Some(lo)) => {
-                        out.push(hi * 16 + lo);
-                        i += 3;
-                    }
-                    _ => {
-                        out.push(b'%');
-                        i += 1;
-                    }
-                }
-            }
-            b => {
-                out.push(b);
-                i += 1;
-            }
-        }
-    }
-    String::from_utf8_lossy(&out).into_owned()
+/// A query value form-decoded: `+` is a space, then `%XX` escapes.
+fn form_decode(v: &str) -> String {
+    crate::percent::percent_decode(&v.replace('+', " "))
 }
 
 #[cfg(test)]
@@ -609,9 +573,11 @@ mod tests {
 
     #[test]
     fn percent_decoding() {
-        assert_eq!(percent_decode("a%2Fb+c%3D1"), "a/b c=1");
-        assert_eq!(percent_decode("plain"), "plain");
-        assert_eq!(percent_decode("bad%zz"), "bad%zz");
-        assert_eq!(percent_decode("trail%2"), "trail%2");
+        assert_eq!(form_decode("a%2Fb+c%3D1"), "a/b c=1");
+        assert_eq!(form_decode("a%2Bb"), "a+b");
+        assert_eq!(form_decode("plain"), "plain");
+        assert_eq!(form_decode("bad%zz"), "bad%zz");
+        assert_eq!(form_decode("trail%2"), "trail%2");
+        assert_eq!(crate::percent::percent_decode("a+b%25"), "a+b%");
     }
 }

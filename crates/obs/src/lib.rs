@@ -44,6 +44,7 @@ mod admin;
 mod export;
 pub mod health;
 mod histogram;
+mod percent;
 pub mod provenance;
 pub mod recorder;
 mod registry;

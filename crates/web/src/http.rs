@@ -9,7 +9,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// HTTP method; the model only distinguishes GET/POST semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// HTTP GET.
     Get,
@@ -18,10 +18,7 @@ pub enum Method {
 }
 
 /// An incoming request.
-///
-/// Serializable: the durable layer persists each cached page's origin
-/// request so crash recovery can rebuild the freshness oracle.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpRequest {
     /// Request method.
     pub method: Method,
