@@ -419,7 +419,6 @@ fn cmd_scorecard(args: &[String]) -> i32 {
         "inval".to_string(),
         "ejects".to_string(),
         "polls".to_string(),
-        "poll_us".to_string(),
         "stale_us".to_string(),
         "idx_hit".to_string(),
         "residual".to_string(),
@@ -434,7 +433,6 @@ fn cmd_scorecard(args: &[String]) -> i32 {
             c.invalidations.to_string(),
             c.pages_ejected.to_string(),
             c.polls.to_string(),
-            c.poll_spend_micros.to_string(),
             c.staleness_micros.to_string(),
             format!("{:.3}", c.index_hit_rate),
             format!("{:.3}", c.residual_fraction),

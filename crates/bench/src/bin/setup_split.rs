@@ -137,11 +137,7 @@ fn run_once(w: &Workload, seed: u64, pages: &[Page], scratch: &Path) -> Phases {
     phases.map = ms(stage("mapper"));
     phases.register = ms(stage("registration"));
     phases.persist = ms(stage("persist"));
-    let staged: u64 = stages
-        .iter()
-        .filter(|s| s.name != "poll_wait")
-        .map(|s| s.micros)
-        .sum();
+    let staged: u64 = stages.iter().map(|s| s.micros).sum();
     phases.observe = (phases.sync - ms(staged)).max(0.0);
     drop((portal, edges));
     if let Some(dir) = &dir {

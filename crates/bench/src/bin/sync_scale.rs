@@ -1,19 +1,17 @@
-//! Sync-point scaling benchmark: replays a large mixed update burst
-//! (inserts + deletes across 16 tables, join query types with per-tuple
-//! polling) through the invalidator at 1/2/4/8 analysis workers and
-//! reports sync-point latency, throughput, and poll dedup behaviour.
+//! Sync-point scaling benchmark, in two modes:
 //!
-//! The polling RTT model (`InvalidatorConfig::poll_rtt_micros`) stands in
-//! for the paper's remote DBMS: each *issued* polling query costs one
-//! round trip, which is exactly what concurrent shards overlap. Every
-//! worker count replays the identical workload from an identical seed
-//! database; the run asserts that verdicts, ejected pages, and poll
-//! statistics are identical across worker counts before reporting.
+//! - `--qi-sweep`: a fixed update burst against a registered query-instance
+//!   population that grows to one million, with the predicate index on and
+//!   off over the byte-identical workload;
+//! - `--shape-mix`: a mixed TopK / aggregate / conjunctive workload with the
+//!   per-shape decision rules on and off.
 //!
 //! ```text
-//! cargo run --release -p cacheportal-bench --bin sync_scale            # full
-//! cargo run --release -p cacheportal-bench --bin sync_scale -- --smoke # CI
+//! cargo run --release -p cacheportal-bench --bin sync_scale -- --qi-sweep           # full
+//! cargo run --release -p cacheportal-bench --bin sync_scale -- --shape-mix --smoke  # CI
 //! ```
+//!
+//! With no mode flag it prints its usage and exits non-zero.
 //!
 //! Appends one run record to the `BENCH_sync_scale.json` trajectory
 //! (`{"history": [...]}`) in the working directory, so repeated runs keep
@@ -22,7 +20,7 @@
 //! leaves the tracked history as it was.
 
 use cacheportal_db::Database;
-use cacheportal_invalidator::{Invalidator, InvalidatorConfig, PolicyConfig};
+use cacheportal_invalidator::{Invalidator, InvalidatorConfig};
 use cacheportal_sniffer::QiUrlMap;
 use cacheportal_web::PageKey;
 use serde::Serialize;
@@ -30,7 +28,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
-/// Deterministic xorshift generator so every worker count replays the
+/// Deterministic xorshift generator so both arms of a run replay the
 /// byte-identical update burst (no `rand` needed in a bin target).
 struct Rng(u64);
 
@@ -49,163 +47,7 @@ impl Rng {
     }
 }
 
-/// Workload shape; the smoke profile is a scaled-down version of the
-/// full one so both exercise the same code paths.
-struct Workload {
-    pairs: usize,
-    syncs: usize,
-    item_inserts: usize,
-    ref_inserts: usize,
-    item_deletes: usize,
-    ref_deletes: usize,
-    bounds: &'static [i64],
-    poll_rtt_micros: u64,
-    worker_counts: &'static [usize],
-}
-
-const FULL: Workload = Workload {
-    pairs: 8,
-    syncs: 25,
-    item_inserts: 40,
-    ref_inserts: 10,
-    item_deletes: 5,
-    ref_deletes: 2,
-    bounds: &[250, 500, 750],
-    poll_rtt_micros: 400,
-    worker_counts: &[1, 2, 4, 8],
-};
-
-const SMOKE: Workload = Workload {
-    pairs: 2,
-    syncs: 4,
-    item_inserts: 12,
-    ref_inserts: 4,
-    item_deletes: 2,
-    ref_deletes: 1,
-    bounds: &[250, 500],
-    poll_rtt_micros: 100,
-    worker_counts: &[1, 2],
-};
-
-/// Seed database: one `item_i`/`ref_i` pair per index, pre-populated so
-/// polls have rows to join against from the first sync point.
-fn seed_db(w: &Workload) -> Database {
-    let mut db = Database::new();
-    let mut rng = Rng(0x5eed_cafe);
-    for i in 0..w.pairs {
-        db.execute(&format!("CREATE TABLE item_{i} (id INT, k INT, v INT)"))
-            .unwrap();
-        db.execute(&format!("CREATE TABLE ref_{i} (k INT, w INT)"))
-            .unwrap();
-        for id in 0..50 {
-            let (k, v) = (rng.below(40), rng.below(1000));
-            db.execute(&format!("INSERT INTO item_{i} VALUES ({id}, {k}, {v})"))
-                .unwrap();
-        }
-        for _ in 0..50 {
-            let (k, wv) = (rng.below(40), rng.below(20));
-            db.execute(&format!("INSERT INTO ref_{i} VALUES ({k}, {wv})"))
-                .unwrap();
-        }
-    }
-    db
-}
-
-/// Register one join query instance per (pair, bound) in the QI/URL map —
-/// the invalidator's online registration picks them up at the first sync.
-fn seed_map(w: &Workload) -> QiUrlMap {
-    let map = QiUrlMap::new();
-    for i in 0..w.pairs {
-        for b in w.bounds {
-            map.insert(
-                &format!(
-                    "SELECT item_{i}.id, ref_{i}.w FROM item_{i}, ref_{i} \
-                     WHERE item_{i}.k = ref_{i}.k AND item_{i}.v < {b}"
-                ),
-                PageKey::raw(format!("page:pair{i}:bound{b}")),
-                format!("search{i}").into(),
-            );
-        }
-    }
-    map
-}
-
-/// One update interval: mixed inserts and deletes across every pair.
-/// Returns the number of tuples written (insert rows + deleted rows).
-fn apply_burst(db: &mut Database, w: &Workload, rng: &mut Rng, next_id: &mut [i64]) -> u64 {
-    let mut tuples = 0u64;
-    for (i, next) in next_id.iter_mut().enumerate() {
-        for _ in 0..w.item_inserts {
-            let id = *next;
-            *next += 1;
-            let (k, v) = (rng.below(40), rng.below(1000));
-            db.execute(&format!("INSERT INTO item_{i} VALUES ({id}, {k}, {v})"))
-                .unwrap();
-            tuples += 1;
-        }
-        for _ in 0..w.ref_inserts {
-            let (k, wv) = (rng.below(40), rng.below(20));
-            db.execute(&format!("INSERT INTO ref_{i} VALUES ({k}, {wv})"))
-                .unwrap();
-            tuples += 1;
-        }
-        for _ in 0..w.item_deletes {
-            let id = *next - 1 - rng.below(w.item_inserts as u64) as i64;
-            let n = db
-                .execute(&format!("DELETE FROM item_{i} WHERE id = {id}"))
-                .unwrap()
-                .affected();
-            tuples += n as u64;
-        }
-        for _ in 0..w.ref_deletes {
-            let k = rng.below(40);
-            let wv = rng.below(20);
-            let n = db
-                .execute(&format!("DELETE FROM ref_{i} WHERE k = {k} AND w = {wv}"))
-                .unwrap()
-                .affected();
-            tuples += n as u64;
-        }
-    }
-    tuples
-}
-
-/// What one worker-count run produced (serialized into the artifact).
-#[derive(Serialize)]
-struct ConfigResult {
-    workers: usize,
-    total_secs: f64,
-    updates_per_sec: f64,
-    sync_p50_micros: u64,
-    sync_p95_micros: u64,
-    sync_max_micros: u64,
-    polls_issued: u64,
-    polls_deduped: u64,
-    polls_from_index: u64,
-    delete_guard_hits: u64,
-    poll_lock_contended: u64,
-    pages_ejected: u64,
-    verdicts: u64,
-    /// Digest of every verdict and ejected page across all sync points;
-    /// identical across worker counts by construction.
-    fingerprint: u64,
-}
-
-#[derive(Serialize)]
-struct Artifact {
-    mode: &'static str,
-    smoke: bool,
-    tables: usize,
-    query_types: usize,
-    instances: usize,
-    sync_points: usize,
-    updates_applied: u64,
-    poll_rtt_micros: u64,
-    equivalent: bool,
-    speedup_vs_1w: Vec<f64>,
-    configs: Vec<ConfigResult>,
-}
-
+/// The `p` quantile of an ascending slice (0 when empty).
 fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -230,116 +72,14 @@ fn append_record<T: Serialize>(smoke: bool, artifact: &T) {
     eprintln!("{path}: {runs} runs in history");
 }
 
-/// Replay the whole workload at one worker count against a fresh seed
-/// database, timing each sync point.
-fn run_config(w: &Workload, workers: usize) -> (ConfigResult, u64) {
-    let mut db = seed_db(w);
-    let map = seed_map(w);
-    let mut inv = Invalidator::new(InvalidatorConfig {
-        policy: PolicyConfig {
-            // Per-tuple polls: grouping would OR residuals together and
-            // hide the round-trip volume the shards are overlapping.
-            batch_polls: false,
-            ..PolicyConfig::default()
-        },
-        workers,
-        poll_rtt_micros: w.poll_rtt_micros,
-        ..InvalidatorConfig::default()
-    });
-    inv.start_from(db.high_water());
-
-    // Maintained join-attribute indexes (paper section 4.3): residual
-    // polls of the form `ref_i.k = <literal>` are answered from the
-    // invalidator-local index instead of a DBMS round trip. Without
-    // this, every benchmark record reported `polls_from_index: 0` and
-    // the counter was effectively dead. Index state is driven by the
-    // same delta stream as analysis, so answers — and the from_index
-    // counter — stay identical across worker counts.
-    for i in 0..w.pairs {
-        inv.maintain_index(&db, &format!("ref_{i}"), "k")
-            .expect("ref table exists at index registration");
-    }
-
-    let mut rng = Rng(0xbeef_f00d);
-    let mut next_id = vec![50i64; w.pairs];
-    let mut sync_micros: Vec<u64> = Vec::with_capacity(w.syncs);
-    let mut updates = 0u64;
-    let mut hasher = DefaultHasher::new();
-    let mut issued = 0u64;
-    let mut deduped = 0u64;
-    let mut from_index = 0u64;
-    let mut guard = 0u64;
-    let mut contended = 0u64;
-    let mut ejected = 0u64;
-    let mut verdicts = 0u64;
-
-    let started = Instant::now();
-    for _ in 0..w.syncs {
-        updates += apply_burst(&mut db, w, &mut rng, &mut next_id);
-        let t0 = Instant::now();
-        let report = inv.run_sync_point(&db, &map).unwrap();
-        sync_micros.push(t0.elapsed().as_micros() as u64);
-        let consumed = inv.consumed_lsn();
-        db.update_log_mut().truncate(consumed);
-
-        // Fold this sync's outcome into the equivalence fingerprint in a
-        // deterministic order (verdicts arrive in stable merge order).
-        for v in &report.verdicts {
-            v.type_sql.hash(&mut hasher);
-            format!("{:?}", v.params).hash(&mut hasher);
-            v.cause.kind.as_str().hash(&mut hasher);
-            let mut pages: Vec<&str> = v.pages.iter().map(|p| p.as_str()).collect();
-            pages.sort_unstable();
-            pages.hash(&mut hasher);
-        }
-        let mut pages: Vec<&str> = report.pages.iter().map(|p| p.as_str()).collect();
-        pages.sort_unstable();
-        pages.hash(&mut hasher);
-        report.polls.issued.hash(&mut hasher);
-        report.polls.from_cache.hash(&mut hasher);
-        report.polls.from_index.hash(&mut hasher);
-        report.invalidated_instances.hash(&mut hasher);
-
-        issued += report.polls.issued;
-        deduped += report.polls.from_cache;
-        from_index += report.polls.from_index;
-        guard += report.polls.delete_guard_hits;
-        contended += report.poll_lock_contended;
-        ejected += report.pages.len() as u64;
-        verdicts += report.verdicts.len() as u64;
-    }
-    let total = started.elapsed();
-
-    sync_micros.sort_unstable();
-    let result = ConfigResult {
-        workers,
-        total_secs: total.as_secs_f64(),
-        updates_per_sec: updates as f64 / total.as_secs_f64(),
-        sync_p50_micros: percentile(&sync_micros, 0.50),
-        sync_p95_micros: percentile(&sync_micros, 0.95),
-        sync_max_micros: *sync_micros.last().unwrap_or(&0),
-        polls_issued: issued,
-        polls_deduped: deduped,
-        polls_from_index: from_index,
-        delete_guard_hits: guard,
-        poll_lock_contended: contended,
-        pages_ejected: ejected,
-        verdicts,
-        fingerprint: hasher.finish(),
-    };
-    (result, updates)
-}
-
 // ---------------------------------------------------------------------------
 // Registered-QI sweep (`--qi-sweep`)
 // ---------------------------------------------------------------------------
 //
-// The worker-count benchmark above holds the instance population small and
-// scales the update burst. The sweep inverts that: the burst stays fixed
-// while the number of *registered query instances* grows to one million,
-// measuring whether per-sync latency tracks the number of instances the
-// deltas can actually touch (predicate index) or the total registered
-// population (linear scan). Each tier runs both arms — index on and
+// The burst stays fixed while the number of *registered query instances*
+// grows to one million, measuring whether per-sync latency tracks the
+// number of instances the deltas can actually touch (predicate index) or
+// the total registered population (linear scan). Each tier runs both arms — index on and
 // `predicate_index: false` — over the byte-identical workload and asserts
 // that their verdict/page fingerprints are equal: the index may only skip
 // work, never change outcomes.
@@ -475,7 +215,7 @@ fn vm_rss_mib() -> Option<f64> {
 
 /// Replay the sweep workload once at one tier with the index on or off.
 /// All decisions are local (single-table conjuncts bind fully after tuple
-/// substitution), so the numbers measure analysis cost, not polling RTT.
+/// substitution), so the numbers measure analysis cost, not polls.
 fn run_sweep_arm(shape: &SweepShape, n: usize, use_index: bool) -> SweepArm {
     let mut db = sweep_db(shape);
     let rss_before = vm_rss_mib();
@@ -1012,109 +752,25 @@ fn run_shape_mix(smoke: bool) {
     append_record(smoke, &artifact);
 }
 
-fn main() {
+const USAGE: &str = "usage: sync_scale (--qi-sweep | --shape-mix) [--smoke]";
+
+fn main() -> std::process::ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     if args.iter().any(|a| a == "--qi-sweep") {
         run_qi_sweep(smoke);
-        return;
-    }
-    if args.iter().any(|a| a == "--shape-mix") {
+    } else if args.iter().any(|a| a == "--shape-mix") {
         run_shape_mix(smoke);
-        return;
+    } else {
+        eprintln!("{USAGE}");
+        return std::process::ExitCode::FAILURE;
     }
-    let w: &Workload = if smoke { &SMOKE } else { &FULL };
-
-    println!(
-        "sync_scale{}: {} table pairs, {} sync points, bounds {:?}, poll RTT {}us",
-        if smoke { " (smoke)" } else { "" },
-        w.pairs,
-        w.syncs,
-        w.bounds,
-        w.poll_rtt_micros
-    );
-
-    let mut configs: Vec<ConfigResult> = Vec::new();
-    let mut updates_applied = 0u64;
-    for &workers in w.worker_counts {
-        let (result, updates) = run_config(w, workers);
-        updates_applied = updates;
-        println!(
-            "  workers={:>2}: total={:7.3}s  upd/s={:>9.0}  sync p50={:>8}us p95={:>8}us  \
-             polls issued={} deduped={} contended={}",
-            result.workers,
-            result.total_secs,
-            result.updates_per_sec,
-            result.sync_p50_micros,
-            result.sync_p95_micros,
-            result.polls_issued,
-            result.polls_deduped,
-            result.poll_lock_contended,
-        );
-        configs.push(result);
-    }
-
-    // Every worker count must produce identical invalidation outcomes.
-    let equivalent = configs.windows(2).all(|p| {
-        p[0].fingerprint == p[1].fingerprint
-            && p[0].polls_issued == p[1].polls_issued
-            && p[0].pages_ejected == p[1].pages_ejected
-            && p[0].verdicts == p[1].verdicts
-    });
-    assert!(
-        equivalent,
-        "worker counts disagree on invalidation outcomes: {:?}",
-        configs
-            .iter()
-            .map(|c| (c.workers, c.fingerprint, c.polls_issued, c.verdicts))
-            .collect::<Vec<_>>()
-    );
-    println!(
-        "  equivalence: all {} worker counts produced identical verdicts/pages/poll counts",
-        configs.len()
-    );
-
-    let base = configs[0].total_secs;
-    let speedup_vs_1w: Vec<f64> = configs.iter().map(|c| base / c.total_secs).collect();
-    for (c, s) in configs.iter().zip(&speedup_vs_1w) {
-        println!("  speedup {}w vs 1w: {s:.2}x", c.workers);
-    }
-
-    let artifact = Artifact {
-        mode: "workers",
-        smoke,
-        tables: w.pairs * 2,
-        query_types: w.pairs,
-        instances: w.pairs * w.bounds.len(),
-        sync_points: w.syncs,
-        updates_applied,
-        poll_rtt_micros: w.poll_rtt_micros,
-        equivalent,
-        speedup_vs_1w,
-        configs,
-    };
-    append_record(smoke, &artifact);
+    std::process::ExitCode::SUCCESS
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Regression for the dead `polls_from_index` counter: every benchmark
-    /// record reported 0 because `run_config` never called
-    /// `maintain_index`. With the `ref_i.k` indexes maintained, the
-    /// per-tuple residual polls `ref_i.k = <literal>` must be answered
-    /// locally at least once per run.
-    #[test]
-    fn smoke_workload_exercises_maintained_index_poll_path() {
-        let (result, _) = run_config(&SMOKE, 1);
-        assert!(
-            result.polls_from_index > 0,
-            "maintained index answered no polls: issued={} from_index={}",
-            result.polls_issued,
-            result.polls_from_index
-        );
-    }
 
     /// The smoke shape-mix run must uphold the full precision contract:
     /// on ⊆ off per sync, strict wins on top-k and aggregate, identical

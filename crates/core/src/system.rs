@@ -419,7 +419,7 @@ impl CachePortalBuilder {
                 };
                 // Everything kept is journaled and older than any window to
                 // come.
-                let admissions = Admissions { pages, window_start: ts, durable_through: ts };
+                let admissions = Admissions { pages, window_start: ts, unjournaled: Vec::new() };
                 (admissions, r.cursor.sync_seq, Some(stats))
             }
             None => (Admissions::default(), 0, None),
@@ -599,16 +599,15 @@ struct SyncRun {
 /// Every page admitted and not since ejected, with its one stamp, the
 /// cache's [`PageCache::admitted_at`]; the freshness oracle regenerates a
 /// page from its key. A page stamped after `window_start` was admitted this
-/// sync window; one stamped after `durable_through` is not journaled yet.
-/// An evicted page keeps its row: an edge may still hold it.
+/// sync window. An evicted page keeps its row: an edge may still hold it.
 #[derive(Default)]
 struct Admissions {
     pages: HashMap<PageKey, u64>,
     /// The logical time of the previous sync point's cut.
     window_start: u64,
-    /// The logical time of the last sync point whose journal batch had no
-    /// error.
-    durable_through: u64,
+    /// With a journal, each admission since the last batch that had no
+    /// error, in the order of the lock; empty without one.
+    unjournaled: Vec<(PageKey, u64)>,
 }
 
 /// The assembled Configuration III system.
@@ -863,7 +862,12 @@ impl CachePortal {
         let now = self.clock.tick();
         self.page_cache.put(key.clone(), body.clone(), now);
         // The cache's stamp: every window reading keys off it.
-        self.admissions.lock().pages.insert(key.clone(), now);
+        let mut admissions = self.admissions.lock();
+        admissions.pages.insert(key.clone(), now);
+        if self.durability.is_some() {
+            admissions.unjournaled.push((key.clone(), now));
+        }
+        drop(admissions);
         // Mirror the admission to every healthy edge. A degraded
         // (self-ejecting) edge declines — it must stay empty until its
         // watermark catches up.
@@ -1014,7 +1018,7 @@ impl CachePortal {
         let guard = self.guard(window_start, mapper.lost, &mut invalidation);
         let ejected = self.eject(&invalidation.pages);
         let delivered = self.deliver(sync_seq, ts, &invalidation.pages);
-        let persisted = self.persist(ts, sync_seq, consumed, watermarks, &invalidation.pages);
+        let persisted = self.persist(sync_seq, consumed, watermarks, &invalidation.pages);
 
         let run = SyncRun {
             started,
@@ -1175,13 +1179,13 @@ impl CachePortal {
     /// replayable, and `/healthz` goes unhealthy.
     fn persist(
         &self,
-        ts: u64,
         sync_seq: u64,
         consumed: Lsn,
         watermarks: Vec<(String, u64)>,
         ejected_pages: &HashSet<PageKey>,
     ) -> Persisted {
-        let mut admissions = self.admissions.lock();
+        let mut guard = self.admissions.lock();
+        let admissions = &mut *guard;
         for p in ejected_pages {
             admissions.pages.remove(p);
         }
@@ -1189,13 +1193,11 @@ impl CachePortal {
         let started = std::time::Instant::now();
         let journal = self.durability.as_ref().map(|durability| {
             // The batch carries every admission since the last durable one,
-            // in admission order, read from the rows themselves: a page
-            // ejected before its first batch is not journaled at all.
-            let since = admissions.durable_through;
-            let mut batch: Vec<(PageKey, u64)> = (admissions.pages.iter())
-                .filter(|(_, &at)| at > since)
-                .map(|(page, &at)| (page.clone(), at))
-                .collect();
+            // in admission order, each at the stamp its row still holds: a
+            // page ejected before its first batch is not journaled at all,
+            // and one admitted twice is journaled once, at its latest stamp.
+            let batch = &mut admissions.unjournaled;
+            batch.retain(|(page, at)| admissions.pages.get(page) == Some(at));
             batch.sort_unstable_by_key(|&(_, at)| at);
             // The bus's delivery watermarks ride the same durable record as
             // the sync cursor: they reflect the delivery round just run, so
@@ -1211,11 +1213,11 @@ impl CachePortal {
             };
             let (outcome, stats) = {
                 let mut d = durability.lock();
-                let outcome = d.persist_sync(&self.map, &batch, &admissions.pages, cursor);
+                let outcome = d.persist_sync(&self.map, batch, &admissions.pages, cursor);
                 (outcome, d.wal_stats())
             };
             if outcome.errors == 0 {
-                admissions.durable_through = ts;
+                batch.clear();
                 self.db.write().update_log_mut().truncate(consumed);
             }
             (outcome, stats)

@@ -144,7 +144,7 @@ impl CachePortal {
     pub(super) fn observe_sync(&self, invalidator: &Invalidator, run: &SyncRun) {
         let inv = &run.invalidation;
         let ejected = run.ejected.keys.len();
-        let (root, stages) = self.trace_stages(run, invalidator.config().poll_rtt_micros);
+        let (root, stages) = self.trace_stages(run);
         self.observe_delivery(&run.delivered, run.ts);
         if let Some((outcome, stats)) = &run.persisted.journal {
             self.observe_journal(outcome, stats);
@@ -195,10 +195,9 @@ impl CachePortal {
     /// the eject records under the eject span, the delivery round. Returns
     /// the root and the stages' timeline samples. The timeline lists the
     /// index probe before analysis, the trace the other way round, and both
-    /// renderings are pinned byte for byte. Poll wait is *modeled* (polls ×
-    /// configured round-trip) so it stays deterministic for a fixed seed;
-    /// the other durations are measured wall-clock.
-    fn trace_stages(&self, run: &SyncRun, poll_rtt_micros: u64) -> (TraceContext, Vec<StageSample>) {
+    /// renderings are pinned byte for byte. Durations are measured
+    /// wall-clock.
+    fn trace_stages(&self, run: &SyncRun) -> (TraceContext, Vec<StageSample>) {
         struct Stage {
             component: &'static str,
             span: &'static str,
@@ -238,7 +237,7 @@ impl CachePortal {
         let analysis = stage(
             "invalidator",
             "sync.phase.analysis",
-            format!("tuples={} workers={}", inv.tuples_analyzed, inv.workers),
+            format!("tuples={}", inv.tuples_analyzed),
             inv.analysis_micros,
             inv.tuples_analyzed,
         );
@@ -252,13 +251,6 @@ impl CachePortal {
             inv.index_probe_micros,
             inv.index_candidates,
         );
-        let poll_wait = stage(
-            "invalidator",
-            "sync.phase.poll_wait",
-            format!("polls={}", inv.polls.issued),
-            inv.polls.issued * poll_rtt_micros,
-            inv.polls.issued,
-        );
         let eject =
             stage("cache", "sync.phase.eject", format!("{ejected} pages"), run.ejected.micros, ejected);
         let persist = stage(
@@ -269,16 +261,14 @@ impl CachePortal {
             run.persisted.work,
         );
         let samples =
-            [&mapped, &registration, &delta, &index, &analysis, &poll_wait, &eject, &persist]
-                .map(sample)
-                .to_vec();
+            [&mapped, &registration, &delta, &index, &analysis, &eject, &persist].map(sample).to_vec();
 
         let tracer = &self.obs.tracer;
         let root =
             tracer.start_trace("core", "sync.point", run.ts, format!("sync#{}", run.sync_seq));
         let span =
             |s: Stage| tracer.child_span(root, s.component, s.span, run.ts, s.detail, s.micros);
-        for s in [mapped, registration, delta, analysis, index, poll_wait] {
+        for s in [mapped, registration, delta, analysis, index] {
             span(s);
         }
         // The eject span is recorded before the provenance records so each
@@ -378,8 +368,6 @@ impl CachePortal {
         m.counter("core.fault.ejected_conservative")
             .add(guard.fault_ejected as u64);
         m.counter("invalidator.polls.avoided_local").add(inv.local_decisions);
-        m.counter("invalidator.polls.lock_contended")
-            .add(inv.poll_lock_contended);
         m.counter("invalidator.pages.ejected").add(run.ejected.keys.len() as u64);
         if let Some(over) = guard.over_invalidations {
             m.counter("invalidator.audited_sync_points").inc();
@@ -393,14 +381,6 @@ impl CachePortal {
         m.histogram("invalidator.sync.analysis_micros").record(inv.analysis_micros);
         m.histogram("invalidator.sync.collect_micros").record(inv.collect_micros);
         m.histogram("core.sync.wall_micros").record(micros_since(run.started));
-
-        // Sharded-analysis observability: how wide the last sync point ran
-        // and how the per-shard wall-clock distributed. An idle sync point
-        // (no records) leaves `shard_micros` empty and records nothing.
-        m.gauge("invalidator.shard.workers").set(inv.workers as i64);
-        for &micros in &inv.shard_micros {
-            m.histogram("invalidator.shard.elapsed_micros").record(micros);
-        }
     }
 
     /// Feed one sync point's outcomes to the freshness SLO engine and
@@ -554,7 +534,6 @@ impl CachePortal {
                 entry.staleness_events += 1;
             }
         }
-        let rtt = invalidator.config().poll_rtt_micros;
         for t in &inv.per_type {
             let entry = by_type.entry(t.id.0).or_insert_with(|| TypeSyncOutcome {
                 type_id: t.id.0,
@@ -562,9 +541,6 @@ impl CachePortal {
                 ..TypeSyncOutcome::default()
             });
             entry.polls += t.polls_attempted;
-            // Modeled spend (polls × configured round-trip), deterministic
-            // for a fixed seed — mirrors the poll_wait timeline stage.
-            entry.poll_spend_micros += t.polls_attempted * rtt;
             entry.index_candidates += t.index_candidates;
             entry.index_skipped += t.index_skipped;
             entry.index_residual += t.index_residual;

@@ -127,7 +127,7 @@ fn timeline_entries_carry_the_sync_roots_identity() {
         let stages: Vec<&str> = t.stages.iter().map(|s| &*s.name).collect();
         assert_eq!(
             stages,
-            ["mapper", "registration", "delta", "index", "analysis", "poll_wait", "eject", "persist"]
+            ["mapper", "registration", "delta", "index", "analysis", "eject", "persist"]
         );
     }
     // The windows that ejected pages show eject work; LSN ranges are real.

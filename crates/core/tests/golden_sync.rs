@@ -12,7 +12,6 @@
 use cacheportal::cache::{PageCache, PageCacheConfig};
 use cacheportal::db::schema::ColType;
 use cacheportal::db::{Database, FaultPlan, FaultSpec};
-use cacheportal::invalidator::InvalidatorConfig;
 use cacheportal::web::{
     HttpRequest, PageKey, ParamSource, QueryTemplate, Servlet, ServletSpec, SqlServlet,
 };
@@ -122,7 +121,6 @@ fn scripted_run_matches_the_golden_renderings() {
         .nodes(2)
         .durable(&dir)
         .checkpoint_interval(3)
-        .invalidator_config(InvalidatorConfig { poll_rtt_micros: 20, ..InvalidatorConfig::default() })
         .fault_plan(one_loss_plan())
         .build()
         .unwrap();

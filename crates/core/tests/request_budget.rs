@@ -31,7 +31,7 @@ const HIT: usize = 1;
 /// Allocations of a miss, in `storefront::SERVLETS` order.
 const MISS: [usize; 4] = [14, 91, 31, 13];
 /// Allocations of the first sync point over the whole site.
-const FIRST_SYNC: usize = 4983;
+const FIRST_SYNC: usize = 4977;
 
 fn portal() -> CachePortal {
     let portal = CachePortal::builder(storefront::database(1))

@@ -119,8 +119,8 @@ pub struct DbStats {
 /// Interior-mutable statistics cells: every counter is a relaxed atomic so
 /// the read-only query path ([`Database::query`] and friends, which take
 /// `&self`) can account its work without exclusive access. The cells are
-/// striped per thread ([`crate::stripe`]): two request threads, or two of
-/// the invalidator's sharded pollers, add to two cache lines, and
+/// striped per thread ([`crate::stripe`]): two request threads, or a
+/// request thread and the invalidator's sync point, add to two cache lines, and
 /// [`Database::stats`] sums the stripes exactly.
 #[derive(Debug, Default)]
 pub(crate) struct StatsCells {
@@ -478,8 +478,8 @@ impl Database {
     }
 
     /// Run a SELECT through the read-only query path. Takes `&self`: any
-    /// number of pollers (the invalidator's sharded sync-point workers, web
-    /// connections holding a read lock) can execute concurrently, with
+    /// number of readers (web connections holding a read lock, the
+    /// invalidator's sync point polling) can execute concurrently, with
     /// statistics accounted through relaxed atomics. Non-SELECT statements
     /// are rejected with [`DbError::Unsupported`] rather than executed.
     pub fn query(&self, sql: &str) -> DbResult<QueryResult> {

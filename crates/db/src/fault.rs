@@ -34,8 +34,7 @@ pub struct FaultSpec {
     pub sniffer_reorder: bool,
     /// Probability an issued polling query fails with an error.
     pub poll_error: f64,
-    /// Probability an issued polling query times out (after the modeled
-    /// round trip, if one is configured).
+    /// Probability an issued polling query times out.
     pub poll_timeout: f64,
     /// Probability a transaction statement aborts mid-stream.
     pub txn_abort: f64,
@@ -336,7 +335,7 @@ impl FaultPlan {
 
     /// Invalidator site: does this poll attempt fault? Keyed on the poll's
     /// structural key (not a sequence counter) so the decision is identical
-    /// across worker counts and across replays, plus the retry attempt
+    /// across replays, plus the retry attempt
     /// number so a transient fault can clear on a later attempt. During a
     /// poll-flap burst window every attempt faults regardless of key — the
     /// sustained outage retries cannot paper over.
@@ -365,7 +364,7 @@ impl FaultPlan {
 
     /// Advance the poll-flap phase. The portal calls this with its durable
     /// sync-point ordinal at the start of every sync point, so burst
-    /// windows line up across restarts and worker counts.
+    /// windows line up across restarts.
     pub fn set_poll_epoch(&self, epoch: u64) {
         if let Some(s) = &self.state {
             s.poll_epoch.store(epoch, Ordering::Relaxed);

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! `smoke` is the CI gate: the acceptance matrix (≥50 seeds × ≥40 actions,
-//! all three policies, workers {1,4}, every fault class), exit 1 on any
+//! all three policies, every fault class), exit 1 on any
 //! violation with the shrunk reproducer written next to the working
 //! directory (or `--out`). `soak` is the long-running variant that also
 //! prints the precision-per-policy-per-fault-class table. `replay` re-runs

@@ -5,7 +5,7 @@
 //! 1–4 servlets whose queries range over single-table selects, projections,
 //! joins, multi-conjunct predicates, aggregates, top-k (ORDER BY + LIMIT),
 //! grouped aggregates, LIKE-prefix and IN-list shapes, an initial
-//! invalidation policy, an invalidator worker count, and a fault plan. Scenarios are
+//! invalidation policy, and a fault plan. Scenarios are
 //! fully serializable so a reproducer file is self-contained — replay never
 //! depends on the generator staying bit-identical across versions.
 
@@ -248,8 +248,6 @@ pub struct Scenario {
     pub servlets: Vec<ServletGen>,
     /// Initial default policy: 0 = Exact, 1 = Conservative, 2 = TableLevel.
     pub policy: u8,
-    /// Invalidator analysis workers (1..8).
-    pub workers: usize,
     /// Fault-injection plan (inert by default).
     pub fault: FaultSpec,
     /// Initial rows per table.
@@ -300,12 +298,15 @@ impl Scenario {
             })
             .collect();
 
+        let policy = rng.gen_range(0..3u8);
+        // Once the analysis worker count; still drawn so that every seed
+        // generates the scenario it always has.
+        let _ = rng.gen_range(0..5usize);
         Scenario {
             seed,
             tables,
             servlets,
-            policy: rng.gen_range(0..3u8),
-            workers: [1usize, 1, 2, 4, 8][rng.gen_range(0..5usize)],
+            policy,
             fault: FaultSpec::default(),
             initial_rows: rng.gen_range(0..30usize),
         }
@@ -317,10 +318,9 @@ impl Scenario {
         self
     }
 
-    /// Same scenario pinned to a policy and worker count (smoke-matrix use).
-    pub fn with_policy_workers(mut self, policy: u8, workers: usize) -> Scenario {
+    /// Same scenario pinned to a policy (smoke-matrix use).
+    pub fn with_policy(mut self, policy: u8) -> Scenario {
         self.policy = policy % 3;
-        self.workers = workers;
         self
     }
 
@@ -343,7 +343,7 @@ impl Scenario {
         db
     }
 
-    /// Apply the scenario's policy, worker count, maintained indexes, and
+    /// Apply the scenario's policy, maintained indexes, and
     /// the run's fault plan and node count to a builder (shared by every
     /// assembly path). The node count belongs to the run, not the scenario:
     /// one scenario must stay fresh on a farm of any size.
@@ -355,7 +355,6 @@ impl Scenario {
     ) -> CachePortalBuilder {
         let mut cfg = InvalidatorConfig::default();
         cfg.policy.default_policy = policy_of(self.policy);
-        cfg.workers = self.workers;
         // Every harness run doubles as an index-vs-scan differential test:
         // the invalidator re-analyzes each sync with the predicate index
         // disabled and the runner flags any affected-set divergence.
@@ -392,7 +391,7 @@ impl Scenario {
     }
 
     /// Assemble the full one-node portal: database, servlets, policy,
-    /// workers, fault plan, and maintained indexes.
+    /// fault plan, and maintained indexes.
     pub fn build_portal(&self) -> CachePortal {
         self.build_farm(1)
     }

@@ -12,8 +12,8 @@
 //! - [`actions`] generates the interleaved action stream: requests,
 //!   mutations, multi-statement transactions, sync points, and policy
 //!   flips.
-//! - [`runner`] drives the stream through a full [`CachePortal`]
-//!   (`workers` 1..8) while the shadow always-recompute oracle
+//! - [`runner`] drives the stream through a full [`CachePortal`] while
+//!   the shadow always-recompute oracle
 //!   ([`CachePortal::stale_pages`]) checks zero staleness after every sync
 //!   point, and the observability surfaces are cross-checked for
 //!   coherence.

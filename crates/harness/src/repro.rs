@@ -18,7 +18,7 @@ pub const REPRO_VERSION: u32 = 1;
 pub struct Reproducer {
     /// Format version.
     pub version: u32,
-    /// The full scenario (schema, servlets, policy, workers, fault plan).
+    /// The full scenario (schema, servlets, policy, fault plan).
     pub scenario: Scenario,
     /// The (shrunk) action trace.
     pub actions: Vec<Action>,

@@ -1,5 +1,5 @@
-//! The smoke/soak sweep: many seeds, all policies, workers 1 and 4, every
-//! fault class — the matrix the acceptance criteria name. Shared between
+//! The smoke/soak sweep: many seeds, all policies, every fault class — the
+//! matrix the acceptance criteria name. Shared between
 //! the `harness` binary, `scripts/verify.sh`, and the crate's own tests.
 
 use crate::actions::gen_actions;
@@ -22,7 +22,7 @@ pub struct SweepConfig {
 
 impl SweepConfig {
     /// The CI smoke matrix: ≥50 seeds × ≥40 actions, cycling all three
-    /// policies, workers {1, 4}, and every fault class.
+    /// policies and every fault class.
     pub fn smoke() -> SweepConfig {
         SweepConfig {
             seeds: 50,
@@ -79,13 +79,12 @@ pub struct SweepOutcome {
     pub failure: Option<Reproducer>,
 }
 
-/// The deterministic scenario for one sweep slot: policy, worker count, and
-/// fault class all cycle with the seed so the matrix is covered evenly.
+/// The deterministic scenario for one sweep slot: policy and fault class
+/// both cycle with the seed so the matrix is covered evenly.
 pub fn sweep_scenario(seed: u64, classes: &[FaultClass]) -> (Scenario, FaultClass) {
     let class = classes[(seed as usize) % classes.len()];
-    let workers = if seed.is_multiple_of(2) { 1 } else { 4 };
     let sc = Scenario::generate(seed)
-        .with_policy_workers((seed % 3) as u8, workers)
+        .with_policy((seed % 3) as u8)
         .with_fault(class.spec(seed));
     (sc, class)
 }

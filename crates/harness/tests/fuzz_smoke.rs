@@ -9,7 +9,7 @@ use cacheportal_harness::{
 use std::collections::BTreeSet;
 
 /// Acceptance: ≥50 seeds × ≥40 actions, zero staleness violations, with
-/// all three policies, workers ∈ {1, 4}, and every fault class covered;
+/// all three policies and every fault class covered;
 /// and each cell's accounting equal to the pinned `harness smoke` lines.
 /// (Gated off under the canary feature: with invalidation deliberately
 /// broken, this matrix is *supposed* to fail — that is the canary test.)
@@ -19,19 +19,16 @@ fn smoke_matrix_has_zero_staleness_violations() {
     let cfg = SweepConfig::smoke();
     assert!(cfg.seeds >= 50 && cfg.actions >= 40, "smoke config below the floor");
 
-    // The matrix really covers what it claims: policies and workers cycle
-    // with the seed, classes with seed mod class-count.
+    // The matrix really covers what it claims: policies cycle with the
+    // seed, classes with seed mod class-count.
     let mut policies = BTreeSet::new();
-    let mut workers = BTreeSet::new();
     let mut classes = BTreeSet::new();
     for seed in 0..cfg.seeds {
         let (sc, class) = cacheportal_harness::sweep_scenario(seed, &cfg.classes);
         policies.insert(sc.policy);
-        workers.insert(sc.workers);
         classes.insert(class.as_str());
     }
     assert_eq!(policies.len(), 3, "all three policies in the matrix");
-    assert_eq!(workers, BTreeSet::from([1, 4]));
     assert_eq!(classes.len(), ALL_CLASSES.len(), "every fault class in the matrix");
 
     let outcome = sweep(&cfg, None);
@@ -72,7 +69,7 @@ fn every_fault_class_fires_and_stays_fresh() {
         let mut reboots = 0u64;
         for seed in 0..10u64 {
             let sc = Scenario::generate(seed)
-                .with_policy_workers(0, if seed % 2 == 0 { 1 } else { 4 })
+                .with_policy(0)
                 .with_fault(class.spec(seed));
             let actions = gen_actions(&sc, 50);
             let outcome = run_scenario(&sc, &actions);
@@ -174,7 +171,7 @@ fn three_node_farm_stays_fresh_under_faults() {
         // three logs a node rarely gets further than that.
         for seed in 8..14u64 {
             let sc = Scenario::generate(seed)
-                .with_policy_workers((seed % 3) as u8, if seed % 2 == 0 { 1 } else { 4 })
+                .with_policy((seed % 3) as u8)
                 .with_fault(class.spec(seed));
             let actions = gen_actions(&sc, 50);
             let outcome = run_scenario_on(&sc, &actions, 3);
@@ -199,7 +196,7 @@ fn three_node_farm_stays_fresh_under_faults() {
 
 /// Reproducer files are self-contained and replay deterministically: the
 /// JSON round-trips losslessly and two runs of the same trace produce the
-/// identical outcome (stats and all), including with 4 analysis workers.
+/// identical outcome (stats and all).
 /// Every reproducer under `tests/repros/` is a failure that was found,
 /// shrunk and fixed; each must keep replaying clean. Each file still names
 /// the violation it reproduced when it was captured.
@@ -228,7 +225,7 @@ fn committed_reproducers_stay_fixed() {
 #[test]
 fn reproducer_roundtrip_and_determinism() {
     let sc = Scenario::generate(7)
-        .with_policy_workers(0, 4)
+        .with_policy(0)
         .with_fault(FaultClass::Mixed.spec(7));
     let actions = gen_actions(&sc, 60);
 

@@ -108,9 +108,9 @@ impl HashText {
 
 impl PollingQuery {
     /// A poll built as a tree. Its key is the hash of its canonical text —
-    /// `DefaultHasher` with its fixed initial state, stable across threads
-    /// and runs, which the deterministic shard merge relies on — computed by
-    /// streaming the rendering into the hasher.
+    /// `DefaultHasher` with its fixed initial state, stable across runs,
+    /// which the fault plan's decisions rely on — computed by streaming the
+    /// rendering into the hasher.
     pub fn new(select: Select, other_tables: impl Into<Arc<[String]>>) -> Self {
         let mut text = HashText(DefaultHasher::new());
         write!(text, "{select}").expect("hashing cannot fail");

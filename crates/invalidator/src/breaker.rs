@@ -18,11 +18,11 @@
 //!   the breaker (restarting the cooldown); a sync point where the type
 //!   polled cleanly closes it.
 //!
-//! Determinism: decisions for a sync point are taken **before** the
-//! type-sharded analysis fans out, and the observations that advance the
-//! machine are aggregated per type **after** the shards join. Both sides
-//! are pure functions of the workload, so verdicts stay independent of the
-//! worker count — the PR 3 parallel-equivalence property.
+//! Determinism: decisions for a sync point are taken **before** any type
+//! is analysed, and the observations that advance the machine are summed
+//! per type **after** the analysis. Both sides are pure functions of the
+//! workload, so the index-differential shadow pass sees the same decisions
+//! as the real one.
 
 use crate::query_type::QueryTypeId;
 use std::collections::HashMap;
@@ -45,8 +45,8 @@ pub enum BreakerDecision {
     Probe,
 }
 
-/// Per-type observation for one sync point, aggregated after the shards
-/// join (shard-order independent: plain sums keyed by type).
+/// Per-type observation for one sync point, taken after the analysis
+/// (plain sums keyed by type).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TypeObservation {
     /// Poll attempts that reached the DBMS fault site for this type.

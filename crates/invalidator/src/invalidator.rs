@@ -177,14 +177,6 @@ pub struct InvalidationReport {
     pub analysis_micros: u64,
     /// Stage timing: page collection + policy discovery bookkeeping.
     pub collect_micros: u64,
-    /// Worker threads the analysis stage ran with (1 = sequential).
-    pub workers: u64,
-    /// Per-shard analysis wall-clock, microseconds, in shard order. Empty
-    /// when the sync point consumed no records.
-    pub shard_micros: Vec<u64>,
-    /// Times a shard blocked on a dedup stripe held by another shard
-    /// (scheduling-dependent; excluded from the equivalence guarantee).
-    pub poll_lock_contended: u64,
     /// Poll decisions that fell back to [`VerdictKind::PollFault`] because
     /// the polling query errored or timed out (after exhausting retries).
     pub poll_faults: u64,
@@ -200,10 +192,8 @@ pub struct InvalidationReport {
     pub breaker_open_types: u64,
     /// Types currently half-open (probing) after this sync point.
     pub breaker_half_open_types: u64,
-    /// Per-query-type outcome of this sync point, sorted by type id.
-    /// Built in the deterministic merge, so it is identical across worker
-    /// counts (except `analysis_micros`, which is wall-clock); feeds the
-    /// portal's cost/benefit scorecards.
+    /// Per-query-type outcome of this sync point, sorted by type id;
+    /// feeds the portal's cost/benefit scorecards.
     pub per_type: Vec<TypeSyncStat>,
     /// Candidate instances the predicate index handed to the analysis loop
     /// (instances that still ran the full local-check/poll decision).
@@ -257,7 +247,7 @@ pub struct TypeSyncStat {
     /// The query type.
     pub id: QueryTypeId,
     /// Polling queries attempted for this type (issued + answered from the
-    /// poll cache/index); deterministic across worker counts.
+    /// poll cache/index).
     pub polls_attempted: u64,
     /// Polls that faulted after retries.
     pub poll_faults: u64,
@@ -282,16 +272,6 @@ pub struct TypeSyncStat {
 pub struct InvalidatorConfig {
     /// Policy configuration (defaults, budget, discovery rules).
     pub policy: PolicyConfig,
-    /// Worker threads for the affected-instance analysis stage. Query types
-    /// are sharded round-robin across workers; `1` (the default) runs the
-    /// sequential path. Values above the candidate-type count are clamped.
-    pub workers: usize,
-    /// Modeled DBMS round-trip time per *issued* polling query, in
-    /// microseconds. The paper's invalidator polls a remote DBMS over the
-    /// network; setting this reproduces that regime (each issued poll
-    /// sleeps this long), which is what concurrent polling overlaps.
-    /// `0` (the default) disables the model entirely.
-    pub poll_rtt_micros: u64,
     /// Fault-injection plan for polling queries (harness only; the default
     /// plan is inert). Installed into every sync point's [`PollRunner`].
     pub fault: cacheportal_db::FaultPlan,
@@ -301,12 +281,12 @@ pub struct InvalidatorConfig {
     /// identical with it off, just slower at high instance counts.
     pub predicate_index: bool,
     /// Index-vs-scan differential mode (harness/CI): after the indexed
-    /// analysis, re-run the whole batch sequentially with the index
-    /// disabled and count `(type, params)` affected-set divergences into
-    /// [`InvalidationReport::index_divergences`]. The comparison is exact
-    /// for the default unbudgeted config (a per-sync poll budget is spent
-    /// in scheduling order, which a sequential re-run cannot reproduce).
-    /// Expensive — every sync point analyzes twice.
+    /// analysis, re-run the whole batch with the index disabled and count
+    /// `(type, params)` affected-set divergences into
+    /// [`InvalidationReport::index_divergences`]. Both passes walk the same
+    /// types and instances in the same order, and an instance the index
+    /// skips is decided locally without a poll, so a per-sync poll budget
+    /// is spent alike in both. Expensive — every sync point analyzes twice.
     pub index_differential: bool,
     /// Per-shape decision rules (on by default): TopK instances compare
     /// delta tuples against their post-batch top-k boundary, Aggregate
@@ -321,8 +301,6 @@ impl Default for InvalidatorConfig {
     fn default() -> Self {
         InvalidatorConfig {
             policy: PolicyConfig::default(),
-            workers: 1,
-            poll_rtt_micros: 0,
             fault: cacheportal_db::FaultPlan::default(),
             predicate_index: true,
             index_differential: false,
@@ -331,44 +309,14 @@ impl Default for InvalidatorConfig {
     }
 }
 
-/// Per-shard tallies of the analysis stage that no per-type stat carries,
-/// summed into the [`InvalidationReport`] after all shards join.
-#[derive(Debug, Default)]
-struct ShardTally {
-    checked_instances: u64,
-    tuples_analyzed: u64,
-    local_decisions: u64,
-    degraded_by_budget: u64,
-    bind_failures: u64,
-    breaker_degraded: u64,
-    index_probed_types: u64,
-    index_residual_types: u64,
-    index_probe_micros: u64,
-    boundary_polls: u64,
-    /// Pages of aggregate instances the value-preserving netting kept
-    /// cached (see [`InvalidationReport::netted_pages`]).
-    netted_pages: Vec<PageKey>,
-}
-
-/// One analyzed query type's results, tagged with its position in the
-/// sorted candidate-type order so the merge is deterministic regardless of
-/// which shard ran it.
+/// One analyzed query type's results.
 struct TypeOutcome {
-    order: usize,
     affected: Vec<Affected>,
-    /// The type's share of the sync point. A type lives wholly within one
-    /// shard, so this is complete as it stands.
+    /// The type's share of the sync point.
     stat: TypeSyncStat,
     /// Whether `stat.analysis_micros` goes into the type's running stats;
     /// false for table-level types, whose time was never recorded.
     timed: bool,
-}
-
-/// Everything one shard worker produced.
-struct ShardOutcome {
-    types: Vec<TypeOutcome>,
-    tally: ShardTally,
-    elapsed_micros: u64,
 }
 
 /// How one query type's instances are decided, chosen once per type.
@@ -383,13 +331,12 @@ enum Decider<'a> {
     Conventional,
 }
 
-/// One query type under analysis in a shard: the policy it runs under and
-/// what it has spent and counted so far.
+/// One query type under analysis: the policy it runs under and what it has
+/// spent and counted so far.
 struct TypeRun {
     policy: InvalidationPolicy,
     breaker_degraded: bool,
-    /// Retries left to the type this sync point; a type lives wholly within
-    /// one shard, so the budget is shard-local state.
+    /// Retries left to the type this sync point.
     retry_budget: u64,
     stat: TypeSyncStat,
 }
@@ -402,15 +349,15 @@ struct Instance<'a> {
     params: &'a [Value],
 }
 
-/// What every shard of one sync point's analysis reads, borrowed for the
-/// length of the stage: the decision functions are its methods.
-#[derive(Clone, Copy)]
+/// What one sync point's analysis reads, borrowed for the length of the
+/// stage, and the poll runner it polls through: the decision functions are
+/// its methods.
 struct SyncContext<'a> {
     registry: &'a Registry,
     policies: &'a PolicyStore,
     config: &'a InvalidatorConfig,
     info: &'a InfoManager,
-    runner: &'a PollRunner<'a>,
+    runner: PollRunner<'a>,
     db: &'a Database,
     deltas: &'a DeltaSet,
     /// Types whose breaker is open this sync point.
@@ -500,8 +447,8 @@ impl Invalidator {
         &self.config
     }
 
-    /// Mutable configuration access: the harness flips policies, worker
-    /// counts, and fault plans between sync points.
+    /// Mutable configuration access: the harness flips policies and fault
+    /// plans between sync points.
     pub fn config_mut(&mut self) -> &mut InvalidatorConfig {
         &mut self.config
     }
@@ -533,8 +480,7 @@ impl Invalidator {
     /// `report.pages` to the caches as eject messages.
     ///
     /// Takes `&Database`: the sync point only *reads* the DBMS (update
-    /// log + read-only polling queries), so with `workers > 1` the
-    /// analysis stage fans out across threads that poll concurrently.
+    /// log + read-only polling queries).
     ///
     /// The stages run in order, each filling its part of the report:
     /// register, delta, analyse, collect. An empty update log ends the sync
@@ -550,10 +496,7 @@ impl Invalidator {
         map: &QiUrlMap,
     ) -> DbResult<InvalidationReport> {
         let started = std::time::Instant::now();
-        let mut report = InvalidationReport {
-            workers: self.config.workers.max(1) as u64,
-            ..InvalidationReport::default()
-        };
+        let mut report = InvalidationReport::default();
         self.register(map, &mut report);
         report.registration_micros = started.elapsed().as_micros() as u64;
         if let Some(deltas) = self.pull_deltas(db, &mut report) {
@@ -633,18 +576,8 @@ impl Invalidator {
         Some(deltas)
     }
 
-    /// Stage 3: analyze one delta batch; returns affected (type, params,
-    /// verdict) triples.
-    ///
-    /// Candidate query types are sharded round-robin (in stable type-id
-    /// order) across `config.workers` shards: shard 0 runs on the calling
-    /// thread, the others on scoped threads. Each shard analyzes its types
-    /// independently against the shared read-only database and a shared
-    /// [`PollRunner`] whose lock-striped dedup cache guarantees identical
-    /// polls execute exactly once across shards. Per-shard results are
-    /// merged back in candidate-type order, so the affected list — and
-    /// therefore verdicts, pages, and provenance — is identical whatever
-    /// the worker count.
+    /// Stage 3: analyze one delta batch on the calling thread; returns
+    /// affected (type, params, verdict) triples in candidate-type order.
     fn analyze_batch(
         &mut self,
         db: &Database,
@@ -652,113 +585,67 @@ impl Invalidator {
         candidate_types: &[QueryTypeId],
         report: &mut InvalidationReport,
     ) -> Vec<Affected> {
-        let poll_runner = |rtt_micros: u64| {
-            PollRunner::with_rtt(&self.info, deltas, std::time::Duration::from_micros(rtt_micros))
+        let poll_runner = || {
+            PollRunner::new(&self.info, deltas)
                 .with_fault_plan(self.config.fault.clone())
                 .with_retry(POLL_MAX_RETRIES)
         };
-        let runner = poll_runner(self.config.poll_rtt_micros);
 
         // Compiled once per type, here, where the registry is still ours to
-        // change: the shards share it read-only.
+        // change: the analysis reads it.
         for &id in candidate_types {
             self.registry.refresh_analysis(id, db);
         }
 
-        // Breaker decisions are taken up front, before the fan-out: every
-        // shard sees the same per-type decision regardless of worker count
-        // or scheduling, preserving parallel equivalence.
+        // Breaker decisions are taken up front, before any type is
+        // analysed: the index-differential shadow pass sees the same
+        // per-type decisions as the real one.
         let degraded: HashSet<QueryTypeId> = (candidate_types.iter().copied())
             .filter(|&id| self.breaker.decision(id) == BreakerDecision::Degrade)
             .collect();
 
-        let workers = self
-            .config
-            .workers
-            .max(1)
-            .min(candidate_types.len().max(1));
-        let mut shards: Vec<Vec<(usize, QueryTypeId)>> = vec![Vec::new(); workers];
-        for (order, ty_id) in candidate_types.iter().copied().enumerate() {
-            shards[order % workers].push((order, ty_id));
-        }
-
-        let ctx = SyncContext {
+        let mut ctx = SyncContext {
             registry: &self.registry,
             policies: &self.policies,
             config: &self.config,
             info: &self.info,
-            runner: &runner,
+            runner: poll_runner(),
             db,
             deltas,
             degraded: &degraded,
             use_index: self.config.predicate_index,
         };
-        let run_shard = |types: &[(usize, QueryTypeId)]| ctx.analyze_types_shard(types);
-        let shard_results: Vec<ShardOutcome> = std::thread::scope(|s| {
-            let spawned: Vec<_> = shards[1..]
-                .iter()
-                .map(|types| s.spawn(move || run_shard(types)))
-                .collect();
-            let mut results = vec![run_shard(&shards[0])];
-            results.extend(
-                spawned
-                    .into_iter()
-                    .map(|h| h.join().expect("invalidator shard worker panicked")),
-            );
-            results
-        });
+        let type_outcomes = ctx.analyze_types(candidate_types, report);
+        report.polls = ctx.runner.stats();
 
-        // Deterministic merge: flatten per-type outcomes and restore the
-        // candidate-type order they were assigned from.
-        let mut type_outcomes: Vec<TypeOutcome> = Vec::with_capacity(candidate_types.len());
-        for ShardOutcome { types, tally, elapsed_micros } in shard_results {
-            report.shard_micros.push(elapsed_micros);
-            report.checked_instances += tally.checked_instances;
-            report.tuples_analyzed += tally.tuples_analyzed;
-            report.local_decisions += tally.local_decisions;
-            report.degraded_by_budget += tally.degraded_by_budget;
-            report.bind_failures += tally.bind_failures;
-            report.breaker_degraded += tally.breaker_degraded;
-            report.index_probed_types += tally.index_probed_types;
-            report.index_residual_types += tally.index_residual_types;
-            report.index_probe_micros += tally.index_probe_micros;
-            report.shape_boundary_polls += tally.boundary_polls;
-            report.netted_pages.extend(tally.netted_pages);
-            type_outcomes.extend(types);
-        }
-        type_outcomes.sort_unstable_by_key(|t| t.order);
-
-        // Index-vs-scan differential mode: re-run the whole batch
-        // sequentially with the index disabled against a fresh runner
-        // (zero RTT, same fault plan — `poll_fault(key, attempt)` is a
-        // pure function, and index-skipped instances never poll, so both
-        // passes see identical poll outcomes) and count affected-set
-        // divergences. The shadow pass reuses the up-front breaker
-        // decisions and touches no registry/breaker state, so enabling
-        // the mode never changes what the sync point ejects.
+        // Index-vs-scan differential mode: re-run the whole batch with the
+        // index disabled against a fresh runner (same fault plan —
+        // `poll_fault(key, attempt)` is a pure function, and index-skipped
+        // instances never poll, so both passes see identical poll
+        // outcomes) and count affected-set divergences. The shadow pass
+        // reuses the up-front breaker decisions, counts into a report of
+        // its own and touches no registry/breaker state, so enabling the
+        // mode never changes what the sync point ejects.
         if self.config.index_differential && self.config.predicate_index {
-            let shadow_runner = poll_runner(0);
-            let all_types: Vec<(usize, QueryTypeId)> =
-                candidate_types.iter().copied().enumerate().collect();
-            let shadow = SyncContext { runner: &shadow_runner, use_index: false, ..ctx }
-                .analyze_types_shard(&all_types);
+            let shadow = SyncContext { runner: poll_runner(), use_index: false, ..ctx }
+                .analyze_types(candidate_types, &mut InvalidationReport::default());
             let instances_of = |types: &[TypeOutcome]| -> BTreeSet<(QueryTypeId, Arc<[Value]>)> {
                 types
                     .iter()
                     .flat_map(|t| t.affected.iter().map(|(id, p, _)| (*id, p.clone())))
                     .collect()
             };
-            report.index_divergences = instances_of(&shadow.types)
+            report.index_divergences = instances_of(&shadow)
                 .symmetric_difference(&instances_of(&type_outcomes))
                 .count() as u64;
         }
 
-        // Each candidate type was analysed by exactly one shard, so its
-        // outcome's stat is the type's whole share: the report's per-type
-        // tallies are their sums, and `per_type` is the stats in order.
+        // Each outcome's stat is its type's whole share: the report's
+        // per-type tallies are their sums, and `per_type` is the stats in
+        // order.
         let mut affected: Vec<Affected> = Vec::new();
         let mut observations: HashMap<QueryTypeId, TypeObservation> = HashMap::new();
-        for TypeOutcome { affected: of_type, stat, timed, .. } in type_outcomes {
+        for TypeOutcome { affected: of_type, stat, timed } in type_outcomes {
             affected.extend(of_type);
             report.poll_faults += stat.poll_faults;
             report.index_candidates += stat.index_candidates;
@@ -777,8 +664,7 @@ impl Invalidator {
             report.per_type.push(stat);
         }
 
-        // Advance the breaker with the sync point's aggregated evidence —
-        // per-type sums, independent of shard assignment and join order.
+        // Advance the breaker with the sync point's per-type evidence.
         let events = self.breaker.observe_sync(&observations);
         report.breaker_opened = events.opened;
         report.breaker_half_opened = events.half_opened;
@@ -796,8 +682,6 @@ impl Invalidator {
                 keep
             });
         }
-        report.polls = runner.stats();
-        report.poll_lock_contended = runner.contended();
         affected
     }
 
@@ -872,28 +756,29 @@ impl Invalidator {
 }
 
 impl SyncContext<'_> {
-    /// Analyze one shard's query types, on the calling thread or a worker:
-    /// everything it reads is a shared `&` reference, everything it counts is
-    /// its own.
-    fn analyze_types_shard(&self, types: &[(usize, QueryTypeId)]) -> ShardOutcome {
-        let shard_started = std::time::Instant::now();
-        let mut tally = ShardTally::default();
+    /// Analyze the candidate query types in order. What no per-type stat
+    /// carries is counted straight into `report`.
+    fn analyze_types(
+        &mut self,
+        types: &[QueryTypeId],
+        report: &mut InvalidationReport,
+    ) -> Vec<TypeOutcome> {
         let mut out_types: Vec<TypeOutcome> = Vec::with_capacity(types.len());
 
-        for &(order, ty_id) in types {
+        for &ty_id in types {
             let type_started = std::time::Instant::now();
-            let ty = self.registry.get(ty_id);
+            let registry = self.registry;
+            let ty = registry.get(ty_id);
             let mut run = TypeRun {
                 policy: self.policies.policy_for(ty_id, &self.config.policy),
                 breaker_degraded: self.degraded.contains(&ty_id),
                 retry_budget: POLL_RETRY_BUDGET_PER_TYPE,
                 stat: TypeSyncStat { id: ty_id, shape: ty.shape, ..TypeSyncStat::default() },
             };
-            let compiled = self
-                .registry
+            let compiled = registry
                 .analysis(ty_id)
-                .expect("candidate types are compiled before the fan-out");
-            let mut instances = self.instances_to_check(&mut run, &mut tally);
+                .expect("candidate types are compiled before analysis");
+            let mut instances = self.instances_to_check(&mut run, report);
             // Empty-type fast path, preserved from the scan-only days. When
             // the index skipped live instances the outcome is still pushed
             // so the per-type skip tallies reach the scorecards.
@@ -903,8 +788,12 @@ impl SyncContext<'_> {
             // The registry's instance map iterates in hash order (and probe
             // results come back in slot order); sort so the affected list
             // (and poll-source attribution within a type) is deterministic
-            // run to run and across worker counts.
+            // run to run.
             instances.sort_unstable();
+            // Room for one poll answer per instance, where polls can run.
+            if run.policy == InvalidationPolicy::Exact && !run.breaker_degraded {
+                self.runner.reserve(instances.len());
+            }
 
             // Per-shape decision rules (TopK boundary, aggregate delta) only
             // under the Exact policy with a healthy poll path —
@@ -938,15 +827,15 @@ impl SyncContext<'_> {
 
             let mut affected: Vec<Affected> = Vec::new();
             for params in instances {
-                tally.checked_instances += 1;
+                report.checked_instances += 1;
                 let bound = (compiled.as_ref().map_err(|err| err.clone()))
                     .and_then(|ty| ty.check_params(&params).map(|()| Instance { ty, params: &params }));
                 let decided = match &decider {
                     Decider::TableLevel(detail) => {
                         Ok(Some(VerdictCause { kind: VerdictKind::TableLevel, detail: detail.clone() }))
                     }
-                    Decider::Conventional => bound.and_then(|i| self.decide_conventional(&mut run, &mut tally, i)),
-                    rule => bound.and_then(|i| self.decide_by_rule(&mut run, &mut tally, i, rule)),
+                    Decider::Conventional => bound.and_then(|i| self.decide_conventional(&mut run, report, i)),
+                    rule => bound.and_then(|i| self.decide_by_rule(&mut run, report, i, rule)),
                 };
                 // An instance that does not analyse — its type no longer
                 // compiles, its values do not bind, a conjunct does not
@@ -956,7 +845,7 @@ impl SyncContext<'_> {
                 // re-registers it against the current schema (or 500s
                 // honestly).
                 let cause = decided.unwrap_or_else(|err| {
-                    tally.bind_failures += 1;
+                    report.bind_failures += 1;
                     Some(VerdictCause {
                         kind: VerdictKind::BindFailure,
                         detail: format!("instance no longer analyses against the schema ({err}); failed safe"),
@@ -968,13 +857,9 @@ impl SyncContext<'_> {
             if timed {
                 run.stat.analysis_micros = type_started.elapsed().as_micros() as u64;
             }
-            out_types.push(TypeOutcome { order, affected, stat: run.stat, timed });
+            out_types.push(TypeOutcome { affected, stat: run.stat, timed });
         }
-        ShardOutcome {
-            types: out_types,
-            tally,
-            elapsed_micros: shard_started.elapsed().as_micros() as u64,
-        }
+        out_types
     }
 
     /// The instances of `run`'s type this batch can affect. The predicate
@@ -982,7 +867,11 @@ impl SyncContext<'_> {
     /// occurrence touched, schema drift, missing FROM table) and table-level
     /// types fall back to the full instance list — the index may only skip
     /// work, never change verdicts.
-    fn instances_to_check(&self, run: &mut TypeRun, tally: &mut ShardTally) -> Vec<Arc<[Value]>> {
+    fn instances_to_check(
+        &self,
+        run: &mut TypeRun,
+        report: &mut InvalidationReport,
+    ) -> Vec<Arc<[Value]>> {
         let ty_id = run.stat.id;
         let all = || -> Vec<Arc<[Value]>> {
             (self.registry.instances_of(ty_id)).map(|(params, _)| params.clone()).collect()
@@ -995,19 +884,19 @@ impl SyncContext<'_> {
         } else {
             let probe_started = std::time::Instant::now();
             let p = self.registry.probe_index(ty_id, self.deltas, self.db);
-            tally.index_probe_micros += probe_started.elapsed().as_micros() as u64;
+            report.index_probe_micros += probe_started.elapsed().as_micros() as u64;
             p
         };
         let total = self.registry.instance_count(ty_id) as u64;
         match probe {
             Probe::Candidates(cands) => {
-                tally.index_probed_types += 1;
+                report.index_probed_types += 1;
                 run.stat.index_candidates = cands.len() as u64;
                 run.stat.index_skipped = total.saturating_sub(cands.len() as u64);
                 cands
             }
             Probe::Scan => {
-                tally.index_residual_types += 1;
+                report.index_residual_types += 1;
                 run.stat.index_residual = total;
                 all()
             }
@@ -1018,9 +907,9 @@ impl SyncContext<'_> {
     /// outcome (in `analysis`, beside its plan) maps to the rule's verdict
     /// kind, or to the conventional path where the rule hands it on.
     fn decide_by_rule(
-        &self,
+        &mut self,
         run: &mut TypeRun,
-        tally: &mut ShardTally,
+        report: &mut InvalidationReport,
         inst: Instance<'_>,
         rule: &Decider<'_>,
     ) -> DbResult<Option<VerdictCause>> {
@@ -1035,11 +924,11 @@ impl SyncContext<'_> {
                 spec.decide(inst.ty, inst.params, delta, &mut work),
                 VerdictKind::AggregateDelta,
             ),
-            _ => return self.decide_conventional(run, tally, inst),
+            _ => return self.decide_conventional(run, report, inst),
         };
-        tally.tuples_analyzed += work.tuples_analyzed;
-        tally.local_decisions += work.local_decisions;
-        tally.boundary_polls += work.boundary_polls;
+        report.tuples_analyzed += work.tuples_analyzed;
+        report.local_decisions += work.local_decisions;
+        report.shape_boundary_polls += work.boundary_polls;
         match outcome? {
             RuleOutcome::Unaffected => Ok(None),
             RuleOutcome::Kept => {
@@ -1049,13 +938,13 @@ impl SyncContext<'_> {
                 // guard-eject any admitted mid-window.
                 if kind == VerdictKind::AggregateDelta {
                     if let Some(data) = self.registry.pages_of(run.stat.id, inst.params) {
-                        tally.netted_pages.extend(data.pages.iter().cloned());
+                        report.netted_pages.extend(data.pages.iter().cloned());
                     }
                 }
                 Ok(None)
             }
             RuleOutcome::Affected(detail) => Ok(Some(VerdictCause { kind, detail })),
-            RuleOutcome::HandOn => self.decide_conventional(run, tally, inst),
+            RuleOutcome::HandOn => self.decide_conventional(run, report, inst),
         }
     }
 
@@ -1063,9 +952,9 @@ impl SyncContext<'_> {
     /// table the batch touched is checked locally, then by polls, until one
     /// proves impact.
     fn decide_conventional(
-        &self,
+        &mut self,
         run: &mut TypeRun,
-        tally: &mut ShardTally,
+        report: &mut InvalidationReport,
         inst: Instance<'_>,
     ) -> DbResult<Option<VerdictCause>> {
         for (occ, tref) in inst.ty.from_refs().iter().enumerate() {
@@ -1073,9 +962,9 @@ impl SyncContext<'_> {
                 continue;
             };
             let cause = if self.config.policy.batch_polls {
-                self.decide_batched(run, tally, inst, occ, delta)?
+                self.decide_batched(run, report, inst, occ, delta)?
             } else {
-                self.decide_per_tuple(run, tally, inst, occ, delta)?
+                self.decide_per_tuple(run, report, inst, occ, delta)?
             };
             if cause.is_some() {
                 return Ok(cause);
@@ -1087,24 +976,24 @@ impl SyncContext<'_> {
     /// Per-tuple decision loop (grouping disabled): one poll per surviving
     /// delta tuple. Returns the verdict that proved impact, or `None`.
     fn decide_per_tuple(
-        &self,
+        &mut self,
         run: &mut TypeRun,
-        tally: &mut ShardTally,
+        report: &mut InvalidationReport,
         inst: Instance<'_>,
         occ: usize,
         delta: &crate::delta::TableDelta,
     ) -> DbResult<Option<VerdictCause>> {
         let table = &inst.ty.from_refs()[occ].table;
         for (tuple, is_insert) in delta.tuples() {
-            tally.tuples_analyzed += 1;
+            report.tuples_analyzed += 1;
             let impact = inst.ty.analyze_tuple(inst.params, occ, tuple)?;
             let hit = match impact {
                 TupleImpact::NoImpact => {
-                    tally.local_decisions += 1;
+                    report.local_decisions += 1;
                     None
                 }
                 TupleImpact::Affected => {
-                    tally.local_decisions += 1;
+                    report.local_decisions += 1;
                     Some(VerdictCause {
                         kind: VerdictKind::LocalPredicate,
                         detail: format!(
@@ -1113,7 +1002,7 @@ impl SyncContext<'_> {
                         ),
                     })
                 }
-                TupleImpact::NeedsPoll(poll) => self.run_poll(run, tally, &poll, !is_insert)?,
+                TupleImpact::NeedsPoll(poll) => self.run_poll(run, report, &poll, !is_insert)?,
             };
             if hit.is_some() {
                 return Ok(hit);
@@ -1126,9 +1015,9 @@ impl SyncContext<'_> {
     /// (the correlated-delete guard only applies to deletions), each batch
     /// producing at most ⌈n / [`MAX_OR_TERMS_PER_POLL`]⌉ polls.
     fn decide_batched(
-        &self,
+        &mut self,
         run: &mut TypeRun,
-        tally: &mut ShardTally,
+        report: &mut InvalidationReport,
         inst: Instance<'_>,
         occ: usize,
         delta: &crate::delta::TableDelta,
@@ -1140,7 +1029,7 @@ impl SyncContext<'_> {
             if rows.is_empty() {
                 continue;
             }
-            tally.tuples_analyzed += rows.len() as u64;
+            report.tuples_analyzed += rows.len() as u64;
             let (impact, _survivors) = inst.ty.analyze_tuple_batch(
                 inst.params,
                 occ,
@@ -1149,11 +1038,11 @@ impl SyncContext<'_> {
             )?;
             let hit = match impact {
                 BatchImpact::NoImpact => {
-                    tally.local_decisions += 1;
+                    report.local_decisions += 1;
                     None
                 }
                 BatchImpact::Affected => {
-                    tally.local_decisions += 1;
+                    report.local_decisions += 1;
                     Some(VerdictCause {
                         kind: VerdictKind::LocalPredicate,
                         detail: format!(
@@ -1166,7 +1055,7 @@ impl SyncContext<'_> {
                 BatchImpact::NeedsPolls(polls) => {
                     let mut any = None;
                     for poll in &polls {
-                        any = self.run_poll(run, tally, poll, was_delete)?;
+                        any = self.run_poll(run, report, poll, was_delete)?;
                         if any.is_some() {
                             break;
                         }
@@ -1182,16 +1071,10 @@ impl SyncContext<'_> {
     }
 
     /// Execute one polling decision under the policy and budget.
-    ///
-    /// With `workers > 1` the budget check reads a cross-shard atomic, so
-    /// degradation kicks in *approximately* at the configured budget (a few
-    /// polls may race past it). That only trades poll volume against
-    /// precision in the direction the budget already trades it; outcome
-    /// equivalence is guaranteed for the default unbudgeted configuration.
     fn run_poll(
-        &self,
+        &mut self,
         run: &mut TypeRun,
-        tally: &mut ShardTally,
+        report: &mut InvalidationReport,
         poll: &PollingQuery,
         tuple_was_delete: bool,
     ) -> DbResult<Option<VerdictCause>> {
@@ -1200,7 +1083,7 @@ impl SyncContext<'_> {
             // type runs the paper's no-polling conservative policy — local
             // checks still decided NoImpact/Affected above; anything that
             // would need the DBMS is assumed affected.
-            tally.breaker_degraded += 1;
+            report.breaker_degraded += 1;
             return Ok(Some(VerdictCause {
                 kind: VerdictKind::BreakerDegraded,
                 detail: format!(
@@ -1221,7 +1104,7 @@ impl SyncContext<'_> {
         if over_budget && self.info.try_answer(poll).is_none() {
             // Budget exhausted and no free answer: degrade to Conservative
             // (§4.2.2's quality/real-time trade-off).
-            tally.degraded_by_budget += 1;
+            report.degraded_by_budget += 1;
             return Ok(Some(VerdictCause {
                 kind: VerdictKind::BudgetDegraded,
                 detail: format!("poll budget exhausted; assumed affected instead of polling: {poll}"),
@@ -1704,48 +1587,30 @@ mod tests {
         assert!(r.polls.issued >= 1, "probe actually reached the DBMS");
     }
 
-    /// Breaker verdicts and transitions are identical across worker counts
-    /// (the PR 3 parallel-equivalence property extends to degradation).
+    /// A DBMS faulty long enough to trip the breaker and sit out the
+    /// cooldown, then healed: the breaker opens once and closes once.
     #[test]
-    fn breaker_behavior_is_worker_count_independent() {
+    fn breaker_trips_and_recovers_once() {
         use crate::breaker::{COOLDOWN_SYNCS, FAULT_THRESHOLD};
-        // Faulty long enough to trip and sit out the cooldown, then healed.
         let healed_at = FAULT_THRESHOLD + COOLDOWN_SYNCS;
-        let runs: Vec<Vec<(u64, u64, u64, usize)>> = [1usize, 4]
-            .iter()
-            .map(|&workers| {
-                let (mut db, map, mut inv) = setup();
-                inv.config.workers = workers;
-                inv.config.fault =
-                    cacheportal_db::FaultPlan::new(cacheportal_db::FaultSpec {
-                        poll_error: 1.0,
-                        ..cacheportal_db::FaultSpec::default()
-                    });
-                let mut trace = Vec::new();
-                for i in 0..healed_at + 2 {
-                    if i == healed_at {
-                        inv.config.fault = cacheportal_db::FaultPlan::none();
-                    }
-                    db.execute(&format!(
-                        "INSERT INTO Car VALUES ('Toyota','Avalon',{})",
-                        1000 + i
-                    ))
-                    .unwrap();
-                    let r = inv.run_sync_point(&db, &map).unwrap();
-                    trace.push((
-                        r.breaker_opened,
-                        r.breaker_closed,
-                        r.breaker_degraded,
-                        r.pages.len(),
-                    ));
-                }
-                trace
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-        let opened: u64 = runs[0].iter().map(|t| t.0).sum();
-        let closed: u64 = runs[0].iter().map(|t| t.1).sum();
-        assert_eq!((opened, closed), (1, 1), "the walk trips and recovers: {:?}", runs[0]);
+        let (mut db, map, mut inv) = setup();
+        inv.config.fault = cacheportal_db::FaultPlan::new(cacheportal_db::FaultSpec {
+            poll_error: 1.0,
+            ..cacheportal_db::FaultSpec::default()
+        });
+        let mut trace = Vec::new();
+        for i in 0..healed_at + 2 {
+            if i == healed_at {
+                inv.config.fault = cacheportal_db::FaultPlan::none();
+            }
+            db.execute(&format!("INSERT INTO Car VALUES ('Toyota','Avalon',{})", 1000 + i))
+                .unwrap();
+            let r = inv.run_sync_point(&db, &map).unwrap();
+            trace.push((r.breaker_opened, r.breaker_closed));
+        }
+        let opened: u64 = trace.iter().map(|t| t.0).sum();
+        let closed: u64 = trace.iter().map(|t| t.1).sum();
+        assert_eq!((opened, closed), (1, 1), "the walk trips and recovers: {trace:?}");
     }
 
     /// A single-table equality type: the index skips every instance whose

@@ -14,10 +14,7 @@ use crate::delta::DeltaSet;
 use crate::query_type::QueryShape;
 use cacheportal_db::sql::ast::{CmpOp, Expr};
 use cacheportal_db::{Database, DbError, DbResult, FaultPlan, PollFault, Value};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// One maintained join-attribute index.
 #[derive(Debug)]
@@ -55,8 +52,7 @@ pub struct PollStats {
     pub delete_guard_hits: u64,
     /// Polls that failed with an injected fault (error or timeout). Each
     /// failed attempt counts; faulted answers are never cached, so the
-    /// count is a pure function of the workload — identical across worker
-    /// counts.
+    /// count is a pure function of the workload.
     pub faulted: u64,
     /// Retry attempts made after a transient poll fault. A poll only
     /// surfaces as failed once its retry allowance is exhausted.
@@ -196,41 +192,22 @@ pub enum PollAnswer {
     DeleteGuard,
 }
 
-/// Number of dedup-cache stripes. Polls hash across stripes, so two shards
-/// only contend when their polls share a stripe; 64 stripes keep that rare
-/// even with the full worker fan-out while bounding memory.
-const DEDUP_STRIPES: usize = 64;
-
 /// Retries a sync point allows each poll after a transient fault.
 pub(crate) const POLL_MAX_RETRIES: u32 = 2;
 /// Retries one query type may spend in one sync point: once they are gone
 /// its remaining polls fail on the first fault, which keeps a flapping DBMS
-/// from multiplying sync-point latency. Shard-local and deterministic (each
-/// type is analyzed wholly within one shard).
+/// from multiplying sync-point latency.
 pub(crate) const POLL_RETRY_BUDGET_PER_TYPE: u64 = 32;
 
 /// Executes polls for one synchronization point, with dedup and the
-/// correlated-delete guard.
-///
-/// The runner is shared by reference across the invalidator's shard workers:
-/// the dedup cache is lock-striped on the poll's structural [`PollingQuery::key`]
-/// and all counters are atomics, so every method takes `&self`. A stripe's
-/// lock is held across poll *execution* (not just the map probe), which is
-/// what makes identical polls execute **exactly once** across shards — the
-/// second shard blocks on the stripe and then reads the first shard's
-/// answer from the cache.
+/// correlated-delete guard. A sync point analyses on one thread, so the
+/// runner owns its dedup cache (keyed on the poll's structural
+/// [`PollingQuery::key`]) and its counters outright.
 pub struct PollRunner<'a> {
     info: &'a InfoManager,
     deltas: &'a DeltaSet,
-    stripes: Vec<Mutex<HashMap<u64, bool>>>,
-    issued: AtomicU64,
-    from_cache: AtomicU64,
-    from_index: AtomicU64,
-    delete_guard_hits: AtomicU64,
-    contended: AtomicU64,
-    faulted: AtomicU64,
-    retries: AtomicU64,
-    poll_rtt: Duration,
+    cache: HashMap<u64, bool>,
+    stats: PollStats,
     fault: FaultPlan,
     max_retries: u32,
 }
@@ -238,36 +215,20 @@ pub struct PollRunner<'a> {
 impl<'a> PollRunner<'a> {
     /// Create the module/runner.
     pub fn new(info: &'a InfoManager, deltas: &'a DeltaSet) -> Self {
-        Self::with_rtt(info, deltas, Duration::ZERO)
-    }
-
-    /// Like [`PollRunner::new`], with a modeled per-poll round-trip time.
-    /// In the paper's deployment the invalidator polls a *remote* DBMS over
-    /// the network; `poll_rtt` injects that latency on every issued poll so
-    /// benchmarks reproduce the regime where concurrent polling pays off.
-    /// `Duration::ZERO` (the default) leaves the hot path untouched.
-    pub fn with_rtt(info: &'a InfoManager, deltas: &'a DeltaSet, poll_rtt: Duration) -> Self {
         PollRunner {
             info,
             deltas,
-            stripes: (0..DEDUP_STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
-            issued: AtomicU64::new(0),
-            from_cache: AtomicU64::new(0),
-            from_index: AtomicU64::new(0),
-            delete_guard_hits: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
-            faulted: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            poll_rtt,
+            cache: HashMap::new(),
+            stats: PollStats::default(),
             fault: FaultPlan::default(),
             max_retries: 0,
         }
     }
 
     /// Install a fault plan: issued polls may then fail (error) or time out.
-    /// Fault decisions key on the poll's structural [`PollingQuery::key`],
-    /// so the same polls fault no matter how instances are sharded across
-    /// workers — the parallel-equivalence guarantee extends to faults.
+    /// Fault decisions key on the poll's structural [`PollingQuery::key`]
+    /// and the attempt number, so the same polls fault on every run of the
+    /// same workload.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = plan;
         self
@@ -280,23 +241,16 @@ impl<'a> PollRunner<'a> {
         self
     }
 
-    /// Snapshot of this sync point's poll counters.
-    pub fn stats(&self) -> PollStats {
-        PollStats {
-            issued: self.issued.load(Ordering::Relaxed),
-            from_cache: self.from_cache.load(Ordering::Relaxed),
-            from_index: self.from_index.load(Ordering::Relaxed),
-            delete_guard_hits: self.delete_guard_hits.load(Ordering::Relaxed),
-            faulted: self.faulted.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-        }
+    /// Make room in the dedup cache for `polls` more answers at once: a
+    /// type that polls once per instance then grows it in one step, instead
+    /// of holding its old and new tables together at every doubling.
+    pub(crate) fn reserve(&mut self, polls: usize) {
+        self.cache.reserve(polls);
     }
 
-    /// Times a shard found a dedup stripe already locked by another shard
-    /// (kept out of [`PollStats`]: it is scheduling-dependent, and the
-    /// equivalence guarantee covers `PollStats` exactly).
-    pub fn contended(&self) -> u64 {
-        self.contended.load(Ordering::Relaxed)
+    /// This sync point's poll counters so far.
+    pub fn stats(&self) -> PollStats {
+        self.stats
     }
 
     /// Decide whether the polled instance is affected, and *how* an
@@ -304,7 +258,7 @@ impl<'a> PollRunner<'a> {
     /// `tuple_was_delete` enables the correlated-delete guard (see
     /// `analysis` module docs).
     pub fn decide(
-        &self,
+        &mut self,
         db: &Database,
         poll: &PollingQuery,
         tuple_was_delete: bool,
@@ -317,33 +271,24 @@ impl<'a> PollRunner<'a> {
     /// this call (the invalidator passes the remaining per-query-type
     /// budget) and the number of retries actually spent. Fault decisions
     /// key on `(poll key, attempt)`, so both the faults seen *and* the
-    /// retries spent are pure functions of the workload — the
-    /// parallel-equivalence property survives retries.
+    /// retries spent are pure functions of the workload.
     pub fn decide_with_allowance(
-        &self,
+        &mut self,
         db: &Database,
         poll: &PollingQuery,
         tuple_was_delete: bool,
         max_retries: u32,
     ) -> DbResult<(Option<PollAnswer>, u32)> {
         let mut retries_spent: u32 = 0;
-        let stripe = &self.stripes[(poll.key % DEDUP_STRIPES as u64) as usize];
-        let mut cache = match stripe.try_lock() {
-            Some(guard) => guard,
-            None => {
-                self.contended.fetch_add(1, Ordering::Relaxed);
-                stripe.lock()
-            }
-        };
-        let (base, source) = match cache.get(&poll.key) {
+        let (base, source) = match self.cache.get(&poll.key) {
             Some(hit) => {
-                self.from_cache.fetch_add(1, Ordering::Relaxed);
+                self.stats.from_cache += 1;
                 (*hit, PollAnswer::FromCache)
             }
             None => {
                 let (answer, source) = match self.info.try_answer(poll) {
                     Some(ans) => {
-                        self.from_index.fetch_add(1, Ordering::Relaxed);
+                        self.stats.from_index += 1;
                         (ans, PollAnswer::FromIndex)
                     }
                     None => {
@@ -351,44 +296,31 @@ impl<'a> PollRunner<'a> {
                         // index answers and cache hits cannot fault. A
                         // transient fault is retried at once (up to the
                         // allowance); only an exhausted allowance surfaces
-                        // as an error. Faulted answers are *not* cached,
-                        // and fault decisions key on (poll key, attempt), so
-                        // fault and retry counts are shard-independent.
+                        // as an error. Faulted answers are *not* cached.
                         let mut attempt: u32 = 0;
-                        loop {
-                            if let Some(kind) = self.fault.poll_fault(poll.key, attempt) {
-                                self.faulted.fetch_add(1, Ordering::Relaxed);
-                                if kind == PollFault::Timeout && !self.poll_rtt.is_zero() {
-                                    std::thread::sleep(self.poll_rtt);
-                                }
-                                if attempt >= max_retries {
-                                    return Err(DbError::Faulted(match kind {
-                                        PollFault::Error => format!("poll rejected: {poll}"),
-                                        PollFault::Timeout => format!("poll timed out: {poll}"),
-                                    }));
-                                }
-                                self.retries.fetch_add(1, Ordering::Relaxed);
-                                retries_spent += 1;
-                                attempt += 1;
-                                continue;
+                        while let Some(kind) = self.fault.poll_fault(poll.key, attempt) {
+                            self.stats.faulted += 1;
+                            if attempt >= max_retries {
+                                return Err(DbError::Faulted(match kind {
+                                    PollFault::Error => format!("poll rejected: {poll}"),
+                                    PollFault::Timeout => format!("poll timed out: {poll}"),
+                                }));
                             }
-                            break;
+                            self.stats.retries += 1;
+                            retries_spent += 1;
+                            attempt += 1;
                         }
-                        self.issued.fetch_add(1, Ordering::Relaxed);
-                        if !self.poll_rtt.is_zero() {
-                            std::thread::sleep(self.poll_rtt);
-                        }
+                        self.stats.issued += 1;
                         let r = db.query_select(poll.select(), &[])?;
                         let ans = matches!(r.rows.first().and_then(|row| row.first()),
                                  Some(Value::Int(n)) if *n > 0);
                         (ans, PollAnswer::Issued)
                     }
                 };
-                cache.insert(poll.key, answer);
+                self.cache.insert(poll.key, answer);
                 (answer, source)
             }
         };
-        drop(cache);
         if base {
             return Ok((Some(source), retries_spent));
         }
@@ -396,7 +328,7 @@ impl<'a> PollRunner<'a> {
             // A join partner may have been deleted in the same batch:
             // re-check the residual against the other tables' Δ⁻ rows.
             if self.residual_hits_deleted_rows(db, poll)? {
-                self.delete_guard_hits.fetch_add(1, Ordering::Relaxed);
+                self.stats.delete_guard_hits += 1;
                 return Ok((Some(PollAnswer::DeleteGuard), retries_spent));
             }
         }
@@ -537,32 +469,12 @@ mod tests {
         let database = db();
         let info = InfoManager::new();
         let deltas = DeltaSet::default();
-        let runner = PollRunner::new(&info, &deltas);
+        let mut runner = PollRunner::new(&info, &deltas);
         let p = poll("SELECT COUNT(*) FROM Mileage WHERE Mileage.model = 'Avalon'");
         assert!(runner.decide(&database, &p, false).unwrap().is_some());
         assert!(runner.decide(&database, &p, false).unwrap().is_some());
         assert_eq!(runner.stats().issued, 1);
         assert_eq!(runner.stats().from_cache, 1);
-    }
-
-    #[test]
-    fn concurrent_identical_polls_issue_exactly_once() {
-        let database = db();
-        let info = InfoManager::new();
-        let deltas = DeltaSet::default();
-        // A visible RTT widens the race window: without the stripe lock held
-        // across execution, several threads would all miss the cache and
-        // issue the same poll.
-        let runner =
-            PollRunner::with_rtt(&info, &deltas, std::time::Duration::from_millis(2));
-        let p = poll("SELECT COUNT(*) FROM Mileage WHERE Mileage.EPA > 1");
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| assert!(runner.decide(&database, &p, false).unwrap().is_some()));
-            }
-        });
-        assert_eq!(runner.stats().issued, 1, "exactly-once across threads");
-        assert_eq!(runner.stats().from_cache, 7);
     }
 
     #[test]
@@ -576,7 +488,7 @@ mod tests {
         let recs: Vec<LogRecord> = database.update_log().pull_since(0).to_vec();
         let deltas = DeltaSet::from_records(&recs);
         let info = InfoManager::new();
-        let runner = PollRunner::new(&info, &deltas);
+        let mut runner = PollRunner::new(&info, &deltas);
         let p = poll("SELECT COUNT(*) FROM Mileage WHERE 'Avalon' = Mileage.model");
         assert!(
             runner.decide(&database, &p, true).unwrap().is_some(),
@@ -584,7 +496,7 @@ mod tests {
         );
         assert_eq!(runner.stats().delete_guard_hits, 1);
         // For an *inserted* tuple the guard must not fire.
-        let runner2 = PollRunner::new(&info, &deltas);
+        let mut runner2 = PollRunner::new(&info, &deltas);
         assert!(runner2.decide(&database, &p, false).unwrap().is_none());
     }
 
@@ -594,7 +506,7 @@ mod tests {
         let mut info = InfoManager::new();
         info.maintain_index(&database, "Mileage", "model").unwrap();
         let deltas = DeltaSet::default();
-        let runner = PollRunner::new(&info, &deltas);
+        let mut runner = PollRunner::new(&info, &deltas);
         // Index answers the sole-equality poll without touching the DBMS.
         let p = poll("SELECT COUNT(*) FROM Mileage WHERE Mileage.model = 'Avalon'");
         assert_eq!(
@@ -623,7 +535,7 @@ mod tests {
         let recs: Vec<LogRecord> = database.update_log().pull_since(0).to_vec();
         let deltas = DeltaSet::from_records(&recs);
         let info = InfoManager::new();
-        let runner = PollRunner::new(&info, &deltas);
+        let mut runner = PollRunner::new(&info, &deltas);
         let p = poll("SELECT COUNT(*) FROM Mileage WHERE 'Edsel' = Mileage.model");
         assert!(runner.decide(&database, &p, true).unwrap().is_none());
     }
@@ -666,14 +578,14 @@ mod tests {
         // column `inf`.
         let p = poll_with_unreadable_text("Avalon");
         assert_eq!(info.try_answer(&p), Some(false));
-        let runner = PollRunner::new(&info, &deltas);
+        let mut runner = PollRunner::new(&info, &deltas);
         assert_eq!(
             runner.decide(&database, &p, true).unwrap(),
             Some(PollAnswer::DeleteGuard)
         );
         // And the engine runs it as built.
         let none = InfoManager::new();
-        let runner = PollRunner::new(&none, &deltas);
+        let mut runner = PollRunner::new(&none, &deltas);
         let civic = poll_with_unreadable_text("Civic");
         assert_eq!(
             runner.decide(&database, &civic, false).unwrap(),
@@ -706,14 +618,14 @@ mod tests {
             ..FaultSpec::default()
         };
         // Without a retry allowance the poll permanently fails…
-        let runner =
+        let mut runner =
             PollRunner::new(&info, &deltas).with_fault_plan(FaultPlan::new(spec.clone()));
         assert!(runner.decide(&database, &p, false).is_err());
         assert_eq!(runner.stats().faulted, 1);
         assert_eq!(runner.stats().retries, 0);
         // …with one retry it recovers, and the accounting shows the failed
         // attempt, the retry, and the eventually-issued poll.
-        let runner = PollRunner::new(&info, &deltas)
+        let mut runner = PollRunner::new(&info, &deltas)
             .with_fault_plan(FaultPlan::new(spec))
             .with_retry(1);
         assert_eq!(

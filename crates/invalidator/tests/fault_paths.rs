@@ -1,12 +1,9 @@
-//! Fault-path equivalence for the parallel invalidator.
+//! Fault paths of the invalidator.
 //!
 //! A failing poll must degrade *conservatively* — the instance is assumed
-//! affected ([`VerdictKind::PollFault`]) — and the degradation must be
-//! deterministic across worker counts: fault decisions key on the poll's
-//! structural key, not on shard scheduling, so `workers = 4` with a failing
-//! poll on one shard produces exactly the verdicts of `workers = 1`. And a
-//! fault may only *add* invalidations: no page ejected by a fault-free run
-//! may survive under faults (never downgrade Invalidate → NoInvalidate).
+//! affected ([`VerdictKind::PollFault`]). And a fault may only *add*
+//! invalidations: no page ejected by a fault-free run may survive under
+//! faults (never downgrade Invalidate → NoInvalidate).
 
 use cacheportal_db::{Database, FaultPlan, FaultSpec};
 use cacheportal_invalidator::{
@@ -40,9 +37,9 @@ fn build_db() -> Database {
     db
 }
 
-/// Run the fixed workload at `workers` with the given fault plan and return
-/// the update batch's report.
-fn run(workers: usize, fault: FaultPlan) -> InvalidationReport {
+/// Run the fixed workload with the given fault plan and return the update
+/// batch's report.
+fn run(fault: FaultPlan) -> InvalidationReport {
     let mut db = build_db();
     let map = QiUrlMap::new();
     for i in 0..8u8 {
@@ -54,7 +51,6 @@ fn run(workers: usize, fault: FaultPlan) -> InvalidationReport {
     }
     let mut inv = Invalidator::new(InvalidatorConfig {
         policy: PolicyConfig::default(),
-        workers,
         fault,
         ..InvalidatorConfig::default()
     });
@@ -72,7 +68,7 @@ fn run(workers: usize, fault: FaultPlan) -> InvalidationReport {
     inv.run_sync_point(&db, &map).unwrap()
 }
 
-/// Everything the fault-equivalence guarantee covers.
+/// Verdicts, pages and poll counters: what two runs compare on.
 fn digest(report: &InvalidationReport) -> (Vec<String>, Vec<String>, String) {
     let verdicts: Vec<String> = report
         .verdicts
@@ -107,7 +103,7 @@ fn half_error_plan() -> FaultPlan {
 
 #[test]
 fn faulted_run_actually_faults_and_reports_poll_fault_verdicts() {
-    let report = run(1, half_error_plan());
+    let report = run(half_error_plan());
     assert!(report.polls.faulted > 0, "p=0.5 over this workload must fault");
     assert!(report.poll_faults > 0);
     assert!(
@@ -126,25 +122,10 @@ fn faulted_run_actually_faults_and_reports_poll_fault_verdicts() {
 }
 
 #[test]
-fn workers4_with_failing_polls_matches_workers1() {
-    let seq = run(1, half_error_plan());
-    let par = run(4, half_error_plan());
-    assert_eq!(
-        digest(&seq),
-        digest(&par),
-        "fault decisions key on poll content, not shard scheduling"
-    );
-    for workers in [2, 3, 8] {
-        assert_eq!(digest(&seq), digest(&run(workers, half_error_plan())));
-    }
-}
-
-#[test]
 fn faults_never_downgrade_invalidate_to_no_invalidate() {
-    let clean = run(4, FaultPlan::none());
+    let clean = run(FaultPlan::none());
     for (seed, p_err, p_to) in [(11u64, 0.5, 0.0), (7, 0.0, 0.5), (23, 1.0, 0.0), (3, 0.3, 0.3)] {
         let faulted = run(
-            4,
             FaultPlan::new(FaultSpec {
                 seed,
                 poll_error: p_err,
@@ -167,7 +148,6 @@ fn faults_never_downgrade_invalidate_to_no_invalidate() {
 #[test]
 fn every_poll_failing_still_completes_the_sync_point() {
     let report = run(
-        4,
         FaultPlan::new(FaultSpec {
             seed: 1,
             poll_error: 1.0,
@@ -184,7 +164,6 @@ fn every_poll_failing_still_completes_the_sync_point() {
 #[test]
 fn timeout_faults_behave_like_errors_for_verdicts() {
     let errs = run(
-        1,
         FaultPlan::new(FaultSpec {
             seed: 5,
             poll_error: 1.0,
@@ -192,7 +171,6 @@ fn timeout_faults_behave_like_errors_for_verdicts() {
         }),
     );
     let timeouts = run(
-        1,
         FaultPlan::new(FaultSpec {
             seed: 5,
             poll_timeout: 1.0,

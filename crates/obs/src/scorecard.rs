@@ -66,8 +66,6 @@ pub struct TypeSyncOutcome {
     pub pages_ejected: u64,
     /// Polling queries attempted for this type.
     pub polls: u64,
-    /// Modeled poll spend: polls x configured poll RTT (deterministic).
-    pub poll_spend_micros: u64,
     /// Commit→eject staleness window (logical micros) attributed to this
     /// type this sync, summed over its invalidated instances.
     pub staleness_micros: u64,
@@ -116,8 +114,6 @@ pub struct TypeScore {
     pub pages_ejected: u64,
     /// Polling queries attempted.
     pub polls: u64,
-    /// Modeled poll spend in (deterministic) microseconds.
-    pub poll_spend_micros: u64,
     /// Cumulative attributed staleness, logical microseconds.
     pub staleness_micros: u64,
     /// Observations behind `staleness_micros`.
@@ -309,7 +305,6 @@ impl ScorecardBoard {
             row.invalidations += o.invalidations;
             row.pages_ejected += o.pages_ejected;
             row.polls += o.polls;
-            row.poll_spend_micros += o.poll_spend_micros;
             row.staleness_micros += o.staleness_micros;
             row.staleness_events += o.staleness_events;
             row.index_candidates += o.index_candidates;
@@ -414,7 +409,6 @@ mod tests {
             invalidations: 2,
             pages_ejected: 4,
             polls: 1,
-            poll_spend_micros: 400,
             staleness_micros: 90,
             staleness_events: 2,
             index_candidates: 0,
@@ -433,7 +427,7 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].invalidations, 3);
         assert_eq!(rows[0].sync_touches, 2);
-        assert_eq!(rows[0].poll_spend_micros, 400);
+        assert_eq!(rows[0].polls, 1);
         assert!((rows[0].avg_staleness_micros - 45.0).abs() < 1e-9);
         // Empty outcome list does not bump the version.
         let v = board.version();

@@ -23,11 +23,10 @@ use std::borrow::Cow;
 /// One pipeline phase inside a sync point.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageSample {
-    /// Phase name: `"mapper"`, `"registration"`, `"delta"`, `"analysis"`,
-    /// `"poll_wait"`, `"eject"`, `"persist"`.
+    /// Phase name: `"mapper"`, `"registration"`, `"delta"`, `"index"`,
+    /// `"analysis"`, `"eject"`, `"persist"`.
     pub name: Cow<'static, str>,
-    /// Wall-clock duration in microseconds (nondeterministic; `poll_wait`
-    /// is modeled as `polls x rtt` and therefore deterministic).
+    /// Wall-clock duration in microseconds (nondeterministic).
     pub micros: u64,
     /// Deterministic work units processed by the phase.
     pub work: u64,
@@ -80,8 +79,7 @@ pub struct TimelineDoc {
 
 impl TimelineDoc {
     /// Zero every wall-clock field, making the document byte-stable across
-    /// runs of the same seed (work units, ids and the modelled `poll_wait`
-    /// stage are deterministic; that stage's time is zeroed with the rest).
+    /// runs of the same seed (work units and ids are deterministic).
     pub fn stabilize(&mut self) {
         self.stable = true;
         for t in &mut self.sync_points {

@@ -9,7 +9,7 @@
 //! that would be read as one of those separators percent-escaped in each
 //! part, so two requests share a key only when they agree on host, path
 //! and key parameters, and [`PageKey::request`] reads them back. A key with
-//! nothing to escape is the bare join.
+//! nothing to escape, and a path that starts with `/`, is the bare join.
 
 use crate::http::{HttpRequest, Method};
 use crate::inline::InlineVec;
@@ -45,6 +45,11 @@ type Part<'a> = (&'static str, &'a str, &'a str);
 const IN_HOST: u64 = mask(b"%/?");
 const IN_PATH: u64 = mask(b"%?");
 const IN_PART: u64 = mask(b"%&=?");
+
+/// What a path that does not start with `/` (an empty one too) is spelled
+/// after: the `/` ends the host, and no other path's spelling starts with
+/// an escaped `/`, since a path escapes only `%` and `?`.
+const UNROOTED: &str = "/%2F";
 
 /// The set of `bytes`, each below 64.
 const fn mask(bytes: &[u8]) -> u64 {
@@ -121,6 +126,9 @@ impl PageKey {
         KEY_TEXT.with_borrow_mut(|key| {
             key.clear();
             push_escaped(key, &req.host, IN_HOST);
+            if !req.path.starts_with('/') {
+                key.push_str(UNROOTED);
+            }
             push_escaped(key, &req.path, IN_PATH);
             let mut separator = '?';
             for (kind, name, value) in parts.iter() {
@@ -149,6 +157,7 @@ impl PageKey {
         use percent::percent_decode as decode;
         let (origin, query) = self.0.split_once('?')?;
         let (host, path) = origin.split_at(origin.find('/').unwrap_or(origin.len()));
+        let path = path.strip_prefix(UNROOTED).unwrap_or(path);
         let mut req = HttpRequest::get(&decode(host), &decode(path), &[]);
         for part in query.split('&').filter(|_| !query.is_empty()) {
             let (kind, pair) = part.split_once(':')?;
@@ -286,7 +295,8 @@ mod tests {
         parts.sort_by(|a, b| a.0.cmp(&b.0));
         let parts: Vec<String> = parts.into_iter().map(|(_, escaped)| escaped).collect();
         let (host, path) = (esc(&req.host, b"%/?"), esc(&req.path, b"%?"));
-        format!("{host}{path}?{}", parts.join("&"))
+        let unrooted = if req.path.starts_with('/') { "" } else { "/%2F" };
+        format!("{host}{unrooted}{path}?{}", parts.join("&"))
     }
 
     #[test]
@@ -407,14 +417,16 @@ mod tests {
             .prop_map(|chars| chars.into_iter().collect())
     }
 
-    /// Host, path (a routed path starts with `/`) and every kind of key
-    /// parameter drawn from the separators and the escape's own digits.
+    /// Host, path (rooted at `/` as a routed one is, or not, or empty) and
+    /// every kind of key parameter drawn from the separators and the
+    /// escape's own digits.
     fn hostile_request() -> impl proptest::strategy::Strategy<Value = HttpRequest> {
         use proptest::prelude::*;
         let params = || prop::collection::vec((hostile(), hostile()), 0..3);
-        (hostile(), hostile(), params(), params(), params()).prop_map(
-            |(host, path, get, post, cookies)| {
-                let mut req = HttpRequest::get(&host, &format!("/{path}"), &[]);
+        (hostile(), any::<bool>(), hostile(), params(), params(), params()).prop_map(
+            |(host, rooted, path, get, post, cookies)| {
+                let path = if rooted { format!("/{path}") } else { path };
+                let mut req = HttpRequest::get(&host, &path, &[]);
                 (req.get, req.post, req.cookies) = (get, post, cookies);
                 req
             },

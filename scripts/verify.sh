@@ -72,7 +72,7 @@ cargo test -q --release --offline \
 
 echo "== fuzz harness smoke (safety contract, all policies x fault classes) =="
 # The acceptance matrix: 50 seeds x 40 actions cycling all three
-# invalidation policies, workers {1,4}, and every fault class — including
+# invalidation policies and every fault class — including
 # crash-restart (portal killed mid-trace, recovered from its durable
 # journal) and poll-flap (bursty poll failures tripping the circuit
 # breaker). Exit 1 on any staleness violation, with the shrunk reproducer
@@ -89,15 +89,10 @@ echo "== fuzz harness canary (a broken invalidator must be caught) =="
 # the harness detects it and emits a replayable shrunk reproducer.
 cargo test -q --offline -p cacheportal-harness --features canary
 
-echo "== sync-point scaling smoke test (sync_scale --smoke) =="
-# Small burst at 1 vs 2 workers; the binary asserts identical verdicts,
-# ejected pages, and poll counts across worker counts. Each of the three
-# sync_scale smoke runs appends its record to
+echo "== registered-QI sweep smoke test (sync_scale --qi-sweep --smoke) =="
+# Each of the two sync_scale smoke runs appends its record to
 # target/sync_scale/BENCH_sync_scale.json (uploaded as a CI artifact); only
 # full runs append to the tracked BENCH_sync_scale.json.
-./target/release/sync_scale --smoke
-
-echo "== registered-QI sweep smoke test (sync_scale --qi-sweep --smoke) =="
 # Small-tier predicate-index sweep: each tier runs the identical workload
 # with the index on and off and asserts bit-identical verdict/page
 # fingerprints (the index may only skip work, never change outcomes). The

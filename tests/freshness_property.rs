@@ -16,7 +16,7 @@ use proptest::prelude::*;
 /// The old fixed-schema case, as a harness scenario: two all-Int tables
 /// with indexed group columns and the three original page families
 /// (single-table select, join, aggregate).
-fn pinned_scenario(policy: u8, workers: usize) -> Scenario {
+fn pinned_scenario(policy: u8) -> Scenario {
     let table = |name: &str| TableGen {
         name: name.into(),
         v_type: 0, // Int
@@ -33,7 +33,6 @@ fn pinned_scenario(policy: u8, workers: usize) -> Scenario {
             ServletGen { name: "agg".into(), kind: ServletKind::Agg(1) },
         ],
         policy,
-        workers,
         fault: Default::default(),
         initial_rows: 25,
     }
@@ -42,7 +41,7 @@ fn pinned_scenario(policy: u8, workers: usize) -> Scenario {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// SAFETY: for every policy and worker count, over generated schemas
+    /// SAFETY: for every policy, over generated schemas
     /// and workloads, after a sync point no cached page is stale — the
     /// harness runner asserts the oracle after every sync and once more at
     /// the end, and cross-checks metrics coherence.
@@ -50,11 +49,9 @@ proptest! {
     fn no_stale_page_after_sync(
         seed in 0u64..1_000_000,
         policy in 0u8..3,
-        workers_pick in 0usize..2,
         n_actions in 30usize..70,
     ) {
-        let sc = Scenario::generate(seed)
-            .with_policy_workers(policy, [1, 4][workers_pick]);
+        let sc = Scenario::generate(seed).with_policy(policy);
         let actions = gen_actions(&sc, n_actions);
         let outcome = run_scenario(&sc, &actions);
         prop_assert!(
@@ -74,7 +71,7 @@ proptest! {
     ) {
         let class = cacheportal_harness::ALL_CLASSES[class_pick];
         let sc = Scenario::generate(seed)
-            .with_policy_workers((seed % 3) as u8, if seed % 2 == 0 { 1 } else { 4 })
+            .with_policy((seed % 3) as u8)
             .with_fault(class.spec(seed));
         let actions = gen_actions(&sc, n_actions);
         let outcome = run_scenario(&sc, &actions);
@@ -87,22 +84,15 @@ proptest! {
     }
 }
 
-/// Pinned regression: the original fixed two-table schema, every policy,
-/// sequential and sharded.
+/// Pinned regression: the original fixed two-table schema, every policy.
 #[test]
 fn pinned_fixed_schema_stays_fresh() {
     for policy in 0u8..3 {
-        for workers in [1usize, 4] {
-            let sc = pinned_scenario(policy, workers);
-            let actions = gen_actions(&sc, 80);
-            let outcome = run_scenario(&sc, &actions);
-            assert!(
-                outcome.violation.is_none(),
-                "policy {policy} workers {workers}: {}",
-                outcome.violation.unwrap()
-            );
-            assert!(outcome.stats.syncs > 0, "the pinned trace must sync");
-        }
+        let sc = pinned_scenario(policy);
+        let actions = gen_actions(&sc, 80);
+        let outcome = run_scenario(&sc, &actions);
+        assert!(outcome.violation.is_none(), "policy {policy}: {}", outcome.violation.unwrap());
+        assert!(outcome.stats.syncs > 0, "the pinned trace must sync");
     }
 }
 
@@ -112,7 +102,7 @@ fn pinned_fixed_schema_stays_fresh() {
 #[test]
 fn exact_is_precise_for_insert_only_batches() {
     use cacheportal::Served;
-    let sc = pinned_scenario(0 /* Exact */, 1);
+    let sc = pinned_scenario(0 /* Exact */);
     let portal = sc.build_portal();
 
     let grp = 2i64;

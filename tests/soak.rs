@@ -118,7 +118,7 @@ fn cluster_soak_under_concurrent_load() {
 fn generative_soak_with_mixed_faults() {
     for seed in 100..106u64 {
         let sc = Scenario::generate(seed)
-            .with_policy_workers((seed % 3) as u8, if seed % 2 == 0 { 4 } else { 1 })
+            .with_policy((seed % 3) as u8)
             .with_fault(FaultClass::Mixed.spec(seed));
         let actions = gen_actions(&sc, 250);
         let outcome = run_scenario(&sc, &actions);
