@@ -133,19 +133,11 @@ fn map_rows(c: &mut Criterion) {
 }
 
 fn canonicalization(c: &mut Criterion) {
-    let record = cacheportal_sniffer::QueryRecord {
-        id: 1,
-        sql: "SELECT Car.maker, Car.model FROM Car, Mileage \
-              WHERE Car.model = Mileage.model AND Car.price < $1"
-            .into(),
-        params: vec![Value::Int(20_000)],
-        is_select: true,
-        received: 0,
-        delivered: 1,
-        request: None,
-    };
+    let sql = "SELECT Car.maker, Car.model FROM Car, Mileage \
+               WHERE Car.model = Mileage.model AND Car.price < $1";
+    let params = [Value::Int(20_000)];
     c.bench_function("sniffer_canonical_bound_sql", |b| {
-        b.iter(|| black_box(cacheportal_sniffer::canonical_bound_sql(black_box(&record))))
+        b.iter(|| black_box(cacheportal_sniffer::canonical_bound_sql(black_box(sql), &params)))
     });
 }
 

@@ -318,6 +318,7 @@ impl CachePortal {
         m.counter("sniffer.mapper.non_select").add(mapper.non_select);
         m.counter("sniffer.mapper.unparseable").add(mapper.unparseable);
         m.counter("sniffer.records.lost").add(mapper.lost);
+        m.counter("sniffer.records.known").add(mapper.known);
         m.histogram("sniffer.mapper.run_micros").record(mapper.elapsed_micros);
 
         m.counter("invalidator.records_consumed").add(inv.records_consumed);

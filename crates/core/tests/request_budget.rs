@@ -1,6 +1,8 @@
 //! What a request allocates, counted, with observability on as deployed:
-//! a cache hit, a miss of each of the storefront's four servlets, and a
-//! site's first sync point per page. The counts are allocator calls
+//! a cache hit, a miss of each of the storefront's four servlets, a site's
+//! first sync point per page, and a re-miss of each servlet — a page evicted
+//! and generated again, whose row the QI/URL map holds, so that its query
+//! is typed and checked but no record of it is kept. The counts are allocator calls
 //! (`alloc` + `realloc`), which repeat exactly from run to run where times
 //! do not; DESIGN §3.1 holds the table beside "What a statement costs".
 //!
@@ -30,8 +32,11 @@ const PAGES: usize = storefront::SKUS + 3 * storefront::CATEGORIES;
 const HIT: usize = 1;
 /// Allocations of a miss, in `storefront::SERVLETS` order.
 const MISS: [usize; 4] = [14, 91, 31, 13];
-/// Allocations of the first sync point over the whole site.
-const FIRST_SYNC: usize = 4977;
+/// Allocations of a re-miss, in `storefront::SERVLETS` order.
+const REMISS: [usize; 4] = [13, 90, 30, 12];
+/// Allocations of the first sync point over the whole site: the records
+/// come typed from the query log (4 977 when the mapper typed each).
+const FIRST_SYNC: usize = 551;
 
 fn portal() -> CachePortal {
     let portal = CachePortal::builder(storefront::database(1))
@@ -107,6 +112,20 @@ fn a_request_allocates_its_counted_budget() {
     let (report, sync) = common::measure(|| portal.sync_point().unwrap());
     assert_eq!(report.invalidation.registered, PAGES as u64);
 
+    // Every page evicted, then generated again: its row is known.
+    portal.page_cache().clear();
+    let mut remisses = [usize::MAX; 4];
+    for (kind, (servlet, _, _)) in storefront::SERVLETS.iter().enumerate() {
+        for value in 0..8 {
+            let req = page(servlet, value);
+            let (outcome, allocated) = common::measure(|| portal.request(&req));
+            assert_eq!(outcome.served, Served::Generated);
+            remisses[kind] = remisses[kind].min(allocated.calls);
+        }
+    }
+    let report = portal.sync_point().unwrap();
+    assert_eq!((report.mapper.mapped, report.mapper.known), (0, 32));
+
     println!("hit: {} allocations", hits.calls);
     for ((servlet, _, _), count) in storefront::SERVLETS.iter().zip(misses) {
         println!("{servlet} miss: {count} allocations");
@@ -116,7 +135,11 @@ fn a_request_allocates_its_counted_budget() {
         sync.calls,
         sync.calls as f64 / PAGES as f64
     );
+    for ((servlet, _, _), count) in storefront::SERVLETS.iter().zip(remisses) {
+        println!("{servlet} re-miss: {count} allocations");
+    }
     assert_eq!(hits.calls, HIT, "allocations of a hit");
     assert_eq!(misses, MISS, "allocations of a miss, per servlet");
     assert_eq!(sync.calls, FIRST_SYNC, "allocations of the first sync");
+    assert_eq!(remisses, REMISS, "allocations of a re-miss, per servlet");
 }

@@ -106,8 +106,17 @@ impl TypePlan {
     /// statement's markers, in the one allocation the sniffer's map and the
     /// invalidator's registry then share.
     pub fn params(&self, bound: &[Value]) -> DbResult<Arc<[Value]>> {
-        // Checked first: what is left cannot fail, so the values are
-        // collected straight into their allocation, exact-size.
+        // Checked first, so the values are collected straight into their
+        // allocation, exact-size.
+        Ok(self.values(bound)?.cloned().collect())
+    }
+
+    /// [`TypePlan::params`] borrowed: the values in order, copied nowhere —
+    /// for a caller that only compares them.
+    pub fn values<'a>(
+        &'a self,
+        bound: &'a [Value],
+    ) -> DbResult<impl ExactSizeIterator<Item = &'a Value> + Clone + 'a> {
         for slot in &self.slots {
             match slot {
                 Slot::Bound(i) if !(1..=bound.len()).contains(i) => {
@@ -116,11 +125,10 @@ impl TypePlan {
                 _ => {}
             }
         }
-        let value = |slot: &Slot| match slot {
-            Slot::Literal(v) => v.clone(),
-            Slot::Bound(i) => bound[i - 1].clone(),
-        };
-        Ok(self.slots.iter().map(value).collect())
+        Ok(self.slots.iter().map(move |slot| match slot {
+            Slot::Literal(v) => v,
+            Slot::Bound(i) => &bound[i - 1],
+        }))
     }
 }
 

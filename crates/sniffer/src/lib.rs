@@ -7,7 +7,9 @@
 //! DBMS.
 //!
 //! * [`request_log::RequestLog`] — servlet-wrapper request logger.
-//! * [`query_log::LoggedConnection`] — JDBC-wrapper query logger.
+//! * [`query_log::LoggedConnection`] — JDBC-wrapper query logger, which
+//!   types each SELECT as it is logged and keeps no record of a row the
+//!   map already holds.
 //! * [`mapper::Mapper`] — joins the two logs, by the request id the query
 //!   logger stamped on a record or, for a record without one, on interval
 //!   containment, producing the [`map::QiUrlMap`].
@@ -18,6 +20,6 @@ pub mod query_log;
 pub mod request_log;
 
 pub use map::{MapWriter, QiUrlEntry, QiUrlMap, Row, TemplateTexts, TypedInstance};
-pub use mapper::{canonical_bound_sql, type_text, Mapper, MapperReport};
-pub use query_log::{LoggedConnection, QueryLog, QueryRecord};
+pub use mapper::{Mapper, MapperReport};
+pub use query_log::{canonical_bound_sql, type_text, LoggedConnection, QueryLog, QueryRecord};
 pub use request_log::RequestLog;

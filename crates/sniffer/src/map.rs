@@ -15,14 +15,18 @@
 //! [`QiUrlMap::entries_for_page`]) and kept nowhere; a journal writes it
 //! from its type's text, rendered once ([`Row::write_json`]). A
 //! row that arrives as text — a journal replayed ([`QiUrlMap::load`]), a test
-//! ([`QiUrlMap::insert`]) — is typed on arrival, as the mapper types a
+//! ([`QiUrlMap::insert`]) — is typed on arrival, as the query log types a
 //! statement logged with its values written in ([`type_text`]).
+//!
+//! The map is append-only: no row is ever removed, so a row a request finds
+//! in it ([`QiUrlMap::holds`], under the read lock) stays there, and the
+//! query log does not log that row again (DESIGN §3.4).
 
-use crate::mapper::type_text;
+use crate::query_log::type_text;
 use cacheportal_db::sql::ast::{write_select, Bound, ParamSink, Select};
 use cacheportal_db::Value;
 use cacheportal_web::{push_tight, InlineVec, PageKey};
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::{RwLock, RwLockWriteGuard};
 use serde::Serialize as _;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -60,18 +64,23 @@ impl TypedInstance {
         Bound(&*self.template, &self.params)
     }
 
-    /// True when `other` is this instance spelled the same way — value for
-    /// value the same literal, and one template: the same allocation (every
-    /// instance a mapper makes of one logged statement) or, failing that,
-    /// equal trees (another mapper's parse, the registry's copy) — so that
-    /// the two render the same text. Never true of instances whose texts
-    /// differ. `Value`'s own equality would not do: it takes `1` for `1.0`,
-    /// and those are two texts.
-    fn spelled_as(&self, other: &TypedInstance) -> bool {
-        self.params.len() == other.params.len()
-            && (self.params.iter().zip(other.params.iter()))
+    /// True when the instance of `template` with the values `params` is
+    /// this instance spelled the same way — value for value the same
+    /// literal, and one template: the same allocation (every instance a
+    /// query log makes of one logged statement) or, failing that, equal
+    /// trees (another node's parse, the registry's copy) — so that the two
+    /// render the same text. Never true of instances whose texts differ.
+    /// `Value`'s own equality would not do: it takes `1` for `1.0`, and
+    /// those are two texts.
+    fn spells<'v>(
+        &self,
+        template: &Arc<Select>,
+        params: impl ExactSizeIterator<Item = &'v Value>,
+    ) -> bool {
+        self.params.len() == params.len()
+            && (self.params.iter().zip(params))
                 .all(|(a, b)| std::mem::discriminant(a) == std::mem::discriminant(b) && a == b)
-            && (Arc::ptr_eq(&self.template, &other.template) || self.template == other.template)
+            && (Arc::ptr_eq(&self.template, template) || *self.template == **template)
     }
 }
 
@@ -143,9 +152,9 @@ impl fmt::Write for Escaped<'_> {
     }
 }
 
-/// Query types whose text [`TemplateTexts`] keeps at most. Like the
-/// mapper's parse memo: a site has a handful, and when more than this
-/// arrive the memo starts over rather than track recency.
+/// Query types whose text [`TemplateTexts`] keeps at most. Like
+/// `Database`'s statement cache: a site has a handful, and when more than
+/// this arrive the memo starts over rather than track recency.
 const TEMPLATE_TEXTS_CAPACITY: usize = 64;
 
 /// The text of each query type whose rows [`Row::write_json`] writes,
@@ -197,10 +206,11 @@ impl TemplateTexts {
 }
 
 /// The map itself, with a read cursor for the invalidator's online
-/// registration scan.
+/// registration scan. Behind a readers-writer lock: a mapper run writes;
+/// the registration scan, the journal and every request's query log read.
 #[derive(Default)]
 pub struct QiUrlMap {
-    inner: Mutex<MapInner>,
+    inner: RwLock<MapInner>,
 }
 
 #[derive(Default)]
@@ -220,7 +230,7 @@ struct MapInner {
 
 /// The map, locked for the rows of one mapper run: the nodes of a farm run
 /// their mappers against one map, one after the other.
-pub struct MapWriter<'a>(MutexGuard<'a, MapInner>);
+pub struct MapWriter<'a>(RwLockWriteGuard<'a, MapInner>);
 
 impl MapWriter<'_> {
     /// Insert the row `(typed, page)` unless the page has a row spelled the
@@ -234,7 +244,9 @@ impl MapWriter<'_> {
         let MapInner { rows, by_page, next_id, .. } = &mut *self.0;
         let of_page = by_page.entry(page.clone());
         if let Entry::Occupied(known) = &of_page {
-            if known.get().iter().any(|&r| rows[r as usize].instance.spelled_as(typed)) {
+            let spelled =
+                |&r: &u32| rows[r as usize].instance.spells(&typed.template, typed.params.iter());
+            if known.get().iter().any(spelled) {
                 return false;
             }
         }
@@ -297,7 +309,23 @@ impl QiUrlMap {
 
     /// Lock the map to insert a mapper run's rows.
     pub fn writer(&self) -> MapWriter<'_> {
-        MapWriter(self.inner.lock())
+        MapWriter(self.inner.write())
+    }
+
+    /// True when `page` has a row of the instance of `template` with the
+    /// values `params` — what [`MapWriter::insert_typed`] would find a
+    /// duplicate — under the read lock, with nothing copied. Rows are never
+    /// removed, so a row this finds stays.
+    pub fn holds<'v>(
+        &self,
+        page: &PageKey,
+        template: &Arc<Select>,
+        params: impl ExactSizeIterator<Item = &'v Value> + Clone,
+    ) -> bool {
+        let inner = self.inner.read();
+        inner.by_page.get(page).is_some_and(|rows| {
+            (rows.iter()).any(|&r| inner.rows[r as usize].instance.spells(template, params.clone()))
+        })
     }
 
     /// Show `visit` every row with id >= `cursor`, in id order and in
@@ -306,7 +334,7 @@ impl QiUrlMap {
     /// until the last visit returns: the journal encodes rows straight out of
     /// it, and copies none.
     pub fn visit_since(&self, cursor: u64, mut visit: impl FnMut(&Row)) -> u64 {
-        let inner = self.inner.lock();
+        let inner = self.inner.read();
         let start = inner.rows.partition_point(|row| row.id < cursor);
         inner.rows[start..].iter().for_each(&mut visit);
         inner.next_id
@@ -314,19 +342,19 @@ impl QiUrlMap {
 
     /// The id the next new row will get: a cursor past every row there is.
     pub fn next_id(&self) -> u64 {
-        self.inner.lock().next_id
+        self.inner.read().next_id
     }
 
     /// Every entry (diagnostics, tests).
     pub fn all(&self) -> Vec<QiUrlEntry> {
-        let inner = self.inner.lock();
+        let inner = self.inner.read();
         inner.rows.iter().map(Row::entry).collect()
     }
 
     /// All QI rows registered for `page` — the QI→URL half of an eject
     /// provenance chain ("which query instances does this URL depend on?").
     pub fn entries_for_page(&self, page: &PageKey) -> Vec<QiUrlEntry> {
-        let inner = self.inner.lock();
+        let inner = self.inner.read();
         let rows = inner.by_page.get(page).map_or(&[][..], |rows| rows);
         rows.iter()
             .map(|&r| inner.rows[r as usize].entry())
@@ -335,7 +363,7 @@ impl QiUrlMap {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.inner.lock().rows.len()
+        self.inner.read().rows.len()
     }
 
     /// True when the map has no rows.

@@ -16,30 +16,22 @@
 //! Either index is built when the run's first record of its kind turns up.
 //! The containment join (`WindowIndex`) costs a sort of the run's request
 //! windows plus, per query, a binary search and a walk over the windows that
-//! can still reach it. Each distinct logged SQL text is parsed once, its
-//! query type worked out once, and an instance is typed — its type and
-//! parameter values worked out — and never rendered: the map compares typed
-//! forms to know whether it already has the row
-//! ([`MapWriter::insert_typed`]), keeps the typed form as the row, and the
+//! can still reach it. The mapper parses and types nothing: a record comes
+//! typed from the query log, which also kept no record of a row the map
+//! already held, so a run sees one query record per new row (and one
+//! request record per generated page). It compares typed forms to know
+//! whether the map already has the row ([`MapWriter::insert_typed`]) — a
+//! record without an id, or a page two requests generated in one window,
+//! can still bring one — keeps the typed form as the row, and the
 //! invalidator's registration scan reads it as it stands.
 //!
 //! [`MapWriter::insert_typed`]: crate::map::MapWriter::insert_typed
 
-use crate::map::{QiUrlMap, TypedInstance};
+use crate::map::QiUrlMap;
 use crate::query_log::{QueryLog, QueryRecord};
 use crate::request_log::{LoggedRequest, RequestLog};
-use cacheportal_db::sql::ast::{Select, Statement};
-use cacheportal_db::sql::parser::parse;
-use cacheportal_db::sql::rewrite::{parameterize_in_place, substitute_params, TypePlan};
-use cacheportal_db::Value;
 use cacheportal_web::clock::Micros;
 use std::sync::Arc;
-
-/// Distinct logged SQL texts whose parse the mapper keeps. Like
-/// `Database`'s statement cache: a site has a handful of servlet templates,
-/// and when more texts than this arrive the memo starts over rather than
-/// track recency.
-const PARSE_MEMO_CAPACITY: usize = 64;
 
 /// How many runs an unmatched query survives before being dropped.
 const MAX_RETENTION: u8 = 2;
@@ -50,6 +42,9 @@ pub struct MapperReport {
     /// (query, request) associations written to the map (after dedup the
     /// map itself may record fewer).
     pub mapped: u64,
+    /// Query records the log did not keep since the previous run, because
+    /// the map already held the row of the page they were issued for.
+    pub known: u64,
     /// Queries joined to the request they name, by id.
     pub by_id: u64,
     /// Queries without an id that matched more than one request window.
@@ -77,6 +72,7 @@ impl MapperReport {
     pub fn merge(self, other: MapperReport) -> MapperReport {
         MapperReport {
             mapped: self.mapped + other.mapped,
+            known: self.known + other.known,
             by_id: self.by_id + other.by_id,
             ambiguous: self.ambiguous + other.ambiguous,
             retained: self.retained + other.retained,
@@ -122,32 +118,27 @@ pub struct Mapper {
     map: Arc<QiUrlMap>,
     /// (record, runs it has been retained).
     pending: Vec<(QueryRecord, u8)>,
-    /// Cumulative `QueryLog::lost` already reported in earlier runs.
+    /// Cumulative `QueryLog::lost` and `QueryLog::known` already reported
+    /// in earlier runs.
     lost_cursor: u64,
-    /// Parameterised SELECTs by logged text; `None` for a text outside the
-    /// dialect. At most [`PARSE_MEMO_CAPACITY`] texts. A record is looked up
-    /// by its text handle — the records of one servlet template share the
-    /// template's — and by its text only when no handle matches.
-    parsed: Vec<(Arc<str>, Option<Logged>)>,
-}
-
-/// One logged statement, parsed.
-struct Logged {
-    stmt: Select,
-    /// Its query type, when that is the same for every instance.
-    plan: Option<TypePlan>,
+    known_cursor: u64,
 }
 
 impl Mapper {
-    /// Create a mapper over the two logs, writing into `map`.
+    /// Create a mapper over the two logs, writing into `map`. From here on
+    /// the query log keeps no record of a row `map` holds.
+    ///
+    /// # Panics
+    /// When the query log feeds another map already.
     pub fn new(requests: Arc<RequestLog>, queries: Arc<QueryLog>, map: Arc<QiUrlMap>) -> Self {
+        queries.check_against(&map);
         Mapper {
             requests,
             queries,
             map,
             pending: Vec::new(),
             lost_cursor: 0,
-            parsed: Vec::new(),
+            known_cursor: 0,
         }
     }
 
@@ -163,6 +154,9 @@ impl Mapper {
         let lost_total = self.queries.lost();
         report.lost = lost_total - self.lost_cursor;
         self.lost_cursor = lost_total;
+        let known_total = self.queries.known();
+        report.known = known_total - self.known_cursor;
+        self.known_cursor = known_total;
         let requests = self.requests.drain();
         let (mut by_id, mut windows) = (None, None);
         let queries = std::mem::take(&mut self.pending)
@@ -198,74 +192,19 @@ impl Mapper {
             }
             report.by_id += q.request.is_some() as u64;
             report.ambiguous += (owners.len() > 1) as u64;
-            let Some(typed) = self.bind(&q) else {
+            let Some(typed) = &q.typed else {
                 report.unparseable += 1;
                 continue;
             };
             report.mapped += owners.len() as u64;
             for request in owners.iter().map(|&i| &requests[i]) {
-                rows.insert_typed(&typed, &request.page_key, &request.servlet);
+                rows.insert_typed(typed, &request.page_key, &request.servlet);
             }
         }
         drop(rows);
         report.elapsed_micros = start.elapsed().as_micros() as u64;
         report
     }
-
-    /// A logged query, typed; `None` for statements outside the supported
-    /// dialect. A parameterised text is parsed the first time it is seen (a
-    /// text with its values written into it rarely comes twice, and is not
-    /// kept).
-    fn bind(&mut self, q: &QueryRecord) -> Option<TypedInstance> {
-        if q.params.is_empty() {
-            return type_text(&q.sql);
-        }
-        let memo = &mut self.parsed;
-        let at = match (memo.iter().position(|(text, _)| Arc::ptr_eq(text, &q.sql)))
-            .or_else(|| memo.iter().position(|(text, _)| *text == q.sql))
-        {
-            Some(at) => at,
-            None => {
-                if memo.len() >= PARSE_MEMO_CAPACITY {
-                    memo.clear();
-                }
-                let logged = parse_select(&q.sql).map(|stmt| Logged {
-                    plan: TypePlan::of(&stmt),
-                    stmt,
-                });
-                memo.push((q.sql.clone(), logged));
-                memo.len() - 1
-            }
-        };
-        let logged = memo[at].1.as_ref()?;
-        let Some(plan) = &logged.plan else {
-            return bind_unplanned(&logged.stmt, &q.params);
-        };
-        // Every marker is one the plan binds, so a vector too short for the
-        // statement fails here as it would in `substitute_params`.
-        Some(TypedInstance {
-            template: plan.template.clone(),
-            params: plan.params(&q.params).ok()?,
-        })
-    }
-}
-
-/// A query instance given as text — a `SELECT` with its values written in —
-/// typed: parsed, and its literals lifted out into the type's parameters.
-/// This is how the mapper types a statement logged without parameters, and
-/// how a row that arrives as text (a journal replayed, a test's) is typed.
-/// `None` for text outside the supported dialect.
-pub fn type_text(sql: &str) -> Option<TypedInstance> {
-    bind_unplanned(&parse_select(sql)?, &[])
-}
-
-/// [`Mapper::bind`] for a statement without a [`TypePlan`]: its type depends
-/// on its values, so they are substituted and lifted back out.
-fn bind_unplanned(stmt: &Select, params: &[Value]) -> Option<TypedInstance> {
-    let mut bound = substitute_params(stmt, params).ok()?;
-    let params = parameterize_in_place(&mut bound).into();
-    let template = Arc::new(bound);
-    Some(TypedInstance { template, params })
 }
 
 /// The requests of one run by id. One application server numbers its
@@ -356,23 +295,11 @@ impl WindowIndex {
     }
 }
 
-fn parse_select(sql: &str) -> Option<Select> {
-    match parse(sql) {
-        Ok(Statement::Select(sel)) => Some(sel),
-        _ => None,
-    }
-}
-
-/// Canonical bound SQL text of a logged query: parse, substitute parameters,
-/// re-render. Returns `None` for statements outside the supported dialect.
-pub fn canonical_bound_sql(q: &QueryRecord) -> Option<String> {
-    let bound = substitute_params(&parse_select(&q.sql)?, &q.params).ok()?;
-    Some(bound.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query_log::canonical_bound_sql;
+    use cacheportal_db::Value;
     use cacheportal_web::{PageKey, RequestObserver, RequestRecord};
 
     fn request(id: u64, recv: u64, deliver: u64) -> RequestRecord {
@@ -385,16 +312,17 @@ mod tests {
         }
     }
 
-    fn query(sql: &str, params: Vec<Value>, recv: u64, deliver: u64) -> QueryRecord {
-        QueryRecord {
-            id: 0,
-            sql: sql.into(),
-            params,
-            is_select: true,
-            received: recv,
-            delivered: deliver,
-            request: None,
-        }
+    /// A SELECT as a test logs it.
+    struct Query {
+        sql: &'static str,
+        params: Vec<Value>,
+        received: u64,
+        delivered: u64,
+        request: Option<u64>,
+    }
+
+    fn query(sql: &'static str, params: Vec<Value>, recv: u64, deliver: u64) -> Query {
+        Query { sql, params, received: recv, delivered: deliver, request: None }
     }
 
     fn setup() -> (Arc<RequestLog>, Arc<QueryLog>, Mapper) {
@@ -405,8 +333,8 @@ mod tests {
         (rl, ql, mapper)
     }
 
-    fn push_query(ql: &QueryLog, q: QueryRecord) {
-        ql.record_for(q.request, &q.sql, &q.params, q.is_select, q.received, q.delivered);
+    fn push_query(ql: &QueryLog, q: Query) {
+        ql.record_for(q.request, q.sql, &q.params, true, q.received, q.delivered);
     }
 
     #[test]
@@ -445,7 +373,7 @@ mod tests {
         rl.on_request(request(1, 10, 50));
         rl.on_request(request(2, 20, 40));
         // Inside both windows, and outside its own request's: the id decides.
-        let by = |id, recv, deliver| QueryRecord {
+        let by = |id, recv, deliver| Query {
             request: Some(id),
             ..query("SELECT * FROM Car", vec![], recv, deliver)
         };
@@ -471,7 +399,7 @@ mod tests {
         rl.on_request(request(7, 10, 20));
         rl.on_request(request(u64::MAX, 10, 20));
         for id in [u64::MAX, 7, 8] {
-            push_query(&ql, QueryRecord {
+            push_query(&ql, Query {
                 request: Some(id),
                 ..query("SELECT * FROM Car", vec![], 12, 15)
             });
@@ -554,14 +482,8 @@ mod tests {
 
     #[test]
     fn canonicalization_normalizes_case_and_spacing() {
-        let q = query(
-            "select  *  from Car where PRICE < $1",
-            vec![Value::Int(7)],
-            0,
-            0,
-        );
         assert_eq!(
-            canonical_bound_sql(&q).unwrap(),
+            canonical_bound_sql("select  *  from Car where PRICE < $1", &[Value::Int(7)]).unwrap(),
             "SELECT * FROM Car WHERE PRICE < 7"
         );
     }

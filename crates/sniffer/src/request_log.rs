@@ -7,8 +7,11 @@
 //! The log keeps of a request what the mapper joins on: its id, the page it
 //! produced and the window it was served in. The request, cookie and POST strings of
 //! §3.1 are what the page key was computed from, and the application server
-//! does not record them: between two mapper runs the log holds one entry per
-//! generated page, so an entry's size is what a faster site pays in memory.
+//! does not record them. Between two mapper runs the log holds one entry per
+//! generated page — a page whose rows the map already holds too, though the
+//! query log keeps none of its queries then: the containment join of a query
+//! without a request id needs every request's window — so an entry's size is
+//! what a faster site pays in memory.
 
 use cacheportal_db::stripe::Striped;
 use cacheportal_web::clock::Micros;

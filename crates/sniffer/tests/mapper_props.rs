@@ -10,7 +10,7 @@
 //!   containment join makes of the same logs without the ids — also in logs
 //!   where only some queries name one, where requests fail or are logged a
 //!   run late, and under duplicate and reorder faults.
-//! * The mapper's indexed joins, parse memo and de-duplication by typed form
+//! * The query log's typing and the mapper's indexed joins and de-duplication by typed form
 //!   produce the map — rows, order, ids — and the reports of the join it
 //!   replaced: every window compared with every query, every query parsed,
 //!   substituted and re-rendered, every row compared as text; and what the
@@ -174,11 +174,16 @@ fn run_strategy() -> impl Strategy<Value = RunSpec> {
 
 /// The join the mapper ran before it was indexed, over the same logs: every
 /// window compared with every query — or, for a query that names its
-/// request, every request's id.
+/// request, every request's id — and every statement's text parsed,
+/// substituted and re-rendered, from what the test issued, not from the
+/// record's typed form.
 #[derive(Default)]
 struct Reference {
     pending: Vec<(QueryRecord, u8)>,
     rows: Vec<QiUrlEntry>,
+    /// `(text, values)` of each statement logged, by record id − 1: a log
+    /// draws one id per statement, in order.
+    issued: Vec<(&'static str, Vec<Value>)>,
 }
 
 impl Reference {
@@ -209,7 +214,8 @@ impl Reference {
             }
             report.by_id += q.request.is_some() as u64;
             report.ambiguous += (owners.len() > 1) as u64;
-            let Some(sql) = canonical_bound_sql(&q) else {
+            let (text, params) = &self.issued[q.id as usize - 1];
+            let Some(sql) = canonical_bound_sql(text, params) else {
                 report.unparseable += 1;
                 continue;
             };
@@ -289,6 +295,7 @@ proptest! {
                 for log in [&ql, &shadow] {
                     log.record(sql, &params, !sql.starts_with("DELETE"), recv, recv + len);
                 }
+                reference.issued.push((sql, params));
             }
 
             let got = mapper.run_once();
@@ -396,6 +403,7 @@ proptest! {
                         at + 1,
                     );
                 }
+                reference.issued.push(("SELECT * FROM t WHERE a = $1", vec![Value::Int(marker)]));
                 plain_ql.record("SELECT * FROM t WHERE a = $1", &[Value::Int(marker)], true, at, at + 1);
                 let page = (*fate != Fate::Failed).then(|| record.page_key.clone());
                 issued.push((marker, page, named, *fate));

@@ -137,28 +137,26 @@ impl AppServer {
         let Some(servlet) = self.servlet_for(&req.path) else {
             return HttpResponse::not_found();
         };
-        self.serve(req, &*servlet, || {
-            PageKey::for_request(req, servlet.spec())
-        })
+        self.serve(req, &*servlet, &PageKey::for_request(req, servlet.spec()))
     }
 
     /// [`AppServer::handle`] for a front that has routed `req` to `servlet`
     /// itself and, to look the page up in its cache, already built the page
-    /// key: `page_key` hands that key over, and is called only for a request
-    /// that is logged.
+    /// key: `page_key` hands that key over.
     pub fn serve(
         &self,
         req: &HttpRequest,
         servlet: &dyn Servlet,
-        page_key: impl FnOnce() -> PageKey,
+        page_key: &PageKey,
     ) -> HttpResponse {
-        // The request's id is taken before the servlet runs and held where
-        // the query logger finds it: every statement the servlet issues on
-        // this thread is logged as this request's.
+        // The request's id is taken before the servlet runs and held, with
+        // the page key, where the query logger finds them: every statement
+        // the servlet issues on this thread is logged as this request's, for
+        // this page.
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let received = self.clock.tick();
         let outcome = {
-            let _scope = RequestScope::enter(id);
+            let _scope = RequestScope::enter(id, page_key.clone());
             let mut conn = self.pool.checkout();
             servlet.handle(req, &mut conn)
         };
@@ -175,7 +173,7 @@ impl AppServer {
             obs.on_request(RequestRecord {
                 id,
                 servlet: spec.name.clone(),
-                page_key: page_key(),
+                page_key: page_key.clone(),
                 received,
                 delivered,
             });

@@ -31,7 +31,7 @@ impl WebServer {
     /// [`WebServer::handle`] for a request the caller has routed to
     /// `servlet` and keyed as `page_key` (see [`AppServer::serve`]).
     pub fn serve(&self, req: &HttpRequest, servlet: &dyn Servlet, page_key: &PageKey) -> HttpResponse {
-        self.app.serve(req, servlet, || page_key.clone())
+        self.app.serve(req, servlet, page_key)
     }
 }
 
