@@ -130,7 +130,6 @@ fn mapped(rows: usize) -> Arc<QiUrlMap> {
     let (requests, queries) = (Arc::new(RequestLog::new()), QueryLog::new());
     for sku in 0..rows as u64 {
         requests.on_request(RequestRecord {
-            id: sku,
             servlet: "product".into(),
             page_key: PageKey::raw(format!("shop/product?g:sku={sku}")),
             received: sku * 10,

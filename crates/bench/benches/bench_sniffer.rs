@@ -1,8 +1,8 @@
 //! Sniffer benchmarks: mapper cost vs. log volume and request concurrency
 //! (Fig E5). The sniffer "has to run as fast as the web server" (§2.4) —
 //! these benches quantify the interval-containment join, and beside it the
-//! join by request id that records stamped by the query logger take
-//! (`sniffer_mapper/by_id`) — and what a row of
+//! filing of records that name their page, as the query logger's do
+//! (`sniffer_mapper/named`) — and what a row of
 //! the QI/URL map costs to write and to keep (`map/insert_typed`, with the
 //! counting allocator of `crates/core/tests/common`).
 
@@ -21,33 +21,32 @@ use std::sync::Arc;
 
 /// Build logs with `n` requests, `overlap` controlling how many request
 /// windows each query falls into (1 = serial, k = k-way concurrency);
-/// `stamped` queries name their request, as the query logger's do.
-fn build_logs(n: usize, overlap: u64, stamped: bool) -> (Arc<RequestLog>, Arc<QueryLog>) {
+/// `named` queries name their page, as the query logger's do.
+fn build_logs(n: usize, overlap: u64, named: bool) -> (Arc<RequestLog>, Arc<QueryLog>) {
     let rl = Arc::new(RequestLog::new());
     let ql = QueryLog::new();
-    fill_logs(&rl, &ql, n, overlap, stamped);
+    fill_logs(&rl, &ql, n, overlap, named);
     (rl, ql)
 }
 
-fn fill_logs(rl: &RequestLog, ql: &QueryLog, n: usize, overlap: u64, stamped: bool) {
+fn fill_logs(rl: &RequestLog, ql: &QueryLog, n: usize, overlap: u64, named: bool) {
+    let sql = "SELECT * FROM Car WHERE price < $1";
     for i in 0..n as u64 {
         let start = i * 10;
         let end = start + 10 * overlap; // windows overlap `overlap` deep
+        let (page_key, servlet): (_, Arc<str>) = (PageKey::raw(format!("p{i}")), "s".into());
+        let params = [Value::Int(i as i64)];
+        if named {
+            ql.record_for(&page_key, &servlet, sql, &params, true);
+        } else {
+            ql.record(sql, &params, true, start + 2, start + 4);
+        }
         rl.on_request(RequestRecord {
-            id: i,
-            servlet: "s".into(),
-            page_key: PageKey::raw(format!("p{i}")),
+            servlet,
+            page_key,
             received: start,
             delivered: end,
         });
-        ql.record_for(
-            stamped.then_some(i),
-            "SELECT * FROM Car WHERE price < $1",
-            &[Value::Int(i as i64)],
-            true,
-            start + 2,
-            start + 4,
-        );
     }
 }
 
@@ -55,11 +54,11 @@ fn mapper_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("sniffer_mapper");
     // The 5000-request run is there for the serial case only: against 1000
     // it shows whether a run costs in proportion to its log.
-    let mut run = |name: String, n: usize, overlap: u64, stamped: bool| {
+    let mut run = |name: String, n: usize, overlap: u64, named: bool| {
         group.bench_with_input(BenchmarkId::new(name, n), &n, |b, &n| {
             b.iter_batched(
                 || {
-                    let (rl, ql) = build_logs(n, overlap, stamped);
+                    let (rl, ql) = build_logs(n, overlap, named);
                     let map = Arc::new(QiUrlMap::new());
                     Mapper::new(rl, ql, map)
                 },
@@ -73,8 +72,8 @@ fn mapper_throughput(c: &mut Criterion) {
             run(format!("overlap{overlap}"), n, overlap, false);
         }
     }
-    // The same serial log with every query naming its request.
-    run("by_id".into(), 5000, 1, true);
+    // The same serial log with every query naming its page.
+    run("named".into(), 5000, 1, true);
     group.finish();
 }
 

@@ -152,14 +152,14 @@ fn a_registered_page_costs_under_540_bytes_and_3_blocks() {
     let requests = requests();
     assert_eq!(requests.len(), PAGES);
 
-    // Every page once, one sync point: 4 300 rows, each joined to its
-    // request by id and stored typed.
+    // Every page once, one sync point: 4 300 rows, each filed under the page
+    // its record names and stored typed.
     for req in &requests {
         assert_eq!(portal.request(req).served, Served::Generated);
     }
     let sync = portal.sync_point().unwrap();
     assert_eq!(
-        (sync.mapper.mapped, sync.mapper.by_id),
+        (sync.mapper.mapped, sync.mapper.named),
         (PAGES as u64, PAGES as u64)
     );
     assert_eq!(sync.invalidation.registered, PAGES as u64);

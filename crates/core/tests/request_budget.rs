@@ -35,8 +35,10 @@ const MISS: [usize; 4] = [14, 91, 31, 13];
 /// Allocations of a re-miss, in `storefront::SERVLETS` order.
 const REMISS: [usize; 4] = [13, 90, 30, 12];
 /// Allocations of the first sync point over the whole site: the records
-/// come typed from the query log (4 977 when the mapper typed each).
-const FIRST_SYNC: usize = 551;
+/// come typed from the query log (4 977 when the mapper typed each), each
+/// naming its page (551 when the mapper joined them to their requests by
+/// id, through an index and an owner list).
+const FIRST_SYNC: usize = 549;
 
 fn portal() -> CachePortal {
     let portal = CachePortal::builder(storefront::database(1))

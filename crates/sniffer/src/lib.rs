@@ -10,9 +10,9 @@
 //! * [`query_log::LoggedConnection`] — JDBC-wrapper query logger, which
 //!   types each SELECT as it is logged and keeps no record of a row the
 //!   map already holds.
-//! * [`mapper::Mapper`] — joins the two logs, by the request id the query
-//!   logger stamped on a record or, for a record without one, on interval
-//!   containment, producing the [`map::QiUrlMap`].
+//! * [`mapper::Mapper`] — files each query record under the page the query
+//!   logger named on it or, for a record without one, joins the two logs on
+//!   interval containment, producing the [`map::QiUrlMap`].
 
 pub mod map;
 pub mod mapper;
@@ -21,5 +21,7 @@ pub mod request_log;
 
 pub use map::{MapWriter, QiUrlEntry, QiUrlMap, Row, TemplateTexts, TypedInstance};
 pub use mapper::{Mapper, MapperReport};
-pub use query_log::{canonical_bound_sql, type_text, LoggedConnection, QueryLog, QueryRecord};
+pub use query_log::{
+    canonical_bound_sql, type_text, IssuedFor, LoggedConnection, QueryLog, QueryRecord,
+};
 pub use request_log::RequestLog;

@@ -1,55 +1,60 @@
 //! The request-to-query mapper (§3.3).
 //!
-//! At every run it joins the two logs. A query record that names its request
-//! — stamped by the query logger on the thread that served it — is joined to
-//! that one request **by id** (`IdIndex`): exact at any concurrency, and
-//! until the request is logged the query is retained, never handed to a
-//! neighbour. A record without an id (a hand-fed or shipped log,
-//! `QueryLog::record` called directly, a servlet that queries from another
-//! thread) is joined the paper's way, on *interval containment*: a query
-//! issued and answered inside a request's [receive, delivery] window is
-//! attributed to that request, and one inside several windows to all of them
-//! — conservative in exactly the direction invalidation safety needs (a page
-//! is never missing a dependency, it can only have spurious ones). The
-//! record selects the join; nothing else does.
+//! At every run it files the query log's records under pages. A record that
+//! names its page — the query logger made it on the thread that served the
+//! request ([`IssuedFor::Page`]) — is written under that page at once: exact
+//! at any concurrency, and whether or not the request was logged. A record
+//! that names no page (a hand-fed or shipped log, `QueryLog::record` called
+//! directly, a servlet that queries from another thread) is joined the
+//! paper's way, on *interval containment*: a query issued and answered
+//! inside a request's [receive, delivery] window is attributed to that
+//! request, and one inside several windows to all of them — conservative in
+//! exactly the direction invalidation safety needs (a page is never missing
+//! a dependency, it can only have spurious ones). Until a logged window
+//! contains it, such a record is retained, for two runs. The record
+//! selects the join; nothing else does.
 //!
-//! Either index is built when the run's first record of its kind turns up.
-//! The containment join (`WindowIndex`) costs a sort of the run's request
-//! windows plus, per query, a binary search and a walk over the windows that
-//! can still reach it. The mapper parses and types nothing: a record comes
-//! typed from the query log, which also kept no record of a row the map
-//! already held, so a run sees one query record per new row (and one
+//! The containment join's index (`WindowIndex`) is built when the run's
+//! first record without a page turns up, and costs a sort of the run's
+//! request windows plus, per query, a binary search and a walk over the
+//! windows that can still reach it. The mapper parses and types nothing: a
+//! record comes typed from the query log, which also kept no record of a row
+//! the map already held, so a run sees one query record per new row (and one
 //! request record per generated page). It compares typed forms to know
 //! whether the map already has the row ([`MapWriter::insert_typed`]) — a
-//! record without an id, or a page two requests generated in one window,
+//! record without a page, or a page two requests generated in one window,
 //! can still bring one — keeps the typed form as the row, and the
-//! invalidator's registration scan reads it as it stands.
+//! invalidator's registration scan reads it as it stands. A run with no
+//! query record to place drains the request log and touches nothing else.
 //!
 //! [`MapWriter::insert_typed`]: crate::map::MapWriter::insert_typed
+//! [`IssuedFor::Page`]: crate::query_log::IssuedFor::Page
 
 use crate::map::QiUrlMap;
-use crate::query_log::{QueryLog, QueryRecord};
+use crate::query_log::{IssuedFor, QueryLog, QueryRecord};
 use crate::request_log::{LoggedRequest, RequestLog};
 use cacheportal_web::clock::Micros;
 use std::sync::Arc;
 
-/// How many runs an unmatched query survives before being dropped.
+/// How many runs a query without a page and without a window to contain it
+/// survives before being dropped.
 const MAX_RETENTION: u8 = 2;
 
 /// Outcome counters for one mapper run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MapperReport {
-    /// (query, request) associations written to the map (after dedup the
+    /// (query, page) associations written to the map (after dedup the
     /// map itself may record fewer).
     pub mapped: u64,
     /// Query records the log did not keep since the previous run, because
     /// the map already held the row of the page they were issued for.
     pub known: u64,
-    /// Queries joined to the request they name, by id.
-    pub by_id: u64,
-    /// Queries without an id that matched more than one request window.
+    /// Queries filed under the page they name.
+    pub named: u64,
+    /// Queries without a page that matched more than one request window.
     pub ambiguous: u64,
-    /// Queries retained for the next run (their request not yet logged).
+    /// Queries without a page retained for the next run (no logged request
+    /// window contains them yet).
     pub retained: u64,
     /// Queries dropped after exceeding the retention limit.
     pub dropped: u64,
@@ -73,7 +78,7 @@ impl MapperReport {
         MapperReport {
             mapped: self.mapped + other.mapped,
             known: self.known + other.known,
-            by_id: self.by_id + other.by_id,
+            named: self.named + other.named,
             ambiguous: self.ambiguous + other.ambiguous,
             retained: self.retained + other.retained,
             dropped: self.dropped + other.dropped,
@@ -99,7 +104,7 @@ impl MapperReport {
 ///
 /// // A request window [10, 20] containing one query [12, 14].
 /// requests.on_request(RequestRecord {
-///     id: 1, servlet: "cars".into(),
+///     servlet: "cars".into(),
 ///     page_key: PageKey::raw("shop/cars?g:maxprice=20000"),
 ///     received: 10, delivered: 20,
 /// });
@@ -109,14 +114,14 @@ impl MapperReport {
 /// let mut mapper = Mapper::new(requests, queries, map.clone());
 /// let report = mapper.run_once();
 /// assert_eq!(report.mapped, 1);
-/// assert_eq!(report.by_id, 0, "a record made by hand names no request");
+/// assert_eq!(report.named, 0, "a record made by hand names no page");
 /// assert_eq!(map.all()[0].sql, "SELECT * FROM Car WHERE price < 20000");
 /// ```
 pub struct Mapper {
     requests: Arc<RequestLog>,
     queries: Arc<QueryLog>,
     map: Arc<QiUrlMap>,
-    /// (record, runs it has been retained).
+    /// (record without a page, runs it has been retained).
     pending: Vec<(QueryRecord, u8)>,
     /// Cumulative `QueryLog::lost` and `QueryLog::known` already reported
     /// in earlier runs.
@@ -158,29 +163,40 @@ impl Mapper {
         report.known = known_total - self.known_cursor;
         self.known_cursor = known_total;
         let requests = self.requests.drain();
-        let (mut by_id, mut windows) = (None, None);
+        let drained = self.queries.drain();
+        if drained.is_empty() && self.pending.is_empty() {
+            report.elapsed_micros = start.elapsed().as_micros() as u64;
+            return report;
+        }
         let queries = std::mem::take(&mut self.pending)
             .into_iter()
-            .chain(self.queries.drain().into_iter().map(|q| (q, 0)));
+            .chain(drained.into_iter().map(|q| (q, 0)));
 
         let map = Arc::clone(&self.map);
         let mut rows = map.writer();
-        let mut owners = Vec::new();
+        let (mut windows, mut owners) = (None, Vec::new());
         for (q, age) in queries {
             if !q.is_select {
                 report.non_select += 1;
                 continue;
             }
-            owners.clear();
-            match q.request {
-                Some(id) => {
-                    let by_id = by_id.get_or_insert_with(|| IdIndex::new(&requests));
-                    owners.extend(by_id.position_of(id, &requests));
+            let (received, delivered) = match &q.issued_for {
+                IssuedFor::Page { page, servlet } => {
+                    report.named += 1;
+                    match &q.typed {
+                        Some(typed) => {
+                            report.mapped += 1;
+                            rows.insert_typed(typed, page, servlet);
+                        }
+                        None => report.unparseable += 1,
+                    }
+                    continue;
                 }
-                None => windows
-                    .get_or_insert_with(|| WindowIndex::new(&requests))
-                    .owners_of(q.received, q.delivered, &mut owners),
-            }
+                IssuedFor::Window { received, delivered } => (*received, *delivered),
+            };
+            windows
+                .get_or_insert_with(|| WindowIndex::new(&requests))
+                .owners_of(received, delivered, &mut owners);
             if owners.is_empty() {
                 if age >= MAX_RETENTION {
                     report.dropped += 1;
@@ -190,7 +206,6 @@ impl Mapper {
                 }
                 continue;
             }
-            report.by_id += q.request.is_some() as u64;
             report.ambiguous += (owners.len() > 1) as u64;
             let Some(typed) = &q.typed else {
                 report.unparseable += 1;
@@ -204,46 +219,6 @@ impl Mapper {
         drop(rows);
         report.elapsed_micros = start.elapsed().as_micros() as u64;
         report
-    }
-}
-
-/// The requests of one run by id. One application server numbers its
-/// requests from one counter, so the ids a run sees are dense: a table of
-/// log positions indexed by `id − min`, smaller than the window index it
-/// stands in for and built without a sort.
-struct IdIndex {
-    min: u64,
-    /// Log position + 1 of the request with id `min + i`; 0 for none. Empty
-    /// when the run's ids are not dense (hand-fed records): the log is
-    /// searched then, rather than a table sized by what the ids say.
-    slots: Vec<u32>,
-}
-
-impl IdIndex {
-    fn new(requests: &[LoggedRequest]) -> IdIndex {
-        let ids = || requests.iter().map(|r| r.id);
-        let (min, max) = (ids().min().unwrap_or(0), ids().max().unwrap_or(0));
-        let mut slots = Vec::new();
-        if let Some(span) = usize::try_from(max - min)
-            .ok()
-            .filter(|&span| span <= 8 * requests.len() + 1024)
-        {
-            slots.resize(span + 1, 0);
-            for (at, r) in requests.iter().enumerate().rev() {
-                slots[(r.id - min) as usize] =
-                    u32::try_from(at + 1).expect("a run holds fewer than 2^32 requests");
-            }
-        }
-        IdIndex { min, slots }
-    }
-
-    /// The log position of the (first) request with `id`.
-    fn position_of(&self, id: u64, requests: &[LoggedRequest]) -> Option<usize> {
-        if self.slots.is_empty() {
-            return requests.iter().position(|r| r.id == id);
-        }
-        let slot = *self.slots.get(usize::try_from(id.checked_sub(self.min)?).ok()?)?;
-        (slot as usize).checked_sub(1)
     }
 }
 
@@ -304,7 +279,6 @@ mod tests {
 
     fn request(id: u64, recv: u64, deliver: u64) -> RequestRecord {
         RequestRecord {
-            id,
             servlet: "s".into(),
             page_key: PageKey::raw(format!("page{id}")),
             received: recv,
@@ -318,11 +292,10 @@ mod tests {
         params: Vec<Value>,
         received: u64,
         delivered: u64,
-        request: Option<u64>,
     }
 
     fn query(sql: &'static str, params: Vec<Value>, recv: u64, deliver: u64) -> Query {
-        Query { sql, params, received: recv, delivered: deliver, request: None }
+        Query { sql, params, received: recv, delivered: deliver }
     }
 
     fn setup() -> (Arc<RequestLog>, Arc<QueryLog>, Mapper) {
@@ -334,7 +307,7 @@ mod tests {
     }
 
     fn push_query(ql: &QueryLog, q: Query) {
-        ql.record_for(q.request, q.sql, &q.params, true, q.received, q.delivered);
+        ql.record(q.sql, &q.params, true, q.received, q.delivered);
     }
 
     #[test]
@@ -363,51 +336,50 @@ mod tests {
         push_query(&ql, query("SELECT * FROM Car", vec![], 25, 30));
         let rep = mapper.run_once();
         assert_eq!(rep.mapped, 2);
-        assert_eq!((rep.ambiguous, rep.by_id), (1, 0));
+        assert_eq!((rep.ambiguous, rep.named), (1, 0));
         assert_eq!(mapper.map().len(), 2);
     }
 
     #[test]
-    fn a_query_that_names_its_request_maps_to_it_alone() {
+    fn a_query_that_names_its_page_is_filed_under_it_alone() {
         let (rl, ql, mut mapper) = setup();
+        // Two windows, around whatever a record without a page brings.
         rl.on_request(request(1, 10, 50));
         rl.on_request(request(2, 20, 40));
-        // Inside both windows, and outside its own request's: the id decides.
-        let by = |id, recv, deliver| Query {
-            request: Some(id),
-            ..query("SELECT * FROM Car", vec![], recv, deliver)
-        };
-        push_query(&ql, by(1, 25, 30));
-        push_query(&ql, by(2, 90, 95));
-        // Request 3 is not logged yet (or failed): its query waits for it,
-        // whatever windows contain it.
-        push_query(&ql, by(3, 25, 30));
+        let (page1, failed) = (PageKey::raw("page1"), PageKey::raw("failed"));
+        ql.record_for(&page1, &"s".into(), "SELECT * FROM Car", &[], true);
+        // A page no logged request made — its servlet failed, or has not
+        // returned yet — is filed all the same.
+        let sql = "SELECT * FROM Car WHERE price < $1";
+        ql.record_for(&failed, &"f".into(), sql, &[Value::Int(3)], true);
         let rep = mapper.run_once();
-        assert_eq!((rep.mapped, rep.by_id, rep.ambiguous, rep.retained), (2, 2, 0, 1));
-        let pages: Vec<_> = mapper.map().all().into_iter().map(|e| e.page_key).collect();
-        assert_eq!(pages, [PageKey::raw("page1"), PageKey::raw("page2")]);
-        rl.on_request(request(3, 0, 100));
+        assert_eq!((rep.mapped, rep.named, rep.ambiguous, rep.retained), (2, 2, 0, 0));
+        let rows: Vec<_> = (mapper.map().all().into_iter())
+            .map(|e| (e.page_key, e.servlet.to_string()))
+            .collect();
+        assert_eq!(rows, [(page1, "s".to_string()), (failed, "f".to_string())]);
+        // No request logged at all.
+        ql.record_for(&PageKey::raw("page3"), &"s".into(), "SELECT * FROM Car", &[], true);
         let rep = mapper.run_once();
-        assert_eq!((rep.mapped, rep.by_id, rep.retained), (1, 1, 0));
+        assert_eq!((rep.mapped, rep.named, rep.retained), (1, 1, 0));
         assert_eq!(mapper.map().all()[2].page_key, PageKey::raw("page3"));
     }
 
     #[test]
-    fn ids_that_are_not_dense_are_searched_not_tabled() {
-        let (rl, ql, mut mapper) = setup();
-        // Hand-fed ids a table indexed by `id - min` could not hold.
-        rl.on_request(request(7, 10, 20));
-        rl.on_request(request(u64::MAX, 10, 20));
-        for id in [u64::MAX, 7, 8] {
-            push_query(&ql, Query {
-                request: Some(id),
-                ..query("SELECT * FROM Car", vec![], 12, 15)
-            });
-        }
-        let rep = mapper.run_once();
-        assert_eq!((rep.mapped, rep.by_id, rep.retained), (2, 2, 1));
-        let pages: Vec<_> = mapper.map().all().into_iter().map(|e| e.page_key).collect();
-        assert_eq!(pages, [PageKey::raw(format!("page{}", u64::MAX)), PageKey::raw("page7")]);
+    fn a_run_with_nothing_to_place_takes_no_writer() {
+        let (rl, _ql, mut mapper) = setup();
+        rl.on_request(request(1, 10, 20));
+        let map = mapper.map().clone();
+        let held = map.writer();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| tx.send(mapper.run_once()).unwrap());
+            let report = rx.recv_timeout(std::time::Duration::from_secs(10));
+            drop(held);
+            let report = report.expect("a run with no query record waits for no writer");
+            assert_eq!(report, MapperReport { elapsed_micros: report.elapsed_micros, ..MapperReport::default() });
+        });
+        assert!(rl.is_empty(), "the request log is drained all the same");
     }
 
     #[test]

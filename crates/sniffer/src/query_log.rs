@@ -8,10 +8,11 @@
 //! at the driver.
 //!
 //! The wrapper runs on the thread that runs the servlet, inside the servlet
-//! wrapper's [`RequestScope`](cacheportal_web::RequestScope): it stamps each
-//! record with the id of the request it was issued for, and the mapper joins
-//! on that. A record made any other way carries no id and is joined on its
-//! timestamps, as in the paper.
+//! wrapper's [`RequestScope`](cacheportal_web::RequestScope): a record it
+//! makes there names the page it was issued for and the servlet generating
+//! it, and the mapper files it under that page. A record made any other way
+//! names no page and keeps its [received, delivered] window, which the
+//! mapper joins on interval containment, as in the paper.
 //!
 //! A SELECT is typed once, when it is logged: the log keeps the parse of
 //! each parameterised text, shared by all its connections (one query type
@@ -30,7 +31,7 @@ use cacheportal_db::sql::rewrite::{parameterize_in_place, substitute_params, Typ
 use cacheportal_db::stripe::Striped;
 use cacheportal_db::{DbResult, ExecOutcome, FaultPlan, QueryResult, Value};
 use cacheportal_web::clock::{Clock, Micros};
-use cacheportal_web::{with_current_request, Connection, PageKey};
+use cacheportal_web::{with_current_page, Connection, PageKey};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -50,16 +51,32 @@ pub struct QueryRecord {
     pub typed: Option<TypedInstance>,
     /// True for SELECTs (the only kind the mapper maps to pages).
     pub is_select: bool,
-    /// Query receive time (when the driver got it).
-    pub received: Micros,
-    /// Result delivery time.
-    pub delivered: Micros,
-    /// The request the statement was issued for — the id its
-    /// `RequestRecord` will carry — when the logger knew: it was called on
-    /// the thread serving the request. `None` (a hand-fed or shipped log, a
-    /// servlet that queries from another thread) leaves the mapper the
-    /// timestamps.
-    pub request: Option<u64>,
+    /// The page the statement was issued for, or the window the mapper
+    /// finds its page by.
+    pub issued_for: IssuedFor,
+}
+
+/// What a [`QueryRecord`] is filed under.
+#[derive(Debug, Clone, PartialEq)]
+pub enum IssuedFor {
+    /// The page the statement was issued for and the servlet generating
+    /// it: the logger was called on the thread serving the request. The
+    /// mapper files the record under that page, logged request or not.
+    Page {
+        /// The page's key.
+        page: PageKey,
+        /// The servlet's name.
+        servlet: Arc<str>,
+    },
+    /// A record that names no page (a hand-fed or shipped log, a servlet
+    /// that queries from another thread): the mapper files it under every
+    /// logged request whose window contains this one.
+    Window {
+        /// Query receive time (when the driver got it).
+        received: Micros,
+        /// Result delivery time.
+        delivered: Micros,
+    },
 }
 
 /// Append-only query log shared by all logged connections.
@@ -208,7 +225,7 @@ impl QueryLog {
         self.duplicated.load(Ordering::Relaxed)
     }
 
-    /// Append one query record that names no request.
+    /// Append one query record that names no page.
     pub fn record(
         &self,
         sql: &str,
@@ -217,31 +234,33 @@ impl QueryLog {
         received: Micros,
         delivered: Micros,
     ) {
-        self.record_for(None, sql, params, is_select, received, delivered);
+        let issued = Issued { sql, share: &|| sql.into(), params, is_select, received, delivered };
+        self.append(None, issued);
     }
 
-    /// Append one query record, issued for `request` if that is known. It
-    /// names no page, so it is kept whatever the map holds.
+    /// Append one query record issued for `page`, generated by `servlet`,
+    /// as the logger makes it on the thread serving that request. It keeps
+    /// no window: the mapper files it under `page`.
     pub fn record_for(
         &self,
-        request: Option<u64>,
+        page: &PageKey,
+        servlet: &Arc<str>,
         sql: &str,
         params: &[Value],
         is_select: bool,
-        received: Micros,
-        delivered: Micros,
     ) {
-        let issued = Issued { sql, share: &|| sql.into(), params, is_select, received, delivered };
-        self.append(request, None, issued);
+        // A record filed under its page reads no window.
+        let issued =
+            Issued { sql, share: &|| sql.into(), params, is_select, received: 0, delivered: 0 };
+        self.append(Some((page, servlet)), issued);
     }
 
-    /// Log one statement, issued for `request` and its `page` where those
-    /// are known. In this order, so that an injected fault lands on the
-    /// record it would land on were no record skipped: the record's id is
-    /// drawn, a fault-plan drop is counted lost, a record of a row the map
-    /// holds is counted known, and the rest are kept — twice under a
-    /// duplicate fault.
-    fn append(&self, request: Option<u64>, page: Option<&PageKey>, issued: Issued<'_>) {
+    /// Log one statement, issued for `page` on its servlet where that is
+    /// known. In this order, so that an injected fault lands on the record
+    /// it would land on were no record skipped: the record's id is drawn, a
+    /// fault-plan drop is counted lost, a record of a row the map holds is
+    /// counted known, and the rest are kept — twice under a duplicate fault.
+    fn append(&self, page: Option<(&PageKey, &Arc<str>)>, issued: Issued<'_>) {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let fault = self.fault.get();
         if fault.is_some_and(|fault| fault.drop_query_record(id)) {
@@ -251,9 +270,8 @@ impl QueryLog {
             self.lost.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let page = page.zip(self.map.get());
         let typed = if issued.is_select {
-            match self.type_select(&issued, page) {
+            match self.type_select(&issued, page.map(|(page, _)| page).zip(self.map.get())) {
                 Ok(typed) => typed,
                 Err(Known) => {
                     self.known.mine().fetch_add(1, Ordering::Relaxed);
@@ -267,9 +285,12 @@ impl QueryLog {
             id,
             typed,
             is_select: issued.is_select,
-            received: issued.received,
-            delivered: issued.delivered,
-            request,
+            issued_for: match page {
+                Some((page, servlet)) => {
+                    IssuedFor::Page { page: page.clone(), servlet: servlet.clone() }
+                }
+                None => IssuedFor::Window { received: issued.received, delivered: issued.delivered },
+            },
         };
         let duplicate = fault.is_some_and(|fault| fault.duplicate_query_record(id));
         let mut records = self.records.mine().lock();
@@ -327,15 +348,6 @@ impl QueryLog {
             records.reverse();
         }
         records
-    }
-
-    /// Put unconsumed records back, ahead of what this thread has logged
-    /// since.
-    pub fn restore(&self, records: Vec<QueryRecord>) {
-        let mut stripe = self.records.mine().lock();
-        let mut merged = records;
-        merged.append(&mut stripe);
-        *stripe = merged;
     }
 
     /// Number of buffered records.
@@ -418,8 +430,8 @@ impl<C: Connection> LoggedConnection<C> {
         LoggedConnection { inner, log, clock }
     }
 
-    /// Run `statement` between two ticks and log it, for the request this
-    /// thread serves, if it succeeds.
+    /// Run `statement` between two ticks and log it, for the page this
+    /// thread generates, if it succeeds.
     fn logged<R>(
         &mut self,
         sql: &str,
@@ -433,9 +445,7 @@ impl<C: Connection> LoggedConnection<C> {
         let delivered = self.clock.tick();
         if result.is_ok() {
             let issued = Issued { sql, share, params, is_select, received, delivered };
-            with_current_request(|request| {
-                self.log.append(request.map(|(id, _)| id), request.map(|(_, page)| page), issued)
-            });
+            with_current_page(|page| self.log.append(page, issued));
         }
         result
     }
@@ -475,6 +485,10 @@ mod tests {
         record.typed.as_ref().expect("a typed SELECT").sql().to_string()
     }
 
+    fn enter(page: &PageKey) -> RequestScope {
+        RequestScope::enter(page.clone(), "s".into())
+    }
+
     #[test]
     fn queries_logged_with_interval() {
         let (mut conn, log, clock) = setup();
@@ -485,21 +499,29 @@ mod tests {
         let r = &recs[0];
         assert!(r.is_select);
         assert_eq!(sql(r), "SELECT * FROM t WHERE a = 1");
-        assert!(r.received > 100 && r.delivered > r.received);
-        assert_eq!(r.request, None, "no request is being served");
+        let IssuedFor::Window { received, delivered } = r.issued_for else {
+            panic!("no request is being served: {:?}", r.issued_for);
+        };
+        assert!(received > 100 && delivered > received);
     }
 
     #[test]
-    fn queries_are_stamped_with_the_request_their_thread_serves() {
+    fn queries_name_the_page_their_thread_generates() {
         let (mut conn, log, _) = setup();
         {
-            let _scope = RequestScope::enter(7, PageKey::raw("p7"));
+            let _scope = enter(&PageKey::raw("p7"));
             conn.query("SELECT * FROM t", &[]).unwrap();
             conn.execute("INSERT INTO t VALUES (2)", &[]).unwrap();
         }
         conn.query("SELECT * FROM t", &[]).unwrap();
-        let stamps: Vec<Option<u64>> = log.drain().iter().map(|r| r.request).collect();
-        assert_eq!(stamps, [Some(7), Some(7), None]);
+        let pages: Vec<Option<String>> = (log.drain().iter())
+            .map(|r| match &r.issued_for {
+                IssuedFor::Page { page, servlet } => Some(format!("{page} on {servlet}")),
+                IssuedFor::Window { .. } => None,
+            })
+            .collect();
+        let p7 = Some("p7 on s".to_string());
+        assert_eq!(pages, [p7.clone(), p7, None]);
     }
 
     #[test]
@@ -517,19 +539,6 @@ mod tests {
         let (mut conn, log, _) = setup();
         assert!(conn.query("SELECT * FROM missing", &[]).is_err());
         assert!(log.is_empty());
-    }
-
-    #[test]
-    fn restore_prepends() {
-        let (mut conn, log, _) = setup();
-        conn.query("SELECT * FROM t", &[]).unwrap();
-        let first = log.drain();
-        conn.query("SELECT a FROM t", &[]).unwrap();
-        log.restore(first);
-        let all = log.drain();
-        assert_eq!(all.len(), 2);
-        assert_eq!(sql(&all[0]), "SELECT * FROM t");
-        assert_eq!(sql(&all[1]), "SELECT a FROM t");
     }
 
     #[test]
@@ -580,14 +589,14 @@ mod tests {
         let page = PageKey::raw("p");
         map.insert("SELECT * FROM t WHERE a = 1", page.clone(), "s".into());
         map.insert("SELECT * FROM t WHERE a = 1 AND a < 2", page.clone(), "s".into());
-        let serve = |conn: &mut LoggedConnection<DbConnection>, page: &PageKey, id| {
-            let _scope = RequestScope::enter(id, page.clone());
+        let serve = |conn: &mut LoggedConnection<DbConnection>, page: &PageKey| {
+            let _scope = enter(page);
             conn.query("SELECT * FROM t WHERE a = $1", &[Value::Int(1)]).unwrap();
             conn.query("SELECT * FROM t WHERE a = 1 AND a < 2", &[]).unwrap();
             conn.query("SELECT * FROM t WHERE a = $1", &[Value::Float(1.0)]).unwrap();
             conn.execute("INSERT INTO t VALUES (2)", &[]).unwrap();
         };
-        serve(&mut conn, &page, 1);
+        serve(&mut conn, &page);
         // Known: the planned text by value, the text with its values written
         // in by its typed form. `1.0` is another row; an update is kept.
         assert_eq!(log.known(), 2);
@@ -596,7 +605,7 @@ mod tests {
         assert_eq!(sql(&kept[0]), "SELECT * FROM t WHERE a = 1.0");
         assert!(!kept[1].is_select);
         // Another page has no rows; a record issued for no page is kept.
-        serve(&mut conn, &PageKey::raw("q"), 2);
+        serve(&mut conn, &PageKey::raw("q"));
         conn.query("SELECT * FROM t WHERE a = $1", &[Value::Int(1)]).unwrap();
         assert_eq!((log.known(), log.drain().len()), (2, 5));
         // The log checks the map its mapper writes, and no other.
@@ -616,7 +625,7 @@ mod tests {
         map.insert("SELECT * FROM t WHERE a = 1", page.clone(), "s".into());
         const KNOWN: u64 = 20;
         {
-            let _scope = RequestScope::enter(1, page.clone());
+            let _scope = enter(&page);
             for _ in 0..KNOWN {
                 conn.query("SELECT * FROM t WHERE a = $1", &[Value::Int(1)]).unwrap();
             }

@@ -4,14 +4,14 @@
 //! the servlet-wrapper design from the paper: nothing in the servlet or the
 //! web server changes.
 //!
-//! The log keeps of a request what the mapper joins on: its id, the page it
-//! produced and the window it was served in. The request, cookie and POST strings of
+//! The log keeps of a request what the mapper joins on: the page it produced
+//! and the window it was served in. The request, cookie and POST strings of
 //! §3.1 are what the page key was computed from, and the application server
-//! does not record them. Between two mapper runs the log holds one entry per
-//! generated page — a page whose rows the map already holds too, though the
-//! query log keeps none of its queries then: the containment join of a query
-//! without a request id needs every request's window — so an entry's size is
-//! what a faster site pays in memory.
+//! does not record them. Only a query record that names no page is joined to
+//! these entries — one logged on the servlet's thread is filed under the
+//! page it names — but the containment join of such a record needs every
+//! request's window, so between two mapper runs the log holds one entry per
+//! generated page, and an entry's size is what a faster site pays in memory.
 
 use cacheportal_db::stripe::Striped;
 use cacheportal_web::clock::Micros;
@@ -22,9 +22,6 @@ use std::sync::Arc;
 /// One logged request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct LoggedRequest {
-    /// The id the application server gave the request, and the query logger
-    /// stamped on its queries.
-    pub(crate) id: u64,
     /// Canonical page key (host + path + key params).
     pub(crate) page_key: PageKey,
     /// Servlet that served the request.
@@ -85,7 +82,6 @@ impl RequestLog {
 impl RequestObserver for RequestLog {
     fn on_request(&self, record: RequestRecord) {
         self.inner.mine().lock().push(LoggedRequest {
-            id: record.id,
             page_key: record.page_key,
             servlet: record.servlet,
             received: record.received,
@@ -100,7 +96,6 @@ mod tests {
 
     fn record(id: u64) -> RequestRecord {
         RequestRecord {
-            id,
             servlet: "s".into(),
             page_key: PageKey::raw(format!("k{id}")),
             received: id * 10,
@@ -116,7 +111,6 @@ mod tests {
         assert_eq!(log.len(), 2);
         let drained = log.drain();
         assert_eq!(drained.len(), 2);
-        assert_eq!(drained[1].id, 2);
         assert_eq!(drained[1].page_key, PageKey::raw("k2"));
         assert_eq!((drained[1].received, drained[1].delivered), (20, 25));
         assert_eq!(&*drained[1].servlet, "s");

@@ -1,12 +1,12 @@
 //! Sniffer behavior under injected log faults.
 //!
-//! The mapper's join — by request id or, without one, on interval
-//! containment — is only safe if losses are *visible*: a dropped SELECT
+//! The mapper's filing — under the page a record names or, without one, on
+//! interval containment — is only safe if losses are *visible*: a dropped SELECT
 //! record means some page may be cached with a missing dependency edge, and
 //! the portal compensates by ejecting pages admitted in that window. These tests pin the contract the portal relies
 //! on — `QueryLog::lost()` counts every drop, `MapperReport::lost` reports
 //! the per-run delta exactly once, duplicates and reorders never lose or
-//! invent associations, whichever join a record takes.
+//! invent associations, whichever way a record is filed.
 
 use cacheportal_db::{FaultPlan, FaultSpec, Value};
 use cacheportal_sniffer::{Mapper, QiUrlMap, QueryLog, RequestLog};
@@ -15,7 +15,6 @@ use std::sync::Arc;
 
 fn request(id: u64, recv: u64, deliver: u64) -> RequestRecord {
     RequestRecord {
-        id,
         servlet: "s".into(),
         page_key: PageKey::raw(format!("page{id}")),
         received: recv,
@@ -132,9 +131,9 @@ fn reordered_log_produces_identical_map() {
     assert_eq!(inorder, reordered, "mapping is order-insensitive");
 }
 
-/// Records that name their request, from two requests whose windows overlap:
+/// Records that name their page, from two requests whose windows overlap:
 /// duplicated, reordered or partly dropped, what survives is filed under the
-/// request it names and nowhere else.
+/// page it names and nowhere else.
 #[test]
 fn faults_never_move_a_named_record_to_a_neighbour() {
     let faults = [
@@ -150,12 +149,13 @@ fn faults_never_move_a_named_record_to_a_neighbour() {
         rl.on_request(request(2, 5, 995));
         for i in 0..40u64 {
             let sql = "SELECT * FROM Car WHERE price < $1";
-            ql.record_for(Some(1 + i % 2), sql, &[Value::Int(i as i64)], true, 10 + i, 11 + i);
+            let page = request(1 + i % 2, 0, 0).page_key;
+            ql.record_for(&page, &"s".into(), sql, &[Value::Int(i as i64)], true);
         }
         let rep = mapper.run_once();
         let copies = if spec.sniffer_dup > 0.0 { 2 } else { 1 };
         assert_eq!(rep.mapped + copies * rep.lost, copies * 40, "{spec:?}");
-        assert_eq!((rep.by_id, rep.ambiguous), (rep.mapped, 0), "{spec:?}");
+        assert_eq!((rep.named, rep.ambiguous), (rep.mapped, 0), "{spec:?}");
         assert_eq!(rep.lost > 0, spec.sniffer_drop > 0.0, "{spec:?}");
         let rows = mapper.map().all();
         assert_eq!(rows.len() as u64, 40 - rep.lost, "{spec:?}: one row per surviving query");

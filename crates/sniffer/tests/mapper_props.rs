@@ -1,15 +1,16 @@
-//! Property tests for the mapper's two joins.
+//! Property tests for the mapper's two ways of filing a query.
 //!
 //! * With non-overlapping request windows (serial requests), every query is
 //!   attributed to exactly the request that issued it.
 //! * With arbitrary (possibly overlapping) windows, the containment join's
 //!   attribution is a superset of the truth — conservative in the safe
 //!   direction.
-//! * Queries that name their request are attributed to it and to no other,
-//!   whatever overlaps — the ground truth, and a subset of what the
-//!   containment join makes of the same logs without the ids — also in logs
-//!   where only some queries name one, where requests fail or are logged a
-//!   run late, and under duplicate and reorder faults.
+//! * Queries that name their page are filed under it and under no other,
+//!   whatever overlaps — the ground truth, and for a request that is logged
+//!   a subset of what the containment join makes of the same logs without
+//!   the pages — also in logs where only some queries name one, where
+//!   requests fail or are logged a run late, and under duplicate and
+//!   reorder faults.
 //! * The query log's typing and the mapper's indexed joins and de-duplication by typed form
 //!   produce the map — rows, order, ids — and the reports of the join it
 //!   replaced: every window compared with every query, every query parsed,
@@ -21,8 +22,8 @@ use cacheportal_db::sql::parser::parse_select;
 use cacheportal_db::sql::rewrite::parameterize;
 use cacheportal_db::{FaultPlan, FaultSpec, Value};
 use cacheportal_sniffer::{
-    canonical_bound_sql, Mapper, MapperReport, QiUrlEntry, QiUrlMap, QueryLog, QueryRecord,
-    RequestLog,
+    canonical_bound_sql, IssuedFor, Mapper, MapperReport, QiUrlEntry, QiUrlMap, QueryLog,
+    QueryRecord, RequestLog,
 };
 use cacheportal_web::{PageKey, RequestObserver, RequestRecord};
 use proptest::prelude::*;
@@ -30,7 +31,6 @@ use std::sync::Arc;
 
 fn request(id: u64, recv: u64, deliver: u64) -> RequestRecord {
     RequestRecord {
-        id,
         servlet: "s".into(),
         page_key: PageKey::raw(format!("page{id}")),
         received: recv,
@@ -173,10 +173,9 @@ fn run_strategy() -> impl Strategy<Value = RunSpec> {
 }
 
 /// The join the mapper ran before it was indexed, over the same logs: every
-/// window compared with every query — or, for a query that names its
-/// request, every request's id — and every statement's text parsed,
-/// substituted and re-rendered, from what the test issued, not from the
-/// record's typed form.
+/// window compared with every query that names no page, and every
+/// statement's text parsed, substituted and re-rendered, from what the test
+/// issued, not from the record's typed form.
 #[derive(Default)]
 struct Reference {
     pending: Vec<(QueryRecord, u8)>,
@@ -196,11 +195,15 @@ impl Reference {
                 report.non_select += 1;
                 continue;
             }
-            let owners: Vec<&RequestRecord> = match q.request {
-                Some(id) => requests.iter().filter(|r| r.id == id).take(1).collect(),
-                None => requests
+            let owners: Vec<(&PageKey, &Arc<str>)> = match &q.issued_for {
+                IssuedFor::Page { page, servlet } => {
+                    report.named += 1;
+                    vec![(page, servlet)]
+                }
+                IssuedFor::Window { received, delivered } => requests
                     .iter()
-                    .filter(|r| r.received <= q.received && q.delivered <= r.delivered)
+                    .filter(|r| r.received <= *received && *delivered <= r.delivered)
+                    .map(|r| (&r.page_key, &r.servlet))
                     .collect(),
             };
             if owners.is_empty() {
@@ -212,25 +215,20 @@ impl Reference {
                 }
                 continue;
             }
-            report.by_id += q.request.is_some() as u64;
             report.ambiguous += (owners.len() > 1) as u64;
             let (text, params) = &self.issued[q.id as usize - 1];
             let Some(sql) = canonical_bound_sql(text, params) else {
                 report.unparseable += 1;
                 continue;
             };
-            for r in owners {
+            for (page, servlet) in owners {
                 report.mapped += 1;
-                if !self
-                    .rows
-                    .iter()
-                    .any(|e| e.sql == sql && e.page_key == r.page_key)
-                {
+                if !self.rows.iter().any(|e| e.sql == sql && e.page_key == *page) {
                     self.rows.push(QiUrlEntry {
                         id: self.rows.len() as u64,
                         sql: sql.clone(),
-                        page_key: r.page_key.clone(),
-                        servlet: r.servlet.clone(),
+                        page_key: page.clone(),
+                        servlet: servlet.clone(),
                     });
                 }
             }
@@ -340,7 +338,7 @@ enum Fate {
 }
 
 /// `(received, length, queries, fate)`; a query is `(how far into the window
-/// it was issued, whether it names its request)`.
+/// it was issued, whether it names its page)`.
 type Served = (u64, u64, Vec<(u64, bool)>, Fate);
 
 fn served_strategy() -> impl Strategy<Value = Vec<Served>> {
@@ -356,20 +354,20 @@ fn served_strategy() -> impl Strategy<Value = Vec<Served>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Concurrent requests whose queries name them (all, or some: a mixed
-    /// log): the id join is the ground truth, equals the exhaustive join, and
-    /// stays inside what interval containment makes of the same logs.
+    /// Concurrent requests whose queries name their pages (all, or some: a
+    /// mixed log): what the mapper files them under is the ground truth,
+    /// equals the exhaustive join, and for a logged request stays inside
+    /// what interval containment makes of the same logs.
     #[test]
-    fn queries_that_name_their_request_map_to_it_alone(
+    fn queries_that_name_their_page_map_to_it_alone(
         served in served_strategy(),
-        first_id in 1u64..1000,
         all_named in any::<bool>(),
         duplicate in 0u8..3,
         reorder in any::<bool>(),
     ) {
         let rl = Arc::new(RequestLog::new());
         let (ql, shadow) = (QueryLog::new(), QueryLog::new());
-        // The same logs without the ids, joined on containment in one run.
+        // The same logs without the pages, joined on containment in one run.
         let (plain_rl, plain_ql) = (Arc::new(RequestLog::new()), QueryLog::new());
         for log in [&ql, &shadow, &plain_ql] {
             log.set_fault_plan(FaultPlan::new(FaultSpec {
@@ -383,30 +381,26 @@ proptest! {
         let mut mapper = Mapper::new(rl.clone(), ql.clone(), map.clone());
         let mut reference = Reference::default();
 
-        // (marker, the request's page if it is ever logged, named)
+        // (marker, the request's page, named, fate)
         let mut issued = Vec::new();
         let (mut on_time, mut late) = (Vec::new(), Vec::new());
         for (i, (recv, len, queries, fate)) in served.iter().enumerate() {
-            // One counter numbers the requests; a failed one leaves a gap.
-            let record = request(first_id + i as u64, *recv, recv + len);
+            let record = request(i as u64, *recv, recv + len);
             for (k, &(offset, named)) in queries.iter().enumerate() {
                 let named = all_named || named;
                 let marker = (i * 10 + k) as i64;
                 let at = recv + 1 + offset % (len - 2);
+                let (sql, params) = ("SELECT * FROM t WHERE a = $1", [Value::Int(marker)]);
                 for log in [&ql, &shadow] {
-                    log.record_for(
-                        named.then_some(record.id),
-                        "SELECT * FROM t WHERE a = $1",
-                        &[Value::Int(marker)],
-                        true,
-                        at,
-                        at + 1,
-                    );
+                    if named {
+                        log.record_for(&record.page_key, &record.servlet, sql, &params, true);
+                    } else {
+                        log.record(sql, &params, true, at, at + 1);
+                    }
                 }
-                reference.issued.push(("SELECT * FROM t WHERE a = $1", vec![Value::Int(marker)]));
-                plain_ql.record("SELECT * FROM t WHERE a = $1", &[Value::Int(marker)], true, at, at + 1);
-                let page = (*fate != Fate::Failed).then(|| record.page_key.clone());
-                issued.push((marker, page, named, *fate));
+                reference.issued.push((sql, params.to_vec()));
+                plain_ql.record(sql, &params, true, at, at + 1);
+                issued.push((marker, record.page_key.clone(), named, *fate));
             }
             match fate {
                 Fate::Logged => on_time.push(record),
@@ -429,7 +423,7 @@ proptest! {
             );
             prop_assert_eq!(&map.all(), &reference.rows, "rows after run {}", run);
             if all_named {
-                prop_assert_eq!((got.ambiguous, got.by_id), (0, got.mapped), "run {}", run);
+                prop_assert_eq!((got.ambiguous, got.named), (0, got.mapped), "run {}", run);
             }
         }
         let rows = map.all();
@@ -439,29 +433,30 @@ proptest! {
                 .map(|r| r.page_key.clone())
                 .collect()
         };
-        // Ground truth: a query that names its request is filed under that
-        // request's page and no other — under none if the request failed.
+        // Ground truth: a query that names its page is filed under that page
+        // and no other — under it too if the request failed.
         for (marker, page, named, _) in &issued {
             if *named {
-                let want: Vec<PageKey> = page.iter().cloned().collect();
-                prop_assert_eq!(pages_of(&rows, *marker), want, "query {}", marker);
+                prop_assert_eq!(pages_of(&rows, *marker), std::slice::from_ref(page), "query {}", marker);
             }
         }
         // A query that names none still never loses an owner logged on time.
         for (marker, page, named, fate) in &issued {
             if !*named && *fate == Fate::Logged {
-                prop_assert!(pages_of(&rows, *marker).contains(page.as_ref().unwrap()));
+                prop_assert!(pages_of(&rows, *marker).contains(page));
             }
         }
 
-        // And every row is one the containment join makes of the same logs.
-        for r in on_time.iter().chain(&late) {
+        // And every row of a logged request's page is one the containment
+        // join makes of the same logs.
+        let logged: Vec<RequestRecord> = on_time.into_iter().chain(late).collect();
+        for r in &logged {
             plain_rl.on_request(r.clone());
         }
         let plain_map = Arc::new(QiUrlMap::new());
         Mapper::new(plain_rl, plain_ql, plain_map.clone()).run_once();
         let plain = plain_map.all();
-        for row in &rows {
+        for row in rows.iter().filter(|row| logged.iter().any(|r| r.page_key == row.page_key)) {
             prop_assert!(
                 plain.iter().any(|p| p.sql == row.sql && p.page_key == row.page_key),
                 "{} under {} is not in the containment join", row.sql, row.page_key

@@ -18,10 +18,6 @@ use std::sync::{Arc, OnceLock};
 /// what the page key is computed from.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RequestRecord {
-    /// Unique request id, taken before the servlet ran: the query logger
-    /// finds it in the thread's [`RequestScope`] and stamps it on the
-    /// request's queries.
-    pub id: u64,
     /// Servlet that served the request (a clone of its spec's name).
     pub servlet: Arc<str>,
     /// Canonical page key (host + path + key params).
@@ -70,8 +66,8 @@ pub struct AppServer {
     /// made once and shared; `None` when the server leaves `no-cache` as it
     /// is.
     owner: Option<Owner>,
-    /// The next request's id: one more than the requests routed so far.
-    next_id: AtomicU64,
+    /// Requests routed to servlets so far.
+    routed: AtomicU64,
 }
 
 impl AppServer {
@@ -83,7 +79,7 @@ impl AppServer {
             clock,
             observer: OnceLock::new(),
             owner: config.rewrite_cache_control.then(|| config.cache_owner.into()),
-            next_id: AtomicU64::new(1),
+            routed: AtomicU64::new(0),
         }
     }
 
@@ -123,7 +119,7 @@ impl AppServer {
 
     /// Total requests routed to servlets.
     pub fn requests_served(&self) -> u64 {
-        self.next_id.load(Ordering::Relaxed) - 1
+        self.routed.load(Ordering::Relaxed)
     }
 
     /// The connection pool this server draws from (checkout counters and
@@ -149,14 +145,14 @@ impl AppServer {
         servlet: &dyn Servlet,
         page_key: &PageKey,
     ) -> HttpResponse {
-        // The request's id is taken before the servlet runs and held, with
-        // the page key, where the query logger finds them: every statement
-        // the servlet issues on this thread is logged as this request's, for
-        // this page.
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        // The page key and the servlet's name are held where the query
+        // logger finds them: every statement the servlet issues on this
+        // thread is logged for this page.
+        self.routed.fetch_add(1, Ordering::Relaxed);
+        let spec = servlet.spec();
         let received = self.clock.tick();
         let outcome = {
-            let _scope = RequestScope::enter(id, page_key.clone());
+            let _scope = RequestScope::enter(page_key.clone(), spec.name.clone());
             let mut conn = self.pool.checkout();
             servlet.handle(req, &mut conn)
         };
@@ -168,10 +164,8 @@ impl AppServer {
         };
 
         // Request-logger wrapper: record after successful delivery.
-        let spec = servlet.spec();
         if let Some(obs) = self.observer.get() {
             obs.on_request(RequestRecord {
-                id,
                 servlet: spec.name.clone(),
                 page_key: page_key.clone(),
                 received,
@@ -194,7 +188,7 @@ mod tests {
     use super::*;
     use crate::clock::ManualClock;
     use crate::connection::{shared, ConnectionFactory, DbConnection};
-    use crate::scope::current_request;
+    use crate::scope::with_current_page;
     use crate::servlet::{FnServlet, ParamSource, QueryTemplate, ServletSpec, SqlServlet};
     use cacheportal_db::schema::ColType;
     use cacheportal_db::Database;
@@ -285,20 +279,28 @@ mod tests {
         assert!(r.page_key.as_str().contains("maxprice=30000"));
     }
 
-    /// A servlet that notes which request its thread is serving, then does
+    /// The page this thread is generating, and on which servlet.
+    fn current_page() -> Option<(String, String)> {
+        with_current_page(|now| now.map(|(page, servlet)| (page.to_string(), servlet.to_string())))
+    }
+
+    /// A servlet that notes which page its thread is generating, then does
     /// what its `then` parameter says: fail, panic, or serve `/probe` again
     /// from inside itself.
-    fn probe(app: &Arc<AppServer>, seen: &Arc<Mutex<Vec<Option<u64>>>>) -> Arc<dyn Servlet> {
+    fn probe(app: &Arc<AppServer>, seen: &Arc<Mutex<Vec<String>>>) -> Arc<dyn Servlet> {
         let (inner, seen) = (Arc::downgrade(app), seen.clone());
-        Arc::new(FnServlet::new(ServletSpec::new("probe"), move |req, _conn| {
-            seen.lock().push(current_request());
+        let spec = ServletSpec::new("probe").with_key_get_params(&["then"]);
+        Arc::new(FnServlet::new(spec, move |req, _conn| {
+            let page = || current_page().expect("a servlet runs in its request's scope");
+            seen.lock().push(page().0);
+            assert_eq!(page().1, "probe");
             match req.get_param("then") {
                 Some("fail") => Err(cacheportal_db::DbError::Unsupported("probe".into())),
                 Some("panic") => panic!("probe"),
                 Some("nest") => {
                     let app = inner.upgrade().expect("the server outlives its requests");
-                    let nested = app.handle(&HttpRequest::get("h", "/probe", &[]));
-                    seen.lock().push(current_request());
+                    let nested = app.handle(&HttpRequest::get("h", "/probe", &[("then", "")]));
+                    seen.lock().push(page().0);
                     Ok(nested.body.to_string())
                 }
                 _ => Ok("ok".into()),
@@ -317,23 +319,23 @@ mod tests {
         let get = |then: &str| app.handle(&HttpRequest::get("h", "/probe", &[("then", then)]));
 
         assert_eq!(get("fail").status.code(), 500);
-        assert_eq!(current_request(), None, "after a servlet error");
+        assert_eq!(current_page(), None, "after a servlet error");
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| get("panic")));
         assert!(unwound.is_err());
-        assert_eq!(current_request(), None, "after a panic");
+        assert_eq!(current_page(), None, "after a panic");
         assert_eq!(get("nest").status.code(), 200);
-        assert_eq!(current_request(), None, "after a nested serve");
+        assert_eq!(current_page(), None, "after a nested serve");
         assert_eq!(get("").status.code(), 200);
 
         // Each servlet ran in its own request's scope; the outer servlet of
         // the nested pair was back in its own after the inner returned.
-        assert_eq!(
-            *seen.lock(),
-            [Some(1), Some(2), Some(3), Some(4), Some(3), Some(5)]
-        );
-        // The logged ids are the ones the servlets saw; failures log nothing.
-        let logged: Vec<u64> = cap.0.lock().iter().map(|r| r.id).collect();
-        assert_eq!(logged, [4, 3, 5]);
+        let page = |then: &str| format!("h/probe?g:then={then}");
+        let seen = seen.lock().clone();
+        assert_eq!(seen, [page("fail"), page("panic"), page("nest"), page(""), page("nest"), page("")]);
+        // The logged pages are the ones the servlets saw; failures log nothing.
+        let logged: Vec<String> = cap.0.lock().iter().map(|r| r.page_key.to_string()).collect();
+        assert_eq!(logged, [page(""), page("nest"), page("")]);
+        assert_eq!(app.requests_served(), 5);
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Which request the current thread is serving.
+//! Which page the current thread is generating.
 //!
 //! The paper's sniffer joins its two logs on clocks because its wrappers
 //! share nothing else. Ours share a thread: the servlet wrapper
 //! ([`AppServer::serve`]) and the driver wrapper (the sniffer's
 //! `LoggedConnection`) both run on the thread that runs the servlet, so the
-//! first leaves the request's id and page key where the second finds them.
-//! The id is opaque — one counter per application server — and both are
-//! carried by those two wrappers only: no servlet, SQL text or
-//! [`Connection`] signature knows them.
+//! first leaves the request's page key and servlet name where the second
+//! finds them. Both are carried by those two wrappers only: no servlet, SQL
+//! text or [`Connection`] signature knows them.
 //!
 //! [`AppServer::serve`]: crate::AppServer::serve
 //! [`Connection`]: crate::Connection
@@ -15,40 +14,36 @@
 use crate::url::PageKey;
 use std::cell::RefCell;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 thread_local! {
-    static CURRENT: RefCell<Option<(u64, PageKey)>> = const { RefCell::new(None) };
+    static CURRENT: RefCell<Option<(PageKey, Arc<str>)>> = const { RefCell::new(None) };
 }
 
-/// The id of the request this thread is serving: `None` outside
+/// Call `f` with the page key of the request this thread is serving and the
+/// name of the servlet generating it: `None` outside
 /// [`AppServer::serve`](crate::AppServer::serve), and on any thread a
 /// servlet hands work to.
-pub fn current_request() -> Option<u64> {
-    CURRENT.with_borrow(|current| current.as_ref().map(|(id, _)| *id))
+pub fn with_current_page<R>(f: impl FnOnce(Option<(&PageKey, &Arc<str>)>) -> R) -> R {
+    CURRENT.with_borrow(|current| f(current.as_ref().map(|(page, servlet)| (page, servlet))))
 }
 
-/// Call `f` with the id and the page key of the request this thread is
-/// serving, `None` where [`current_request`] is.
-pub fn with_current_request<R>(f: impl FnOnce(Option<(u64, &PageKey)>) -> R) -> R {
-    CURRENT.with_borrow(|current| f(current.as_ref().map(|(id, page)| (*id, page))))
-}
-
-/// This thread serves request `id`, for the page `page`, until the guard is
-/// dropped, which puts back what was there before — on return, on a
-/// servlet's error, on a panic unwinding through `serve`, and after a
-/// `serve` nested in a servlet — so a thread never stamps the next
-/// request's queries with a dead id.
+/// This thread generates `page` on `servlet` until the guard is dropped,
+/// which puts back what was there before — on return, on a servlet's error,
+/// on a panic unwinding through `serve`, and after a `serve` nested in a
+/// servlet — so a thread never files the next request's queries under a
+/// finished page.
 pub struct RequestScope {
-    previous: Option<(u64, PageKey)>,
+    previous: Option<(PageKey, Arc<str>)>,
     /// The guard restores the thread it was made on: it stays there.
     not_send: PhantomData<*const ()>,
 }
 
 impl RequestScope {
-    /// Enter the scope of request `id`, which generates `page`.
-    pub fn enter(id: u64, page: PageKey) -> RequestScope {
+    /// Enter the scope of a request for `page`, served by `servlet`.
+    pub fn enter(page: PageKey, servlet: Arc<str>) -> RequestScope {
         RequestScope {
-            previous: CURRENT.replace(Some((id, page))),
+            previous: CURRENT.replace(Some((page, servlet))),
             not_send: PhantomData,
         }
     }
@@ -68,31 +63,34 @@ mod tests {
         PageKey::raw(format!("p{n}"))
     }
 
+    fn enter(n: u64) -> RequestScope {
+        RequestScope::enter(page(n), "s".into())
+    }
+
+    fn current() -> Option<PageKey> {
+        with_current_page(|now| now.map(|(page, _)| page.clone()))
+    }
+
     #[test]
     fn scopes_nest_and_unwind() {
-        assert_eq!(current_request(), None);
-        let outer = RequestScope::enter(1, page(1));
+        assert_eq!(current(), None);
+        let outer = enter(1);
         {
-            let _inner = RequestScope::enter(2, page(2));
-            assert_eq!(current_request(), Some(2));
-            with_current_request(|now| assert_eq!(now, Some((2, &page(2)))));
+            let _inner = RequestScope::enter(page(2), "inner".into());
+            with_current_page(|now| assert_eq!(now, Some((&page(2), &"inner".into()))));
         }
-        assert_eq!(current_request(), Some(1));
-        with_current_request(|now| assert_eq!(now, Some((1, &page(1)))));
+        assert_eq!(current(), Some(page(1)));
         let panicked = std::panic::catch_unwind(|| {
-            let _inner = RequestScope::enter(3, page(3));
+            let _inner = enter(3);
             panic!("a servlet panics");
         });
         assert!(panicked.is_err());
-        assert_eq!(current_request(), Some(1));
+        assert_eq!(current(), Some(page(1)));
         // Another thread is in no request.
         std::thread::scope(|s| {
-            s.spawn(|| {
-                assert_eq!(current_request(), None);
-                with_current_request(|now| assert_eq!(now, None));
-            });
+            s.spawn(|| assert_eq!(current(), None));
         });
         drop(outer);
-        assert_eq!(current_request(), None);
+        assert_eq!(current(), None);
     }
 }

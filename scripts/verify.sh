@@ -62,7 +62,8 @@ echo "== counted budgets and the admission race (release, one command) =="
 #   4 300 pages missed from 1, 2 and 4 threads and on a 3-node farm map
 #   exactly one row each, under the page that issued it; and a miss parked
 #   between its queries and its request record, across a consuming sync or
-#   three mapper runs, is served but not cached.
+#   three mapper runs, is served but not cached (its queries name its page,
+#   so its row is mapped at the first of those runs all the same).
 cargo test -q --release --offline \
   -p cacheportal --test persist_alloc --test page_footprint --test request_budget \
   -p cacheportal-invalidator --test analysis_alloc \

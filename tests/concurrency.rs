@@ -11,9 +11,11 @@
 use cacheportal::db::schema::ColType;
 use cacheportal::db::{Database, DbResult};
 use cacheportal::web::{
-    Connection, HttpRequest, ParamSource, QueryTemplate, Servlet, ServletSpec, SqlServlet,
+    Connection, HttpRequest, PageKey, ParamSource, QueryTemplate, Servlet, ServletSpec,
+    SqlServlet,
 };
 use cacheportal::{CachePortal, Served};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -134,14 +136,15 @@ fn parallel_readers_share_cached_pages() {
     assert_eq!(stats.hits, 800);
 }
 
-/// A page is admitted only if no sync point advanced the admission stamp,
-/// and so no mapper drained the logs, between the start of its generation
-/// and its admission. Without that rule this test finds, with no fault
-/// injected, pages cached with no QI/URL row — a mapper run that falls into
-/// a page's generation sees the page's query before its request record, and
-/// gives the query to a concurrent request's window — and such a page is
-/// never ejected: a handful per round of two readers missing on 400 pages
-/// against back-to-back sync points.
+/// Two readers missing on 400 pages against back-to-back sync points: no
+/// page is cached without its QI/URL rows, and an update to every group
+/// ejects every page it changes. A mapper run that falls into a page's
+/// generation sees the page's queries before its request record; they name
+/// their page, so they are filed under it all the same. (When they were
+/// joined to a window or waited for their request record, a handful of
+/// pages per round were cached with no row unless the admission rule
+/// declined them; the parked-miss tests below pin that rule without a
+/// race.)
 #[test]
 fn no_page_is_cached_whose_generation_a_mapper_run_overlapped() {
     const GROUPS: i64 = 400;
@@ -268,19 +271,27 @@ fn a_miss_parked_across_a_consuming_sync_is_not_cached() {
     );
 }
 
-/// Three sync points run while the page is generated and consume nothing,
-/// but their mappers see its queries without its request record: they retain
-/// them, then drop them after two runs. Cached, the page would never have its
-/// rows, so a later update to it would not eject it.
+/// Three sync points run while the page is generated and consume nothing.
+/// Its queries name its page, so the first of their mappers files them under
+/// it, request record or not; the admission is declined all the same, as
+/// the sync ordinal moved during the generation.
 #[test]
 fn a_miss_parked_across_three_mapper_runs_is_not_cached() {
+    // Asserted once the miss is released: a panic while it is parked would
+    // leave it waiting on the barrier.
+    let rows_while_parked = Cell::new(None);
     parked_miss(
         |portal| {
-            for _ in 0..3 {
+            portal.sync_point().unwrap();
+            let rows = portal.qi_url_map().entries_for_page(&PageKey::raw("h/items?g:grp=1"));
+            rows_while_parked.set(Some(rows.len()));
+            for _ in 0..2 {
                 portal.sync_point().unwrap();
             }
         },
         |portal| {
+            let mapped = rows_while_parked.get();
+            assert_eq!(mapped, Some(1), "the parked page's row is mapped at the first run");
             portal.update("INSERT INTO items VALUES (1, 999)").unwrap();
         },
     );
@@ -382,7 +393,7 @@ fn prefill_maps_one_row_per_page(nodes: usize, threads: usize) {
     let at = format!("{nodes} node(s), {threads} thread(s)");
     let mapper = sync.mapper;
     assert_eq!(
-        (mapper.mapped, mapper.by_id, mapper.ambiguous, mapper.retained),
+        (mapper.mapped, mapper.named, mapper.ambiguous, mapper.retained),
         (pages.len() as u64, pages.len() as u64, 0, 0),
         "{at}"
     );
@@ -407,9 +418,8 @@ fn concurrent_misses_map_exactly_one_row_per_page() {
     }
 }
 
-/// The same on a farm: every node numbers its requests from 1, so the ids
-/// of different nodes coincide all the time — and never meet, each node's
-/// mapper joining that node's two logs.
+/// The same on a farm: each node's mapper files that node's records, each
+/// under the page it names.
 #[test]
 fn concurrent_misses_on_a_farm_map_exactly_one_row_per_page() {
     prefill_maps_one_row_per_page(3, 4);

@@ -6,7 +6,7 @@
 use cacheportal_db::schema::ColType;
 use cacheportal_db::{Database, Value};
 use cacheportal_invalidator::{Invalidator, InvalidatorConfig};
-use cacheportal_sniffer::{LoggedConnection, Mapper, QiUrlMap, QueryLog, RequestLog};
+use cacheportal_sniffer::{LoggedConnection, Mapper, MapperReport, QiUrlMap, QueryLog, RequestLog};
 use cacheportal_web::{
     shared, AppServer, AppServerConfig, Clock, ConnectionFactory, ConnectionPool, DbConnection,
     FnServlet, HttpRequest, ManualClock, ParamSource, QueryTemplate, ServletSpec, SqlServlet,
@@ -86,7 +86,7 @@ fn logs_flow_into_map_and_registry() {
         assert_eq!(resp.status.code(), 200);
     }
     let report = d.mapper.run_once();
-    assert_eq!((report.mapped, report.by_id), (2, 2), "the logger's records name their request");
+    assert_eq!((report.mapped, report.named), (2, 2), "the logger's records name their page");
     assert_eq!(d.map.len(), 2);
     // Map rows show bound SQL text.
     let rows = d.map.all();
@@ -163,7 +163,8 @@ fn non_select_statements_never_reach_the_map() {
 /// A request that fails after it has queried logs its queries and no
 /// request record. Served from inside another request — its queries fall
 /// into that request's window, where interval containment filed them under
-/// the outer page — they are filed under no page at all.
+/// the outer page — they are filed under the failed request's own page:
+/// rows of a page that is never cached, which can only over-invalidate.
 #[test]
 fn a_failed_requests_queries_are_filed_under_no_neighbour() {
     let mut d = deploy();
@@ -182,18 +183,25 @@ fn a_failed_requests_queries_are_filed_under_no_neighbour() {
     assert_eq!(d.app.handle(&HttpRequest::get("h", "/outer", &[])).status.code(), 200);
 
     let report = d.mapper.run_once();
-    assert_eq!((report.mapped, report.by_id, report.retained), (1, 1, 1));
-    let rows = d.map.all();
-    assert_eq!(rows.len(), 1);
-    assert_eq!((rows[0].sql.as_str(), &*rows[0].servlet), ("SELECT COUNT(*) FROM Car", "outer"));
-    // The orphan waits two runs for a request record that never comes.
-    assert_eq!(d.mapper.run_once().retained, 1);
-    assert_eq!(d.mapper.run_once().dropped, 1);
-    assert_eq!(d.map.len(), 1);
+    assert_eq!((report.mapped, report.named, report.retained), (2, 2, 0));
+    let rows: Vec<_> = (d.map.all().into_iter())
+        .map(|row| (row.sql, row.page_key.to_string(), row.servlet.to_string()))
+        .collect();
+    let row = |sql: &str, page: &str, servlet: &str| (sql.into(), page.into(), servlet.into());
+    assert_eq!(
+        rows,
+        [
+            row("SELECT maker FROM Car", "h/failing?", "failing"),
+            row("SELECT COUNT(*) FROM Car", "h/outer?", "outer"),
+        ]
+    );
+    // Nothing waits for a request record that never comes.
+    let next = d.mapper.run_once();
+    assert_eq!(next, MapperReport { elapsed_micros: next.elapsed_micros, ..MapperReport::default() });
 }
 
 /// A servlet that hands its connection to another thread queries outside
-/// the request's scope: the record names no request and is joined, as in the
+/// the request's scope: the record names no page and is joined, as in the
 /// paper, to the window that contains it.
 #[test]
 fn a_query_from_another_thread_falls_back_to_interval_containment() {
@@ -207,7 +215,7 @@ fn a_query_from_another_thread_falls_back_to_interval_containment() {
     })));
     assert_eq!(d.app.handle(&HttpRequest::get("h", "/threaded", &[])).status.code(), 200);
     let report = d.mapper.run_once();
-    assert_eq!((report.mapped, report.by_id, report.ambiguous), (1, 0, 0));
+    assert_eq!((report.mapped, report.named, report.ambiguous), (1, 0, 0));
     assert_eq!(&*d.map.all()[0].servlet, "threaded");
 }
 
@@ -239,14 +247,12 @@ fn mapper_handles_interleaved_timestamps_from_concurrent_requests() {
     let map = Arc::new(QiUrlMap::new());
     use cacheportal_web::{PageKey, RequestObserver, RequestRecord};
     rl.on_request(RequestRecord {
-        id: 1,
         servlet: "s".into(),
         page_key: PageKey::raw("A"),
         received: 0,
         delivered: 100,
     });
     rl.on_request(RequestRecord {
-        id: 2,
         servlet: "s".into(),
         page_key: PageKey::raw("B"),
         received: 10,

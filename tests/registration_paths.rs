@@ -116,7 +116,6 @@ proptest! {
                 let t = (run * 1000 + i * 10) as u64;
                 queries.record(sql, &values[..*n], true, t + 1, t + 2);
                 requests.on_request(RequestRecord {
-                    id: t,
                     servlet: "s".into(),
                     page_key: PageKey::raw(format!("page{page}")),
                     received: t,
