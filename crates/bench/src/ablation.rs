@@ -263,12 +263,7 @@ pub fn run_workload(config: &WorkloadConfig) -> WorkloadResult {
                 // last body we know, compare.
                 for key in &report.invalidation.pages {
                     if let Some(old) = last_body.get(key) {
-                        if let Some((class, grp)) = parse_key(key) {
-                            let req = HttpRequest::get(
-                                "shop",
-                                &format!("/{class}"),
-                                &[("grp", &grp.to_string())],
-                            );
+                        if let Some(req) = key.request() {
                             let fresh = portal.request(&req);
                             if fresh.response.body == *old {
                                 result.ejected_unchanged += 1;
@@ -294,16 +289,6 @@ pub fn run_workload(config: &WorkloadConfig) -> WorkloadResult {
 
 /// Logical ticks we advance per round (TTL granularity).
 const ROUND_TICKS: u64 = 1_000_000;
-
-/// Recover (servlet, grp) from the canonical page key the workload created.
-fn parse_key(key: &PageKey) -> Option<(String, i64)> {
-    let s = key.as_str();
-    let path_start = s.find('/')?;
-    let q = s.find('?')?;
-    let class = s[path_start + 1..q].to_string();
-    let grp: i64 = s[q + 1..].strip_prefix("g:grp=")?.parse().ok()?;
-    Some((class, grp))
-}
 
 #[cfg(test)]
 mod tests {
@@ -376,12 +361,5 @@ mod tests {
         });
         assert!(with.polls_saved_by_index > 0);
         assert!(with.polls_issued <= without.polls_issued);
-    }
-
-    #[test]
-    fn key_parser_round_trips() {
-        let k = PageKey::raw("shop/heavy?g:grp=7");
-        assert_eq!(parse_key(&k), Some(("heavy".to_string(), 7)));
-        assert_eq!(parse_key(&PageKey::raw("nonsense")), None);
     }
 }

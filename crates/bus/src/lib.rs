@@ -624,16 +624,6 @@ impl InvalidationBus {
         self.inner.lock().edges.len()
     }
 
-    /// In-process edge caches (freshness-oracle support).
-    pub fn edge_caches(&self) -> Vec<Arc<PageCache>> {
-        self.inner
-            .lock()
-            .edges
-            .iter()
-            .filter_map(|s| s.endpoint.as_ref().map(|e| e.cache().clone()))
-            .collect()
-    }
-
     /// In-process endpoints, by registration order.
     pub fn endpoints(&self) -> Vec<Arc<EdgeEndpoint>> {
         self.inner

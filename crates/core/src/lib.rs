@@ -55,7 +55,10 @@ pub use durability::{
     CursorRecord, Durability, DurableRecord, Origin, OriginRecord, PersistOutcome, RecoveredState,
     SnapshotDoc,
 };
-pub use system::{CachePortal, CachePortalBuilder, RecoveryStats, RequestOutcome, Served, SyncReport};
+pub use system::{
+    CachePortal, CachePortalBuilder, Holder, RecoveryStats, RequestOutcome, Served, StalePage,
+    Staleness, SyncReport,
+};
 
 /// Re-export: the relational engine substrate.
 pub use cacheportal_db as db;

@@ -14,7 +14,10 @@ use cacheportal::sniffer::QiUrlEntry;
 use cacheportal::web::{
     shared, HttpRequest, Method, PageKey, ParamSource, QueryTemplate, ServletSpec, SqlServlet,
 };
-use cacheportal::{CachePortal, CursorRecord, Durability, DurableRecord, OriginRecord, Served};
+use cacheportal::{
+    CachePortal, CursorRecord, Durability, DurableRecord, Holder, OriginRecord, Served, StalePage,
+    Staleness,
+};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -352,7 +355,8 @@ fn a_page_admitted_again_after_its_eject_is_not_kept_on_its_old_origin() {
     p.update("INSERT INTO t VALUES (6, 4)").unwrap();
     assert_eq!(p.request(&page).served, Served::Generated);
     p.update("DELETE FROM t WHERE k = 6").unwrap();
-    assert_eq!(p.stale_pages(), std::slice::from_ref(&key));
+    let stale = StalePage { key: key.clone(), holder: Holder::Origin, reason: Staleness::Differs };
+    assert_eq!(p.stale_pages(), [stale]);
     let cache = p.page_cache().clone();
     assert!(cache.admitted_at(&key).unwrap() > first_admitted_at);
     drop(p); // crash before the sync point whose guard would eject it

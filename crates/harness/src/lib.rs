@@ -15,8 +15,9 @@
 //! - [`runner`] drives the stream through a full [`CachePortal`] while
 //!   the shadow always-recompute oracle
 //!   ([`CachePortal::stale_pages`]) checks zero staleness after every sync
-//!   point, and the observability surfaces are cross-checked for
-//!   coherence.
+//!   point, at the origin and at every edge (an edge behind the latest
+//!   batch must be empty), and the observability surfaces are
+//!   cross-checked for coherence.
 //! - [`faults`] sweeps the fault taxonomy through the `FaultPlan` hooks —
 //!   sniffer record loss/duplication/reordering, polling errors/timeouts,
 //!   mid-stream transaction aborts — asserting the system degrades

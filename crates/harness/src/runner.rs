@@ -2,18 +2,21 @@
 //! shadow always-recompute oracle checks the safety contract.
 //!
 //! The oracle is [`CachePortal::stale_pages`]: after *every* synchronization
-//! point it regenerates each cached page and compares bodies — the paper's
-//! contract says the difference must be empty. The runner additionally
-//! cross-checks the observability surfaces (fault counters may only be
-//! non-zero when the plan can fire; sync counters must agree with the
-//! actions driven) and accounts over-invalidation so precision per policy
-//! and per fault class is reported, not just asserted away.
+//! point it regenerates each page cached at the origin or at an edge and
+//! compares bodies, and it finds every edge that is behind the latest batch
+//! yet holds pages — the paper's contract says both must be empty. The
+//! runner reports the first as `stale-page` and the second as
+//! `bus-degradation`. It additionally cross-checks the observability
+//! surfaces (fault counters may only be non-zero when the plan can fire;
+//! sync counters must agree with the actions driven) and accounts
+//! over-invalidation so precision per policy and per fault class is
+//! reported, not just asserted away.
 
 use crate::actions::{Action, Stmt};
 use crate::gen::{policy_of, Scenario};
 use cacheportal::db::{DbError, FaultPlan};
 use cacheportal::web::{shared, SharedDb};
-use cacheportal::{CachePortal, Served};
+use cacheportal::{CachePortal, Served, Staleness};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,7 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct Violation {
     /// Index into the action trace (`usize::MAX` = the final audit).
     pub action_index: usize,
-    /// Stable kind: `stale-page`, `workload-error`, `metrics-incoherent`.
+    /// Stable kind: `stale-page`, `bus-degradation`, `index-divergent`,
+    /// `metrics-incoherent` or `workload-error`.
     pub kind: String,
     /// What exactly went wrong.
     pub detail: String,
@@ -226,37 +230,32 @@ pub fn run_scenario_on(sc: &Scenario, actions: &[Action], nodes: usize) -> RunOu
         stats.syncs += 1;
         stats.ejected += report.ejected as u64;
         stats.fault_ejected += report.fault_ejected as u64;
-        // THE safety contract: no cached page differs from regeneration.
+        // THE safety contract, at the origin and at every edge: no cached
+        // page differs from its regeneration, and no edge behind the latest
+        // batch holds a page, even a fresh one (a degraded edge self-ejects,
+        // Vcache-style, and declines admission).
         let stale = portal.stale_pages();
-        if !stale.is_empty() {
-            let urls: Vec<&str> = stale.iter().map(|k| k.as_str()).collect();
+        let (behind, differ): (Vec<_>, Vec<_>) =
+            stale.iter().partition(|s| s.reason == Staleness::EdgeBehind);
+        if !differ.is_empty() {
+            let urls: Vec<&str> = differ.iter().map(|s| s.key.as_str()).collect();
             return Some(Violation {
                 action_index: idx,
                 kind: "stale-page".into(),
                 detail: format!("stale after sync under {:?}: {urls:?}", policy_of(sc.policy)),
             });
         }
-        // Partition-tolerant degradation contract: after the sync's bus
-        // delivery round every attached edge is either fully caught up or
-        // empty (degraded edges self-ejected Vcache-style and decline
-        // admission). An edge holding pages while behind the latest batch
-        // is an open staleness window even if the oracle above happened to
-        // find every body still fresh.
-        let latest = portal.bus().latest_seq();
-        for ep in portal.bus().endpoints() {
-            if ep.applied_seq() < latest && !ep.cache().is_empty() {
-                return Some(Violation {
-                    action_index: idx,
-                    kind: "bus-degradation".into(),
-                    detail: format!(
-                        "edge {} applied seq {} < latest {} but still holds {} page(s)",
-                        ep.name(),
-                        ep.applied_seq(),
-                        latest,
-                        ep.cache().len()
-                    ),
-                });
-            }
+        if !behind.is_empty() {
+            let held: Vec<String> =
+                behind.iter().map(|s| format!("{:?}: {}", s.holder, s.key.as_str())).collect();
+            return Some(Violation {
+                action_index: idx,
+                kind: "bus-degradation".into(),
+                detail: format!(
+                    "behind latest batch {} but still held: {held:?}",
+                    portal.bus().latest_seq()
+                ),
+            });
         }
         // Index soundness: the scenario runs with index-vs-scan
         // differential mode on, so any sync where the predicate index and

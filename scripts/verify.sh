@@ -80,10 +80,13 @@ echo "== fuzz harness smoke (safety contract, all policies x fault classes) =="
 # JSON under target/harness-repros/ (uploaded as a CI artifact).
 ./target/release/harness smoke --out target/harness-repros
 
-echo "== server farm walkthrough (examples/server_farm.rs, 4 nodes) =="
-# cargo test compiles the examples but runs none of them; this is the one
-# scripted multi-node walkthrough, and it asserts as it goes.
-cargo run --release --offline --example server_farm
+echo "== examples (server_farm, quickstart, ecommerce_storefront, auction_site) =="
+# cargo test compiles the examples but runs none of them. Each of these
+# asserts as it goes, and ends on `stale_pages().is_empty()`; server_farm is
+# the scripted 4-node walkthrough. sql_repl is interactive and stays out.
+for example in server_farm quickstart ecommerce_storefront auction_site; do
+  cargo run --release --offline --example "$example"
+done
 
 echo "== fuzz harness canary (a broken invalidator must be caught) =="
 # Compile the deliberately-unsound invalidator (feature `canary`) and prove
