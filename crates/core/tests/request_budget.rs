@@ -37,8 +37,9 @@ const REMISS: [usize; 4] = [13, 90, 30, 12];
 /// Allocations of the first sync point over the whole site: the records
 /// come typed from the query log (4 977 when the mapper typed each), each
 /// naming its page (551 when the mapper joined them to their requests by
-/// id, through an index and an owner list).
-const FIRST_SYNC: usize = 549;
+/// id, through an index and an owner list), and no request record is kept
+/// (549 when the mapper drained one per page).
+const FIRST_SYNC: usize = 548;
 
 fn portal() -> CachePortal {
     let portal = CachePortal::builder(storefront::database(1))

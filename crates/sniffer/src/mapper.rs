@@ -17,15 +17,18 @@
 //! The containment join's index (`WindowIndex`) is built when the run's
 //! first record without a page turns up, and costs a sort of the run's
 //! request windows plus, per query, a binary search and a walk over the
-//! windows that can still reach it. The mapper parses and types nothing: a
+//! windows that can still reach it. The request log holds only the windows
+//! such a join can need: a request served while a statement was logged
+//! outside any request's scope ([`RequestLog`]'s `on_served`), and every
+//! record handed to it directly. The mapper parses and types nothing: a
 //! record comes typed from the query log, which also kept no record of a row
-//! the map already held, so a run sees one query record per new row (and one
-//! request record per generated page). It compares typed forms to know
-//! whether the map already has the row ([`MapWriter::insert_typed`]) — a
-//! record without a page, or a page two requests generated in one window,
-//! can still bring one — keeps the typed form as the row, and the
-//! invalidator's registration scan reads it as it stands. A run with no
-//! query record to place drains the request log and touches nothing else.
+//! the map already held, so a run sees one query record per new row. It
+//! compares typed forms to know whether the map already has the row
+//! ([`MapWriter::insert_typed`]) — a record without a page, or a page two
+//! requests generated in one window, can still bring one — keeps the typed
+//! form as the row, and the invalidator's registration scan reads it as it
+//! stands. A run with no query record to place drains the request log and
+//! touches nothing else.
 //!
 //! [`MapWriter::insert_typed`]: crate::map::MapWriter::insert_typed
 //! [`IssuedFor::Page`]: crate::query_log::IssuedFor::Page

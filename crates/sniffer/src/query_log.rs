@@ -31,7 +31,7 @@ use cacheportal_db::sql::rewrite::{parameterize_in_place, substitute_params, Typ
 use cacheportal_db::stripe::Striped;
 use cacheportal_db::{DbResult, ExecOutcome, FaultPlan, QueryResult, Value};
 use cacheportal_web::clock::{Clock, Micros};
-use cacheportal_web::{with_current_page, Connection, PageKey};
+use cacheportal_web::{note_unscoped_statement, with_current_page, Connection, PageKey};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -431,7 +431,10 @@ impl<C: Connection> LoggedConnection<C> {
     }
 
     /// Run `statement` between two ticks and log it, for the page this
-    /// thread generates, if it succeeds.
+    /// thread generates, if it succeeds. A statement logged on a thread in
+    /// no request's scope is counted first
+    /// ([`note_unscoped_statement`]): a request whose servlet waits for its
+    /// result then logs its window.
     fn logged<R>(
         &mut self,
         sql: &str,
@@ -445,7 +448,12 @@ impl<C: Connection> LoggedConnection<C> {
         let delivered = self.clock.tick();
         if result.is_ok() {
             let issued = Issued { sql, share, params, is_select, received, delivered };
-            with_current_page(|page| self.log.append(page, issued));
+            with_current_page(|page| {
+                if page.is_none() {
+                    note_unscoped_statement();
+                }
+                self.log.append(page, issued)
+            });
         }
         result
     }

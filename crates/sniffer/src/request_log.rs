@@ -9,9 +9,17 @@
 //! §3.1 are what the page key was computed from, and the application server
 //! does not record them. Only a query record that names no page is joined to
 //! these entries — one logged on the servlet's thread is filed under the
-//! page it names — but the containment join of such a record needs every
-//! request's window, so between two mapper runs the log holds one entry per
-//! generated page, and an entry's size is what a faster site pays in memory.
+//! page it names — so the application server's requests are kept only when
+//! a statement was logged outside any request's scope while they were
+//! served ([`RequestObserver::on_served`]'s `overlapped`). A page can
+//! depend on such a query only if its result reached the page's servlet,
+//! and the query logger counts the statement before it returns that result
+//! ([`cacheportal_web::note_unscoped_statement`]): the request that owns it
+//! is always kept. A request left out could only have owned a containment
+//! row of a query it never read — an over-invalidation. On a site whose
+//! servlets query on their own thread the log stays empty between mapper
+//! runs. A record handed to [`RequestObserver::on_request`] directly — a
+//! hand-fed or shipped log — is always kept.
 
 use cacheportal_db::stripe::Striped;
 use cacheportal_web::clock::Micros;
@@ -88,6 +96,14 @@ impl RequestObserver for RequestLog {
             delivered: record.delivered,
         });
     }
+
+    /// Keep a served request only if a query without a page may have run
+    /// for it: no other record reads its window.
+    fn on_served(&self, record: RequestRecord, overlapped: bool) {
+        if overlapped {
+            self.on_request(record);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -116,5 +132,14 @@ mod tests {
         assert_eq!(&*drained[1].servlet, "s");
         assert!(log.is_empty());
         assert!(log.drain().is_empty());
+    }
+
+    #[test]
+    fn a_served_request_is_kept_only_when_overlapped() {
+        let log = RequestLog::new();
+        log.on_served(record(1), false);
+        assert!(log.is_empty());
+        log.on_served(record(2), true);
+        assert_eq!(log.drain()[0].page_key, PageKey::raw("k2"));
     }
 }

@@ -5,7 +5,7 @@
 use crate::clock::{Clock, Micros};
 use crate::connection::ConnectionPool;
 use crate::http::{CacheControl, HttpRequest, HttpResponse, Owner};
-use crate::scope::RequestScope;
+use crate::scope::{unscoped_statements, RequestScope};
 use crate::servlet::Servlet;
 use crate::url::PageKey;
 use parking_lot::RwLock;
@@ -32,6 +32,17 @@ pub struct RequestRecord {
 pub trait RequestObserver: Send + Sync {
     /// Called once per successfully served request.
     fn on_request(&self, record: RequestRecord);
+
+    /// Called by [`AppServer::serve`] once per successfully served request
+    /// instead of [`on_request`](RequestObserver::on_request):
+    /// `overlapped` says whether a statement was logged outside any
+    /// request's scope while the servlet ran ([`unscoped_statements`]
+    /// moved). By default the record is passed on to `on_request` either
+    /// way.
+    fn on_served(&self, record: RequestRecord, overlapped: bool) {
+        let _ = overlapped;
+        self.on_request(record);
+    }
 }
 
 /// Application server configuration.
@@ -150,12 +161,14 @@ impl AppServer {
         // thread is logged for this page.
         self.routed.fetch_add(1, Ordering::Relaxed);
         let spec = servlet.spec();
+        let unscoped = unscoped_statements();
         let received = self.clock.tick();
         let outcome = {
             let _scope = RequestScope::enter(page_key.clone(), spec.name.clone());
             let mut conn = self.pool.checkout();
             servlet.handle(req, &mut conn)
         };
+        let overlapped = unscoped_statements() != unscoped;
         let delivered = self.clock.tick();
 
         let body = match outcome {
@@ -165,12 +178,13 @@ impl AppServer {
 
         // Request-logger wrapper: record after successful delivery.
         if let Some(obs) = self.observer.get() {
-            obs.on_request(RequestRecord {
+            let record = RequestRecord {
                 servlet: spec.name.clone(),
                 page_key: page_key.clone(),
                 received,
                 delivered,
-            });
+            };
+            obs.on_served(record, overlapped);
         }
 
         // §3.1: translate `no-cache` into the owner-restricted directive so
@@ -336,6 +350,35 @@ mod tests {
         let logged: Vec<String> = cap.0.lock().iter().map(|r| r.page_key.to_string()).collect();
         assert_eq!(logged, [page(""), page("nest"), page("")]);
         assert_eq!(app.requests_served(), 5);
+    }
+
+    /// An observer that keeps what `serve` says of each request's overlap.
+    struct Overlaps(Mutex<Vec<(String, bool)>>);
+    impl RequestObserver for Overlaps {
+        fn on_request(&self, _: RequestRecord) {
+            unreachable!("serve calls on_served");
+        }
+        fn on_served(&self, r: RequestRecord, overlapped: bool) {
+            self.0.lock().push((r.servlet.to_string(), overlapped));
+        }
+    }
+
+    #[test]
+    fn serve_says_whether_a_statement_outside_any_scope_was_logged_meanwhile() {
+        let (app, _) = app(false);
+        let spec = ServletSpec::new("handoff");
+        app.register(Arc::new(FnServlet::new(spec, |_req, _conn| {
+            // What the driver wrapper does for a statement it logs on a
+            // thread the servlet handed work to.
+            std::thread::scope(|s| s.spawn(crate::note_unscoped_statement).join().unwrap());
+            Ok("ok".into())
+        })));
+        let seen = Arc::new(Overlaps(Mutex::new(Vec::new())));
+        app.set_observer(seen.clone());
+        app.handle(&HttpRequest::get("h", "/cars", &[("maxprice", "30000")]));
+        app.handle(&HttpRequest::get("h", "/handoff", &[]));
+        let seen = seen.0.lock().clone();
+        assert_eq!(seen, [("cars".to_string(), false), ("handoff".to_string(), true)]);
     }
 
     #[test]

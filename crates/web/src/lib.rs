@@ -25,7 +25,7 @@ pub use clock::{Clock, ManualClock, Micros, SystemClock};
 pub use connection::{shared, Connection, ConnectionFactory, ConnectionPool, DbConnection, SharedDb};
 pub use http::{CacheControl, HttpRequest, HttpResponse, Method, Owner, Status};
 pub use inline::{push_tight, InlineVec};
-pub use scope::{with_current_page, RequestScope};
+pub use scope::{note_unscoped_statement, unscoped_statements, with_current_page, RequestScope};
 pub use servlet::{FnServlet, ParamSource, QueryTemplate, Servlet, ServletSpec, SqlServlet};
 pub use url::PageKey;
 pub use webserver::WebServer;

@@ -8,16 +8,44 @@
 //! finds them. Both are carried by those two wrappers only: no servlet, SQL
 //! text or [`Connection`] signature knows them.
 //!
+//! A statement logged on a thread in no scope — one a servlet handed work
+//! to — names no page, and is joined to the request windows that contain
+//! it. The driver wrapper counts each such statement
+//! ([`note_unscoped_statement`]) before it logs it and before it returns its
+//! result, so a request whose servlet waited for one sees the count move
+//! between the start and the end of its generation, and only such a request
+//! needs its window logged.
+//!
 //! [`AppServer::serve`]: crate::AppServer::serve
 //! [`Connection`]: crate::Connection
 
 use crate::url::PageKey;
 use std::cell::RefCell;
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 thread_local! {
     static CURRENT: RefCell<Option<(PageKey, Arc<str>)>> = const { RefCell::new(None) };
+}
+
+/// Statements logged outside any request scope, process-wide.
+static UNSCOPED: AtomicU64 = AtomicU64::new(0);
+
+/// Count one statement logged on a thread in no request's scope. Call it
+/// before the statement is logged and before its result is returned: a
+/// servlet that reads the result then ends after the count moved.
+pub fn note_unscoped_statement() {
+    UNSCOPED.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Statements logged outside any request scope so far, process-wide. Two
+/// reads around a servlet differ when a statement whose result reached the
+/// servlet was logged on another thread: handing the work over and getting
+/// the result back both synchronise, so the first read precedes the count
+/// and the count precedes the second read, and the count only grows.
+pub fn unscoped_statements() -> u64 {
+    UNSCOPED.load(Ordering::Relaxed)
 }
 
 /// Call `f` with the page key of the request this thread is serving and the

@@ -63,7 +63,10 @@ echo "== counted budgets and the admission race (release, one command) =="
 #   exactly one row each, under the page that issued it; and a miss parked
 #   between its queries and its request record, across a consuming sync or
 #   three mapper runs, is served but not cached (its queries name its page,
-#   so its row is mapped at the first of those runs all the same).
+#   so its row is mapped at the first of those runs all the same); and a
+#   servlet that queries from another thread, its misses interleaved with
+#   plain ones against back-to-back sync points, keeps its request window,
+#   so every cached page of it has its own row.
 cargo test -q --release --offline \
   -p cacheportal --test persist_alloc --test page_footprint --test request_budget \
   -p cacheportal-invalidator --test analysis_alloc \

@@ -7,6 +7,8 @@
 //! farm, every query is filed under the request that issued it and no other.
 //! And the admission stamp without a race to win: a miss parked between its
 //! queries and its request record while sync points run is not cached.
+//! And a servlet that queries from another thread: its request's window is
+//! kept for the containment join, however the misses and syncs interleave.
 
 use cacheportal::db::schema::ColType;
 use cacheportal::db::{Database, DbResult};
@@ -423,4 +425,102 @@ fn concurrent_misses_map_exactly_one_row_per_page() {
 #[test]
 fn concurrent_misses_on_a_farm_map_exactly_one_row_per_page() {
     prefill_maps_one_row_per_page(3, 4);
+}
+
+/// The `items` page, its query run on a thread the servlet hands its
+/// connection to: the record names no page, and only the containment join
+/// on its request's window files it.
+struct Threaded(ServletSpec);
+
+impl Servlet for Threaded {
+    fn spec(&self) -> &ServletSpec {
+        &self.0
+    }
+
+    fn handle(&self, req: &HttpRequest, conn: &mut dyn Connection) -> DbResult<String> {
+        let grp: i64 = req.get_param("grp").and_then(|g| g.parse().ok()).unwrap_or(-1);
+        let sql = "SELECT grp, val FROM items WHERE grp = $1 ORDER BY val";
+        let result = std::thread::scope(|scope| {
+            scope.spawn(|| conn.query(sql, &[grp.into()])).join().expect("the worker returns")
+        })?;
+        let vals: Vec<String> = result.rows.iter().map(|row| row[1].to_string()).collect();
+        Ok(format!("<html><body>{}</body></html>", vals.join(",")))
+    }
+}
+
+/// Threaded misses interleaved with plain ones on two threads while sync
+/// points run back to back: every cached threaded page has its own QI/URL
+/// row, so an update to every group and one sync point leave nothing stale.
+/// A threaded request is served while its own worker's statement is
+/// logged outside any request, so its window is kept; a plain request
+/// that overlapped another's worker is kept too, and may take that query's
+/// row — an over-invalidation. (A miss whose query outlived the mapper's
+/// retention before its window was logged saw sync points run during its
+/// generation, and is not cached: the check is over cached pages.)
+#[test]
+fn threaded_misses_keep_their_windows_while_syncs_run() {
+    const GROUPS: i64 = 100;
+    const ROUNDS: usize = 10;
+    let mut threaded_cached = 0;
+    for round in 0..ROUNDS {
+        let portal = build_portal_with_groups(GROUPS);
+        let spec = ServletSpec::new("threaded").with_key_get_params(&["grp"]);
+        portal.register_servlet(Arc::new(Threaded(spec)));
+        let start = Barrier::new(3);
+        let reading = AtomicBool::new(true);
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..2)
+                .map(|t| {
+                    let (portal, start) = (&portal, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for grp in 0..GROUPS {
+                            // Each reader alternates the two servlets, out of
+                            // step with the other.
+                            let grp = grp.to_string();
+                            let paths = if t == 0 { ["/threaded", "/items"] } else { ["/items", "/threaded"] };
+                            for path in paths {
+                                let req = HttpRequest::get("h", path, &[("grp", &grp)]);
+                                assert_eq!(portal.request(&req).response.status.code(), 200);
+                            }
+                        }
+                    })
+                })
+                .collect();
+            scope.spawn(|| {
+                start.wait();
+                while reading.load(Ordering::Relaxed) {
+                    portal.sync_point().unwrap();
+                    // Leave a core to the workers the threaded misses spawn.
+                    std::thread::yield_now();
+                }
+            });
+            for reader in readers {
+                reader.join().unwrap();
+            }
+            reading.store(false, Ordering::Relaxed);
+        });
+        portal.sync_point().unwrap();
+        for key in portal.page_cache().keys() {
+            let rows = portal.qi_url_map().entries_for_page(&key);
+            assert!(!rows.is_empty(), "round {round}: {key} cached with no QI/URL row");
+            let Some(grp) = key.as_str().strip_prefix("h/threaded?g:grp=") else { continue };
+            threaded_cached += 1;
+            let own = format!("SELECT grp, val FROM items WHERE grp = {grp} ORDER BY val");
+            assert!(
+                rows.iter().any(|row| row.sql == own && &*row.servlet == "threaded"),
+                "round {round}: {key} lacks its own row: {rows:?}"
+            );
+        }
+        for grp in 0..GROUPS {
+            portal
+                .update(&format!("INSERT INTO items VALUES ({grp}, {})", 10_000 + grp))
+                .unwrap();
+        }
+        portal.sync_point().unwrap();
+        let stale = portal.stale_pages();
+        assert!(stale.is_empty(), "round {round}: stale after update + sync: {stale:?}");
+    }
+    assert!(threaded_cached > 0, "no threaded page was ever cached");
+    println!("{threaded_cached} threaded pages cached over {ROUNDS} rounds");
 }

@@ -11,12 +11,13 @@ use cacheportal_web::{
     shared, AppServer, AppServerConfig, Clock, ConnectionFactory, ConnectionPool, DbConnection,
     FnServlet, HttpRequest, ManualClock, ParamSource, QueryTemplate, ServletSpec, SqlServlet,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Assemble Figure 7 by hand.
 struct Deployment {
     db: cacheportal_web::SharedDb,
     app: Arc<AppServer>,
+    requests: Arc<RequestLog>,
     map: Arc<QiUrlMap>,
     mapper: Mapper,
     invalidator: Invalidator,
@@ -63,12 +64,13 @@ fn deploy() -> Deployment {
     )));
 
     let map = Arc::new(QiUrlMap::new());
-    let mapper = Mapper::new(request_log, query_log, map.clone());
+    let mapper = Mapper::new(request_log.clone(), query_log, map.clone());
     let mut invalidator = Invalidator::new(InvalidatorConfig::default());
     invalidator.start_from(high_water);
     Deployment {
         db,
         app,
+        requests: request_log,
         map,
         mapper,
         invalidator,
@@ -200,11 +202,37 @@ fn a_failed_requests_queries_are_filed_under_no_neighbour() {
     assert_eq!(next, MapperReport { elapsed_micros: next.elapsed_micros, ..MapperReport::default() });
 }
 
+/// The count of statements logged outside any request is process-wide:
+/// a test that logs one and a test that expects no request record kept do
+/// not run at once.
+static OUTSIDE_A_REQUEST: Mutex<()> = Mutex::new(());
+
+fn no_other_statement_outside_a_request() -> MutexGuard<'static, ()> {
+    OUTSIDE_A_REQUEST.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Every query of a plain servlet names its page, so no request record is
+/// kept: nothing would read its window.
+#[test]
+fn plain_requests_keep_no_request_record() {
+    let _alone = no_other_statement_outside_a_request();
+    let mut d = deploy();
+    for bound in 0..20 {
+        let req = HttpRequest::get("h", "/cars", &[("maxprice", &bound.to_string())]);
+        assert_eq!(d.app.handle(&req).status.code(), 200);
+    }
+    assert_eq!(d.requests.len(), 0);
+    let report = d.mapper.run_once();
+    assert_eq!((report.mapped, report.named), (20, 20));
+}
+
 /// A servlet that hands its connection to another thread queries outside
 /// the request's scope: the record names no page and is joined, as in the
-/// paper, to the window that contains it.
+/// paper, to the window that contains it — the request's, which is kept
+/// because that statement was logged while it was served.
 #[test]
 fn a_query_from_another_thread_falls_back_to_interval_containment() {
+    let _alone = no_other_statement_outside_a_request();
     let mut d = deploy();
     d.app.register(Arc::new(FnServlet::new(ServletSpec::new("threaded"), |_req, conn| {
         let r = std::thread::scope(|scope| {
@@ -214,6 +242,7 @@ fn a_query_from_another_thread_falls_back_to_interval_containment() {
         Ok(format!("<html><body>{}</body></html>", r.rows[0][0]))
     })));
     assert_eq!(d.app.handle(&HttpRequest::get("h", "/threaded", &[])).status.code(), 200);
+    assert_eq!(d.requests.len(), 1, "the threaded request's window is kept");
     let report = d.mapper.run_once();
     assert_eq!((report.mapped, report.named, report.ambiguous), (1, 0, 0));
     assert_eq!(&*d.map.all()[0].servlet, "threaded");
