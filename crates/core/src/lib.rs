@@ -56,8 +56,8 @@ pub use durability::{
     SnapshotDoc,
 };
 pub use system::{
-    CachePortal, CachePortalBuilder, Holder, RecoveryStats, RequestOutcome, Served, StalePage,
-    Staleness, SyncReport,
+    CachePortal, CachePortalBuilder, Holder, Miss, PendingMiss, RecoveryStats, RequestOutcome,
+    Served, StalePage, Staleness, SyncReport,
 };
 
 /// Re-export: the relational engine substrate.

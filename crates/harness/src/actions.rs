@@ -36,6 +36,14 @@ impl Stmt {
 pub enum Action {
     /// Request servlet `idx` for group `g` (serves from cache or generates).
     Request(usize, i64),
+    /// The first half of a request of servlet `idx` for group `g`, into
+    /// slot `slot`: a hit is served whole, a miss is generated and left in
+    /// the slot, unadmitted (`BeginMiss(slot, idx, g)`).
+    BeginMiss(usize, usize, i64),
+    /// Admit the miss waiting in slot `slot`. A slot that is not open (none
+    /// was begun, it was admitted already, or a crash dropped it) makes this
+    /// a no-op, so a shrunk trace stays runnable.
+    Admit(usize),
     /// One autocommit mutation.
     Mutate(Stmt),
     /// Multi-statement transaction (atomic: all or nothing).
@@ -84,16 +92,63 @@ fn readmit_after_eject(rng: &mut StdRng, sc: &Scenario) -> [Action; 7] {
     ]
 }
 
+/// A miss split at its admission: the page is generated into `slot`, then
+/// usually a statement on the group it shows commits (alone or in a
+/// transaction) and a sync point runs, and then the page is admitted. The
+/// admission must be declined when a sync point ran in between, or the
+/// page would be cached without the update that sync consumed.
+fn split_miss(rng: &mut StdRng, sc: &Scenario, slot: usize) -> Vec<Action> {
+    let s = rng.gen_range(0..sc.servlets.len());
+    let t = sc.servlets[s].kind.table();
+    let g = rng.gen_range(0..GROUPS);
+    let mut actions = vec![Action::BeginMiss(slot, s, g)];
+    if rng.gen_bool(0.75) {
+        let stmt = match rng.gen_range(0..3u8) {
+            0 => Stmt::Insert(t, rng.gen_range(0..KEYS), g, rng.gen_range(0..50i64)),
+            1 => Stmt::Delete(t, g),
+            _ => Stmt::Update(t, g, rng.gen_range(0..50i64)),
+        };
+        actions.push(if rng.gen_bool(0.25) {
+            Action::Txn(vec![stmt, gen_stmt(rng, sc.tables.len())])
+        } else {
+            Action::Mutate(stmt)
+        });
+    }
+    if rng.gen_bool(0.75) {
+        actions.push(Action::Sync);
+    }
+    actions.push(Action::Admit(slot));
+    actions
+}
+
 /// Generate `n` actions for the scenario, deterministically from its seed.
 pub fn gen_actions(sc: &Scenario, n: usize) -> Vec<Action> {
+    gen_stream(sc, n, false)
+}
+
+/// [`gen_actions`] with about three in ten requests split into a
+/// `BeginMiss` and an `Admit`, a mutation and a sync point usually between
+/// them (`split_miss`). `gen_actions` draws nothing for the split, so its
+/// streams, and the smoke matrix, do not depend on it.
+pub fn gen_split_miss_actions(sc: &Scenario, n: usize) -> Vec<Action> {
+    gen_stream(sc, n, true)
+}
+
+fn gen_stream(sc: &Scenario, n: usize, split_misses: bool) -> Vec<Action> {
     let mut rng = StdRng::seed_from_u64(sc.seed ^ 0xac71_0057_2ea3_0002);
     let n_tables = sc.tables.len();
     let n_servlets = sc.servlets.len();
     let crashes = sc.fault.crash_restart > 0.0;
     let mut actions = Vec::with_capacity(n);
+    let mut slots = 0;
     while actions.len() < n {
         let roll = rng.gen_range(0..100u8);
         let action = if roll < 35 {
+            if split_misses && rng.gen_bool(0.3) {
+                actions.extend(split_miss(&mut rng, sc, slots));
+                slots += 1;
+                continue;
+            }
             Action::Request(rng.gen_range(0..n_servlets), rng.gen_range(0..GROUPS))
         } else if roll < 68 {
             Action::Mutate(gen_stmt(&mut rng, n_tables))

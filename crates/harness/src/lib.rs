@@ -11,7 +11,8 @@
 //!   servlets serving them.
 //! - [`actions`] generates the interleaved action stream: requests,
 //!   mutations, multi-statement transactions, sync points, and policy
-//!   flips.
+//!   flips; and, for one sweep, misses split at their admission with
+//!   mutations and sync points between the halves.
 //! - [`runner`] drives the stream through a full [`CachePortal`] while
 //!   the shadow always-recompute oracle
 //!   ([`CachePortal::stale_pages`]) checks zero staleness after every sync
@@ -38,7 +39,7 @@ pub mod runner;
 pub mod shrink;
 pub mod sweep;
 
-pub use actions::{gen_actions, Action, Stmt};
+pub use actions::{gen_actions, gen_split_miss_actions, Action, Stmt};
 pub use faults::{FaultClass, ALL_CLASSES};
 pub use gen::{Scenario, ServletGen, ServletKind, TableGen};
 pub use repro::Reproducer;

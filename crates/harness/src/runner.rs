@@ -16,8 +16,9 @@ use crate::actions::{Action, Stmt};
 use crate::gen::{policy_of, Scenario};
 use cacheportal::db::{DbError, FaultPlan};
 use cacheportal::web::{shared, SharedDb};
-use cacheportal::{CachePortal, Served, Staleness};
+use cacheportal::{CachePortal, PendingMiss, Served, Staleness};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -47,7 +48,7 @@ impl std::fmt::Display for Violation {
 /// Aggregated run accounting (precision inputs for the soak report).
 #[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunStats {
-    /// Requests served.
+    /// Requests served (a split miss counts at its `BeginMiss`).
     pub requests: u64,
     /// Requests answered from the page cache.
     pub cache_hits: u64,
@@ -82,6 +83,9 @@ pub struct RunStats {
     pub edge_reboots: u64,
     /// Edge self-ejections under degraded mode (Vcache-style fallback).
     pub edge_self_ejections: u64,
+    /// Split misses whose admission was declined because a sync point ran
+    /// after their `BeginMiss`.
+    pub declined_races: u64,
 }
 
 /// Outcome of one run: accounting plus the first violated invariant.
@@ -143,6 +147,7 @@ struct CounterBases {
     over_invalidations: u64,
     polls_faulted: u64,
     gap_ejected: u64,
+    declined_races: u64,
 }
 
 impl CounterBases {
@@ -155,6 +160,7 @@ impl CounterBases {
         self.over_invalidations += m.counter_value("invalidator.over_invalidations");
         self.polls_faulted += m.counter_value("invalidator.polls.faulted");
         self.gap_ejected += m.counter_value("durable.recovery.gap_ejected");
+        self.declined_races += m.counter_value("cache.admission.declined_race");
     }
 }
 
@@ -215,6 +221,8 @@ pub fn run_scenario_on(sc: &Scenario, actions: &[Action], nodes: usize) -> RunOu
     let fault_active = portal.fault_plan().is_active();
     let mut stats = RunStats::default();
     let mut bases = CounterBases::default();
+    // Split misses begun and not yet admitted, by slot.
+    let mut slots: HashMap<usize, PendingMiss> = HashMap::new();
 
     let sync = |portal: &CachePortal, stats: &mut RunStats, idx: usize| -> Option<Violation> {
         let report = match portal.sync_point() {
@@ -298,6 +306,8 @@ pub fn run_scenario_on(sc: &Scenario, actions: &[Action], nodes: usize) -> RunOu
             if c.plan.crash_before_action(idx as u64) {
                 stats.crashes += 1;
                 bases.fold(&portal);
+                // A miss in flight dies with its portal.
+                slots.clear();
                 let cache = portal.page_cache().clone();
                 drop(portal);
                 portal =
@@ -316,23 +326,40 @@ pub fn run_scenario_on(sc: &Scenario, actions: &[Action], nodes: usize) -> RunOu
                 }
             }
         }
-        match action {
-            Action::Request(s, g) => {
-                let out = portal.request(&sc.request(*s, *g));
-                stats.requests += 1;
-                if out.served == Served::CacheHit {
-                    stats.cache_hits += 1;
-                }
-                if out.response.status.code() != 200 {
-                    return RunOutcome::fail(
-                        stats,
-                        idx,
-                        "workload-error",
-                        format!("request {:?} returned {}", action, out.response.status.code()),
-                    )
-                    .with_flight_record(&portal);
+        let served = match action {
+            Action::Request(s, g) => Some(portal.request(&sc.request(*s, *g))),
+            Action::BeginMiss(slot, s, g) => {
+                let req = sc.request(*s, *g);
+                match portal.lookup(&req) {
+                    Ok(hit) => Some(hit),
+                    Err(miss) => {
+                        slots.insert(*slot, portal.begin_miss(miss));
+                        None
+                    }
                 }
             }
+            Action::Admit(slot) => slots.remove(slot).map(|miss| portal.admit(miss)),
+            _ => None,
+        };
+        if matches!(action, Action::Request(..) | Action::BeginMiss(..)) {
+            stats.requests += 1;
+        }
+        if let Some(out) = served {
+            if out.served == Served::CacheHit {
+                stats.cache_hits += 1;
+            }
+            if out.response.status.code() != 200 {
+                return RunOutcome::fail(
+                    stats,
+                    idx,
+                    "workload-error",
+                    format!("request {:?} returned {}", action, out.response.status.code()),
+                )
+                .with_flight_record(&portal);
+            }
+        }
+        match action {
+            Action::Request(..) | Action::BeginMiss(..) | Action::Admit(_) => {}
             Action::Mutate(s) => {
                 if let Err(detail) = apply_stmt(&portal, sc, s) {
                     return RunOutcome::fail(stats, idx, "workload-error", detail)
@@ -396,6 +423,7 @@ pub fn run_scenario_on(sc: &Scenario, actions: &[Action], nodes: usize) -> RunOu
     stats.over_invalidations = bases.over_invalidations;
     stats.polls_faulted = bases.polls_faulted;
     stats.gap_ejected = bases.gap_ejected;
+    stats.declined_races = bases.declined_races;
     let counts = portal.fault_plan().counts();
     stats.records_lost = counts.sniffer_dropped;
     stats.records_duplicated = counts.sniffer_duplicated;

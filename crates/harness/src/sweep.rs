@@ -64,6 +64,7 @@ impl CellAgg {
         self.stats.edge_partitions += s.edge_partitions;
         self.stats.edge_reboots += s.edge_reboots;
         self.stats.edge_self_ejections += s.edge_self_ejections;
+        self.stats.declined_races += s.declined_races;
     }
 }
 

@@ -1,10 +1,11 @@
 //! The harness's own acceptance tests: the CI smoke matrix, per-class
-//! fault coverage, reproducer round-tripping, and (feature-gated) the
-//! canary proving a broken invalidator is actually caught.
+//! fault coverage, the split-miss sweep over the admission stamp,
+//! reproducer round-tripping, and (feature-gated) the canary proving a
+//! broken invalidator is actually caught.
 
 use cacheportal_harness::{
-    cell_lines, gen_actions, run_scenario, run_scenario_on, sweep, FaultClass, Reproducer,
-    Scenario, SweepConfig, ALL_CLASSES,
+    cell_lines, gen_actions, gen_split_miss_actions, run_scenario, run_scenario_on, sweep, Action,
+    FaultClass, Reproducer, Scenario, SweepConfig, ALL_CLASSES,
 };
 use std::collections::BTreeSet;
 
@@ -149,6 +150,30 @@ fn crash_restart_runs_reach_pages_admitted_again_after_an_eject() {
     assert!(gaps > 0, "no run crashed with a page to gap-eject");
 }
 
+/// The smoke matrix's scenarios, with some misses split at their admission
+/// and a mutation, a sync point or a crash-restart between the two halves:
+/// zero staleness, and admissions are declined, so the sweep reaches the
+/// admission stamp's compare. With the compare replaced by `true` it fails
+/// at its first seed; the shrunk trace is
+/// `tests/repros/seed0-split-miss-admitted-across-a-consuming-sync.json`.
+#[cfg(not(feature = "canary"))]
+#[test]
+fn split_misses_are_declined_across_sync_points() {
+    let mut declined = 0;
+    for seed in 0..50 {
+        let (sc, class) = cacheportal_harness::sweep_scenario(seed, &ALL_CLASSES);
+        let actions = gen_split_miss_actions(&sc, 40);
+        let outcome = run_scenario(&sc, &actions);
+        if let Some(v) = outcome.violation {
+            let repro = Reproducer::capture(&sc, &actions);
+            let (class, shrunk) = (class.as_str(), repro.actions.len());
+            panic!("{class} seed {seed}: {v}\nshrunk to {shrunk}:\n{}", repro.to_json());
+        }
+        declined += outcome.stats.declined_races;
+    }
+    assert!(declined > 0, "no split miss was declined");
+}
+
 /// A three-node farm is under the same contract as one server: the full
 /// oracle (zero staleness at origin and edges, bus degradation, index
 /// differential, counter coherence, causal chains) over the fault classes
@@ -194,9 +219,6 @@ fn three_node_farm_stays_fresh_under_faults() {
     assert!(partitions > 0, "no edge was ever partitioned");
 }
 
-/// Reproducer files are self-contained and replay deterministically: the
-/// JSON round-trips losslessly and two runs of the same trace produce the
-/// identical outcome (stats and all).
 /// Every reproducer under `tests/repros/` is a failure that was found,
 /// shrunk and fixed; each must keep replaying clean. Each file still names
 /// the violation it reproduced when it was captured.
@@ -222,29 +244,41 @@ fn committed_reproducers_stay_fixed() {
     assert!(replayed > 0, "no reproducer under {}", dir.display());
 }
 
+/// Reproducer files are self-contained and replay deterministically: the
+/// JSON round-trips losslessly and two runs of the same trace produce the
+/// identical outcome (stats and all), for a plain stream, one with split
+/// misses, and that one ending in an `Admit` of a slot never opened.
 #[test]
 fn reproducer_roundtrip_and_determinism() {
     let sc = Scenario::generate(7)
         .with_policy(0)
         .with_fault(FaultClass::Mixed.spec(7));
-    let actions = gen_actions(&sc, 60);
+    let split = gen_split_miss_actions(&sc, 60);
+    let opened = split.iter().filter(|a| matches!(a, Action::BeginMiss(..))).count();
+    assert!(opened > 0, "no split miss in the stream");
+    // An `Admit` of a slot no `BeginMiss` opened is a no-op.
+    let mut unopened = split.clone();
+    unopened.push(Action::Admit(opened));
+    assert_eq!(run_scenario(&sc, &unopened), run_scenario(&sc, &split));
 
-    let repro = Reproducer {
-        version: cacheportal_harness::repro::REPRO_VERSION,
-        scenario: sc.clone(),
-        actions: actions.clone(),
-        violation: String::new(),
-    };
-    let parsed = Reproducer::from_json(&repro.to_json()).unwrap();
-    assert_eq!(parsed, repro, "JSON round-trip must be lossless");
+    for actions in [gen_actions(&sc, 60), split, unopened] {
+        let repro = Reproducer {
+            version: cacheportal_harness::repro::REPRO_VERSION,
+            scenario: sc.clone(),
+            actions: actions.clone(),
+            violation: String::new(),
+        };
+        let parsed = Reproducer::from_json(&repro.to_json()).unwrap();
+        assert_eq!(parsed, repro, "JSON round-trip must be lossless");
 
-    let a = run_scenario(&sc, &actions);
-    let b = parsed.replay();
-    assert_eq!(a, b, "replay must be bit-deterministic");
+        let a = run_scenario(&sc, &actions);
+        let b = parsed.replay();
+        assert_eq!(a, b, "replay must be bit-deterministic");
 
-    // Version gate: a future-format file is rejected, not misread.
-    let future = repro.to_json().replacen("\"version\": 1", "\"version\": 99", 1);
-    assert!(Reproducer::from_json(&future).is_err());
+        // Version gate: a future-format file is rejected, not misread.
+        let future = repro.to_json().replacen("\"version\": 1", "\"version\": 99", 1);
+        assert!(Reproducer::from_json(&future).is_err());
+    }
 }
 
 /// The harness catches a deliberately broken invalidator (the feature-gated

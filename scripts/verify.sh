@@ -61,7 +61,7 @@ echo "== counted budgets and the admission race (release, one command) =="
 #   points never cache a page without its QI/URL rows, and the storefront's
 #   4 300 pages missed from 1, 2 and 4 threads and on a 3-node farm map
 #   exactly one row each, under the page that issued it; and a miss parked
-#   between its queries and its request record, across a consuming sync or
+#   after its queries, before it is served, across a consuming sync or
 #   three mapper runs, is served but not cached (its queries name its page,
 #   so its row is mapped at the first of those runs all the same); and a
 #   servlet that queries from another thread, its misses interleaved with
@@ -80,7 +80,13 @@ echo "== fuzz harness smoke (safety contract, all policies x fault classes) =="
 # crash-restart (portal killed mid-trace, recovered from its durable
 # journal) and poll-flap (bursty poll failures tripping the circuit
 # breaker). Exit 1 on any staleness violation, with the shrunk reproducer
-# JSON under target/harness-repros/ (uploaded as a CI artifact).
+# JSON under target/harness-repros/ (uploaded as a CI artifact). The
+# admission race has its own sweep in the workspace tests above
+# (fuzz_smoke.rs, split_misses_are_declined_across_sync_points): the same
+# scenarios with misses split into BeginMiss / Admit and a mutation, a sync
+# point or a crash-restart between the halves, which fails if the admission
+# stamp's compare is dropped. Like the other fuzz_smoke sweeps it is off
+# under the canary feature below.
 ./target/release/harness smoke --out target/harness-repros
 
 echo "== examples (server_farm, quickstart, ecommerce_storefront, auction_site) =="

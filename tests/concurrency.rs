@@ -5,8 +5,10 @@
 //! contention: no page is cached whose generation a mapper run overlapped.
 //! And attribution: however many threads miss at once, on one server or a
 //! farm, every query is filed under the request that issued it and no other.
-//! And the admission stamp without a race to win: a miss parked between its
-//! queries and its request record while sync points run is not cached.
+//! And the admission stamp without a race to win: a miss parked after its
+//! queries, before it is served, while sync points run is not cached. (The
+//! harness's split-miss sweep, `fuzz_smoke.rs`, reaches the same compare on
+//! one thread; these tests keep it covered under real threads.)
 //! And a servlet that queries from another thread: its request's window is
 //! kept for the containment join, however the misses and syncs interleave.
 
@@ -141,12 +143,12 @@ fn parallel_readers_share_cached_pages() {
 /// Two readers missing on 400 pages against back-to-back sync points: no
 /// page is cached without its QI/URL rows, and an update to every group
 /// ejects every page it changes. A mapper run that falls into a page's
-/// generation sees the page's queries before its request record; they name
+/// generation sees the page's queries before the page is served; they name
 /// their page, so they are filed under it all the same. (When they were
 /// joined to a window or waited for their request record, a handful of
 /// pages per round were cached with no row unless the admission rule
 /// declined them; the parked-miss tests below pin that rule without a
-/// race.)
+/// race, as does the harness's split-miss sweep.)
 #[test]
 fn no_page_is_cached_whose_generation_a_mapper_run_overlapped() {
     const GROUPS: i64 = 400;
@@ -205,9 +207,9 @@ fn no_page_is_cached_whose_generation_a_mapper_run_overlapped() {
 }
 
 /// The `items` servlet, except that its first generation parks after its
-/// queries and before it returns: the queries are logged, the request record
-/// is not. Only the first parks, since `stale_pages` regenerates through the
-/// same servlet.
+/// queries and before it returns: the queries are logged, the page is not
+/// yet served or admitted. Only the first parks, since `stale_pages`
+/// regenerates through the same servlet.
 struct ParkOnce {
     inner: SqlServlet,
     park: Barrier,
@@ -274,9 +276,9 @@ fn a_miss_parked_across_a_consuming_sync_is_not_cached() {
 }
 
 /// Three sync points run while the page is generated and consume nothing.
-/// Its queries name its page, so the first of their mappers files them under
-/// it, request record or not; the admission is declined all the same, as
-/// the sync ordinal moved during the generation.
+/// Its queries name its page, so the first mapper run files them under it
+/// while the miss is parked; the admission is declined all the same, as the
+/// sync ordinal moved during the generation.
 #[test]
 fn a_miss_parked_across_three_mapper_runs_is_not_cached() {
     // Asserted once the miss is released: a panic while it is parked would
